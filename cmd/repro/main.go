@@ -70,7 +70,7 @@ func main() {
 		faultRate  = flag.Float64("faults", 0, "fault rate in kills per 100 simulated seconds; arms deterministic fault injection (and workflow checkpointing) for every run")
 		lineageOn  = flag.Bool("lineage", false, "with -trace/-metrics: arm the versioned artifact store and run each paradigm twice, so cache hits and commits appear in the trace")
 		validate   = flag.Bool("validate", false, "statically validate every task's workflow DAG (cycles, arity, schemas, partitioning, checkpoints) without executing; exit 1 if any diagnostic fires")
-		serveAddr  = flag.String("serve", "", "start the live observability server on this address (e.g. :8080): /metrics, /runs, /runs/{id}/events SSE, /runs/{id}/trace, /debug/pprof")
+		serveAddr  = flag.String("serve", "", "start the live observability server on this address (e.g. :8080): /metrics, /v1/runs, /v1/runs/{id}/events SSE, /v1/runs/{id}/trace, /debug/pprof")
 		serveTasks = flag.String("serve-tasks", "", "comma-separated tasks to launch as -serve starts; each is name[:paradigm[:size]] (e.g. dice:workflow:50)")
 		explainOf  = flag.String("explain", "", "run a task's workflow and print an EXPLAIN-ANALYZE profile (aligned tree; -json for the raw profile; -lineage for cache-hit annotation; -trace-wall adds wall columns)")
 		benchCheck = flag.Bool("bench-check", false, "run the wall-clock harness and compare against the latest BENCH_*.json baseline in -bench-dir; exit 1 on regression, 2 when no comparable baseline exists")

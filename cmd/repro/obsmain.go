@@ -172,7 +172,7 @@ func runServe(addr, tasks string, workers int, seed uint64, queueCap, nodes int,
 	httpSrv := &http.Server{Addr: addr, Handler: srv}
 	errCh := make(chan error, 1)
 	go func() { errCh <- httpSrv.ListenAndServe() }()
-	fmt.Printf("workflow service on %s — POST /v1/runs, /v1/tenants, /metrics, /runs/{id}/events, /runs/{id}/trace, /debug/pprof\n", addr)
+	fmt.Printf("workflow service on %s — POST /v1/runs, /v1/tenants, /metrics, /v1/runs/{id}/events, /v1/runs/{id}/trace, /debug/pprof\n", addr)
 
 	sig := make(chan os.Signal, 1)
 	signal.Notify(sig, os.Interrupt, syscall.SIGTERM)
@@ -251,11 +251,7 @@ func runSpecMode(task, specJSON string, f specFlags, jsonOut bool) error {
 			spec.Size = 1
 		}
 	}
-	t, err := spec.NewTask()
-	if err != nil {
-		return err
-	}
-	rc, err := spec.Config()
+	results, err := spec.Run()
 	if err != nil {
 		return err
 	}
@@ -269,13 +265,9 @@ func runSpecMode(task, specJSON string, f specFlags, jsonOut bool) error {
 		OutputDigest string  `json:"output_digest"`
 	}
 	var rows []row
-	for _, p := range spec.Paradigms() {
-		res, err := t.Run(p, rc)
-		if err != nil {
-			return err
-		}
+	for _, res := range results {
 		rows = append(rows, row{
-			Paradigm:     p.String(),
+			Paradigm:     res.Paradigm.String(),
 			SimSeconds:   res.SimSeconds,
 			Procs:        res.ParallelProcs,
 			Operators:    res.Operators,

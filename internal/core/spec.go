@@ -193,3 +193,28 @@ func (s RunSpec) NewTask() (Task, error) {
 	}
 	return NewTask(s.Task, s.Size, s.Seed)
 }
+
+// Run executes the spec end to end — one task construction, one
+// config, each requested paradigm in order — and returns the results in
+// that order. extra options are passed to Config. It is the one
+// spec → task → config → run loop the CLI, the HTTP service and the
+// experiment drivers share.
+func (s RunSpec) Run(extra ...Option) ([]*Result, error) {
+	task, err := s.NewTask()
+	if err != nil {
+		return nil, err
+	}
+	cfg, err := s.Config(extra...)
+	if err != nil {
+		return nil, err
+	}
+	var out []*Result
+	for _, p := range s.Paradigms() {
+		res, err := task.Run(p, cfg)
+		if err != nil {
+			return nil, err
+		}
+		out = append(out, res)
+	}
+	return out, nil
+}

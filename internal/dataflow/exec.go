@@ -21,10 +21,6 @@ import (
 type Config struct {
 	// Model supplies the cost constants; nil uses cost.Default().
 	Model *cost.Model
-	// BatchSize overrides the batch size of every source; 0 lets each
-	// source auto-tune (the engine-managed batching the paper credits
-	// Texera with).
-	BatchSize int
 	// Cluster, when set, bounds operator parallelism: no single
 	// operator may request more workers than the cluster's worker
 	// vCPUs (operators multiplex cores between themselves, as Texera's
@@ -552,9 +548,6 @@ func (ex *Execution) runNode(wg *sync.WaitGroup, rt *nodeRuntime) {
 func (ex *Execution) runSource(rt *nodeRuntime) {
 	ex.setState(rt, Running)
 	size := rt.n.batchSize
-	if size == 0 {
-		size = ex.cfg.BatchSize
-	}
 	if size == 0 {
 		size = AutoBatchSize(rt.n.table.Len())
 	}

@@ -79,7 +79,6 @@ func (ex *Execution) nodeHasher(n *node, scope string) *lineage.Hasher {
 		String(n.kind.String()).
 		String(n.signature).
 		Int(n.parallelism).
-		Int(ex.cfg.BatchSize).
 		Int(n.batchSize)
 	if n.kind == kindSource {
 		h.Uint64(relation.Digest(n.table))
@@ -196,9 +195,6 @@ func (ex *Execution) runReplay(rt *nodeRuntime) {
 	ex.setState(rt, Running)
 	art := ex.lin.art[rt.n.id]
 	size := rt.n.batchSize
-	if size == 0 {
-		size = ex.cfg.BatchSize
-	}
 	if size == 0 {
 		size = AutoBatchSize(art.Table.Len())
 	}

@@ -15,7 +15,7 @@ import (
 func faultWorkflow() (*Workflow, *relation.Table) {
 	in := intTable(400)
 	w := New("faulty")
-	src := w.Source("src", in)
+	src := w.Source("src", in, WithBatchSize(16))
 	f := w.Op(NewFilter("keep", cost.Python, func(r relation.Tuple) bool { return r.MustInt(1)%3 != 0 }))
 	snk := w.Sink("out")
 	w.Connect(src, f, 0, RoundRobin())
@@ -25,14 +25,13 @@ func faultWorkflow() (*Workflow, *relation.Table) {
 
 func TestCheckpointTaxWithoutFaults(t *testing.T) {
 	w, _ := faultWorkflow()
-	clean, err := w.Run(context.Background(), Config{BatchSize: 16})
+	clean, err := w.Run(context.Background(), Config{})
 	if err != nil {
 		t.Fatal(err)
 	}
 	w2, _ := faultWorkflow()
 	armed, err := w2.Run(context.Background(), Config{
-		BatchSize: 16,
-		Faults:    faults.Plan{CheckpointEvery: 4},
+		Faults: faults.Plan{CheckpointEvery: 4},
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -58,12 +57,12 @@ func TestCheckpointTaxWithoutFaults(t *testing.T) {
 
 func TestZeroFaultPlanAddsNothing(t *testing.T) {
 	w, _ := faultWorkflow()
-	clean, err := w.Run(context.Background(), Config{BatchSize: 16})
+	clean, err := w.Run(context.Background(), Config{})
 	if err != nil {
 		t.Fatal(err)
 	}
 	w2, _ := faultWorkflow()
-	zero, err := w2.Run(context.Background(), Config{BatchSize: 16, Faults: faults.Plan{}})
+	zero, err := w2.Run(context.Background(), Config{Faults: faults.Plan{}})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -79,7 +78,7 @@ func TestFaultInjectionDeterministicAndDigestPreserving(t *testing.T) {
 	plan := faults.Plan{Seed: 5, Rate: 300, NodeFraction: 0.3, CheckpointEvery: 4}
 	run := func() *Result {
 		w, _ := faultWorkflow()
-		res, err := w.Run(context.Background(), Config{BatchSize: 16, Faults: plan})
+		res, err := w.Run(context.Background(), Config{Faults: plan})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -99,7 +98,7 @@ func TestFaultInjectionDeterministicAndDigestPreserving(t *testing.T) {
 		t.Fatalf("kills without respawn cost: %+v", a.Recovery)
 	}
 	w, want := faultWorkflow()
-	clean, err := w.Run(context.Background(), Config{BatchSize: 16})
+	clean, err := w.Run(context.Background(), Config{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -155,7 +154,7 @@ func TestInvalidFaultPlanRejected(t *testing.T) {
 
 func TestCheckpointNow(t *testing.T) {
 	w, _ := faultWorkflow()
-	ex, err := w.Start(context.Background(), Config{BatchSize: 16})
+	ex, err := w.Start(context.Background(), Config{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -194,5 +193,5 @@ func TestCheckpointNow(t *testing.T) {
 func faultWorkflowStart(t *testing.T) (*Execution, error) {
 	t.Helper()
 	w, _ := faultWorkflow()
-	return w.Start(context.Background(), Config{BatchSize: 16})
+	return w.Start(context.Background(), Config{})
 }

@@ -8,6 +8,7 @@ import (
 	"repro/internal/core"
 	"repro/internal/cost"
 	"repro/internal/dataflow"
+	"repro/internal/pipeline"
 	"repro/internal/relation"
 	"repro/internal/tasks/dice"
 	"repro/internal/tasks/gotta"
@@ -172,9 +173,6 @@ func AblationBatching(cfg Config) ([]AblationRow, error) {
 	if err != nil {
 		return nil, err
 	}
-	// The batching knob lives on the dataflow config; tasks expose it
-	// through the model-independent RunConfig, so we reach it via the
-	// task's workflow with explicit batch sizes.
 	var out []AblationRow
 	for _, c := range []struct {
 		name  string
@@ -184,13 +182,36 @@ func AblationBatching(cfg Config) ([]AblationRow, error) {
 		{"auto-tuned", 0, "engine-managed batching (paper's Texera)"},
 		{"whole-table batches", pairs, "no pipelining across operators"},
 	} {
-		res, err := task.RunWorkflowWithBatch(cfg.RunConfig, c.batch)
+		res, err := pipeline.Run(pinnedBatch{task, c.batch}, core.Workflow, cfg.RunConfig)
 		if err != nil {
 			return nil, err
 		}
 		out = append(out, AblationRow{Config: c.name, Seconds: res.SimSeconds, Note: c.note})
 	}
 	return out, nil
+}
+
+// pinnedBatch is DICE with every source's batch size pinned on the plan
+// (0 leaves the engine's auto-tuning) — the knob the batching ablation
+// sweeps. The optimizer's batch pass leaves pinned sources alone.
+type pinnedBatch struct {
+	*dice.Task
+	batch int
+}
+
+func (p pinnedBatch) Plan(cfg core.RunConfig) (*dataflow.Workflow, error) {
+	w, err := p.Task.Plan(cfg)
+	if err != nil {
+		return nil, err
+	}
+	for id := dataflow.NodeID(0); int(id) < w.NumNodes(); id++ {
+		if w.IsSource(id) {
+			if err := w.SetSourceBatch(id, p.batch); err != nil {
+				return nil, err
+			}
+		}
+	}
+	return w, nil
 }
 
 // TuneRow is one operator's recommended worker count.

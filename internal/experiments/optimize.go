@@ -5,6 +5,7 @@ import (
 
 	"repro/internal/core"
 	"repro/internal/dataflow"
+	"repro/internal/pipeline"
 	"repro/internal/planopt"
 	"repro/internal/relation"
 )
@@ -125,11 +126,11 @@ func OptimizerSweep(cfg Config) ([]OptimizeRow, error) {
 // optimizeReport rebuilds the task's workflow plan and optimizes it
 // statically, returning the decision report the run path produced.
 func optimizeReport(task core.Task, rc core.RunConfig) (*planopt.Report, error) {
-	p, ok := task.(PlanProvider)
+	d, ok := task.(pipeline.Declaration)
 	if !ok {
 		return nil, fmt.Errorf("task %q does not expose a workflow plan", task.Name())
 	}
-	w, err := p.WorkflowPlan(rc.Workers)
+	w, err := d.Plan(rc)
 	if err != nil {
 		return nil, err
 	}

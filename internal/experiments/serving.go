@@ -133,20 +133,12 @@ func measureCost(costs map[string]float64, spec core.RunSpec, cfg Config) (float
 	if c, ok := costs[key]; ok {
 		return c, nil
 	}
-	task, err := spec.NewTask()
-	if err != nil {
-		return 0, err
-	}
-	rc, err := spec.Config(core.WithModel(cfg.Model))
+	results, err := spec.Run(core.WithModel(cfg.Model))
 	if err != nil {
 		return 0, err
 	}
 	var total float64
-	for _, p := range spec.Paradigms() {
-		res, err := task.Run(p, rc)
-		if err != nil {
-			return 0, err
-		}
+	for _, res := range results {
 		total += res.SimSeconds
 	}
 	costs[key] = total

@@ -5,15 +5,9 @@ import (
 
 	"repro/internal/core"
 	"repro/internal/dataflow"
+	"repro/internal/pipeline"
 	"repro/internal/planopt"
 )
-
-// PlanProvider is the capability a task exposes for plan-time
-// validation: build the workflow DAG it would execute, without
-// executing it. All four paper tasks implement it.
-type PlanProvider interface {
-	WorkflowPlan(workers int) (*dataflow.Workflow, error)
-}
 
 // PlanReport is one task's static plan-validation result.
 type PlanReport struct {
@@ -38,9 +32,13 @@ type PlanReport struct {
 // cannot be built); plan problems land in the per-task Diags.
 func ValidatePlans(cfg Config) ([]PlanReport, error) {
 	cfg = cfg.normalize()
-	workers := cfg.Workers
-	if workers < 2 {
-		workers = 2
+	rc := cfg.RunConfig
+	if rc.Workers < 2 {
+		rc.Workers = 2
+	}
+	rc, err := rc.Normalize()
+	if err != nil {
+		return nil, err
 	}
 	var out []PlanReport
 	for _, name := range core.TaskNames() {
@@ -48,25 +46,25 @@ func ValidatePlans(cfg Config) ([]PlanReport, error) {
 		if err != nil {
 			return nil, err
 		}
-		p, ok := task.(PlanProvider)
+		d, ok := task.(pipeline.Declaration)
 		if !ok {
 			return nil, fmt.Errorf("experiments: task %q does not expose a workflow plan", name)
 		}
-		w, err := p.WorkflowPlan(workers)
+		w, err := d.Plan(rc)
 		if err != nil {
 			return nil, fmt.Errorf("experiments: task %q: building plan: %w", name, err)
 		}
 		rep := PlanReport{
 			Task:      name,
-			Workers:   workers,
+			Workers:   rc.Workers,
 			Operators: w.NumOperators(),
 			Edges:     w.NumEdges(),
 			Diags:     dataflow.Validate(w),
 		}
-		if cfg.RunConfig.Optimize && len(rep.Diags) == 0 {
+		if rc.Optimize && len(rep.Diags) == 0 {
 			// Static optimize of the plan being validated: the rewrites
 			// and their explanations are part of the plan inspection.
-			opt, err := planopt.Optimize(w, planopt.ConfigOptions(cfg.RunConfig))
+			opt, err := planopt.Optimize(w, planopt.ConfigOptions(rc))
 			if err != nil {
 				return nil, fmt.Errorf("experiments: task %q: optimizing plan: %w", name, err)
 			}

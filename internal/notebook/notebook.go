@@ -153,9 +153,14 @@ type Cell struct {
 }
 
 // LinesOfCode counts the cell's non-blank, non-comment source lines.
-func (c *Cell) LinesOfCode() int {
+func (c *Cell) LinesOfCode() int { return SourceLines(c.Source) }
+
+// SourceLines counts the non-blank, non-comment lines of a Python
+// source text — the unit of the paper's lines-of-code metric for cells
+// and workflow UDF bodies alike.
+func SourceLines(src string) int {
 	n := 0
-	for _, line := range strings.Split(c.Source, "\n") {
+	for _, line := range strings.Split(src, "\n") {
 		s := strings.TrimSpace(line)
 		if s == "" || strings.HasPrefix(s, "#") {
 			continue

@@ -8,16 +8,10 @@ import (
 	"repro/internal/core"
 	"repro/internal/dataflow"
 	"repro/internal/lineage"
+	"repro/internal/pipeline"
 	"repro/internal/relation"
 	"repro/internal/telemetry"
 )
-
-// planProvider is the capability a task exposes for plan-time
-// introspection (structurally identical to the experiment harness's
-// validator interface): build the workflow DAG without executing it.
-type planProvider interface {
-	WorkflowPlan(workers int) (*dataflow.Workflow, error)
-}
 
 // ProfileOptions configures BuildProfile.
 type ProfileOptions struct {
@@ -115,7 +109,7 @@ func BuildProfile(taskName string, opts ProfileOptions) (*Profile, error) {
 	if err != nil {
 		return nil, err
 	}
-	pp, ok := task.(planProvider)
+	pp, ok := task.(pipeline.PlanProvider)
 	if !ok {
 		return nil, fmt.Errorf("obs: task %q does not expose a workflow plan", taskName)
 	}

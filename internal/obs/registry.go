@@ -106,22 +106,13 @@ func NewRegistry() *Registry {
 // nowNS is the registry's wall stamp: nanoseconds since its epoch.
 func (g *Registry) nowNS() int64 { return int64(telemetry.WallSince(g.epoch)) }
 
-// StartRun registers a new in-flight run and returns its handle, which
-// implements telemetry.ProgressSink (== core.ProgressSink) so it can
-// be attached directly to a RunConfig. rec is the run's telemetry
+// StartQueued registers a run waiting in the service queue and returns
+// its handle, which implements telemetry.ProgressSink (==
+// core.ProgressSink) so it can be attached directly to a RunConfig; it
+// turns live via MarkRunning when the scheduler dispatches it. tenant
+// attributes it for fair-share accounting. rec is the run's telemetry
 // recorder; it may be shared across runs and may be nil.
-func (g *Registry) StartRun(task, paradigm string, rec *telemetry.Recorder) *Run {
-	return g.start(task, paradigm, "", "running", rec)
-}
-
-// StartQueued registers a run waiting in the service queue; it turns
-// live via MarkRunning when the scheduler dispatches it. tenant
-// attributes it for fair-share accounting.
 func (g *Registry) StartQueued(task, paradigm, tenant string, rec *telemetry.Recorder) *Run {
-	return g.start(task, paradigm, tenant, "queued", rec)
-}
-
-func (g *Registry) start(task, paradigm, tenant, state string, rec *telemetry.Recorder) *Run {
 	g.mu.Lock()
 	g.nextID++
 	g.started++
@@ -132,7 +123,7 @@ func (g *Registry) start(task, paradigm, tenant, state string, rec *telemetry.Re
 		Tenant:   tenant,
 		reg:      g,
 		rec:      rec,
-		state:    state,
+		state:    "queued",
 		startNS:  g.nowNS(),
 		ops:      make(map[string]*OpStatus),
 		notify:   make(chan struct{}),
@@ -514,7 +505,7 @@ func (r *Run) Samples() []Sample {
 	return out
 }
 
-// Info is the JSON shape of one run in /runs listings.
+// Info is the JSON shape of one run in /v1/runs listings.
 type Info struct {
 	ID            string             `json:"id"`
 	Task          string             `json:"task"`
@@ -565,7 +556,7 @@ func (r *Run) Info() Info {
 	return in
 }
 
-// Detail is the JSON shape of /runs/{id}: the listing row plus the
+// Detail is the JSON shape of /v1/runs/{id}: the listing row plus the
 // operator table and sampled time series.
 type Detail struct {
 	Info

@@ -15,20 +15,11 @@ import (
 	"repro/internal/telemetry"
 )
 
-// RunRequest is the body of POST /runs and /v1/runs.
-//
-// Deprecated: RunRequest is an alias for core.RunSpec, the unified
-// request shape shared by the HTTP API, the CLI and the experiment
-// drivers. New code should say core.RunSpec; the alias remains for one
-// release.
-type RunRequest = core.RunSpec
-
 // Server is the HTTP surface over the run registry and the
 // multi-tenant service: submissions queue through fair-share
 // scheduling with admission control, while the observability endpoints
 // (SSE progress, Prometheus metrics, Chrome traces, pprof) read the
-// registry directly. The API is versioned under /v1/; the original
-// unversioned paths remain as a legacy passthrough for one release.
+// registry directly. The run API is versioned under /v1/.
 // One shared telemetry recorder backs /metrics (its counters are
 // monotonic across runs, which is what Prometheus scrapes expect) and
 // the Chrome-trace endpoint.
@@ -53,15 +44,11 @@ func NewServerWith(reg *Registry, rec *telemetry.Recorder, cfg service.Config) *
 	s.svc = service.New(cfg, s.runJob)
 	s.mux.HandleFunc("GET /healthz", s.handleHealth)
 	s.mux.HandleFunc("GET /metrics", s.handleMetrics)
-	// The run API is versioned under /v1/; the unversioned spellings
-	// are the deprecated legacy passthrough.
-	for _, prefix := range []string{"", "/v1"} {
-		s.mux.HandleFunc("GET "+prefix+"/runs", s.handleRuns)
-		s.mux.HandleFunc("POST "+prefix+"/runs", s.handleStartRun)
-		s.mux.HandleFunc("GET "+prefix+"/runs/{id}", s.handleRun)
-		s.mux.HandleFunc("GET "+prefix+"/runs/{id}/events", s.handleEvents)
-		s.mux.HandleFunc("GET "+prefix+"/runs/{id}/trace", s.handleTrace)
-	}
+	s.mux.HandleFunc("GET /v1/runs", s.handleRuns)
+	s.mux.HandleFunc("POST /v1/runs", s.handleStartRun)
+	s.mux.HandleFunc("GET /v1/runs/{id}", s.handleRun)
+	s.mux.HandleFunc("GET /v1/runs/{id}/events", s.handleEvents)
+	s.mux.HandleFunc("GET /v1/runs/{id}/trace", s.handleTrace)
 	s.mux.HandleFunc("GET /v1/tenants", s.handleTenants)
 	// pprof must be wired explicitly: the package's init only touches
 	// http.DefaultServeMux, which this server deliberately avoids.
@@ -91,13 +78,15 @@ func (s *Server) Close() { s.svc.Close() }
 // Launch validates the spec, registers a queued run and submits it to
 // the fair-share scheduler; the run executes when the scheduler
 // dispatches it. The spec is validated up front so callers get
-// "unknown task" (and admission rejections) synchronously.
+// "unknown task" (and admission rejections) synchronously; the task is
+// only looked up in the registry here, and constructed once, when the
+// run executes.
 func (s *Server) Launch(spec core.RunSpec) (*Run, error) {
 	spec, err := spec.Normalize()
 	if err != nil {
 		return nil, err
 	}
-	if _, err := core.NewTask(spec.Task, spec.Size, spec.Seed); err != nil {
+	if _, err := core.TaskDefaultSize(spec.Task); err != nil {
 		return nil, err
 	}
 	run := s.reg.StartQueued(spec.Task, spec.Paradigm, spec.Tenant, s.rec)
@@ -136,27 +125,17 @@ func (s *Server) runJob(job *service.Job) error {
 // the golden tests) can check service-path runs against direct core
 // runs bit-for-bit.
 func executeRun(spec core.RunSpec, run *Run, rec *telemetry.Recorder) (map[string]float64, error) {
-	task, err := spec.NewTask()
-	if err != nil {
-		return nil, err
-	}
-	rc, err := spec.Config(
-		core.WithTelemetry(rec),
-		core.WithProgress(run),
-	)
+	results, err := spec.Run(core.WithTelemetry(rec), core.WithProgress(run))
 	if err != nil {
 		return nil, err
 	}
 	summary := make(map[string]float64)
-	for _, p := range spec.Paradigms() {
-		res, err := task.Run(p, rc)
-		if err != nil {
-			return nil, err
-		}
-		summary[p.String()+".sim_seconds"] = res.SimSeconds
-		summary[p.String()+".parallel_procs"] = float64(res.ParallelProcs)
-		summary[p.String()+".operators"] = float64(res.Operators)
-		run.SetNote(p.String()+".output_digest", fmt.Sprintf("%016x", relation.Digest(res.Output)))
+	for _, res := range results {
+		p := res.Paradigm.String()
+		summary[p+".sim_seconds"] = res.SimSeconds
+		summary[p+".parallel_procs"] = float64(res.ParallelProcs)
+		summary[p+".operators"] = float64(res.Operators)
+		run.SetNote(p+".output_digest", fmt.Sprintf("%016x", relation.Digest(res.Output)))
 	}
 	return summary, nil
 }
@@ -211,7 +190,7 @@ func writeTenantFamily(w http.ResponseWriter, name, kind, help string, stats []s
 	}
 }
 
-// runsListing is the /runs response body.
+// runsListing is the /v1/runs response body.
 type runsListing struct {
 	Runs  []Info   `json:"runs"`
 	Tasks []string `json:"tasks"`

@@ -9,6 +9,7 @@ import (
 	"net/http"
 	"net/http/httptest"
 	"strings"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -61,7 +62,7 @@ func TestHealthAndMetricsEndpoints(t *testing.T) {
 		t.Fatalf("/healthz: code %d body %q", code, body)
 	}
 
-	run, err := srv.Launch(obs.RunRequest{Task: "dice", Paradigm: "workflow", Size: 200})
+	run, err := srv.Launch(core.RunSpec{Task: "dice", Paradigm: "workflow", Size: 200})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -100,7 +101,7 @@ func TestRunsEndpointsAndSSE(t *testing.T) {
 	_, ts := newTestServer(t)
 
 	// Launch over HTTP while the server is up (the acceptance path).
-	resp, err := http.Post(ts.URL+"/runs", "application/json",
+	resp, err := http.Post(ts.URL+"/v1/runs", "application/json",
 		strings.NewReader(`{"task":"dice","paradigm":"workflow","size":200}`))
 	if err != nil {
 		t.Fatal(err)
@@ -111,12 +112,12 @@ func TestRunsEndpointsAndSSE(t *testing.T) {
 	}
 	resp.Body.Close() //lint:allow errdrop test teardown
 	if resp.StatusCode != http.StatusAccepted || launched.ID == "" {
-		t.Fatalf("POST /runs: code %d, info %+v", resp.StatusCode, launched)
+		t.Fatalf("POST /v1/runs: code %d, info %+v", resp.StatusCode, launched)
 	}
 
 	// Stream SSE live: the run was just launched, so the stream starts
 	// before the run finishes and must still drain to the done event.
-	sse, err := http.Get(ts.URL + "/runs/" + launched.ID + "/events")
+	sse, err := http.Get(ts.URL + "/v1/runs/" + launched.ID + "/events")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -148,43 +149,43 @@ func TestRunsEndpointsAndSSE(t *testing.T) {
 	}
 
 	// Listing and detail endpoints reflect the finished run.
-	code, body := get(t, ts.URL+"/runs")
+	code, body := get(t, ts.URL+"/v1/runs")
 	if code != 200 {
-		t.Fatalf("/runs: code %d", code)
+		t.Fatalf("/v1/runs: code %d", code)
 	}
 	var listing struct {
 		Runs  []obs.Info `json:"runs"`
 		Tasks []string   `json:"tasks"`
 	}
 	if err := json.Unmarshal([]byte(body), &listing); err != nil {
-		t.Fatalf("/runs JSON: %v\n%s", err, body)
+		t.Fatalf("/v1/runs JSON: %v\n%s", err, body)
 	}
 	if len(listing.Runs) != 1 || listing.Runs[0].State != "completed" {
-		t.Fatalf("/runs listing: %+v", listing.Runs)
+		t.Fatalf("/v1/runs listing: %+v", listing.Runs)
 	}
 	if len(listing.Tasks) == 0 {
-		t.Fatal("/runs listing has no registered tasks")
+		t.Fatal("/v1/runs listing has no registered tasks")
 	}
 
-	code, body = get(t, ts.URL+"/runs/"+launched.ID)
+	code, body = get(t, ts.URL+"/v1/runs/"+launched.ID)
 	if code != 200 {
-		t.Fatalf("/runs/{id}: code %d", code)
+		t.Fatalf("/v1/runs/{id}: code %d", code)
 	}
 	var detail obs.Detail
 	if err := json.Unmarshal([]byte(body), &detail); err != nil {
-		t.Fatalf("/runs/{id} JSON: %v", err)
+		t.Fatalf("/v1/runs/{id} JSON: %v", err)
 	}
 	if len(detail.Ops) == 0 || detail.Events == 0 {
-		t.Fatalf("/runs/{id} detail empty: ops=%d events=%d", len(detail.Ops), detail.Events)
+		t.Fatalf("/v1/runs/{id} detail empty: ops=%d events=%d", len(detail.Ops), detail.Events)
 	}
 	if detail.Summary["workflow.sim_seconds"] <= 0 {
 		t.Fatalf("missing sim_seconds summary: %+v", detail.Summary)
 	}
 
 	// Chrome trace is valid JSON with events.
-	code, body = get(t, ts.URL+"/runs/"+launched.ID+"/trace")
+	code, body = get(t, ts.URL+"/v1/runs/"+launched.ID+"/trace")
 	if code != 200 {
-		t.Fatalf("/runs/{id}/trace: code %d", code)
+		t.Fatalf("/v1/runs/{id}/trace: code %d", code)
 	}
 	var trace struct {
 		TraceEvents []json.RawMessage `json:"traceEvents"`
@@ -196,26 +197,74 @@ func TestRunsEndpointsAndSSE(t *testing.T) {
 		t.Fatal("trace has no events")
 	}
 
-	if code, _ := get(t, ts.URL+"/runs/nope"); code != http.StatusNotFound {
+	if code, _ := get(t, ts.URL+"/v1/runs/nope"); code != http.StatusNotFound {
 		t.Fatalf("unknown run id: code %d, want 404", code)
 	}
 }
 
 func TestLaunchRejectsBadRequests(t *testing.T) {
 	srv, ts := newTestServer(t)
-	if _, err := srv.Launch(obs.RunRequest{Task: "no-such-task"}); err == nil {
+	if _, err := srv.Launch(core.RunSpec{Task: "no-such-task"}); err == nil {
 		t.Error("unknown task accepted")
 	}
-	if _, err := srv.Launch(obs.RunRequest{Task: "dice", Paradigm: "gui"}); err == nil {
+	if _, err := srv.Launch(core.RunSpec{Task: "dice", Paradigm: "gui"}); err == nil {
 		t.Error("unknown paradigm accepted")
 	}
-	resp, err := http.Post(ts.URL+"/runs", "application/json", strings.NewReader(`{"task":""}`))
+	resp, err := http.Post(ts.URL+"/v1/runs", "application/json", strings.NewReader(`{"task":""}`))
 	if err != nil {
 		t.Fatal(err)
 	}
 	resp.Body.Close() //lint:allow errdrop test teardown
 	if resp.StatusCode != http.StatusBadRequest {
 		t.Errorf("empty task: code %d, want 400", resp.StatusCode)
+	}
+}
+
+// countedTask is a stub workload whose registry factory counts how
+// often it is constructed.
+type countedTask struct{}
+
+var countedBuilds atomic.Int64
+
+func init() {
+	core.RegisterTask("obs-counted", 1, func(int, uint64) (core.Task, error) {
+		countedBuilds.Add(1)
+		return countedTask{}, nil
+	})
+}
+
+func (countedTask) Name() string { return "obs-counted" }
+
+func (countedTask) Run(p core.Paradigm, _ core.RunConfig) (*core.Result, error) {
+	out := relation.NewTable(relation.MustSchema(relation.Field{Name: "n", Type: relation.Int}))
+	return &core.Result{Task: "obs-counted", Paradigm: p, Output: out}, nil
+}
+
+// Launch checks the task name against the registry without building the
+// task (datagen, and for KGE embedding training); the run builds it
+// once. An unknown name is still rejected synchronously with a 400.
+func TestLaunchConstructsTaskOncePerRun(t *testing.T) {
+	srv, ts := newTestServer(t)
+	before := countedBuilds.Load()
+	for i := int64(1); i <= 2; i++ {
+		run, err := srv.Launch(core.RunSpec{Task: "obs-counted"})
+		if err != nil {
+			t.Fatal(err)
+		}
+		waitFinished(t, run)
+		if run.State() != "completed" {
+			t.Fatalf("run state %q, want completed", run.State())
+		}
+		if got := countedBuilds.Load() - before; got != i {
+			t.Fatalf("after %d runs the factory ran %d times, want one construction per run", i, got)
+		}
+	}
+	code, body := postRun(t, ts.URL+"/v1/runs", `{"task":"no-such-task"}`)
+	if code != http.StatusBadRequest {
+		t.Fatalf("unknown task: code %d body %s, want 400", code, body)
+	}
+	if got := countedBuilds.Load() - before; got != 2 {
+		t.Fatalf("rejected launch built a task: factory ran %d times", got)
 	}
 }
 
@@ -323,25 +372,27 @@ func TestV1APITenantsAndGoldenOutputs(t *testing.T) {
 		}
 	}
 
-	// The versioned and legacy listings serve the same runs.
-	for _, path := range []string{"/runs", "/v1/runs"} {
-		code, body := get(t, ts.URL+path)
-		if code != 200 {
-			t.Fatalf("%s: code %d", path, code)
-		}
-		var listing struct {
-			Runs []obs.Info `json:"runs"`
-		}
-		if err := json.Unmarshal([]byte(body), &listing); err != nil {
-			t.Fatal(err)
-		}
-		if len(listing.Runs) != 2 {
-			t.Fatalf("%s listed %d runs, want 2", path, len(listing.Runs))
-		}
+	// The versioned listing serves both runs; the unversioned spelling
+	// is gone.
+	code, body := get(t, ts.URL+"/v1/runs")
+	if code != 200 {
+		t.Fatalf("/v1/runs: code %d", code)
+	}
+	var listing struct {
+		Runs []obs.Info `json:"runs"`
+	}
+	if err := json.Unmarshal([]byte(body), &listing); err != nil {
+		t.Fatal(err)
+	}
+	if len(listing.Runs) != 2 {
+		t.Fatalf("/v1/runs listed %d runs, want 2", len(listing.Runs))
+	}
+	if code, _ := get(t, ts.URL+"/runs"); code != http.StatusNotFound {
+		t.Fatalf("unversioned /runs: code %d, want 404", code)
 	}
 
 	// /v1/tenants reports both tenants' completed accounting.
-	code, body := get(t, ts.URL+"/v1/tenants")
+	code, body = get(t, ts.URL+"/v1/tenants")
 	if code != 200 {
 		t.Fatalf("/v1/tenants: code %d", code)
 	}

@@ -1,0 +1,209 @@
+package pipeline_test
+
+import (
+	"encoding/json"
+	"flag"
+	"fmt"
+	"math"
+	"os"
+	"testing"
+
+	"repro/internal/core"
+	"repro/internal/dataflow"
+	"repro/internal/lineage"
+	"repro/internal/pipeline"
+	"repro/internal/relation"
+
+	_ "repro/internal/tasks/dice"
+	_ "repro/internal/tasks/gotta"
+	_ "repro/internal/tasks/kge"
+	_ "repro/internal/tasks/wef"
+)
+
+// The pipeline golden pins everything a run reports — not just the
+// digest — for every task under both paradigms with each run option on
+// alone. It was recorded at the commit before the eight hand-wired
+// runners were folded into this package, so it is the proof that the
+// one pipeline does what each of them did. A new run option adds a
+// variant here rather than a per-task test — and that is the only
+// reason to run -update: it re-records every row from the current tree,
+// so the diff it leaves must add rows and move none.
+
+var update = flag.Bool("update", false, "re-record testdata/pipeline_golden.json from the current tree (to add a variant; existing rows must not move)")
+
+const goldenPath = "testdata/pipeline_golden.json"
+
+// goldenRow is one (task, paradigm, variant) run.
+type goldenRow struct {
+	Case          string              `json:"case"`
+	Digest        string              `json:"digest"`
+	SimSeconds    float64             `json:"sim_seconds"`
+	LinesOfCode   int                 `json:"lines_of_code"`
+	Operators     int                 `json:"operators"`
+	ParallelProcs int                 `json:"parallel_procs"`
+	Trace         core.TraceTotals    `json:"trace"`
+	Recovery      core.RecoveryTotals `json:"recovery"`
+	LineageHits   int                 `json:"lineage_hits"`
+	LineageMisses int                 `json:"lineage_misses"`
+}
+
+// goldenTasks fixes the small input size and the stage the lineage
+// variant edits between its cold run and its re-run.
+var goldenTasks = []struct {
+	name string
+	size int
+	edit string
+}{
+	{"dice", 20, "write"},
+	{"wef", 40, "shape"},
+	{"gotta", 2, "evaluate"},
+	{"kge", 340, "compute-distance"},
+}
+
+// goldenWorkers is the worker count per paradigm. Workflows run at one:
+// with more, an operator's parallel workers fold their float work in
+// batch-arrival order, so the trace's work totals differ in the last
+// unit between two runs of one commit (DICE about one run in five, KGE
+// one in a hundred), and the golden holds them exactly.
+var goldenWorkers = map[core.Paradigm]int{core.Script: 4, core.Workflow: 1}
+
+// goldenVariants are the run options, one at a time.
+var goldenVariants = []struct {
+	name string
+	spec core.RunSpec
+}{
+	{"plain", core.RunSpec{}},
+	{"optimize", core.RunSpec{Optimize: true}},
+	{"nodes4", core.RunSpec{Nodes: 4}},
+	{"faults", core.RunSpec{FaultRate: 6, FaultSeed: 7, NodeFraction: 0.25, CheckpointEvery: 4}},
+}
+
+func rowOf(name string, res *core.Result) goldenRow {
+	row := goldenRow{
+		Case:          name,
+		Digest:        fmt.Sprintf("%016x", relation.Digest(res.Output)),
+		SimSeconds:    res.SimSeconds,
+		LinesOfCode:   res.LinesOfCode,
+		Operators:     res.Operators,
+		ParallelProcs: res.ParallelProcs,
+		Trace:         res.Trace,
+		Recovery:      res.Recovery,
+	}
+	if res.Lineage != nil {
+		row.LineageHits, row.LineageMisses = res.Lineage.Hits, res.Lineage.Misses
+	}
+	return row
+}
+
+// goldenRows runs the whole matrix on the current tree.
+func goldenRows(t *testing.T) []goldenRow {
+	t.Helper()
+	var rows []goldenRow
+	for _, gt := range goldenTasks {
+		for _, v := range goldenVariants {
+			for _, p := range []core.Paradigm{core.Script, core.Workflow} {
+				name := fmt.Sprintf("%s/%s/%s", gt.name, p, v.name)
+				spec := v.spec
+				spec.Task, spec.Size, spec.Seed = gt.name, gt.size, 1
+				spec.Paradigm, spec.Workers = p.String(), goldenWorkers[p]
+				results, err := spec.Run()
+				if err != nil {
+					t.Fatalf("%s: %v", name, err)
+				}
+				rows = append(rows, rowOf(name, results[0]))
+			}
+		}
+
+		// Lineage: a cold run, then a re-run after one edit, on one
+		// store per paradigm.
+		task, err := core.NewTask(gt.name, gt.size, 1)
+		if err != nil {
+			t.Fatal(err)
+		}
+		editable, ok := task.(interface{ SetEdits(map[string]int) })
+		if !ok {
+			t.Fatalf("%s takes no edits", gt.name)
+		}
+		for _, p := range []core.Paradigm{core.Script, core.Workflow} {
+			store, err := lineage.NewStore(nil, 0)
+			if err != nil {
+				t.Fatal(err)
+			}
+			cfg := core.MustRunConfig(core.WithWorkers(goldenWorkers[p]), core.WithLineage(store))
+			for _, step := range []struct {
+				name string
+				revs map[string]int
+			}{
+				{"lineage-cold", nil},
+				{"lineage-edit", map[string]int{gt.edit: 1}},
+			} {
+				name := fmt.Sprintf("%s/%s/%s", gt.name, p, step.name)
+				editable.SetEdits(step.revs)
+				res, err := task.Run(p, cfg)
+				if err != nil {
+					t.Fatalf("%s: %v", name, err)
+				}
+				rows = append(rows, rowOf(name, res))
+			}
+		}
+	}
+	return rows
+}
+
+// sameRow compares two rows: sim-seconds to 1e-9 relative (the engines
+// fold float sums in goroutine order, so the last unit wobbles run to
+// run), everything else exactly.
+func sameRow(want, got goldenRow) bool {
+	near := math.Abs(want.SimSeconds-got.SimSeconds) <= 1e-9*math.Abs(want.SimSeconds)
+	got.SimSeconds = want.SimSeconds
+	return near && want == got
+}
+
+func TestPipelineGolden(t *testing.T) {
+	got := goldenRows(t)
+	if *update {
+		b, err := json.MarshalIndent(got, "", " ")
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := os.WriteFile(goldenPath, append(b, '\n'), 0o644); err != nil {
+			t.Fatal(err)
+		}
+		return
+	}
+	b, err := os.ReadFile(goldenPath)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var want []goldenRow
+	if err := json.Unmarshal(b, &want); err != nil {
+		t.Fatal(err)
+	}
+	if len(got) != len(want) {
+		t.Fatalf("golden has %d rows, the matrix ran %d", len(want), len(got))
+	}
+	for i := range want {
+		if !sameRow(want[i], got[i]) {
+			t.Errorf("%s:\n  want %+v\n  got  %+v", want[i].Case, want[i], got[i])
+		}
+	}
+}
+
+// TestWorkflowPlanAboveLegacyCeiling: a bare worker count names no
+// topology, so WorkflowPlan holds it to no ceiling — a sharded config
+// may inspect a plan wider than the legacy tier's 32 vCPUs.
+func TestWorkflowPlanAboveLegacyCeiling(t *testing.T) {
+	for _, gt := range goldenTasks {
+		task, err := core.NewTask(gt.name, gt.size, 1)
+		if err != nil {
+			t.Fatal(err)
+		}
+		w, err := task.(pipeline.PlanProvider).WorkflowPlan(64)
+		if err != nil {
+			t.Fatalf("%s: %v", gt.name, err)
+		}
+		for _, d := range dataflow.Validate(w) {
+			t.Errorf("%s: %s", gt.name, d)
+		}
+	}
+}

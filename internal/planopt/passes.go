@@ -343,10 +343,7 @@ func joinPartitioningOK(in []dataflow.EdgeInfo) bool {
 // coarser than auto. Batching never changes row content or per-worker
 // order, so the rewrite is exact on sequential plans and multiset-safe
 // elsewhere.
-func passBatch(w *dataflow.Workflow, est estimates, opt Options, r *Report) error {
-	if opt.FixedBatch {
-		return nil
-	}
+func passBatch(w *dataflow.Workflow, est estimates, r *Report) error {
 	ids, err := w.TopoIDs()
 	if err != nil {
 		return err

@@ -63,9 +63,6 @@ type Options struct {
 	// SampleRows bounds the row sample threaded through the estimator;
 	// 0 uses a default of 512.
 	SampleRows int
-	// FixedBatch marks the source batch size as caller-pinned (an
-	// explicit experiment knob), disabling the batch-selection pass.
-	FixedBatch bool
 }
 
 func (o Options) normalize() Options {
@@ -148,7 +145,7 @@ func Optimize(w *dataflow.Workflow, opt Options) (*Report, error) {
 	if err := passParallelism(w, opt, r); err != nil {
 		return nil, err
 	}
-	if err := passBatch(w, est, opt, r); err != nil {
+	if err := passBatch(w, est, r); err != nil {
 		return nil, err
 	}
 	if err := passFusion(w, r); err != nil {

@@ -352,17 +352,20 @@ func TestBatchSizedToConsumerParallelism(t *testing.T) {
 
 func TestBatchPassDisabledWhenPinned(t *testing.T) {
 	w := dataflow.New("pinned")
-	src := w.Source("src", intTable(3000))
+	src := w.Source("src", intTable(3000), dataflow.WithBatchSize(3000))
 	snk := w.Sink("out")
 	w.Connect(src, snk, 0, dataflow.RoundRobin())
-	rep, err := Optimize(w, Options{FixedBatch: true})
+	rep, err := Optimize(w, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
 	for _, d := range rep.Diags {
 		if d.Rule == RuleBatch {
-			t.Fatalf("OPT007 diag despite FixedBatch: %v", d)
+			t.Fatalf("OPT007 diag despite a pinned source batch: %v", d)
 		}
+	}
+	if got := w.BatchSizeOf(src); got != 3000 {
+		t.Fatalf("pinned batch rewritten to %d", got)
 	}
 }
 

@@ -140,13 +140,6 @@ type Job struct {
 	progTask string
 }
 
-// SetShard prices the sharded tier onto the job. On a multi-node
-// topology a task's object fetches are no longer node-local: the store
-// is datum-sharded, so the expected (N-1)/N fraction of each fetched
-// object rides the NIC on top of the plasma access. Like faults, this
-// touches only the schedule — task bodies and outputs are unchanged.
-func (j *Job) SetShard(topo shard.Topology) { j.topo = topo }
-
 // SetFaults arms a deterministic fault plan for Run. Recovery follows
 // Ray's lineage semantics: a killed task is re-executed whole after a
 // capped exponential backoff, and a node-level fault additionally
@@ -176,7 +169,11 @@ func (j *Job) SetProgress(sink core.ProgressSink, task string) {
 	j.progTask = task
 }
 
-// NewJob starts an empty task graph on the cluster's topology.
+// NewJob starts an empty task graph on the cluster's topology. On a
+// multi-node topology a task's object fetches are no longer node-local:
+// the store is datum-sharded, so the expected (N-1)/N fraction of each
+// fetched object rides the NIC on top of the plasma access. Like
+// faults, this touches only the schedule.
 func (c *Cluster) NewJob() *Job {
 	return &Job{cluster: c, topo: c.topo}
 }

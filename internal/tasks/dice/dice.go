@@ -13,12 +13,12 @@ package dice
 
 import (
 	"fmt"
-	"strings"
 
 	"repro/internal/brat"
 	"repro/internal/core"
 	"repro/internal/cost"
 	"repro/internal/datagen"
+	"repro/internal/pipeline"
 	"repro/internal/relation"
 	"repro/internal/textproc"
 )
@@ -32,28 +32,13 @@ type Params struct {
 	Seed uint64
 }
 
-// Task is the DICE workload bound to a generated dataset.
+// Task is the DICE workload bound to a generated dataset. The embedded
+// pipeline.Base runs it; edit stages are parse, split and write.
 type Task struct {
+	pipeline.Base
 	params Params
 	cases  []datagen.ClinicalCase
-	// edits carries per-stage revision counters modeling
-	// semantics-preserving re-parameterizations of the pipeline (the
-	// iterate workload). A bumped rev changes the stage's lineage
-	// signature without changing its output.
-	edits map[string]int
 }
-
-// SetEdits installs per-stage edit revisions (stage names: parse,
-// split, write). The map is copied.
-func (t *Task) SetEdits(m map[string]int) {
-	t.edits = make(map[string]int, len(m))
-	for k, v := range m {
-		t.edits[k] = v
-	}
-}
-
-// rev returns the current edit revision of a stage.
-func (t *Task) rev(stage string) int { return t.edits[stage] }
 
 // The registry entry makes the task runnable by name from the CLI and
 // the experiment harness; the default size is the paper's full scale.
@@ -68,11 +53,18 @@ func New(p Params) (*Task, error) {
 	if p.Pairs <= 0 {
 		return nil, fmt.Errorf("dice: pairs must be positive, got %d", p.Pairs)
 	}
-	return &Task{params: p, cases: datagen.GenerateClinicalCases(p.Pairs, p.Seed)}, nil
+	t := &Task{params: p, cases: datagen.GenerateClinicalCases(p.Pairs, p.Seed)}
+	t.Bind(t)
+	return t, nil
 }
 
 // Name implements core.Task.
 func (t *Task) Name() string { return "dice" }
+
+// Scope implements pipeline.Declaration.
+func (t *Task) Scope(_ core.Paradigm, workers int) string {
+	return fmt.Sprintf("pairs=%d,seed=%d,workers=%d", t.params.Pairs, t.params.Seed, workers)
+}
 
 // Cases exposes the generated dataset (read-only by convention).
 func (t *Task) Cases() []datagen.ClinicalCase { return t.cases }
@@ -178,22 +170,6 @@ func RecordsToTable(recs []Record) *relation.Table {
 	return t
 }
 
-// Run implements core.Task.
-func (t *Task) Run(p core.Paradigm, cfg core.RunConfig) (*core.Result, error) {
-	cfg, err := cfg.Normalize()
-	if err != nil {
-		return nil, err
-	}
-	switch p {
-	case core.Script:
-		return t.runScript(cfg)
-	case core.Workflow:
-		return t.runWorkflow(cfg)
-	default:
-		return nil, fmt.Errorf("dice: unknown paradigm %v", p)
-	}
-}
-
 // annFileTable renders the annotation files as a relational source
 // {case, ann}.
 func (t *Task) annFileTable() *relation.Table {
@@ -270,26 +246,4 @@ func compositeKey(caseID, id string) string {
 // splitCaseSentences splits one case text into (sentence, span) rows.
 func splitCaseSentences(text string) []textproc.Sentence {
 	return textproc.SplitSentences(text)
-}
-
-// countAnnotations tallies dataset shape numbers used by cost charges.
-func (t *Task) countAnnotations() (entities, events, sentences int) {
-	for _, c := range t.cases {
-		entities += len(c.Ann.Entities)
-		events += len(c.Ann.Events)
-		sentences += len(textproc.SplitSentences(c.Text))
-	}
-	return
-}
-
-// loc counts non-blank non-comment lines in a source string.
-func loc(src string) int {
-	n := 0
-	for _, line := range strings.Split(src, "\n") {
-		s := strings.TrimSpace(line)
-		if s != "" && !strings.HasPrefix(s, "#") {
-			n++
-		}
-	}
-	return n
 }

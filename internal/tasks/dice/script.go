@@ -5,13 +5,12 @@ import (
 	"sort"
 
 	"repro/internal/brat"
-	"repro/internal/core"
 	"repro/internal/cost"
 	"repro/internal/datagen"
-	"repro/internal/lineage"
 	"repro/internal/notebook"
+	"repro/internal/pipeline"
 	"repro/internal/raysim"
-	"repro/internal/sim"
+	"repro/internal/relation"
 )
 
 // Notebook cell sources (pseudo-Python). These are the script
@@ -161,143 +160,90 @@ df.to_json("maccrobat_ee.jsonl", orient="records", lines=True)
 print(f"wrote {len(df)} MACCROBAT-EE records")
 `
 
-// runScript executes DICE as a notebook scaled out with the Ray-style
-// backend: pairs are wrangled in parallel chunk tasks, then aggregated
-// and written on the driver.
-func (t *Task) runScript(cfg core.RunConfig) (*core.Result, error) {
-	nb := notebook.New("dice", cfg.Model)
-	nb.SetTelemetry(cfg.Telemetry, "script:dice")
-	nb.SetProgress(cfg.Progress, "dice")
-	ray, err := raysim.NewClusterFor(cfg.Model, cfg.Topology(), cfg.Workers)
-	if err != nil {
-		return nil, err
-	}
-
+// Notebook implements pipeline.Declaration: DICE as a notebook scaled
+// out with the Ray-style backend — pairs are wrangled in parallel chunk
+// tasks, then aggregated and written on the driver.
+func (t *Task) Notebook(env *pipeline.Env) pipeline.NotebookDecl {
 	var chunkRecords [][]Record
-	parallelProcs := 1
-	var recovery sim.Recovery
-	var shuffleBytes int64
-
-	nb.Add(&notebook.Cell{Name: "imports", Source: srcImports, Run: func(k *notebook.Kernel) error {
-		k.Charge(cost.Work{Interp: 1.2, Mem: 0.3}) // import pandas, ray, init
-		k.Set("pairs", t.cases)
-		return nil
-	}})
-	nb.Add(&notebook.Cell{Name: "load_files", Source: srcLoadFiles, Run: func(k *notebook.Kernel) error {
-		k.Charge(cost.Work{Interp: 0.05}.Scale(1)) // directory listing
-		return nil
-	}})
-	nb.Add(&notebook.Cell{Name: "wrangle_chunks", Source: srcWrangle, Run: func(k *notebook.Kernel) error {
-		return k.Call("wrangle_chunk", func() error {
-			// Partition pairs round-robin into chunks, one per CPU
-			// slot times four for load balancing.
-			nChunks := cfg.Workers * 4
-			if nChunks > len(t.cases) {
-				nChunks = len(t.cases)
-			}
-			job := ray.NewJob()
-			if !k.Replaying() {
-				// A replayed cell rebuilds chunkRecords but must not
-				// re-emit spans for work that was served from cache.
-				job.SetTelemetry(cfg.Telemetry, "script:dice")
-				job.SetProgress(cfg.Progress, "dice")
-			}
-			job.SetFaults(cfg.Faults)
-			chunkRecords = make([][]Record, nChunks)
-			for ci := 0; ci < nChunks; ci++ {
-				var work cost.Work
-				var recs []Record
-				for i := ci; i < len(t.cases); i += nChunks {
-					c := t.cases[i]
-					work = work.Add(workScan.Scale(2)) // .txt + .ann
-					parsed, err := parseAnnotationFile(c.ID, renderAnn(c))
-					if err != nil {
-						return err
-					}
-					work = work.Add(workParse.Scale(float64(len(parsed))))
-					nEvents := 0
-					for _, pa := range parsed {
-						if pa.kind == "E" {
-							nEvents++
-						}
-					}
-					work = work.Add(workFilter.Scale(float64(nEvents)))
-					work = work.Add(workJoin.Scale(2 * float64(nEvents))) // theme + trigger joins
-					sents := splitCaseSentences(c.Text)
-					work = work.Add(workSplit.Scale(float64(len(sents))))
-					work = work.Add(workLink.Scale(float64(nEvents * len(sents))))
-					sub, err := Oracle([]datagen.ClinicalCase{c})
-					if err != nil {
-						return err
-					}
-					recs = append(recs, sub...)
-				}
-				chunkRecords[ci] = recs
-				job.Submit(raysim.TaskSpec{Name: fmt.Sprintf("wrangle-%d", ci), Work: work})
-			}
-			res, err := job.Run()
-			if err != nil {
-				return err
-			}
-			k.ChargeSeconds(res.Makespan)
-			parallelProcs = res.ParallelTasks
-			recovery = res.Recovery
-			shuffleBytes = res.ShuffleBytes
-			return nil
-		})
-	}})
 	var out []Record
-	nb.Add(&notebook.Cell{Name: "aggregate_write", Source: srcWrite, Run: func(k *notebook.Kernel) error {
-		for _, recs := range chunkRecords {
-			out = append(out, recs...)
-		}
-		sort.Slice(out, func(i, j int) bool {
-			if out[i].Case != out[j].Case {
-				return out[i].Case < out[j].Case
+	cells := []*notebook.Cell{
+		{Name: "imports", Source: srcImports, Run: func(k *notebook.Kernel) error {
+			k.Charge(cost.Work{Interp: 1.2, Mem: 0.3}) // import pandas, ray, init
+			k.Set("pairs", t.cases)
+			return nil
+		}},
+		{Name: "load_files", Source: srcLoadFiles, Run: func(k *notebook.Kernel) error {
+			k.Charge(cost.Work{Interp: 0.05}.Scale(1)) // directory listing
+			return nil
+		}},
+		{Name: "wrangle_chunks", Source: srcWrangle, Run: func(k *notebook.Kernel) error {
+			return k.Call("wrangle_chunk", func() error {
+				// Partition pairs round-robin into chunks, one per CPU
+				// slot times four for load balancing.
+				nChunks := env.Workers * 4
+				if nChunks > len(t.cases) {
+					nChunks = len(t.cases)
+				}
+				job := make([]raysim.TaskSpec, 0, nChunks)
+				chunkRecords = make([][]Record, nChunks)
+				for ci := 0; ci < nChunks; ci++ {
+					var work cost.Work
+					var recs []Record
+					for i := ci; i < len(t.cases); i += nChunks {
+						c := t.cases[i]
+						work = work.Add(workScan.Scale(2)) // .txt + .ann
+						parsed, err := parseAnnotationFile(c.ID, renderAnn(c))
+						if err != nil {
+							return err
+						}
+						work = work.Add(workParse.Scale(float64(len(parsed))))
+						nEvents := 0
+						for _, pa := range parsed {
+							if pa.kind == "E" {
+								nEvents++
+							}
+						}
+						work = work.Add(workFilter.Scale(float64(nEvents)))
+						work = work.Add(workJoin.Scale(2 * float64(nEvents))) // theme + trigger joins
+						sents := splitCaseSentences(c.Text)
+						work = work.Add(workSplit.Scale(float64(len(sents))))
+						work = work.Add(workLink.Scale(float64(nEvents * len(sents))))
+						sub, err := Oracle([]datagen.ClinicalCase{c})
+						if err != nil {
+							return err
+						}
+						recs = append(recs, sub...)
+					}
+					chunkRecords[ci] = recs
+					job = append(job, raysim.TaskSpec{Name: fmt.Sprintf("wrangle-%d", ci), Work: work})
+				}
+				return env.RunJob(k, job)
+			})
+		}},
+		{Name: "aggregate_write", Source: srcWrite, Run: func(k *notebook.Kernel) error {
+			for _, recs := range chunkRecords {
+				out = append(out, recs...)
 			}
-			return out[i].Event < out[j].Event
-		})
-		k.Charge(workWrite.Scale(float64(len(out))))
-		return nil
-	}})
-
-	var linRep *lineage.RunReport
-	if cfg.Lineage != nil {
-		scope := fmt.Sprintf("script:dice[pairs=%d,seed=%d,workers=%d]", t.params.Pairs, t.params.Seed, cfg.Workers)
-		linRep, err = lineage.RunNotebook(cfg.Lineage, nb, lineage.NotebookSpec{
-			Scope: scope,
-			Revs: map[string]int{
-				"wrangle_chunks":  t.rev("parse") + t.rev("split"),
-				"aggregate_write": t.rev("write"),
-			},
-		}, cfg.Telemetry)
-		if err != nil {
-			return nil, err
-		}
-	} else if err := nb.RunAll(); err != nil {
-		return nil, err
+			sort.Slice(out, func(i, j int) bool {
+				if out[i].Case != out[j].Case {
+					return out[i].Case < out[j].Case
+				}
+				return out[i].Event < out[j].Event
+			})
+			k.Charge(workWrite.Scale(float64(len(out))))
+			return nil
+		}},
 	}
-	return &core.Result{
-		Task:          t.Name(),
-		Paradigm:      core.Script,
-		SimSeconds:    nb.Elapsed(),
-		LinesOfCode:   nb.LinesOfCode(),
-		Operators:     nb.NumCells(),
-		ParallelProcs: parallelProcs,
-		Output:        RecordsToTable(out),
-		Trace: core.TraceTotals{
-			ShuffleBytes: shuffleBytes,
-			SpillBytes:   ray.Store().Stats().SpilledBytes,
+	return pipeline.NotebookDecl{
+		Cells: cells,
+		Revs: map[string][]string{
+			"wrangle_chunks":  {"parse", "split"},
+			"aggregate_write": {"write"},
 		},
-		Recovery: core.RecoveryTotals{
-			Kills:              recovery.Kills,
-			LostSeconds:        recovery.LostSeconds,
-			DelaySeconds:       recovery.DelaySeconds,
-			RestoreSeconds:     recovery.ExtraCostSeconds,
-			ReconstructedBytes: ray.Store().Stats().ReconstructedBytes,
+		Output: func() (*relation.Table, map[string]float64, error) {
+			return RecordsToTable(out), nil, nil
 		},
-		Lineage: linRep,
-	}, nil
+	}
 }
 
 // renderAnn re-renders a case's annotation document — the script reads

@@ -1,14 +1,12 @@
 package dice
 
 import (
-	"context"
-	"fmt"
 	"strings"
 
 	"repro/internal/core"
 	"repro/internal/cost"
 	"repro/internal/dataflow"
-	"repro/internal/planopt"
+	"repro/internal/pipeline"
 	"repro/internal/relation"
 	"repro/internal/textproc"
 )
@@ -105,8 +103,9 @@ var (
 	)
 )
 
-// buildWorkflow assembles the DICE dataflow graph (paper Figure 4).
-func (t *Task) buildWorkflow(workers int) *dataflow.Workflow {
+// Plan assembles the DICE dataflow graph (paper Figure 4).
+func (t *Task) Plan(cfg core.RunConfig) (*dataflow.Workflow, error) {
+	workers := cfg.Workers
 	w := dataflow.New("dice")
 	lang := cost.Python
 
@@ -142,8 +141,7 @@ func (t *Task) buildWorkflow(workers int) *dataflow.Workflow {
 		lines := strings.Count(r.MustStr(1), "\n")
 		return workParse.Scale(float64(lines))
 	}
-	parseID := w.Op(parse, dataflow.WithParallelism(workers),
-		dataflow.WithSignature(fmt.Sprintf("rev=%d", t.rev("parse"))))
+	parseID := w.Op(parse, dataflow.WithParallelism(workers), t.Signature("parse"))
 	w.Connect(annSrc, parseID, 0, dataflow.RoundRobin())
 
 	// Entity and event extraction (selective maps).
@@ -231,8 +229,7 @@ func (t *Task) buildWorkflow(workers int) *dataflow.Workflow {
 		n := len(textproc.SplitSentences(r.MustStr(1)))
 		return workSplit.Scale(float64(n))
 	}
-	splitID := w.Op(split, dataflow.WithParallelism(workers),
-		dataflow.WithSignature(fmt.Sprintf("rev=%d", t.rev("split"))))
+	splitID := w.Op(split, dataflow.WithParallelism(workers), t.Signature("split"))
 	w.Connect(textSrc, splitID, 0, dataflow.RoundRobin())
 
 	// Link events to their sentence: join on case, then keep the
@@ -257,128 +254,55 @@ func (t *Task) buildWorkflow(workers int) *dataflow.Workflow {
 		return []relation.Tuple{{r.MustStr(0), r.MustStr(1), r.MustStr(2), r.MustStr(7), r.MustStr(4), r.MustStr(8)}}, nil
 	})
 	shapeOut.Work = workWrite
-	shapeOutID := w.Op(shapeOut, dataflow.WithParallelism(workers),
-		dataflow.WithSignature(fmt.Sprintf("rev=%d", t.rev("write"))))
+	shapeOutID := w.Op(shapeOut, dataflow.WithParallelism(workers), t.Signature("write"))
 	w.Connect(containID, shapeOutID, 0, dataflow.RoundRobin())
 
 	sink := w.Sink("maccrobat-ee")
 	w.Connect(shapeOutID, sink, 0, dataflow.RoundRobin())
-	return w
+	return w, nil
 }
 
-// runWorkflow executes DICE as a dataflow workflow.
-func (t *Task) runWorkflow(cfg core.RunConfig) (*core.Result, error) {
-	return t.RunWorkflowWithBatch(cfg, 0)
+// Workflow implements pipeline.Declaration: the sink's rows become the
+// canonical sorted record table, and the implementation size is each
+// operator's configuration lines plus the UDF bodies typed into map
+// operators.
+func (t *Task) Workflow() pipeline.WorkflowDecl {
+	return pipeline.WorkflowDecl{
+		Sink:   "maccrobat-ee",
+		UDFs:   []string{udfParse, udfSplit, udfShapeOutput},
+		Config: workflowConfig,
+		Shape: func(sink *relation.Table) (*relation.Table, map[string]float64, error) {
+			recs := make([]Record, 0, sink.Len())
+			for _, r := range sink.Rows() {
+				recs = append(recs, Record{
+					Case: r.MustStr(0), Event: r.MustStr(1), Type: r.MustStr(2),
+					Trigger: r.MustStr(3), Theme: r.MustStr(4), Sentence: r.MustStr(5),
+				})
+			}
+			return RecordsToTable(recs), nil, nil
+		},
+	}
 }
 
-// ProfileWorkflow runs the DICE workflow once and returns its cost
-// trace — the input the engine's auto-tuner plans worker allocations
-// from.
-func (t *Task) ProfileWorkflow(cfg core.RunConfig) (*dataflow.Trace, error) {
-	cfg, err := cfg.Normalize()
-	if err != nil {
-		return nil, err
-	}
-	w := t.buildWorkflow(cfg.Workers)
-	res, err := w.Run(context.Background(), dataflow.Config{Model: cfg.Model, Cluster: cfg.Cluster(), Shard: cfg.Topology(), Telemetry: cfg.Telemetry, Faults: cfg.Faults, Progress: cfg.Progress})
-	if err != nil {
-		return nil, err
-	}
-	return res.Trace, nil
-}
-
-// RunWorkflowWithBatch executes the DICE workflow with an explicit
-// source batch size (0 = engine auto-tuning) — the knob the batching
-// ablation sweeps.
-func (t *Task) RunWorkflowWithBatch(cfg core.RunConfig, batchSize int) (*core.Result, error) {
-	cfg, err := cfg.Normalize()
-	if err != nil {
-		return nil, err
-	}
-	w := t.buildWorkflow(cfg.Workers)
-	if cfg.Optimize {
-		opts := planopt.ConfigOptions(cfg)
-		opts.FixedBatch = batchSize > 0
-		if _, err := planopt.Optimize(w, opts); err != nil {
-			return nil, fmt.Errorf("dice: optimize: %w", err)
-		}
-	}
-	res, err := w.Run(context.Background(), dataflow.Config{
-		Model: cfg.Model, BatchSize: batchSize, Cluster: cfg.Cluster(), Shard: cfg.Topology(),
-		Telemetry: cfg.Telemetry, Faults: cfg.Faults, Progress: cfg.Progress,
-		Lineage:      cfg.Lineage,
-		LineageScope: fmt.Sprintf("workflow:dice[pairs=%d,seed=%d,workers=%d]", t.params.Pairs, t.params.Seed, cfg.Workers),
-	})
-	if err != nil {
-		return nil, err
-	}
-	out := res.Tables["maccrobat-ee"]
-	recs := make([]Record, 0, out.Len())
-	for _, r := range out.Rows() {
-		recs = append(recs, Record{
-			Case: r.MustStr(0), Event: r.MustStr(1), Type: r.MustStr(2),
-			Trigger: r.MustStr(3), Theme: r.MustStr(4), Sentence: r.MustStr(5),
-		})
-	}
-	return &core.Result{
-		Task:          t.Name(),
-		Paradigm:      core.Workflow,
-		SimSeconds:    res.SimSeconds,
-		Trace:         res.Trace.Totals(),
-		LinesOfCode:   t.workflowLoC(),
-		Operators:     w.NumOperators(),
-		ParallelProcs: cfg.Workers,
-		Output:        RecordsToTable(recs),
-		Recovery:      res.Recovery.Totals(),
-		Lineage:       res.Lineage,
-	}, nil
-}
-
-// workflowLoC counts the workflow implementation size: each operator's
-// configuration lines plus the UDF bodies typed into map operators.
-func (t *Task) workflowLoC() int {
-	total := 0
-	for _, udf := range []string{udfParse, udfSplit, udfShapeOutput} {
-		total += loc(udf)
-	}
-	total += len(workflowConfig())
-	return total
-}
-
-// workflowConfig renders the operator configuration the user fills in
-// through the GUI — the non-UDF part of the workflow implementation.
-func workflowConfig() []string {
-	ops := []struct {
-		typ, params string
-	}{
-		{"FileScan", `path=maccrobat/*.ann, format=text, output=[case, ann]`},
-		{"FileScan", `path=maccrobat/*.txt, format=text, output=[case, text]`},
-		{"PythonUDF", `class=ParseAnnotationsOp, workers=N`},
-		{"PythonUDF", `class=ExtractEntitiesOp, keep=kind==T, output=[ekey, start, end, text]`},
-		{"PythonUDF", `class=ExtractEventsOp, keep=kind==E, output=[case, id, etype, trigkey, themekey]`},
-		{"Filter", `condition=themekey != ""`},
-		{"Filter", `condition=themekey == ""`},
-		{"HashJoin", `build=entities.ekey, probe=events.themekey, type=inner`},
-		{"Projection", `output=[case, id, etype, trigkey, theme_text]`},
-		{"Projection", `output=[case, id, etype, trigkey, theme_text=""]`},
-		{"Union", `inputs=2`},
-		{"HashJoin", `build=entities.ekey, probe=merged.trigkey, type=inner`},
-		{"PythonUDF", `class=SplitSentencesOp, workers=N`},
-		{"HashJoin", `build=sentences.case, probe=resolved.case, type=inner`},
-		{"Filter", `condition=start >= sstart and end <= send`},
-		{"PythonUDF", `class=ShapeOutputOp`},
-		{"ViewResults", `name=maccrobat-ee`},
-	}
-	lines := make([]string, 0, len(ops)*2)
-	for i, o := range ops {
-		lines = append(lines, fmt.Sprintf("operator %d: type=%s", i+1, o.typ))
-		lines = append(lines, "  "+o.params)
-	}
-	return lines
-}
-
-// WorkflowPlan assembles the workflow DAG without executing it, so
-// plan-time validation (repro -validate) can inspect the graph.
-func (t *Task) WorkflowPlan(workers int) (*dataflow.Workflow, error) {
-	return t.buildWorkflow(workers), nil
+// workflowConfig is the operator configuration the user fills in
+// through the GUI — the non-UDF part of the workflow implementation:
+// per operator, its type and its parameter line.
+var workflowConfig = [][]string{
+	{"FileScan", `path=maccrobat/*.ann, format=text, output=[case, ann]`},
+	{"FileScan", `path=maccrobat/*.txt, format=text, output=[case, text]`},
+	{"PythonUDF", `class=ParseAnnotationsOp, workers=N`},
+	{"PythonUDF", `class=ExtractEntitiesOp, keep=kind==T, output=[ekey, start, end, text]`},
+	{"PythonUDF", `class=ExtractEventsOp, keep=kind==E, output=[case, id, etype, trigkey, themekey]`},
+	{"Filter", `condition=themekey != ""`},
+	{"Filter", `condition=themekey == ""`},
+	{"HashJoin", `build=entities.ekey, probe=events.themekey, type=inner`},
+	{"Projection", `output=[case, id, etype, trigkey, theme_text]`},
+	{"Projection", `output=[case, id, etype, trigkey, theme_text=""]`},
+	{"Union", `inputs=2`},
+	{"HashJoin", `build=entities.ekey, probe=merged.trigkey, type=inner`},
+	{"PythonUDF", `class=SplitSentencesOp, workers=N`},
+	{"HashJoin", `build=sentences.case, probe=resolved.case, type=inner`},
+	{"Filter", `condition=start >= sstart and end <= send`},
+	{"PythonUDF", `class=ShapeOutputOp`},
+	{"ViewResults", `name=maccrobat-ee`},
 }

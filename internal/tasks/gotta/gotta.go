@@ -14,12 +14,12 @@ package gotta
 
 import (
 	"fmt"
-	"strings"
 
 	"repro/internal/core"
 	"repro/internal/cost"
 	"repro/internal/datagen"
 	"repro/internal/ml/genqa"
+	"repro/internal/pipeline"
 	"repro/internal/relation"
 )
 
@@ -34,27 +34,14 @@ type Params struct {
 	Seed uint64
 }
 
-// Task is the GOTTA workload bound to a generated dataset.
+// Task is the GOTTA workload bound to a generated dataset. The
+// embedded pipeline.Base runs it; edit stages are prompts and evaluate.
 type Task struct {
+	pipeline.Base
 	params   Params
 	passages []datagen.Passage
 	model    *genqa.Model
-	// edits carries per-stage revision counters modeling
-	// semantics-preserving re-parameterizations (the iterate workload).
-	edits map[string]int
 }
-
-// SetEdits installs per-stage edit revisions (stage names: prompts,
-// evaluate). The map is copied.
-func (t *Task) SetEdits(m map[string]int) {
-	t.edits = make(map[string]int, len(m))
-	for k, v := range m {
-		t.edits[k] = v
-	}
-}
-
-// rev returns the current edit revision of a stage.
-func (t *Task) rev(stage string) int { return t.edits[stage] }
 
 // The registry entry makes the task runnable by name from the CLI and
 // the experiment harness; the default size is the paper's full scale.
@@ -75,15 +62,23 @@ func New(p Params) (*Task, error) {
 	if p.SentencesPer < 0 {
 		return nil, fmt.Errorf("gotta: negative sentences per paragraph %d", p.SentencesPer)
 	}
-	return &Task{
+	t := &Task{
 		params:   p,
 		passages: datagen.GeneratePassages(p.Paragraphs, p.SentencesPer, p.Seed),
 		model:    genqa.NewModel(),
-	}, nil
+	}
+	t.Bind(t)
+	return t, nil
 }
 
 // Name implements core.Task.
 func (t *Task) Name() string { return "gotta" }
+
+// Scope implements pipeline.Declaration.
+func (t *Task) Scope(_ core.Paradigm, workers int) string {
+	return fmt.Sprintf("paragraphs=%d,sentences=%d,seed=%d,workers=%d",
+		t.params.Paragraphs, t.params.SentencesPer, t.params.Seed, workers)
+}
 
 // Passages exposes the dataset.
 func (t *Task) Passages() []datagen.Passage { return t.passages }
@@ -173,34 +168,6 @@ func (t *Task) numQAs() int {
 	n := 0
 	for _, p := range t.passages {
 		n += len(p.QAs)
-	}
-	return n
-}
-
-// Run implements core.Task.
-func (t *Task) Run(p core.Paradigm, cfg core.RunConfig) (*core.Result, error) {
-	cfg, err := cfg.Normalize()
-	if err != nil {
-		return nil, err
-	}
-	switch p {
-	case core.Script:
-		return t.runScript(cfg)
-	case core.Workflow:
-		return t.runWorkflow(cfg)
-	default:
-		return nil, fmt.Errorf("gotta: unknown paradigm %v", p)
-	}
-}
-
-// loc counts non-blank non-comment lines.
-func loc(src string) int {
-	n := 0
-	for _, line := range strings.Split(src, "\n") {
-		s := strings.TrimSpace(line)
-		if s != "" && !strings.HasPrefix(s, "#") {
-			n++
-		}
 	}
 	return n
 }

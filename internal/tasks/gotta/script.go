@@ -3,12 +3,11 @@ package gotta
 import (
 	"fmt"
 
-	"repro/internal/core"
-	"repro/internal/lineage"
 	"repro/internal/notebook"
 	"repro/internal/objstore"
+	"repro/internal/pipeline"
 	"repro/internal/raysim"
-	"repro/internal/sim"
+	"repro/internal/relation"
 )
 
 // Notebook cell sources (pseudo-Python).
@@ -63,123 +62,69 @@ print(f"EM = {em / len(answers):.3f}  F1 = {f1 / len(answers):.3f}")
 save_jsonl("gotta_answers.jsonl", answers)
 `
 
-// runScript executes GOTTA as a Ray-scaled notebook: the model is put
-// into the shared object store once, then one task per paragraph
-// fetches it and runs the forward pass pinned to a single CPU.
-func (t *Task) runScript(cfg core.RunConfig) (*core.Result, error) {
-	nb := notebook.New("gotta", cfg.Model)
-	nb.SetTelemetry(cfg.Telemetry, "script:gotta")
-	nb.SetProgress(cfg.Progress, "gotta")
-	ray, err := raysim.NewClusterFor(cfg.Model, cfg.Topology(), cfg.Workers)
-	if err != nil {
-		return nil, err
-	}
+// Notebook implements pipeline.Declaration: GOTTA as a Ray-scaled
+// notebook — the model is put into the shared object store once, then
+// one task per paragraph fetches it and runs the forward pass pinned to
+// a single CPU.
+func (t *Task) Notebook(env *pipeline.Env) pipeline.NotebookDecl {
 	const modelID = objstore.ID("gotta-bart")
-
 	var answers []Answer
-	parallel := 1
-	var recovery sim.Recovery
-	var shuffleBytes int64
-
-	nb.Add(&notebook.Cell{Name: "imports", Source: srcImports, Run: func(k *notebook.Kernel) error {
-		k.Charge(workImports)
-		return nil
-	}})
-	nb.Add(&notebook.Cell{Name: "load_model", Source: srcLoadModel, Run: func(k *notebook.Kernel) error {
-		k.Charge(workModelInit)
-		secs, err := ray.Store().Put(modelID, t.model.ModelBytes)
-		if err != nil {
-			return err
-		}
-		k.ChargeSeconds(secs)
-		return nil
-	}})
-	nb.Add(&notebook.Cell{Name: "build_prompts", Source: srcBuildPrompts, Run: func(k *notebook.Kernel) error {
-		k.Charge(workPrompt.Scale(float64(t.numQAs())))
-		return nil
-	}})
-	nb.Add(&notebook.Cell{Name: "inference", Source: srcInference, Run: func(k *notebook.Kernel) error {
-		return k.Call("run_batch", func() error {
-			job := ray.NewJob()
-			if !k.Replaying() {
-				// A replayed cell rebuilds the answers but must not
-				// re-emit spans for work that was served from cache.
-				job.SetTelemetry(cfg.Telemetry, "script:gotta")
-				job.SetProgress(cfg.Progress, "gotta")
-			}
-			job.SetFaults(cfg.Faults)
-			for _, p := range t.passages {
-				job.Submit(raysim.TaskSpec{
-					Name:             "batch-" + p.ID,
-					Gets:             []objstore.ID{modelID},
-					FrameworkSeconds: forwardSecondsPerQA * float64(len(p.QAs)),
-				})
-				for qi, qa := range p.QAs {
-					pred, em := t.generate(qa.Context, qa.Cloze, qa.Answer)
-					answers = append(answers, Answer{
-						Passage: p.ID, QA: qi, Cloze: qa.Cloze,
-						Gold: qa.Answer, Generated: pred, EM: em,
-					})
-				}
-			}
-			res, err := job.Run()
+	var scores map[string]float64
+	cells := []*notebook.Cell{
+		{Name: "imports", Source: srcImports, Run: func(k *notebook.Kernel) error {
+			k.Charge(workImports)
+			return nil
+		}},
+		{Name: "load_model", Source: srcLoadModel, Run: func(k *notebook.Kernel) error {
+			k.Charge(workModelInit)
+			secs, err := env.Put(modelID, t.model.ModelBytes)
 			if err != nil {
 				return err
 			}
-			k.ChargeSeconds(res.Makespan)
-			parallel = res.ParallelTasks
-			recovery = res.Recovery
-			shuffleBytes = res.ShuffleBytes
+			k.ChargeSeconds(secs)
 			return nil
-		})
-	}})
-	var out map[string]float64
-	nb.Add(&notebook.Cell{Name: "evaluate", Source: srcEvaluate, Run: func(k *notebook.Kernel) error {
-		k.Charge(workEval.Scale(float64(len(answers))))
-		out = quality(answers)
-		return nil
-	}})
-
-	var linRep *lineage.RunReport
-	if cfg.Lineage != nil {
-		scope := fmt.Sprintf("script:gotta[paragraphs=%d,sentences=%d,seed=%d,workers=%d]",
-			t.params.Paragraphs, t.params.SentencesPer, t.params.Seed, cfg.Workers)
-		linRep, err = lineage.RunNotebook(cfg.Lineage, nb, lineage.NotebookSpec{
-			Scope: scope,
-			Revs: map[string]int{
-				"build_prompts": t.rev("prompts"),
-				"evaluate":      t.rev("evaluate"),
-			},
-		}, cfg.Telemetry)
-		if err != nil {
-			return nil, err
-		}
-	} else if err := nb.RunAll(); err != nil {
-		return nil, err
+		}},
+		{Name: "build_prompts", Source: srcBuildPrompts, Run: func(k *notebook.Kernel) error {
+			k.Charge(workPrompt.Scale(float64(t.numQAs())))
+			return nil
+		}},
+		{Name: "inference", Source: srcInference, Run: func(k *notebook.Kernel) error {
+			return k.Call("run_batch", func() error {
+				job := make([]raysim.TaskSpec, 0, len(t.passages))
+				for _, p := range t.passages {
+					job = append(job, raysim.TaskSpec{
+						Name:             "batch-" + p.ID,
+						Gets:             []objstore.ID{modelID},
+						FrameworkSeconds: forwardSecondsPerQA * float64(len(p.QAs)),
+					})
+					for qi, qa := range p.QAs {
+						pred, em := t.generate(qa.Context, qa.Cloze, qa.Answer)
+						answers = append(answers, Answer{
+							Passage: p.ID, QA: qi, Cloze: qa.Cloze,
+							Gold: qa.Answer, Generated: pred, EM: em,
+						})
+					}
+				}
+				return env.RunJob(k, job)
+			})
+		}},
+		{Name: "evaluate", Source: srcEvaluate, Run: func(k *notebook.Kernel) error {
+			k.Charge(workEval.Scale(float64(len(answers))))
+			scores = quality(answers)
+			return nil
+		}},
 	}
-	if len(answers) == 0 {
-		return nil, fmt.Errorf("gotta: no answers generated")
+	return pipeline.NotebookDecl{
+		Cells: cells,
+		Revs: map[string][]string{
+			"build_prompts": {"prompts"},
+			"evaluate":      {"evaluate"},
+		},
+		Output: func() (*relation.Table, map[string]float64, error) {
+			if len(answers) == 0 {
+				return nil, nil, fmt.Errorf("gotta: no answers generated")
+			}
+			return AnswersToTable(answers), scores, nil
+		},
 	}
-	return &core.Result{
-		Task:          t.Name(),
-		Paradigm:      core.Script,
-		SimSeconds:    nb.Elapsed(),
-		LinesOfCode:   nb.LinesOfCode(),
-		Operators:     nb.NumCells(),
-		ParallelProcs: parallel,
-		Output:        AnswersToTable(answers),
-		Quality:       out,
-		Trace: core.TraceTotals{
-			ShuffleBytes: shuffleBytes,
-			SpillBytes:   ray.Store().Stats().SpilledBytes,
-		},
-		Recovery: core.RecoveryTotals{
-			Kills:              recovery.Kills,
-			LostSeconds:        recovery.LostSeconds,
-			DelaySeconds:       recovery.DelaySeconds,
-			RestoreSeconds:     recovery.ExtraCostSeconds,
-			ReconstructedBytes: ray.Store().Stats().ReconstructedBytes,
-		},
-		Lineage: linRep,
-	}, nil
 }

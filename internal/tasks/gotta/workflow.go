@@ -1,14 +1,13 @@
 package gotta
 
 import (
-	"context"
 	"fmt"
 
 	"repro/internal/core"
 	"repro/internal/cost"
 	"repro/internal/dataflow"
 	"repro/internal/ml/genqa"
-	"repro/internal/planopt"
+	"repro/internal/pipeline"
 	"repro/internal/relation"
 )
 
@@ -132,11 +131,13 @@ func (gi *generateInstance) EndPort(dataflow.ExecCtx, int) ([]relation.Tuple, er
 }
 func (gi *generateInstance) Close(dataflow.ExecCtx) error { return nil }
 
-// buildWorkflow assembles the GOTTA dataflow graph: serial prompt
-// construction feeding parallel BART inference and evaluation. The
-// cost model sets only simulated work (torch speedup, model-transfer
-// time), not the plan's shape.
-func (t *Task) buildWorkflow(model *cost.Model, workers int) *dataflow.Workflow {
+// Plan assembles the GOTTA dataflow graph: serial prompt construction
+// feeding parallel BART inference and evaluation, with prompts streamed
+// to the generator in engine-tuned batches. The cost model sets only
+// simulated work (torch speedup, model-transfer time), not the plan's
+// shape.
+func (t *Task) Plan(cfg core.RunConfig) (*dataflow.Workflow, error) {
+	model, workers := cfg.Model, cfg.Workers
 	w := dataflow.New("gotta")
 	lang := cost.Python
 	src := w.Source("passages", t.passageTable(), dataflow.WithScanWork(cost.Work{Interp: 0.08}))
@@ -159,8 +160,7 @@ func (t *Task) buildWorkflow(model *cost.Model, workers int) *dataflow.Workflow 
 	prompts.ExtraWork = func(relation.Tuple) cost.Work {
 		return workPrompt.Scale(float64(t.params.SentencesPer))
 	}
-	promptsID := w.Op(prompts, // prompt building is a serial stage
-		dataflow.WithSignature(fmt.Sprintf("rev=%d", t.rev("prompts"))))
+	promptsID := w.Op(prompts, t.Signature("prompts")) // prompt building is a serial stage
 	w.Connect(src, promptsID, 0, dataflow.RoundRobin())
 
 	speedup := cost.TorchSpeedup(model.TorchCoresTexera)
@@ -177,86 +177,39 @@ func (t *Task) buildWorkflow(model *cost.Model, workers int) *dataflow.Workflow 
 		return []relation.Tuple{{r.MustStr(0), r.MustInt(1), r.MustStr(2), gold, pred, genqa.ExactMatch(pred, gold)}}, nil
 	})
 	eval.Work = workEval
-	evalID := w.Op(eval, dataflow.WithParallelism(workers),
-		dataflow.WithSignature(fmt.Sprintf("rev=%d", t.rev("evaluate"))))
+	evalID := w.Op(eval, dataflow.WithParallelism(workers), t.Signature("evaluate"))
 	w.Connect(inferID, evalID, 0, dataflow.RoundRobin())
 
 	sink := w.Sink("answers")
 	w.Connect(evalID, sink, 0, dataflow.RoundRobin())
-	return w
+	return w, nil
 }
 
-// WorkflowPlan assembles the workflow DAG without executing it, so
-// plan-time validation (repro -validate) can inspect the graph.
-func (t *Task) WorkflowPlan(workers int) (*dataflow.Workflow, error) {
-	return t.buildWorkflow(cost.Default(), workers), nil
+// Workflow implements pipeline.Declaration.
+func (t *Task) Workflow() pipeline.WorkflowDecl {
+	return pipeline.WorkflowDecl{
+		Sink:   "answers",
+		UDFs:   []string{udfPrompts, udfInference, udfEvaluate},
+		Config: workflowConfig,
+		Shape: func(sink *relation.Table) (*relation.Table, map[string]float64, error) {
+			answers := make([]Answer, 0, sink.Len())
+			for _, r := range sink.Rows() {
+				answers = append(answers, Answer{
+					Passage: r.MustStr(0), QA: int(r.MustInt(1)), Cloze: r.MustStr(2),
+					Gold: r.MustStr(3), Generated: r.MustStr(4), EM: r.MustBool(5),
+				})
+			}
+			return AnswersToTable(answers), quality(answers), nil
+		},
+	}
 }
 
-// runWorkflow executes GOTTA as a dataflow: prompts are constructed by
-// one operator and streamed to the generator in engine-tuned batches.
-func (t *Task) runWorkflow(cfg core.RunConfig) (*core.Result, error) {
-	w := t.buildWorkflow(cfg.Model, cfg.Workers)
-	if cfg.Optimize {
-		if _, err := planopt.Optimize(w, planopt.ConfigOptions(cfg)); err != nil {
-			return nil, fmt.Errorf("gotta: optimize: %w", err)
-		}
-	}
-	res, err := w.Run(context.Background(), dataflow.Config{
-		Model: cfg.Model, Cluster: cfg.Cluster(), Shard: cfg.Topology(), Telemetry: cfg.Telemetry, Faults: cfg.Faults,
-		Progress: cfg.Progress,
-		Lineage:  cfg.Lineage,
-		LineageScope: fmt.Sprintf("workflow:gotta[paragraphs=%d,sentences=%d,seed=%d,workers=%d]",
-			t.params.Paragraphs, t.params.SentencesPer, t.params.Seed, cfg.Workers),
-	})
-	if err != nil {
-		return nil, err
-	}
-
-	out := res.Tables["answers"]
-	answers := make([]Answer, 0, out.Len())
-	for _, r := range out.Rows() {
-		answers = append(answers, Answer{
-			Passage: r.MustStr(0), QA: int(r.MustInt(1)), Cloze: r.MustStr(2),
-			Gold: r.MustStr(3), Generated: r.MustStr(4), EM: r.MustBool(5),
-		})
-	}
-	return &core.Result{
-		Task:          t.Name(),
-		Paradigm:      core.Workflow,
-		SimSeconds:    res.SimSeconds,
-		Trace:         res.Trace.Totals(),
-		Recovery:      res.Recovery.Totals(),
-		LinesOfCode:   t.workflowLoC(),
-		Operators:     w.NumOperators(),
-		ParallelProcs: cfg.Workers,
-		Output:        AnswersToTable(answers),
-		Quality:       quality(answers),
-		Lineage:       res.Lineage,
-	}, nil
-}
-
-// workflowLoC counts the workflow implementation size.
-func (t *Task) workflowLoC() int {
-	total := 0
-	for _, udf := range []string{udfPrompts, udfInference, udfEvaluate} {
-		total += loc(udf)
-	}
-	return total + len(workflowConfig())
-}
-
-// workflowConfig renders the operator configuration.
-func workflowConfig() []string {
-	ops := []struct{ typ, params string }{
-		{"FileScan", `path=passages.jsonl, format=jsonl`},
-		{"PythonUDF", `class=BuildPromptsOp`},
-		{"PythonUDF", `class=BartGenerateOp, workers=N, model=gotta-bart-large`},
-		{"PythonUDF", `class=EvaluateOp`},
-		{"ViewResults", `name=answers`},
-	}
-	lines := make([]string, 0, len(ops)*2)
-	for i, o := range ops {
-		lines = append(lines, fmt.Sprintf("operator %d: type=%s", i+1, o.typ))
-		lines = append(lines, "  "+o.params)
-	}
-	return lines
+// workflowConfig is the operator configuration: per operator, its type
+// and its parameter line.
+var workflowConfig = [][]string{
+	{"FileScan", `path=passages.jsonl, format=jsonl`},
+	{"PythonUDF", `class=BuildPromptsOp`},
+	{"PythonUDF", `class=BartGenerateOp, workers=N, model=gotta-bart-large`},
+	{"PythonUDF", `class=EvaluateOp`},
+	{"ViewResults", `name=answers`},
 }

@@ -16,12 +16,12 @@ import (
 	"fmt"
 	"math"
 	"sort"
-	"strings"
 
 	"repro/internal/core"
 	"repro/internal/cost"
 	"repro/internal/datagen"
 	"repro/internal/ml/kge"
+	"repro/internal/pipeline"
 	"repro/internal/relation"
 )
 
@@ -53,32 +53,18 @@ type Variant struct {
 }
 
 // Task is the KGE workload bound to a generated world and pre-trained
-// model.
+// model. The embedded pipeline.Base runs it; edit stages are the
+// Figure 7 stageNames values (filter-instock, embedding-join,
+// compute-delta, compute-distance, rank-topk, reverse-lookup).
 type Task struct {
+	pipeline.Base
 	params Params
 	world  *datagen.ProductWorld
 	model  *kge.Model
 	user   string
 	relVec []float64 // "buys" relation embedding
 	userV  []float64 // target user embedding
-	// edits carries per-stage revision counters modeling
-	// semantics-preserving re-parameterizations (the iterate workload);
-	// stage names are the Figure 7 stageNames values.
-	edits map[string]int
 }
-
-// SetEdits installs per-stage edit revisions (stage names:
-// filter-instock, embedding-join, compute-delta, compute-distance,
-// rank-topk, reverse-lookup). The map is copied.
-func (t *Task) SetEdits(m map[string]int) {
-	t.edits = make(map[string]int, len(m))
-	for k, v := range m {
-		t.edits[k] = v
-	}
-}
-
-// rev returns the current edit revision of a stage.
-func (t *Task) rev(stage string) int { return t.edits[stage] }
 
 // embedding dimensionality of the synthetic pre-trained model.
 const embDim = 16
@@ -128,6 +114,7 @@ func New(p Params) (*Task, error) {
 		return nil, err
 	}
 	t := &Task{params: p, world: world, model: model, user: world.Users[0]}
+	t.Bind(t)
 	t.relVec, err = model.RelationEmbedding("buys")
 	if err != nil {
 		return nil, err
@@ -141,6 +128,16 @@ func New(p Params) (*Task, error) {
 
 // Name implements core.Task.
 func (t *Task) Name() string { return "kge" }
+
+// Scope implements pipeline.Declaration. Only the workflow has
+// variants, so only its scope names one.
+func (t *Task) Scope(p core.Paradigm, workers int) string {
+	s := fmt.Sprintf("products=%d,seed=%d,workers=%d", t.params.Products, t.params.Seed, workers)
+	if p == core.Workflow {
+		s += fmt.Sprintf(",ops=%d,scala=%t", t.params.Variant.Ops, t.params.Variant.ScalaJoin)
+	}
+	return s
+}
 
 // World exposes the generated product world.
 func (t *Task) World() *datagen.ProductWorld { return t.world }
@@ -304,32 +301,4 @@ func (t *Task) candidateTable() *relation.Table {
 		tbl.AppendUnchecked(relation.Tuple{p.ASIN, p.Title, p.InStock})
 	}
 	return tbl
-}
-
-// Run implements core.Task.
-func (t *Task) Run(p core.Paradigm, cfg core.RunConfig) (*core.Result, error) {
-	cfg, err := cfg.Normalize()
-	if err != nil {
-		return nil, err
-	}
-	switch p {
-	case core.Script:
-		return t.runScript(cfg)
-	case core.Workflow:
-		return t.runWorkflow(cfg)
-	default:
-		return nil, fmt.Errorf("kge: unknown paradigm %v", p)
-	}
-}
-
-// loc counts non-blank non-comment lines.
-func loc(src string) int {
-	n := 0
-	for _, line := range strings.Split(src, "\n") {
-		s := strings.TrimSpace(line)
-		if s != "" && !strings.HasPrefix(s, "#") {
-			n++
-		}
-	}
-	return n
 }

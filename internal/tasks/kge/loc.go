@@ -1,7 +1,5 @@
 package kge
 
-import "fmt"
-
 // The workflow's Python UDF bodies (the operator dialogs' code) and the
 // per-operator configuration, counted by the lines-of-code experiment.
 // The paper measured the KGE workflow slightly *larger* than the
@@ -53,21 +51,11 @@ class ReverseLookupOp(UDFOperator):
                "title": tuple_["title"], "dist": tuple_["dist"]}
 `
 
-// workflowLoC counts the workflow implementation size for the task's
-// variant.
-func (t *Task) workflowLoC() int {
-	total := loc(udfPipeline)
-	total += len(t.workflowConfig())
-	return total
-}
-
-// workflowConfig renders the operator configuration for the variant.
-func (t *Task) workflowConfig() []string {
-	type opCfg struct{ typ, params, extra string }
-	var ops []opCfg
-	ops = append(ops, opCfg{"FileScan", `path=candidates.jsonl, format=jsonl`, `schema=[asin, title, instock]`})
-	layout := variantStages(t.params.Variant.Ops)
-	for _, stages := range layout {
+// workflowConfig is the operator configuration for the task's variant:
+// per operator, its type and two parameter lines.
+func (t *Task) workflowConfig() [][]string {
+	ops := [][]string{{"FileScan", `path=candidates.jsonl, format=jsonl`, `schema=[asin, title, instock]`}}
+	for _, stages := range variantStages(t.params.Variant.Ops) {
 		hasJoin := false
 		for _, s := range stages {
 			if s == stJoin {
@@ -75,18 +63,17 @@ func (t *Task) workflowConfig() []string {
 			}
 		}
 		if hasJoin && t.params.Variant.ScalaJoin {
-			scala := []opCfg{
-				{"Filter", `condition=instock == true`, `language=scala`},
-				{"Projection", `output=[asin, title]`, `language=scala`},
-				{"HashPartition", `key=asin, partitions=N`, `language=scala`},
-				{"BuildPrepare", `side=embeddings`, `language=scala`},
-				{"HashBuild", `table=kge_embeddings.parquet, key=entity`, `language=scala`},
-				{"HashProbe", `probe=asin, output=emb`, `language=scala`},
-				{"Validate", `non_null=[emb]`, `language=scala`},
-				{"RenameColumns", `emb=embedding_vector`, `language=scala`},
-				{"Materialize", `format=columnar`, `language=scala`},
-			}
-			ops = append(ops, scala...)
+			ops = append(ops,
+				[]string{"Filter", `condition=instock == true`, `language=scala`},
+				[]string{"Projection", `output=[asin, title]`, `language=scala`},
+				[]string{"HashPartition", `key=asin, partitions=N`, `language=scala`},
+				[]string{"BuildPrepare", `side=embeddings`, `language=scala`},
+				[]string{"HashBuild", `table=kge_embeddings.parquet, key=entity`, `language=scala`},
+				[]string{"HashProbe", `probe=asin, output=emb`, `language=scala`},
+				[]string{"Validate", `non_null=[emb]`, `language=scala`},
+				[]string{"RenameColumns", `emb=embedding_vector`, `language=scala`},
+				[]string{"Materialize", `format=columnar`, `language=scala`},
+			)
 			continue
 		}
 		classes := ""
@@ -96,14 +83,7 @@ func (t *Task) workflowConfig() []string {
 			}
 			classes += stageNames[s]
 		}
-		ops = append(ops, opCfg{"PythonUDF", "class=" + classes, "workers=N"})
+		ops = append(ops, []string{"PythonUDF", "class=" + classes, "workers=N"})
 	}
-	ops = append(ops, opCfg{"ViewResults", `name=recommendations`, `limit=10`})
-	lines := make([]string, 0, len(ops)*3)
-	for i, o := range ops {
-		lines = append(lines, fmt.Sprintf("operator %d: type=%s", i+1, o.typ))
-		lines = append(lines, "  "+o.params)
-		lines = append(lines, "  "+o.extra)
-	}
-	return lines
+	return append(ops, []string{"ViewResults", `name=recommendations`, `limit=10`})
 }

@@ -4,13 +4,12 @@ import (
 	"fmt"
 	"math"
 
-	"repro/internal/core"
 	"repro/internal/cost"
-	"repro/internal/lineage"
 	"repro/internal/notebook"
 	"repro/internal/objstore"
+	"repro/internal/pipeline"
 	"repro/internal/raysim"
-	"repro/internal/sim"
+	"repro/internal/relation"
 )
 
 // Notebook cell sources (pseudo-Python).
@@ -64,156 +63,103 @@ pd.DataFrame(results).to_json("recommendations.jsonl",
                               orient="records", lines=True)
 `
 
-// runScript executes KGE as a Ray-scaled notebook: the embedding table
-// is put into the object store, candidate chunks are filtered, merged
-// (pandas, C speed) and scored in parallel tasks, and the driver ranks
-// and reverse-looks-up the winners.
-func (t *Task) runScript(cfg core.RunConfig) (*core.Result, error) {
-	nb := notebook.New("kge", cfg.Model)
-	nb.SetTelemetry(cfg.Telemetry, "script:kge")
-	nb.SetProgress(cfg.Progress, "kge")
-	ray, err := raysim.NewClusterFor(cfg.Model, cfg.Topology(), cfg.Workers)
-	if err != nil {
-		return nil, err
-	}
+// Notebook implements pipeline.Declaration: KGE as a Ray-scaled
+// notebook — the embedding table is put into the object store,
+// candidate chunks are filtered, merged (pandas, C speed) and scored in
+// parallel tasks, and the driver ranks and reverse-looks-up the
+// winners.
+func (t *Task) Notebook(env *pipeline.Env) pipeline.NotebookDecl {
 	const tableID = objstore.ID("kge-embeddings")
-
 	var rows []scored
 	var recs []Recommendation
-	parallel := 1
-	var recovery sim.Recovery
-	var shuffleBytes int64
-
-	nb.Add(&notebook.Cell{Name: "imports", Source: srcImports, Run: func(k *notebook.Kernel) error {
-		k.Charge(cost.Work{Interp: 1.0, Mem: 0.3})
-		return nil
-	}})
-	nb.Add(&notebook.Cell{Name: "load_model", Source: srcLoadModel, Run: func(k *notebook.Kernel) error {
-		k.Charge(workTableLoadScript)
-		secs, err := ray.Store().Put(tableID, t.model.SizeBytes())
-		if err != nil {
-			return err
-		}
-		k.ChargeSeconds(secs)
-		return nil
-	}})
-	nb.Add(&notebook.Cell{Name: "filter_candidates", Source: srcFilterCandidates, Run: func(k *notebook.Kernel) error {
-		k.Charge(workScan.Scale(float64(len(t.world.Products))))
-		k.Charge(workFilter.Scale(float64(len(t.world.Products))))
-		return nil
-	}})
-	nb.Add(&notebook.Cell{Name: "score_chunks", Source: srcScore, Run: func(k *notebook.Kernel) error {
-		return k.Call("score_chunk", func() error {
-			inStock := make([]int, 0, len(t.world.Products))
-			for i, p := range t.world.Products {
-				if p.InStock {
-					inStock = append(inStock, i)
-				}
-			}
-			nChunks := cfg.Workers * 4
-			if nChunks > len(inStock) {
-				nChunks = len(inStock)
-			}
-			if nChunks == 0 {
-				return fmt.Errorf("kge: no in-stock candidates")
-			}
-			job := ray.NewJob()
-			if !k.Replaying() {
-				// A replayed cell rebuilds the scored rows but must not
-				// re-emit spans for work that was served from cache.
-				job.SetTelemetry(cfg.Telemetry, "script:kge")
-				job.SetProgress(cfg.Progress, "kge")
-			}
-			job.SetFaults(cfg.Faults)
-			for ci := 0; ci < nChunks; ci++ {
-				n := 0
-				for idx := ci; idx < len(inStock); idx += nChunks {
-					p := t.world.Products[inStock[idx]]
-					emb, err := t.stage2Embedding(p.ASIN)
-					if err != nil {
-						return err
-					}
-					rows = append(rows, scored{
-						asin: p.ASIN, title: p.Title, emb: emb,
-						dist: stage4Dist(t.stage3Delta(emb)),
-					})
-					n++
-				}
-				work := workMerge.Add(workDelta).Add(workNorm).Scale(float64(n))
-				job.Submit(raysim.TaskSpec{
-					Name: fmt.Sprintf("score-%d", ci),
-					Work: work,
-					Gets: []objstore.ID{tableID},
-				})
-			}
-			res, err := job.Run()
+	cells := []*notebook.Cell{
+		{Name: "imports", Source: srcImports, Run: func(k *notebook.Kernel) error {
+			k.Charge(cost.Work{Interp: 1.0, Mem: 0.3})
+			return nil
+		}},
+		{Name: "load_model", Source: srcLoadModel, Run: func(k *notebook.Kernel) error {
+			k.Charge(workTableLoadScript)
+			secs, err := env.Put(tableID, t.model.SizeBytes())
 			if err != nil {
 				return err
 			}
-			k.ChargeSeconds(res.Makespan)
-			parallel = res.ParallelTasks
-			recovery = res.Recovery
-			shuffleBytes = res.ShuffleBytes
+			k.ChargeSeconds(secs)
 			return nil
-		})
-	}})
-	nb.Add(&notebook.Cell{Name: "rank", Source: srcRank, Run: func(k *notebook.Kernel) error {
-		n := float64(len(rows))
-		if n > 1 {
-			k.Charge(workSortCmp.Scale(n * math.Log2(n)))
-		}
-		return nil
-	}})
-	nb.Add(&notebook.Cell{Name: "reverse_lookup", Source: srcReverse, Run: func(k *notebook.Kernel) error {
-		var err error
-		recs, err = t.rankAndReverse(rows)
-		if err != nil {
-			return err
-		}
-		k.Charge(workReverse.Scale(float64(len(recs))))
-		return nil
-	}})
-
-	var linRep *lineage.RunReport
-	if cfg.Lineage != nil {
-		scope := fmt.Sprintf("script:kge[products=%d,seed=%d,workers=%d]", t.params.Products, t.params.Seed, cfg.Workers)
-		linRep, err = lineage.RunNotebook(cfg.Lineage, nb, lineage.NotebookSpec{
-			Scope: scope,
-			Revs: map[string]int{
-				"filter_candidates": t.rev("filter-instock"),
-				"score_chunks":      t.rev("embedding-join") + t.rev("compute-delta") + t.rev("compute-distance"),
-				"rank":              t.rev("rank-topk"),
-				"reverse_lookup":    t.rev("reverse-lookup"),
-			},
-		}, cfg.Telemetry)
-		if err != nil {
-			return nil, err
-		}
-	} else if err := nb.RunAll(); err != nil {
-		return nil, err
+		}},
+		{Name: "filter_candidates", Source: srcFilterCandidates, Run: func(k *notebook.Kernel) error {
+			k.Charge(workScan.Scale(float64(len(t.world.Products))))
+			k.Charge(workFilter.Scale(float64(len(t.world.Products))))
+			return nil
+		}},
+		{Name: "score_chunks", Source: srcScore, Run: func(k *notebook.Kernel) error {
+			return k.Call("score_chunk", func() error {
+				inStock := make([]int, 0, len(t.world.Products))
+				for i, p := range t.world.Products {
+					if p.InStock {
+						inStock = append(inStock, i)
+					}
+				}
+				nChunks := env.Workers * 4
+				if nChunks > len(inStock) {
+					nChunks = len(inStock)
+				}
+				if nChunks == 0 {
+					return fmt.Errorf("kge: no in-stock candidates")
+				}
+				job := make([]raysim.TaskSpec, 0, nChunks)
+				for ci := 0; ci < nChunks; ci++ {
+					n := 0
+					for idx := ci; idx < len(inStock); idx += nChunks {
+						p := t.world.Products[inStock[idx]]
+						emb, err := t.stage2Embedding(p.ASIN)
+						if err != nil {
+							return err
+						}
+						rows = append(rows, scored{
+							asin: p.ASIN, title: p.Title, emb: emb,
+							dist: stage4Dist(t.stage3Delta(emb)),
+						})
+						n++
+					}
+					work := workMerge.Add(workDelta).Add(workNorm).Scale(float64(n))
+					job = append(job, raysim.TaskSpec{
+						Name: fmt.Sprintf("score-%d", ci),
+						Work: work,
+						Gets: []objstore.ID{tableID},
+					})
+				}
+				return env.RunJob(k, job)
+			})
+		}},
+		{Name: "rank", Source: srcRank, Run: func(k *notebook.Kernel) error {
+			n := float64(len(rows))
+			if n > 1 {
+				k.Charge(workSortCmp.Scale(n * math.Log2(n)))
+			}
+			return nil
+		}},
+		{Name: "reverse_lookup", Source: srcReverse, Run: func(k *notebook.Kernel) error {
+			var err error
+			recs, err = t.rankAndReverse(rows)
+			if err != nil {
+				return err
+			}
+			k.Charge(workReverse.Scale(float64(len(recs))))
+			return nil
+		}},
 	}
-	return &core.Result{
-		Task:          t.Name(),
-		Paradigm:      core.Script,
-		SimSeconds:    nb.Elapsed(),
-		LinesOfCode:   nb.LinesOfCode(),
-		Operators:     nb.NumCells(),
-		ParallelProcs: parallel,
-		Output:        RecommendationsToTable(recs),
-		Trace: core.TraceTotals{
-			ShuffleBytes: shuffleBytes,
-			SpillBytes:   ray.Store().Stats().SpilledBytes,
+	return pipeline.NotebookDecl{
+		Cells: cells,
+		Revs: map[string][]string{
+			"filter_candidates": {"filter-instock"},
+			"score_chunks":      {"embedding-join", "compute-delta", "compute-distance"},
+			"rank":              {"rank-topk"},
+			"reverse_lookup":    {"reverse-lookup"},
 		},
-		Recovery: core.RecoveryTotals{
-			Kills:              recovery.Kills,
-			LostSeconds:        recovery.LostSeconds,
-			DelaySeconds:       recovery.DelaySeconds,
-			RestoreSeconds:     recovery.ExtraCostSeconds,
-			ReconstructedBytes: ray.Store().Stats().ReconstructedBytes,
+		Output: func() (*relation.Table, map[string]float64, error) {
+			return RecommendationsToTable(recs), t.quality(recs), nil
 		},
-		Quality: t.quality(recs),
-		Lineage: linRep,
-	}, nil
+	}
 }
 
 // quality computes the in-category hit rate of the recommendations —

@@ -1,7 +1,6 @@
 package kge
 
 import (
-	"context"
 	"fmt"
 	"math"
 	"sort"
@@ -10,7 +9,7 @@ import (
 	"repro/internal/cost"
 	"repro/internal/dataflow"
 	"repro/internal/ml/kge"
-	"repro/internal/planopt"
+	"repro/internal/pipeline"
 	"repro/internal/relation"
 )
 
@@ -330,8 +329,9 @@ func (t *Task) scalaJoinChain(withFilter bool) []*pipeOp {
 	return chain
 }
 
-// buildWorkflow assembles the KGE workflow for the task's variant.
-func (t *Task) buildWorkflow(workers int) (*dataflow.Workflow, error) {
+// Plan assembles the KGE workflow for the task's variant.
+func (t *Task) Plan(cfg core.RunConfig) (*dataflow.Workflow, error) {
+	workers := cfg.Workers
 	w := dataflow.New("kge")
 	src := w.Source("candidates", t.candidateTable(), dataflow.WithScanWork(workScan))
 	prev := src
@@ -341,11 +341,11 @@ func (t *Task) buildWorkflow(workers int) (*dataflow.Workflow, error) {
 	// revisions: editing any fused-in stage re-parameterizes the whole
 	// operator, which is exactly the reuse granularity the GUI exposes.
 	sigFor := func(stages []stage) dataflow.NodeOpt {
-		sum := 0
-		for _, s := range stages {
-			sum += t.rev(stageNames[s])
+		names := make([]string, len(stages))
+		for i, s := range stages {
+			names[i] = stageNames[s]
 		}
-		return dataflow.WithSignature(fmt.Sprintf("rev=%d", sum))
+		return t.Signature(names...)
 	}
 	in := schemaBase
 	for _, stages := range layout {
@@ -410,51 +410,20 @@ func (t *Task) buildWorkflow(workers int) (*dataflow.Workflow, error) {
 	return w, nil
 }
 
-// runWorkflow executes KGE as a dataflow workflow.
-func (t *Task) runWorkflow(cfg core.RunConfig) (*core.Result, error) {
-	w, err := t.buildWorkflow(cfg.Workers)
-	if err != nil {
-		return nil, err
+// Workflow implements pipeline.Declaration.
+func (t *Task) Workflow() pipeline.WorkflowDecl {
+	return pipeline.WorkflowDecl{
+		Sink:   "recommendations",
+		UDFs:   []string{udfPipeline},
+		Config: t.workflowConfig(),
+		Shape: func(sink *relation.Table) (*relation.Table, map[string]float64, error) {
+			recs := make([]Recommendation, 0, sink.Len())
+			for _, r := range sink.Rows() {
+				recs = append(recs, Recommendation{
+					Rank: int(r.MustInt(0)), ASIN: r.MustStr(1), Title: r.MustStr(2), Dist: r.MustFloat(3),
+				})
+			}
+			return RecommendationsToTable(recs), t.quality(recs), nil
+		},
 	}
-	if cfg.Optimize {
-		if _, err := planopt.Optimize(w, planopt.ConfigOptions(cfg)); err != nil {
-			return nil, fmt.Errorf("kge: optimize: %w", err)
-		}
-	}
-	res, err := w.Run(context.Background(), dataflow.Config{
-		Model: cfg.Model, Cluster: cfg.Cluster(), Shard: cfg.Topology(), Telemetry: cfg.Telemetry, Faults: cfg.Faults,
-		Progress: cfg.Progress,
-		Lineage:  cfg.Lineage,
-		LineageScope: fmt.Sprintf("workflow:kge[products=%d,seed=%d,workers=%d,ops=%d,scala=%t]",
-			t.params.Products, t.params.Seed, cfg.Workers, t.params.Variant.Ops, t.params.Variant.ScalaJoin),
-	})
-	if err != nil {
-		return nil, err
-	}
-	out := res.Tables["recommendations"]
-	recs := make([]Recommendation, 0, out.Len())
-	for _, r := range out.Rows() {
-		recs = append(recs, Recommendation{
-			Rank: int(r.MustInt(0)), ASIN: r.MustStr(1), Title: r.MustStr(2), Dist: r.MustFloat(3),
-		})
-	}
-	return &core.Result{
-		Task:          t.Name(),
-		Paradigm:      core.Workflow,
-		SimSeconds:    res.SimSeconds,
-		Trace:         res.Trace.Totals(),
-		Recovery:      res.Recovery.Totals(),
-		LinesOfCode:   t.workflowLoC(),
-		Operators:     w.NumOperators(),
-		ParallelProcs: cfg.Workers,
-		Output:        RecommendationsToTable(recs),
-		Quality:       t.quality(recs),
-		Lineage:       res.Lineage,
-	}, nil
-}
-
-// WorkflowPlan assembles the workflow DAG without executing it, so
-// plan-time validation (repro -validate) can inspect the graph.
-func (t *Task) WorkflowPlan(workers int) (*dataflow.Workflow, error) {
-	return t.buildWorkflow(workers)
 }

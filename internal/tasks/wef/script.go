@@ -1,13 +1,10 @@
 package wef
 
 import (
-	"fmt"
-
-	"repro/internal/core"
 	"repro/internal/cost"
-	"repro/internal/lineage"
 	"repro/internal/ml/textclf"
 	"repro/internal/notebook"
+	"repro/internal/pipeline"
 	"repro/internal/relation"
 )
 
@@ -68,74 +65,52 @@ print(f"macro F1 = {f1:.3f}")
 pred_df.to_json("wef_predictions.jsonl", orient="records", lines=True)
 `
 
-// runScript executes WEF as a notebook: sequential fine-tuning of the
-// four framing models in one kernel.
-func (t *Task) runScript(cfg core.RunConfig) (*core.Result, error) {
-	nb := notebook.New("wef", cfg.Model)
-	nb.SetTelemetry(cfg.Telemetry, "script:wef")
-	nb.SetProgress(cfg.Progress, "wef")
+// Notebook implements pipeline.Declaration: WEF as a notebook —
+// sequential fine-tuning of the four framing models in one kernel, no
+// Ray job.
+func (t *Task) Notebook(*pipeline.Env) pipeline.NotebookDecl {
 	var ens *textclf.Ensemble
 	var out *relation.Table
 	var quality map[string]float64
-
-	nb.Add(&notebook.Cell{Name: "imports", Source: srcImports, Run: func(k *notebook.Kernel) error {
-		k.Charge(cost.Work{Interp: 2.0, Mem: 0.6}) // torch + transformers import
-		return nil
-	}})
-	nb.Add(&notebook.Cell{Name: "load_tokenize", Source: srcLoad, Run: func(k *notebook.Kernel) error {
-		k.Charge(workLoad.Scale(float64(len(t.tweets))))
-		return nil
-	}})
-	nb.Add(&notebook.Cell{Name: "train_models", Source: srcTrain, Run: func(k *notebook.Kernel) error {
-		return k.Call("finetune", func() error {
+	cells := []*notebook.Cell{
+		{Name: "imports", Source: srcImports, Run: func(k *notebook.Kernel) error {
+			k.Charge(cost.Work{Interp: 2.0, Mem: 0.6}) // torch + transformers import
+			return nil
+		}},
+		{Name: "load_tokenize", Source: srcLoad, Run: func(k *notebook.Kernel) error {
+			k.Charge(workLoad.Scale(float64(len(t.tweets))))
+			return nil
+		}},
+		{Name: "train_models", Source: srcTrain, Run: func(k *notebook.Kernel) error {
+			return k.Call("finetune", func() error {
+				var err error
+				ens, err = t.trainEnsemble()
+				if err != nil {
+					return err
+				}
+				steps := float64(t.trainExamples() * t.params.Epochs * len(ens.Models))
+				k.Charge(workTrainPerExample.Scale(steps))
+				// Manual DataLoader batching overhead (paper Figure 10).
+				k.Charge(workBatchOverhead.Scale(steps))
+				return nil
+			})
+		}},
+		{Name: "evaluate_write", Source: srcEvaluate, Run: func(k *notebook.Kernel) error {
 			var err error
-			ens, err = t.trainEnsemble()
+			out, quality, err = t.predictions(ens)
 			if err != nil {
 				return err
 			}
-			steps := float64(t.trainExamples() * t.params.Epochs * len(ens.Models))
-			k.Charge(workTrainPerExample.Scale(steps))
-			// Manual DataLoader batching overhead (paper Figure 10).
-			k.Charge(workBatchOverhead.Scale(steps))
+			k.Charge(workPredict.Scale(float64(len(t.tweets) * len(ens.Models))))
 			return nil
-		})
-	}})
-	nb.Add(&notebook.Cell{Name: "evaluate_write", Source: srcEvaluate, Run: func(k *notebook.Kernel) error {
-		var err error
-		out, quality, err = t.predictions(ens)
-		if err != nil {
-			return err
-		}
-		k.Charge(workPredict.Scale(float64(len(t.tweets) * len(ens.Models))))
-		return nil
-	}})
-
-	var linRep *lineage.RunReport
-	if cfg.Lineage != nil {
-		scope := fmt.Sprintf("script:wef[tweets=%d,epochs=%d,seed=%d]", t.params.Tweets, t.params.Epochs, t.params.Seed)
-		var err error
-		linRep, err = lineage.RunNotebook(cfg.Lineage, nb, lineage.NotebookSpec{
-			Scope: scope,
-			Revs: map[string]int{
-				"train_models":   t.rev("train"),
-				"evaluate_write": t.rev("shape"),
-			},
-		}, cfg.Telemetry)
-		if err != nil {
-			return nil, err
-		}
-	} else if err := nb.RunAll(); err != nil {
-		return nil, err
+		}},
 	}
-	return &core.Result{
-		Task:          t.Name(),
-		Paradigm:      core.Script,
-		SimSeconds:    nb.Elapsed(),
-		LinesOfCode:   nb.LinesOfCode(),
-		Operators:     nb.NumCells(),
-		ParallelProcs: 1,
-		Output:        out,
-		Quality:       quality,
-		Lineage:       linRep,
-	}, nil
+	return pipeline.NotebookDecl{
+		Cells: cells,
+		Revs: map[string][]string{
+			"train_models":   {"train"},
+			"evaluate_write": {"shape"},
+		},
+		Output: func() (*relation.Table, map[string]float64, error) { return out, quality, nil },
+	}
 }

@@ -12,13 +12,13 @@ package wef
 
 import (
 	"fmt"
-	"strings"
 
 	"repro/internal/core"
 	"repro/internal/cost"
 	"repro/internal/datagen"
 	"repro/internal/ml/linear"
 	"repro/internal/ml/textclf"
+	"repro/internal/pipeline"
 	"repro/internal/relation"
 )
 
@@ -33,26 +33,13 @@ type Params struct {
 	Seed uint64
 }
 
-// Task is the WEF workload bound to a generated dataset.
+// Task is the WEF workload bound to a generated dataset. The embedded
+// pipeline.Base runs it; edit stages are train and shape.
 type Task struct {
+	pipeline.Base
 	params Params
 	tweets []datagen.Tweet
-	// edits carries per-stage revision counters modeling
-	// semantics-preserving re-parameterizations (the iterate workload).
-	edits map[string]int
 }
-
-// SetEdits installs per-stage edit revisions (stage names: train,
-// shape). The map is copied.
-func (t *Task) SetEdits(m map[string]int) {
-	t.edits = make(map[string]int, len(m))
-	for k, v := range m {
-		t.edits[k] = v
-	}
-}
-
-// rev returns the current edit revision of a stage.
-func (t *Task) rev(stage string) int { return t.edits[stage] }
 
 // The registry entry makes the task runnable by name from the CLI and
 // the experiment harness; the default size is the paper's full scale.
@@ -73,11 +60,19 @@ func New(p Params) (*Task, error) {
 	if p.Epochs < 0 {
 		return nil, fmt.Errorf("wef: negative epochs %d", p.Epochs)
 	}
-	return &Task{params: p, tweets: datagen.GenerateTweets(p.Tweets, p.Seed)}, nil
+	t := &Task{params: p, tweets: datagen.GenerateTweets(p.Tweets, p.Seed)}
+	t.Bind(t)
+	return t, nil
 }
 
 // Name implements core.Task.
 func (t *Task) Name() string { return "wef" }
+
+// Scope implements pipeline.Declaration. Neither paradigm has a worker
+// knob, so workers stay out of it.
+func (t *Task) Scope(core.Paradigm, int) string {
+	return fmt.Sprintf("tweets=%d,epochs=%d,seed=%d", t.params.Tweets, t.params.Epochs, t.params.Seed)
+}
 
 // Tweets exposes the dataset.
 func (t *Task) Tweets() []datagen.Tweet { return t.tweets }
@@ -185,36 +180,8 @@ func (t *Task) predictions(ens *textclf.Ensemble) (*relation.Table, map[string]f
 	return out, quality, nil
 }
 
-// Run implements core.Task.
-func (t *Task) Run(p core.Paradigm, cfg core.RunConfig) (*core.Result, error) {
-	cfg, err := cfg.Normalize()
-	if err != nil {
-		return nil, err
-	}
-	switch p {
-	case core.Script:
-		return t.runScript(cfg)
-	case core.Workflow:
-		return t.runWorkflow(cfg)
-	default:
-		return nil, fmt.Errorf("wef: unknown paradigm %v", p)
-	}
-}
-
 // trainExamples returns the training-set size (cost basis).
 func (t *Task) trainExamples() int {
 	train, _ := t.split()
 	return len(train)
-}
-
-// loc counts non-blank non-comment lines.
-func loc(src string) int {
-	n := 0
-	for _, line := range strings.Split(src, "\n") {
-		s := strings.TrimSpace(line)
-		if s != "" && !strings.HasPrefix(s, "#") {
-			n++
-		}
-	}
-	return n
 }

@@ -1,7 +1,6 @@
 package wef
 
 import (
-	"context"
 	"fmt"
 
 	"repro/internal/core"
@@ -10,7 +9,7 @@ import (
 	"repro/internal/datagen"
 	"repro/internal/ml/linear"
 	"repro/internal/ml/textclf"
-	"repro/internal/planopt"
+	"repro/internal/pipeline"
 	"repro/internal/relation"
 )
 
@@ -150,10 +149,10 @@ func (t *Task) tweetTable() *relation.Table {
 	return tbl
 }
 
-// buildWorkflow assembles the WEF chain of four blocking fine-tune
-// operators — sequential, like the paper's measured configuration, so
-// there is no worker knob to thread through.
-func (t *Task) buildWorkflow() (*dataflow.Workflow, error) {
+// Plan assembles the WEF chain of four blocking fine-tune operators —
+// sequential, like the paper's measured configuration, so the config's
+// worker count is not read.
+func (t *Task) Plan(core.RunConfig) (*dataflow.Workflow, error) {
 	w := dataflow.New("wef")
 	src := w.Source("tweets", t.tweetTable(), dataflow.WithScanWork(workLoad))
 	prev := src
@@ -163,7 +162,7 @@ func (t *Task) buildWorkflow() (*dataflow.Workflow, error) {
 		if err != nil {
 			return nil, err
 		}
-		id := w.Op(op, dataflow.WithSignature(fmt.Sprintf("rev=%d", t.rev("train"))))
+		id := w.Op(op, t.Signature("train"))
 		w.Connect(prev, id, 0, dataflow.RoundRobin())
 		prev = id
 		schema = op.out
@@ -172,106 +171,62 @@ func (t *Task) buildWorkflow() (*dataflow.Workflow, error) {
 		return []relation.Tuple{{r.MustInt(0), r.MustBool(6), r.MustBool(7), r.MustBool(8), r.MustBool(9)}}, nil
 	})
 	shape.Work = cost.Work{Interp: 0.5e-3}
-	shapeID := w.Op(shape, dataflow.WithSignature(fmt.Sprintf("rev=%d", t.rev("shape"))))
+	shapeID := w.Op(shape, t.Signature("shape"))
 	w.Connect(prev, shapeID, 0, dataflow.RoundRobin())
 	sink := w.Sink("predictions")
 	w.Connect(shapeID, sink, 0, dataflow.RoundRobin())
 	return w, nil
 }
 
-// WorkflowPlan assembles the workflow DAG without executing it, so
-// plan-time validation (repro -validate) can inspect the graph. The
-// chain is sequential regardless of workers.
-func (t *Task) WorkflowPlan(int) (*dataflow.Workflow, error) {
-	return t.buildWorkflow()
+// Workflow implements pipeline.Declaration. The sink table is already
+// the canonical output; quality is macro-F1 on the eval split,
+// mirroring the script path.
+func (t *Task) Workflow() pipeline.WorkflowDecl {
+	return pipeline.WorkflowDecl{
+		Sink:   "predictions",
+		UDFs:   []string{udfTrain},
+		Config: workflowConfig,
+		Serial: true,
+		Shape: func(out *relation.Table) (*relation.Table, map[string]float64, error) {
+			_, evalIdx := t.split()
+			evalSet := make(map[int64]bool, len(evalIdx))
+			for _, ei := range evalIdx {
+				evalSet[t.tweets[ei].ID] = true
+			}
+			var pred, gold [][]bool
+			byID := make(map[int64]datagen.Tweet, len(t.tweets))
+			for _, tw := range t.tweets {
+				byID[tw.ID] = tw
+			}
+			for _, r := range out.Rows() {
+				if !evalSet[r.MustInt(0)] {
+					continue
+				}
+				pred = append(pred, []bool{r.MustBool(1), r.MustBool(2), r.MustBool(3), r.MustBool(4)})
+				tw := byID[r.MustInt(0)]
+				gold = append(gold, append([]bool(nil), tw.Framings[:]...))
+			}
+			quality := map[string]float64{}
+			if len(pred) > 0 {
+				f1, err := linear.MacroF1(pred, gold)
+				if err != nil {
+					return nil, nil, err
+				}
+				quality["macro_f1"] = f1
+			}
+			return out, quality, nil
+		},
+	}
 }
 
-// runWorkflow executes WEF as a chain of four blocking fine-tune
-// operators — sequential, like the paper's measured configuration.
-func (t *Task) runWorkflow(cfg core.RunConfig) (*core.Result, error) {
-	w, err := t.buildWorkflow()
-	if err != nil {
-		return nil, err
-	}
-	if cfg.Optimize {
-		if _, err := planopt.Optimize(w, planopt.ConfigOptions(cfg)); err != nil {
-			return nil, fmt.Errorf("wef: optimize: %w", err)
-		}
-	}
-	res, err := w.Run(context.Background(), dataflow.Config{
-		Model: cfg.Model, Cluster: cfg.Cluster(), Shard: cfg.Topology(), Telemetry: cfg.Telemetry, Faults: cfg.Faults,
-		Progress:     cfg.Progress,
-		Lineage:      cfg.Lineage,
-		LineageScope: fmt.Sprintf("workflow:wef[tweets=%d,epochs=%d,seed=%d]", t.params.Tweets, t.params.Epochs, t.params.Seed),
-	})
-	if err != nil {
-		return nil, err
-	}
-
-	// Quality on the eval split, mirroring the script path.
-	out := res.Tables["predictions"]
-	_, evalIdx := t.split()
-	evalSet := make(map[int64]bool, len(evalIdx))
-	for _, ei := range evalIdx {
-		evalSet[t.tweets[ei].ID] = true
-	}
-	var pred, gold [][]bool
-	byID := make(map[int64]datagen.Tweet, len(t.tweets))
-	for _, tw := range t.tweets {
-		byID[tw.ID] = tw
-	}
-	for _, r := range out.Rows() {
-		if !evalSet[r.MustInt(0)] {
-			continue
-		}
-		pred = append(pred, []bool{r.MustBool(1), r.MustBool(2), r.MustBool(3), r.MustBool(4)})
-		tw := byID[r.MustInt(0)]
-		gold = append(gold, append([]bool(nil), tw.Framings[:]...))
-	}
-	quality := map[string]float64{}
-	if len(pred) > 0 {
-		f1, err := linear.MacroF1(pred, gold)
-		if err != nil {
-			return nil, err
-		}
-		quality["macro_f1"] = f1
-	}
-
-	return &core.Result{
-		Task:          t.Name(),
-		Paradigm:      core.Workflow,
-		SimSeconds:    res.SimSeconds,
-		Trace:         res.Trace.Totals(),
-		Recovery:      res.Recovery.Totals(),
-		LinesOfCode:   t.workflowLoC(),
-		Operators:     w.NumOperators(),
-		ParallelProcs: 1,
-		Output:        out,
-		Quality:       quality,
-		Lineage:       res.Lineage,
-	}, nil
-}
-
-// workflowLoC counts the workflow implementation size.
-func (t *Task) workflowLoC() int {
-	return loc(udfTrain) + len(workflowConfig())
-}
-
-// workflowConfig renders the operator configuration.
-func workflowConfig() []string {
-	ops := []struct{ typ, params string }{
-		{"FileScan", `path=wildfire_tweets.jsonl, format=jsonl`},
-		{"PythonUDF", `class=FinetuneFramingOp, framing=link, epochs=3`},
-		{"PythonUDF", `class=FinetuneFramingOp, framing=action, epochs=3`},
-		{"PythonUDF", `class=FinetuneFramingOp, framing=attribution, epochs=3`},
-		{"PythonUDF", `class=FinetuneFramingOp, framing=irrelevant, epochs=3`},
-		{"Projection", `output=[id, p_link, p_action, p_attribution, p_irrelevant]`},
-		{"ViewResults", `name=predictions`},
-	}
-	lines := make([]string, 0, len(ops)*2)
-	for i, o := range ops {
-		lines = append(lines, fmt.Sprintf("operator %d: type=%s", i+1, o.typ))
-		lines = append(lines, "  "+o.params)
-	}
-	return lines
+// workflowConfig is the operator configuration: per operator, its type
+// and its parameter line.
+var workflowConfig = [][]string{
+	{"FileScan", `path=wildfire_tweets.jsonl, format=jsonl`},
+	{"PythonUDF", `class=FinetuneFramingOp, framing=link, epochs=3`},
+	{"PythonUDF", `class=FinetuneFramingOp, framing=action, epochs=3`},
+	{"PythonUDF", `class=FinetuneFramingOp, framing=attribution, epochs=3`},
+	{"PythonUDF", `class=FinetuneFramingOp, framing=irrelevant, epochs=3`},
+	{"Projection", `output=[id, p_link, p_action, p_attribution, p_irrelevant]`},
+	{"ViewResults", `name=predictions`},
 }

@@ -188,6 +188,8 @@ func NewRegistry() *Registry {
 // depends only on the data processed, so it appears in deterministic
 // exports.
 func (r *Registry) Counter(name string) *Counter {
+	r.mu.Lock()
+	defer r.mu.Unlock()
 	m := r.get(name, "count", false)
 	if m.counter == nil {
 		m.counter = &Counter{}
@@ -199,6 +201,8 @@ func (r *Registry) Counter(name string) *Counter {
 // dependent levels, so they are volatile: deterministic exports omit
 // them.
 func (r *Registry) Gauge(name string) *Gauge {
+	r.mu.Lock()
+	defer r.mu.Unlock()
 	m := r.get(name, "level", true)
 	if m.gauge == nil {
 		m.gauge = &Gauge{}
@@ -209,6 +213,8 @@ func (r *Registry) Gauge(name string) *Gauge {
 // Histogram registers (or fetches) a volatile histogram with the given
 // unit label (for example "ns").
 func (r *Registry) Histogram(name, unit string) *Histogram {
+	r.mu.Lock()
+	defer r.mu.Unlock()
 	m := r.get(name, unit, true)
 	if m.hist == nil {
 		m.hist = &Histogram{}
@@ -216,9 +222,12 @@ func (r *Registry) Histogram(name, unit string) *Histogram {
 	return m.hist
 }
 
+// get registers or fetches the named metric. The caller holds r.mu and
+// fills the instrument in before releasing it: runs sharing one
+// recorder register instruments while another run's sampler snapshots,
+// so every field of a metric is written under the lock Snapshot copies
+// it under.
 func (r *Registry) get(name, unit string, volatile bool) *metric {
-	r.mu.Lock()
-	defer r.mu.Unlock()
 	if m, ok := r.metrics[name]; ok {
 		return m
 	}
@@ -267,16 +276,12 @@ type MetricsSnapshot struct {
 // deterministic exports use.
 func (r *Registry) Snapshot(includeVolatile bool) MetricsSnapshot {
 	r.mu.Lock()
-	names := make([]string, 0, len(r.metrics))
-	for name := range r.metrics {
-		names = append(names, name)
-	}
-	ms := make([]*metric, 0, len(names))
-	sort.Strings(names)
-	for _, name := range names {
-		ms = append(ms, r.metrics[name])
+	ms := make([]metric, 0, len(r.metrics))
+	for _, m := range r.metrics {
+		ms = append(ms, *m)
 	}
 	r.mu.Unlock()
+	sort.Slice(ms, func(i, j int) bool { return ms[i].name < ms[j].name })
 
 	var snap MetricsSnapshot
 	for _, m := range ms {

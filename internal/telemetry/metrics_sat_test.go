@@ -82,6 +82,60 @@ func TestShardedInstrumentsConcurrent(t *testing.T) {
 	}
 }
 
+// TestRegistrationRacesSnapshot registers instruments from many
+// goroutines while a reader snapshots — what runs sharing one recorder
+// do on a server. Under -race this fails unless every field of a metric
+// is written and read under the registry lock.
+func TestRegistrationRacesSnapshot(t *testing.T) {
+	reg := NewRegistry()
+	const (
+		writers = 4
+		names   = 200
+	)
+	stop := make(chan struct{})
+	var readerDone sync.WaitGroup
+	readerDone.Add(1)
+	go func() {
+		defer readerDone.Done()
+		for {
+			select {
+			case <-stop:
+				return
+			default:
+				reg.Snapshot(true)
+			}
+		}
+	}()
+	var wg sync.WaitGroup
+	for w := 0; w < writers; w++ {
+		wg.Add(1)
+		go func(shard int) {
+			defer wg.Done()
+			for i := 0; i < names; i++ {
+				// The same names from every writer: first use registers,
+				// later uses fetch.
+				reg.Counter(fmt.Sprintf("c%d", i)).Add(shard, 1)
+				reg.Gauge(fmt.Sprintf("g%d", i)).Set(shard, int64(i))
+				reg.Histogram(fmt.Sprintf("h%d", i), "ns").Observe(shard, int64(i))
+			}
+		}(w)
+	}
+	wg.Wait()
+	close(stop)
+	readerDone.Wait()
+
+	snap := reg.Snapshot(true)
+	if len(snap.Counters) != names || len(snap.Gauges) != names || len(snap.Histograms) != names {
+		t.Fatalf("snapshot has %d counters, %d gauges, %d histograms, want %d each",
+			len(snap.Counters), len(snap.Gauges), len(snap.Histograms), names)
+	}
+	for _, cv := range snap.Counters {
+		if cv.Value != writers {
+			t.Fatalf("counter %s = %d, want %d: a registration was lost", cv.Name, cv.Value, writers)
+		}
+	}
+}
+
 // TestQuantileHighEdges pins quantileHigh on degenerate histograms.
 func TestQuantileHighEdges(t *testing.T) {
 	empty := HistogramValue{}

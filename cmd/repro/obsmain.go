@@ -102,7 +102,7 @@ func runBenchCheck(dir string, seed uint64, jsonOut bool) int {
 
 func printCompare(cmp *bench.CompareReport) {
 	if len(cmp.EnvMismatch) > 0 {
-		fmt.Printf("bench-check: REFUSED — baseline from a different machine configuration:\n")
+		fmt.Printf("bench-check: REFUSED — baseline not comparable with this machine configuration:\n")
 		for _, m := range cmp.EnvMismatch {
 			fmt.Printf("  %s\n", m)
 		}

@@ -50,8 +50,7 @@ type Macro struct {
 }
 
 // Report is the full harness output. GoVersion and GOMAXPROCS predate
-// the Env header and stay populated so older tooling (and the
-// regression detector's legacy fallback) keeps working.
+// the Env header and stay populated so older tooling keeps working.
 type Report struct {
 	GoVersion  string  `json:"go_version"`
 	GOMAXPROCS int     `json:"gomaxprocs"`
@@ -127,61 +126,25 @@ func micros() []Micro {
 	// the encode loop allocates its output buffer every call, and with
 	// megabytes of fixture rows live each incremental GC spends its
 	// cycles scanning unrelated tuples — measured roughly 2x on
-	// encode_table_10k. The *_row variants keep the pre-columnar
-	// baseline in every report, so the columnar speedup reads as an
-	// ablation within one run instead of a cross-commit diff.
+	// encode_table_10k.
 	enc10k, _ := joinTables(10000)
-	enc10k.Columnarize()
-	prevCol := relation.SetColumnarEnabled(false)
-	out = append(out, measure("encode_table_10k_row", 1, func() {
-		if _, err := relation.EncodeTable(enc10k); err != nil {
-			panic(err)
-		}
-	}))
-	relation.SetColumnarEnabled(true)
 	out = append(out, measure("encode_table_10k", 1, func() {
 		if _, err := relation.EncodeTable(enc10k); err != nil {
 			panic(err)
 		}
 	}))
-	out = append(out, measure("col_digest_10k", 1, func() {
+	out = append(out, measure("digest_10k", 1, func() {
 		if relation.Digest(enc10k) == 0 {
 			panic("bench: zero digest")
 		}
 	}))
-	relation.SetColumnarEnabled(prevCol)
 
-	// The join fixtures gain a columnar backing up front; the global
-	// gate then selects which engine a call exercises.
 	left, right := joinTables(100000)
-	left.Columnarize()
-	right.Columnarize()
-	prevCol = relation.SetColumnarEnabled(false)
-	out = append(out, measure("hash_join_100k_row", 1, func() {
-		if _, err := relation.HashJoin(left, right, "k", "k", relation.Inner); err != nil {
-			panic(err)
-		}
-	}))
-	relation.SetColumnarEnabled(true)
 	out = append(out, measure("hash_join_100k", 1, func() {
 		if _, err := relation.HashJoin(left, right, "k", "k", relation.Inner); err != nil {
 			panic(err)
 		}
 	}))
-	// Sharded-join trajectory: the goroutine-per-shard probe beat the
-	// serial join in BENCH_1 (47.5ms vs 53.5ms) but had regressed by
-	// BENCH_4 (59.4ms vs 50.5ms) once the serial path got cheaper — on a
-	// single-CPU bench machine goroutines add scheduling cost without
-	// adding parallelism. The columnar joiner instead radix-partitions
-	// both sides by hash and probes partition-at-a-time against
-	// cache-resident tables, so the sharded number sits below the serial
-	// one again on any GOMAXPROCS.
-	out = append(out, measure("hash_join_par8_100k", 1, func() {
-		if _, err := relation.HashJoinPar(left, right, "k", "k", relation.Inner, 8); err != nil {
-			panic(err)
-		}
-	}))
-	relation.SetColumnarEnabled(prevCol)
 	joiner, err := relation.NewJoiner(left.Schema(), right, "k", "k", relation.Inner, 1)
 	if err != nil {
 		panic(err)
@@ -190,45 +153,6 @@ func micros() []Micro {
 	out = append(out, measure("joiner_probe_2048", 2048, func() {
 		joiner.ProbeRows(nil, batch)
 	}))
-
-	// Columnar-native micros: the conversion cost call sites pay once
-	// per table, and the kernels that sit under filter and group-by.
-	convSrc, _ := joinTables(100000)
-	out = append(out, measure("col_convert_100k", 1, func() {
-		if _, ok := relation.ToColumnar(convSrc); !ok {
-			panic("bench: columnar conversion failed")
-		}
-	}))
-	lc, ok := left.Columnar()
-	if !ok {
-		panic("bench: join fixture lost its columnar backing")
-	}
-	out = append(out, measure("col_filter_100k", 1, func() {
-		sel, err := lc.SelectInt("k", func(v int64) bool { return v < 12500 }, nil)
-		if err != nil {
-			panic(err)
-		}
-		if lc.FilterCol(sel).Len() == 0 {
-			panic("bench: filter selected nothing")
-		}
-	}))
-	_, groupSrc := joinTables(100000)
-	groupSrc.Columnarize()
-	groupAggs := []relation.Aggregate{
-		{Func: relation.Count, As: "n"},
-		{Func: relation.Sum, Field: "weight", As: "w"},
-	}
-	prevCol = relation.SetColumnarEnabled(true)
-	out = append(out, measure("col_group_by_100k", 1, func() {
-		res, err := relation.GroupBy(groupSrc, []string{"k"}, groupAggs)
-		if err != nil {
-			panic(err)
-		}
-		if res.Len() == 0 {
-			panic("bench: group-by produced no groups")
-		}
-	}))
-	relation.SetColumnarEnabled(prevCol)
 	tup := relation.Tuple{int64(42), "a reasonably sized string payload", 3.14159, true}
 	out = append(out, measure("encode_tuple_pooled", 4096, func() {
 		e := relation.GetEncoder()
@@ -489,11 +413,6 @@ func macros(seed uint64) ([]Macro, error) {
 		return nil, err
 	}
 	out = append(out, lin...)
-	col, err := columnarMacros(seed)
-	if err != nil {
-		return nil, err
-	}
-	out = append(out, col...)
 	shd, err := shardMacros(seed)
 	if err != nil {
 		return nil, err
@@ -633,66 +552,6 @@ func shardMacros(seed uint64) ([]Macro, error) {
 	return []Macro{
 		{Task: task.Name(), Experiment: "scale-n1", Size: pairs, WallMS: n1, SimSeconds: n1Sim},
 		{Task: task.Name(), Experiment: "scale-n4", Size: pairs, WallMS: n4, SimSeconds: n4Sim},
-	}, nil
-}
-
-// columnarMacros is the end-to-end before/after pair for the columnar
-// execution layer: the same DICE workflow with the automatic columnar
-// fast paths globally disabled (the pre-columnar row engine) and
-// enabled. Both runs compute bit-identical results — the golden
-// columnar tests assert that — so the wall-clock delta is pure
-// representation, not work.
-func columnarMacros(seed uint64) ([]Macro, error) {
-	const (
-		reps  = 7
-		pairs = 200
-	)
-	task, err := dice.New(dice.Params{Pairs: pairs, Seed: seed})
-	if err != nil {
-		return nil, err
-	}
-	prev := relation.ColumnarEnabled()
-	defer relation.SetColumnarEnabled(prev)
-	timeOnce := func(columnar bool) (float64, float64, error) {
-		relation.SetColumnarEnabled(columnar)
-		runtime.GC() // same pacing state for both engines, as measure does
-		start := telemetry.WallClock()
-		res, err := task.Run(core.Workflow, core.MustRunConfig())
-		if err != nil {
-			return 0, 0, err
-		}
-		return float64(telemetry.WallSince(start).Microseconds()) / 1000, res.SimSeconds, nil
-	}
-	// Warm both engines, then interleave timed reps and keep each
-	// variant's fastest run, as the telemetry pairs do.
-	for _, c := range []bool{false, true} {
-		if _, _, err := timeOnce(c); err != nil {
-			return nil, fmt.Errorf("bench: colpath warmup: %w", err)
-		}
-	}
-	row, col := -1.0, -1.0
-	var rowSim, colSim float64
-	for r := 0; r < reps; r++ {
-		rw, rs, err := timeOnce(false)
-		if err != nil {
-			return nil, fmt.Errorf("bench: colpath-off: %w", err)
-		}
-		if row < 0 || rw < row {
-			row = rw
-		}
-		rowSim = rs
-		cw, cs, err := timeOnce(true)
-		if err != nil {
-			return nil, fmt.Errorf("bench: colpath-on: %w", err)
-		}
-		if col < 0 || cw < col {
-			col = cw
-		}
-		colSim = cs
-	}
-	return []Macro{
-		{Task: task.Name(), Experiment: "colpath-off", Size: pairs, WallMS: row, SimSeconds: rowSim},
-		{Task: task.Name(), Experiment: "colpath-on", Size: pairs, WallMS: col, SimSeconds: colSim},
 	}, nil
 }
 

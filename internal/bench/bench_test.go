@@ -4,7 +4,6 @@ import (
 	"testing"
 
 	"repro/internal/dataflow"
-	"repro/internal/relation"
 )
 
 func TestMeasureReportsPerOp(t *testing.T) {
@@ -38,7 +37,6 @@ func TestMacrosTrajectory(t *testing.T) {
 		t.Fatal("no macro points")
 	}
 	iterate := map[string]Macro{}
-	colpath := map[string]Macro{}
 	scale := map[string]Macro{}
 	optim := map[string]Macro{}
 	for _, m := range mac {
@@ -50,10 +48,6 @@ func TestMacrosTrajectory(t *testing.T) {
 			// The lineage pair has no telemetry variant; it compares a
 			// cold run against a fully warm store instead.
 			iterate[m.Experiment] = m
-			continue
-		case "colpath-off", "colpath-on":
-			// The columnar pair compares the two engines directly.
-			colpath[m.Experiment] = m
 			continue
 		case "scale-n1", "scale-n4":
 			// The sharded pair compares cluster widths, not telemetry.
@@ -68,15 +62,6 @@ func TestMacrosTrajectory(t *testing.T) {
 		if m.WallMSTelemetry <= 0 {
 			t.Fatalf("telemetry run missing from macro point %+v", m)
 		}
-	}
-	off, oko := colpath["colpath-off"]
-	on, okn := colpath["colpath-on"]
-	if !oko || !okn {
-		t.Fatalf("columnar macro pair missing: %+v", colpath)
-	}
-	if off.SimSeconds != on.SimSeconds {
-		t.Fatalf("columnar engines disagree on simulated seconds: row %v vs columnar %v",
-			off.SimSeconds, on.SimSeconds)
 	}
 	cold, okc := iterate["iterate-cold"]
 	warm, okw := iterate["iterate-warm"]
@@ -134,83 +119,5 @@ func TestTelemetryMicroLoopsRun(t *testing.T) {
 		if !seen {
 			t.Fatalf("micro %s missing", name)
 		}
-	}
-}
-
-// TestColumnarMicroSmoke runs the columnar micro-benchmark kernels at
-// tiny sizes and cross-checks each against the row engine. The CI
-// bench-smoke step runs exactly this test, so a broken columnar kernel
-// fails the pipeline fast without paying for the full harness.
-func TestColumnarMicroSmoke(t *testing.T) {
-	prev := relation.SetColumnarEnabled(true)
-	defer relation.SetColumnarEnabled(prev)
-	left, right := joinTables(2048)
-	left.Columnarize()
-	right.Columnarize()
-	if _, ok := left.Columnar(); !ok {
-		t.Fatal("bench fixture did not gain a columnar backing")
-	}
-
-	serial, err := relation.HashJoin(left, right, "k", "k", relation.Inner)
-	if err != nil {
-		t.Fatal(err)
-	}
-	par, err := relation.HashJoinPar(left, right, "k", "k", relation.Inner, 8)
-	if err != nil {
-		t.Fatal(err)
-	}
-	relation.SetColumnarEnabled(false)
-	rowJoin, err := relation.HashJoin(left, right, "k", "k", relation.Inner)
-	if err != nil {
-		t.Fatal(err)
-	}
-	rowDigest := relation.Digest(rowJoin)
-	relation.SetColumnarEnabled(true)
-	if d := relation.Digest(serial); d != rowDigest {
-		t.Fatalf("columnar join digest %#x differs from row engine %#x", d, rowDigest)
-	}
-	if d := relation.Digest(par); d != rowDigest {
-		t.Fatalf("partitioned columnar join digest %#x differs from row engine %#x", d, rowDigest)
-	}
-
-	enc, err := relation.EncodeTable(left)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if int64(len(enc)) != relation.TableBytes(left) {
-		t.Fatalf("columnar encode produced %d bytes, accounting says %d", len(enc), relation.TableBytes(left))
-	}
-
-	lc, _ := left.Columnar()
-	sel, err := lc.SelectInt("k", func(v int64) bool { return v < 64 }, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	filtered := lc.FilterCol(sel)
-	relation.SetColumnarEnabled(false)
-	rowFiltered := relation.Filter(left, func(r relation.Tuple) bool { return r[0].(int64) < 64 })
-	wantFilter := relation.Digest(rowFiltered)
-	relation.SetColumnarEnabled(true)
-	if d := relation.Digest(filtered); d != wantFilter {
-		t.Fatalf("columnar filter digest %#x differs from row engine %#x", d, wantFilter)
-	}
-
-	aggs := []relation.Aggregate{
-		{Func: relation.Count, As: "n"},
-		{Func: relation.Sum, Field: "weight", As: "w"},
-	}
-	colG, err := relation.GroupBy(right, []string{"k"}, aggs)
-	if err != nil {
-		t.Fatal(err)
-	}
-	relation.SetColumnarEnabled(false)
-	rowG, err := relation.GroupBy(right, []string{"k"}, aggs)
-	if err != nil {
-		t.Fatal(err)
-	}
-	wantGroup := relation.Digest(rowG)
-	relation.SetColumnarEnabled(true)
-	if d := relation.Digest(colG); d != wantGroup {
-		t.Fatalf("columnar group-by digest %#x differs from row engine %#x", d, wantGroup)
 	}
 }

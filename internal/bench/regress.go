@@ -57,25 +57,6 @@ func (e Env) mismatches(other Env) []string {
 	return out
 }
 
-// legacyEnv reconstructs the fingerprint of a report written before
-// the Env header existed, from its top-level fields. Only the fields
-// that were recorded participate in the comparison.
-func legacyEnv(r *Report, like Env) Env {
-	e := like // unrecorded fields assume the comparing side's values
-	e.GoVersion = r.GoVersion
-	e.GOMAXPROCS = r.GOMAXPROCS
-	return e
-}
-
-// reportEnv returns a report's fingerprint, synthesizing one for
-// legacy reports.
-func reportEnv(r *Report, like Env) Env {
-	if r.Env != (Env{}) {
-		return r.Env
-	}
-	return legacyEnv(r, like)
-}
-
 // Finding is one benchmark compared between baseline and fresh run.
 type Finding struct {
 	Name      string  `json:"name"`
@@ -124,13 +105,16 @@ const macroThreshold = 0.35
 
 // Compare diffs a fresh report against a baseline. It refuses (with
 // EnvMismatch set) when the reports come from different machine
-// fingerprints. A benchmark regresses when fresh > baseline*(1+thr);
+// fingerprints, or the baseline predates the Env header and records
+// none. A benchmark regresses when fresh > baseline*(1+thr);
 // it improves (informationally) when fresh < baseline/(1+thr).
 func Compare(baseline, fresh *Report) *CompareReport {
 	out := &CompareReport{}
-	fe := reportEnv(fresh, CurrentEnv())
-	be := reportEnv(baseline, fe)
-	if mm := be.mismatches(fe); len(mm) > 0 {
+	if baseline.Env == (Env{}) {
+		out.EnvMismatch = []string{"baseline records no env block"}
+		return out
+	}
+	if mm := baseline.Env.mismatches(fresh.Env); len(mm) > 0 {
 		out.EnvMismatch = mm
 		return out
 	}

@@ -87,17 +87,15 @@ func TestCompareRefusesCrossMachine(t *testing.T) {
 	}
 }
 
-func TestCompareLegacyBaselineFallsBack(t *testing.T) {
+func TestCompareRefusesBaselineWithoutEnv(t *testing.T) {
 	base, fresh := sampleReport(), sampleReport()
 	base.Env = Env{} // pre-Env report: only top-level fields recorded
 	cmp := Compare(base, fresh)
-	if len(cmp.EnvMismatch) != 0 {
-		t.Fatalf("legacy baseline with matching go version/procs refused: %v", cmp.EnvMismatch)
-	}
-	base.GoVersion = "go1.20.0"
-	cmp = Compare(base, fresh)
 	if len(cmp.EnvMismatch) == 0 {
-		t.Fatal("legacy baseline with different go version not refused")
+		t.Fatal("baseline with no env block not refused")
+	}
+	if len(cmp.Findings) != 0 {
+		t.Fatalf("refused comparison still produced findings: %+v", cmp.Findings)
 	}
 }
 

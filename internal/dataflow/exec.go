@@ -731,9 +731,7 @@ func (ex *Execution) finish() {
 			tables[rt.n.name] = ex.lin.art[rt.n.id].Table
 			continue
 		}
-		// Downstream consumers digest, re-encode, and join result
-		// tables; hand them over columnar-backed.
-		tables[rt.n.name] = rt.sinkTable.Columnarize()
+		tables[rt.n.name] = rt.sinkTable
 	}
 	var linReport *lineage.RunReport
 	if ex.lin != nil {

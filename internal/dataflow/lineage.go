@@ -257,10 +257,6 @@ func (ex *Execution) commitLineage() {
 				}
 			}
 		}
-		// Commit digests and sizes the table; the columnar backing (when
-		// the table is large enough to earn one) makes both walks
-		// vectorized, and later replays of the artifact inherit it.
-		table.Columnarize()
 		h := ex.nodeHasher(n, lin.scope)
 		foldInputs(h, n, func(up NodeID) uint64 { return outDigest[up] })
 		fp := h.Sum()

@@ -112,15 +112,13 @@ func WithScanWork(w cost.Work) NodeOpt {
 	return func(nd *node) { nd.scanWork = w }
 }
 
-// Source adds a table-scan source node and returns its ID. Large
-// source tables gain a columnar backing here, once per graph: the
-// lineage planner digests every source on every run, and joins against
-// a source table probe its typed vectors directly.
+// Source adds a table-scan source node and returns its ID. The table
+// stays the caller's: the workflow only reads it (the scan slices its
+// rows into batches; the lineage planner digests it on every run).
 func (w *Workflow) Source(name string, t *relation.Table, opts ...NodeOpt) NodeID {
 	if t == nil {
 		return w.fail(fmt.Errorf("dataflow: source %q has nil table", name))
 	}
-	t.Columnarize()
 	n := &node{
 		kind:        kindSource,
 		name:        name,

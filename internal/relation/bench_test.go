@@ -27,20 +27,6 @@ func BenchmarkHashJoin(b *testing.B) {
 	}
 }
 
-func BenchmarkHashJoinPar(b *testing.B) {
-	left, right := benchTables(100000)
-	for _, shards := range []int{1, 2, 8} {
-		b.Run(fmt.Sprintf("shards=%d", shards), func(b *testing.B) {
-			b.ReportAllocs()
-			for i := 0; i < b.N; i++ {
-				if _, err := HashJoinPar(left, right, "k", "k", Inner, shards); err != nil {
-					b.Fatal(err)
-				}
-			}
-		})
-	}
-}
-
 // BenchmarkJoinerProbe measures the steady-state cost the dataflow
 // operator now pays per probe batch: the hash table is built once and
 // reused, instead of rebuilt per batch as before.

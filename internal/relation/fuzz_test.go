@@ -100,184 +100,12 @@ func encodeOrFatal(t *testing.T, tbl *Table) string {
 	return string(b)
 }
 
-// FuzzColKernels is the differential fuzz between the columnar kernels
-// and their row-path counterparts: hash join (both kinds, partitioned
-// and not), group-by, the selection-vector filter, projection, and
-// Distinct against a canonical-key-string reference. Results are
-// compared by encoded bytes, which is the bit-equality the golden
-// determinism tests depend on (NaN-safe, unlike value comparison).
-func FuzzColKernels(f *testing.F) {
-	f.Add([]byte("seed-corpus-columnar-kernels-0123456789abcdef"), []byte("right-side-bytes-9876543210fedcba"))
-	f.Add([]byte{0, 1, 2, 3, 4, 5, 6, 7, 8, 9, 10, 11}, []byte{250, 1, 7, 3})
-	f.Add([]byte{}, []byte{1, 2, 3, 4})
-	f.Fuzz(func(t *testing.T, ldata, rdata []byte) {
-		prev := ColumnarEnabled()
-		defer SetColumnarEnabled(prev)
-		left, right := fuzzTable(ldata), fuzzTable(rdata)
-		lc, ok := ToColumnar(left)
-		if !ok {
-			t.Fatal("fuzz table did not convert")
-		}
-		rc, _ := ToColumnar(right)
-
-		// Joins: row path vs the columnar kernel at several partition
-		// counts, inner and left-outer.
-		for _, kind := range []JoinType{Inner, LeftOuter} {
-			SetColumnarEnabled(false)
-			rowRes, err := HashJoin(left, right, "k", "k", kind)
-			if err != nil {
-				t.Fatalf("row join: %v", err)
-			}
-			want := encodeOrFatal(t, rowRes)
-			SetColumnarEnabled(true)
-			plan, err := planJoin(left.Schema(), right.Schema(), "k", "k")
-			if err != nil {
-				t.Fatalf("plan: %v", err)
-			}
-			for _, parts := range []int{1, 4} {
-				cj := newColJoiner(plan, kind, rc, parts)
-				got := encodeOrFatal(t, FromColumnar(cj.probe(lc)))
-				if got != want {
-					t.Fatalf("join kind=%v parts=%d: columnar bytes differ from row path", kind, parts)
-				}
-			}
-		}
-
-		// Group-by on a float key (canonical NaN/±0 semantics) plus
-		// every aggregate over both numeric column types.
-		aggs := []Aggregate{
-			{Func: Count, As: "n"},
-			{Func: Sum, Field: "f", As: "sum_f"},
-			{Func: Avg, Field: "f", As: "avg_f"},
-			{Func: Min, Field: "k", As: "min_k"},
-			{Func: Max, Field: "f", As: "max_f"},
-		}
-		for _, keys := range [][]string{{"f"}, {"s", "b"}, {"k", "f"}} {
-			SetColumnarEnabled(false)
-			rowG, err := GroupBy(left, keys, aggs)
-			if err != nil {
-				t.Fatalf("row groupby: %v", err)
-			}
-			SetColumnarEnabled(true)
-			colG, err := GroupBy(FromColumnar(lc), keys, aggs)
-			if err != nil {
-				t.Fatalf("col groupby: %v", err)
-			}
-			if encodeOrFatal(t, rowG) != encodeOrFatal(t, colG) {
-				t.Fatalf("groupby keys=%v: columnar bytes differ from row path", keys)
-			}
-		}
-
-		// Selection-vector filter vs row Filter, narrowing across two
-		// columns.
-		SetColumnarEnabled(false)
-		rowF := Filter(left, func(r Tuple) bool {
-			return r[0].(int64) < 8 && r[4].(bool)
-		})
-		sel, err := lc.SelectInt("k", func(v int64) bool { return v < 8 }, nil)
-		if err != nil {
-			t.Fatalf("select int: %v", err)
-		}
-		sel, err = lc.SelectBool("b", true, sel)
-		if err != nil {
-			t.Fatalf("select bool: %v", err)
-		}
-		if encodeOrFatal(t, rowF) != encodeOrFatal(t, lc.FilterCol(sel)) {
-			t.Fatal("filter: columnar bytes differ from row path")
-		}
-
-		// Projection (zero-copy columnar) vs row projection.
-		rowP, err := Project(left, "s", "k")
-		if err != nil {
-			t.Fatalf("row project: %v", err)
-		}
-		SetColumnarEnabled(true)
-		colP, err := Project(FromColumnar(lc), "s", "k")
-		if err != nil {
-			t.Fatalf("col project: %v", err)
-		}
-		if encodeOrFatal(t, rowP) != encodeOrFatal(t, colP) {
-			t.Fatal("project: columnar bytes differ from row path")
-		}
-
-		// Distinct: the uint64-hash implementation against a canonical
-		// key-string reference (the semantics it replaced).
-		dist := Distinct(left)
-		all := []int{0, 1, 2, 3, 4}
-		seen := make(map[string]bool)
-		ref := NewTable(left.Schema())
-		for _, r := range left.Rows() {
-			k := r.Key(all...)
-			if !seen[k] {
-				seen[k] = true
-				ref.AppendUnchecked(r)
-			}
-		}
-		if encodeOrFatal(t, dist) != encodeOrFatal(t, ref) {
-			t.Fatal("distinct: hashed bytes differ from key-string reference")
-		}
-		if !dist.EqualUnordered(ref) || !ref.EqualUnordered(dist) {
-			t.Fatal("distinct: EqualUnordered disagrees with key-string reference")
-		}
-	})
-}
-
-// FuzzColSerdeRoundTrip checks the columnar serde against the row
-// serde: identical encoded bytes, identical digests and size
-// accounting, and a lossless columnar decode.
-func FuzzColSerdeRoundTrip(f *testing.F) {
-	f.Add([]byte("serde-round-trip-seed-bytes-0123456789"))
-	f.Add([]byte{7, 0, 255, 1})
-	f.Add([]byte{})
-	f.Fuzz(func(t *testing.T, data []byte) {
-		prev := ColumnarEnabled()
-		defer SetColumnarEnabled(prev)
-		tbl := fuzzTable(data)
-		c, ok := ToColumnar(tbl)
-		if !ok {
-			t.Fatal("fuzz table did not convert")
-		}
-		SetColumnarEnabled(false)
-		rowBytes := encodeOrFatal(t, tbl)
-		rowDigest := Digest(tbl)
-		rowSize := TableBytes(tbl)
-		SetColumnarEnabled(true)
-		colBytes := string(colEncodeTable(c))
-		if colBytes != rowBytes {
-			t.Fatal("columnar encoding differs from row encoding")
-		}
-		if d := colDigest(c); d != rowDigest {
-			t.Fatalf("columnar digest %#x differs from row digest %#x", d, rowDigest)
-		}
-		if sz := colTableBytes(c); sz != rowSize || sz != int64(len(colBytes)) {
-			t.Fatalf("size accounting: col=%d row=%d actual=%d", sz, rowSize, len(colBytes))
-		}
-		dec, err := DecodeTableColumnar(tbl.Schema(), []byte(colBytes))
-		if err != nil {
-			t.Fatalf("columnar decode: %v", err)
-		}
-		if _, ok := dec.Columnar(); !ok {
-			t.Fatal("columnar decode returned a table without columnar backing")
-		}
-		if encodeOrFatal(t, dec) != rowBytes {
-			t.Fatal("columnar decode did not round-trip")
-		}
-		// The row decoder accepts the same buffer and agrees.
-		rdec, err := DecodeTable(tbl.Schema(), []byte(colBytes))
-		if err != nil {
-			t.Fatalf("row decode: %v", err)
-		}
-		SetColumnarEnabled(false)
-		if encodeOrFatal(t, rdec) != rowBytes {
-			t.Fatal("row decode of columnar encoding did not round-trip")
-		}
-	})
-}
-
-// FuzzDecodeTableColumnar checks the columnar table decoder never
-// panics or over-allocates on arbitrary bytes, and that whatever it
-// accepts agrees with the row decoder.
-func FuzzDecodeTableColumnar(f *testing.F) {
+// FuzzDecodeTable checks the table decoder never panics or
+// over-allocates on arbitrary bytes, and that whatever it accepts
+// re-encodes to a byte-for-byte prefix of the input — so non-minimal
+// uvarints and bool payloads other than 0/1 stay rejected, and no two
+// byte strings decode to the same table.
+func FuzzDecodeTable(f *testing.F) {
 	good := fuzzTable([]byte("decoder-fuzz-seed-corpus-0123456789abcdef"))
 	enc, err := EncodeTable(good)
 	if err != nil {
@@ -286,21 +114,33 @@ func FuzzDecodeTableColumnar(f *testing.F) {
 	f.Add(enc)
 	f.Add([]byte{0x05})
 	f.Add([]byte{0xff, 0xff, 0xff, 0xff})
+	for _, seed := range [][]byte{
+		[]byte("serde-round-trip-seed-bytes-0123456789"),
+		{7, 0, 255, 1},
+		{},
+	} {
+		enc, err := EncodeTable(fuzzTable(seed))
+		if err != nil {
+			f.Fatal(err)
+		}
+		f.Add(enc)
+	}
 	schema := good.Schema()
 	f.Fuzz(func(t *testing.T, data []byte) {
-		dec, err := DecodeTableColumnar(schema, data)
+		dec, err := DecodeTable(schema, data)
 		if err != nil {
 			return
 		}
-		rdec, rerr := DecodeTable(schema, data)
-		if rerr != nil {
-			// The row decoder tolerates width-divergent tuples that the
-			// columnar layout cannot hold; it must not reject anything
-			// the stricter columnar decoder accepted.
-			t.Fatalf("row decoder rejected columnar-accepted bytes: %v", rerr)
+		// Every row costs at least its one-byte header.
+		if dec.Len() > len(data) {
+			t.Fatalf("decoded %d rows from %d bytes", dec.Len(), len(data))
 		}
-		if !dec.Equal(rdec) && Digest(dec) != Digest(rdec) {
-			t.Fatal("columnar and row decoders disagree")
+		re := encodeOrFatal(t, dec)
+		if len(re) > len(data) || re != string(data[:len(re)]) {
+			t.Fatal("re-encoding is not a prefix of the input")
+		}
+		if int64(len(re)) != TableBytes(dec) {
+			t.Fatalf("TableBytes = %d, encoded %d bytes", TableBytes(dec), len(re))
 		}
 	})
 }

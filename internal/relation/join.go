@@ -12,13 +12,10 @@ import (
 // the hot path), and the Joiner, which separates the build phase from
 // probing so streaming callers can build once and probe many batches.
 //
-// Determinism contract: every variant emits output rows in probe
-// (left) order, with the matches of each probe row in build (right)
-// order — bit-identical to the serial HashJoin regardless of shard
-// count, because the build side is hash-partitioned (equal keys never
-// split across shards, shard insertion preserves build order) and the
-// probe side is range-partitioned into contiguous chunks whose outputs
-// are concatenated in chunk order.
+// Determinism contract: output rows come in probe (left) order, with
+// the matches of each probe row in build (right) order, regardless of
+// shard count: the build side is hash-partitioned, so equal keys never
+// split across shards, and shard insertion preserves build order.
 
 // maxJoinShards bounds the partition fan-out; shard ids are stored in
 // a byte with 255 reserved for rows whose key needs the spill path.
@@ -99,7 +96,7 @@ func mix64(v uint64) uint32 {
 // keyIndex maps a probe row to the build-side row indices sharing its
 // key, in build order.
 type keyIndex interface {
-	insert(rows []Tuple, pos, shards int, parallel bool)
+	insert(rows []Tuple, pos, shards int)
 	matches(row Tuple, pos int) []int32
 }
 
@@ -130,13 +127,13 @@ func (ix *typedIndex[K]) insertSpill(row Tuple, pos int, i int32) {
 	ix.spill[k] = append(ix.spill[k], i)
 }
 
-func (ix *typedIndex[K]) insert(rows []Tuple, pos, shards int, parallel bool) {
+func (ix *typedIndex[K]) insert(rows []Tuple, pos, shards int) {
 	ix.shards = make([]map[K][]int32, shards)
 	sizeHint := len(rows)/shards + 1
 	for s := range ix.shards {
 		ix.shards[s] = make(map[K][]int32, sizeHint)
 	}
-	if !parallel || shards == 1 || len(rows) < 2*shards {
+	if shards == 1 || len(rows) < 2*shards {
 		for i, r := range rows {
 			k, ok := ix.get(r, pos)
 			if !ok {
@@ -240,36 +237,22 @@ func newKeyIndex(t Type) keyIndex {
 	}
 }
 
-// Joiner is a reusable equi-join with the build phase done once:
-// construct it over the build (right) side, then probe whole tables or
-// successive row batches. Streaming callers (the dataflow hash-join
-// operator) avoid rebuilding the hash table per batch, which the
-// per-batch HashJoin calls used to do.
-//
-// The Joiner holds up to two build indexes, each constructed lazily on
-// first use: the row-path typed index (ProbeRows, and Probe fallback)
-// and the columnar open-addressing index (Probe over tables that can go
-// columnar). Whole-table probes that take the columnar path never pay
-// for the row index, and streaming batch probes never pay for the
-// columnar one.
+// Joiner is a reusable equi-join with the build phase done up front:
+// construct it once over the build (right) side, then probe whole
+// tables or successive row batches. Streaming callers (the dataflow
+// hash-join operator) avoid rebuilding the hash table per batch.
 type Joiner struct {
-	plan   *joinPlan
-	kind   JoinType
-	right  *Table
-	shards int
-
-	rowOnce sync.Once
-	ix      keyIndex
-	build   []Tuple
-
-	colOnce sync.Once
-	cj      *colJoiner
+	plan  *joinPlan
+	kind  JoinType
+	ix    keyIndex
+	build []Tuple
 }
 
-// NewJoiner prepares a join of the right (build) table against probes
-// whose rows follow leftSchema. shards controls the hash partitioning
-// of the build side and the parallelism of Probe; values below 1 (and
-// above 128) are clamped. Output is identical for every shard count.
+// NewJoiner builds the hash index over the right (build) table for
+// probes whose rows follow leftSchema. shards controls the hash
+// partitioning (and the build parallelism) of the index; values below 1
+// (and above 128) are clamped. Output is identical for every shard
+// count.
 func NewJoiner(leftSchema *Schema, right *Table, leftKey, rightKey string, kind JoinType, shards int) (*Joiner, error) {
 	plan, err := planJoin(leftSchema, right.Schema(), leftKey, rightKey)
 	if err != nil {
@@ -281,41 +264,9 @@ func NewJoiner(leftSchema *Schema, right *Table, leftKey, rightKey string, kind 
 	if shards > maxJoinShards {
 		shards = maxJoinShards
 	}
-	return &Joiner{plan: plan, kind: kind, right: right, shards: shards}, nil
-}
-
-// rowIndex builds (once) and returns the row-path typed index.
-func (j *Joiner) rowIndex() keyIndex {
-	j.rowOnce.Do(func() {
-		j.build = j.right.Rows()
-		ix := newKeyIndex(j.right.Schema().Field(j.plan.rk).Type)
-		ix.insert(j.build, j.plan.rk, j.shards, j.shards > 1)
-		j.ix = ix
-	})
-	return j.ix
-}
-
-// columnar builds (once) and returns the columnar join index, or nil
-// when the build side is too small, cannot be represented columnar
-// (schema-divergent values need the row spill path), or the columnar
-// fast paths are disabled.
-func (j *Joiner) columnar() *colJoiner {
-	if !colEnabled.Load() {
-		return nil
-	}
-	j.colOnce.Do(func() {
-		if j.right.Len() < colConvertMin {
-			return
-		}
-		rc, ok := j.right.Columnar()
-		if !ok {
-			rc, ok = ToColumnar(j.right)
-		}
-		if ok {
-			j.cj = newColJoiner(j.plan, j.kind, rc, j.shards)
-		}
-	})
-	return j.cj
+	ix := newKeyIndex(right.Schema().Field(plan.rk).Type)
+	ix.insert(right.Rows(), plan.rk, shards)
+	return &Joiner{plan: plan, kind: kind, ix: ix, build: right.Rows()}, nil
 }
 
 // OutputSchema returns the join output schema.
@@ -364,10 +315,9 @@ func (j *Joiner) emit(dst []Tuple, a *tupleArena, l, r Tuple) []Tuple {
 // ProbeRows joins a batch of probe rows against the built side,
 // appending output rows to dst in probe order.
 func (j *Joiner) ProbeRows(dst []Tuple, rows []Tuple) []Tuple {
-	ix := j.rowIndex()
 	var arena tupleArena
 	for _, l := range rows {
-		ms := ix.matches(l, j.plan.lk)
+		ms := j.ix.matches(l, j.plan.lk)
 		if len(ms) == 0 {
 			if j.kind == LeftOuter {
 				dst = j.emit(dst, &arena, l, nil)
@@ -381,68 +331,10 @@ func (j *Joiner) ProbeRows(dst []Tuple, rows []Tuple) []Tuple {
 	return dst
 }
 
-// Probe joins an entire probe table. When both sides can go columnar
-// the vectorized kernel runs (typed key vectors, open-addressing index,
-// vector gathers); otherwise the row path runs. Both paths emit
-// identical rows in identical order. With more than one shard the row
-// path splits the probe side into contiguous chunks joined
-// concurrently; chunk outputs are concatenated in chunk order, so the
-// result is bit-identical to a serial probe.
+// Probe joins an entire probe table.
 func (j *Joiner) Probe(left *Table) *Table {
-	if cj := j.columnar(); cj != nil {
-		lc, ok := left.Columnar()
-		if !ok {
-			lc, ok = ToColumnar(left)
-		}
-		if ok {
-			kstats.joinCol.Add(1)
-			return FromColumnar(cj.probe(lc))
-		}
-	}
-	kstats.joinRow.Add(1)
-	j.rowIndex()
+	kstats.join.Add(1)
 	out := NewTable(j.plan.out)
-	rows := left.Rows()
-	if j.shards == 1 || len(rows) < 2*j.shards {
-		out.rows = j.ProbeRows(make([]Tuple, 0, len(rows)), rows)
-		return out
-	}
-	chunk := (len(rows) + j.shards - 1) / j.shards
-	parts := make([][]Tuple, j.shards)
-	var wg sync.WaitGroup
-	slot := 0
-	for lo := 0; lo < len(rows); lo += chunk {
-		hi := lo + chunk
-		if hi > len(rows) {
-			hi = len(rows)
-		}
-		wg.Add(1)
-		go func(slot int, batch []Tuple) {
-			defer wg.Done()
-			parts[slot] = j.ProbeRows(make([]Tuple, 0, len(batch)), batch)
-		}(slot, rows[lo:hi])
-		slot++
-	}
-	wg.Wait()
-	n := 0
-	for _, p := range parts {
-		n += len(p)
-	}
-	out.rows = make([]Tuple, 0, n)
-	for _, p := range parts {
-		out.rows = append(out.rows, p...)
-	}
+	out.rows = j.ProbeRows(make([]Tuple, 0, left.Len()), left.Rows())
 	return out
-}
-
-// HashJoinPar is HashJoin with the build side hash-partitioned into
-// shards and the probe side processed by shards concurrent workers.
-// Output rows, including their order, are identical to HashJoin for
-// every shard count.
-func HashJoinPar(left, right *Table, leftKey, rightKey string, kind JoinType, shards int) (*Table, error) {
-	j, err := NewJoiner(left.Schema(), right, leftKey, rightKey, kind, shards)
-	if err != nil {
-		return nil, err
-	}
-	return j.Probe(left), nil
 }

@@ -2,67 +2,50 @@ package relation
 
 import "sync/atomic"
 
-// Kernel dispatch counters: every operator that has both a vectorized
-// (columnar) kernel and a row fallback bumps one counter per call at
-// its dispatch gate. The counts feed the EXPLAIN profile's
-// columnar-vs-row breakdown; they are process-global and monotonic, so
-// profile builders read a delta around the run they observe. One
-// relaxed atomic add per table-level call is noise next to the kernel
-// it counts.
+// Kernel call counters: each table-level operator bumps one counter per
+// call. The counts feed the EXPLAIN profile; they are process-global
+// and monotonic, so profile builders read a delta around the run they
+// observe. One relaxed atomic add per table-level call is noise next to
+// the kernel it counts.
 var kstats struct {
-	projectCol, projectRow atomic.Int64
-	groupCol, groupRow     atomic.Int64
-	joinCol, joinRow       atomic.Int64
-	encodeCol, encodeRow   atomic.Int64
+	project, group, join, encode atomic.Int64
 }
 
-// KernelStats is a point-in-time reading of the kernel dispatch
-// counters, split by operator and path.
+// KernelStats is a point-in-time reading of the kernel call counters,
+// one per operator.
 type KernelStats struct {
-	ProjectCol int64 `json:"project_col"`
-	ProjectRow int64 `json:"project_row"`
-	GroupCol   int64 `json:"group_col"`
-	GroupRow   int64 `json:"group_row"`
-	JoinCol    int64 `json:"join_col"`
-	JoinRow    int64 `json:"join_row"`
-	EncodeCol  int64 `json:"encode_col"`
-	EncodeRow  int64 `json:"encode_row"`
+	Project int64 `json:"project"`
+	Group   int64 `json:"group"`
+	Join    int64 `json:"join"`
+	Encode  int64 `json:"encode"`
 }
 
-// KernelCounts snapshots the process-global kernel dispatch counters.
+// KernelCounts snapshots the process-global kernel call counters.
 func KernelCounts() KernelStats {
 	return KernelStats{
-		ProjectCol: kstats.projectCol.Load(),
-		ProjectRow: kstats.projectRow.Load(),
-		GroupCol:   kstats.groupCol.Load(),
-		GroupRow:   kstats.groupRow.Load(),
-		JoinCol:    kstats.joinCol.Load(),
-		JoinRow:    kstats.joinRow.Load(),
-		EncodeCol:  kstats.encodeCol.Load(),
-		EncodeRow:  kstats.encodeRow.Load(),
+		Project: kstats.project.Load(),
+		Group:   kstats.group.Load(),
+		Join:    kstats.join.Load(),
+		Encode:  kstats.encode.Load(),
 	}
 }
 
 // Sub returns s minus t, the per-field delta between two readings.
 func (s KernelStats) Sub(t KernelStats) KernelStats {
 	return KernelStats{
-		ProjectCol: s.ProjectCol - t.ProjectCol,
-		ProjectRow: s.ProjectRow - t.ProjectRow,
-		GroupCol:   s.GroupCol - t.GroupCol,
-		GroupRow:   s.GroupRow - t.GroupRow,
-		JoinCol:    s.JoinCol - t.JoinCol,
-		JoinRow:    s.JoinRow - t.JoinRow,
-		EncodeCol:  s.EncodeCol - t.EncodeCol,
-		EncodeRow:  s.EncodeRow - t.EncodeRow,
+		Project: s.Project - t.Project,
+		Group:   s.Group - t.Group,
+		Join:    s.Join - t.Join,
+		Encode:  s.Encode - t.Encode,
 	}
 }
 
-// Columnar and Row total the calls that took each path.
-func (s KernelStats) Columnar() int64 {
-	return s.ProjectCol + s.GroupCol + s.JoinCol + s.EncodeCol
+// Row totals the calls across operators.
+func (s KernelStats) Row() int64 {
+	return s.Project + s.Group + s.Join + s.Encode
 }
 
-// Row totals the calls that took the row fallback.
-func (s KernelStats) Row() int64 {
-	return s.ProjectRow + s.GroupRow + s.JoinRow + s.EncodeRow
-}
+// Columnar is always 0: there is one engine. benchmark/measure.go reads
+// it and may not be edited alongside engine code; it goes when the
+// benchmark retires its relation.kernel_col_calls row.
+func (s KernelStats) Columnar() int64 { return 0 }

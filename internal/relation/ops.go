@@ -18,18 +18,8 @@ func Filter(t *Table, keep Predicate) *Table {
 }
 
 // Project returns a new table with only the named columns, in order.
-// On a columnar-backed table projection is zero-copy: the output shares
-// the selected column vectors.
 func Project(t *Table, names ...string) (*Table, error) {
-	if c := t.colBacking(); c != nil {
-		kstats.projectCol.Add(1)
-		out, err := c.Project(names...)
-		if err != nil {
-			return nil, err
-		}
-		return FromColumnar(out), nil
-	}
-	kstats.projectRow.Add(1)
+	kstats.project.Add(1)
 	s, err := t.Schema().Project(names...)
 	if err != nil {
 		return nil, err
@@ -267,17 +257,11 @@ func GroupBy(t *Table, keys []string, aggs []Aggregate) (*Table, error) {
 	if err != nil {
 		return nil, err
 	}
-	if c := t.colBacking(); c != nil {
-		kstats.groupCol.Add(1)
-		return colGroupBy(c, keyPos, aggs, aggPos, outSchema), nil
-	}
-	kstats.groupRow.Add(1)
+	kstats.group.Add(1)
 
-	// Row path: groups bucket by canonical uint64 hash (no key-string
-	// allocation), collisions resolve by canonical value equality —
-	// same equivalence classes, first-appearance order, and row-order
-	// float accumulation as the columnar kernel, so both paths emit
-	// identical bytes.
+	// Groups bucket by canonical uint64 hash (no key-string allocation);
+	// collisions resolve by canonical value equality. Floats accumulate
+	// in row order, so the output bytes do not depend on map iteration.
 	type acc struct {
 		key   Tuple
 		count int64

@@ -1,6 +1,7 @@
 package relation
 
 import (
+	"bytes"
 	"testing"
 	"testing/quick"
 
@@ -184,11 +185,11 @@ func TestPropertyHashJoinMatchesNestedLoop(t *testing.T) {
 			if !h.EqualUnordered(n) {
 				return false
 			}
-			// The partitioned join must produce the serial result — not
-			// just the same multiset, the exact same row order — at any
-			// shard count.
+			// A sharded index must produce the serial result — not just
+			// the same multiset, the exact same row order — at any shard
+			// count.
 			for _, shards := range []int{1, 2, 8} {
-				p, err := HashJoinPar(left, right, "k", "k", kind, shards)
+				p, err := probeSharded(left, right, kind, shards)
 				if err != nil {
 					return false
 				}
@@ -204,11 +205,24 @@ func TestPropertyHashJoinMatchesNestedLoop(t *testing.T) {
 	}
 }
 
-// TestHashJoinParDeterministic pins the partitioned join's ordering
+// probeSharded joins left against a build index over right split into
+// the given number of shards, the way the dataflow hash-join operator
+// does (NewJoiner at the operator's worker count, then ProbeRows).
+func probeSharded(left, right *Table, kind JoinType, shards int) (*Table, error) {
+	j, err := NewJoiner(left.Schema(), right, "k", "k", kind, shards)
+	if err != nil {
+		return nil, err
+	}
+	out := NewTable(j.OutputSchema())
+	out.rows = j.ProbeRows(nil, left.Rows())
+	return out, nil
+}
+
+// TestJoinerShardCountDeterministic pins the sharded index's ordering
 // contract: repeated runs and different shard counts all yield
 // bit-identical output (asserted via ordered Equal and the serde
-// digest) on a table large enough to exercise every parallel path.
-func TestHashJoinParDeterministic(t *testing.T) {
+// digest) on a build side large enough to take the parallel build.
+func TestJoinerShardCountDeterministic(t *testing.T) {
 	ls := MustSchema(Field{"k", Int}, Field{"lv", String})
 	rs := MustSchema(Field{"k", Int}, Field{"rv", Float})
 	left, right := NewTable(ls), NewTable(rs)
@@ -224,7 +238,7 @@ func TestHashJoinParDeterministic(t *testing.T) {
 		want := Digest(ref)
 		for _, shards := range []int{1, 2, 3, 8, 32} {
 			for run := 0; run < 3; run++ {
-				got, err := HashJoinPar(left, right, "k", "k", kind, shards)
+				got, err := probeSharded(left, right, kind, shards)
 				if err != nil {
 					t.Fatal(err)
 				}
@@ -248,6 +262,39 @@ func TestDistinct(t *testing.T) {
 	}
 	if out.Row(0).MustInt(0) != 1 || out.Row(1).MustInt(0) != 2 || out.Row(2).MustInt(0) != 3 {
 		t.Fatal("distinct should keep first occurrences in order")
+	}
+}
+
+// TestDistinctMatchesKeyStringReference holds the uint64-hash Distinct
+// and EqualUnordered to the canonical key-string semantics they
+// replaced, on a table whose duplicates include NaN, -0 and +0 (every
+// NaN is one value; the two zeros are not).
+func TestDistinctMatchesKeyStringReference(t *testing.T) {
+	// fuzzTable rows: byte 1 picks the float (0 NaN, 1 -0, 2 +0, 3 +Inf).
+	data := bytes.Repeat([]byte{0, 0, 0, 0, 0, 1, 0, 0, 0, 2, 0, 0, 5, 3, 1, 1, 5, 9, 2, 0}, 3)
+	// Drop the near-unique column so the repeats are duplicates.
+	tbl, err := Project(fuzzTable(data), "k", "f", "s", "b")
+	if err != nil {
+		t.Fatal(err)
+	}
+	seen := make(map[string]bool)
+	ref := NewTable(tbl.Schema())
+	for _, r := range tbl.Rows() {
+		if k := r.Key(0, 1, 2, 3); !seen[k] {
+			seen[k] = true
+			ref.AppendUnchecked(r)
+		}
+	}
+	dist := Distinct(tbl)
+	if dist.Len() != 5 {
+		t.Fatalf("distinct kept %d of %d rows, want 5", dist.Len(), tbl.Len())
+	}
+	// Compared by encoded bytes, which is NaN-safe.
+	if encodeOrFatal(t, dist) != encodeOrFatal(t, ref) {
+		t.Fatal("distinct: hashed rows differ from key-string reference")
+	}
+	if !dist.EqualUnordered(ref) || !ref.EqualUnordered(dist) {
+		t.Fatal("distinct: EqualUnordered disagrees with key-string reference")
 	}
 }
 

@@ -183,11 +183,7 @@ func (e *Encoder) EncodeTuple(t Tuple) ([]byte, error) {
 // The output buffer is sized exactly up front, so the call performs a
 // single allocation however many rows the table has.
 func EncodeTable(t *Table) ([]byte, error) {
-	if c := t.colBacking(); c != nil {
-		kstats.encodeCol.Add(1)
-		return colEncodeTable(c), nil
-	}
-	kstats.encodeRow.Add(1)
+	kstats.encode.Add(1)
 	out := make([]byte, 0, TableBytes(t))
 	out = binary.AppendUvarint(out, uint64(t.Len()))
 	var err error
@@ -205,9 +201,6 @@ func EncodeTable(t *Table) ([]byte, error) {
 // compare across runs. It uses a pooled encoder, so digesting does not
 // allocate per row.
 func Digest(t *Table) uint64 {
-	if c := t.colBacking(); c != nil {
-		return colDigest(c)
-	}
 	h := FNVMixString(FNVOffset64, t.Schema().String())
 	enc := GetEncoder()
 	defer enc.Release()
@@ -250,9 +243,6 @@ func DecodeTable(s *Schema, src []byte) (*Table, error) {
 // TableBytes returns the encoded size of the whole table without
 // building the encoding.
 func TableBytes(t *Table) int64 {
-	if c := t.colBacking(); c != nil {
-		return colTableBytes(c)
-	}
 	size := int64(uvarintLen(uint64(t.Len())))
 	for _, r := range t.Rows() {
 		size += EncodedSize(r)

@@ -3,85 +3,17 @@ package relation
 import (
 	"fmt"
 	"sort"
-	"sync"
 )
 
-// Table is an in-memory relation: a schema plus rows, optionally backed
-// by a columnar ColTable. The two representations coexist (the
-// conversion boundary of the columnar engine): a table may hold rows,
-// columns, or both. Row access on a columnar-only table materializes
-// the rows once, lazily; the columnar fast paths (Digest, EncodeTable,
-// HashJoin, GroupBy, Equal) read the vectors directly and never
-// materialize. Mutation detaches the columnar backing first, since
-// column vectors are immutable.
+// Table is an in-memory relation: a schema plus rows.
 type Table struct {
 	schema *Schema
 	rows   []Tuple
-	col    *ColTable  // optional columnar backing (immutable)
-	mat    *sync.Once // guards lazy row materialization when rows == nil
 }
 
 // NewTable returns an empty table with the given schema.
 func NewTable(s *Schema) *Table {
 	return &Table{schema: s}
-}
-
-// FromColumnar wraps a columnar table in the row-level API. Rows are
-// materialized lazily on first row access; columnar consumers never pay
-// for them.
-func FromColumnar(c *ColTable) *Table {
-	return &Table{schema: c.schema, col: c, mat: new(sync.Once)}
-}
-
-// Columnar returns the table's columnar backing, if present.
-func (t *Table) Columnar() (*ColTable, bool) {
-	if t.col == nil {
-		return nil, false
-	}
-	return t.col, true
-}
-
-// colBacking returns the columnar backing when the automatic fast
-// paths are enabled, else nil.
-func (t *Table) colBacking() *ColTable {
-	if t.col != nil && colEnabled.Load() {
-		return t.col
-	}
-	return nil
-}
-
-// Columnarize attempts an in-place conversion to the dual
-// representation: the table keeps its rows and gains a columnar
-// backing, so later digests, encodes, joins and group-bys take the
-// vectorized paths. Tables that are too small, already backed, or hold
-// schema-divergent values are returned unchanged. Returns t for
-// chaining. Not safe for concurrent use (it writes the backing
-// pointer); call it while the table still has a single owner.
-func (t *Table) Columnarize() *Table {
-	if t.col != nil || len(t.rows) < colConvertMin || !colEnabled.Load() {
-		return t
-	}
-	if c, ok := ToColumnar(t); ok {
-		t.col = c
-	}
-	return t
-}
-
-// materialize ensures t.rows is populated from the columnar backing.
-func (t *Table) materialize() {
-	if t.mat != nil {
-		t.mat.Do(func() { t.rows = t.col.materializeRows() })
-	}
-}
-
-// detachCol drops the columnar backing ahead of a mutation (column
-// vectors are immutable; stale backings must not survive).
-func (t *Table) detachCol() {
-	if t.col != nil {
-		t.materialize()
-		t.col = nil
-		t.mat = nil
-	}
 }
 
 // FromRows builds a table and validates every row against the schema.
@@ -100,33 +32,20 @@ func FromRows(s *Schema, rows []Tuple) (*Table, error) {
 func (t *Table) Schema() *Schema { return t.schema }
 
 // Len returns the number of rows.
-func (t *Table) Len() int {
-	if t.col != nil {
-		return t.col.n
-	}
-	return len(t.rows)
-}
+func (t *Table) Len() int { return len(t.rows) }
 
 // Row returns the i-th row (not a copy).
-func (t *Table) Row(i int) Tuple {
-	t.materialize()
-	return t.rows[i]
-}
+func (t *Table) Row(i int) Tuple { return t.rows[i] }
 
 // Rows returns the backing row slice (not a copy); callers must not
-// mutate it unless they own the table. On a columnar-backed table this
-// materializes the rows once.
-func (t *Table) Rows() []Tuple {
-	t.materialize()
-	return t.rows
-}
+// mutate it unless they own the table.
+func (t *Table) Rows() []Tuple { return t.rows }
 
 // Append adds a row after validating it.
 func (t *Table) Append(row Tuple) error {
 	if err := row.Validate(t.schema); err != nil {
 		return err
 	}
-	t.detachCol()
 	t.rows = append(t.rows, row)
 	return nil
 }
@@ -141,39 +60,27 @@ func (t *Table) MustAppend(row Tuple) {
 // AppendUnchecked adds a row without validation; for hot paths where
 // the producer guarantees the shape.
 func (t *Table) AppendUnchecked(row Tuple) {
-	t.detachCol()
 	t.rows = append(t.rows, row)
 }
 
 // Clone deep-copies the table (rows are cloned; values are immutable).
-// A columnar backing is shared — the vectors are immutable, and the
-// clone materializes its own rows independently.
 func (t *Table) Clone() *Table {
-	if t.col != nil && t.rows == nil {
-		return FromColumnar(t.col)
-	}
 	c := NewTable(t.schema)
 	c.rows = make([]Tuple, len(t.rows))
 	for i, r := range t.rows {
 		c.rows[i] = r.Clone()
 	}
-	c.col = t.col
 	return c
 }
 
 // Equal reports whether two tables have equal schemas and identical
-// rows in order. When both sides carry columnar backings the vectors
-// are compared directly, type by type.
+// rows in order.
 func (t *Table) Equal(o *Table) bool {
-	if tc, oc := t.colBacking(), o.colBacking(); tc != nil && oc != nil {
-		return tc.Equal(oc)
-	}
-	if !t.schema.Equal(o.schema) || t.Len() != o.Len() {
+	if !t.schema.Equal(o.schema) || len(t.rows) != len(o.rows) {
 		return false
 	}
-	tr, or := t.Rows(), o.Rows()
-	for i := range tr {
-		if !tr[i].Equal(or[i]) {
+	for i := range t.rows {
+		if !t.rows[i].Equal(o.rows[i]) {
 			return false
 		}
 	}
@@ -240,7 +147,6 @@ type Batch struct {
 // non-positive size yields a single batch. An empty table yields no
 // batches.
 func (t *Table) Batches(size int) []Batch {
-	t.materialize()
 	if len(t.rows) == 0 {
 		return nil
 	}
@@ -263,7 +169,6 @@ func (t *Table) Concat(o *Table) error {
 	if !t.schema.Equal(o.schema) {
 		return fmt.Errorf("relation: concat schema mismatch: [%s] vs [%s]", t.schema, o.schema)
 	}
-	t.detachCol()
 	t.rows = append(t.rows, o.Rows()...)
 	return nil
 }
@@ -279,7 +184,6 @@ func (t *Table) SortBy(names ...string) error {
 		}
 		pos[i] = p
 	}
-	t.detachCol()
 	sort.SliceStable(t.rows, func(a, b int) bool {
 		return lessTuples(t.rows[a], t.rows[b], pos)
 	})

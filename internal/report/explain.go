@@ -115,9 +115,8 @@ func Explain(w io.Writer, p *obs.Profile) {
 	fmt.Fprintf(w, "data: in %d tuples, out %d tuples, %d batches, %d edge bytes\n",
 		p.Totals.InTuples, p.Totals.OutTuples, p.Totals.Batches, p.Totals.EdgeBytes)
 	k := p.Kernels
-	fmt.Fprintf(w, "kernels: columnar %d (project %d, group %d, join %d, encode %d) / row %d (project %d, group %d, join %d, encode %d)\n",
-		k.Columnar(), k.ProjectCol, k.GroupCol, k.JoinCol, k.EncodeCol,
-		k.Row(), k.ProjectRow, k.GroupRow, k.JoinRow, k.EncodeRow)
+	fmt.Fprintf(w, "kernels: project %d, group %d, join %d, encode %d\n",
+		k.Project, k.Group, k.Join, k.Encode)
 	if p.LineageNodes > 0 {
 		fmt.Fprintf(w, "lineage: %d of %d nodes served from cache\n", p.LineageHits, p.LineageNodes)
 	}

@@ -31,6 +31,7 @@ type Micro struct {
 	Name        string  `json:"name"`
 	NsPerOp     float64 `json:"ns_per_op"`
 	AllocsPerOp float64 `json:"allocs_per_op"`
+	BytesPerOp  float64 `json:"bytes_per_op"`
 }
 
 // Macro is one end-to-end workflow run: wall-clock milliseconds next
@@ -61,7 +62,8 @@ type Report struct {
 
 // measure times f (which must perform inner operations per call) over
 // three ~60ms windows and reports the median window's per-operation
-// cost. Allocs are sampled separately with a single run. Two choices
+// cost. Allocs and bytes are sampled separately with a single run each
+// (bytes do not drift with the host the way timings do). Two choices
 // here exist for noise robustness on a shared bench host, where a
 // single ~100ms mean (the BENCH_1–4 estimator) swung adjacent runs of
 // the same binary by double-digit percentages: the forced collection
@@ -78,6 +80,11 @@ type Report struct {
 func measure(name string, inner int, f func()) Micro {
 	f() // warm up
 	allocs := testing.AllocsPerRun(1, f) / float64(inner)
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	f()
+	runtime.ReadMemStats(&after)
+	bytes := float64(after.TotalAlloc-before.TotalAlloc) / float64(inner)
 	runtime.GC()
 	const windows = 3
 	perOp := make([]float64, windows)
@@ -95,7 +102,7 @@ func measure(name string, inner int, f func()) Micro {
 		perOp[w] = float64(elapsed.Nanoseconds()) / float64(ops)
 	}
 	sort.Float64s(perOp)
-	return Micro{Name: name, NsPerOp: perOp[windows/2], AllocsPerOp: allocs}
+	return Micro{Name: name, NsPerOp: perOp[windows/2], AllocsPerOp: allocs, BytesPerOp: bytes}
 }
 
 func joinTables(n int) (*relation.Table, *relation.Table) {
@@ -152,6 +159,15 @@ func micros() []Micro {
 	batch := left.Rows()[:2048]
 	out = append(out, measure("joiner_probe_2048", 2048, func() {
 		joiner.ProbeRows(nil, batch)
+	}))
+	// The traffic dataflow actually sends: DICE-200 moves 58,088 tuples
+	// in 7,410 batches, 8 rows a batch. One op is one 8-row ProbeRows
+	// call (16 output rows of width 3 from this joiner), so bytes_per_op
+	// is what a probe batch costs whatever the per-row price is.
+	out = append(out, measure("joiner_probe_8", len(batch)/8, func() {
+		for lo := 0; lo < len(batch); lo += 8 {
+			joiner.ProbeRows(nil, batch[lo:lo+8])
+		}
 	}))
 	tup := relation.Tuple{int64(42), "a reasonably sized string payload", 3.14159, true}
 	out = append(out, measure("encode_tuple_pooled", 4096, func() {

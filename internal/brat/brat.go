@@ -60,7 +60,9 @@ func (d *Document) EntityByID(id string) *Entity {
 func Parse(r io.Reader) (*Document, error) {
 	doc := &Document{}
 	sc := bufio.NewScanner(r)
-	sc.Buffer(make([]byte, 0, 64*1024), 1<<20)
+	// No initial buffer: the scanner starts at 4 KiB and grows to the
+	// 1 MiB line limit only for a file that needs it.
+	sc.Buffer(nil, 1<<20)
 	lineNo := 0
 	for sc.Scan() {
 		lineNo++

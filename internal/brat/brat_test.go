@@ -1,6 +1,8 @@
 package brat
 
 import (
+	"bufio"
+	"errors"
 	"strings"
 	"testing"
 	"testing/quick"
@@ -204,5 +206,11 @@ func TestParseLongLines(t *testing.T) {
 	}
 	if len(doc.Entities[0].Text) != 100000 {
 		t.Fatal("long line truncated")
+	}
+	// The line limit is 1 MiB: past it the scanner's error comes back
+	// wrapped, not a truncated entity.
+	_, err = ParseString("T1\tAge 0 2000000\t" + strings.Repeat("x", 2000000) + "\n")
+	if !errors.Is(err, bufio.ErrTooLong) || !strings.HasPrefix(err.Error(), "brat: ") {
+		t.Fatalf("line over 1 MiB: err = %v, want bufio.ErrTooLong wrapped as brat: …", err)
 	}
 }

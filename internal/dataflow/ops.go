@@ -279,7 +279,9 @@ func (o *HashJoinOp) OutputSchema(in []*relation.Schema) (*relation.Schema, erro
 }
 
 // NewInstance returns a join worker with its own hash table.
-func (o *HashJoinOp) NewInstance() Instance { return &joinInstance{op: o} }
+func (o *HashJoinOp) NewInstance() Instance {
+	return &joinInstance{op: o, permuted: make(relation.Tuple, len(o.outPerm))}
+}
 
 type joinInstance struct {
 	op          *HashJoinOp
@@ -287,6 +289,7 @@ type joinInstance struct {
 	probeSchema *relation.Schema
 	buildRows   *relation.Table
 	joiner      *relation.Joiner
+	permuted    relation.Tuple // scratch: one row in op.outPerm order
 }
 
 func (ji *joinInstance) bindSchemas(in []*relation.Schema) error {
@@ -323,13 +326,14 @@ func (ji *joinInstance) Process(ec ExecCtx, port int, rows []relation.Tuple) ([]
 			}
 		}
 		out := ji.joiner.ProbeRows(nil, rows)
+		// The rows ProbeRows returned belong to this call, so a swapped
+		// join re-orders each in place.
 		if perm := ji.op.outPerm; perm != nil {
-			for i, row := range out {
-				fixed := make(relation.Tuple, len(perm))
+			for _, row := range out {
 				for k, p := range perm {
-					fixed[k] = row[p]
+					ji.permuted[k] = row[p]
 				}
-				out[i] = fixed
+				copy(row, ji.permuted)
 			}
 		}
 		return out, nil

@@ -77,6 +77,83 @@ func TestSwapJoinInputsKeepsSchemaAndRows(t *testing.T) {
 	}
 }
 
+// nopCtx is the ExecCtx of a direct Process call: one worker, work
+// discarded.
+type nopCtx struct{}
+
+func (nopCtx) AddWork(cost.Work) {}
+func (nopCtx) Worker() int       { return 0 }
+func (nopCtx) Workers() int      { return 1 }
+
+// A swapped join re-orders the rows ProbeRows hands it in place: the
+// output matches the unswapped join row for row (1:1 keys in one order
+// on both sides, so probe order is the same either way) and a probe
+// batch costs no allocation the unswapped join does not pay.
+func TestSwapJoinPermutesInPlace(t *testing.T) {
+	users, _ := joinInputs()
+	orders := relation.NewTable(relation.MustSchema(
+		relation.Field{Name: "oid", Type: relation.Int}, relation.Field{Name: "uid", Type: relation.Int}))
+	for i := 0; i < users.Len(); i++ {
+		orders.AppendUnchecked(relation.Tuple{int64(1000 + i), int64(i)})
+	}
+	build := func() (*Workflow, NodeID) {
+		w := New("joinswap")
+		u := w.Source("users", users)
+		o := w.Source("orders", orders)
+		j := w.Op(NewHashJoin("join", cost.Python, "uid", "uid", relation.Inner))
+		snk := w.Sink("out")
+		w.Connect(o, j, 0, RoundRobin())
+		w.Connect(u, j, 1, RoundRobin())
+		w.Connect(j, snk, 0, RoundRobin())
+		return w, j
+	}
+	// instance opens one worker of the join and feeds it its build side.
+	instance := func(w *Workflow, j NodeID, buildSide *relation.Table, probe *relation.Schema) Instance {
+		inst := w.nodeAt(j).op.NewInstance()
+		if err := inst.(schemaBinder).bindSchemas([]*relation.Schema{buildSide.Schema(), probe}); err != nil {
+			t.Fatal(err)
+		}
+		if _, err := inst.Process(nopCtx{}, 0, buildSide.Rows()); err != nil {
+			t.Fatal(err)
+		}
+		if _, err := inst.EndPort(nopCtx{}, 0); err != nil {
+			t.Fatal(err)
+		}
+		return inst
+	}
+	plainW, j := build()
+	swapW, _ := build()
+	if err := swapW.SwapJoinInputs(j); err != nil {
+		t.Fatal(err)
+	}
+	plain := instance(plainW, j, orders, users.Schema())
+	swapped := instance(swapW, j, users, orders.Schema())
+
+	want, err := plain.Process(nopCtx{}, 1, users.Rows())
+	if err != nil {
+		t.Fatal(err)
+	}
+	got, err := swapped.Process(nopCtx{}, 1, orders.Rows())
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(got) != len(want) || len(want) != users.Len() {
+		t.Fatalf("swapped join emitted %d rows, unswapped %d, want %d", len(got), len(want), users.Len())
+	}
+	for i := range want {
+		if !got[i].Equal(want[i]) {
+			t.Fatalf("row %d: swapped %v, unswapped %v", i, got[i], want[i])
+		}
+	}
+
+	batch := 8
+	plainAllocs := testing.AllocsPerRun(50, func() { plain.Process(nopCtx{}, 1, users.Rows()[:batch]) })
+	swapAllocs := testing.AllocsPerRun(50, func() { swapped.Process(nopCtx{}, 1, orders.Rows()[:batch]) })
+	if swapAllocs != plainAllocs {
+		t.Fatalf("swapped Process allocates %v per %d-row batch, unswapped %v", swapAllocs, batch, plainAllocs)
+	}
+}
+
 func TestSwapJoinInputsRejectsOuterJoin(t *testing.T) {
 	users, orders := joinInputs()
 	w := New("outer")

@@ -6,6 +6,7 @@ import (
 	"fmt"
 	"math"
 	"os"
+	"runtime"
 	"testing"
 
 	"repro/internal/core"
@@ -205,5 +206,30 @@ func TestWorkflowPlanAboveLegacyCeiling(t *testing.T) {
 		for _, d := range dataflow.Validate(w) {
 			t.Errorf("%s: %s", gt.name, d)
 		}
+	}
+}
+
+// TestDiceWorkflowAllocBudget is the wall-clock guard CI can fail on:
+// timings drift 10–18 % on shared runners, bytes do not. A DICE-50
+// workflow run at 4 workers (datagen included) allocates 3.9 MB; the
+// budget is twice that. (With the join's fixed 1024-row output arena
+// per probe batch the same run allocated 82.4 MB.)
+func TestDiceWorkflowAllocBudget(t *testing.T) {
+	const budget = 8 << 20
+	spec := core.RunSpec{Task: "dice", Paradigm: "workflow", Size: 50, Seed: 1, Workers: 4}
+	run := func() uint64 {
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		if _, err := spec.Run(); err != nil {
+			t.Fatal(err)
+		}
+		runtime.ReadMemStats(&after)
+		return after.TotalAlloc - before.TotalAlloc
+	}
+	run() // warm-up: lazy initialisation is not the run's cost
+	got := run()
+	t.Logf("allocated %.1f MB of a %d MB budget", float64(got)/(1<<20), budget>>20)
+	if got > budget {
+		t.Fatalf("DICE-50 workflow run at 4 workers allocated %.1f MB, budget %d MB", float64(got)/(1<<20), budget>>20)
 	}
 }

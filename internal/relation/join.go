@@ -3,6 +3,7 @@ package relation
 import (
 	"fmt"
 	"math"
+	"slices"
 	"sync"
 )
 
@@ -272,60 +273,45 @@ func NewJoiner(leftSchema *Schema, right *Table, leftKey, rightKey string, kind 
 // OutputSchema returns the join output schema.
 func (j *Joiner) OutputSchema() *Schema { return j.plan.out }
 
-// arenaRows is how many output rows each arena block holds. Joined
-// rows all have the same width, so blocks never fragment.
-const arenaRows = 1024
-
-// tupleArena carves fixed-width output tuples out of block
-// allocations, replacing one allocation per output row with one per
-// arenaRows rows.
-type tupleArena struct {
-	buf  []any
-	used int
-}
-
-func (a *tupleArena) alloc(width int) Tuple {
-	if a.used+width > len(a.buf) {
-		n := arenaRows * width
-		if n < width {
-			n = width
-		}
-		a.buf = make([]any, n)
-		a.used = 0
-	}
-	t := a.buf[a.used : a.used : a.used+width]
-	a.used += width
-	return Tuple(t)
-}
-
-// emit appends one joined row (or a padded row when r is nil) to dst.
-func (j *Joiner) emit(dst []Tuple, a *tupleArena, l, r Tuple) []Tuple {
-	row := a.alloc(j.plan.out.Len())
-	row = append(row, l...)
-	if r == nil {
-		row = append(row, j.plan.padding...)
-	} else {
-		for _, p := range j.plan.rightPos {
-			row = append(row, r[p])
-		}
-	}
-	return append(dst, row)
-}
+// unmatched stands in for the match list of a LeftOuter probe row with
+// no match: one output row, padded instead of joined.
+var unmatched = []int32{-1}
 
 // ProbeRows joins a batch of probe rows against the built side,
 // appending output rows to dst in probe order.
+//
+// Storage is sized by the batch's output, whatever the batch size: the
+// matches are looked up once and counted, then every output tuple is
+// carved from one block of exactly that many rows. Each tuple's
+// capacity ends where the next begins, so appending to one cannot
+// write into its neighbour. Rows escape downstream and into sink
+// tables, so nothing here is reused across calls.
 func (j *Joiner) ProbeRows(dst []Tuple, rows []Tuple) []Tuple {
-	var arena tupleArena
-	for _, l := range rows {
+	matches := make([][]int32, len(rows))
+	n := 0
+	for i, l := range rows {
 		ms := j.ix.matches(l, j.plan.lk)
-		if len(ms) == 0 {
-			if j.kind == LeftOuter {
-				dst = j.emit(dst, &arena, l, nil)
-			}
-			continue
+		if len(ms) == 0 && j.kind == LeftOuter {
+			ms = unmatched
 		}
-		for _, ri := range ms {
-			dst = j.emit(dst, &arena, l, j.build[ri])
+		matches[i] = ms
+		n += len(ms)
+	}
+	block := make([]any, 0, n*j.plan.out.Len())
+	dst = slices.Grow(dst, n)
+	for i, l := range rows {
+		for _, ri := range matches[i] {
+			start := len(block)
+			block = append(block, l...)
+			if ri < 0 {
+				block = append(block, j.plan.padding...)
+			} else {
+				r := j.build[ri]
+				for _, p := range j.plan.rightPos {
+					block = append(block, r[p])
+				}
+			}
+			dst = append(dst, block[start:len(block):len(block)])
 		}
 	}
 	return dst

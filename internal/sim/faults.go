@@ -42,13 +42,6 @@ type RetryPolicy struct {
 // MaxRetries zero.
 const DefaultMaxRetries = 64
 
-// runInfo tracks one in-flight attempt under fault injection: its
-// start time and its slot cost (job cost plus retry extra).
-type runInfo struct {
-	start float64
-	cost  float64
-}
-
 // Abort records one killed attempt.
 type Abort struct {
 	// Job is the killed job; Attempt is the 1-based attempt number that

@@ -18,7 +18,6 @@
 package sim
 
 import (
-	"container/heap"
 	"fmt"
 	"math"
 	"sort"
@@ -81,15 +80,20 @@ func (r *Result) Utilization(pool string, slots int) float64 {
 	return r.BusyTime[pool] / (r.Makespan * float64(slots))
 }
 
-// event is a job completion, (job == wakeupEvent) a dispatch wakeup at
-// the moment a queued job's latency elapses, or (job <= faultBase) a
-// fault strike, carrying the fault's index as faultBase-job. attempt
-// tags completions so a killed attempt's stale completion event can be
-// recognized and dropped.
+// event is one entry of the event heap or of a pool's ready queue.
+// On the event heap it is a job completion, (job == wakeupEvent) a
+// dispatch wakeup at the moment a queued job's latency elapses, or
+// (job <= faultBase) a fault strike, carrying the fault's index as
+// faultBase-job; attempt tags completions so a killed attempt's stale
+// completion event can be recognized and dropped. On a ready queue it
+// is a job waiting for a slot since at. Both order by (at, job); idx is
+// the job's position in the job slice, so handling an event indexes
+// state instead of looking the ID up.
 type event struct {
 	at      float64
 	job     JobID
-	attempt int
+	idx     int32
+	attempt int32
 }
 
 // wakeupEvent marks events that exist only to trigger a dispatch at a
@@ -105,42 +109,97 @@ const wakeupEvent = JobID(-1)
 // (and still deterministic) reading.
 const faultBase = JobID(-2)
 
+func (e event) before(o event) bool {
+	if e.at != o.at {
+		return e.at < o.at
+	}
+	return e.job < o.job
+}
+
+// eventHeap is a binary min-heap on (at, job): container/heap's
+// algorithm over a concrete element type, so a push or pop boxes
+// nothing.
 type eventHeap []event
 
-func (h eventHeap) Len() int { return len(h) }
-func (h eventHeap) Less(i, j int) bool {
-	if h[i].at != h[j].at {
-		return h[i].at < h[j].at
+func (h *eventHeap) push(e event) {
+	s := append(*h, e)
+	*h = s
+	for j := len(s) - 1; j > 0; {
+		i := (j - 1) / 2 // parent
+		if !s[j].before(s[i]) {
+			break
+		}
+		s[i], s[j] = s[j], s[i]
+		j = i
 	}
-	return h[i].job < h[j].job
-}
-func (h eventHeap) Swap(i, j int) { h[i], h[j] = h[j], h[i] }
-func (h *eventHeap) Push(x any)   { *h = append(*h, x.(event)) }
-func (h *eventHeap) Pop() any     { old := *h; n := len(old); e := old[n-1]; *h = old[:n-1]; return e }
-
-// readyEntry is a job waiting for a slot in its pool.
-type readyEntry struct {
-	at  float64 // time the job became ready
-	job JobID
 }
 
-type readyQueue []readyEntry
-
-func (q readyQueue) Len() int { return len(q) }
-func (q readyQueue) Less(i, j int) bool {
-	if q[i].at != q[j].at {
-		return q[i].at < q[j].at
+func (h *eventHeap) pop() event {
+	s := *h
+	n := len(s) - 1
+	s[0], s[n] = s[n], s[0]
+	for i := 0; ; {
+		m := 2*i + 1 // smaller child
+		if m >= n {
+			break
+		}
+		if r := m + 1; r < n && s[r].before(s[m]) {
+			m = r
+		}
+		if !s[m].before(s[i]) {
+			break
+		}
+		s[i], s[m] = s[m], s[i]
+		i = m
 	}
-	return q[i].job < q[j].job
+	*h = s[:n]
+	return s[n]
 }
-func (q readyQueue) Swap(i, j int) { q[i], q[j] = q[j], q[i] }
-func (q *readyQueue) Push(x any)   { *q = append(*q, x.(readyEntry)) }
-func (q *readyQueue) Pop() any {
-	old := *q
-	n := len(old)
-	e := old[n-1]
-	*q = old[:n-1]
-	return e
+
+// jobIndex maps JobIDs to positions in a job slice. Lowered job sets
+// number their jobs 0..n-1, so the common case is a flat table; sparse
+// or negative IDs fall back to a map.
+type jobIndex struct {
+	flat []int32 // position by ID, -1 where no job has it
+	m    map[JobID]int32
+}
+
+func newJobIndex(jobs []Job) jobIndex {
+	lo, hi := JobID(0), JobID(-1)
+	for i := range jobs {
+		lo, hi = min(lo, jobs[i].ID), max(hi, jobs[i].ID)
+	}
+	if lo < 0 || int(hi) >= 4*len(jobs) {
+		return jobIndex{m: make(map[JobID]int32, len(jobs))}
+	}
+	flat := make([]int32, hi+1)
+	for i := range flat {
+		flat[i] = -1
+	}
+	return jobIndex{flat: flat}
+}
+
+// lookup returns the position of the job with this ID, or -1.
+func (x *jobIndex) lookup(id JobID) int32 {
+	if x.m != nil {
+		if i, ok := x.m[id]; ok {
+			return i
+		}
+		return -1
+	}
+	if id < 0 || int(id) >= len(x.flat) {
+		return -1
+	}
+	return x.flat[id]
+}
+
+// set records position i for id, which must be one of the indexed jobs'.
+func (x *jobIndex) set(id JobID, i int32) {
+	if x.m != nil {
+		x.m[id] = i
+	} else {
+		x.flat[id] = i
+	}
 }
 
 // Schedule simulates the execution of jobs on pools and returns the
@@ -151,15 +210,62 @@ func Schedule(jobs []Job, pools []Pool) (*Result, error) {
 	return schedule(jobs, pools, nil, RetryPolicy{})
 }
 
-// schedule is the shared event loop behind Schedule and ScheduleFaulty.
-// With an empty fault list the injection bookkeeping is skipped
-// entirely, so the fault-free path is byte-identical to the original
-// scheduler.
+// jobState is the event loop's bookkeeping for one job, at the job's
+// position in the job slice.
+type jobState struct {
+	depFinish float64 // latest finish among the dependencies finished so far
+	extra     float64 // retry cost added to the next attempt; 0 until a fault kills one
+	pending   int32   // dependencies not yet finished
+	pool      int32   // position of the job's pool
+	attempt   int32   // attempts killed so far; 0 = first attempt
+}
+
+// poolState is one pool's slots and queue, at the pool's declared
+// position.
+type poolState struct {
+	name  string
+	free  int
+	busy  float64   // slot-seconds consumed; BusyTime[name] once a job has started here
+	used  bool      // some job started here
+	ready eventHeap // jobs waiting for a slot, in (ready time, ID) order
+}
+
+// scheduler is the state of one schedule call. Jobs and pools are
+// addressed by position throughout; IDs and names are resolved once,
+// while the inputs are validated, and appear again only as the (at,
+// job) ordering key and as the keys of the Result's maps.
+type scheduler struct {
+	jobs   []Job
+	state  []jobState
+	pools  []poolState
+	poolAt map[string]int32
+	// Job i's dependents are dependents[depOff[i]:depOff[i+1]].
+	depOff     []int32
+	dependents []int32
+	events     eventHeap
+	now        float64
+	res        *Result
+}
+
+// schedule is the event loop behind Schedule and ScheduleFaulty. A
+// fault-free call is the same loop with no fault events on the heap:
+// every attempt counter stays 0 and every retry cost +0.
 func schedule(jobs []Job, pools []Pool, faults []FaultEvent, retry RetryPolicy) (*Result, error) {
-	byID := make(map[JobID]*Job, len(jobs))
+	s := &scheduler{
+		jobs:   jobs,
+		state:  make([]jobState, len(jobs)),
+		pools:  make([]poolState, len(pools)),
+		poolAt: make(map[string]int32, len(pools)),
+		depOff: make([]int32, len(jobs)+2),
+		res: &Result{
+			Spans:    make(map[JobID]Span, len(jobs)),
+			BusyTime: make(map[string]float64, len(pools)),
+		},
+	}
+	ix := newJobIndex(jobs)
 	for i := range jobs {
 		j := &jobs[i]
-		if _, dup := byID[j.ID]; dup {
+		if ix.lookup(j.ID) >= 0 {
 			return nil, fmt.Errorf("sim: duplicate job id %d", j.ID)
 		}
 		if j.Cost < 0 {
@@ -168,263 +274,228 @@ func schedule(jobs []Job, pools []Pool, faults []FaultEvent, retry RetryPolicy) 
 		if j.Latency < 0 {
 			return nil, fmt.Errorf("sim: job %d (%s) has negative latency %g", j.ID, j.Name, j.Latency)
 		}
-		byID[j.ID] = j
+		ix.set(j.ID, int32(i))
 	}
-	slots := make(map[string]int, len(pools))
-	free := make(map[string]int, len(pools))
-	for _, p := range pools {
+	for i, p := range pools {
 		if p.Slots <= 0 {
 			return nil, fmt.Errorf("sim: pool %q has %d slots", p.Name, p.Slots)
 		}
-		if _, dup := slots[p.Name]; dup {
+		if _, dup := s.poolAt[p.Name]; dup {
 			return nil, fmt.Errorf("sim: duplicate pool %q", p.Name)
 		}
-		slots[p.Name] = p.Slots
-		free[p.Name] = p.Slots
+		s.poolAt[p.Name] = int32(i)
+		s.pools[i] = poolState{name: p.Name, free: p.Slots}
 	}
 
-	// Validate references and build dependent lists.
-	pending := make(map[JobID]int, len(jobs)) // unfinished dep count
-	dependents := make(map[JobID][]JobID, len(jobs))
+	// Validate references, resolving each to a position, and count every
+	// job's dependents two places up in depOff (see the fill below).
 	for i := range jobs {
 		j := &jobs[i]
-		if _, ok := slots[j.Pool]; !ok {
+		pool, ok := s.poolAt[j.Pool]
+		if !ok {
 			return nil, fmt.Errorf("sim: job %d (%s) references unknown pool %q", j.ID, j.Name, j.Pool)
 		}
 		for _, d := range j.Deps {
-			if _, ok := byID[d]; !ok {
+			di := ix.lookup(d)
+			if di < 0 {
 				return nil, fmt.Errorf("sim: job %d (%s) depends on unknown job %d", j.ID, j.Name, d)
 			}
-			dependents[d] = append(dependents[d], j.ID)
+			s.depOff[di+2]++
 		}
-		pending[j.ID] = len(j.Deps)
+		s.state[i] = jobState{pool: pool, pending: int32(len(j.Deps))}
 	}
-
-	res := &Result{
-		Spans:    make(map[JobID]Span, len(jobs)),
-		BusyTime: make(map[string]float64, len(pools)),
+	// Running sums make depOff[i+1] the start of job i's dependents;
+	// filling a row advances it to the row's end, which is the start of
+	// the next, so afterwards depOff[i] starts row i. Rows list dependents
+	// in slice order.
+	for i := 2; i < len(s.depOff); i++ {
+		s.depOff[i] += s.depOff[i-1]
 	}
-
-	ready := make(map[string]*readyQueue, len(pools))
-	for name := range slots {
-		q := &readyQueue{}
-		heap.Init(q)
-		ready[name] = q
-	}
-	depFinish := make(map[JobID]float64, len(jobs)) // max finish among deps
-
-	running := &eventHeap{}
-	heap.Init(running)
-	var now float64
-	enqueue := func(id JobID, at float64) {
-		j := byID[id]
-		readyAt := at + j.Latency
-		heap.Push(ready[j.Pool], readyEntry{at: readyAt, job: id})
-		if readyAt > now {
-			heap.Push(running, event{at: readyAt, job: wakeupEvent})
+	s.dependents = make([]int32, s.depOff[len(jobs)+1])
+	for i := range jobs {
+		for _, d := range jobs[i].Deps {
+			di := ix.lookup(d)
+			s.dependents[s.depOff[di+1]] = int32(i)
+			s.depOff[di+1]++
 		}
 	}
 
-	// Fault-injection bookkeeping, touched only when faults exist.
-	injecting := len(faults) > 0
-	var (
-		runningJobs map[JobID]runInfo
-		curAttempt  map[JobID]int // attempts so far killed; 0 = first attempt
-		extraCost   map[JobID]float64
-	)
-	if injecting {
-		runningJobs = make(map[JobID]runInfo)
-		curAttempt = make(map[JobID]int)
-		extraCost = make(map[JobID]float64)
-		for i := range faults {
-			heap.Push(running, event{at: faults[i].At, job: faultBase - JobID(i)})
-		}
+	for i := range faults {
+		s.events.push(event{at: faults[i].At, job: faultBase - JobID(i)})
 	}
-
 	// Jobs with no dependencies are ready at time 0 (plus latency).
-	ids := make([]JobID, 0, len(jobs))
-	for id := range byID {
-		ids = append(ids, id)
-	}
-	sort.Slice(ids, func(i, k int) bool { return ids[i] < ids[k] })
-	for _, id := range ids {
-		if pending[id] == 0 {
-			enqueue(id, 0)
+	for i := range s.state {
+		if s.state[i].pending == 0 {
+			s.enqueue(int32(i), 0)
 		}
 	}
 
-	finished := 0
-
-	start := func(id JobID, at float64) {
-		j := byID[id]
-		free[j.Pool]--
-		c := j.Cost
-		attempt := 0
-		if injecting {
-			c += extraCost[id]
-			attempt = curAttempt[id]
-			runningJobs[id] = runInfo{start: at, cost: c}
-		}
-		fin := at + c
-		res.Spans[id] = Span{Start: at, Finish: fin}
-		res.BusyTime[j.Pool] += c
-		heap.Push(running, event{at: fin, job: id, attempt: attempt})
-	}
-
-	// dispatch starts every startable job at the current time. A job is
-	// startable when it is ready (ready time <= now) and its pool has a
-	// free slot.
-	dispatch := func() {
-		for name, q := range ready {
-			for free[name] > 0 && q.Len() > 0 {
-				head := (*q)[0]
-				if head.at > now {
-					break
-				}
-				heap.Pop(q)
-				start(head.job, now)
-			}
-		}
-	}
-
-	dispatch()
-	for finished < len(jobs) {
+	s.dispatch()
+	for finished := 0; finished < len(jobs); {
 		// If no events are pending, advance time to the earliest ready
 		// job.
-		if running.Len() == 0 {
+		if len(s.events) == 0 {
 			next := math.Inf(1)
-			for _, q := range ready {
-				if q.Len() > 0 && (*q)[0].at < next {
-					next = (*q)[0].at
+			for i := range s.pools {
+				if q := s.pools[i].ready; len(q) > 0 && q[0].at < next {
+					next = q[0].at
 				}
 			}
 			if math.IsInf(next, 1) {
 				return nil, fmt.Errorf("sim: dependency cycle detected (%d of %d jobs stuck)", len(jobs)-finished, len(jobs))
 			}
-			now = next
-			dispatch()
+			s.now = next
+			s.dispatch()
 			continue
 		}
-		ev := heap.Pop(running).(event)
-		now = ev.at
+		ev := s.events.pop()
+		s.now = ev.at
 		if ev.job <= faultBase {
-			if err := strike(&faultCtx{
-				f: &faults[int(faultBase-ev.job)], now: now,
-				byID: byID, free: free, res: res, retry: &retry,
-				runningJobs: runningJobs, curAttempt: curAttempt, extraCost: extraCost,
-				ready: ready, running: running,
-			}); err != nil {
+			if err := s.strike(&faults[int(faultBase-ev.job)], &retry); err != nil {
 				return nil, err
 			}
-			dispatch()
+			s.dispatch()
 			continue
 		}
 		if ev.job == wakeupEvent {
-			dispatch()
+			s.dispatch()
 			continue
 		}
-		if injecting {
-			if ev.attempt != curAttempt[ev.job] {
-				continue // stale completion of a killed attempt
-			}
-			delete(runningJobs, ev.job)
+		st := &s.state[ev.idx]
+		if ev.attempt != st.attempt {
+			continue // stale completion of a killed attempt
 		}
-		j := byID[ev.job]
-		free[j.Pool]++
+		s.pools[st.pool].free++
 		finished++
-		for _, dep := range dependents[ev.job] {
-			if now > depFinish[dep] {
-				depFinish[dep] = now
+		for _, dep := range s.dependents[s.depOff[ev.idx]:s.depOff[ev.idx+1]] {
+			ds := &s.state[dep]
+			if s.now > ds.depFinish {
+				ds.depFinish = s.now
 			}
-			pending[dep]--
-			if pending[dep] == 0 {
-				enqueue(dep, depFinish[dep])
+			ds.pending--
+			if ds.pending == 0 {
+				s.enqueue(dep, ds.depFinish)
 			}
 		}
-		dispatch()
+		s.dispatch()
 	}
-	res.Makespan = now
-	return res, nil
+	s.res.Makespan = s.now
+	for i := range s.pools {
+		if p := &s.pools[i]; p.used {
+			s.res.BusyTime[p.name] = p.busy
+		}
+	}
+	return s.res, nil
 }
 
-// faultCtx carries the scheduler state a fault strike mutates.
-type faultCtx struct {
-	f           *FaultEvent
-	now         float64
-	byID        map[JobID]*Job
-	free        map[string]int
-	res         *Result
-	retry       *RetryPolicy
-	runningJobs map[JobID]runInfo
-	curAttempt  map[JobID]int
-	extraCost   map[JobID]float64
-	ready       map[string]*readyQueue
-	running     *eventHeap
+// enqueue puts job i, whose last dependency finished at time at, on its
+// pool's ready queue.
+func (s *scheduler) enqueue(i int32, at float64) {
+	j := &s.jobs[i]
+	readyAt := at + j.Latency
+	s.pools[s.state[i].pool].ready.push(event{at: readyAt, job: j.ID, idx: i})
+	if readyAt > s.now {
+		s.events.push(event{at: readyAt, job: wakeupEvent})
+	}
+}
+
+// start runs job i on a free slot of its pool from the current time.
+func (s *scheduler) start(i int32) {
+	j, st := &s.jobs[i], &s.state[i]
+	p := &s.pools[st.pool]
+	p.free--
+	p.used = true
+	c := j.Cost + st.extra
+	fin := s.now + c
+	s.res.Spans[j.ID] = Span{Start: s.now, Finish: fin}
+	p.busy += c
+	s.events.push(event{at: fin, job: j.ID, idx: i, attempt: st.attempt})
+}
+
+// dispatch starts every startable job at the current time, pool by
+// pool in declared order. A job is startable when it is ready (ready
+// time <= now) and its pool has a free slot; what starts in one pool
+// never depends on another, so any fixed order gives the same schedule.
+func (s *scheduler) dispatch() {
+	for i := range s.pools {
+		p := &s.pools[i]
+		for p.free > 0 && len(p.ready) > 0 && p.ready[0].at <= s.now {
+			s.start(p.ready.pop().idx)
+		}
+	}
 }
 
 // strike applies one fault: pick a deterministic victim among the
 // running jobs, discard its in-flight attempt, and re-queue it under
 // the retry policy. Faults on an idle (or non-matching) system are
 // no-ops.
-func strike(c *faultCtx) error {
-	victims := make([]JobID, 0, len(c.runningJobs))
-	for id := range c.runningJobs {
-		if c.f.Pool == "" || c.byID[id].Pool == c.f.Pool {
-			victims = append(victims, id)
+//
+// The running jobs are the completions on the event heap whose attempt
+// is still current, and such an event's time is its attempt's start
+// plus slot cost, so the loop keeps no separate record of them.
+func (s *scheduler) strike(f *FaultEvent, retry *RetryPolicy) error {
+	pool, known := s.poolAt[f.Pool]
+	var victims []event
+	for _, e := range s.events {
+		if e.job < 0 || e.attempt != s.state[e.idx].attempt {
+			continue // not a completion, or a stale one
+		}
+		if f.Pool == "" || (known && s.state[e.idx].pool == pool) {
+			victims = append(victims, e)
 		}
 	}
 	if len(victims) == 0 {
 		return nil
 	}
-	sort.Slice(victims, func(i, k int) bool { return victims[i] < victims[k] })
-	v := victims[int(c.f.Salt%uint64(len(victims)))]
-	ri := c.runningJobs[v]
-	delete(c.runningJobs, v)
-	jv := c.byID[v]
-	c.free[jv.Pool]++
+	sort.Slice(victims, func(i, k int) bool { return victims[i].job < victims[k].job })
+	v := victims[int(f.Salt%uint64(len(victims)))]
+	jv, st := &s.jobs[v.idx], &s.state[v.idx]
+	started := s.res.Spans[jv.ID].Start
+	p := &s.pools[st.pool]
+	p.free++
 	// Remove the unexecuted remainder of the attempt from busy time;
 	// the part already executed stays, as genuinely wasted slot time.
-	c.res.BusyTime[jv.Pool] -= (ri.start + ri.cost) - c.now
-	c.curAttempt[v]++
-	retryN := c.curAttempt[v]
-	maxR := c.retry.MaxRetries
+	p.busy -= v.at - s.now
+	st.attempt++
+	retryN := int(st.attempt)
+	maxR := retry.MaxRetries
 	if maxR == 0 {
 		maxR = DefaultMaxRetries
 	}
 	if retryN > maxR {
-		return fmt.Errorf("sim: job %d (%s) killed %d times, exceeding %d retries", v, jv.Name, retryN, maxR)
+		return fmt.Errorf("sim: job %d (%s) killed %d times, exceeding %d retries", jv.ID, jv.Name, retryN, maxR)
 	}
 	var delay, extra float64
-	if c.retry.Delay != nil {
-		delay = c.retry.Delay(v, retryN)
+	if retry.Delay != nil {
+		delay = retry.Delay(jv.ID, retryN)
 	}
-	if c.retry.ExtraCost != nil {
-		extra = c.retry.ExtraCost(v, retryN, c.f.LoseObjects)
+	if retry.ExtraCost != nil {
+		extra = retry.ExtraCost(jv.ID, retryN, f.LoseObjects)
 	}
 	if delay < 0 || extra < 0 {
-		return fmt.Errorf("sim: retry policy returned negative delay/cost (%g, %g) for job %d", delay, extra, v)
+		return fmt.Errorf("sim: retry policy returned negative delay/cost (%g, %g) for job %d", delay, extra, jv.ID)
 	}
-	c.extraCost[v] = extra
+	st.extra = extra
 
-	rec := &c.res.Recovery
+	rec := &s.res.Recovery
 	rec.Kills++
-	if c.f.LoseObjects {
+	if f.LoseObjects {
 		rec.NodeKills++
 	}
-	rec.LostSeconds += c.now - ri.start
+	rec.LostSeconds += s.now - started
 	rec.DelaySeconds += delay
 	rec.ExtraCostSeconds += extra
-	c.res.Aborts = append(c.res.Aborts, Abort{
-		Job: v, Attempt: retryN, Start: ri.start, Killed: c.now,
-		LostObjects: c.f.LoseObjects,
+	s.res.Aborts = append(s.res.Aborts, Abort{
+		Job: jv.ID, Attempt: retryN, Start: started, Killed: s.now,
+		LostObjects: f.LoseObjects,
 	})
 
 	// Re-queue: dependencies were satisfied before the first attempt,
 	// so the job re-enters its pool's queue directly.
-	readyAt := c.now + delay
-	heap.Push(c.ready[jv.Pool], readyEntry{at: readyAt, job: v})
-	if readyAt > c.now {
-		heap.Push(c.running, event{at: readyAt, job: wakeupEvent})
+	readyAt := s.now + delay
+	p.ready.push(event{at: readyAt, job: jv.ID, idx: v.idx})
+	if readyAt > s.now {
+		s.events.push(event{at: readyAt, job: wakeupEvent})
 	}
 	return nil
 }
@@ -492,45 +563,17 @@ func CriticalChain(jobs []Job) ([]JobID, error) {
 	if len(jobs) == 0 {
 		return nil, nil
 	}
-	maxID := JobID(-1)
 	for i := range jobs {
 		if jobs[i].ID < 0 {
 			return nil, fmt.Errorf("sim: negative job ID %d", jobs[i].ID)
 		}
-		if jobs[i].ID > maxID {
-			maxID = jobs[i].ID
-		}
 	}
-	// id -> job index, last definition winning. Dense IDs (the common
-	// case: Lower numbers jobs 0..n-1) use a flat table; sparse sets
-	// fall back to a map.
-	var lookup func(JobID) int
-	if int(maxID) < 4*len(jobs) {
-		idx := make([]int32, maxID+1)
-		for i := range idx {
-			idx[i] = -1
-		}
-		for i := range jobs {
-			idx[jobs[i].ID] = int32(i)
-		}
-		lookup = func(id JobID) int {
-			if id < 0 || id > maxID {
-				return -1
-			}
-			return int(idx[id])
-		}
-	} else {
-		byID := make(map[JobID]int, len(jobs))
-		for i := range jobs {
-			byID[jobs[i].ID] = i
-		}
-		lookup = func(id JobID) int {
-			if i, ok := byID[id]; ok {
-				return i
-			}
-			return -1
-		}
+	// id -> job index, last definition winning.
+	ix := newJobIndex(jobs)
+	for i := range jobs {
+		ix.set(jobs[i].ID, int32(i))
 	}
+	lookup := func(id JobID) int { return int(ix.lookup(id)) }
 	memo := make([]float64, len(jobs))
 	best := make([]JobID, len(jobs)) // heaviest dependency, -1 if none
 	state := make([]uint8, len(jobs))

@@ -1,0 +1,309 @@
+package main
+
+import (
+	"bytes"
+	"context"
+	"encoding/json"
+	"fmt"
+	"net"
+	"net/http"
+	"os"
+	"path/filepath"
+	"strings"
+	"testing"
+	"time"
+
+	"repro/internal/core"
+	"repro/internal/relation"
+	"repro/internal/service"
+)
+
+// repro drives the CLI in-process, exactly as main does.
+func repro(args ...string) (stdout, stderr string, exit int) {
+	var out, errOut bytes.Buffer
+	exit = run(args, &out, &errOut)
+	return out.String(), errOut.String(), exit
+}
+
+// mustRepro is repro for invocations that have to succeed.
+func mustRepro(t *testing.T, args ...string) string {
+	t.Helper()
+	stdout, stderr, exit := repro(args...)
+	if exit != 0 {
+		t.Fatalf("repro %s: exit %d\n%s", strings.Join(args, " "), exit, stderr)
+	}
+	return stdout
+}
+
+type runOutput struct {
+	Spec    core.RunSpec `json:"spec"`
+	Results []struct {
+		Paradigm     string `json:"paradigm"`
+		OutputDigest string `json:"output_digest"`
+	} `json:"results"`
+}
+
+func decodeRun(t *testing.T, stdout string) runOutput {
+	t.Helper()
+	var out runOutput
+	if err := json.Unmarshal([]byte(stdout), &out); err != nil {
+		t.Fatalf("run -json is not {spec, results}: %v\n%s", err, stdout)
+	}
+	return out
+}
+
+func TestRunReportsTheSpecDigest(t *testing.T) {
+	results, err := core.RunSpec{Task: "dice", Size: 10}.Run()
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := fmt.Sprintf("%016x", relation.Digest(results[0].Output))
+
+	flags := mustRepro(t, "run", "dice", "-size", "10", "-json")
+	out := decodeRun(t, flags)
+	if len(out.Results) != 2 || out.Results[0].Paradigm != "script" || out.Results[1].Paradigm != "workflow" {
+		t.Fatalf("want a script and a workflow result, got %+v", out.Results)
+	}
+	for _, r := range out.Results {
+		if r.OutputDigest != want {
+			t.Errorf("%s digest %s, RunSpec.Run computes %s", r.Paradigm, r.OutputDigest, want)
+		}
+	}
+	if out.Spec.Task != "dice" || out.Spec.Size != 10 {
+		t.Errorf("echoed spec %+v", out.Spec)
+	}
+
+	if whole := mustRepro(t, "run", "-spec", `{"task":"dice","size":10}`, "-json"); whole != flags {
+		t.Errorf("-spec output differs from the flag spelling:\n%s\n%s", whole, flags)
+	}
+	path := filepath.Join(t.TempDir(), "spec.json")
+	if err := os.WriteFile(path, []byte(`{"task":"dice","size":10,"paradigm":"workflow"}`), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	if out := decodeRun(t, mustRepro(t, "run", "-spec", "@"+path, "-json")); len(out.Results) != 1 || out.Results[0].OutputDigest != want {
+		t.Errorf("-spec @file: %+v, want one result with digest %s", out.Results, want)
+	}
+}
+
+func TestExperimentJSONEnvelope(t *testing.T) {
+	var doc struct {
+		Experiment  string           `json:"experiment"`
+		Description string           `json:"description"`
+		Result      []map[string]any `json:"result"`
+	}
+	dec := json.NewDecoder(strings.NewReader(mustRepro(t, "experiment", "fig12a", "-json")))
+	dec.DisallowUnknownFields()
+	if err := dec.Decode(&doc); err != nil {
+		t.Fatal(err)
+	}
+	if doc.Experiment != "fig12a" || doc.Description != catalog[1].desc || len(doc.Result) != 4 {
+		t.Fatalf("envelope %+v", doc)
+	}
+	table := mustRepro(t, "experiment", "fig12a", "-charts=false")
+	if !strings.HasPrefix(table, "== "+catalog[1].desc+"\n") || !strings.Contains(table, "script LoC") {
+		t.Fatalf("table output:\n%s", table)
+	}
+}
+
+func TestValidate(t *testing.T) {
+	if out := mustRepro(t, "validate"); !strings.Contains(out, "plan validation: 4 tasks, 0 diagnostics, 0 rewrites applied") {
+		t.Fatalf("validate output:\n%s", out)
+	}
+	var reports []struct {
+		Task    string `json:"task"`
+		Applied int    `json:"applied"`
+	}
+	if err := json.Unmarshal([]byte(mustRepro(t, "validate", "-optimize", "-json")), &reports); err != nil {
+		t.Fatal(err)
+	}
+	for _, r := range reports {
+		if r.Task == "dice" && r.Applied >= 1 {
+			return
+		}
+	}
+	t.Fatalf("validate -optimize applied no rewrite on dice: %+v", reports)
+}
+
+func TestExplain(t *testing.T) {
+	if out := mustRepro(t, "explain", "dice", "-scale", "20"); !strings.Contains(out, "makespan") {
+		t.Fatalf("explain output has no makespan line:\n%s", out)
+	}
+	// The profile echoes the size it ran at: the default over -scale.
+	var profile struct {
+		Size int `json:"size"`
+	}
+	full, _ := core.TaskDefaultSize("dice")
+	if err := json.Unmarshal([]byte(mustRepro(t, "explain", "dice", "-scale", "20", "-json")), &profile); err != nil || profile.Size != full/20 {
+		t.Fatalf("explain -json size = %d (%v), want %d", profile.Size, err, full/20)
+	}
+}
+
+func TestTraceWritesBothParadigms(t *testing.T) {
+	path := filepath.Join(t.TempDir(), "trace.json")
+	out := mustRepro(t, "trace", "dice", "-scale", "20", "-o", path)
+	if !strings.HasPrefix(out, "wrote "+path) {
+		t.Errorf("trace output:\n%s", out)
+	}
+	raw, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var trace struct {
+		TraceEvents []struct {
+			Name string `json:"name"`
+			Args struct {
+				Name string `json:"name"`
+			} `json:"args"`
+		} `json:"traceEvents"`
+	}
+	if err := json.Unmarshal(raw, &trace); err != nil {
+		t.Fatal(err)
+	}
+	var script, workflow bool
+	for _, e := range trace.TraceEvents {
+		if e.Name == "process_name" {
+			script = script || strings.HasPrefix(e.Args.Name, "script:")
+			workflow = workflow || strings.HasPrefix(e.Args.Name, "workflow:")
+		}
+	}
+	if !script || !workflow {
+		t.Fatalf("trace processes: script=%v workflow=%v", script, workflow)
+	}
+}
+
+// TestList pins `repro list` to the catalog: every experiment once, in
+// table order, described, then the registered tasks with their sizes.
+func TestList(t *testing.T) {
+	lines := strings.Split(strings.TrimRight(mustRepro(t, "list"), "\n"), "\n")
+	tasks := core.TaskNames()
+	if want := len(catalog) + 2 + len(tasks); len(lines) != want {
+		t.Fatalf("list printed %d lines, want %d:\n%s", len(lines), want, strings.Join(lines, "\n"))
+	}
+	seen := map[string]bool{}
+	for i, e := range catalog {
+		if e.desc == "" || seen[e.id] {
+			t.Errorf("catalog entry %d (%q): empty description or duplicate ID", i, e.id)
+		}
+		seen[e.id] = true
+		if f := strings.Fields(lines[i]); f[0] != e.id || !strings.HasSuffix(lines[i], " "+e.desc) {
+			t.Errorf("line %d = %q, want %s and its description", i, lines[i], e.id)
+		}
+	}
+	for i, name := range tasks {
+		size, _ := core.TaskDefaultSize(name)
+		if got, want := lines[len(catalog)+2+i], fmt.Sprintf("%-8s size=%d", name, size); got != want {
+			t.Errorf("task line %q, want %q", got, want)
+		}
+	}
+}
+
+func TestHelpIsTheCommandTable(t *testing.T) {
+	help := mustRepro(t, "help")
+	for _, c := range commands {
+		if strings.Count(help, "  "+c.usage()+" ") != 1 {
+			t.Errorf("help does not list %q exactly once", c.usage())
+		}
+	}
+	if dashH := mustRepro(t, "-h"); dashH != help {
+		t.Errorf("repro -h differs from repro help")
+	}
+	if readme, err := os.ReadFile("../../README.md"); err != nil || !strings.Contains(string(readme), help) {
+		t.Errorf("README.md's usage block is not the `repro help` output (read error: %v); paste it again", err)
+	}
+	// A subcommand's -h is its own flags and nobody else's.
+	_, usage, exit := repro("explain", "-h")
+	if exit != 0 || !strings.Contains(usage, "usage: repro explain <task> [flags]") ||
+		!strings.Contains(usage, "-trace-wall") || strings.Contains(usage, "-optimize") || strings.Contains(usage, "-serve-tasks") {
+		t.Errorf("explain -h (exit %d):\n%s", exit, usage)
+	}
+}
+
+func TestUsageErrors(t *testing.T) {
+	for _, tc := range []struct {
+		args    string
+		stderr  string // must appear in the diagnostic
+		oneLine bool   // the diagnostic is that line and nothing else
+	}{
+		{"frobnicate", `unknown subcommand "frobnicate" (want run, serve, explain, validate, experiment, trace, bench, bench-check, list, help)`, true},
+		{"run", "repro run: missing task name", true},
+		{"run -size 10", "repro run: missing task name", true},
+		{"explain", "repro explain: missing <task>", true},
+		{"trace -metrics", "repro trace: missing <task>", true},
+		{"bench", "repro bench: missing <file>", true},
+		{"experiment fig99", `unknown experiment "fig99"`, true},
+		{"validate dice", `unexpected argument "dice"`, false},
+		{"run dice kge", `unexpected argument "kge"`, false},
+		// -spec is the whole spec: nothing may be layered over it.
+		{`run dice -spec {"task":"dice"}`, "-spec is the whole spec; dice cannot be given with it", true},
+		{`run -spec {"task":"dice"} -size 5`, "-spec is the whole spec; -size cannot be given with it", true},
+		// Accepted and silently ignored before there was one FlagSet
+		// per subcommand; each names the flag now.
+		{"explain dice -optimize", "flag provided but not defined: -optimize", false},
+		{"run dice -trace x", "flag provided but not defined: -trace", false},
+		{"serve -charts=false", "flag provided but not defined: -charts", false},
+		{"validate -workers 8", "flag provided but not defined: -workers", false},
+		{"validate -faults 4", "flag provided but not defined: -faults", false},
+		{"list -json", "flag provided but not defined: -json", false},
+		// The removed flag spellings of the modes.
+		{"-run dice", "use `repro run`", true},
+		{"-bench-check", "use `repro bench-check`", true},
+		{"-scale 10", "`repro experiment all -scale 10`", true},
+	} {
+		stdout, stderr, exit := repro(strings.Fields(tc.args)...)
+		if exit != 2 || stdout != "" || !strings.Contains(stderr, tc.stderr) {
+			t.Errorf("repro %s: exit %d, stdout %q, stderr %q; want exit 2 naming %q", tc.args, exit, stdout, stderr, tc.stderr)
+		}
+		if tc.oneLine && strings.Count(stderr, "\n") != 1 {
+			t.Errorf("repro %s: want a one-line diagnostic, got\n%s", tc.args, stderr)
+		}
+		if !tc.oneLine && !strings.Contains(stderr, "usage: repro "+strings.Fields(tc.args)[0]) {
+			t.Errorf("repro %s: flag error without that subcommand's usage:\n%s", tc.args, stderr)
+		}
+	}
+	if _, stderr, exit := repro("run", "no-such-task", "-size", "1"); exit != 1 || !strings.Contains(stderr, "unknown task") {
+		t.Errorf("run of an unknown task: exit %d, stderr %q; want exit 1 (a run error, not a usage error)", exit, stderr)
+	}
+}
+
+// TestServeStopsOnCancel starts the service the way cmdServe does and
+// stops it the way a signal would: by cancelling the context.
+func TestServeStopsOnCancel(t *testing.T) {
+	ln, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	addr := ln.Addr().String()
+	if err := ln.Close(); err != nil {
+		t.Fatal(err)
+	}
+	ctx, cancel := context.WithCancel(context.Background())
+	defer cancel()
+	var stdout bytes.Buffer
+	done := make(chan error, 1)
+	go func() {
+		done <- serve(ctx, addr, service.Config{}, "dice:workflow:10", core.RunSpec{Tenant: "t"}, &stdout)
+	}()
+	for up := false; !up; {
+		select {
+		case err := <-done:
+			t.Fatalf("serve returned before it was cancelled: %v", err)
+		case <-time.After(5 * time.Millisecond):
+		}
+		if resp, err := http.Get("http://" + addr + "/healthz"); err == nil {
+			up = resp.StatusCode == http.StatusOK
+			resp.Body.Close()
+		}
+	}
+	cancel()
+	select {
+	case err := <-done:
+		if err != nil {
+			t.Fatalf("serve: %v", err)
+		}
+	case <-time.After(10 * time.Second):
+		t.Fatal("serve did not return after its context was cancelled")
+	}
+	if out := stdout.String(); !strings.Contains(out, "submitted r0001 (dice, paradigm workflow, tenant t)") || !strings.Contains(out, "shutting down") {
+		t.Errorf("serve output:\n%s", out)
+	}
+}

@@ -9,9 +9,22 @@ type regTask struct{ name string }
 func (f *regTask) Name() string                             { return f.name }
 func (f *regTask) Run(Paradigm, RunConfig) (*Result, error) { return &Result{Task: f.name}, nil }
 
+// unregister removes test entries when the test ends, so the registry
+// tests can run more than once in a process (-count=N).
+func unregister(t *testing.T, names ...string) {
+	t.Cleanup(func() {
+		registryMu.Lock()
+		defer registryMu.Unlock()
+		for _, name := range names {
+			delete(registry, name)
+		}
+	})
+}
+
 func TestRegistryRoundTrip(t *testing.T) {
 	var gotSize int
 	var gotSeed uint64
+	unregister(t, "fake-rt")
 	RegisterTask("fake-rt", 42, func(size int, seed uint64) (Task, error) {
 		gotSize, gotSeed = size, seed
 		return &regTask{name: "fake-rt"}, nil
@@ -62,6 +75,7 @@ func TestRegistryRejectsDuplicatesAndBadEntries(t *testing.T) {
 		}()
 		f()
 	}
+	unregister(t, "fake-dup")
 	RegisterTask("fake-dup", 1, func(int, uint64) (Task, error) { return &regTask{}, nil })
 	mustPanic("duplicate", func() {
 		RegisterTask("fake-dup", 1, func(int, uint64) (Task, error) { return &regTask{}, nil })

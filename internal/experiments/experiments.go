@@ -5,8 +5,6 @@
 package experiments
 
 import (
-	"fmt"
-
 	"repro/internal/core"
 	"repro/internal/tasks/dice"
 	"repro/internal/tasks/gotta"
@@ -363,50 +361,4 @@ func Fig14cKGE(cfg Config) ([]WorkerPoint, error) {
 	return runWorkers(cfg, task, map[int][2]float64{
 		1: {975.46, 1350.50}, 2: {459.46, 618.39}, 4: {273.89, 383.58},
 	})
-}
-
-// ---------------------------------------------------------------------------
-
-// IDs lists the experiment identifiers in run order. The ablations at
-// the end are this reproduction's additions: they isolate the
-// cost-model mechanisms behind each headline comparison.
-var IDs = []string{
-	"table1", "fig12a", "fig12b",
-	"fig13a", "fig13b", "fig13c", "fig13d",
-	"fig14a", "fig14b", "fig14c",
-	"recovery", "iterate", "serving", "scale",
-	"ablation-torch", "ablation-store", "ablation-serde", "ablation-batch",
-	"autotune", "ext-spreadsheet", "optimize",
-}
-
-// Describe returns a one-line description of an experiment ID.
-func Describe(id string) (string, error) {
-	desc := map[string]string{
-		"table1":          "Table I — KGE with Python vs. Scala join operators",
-		"fig12a":          "Figure 12a — lines of code per task per paradigm",
-		"fig12b":          "Figure 12b — KGE time vs. number of workflow operators",
-		"fig13a":          "Figure 13a — DICE time vs. dataset size",
-		"fig13b":          "Figure 13b — WEF time vs. dataset size",
-		"fig13c":          "Figure 13c — KGE time vs. dataset size",
-		"fig13d":          "Figure 13d — GOTTA time vs. dataset size",
-		"fig14a":          "Figure 14a — DICE time vs. workers",
-		"fig14b":          "Figure 14b — GOTTA time vs. workers",
-		"fig14c":          "Figure 14c — KGE time vs. workers",
-		"recovery":        "Recovery — DICE makespan vs. fault rate per paradigm (checkpointing armed)",
-		"iterate":         "Iterate — edit-and-rerun makespan, cold vs. incremental, per paradigm (lineage store armed)",
-		"serving":         "Serving — p50/p99 latency, goodput and per-tenant fairness vs offered load under the fair-share scheduler",
-		"scale":           "Scale — DICE at 10-100x paper size across node counts: makespan, shuffle and spill, digests pinned to the single-cluster run",
-		"ablation-torch":  "Ablation — GOTTA script with and without Ray's 1-CPU torch pin",
-		"ablation-store":  "Ablation — GOTTA script under swept object-store rates",
-		"ablation-serde":  "Ablation — DICE workflow under swept serde throughput",
-		"ablation-batch":  "Ablation — DICE workflow batching: auto-tuned vs whole-table",
-		"autotune":        "Aspect #2 demo — engine-side worker allocation on DICE (16-core budget)",
-		"ext-spreadsheet": "Extension — KGE under the third paradigm (spreadsheet) vs. script and workflow",
-		"optimize":        "Optimizer — cost-based plan rewriting on/off per task and topology: makespans, applied rewrites, output digests asserted bit-equal",
-	}
-	d, ok := desc[id]
-	if !ok {
-		return "", fmt.Errorf("experiments: unknown experiment %q", id)
-	}
-	return d, nil
 }

@@ -144,15 +144,3 @@ func TestFig14Shapes(t *testing.T) {
 		}
 	}
 }
-
-func TestDescribe(t *testing.T) {
-	for _, id := range IDs {
-		d, err := Describe(id)
-		if err != nil || d == "" {
-			t.Fatalf("Describe(%s) = %q, %v", id, d, err)
-		}
-	}
-	if _, err := Describe("nope"); err == nil {
-		t.Fatal("expected error for unknown id")
-	}
-}

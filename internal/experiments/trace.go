@@ -16,9 +16,6 @@ import (
 	_ "repro/internal/tasks/wef"
 )
 
-// TraceTasks lists the task names Trace accepts, from the registry.
-func TraceTasks() []string { return core.TaskNames() }
-
 // traceTask builds the named task at the config's scale, using each
 // task's registered paper-scale baseline size (the largest Figure 13
 // point).

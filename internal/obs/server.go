@@ -221,9 +221,18 @@ func (s *Server) handleTenants(w http.ResponseWriter, _ *http.Request) {
 	})
 }
 
+// maxSpecBytes bounds a POST /v1/runs body; a RunSpec is a few hundred
+// bytes, so anything near the limit is not a spec.
+const maxSpecBytes = 1 << 20
+
 func (s *Server) handleStartRun(w http.ResponseWriter, r *http.Request) {
 	var spec core.RunSpec
-	if err := json.NewDecoder(r.Body).Decode(&spec); err != nil {
+	if err := json.NewDecoder(http.MaxBytesReader(w, r.Body, maxSpecBytes)).Decode(&spec); err != nil {
+		var tooLarge *http.MaxBytesError
+		if errors.As(err, &tooLarge) {
+			httpError(w, http.StatusRequestEntityTooLarge, "too_large", fmt.Errorf("obs: run spec over %d bytes", tooLarge.Limit))
+			return
+		}
 		httpError(w, http.StatusBadRequest, "bad_request", fmt.Errorf("obs: bad run spec: %w", err))
 		return
 	}

@@ -463,6 +463,37 @@ func TestErrorEnvelopeAndStatusCodes(t *testing.T) {
 	}
 }
 
+// TestStartRunBodyLimit pins the POST /v1/runs body bound: an oversized
+// body is 413 + the too_large envelope and registers no run; a normal
+// spec behind the same reader is still accepted. The handler is driven
+// in-process so the client never races the server closing the socket.
+func TestStartRunBodyLimit(t *testing.T) {
+	srv := obs.NewServer(obs.NewRegistry(), telemetry.New())
+	t.Cleanup(srv.Close)
+	post := func(body string) *httptest.ResponseRecorder {
+		rec := httptest.NewRecorder()
+		srv.ServeHTTP(rec, httptest.NewRequest(http.MethodPost, "/v1/runs", strings.NewReader(body)))
+		return rec
+	}
+
+	// Valid JSON up to the limit, so the decoder fails on the bound and
+	// not on syntax.
+	rec := post(`{"task":"` + strings.Repeat("a", 2<<20) + `"}`)
+	if rec.Code != http.StatusRequestEntityTooLarge {
+		t.Fatalf("2 MiB body: code %d, want 413", rec.Code)
+	}
+	if env := decodeEnvelope(t, rec.Body.String()); env.Error.Code != "too_large" {
+		t.Fatalf("2 MiB body: envelope code %q", env.Error.Code)
+	}
+	if runs := srv.Registry().Runs(); len(runs) != 0 {
+		t.Fatalf("oversized body registered %d runs", len(runs))
+	}
+
+	if rec := post(`{"task":"dice","paradigm":"workflow","size":10}`); rec.Code != http.StatusAccepted {
+		t.Fatalf("normal spec: code %d body %s", rec.Code, rec.Body)
+	}
+}
+
 // TestAdmissionRejectionOverHTTP saturates a one-deep tenant queue
 // with budget-wide jobs and checks the 429 + tenant_saturated mapping,
 // and that the rejected submission leaves no run behind.

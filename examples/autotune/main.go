@@ -43,8 +43,9 @@ func buildPipeline(workers map[string]int) *dataflow.Workflow {
 		{"score", cost.Work{Interp: 2e-3}},
 	}
 	for _, s := range stages {
-		op := dataflow.NewMap(s.name, cost.Python, schema, func(r relation.Tuple) ([]relation.Tuple, error) {
-			return []relation.Tuple{r}, nil
+		op := dataflow.NewMap(s.name, cost.Python, schema, func(r relation.Tuple, out *dataflow.Rows) error {
+			out.Emit(r...)
+			return nil
 		})
 		op.Work = s.work
 		par := 1

@@ -116,6 +116,16 @@ func joinTables(n int) (*relation.Table, *relation.Table) {
 	return left, right
 }
 
+// dice200Trace records the cost trace of one DICE-200 workflow run at 4
+// workers: the input lower_dice200 lowers.
+func dice200Trace() (*dataflow.Trace, error) {
+	task, err := dice.New(dice.Params{Pairs: 200, Seed: 1})
+	if err != nil {
+		return nil, err
+	}
+	return task.ProfileWorkflow(core.MustRunConfig(core.WithWorkers(4)))
+}
+
 // micros runs the hot-path micro-benchmarks.
 func micros() []Micro {
 	var out []Micro
@@ -127,6 +137,26 @@ func micros() []Micro {
 	}))
 	out = append(out, measure("add_work", 65536, func() {
 		dataflow.AddWorkLoop(65536)
+	}))
+	// The engine's own per-batch plumbing, at the batch DICE-200 moves
+	// (8 rows): a 1:1 map worker, a hash router's split, and lowering
+	// the trace of one whole run. allocs_per_op is what they are for —
+	// each localises a share of the workflow macros' objects per op.
+	out = append(out, measure("map_project_8", 4096, func() {
+		dataflow.MapProjectLoop(4096)
+	}))
+	out = append(out, measure("route_hash_8", 4096, func() {
+		dataflow.RouteHashLoop(4096)
+	}))
+	trace, err := dice200Trace()
+	if err != nil {
+		panic(err)
+	}
+	lowerModel := cost.Default()
+	out = append(out, measure("lower_dice200", 1, func() {
+		if _, _, err := dataflow.Lower(trace, lowerModel); err != nil {
+			panic(err)
+		}
 	}))
 
 	// Serde and digest micros run before the 100k join fixtures exist:

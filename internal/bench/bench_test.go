@@ -23,6 +23,8 @@ func TestMeasureReportsPerOp(t *testing.T) {
 func TestMicrobenchLoopsRun(t *testing.T) {
 	dataflow.QueuePushPopLoop(64, 4)
 	dataflow.AddWorkLoop(64)
+	dataflow.MapProjectLoop(64)
+	dataflow.RouteHashLoop(64)
 }
 
 func TestMacrosTrajectory(t *testing.T) {

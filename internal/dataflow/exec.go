@@ -465,6 +465,7 @@ func (ex *Execution) runRouter(wg *sync.WaitGroup, e *edge, in *queue) {
 		}
 	}()
 	rr := 0
+	var split hashSplitter
 	for {
 		msg, ok, err := in.pop(ex.ctx)
 		if err != nil || !ok {
@@ -480,15 +481,13 @@ func (ex *Execution) runRouter(wg *sync.WaitGroup, e *edge, in *queue) {
 				outs[0].push(msg)
 				break
 			}
-			buckets := make([][]relation.Tuple, len(outs))
-			for _, r := range msg.rows {
-				h := fnv32(r.Key(e.keyPos))
-				buckets[int(h)%len(outs)] = append(buckets[int(h)%len(outs)], r)
-			}
-			for wk, b := range buckets {
-				if len(b) > 0 {
-					outs[wk].push(batchMsg{rows: b})
+			placed, ends := split.by(msg.rows, e.keyPos, len(outs))
+			lo := 0
+			for wk, hi := range ends {
+				if hi > lo {
+					outs[wk].push(batchMsg{rows: placed[lo:hi:hi]})
 				}
+				lo = hi
 			}
 		default: // round robin
 			outs[rr%len(outs)].push(msg)
@@ -497,14 +496,39 @@ func (ex *Execution) runRouter(wg *sync.WaitGroup, e *edge, in *queue) {
 	}
 }
 
-// fnv32 hashes a string with FNV-1a.
-func fnv32(s string) uint32 {
-	h := uint32(2166136261)
-	for i := 0; i < len(s); i++ {
-		h ^= uint32(s[i])
-		h *= 16777619
+// hashSplitter is a hash router's scratch: per row of the batch in
+// hand the output it goes to and, per output, first a row count and
+// then a write offset. It belongs to one router goroutine and never
+// leaves it; the rows it places do, so those are allocated per batch.
+type hashSplitter struct{ dest, offs []int }
+
+// by regroups rows by the hash of their key cell into outs groups —
+// count, then place: the groups sit back to back in one new slice, each
+// keeping its rows in arrival order, and group g ends at ends[g] (and
+// starts where the group before it ends). ends is valid until the next
+// call.
+func (s *hashSplitter) by(rows []relation.Tuple, keyPos, outs int) (placed []relation.Tuple, ends []int) {
+	if s.offs == nil {
+		s.offs = make([]int, outs)
 	}
-	return h
+	clear(s.offs)
+	s.dest = s.dest[:0]
+	for _, r := range rows {
+		d := int(r.KeyHash(keyPos)) % outs
+		s.dest = append(s.dest, d)
+		s.offs[d]++
+	}
+	sum := 0
+	for g, n := range s.offs {
+		s.offs[g] = sum
+		sum += n
+	}
+	placed = make([]relation.Tuple, len(rows))
+	for i, r := range rows {
+		placed[s.offs[s.dest[i]]] = r
+		s.offs[s.dest[i]]++
+	}
+	return placed, s.offs
 }
 
 // runNode executes one node: a generator for sources, a collector for
@@ -719,7 +743,7 @@ func (ex *Execution) finish() {
 		ex.fail(fmt.Errorf("dataflow: scheduling failed: %w", err))
 		return
 	}
-	ex.recordTelemetry(jobs, sched)
+	ex.recordTelemetry(jobs, meta, sched)
 	ex.recordRecovery(recInfo)
 	tables := make(map[string]*relation.Table)
 	for _, rt := range ex.rts {

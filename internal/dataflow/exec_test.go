@@ -46,8 +46,9 @@ func TestExecProjectAndMap(t *testing.T) {
 	w := New("projmap")
 	src := w.Source("src", in)
 	p := w.Op(NewProject("proj", cost.Python, "v"))
-	m := w.Op(NewMap("double", cost.Python, outSchema, func(r relation.Tuple) ([]relation.Tuple, error) {
-		return []relation.Tuple{{r.MustInt(0) * 2}}, nil
+	m := w.Op(NewMap("double", cost.Python, outSchema, func(r relation.Tuple, out *Rows) error {
+		out.Emit(r.MustInt(0) * 2)
+		return nil
 	}))
 	snk := w.Sink("out")
 	w.Connect(src, p, 0, RoundRobin())
@@ -199,11 +200,12 @@ func TestExecOperatorErrorAttribution(t *testing.T) {
 	in := intTable(100)
 	w := New("err")
 	src := w.Source("src", in)
-	m := w.Op(NewMap("exploder", cost.Python, in.Schema(), func(r relation.Tuple) ([]relation.Tuple, error) {
+	m := w.Op(NewMap("exploder", cost.Python, in.Schema(), func(r relation.Tuple, out *Rows) error {
 		if r.MustInt(0) == 57 {
-			return nil, errors.New("synthetic failure")
+			return errors.New("synthetic failure")
 		}
-		return []relation.Tuple{r}, nil
+		out.Emit(r...)
+		return nil
 	}))
 	snk := w.Sink("out")
 	w.Connect(src, m, 0, RoundRobin())
@@ -403,8 +405,9 @@ func TestExecMoreWorkersFaster(t *testing.T) {
 	build := func(workers int) float64 {
 		w := New("scale")
 		src := w.Source("src", in)
-		op := NewMap("work", cost.Python, in.Schema(), func(r relation.Tuple) ([]relation.Tuple, error) {
-			return []relation.Tuple{r}, nil
+		op := NewMap("work", cost.Python, in.Schema(), func(r relation.Tuple, out *Rows) error {
+			out.Emit(r...)
+			return nil
 		})
 		op.Work = cost.Work{Interp: 100e-6} // make the map the bottleneck
 		m := w.Op(op, WithParallelism(workers))
@@ -430,8 +433,9 @@ func TestExecPipeliningBeatsFusedSingleOperator(t *testing.T) {
 	// because stages overlap.
 	in := intTable(20000)
 	perTuple := cost.Work{Interp: 30e-6}
-	passthrough := func(r relation.Tuple) ([]relation.Tuple, error) {
-		return []relation.Tuple{r}, nil
+	passthrough := func(r relation.Tuple, out *Rows) error {
+		out.Emit(r...)
+		return nil
 	}
 	fused := func() float64 {
 		w := New("fused")

@@ -229,13 +229,7 @@ func (ci *condFilterInstance) bindSchemas(in []*relation.Schema) error {
 func (ci *condFilterInstance) Open(ExecCtx) error { return nil }
 func (ci *condFilterInstance) Process(ec ExecCtx, _ int, rows []relation.Tuple) ([]relation.Tuple, error) {
 	ec.AddWork(DefaultFilterWork.Scale(float64(len(rows))))
-	var out []relation.Tuple
-	for _, r := range rows {
-		if ci.pred(r) {
-			out = append(out, r)
-		}
-	}
-	return out, nil
+	return keepRows(rows, ci.pred), nil
 }
 func (ci *condFilterInstance) EndPort(ExecCtx, int) ([]relation.Tuple, error) { return nil, nil }
 func (ci *condFilterInstance) Close(ExecCtx) error                            { return nil }

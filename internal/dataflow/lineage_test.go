@@ -25,8 +25,9 @@ func lineageTestWorkflow(t *testing.T, filterRev int) *Workflow {
 	keep := w.Op(NewFilter("keep-even", cost.Python, func(r relation.Tuple) bool {
 		return r[0].(int64)%2 == 0
 	}), WithSignature(fmt.Sprintf("rev=%d", filterRev)))
-	double := w.Op(NewMap("double", cost.Python, s, func(r relation.Tuple) ([]relation.Tuple, error) {
-		return []relation.Tuple{{r[0].(int64) * 2, r[1]}}, nil
+	double := w.Op(NewMap("double", cost.Python, s, func(r relation.Tuple, out *Rows) error {
+		out.Emit(r[0].(int64)*2, r[1])
+		return nil
 	}))
 	sink := w.Sink("out")
 	w.Connect(source, keep, 0, RoundRobin())

@@ -2,6 +2,7 @@ package dataflow
 
 import (
 	"fmt"
+	"strconv"
 
 	"repro/internal/cost"
 	"repro/internal/sim"
@@ -33,15 +34,40 @@ func Lower(tr *Trace, m *cost.Model) ([]sim.Job, []sim.Pool, error) {
 	return jobs, pools, err
 }
 
-// jobMeta tags one lowered job with its provenance, which the recovery
-// layer needs: checkpoint write taxes apply to data batch jobs, and a
-// killed batch job pays a checkpoint restore for its node.
+// jobMeta tags one lowered job with its provenance. The recovery layer
+// needs it: checkpoint write taxes apply to data batch jobs, and a
+// killed batch job pays a checkpoint restore for its node. So does the
+// recorder: a batch job carries no name (a run lowers thousands and,
+// with no recorder attached, nobody reads one), only what batchName
+// needs to format it.
 type jobMeta struct {
 	// Node is the trace node the job belongs to, or -1 for
 	// controller-level jobs (workflow submission).
 	Node NodeID
-	// Batch marks jobs that process (or generate) one data batch.
-	Batch bool
+	// Batch marks jobs that process (or generate) one data batch: batch
+	// Seq of input port Port, or of a source's output when Port is -1.
+	Batch     bool
+	Port, Seq int
+}
+
+// batchName formats the label of a batch job of the node named node.
+func (mt jobMeta) batchName(node string) string {
+	if mt.Port < 0 {
+		return node + ":gen:b" + strconv.Itoa(mt.Seq)
+	}
+	return node + ":p" + strconv.Itoa(mt.Port) + ":b" + strconv.Itoa(mt.Seq)
+}
+
+// poolName names a node's worker pool.
+func poolName(id NodeID, name string) string { return fmt.Sprintf("n%d:%s", id, name) }
+
+// jobRange is n jobs with consecutive IDs starting at first. Lowering
+// numbers a port's batch jobs (and a source's) consecutively, so "the
+// jobs of this port" and "the jobs that emit this node's output" are
+// ranges, not slices.
+type jobRange struct {
+	first sim.JobID
+	n     int
 }
 
 // lowerWithMeta is Lower plus a parallel per-job metadata slice
@@ -72,42 +98,60 @@ func lowerWithMeta(tr *Trace, m *cost.Model) ([]sim.Job, []sim.Pool, []jobMeta, 
 		outEdges[e.From] = append(outEdges[e.From], e)
 	}
 
+	// Job and dependency counts are sums over the trace, so the three
+	// slices below are allocated once: per node a startup, an init and a
+	// close job plus at most one barrier per port, and per batch one job
+	// with two dependencies that a barrier and the close job each list
+	// once more.
 	const controllerPool = "controller"
-	pools := []sim.Pool{{Name: controllerPool, Slots: 1}}
+	pools := make([]sim.Pool, 1, 1+len(tr.Nodes))
+	pools[0] = sim.Pool{Name: controllerPool, Slots: 1}
 	poolOf := make(map[NodeID]string, len(tr.Nodes))
+	nJobs, nDeps := 1, 0
 	for i := range tr.Nodes {
 		n := &tr.Nodes[i]
-		name := fmt.Sprintf("n%d:%s", n.ID, n.Name)
+		name := poolName(n.ID, n.Name)
 		poolOf[n.ID] = name
-		slots := n.Parallelism
-		if slots < 1 {
-			slots = 1
+		pools = append(pools, sim.Pool{Name: name, Slots: max(n.Parallelism, 1)})
+		ins := inEdges[n.ID]
+		batches := 0
+		for _, e := range ins {
+			batches += max(int(e.Batches), 1) // an empty stream still gets its end-of-stream job
 		}
-		pools = append(pools, sim.Pool{Name: name, Slots: slots})
+		if len(ins) == 0 {
+			batches = max(int(n.EmittedBatches), 0)
+		}
+		nJobs += 3 + len(ins) + batches
+		nDeps += 3 + len(ins) + 4*batches
 	}
 
-	var jobs []sim.Job
-	var meta []jobMeta
-	curNode := NodeID(-1) // node being lowered; -1 = controller
-	nextID := sim.JobID(0)
-	addJob := func(name, pool string, costSec, latency float64, deps []sim.JobID) sim.JobID {
-		id := nextID
-		nextID++
+	jobs := make([]sim.Job, 0, nJobs)
+	meta := make([]jobMeta, 0, nJobs)
+	arena := make([]sim.JobID, 0, nDeps)
+	// deps carves one dependency list from the arena: a job, then every
+	// job of the given ranges.
+	deps := func(first sim.JobID, rest ...jobRange) []sim.JobID {
+		start := len(arena)
+		arena = append(arena, first)
+		for _, r := range rest {
+			for k := 0; k < r.n; k++ {
+				arena = append(arena, r.first+sim.JobID(k))
+			}
+		}
+		return arena[start:len(arena):len(arena)]
+	}
+	addJob := func(name, pool string, costSec, latency float64, mt jobMeta, deps []sim.JobID) sim.JobID {
+		id := sim.JobID(len(jobs))
 		jobs = append(jobs, sim.Job{
 			ID: id, Name: name, Pool: pool,
 			Cost: costSec, Latency: latency, Deps: deps,
 		})
-		meta = append(meta, jobMeta{Node: curNode})
-		return id
-	}
-	addBatchJob := func(name, pool string, costSec, latency float64, deps []sim.JobID) sim.JobID {
-		id := addJob(name, pool, costSec, latency, deps)
-		meta[int(id)].Batch = true
+		meta = append(meta, mt)
 		return id
 	}
 
 	// Workflow submission.
-	rootID := addJob("submit:"+tr.Workflow, controllerPool, m.ControlOverhead, 0, nil)
+	rootID := addJob("submit:"+tr.Workflow, controllerPool, m.ControlOverhead, 0, jobMeta{Node: -1}, nil)
 
 	// Process nodes in topological order so upstream emit jobs exist
 	// when consumers are lowered. Node IDs are assigned in creation
@@ -118,22 +162,19 @@ func lowerWithMeta(tr *Trace, m *cost.Model) ([]sim.Job, []sim.Pool, []jobMeta, 
 		return nil, nil, nil, err
 	}
 
-	emitJobsOf := make(map[NodeID][]sim.JobID, len(tr.Nodes))
+	emitJobsOf := make(map[NodeID]jobRange, len(tr.Nodes))
+	var portJobs []jobRange // the current node's port jobs, port by port
 	for _, nid := range order {
 		n := nodeByID[nid]
-		curNode = nid
 		pool := poolOf[nid]
 		lang := n.Language
+		plain := jobMeta{Node: nid}
 
-		startup := addJob("startup:"+n.Name, pool, m.OperatorStartup, 0, []sim.JobID{rootID})
+		startup := addJob("startup:"+n.Name, pool, m.OperatorStartup, 0, plain, deps(rootID))
 		// Per-worker initialization (Open): workers initialize in
 		// parallel, so the gate costs OpenWork divided by parallelism.
 		if open := n.OpenWork.Seconds(lang); open > 0 {
-			par := n.Parallelism
-			if par < 1 {
-				par = 1
-			}
-			startup = addJob("init:"+n.Name, pool, open/float64(par), 0, []sim.JobID{startup})
+			startup = addJob("init:"+n.Name, pool, open/float64(max(n.Parallelism, 1)), 0, plain, deps(startup))
 		}
 
 		ins := make([]*EdgeTrace, 0, len(inEdges[nid]))
@@ -155,8 +196,8 @@ func lowerWithMeta(tr *Trace, m *cost.Model) ([]sim.Job, []sim.Pool, []jobMeta, 
 		}
 		encodeTotal := m.SerdeSeconds(outBytes)
 
-		var allPortJobs []sim.JobID
-		var lastPortJobs []sim.JobID
+		portJobs = portJobs[:0]
+		var lastPortJobs jobRange
 		prevBarrier := startup
 		for pi, e := range ins {
 			work := 0.0
@@ -165,7 +206,8 @@ func lowerWithMeta(tr *Trace, m *cost.Model) ([]sim.Job, []sim.Pool, []jobMeta, 
 			}
 			decode := m.SerdeSeconds(e.Bytes)
 			b := int(e.Batches)
-			var portJobs []sim.JobID
+			upstream := emitJobsOf[e.From]
+			port := jobRange{first: sim.JobID(len(jobs))}
 			if b > 0 {
 				perJob := (work + decode) / float64(b)
 				// Batch latency: the node-local transfer plus, on the
@@ -174,31 +216,27 @@ func lowerWithMeta(tr *Trace, m *cost.Model) ([]sim.Job, []sim.Pool, []jobMeta, 
 				// so this lowers bit-identically to the single-cluster
 				// path there.
 				latency := m.TransferSeconds(e.Bytes/int64(b)) + m.ShuffleSeconds(e.ShuffleBytes/int64(b))
-				upstream := emitJobsOf[e.From]
 				for j := 0; j < b; j++ {
-					deps := []sim.JobID{prevBarrier}
-					if len(upstream) > 0 {
-						k := j
-						if k >= len(upstream) {
-							k = len(upstream) - 1
-						}
-						deps = append(deps, upstream[k])
+					var up jobRange // the upstream job that emitted batch j, if any
+					if upstream.n > 0 {
+						up = jobRange{upstream.first + sim.JobID(min(j, upstream.n-1)), 1}
 					}
-					id := addBatchJob(fmt.Sprintf("%s:p%d:b%d", n.Name, e.Port, j), pool, perJob, latency, deps)
-					portJobs = append(portJobs, id)
+					addJob("", pool, perJob, latency, jobMeta{Node: nid, Batch: true, Port: e.Port, Seq: j}, deps(prevBarrier, up))
 				}
-			} else if up := emitJobsOf[e.From]; len(up) > 0 {
+				port.n = b
+			} else if upstream.n > 0 {
 				// Empty stream: a zero-cost job keeps the dependency on
 				// the upstream end-of-stream.
-				id := addJob(fmt.Sprintf("%s:p%d:eos", n.Name, e.Port), pool, 0, 0, append([]sim.JobID{prevBarrier}, up[len(up)-1]))
-				portJobs = append(portJobs, id)
+				last := jobRange{upstream.first + sim.JobID(upstream.n-1), 1}
+				addJob(fmt.Sprintf("%s:p%d:eos", n.Name, e.Port), pool, 0, 0, plain, deps(prevBarrier, last))
+				port.n = 1
 			}
-			allPortJobs = append(allPortJobs, portJobs...)
-			lastPortJobs = portJobs
+			portJobs = append(portJobs, port)
+			lastPortJobs = port
 			// Barrier: later ports wait for this whole port (workers
 			// drain ports in order).
 			if pi < len(ins)-1 {
-				prevBarrier = addJob(fmt.Sprintf("%s:p%d:end", n.Name, e.Port), pool, 0, 0, append([]sim.JobID{prevBarrier}, portJobs...))
+				prevBarrier = addJob(fmt.Sprintf("%s:p%d:end", n.Name, e.Port), pool, 0, 0, plain, deps(prevBarrier, port))
 			}
 		}
 
@@ -212,10 +250,10 @@ func lowerWithMeta(tr *Trace, m *cost.Model) ([]sim.Job, []sim.Pool, []jobMeta, 
 			}
 			if b > 0 {
 				perJob := (work + encodeTotal) / float64(b)
+				lastPortJobs = jobRange{sim.JobID(len(jobs)), b}
+				portJobs = append(portJobs, lastPortJobs)
 				for j := 0; j < b; j++ {
-					id := addBatchJob(fmt.Sprintf("%s:gen:b%d", n.Name, j), pool, perJob, 0, []sim.JobID{startup})
-					allPortJobs = append(allPortJobs, id)
-					lastPortJobs = append(lastPortJobs, id)
+					addJob("", pool, perJob, 0, jobMeta{Node: nid, Batch: true, Port: -1, Seq: j}, deps(startup))
 				}
 			}
 			encodeTotal = 0 // already charged
@@ -228,26 +266,21 @@ func lowerWithMeta(tr *Trace, m *cost.Model) ([]sim.Job, []sim.Pool, []jobMeta, 
 		endCost := n.EndWork.Seconds(lang) + n.SpillSeconds
 		if n.FullyBlocking {
 			endCost += encodeTotal
-		} else if len(lastPortJobs) > 0 && encodeTotal > 0 {
+		} else if lastPortJobs.n > 0 && encodeTotal > 0 {
 			// Streaming operators serialize as they emit: spread the
 			// encode cost over the emitting jobs by appending it to
 			// their costs.
-			share := encodeTotal / float64(len(lastPortJobs))
-			for _, id := range lastPortJobs {
-				jobs[int(id)].Cost += share
+			share := encodeTotal / float64(lastPortJobs.n)
+			for k := 0; k < lastPortJobs.n; k++ {
+				jobs[int(lastPortJobs.first)+k].Cost += share
 			}
-			encodeTotal = 0
 		}
-		endDeps := append([]sim.JobID{startup}, allPortJobs...)
-		endID := addJob(fmt.Sprintf("%s:close", n.Name), pool, endCost, 0, endDeps)
+		endID := addJob(n.Name+":close", pool, endCost, 0, plain, deps(startup, portJobs...))
 
-		switch {
-		case n.FullyBlocking:
-			emitJobsOf[nid] = []sim.JobID{endID}
-		case len(lastPortJobs) > 0:
+		if n.FullyBlocking || lastPortJobs.n == 0 {
+			emitJobsOf[nid] = jobRange{endID, 1}
+		} else {
 			emitJobsOf[nid] = lastPortJobs
-		default:
-			emitJobsOf[nid] = []sim.JobID{endID}
 		}
 	}
 

@@ -8,9 +8,9 @@ import (
 )
 
 // Exported micro-benchmark loops over the executor's unexported hot
-// paths (the ring-buffer queue and the sharded work accounting), so the
-// wall-clock harness in internal/bench can time them from outside the
-// package. Each runs the loop body the benchmark in bench_test.go runs;
+// paths (the ring-buffer queue, the sharded work accounting, a map
+// worker's batch and the hash router's split), so the wall-clock
+// harness in internal/bench can time them from outside the package. Each runs the loop body the benchmark in bench_test.go runs;
 // the caller supplies iteration counts and does the timing.
 
 // QueuePushPopLoop performs iters bursts of burst pushes followed by
@@ -38,12 +38,64 @@ func QueuePushPopLoop(iters, burst int) {
 // AddWorkLoop charges iters work items through a worker's ExecCtx,
 // exercising the per-shard accounting path operators hit per batch.
 func AddWorkLoop(iters int) {
-	rt := &nodeRuntime{n: &node{parallelism: 1}}
-	rt.shards = make([]workShard, 1)
-	rt.shards[0].byPort = make([]cost.Work, 2)
-	ec := &execCtx{rt: rt, shard: &rt.shards[0], phase: 0}
+	ec := microCtx()
 	w := cost.Work{Interp: 1e-6, Mem: 2e-7}
 	for i := 0; i < iters; i++ {
 		ec.AddWork(w)
+	}
+}
+
+// microCtx is the ExecCtx of a lone worker on port 0 of a two-port
+// operator, as runWorker builds it.
+func microCtx() *execCtx {
+	rt := &nodeRuntime{n: &node{parallelism: 1}, shards: []workShard{{byPort: make([]cost.Work, 2)}}}
+	return &execCtx{rt: rt, shard: &rt.shards[0]}
+}
+
+// microBatch is the batch DICE-200 actually moves: 8 rows, here of the
+// 10 string and integer columns its parsed annotations have.
+func microBatch() []relation.Tuple {
+	rows := make([]relation.Tuple, 8)
+	for i := range rows {
+		id := string(rune('a' + i))
+		rows[i] = relation.Tuple{"case-17", "T", "T" + id, "Sign_symptom", int64(100 * i), int64(100*i + 9),
+			"chest pain", "", "", "case-17|T" + id}
+	}
+	return rows
+}
+
+// MapProjectLoop maps the 8-row batch through a 1:1 UDF that keeps five
+// of its ten columns, iters times: one reshaping step of the DICE
+// workflow per iteration.
+func MapProjectLoop(iters int) {
+	out := relation.MustSchema(
+		relation.Field{Name: "case", Type: relation.String},
+		relation.Field{Name: "id", Type: relation.String},
+		relation.Field{Name: "etype", Type: relation.String},
+		relation.Field{Name: "start", Type: relation.Int},
+		relation.Field{Name: "text", Type: relation.String},
+	)
+	inst := NewMap("reshape", cost.Python, out, func(r relation.Tuple, out *Rows) error {
+		out.Emit(r[0], r[2], r[3], r[4], r[6])
+		return nil
+	}).NewInstance()
+	ec, batch := microCtx(), microBatch()
+	for i := 0; i < iters; i++ {
+		if rows, err := inst.Process(ec, 0, batch); err != nil || len(rows) != len(batch) {
+			panic("dataflow: microbench map lost rows")
+		}
+	}
+}
+
+// RouteHashLoop splits the 8-row batch over 4 outputs by the hash of
+// its string key column, iters times: what a hash router does per
+// message, short of the queue pushes.
+func RouteHashLoop(iters int) {
+	var split hashSplitter
+	batch := microBatch()
+	for i := 0; i < iters; i++ {
+		if placed, ends := split.by(batch, 9, 4); len(placed) != len(batch) || ends[3] != len(batch) {
+			panic("dataflow: microbench router lost rows")
+		}
 	}
 }

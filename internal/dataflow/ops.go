@@ -3,6 +3,7 @@ package dataflow
 import (
 	"fmt"
 	"math"
+	"slices"
 
 	"repro/internal/cost"
 	"repro/internal/relation"
@@ -73,16 +74,26 @@ type filterInstance struct{ op *FilterOp }
 func (fi *filterInstance) Open(ExecCtx) error { return nil }
 func (fi *filterInstance) Process(ec ExecCtx, _ int, rows []relation.Tuple) ([]relation.Tuple, error) {
 	ec.AddWork(fi.op.Work.Scale(float64(len(rows))))
-	var out []relation.Tuple
-	for _, r := range rows {
-		if fi.op.Keep(r) {
-			out = append(out, r)
-		}
-	}
-	return out, nil
+	return keepRows(rows, fi.op.Keep), nil
 }
 func (fi *filterInstance) EndPort(ExecCtx, int) ([]relation.Tuple, error) { return nil, nil }
 func (fi *filterInstance) Close(ExecCtx) error                            { return nil }
+
+// keepRows returns the rows keep accepts, in order. The result is sized
+// once, at the first kept row, for the rows still to come, so a batch
+// that keeps nothing allocates nothing.
+func keepRows(rows []relation.Tuple, keep relation.Predicate) []relation.Tuple {
+	var out []relation.Tuple
+	for i, r := range rows {
+		if keep(r) {
+			if out == nil {
+				out = make([]relation.Tuple, 0, len(rows)-i)
+			}
+			out = append(out, r)
+		}
+	}
+	return out
+}
 
 // ---------------------------------------------------------------------------
 // Project
@@ -122,14 +133,18 @@ type projectInstance struct {
 func (pi *projectInstance) Open(ExecCtx) error { return nil }
 func (pi *projectInstance) Process(ec ExecCtx, _ int, rows []relation.Tuple) ([]relation.Tuple, error) {
 	ec.AddWork(pi.op.Work.Scale(float64(len(rows))))
+	if pi.pos == nil && len(rows) > 0 {
+		// The executor binds positions before the first batch; only a
+		// direct Process call on an unbound instance gets here.
+		return nil, fmt.Errorf("dataflow: %s: positions not bound", pi.op.desc.Name)
+	}
+	// One block for the batch's cells; each row is carved from it with
+	// its capacity clipped, so appending to one cannot reach the next.
+	width := len(pi.pos)
+	block := make([]any, len(rows)*width)
 	out := make([]relation.Tuple, len(rows))
 	for i, r := range rows {
-		if pi.pos == nil {
-			// Positions are resolved lazily from the first row's width;
-			// the workflow validated the schema, so the names exist.
-			return nil, fmt.Errorf("dataflow: %s: positions not bound", pi.op.desc.Name)
-		}
-		row := make(relation.Tuple, len(pi.pos))
+		row := block[i*width : (i+1)*width : (i+1)*width]
 		for k, p := range pi.pos {
 			row[k] = r[p]
 		}
@@ -161,8 +176,46 @@ func (pi *projectInstance) bindSchemas(in []*relation.Schema) error {
 // ---------------------------------------------------------------------------
 // Map / FlatMap (UDF)
 
-// MapFunc transforms one tuple into zero or more tuples.
-type MapFunc func(relation.Tuple) ([]relation.Tuple, error)
+// MapFunc transforms one tuple into zero or more tuples, emitted into
+// out. A cell that passes through unchanged is emitted as in[i]:
+// copying an interface cell allocates nothing, where unboxing it with a
+// Must* accessor and emitting the value boxes it again. Must* is for
+// cells the function inspects.
+type MapFunc func(in relation.Tuple, out *Rows) error
+
+// Rows collects what a MapFunc emits for one input batch. Every tuple
+// is carved from a block shared by the batch, so a batch costs a
+// handful of objects however many rows it maps. Nothing is reused
+// across batches: emitted rows travel downstream and into sink tables.
+type Rows struct {
+	out   []relation.Tuple
+	block []any // unused tail is where the next tuples are carved from
+	width int   // cells per tuple, from the operator's output schema
+	rest  int   // input rows of the batch not yet mapped, the current one included
+}
+
+// Emit appends one output tuple holding a copy of vals.
+func (r *Rows) Emit(vals ...any) {
+	if cap(r.block)-len(r.block) < len(vals) {
+		// Room for one tuple per input row still to come — or, when a
+		// flat-map has already outrun its batch, for as many tuples again
+		// as it has emitted.
+		r.Grow(max(r.rest, len(r.out), 1))
+	}
+	start := len(r.block)
+	r.block = append(r.block, vals...)
+	r.out = append(r.out, r.block[start:len(r.block):len(r.block)])
+}
+
+// Grow makes room for n more tuples. A MapFunc that knows its fan-out
+// for a row calls it before emitting, and the row's output is then
+// sized exactly.
+func (r *Rows) Grow(n int) {
+	r.out = slices.Grow(r.out, n)
+	if cap(r.block)-len(r.block) < n*r.width {
+		r.block = make([]any, 0, n*r.width)
+	}
+}
 
 // MapOp applies a user-defined function to every tuple — the engine's
 // generic Python/Scala UDF operator.
@@ -197,23 +250,25 @@ func (o *MapOp) OutputSchema(in []*relation.Schema) (*relation.Schema, error) {
 // NewInstance returns a UDF worker.
 func (o *MapOp) NewInstance() Instance { return &mapInstance{op: o} }
 
-type mapInstance struct{ op *MapOp }
+type mapInstance struct {
+	op  *MapOp
+	out Rows // the batch being mapped; reset, never reused, per batch
+}
 
 func (mi *mapInstance) Open(ExecCtx) error { return nil }
 func (mi *mapInstance) Process(ec ExecCtx, _ int, rows []relation.Tuple) ([]relation.Tuple, error) {
 	ec.AddWork(mi.op.Work.Scale(float64(len(rows))))
-	var out []relation.Tuple
-	for _, r := range rows {
+	mi.out = Rows{width: mi.op.Out.Len()}
+	for i, r := range rows {
 		if mi.op.ExtraWork != nil {
 			ec.AddWork(mi.op.ExtraWork(r))
 		}
-		produced, err := mi.op.Fn(r)
-		if err != nil {
+		mi.out.rest = len(rows) - i
+		if err := mi.op.Fn(r, &mi.out); err != nil {
 			return nil, err
 		}
-		out = append(out, produced...)
 	}
-	return out, nil
+	return mi.out.out, nil
 }
 func (mi *mapInstance) EndPort(ExecCtx, int) ([]relation.Tuple, error) { return nil, nil }
 func (mi *mapInstance) Close(ExecCtx) error                            { return nil }

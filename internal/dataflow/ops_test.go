@@ -105,3 +105,114 @@ func TestWorkflowAccessors(t *testing.T) {
 		t.Fatal("schema missing after validation")
 	}
 }
+
+// TestMapRowsMatchTupleSlices holds the emit form of a UDF to what the
+// form it replaced returned: ref is each UDF as it was written when a
+// MapFunc returned a fresh []relation.Tuple per input row, fn the same
+// UDF emitting into Rows. Batches of 0, 1 and 8 rows cover an empty
+// batch, a block sized by one row and a block shared by a batch; the
+// flat-maps outrun any block sized from the batch, with and without
+// telling Rows their fan-out first.
+func TestMapRowsMatchTupleSlices(t *testing.T) {
+	cases := []struct {
+		name string
+		ref  func(relation.Tuple) []relation.Tuple
+		fn   MapFunc
+	}{
+		{"one-to-one",
+			func(r relation.Tuple) []relation.Tuple { return []relation.Tuple{{r.MustInt(0), r.MustInt(1) * 2}} },
+			func(r relation.Tuple, out *Rows) error { out.Emit(r[0], r.MustInt(1)*2); return nil }},
+		{"selective",
+			func(r relation.Tuple) []relation.Tuple {
+				if r.MustInt(0)%3 != 0 {
+					return nil
+				}
+				return []relation.Tuple{{r.MustInt(1), r.MustInt(0)}}
+			},
+			func(r relation.Tuple, out *Rows) error {
+				if r.MustInt(0)%3 == 0 {
+					out.Emit(r[1], r[0])
+				}
+				return nil
+			}},
+		{"flat-map-40",
+			func(r relation.Tuple) []relation.Tuple {
+				var rows []relation.Tuple
+				for k := int64(0); k < 40; k++ {
+					rows = append(rows, relation.Tuple{r.MustInt(0), k})
+				}
+				return rows
+			},
+			func(r relation.Tuple, out *Rows) error {
+				for k := int64(0); k < 40; k++ {
+					out.Emit(r[0], k)
+				}
+				return nil
+			}},
+		{"flat-map-40-grown",
+			func(r relation.Tuple) []relation.Tuple {
+				rows := make([]relation.Tuple, 0, 40)
+				for k := int64(0); k < 40; k++ {
+					rows = append(rows, relation.Tuple{r.MustInt(0), k})
+				}
+				return rows
+			},
+			func(r relation.Tuple, out *Rows) error {
+				out.Grow(40)
+				for k := int64(0); k < 40; k++ {
+					out.Emit(r[0], k)
+				}
+				return nil
+			}},
+	}
+	for _, c := range cases {
+		for _, n := range []int{0, 1, 8} {
+			batch := intTable(n).Rows()
+			var want []relation.Tuple
+			for _, r := range batch {
+				want = append(want, c.ref(r)...)
+			}
+			got, err := NewMap(c.name, cost.Python, intSchema, c.fn).NewInstance().Process(nopCtx{}, 0, batch)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if len(got) != len(want) {
+				t.Fatalf("%s, %d-row batch: %d rows, the []Tuple form returned %d", c.name, n, len(got), len(want))
+			}
+			for i := range want {
+				if !got[i].Equal(want[i]) {
+					t.Fatalf("%s, %d-row batch: row %d = %v, the []Tuple form returned %v", c.name, n, i, got[i], want[i])
+				}
+			}
+		}
+	}
+}
+
+// Rows of one batch share a block. Each is cut with its capacity
+// clipped, so a consumer that appends to a row it was handed gets a
+// copy and cannot write into the row stored behind it.
+func TestBatchRowsDoNotAlias(t *testing.T) {
+	batch := intTable(8).Rows()
+	project := NewProject("p", cost.Python, "v", "id").NewInstance()
+	if err := project.(schemaBinder).bindSchemas([]*relation.Schema{intSchema}); err != nil {
+		t.Fatal(err)
+	}
+	swap := NewMap("m", cost.Python, intSchema, func(r relation.Tuple, out *Rows) error {
+		out.Emit(r[1], r[0])
+		return nil
+	}).NewInstance()
+	for name, inst := range map[string]Instance{"project": project, "map": swap} {
+		rows, err := inst.Process(nopCtx{}, 0, batch)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for i := range rows {
+			_ = append(rows[i], "overflow")
+		}
+		for i, r := range rows {
+			if want := (relation.Tuple{batch[i][1], batch[i][0]}); !r.Equal(want) {
+				t.Fatalf("%s: row %d = %v after its neighbour was appended to, want %v", name, i, r, want)
+			}
+		}
+	}
+}

@@ -69,8 +69,9 @@ func randomChain(r *xrand.Rand) []chainStep {
 						relation.Field{Name: "id", Type: relation.Int},
 						relation.Field{Name: "v", Type: relation.Int},
 					)
-					return NewMap(fmt.Sprintf("map%d", i), cost.Python, s, func(row relation.Tuple) ([]relation.Tuple, error) {
-						return []relation.Tuple{{row.MustInt(0), row.MustInt(1) + add}}, nil
+					return NewMap(fmt.Sprintf("map%d", i), cost.Python, s, func(row relation.Tuple, out *Rows) error {
+						out.Emit(row.MustInt(0), row.MustInt(1)+add)
+						return nil
 					})
 				},
 				parallelizable: true,

@@ -175,8 +175,9 @@ func TestFusePreservesOutputAndCollapsesNode(t *testing.T) {
 		w := New("fusetest")
 		src := w.Source("src", intTable(300))
 		f := w.Op(NewFilter("keep", cost.Python, func(r relation.Tuple) bool { return r.MustInt(1)%3 == 0 }))
-		m := w.Op(NewMap("double", cost.Python, outSchema, func(r relation.Tuple) ([]relation.Tuple, error) {
-			return []relation.Tuple{{r.MustInt(1) * 2}}, nil
+		m := w.Op(NewMap("double", cost.Python, outSchema, func(r relation.Tuple, out *Rows) error {
+			out.Emit(r.MustInt(1) * 2)
+			return nil
 		}))
 		snk := w.Sink("out")
 		w.Connect(src, f, 0, RoundRobin())
@@ -207,8 +208,9 @@ func TestFuseBlockingTail(t *testing.T) {
 		w := New("fuseblock")
 		src := w.Source("src", intTable(200))
 		s := w.Op(NewSort("sort", cost.Python, "v"))
-		m := w.Op(NewMap("shift", cost.Python, outSchema, func(r relation.Tuple) ([]relation.Tuple, error) {
-			return []relation.Tuple{{r.MustInt(1) + 1}}, nil
+		m := w.Op(NewMap("shift", cost.Python, outSchema, func(r relation.Tuple, out *Rows) error {
+			out.Emit(r.MustInt(1) + 1)
+			return nil
 		}))
 		snk := w.Sink("out")
 		w.Connect(src, s, 0, RoundRobin())
@@ -314,8 +316,9 @@ func TestRunWorkflowRejectsInvalidAfterMutation(t *testing.T) {
 	w := New("revalidate")
 	src := w.Source("src", intTable(50))
 	f := w.Op(NewFilter("keep", cost.Python, func(r relation.Tuple) bool { return true }))
-	m := w.Op(NewMap("m", cost.Python, outSchema, func(r relation.Tuple) ([]relation.Tuple, error) {
-		return []relation.Tuple{{r.MustInt(1)}}, nil
+	m := w.Op(NewMap("m", cost.Python, outSchema, func(r relation.Tuple, out *Rows) error {
+		out.Emit(r.MustInt(1))
+		return nil
 	}))
 	snk := w.Sink("out")
 	w.Connect(src, f, 0, RoundRobin())

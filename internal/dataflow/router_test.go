@@ -1,0 +1,116 @@
+package dataflow
+
+import (
+	"encoding/json"
+	"flag"
+	"fmt"
+	"os"
+	"path/filepath"
+	"reflect"
+	"sync"
+	"testing"
+
+	"repro/internal/cost"
+	"repro/internal/relation"
+	"repro/internal/xrand"
+)
+
+var update = flag.Bool("update", false, "re-record this package's golden files from the current tree")
+
+// goldenJSON reads testdata/<name> into want and reports true; under
+// -update it writes got there instead and reports false, leaving the
+// caller nothing to compare.
+func goldenJSON(t *testing.T, name string, got, want any) bool {
+	t.Helper()
+	path := filepath.Join("testdata", name)
+	if *update {
+		raw, err := json.Marshal(got)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := os.WriteFile(path, append(raw, '\n'), 0o644); err != nil {
+			t.Fatal(err)
+		}
+		return false
+	}
+	raw, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := json.Unmarshal(raw, want); err != nil {
+		t.Fatal(err)
+	}
+	return true
+}
+
+// recordOp remembers, per worker, the batches it was handed, as row
+// IDs in arrival order. One router feeds each worker's queue, so the
+// sequence a worker sees is the router's partitioning and nothing else.
+type recordOp struct {
+	base
+	mu   sync.Mutex
+	seen [][][]int64 // [worker][batch] -> row IDs
+}
+
+func (o *recordOp) OutputSchema(in []*relation.Schema) (*relation.Schema, error) { return in[0], nil }
+func (o *recordOp) NewInstance() Instance                                        { return &recordInstance{o} }
+
+type recordInstance struct{ op *recordOp }
+
+func (ri *recordInstance) Open(ExecCtx) error { return nil }
+func (ri *recordInstance) Process(ec ExecCtx, _ int, rows []relation.Tuple) ([]relation.Tuple, error) {
+	ids := make([]int64, len(rows))
+	for i, r := range rows {
+		ids[i] = r.MustInt(0)
+	}
+	ri.op.mu.Lock()
+	ri.op.seen[ec.Worker()] = append(ri.op.seen[ec.Worker()], ids)
+	ri.op.mu.Unlock()
+	return nil, nil
+}
+func (ri *recordInstance) EndPort(ExecCtx, int) ([]relation.Tuple, error) { return nil, nil }
+func (ri *recordInstance) Close(ExecCtx) error                            { return nil }
+
+// TestRouterHashPartitionGolden pins the hash router's observable
+// contract: which worker receives which rows, in which order, in how
+// many batches. testdata/router_golden.json was recorded at 7c7000c,
+// where the router hashed the string Tuple.Key built per row.
+func TestRouterHashPartitionGolden(t *testing.T) {
+	schema := relation.MustSchema(
+		relation.Field{Name: "id", Type: relation.Int},
+		relation.Field{Name: "key", Type: relation.String},
+	)
+	in := relation.NewTable(schema)
+	rng := xrand.New(22)
+	for i := 0; i < 1000; i++ {
+		in.AppendUnchecked(relation.Tuple{int64(i), fmt.Sprintf("case-%d|T%d:é", rng.Intn(120), rng.Intn(40))})
+	}
+
+	got := map[string][][][]int64{}
+	for _, outs := range []int{2, 3, 4, 8} {
+		rec := &recordOp{
+			base: base{Desc{Name: "record", Language: cost.Python, Ports: 1, BlockingPorts: []bool{false}}},
+			seen: make([][][]int64, outs),
+		}
+		w := New("router")
+		src := w.Source("src", in, WithBatchSize(8))
+		op := w.Op(rec, WithParallelism(outs))
+		w.Connect(src, op, 0, HashPartition("key"))
+		w.Connect(op, w.Sink("out"), 0, RoundRobin())
+		runSimple(t, w)
+		got[fmt.Sprintf("outs=%d", outs)] = rec.seen
+	}
+
+	var want map[string][][][]int64
+	if !goldenJSON(t, "router_golden.json", got, &want) {
+		return
+	}
+	for name, w := range want {
+		if !reflect.DeepEqual(got[name], w) {
+			t.Errorf("%s: workers received different batches than at the parent", name)
+		}
+	}
+	if len(got) != len(want) {
+		t.Errorf("golden has %d configurations, test ran %d", len(want), len(got))
+	}
+}

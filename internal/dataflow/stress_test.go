@@ -44,15 +44,17 @@ func TestStressWideDeepWorkflow(t *testing.T) {
 	pa := w.Op(NewMap("tag-a", cost.Python, relation.MustSchema(
 		relation.Field{Name: "k", Type: relation.Int},
 		relation.Field{Name: "s", Type: relation.Float},
-	), func(r relation.Tuple) ([]relation.Tuple, error) {
-		return []relation.Tuple{{r.MustInt(0), r.MustFloat(1)}}, nil
+	), func(r relation.Tuple, out *Rows) error {
+		out.Emit(r.MustInt(0), r.MustFloat(1))
+		return nil
 	}), WithParallelism(4))
 	w.Connect(ga, pa, 0, RoundRobin())
 	pb := w.Op(NewMap("tag-b", cost.Python, relation.MustSchema(
 		relation.Field{Name: "k", Type: relation.Int},
 		relation.Field{Name: "t", Type: relation.Float},
-	), func(r relation.Tuple) ([]relation.Tuple, error) {
-		return []relation.Tuple{{r.MustInt(0), r.MustFloat(1) * 2}}, nil
+	), func(r relation.Tuple, out *Rows) error {
+		out.Emit(r.MustInt(0), r.MustFloat(1)*2)
+		return nil
 	}), WithParallelism(4))
 	w.Connect(ga, pb, 0, RoundRobin())
 

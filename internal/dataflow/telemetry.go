@@ -87,7 +87,7 @@ func trackCat(kind nodeKind) string {
 // per-invocation spans with virtual-clock stamps from the schedule,
 // per-node wall spans from the live wall shards, deterministic
 // per-edge and per-node counters, and a critical-path breakdown.
-func (ex *Execution) recordTelemetry(jobs []sim.Job, sched *sim.Result) {
+func (ex *Execution) recordTelemetry(jobs []sim.Job, meta []jobMeta, sched *sim.Result) {
 	tel := ex.tel
 	if tel == nil {
 		return
@@ -103,8 +103,15 @@ func (ex *Execution) recordTelemetry(jobs []sim.Job, sched *sim.Result) {
 	}
 	tracks := map[string]trackInfo{"controller": {"controller", "control"}}
 	for _, rt := range ex.rts {
-		pool := fmt.Sprintf("n%d:%s", rt.n.id, rt.n.name)
-		tracks[pool] = trackInfo{rt.n.name, trackCat(rt.n.kind)}
+		tracks[poolName(rt.n.id, rt.n.name)] = trackInfo{rt.n.name, trackCat(rt.n.kind)}
+	}
+	// Lowering leaves batch jobs unnamed; a span that is recorded gets
+	// the name formatted here.
+	nameOf := func(i int) string {
+		if mt := meta[i]; mt.Batch {
+			return mt.batchName(ex.rts[mt.Node].n.name)
+		}
+		return jobs[i].Name
 	}
 
 	// Virtual spans, one per scheduled job that consumed time. Jobs are
@@ -131,7 +138,7 @@ func (ex *Execution) recordTelemetry(jobs []sim.Job, sched *sim.Result) {
 		}
 		ti := tracks[j.Pool]
 		spans = append(spans, telemetry.Span{
-			Proc: proc, Track: ti.track, Name: j.Name, Cat: ti.cat,
+			Proc: proc, Track: ti.track, Name: nameOf(i), Cat: ti.cat,
 			HasVirt: true,
 			Virtual: telemetry.Virt{Start: sp.Start, Dur: sp.Finish - sp.Start},
 		})
@@ -144,7 +151,7 @@ func (ex *Execution) recordTelemetry(jobs []sim.Job, sched *sim.Result) {
 		ti := tracks[j.Pool]
 		spans = append(spans, telemetry.Span{
 			Proc: proc, Track: ti.track,
-			Name:    fmt.Sprintf("%s:killed#%d", j.Name, ab.Attempt),
+			Name:    fmt.Sprintf("%s:killed#%d", nameOf(int(ab.Job)), ab.Attempt),
 			Cat:     "recovery",
 			HasVirt: true,
 			Virtual: telemetry.Virt{Start: ab.Start, Dur: ab.Killed - ab.Start},

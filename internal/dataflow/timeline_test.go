@@ -13,13 +13,15 @@ func TestTimelineShowsPipelineOverlap(t *testing.T) {
 	in := intTable(5000)
 	w := New("tl")
 	src := w.Source("src", in)
-	op1 := NewMap("stage-a", cost.Python, in.Schema(), func(r relation.Tuple) ([]relation.Tuple, error) {
-		return []relation.Tuple{r}, nil
+	op1 := NewMap("stage-a", cost.Python, in.Schema(), func(r relation.Tuple, out *Rows) error {
+		out.Emit(r...)
+		return nil
 	})
 	op1.Work = cost.Work{Interp: 1e-3}
 	a := w.Op(op1)
-	op2 := NewMap("stage-b", cost.Python, in.Schema(), func(r relation.Tuple) ([]relation.Tuple, error) {
-		return []relation.Tuple{r}, nil
+	op2 := NewMap("stage-b", cost.Python, in.Schema(), func(r relation.Tuple, out *Rows) error {
+		out.Emit(r...)
+		return nil
 	})
 	op2.Work = cost.Work{Interp: 1e-3}
 	b := w.Op(op2)

@@ -14,13 +14,15 @@ func tuneTrace(t *testing.T) *Trace {
 	in := intTable(20000)
 	w := New("tune")
 	src := w.Source("src", in)
-	cheap := NewMap("cheap", cost.Python, in.Schema(), func(r relation.Tuple) ([]relation.Tuple, error) {
-		return []relation.Tuple{r}, nil
+	cheap := NewMap("cheap", cost.Python, in.Schema(), func(r relation.Tuple, out *Rows) error {
+		out.Emit(r...)
+		return nil
 	})
 	cheap.Work = cost.Work{Interp: 1e-3}
 	a := w.Op(cheap)
-	heavy := NewMap("heavy", cost.Python, in.Schema(), func(r relation.Tuple) ([]relation.Tuple, error) {
-		return []relation.Tuple{r}, nil
+	heavy := NewMap("heavy", cost.Python, in.Schema(), func(r relation.Tuple, out *Rows) error {
+		out.Emit(r...)
+		return nil
 	})
 	heavy.Work = cost.Work{Interp: 10e-3}
 	b := w.Op(heavy)
@@ -91,8 +93,9 @@ func TestAutoTuneRecommendationMatchesRealRun(t *testing.T) {
 	mk := func(heavyWorkers int) float64 {
 		w := New("verify")
 		src := w.Source("src", in)
-		heavy := NewMap("heavy", cost.Python, in.Schema(), func(r relation.Tuple) ([]relation.Tuple, error) {
-			return []relation.Tuple{r}, nil
+		heavy := NewMap("heavy", cost.Python, in.Schema(), func(r relation.Tuple, out *Rows) error {
+			out.Emit(r...)
+			return nil
 		})
 		heavy.Work = cost.Work{Interp: 10e-3}
 		b := w.Op(heavy, WithParallelism(heavyWorkers))
@@ -110,8 +113,9 @@ func TestAutoTuneRecommendationMatchesRealRun(t *testing.T) {
 	// parallelism.
 	w := New("profile")
 	src := w.Source("src", in)
-	heavy := NewMap("heavy", cost.Python, in.Schema(), func(r relation.Tuple) ([]relation.Tuple, error) {
-		return []relation.Tuple{r}, nil
+	heavy := NewMap("heavy", cost.Python, in.Schema(), func(r relation.Tuple, out *Rows) error {
+		out.Emit(r...)
+		return nil
 	})
 	heavy.Work = cost.Work{Interp: 10e-3}
 	b := w.Op(heavy)

@@ -143,8 +143,9 @@ func runDocumentChain(rows int, m *cost.Model) (float64, error) {
 	prev := w.Source("docs", tbl)
 	for i := 0; i < 4; i++ {
 		op := dataflow.NewMap(fmt.Sprintf("pass-%d", i), cost.Python, schema,
-			func(r relation.Tuple) ([]relation.Tuple, error) {
-				return []relation.Tuple{r}, nil
+			func(r relation.Tuple, out *dataflow.Rows) error {
+				out.Emit(r...)
+				return nil
 			})
 		op.Work = cost.Work{Interp: 0.02e-3} // compute-light
 		id := w.Op(op)

@@ -1,6 +1,7 @@
 package planopt
 
 import (
+	"repro/internal/cost"
 	"repro/internal/dataflow"
 	"repro/internal/relation"
 )
@@ -103,6 +104,14 @@ func inputEstimates(w *dataflow.Workflow, id dataflow.NodeID, est estimates) []*
 	return in
 }
 
+// sampling is the ExecCtx sample rows are mapped under: one worker,
+// whose simulated work nobody charges.
+type sampling struct{}
+
+func (sampling) AddWork(cost.Work) {}
+func (sampling) Worker() int       { return 0 }
+func (sampling) Workers() int      { return 1 }
+
 // estimateOperator derives one operator's output estimate from its
 // inputs. Sampling failures (an erroring UDF row) degrade gracefully —
 // the row contributes nothing — and unknown operator types yield an
@@ -144,9 +153,12 @@ func estimateOperator(w *dataflow.Workflow, id dataflow.NodeID, est estimates, s
 		if src.sample == nil || src.sample.Len() == 0 {
 			return &estimate{rows: src.rows, assumed: true}
 		}
+		// The sample goes through the operator's own worker a row at a
+		// time, so a row the UDF rejects costs the sample that row only.
 		out := relation.NewTable(o.Out)
-		for _, row := range src.sample.Rows() {
-			produced, err := o.Fn(row)
+		inst, rows := o.NewInstance(), src.sample.Rows()
+		for i := range rows {
+			produced, err := inst.Process(sampling{}, 0, rows[i:i+1])
 			if err != nil {
 				continue
 			}

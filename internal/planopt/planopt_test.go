@@ -377,8 +377,9 @@ func TestFusionCollapsesStatelessChain(t *testing.T) {
 		f := w.Op(dataflow.NewFilter("keep", cost.Python, func(r relation.Tuple) bool {
 			return r.MustInt(1)%3 == 0
 		}))
-		m := w.Op(dataflow.NewMap("double", cost.Python, outSchema, func(r relation.Tuple) ([]relation.Tuple, error) {
-			return []relation.Tuple{{r.MustInt(1) * 2}}, nil
+		m := w.Op(dataflow.NewMap("double", cost.Python, outSchema, func(r relation.Tuple, out *dataflow.Rows) error {
+			out.Emit(r.MustInt(1) * 2)
+			return nil
 		}))
 		snk := w.Sink("out")
 		w.Connect(src, f, 0, dataflow.RoundRobin())

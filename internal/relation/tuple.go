@@ -88,6 +88,41 @@ func (t Tuple) Key(positions ...int) string {
 	return b.String()
 }
 
+// KeyHash returns the 32-bit FNV-1a hash of t.Key(pos) without building
+// the key: the bytes Key would write are rendered into a stack buffer
+// (a string's own bytes are read in place) and folded into the hash, so
+// partitioning a row by its key allocates nothing.
+func (t Tuple) KeyHash(pos int) uint32 {
+	const fnvOffset32, fnvPrime32 = 2166136261, 16777619
+	var buf [32]byte // 'f' plus the longest float64 rendering is 25 bytes
+	head, body := buf[:0], ""
+	switch v := t[pos].(type) {
+	case int64:
+		head = strconv.AppendInt(append(head, 'i'), v, 10)
+	case float64:
+		head = strconv.AppendFloat(append(head, 'f'), v, 'g', -1, 64)
+	case string:
+		head = append(strconv.AppendInt(append(head, 's'), int64(len(v)), 10), ':')
+		body = v
+	case bool:
+		if v {
+			head = append(head, "b1"...)
+		} else {
+			head = append(head, "b0"...)
+		}
+	default:
+		body = fmt.Sprintf("?%v", v)
+	}
+	h := uint32(fnvOffset32)
+	for _, c := range head {
+		h = (h ^ uint32(c)) * fnvPrime32
+	}
+	for i := 0; i < len(body); i++ {
+		h = (h ^ uint32(body[i])) * fnvPrime32
+	}
+	return (h ^ '|') * fnvPrime32
+}
+
 // Int returns the int64 at position i, or an error.
 func (t Tuple) Int(i int) (int64, error) {
 	v, ok := t[i].(int64)

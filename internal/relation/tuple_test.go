@@ -1,6 +1,10 @@
 package relation
 
-import "testing"
+import (
+	"math"
+	"strings"
+	"testing"
+)
 
 var testSchema = MustSchema(
 	Field{"id", Int}, Field{"name", String}, Field{"score", Float}, Field{"ok", Bool},
@@ -67,6 +71,30 @@ func TestTupleKeyNoConcatenationAmbiguity(t *testing.T) {
 	b := Tuple{"a", "bc"}
 	if a.Key(0, 1) == b.Key(0, 1) {
 		t.Fatal("string concatenation ambiguity in Key")
+	}
+}
+
+// TestTupleKeyHashMatchesKey holds KeyHash to its contract: bit for bit
+// the FNV-1a hash of the key string, for every value kind Key renders,
+// without building that string.
+func TestTupleKeyHashMatchesKey(t *testing.T) {
+	type offSchema struct{ a, b int }
+	row := Tuple{
+		int64(0), int64(-1), int64(math.MinInt64), int64(1<<53 + 1), int64(math.MaxInt64),
+		0.0, math.Copysign(0, -1), math.NaN(), 1e300, -2.5e-300, math.Inf(1), math.MaxFloat64, -math.MaxFloat64,
+		"", "plain", "naïve — 多字节", "a|b:c", "12:34|", strings.Repeat("x", 300),
+		true, false,
+		int32(7), offSchema{1, 2}, nil,
+	}
+	for pos, v := range row {
+		if got, want := row.KeyHash(pos), fnv32(row.Key(pos)); got != want {
+			t.Errorf("KeyHash of %#v = %#x, fnv32(Key) = %#x", v, got, want)
+		}
+	}
+	for _, pos := range []int{3, 8, 15, 19} { // int64, float64, string, bool
+		if n := testing.AllocsPerRun(100, func() { row.KeyHash(pos) }); n != 0 {
+			t.Errorf("KeyHash of %#v allocates %v objects; a schema-typed key must allocate none", row[pos], n)
+		}
 	}
 }
 

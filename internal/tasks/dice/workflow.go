@@ -113,12 +113,12 @@ func (t *Task) Plan(cfg core.RunConfig) (*dataflow.Workflow, error) {
 	textSrc := w.Source("text-files", t.textFileTable(), dataflow.WithScanWork(workScan))
 
 	// Parse annotation files into flat annotation rows.
-	parse := dataflow.NewMap("parse-annotations", lang, parsedSchema, func(r relation.Tuple) ([]relation.Tuple, error) {
+	parse := dataflow.NewMap("parse-annotations", lang, parsedSchema, func(r relation.Tuple, out *dataflow.Rows) error {
 		parsed, err := parseAnnotationFile(r.MustStr(0), r.MustStr(1))
 		if err != nil {
-			return nil, err
+			return err
 		}
-		out := make([]relation.Tuple, 0, len(parsed))
+		out.Grow(len(parsed))
 		for _, pa := range parsed {
 			trigkey, themekey, ekey := "", "", ""
 			if pa.kind == "T" {
@@ -129,12 +129,9 @@ func (t *Task) Plan(cfg core.RunConfig) (*dataflow.Workflow, error) {
 					themekey = compositeKey(pa.caseID, pa.theme)
 				}
 			}
-			out = append(out, relation.Tuple{
-				pa.caseID, pa.kind, pa.id, pa.typ, pa.start, pa.end,
-				pa.text, trigkey, themekey, ekey,
-			})
+			out.Emit(r[0], pa.kind, pa.id, pa.typ, pa.start, pa.end, pa.text, trigkey, themekey, ekey)
 		}
-		return out, nil
+		return nil
 	})
 	parse.Work = cost.Work{}
 	parse.ExtraWork = func(r relation.Tuple) cost.Work {
@@ -145,21 +142,21 @@ func (t *Task) Plan(cfg core.RunConfig) (*dataflow.Workflow, error) {
 	w.Connect(annSrc, parseID, 0, dataflow.RoundRobin())
 
 	// Entity and event extraction (selective maps).
-	extractEnt := dataflow.NewMap("extract-entities", lang, entitySchema, func(r relation.Tuple) ([]relation.Tuple, error) {
-		if r.MustStr(1) != "T" {
-			return nil, nil
+	extractEnt := dataflow.NewMap("extract-entities", lang, entitySchema, func(r relation.Tuple, out *dataflow.Rows) error {
+		if r.MustStr(1) == "T" {
+			out.Emit(r[9], r[4], r[5], r[6])
 		}
-		return []relation.Tuple{{r.MustStr(9), r.MustInt(4), r.MustInt(5), r.MustStr(6)}}, nil
+		return nil
 	})
 	extractEnt.Work = cost.Work{Interp: 1.5e-3}
 	entID := w.Op(extractEnt, dataflow.WithParallelism(workers))
 	w.Connect(parseID, entID, 0, dataflow.RoundRobin())
 
-	extractEv := dataflow.NewMap("extract-events", lang, eventSchema, func(r relation.Tuple) ([]relation.Tuple, error) {
-		if r.MustStr(1) != "E" {
-			return nil, nil
+	extractEv := dataflow.NewMap("extract-events", lang, eventSchema, func(r relation.Tuple, out *dataflow.Rows) error {
+		if r.MustStr(1) == "E" {
+			out.Emit(r[0], r[2], r[3], r[7], r[8])
 		}
-		return []relation.Tuple{{r.MustStr(0), r.MustStr(2), r.MustStr(3), r.MustStr(7), r.MustStr(8)}}, nil
+		return nil
 	})
 	extractEv.Work = cost.Work{Interp: 1.5e-3}
 	evID := w.Op(extractEv, dataflow.WithParallelism(workers))
@@ -188,16 +185,18 @@ func (t *Task) Plan(cfg core.RunConfig) (*dataflow.Workflow, error) {
 	w.Connect(withThemeID, joinThemeID, 1, dataflow.HashPartition("themekey"))
 
 	// Reshape both branches to the merged schema.
-	shapeTheme := dataflow.NewMap("shape-theme", lang, mergedSchema, func(r relation.Tuple) ([]relation.Tuple, error) {
+	shapeTheme := dataflow.NewMap("shape-theme", lang, mergedSchema, func(r relation.Tuple, out *dataflow.Rows) error {
 		// join output: case,id,etype,trigkey,themekey, start,end,text
-		return []relation.Tuple{{r.MustStr(0), r.MustStr(1), r.MustStr(2), r.MustStr(3), r.MustStr(7)}}, nil
+		out.Emit(r[0], r[1], r[2], r[3], r[7])
+		return nil
 	})
 	shapeTheme.Work = cost.Work{Interp: 1.5e-3}
 	shapeThemeID := w.Op(shapeTheme, dataflow.WithParallelism(workers))
 	w.Connect(joinThemeID, shapeThemeID, 0, dataflow.RoundRobin())
 
-	shapeNoTheme := dataflow.NewMap("shape-heldout", lang, mergedSchema, func(r relation.Tuple) ([]relation.Tuple, error) {
-		return []relation.Tuple{{r.MustStr(0), r.MustStr(1), r.MustStr(2), r.MustStr(3), ""}}, nil
+	shapeNoTheme := dataflow.NewMap("shape-heldout", lang, mergedSchema, func(r relation.Tuple, out *dataflow.Rows) error {
+		out.Emit(r[0], r[1], r[2], r[3], "")
+		return nil
 	})
 	shapeNoTheme.Work = cost.Work{Interp: 1.5e-3}
 	shapeNoThemeID := w.Op(shapeNoTheme, dataflow.WithParallelism(workers))
@@ -217,12 +216,13 @@ func (t *Task) Plan(cfg core.RunConfig) (*dataflow.Workflow, error) {
 	w.Connect(unionID, joinTrigID, 1, dataflow.HashPartition("trigkey"))
 
 	// Sentence splitting.
-	split := dataflow.NewMap("split-sentences", lang, sentenceSchema, func(r relation.Tuple) ([]relation.Tuple, error) {
-		var out []relation.Tuple
-		for _, s := range splitCaseSentences(r.MustStr(1)) {
-			out = append(out, relation.Tuple{r.MustStr(0), s.Text, int64(s.Start), int64(s.End)})
+	split := dataflow.NewMap("split-sentences", lang, sentenceSchema, func(r relation.Tuple, out *dataflow.Rows) error {
+		sentences := splitCaseSentences(r.MustStr(1))
+		out.Grow(len(sentences))
+		for _, s := range sentences {
+			out.Emit(r[0], s.Text, int64(s.Start), int64(s.End))
 		}
-		return out, nil
+		return nil
 	})
 	split.Work = cost.Work{}
 	split.ExtraWork = func(r relation.Tuple) cost.Work {
@@ -250,8 +250,9 @@ func (t *Task) Plan(cfg core.RunConfig) (*dataflow.Workflow, error) {
 	w.Connect(linkJoinID, containID, 0, dataflow.RoundRobin())
 
 	// Final shaping and the result sink.
-	shapeOut := dataflow.NewMap("shape-output", lang, OutputSchema, func(r relation.Tuple) ([]relation.Tuple, error) {
-		return []relation.Tuple{{r.MustStr(0), r.MustStr(1), r.MustStr(2), r.MustStr(7), r.MustStr(4), r.MustStr(8)}}, nil
+	shapeOut := dataflow.NewMap("shape-output", lang, OutputSchema, func(r relation.Tuple, out *dataflow.Rows) error {
+		out.Emit(r[0], r[1], r[2], r[7], r[4], r[8])
+		return nil
 	})
 	shapeOut.Work = workWrite
 	shapeOutID := w.Op(shapeOut, dataflow.WithParallelism(workers), t.Signature("write"))
@@ -272,14 +273,13 @@ func (t *Task) Workflow() pipeline.WorkflowDecl {
 		UDFs:   []string{udfParse, udfSplit, udfShapeOutput},
 		Config: workflowConfig,
 		Shape: func(sink *relation.Table) (*relation.Table, map[string]float64, error) {
-			recs := make([]Record, 0, sink.Len())
-			for _, r := range sink.Rows() {
-				recs = append(recs, Record{
-					Case: r.MustStr(0), Event: r.MustStr(1), Type: r.MustStr(2),
-					Trigger: r.MustStr(3), Theme: r.MustStr(4), Sentence: r.MustStr(5),
-				})
+			// The sink's rows are already records; a copy is sorted, as
+			// under a lineage store the sink may be a cached artifact.
+			out := relation.NewTable(OutputSchema)
+			if err := out.Concat(sink); err != nil {
+				return nil, nil, err
 			}
-			return RecordsToTable(recs), nil, nil
+			return out, nil, out.SortBy("case", "event")
 		},
 	}
 }

@@ -142,19 +142,19 @@ func (t *Task) Plan(cfg core.RunConfig) (*dataflow.Workflow, error) {
 	lang := cost.Python
 	src := w.Source("passages", t.passageTable(), dataflow.WithScanWork(cost.Work{Interp: 0.08}))
 
-	prompts := dataflow.NewMap("build-prompts", lang, promptSchema, func(r relation.Tuple) ([]relation.Tuple, error) {
+	prompts := dataflow.NewMap("build-prompts", lang, promptSchema, func(r relation.Tuple, out *dataflow.Rows) error {
 		id := r.MustStr(0)
 		for _, pass := range t.passages {
 			if pass.ID != id {
 				continue
 			}
-			out := make([]relation.Tuple, 0, len(pass.QAs))
+			out.Grow(len(pass.QAs))
 			for qi, qa := range pass.QAs {
-				out = append(out, relation.Tuple{pass.ID, int64(qi), qa.Cloze, qa.Answer, qa.Context})
+				out.Emit(r[0], int64(qi), qa.Cloze, qa.Answer, qa.Context)
 			}
-			return out, nil
+			return nil
 		}
-		return nil, fmt.Errorf("gotta: unknown passage %q", id)
+		return fmt.Errorf("gotta: unknown passage %q", id)
 	})
 	prompts.Work = cost.Work{}
 	prompts.ExtraWork = func(relation.Tuple) cost.Work {
@@ -172,9 +172,9 @@ func (t *Task) Plan(cfg core.RunConfig) (*dataflow.Workflow, error) {
 	inferID := w.Op(infer, dataflow.WithParallelism(workers))
 	w.Connect(promptsID, inferID, 0, dataflow.RoundRobin())
 
-	eval := dataflow.NewMap("evaluate", lang, OutputSchema, func(r relation.Tuple) ([]relation.Tuple, error) {
-		pred, gold := r.MustStr(4), r.MustStr(3)
-		return []relation.Tuple{{r.MustStr(0), r.MustInt(1), r.MustStr(2), gold, pred, genqa.ExactMatch(pred, gold)}}, nil
+	eval := dataflow.NewMap("evaluate", lang, OutputSchema, func(r relation.Tuple, out *dataflow.Rows) error {
+		out.Emit(r[0], r[1], r[2], r[3], r[4], genqa.ExactMatch(r.MustStr(4), r.MustStr(3)))
+		return nil
 	})
 	eval.Work = workEval
 	evalID := w.Op(eval, dataflow.WithParallelism(workers), t.Signature("evaluate"))

@@ -167,8 +167,9 @@ func (t *Task) Plan(core.RunConfig) (*dataflow.Workflow, error) {
 		prev = id
 		schema = op.out
 	}
-	shape := dataflow.NewMap("shape-predictions", cost.Python, OutputSchema, func(r relation.Tuple) ([]relation.Tuple, error) {
-		return []relation.Tuple{{r.MustInt(0), r.MustBool(6), r.MustBool(7), r.MustBool(8), r.MustBool(9)}}, nil
+	shape := dataflow.NewMap("shape-predictions", cost.Python, OutputSchema, func(r relation.Tuple, out *dataflow.Rows) error {
+		out.Emit(r[0], r[6], r[7], r[8], r[9])
+		return nil
 	})
 	shape.Work = cost.Work{Interp: 0.5e-3}
 	shapeID := w.Op(shape, t.Signature("shape"))

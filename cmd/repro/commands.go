@@ -346,7 +346,7 @@ func cmdBench(args []string, stdout, stderr io.Writer) int {
 	if !ok {
 		return exit
 	}
-	rep, err := bench.Run(*seed)
+	rep, err := bench.Run(*seed, 7, 60*time.Millisecond)
 	if err != nil {
 		return exitCode(stderr, err)
 	}
@@ -361,9 +361,11 @@ func cmdBench(args []string, stdout, stderr io.Writer) int {
 	return 0
 }
 
-// cmdBenchCheck runs the harness and compares against the newest
-// BENCH_*.json baseline. Exit codes: 0 clean, 1 regression detected,
-// 2 no comparable baseline (missing or env mismatch) or harness error.
+// cmdBenchCheck runs the harness and compares its counts — heap objects
+// per op of every micro, simulated seconds of every macro — against the
+// newest BENCH_*.json baseline. Counts need no timing window, so the
+// harness runs one rep and 1 ms windows. Exit codes: 0 clean, 1 a count
+// moved, 2 no baseline or harness error.
 func cmdBenchCheck(args []string, stdout, stderr io.Writer) int {
 	fs := newFlagSet("bench-check", stderr)
 	dir := fs.String("bench-dir", ".", "directory searched for BENCH_*.json baselines")
@@ -378,7 +380,7 @@ func cmdBenchCheck(args []string, stdout, stderr io.Writer) int {
 		return 2
 	}
 	fmt.Fprintf(stdout, "bench-check: baseline %s, running fresh harness...\n", path)
-	fresh, err := bench.Run(*seed)
+	fresh, err := bench.Run(*seed, 1, time.Millisecond)
 	if err != nil {
 		fmt.Fprintf(stderr, "bench-check: %v\n", err)
 		return 2
@@ -390,38 +392,18 @@ func cmdBenchCheck(args []string, stdout, stderr io.Writer) int {
 			return 2
 		}
 	} else {
-		printCompare(stdout, cmp)
+		for _, f := range cmp.Findings {
+			if f.Moved {
+				fmt.Fprintf(stdout, "  MOVED %-5s %-32s %v -> %v\n", f.Kind, f.Name, f.Baseline, f.Fresh)
+			}
+		}
+		for _, n := range cmp.Notes {
+			fmt.Fprintf(stdout, "  note: %s\n", n)
+		}
+		fmt.Fprintf(stdout, "bench-check: %d counts compared (allocs_per_op of micros, sim_seconds of macros), %d moved\n", len(cmp.Findings), cmp.Moved)
 	}
-	switch {
-	case len(cmp.EnvMismatch) > 0:
-		return 2
-	case cmp.Regressions > 0:
+	if cmp.Moved > 0 {
 		return 1
-	default:
-		return 0
 	}
-}
-
-func printCompare(w io.Writer, cmp *bench.CompareReport) {
-	if len(cmp.EnvMismatch) > 0 {
-		fmt.Fprintf(w, "bench-check: REFUSED — baseline not comparable with this machine configuration:\n")
-		for _, m := range cmp.EnvMismatch {
-			fmt.Fprintf(w, "  %s\n", m)
-		}
-		return
-	}
-	for _, f := range cmp.Findings {
-		switch {
-		case f.Regressed:
-			fmt.Fprintf(w, "  REGRESSION %-32s %-5s %12.1f -> %12.1f  (%.2fx, threshold %.0f%%)\n",
-				f.Name, f.Kind, f.Baseline, f.Fresh, f.Ratio, 100*f.Threshold)
-		case f.Improved:
-			fmt.Fprintf(w, "  improved   %-32s %-5s %12.1f -> %12.1f  (%.2fx)\n",
-				f.Name, f.Kind, f.Baseline, f.Fresh, f.Ratio)
-		}
-	}
-	for _, m := range cmp.Missing {
-		fmt.Fprintf(w, "  note: %s\n", m)
-	}
-	fmt.Fprintf(w, "bench-check: %d benchmarks compared, %d regressions\n", len(cmp.Findings), cmp.Regressions)
+	return 0
 }

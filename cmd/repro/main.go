@@ -49,7 +49,7 @@ func init() {
 		{"experiment", "[id|all]", "one table or figure of the evaluation, or all of them (IDs: repro list)", cmdExperiment},
 		{"trace", "<task>", "one task, both paradigms, telemetry attached; -o writes a Chrome trace", cmdTrace},
 		{"bench", "<file>", "wall-clock benchmark harness; writes its JSON report to file", cmdBench},
-		{"bench-check", "", "harness vs the newest BENCH_*.json; exit 1 regression, 2 not comparable", cmdBenchCheck},
+		{"bench-check", "", "harness counts (objects per op, simulated seconds; never wall time) vs the newest BENCH_*.json; exit 1 a count moved, 2 no baseline", cmdBenchCheck},
 		{"list", "", "experiment IDs, then each task's paper-scale size", cmdList},
 		{"help", "", "this table", cmdHelp},
 	}

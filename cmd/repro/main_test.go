@@ -9,10 +9,14 @@ import (
 	"net/http"
 	"os"
 	"path/filepath"
+	"runtime"
+	"runtime/debug"
+	"slices"
 	"strings"
 	"testing"
 	"time"
 
+	"repro/internal/bench"
 	"repro/internal/core"
 	"repro/internal/relation"
 	"repro/internal/service"
@@ -173,6 +177,63 @@ func TestTraceWritesBothParadigms(t *testing.T) {
 
 // TestList pins `repro list` to the catalog: every experiment once, in
 // table order, described, then the registered tasks with their sizes.
+// bench-check against a copy of the repository's newest trajectory
+// point: exit 2 with nothing to compare against, clean as recorded,
+// exit 1 naming the rows once the copy says a micro used to make ten
+// objects fewer and a macro used to simulate a different time.
+func TestBenchCheckGatesTheCounts(t *testing.T) {
+	dir := t.TempDir()
+	if _, stderr, exit := repro("bench-check", "-bench-dir", dir); exit != 2 || !strings.Contains(stderr, "no BENCH_*.json baseline") {
+		t.Fatalf("empty directory: exit %d, stderr %q", exit, stderr)
+	}
+	_, baseline, err := bench.LatestBaseline("../..")
+	if err != nil {
+		t.Fatal(err)
+	}
+	// Object counts are the Go runtime's as much as ours, and under the
+	// race detector sync.Pool drops items at random.
+	bi, ok := debug.ReadBuildInfo()
+	switch {
+	case testing.Short():
+		t.Skip("two harness runs in -short mode")
+	case baseline.GoVersion != runtime.Version():
+		t.Skipf("trajectory point recorded by %s, this is %s", baseline.GoVersion, runtime.Version())
+	case ok && slices.ContainsFunc(bi.Settings, func(s debug.BuildSetting) bool { return s.Key == "-race" && s.Value == "true" }):
+		t.Skip("object counts are not repeatable under -race")
+	}
+	write := func() {
+		data, err := json.Marshal(baseline)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := os.WriteFile(filepath.Join(dir, "BENCH_1.json"), data, 0o644); err != nil {
+			t.Fatal(err)
+		}
+	}
+
+	write()
+	if stdout, stderr, exit := repro("bench-check", "-bench-dir", dir); exit != 0 || !strings.Contains(stdout, fmt.Sprintf("%d counts compared", len(baseline.Micro)+len(baseline.Macro))) {
+		t.Fatalf("untouched baseline: exit %d\n%s%s", exit, stdout, stderr)
+	}
+
+	micro, macro := &baseline.Micro[5], &baseline.Macro[len(baseline.Macro)-1]
+	if micro.Name != "lower_dice200" || macro.Task != "gotta" || macro.Experiment != "opt-on" {
+		t.Fatalf("baseline rows are not where this test expects them: %+v %+v", micro, macro)
+	}
+	micro.AllocsPerOp -= 10
+	macro.SimSeconds *= 1.001
+	write()
+	stdout, _, exit := repro("bench-check", "-bench-dir", dir)
+	if exit != 1 || !strings.Contains(stdout, "2 moved") {
+		t.Fatalf("mutated baseline: exit %d\n%s", exit, stdout)
+	}
+	for _, row := range []string{"MOVED micro lower_dice200", "MOVED macro gotta/opt-on/16"} {
+		if !strings.Contains(stdout, row) {
+			t.Errorf("bench-check does not name %q:\n%s", row, stdout)
+		}
+	}
+}
+
 func TestList(t *testing.T) {
 	lines := strings.Split(strings.TrimRight(mustRepro(t, "list"), "\n"), "\n")
 	tasks := core.TaskNames()

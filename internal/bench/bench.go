@@ -1,12 +1,15 @@
 // Package bench is the reproduction's wall-clock benchmark harness.
 // Everything else in the repo measures simulated seconds; this package
-// measures how long the engine itself takes on the host machine, so
-// hot-path changes (queueing, work accounting, joins, serde) can be
-// compared across commits. `repro -bench-json FILE` writes its report.
+// measures how long the engine itself takes on the host machine, and
+// how many heap objects it makes doing it, so hot-path changes
+// (queueing, work accounting, joins, serde) can be read across commits.
+// `repro bench FILE` writes its report; `repro bench-check` gates the
+// part of it that does not drift with the host (regress.go).
 package bench
 
 import (
 	"fmt"
+	"os"
 	"runtime"
 	"sort"
 	"testing"
@@ -21,8 +24,8 @@ import (
 	"repro/internal/service"
 	"repro/internal/shard"
 	"repro/internal/tasks/dice"
-	"repro/internal/tasks/gotta"
-	"repro/internal/tasks/kge"
+	_ "repro/internal/tasks/gotta" // registers "gotta" for the pairs table
+	_ "repro/internal/tasks/kge"   // registers "kge"
 	"repro/internal/telemetry"
 )
 
@@ -36,8 +39,8 @@ type Micro struct {
 
 // Macro is one end-to-end workflow run: wall-clock milliseconds next
 // to the simulated seconds the run computed. The Size sweep per task
-// is the wall-clock trajectory. Each configuration is run with and
-// without a telemetry recorder attached; OverheadPct is the relative
+// is the wall-clock trajectory. The fig13a and fig13c rows are also run
+// with a telemetry recorder attached; OverheadPct is the relative
 // wall-clock cost of instrumentation (the observability tax), which
 // the telemetry PR requires to stay within a few percent.
 type Macro struct {
@@ -60,9 +63,25 @@ type Report struct {
 	Macro      []Macro `json:"macro"`
 }
 
+// Env is the benchmark host fingerprint stamped into every report, for
+// people reading its wall-clock columns: those are only comparable
+// between runs on one machine configuration. Compare does not read it,
+// because it does not read wall time.
+type Env struct {
+	GoVersion  string `json:"go_version"`
+	GOOS       string `json:"goos"`
+	GOARCH     string `json:"goarch"`
+	GOMAXPROCS int    `json:"gomaxprocs"`
+	NumCPU     int    `json:"num_cpu"`
+	// GOGC is the GC target from the environment; empty means the
+	// default (100). GC pacing shifts every allocation-heavy micro.
+	GOGC string `json:"gogc,omitempty"`
+}
+
 // measure times f (which must perform inner operations per call) over
-// three ~60ms windows and reports the median window's per-operation
-// cost. Allocs and bytes are sampled separately with a single run each
+// three windows of at least window each (60ms for a report whose
+// ns_per_op will be read, 1ms when only the counts are) and reports the
+// median window's per-operation cost. Allocs and bytes are sampled separately with a single run each
 // (bytes do not drift with the host the way timings do). Two choices
 // here exist for noise robustness on a shared bench host, where a
 // single ~100ms mean (the BENCH_1–4 estimator) swung adjacent runs of
@@ -77,7 +96,7 @@ type Report struct {
 // rather than landing one in some windows and none in others — GC
 // triggered by f's own allocation belongs inside the measurement,
 // evenly.
-func measure(name string, inner int, f func()) Micro {
+func measure(name string, inner int, window time.Duration, f func()) Micro {
 	f() // warm up
 	allocs := testing.AllocsPerRun(1, f) / float64(inner)
 	var before, after runtime.MemStats
@@ -93,7 +112,7 @@ func measure(name string, inner int, f func()) Micro {
 			elapsed time.Duration
 			ops     int
 		)
-		for elapsed < 60*time.Millisecond {
+		for elapsed < window {
 			start := telemetry.WallClock()
 			f()
 			elapsed += telemetry.WallSince(start)
@@ -126,26 +145,27 @@ func dice200Trace() (*dataflow.Trace, error) {
 	return task.ProfileWorkflow(core.MustRunConfig(core.WithWorkers(4)))
 }
 
-// micros runs the hot-path micro-benchmarks.
-func micros() []Micro {
+// micros runs the hot-path micro-benchmarks, each timed over windows of
+// the given length.
+func micros(window time.Duration) []Micro {
 	var out []Micro
-	out = append(out, measure("queue_push_pop", 4096, func() {
+	out = append(out, measure("queue_push_pop", 4096, window, func() {
 		dataflow.QueuePushPopLoop(4096, 1)
 	}))
-	out = append(out, measure("queue_push_pop_burst256", 4096, func() {
+	out = append(out, measure("queue_push_pop_burst256", 4096, window, func() {
 		dataflow.QueuePushPopLoop(16, 256)
 	}))
-	out = append(out, measure("add_work", 65536, func() {
+	out = append(out, measure("add_work", 65536, window, func() {
 		dataflow.AddWorkLoop(65536)
 	}))
 	// The engine's own per-batch plumbing, at the batch DICE-200 moves
 	// (8 rows): a 1:1 map worker, a hash router's split, and lowering
 	// the trace of one whole run. allocs_per_op is what they are for —
 	// each localises a share of the workflow macros' objects per op.
-	out = append(out, measure("map_project_8", 4096, func() {
+	out = append(out, measure("map_project_8", 4096, window, func() {
 		dataflow.MapProjectLoop(4096)
 	}))
-	out = append(out, measure("route_hash_8", 4096, func() {
+	out = append(out, measure("route_hash_8", 4096, window, func() {
 		dataflow.RouteHashLoop(4096)
 	}))
 	trace, err := dice200Trace()
@@ -153,7 +173,7 @@ func micros() []Micro {
 		panic(err)
 	}
 	lowerModel := cost.Default()
-	out = append(out, measure("lower_dice200", 1, func() {
+	out = append(out, measure("lower_dice200", 1, window, func() {
 		if _, _, err := dataflow.Lower(trace, lowerModel); err != nil {
 			panic(err)
 		}
@@ -165,19 +185,19 @@ func micros() []Micro {
 	// cycles scanning unrelated tuples — measured roughly 2x on
 	// encode_table_10k.
 	enc10k, _ := joinTables(10000)
-	out = append(out, measure("encode_table_10k", 1, func() {
+	out = append(out, measure("encode_table_10k", 1, window, func() {
 		if _, err := relation.EncodeTable(enc10k); err != nil {
 			panic(err)
 		}
 	}))
-	out = append(out, measure("digest_10k", 1, func() {
+	out = append(out, measure("digest_10k", 1, window, func() {
 		if relation.Digest(enc10k) == 0 {
 			panic("bench: zero digest")
 		}
 	}))
 
 	left, right := joinTables(100000)
-	out = append(out, measure("hash_join_100k", 1, func() {
+	out = append(out, measure("hash_join_100k", 1, window, func() {
 		if _, err := relation.HashJoin(left, right, "k", "k", relation.Inner); err != nil {
 			panic(err)
 		}
@@ -187,20 +207,20 @@ func micros() []Micro {
 		panic(err)
 	}
 	batch := left.Rows()[:2048]
-	out = append(out, measure("joiner_probe_2048", 2048, func() {
+	out = append(out, measure("joiner_probe_2048", 2048, window, func() {
 		joiner.ProbeRows(nil, batch)
 	}))
 	// The traffic dataflow actually sends: DICE-200 moves 58,088 tuples
 	// in 7,410 batches, 8 rows a batch. One op is one 8-row ProbeRows
 	// call (16 output rows of width 3 from this joiner), so bytes_per_op
 	// is what a probe batch costs whatever the per-row price is.
-	out = append(out, measure("joiner_probe_8", len(batch)/8, func() {
+	out = append(out, measure("joiner_probe_8", len(batch)/8, window, func() {
 		for lo := 0; lo < len(batch); lo += 8 {
 			joiner.ProbeRows(nil, batch[lo:lo+8])
 		}
 	}))
 	tup := relation.Tuple{int64(42), "a reasonably sized string payload", 3.14159, true}
-	out = append(out, measure("encode_tuple_pooled", 4096, func() {
+	out = append(out, measure("encode_tuple_pooled", 4096, window, func() {
 		e := relation.GetEncoder()
 		for i := 0; i < 4096; i++ {
 			if _, err := e.EncodeTuple(tup); err != nil {
@@ -216,17 +236,17 @@ func micros() []Micro {
 	ctr := reg.Counter("bench.counter")
 	hist := reg.Histogram("bench.hist", "ns")
 	gauge := reg.Gauge("bench.gauge")
-	out = append(out, measure("telemetry_counter_add", 65536, func() {
+	out = append(out, measure("telemetry_counter_add", 65536, window, func() {
 		for i := 0; i < 65536; i++ {
 			ctr.Add(i, 1)
 		}
 	}))
-	out = append(out, measure("telemetry_hist_observe", 65536, func() {
+	out = append(out, measure("telemetry_hist_observe", 65536, window, func() {
 		for i := 0; i < 65536; i++ {
 			hist.Observe(i, int64(i))
 		}
 	}))
-	out = append(out, measure("telemetry_gauge_set", 65536, func() {
+	out = append(out, measure("telemetry_gauge_set", 65536, window, func() {
 		for i := 0; i < 65536; i++ {
 			gauge.Set(i, int64(i))
 		}
@@ -236,7 +256,7 @@ func micros() []Micro {
 	// fault-injected DICE run per paradigm — the end-to-end price of
 	// re-simulating the schedule with kills, backoff, and (for the
 	// workflow) checkpoint/restore accounting folded in.
-	out = append(out, measure("fault_plan_events_512", 512, func() {
+	out = append(out, measure("fault_plan_events_512", 512, window, func() {
 		plan := faults.Plan{Seed: 1, Rate: 100}
 		if ev := plan.Events(512); len(ev) == 0 {
 			panic("bench: fault plan expanded to no events")
@@ -257,7 +277,7 @@ func micros() []Micro {
 			panic(err)
 		}
 		cfg, p := faultCfg, pc.p
-		out = append(out, measure(pc.name, 1, func() {
+		out = append(out, measure(pc.name, 1, window, func() {
 			if _, err := task.Run(p, cfg); err != nil {
 				panic(err)
 			}
@@ -267,7 +287,7 @@ func micros() []Micro {
 	// Lineage primitives: what the versioned artifact store charges per
 	// unit — hashing provenance into a fingerprint, committing a fresh
 	// result, and resolving a fingerprint that hits.
-	out = append(out, measure("lineage_fingerprint", 4096, func() {
+	out = append(out, measure("lineage_fingerprint", 4096, window, func() {
 		for i := 0; i < 4096; i++ {
 			fp := lineage.NewHasher().
 				String("workflow:dice[pairs=200,seed=1,workers=4]").
@@ -287,7 +307,7 @@ func micros() []Micro {
 	}
 	crun := store.Begin("bench:commit", nil)
 	nextFP := lineage.Fingerprint(1)
-	out = append(out, measure("lineage_commit_1k_rows", 1, func() {
+	out = append(out, measure("lineage_commit_1k_rows", 1, window, func() {
 		// A fresh fingerprint per call keeps every commit on the real
 		// path (digest + priced put), never the already-present shortcut.
 		nextFP++
@@ -299,7 +319,7 @@ func micros() []Micro {
 	for i := 0; i < 4096; i++ {
 		hrun.CommitMeta(fmt.Sprintf("cell-%d", i), lineage.Fingerprint(1<<32+i), 0.001)
 	}
-	out = append(out, measure("lineage_hit_lookup", 4096, func() {
+	out = append(out, measure("lineage_hit_lookup", 4096, window, func() {
 		for i := 0; i < 4096; i++ {
 			if hrun.Lookup("cell", lineage.Fingerprint(1<<32+i)) == nil {
 				panic("bench: expected lineage hit")
@@ -310,7 +330,7 @@ func micros() []Micro {
 	// Fair-share scheduler: the per-job submit/dispatch/complete price
 	// the serving tier charges on top of the run itself. Four tenants,
 	// 1024 one-vCPU jobs, drained in synchronous rounds.
-	out = append(out, measure("sched_submit_dispatch_1024", 1024, func() {
+	out = append(out, measure("sched_submit_dispatch_1024", 1024, window, func() {
 		sched := service.NewScheduler(service.Config{BudgetVCPUs: 32, QueueCap: 1024})
 		tenants := [4]string{"a", "b", "c", "d"}
 		for i := 0; i < 1024; i++ {
@@ -345,7 +365,7 @@ func micros() []Micro {
 	// so they must stay allocation-light.
 	spillModel := cost.Default()
 	skew := 2.0 / shard.SpillFanout
-	out = append(out, measure("shard_plan_spill", 1024, func() {
+	out = append(out, measure("shard_plan_spill", 1024, window, func() {
 		for i := 0; i < 1024; i++ {
 			state := int64(1+i%32) << 20
 			p, err := shard.PlanSpill(spillModel, state, 1<<20, skew)
@@ -357,7 +377,7 @@ func micros() []Micro {
 			}
 		}
 	}))
-	out = append(out, measure("shard_split_owner_1k", 1024, func() {
+	out = append(out, measure("shard_split_owner_1k", 1024, window, func() {
 		topo := shard.Of(16)
 		for i := 0; i < 1024; i++ {
 			parts := topo.Split(1000)
@@ -373,305 +393,150 @@ func micros() []Micro {
 	return out
 }
 
-// macros runs small workflow configurations of the E4 (DICE) and E6
-// (KGE) experiments, timing each with telemetry off and on. The two
-// variants run interleaved in pairs; the overhead estimate is the
-// median of the per-pair ratios, so slow drift in machine load (which
-// hits both members of a pair equally) cancels instead of biasing the
-// comparison the way independent minima would.
-func macros(seed uint64) ([]Macro, error) {
-	const reps = 7
-	var out []Macro
-	run := func(task core.Task, experiment string, size int) error {
-		timeOnce := func(cfg core.RunConfig) (float64, float64, error) {
-			start := telemetry.WallClock()
-			res, err := task.Run(core.Workflow, cfg)
-			if err != nil {
-				return 0, 0, err
-			}
-			return float64(telemetry.WallSince(start).Microseconds()) / 1000, res.SimSeconds, nil
-		}
-		instrCfg := func() core.RunConfig { return core.MustRunConfig(core.WithTelemetry(telemetry.New())) }
-		// Warm both variants (first runs pay one-time costs: page faults,
-		// lazy init), then interleave timed reps so drift in machine load
-		// hits both variants equally; keep each variant's fastest run.
-		if _, _, err := timeOnce(core.MustRunConfig()); err != nil {
-			return fmt.Errorf("bench: %s size %d: %w", experiment, size, err)
-		}
-		if _, _, err := timeOnce(instrCfg()); err != nil {
-			return fmt.Errorf("bench: %s size %d (telemetry): %w", experiment, size, err)
-		}
-		plain, instr := -1.0, -1.0
-		var sim float64
-		ratios := make([]float64, 0, reps)
-		for r := 0; r < reps; r++ {
-			pw, s, err := timeOnce(core.MustRunConfig())
-			if err != nil {
-				return fmt.Errorf("bench: %s size %d: %w", experiment, size, err)
-			}
-			if plain < 0 || pw < plain {
-				plain = pw
-			}
-			sim = s
-			iw, _, err := timeOnce(instrCfg())
-			if err != nil {
-				return fmt.Errorf("bench: %s size %d (telemetry): %w", experiment, size, err)
-			}
-			if instr < 0 || iw < instr {
-				instr = iw
-			}
-			if pw > 0 {
-				ratios = append(ratios, iw/pw)
-			}
-		}
-		overhead := 0.0
-		if len(ratios) > 0 {
-			sort.Float64s(ratios)
-			overhead = 100 * (ratios[len(ratios)/2] - 1)
-		}
-		out = append(out, Macro{
-			Task: task.Name(), Experiment: experiment, Size: size,
-			WallMS: plain, WallMSTelemetry: instr, OverheadPct: overhead,
-			SimSeconds: sim,
-		})
-		return nil
-	}
-	for _, pairs := range []int{10, 50, 200} {
-		t, err := dice.New(dice.Params{Pairs: pairs, Seed: seed})
-		if err != nil {
-			return nil, err
-		}
-		if err := run(t, "fig13a", pairs); err != nil {
-			return nil, err
-		}
-	}
-	for _, products := range []int{340, 3400} {
-		t, err := kge.New(kge.Params{Products: products, Seed: seed})
-		if err != nil {
-			return nil, err
-		}
-		if err := run(t, "fig13c", products); err != nil {
-			return nil, err
-		}
-	}
-	lin, err := lineageMacros(seed)
-	if err != nil {
-		return nil, err
-	}
-	out = append(out, lin...)
-	shd, err := shardMacros(seed)
-	if err != nil {
-		return nil, err
-	}
-	out = append(out, shd...)
-	opt, err := optMacros(seed)
-	if err != nil {
-		return nil, err
-	}
-	return append(out, opt...), nil
+// variant is one side of a macro pair: the experiment name its row
+// carries and the configuration each of its runs gets (a function,
+// because a telemetry recorder is good for one run).
+type variant struct {
+	experiment string
+	cfg        func() core.RunConfig
 }
 
-// optMacros is the end-to-end before/after pair for the cost-based
-// plan optimizer: the same DICE and GOTTA workflows with `-optimize`
-// off and on, at the hand-set 8-worker width the tasks ship with. The
-// optimizer sweep (E15) asserts both outputs bit-identical, so the
-// SimSeconds delta is the pure scheduling win of the rewrites (wider
-// parallelism, fused operators, swapped join builds) and the WallMS
-// delta bounds the host-side price of running the passes.
-func optMacros(seed uint64) ([]Macro, error) {
-	const reps = 7
-	off := core.MustRunConfig(core.WithWorkers(8))
-	on := core.MustRunConfig(core.WithWorkers(8), core.WithOptimize(true))
+// pair is one registered task at one size, run as a workflow under two
+// configurations whose difference is the thing being priced. A b with
+// no experiment name has no row of its own: it is a with a recorder
+// attached, folded into a's row as WallMSTelemetry and OverheadPct.
+type pair struct {
+	task string
+	size int
+	a, b variant
+}
 
+// pairs is the macro table, in report order.
+func pairs() []pair {
+	fixed := func(opts ...core.Option) func() core.RunConfig {
+		cfg := core.MustRunConfig(opts...)
+		return func() core.RunConfig { return cfg }
+	}
+	plain := fixed()
+	recorded := func() core.RunConfig { return core.MustRunConfig(core.WithTelemetry(telemetry.New())) }
+
+	// E4 (DICE) and E6 (KGE) size sweeps, telemetry off and on.
+	var out []pair
+	for _, n := range []int{10, 50, 200} {
+		out = append(out, pair{"dice", n, variant{"fig13a", plain}, variant{cfg: recorded}})
+	}
+	for _, n := range []int{340, 3400} {
+		out = append(out, pair{"kge", n, variant{"fig13c", plain}, variant{cfg: recorded}})
+	}
+
+	// The iterate workload's two extremes: no store attached, and a store
+	// where every operator hits (b's warm-up run is what populates it), so
+	// the engine's work is provenance resolution plus replay of cached
+	// tables. Bounds what the artifact store costs or saves in host time.
+	store, err := lineage.NewStore(nil, 0)
+	if err != nil {
+		panic(err)
+	}
+	out = append(out, pair{"dice", 50,
+		variant{"iterate-cold", plain},
+		variant{"iterate-warm", fixed(core.WithLineage(store))}})
+
+	// The distributed tier (E14): the single-cluster path against a 4-node
+	// sharded topology at the lifted 32-worker width. The golden shard
+	// tests pin both outputs bit-identical, so the wall delta is the host
+	// price of exchange pricing and spill planning.
+	out = append(out, pair{"dice", 2000,
+		variant{"scale-n1", fixed(core.WithWorkers(8))},
+		variant{"scale-n4", fixed(core.WithWorkers(32), core.WithNodes(4))}})
+
+	// The cost-based plan optimizer (E15 asserts both outputs
+	// bit-identical) at the hand-set 8-worker width the tasks ship with:
+	// the SimSeconds delta is the scheduling win of the rewrites, the
+	// WallMS delta the host price of running the passes.
+	optOff, optOn := fixed(core.WithWorkers(8)), fixed(core.WithWorkers(8), core.WithOptimize(true))
+	return append(out,
+		pair{"dice", 200, variant{"opt-off", optOff}, variant{"opt-on", optOn}},
+		pair{"gotta", 16, variant{"opt-off", optOff}, variant{"opt-on", optOn}},
+	)
+}
+
+// macros times every pair the same way: both sides run once untimed
+// (first runs pay page faults and lazy init), then reps rounds of a then
+// b, each run after a forced collection — the regime measure gives
+// every micro — keeping each side's fastest. Interleaving makes drift in
+// machine load hit both sides of a round equally, which is also why a
+// folded pair's overhead is the median of the per-round ratios and not
+// the ratio of two independent minima.
+func macros(seed uint64, reps int) ([]Macro, error) {
 	var out []Macro
-	pair := func(task core.Task, size int) error {
-		timeOnce := func(cfg core.RunConfig) (float64, float64, error) {
-			runtime.GC()
-			start := telemetry.WallClock()
-			res, err := task.Run(core.Workflow, cfg)
-			if err != nil {
-				return 0, 0, err
-			}
-			return float64(telemetry.WallSince(start).Microseconds()) / 1000, res.SimSeconds, nil
+	for _, p := range pairs() {
+		task, err := core.NewTask(p.task, p.size, seed)
+		if err != nil {
+			return nil, err
 		}
-		for _, cfg := range []core.RunConfig{off, on} {
-			if _, _, err := timeOnce(cfg); err != nil {
-				return fmt.Errorf("bench: opt warmup: %w", err)
+		sides := [2]variant{p.a, p.b}
+		var wall, best, sim [2]float64
+		round := func() error {
+			for i, v := range sides {
+				cfg := v.cfg()
+				runtime.GC()
+				start := telemetry.WallClock()
+				res, err := task.Run(core.Workflow, cfg)
+				if err != nil {
+					return fmt.Errorf("bench: %s/%s/%d side %c: %w", p.task, p.a.experiment, p.size, 'a'+i, err)
+				}
+				wall[i], sim[i] = float64(telemetry.WallSince(start).Microseconds())/1000, res.SimSeconds
 			}
+			return nil
 		}
-		wOff, wOn := -1.0, -1.0
-		var simOff, simOn float64
+		if err := round(); err != nil {
+			return nil, err
+		}
+		ratios := make([]float64, 0, reps)
 		for r := 0; r < reps; r++ {
-			w, s, err := timeOnce(off)
-			if err != nil {
-				return fmt.Errorf("bench: opt-off: %w", err)
+			if err := round(); err != nil {
+				return nil, err
 			}
-			if wOff < 0 || w < wOff {
-				wOff = w
+			for i, w := range wall {
+				if r == 0 || w < best[i] {
+					best[i] = w
+				}
 			}
-			simOff = s
-			w, s, err = timeOnce(on)
-			if err != nil {
-				return fmt.Errorf("bench: opt-on: %w", err)
+			if wall[0] > 0 {
+				ratios = append(ratios, wall[1]/wall[0])
 			}
-			if wOn < 0 || w < wOn {
-				wOn = w
-			}
-			simOn = s
 		}
-		out = append(out,
-			Macro{Task: task.Name(), Experiment: "opt-off", Size: size, WallMS: wOff, SimSeconds: simOff},
-			Macro{Task: task.Name(), Experiment: "opt-on", Size: size, WallMS: wOn, SimSeconds: simOn},
-		)
-		return nil
-	}
-
-	dt, err := dice.New(dice.Params{Pairs: 200, Seed: seed})
-	if err != nil {
-		return nil, err
-	}
-	if err := pair(dt, 200); err != nil {
-		return nil, err
-	}
-	gt, err := gotta.New(gotta.Params{Paragraphs: 16, Seed: seed})
-	if err != nil {
-		return nil, err
-	}
-	if err := pair(gt, 16); err != nil {
-		return nil, err
+		a := Macro{Task: task.Name(), Experiment: p.a.experiment, Size: p.size, WallMS: best[0], SimSeconds: sim[0]}
+		if p.b.experiment != "" {
+			out = append(out, a, Macro{Task: task.Name(), Experiment: p.b.experiment, Size: p.size, WallMS: best[1], SimSeconds: sim[1]})
+			continue
+		}
+		a.WallMSTelemetry = best[1]
+		if len(ratios) > 0 {
+			sort.Float64s(ratios)
+			a.OverheadPct = 100 * (ratios[len(ratios)/2] - 1)
+		}
+		out = append(out, a)
 	}
 	return out, nil
 }
 
-// shardMacros is the end-to-end pair for the distributed tier (E14):
-// the same DICE workflow on the legacy single-cluster path and on a
-// 4-node sharded topology at the lifted 32-worker width. The golden
-// shard tests pin both outputs bit-identical, so the wall-clock delta
-// is the host-side price of exchange pricing and spill planning, and
-// the SimSeconds delta is the simulated makespan win from the wider
-// cluster.
-func shardMacros(seed uint64) ([]Macro, error) {
-	const (
-		reps  = 7
-		pairs = 2000
-	)
-	task, err := dice.New(dice.Params{Pairs: pairs, Seed: seed})
+// Run executes the full harness: reps timed rounds per macro pair and
+// window-long timing windows per micro. `repro bench` passes 7 and 60ms;
+// a caller that reads only the counts (allocs_per_op, sim_seconds)
+// passes 1 and 1ms, because counts need no timing window.
+func Run(seed uint64, reps int, window time.Duration) (*Report, error) {
+	mac, err := macros(seed, reps)
 	if err != nil {
 		return nil, err
 	}
-	single := core.MustRunConfig(core.WithWorkers(8))
-	sharded := core.MustRunConfig(core.WithWorkers(32), core.WithNodes(4))
-	timeOnce := func(cfg core.RunConfig) (float64, float64, error) {
-		runtime.GC()
-		start := telemetry.WallClock()
-		res, err := task.Run(core.Workflow, cfg)
-		if err != nil {
-			return 0, 0, err
-		}
-		return float64(telemetry.WallSince(start).Microseconds()) / 1000, res.SimSeconds, nil
-	}
-	for _, cfg := range []core.RunConfig{single, sharded} {
-		if _, _, err := timeOnce(cfg); err != nil {
-			return nil, fmt.Errorf("bench: shard warmup: %w", err)
-		}
-	}
-	n1, n4 := -1.0, -1.0
-	var n1Sim, n4Sim float64
-	for r := 0; r < reps; r++ {
-		w, s, err := timeOnce(single)
-		if err != nil {
-			return nil, fmt.Errorf("bench: scale-n1: %w", err)
-		}
-		if n1 < 0 || w < n1 {
-			n1 = w
-		}
-		n1Sim = s
-		w, s, err = timeOnce(sharded)
-		if err != nil {
-			return nil, fmt.Errorf("bench: scale-n4: %w", err)
-		}
-		if n4 < 0 || w < n4 {
-			n4 = w
-		}
-		n4Sim = s
-	}
-	return []Macro{
-		{Task: task.Name(), Experiment: "scale-n1", Size: pairs, WallMS: n1, SimSeconds: n1Sim},
-		{Task: task.Name(), Experiment: "scale-n4", Size: pairs, WallMS: n4, SimSeconds: n4Sim},
-	}, nil
-}
-
-// lineageMacros times the iterate workload's two wall-clock extremes on
-// the DICE workflow: a cold run with no store attached, and a fully
-// warm run against a populated store where every operator hits, so the
-// engine's work is provenance resolution plus replay of cached tables.
-// The pair bounds what the artifact store costs (or saves) in host
-// time, as opposed to the simulated seconds the iterate experiment
-// reports.
-func lineageMacros(seed uint64) ([]Macro, error) {
-	const (
-		reps  = 7
-		pairs = 50
-	)
-	task, err := dice.New(dice.Params{Pairs: pairs, Seed: seed})
-	if err != nil {
-		return nil, err
-	}
-	store, err := lineage.NewStore(nil, 0)
-	if err != nil {
-		return nil, err
-	}
-	warmCfg := core.MustRunConfig(core.WithLineage(store))
-	// Populate pass, untimed: after it every fingerprint in the warm
-	// variant's plan resolves to a committed artifact.
-	if _, err := task.Run(core.Workflow, warmCfg); err != nil {
-		return nil, err
-	}
-	timeOnce := func(cfg core.RunConfig) (float64, float64, error) {
-		start := telemetry.WallClock()
-		res, err := task.Run(core.Workflow, cfg)
-		if err != nil {
-			return 0, 0, err
-		}
-		return float64(telemetry.WallSince(start).Microseconds()) / 1000, res.SimSeconds, nil
-	}
-	cold, warm := -1.0, -1.0
-	var coldSim, warmSim float64
-	for r := 0; r < reps; r++ {
-		cw, cs, err := timeOnce(core.MustRunConfig())
-		if err != nil {
-			return nil, fmt.Errorf("bench: iterate-cold: %w", err)
-		}
-		if cold < 0 || cw < cold {
-			cold = cw
-		}
-		coldSim = cs
-		ww, ws, err := timeOnce(warmCfg)
-		if err != nil {
-			return nil, fmt.Errorf("bench: iterate-warm: %w", err)
-		}
-		if warm < 0 || ww < warm {
-			warm = ww
-		}
-		warmSim = ws
-	}
-	return []Macro{
-		{Task: task.Name(), Experiment: "iterate-cold", Size: pairs, WallMS: cold, SimSeconds: coldSim},
-		{Task: task.Name(), Experiment: "iterate-warm", Size: pairs, WallMS: warm, SimSeconds: warmSim},
-	}, nil
-}
-
-// Run executes the full harness.
-func Run(seed uint64) (*Report, error) {
-	mac, err := macros(seed)
-	if err != nil {
-		return nil, err
-	}
-	return &Report{
+	env := Env{
 		GoVersion:  runtime.Version(),
+		GOOS:       runtime.GOOS,
+		GOARCH:     runtime.GOARCH,
 		GOMAXPROCS: runtime.GOMAXPROCS(0),
-		Env:        CurrentEnv(),
-		Micro:      micros(),
-		Macro:      mac,
-	}, nil
+		NumCPU:     runtime.NumCPU(),
+		GOGC:       os.Getenv("GOGC"),
+	}
+	return &Report{GoVersion: env.GoVersion, GOMAXPROCS: env.GOMAXPROCS, Env: env, Micro: micros(window), Macro: mac}, nil
 }

@@ -1,14 +1,17 @@
 package bench
 
 import (
+	"slices"
+	"sync"
 	"testing"
+	"time"
 
 	"repro/internal/dataflow"
 )
 
 func TestMeasureReportsPerOp(t *testing.T) {
 	n := 0
-	m := measure("count", 10, func() { n += 10 })
+	m := measure("count", 10, time.Millisecond, func() { n += 10 })
 	if m.Name != "count" {
 		t.Fatalf("name = %q", m.Name)
 	}
@@ -27,91 +30,87 @@ func TestMicrobenchLoopsRun(t *testing.T) {
 	dataflow.RouteHashLoop(64)
 }
 
-func TestMacrosTrajectory(t *testing.T) {
+// harness is one run of the whole harness the way bench-check runs it,
+// shared by the tests that read it.
+var harness = sync.OnceValues(func() (*Report, error) { return Run(1, 1, time.Millisecond) })
+
+func harnessReport(t *testing.T) *Report {
+	t.Helper()
 	if testing.Short() {
-		t.Skip("macro runs in -short mode")
+		t.Skip("harness run in -short mode")
 	}
-	mac, err := macros(1)
+	rep, err := harness()
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(mac) == 0 {
-		t.Fatal("no macro points")
+	return rep
+}
+
+// The micro table and the pairs table must produce exactly the rows of
+// the newest BENCH_<n>.json at the repository root, in order: a row
+// added, dropped or renamed without re-recording the trajectory point
+// would otherwise only show as a bench-check note.
+func TestRunRowsMatchNewestTrajectoryPoint(t *testing.T) {
+	rep := harnessReport(t)
+	path, newest, err := LatestBaseline("../..")
+	if err != nil {
+		t.Fatal(err)
 	}
-	iterate := map[string]Macro{}
-	scale := map[string]Macro{}
-	optim := map[string]Macro{}
-	for _, m := range mac {
+	rows := func(r *Report) []string {
+		var out []string
+		for _, c := range counts(r) {
+			out = append(out, c.key())
+		}
+		return out
+	}
+	got, want := rows(rep), rows(newest)
+	if !slices.Equal(got, want) {
+		t.Fatalf("harness rows differ from %s:\n got %v\nwant %v", path, got, want)
+	}
+}
+
+func TestMacrosTrajectory(t *testing.T) {
+	sim := map[string]float64{}
+	for _, m := range harnessReport(t).Macro {
 		if m.WallMS <= 0 || m.SimSeconds <= 0 {
 			t.Fatalf("degenerate macro point %+v", m)
 		}
-		switch m.Experiment {
-		case "iterate-cold", "iterate-warm":
-			// The lineage pair has no telemetry variant; it compares a
-			// cold run against a fully warm store instead.
-			iterate[m.Experiment] = m
-			continue
-		case "scale-n1", "scale-n4":
-			// The sharded pair compares cluster widths, not telemetry.
-			scale[m.Experiment] = m
-			continue
-		case "opt-off", "opt-on":
-			// The optimizer pair compares plans, not telemetry; it runs
-			// once per task, so key by task too.
-			optim[m.Task+"/"+m.Experiment] = m
-			continue
+		// Only the telemetry pairs fold their second variant into the row.
+		if folded := m.Experiment == "fig13a" || m.Experiment == "fig13c"; folded != (m.WallMSTelemetry > 0) {
+			t.Fatalf("telemetry run on the wrong rows: %+v", m)
 		}
-		if m.WallMSTelemetry <= 0 {
-			t.Fatalf("telemetry run missing from macro point %+v", m)
+		sim[m.Task+"/"+m.Experiment] = m.SimSeconds
+	}
+	for _, o := range []struct{ less, more, why string }{
+		{"dice/iterate-warm", "dice/iterate-cold", "all-hit run not cheaper"},
+		{"dice/scale-n4", "dice/scale-n1", "4-node cluster not faster"},
+		{"dice/opt-on", "dice/opt-off", "optimized plan not faster"},
+		{"gotta/opt-on", "gotta/opt-off", "optimized plan not faster"},
+	} {
+		less, okl := sim[o.less]
+		more, okm := sim[o.more]
+		if !okl || !okm {
+			t.Fatalf("macro pair %s / %s missing: %v", o.less, o.more, sim)
 		}
-	}
-	cold, okc := iterate["iterate-cold"]
-	warm, okw := iterate["iterate-warm"]
-	if !okc || !okw {
-		t.Fatalf("iterate macro pair missing: %+v", iterate)
-	}
-	if warm.SimSeconds >= cold.SimSeconds {
-		t.Fatalf("all-hit run not cheaper in simulated seconds: warm %v vs cold %v",
-			warm.SimSeconds, cold.SimSeconds)
-	}
-	n1, ok1 := scale["scale-n1"]
-	n4, ok4 := scale["scale-n4"]
-	if !ok1 || !ok4 {
-		t.Fatalf("sharded macro pair missing: %+v", scale)
-	}
-	if n4.SimSeconds >= n1.SimSeconds {
-		t.Fatalf("4-node cluster not faster in simulated seconds: n4 %v vs n1 %v",
-			n4.SimSeconds, n1.SimSeconds)
-	}
-	for _, task := range []string{"dice", "gotta"} {
-		oOff, okf := optim[task+"/opt-off"]
-		oOn, okn := optim[task+"/opt-on"]
-		if !okf || !okn {
-			t.Fatalf("optimizer macro pair missing for %s: %+v", task, optim)
-		}
-		if oOn.SimSeconds >= oOff.SimSeconds {
-			t.Fatalf("%s: optimized plan not faster in simulated seconds: on %v vs off %v",
-				task, oOn.SimSeconds, oOff.SimSeconds)
+		if less >= more {
+			t.Fatalf("%s in simulated seconds: %s %v vs %s %v", o.why, o.less, less, o.more, more)
 		}
 	}
 }
 
-// The telemetry micro-benchmarks must keep running (the overhead guard
-// depends on them); this exercises the same loops measure() times.
+// Every micro must time something, and the telemetry primitives must
+// stay allocation-free on the hot path (the overhead guard depends on
+// them).
 func TestTelemetryMicroLoopsRun(t *testing.T) {
-	if testing.Short() {
-		t.Skip("micro sweep in -short mode")
-	}
-	micros := micros()
 	want := map[string]bool{
 		"telemetry_counter_add": false, "telemetry_hist_observe": false, "telemetry_gauge_set": false,
 	}
-	for _, m := range micros {
+	for _, m := range harnessReport(t).Micro {
+		if m.NsPerOp <= 0 {
+			t.Fatalf("%s: ns/op = %v", m.Name, m.NsPerOp)
+		}
 		if _, ok := want[m.Name]; ok {
 			want[m.Name] = true
-			if m.NsPerOp <= 0 {
-				t.Fatalf("%s: ns/op = %v", m.Name, m.NsPerOp)
-			}
 			if m.AllocsPerOp != 0 {
 				t.Fatalf("%s allocates %.2f per op on the hot path", m.Name, m.AllocsPerOp)
 			}

@@ -3,182 +3,123 @@ package bench
 import (
 	"encoding/json"
 	"fmt"
+	"math"
 	"os"
 	"path/filepath"
 	"regexp"
-	"runtime"
 	"sort"
 	"strconv"
 )
 
-// Env is the benchmark host fingerprint stamped into every report.
-// Wall-clock numbers are only comparable between runs on the same
-// machine configuration, so the regression detector refuses to compare
-// reports whose fingerprints differ instead of reporting differences
-// in hardware as differences in code.
-type Env struct {
-	GoVersion  string `json:"go_version"`
-	GOOS       string `json:"goos"`
-	GOARCH     string `json:"goarch"`
-	GOMAXPROCS int    `json:"gomaxprocs"`
-	NumCPU     int    `json:"num_cpu"`
-	// GOGC is the GC target from the environment; empty means the
-	// default (100). GC pacing shifts every allocation-heavy micro.
-	GOGC string `json:"gogc,omitempty"`
+// Finding is one count compared between baseline and fresh run: a
+// micro's allocs_per_op or a macro's sim_seconds.
+type Finding struct {
+	Name     string  `json:"name"`
+	Kind     string  `json:"kind"` // "micro" or "macro"
+	Baseline float64 `json:"baseline"`
+	Fresh    float64 `json:"fresh"`
+	Moved    bool    `json:"moved,omitempty"`
 }
 
-// CurrentEnv fingerprints the running process.
-func CurrentEnv() Env {
-	return Env{
-		GoVersion:  runtime.Version(),
-		GOOS:       runtime.GOOS,
-		GOARCH:     runtime.GOARCH,
-		GOMAXPROCS: runtime.GOMAXPROCS(0),
-		NumCPU:     runtime.NumCPU(),
-		GOGC:       os.Getenv("GOGC"),
+// CompareReport is the gate's verdict.
+type CompareReport struct {
+	BaselinePath string    `json:"baseline_path,omitempty"`
+	Findings     []Finding `json:"findings,omitempty"`
+	// Notes are informational, never a failure by themselves: benchmarks
+	// present on only one side (renamed or newly added), object counts
+	// that fell, a Go version change that left objects uncompared.
+	Notes []string `json:"notes,omitempty"`
+	Moved int      `json:"moved"`
+}
+
+// allocSlack is how far a micro's allocs_per_op may rise before it
+// counts: 2 % plus half an object. Across runs of one commit the counts
+// that wobble at all (a pool refilled after a collection, a map grown
+// one bucket later) stay within two objects in 50,000; a per-row or
+// per-batch allocation added to a loop is at least one whole object per
+// op on a fast micro and far over 2 % on a slow one.
+func allocSlack(baseline float64) float64 { return 0.02*baseline + 0.5 }
+
+// simTolerance is the relative distance a macro's sim_seconds may sit
+// from the baseline in either direction: the last-ULP wobble of workers
+// folding float work in batch-arrival order, nothing more. A changed
+// cost model or schedule moves simulated seconds by parts in a million
+// at the very least.
+const simTolerance = 1e-9
+
+// Compare diffs the counts of a fresh report against a baseline — the
+// two columns that read the same on every host and under any load, so
+// a difference is a difference in code. Wall time (ns_per_op, wall_ms)
+// is never compared here; `go run ./benchmark -compare` is the ruler
+// for that. A micro moves when its allocs_per_op rises by more than
+// allocSlack; the runtime's own allocation behaviour changes between Go
+// releases, so objects are compared only when both reports name one Go
+// version. A macro moves when its sim_seconds differs by more than
+// simTolerance.
+func Compare(baseline, fresh *Report) *CompareReport {
+	out := &CompareReport{}
+	sameGo := baseline.GoVersion == fresh.GoVersion
+	if !sameGo {
+		out.Notes = append(out.Notes, fmt.Sprintf("go_version %q vs %q: allocs_per_op not compared", baseline.GoVersion, fresh.GoVersion))
 	}
-}
-
-// mismatches lists the fields on which two fingerprints disagree, in a
-// fixed order. Empty means comparable.
-func (e Env) mismatches(other Env) []string {
-	var out []string
-	add := func(field, a, b string) {
-		if a != b {
-			out = append(out, fmt.Sprintf("%s: %q vs %q", field, a, b))
+	was := counts(baseline)
+	base := make(map[string]float64, len(was))
+	for _, c := range was {
+		base[c.key()] = c.value
+	}
+	seen := make(map[string]bool, len(was))
+	for _, c := range counts(fresh) {
+		b, ok := base[c.key()]
+		if !ok {
+			out.Notes = append(out.Notes, "baseline lacks "+c.key())
+			continue
+		}
+		seen[c.key()] = true
+		var moved bool
+		switch {
+		case c.kind == "macro":
+			moved = math.Abs(c.value-b) > simTolerance*math.Abs(b)
+		case !sameGo:
+			continue
+		default:
+			moved = c.value > b+allocSlack(b)
+			if c.value < b-allocSlack(b) {
+				out.Notes = append(out.Notes, fmt.Sprintf("micro %s allocs_per_op fell %g -> %g", c.name, b, c.value))
+			}
+		}
+		if moved {
+			out.Moved++
+		}
+		out.Findings = append(out.Findings, Finding{Name: c.name, Kind: c.kind, Baseline: b, Fresh: c.value, Moved: moved})
+	}
+	for _, c := range was {
+		if !seen[c.key()] {
+			out.Notes = append(out.Notes, "fresh run lacks "+c.key())
 		}
 	}
-	add("go_version", e.GoVersion, other.GoVersion)
-	add("goos", e.GOOS, other.GOOS)
-	add("goarch", e.GOARCH, other.GOARCH)
-	add("gomaxprocs", strconv.Itoa(e.GOMAXPROCS), strconv.Itoa(other.GOMAXPROCS))
-	add("num_cpu", strconv.Itoa(e.NumCPU), strconv.Itoa(other.NumCPU))
-	add("gogc", e.GOGC, other.GOGC)
+	sort.Strings(out.Notes)
 	return out
 }
 
-// Finding is one benchmark compared between baseline and fresh run.
-type Finding struct {
-	Name      string  `json:"name"`
-	Kind      string  `json:"kind"` // "micro" or "macro"
-	Baseline  float64 `json:"baseline"`
-	Fresh     float64 `json:"fresh"`
-	Ratio     float64 `json:"ratio"` // fresh / baseline
-	Threshold float64 `json:"threshold"`
-	Regressed bool    `json:"regressed,omitempty"`
-	Improved  bool    `json:"improved,omitempty"`
+// count is one compared number of a report: a micro's allocs_per_op
+// under its name, or a macro's sim_seconds under task/experiment/size.
+type count struct {
+	kind, name string
+	value      float64
 }
 
-// CompareReport is the regression detector's verdict.
-type CompareReport struct {
-	BaselinePath string `json:"baseline_path,omitempty"`
-	// EnvMismatch lists fingerprint differences; when non-empty the
-	// comparison was refused and Findings is empty.
-	EnvMismatch []string  `json:"env_mismatch,omitempty"`
-	Findings    []Finding `json:"findings,omitempty"`
-	// Missing names benchmarks present on only one side (renamed or
-	// newly added) — informational, never a regression by itself.
-	Missing     []string `json:"missing,omitempty"`
-	Regressions int      `json:"regressions"`
-}
+func (c count) key() string { return c.kind + " " + c.name }
 
-// microThreshold is the relative slowdown tolerated per micro before
-// it counts as a regression, tiered by magnitude: the faster the
-// operation, the larger the share of its cost that is scheduler and
-// cache noise on a busy host. The tiers come from the observed spread
-// of the BENCH_1–6 series on an otherwise idle machine.
-func microThreshold(baselineNS float64) float64 {
-	switch {
-	case baselineNS < 100:
-		return 0.60
-	case baselineNS < 1000:
-		return 0.45
-	default:
-		return 0.30
+// counts lists a report's compared numbers, micros first, in report
+// order.
+func counts(r *Report) []count {
+	out := make([]count, 0, len(r.Micro)+len(r.Macro))
+	for _, m := range r.Micro {
+		out = append(out, count{"micro", m.Name, m.AllocsPerOp})
 	}
-}
-
-// macroThreshold is the tolerated relative slowdown for end-to-end
-// macro runs; min-of-7 interleaved reps makes these steadier than any
-// single micro window.
-const macroThreshold = 0.35
-
-// Compare diffs a fresh report against a baseline. It refuses (with
-// EnvMismatch set) when the reports come from different machine
-// fingerprints, or the baseline predates the Env header and records
-// none. A benchmark regresses when fresh > baseline*(1+thr);
-// it improves (informationally) when fresh < baseline/(1+thr).
-func Compare(baseline, fresh *Report) *CompareReport {
-	out := &CompareReport{}
-	if baseline.Env == (Env{}) {
-		out.EnvMismatch = []string{"baseline records no env block"}
-		return out
+	for _, m := range r.Macro {
+		out = append(out, count{"macro", fmt.Sprintf("%s/%s/%d", m.Task, m.Experiment, m.Size), m.SimSeconds})
 	}
-	if mm := baseline.Env.mismatches(fresh.Env); len(mm) > 0 {
-		out.EnvMismatch = mm
-		return out
-	}
-
-	classify := func(name, kind string, base, got, thr float64) {
-		f := Finding{
-			Name: name, Kind: kind,
-			Baseline: base, Fresh: got, Threshold: thr,
-		}
-		if base > 0 {
-			f.Ratio = got / base
-			f.Regressed = f.Ratio > 1+thr
-			f.Improved = f.Ratio < 1/(1+thr)
-		}
-		if f.Regressed {
-			out.Regressions++
-		}
-		out.Findings = append(out.Findings, f)
-	}
-
-	baseMicro := make(map[string]Micro, len(baseline.Micro))
-	for _, m := range baseline.Micro {
-		baseMicro[m.Name] = m
-	}
-	seen := make(map[string]bool)
-	for _, m := range fresh.Micro {
-		b, ok := baseMicro[m.Name]
-		if !ok {
-			out.Missing = append(out.Missing, "baseline lacks micro "+m.Name)
-			continue
-		}
-		seen[m.Name] = true
-		classify(m.Name, "micro", b.NsPerOp, m.NsPerOp, microThreshold(b.NsPerOp))
-	}
-	for _, m := range baseline.Micro {
-		if !seen[m.Name] {
-			out.Missing = append(out.Missing, "fresh run lacks micro "+m.Name)
-		}
-	}
-
-	macroKey := func(m Macro) string {
-		return fmt.Sprintf("%s/%s/%d", m.Task, m.Experiment, m.Size)
-	}
-	baseMacro := make(map[string]Macro, len(baseline.Macro))
-	for _, m := range baseline.Macro {
-		baseMacro[macroKey(m)] = m
-	}
-	seenMacro := make(map[string]bool)
-	for _, m := range fresh.Macro {
-		k := macroKey(m)
-		b, ok := baseMacro[k]
-		if !ok {
-			out.Missing = append(out.Missing, "baseline lacks macro "+k)
-			continue
-		}
-		seenMacro[k] = true
-		classify(k, "macro", b.WallMS, m.WallMS, macroThreshold)
-	}
-	for _, m := range baseline.Macro {
-		if k := macroKey(m); !seenMacro[k] {
-			out.Missing = append(out.Missing, "fresh run lacks macro "+k)
-		}
-	}
-	sort.Strings(out.Missing)
 	return out
 }
 
@@ -210,22 +151,13 @@ func LatestBaseline(dir string) (string, *Report, error) {
 		return "", nil, fmt.Errorf("bench: no BENCH_*.json baseline in %s: %w", dir, os.ErrNotExist)
 	}
 	path := filepath.Join(dir, best)
-	rep, err := LoadReport(path)
+	data, err := os.ReadFile(path)
 	if err != nil {
 		return "", nil, err
 	}
-	return path, rep, nil
-}
-
-// LoadReport reads a bench report JSON file.
-func LoadReport(path string) (*Report, error) {
-	data, err := os.ReadFile(path)
-	if err != nil {
-		return nil, err
-	}
 	var rep Report
 	if err := json.Unmarshal(data, &rep); err != nil {
-		return nil, fmt.Errorf("bench: parsing %s: %w", path, err)
+		return "", nil, fmt.Errorf("bench: parsing %s: %w", path, err)
 	}
-	return &rep, nil
+	return path, &rep, nil
 }

@@ -1,53 +1,30 @@
 package dataflow
 
 import (
-	"context"
 	"sync/atomic"
 	"testing"
 
 	"repro/internal/cost"
-	"repro/internal/relation"
 )
 
-func benchBatch() batchMsg {
-	rows := make([]relation.Tuple, 16)
-	for i := range rows {
-		rows[i] = relation.Tuple{int64(i), "payload"}
-	}
-	return batchMsg{rows: rows}
-}
+// The three benchmarks below are the loops internal/bench times as
+// queue_push_pop, queue_push_pop_burst256 and add_work, under testing.B
+// so -bench, -benchmem and -cpuprofile work on them (each includes its
+// loop's few fixture allocations in op one).
 
 func BenchmarkQueuePushPop(b *testing.B) {
-	q := newQueue()
-	m := benchBatch()
-	ctx := context.Background()
 	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		q.push(m)
-		if _, ok, err := q.pop(ctx); !ok || err != nil {
-			b.Fatalf("pop: ok=%v err=%v", ok, err)
-		}
-	}
+	QueuePushPopLoop(b.N, 1)
 }
 
 func BenchmarkQueuePushPopBurst(b *testing.B) {
-	const burst = 256
-	q := newQueue()
-	m := benchBatch()
-	ctx := context.Background()
 	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		for j := 0; j < burst; j++ {
-			q.push(m)
-		}
-		for j := 0; j < burst; j++ {
-			if _, ok, err := q.pop(ctx); !ok || err != nil {
-				b.Fatalf("pop: ok=%v err=%v", ok, err)
-			}
-		}
-	}
+	QueuePushPopLoop(b.N, 256)
+}
+
+func BenchmarkAddWork(b *testing.B) {
+	b.ReportAllocs()
+	AddWorkLoop(b.N)
 }
 
 func benchRuntime(workers int) *nodeRuntime {
@@ -57,17 +34,6 @@ func benchRuntime(workers int) *nodeRuntime {
 		rt.shards[s].byPort = make([]cost.Work, 2)
 	}
 	return rt
-}
-
-func BenchmarkAddWork(b *testing.B) {
-	rt := benchRuntime(1)
-	ec := &execCtx{rt: rt, shard: &rt.shards[0], phase: 0}
-	w := cost.Work{Interp: 1e-6, Mem: 2e-7}
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		ec.AddWork(w)
-	}
 }
 
 // BenchmarkAddWorkParallel drives one execCtx per goroutine against a

@@ -10,8 +10,9 @@ import (
 // Exported micro-benchmark loops over the executor's unexported hot
 // paths (the ring-buffer queue, the sharded work accounting, a map
 // worker's batch and the hash router's split), so the wall-clock
-// harness in internal/bench can time them from outside the package. Each runs the loop body the benchmark in bench_test.go runs;
-// the caller supplies iteration counts and does the timing.
+// harness in internal/bench can time them from outside the package.
+// The caller supplies iteration counts and does the timing; the
+// benchmarks in bench_test.go are such callers, not second copies.
 
 // QueuePushPopLoop performs iters bursts of burst pushes followed by
 // burst pops on one queue (burst 1 is the ping-pong case).

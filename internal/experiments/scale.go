@@ -82,9 +82,6 @@ func Scale(cfg Config) ([]ScaleRow, error) {
 		var wantS, wantW uint64
 		for i, nodes := range ScaleNodes {
 			workers := 8 * nodes
-			if nodes <= 1 {
-				workers = 8
-			}
 			rc, err := cfg.RunConfig.With(
 				core.WithWorkers(workers),
 				core.WithNodes(nodes),

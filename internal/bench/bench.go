@@ -15,9 +15,11 @@ import (
 	"testing"
 	"time"
 
+	"repro/internal/brat"
 	"repro/internal/core"
 	"repro/internal/cost"
 	"repro/internal/dataflow"
+	"repro/internal/datagen"
 	"repro/internal/faults"
 	"repro/internal/lineage"
 	"repro/internal/relation"
@@ -388,6 +390,21 @@ func micros(window time.Duration) []Micro {
 			if sum != 1000 || topo.Owner(i%1000, 1000) < 0 {
 				panic("bench: shard split/owner disagreed")
 			}
+		}
+	}))
+
+	// The DICE parse path on one generated case: the annotation file both
+	// paradigms parse, and the rendering that feeds it.
+	ann := datagen.GenerateClinicalCases(1, 1)[0].Ann
+	annText := brat.Render(ann)
+	out = append(out, measure("brat_parse_case", 1, window, func() {
+		if _, err := brat.ParseString(annText); err != nil {
+			panic(err)
+		}
+	}))
+	out = append(out, measure("brat_render_case", 1, window, func() {
+		if brat.Render(ann) != annText {
+			panic("bench: render is not stable")
 		}
 	}))
 	return out

@@ -9,10 +9,11 @@ package brat
 
 import (
 	"bufio"
+	"errors"
 	"fmt"
-	"io"
 	"strconv"
 	"strings"
+	"unicode"
 )
 
 // Entity is a "T" annotation: a typed character span.
@@ -55,18 +56,41 @@ func (d *Document) EntityByID(id string) *Entity {
 	return nil
 }
 
-// Parse reads a BRAT annotation file. Unknown line kinds are rejected;
-// blank lines are skipped.
-func Parse(r io.Reader) (*Document, error) {
-	doc := &Document{}
-	sc := bufio.NewScanner(r)
-	// No initial buffer: the scanner starts at 4 KiB and grows to the
-	// 1 MiB line limit only for a file that needs it.
-	sc.Buffer(nil, 1<<20)
+// ParseString parses an annotation file held in a string. Unknown line
+// kinds are rejected; blank lines are skipped. Every ID, type, text and
+// argument of the result is a substring of s, so the document keeps s
+// alive as a whole.
+func ParseString(s string) (*Document, error) {
+	// Count first, so each slice is allocated once: one T line is one
+	// entity, one E line one event, and an argument needs a colon of its
+	// own after the head's.
+	var nEnt, nEv, nArg int
+	for rest := s; rest != ""; {
+		var line string
+		line, rest, _ = strings.Cut(rest, "\n")
+		switch {
+		case line == "":
+		case line[0] == 'T':
+			nEnt++
+		case line[0] == 'E':
+			nEv++
+			nArg += max(strings.Count(line, ":")-1, 0)
+		}
+	}
+	doc := &Document{Entities: make([]Entity, 0, nEnt), Events: make([]Event, 0, nEv)}
+	args := make([]Arg, 0, nArg)
+
 	lineNo := 0
-	for sc.Scan() {
+	for rest := s; rest != ""; {
+		var line string
+		line, rest, _ = strings.Cut(rest, "\n")
+		// bufio.Scanner's limit, kept from when this parser read through
+		// one: a line and its newline must fit a 1 MiB buffer.
+		if len(line) >= 1<<20 {
+			return nil, fmt.Errorf("brat: %w", bufio.ErrTooLong)
+		}
 		lineNo++
-		line := strings.TrimRight(sc.Text(), "\r\n")
+		line = strings.TrimRight(line, "\r")
 		if strings.TrimSpace(line) == "" {
 			continue
 		}
@@ -78,7 +102,9 @@ func Parse(r io.Reader) (*Document, error) {
 			}
 			doc.Entities = append(doc.Entities, e)
 		case 'E':
-			ev, err := parseEvent(line)
+			var ev Event
+			var err error
+			ev, args, err = parseEvent(line, args)
 			if err != nil {
 				return nil, fmt.Errorf("brat: line %d: %w", lineNo, err)
 			}
@@ -87,77 +113,136 @@ func Parse(r io.Reader) (*Document, error) {
 			return nil, fmt.Errorf("brat: line %d: unknown annotation kind %q", lineNo, line[0])
 		}
 	}
-	if err := sc.Err(); err != nil {
-		return nil, fmt.Errorf("brat: %w", err)
-	}
 	return doc, nil
 }
 
-// ParseString parses an annotation file held in a string.
-func ParseString(s string) (*Document, error) {
-	return Parse(strings.NewReader(s))
+// nextField returns the first field of s and what follows it, splitting
+// exactly where strings.Fields does: at every unicode.IsSpace rune. An
+// empty field means s held none.
+func nextField(s string) (field, rest string) {
+	start := -1
+	for i, r := range s {
+		switch {
+		case !unicode.IsSpace(r):
+			if start < 0 {
+				start = i
+			}
+		case start >= 0:
+			return s[start:i], s[i:]
+		}
+	}
+	if start < 0 {
+		return "", ""
+	}
+	return s[start:], ""
 }
 
 // parseEntity parses "T1\tAge 18 27\t34-yr-old".
 func parseEntity(line string) (Entity, error) {
-	parts := strings.SplitN(line, "\t", 3)
-	if len(parts) != 3 {
-		return Entity{}, fmt.Errorf("entity needs 3 tab-separated fields, got %d", len(parts))
+	id, rest, ok := strings.Cut(line, "\t")
+	if !ok {
+		return Entity{}, errors.New("entity needs 3 tab-separated fields, got 1")
 	}
-	mid := strings.Fields(parts[1])
-	if len(mid) != 3 {
-		return Entity{}, fmt.Errorf("entity header needs `Type Start End`, got %q", parts[1])
+	header, text, ok := strings.Cut(rest, "\t")
+	if !ok {
+		return Entity{}, errors.New("entity needs 3 tab-separated fields, got 2")
 	}
-	start, err := strconv.Atoi(mid[1])
+	typ, h := nextField(header)
+	startField, h := nextField(h)
+	endField, h := nextField(h)
+	if extra, _ := nextField(h); endField == "" || extra != "" {
+		return Entity{}, fmt.Errorf("entity header needs `Type Start End`, got %q", header)
+	}
+	start, err := strconv.Atoi(startField)
 	if err != nil {
-		return Entity{}, fmt.Errorf("bad start offset %q", mid[1])
+		return Entity{}, fmt.Errorf("bad start offset %q", startField)
 	}
-	end, err := strconv.Atoi(mid[2])
+	end, err := strconv.Atoi(endField)
 	if err != nil {
-		return Entity{}, fmt.Errorf("bad end offset %q", mid[2])
+		return Entity{}, fmt.Errorf("bad end offset %q", endField)
 	}
 	if start < 0 || end <= start {
 		return Entity{}, fmt.Errorf("invalid span [%d,%d)", start, end)
 	}
-	return Entity{ID: parts[0], Type: mid[0], Start: start, End: end, Text: parts[2]}, nil
+	return Entity{ID: id, Type: typ, Start: start, End: end, Text: text}, nil
 }
 
-// parseEvent parses "E1\tClinical_event:T3 Theme:T5".
-func parseEvent(line string) (Event, error) {
-	parts := strings.SplitN(line, "\t", 2)
-	if len(parts) != 2 {
-		return Event{}, fmt.Errorf("event needs 2 tab-separated fields, got %d", len(parts))
+// parseEvent parses "E1\tClinical_event:T3 Theme:T5". The event's
+// arguments are appended to args, the arena every event of one file
+// shares, and the event holds its own stretch of it.
+func parseEvent(line string, args []Arg) (Event, []Arg, error) {
+	id, body, ok := strings.Cut(line, "\t")
+	if !ok {
+		return Event{}, args, errors.New("event needs 2 tab-separated fields, got 1")
 	}
-	fields := strings.Fields(parts[1])
-	if len(fields) == 0 {
-		return Event{}, fmt.Errorf("event body is empty")
+	head, body := nextField(body)
+	if head == "" {
+		return Event{}, args, errors.New("event body is empty")
 	}
-	typeTrig := strings.SplitN(fields[0], ":", 2)
-	if len(typeTrig) != 2 || typeTrig[0] == "" || typeTrig[1] == "" {
-		return Event{}, fmt.Errorf("event head needs `Type:Trigger`, got %q", fields[0])
+	typ, trigger, ok := strings.Cut(head, ":")
+	if !ok || typ == "" || trigger == "" {
+		return Event{}, args, fmt.Errorf("event head needs `Type:Trigger`, got %q", head)
 	}
-	ev := Event{ID: parts[0], Type: typeTrig[0], Trigger: typeTrig[1]}
-	for _, f := range fields[1:] {
-		kv := strings.SplitN(f, ":", 2)
-		if len(kv) != 2 || kv[0] == "" || kv[1] == "" {
-			return Event{}, fmt.Errorf("event arg needs `Role:Ref`, got %q", f)
+	ev := Event{ID: id, Type: typ, Trigger: trigger}
+	first := len(args)
+	for f, rest := nextField(body); f != ""; f, rest = nextField(rest) {
+		role, ref, ok := strings.Cut(f, ":")
+		if !ok || role == "" || ref == "" {
+			return Event{}, args, fmt.Errorf("event arg needs `Role:Ref`, got %q", f)
 		}
-		ev.Args = append(ev.Args, Arg{Role: kv[0], Ref: kv[1]})
+		args = append(args, Arg{Role: role, Ref: ref})
 	}
-	return ev, nil
+	if len(args) > first {
+		ev.Args = args[first:len(args):len(args)]
+	}
+	return ev, args, nil
 }
 
 // Render writes the document back in BRAT format, entities first then
 // events, in slice order.
 func Render(d *Document) string {
-	var b strings.Builder
-	for _, e := range d.Entities {
-		fmt.Fprintf(&b, "%s\t%s %d %d\t%s\n", e.ID, e.Type, e.Start, e.End, e.Text)
+	var num [20]byte // the longest int64 in decimal, sign included
+	size := 0
+	for i := range d.Entities {
+		e := &d.Entities[i]
+		size += len(e.ID) + len(e.Type) + len(e.Text) + len("\t  \t\n") +
+			len(strconv.AppendInt(num[:0], int64(e.Start), 10)) +
+			len(strconv.AppendInt(num[:0], int64(e.End), 10))
 	}
-	for _, ev := range d.Events {
-		fmt.Fprintf(&b, "%s\t%s:%s", ev.ID, ev.Type, ev.Trigger)
+	for i := range d.Events {
+		ev := &d.Events[i]
+		size += len(ev.ID) + len(ev.Type) + len(ev.Trigger) + len("\t:\n")
 		for _, a := range ev.Args {
-			fmt.Fprintf(&b, " %s:%s", a.Role, a.Ref)
+			size += len(a.Role) + len(a.Ref) + len(" :")
+		}
+	}
+	var b strings.Builder
+	b.Grow(size)
+	for i := range d.Entities {
+		e := &d.Entities[i]
+		b.WriteString(e.ID)
+		b.WriteByte('\t')
+		b.WriteString(e.Type)
+		b.WriteByte(' ')
+		b.Write(strconv.AppendInt(num[:0], int64(e.Start), 10))
+		b.WriteByte(' ')
+		b.Write(strconv.AppendInt(num[:0], int64(e.End), 10))
+		b.WriteByte('\t')
+		b.WriteString(e.Text)
+		b.WriteByte('\n')
+	}
+	for i := range d.Events {
+		ev := &d.Events[i]
+		b.WriteString(ev.ID)
+		b.WriteByte('\t')
+		b.WriteString(ev.Type)
+		b.WriteByte(':')
+		b.WriteString(ev.Trigger)
+		for _, a := range ev.Args {
+			b.WriteByte(' ')
+			b.WriteString(a.Role)
+			b.WriteByte(':')
+			b.WriteString(a.Ref)
 		}
 		b.WriteByte('\n')
 	}

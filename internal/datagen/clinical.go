@@ -7,8 +7,10 @@
 package datagen
 
 import (
+	"bytes"
 	"fmt"
-	"strings"
+	"slices"
+	"strconv"
 
 	"repro/internal/brat"
 	"repro/internal/xrand"
@@ -41,26 +43,26 @@ var (
 	}
 )
 
-// caseBuilder assembles text while tracking entity offsets.
+// caseBuilder assembles text while tracking entity offsets. One builder
+// serves every case: its slices are scratch, and each finished case
+// takes copies sized to what it holds.
 type caseBuilder struct {
-	text    strings.Builder
-	doc     *brat.Document
-	nextEnt int
-	nextEv  int
+	text     []byte
+	entities []brat.Entity
+	events   []brat.Event
 }
 
 func (b *caseBuilder) write(s string) {
-	b.text.WriteString(s)
+	b.text = append(b.text, s...)
 }
 
 // entity appends text and records it as an entity of the given type,
 // returning its ID.
 func (b *caseBuilder) entity(typ, text string) string {
-	start := b.text.Len()
-	b.text.WriteString(text)
-	b.nextEnt++
-	id := fmt.Sprintf("T%d", b.nextEnt)
-	b.doc.Entities = append(b.doc.Entities, brat.Entity{
+	start := len(b.text)
+	b.write(text)
+	id := "T" + strconv.Itoa(len(b.entities)+1)
+	b.entities = append(b.entities, brat.Entity{
 		ID: id, Type: typ, Start: start, End: start + len(text), Text: text,
 	})
 	return id
@@ -68,12 +70,11 @@ func (b *caseBuilder) entity(typ, text string) string {
 
 // event records an event with the given trigger and optional theme.
 func (b *caseBuilder) event(typ, trigger string, theme string) {
-	b.nextEv++
-	ev := brat.Event{ID: fmt.Sprintf("E%d", b.nextEv), Type: typ, Trigger: trigger}
+	ev := brat.Event{ID: "E" + strconv.Itoa(len(b.events)+1), Type: typ, Trigger: trigger}
 	if theme != "" {
-		ev.Args = append(ev.Args, brat.Arg{Role: "Theme", Ref: theme})
+		ev.Args = []brat.Arg{{Role: "Theme", Ref: theme}}
 	}
-	b.doc.Events = append(b.doc.Events, ev)
+	b.events = append(b.events, ev)
 }
 
 // GenerateClinicalCases builds n MACCROBAT-style (text, annotation)
@@ -83,8 +84,9 @@ func (b *caseBuilder) event(typ, trigger string, theme string) {
 func GenerateClinicalCases(n int, seed uint64) []ClinicalCase {
 	r := xrand.New(seed)
 	cases := make([]ClinicalCase, n)
+	b := &caseBuilder{}
 	for i := 0; i < n; i++ {
-		b := &caseBuilder{doc: &brat.Document{}}
+		b.text, b.entities, b.events = b.text[:0], b.entities[:0], b.events[:0]
 
 		// Opening sentence with Age/Sex entities and a presentation
 		// event whose Theme is the first symptom.
@@ -128,8 +130,8 @@ func GenerateClinicalCases(n int, seed uint64) []ClinicalCase {
 
 		cases[i] = ClinicalCase{
 			ID:   fmt.Sprintf("case-%04d", i),
-			Text: strings.TrimRight(b.text.String(), " "),
-			Ann:  b.doc,
+			Text: string(bytes.TrimRight(b.text, " ")),
+			Ann:  &brat.Document{Entities: slices.Clone(b.entities), Events: slices.Clone(b.events)},
 		}
 	}
 	return cases

@@ -198,49 +198,25 @@ func (t *Task) textFileTable() *relation.Table {
 	return tbl
 }
 
-// parsedAnnotation is the flattened row produced by parsing one
-// annotation line under either paradigm.
-type parsedAnnotation struct {
-	caseID  string
-	kind    string // "T" or "E"
-	id      string
-	typ     string
-	start   int64
-	end     int64
-	text    string
-	trigger string
-	theme   string
-}
-
-// parseAnnotationFile flattens one rendered BRAT document.
-func parseAnnotationFile(caseID, ann string) ([]parsedAnnotation, error) {
+// parseAnn parses one case's annotation file, naming the case in the
+// error, as the parse step of either paradigm reports it.
+func parseAnn(caseID, ann string) (*brat.Document, error) {
 	doc, err := brat.ParseString(ann)
 	if err != nil {
 		return nil, fmt.Errorf("dice: case %s: %w", caseID, err)
 	}
-	var out []parsedAnnotation
-	for _, e := range doc.Entities {
-		out = append(out, parsedAnnotation{
-			caseID: caseID, kind: "T", id: e.ID, typ: e.Type,
-			start: int64(e.Start), end: int64(e.End), text: e.Text,
-		})
-	}
-	for _, ev := range doc.Events {
-		pa := parsedAnnotation{caseID: caseID, kind: "E", id: ev.ID, typ: ev.Type, trigger: ev.Trigger}
-		for _, a := range ev.Args {
-			if a.Role == "Theme" {
-				pa.theme = a.Ref
-				break
-			}
-		}
-		out = append(out, pa)
-	}
-	return out, nil
+	return doc, nil
 }
 
-// compositeKey builds the cross-file join key "case|id".
-func compositeKey(caseID, id string) string {
-	return caseID + "|" + id
+// themeRef returns the annotation an event's first Theme argument
+// refers to, or "".
+func themeRef(ev *brat.Event) string {
+	for _, a := range ev.Args {
+		if a.Role == "Theme" {
+			return a.Ref
+		}
+	}
+	return ""
 }
 
 // splitCaseSentences splits one case text into (sentence, span) rows.

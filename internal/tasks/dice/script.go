@@ -192,17 +192,14 @@ func (t *Task) Notebook(env *pipeline.Env) pipeline.NotebookDecl {
 					for i := ci; i < len(t.cases); i += nChunks {
 						c := t.cases[i]
 						work = work.Add(workScan.Scale(2)) // .txt + .ann
-						parsed, err := parseAnnotationFile(c.ID, renderAnn(c))
+						// The script reads annotation files from disk, so the
+						// parse step consumes rendered text.
+						doc, err := parseAnn(c.ID, brat.Render(c.Ann))
 						if err != nil {
 							return err
 						}
-						work = work.Add(workParse.Scale(float64(len(parsed))))
-						nEvents := 0
-						for _, pa := range parsed {
-							if pa.kind == "E" {
-								nEvents++
-							}
-						}
+						nEvents := len(doc.Events)
+						work = work.Add(workParse.Scale(float64(len(doc.Entities) + nEvents)))
 						work = work.Add(workFilter.Scale(float64(nEvents)))
 						work = work.Add(workJoin.Scale(2 * float64(nEvents))) // theme + trigger joins
 						sents := splitCaseSentences(c.Text)
@@ -244,10 +241,4 @@ func (t *Task) Notebook(env *pipeline.Env) pipeline.NotebookDecl {
 			return RecordsToTable(out), nil, nil
 		},
 	}
-}
-
-// renderAnn re-renders a case's annotation document — the script reads
-// annotation files from disk, so the parse step consumes real text.
-func renderAnn(c datagen.ClinicalCase) string {
-	return brat.Render(c.Ann)
 }

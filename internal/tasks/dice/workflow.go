@@ -114,22 +114,44 @@ func (t *Task) Plan(cfg core.RunConfig) (*dataflow.Workflow, error) {
 
 	// Parse annotation files into flat annotation rows.
 	parse := dataflow.NewMap("parse-annotations", lang, parsedSchema, func(r relation.Tuple, out *dataflow.Rows) error {
-		parsed, err := parseAnnotationFile(r.MustStr(0), r.MustStr(1))
+		caseID := r.MustStr(0)
+		doc, err := parseAnn(caseID, r.MustStr(1))
 		if err != nil {
 			return err
 		}
-		out.Grow(len(parsed))
-		for _, pa := range parsed {
-			trigkey, themekey, ekey := "", "", ""
-			if pa.kind == "T" {
-				ekey = compositeKey(pa.caseID, pa.id)
-			} else {
-				trigkey = compositeKey(pa.caseID, pa.trigger)
-				if pa.theme != "" {
-					themekey = compositeKey(pa.caseID, pa.theme)
-				}
+		out.Grow(len(doc.Entities) + len(doc.Events))
+		// The cross-file join keys "case|id" of one file are cut from one
+		// buffer: a key per entity, per trigger and per Theme.
+		prefix, size := len(caseID)+1, 0
+		for i := range doc.Entities {
+			size += prefix + len(doc.Entities[i].ID)
+		}
+		for i := range doc.Events {
+			size += prefix + len(doc.Events[i].Trigger)
+			if theme := themeRef(&doc.Events[i]); theme != "" {
+				size += prefix + len(theme)
 			}
-			out.Emit(r[0], pa.kind, pa.id, pa.typ, pa.start, pa.end, pa.text, trigkey, themekey, ekey)
+		}
+		var keys strings.Builder
+		keys.Grow(size)
+		key := func(id string) string {
+			start := keys.Len()
+			keys.WriteString(caseID)
+			keys.WriteByte('|')
+			keys.WriteString(id)
+			return keys.String()[start:]
+		}
+		for i := range doc.Entities {
+			e := &doc.Entities[i]
+			out.Emit(r[0], "T", e.ID, e.Type, int64(e.Start), int64(e.End), e.Text, "", "", key(e.ID))
+		}
+		for i := range doc.Events {
+			ev := &doc.Events[i]
+			trigkey, themekey := key(ev.Trigger), ""
+			if theme := themeRef(ev); theme != "" {
+				themekey = key(theme)
+			}
+			out.Emit(r[0], "E", ev.ID, ev.Type, int64(0), int64(0), "", trigkey, themekey, "")
 		}
 		return nil
 	})

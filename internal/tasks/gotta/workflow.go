@@ -121,7 +121,7 @@ func (gi *generateInstance) Process(ec dataflow.ExecCtx, _ int, rows []relation.
 	out := make([]relation.Tuple, len(rows))
 	for i, r := range rows {
 		pred, _ := gi.op.task.generate(r.MustStr(4), r.MustStr(2), r.MustStr(3))
-		out[i] = relation.Tuple{r.MustStr(0), r.MustInt(1), r.MustStr(2), r.MustStr(3), pred}
+		out[i] = relation.Tuple{r[0], r[1], r[2], r[3], pred}
 	}
 	return out, nil
 }

@@ -235,7 +235,7 @@ func (pi *pipeInstance) Process(ec dataflow.ExecCtx, _ int, rows []relation.Tupl
 					return nil, err
 				}
 				pi.emit++
-				row = relation.Tuple{int64(pi.emit), entity, row[1], row.MustFloat(3)}
+				row = relation.Tuple{int64(pi.emit), entity, row[1], row[3]}
 			}
 		}
 		if keep {

@@ -56,17 +56,24 @@ var abbreviations = map[string]bool{
 // decimal points. Offsets are byte offsets into text; the sentence text
 // is trimmed but offsets cover the trimmed span.
 func SplitSentences(text string) []Sentence {
-	var out []Sentence
-	start := 0
-	bytes := []byte(text)
-	n := len(bytes)
+	n := len(text)
+	// Every sentence but the last ends at a mark, so the marks bound the
+	// count and out never regrows.
+	marks := 0
 	for i := 0; i < n; i++ {
-		c := bytes[i]
-		if c != '.' && c != '!' && c != '?' {
+		if isMark(text[i]) {
+			marks++
+		}
+	}
+	out := make([]Sentence, 0, marks+1)
+	start := 0
+	for i := 0; i < n; i++ {
+		c := text[i]
+		if !isMark(c) {
 			continue
 		}
 		// Decimal point: digit on both sides.
-		if c == '.' && i > 0 && i+1 < n && isDigit(bytes[i-1]) && isDigit(bytes[i+1]) {
+		if c == '.' && i > 0 && i+1 < n && isDigit(text[i-1]) && isDigit(text[i+1]) {
 			continue
 		}
 		// Abbreviation before the period.
@@ -74,7 +81,7 @@ func SplitSentences(text string) []Sentence {
 			continue
 		}
 		// A boundary requires end-of-text or whitespace after the mark.
-		if i+1 < n && !isSpace(bytes[i+1]) {
+		if i+1 < n && !isSpace(text[i+1]) {
 			continue
 		}
 		if s, ok := trimSpan(text, start, i+1); ok {
@@ -85,9 +92,13 @@ func SplitSentences(text string) []Sentence {
 	if s, ok := trimSpan(text, start, n); ok {
 		out = append(out, s)
 	}
+	if len(out) == 0 {
+		return nil
+	}
 	return out
 }
 
+func isMark(b byte) bool  { return b == '.' || b == '!' || b == '?' }
 func isDigit(b byte) bool { return b >= '0' && b <= '9' }
 func isSpace(b byte) bool { return b == ' ' || b == '\n' || b == '\t' || b == '\r' }
 

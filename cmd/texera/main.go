@@ -96,7 +96,7 @@ func main() {
 		for i := 0; i < tbl.Len() && i < *limit; i++ {
 			row := []string{}
 			for _, v := range tbl.Row(i) {
-				row = append(row, fmt.Sprint(v))
+				row = append(row, v.String())
 			}
 			rows = append(rows, row)
 		}

@@ -26,7 +26,7 @@ func buildPipeline(workers map[string]int) *dataflow.Workflow {
 	)
 	in := relation.NewTable(schema)
 	for i := 0; i < 30000; i++ {
-		in.AppendUnchecked(relation.Tuple{int64(i), "a short synthetic document"})
+		in.AppendUnchecked(relation.Tuple{relation.IntValue(int64(i)), relation.StringValue("a short synthetic document")})
 	}
 
 	w := dataflow.New("autotune-demo")

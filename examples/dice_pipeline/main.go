@@ -35,7 +35,7 @@ func main() {
 	for i := 0; i < script.Output.Len() && i < 5; i++ {
 		r := script.Output.Row(i)
 		fmt.Printf("%s %s [%s]\n  trigger: %q  theme: %q\n  sentence: %q\n",
-			r.MustStr(0), r.MustStr(1), r.MustStr(2), r.MustStr(3), r.MustStr(4), r.MustStr(5))
+			r[0].Str(), r[1].Str(), r[2].Str(), r[3].Str(), r[4].Str(), r[5].Str())
 	}
 
 	fmt.Printf("\n%-10s %12s %8s %6s\n", "paradigm", "sim time (s)", "LoC", "ops")

@@ -34,7 +34,7 @@ func main() {
 		task.World().UserCategory[task.World().Users[0]], script.Output.Equal(workflow.Output))
 	for _, r := range script.Output.Rows() {
 		fmt.Printf("  #%-2d %-12s %-24s dist=%.3f\n",
-			r.MustInt(0), r.MustStr(1), r.MustStr(2), r.MustFloat(3))
+			r[0].Int(), r[1].Str(), r[2].Str(), r[3].Float())
 	}
 	fmt.Printf("in-category hit rate: %.0f%%\n\n", 100*script.Quality["hit_rate"])
 

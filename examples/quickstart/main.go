@@ -30,7 +30,7 @@ func ordersTable() *relation.Table {
 	cities := []string{"irvine", "los angeles", "san diego"}
 	for i := 0; i < 3000; i++ {
 		t.AppendUnchecked(relation.Tuple{
-			int64(i), cities[i%3], float64(5 + i%40),
+			relation.IntValue(int64(i)), relation.StringValue(cities[i%3]), relation.FloatValue(float64(5 + i%40)),
 		})
 	}
 	return t
@@ -43,7 +43,7 @@ func main() {
 	w := dataflow.New("quickstart")
 	src := w.Source("orders", orders)
 	big := w.Op(dataflow.NewFilter("big-orders", cost.Python, func(r relation.Tuple) bool {
-		return r.MustFloat(2) >= 20
+		return r[2].Float() >= 20
 	}), dataflow.WithParallelism(2))
 	agg := w.Op(dataflow.NewGroupBy("by-city", cost.Python,
 		[]string{"city"},
@@ -86,7 +86,7 @@ result = big.groupby("city").agg(orders=("order", "count"), revenue=("amount", "
 				return err
 			}
 			t := v.(*relation.Table)
-			filtered := relation.Filter(t, func(r relation.Tuple) bool { return r.MustFloat(2) >= 20 })
+			filtered := relation.Filter(t, func(r relation.Tuple) bool { return r[2].Float() >= 20 })
 			out, err := relation.GroupBy(filtered, []string{"city"}, []relation.Aggregate{
 				{Func: relation.Count, As: "orders"},
 				{Func: relation.Sum, Field: "amount", As: "revenue"},
@@ -111,7 +111,7 @@ result = big.groupby("city").agg(orders=("order", "count"), revenue=("amount", "
 	// --- Compare ------------------------------------------------------------
 	fmt.Println("result (both paradigms):")
 	for _, r := range wfOut.Rows() {
-		fmt.Printf("  %-12s orders=%-5d revenue=%.0f\n", r.MustStr(0), r.MustInt(1), r.MustFloat(2))
+		fmt.Printf("  %-12s orders=%-5d revenue=%.0f\n", r[0].Str(), r[1].Int(), r[2].Float())
 	}
 	fmt.Println("outputs equal:", wfOut.Equal(nbOut))
 	fmt.Printf("workflow simulated time: %8.3f s\n", wfRes.SimSeconds)

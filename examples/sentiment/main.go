@@ -55,8 +55,8 @@ func (ti *trainInstance) EndPort(ec dataflow.ExecCtx, _ int) ([]relation.Tuple, 
 	texts := make([]string, len(ti.rows))
 	gold := make([]bool, len(ti.rows))
 	for i, r := range ti.rows {
-		texts[i] = r.MustStr(1)
-		gold[i] = r.MustBool(2)
+		texts[i] = r[1].Str()
+		gold[i] = r[2].Bool()
 	}
 	hv, err := feature.NewHashingVectorizer(1 << 14)
 	if err != nil {
@@ -72,7 +72,7 @@ func (ti *trainInstance) EndPort(ec dataflow.ExecCtx, _ int) ([]relation.Tuple, 
 	ec.AddWork(cost.Work{Interp: 0.02}.Scale(float64(len(texts))))
 	out := make([]relation.Tuple, len(ti.rows))
 	for i, r := range ti.rows {
-		out[i] = relation.Tuple{r[0], r[1], gold[i], clf.Predict(x[i])}
+		out[i] = relation.Tuple{r[0], r[1], relation.BoolValue(gold[i]), relation.BoolValue(clf.Predict(x[i]))}
 	}
 	return out, nil
 }
@@ -87,7 +87,7 @@ func main() {
 	)
 	src := relation.NewTable(schema)
 	for _, t := range tweets {
-		src.AppendUnchecked(relation.Tuple{t.ID, t.Text, !t.Framings[datagen.FramingIrrelevant]})
+		src.AppendUnchecked(relation.Tuple{relation.IntValue(t.ID), relation.StringValue(t.Text), relation.BoolValue(!t.Framings[datagen.FramingIrrelevant])})
 	}
 
 	outSchema := relation.MustSchema(
@@ -101,7 +101,7 @@ func main() {
 	s := w.Source("tweets", src)
 	train := w.Op(&trainOp{out: outSchema})
 	correct := w.Op(dataflow.NewFilter("correct-predictions", cost.Python, func(r relation.Tuple) bool {
-		return r.MustBool(2) == r.MustBool(3)
+		return r[2].Bool() == r[3].Bool()
 	}))
 	sinkAll := w.Sink("predictions")
 	sinkOK := w.Sink("correct")

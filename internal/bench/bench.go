@@ -131,8 +131,8 @@ func joinTables(n int) (*relation.Table, *relation.Table) {
 	rs := relation.MustSchema(relation.Field{Name: "k", Type: relation.Int}, relation.Field{Name: "weight", Type: relation.Float})
 	left, right := relation.NewTable(ls), relation.NewTable(rs)
 	for i := 0; i < n; i++ {
-		left.AppendUnchecked(relation.Tuple{int64(i % (n / 4)), fmt.Sprintf("row-%d", i)})
-		right.AppendUnchecked(relation.Tuple{int64(i % (n / 2)), float64(i)})
+		left.AppendUnchecked(relation.Tuple{relation.IntValue(int64(i % (n / 4))), relation.StringValue(fmt.Sprintf("row-%d", i))})
+		right.AppendUnchecked(relation.Tuple{relation.IntValue(int64(i % (n / 2))), relation.FloatValue(float64(i))})
 	}
 	return left, right
 }
@@ -221,13 +221,11 @@ func micros(window time.Duration) []Micro {
 			joiner.ProbeRows(nil, batch[lo:lo+8])
 		}
 	}))
-	tup := relation.Tuple{int64(42), "a reasonably sized string payload", 3.14159, true}
+	tup := relation.Tuple{relation.IntValue(42), relation.StringValue("a reasonably sized string payload"), relation.FloatValue(3.14159), relation.BoolValue(true)}
 	out = append(out, measure("encode_tuple_pooled", 4096, window, func() {
 		e := relation.GetEncoder()
 		for i := 0; i < 4096; i++ {
-			if _, err := e.EncodeTuple(tup); err != nil {
-				panic(err)
-			}
+			e.EncodeTuple(tup)
 		}
 		e.Release()
 	}))

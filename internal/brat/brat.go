@@ -77,6 +77,11 @@ func ParseString(s string) (*Document, error) {
 			nArg += max(strings.Count(line, ":")-1, 0)
 		}
 	}
+	// Nothing is validated yet, so cap each count by what s can hold, as
+	// DecodeTuple caps its capHint: the shortest lines that parse are
+	// "T\tA 0 1\t\n" (9 bytes) and "E\tA:B\n" (6), the shortest argument
+	// " A:B" (4), and the last line may lack its newline.
+	nEnt, nEv, nArg = min(nEnt, (len(s)+1)/9), min(nEv, (len(s)+1)/6), min(nArg, len(s)/4)
 	doc := &Document{Entities: make([]Entity, 0, nEnt), Events: make([]Event, 0, nEv)}
 	args := make([]Arg, 0, nArg)
 

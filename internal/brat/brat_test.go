@@ -3,6 +3,7 @@ package brat
 import (
 	"bufio"
 	"errors"
+	"runtime"
 	"strings"
 	"testing"
 	"testing/quick"
@@ -212,5 +213,33 @@ func TestParseLongLines(t *testing.T) {
 	_, err = ParseString("T1\tAge 0 2000000\t" + strings.Repeat("x", 2000000) + "\n")
 	if !errors.Is(err, bufio.ErrTooLong) || !strings.HasPrefix(err.Error(), "brat: ") {
 		t.Fatalf("line over 1 MiB: err = %v, want bufio.ErrTooLong wrapped as brat: …", err)
+	}
+}
+
+// TestParseHostilePreallocation feeds inputs whose lines are as short as
+// the counting pass can count: 1 MiB of bare "T" lines, of bare "E"
+// lines, and one "E" line of colons. Each must be rejected on line 1
+// with the error it always had, having allocated at most 16× its size —
+// the counts are capped by the shortest line that can parse, as
+// DecodeTuple caps its capHint.
+func TestParseHostilePreallocation(t *testing.T) {
+	const size = 1 << 20
+	for _, c := range []struct{ name, in, err string }{
+		{"bare T lines", strings.Repeat("T\n", size/2), "brat: line 1: entity needs 3 tab-separated fields, got 1"},
+		{"bare E lines", strings.Repeat("E\n", size/2), "brat: line 1: event needs 2 tab-separated fields, got 1"},
+		{"E line of colons", "E" + strings.Repeat(":", size-3) + "\n", "brat: line 1: event needs 2 tab-separated fields, got 1"},
+	} {
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		_, err := ParseString(c.in)
+		runtime.ReadMemStats(&after)
+		if err == nil || err.Error() != c.err {
+			t.Errorf("%s: err = %v, want %q", c.name, err, c.err)
+		}
+		got := after.TotalAlloc - before.TotalAlloc
+		t.Logf("%s: %.1f MB allocated", c.name, float64(got)/(1<<20))
+		if got > 16*uint64(len(c.in)) {
+			t.Errorf("%s: allocated %.1f MB for a %.1f MB input, over 16×", c.name, float64(got)/(1<<20), float64(len(c.in))/(1<<20))
+		}
 	}
 }

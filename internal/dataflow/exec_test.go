@@ -25,13 +25,13 @@ func TestExecFilterPipeline(t *testing.T) {
 	in := intTable(500)
 	w := New("filter")
 	src := w.Source("src", in)
-	f := w.Op(NewFilter("keep-even", cost.Python, func(r relation.Tuple) bool { return r.MustInt(1)%2 == 0 }))
+	f := w.Op(NewFilter("keep-even", cost.Python, func(r relation.Tuple) bool { return r[1].Int()%2 == 0 }))
 	snk := w.Sink("out")
 	w.Connect(src, f, 0, RoundRobin())
 	w.Connect(f, snk, 0, RoundRobin())
 
 	res := runSimple(t, w)
-	want := relation.Filter(in, func(r relation.Tuple) bool { return r.MustInt(1)%2 == 0 })
+	want := relation.Filter(in, func(r relation.Tuple) bool { return r[1].Int()%2 == 0 })
 	if !res.Tables["out"].Equal(want) {
 		t.Fatalf("output mismatch: got %d rows, want %d", res.Tables["out"].Len(), want.Len())
 	}
@@ -47,7 +47,7 @@ func TestExecProjectAndMap(t *testing.T) {
 	src := w.Source("src", in)
 	p := w.Op(NewProject("proj", cost.Python, "v"))
 	m := w.Op(NewMap("double", cost.Python, outSchema, func(r relation.Tuple, out *Rows) error {
-		out.Emit(r.MustInt(0) * 2)
+		out.Emit(relation.IntValue(r[0].Int() * 2))
 		return nil
 	}))
 	snk := w.Sink("out")
@@ -61,7 +61,7 @@ func TestExecProjectAndMap(t *testing.T) {
 		t.Fatalf("rows = %d", out.Len())
 	}
 	for i, r := range out.Rows() {
-		if r.MustInt(0) != int64((i%10)*2) {
+		if r[0].Int() != int64((i%10)*2) {
 			t.Fatalf("row %d = %v", i, r)
 		}
 	}
@@ -71,12 +71,12 @@ func joinInputs() (*relation.Table, *relation.Table) {
 	us := relation.MustSchema(relation.Field{Name: "uid", Type: relation.Int}, relation.Field{Name: "name", Type: relation.String})
 	users := relation.NewTable(us)
 	for i := 0; i < 50; i++ {
-		users.AppendUnchecked(relation.Tuple{int64(i), fmt.Sprintf("user%d", i)})
+		users.AppendUnchecked(relation.Tuple{relation.IntValue(int64(i)), relation.StringValue(fmt.Sprintf("user%d", i))})
 	}
 	os := relation.MustSchema(relation.Field{Name: "oid", Type: relation.Int}, relation.Field{Name: "uid", Type: relation.Int})
 	orders := relation.NewTable(os)
 	for i := 0; i < 300; i++ {
-		orders.AppendUnchecked(relation.Tuple{int64(i), int64(i % 60)}) // some dangling
+		orders.AppendUnchecked(relation.Tuple{relation.IntValue(int64(i)), relation.IntValue(int64(i % 60))}) // some dangling
 	}
 	return users, orders
 }
@@ -176,7 +176,7 @@ func TestExecSort(t *testing.T) {
 	}
 	for i := 1; i < out.Len(); i++ {
 		a, b := out.Row(i-1), out.Row(i)
-		if a.MustInt(1) > b.MustInt(1) || (a.MustInt(1) == b.MustInt(1) && a.MustInt(0) > b.MustInt(0)) {
+		if a[1].Int() > b[1].Int() || (a[1].Int() == b[1].Int() && a[0].Int() > b[0].Int()) {
 			t.Fatalf("rows %d,%d out of order: %v %v", i-1, i, a, b)
 		}
 	}
@@ -201,7 +201,7 @@ func TestExecOperatorErrorAttribution(t *testing.T) {
 	w := New("err")
 	src := w.Source("src", in)
 	m := w.Op(NewMap("exploder", cost.Python, in.Schema(), func(r relation.Tuple, out *Rows) error {
-		if r.MustInt(0) == 57 {
+		if r[0].Int() == 57 {
 			return errors.New("synthetic failure")
 		}
 		out.Emit(r...)
@@ -360,7 +360,7 @@ func TestExecTraceCounters(t *testing.T) {
 	in := intTable(1000)
 	w := New("trace")
 	src := w.Source("src", in)
-	f := w.Op(NewFilter("half", cost.Python, func(r relation.Tuple) bool { return r.MustInt(1) < 5 }))
+	f := w.Op(NewFilter("half", cost.Python, func(r relation.Tuple) bool { return r[1].Int() < 5 }))
 	snk := w.Sink("out")
 	w.Connect(src, f, 0, RoundRobin())
 	w.Connect(f, snk, 0, RoundRobin())

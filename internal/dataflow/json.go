@@ -164,34 +164,34 @@ func sourceTable(op OpSpec) (*relation.Table, error) {
 }
 
 // coerce converts a decoded JSON value to the declared column type.
-func coerce(v any, t relation.Type) (any, error) {
+func coerce(v any, t relation.Type) (relation.Value, error) {
 	switch t {
 	case relation.Int:
 		f, ok := v.(float64)
 		if !ok || f != float64(int64(f)) {
-			return nil, fmt.Errorf("value %v is not an integer", v)
+			return relation.Value{}, fmt.Errorf("value %v is not an integer", v)
 		}
-		return int64(f), nil
+		return relation.IntValue(int64(f)), nil
 	case relation.Float:
 		f, ok := v.(float64)
 		if !ok {
-			return nil, fmt.Errorf("value %v is not a number", v)
+			return relation.Value{}, fmt.Errorf("value %v is not a number", v)
 		}
-		return f, nil
+		return relation.FloatValue(f), nil
 	case relation.String:
 		s, ok := v.(string)
 		if !ok {
-			return nil, fmt.Errorf("value %v is not a string", v)
+			return relation.Value{}, fmt.Errorf("value %v is not a string", v)
 		}
-		return s, nil
+		return relation.StringValue(s), nil
 	case relation.Bool:
 		b, ok := v.(bool)
 		if !ok {
-			return nil, fmt.Errorf("value %v is not a boolean", v)
+			return relation.Value{}, fmt.Errorf("value %v is not a boolean", v)
 		}
-		return b, nil
+		return relation.BoolValue(b), nil
 	}
-	return nil, fmt.Errorf("unsupported type")
+	return relation.Value{}, fmt.Errorf("unsupported type")
 }
 
 // condFilterOp is a filter whose predicate comes from a parsed
@@ -238,7 +238,7 @@ func (ci *condFilterInstance) Close(ExecCtx) error                            { 
 type condition struct {
 	field string
 	op    string
-	lit   any // int64, float64, string or bool
+	lit   relation.Value
 }
 
 // parseCondition parses expressions like `age >= 21`,
@@ -263,23 +263,23 @@ func parseCondition(s string) (condition, error) {
 	return condition{}, fmt.Errorf("dataflow: condition %q has no comparison operator", s)
 }
 
-func parseLiteral(s string) (any, error) {
+func parseLiteral(s string) (relation.Value, error) {
 	if strings.HasPrefix(s, `"`) && strings.HasSuffix(s, `"`) && len(s) >= 2 {
-		return s[1 : len(s)-1], nil
+		return relation.StringValue(s[1 : len(s)-1]), nil
 	}
 	switch s {
 	case "true":
-		return true, nil
+		return relation.BoolValue(true), nil
 	case "false":
-		return false, nil
+		return relation.BoolValue(false), nil
 	}
 	if i, err := strconv.ParseInt(s, 10, 64); err == nil {
-		return i, nil
+		return relation.IntValue(i), nil
 	}
 	if f, err := strconv.ParseFloat(s, 64); err == nil {
-		return f, nil
+		return relation.FloatValue(f), nil
 	}
-	return nil, fmt.Errorf("dataflow: cannot parse literal %q", s)
+	return relation.Value{}, fmt.Errorf("dataflow: cannot parse literal %q", s)
 }
 
 // bind resolves the condition against a schema into a predicate.
@@ -288,55 +288,43 @@ func (c condition) bind(s *relation.Schema) (relation.Predicate, error) {
 	if pos < 0 {
 		return nil, fmt.Errorf("dataflow: condition field %q not in schema [%s]", c.field, s)
 	}
-	ft := s.Field(pos).Type
-	switch lit := c.lit.(type) {
-	case int64:
+	ft, lit := s.Field(pos).Type, c.lit
+	switch lit.Kind() {
+	case relation.Int:
 		switch ft {
 		case relation.Int:
-			return cmpPredicate(pos, c.op, func(v any) (int, bool) {
-				i, ok := v.(int64)
-				return compareOrdered(i, lit), ok
-			})
+			l := lit.Int()
+			return cmpPredicate(pos, c.op, ft, func(v relation.Value) int { return compareOrdered(v.Int(), l) })
 		case relation.Float:
-			f := float64(lit)
-			return cmpPredicate(pos, c.op, func(v any) (int, bool) {
-				x, ok := v.(float64)
-				return compareOrdered(x, f), ok
-			})
+			f := float64(lit.Int())
+			return cmpPredicate(pos, c.op, ft, func(v relation.Value) int { return compareOrdered(v.Float(), f) })
 		}
 		return nil, fmt.Errorf("dataflow: numeric condition on %s column %q", ft, c.field)
-	case float64:
+	case relation.Float:
 		if ft != relation.Float {
 			return nil, fmt.Errorf("dataflow: float condition on %s column %q", ft, c.field)
 		}
-		return cmpPredicate(pos, c.op, func(v any) (int, bool) {
-			x, ok := v.(float64)
-			return compareOrdered(x, lit), ok
-		})
-	case string:
-		if ft != relation.String {
-			return nil, fmt.Errorf("dataflow: string condition on %s column %q", ft, c.field)
-		}
-		return cmpPredicate(pos, c.op, func(v any) (int, bool) {
-			x, ok := v.(string)
-			return compareOrdered(x, lit), ok
-		})
-	case bool:
+		f := lit.Float()
+		return cmpPredicate(pos, c.op, ft, func(v relation.Value) int { return compareOrdered(v.Float(), f) })
+	case relation.Bool:
 		if ft != relation.Bool {
 			return nil, fmt.Errorf("dataflow: boolean condition on %s column %q", ft, c.field)
 		}
 		if c.op != "==" && c.op != "!=" {
 			return nil, fmt.Errorf("dataflow: boolean condition supports == and != only")
 		}
-		return cmpPredicate(pos, c.op, func(v any) (int, bool) {
-			x, ok := v.(bool)
-			if x == lit {
-				return 0, ok
+		return cmpPredicate(pos, c.op, ft, func(v relation.Value) int {
+			if v.Equal(lit) {
+				return 0
 			}
-			return 1, ok
+			return 1
 		})
 	}
-	return nil, fmt.Errorf("dataflow: unsupported literal type %T", c.lit)
+	if ft != relation.String {
+		return nil, fmt.Errorf("dataflow: string condition on %s column %q", ft, c.field)
+	}
+	l := lit.Str()
+	return cmpPredicate(pos, c.op, ft, func(v relation.Value) int { return compareOrdered(v.Str(), l) })
 }
 
 func compareOrdered[T int64 | float64 | string](a, b T) int {
@@ -350,7 +338,9 @@ func compareOrdered[T int64 | float64 | string](a, b T) int {
 	}
 }
 
-func cmpPredicate(pos int, op string, cmp func(any) (int, bool)) (relation.Predicate, error) {
+// cmpPredicate keeps a row when its cell at pos is of kind k and cmp's
+// result against the literal satisfies op.
+func cmpPredicate(pos int, op string, k relation.Type, cmp func(relation.Value) int) (relation.Predicate, error) {
 	var want func(int) bool
 	switch op {
 	case "==":
@@ -369,8 +359,7 @@ func cmpPredicate(pos int, op string, cmp func(any) (int, bool)) (relation.Predi
 		return nil, fmt.Errorf("dataflow: unknown comparison %q", op)
 	}
 	return func(t relation.Tuple) bool {
-		c, ok := cmp(t[pos])
-		return ok && want(c)
+		return t[pos].Kind() == k && want(cmp(t[pos]))
 	}, nil
 }
 

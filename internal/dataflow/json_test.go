@@ -44,13 +44,13 @@ func TestBuildAndRunSpec(t *testing.T) {
 	}
 	// sf: ann(34)+cat(40); la: dan(25).
 	for _, r := range out.Rows() {
-		switch r.MustStr(0) {
+		switch r[0].Str() {
 		case "sf":
-			if r.MustInt(1) != 2 || r.MustFloat(2) != 37 {
+			if r[1].Int() != 2 || r[2].Float() != 37 {
 				t.Fatalf("sf group = %v", r)
 			}
 		case "la":
-			if r.MustInt(1) != 1 || r.MustFloat(2) != 25 {
+			if r[1].Int() != 1 || r[2].Float() != 25 {
 				t.Fatalf("la group = %v", r)
 			}
 		default:
@@ -98,7 +98,7 @@ func TestSpecJoinUnionSortLimit(t *testing.T) {
 	if out.Len() != 3 {
 		t.Fatalf("rows = %d", out.Len())
 	}
-	if out.Row(0).MustInt(0) != 10 || out.Row(0).MustStr(2) != "ann" {
+	if out.Row(0)[0].Int() != 10 || out.Row(0)[2].Str() != "ann" {
 		t.Fatalf("first row = %v", out.Row(0))
 	}
 }

@@ -18,15 +18,15 @@ func lineageTestWorkflow(t *testing.T, filterRev int) *Workflow {
 	)
 	src := relation.NewTable(s)
 	for i := 0; i < 500; i++ {
-		src.AppendUnchecked(relation.Tuple{int64(i), fmt.Sprintf("row-%d", i)})
+		src.AppendUnchecked(relation.Tuple{relation.IntValue(int64(i)), relation.StringValue(fmt.Sprintf("row-%d", i))})
 	}
 	w := New("lin-test")
 	source := w.Source("numbers", src)
 	keep := w.Op(NewFilter("keep-even", cost.Python, func(r relation.Tuple) bool {
-		return r[0].(int64)%2 == 0
+		return r[0].Int()%2 == 0
 	}), WithSignature(fmt.Sprintf("rev=%d", filterRev)))
 	double := w.Op(NewMap("double", cost.Python, s, func(r relation.Tuple, out *Rows) error {
-		out.Emit(r[0].(int64)*2, r[1])
+		out.Emit(relation.IntValue(r[0].Int()*2), r[1])
 		return nil
 	}))
 	sink := w.Sink("out")

@@ -20,7 +20,7 @@ func QueuePushPopLoop(iters, burst int) {
 	q := newQueue()
 	rows := make([]relation.Tuple, 16)
 	for i := range rows {
-		rows[i] = relation.Tuple{int64(i), "payload"}
+		rows[i] = relation.Tuple{relation.IntValue(int64(i)), relation.StringValue("payload")}
 	}
 	m := batchMsg{rows: rows}
 	ctx := context.Background()
@@ -59,8 +59,9 @@ func microBatch() []relation.Tuple {
 	rows := make([]relation.Tuple, 8)
 	for i := range rows {
 		id := string(rune('a' + i))
-		rows[i] = relation.Tuple{"case-17", "T", "T" + id, "Sign_symptom", int64(100 * i), int64(100*i + 9),
-			"chest pain", "", "", "case-17|T" + id}
+		rows[i] = relation.Tuple{relation.StringValue("case-17"), relation.StringValue("T"), relation.StringValue("T" + id),
+			relation.StringValue("Sign_symptom"), relation.IntValue(int64(100 * i)), relation.IntValue(int64(100*i + 9)),
+			relation.StringValue("chest pain"), relation.StringValue(""), relation.StringValue(""), relation.StringValue("case-17|T" + id)}
 	}
 	return rows
 }

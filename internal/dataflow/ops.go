@@ -141,7 +141,7 @@ func (pi *projectInstance) Process(ec ExecCtx, _ int, rows []relation.Tuple) ([]
 	// One block for the batch's cells; each row is carved from it with
 	// its capacity clipped, so appending to one cannot reach the next.
 	width := len(pi.pos)
-	block := make([]any, len(rows)*width)
+	block := make([]relation.Value, len(rows)*width)
 	out := make([]relation.Tuple, len(rows))
 	for i, r := range rows {
 		row := block[i*width : (i+1)*width : (i+1)*width]
@@ -177,10 +177,9 @@ func (pi *projectInstance) bindSchemas(in []*relation.Schema) error {
 // Map / FlatMap (UDF)
 
 // MapFunc transforms one tuple into zero or more tuples, emitted into
-// out. A cell that passes through unchanged is emitted as in[i]:
-// copying an interface cell allocates nothing, where unboxing it with a
-// Must* accessor and emitting the value boxes it again. Must* is for
-// cells the function inspects.
+// out. A cell that passes through unchanged is emitted as in[i]; a cell
+// the function inspects is read with its kind's accessor (in[i].Str())
+// and a new one built with its constructor (relation.StringValue).
 type MapFunc func(in relation.Tuple, out *Rows) error
 
 // Rows collects what a MapFunc emits for one input batch. Every tuple
@@ -189,13 +188,13 @@ type MapFunc func(in relation.Tuple, out *Rows) error
 // across batches: emitted rows travel downstream and into sink tables.
 type Rows struct {
 	out   []relation.Tuple
-	block []any // unused tail is where the next tuples are carved from
-	width int   // cells per tuple, from the operator's output schema
-	rest  int   // input rows of the batch not yet mapped, the current one included
+	block []relation.Value // unused tail is where the next tuples are carved from
+	width int              // cells per tuple, from the operator's output schema
+	rest  int              // input rows of the batch not yet mapped, the current one included
 }
 
 // Emit appends one output tuple holding a copy of vals.
-func (r *Rows) Emit(vals ...any) {
+func (r *Rows) Emit(vals ...relation.Value) {
 	if cap(r.block)-len(r.block) < len(vals) {
 		// Room for one tuple per input row still to come — or, when a
 		// flat-map has already outrun its batch, for as many tuples again
@@ -213,7 +212,7 @@ func (r *Rows) Emit(vals ...any) {
 func (r *Rows) Grow(n int) {
 	r.out = slices.Grow(r.out, n)
 	if cap(r.block)-len(r.block) < n*r.width {
-		r.block = make([]any, 0, n*r.width)
+		r.block = make([]relation.Value, 0, n*r.width)
 	}
 }
 

@@ -120,17 +120,19 @@ func TestMapRowsMatchTupleSlices(t *testing.T) {
 		fn   MapFunc
 	}{
 		{"one-to-one",
-			func(r relation.Tuple) []relation.Tuple { return []relation.Tuple{{r.MustInt(0), r.MustInt(1) * 2}} },
-			func(r relation.Tuple, out *Rows) error { out.Emit(r[0], r.MustInt(1)*2); return nil }},
+			func(r relation.Tuple) []relation.Tuple {
+				return []relation.Tuple{{relation.IntValue(r[0].Int()), relation.IntValue(r[1].Int() * 2)}}
+			},
+			func(r relation.Tuple, out *Rows) error { out.Emit(r[0], relation.IntValue(r[1].Int()*2)); return nil }},
 		{"selective",
 			func(r relation.Tuple) []relation.Tuple {
-				if r.MustInt(0)%3 != 0 {
+				if r[0].Int()%3 != 0 {
 					return nil
 				}
-				return []relation.Tuple{{r.MustInt(1), r.MustInt(0)}}
+				return []relation.Tuple{{relation.IntValue(r[1].Int()), relation.IntValue(r[0].Int())}}
 			},
 			func(r relation.Tuple, out *Rows) error {
-				if r.MustInt(0)%3 == 0 {
+				if r[0].Int()%3 == 0 {
 					out.Emit(r[1], r[0])
 				}
 				return nil
@@ -139,13 +141,13 @@ func TestMapRowsMatchTupleSlices(t *testing.T) {
 			func(r relation.Tuple) []relation.Tuple {
 				var rows []relation.Tuple
 				for k := int64(0); k < 40; k++ {
-					rows = append(rows, relation.Tuple{r.MustInt(0), k})
+					rows = append(rows, relation.Tuple{relation.IntValue(r[0].Int()), relation.IntValue(k)})
 				}
 				return rows
 			},
 			func(r relation.Tuple, out *Rows) error {
 				for k := int64(0); k < 40; k++ {
-					out.Emit(r[0], k)
+					out.Emit(r[0], relation.IntValue(k))
 				}
 				return nil
 			}},
@@ -153,14 +155,14 @@ func TestMapRowsMatchTupleSlices(t *testing.T) {
 			func(r relation.Tuple) []relation.Tuple {
 				rows := make([]relation.Tuple, 0, 40)
 				for k := int64(0); k < 40; k++ {
-					rows = append(rows, relation.Tuple{r.MustInt(0), k})
+					rows = append(rows, relation.Tuple{relation.IntValue(r[0].Int()), relation.IntValue(k)})
 				}
 				return rows
 			},
 			func(r relation.Tuple, out *Rows) error {
 				out.Grow(40)
 				for k := int64(0); k < 40; k++ {
-					out.Emit(r[0], k)
+					out.Emit(r[0], relation.IntValue(k))
 				}
 				return nil
 			}},
@@ -207,7 +209,7 @@ func TestBatchRowsDoNotAlias(t *testing.T) {
 			t.Fatal(err)
 		}
 		for i := range rows {
-			_ = append(rows[i], "overflow")
+			_ = append(rows[i], relation.StringValue("overflow"))
 		}
 		for i, r := range rows {
 			if want := (relation.Tuple{batch[i][1], batch[i][0]}); !r.Equal(want) {

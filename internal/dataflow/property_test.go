@@ -35,11 +35,11 @@ func randomChain(r *xrand.Rand) []chainStep {
 			steps = append(steps, chainStep{
 				name: fmt.Sprintf("filter-v<%d", k),
 				apply: func(t *relation.Table) (*relation.Table, error) {
-					return relation.Filter(t, func(row relation.Tuple) bool { return row.MustInt(1) < k }), nil
+					return relation.Filter(t, func(row relation.Tuple) bool { return row[1].Int() < k }), nil
 				},
 				op: func(*xrand.Rand) Operator {
 					return NewFilter(fmt.Sprintf("filter%d", i), cost.Python, func(row relation.Tuple) bool {
-						return row.MustInt(1) < k
+						return row[1].Int() < k
 					})
 				},
 				parallelizable: true,
@@ -61,7 +61,7 @@ func randomChain(r *xrand.Rand) []chainStep {
 				name: fmt.Sprintf("map+%d", add),
 				apply: func(t *relation.Table) (*relation.Table, error) {
 					return relation.Map(t, t.Schema(), func(row relation.Tuple) (relation.Tuple, error) {
-						return relation.Tuple{row.MustInt(0), row.MustInt(1) + add}, nil
+						return relation.Tuple{relation.IntValue(row[0].Int()), relation.IntValue(row[1].Int() + add)}, nil
 					})
 				},
 				op: func(*xrand.Rand) Operator {
@@ -70,7 +70,7 @@ func randomChain(r *xrand.Rand) []chainStep {
 						relation.Field{Name: "v", Type: relation.Int},
 					)
 					return NewMap(fmt.Sprintf("map%d", i), cost.Python, s, func(row relation.Tuple, out *Rows) error {
-						out.Emit(row.MustInt(0), row.MustInt(1)+add)
+						out.Emit(relation.IntValue(row[0].Int()), relation.IntValue(row[1].Int()+add))
 						return nil
 					})
 				},

@@ -12,7 +12,7 @@ import (
 func TestQueueFIFO(t *testing.T) {
 	q := newQueue()
 	for i := 0; i < 10; i++ {
-		q.push(batchMsg{rows: []relation.Tuple{{int64(i)}}})
+		q.push(batchMsg{rows: []relation.Tuple{{relation.IntValue(int64(i))}}})
 	}
 	q.close()
 	ctx := context.Background()
@@ -21,7 +21,7 @@ func TestQueueFIFO(t *testing.T) {
 		if err != nil || !ok {
 			t.Fatalf("pop %d: ok=%v err=%v", i, ok, err)
 		}
-		if m.rows[0][0] != int64(i) {
+		if m.rows[0][0].Int() != int64(i) {
 			t.Fatalf("pop %d got %v", i, m.rows[0][0])
 		}
 	}
@@ -36,7 +36,7 @@ func TestQueueDepth(t *testing.T) {
 		t.Fatalf("empty queue Depth = %d, want 0", q.Depth())
 	}
 	for i := 0; i < 5; i++ {
-		q.push(batchMsg{rows: []relation.Tuple{{int64(i)}}})
+		q.push(batchMsg{rows: []relation.Tuple{{relation.IntValue(int64(i))}}})
 		if got := q.Depth(); got != i+1 {
 			t.Fatalf("Depth after %d pushes = %d", i+1, got)
 		}
@@ -85,11 +85,11 @@ func TestQueueBlocksUntilPush(t *testing.T) {
 	go func() {
 		m, ok, _ := q.pop(context.Background())
 		if ok {
-			got <- m.rows[0][0].(int64)
+			got <- m.rows[0][0].Int()
 		}
 	}()
 	time.Sleep(10 * time.Millisecond)
-	q.push(batchMsg{rows: []relation.Tuple{{int64(42)}}})
+	q.push(batchMsg{rows: []relation.Tuple{{relation.IntValue(int64(42))}}})
 	select {
 	case v := <-got:
 		if v != 42 {
@@ -128,7 +128,7 @@ func TestQueueConcurrentProducers(t *testing.T) {
 		go func() {
 			defer wg.Done()
 			for i := 0; i < each; i++ {
-				q.push(batchMsg{rows: []relation.Tuple{{int64(i)}}})
+				q.push(batchMsg{rows: []relation.Tuple{{relation.IntValue(int64(i))}}})
 			}
 		}()
 	}
@@ -162,7 +162,7 @@ func TestQueueWraparound(t *testing.T) {
 	want := int64(0) // next value expected from pop
 	push := func(n int) {
 		for i := 0; i < n; i++ {
-			q.push(batchMsg{rows: []relation.Tuple{{next}}})
+			q.push(batchMsg{rows: []relation.Tuple{{relation.IntValue(next)}}})
 			next++
 		}
 	}
@@ -172,7 +172,7 @@ func TestQueueWraparound(t *testing.T) {
 			if err != nil || !ok {
 				t.Fatalf("pop: ok=%v err=%v", ok, err)
 			}
-			if got := m.rows[0][0].(int64); got != want {
+			if got := m.rows[0][0].Int(); got != want {
 				t.Fatalf("pop got %d, want %d", got, want)
 			}
 			want++
@@ -197,7 +197,7 @@ func TestQueueWraparound(t *testing.T) {
 // ring's backing array lives on.
 func TestQueuePopReleasesSlot(t *testing.T) {
 	q := newQueue()
-	q.push(batchMsg{rows: []relation.Tuple{{int64(1)}}})
+	q.push(batchMsg{rows: []relation.Tuple{{relation.IntValue(int64(1))}}})
 	head := q.head
 	if _, ok, err := q.pop(context.Background()); !ok || err != nil {
 		t.Fatalf("pop: ok=%v err=%v", ok, err)

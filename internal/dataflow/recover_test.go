@@ -16,11 +16,11 @@ func faultWorkflow() (*Workflow, *relation.Table) {
 	in := intTable(400)
 	w := New("faulty")
 	src := w.Source("src", in, WithBatchSize(16))
-	f := w.Op(NewFilter("keep", cost.Python, func(r relation.Tuple) bool { return r.MustInt(1)%3 != 0 }))
+	f := w.Op(NewFilter("keep", cost.Python, func(r relation.Tuple) bool { return r[1].Int()%3 != 0 }))
 	snk := w.Sink("out")
 	w.Connect(src, f, 0, RoundRobin())
 	w.Connect(f, snk, 0, RoundRobin())
-	return w, relation.Filter(in, func(r relation.Tuple) bool { return r.MustInt(1)%3 != 0 })
+	return w, relation.Filter(in, func(r relation.Tuple) bool { return r[1].Int()%3 != 0 })
 }
 
 func TestCheckpointTaxWithoutFaults(t *testing.T) {

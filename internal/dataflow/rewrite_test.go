@@ -11,8 +11,8 @@ import (
 func swapChain() (*Workflow, NodeID, NodeID) {
 	w := New("swapchain")
 	src := w.Source("src", intTable(400))
-	a := w.Op(NewFilter("wide", cost.Python, func(r relation.Tuple) bool { return r.MustInt(1) < 9 }))
-	b := w.Op(NewFilter("narrow", cost.Python, func(r relation.Tuple) bool { return r.MustInt(1)%2 == 0 }))
+	a := w.Op(NewFilter("wide", cost.Python, func(r relation.Tuple) bool { return r[1].Int() < 9 }))
+	b := w.Op(NewFilter("narrow", cost.Python, func(r relation.Tuple) bool { return r[1].Int()%2 == 0 }))
 	snk := w.Sink("out")
 	w.Connect(src, a, 0, RoundRobin())
 	w.Connect(a, b, 0, RoundRobin())
@@ -94,7 +94,7 @@ func TestSwapJoinPermutesInPlace(t *testing.T) {
 	orders := relation.NewTable(relation.MustSchema(
 		relation.Field{Name: "oid", Type: relation.Int}, relation.Field{Name: "uid", Type: relation.Int}))
 	for i := 0; i < users.Len(); i++ {
-		orders.AppendUnchecked(relation.Tuple{int64(1000 + i), int64(i)})
+		orders.AppendUnchecked(relation.Tuple{relation.IntValue(int64(1000 + i)), relation.IntValue(int64(i))})
 	}
 	build := func() (*Workflow, NodeID) {
 		w := New("joinswap")
@@ -174,9 +174,9 @@ func TestFusePreservesOutputAndCollapsesNode(t *testing.T) {
 	build := func() (*Workflow, NodeID, NodeID) {
 		w := New("fusetest")
 		src := w.Source("src", intTable(300))
-		f := w.Op(NewFilter("keep", cost.Python, func(r relation.Tuple) bool { return r.MustInt(1)%3 == 0 }))
+		f := w.Op(NewFilter("keep", cost.Python, func(r relation.Tuple) bool { return r[1].Int()%3 == 0 }))
 		m := w.Op(NewMap("double", cost.Python, outSchema, func(r relation.Tuple, out *Rows) error {
-			out.Emit(r.MustInt(1) * 2)
+			out.Emit(relation.IntValue(r[1].Int() * 2))
 			return nil
 		}))
 		snk := w.Sink("out")
@@ -209,7 +209,7 @@ func TestFuseBlockingTail(t *testing.T) {
 		src := w.Source("src", intTable(200))
 		s := w.Op(NewSort("sort", cost.Python, "v"))
 		m := w.Op(NewMap("shift", cost.Python, outSchema, func(r relation.Tuple, out *Rows) error {
-			out.Emit(r.MustInt(1) + 1)
+			out.Emit(relation.IntValue(r[1].Int() + 1))
 			return nil
 		}))
 		snk := w.Sink("out")
@@ -317,7 +317,7 @@ func TestRunWorkflowRejectsInvalidAfterMutation(t *testing.T) {
 	src := w.Source("src", intTable(50))
 	f := w.Op(NewFilter("keep", cost.Python, func(r relation.Tuple) bool { return true }))
 	m := w.Op(NewMap("m", cost.Python, outSchema, func(r relation.Tuple, out *Rows) error {
-		out.Emit(r.MustInt(1))
+		out.Emit(relation.IntValue(r[1].Int()))
 		return nil
 	}))
 	snk := w.Sink("out")

@@ -61,7 +61,7 @@ func (ri *recordInstance) Open(ExecCtx) error { return nil }
 func (ri *recordInstance) Process(ec ExecCtx, _ int, rows []relation.Tuple) ([]relation.Tuple, error) {
 	ids := make([]int64, len(rows))
 	for i, r := range rows {
-		ids[i] = r.MustInt(0)
+		ids[i] = r[0].Int()
 	}
 	ri.op.mu.Lock()
 	ri.op.seen[ec.Worker()] = append(ri.op.seen[ec.Worker()], ids)
@@ -83,7 +83,7 @@ func TestRouterHashPartitionGolden(t *testing.T) {
 	in := relation.NewTable(schema)
 	rng := xrand.New(22)
 	for i := 0; i < 1000; i++ {
-		in.AppendUnchecked(relation.Tuple{int64(i), fmt.Sprintf("case-%d|T%d:é", rng.Intn(120), rng.Intn(40))})
+		in.AppendUnchecked(relation.Tuple{relation.IntValue(int64(i)), relation.StringValue(fmt.Sprintf("case-%d|T%d:é", rng.Intn(120), rng.Intn(40)))})
 	}
 
 	got := map[string][][][]int64{}

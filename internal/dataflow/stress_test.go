@@ -25,7 +25,7 @@ func TestStressWideDeepWorkflow(t *testing.T) {
 	)
 	in := relation.NewTable(s)
 	for i := 0; i < rows; i++ {
-		in.AppendUnchecked(relation.Tuple{int64(i % 97), int64(i)})
+		in.AppendUnchecked(relation.Tuple{relation.IntValue(int64(i % 97)), relation.IntValue(int64(i))})
 	}
 
 	w := New("stress")
@@ -33,7 +33,7 @@ func TestStressWideDeepWorkflow(t *testing.T) {
 
 	// Branch A: filter then reduce.
 	fa := w.Op(NewFilter("even-v", cost.Python, func(r relation.Tuple) bool {
-		return r.MustInt(1)%2 == 0
+		return r[1].Int()%2 == 0
 	}), WithParallelism(8))
 	w.Connect(src, fa, 0, RoundRobin())
 	ga := w.Op(NewGroupBy("sum-by-k", cost.Python, []string{"k"},
@@ -45,7 +45,7 @@ func TestStressWideDeepWorkflow(t *testing.T) {
 		relation.Field{Name: "k", Type: relation.Int},
 		relation.Field{Name: "s", Type: relation.Float},
 	), func(r relation.Tuple, out *Rows) error {
-		out.Emit(r.MustInt(0), r.MustFloat(1))
+		out.Emit(relation.IntValue(r[0].Int()), relation.FloatValue(r[1].Float()))
 		return nil
 	}), WithParallelism(4))
 	w.Connect(ga, pa, 0, RoundRobin())
@@ -53,7 +53,7 @@ func TestStressWideDeepWorkflow(t *testing.T) {
 		relation.Field{Name: "k", Type: relation.Int},
 		relation.Field{Name: "t", Type: relation.Float},
 	), func(r relation.Tuple, out *Rows) error {
-		out.Emit(r.MustInt(0), r.MustFloat(1)*2)
+		out.Emit(relation.IntValue(r[0].Int()), relation.FloatValue(r[1].Float()*2))
 		return nil
 	}), WithParallelism(4))
 	w.Connect(ga, pb, 0, RoundRobin())
@@ -71,7 +71,7 @@ func TestStressWideDeepWorkflow(t *testing.T) {
 	}
 
 	// Direct evaluation of the same plan.
-	filtered := relation.Filter(in, func(r relation.Tuple) bool { return r.MustInt(1)%2 == 0 })
+	filtered := relation.Filter(in, func(r relation.Tuple) bool { return r[1].Int()%2 == 0 })
 	grouped, err := relation.GroupBy(filtered, []string{"k"}, []relation.Aggregate{{Func: relation.Sum, Field: "v", As: "s"}})
 	if err != nil {
 		t.Fatal(err)
@@ -80,7 +80,7 @@ func TestStressWideDeepWorkflow(t *testing.T) {
 		relation.Field{Name: "k", Type: relation.Int},
 		relation.Field{Name: "s", Type: relation.Float},
 	), func(r relation.Tuple) (relation.Tuple, error) {
-		return relation.Tuple{r.MustInt(0), r.MustFloat(1)}, nil
+		return relation.Tuple{relation.IntValue(r[0].Int()), relation.FloatValue(r[1].Float())}, nil
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -89,7 +89,7 @@ func TestStressWideDeepWorkflow(t *testing.T) {
 		relation.Field{Name: "k", Type: relation.Int},
 		relation.Field{Name: "t", Type: relation.Float},
 	), func(r relation.Tuple) (relation.Tuple, error) {
-		return relation.Tuple{r.MustInt(0), r.MustFloat(1) * 2}, nil
+		return relation.Tuple{relation.IntValue(r[0].Int()), relation.FloatValue(r[1].Float() * 2)}, nil
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -118,7 +118,7 @@ func TestStressRepeatedRuns(t *testing.T) {
 		w := New(fmt.Sprintf("rep-%d", i))
 		src := w.Source("src", in, WithBatchSize(32))
 		f := w.Op(NewFilter("f", cost.Python, func(r relation.Tuple) bool {
-			return r.MustInt(1) < 7
+			return r[1].Int() < 7
 		}), WithParallelism(4))
 		snk := w.Sink("out")
 		w.Connect(src, f, 0, RoundRobin())

@@ -15,7 +15,7 @@ func telemetryWorkflow() *Workflow {
 	in := intTable(400)
 	w := New("teltest")
 	src := w.Source("src", in)
-	f := w.Op(NewFilter("keep-even", cost.Python, func(r relation.Tuple) bool { return r.MustInt(1)%2 == 0 }))
+	f := w.Op(NewFilter("keep-even", cost.Python, func(r relation.Tuple) bool { return r[1].Int()%2 == 0 }))
 	snk := w.Sink("out")
 	w.Connect(src, f, 0, RoundRobin())
 	w.Connect(f, snk, 0, RoundRobin())

@@ -38,7 +38,7 @@ func TestUnionMergesStreams(t *testing.T) {
 
 func TestUnionSchemaMismatch(t *testing.T) {
 	other := relation.NewTable(relation.MustSchema(relation.Field{Name: "z", Type: relation.Float}))
-	other.MustAppend(relation.Tuple{1.5})
+	other.MustAppend(relation.Tuple{relation.FloatValue(1.5)})
 	w := New("union-bad")
 	sa := w.Source("a", intTable(5))
 	sb := w.Source("b", other)

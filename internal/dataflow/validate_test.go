@@ -21,7 +21,7 @@ func findDiag(diags []Diag, rule string) *Diag {
 func TestStaticValidateCleanPlan(t *testing.T) {
 	w := New("clean")
 	src := w.Source("src", intTable(100))
-	f := w.Op(NewFilter("keep-even", cost.Python, func(r relation.Tuple) bool { return r.MustInt(1)%2 == 0 }),
+	f := w.Op(NewFilter("keep-even", cost.Python, func(r relation.Tuple) bool { return r[1].Int()%2 == 0 }),
 		WithSignature("rev=3"))
 	snk := w.Sink("out")
 	w.Connect(src, f, 0, RoundRobin())
@@ -85,7 +85,7 @@ func TestStaticValidateSchemaClashAcrossJoin(t *testing.T) {
 		relation.Field{Name: "id", Type: relation.String},
 		relation.Field{Name: "label", Type: relation.String},
 	))
-	strTbl.AppendUnchecked(relation.Tuple{"a", "x"})
+	strTbl.AppendUnchecked(relation.Tuple{relation.StringValue("a"), relation.StringValue("x")})
 
 	w := New("clash")
 	probe := w.Source("probe", intTable(10))

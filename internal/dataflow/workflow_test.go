@@ -12,7 +12,7 @@ func intTable(n int) *relation.Table {
 	s := relation.MustSchema(relation.Field{Name: "id", Type: relation.Int}, relation.Field{Name: "v", Type: relation.Int})
 	t := relation.NewTable(s)
 	for i := 0; i < n; i++ {
-		t.AppendUnchecked(relation.Tuple{int64(i), int64(i % 10)})
+		t.AppendUnchecked(relation.Tuple{relation.IntValue(int64(i)), relation.IntValue(int64(i % 10))})
 	}
 	return t
 }
@@ -26,7 +26,7 @@ func TestValidateEmptyWorkflow(t *testing.T) {
 func TestValidateSimplePipeline(t *testing.T) {
 	w := New("simple")
 	src := w.Source("src", intTable(100))
-	f := w.Op(NewFilter("keep-even", cost.Python, func(r relation.Tuple) bool { return r.MustInt(1)%2 == 0 }))
+	f := w.Op(NewFilter("keep-even", cost.Python, func(r relation.Tuple) bool { return r[1].Int()%2 == 0 }))
 	snk := w.Sink("out")
 	w.Connect(src, f, 0, RoundRobin())
 	w.Connect(f, snk, 0, RoundRobin())

@@ -137,7 +137,7 @@ func runDocumentChain(rows int, m *cost.Model) (float64, error) {
 	tbl := relation.NewTable(schema)
 	blob := strings.Repeat("the quick brown fox jumps over the lazy dog. ", 44) // ~2 KB
 	for i := 0; i < rows; i++ {
-		tbl.AppendUnchecked(relation.Tuple{int64(i), blob})
+		tbl.AppendUnchecked(relation.Tuple{relation.IntValue(int64(i)), relation.StringValue(blob)})
 	}
 	w := dataflow.New("document-chain")
 	prev := w.Source("docs", tbl)

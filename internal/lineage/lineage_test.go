@@ -15,7 +15,7 @@ func testTable(n int) *relation.Table {
 	)
 	t := relation.NewTable(s)
 	for i := 0; i < n; i++ {
-		t.AppendUnchecked(relation.Tuple{int64(i), "row"})
+		t.AppendUnchecked(relation.Tuple{relation.IntValue(int64(i)), relation.StringValue("row")})
 	}
 	return t
 }

@@ -212,16 +212,17 @@ func TestWorkflowPlanAboveLegacyCeiling(t *testing.T) {
 // TestDiceWorkflowAllocBudget is the wall-clock guard CI can fail on:
 // timings drift 10–18 % on shared runners, bytes and object counts do
 // not. A DICE-50 workflow run at 4 workers (datagen included) allocates
-// 2.2 MB in 12.8 k objects; the byte budget is twice that and more, the
+// 2.1 MB in 8.6 k objects; the byte budget is twice that and more, the
 // object budget a third as much again. (With the join's fixed 1024-row
 // output arena per probe batch the same run allocated 82.4 MB; with map
 // UDFs returning a slice per row, the router building a key string per
 // row and lowering naming every job it was 3.9 MB in 48.1 k objects;
 // with brat splitting every annotation line into fresh slices, Render
 // going through Fprintf and a join key built per reference, 3.1 MB in
-// 21.6 k.)
+// 21.6 k; with every string cell and every integer over 255 boxed in an
+// interface, 2.2 MB in 12.6 k.)
 func TestDiceWorkflowAllocBudget(t *testing.T) {
-	const byteBudget, objectBudget = 5 << 20, 17_000
+	const byteBudget, objectBudget = 5 << 20, 11_500
 	spec := core.RunSpec{Task: "dice", Paradigm: "workflow", Size: 50, Seed: 1, Workers: 4}
 	run := func() (bytes, objects uint64) {
 		var before, after runtime.MemStats

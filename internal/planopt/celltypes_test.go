@@ -15,10 +15,10 @@ import (
 	_ "repro/internal/tasks/wef"
 )
 
-// TestMapCellsMatchDeclaredSchemas pins the dynamic type of every cell
-// a task's map UDF emits. A UDF passes a cell through as in[i] without
-// a Must* assertion, so nothing at run time checks that the cell is of
-// the type the output schema declares, and the output digests only
+// TestMapCellsMatchDeclaredSchemas pins the kind of every cell a task's
+// map UDF emits. A UDF passes a cell through as in[i] without reading
+// it through its kind's accessor, so nothing at run time checks that the
+// cell is of the type the output schema declares, and the output digests only
 // cover cells that reach a sink. The estimator already feeds real
 // sample rows through every map it can reach; a map behind an opaque
 // operator, which the estimator cannot sample, feeds its task's sink,

@@ -19,7 +19,7 @@ func intTable(n int) *relation.Table {
 	)
 	t := relation.NewTable(s)
 	for i := 0; i < n; i++ {
-		t.AppendUnchecked(relation.Tuple{int64(i), int64(i % 100)})
+		t.AppendUnchecked(relation.Tuple{relation.IntValue(int64(i)), relation.IntValue(int64(i % 100))})
 	}
 	return t
 }
@@ -68,7 +68,7 @@ func TestEstimatorFilterSelectivity(t *testing.T) {
 	w := dataflow.New("est")
 	src := w.Source("src", intTable(1000))
 	f := w.Op(dataflow.NewFilter("keep-low", cost.Python, func(r relation.Tuple) bool {
-		return r.MustInt(1) < 10 // 10% of v values
+		return r[1].Int() < 10 // 10% of v values
 	}))
 	snk := w.Sink("out")
 	w.Connect(src, f, 0, dataflow.RoundRobin())
@@ -95,10 +95,10 @@ func TestFilterOrderReordersSelectiveFirst(t *testing.T) {
 		w := dataflow.New("filters")
 		src := w.Source("src", intTable(2000))
 		wide := w.Op(dataflow.NewFilter("wide", cost.Python, func(r relation.Tuple) bool {
-			return r.MustInt(1) < 90 // keeps 90%
+			return r[1].Int() < 90 // keeps 90%
 		}))
 		narrow := w.Op(dataflow.NewFilter("narrow", cost.Python, func(r relation.Tuple) bool {
-			return r.MustInt(1)%10 == 0 // keeps 10%
+			return r[1].Int()%10 == 0 // keeps 10%
 		}))
 		snk := w.Sink("out")
 		w.Connect(src, wide, 0, dataflow.RoundRobin())
@@ -119,10 +119,10 @@ func TestFilterOrderKeepsOptimalOrder(t *testing.T) {
 	w := dataflow.New("filters-ok")
 	src := w.Source("src", intTable(2000))
 	narrow := w.Op(dataflow.NewFilter("narrow", cost.Python, func(r relation.Tuple) bool {
-		return r.MustInt(1)%10 == 0
+		return r[1].Int()%10 == 0
 	}))
 	wide := w.Op(dataflow.NewFilter("wide", cost.Python, func(r relation.Tuple) bool {
-		return r.MustInt(1) < 90
+		return r[1].Int() < 90
 	}))
 	snk := w.Sink("out")
 	w.Connect(src, narrow, 0, dataflow.RoundRobin())
@@ -192,7 +192,7 @@ func joinWorkflow(par int, part func(key string) dataflow.Partitioning) func() *
 		)
 		users := relation.NewTable(us)
 		for i := 0; i < 40; i++ {
-			users.AppendUnchecked(relation.Tuple{int64(i), fmt.Sprintf("user-%d", i)})
+			users.AppendUnchecked(relation.Tuple{relation.IntValue(int64(i)), relation.StringValue(fmt.Sprintf("user-%d", i))})
 		}
 		os := relation.MustSchema(
 			relation.Field{Name: "oid", Type: relation.Int},
@@ -201,7 +201,7 @@ func joinWorkflow(par int, part func(key string) dataflow.Partitioning) func() *
 		)
 		orders := relation.NewTable(os)
 		for i := 0; i < 2000; i++ {
-			orders.AppendUnchecked(relation.Tuple{int64(i), int64(i % 50), fmt.Sprintf("order-%d-padding-padding", i)})
+			orders.AppendUnchecked(relation.Tuple{relation.IntValue(int64(i)), relation.IntValue(int64(i % 50)), relation.StringValue(fmt.Sprintf("order-%d-padding-padding", i))})
 		}
 		w := dataflow.New("join")
 		u := w.Source("users", users)
@@ -278,7 +278,7 @@ func TestParallelismRaisedToCapacity(t *testing.T) {
 		w := dataflow.New("par")
 		src := w.Source("src", intTable(4000))
 		f := w.Op(dataflow.NewFilter("keep", cost.Python, func(r relation.Tuple) bool {
-			return r.MustInt(1)%2 == 0
+			return r[1].Int()%2 == 0
 		}), dataflow.WithParallelism(2))
 		snk := w.Sink("out")
 		w.Connect(src, f, 0, dataflow.RoundRobin())
@@ -327,7 +327,7 @@ func TestBatchSizedToConsumerParallelism(t *testing.T) {
 		// Hand-set parallelism equal to capacity so only OPT007 fires:
 		// 32 workers want more than the ~96 auto batches in flight.
 		f := w.Op(dataflow.NewFilter("keep", cost.Python, func(r relation.Tuple) bool {
-			return r.MustInt(1)%2 == 0
+			return r[1].Int()%2 == 0
 		}), dataflow.WithParallelism(32))
 		snk := w.Sink("out")
 		w.Connect(src, f, 0, dataflow.RoundRobin())
@@ -375,10 +375,10 @@ func TestFusionCollapsesStatelessChain(t *testing.T) {
 		w := dataflow.New("fuse")
 		src := w.Source("src", intTable(600))
 		f := w.Op(dataflow.NewFilter("keep", cost.Python, func(r relation.Tuple) bool {
-			return r.MustInt(1)%3 == 0
+			return r[1].Int()%3 == 0
 		}))
 		m := w.Op(dataflow.NewMap("double", cost.Python, outSchema, func(r relation.Tuple, out *dataflow.Rows) error {
-			out.Emit(r.MustInt(1) * 2)
+			out.Emit(relation.IntValue(r[1].Int() * 2))
 			return nil
 		}))
 		snk := w.Sink("out")

@@ -10,8 +10,8 @@ func benchTables(n int) (*Table, *Table) {
 	rs := MustSchema(Field{"k", Int}, Field{"weight", Float})
 	left, right := NewTable(ls), NewTable(rs)
 	for i := 0; i < n; i++ {
-		left.AppendUnchecked(Tuple{int64(i % (n / 4)), fmt.Sprintf("row-%d", i)})
-		right.AppendUnchecked(Tuple{int64(i % (n / 2)), float64(i)})
+		left.AppendUnchecked(Tuple{IntValue(int64(i % (n / 4))), StringValue(fmt.Sprintf("row-%d", i))})
+		right.AppendUnchecked(Tuple{IntValue(int64(i % (n / 2))), FloatValue(float64(i))})
 	}
 	return left, right
 }
@@ -59,25 +59,18 @@ func BenchmarkGroupBy(b *testing.B) {
 }
 
 func BenchmarkEncodeTuple(b *testing.B) {
-	t := Tuple{int64(42), "a reasonably sized string payload", 3.14159, true}
+	t := Tuple{IntValue(42), StringValue("a reasonably sized string payload"), FloatValue(3.14159), BoolValue(true)}
 	buf := make([]byte, 0, 128)
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		var err error
-		buf, err = EncodeTuple(buf[:0], t)
-		if err != nil {
-			b.Fatal(err)
-		}
+		buf = EncodeTuple(buf[:0], t)
 	}
 }
 
 func BenchmarkDecodeTuple(b *testing.B) {
-	t := Tuple{int64(42), "a reasonably sized string payload", 3.14159, true}
-	enc, err := EncodeTuple(nil, t)
-	if err != nil {
-		b.Fatal(err)
-	}
+	t := Tuple{IntValue(42), StringValue("a reasonably sized string payload"), FloatValue(3.14159), BoolValue(true)}
+	enc := EncodeTuple(nil, t)
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
@@ -88,14 +81,12 @@ func BenchmarkDecodeTuple(b *testing.B) {
 }
 
 func BenchmarkEncodeTuplePooled(b *testing.B) {
-	t := Tuple{int64(42), "a reasonably sized string payload", 3.14159, true}
+	t := Tuple{IntValue(42), StringValue("a reasonably sized string payload"), FloatValue(3.14159), BoolValue(true)}
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		enc := GetEncoder()
-		if _, err := enc.EncodeTuple(t); err != nil {
-			b.Fatal(err)
-		}
+		enc.EncodeTuple(t)
 		enc.Release()
 	}
 }
@@ -123,7 +114,7 @@ func BenchmarkDigest(b *testing.B) {
 }
 
 func BenchmarkEncodedSize(b *testing.B) {
-	t := Tuple{int64(42), "a reasonably sized string payload", 3.14159, true}
+	t := Tuple{IntValue(42), StringValue("a reasonably sized string payload"), FloatValue(3.14159), BoolValue(true)}
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		if EncodedSize(t) == 0 {

@@ -66,37 +66,29 @@ func canonFloatBits(f float64) uint64 {
 
 // hashValueCanon folds one tagged value into h. Tags keep int64(1),
 // "1" and true from colliding, mirroring Key's type prefixes.
-func hashValueCanon(h uint64, v any) uint64 {
-	switch v := v.(type) {
-	case int64:
+func hashValueCanon(h uint64, v Value) uint64 {
+	switch v.Kind() {
+	case Int:
 		h ^= 'i'
 		h *= FNVPrime64
-		return FNVMixUint64(h, uint64(v))
-	case float64:
+		return FNVMixUint64(h, uint64(v.Int()))
+	case Float:
 		h ^= 'f'
 		h *= FNVPrime64
-		return FNVMixUint64(h, canonFloatBits(v))
-	case string:
-		h ^= 's'
-		h *= FNVPrime64
-		h = FNVMixUint64(h, uint64(len(v)))
-		return FNVMixString(h, v)
-	case bool:
+		return FNVMixUint64(h, canonFloatBits(v.Float()))
+	case Bool:
 		h ^= 'b'
 		h *= FNVPrime64
-		if v {
+		if v.Bool() {
 			h ^= 1
-			h *= FNVPrime64
-		} else {
-			h ^= 0
-			h *= FNVPrime64
 		}
-		return h
-	default:
-		h ^= '?'
-		h *= FNVPrime64
-		return h
+		return h * FNVPrime64
 	}
+	s := v.Str()
+	h ^= 's'
+	h *= FNVPrime64
+	h = FNVMixUint64(h, uint64(len(s)))
+	return FNVMixString(h, s)
 }
 
 // hashTupleCanon hashes the values at the given positions.
@@ -108,16 +100,13 @@ func hashTupleCanon(t Tuple, pos []int) uint64 {
 	return h
 }
 
-// equalValueCanon is the equality matching hashValueCanon: dynamic-type
-// tagged, with all NaNs equal and -0 unequal to +0.
-func equalValueCanon(a, b any) bool {
-	switch av := a.(type) {
-	case float64:
-		bv, ok := b.(float64)
-		return ok && canonFloatBits(av) == canonFloatBits(bv)
-	default:
-		return a == b
+// equalValueCanon is the equality matching hashValueCanon: kinds must
+// match, all NaNs are equal and -0 is unequal to +0.
+func equalValueCanon(a, b Value) bool {
+	if a.Kind() == Float && b.Kind() == Float {
+		return canonFloatBits(a.Float()) == canonFloatBits(b.Float())
 	}
+	return a.Equal(b)
 }
 
 // equalTupleCanon compares the values at the given positions.

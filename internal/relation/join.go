@@ -66,13 +66,13 @@ func planJoin(left, right *Schema, leftKey, rightKey string) (*joinPlan, error) 
 	for i, p := range rightPos {
 		switch right.Field(p).Type {
 		case Int:
-			padding[i] = int64(0)
+			padding[i] = IntValue(0)
 		case Float:
-			padding[i] = float64(0)
+			padding[i] = FloatValue(0)
 		case String:
-			padding[i] = ""
+			padding[i] = StringValue("")
 		case Bool:
-			padding[i] = false
+			padding[i] = BoolValue(false)
 		}
 	}
 	return &joinPlan{lk: lk, rk: rk, rightPos: rightPos, out: out, padding: padding}, nil
@@ -103,7 +103,7 @@ type keyIndex interface {
 
 // typedIndex is the generic key index: one map per shard keyed by the
 // column's native Go type, plus a lazily allocated canonical-string
-// spill map for rows whose dynamic type does not match the declared
+// spill map for rows whose cell kind does not match the declared
 // schema type (such rows can only ever match each other, exactly as
 // under the canonical-key encoding the serial join used before).
 type typedIndex[K comparable] struct {
@@ -212,17 +212,17 @@ func newKeyIndex(t Type) keyIndex {
 	switch t {
 	case Int:
 		return &typedIndex[int64]{
-			get:  func(r Tuple, p int) (int64, bool) { v, ok := r[p].(int64); return v, ok },
+			get:  func(r Tuple, p int) (int64, bool) { return int64(r[p].n), r[p].Kind() == Int },
 			hash: func(v int64) uint32 { return mix64(uint64(v)) },
 		}
 	case Float:
 		return &typedIndex[float64]{
-			get:  func(r Tuple, p int) (float64, bool) { v, ok := r[p].(float64); return v, ok },
+			get:  func(r Tuple, p int) (float64, bool) { return math.Float64frombits(r[p].n), r[p].Kind() == Float },
 			hash: func(v float64) uint32 { return mix64(math.Float64bits(v)) },
 		}
 	case Bool:
 		return &typedIndex[bool]{
-			get: func(r Tuple, p int) (bool, bool) { v, ok := r[p].(bool); return v, ok },
+			get: func(r Tuple, p int) (bool, bool) { return r[p].n != 0, r[p].Kind() == Bool },
 			hash: func(v bool) uint32 {
 				if v {
 					return 1
@@ -232,7 +232,12 @@ func newKeyIndex(t Type) keyIndex {
 		}
 	default:
 		return &typedIndex[string]{
-			get:  func(r Tuple, p int) (string, bool) { v, ok := r[p].(string); return v, ok },
+			get: func(r Tuple, p int) (string, bool) {
+				if r[p].Kind() != String {
+					return "", false
+				}
+				return r[p].Str(), true
+			},
 			hash: fnv32,
 		}
 	}
@@ -297,7 +302,7 @@ func (j *Joiner) ProbeRows(dst []Tuple, rows []Tuple) []Tuple {
 		matches[i] = ms
 		n += len(ms)
 	}
-	block := make([]any, 0, n*j.plan.out.Len())
+	block := make([]Value, 0, n*j.plan.out.Len())
 	dst = slices.Grow(dst, n)
 	for i, l := range rows {
 		for _, ri := range matches[i] {

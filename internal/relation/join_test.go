@@ -20,9 +20,9 @@ func probeFixture(probeRows, fanout, keys int) (probe, build *Table) {
 		return f
 	}
 	row := func(k int64, tag string, i int) Tuple {
-		t := Tuple{k}
+		t := Tuple{IntValue(k)}
 		for c := 1; c < 6; c++ {
-			t = append(t, fmt.Sprintf("%s%d.%d", tag, i, c))
+			t = append(t, StringValue(fmt.Sprintf("%s%d.%d", tag, i, c)))
 		}
 		return t
 	}
@@ -81,9 +81,9 @@ func TestProbeRowsOwnership(t *testing.T) {
 	}
 	width := j.OutputSchema().Len()
 
-	sentinel := Tuple{"sentinel"}
+	sentinel := Tuple{StringValue("sentinel")}
 	out := j.ProbeRows([]Tuple{sentinel}, probe.Rows())
-	if len(out) < 2 || len(out[0]) != 1 || out[0][0] != "sentinel" {
+	if len(out) < 2 || len(out[0]) != 1 || out[0][0].Str() != "sentinel" {
 		t.Fatalf("dst prefix not kept: %v", out[0])
 	}
 	out = out[1:]
@@ -96,7 +96,7 @@ func TestProbeRowsOwnership(t *testing.T) {
 		snapshot[i] = r.Clone()
 	}
 	for i := range out {
-		_ = append(out[i], "overflow")
+		_ = append(out[i], StringValue("overflow"))
 	}
 	for i := range out {
 		if !out[i].Equal(snapshot[i]) {
@@ -107,7 +107,7 @@ func TestProbeRowsOwnership(t *testing.T) {
 	again := j.ProbeRows(nil, probe.Rows())
 	for i := range again {
 		for c := range again[i] {
-			again[i][c] = "overwritten"
+			again[i][c] = StringValue("overwritten")
 		}
 	}
 	for i := range out {

@@ -137,13 +137,13 @@ func NestedLoopJoin(left, right *Table, leftKey, rightKey string, kind JoinType)
 			for _, p := range rightPos {
 				switch right.Schema().Field(p).Type {
 				case Int:
-					row = append(row, int64(0))
+					row = append(row, IntValue(0))
 				case Float:
-					row = append(row, float64(0))
+					row = append(row, FloatValue(0))
 				case String:
-					row = append(row, "")
+					row = append(row, StringValue(""))
 				case Bool:
-					row = append(row, false)
+					row = append(row, BoolValue(false))
 				}
 			}
 			out.AppendUnchecked(row)
@@ -271,12 +271,12 @@ func GroupBy(t *Table, keys []string, aggs []Aggregate) (*Table, error) {
 	}
 	groups := make(map[uint64][]*acc)
 	var order []*acc
-	numeric := func(v any) float64 {
-		switch v := v.(type) {
-		case int64:
-			return float64(v)
-		case float64:
-			return v
+	numeric := func(v Value) float64 {
+		switch v.Kind() {
+		case Int:
+			return float64(v.Int())
+		case Float:
+			return v.Float()
 		}
 		return 0
 	}
@@ -329,15 +329,15 @@ func GroupBy(t *Table, keys []string, aggs []Aggregate) (*Table, error) {
 		for i, a := range aggs {
 			switch a.Func {
 			case Count:
-				row = append(row, g.count)
+				row = append(row, IntValue(g.count))
 			case Sum:
-				row = append(row, g.sums[i])
+				row = append(row, FloatValue(g.sums[i]))
 			case Avg:
-				row = append(row, g.sums[i]/float64(g.count))
+				row = append(row, FloatValue(g.sums[i]/float64(g.count)))
 			case Min:
-				row = append(row, g.mins[i])
+				row = append(row, FloatValue(g.mins[i]))
 			case Max:
-				row = append(row, g.maxs[i])
+				row = append(row, FloatValue(g.maxs[i]))
 			}
 		}
 		out.AppendUnchecked(row)

@@ -12,10 +12,10 @@ func usersTable(t *testing.T) *Table {
 	t.Helper()
 	s := MustSchema(Field{"uid", Int}, Field{"name", String})
 	tbl, err := FromRows(s, []Tuple{
-		{int64(1), "ann"},
-		{int64(2), "bob"},
-		{int64(3), "cat"},
-		{int64(4), "dan"},
+		{IntValue(1), StringValue("ann")},
+		{IntValue(2), StringValue("bob")},
+		{IntValue(3), StringValue("cat")},
+		{IntValue(4), StringValue("dan")},
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -27,10 +27,10 @@ func ordersTable(t *testing.T) *Table {
 	t.Helper()
 	s := MustSchema(Field{"oid", Int}, Field{"uid", Int}, Field{"amt", Float})
 	tbl, err := FromRows(s, []Tuple{
-		{int64(10), int64(1), 5.0},
-		{int64(11), int64(1), 7.0},
-		{int64(12), int64(3), 2.0},
-		{int64(13), int64(9), 1.0}, // dangling uid
+		{IntValue(10), IntValue(1), FloatValue(5.0)},
+		{IntValue(11), IntValue(1), FloatValue(7.0)},
+		{IntValue(12), IntValue(3), FloatValue(2.0)},
+		{IntValue(13), IntValue(9), FloatValue(1.0)}, // dangling uid
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -40,12 +40,12 @@ func ordersTable(t *testing.T) *Table {
 
 func TestFilter(t *testing.T) {
 	u := usersTable(t)
-	out := Filter(u, func(r Tuple) bool { return r.MustInt(0)%2 == 0 })
+	out := Filter(u, func(r Tuple) bool { return r[0].Int()%2 == 0 })
 	if out.Len() != 2 {
 		t.Fatalf("filtered len = %d", out.Len())
 	}
 	for _, r := range out.Rows() {
-		if r.MustInt(0)%2 != 0 {
+		if r[0].Int()%2 != 0 {
 			t.Fatalf("row %v escaped filter", r)
 		}
 	}
@@ -60,7 +60,7 @@ func TestProjectOp(t *testing.T) {
 	if out.Schema().Len() != 1 || out.Len() != 4 {
 		t.Fatalf("project shape wrong: %s, %d rows", out.Schema(), out.Len())
 	}
-	if out.Row(0).MustStr(0) != "ann" {
+	if out.Row(0)[0].Str() != "ann" {
 		t.Fatal("project values wrong")
 	}
 	if _, err := Project(u, "missing"); err == nil {
@@ -71,17 +71,17 @@ func TestProjectOp(t *testing.T) {
 func TestMapOp(t *testing.T) {
 	u := usersTable(t)
 	out, err := Map(u, MustSchema(Field{"upper", String}), func(r Tuple) (Tuple, error) {
-		return Tuple{r.MustStr(1) + "!"}, nil
+		return Tuple{StringValue(r[1].Str() + "!")}, nil
 	})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if out.Row(0).MustStr(0) != "ann!" {
+	if out.Row(0)[0].Str() != "ann!" {
 		t.Fatal("map wrong")
 	}
 	// Output validation catches bad rows.
 	_, err = Map(u, MustSchema(Field{"x", Int}), func(r Tuple) (Tuple, error) {
-		return Tuple{"not an int"}, nil
+		return Tuple{StringValue("not an int")}, nil
 	})
 	if err == nil {
 		t.Fatal("expected validation error")
@@ -91,11 +91,11 @@ func TestMapOp(t *testing.T) {
 func TestFlatMapOp(t *testing.T) {
 	u := usersTable(t)
 	out, err := FlatMap(u, MustSchema(Field{"uid", Int}), func(r Tuple) ([]Tuple, error) {
-		id := r.MustInt(0)
+		id := r[0].Int()
 		if id%2 == 0 {
 			return nil, nil
 		}
-		return []Tuple{{id}, {id * 10}}, nil
+		return []Tuple{{IntValue(id)}, {IntValue(id * 10)}}, nil
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -119,7 +119,7 @@ func TestHashJoinInner(t *testing.T) {
 	if out.Schema().String() != "oid:int, uid:int, amt:float, name:string" {
 		t.Fatalf("schema = %s", out.Schema())
 	}
-	if out.Row(0).MustStr(3) != "ann" {
+	if out.Row(0)[3].Str() != "ann" {
 		t.Fatalf("first joined row = %v", out.Row(0))
 	}
 }
@@ -135,7 +135,7 @@ func TestHashJoinLeftOuter(t *testing.T) {
 		t.Fatalf("left outer join len = %d, want 4", out.Len())
 	}
 	last := out.Row(3)
-	if last.MustInt(1) != 9 || last.MustStr(3) != "" {
+	if last[1].Int() != 9 || last[3].Str() != "" {
 		t.Fatalf("unmatched row = %v", last)
 	}
 }
@@ -162,10 +162,10 @@ func randomJoinTables(seed uint64) (*Table, *Table) {
 	right := NewTable(rs)
 	nl, nr := r.Intn(30), r.Intn(30)
 	for i := 0; i < nl; i++ {
-		left.AppendUnchecked(Tuple{int64(r.Intn(10)), "l"})
+		left.AppendUnchecked(Tuple{IntValue(int64(r.Intn(10))), StringValue("l")})
 	}
 	for i := 0; i < nr; i++ {
-		right.AppendUnchecked(Tuple{int64(r.Intn(10)), r.Float64()})
+		right.AppendUnchecked(Tuple{IntValue(int64(r.Intn(10))), FloatValue(r.Float64())})
 	}
 	return left, right
 }
@@ -227,8 +227,8 @@ func TestJoinerShardCountDeterministic(t *testing.T) {
 	rs := MustSchema(Field{"k", Int}, Field{"rv", Float})
 	left, right := NewTable(ls), NewTable(rs)
 	for i := 0; i < 5000; i++ {
-		left.AppendUnchecked(Tuple{int64(i % 700), "l"})
-		right.AppendUnchecked(Tuple{int64(i % 900), float64(i)})
+		left.AppendUnchecked(Tuple{IntValue(int64(i % 700)), StringValue("l")})
+		right.AppendUnchecked(Tuple{IntValue(int64(i % 900)), FloatValue(float64(i))})
 	}
 	for _, kind := range []JoinType{Inner, LeftOuter} {
 		ref, err := HashJoin(left, right, "k", "k", kind)
@@ -255,12 +255,12 @@ func TestJoinerShardCountDeterministic(t *testing.T) {
 
 func TestDistinct(t *testing.T) {
 	s := MustSchema(Field{"x", Int})
-	tbl, _ := FromRows(s, []Tuple{{int64(1)}, {int64(2)}, {int64(1)}, {int64(3)}, {int64(2)}})
+	tbl, _ := FromRows(s, []Tuple{{IntValue(1)}, {IntValue(2)}, {IntValue(1)}, {IntValue(3)}, {IntValue(2)}})
 	out := Distinct(tbl)
 	if out.Len() != 3 {
 		t.Fatalf("distinct len = %d", out.Len())
 	}
-	if out.Row(0).MustInt(0) != 1 || out.Row(1).MustInt(0) != 2 || out.Row(2).MustInt(0) != 3 {
+	if out.Row(0)[0].Int() != 1 || out.Row(1)[0].Int() != 2 || out.Row(2)[0].Int() != 3 {
 		t.Fatal("distinct should keep first occurrences in order")
 	}
 }
@@ -328,7 +328,7 @@ func TestGroupBy(t *testing.T) {
 	}
 	// First group is uid=1 with two orders of 5 and 7.
 	g := out.Row(0)
-	if g.MustInt(0) != 1 || g.MustInt(1) != 2 || g.MustFloat(2) != 12 || g.MustFloat(3) != 6 || g.MustFloat(4) != 5 || g.MustFloat(5) != 7 {
+	if g[0].Int() != 1 || g[1].Int() != 2 || g[2].Float() != 12 || g[3].Float() != 6 || g[4].Float() != 5 || g[5].Float() != 7 {
 		t.Fatalf("group row = %v", g)
 	}
 }
@@ -357,7 +357,7 @@ func TestPropertyGroupByCountsSumToTotal(t *testing.T) {
 		tbl := NewTable(s)
 		n := r.Intn(100)
 		for i := 0; i < n; i++ {
-			tbl.AppendUnchecked(Tuple{int64(r.Intn(7)), r.Float64()})
+			tbl.AppendUnchecked(Tuple{IntValue(int64(r.Intn(7))), FloatValue(r.Float64())})
 		}
 		out, err := GroupBy(tbl, []string{"g"}, []Aggregate{{Func: Count, As: "n"}})
 		if err != nil {
@@ -365,7 +365,7 @@ func TestPropertyGroupByCountsSumToTotal(t *testing.T) {
 		}
 		var total int64
 		for _, row := range out.Rows() {
-			total += row.MustInt(1)
+			total += row[1].Int()
 		}
 		return total == int64(n)
 	}

@@ -192,26 +192,23 @@ func (t *Table) SortBy(names ...string) error {
 
 func lessTuples(a, b Tuple, pos []int) bool {
 	for _, p := range pos {
-		switch av := a[p].(type) {
-		case int64:
-			bv := b[p].(int64)
-			if av != bv {
-				return av < bv
+		av, bv := a[p], b[p]
+		switch av.Kind() {
+		case Int:
+			if x, y := av.Int(), bv.Int(); x != y {
+				return x < y
 			}
-		case float64:
-			bv := b[p].(float64)
-			if av != bv {
-				return av < bv
+		case Float:
+			if x, y := av.Float(), bv.Float(); x != y {
+				return x < y
 			}
-		case string:
-			bv := b[p].(string)
-			if av != bv {
-				return av < bv
+		case Bool:
+			if x, y := av.Bool(), bv.Bool(); x != y {
+				return !x
 			}
-		case bool:
-			bv := b[p].(bool)
-			if av != bv {
-				return !av
+		default:
+			if x, y := av.Str(), bv.Str(); x != y {
+				return x < y
 			}
 		}
 	}

@@ -6,9 +6,9 @@ func smallTable(t *testing.T) *Table {
 	t.Helper()
 	s := MustSchema(Field{"id", Int}, Field{"name", String})
 	tbl, err := FromRows(s, []Tuple{
-		{int64(3), "c"},
-		{int64(1), "a"},
-		{int64(2), "b"},
+		{IntValue(3), StringValue("c")},
+		{IntValue(1), StringValue("a")},
+		{IntValue(2), StringValue("b")},
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -18,17 +18,17 @@ func smallTable(t *testing.T) *Table {
 
 func TestFromRowsValidates(t *testing.T) {
 	s := MustSchema(Field{"id", Int})
-	if _, err := FromRows(s, []Tuple{{"not an int"}}); err == nil {
+	if _, err := FromRows(s, []Tuple{{StringValue("not an int")}}); err == nil {
 		t.Fatal("expected validation error")
 	}
 }
 
 func TestAppendValidates(t *testing.T) {
 	tbl := NewTable(MustSchema(Field{"id", Int}))
-	if err := tbl.Append(Tuple{int64(1)}); err != nil {
+	if err := tbl.Append(Tuple{IntValue(1)}); err != nil {
 		t.Fatal(err)
 	}
-	if err := tbl.Append(Tuple{"x"}); err == nil {
+	if err := tbl.Append(Tuple{StringValue("x")}); err == nil {
 		t.Fatal("expected validation error")
 	}
 	if tbl.Len() != 1 {
@@ -39,8 +39,8 @@ func TestAppendValidates(t *testing.T) {
 func TestCloneIndependence(t *testing.T) {
 	a := smallTable(t)
 	b := a.Clone()
-	b.Row(0)[1] = "mutated"
-	if a.Row(0)[1] == "mutated" {
+	b.Row(0)[1] = StringValue("mutated")
+	if a.Row(0)[1].Str() == "mutated" {
 		t.Fatal("clone aliases original rows")
 	}
 	if !a.EqualUnordered(a.Clone()) {
@@ -65,8 +65,8 @@ func TestEqualOrderSensitive(t *testing.T) {
 
 func TestEqualUnorderedMultiset(t *testing.T) {
 	s := MustSchema(Field{"x", Int})
-	a, _ := FromRows(s, []Tuple{{int64(1)}, {int64(1)}, {int64(2)}})
-	b, _ := FromRows(s, []Tuple{{int64(1)}, {int64(2)}, {int64(2)}})
+	a, _ := FromRows(s, []Tuple{{IntValue(1)}, {IntValue(1)}, {IntValue(2)}})
+	b, _ := FromRows(s, []Tuple{{IntValue(1)}, {IntValue(2)}, {IntValue(2)}})
 	if a.EqualUnordered(b) {
 		t.Fatal("different multisets reported equal")
 	}
@@ -111,14 +111,14 @@ func TestSortBy(t *testing.T) {
 		t.Fatal(err)
 	}
 	for i := 0; i < 3; i++ {
-		if tbl.Row(i).MustInt(0) != int64(i+1) {
-			t.Fatalf("row %d id = %d", i, tbl.Row(i).MustInt(0))
+		if tbl.Row(i)[0].Int() != int64(i+1) {
+			t.Fatalf("row %d id = %d", i, tbl.Row(i)[0].Int())
 		}
 	}
 	if err := tbl.SortBy("name"); err != nil {
 		t.Fatal(err)
 	}
-	if tbl.Row(0).MustStr(1) != "a" {
+	if tbl.Row(0)[1].Str() != "a" {
 		t.Fatal("sort by string failed")
 	}
 	if err := tbl.SortBy("missing"); err == nil {
@@ -129,10 +129,10 @@ func TestSortBy(t *testing.T) {
 func TestSortByMultipleAndStability(t *testing.T) {
 	s := MustSchema(Field{"g", Int}, Field{"v", String}, Field{"b", Bool}, Field{"f", Float})
 	tbl, _ := FromRows(s, []Tuple{
-		{int64(2), "x", true, 1.0},
-		{int64(1), "y", false, 2.0},
-		{int64(1), "x", true, 0.5},
-		{int64(2), "x", false, 3.0},
+		{IntValue(2), StringValue("x"), BoolValue(true), FloatValue(1.0)},
+		{IntValue(1), StringValue("y"), BoolValue(false), FloatValue(2.0)},
+		{IntValue(1), StringValue("x"), BoolValue(true), FloatValue(0.5)},
+		{IntValue(2), StringValue("x"), BoolValue(false), FloatValue(3.0)},
 	})
 	if err := tbl.SortBy("g", "v"); err != nil {
 		t.Fatal(err)
@@ -142,24 +142,24 @@ func TestSortByMultipleAndStability(t *testing.T) {
 		v string
 	}{{1, "x"}, {1, "y"}, {2, "x"}, {2, "x"}}
 	for i, w := range want {
-		if tbl.Row(i).MustInt(0) != w.g || tbl.Row(i).MustStr(1) != w.v {
+		if tbl.Row(i)[0].Int() != w.g || tbl.Row(i)[1].Str() != w.v {
 			t.Fatalf("row %d = %v", i, tbl.Row(i))
 		}
 	}
 	// Stability: the two (2,"x") rows keep input order (true before false).
-	if !tbl.Row(2).MustBool(2) || tbl.Row(3).MustBool(2) {
+	if !tbl.Row(2)[2].Bool() || tbl.Row(3)[2].Bool() {
 		t.Fatal("sort not stable")
 	}
 	if err := tbl.SortBy("b"); err != nil {
 		t.Fatal(err)
 	}
-	if tbl.Row(0).MustBool(2) {
+	if tbl.Row(0)[2].Bool() {
 		t.Fatal("false should sort before true")
 	}
 	if err := tbl.SortBy("f"); err != nil {
 		t.Fatal(err)
 	}
-	if tbl.Row(0).MustFloat(3) != 0.5 {
+	if tbl.Row(0)[3].Float() != 0.5 {
 		t.Fatal("float sort failed")
 	}
 }

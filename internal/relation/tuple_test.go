@@ -11,17 +11,16 @@ var testSchema = MustSchema(
 )
 
 func TestTupleValidate(t *testing.T) {
-	good := Tuple{int64(1), "x", 2.5, true}
+	good := Tuple{IntValue(1), StringValue("x"), FloatValue(2.5), BoolValue(true)}
 	if err := good.Validate(testSchema); err != nil {
 		t.Fatal(err)
 	}
 	bad := []Tuple{
-		{int64(1), "x", 2.5},                  // short
-		{int64(1), "x", 2.5, true, false},     // long
-		{1, "x", 2.5, true},                   // int not int64
-		{int64(1), 5, 2.5, true},              // wrong type
-		{int64(1), "x", "not a float", true},  // wrong type
-		{int64(1), "x", 2.5, "not a boolean"}, // wrong type
+		{IntValue(1), StringValue("x"), FloatValue(2.5)},                                    // short
+		{IntValue(1), StringValue("x"), FloatValue(2.5), BoolValue(true), BoolValue(false)}, // long
+		{IntValue(1), IntValue(5), FloatValue(2.5), BoolValue(true)},                        // wrong type
+		{IntValue(1), StringValue("x"), StringValue("not a float"), BoolValue(true)},        // wrong type
+		{IntValue(1), StringValue("x"), FloatValue(2.5), StringValue("not a boolean")},      // wrong type
 	}
 	for i, b := range bad {
 		if err := b.Validate(testSchema); err == nil {
@@ -31,35 +30,35 @@ func TestTupleValidate(t *testing.T) {
 }
 
 func TestTupleCloneEqual(t *testing.T) {
-	a := Tuple{int64(1), "x", 2.5, true}
+	a := Tuple{IntValue(1), StringValue("x"), FloatValue(2.5), BoolValue(true)}
 	b := a.Clone()
 	if !a.Equal(b) {
 		t.Fatal("clone not equal")
 	}
-	b[0] = int64(2)
+	b[0] = IntValue(2)
 	if a.Equal(b) {
 		t.Fatal("mutated clone still equal")
 	}
-	if a[0] != int64(1) {
+	if !a[0].Equal(IntValue(1)) {
 		t.Fatal("clone aliased original")
 	}
-	if a.Equal(Tuple{int64(1)}) {
+	if a.Equal(Tuple{IntValue(1)}) {
 		t.Fatal("length mismatch reported equal")
 	}
 }
 
 func TestTupleKeyDistinguishesTypes(t *testing.T) {
-	a := Tuple{int64(1)}
-	b := Tuple{"1"}
+	a := Tuple{IntValue(1)}
+	b := Tuple{StringValue("1")}
 	if a.Key(0) == b.Key(0) {
 		t.Fatal("int64(1) and \"1\" keys collide")
 	}
-	c := Tuple{1.0}
+	c := Tuple{FloatValue(1.0)}
 	if a.Key(0) == c.Key(0) {
 		t.Fatal("int64(1) and float64(1) keys collide")
 	}
-	d := Tuple{true}
-	e := Tuple{false}
+	d := Tuple{BoolValue(true)}
+	e := Tuple{BoolValue(false)}
 	if d.Key(0) == e.Key(0) {
 		t.Fatal("bool keys collide")
 	}
@@ -67,8 +66,8 @@ func TestTupleKeyDistinguishesTypes(t *testing.T) {
 
 func TestTupleKeyNoConcatenationAmbiguity(t *testing.T) {
 	// ("ab","c") must not collide with ("a","bc").
-	a := Tuple{"ab", "c"}
-	b := Tuple{"a", "bc"}
+	a := Tuple{StringValue("ab"), StringValue("c")}
+	b := Tuple{StringValue("a"), StringValue("bc")}
 	if a.Key(0, 1) == b.Key(0, 1) {
 		t.Fatal("string concatenation ambiguity in Key")
 	}
@@ -78,57 +77,50 @@ func TestTupleKeyNoConcatenationAmbiguity(t *testing.T) {
 // the FNV-1a hash of the key string, for every value kind Key renders,
 // without building that string.
 func TestTupleKeyHashMatchesKey(t *testing.T) {
-	type offSchema struct{ a, b int }
 	row := Tuple{
-		int64(0), int64(-1), int64(math.MinInt64), int64(1<<53 + 1), int64(math.MaxInt64),
-		0.0, math.Copysign(0, -1), math.NaN(), 1e300, -2.5e-300, math.Inf(1), math.MaxFloat64, -math.MaxFloat64,
-		"", "plain", "naïve — 多字节", "a|b:c", "12:34|", strings.Repeat("x", 300),
-		true, false,
-		int32(7), offSchema{1, 2}, nil,
+		IntValue(0), IntValue(-1), IntValue(int64(math.MinInt64)), IntValue(int64(1<<53 + 1)), IntValue(int64(math.MaxInt64)),
+		FloatValue(0.0), FloatValue(math.Copysign(0, -1)), FloatValue(math.NaN()), FloatValue(1e300), FloatValue(-2.5e-300), FloatValue(math.Inf(1)), FloatValue(math.MaxFloat64), FloatValue(-math.MaxFloat64),
+		StringValue(""), StringValue("plain"), StringValue("naïve — 多字节"), StringValue("a|b:c"), StringValue("12:34|"), StringValue(strings.Repeat("x", 300)),
+		BoolValue(true), BoolValue(false),
+		{},
 	}
 	for pos, v := range row {
 		if got, want := row.KeyHash(pos), fnv32(row.Key(pos)); got != want {
-			t.Errorf("KeyHash of %#v = %#x, fnv32(Key) = %#x", v, got, want)
+			t.Errorf("KeyHash of %v = %#x, fnv32(Key) = %#x", v, got, want)
 		}
 	}
 	for _, pos := range []int{3, 8, 15, 19} { // int64, float64, string, bool
 		if n := testing.AllocsPerRun(100, func() { row.KeyHash(pos) }); n != 0 {
-			t.Errorf("KeyHash of %#v allocates %v objects; a schema-typed key must allocate none", row[pos], n)
+			t.Errorf("KeyHash of %v allocates %v objects; a key must allocate none", row[pos], n)
 		}
 	}
 }
 
+// TestTupleAccessors holds each accessor to its kind: every other kind
+// panics, as the Must* methods it replaced did.
 func TestTupleAccessors(t *testing.T) {
-	tp := Tuple{int64(7), "hi", 3.5, true}
-	if v, err := tp.Int(0); err != nil || v != 7 {
-		t.Fatalf("Int: %v %v", v, err)
+	tp := Tuple{IntValue(7), StringValue("hi"), FloatValue(3.5), BoolValue(true)}
+	read := []func(Value){
+		func(v Value) { v.Int() }, func(v Value) { v.Str() },
+		func(v Value) { v.Float() }, func(v Value) { v.Bool() },
 	}
-	if v, err := tp.Str(1); err != nil || v != "hi" {
-		t.Fatalf("Str: %v %v", v, err)
-	}
-	if v, err := tp.Float(2); err != nil || v != 3.5 {
-		t.Fatalf("Float: %v %v", v, err)
-	}
-	if v, err := tp.BoolAt(3); err != nil || v != true {
-		t.Fatalf("BoolAt: %v %v", v, err)
-	}
-	if _, err := tp.Int(1); err == nil {
-		t.Fatal("expected type error")
-	}
-	if _, err := tp.Float(0); err == nil {
-		t.Fatal("expected type error")
-	}
-	if _, err := tp.Str(0); err == nil {
-		t.Fatal("expected type error")
-	}
-	if _, err := tp.BoolAt(0); err == nil {
-		t.Fatal("expected type error")
+	for i, get := range read {
+		for j, v := range tp {
+			panicked := func() (p bool) {
+				defer func() { p = recover() != nil }()
+				get(v)
+				return false
+			}()
+			if panicked != (i != j) {
+				t.Errorf("accessor %d on %s cell: panicked = %v", i, v.Kind(), panicked)
+			}
+		}
 	}
 }
 
 func TestTupleMustAccessors(t *testing.T) {
-	tp := Tuple{int64(7), "hi", 3.5, true}
-	if tp.MustInt(0) != 7 || tp.MustStr(1) != "hi" || tp.MustFloat(2) != 3.5 || !tp.MustBool(3) {
+	tp := Tuple{IntValue(7), StringValue("hi"), FloatValue(3.5), BoolValue(true)}
+	if tp[0].Int() != 7 || tp[1].Str() != "hi" || tp[2].Float() != 3.5 || !tp[3].Bool() {
 		t.Fatal("must accessors wrong")
 	}
 	defer func() {
@@ -136,5 +128,5 @@ func TestTupleMustAccessors(t *testing.T) {
 			t.Fatal("expected panic")
 		}
 	}()
-	tp.MustInt(1)
+	tp[1].Int()
 }

@@ -162,7 +162,8 @@ func Oracle(cases []datagen.ClinicalCase) ([]Record, error) {
 func RecordsToTable(recs []Record) *relation.Table {
 	t := relation.NewTable(OutputSchema)
 	for _, r := range recs {
-		t.AppendUnchecked(relation.Tuple{r.Case, r.Event, r.Type, r.Trigger, r.Theme, r.Sentence})
+		t.AppendUnchecked(relation.Tuple{relation.StringValue(r.Case), relation.StringValue(r.Event), relation.StringValue(r.Type),
+			relation.StringValue(r.Trigger), relation.StringValue(r.Theme), relation.StringValue(r.Sentence)})
 	}
 	if err := t.SortBy("case", "event"); err != nil {
 		panic(err) // schema is static; cannot fail
@@ -179,7 +180,7 @@ func (t *Task) annFileTable() *relation.Table {
 	)
 	tbl := relation.NewTable(s)
 	for _, c := range t.cases {
-		tbl.AppendUnchecked(relation.Tuple{c.ID, brat.Render(c.Ann)})
+		tbl.AppendUnchecked(relation.Tuple{relation.StringValue(c.ID), relation.StringValue(brat.Render(c.Ann))})
 	}
 	return tbl
 }
@@ -193,7 +194,7 @@ func (t *Task) textFileTable() *relation.Table {
 	)
 	tbl := relation.NewTable(s)
 	for _, c := range t.cases {
-		tbl.AppendUnchecked(relation.Tuple{c.ID, c.Text})
+		tbl.AppendUnchecked(relation.Tuple{relation.StringValue(c.ID), relation.StringValue(c.Text)})
 	}
 	return tbl
 }

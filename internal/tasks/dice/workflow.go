@@ -114,8 +114,8 @@ func (t *Task) Plan(cfg core.RunConfig) (*dataflow.Workflow, error) {
 
 	// Parse annotation files into flat annotation rows.
 	parse := dataflow.NewMap("parse-annotations", lang, parsedSchema, func(r relation.Tuple, out *dataflow.Rows) error {
-		caseID := r.MustStr(0)
-		doc, err := parseAnn(caseID, r.MustStr(1))
+		caseID := r[0].Str()
+		doc, err := parseAnn(caseID, r[1].Str())
 		if err != nil {
 			return err
 		}
@@ -143,7 +143,9 @@ func (t *Task) Plan(cfg core.RunConfig) (*dataflow.Workflow, error) {
 		}
 		for i := range doc.Entities {
 			e := &doc.Entities[i]
-			out.Emit(r[0], "T", e.ID, e.Type, int64(e.Start), int64(e.End), e.Text, "", "", key(e.ID))
+			out.Emit(r[0], relation.StringValue("T"), relation.StringValue(e.ID), relation.StringValue(e.Type),
+				relation.IntValue(int64(e.Start)), relation.IntValue(int64(e.End)), relation.StringValue(e.Text),
+				relation.StringValue(""), relation.StringValue(""), relation.StringValue(key(e.ID)))
 		}
 		for i := range doc.Events {
 			ev := &doc.Events[i]
@@ -151,13 +153,15 @@ func (t *Task) Plan(cfg core.RunConfig) (*dataflow.Workflow, error) {
 			if theme := themeRef(ev); theme != "" {
 				themekey = key(theme)
 			}
-			out.Emit(r[0], "E", ev.ID, ev.Type, int64(0), int64(0), "", trigkey, themekey, "")
+			out.Emit(r[0], relation.StringValue("E"), relation.StringValue(ev.ID), relation.StringValue(ev.Type),
+				relation.IntValue(0), relation.IntValue(0), relation.StringValue(""),
+				relation.StringValue(trigkey), relation.StringValue(themekey), relation.StringValue(""))
 		}
 		return nil
 	})
 	parse.Work = cost.Work{}
 	parse.ExtraWork = func(r relation.Tuple) cost.Work {
-		lines := strings.Count(r.MustStr(1), "\n")
+		lines := strings.Count(r[1].Str(), "\n")
 		return workParse.Scale(float64(lines))
 	}
 	parseID := w.Op(parse, dataflow.WithParallelism(workers), t.Signature("parse"))
@@ -165,7 +169,7 @@ func (t *Task) Plan(cfg core.RunConfig) (*dataflow.Workflow, error) {
 
 	// Entity and event extraction (selective maps).
 	extractEnt := dataflow.NewMap("extract-entities", lang, entitySchema, func(r relation.Tuple, out *dataflow.Rows) error {
-		if r.MustStr(1) == "T" {
+		if r[1].Str() == "T" {
 			out.Emit(r[9], r[4], r[5], r[6])
 		}
 		return nil
@@ -175,7 +179,7 @@ func (t *Task) Plan(cfg core.RunConfig) (*dataflow.Workflow, error) {
 	w.Connect(parseID, entID, 0, dataflow.RoundRobin())
 
 	extractEv := dataflow.NewMap("extract-events", lang, eventSchema, func(r relation.Tuple, out *dataflow.Rows) error {
-		if r.MustStr(1) == "E" {
+		if r[1].Str() == "E" {
 			out.Emit(r[0], r[2], r[3], r[7], r[8])
 		}
 		return nil
@@ -186,14 +190,14 @@ func (t *Task) Plan(cfg core.RunConfig) (*dataflow.Workflow, error) {
 
 	// Theme-based event split (the Figure 4 filter).
 	withTheme := dataflow.NewFilter("events-with-theme", lang, func(r relation.Tuple) bool {
-		return r.MustStr(4) != ""
+		return r[4].Str() != ""
 	})
 	withTheme.Work = workFilter
 	withThemeID := w.Op(withTheme, dataflow.WithParallelism(workers))
 	w.Connect(evID, withThemeID, 0, dataflow.RoundRobin())
 
 	noTheme := dataflow.NewFilter("events-without-theme", lang, func(r relation.Tuple) bool {
-		return r.MustStr(4) == ""
+		return r[4].Str() == ""
 	})
 	noTheme.Work = workFilter
 	noThemeID := w.Op(noTheme, dataflow.WithParallelism(workers))
@@ -217,7 +221,7 @@ func (t *Task) Plan(cfg core.RunConfig) (*dataflow.Workflow, error) {
 	w.Connect(joinThemeID, shapeThemeID, 0, dataflow.RoundRobin())
 
 	shapeNoTheme := dataflow.NewMap("shape-heldout", lang, mergedSchema, func(r relation.Tuple, out *dataflow.Rows) error {
-		out.Emit(r[0], r[1], r[2], r[3], "")
+		out.Emit(r[0], r[1], r[2], r[3], relation.StringValue(""))
 		return nil
 	})
 	shapeNoTheme.Work = cost.Work{Interp: 1.5e-3}
@@ -239,16 +243,16 @@ func (t *Task) Plan(cfg core.RunConfig) (*dataflow.Workflow, error) {
 
 	// Sentence splitting.
 	split := dataflow.NewMap("split-sentences", lang, sentenceSchema, func(r relation.Tuple, out *dataflow.Rows) error {
-		sentences := splitCaseSentences(r.MustStr(1))
+		sentences := splitCaseSentences(r[1].Str())
 		out.Grow(len(sentences))
 		for _, s := range sentences {
-			out.Emit(r[0], s.Text, int64(s.Start), int64(s.End))
+			out.Emit(r[0], relation.StringValue(s.Text), relation.IntValue(int64(s.Start)), relation.IntValue(int64(s.End)))
 		}
 		return nil
 	})
 	split.Work = cost.Work{}
 	split.ExtraWork = func(r relation.Tuple) cost.Work {
-		n := len(textproc.SplitSentences(r.MustStr(1)))
+		n := len(textproc.SplitSentences(r[1].Str()))
 		return workSplit.Scale(float64(n))
 	}
 	splitID := w.Op(split, dataflow.WithParallelism(workers), t.Signature("split"))
@@ -264,8 +268,8 @@ func (t *Task) Plan(cfg core.RunConfig) (*dataflow.Workflow, error) {
 
 	contain := dataflow.NewFilter("filter-containing", lang, func(r relation.Tuple) bool {
 		// joined row: case,id,etype,trigkey,theme_text,start,end,text, sentence,sstart,send
-		start, end := r.MustInt(5), r.MustInt(6)
-		return start >= r.MustInt(9) && end <= r.MustInt(10)
+		start, end := r[5].Int(), r[6].Int()
+		return start >= r[9].Int() && end <= r[10].Int()
 	})
 	contain.Work = workLink
 	containID := w.Op(contain, dataflow.WithParallelism(workers))

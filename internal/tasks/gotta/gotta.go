@@ -137,7 +137,8 @@ func (t *Task) generate(ctx, cloze, gold string) (string, bool) {
 func AnswersToTable(as []Answer) *relation.Table {
 	tbl := relation.NewTable(OutputSchema)
 	for _, a := range as {
-		tbl.AppendUnchecked(relation.Tuple{a.Passage, int64(a.QA), a.Cloze, a.Gold, a.Generated, a.EM})
+		tbl.AppendUnchecked(relation.Tuple{relation.StringValue(a.Passage), relation.IntValue(int64(a.QA)), relation.StringValue(a.Cloze),
+			relation.StringValue(a.Gold), relation.StringValue(a.Generated), relation.BoolValue(a.EM)})
 	}
 	if err := tbl.SortBy("passage", "qa"); err != nil {
 		panic(err) // static schema

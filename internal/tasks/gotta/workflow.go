@@ -67,7 +67,7 @@ func (t *Task) passageTable() *relation.Table {
 	)
 	tbl := relation.NewTable(s)
 	for _, p := range t.passages {
-		tbl.AppendUnchecked(relation.Tuple{p.ID, p.Text})
+		tbl.AppendUnchecked(relation.Tuple{relation.StringValue(p.ID), relation.StringValue(p.Text)})
 	}
 	return tbl
 }
@@ -118,10 +118,17 @@ func (gi *generateInstance) Open(ec dataflow.ExecCtx) error {
 
 func (gi *generateInstance) Process(ec dataflow.ExecCtx, _ int, rows []relation.Tuple) ([]relation.Tuple, error) {
 	ec.AddWork(gi.op.perQA.Scale(float64(len(rows))))
+	// One block for the call's cells: each row is the prompt's first
+	// four cells plus the prediction, carved as dataflow's project does.
+	width := generatedSchema.Len()
+	block := make([]relation.Value, len(rows)*width)
 	out := make([]relation.Tuple, len(rows))
 	for i, r := range rows {
-		pred, _ := gi.op.task.generate(r.MustStr(4), r.MustStr(2), r.MustStr(3))
-		out[i] = relation.Tuple{r[0], r[1], r[2], r[3], pred}
+		pred, _ := gi.op.task.generate(r[4].Str(), r[2].Str(), r[3].Str())
+		row := block[i*width : (i+1)*width : (i+1)*width]
+		copy(row, r[:width-1])
+		row[width-1] = relation.StringValue(pred)
+		out[i] = row
 	}
 	return out, nil
 }
@@ -143,14 +150,14 @@ func (t *Task) Plan(cfg core.RunConfig) (*dataflow.Workflow, error) {
 	src := w.Source("passages", t.passageTable(), dataflow.WithScanWork(cost.Work{Interp: 0.08}))
 
 	prompts := dataflow.NewMap("build-prompts", lang, promptSchema, func(r relation.Tuple, out *dataflow.Rows) error {
-		id := r.MustStr(0)
+		id := r[0].Str()
 		for _, pass := range t.passages {
 			if pass.ID != id {
 				continue
 			}
 			out.Grow(len(pass.QAs))
 			for qi, qa := range pass.QAs {
-				out.Emit(r[0], int64(qi), qa.Cloze, qa.Answer, qa.Context)
+				out.Emit(r[0], relation.IntValue(int64(qi)), relation.StringValue(qa.Cloze), relation.StringValue(qa.Answer), relation.StringValue(qa.Context))
 			}
 			return nil
 		}
@@ -173,7 +180,7 @@ func (t *Task) Plan(cfg core.RunConfig) (*dataflow.Workflow, error) {
 	w.Connect(promptsID, inferID, 0, dataflow.RoundRobin())
 
 	eval := dataflow.NewMap("evaluate", lang, OutputSchema, func(r relation.Tuple, out *dataflow.Rows) error {
-		out.Emit(r[0], r[1], r[2], r[3], r[4], genqa.ExactMatch(r.MustStr(4), r.MustStr(3)))
+		out.Emit(r[0], r[1], r[2], r[3], r[4], relation.BoolValue(genqa.ExactMatch(r[4].Str(), r[3].Str())))
 		return nil
 	})
 	eval.Work = workEval
@@ -195,8 +202,8 @@ func (t *Task) Workflow() pipeline.WorkflowDecl {
 			answers := make([]Answer, 0, sink.Len())
 			for _, r := range sink.Rows() {
 				answers = append(answers, Answer{
-					Passage: r.MustStr(0), QA: int(r.MustInt(1)), Cloze: r.MustStr(2),
-					Gold: r.MustStr(3), Generated: r.MustStr(4), EM: r.MustBool(5),
+					Passage: r[0].Str(), QA: int(r[1].Int()), Cloze: r[2].Str(),
+					Gold: r[3].Str(), Generated: r[4].Str(), EM: r[5].Bool(),
 				})
 			}
 			return AnswersToTable(answers), quality(answers), nil

@@ -284,7 +284,7 @@ func (t *Task) Oracle() ([]Recommendation, error) {
 func RecommendationsToTable(recs []Recommendation) *relation.Table {
 	tbl := relation.NewTable(OutputSchema)
 	for _, r := range recs {
-		tbl.AppendUnchecked(relation.Tuple{int64(r.Rank), r.ASIN, r.Title, r.Dist})
+		tbl.AppendUnchecked(relation.Tuple{relation.IntValue(int64(r.Rank)), relation.StringValue(r.ASIN), relation.StringValue(r.Title), relation.FloatValue(r.Dist)})
 	}
 	return tbl
 }
@@ -298,7 +298,7 @@ func (t *Task) candidateTable() *relation.Table {
 	)
 	tbl := relation.NewTable(s)
 	for _, p := range t.world.Products {
-		tbl.AppendUnchecked(relation.Tuple{p.ASIN, p.Title, p.InStock})
+		tbl.AppendUnchecked(relation.Tuple{relation.StringValue(p.ASIN), relation.StringValue(p.Title), relation.BoolValue(p.InStock)})
 	}
 	return tbl
 }

@@ -188,45 +188,45 @@ func (pi *pipeInstance) Process(ec dataflow.ExecCtx, _ int, rows []relation.Tupl
 			switch s {
 			case stFilter:
 				ec.AddWork(workFilter)
-				keep = row.MustBool(2)
+				keep = row[2].Bool()
 			case stJoin:
 				if pi.op.probeOnly {
 					break
 				}
 				ec.AddWork(workMerge)
-				emb, err := t.stage2Embedding(row.MustStr(0))
+				emb, err := t.stage2Embedding(row[0].Str())
 				if err != nil {
 					return nil, err
 				}
-				row = relation.Tuple{row[0], row[1], row[2], kge.EncodeVec(emb)}
+				row = relation.Tuple{row[0], row[1], row[2], relation.StringValue(kge.EncodeVec(emb))}
 			case stDelta:
 				ec.AddWork(workDelta)
-				emb, err := kge.DecodeVec(row.MustStr(3))
+				emb, err := kge.DecodeVec(row[3].Str())
 				if err != nil {
 					return nil, err
 				}
-				row = relation.Tuple{row[0], row[1], row[3], kge.EncodeVec(t.stage3Delta(emb))}
+				row = relation.Tuple{row[0], row[1], row[3], relation.StringValue(kge.EncodeVec(t.stage3Delta(emb)))}
 			case stNorm:
 				ec.AddWork(workNorm)
-				delta, err := kge.DecodeVec(row.MustStr(3))
+				delta, err := kge.DecodeVec(row[3].Str())
 				if err != nil {
 					return nil, err
 				}
-				row = relation.Tuple{row[0], row[1], row[2], stage4Dist(delta)}
+				row = relation.Tuple{row[0], row[1], row[2], relation.FloatValue(stage4Dist(delta))}
 			case stRank:
-				emb, err := kge.DecodeVec(row.MustStr(2))
+				emb, err := kge.DecodeVec(row[2].Str())
 				if err != nil {
 					return nil, err
 				}
 				pi.buffer = append(pi.buffer, scored{
-					asin: row.MustStr(0), title: row.MustStr(1),
-					emb: emb, dist: row.MustFloat(3),
+					asin: row[0].Str(), title: row[1].Str(),
+					emb: emb, dist: row[3].Float(),
 				})
 				pi.rankN++
 				keep = false // emitted at EndPort
 			case stReverse:
 				ec.AddWork(workReverse)
-				emb, err := kge.DecodeVec(row.MustStr(2))
+				emb, err := kge.DecodeVec(row[2].Str())
 				if err != nil {
 					return nil, err
 				}
@@ -235,7 +235,7 @@ func (pi *pipeInstance) Process(ec dataflow.ExecCtx, _ int, rows []relation.Tupl
 					return nil, err
 				}
 				pi.emit++
-				row = relation.Tuple{int64(pi.emit), entity, row[1], row[3]}
+				row = relation.Tuple{relation.IntValue(int64(pi.emit)), relation.StringValue(entity), row[1], row[3]}
 			}
 		}
 		if keep {
@@ -272,10 +272,10 @@ func (pi *pipeInstance) EndPort(ec dataflow.ExecCtx, _ int) ([]relation.Tuple, e
 			if err != nil {
 				return nil, err
 			}
-			out = append(out, relation.Tuple{int64(i + 1), entity, s.title, s.dist})
+			out = append(out, relation.Tuple{relation.IntValue(int64(i + 1)), relation.StringValue(entity), relation.StringValue(s.title), relation.FloatValue(s.dist)})
 			continue
 		}
-		out = append(out, relation.Tuple{s.asin, s.title, kge.EncodeVec(s.emb), s.dist})
+		out = append(out, relation.Tuple{relation.StringValue(s.asin), relation.StringValue(s.title), relation.StringValue(kge.EncodeVec(s.emb)), relation.FloatValue(s.dist)})
 	}
 	return out, nil
 }
@@ -420,7 +420,7 @@ func (t *Task) Workflow() pipeline.WorkflowDecl {
 			recs := make([]Recommendation, 0, sink.Len())
 			for _, r := range sink.Rows() {
 				recs = append(recs, Recommendation{
-					Rank: int(r.MustInt(0)), ASIN: r.MustStr(1), Title: r.MustStr(2), Dist: r.MustFloat(3),
+					Rank: int(r[0].Int()), ASIN: r[1].Str(), Title: r[2].Str(), Dist: r[3].Float(),
 				})
 			}
 			return RecommendationsToTable(recs), t.quality(recs), nil

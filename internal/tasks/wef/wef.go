@@ -161,7 +161,7 @@ func (t *Task) predictions(ens *textclf.Ensemble) (*relation.Table, map[string]f
 	var pred, gold [][]bool
 	for i, tw := range t.tweets {
 		p := ens.Predict(tw.Text)
-		out.AppendUnchecked(relation.Tuple{tw.ID, p[0], p[1], p[2], p[3]})
+		out.AppendUnchecked(relation.Tuple{relation.IntValue(tw.ID), relation.BoolValue(p[0]), relation.BoolValue(p[1]), relation.BoolValue(p[2]), relation.BoolValue(p[3])})
 		for _, ei := range evalIdx {
 			if ei == i {
 				pred = append(pred, p)

@@ -109,8 +109,8 @@ func (ti *trainInstance) EndPort(ec dataflow.ExecCtx, _ int) ([]relation.Tuple, 
 	texts := make([]string, cut)
 	labels := make([]bool, cut)
 	for i := 0; i < cut; i++ {
-		texts[i] = ti.rows[i].MustStr(1)
-		labels[i] = ti.rows[i].MustBool(2 + ti.op.framing)
+		texts[i] = ti.rows[i][1].Str()
+		labels[i] = ti.rows[i][2+ti.op.framing].Bool()
 	}
 	seed := t.params.Seed*31 + uint64(ti.op.framing)
 	if err := model.Finetune(texts, labels, textclf.Config{Epochs: t.params.Epochs, LR: finetuneLR, Seed: seed}); err != nil {
@@ -118,11 +118,15 @@ func (ti *trainInstance) EndPort(ec dataflow.ExecCtx, _ int) ([]relation.Tuple, 
 	}
 	ec.AddWork(workTrainPerExample.Scale(float64(cut * t.params.Epochs)))
 	ec.AddWork(workPredict.Scale(float64(len(ti.rows))))
+	// One block for the call's cells: each row is its input plus the
+	// prediction, carved as dataflow's project does.
+	width := ti.op.out.Len()
+	block := make([]relation.Value, len(ti.rows)*width)
 	out := make([]relation.Tuple, len(ti.rows))
 	for i, r := range ti.rows {
-		row := make(relation.Tuple, 0, len(r)+1)
-		row = append(row, r...)
-		row = append(row, model.Predict(r.MustStr(1)))
+		row := block[i*width : (i+1)*width : (i+1)*width]
+		copy(row, r)
+		row[width-1] = relation.BoolValue(model.Predict(r[1].Str()))
 		out[i] = row
 	}
 	return out, nil
@@ -143,7 +147,9 @@ func (t *Task) tweetTable() *relation.Table {
 	tbl := relation.NewTable(s)
 	for _, tw := range t.tweets {
 		tbl.AppendUnchecked(relation.Tuple{
-			tw.ID, tw.Text, tw.Framings[0], tw.Framings[1], tw.Framings[2], tw.Framings[3],
+			relation.IntValue(tw.ID), relation.StringValue(tw.Text),
+			relation.BoolValue(tw.Framings[0]), relation.BoolValue(tw.Framings[1]),
+			relation.BoolValue(tw.Framings[2]), relation.BoolValue(tw.Framings[3]),
 		})
 	}
 	return tbl
@@ -200,11 +206,11 @@ func (t *Task) Workflow() pipeline.WorkflowDecl {
 				byID[tw.ID] = tw
 			}
 			for _, r := range out.Rows() {
-				if !evalSet[r.MustInt(0)] {
+				if !evalSet[r[0].Int()] {
 					continue
 				}
-				pred = append(pred, []bool{r.MustBool(1), r.MustBool(2), r.MustBool(3), r.MustBool(4)})
-				tw := byID[r.MustInt(0)]
+				pred = append(pred, []bool{r[1].Bool(), r[2].Bool(), r[3].Bool(), r[4].Bool()})
+				tw := byID[r[0].Int()]
 				gold = append(gold, append([]bool(nil), tw.Framings[:]...))
 			}
 			quality := map[string]float64{}

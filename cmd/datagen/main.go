@@ -10,8 +10,10 @@ package main
 
 import (
 	"encoding/json"
+	"errors"
 	"flag"
 	"fmt"
+	"io"
 	"os"
 	"path/filepath"
 
@@ -20,24 +22,46 @@ import (
 )
 
 func main() {
-	var (
-		out      = flag.String("out", "data", "output directory")
-		seed     = flag.Uint64("seed", 1, "generator seed")
-		pairs    = flag.Int("pairs", 200, "MACCROBAT text/annotation pairs")
-		tweets   = flag.Int("tweets", 800, "labeled wildfire tweets")
-		passages = flag.Int("passages", 16, "GOTTA passages")
-		products = flag.Int("products", 6800, "KGE candidate products")
-		users    = flag.Int("users", 8, "KGE users")
-	)
-	flag.Parse()
-
-	if err := run(*out, *seed, *pairs, *tweets, *passages, *products, *users); err != nil {
-		fmt.Fprintln(os.Stderr, "datagen:", err)
-		os.Exit(1)
-	}
+	os.Exit(cli(os.Args[1:], os.Stdout, os.Stderr))
 }
 
-func run(out string, seed uint64, pairs, tweets, passages, products, users int) error {
+// cli runs the command: exit 2 for a bad flag, before anything is written.
+func cli(args []string, stdout, stderr io.Writer) int {
+	fs := flag.NewFlagSet("datagen", flag.ContinueOnError)
+	fs.SetOutput(stderr)
+	var (
+		out      = fs.String("out", "data", "output directory")
+		seed     = fs.Uint64("seed", 1, "generator seed")
+		pairs    = fs.Int("pairs", 200, "MACCROBAT text/annotation pairs")
+		tweets   = fs.Int("tweets", 800, "labeled wildfire tweets")
+		passages = fs.Int("passages", 16, "GOTTA passages")
+		products = fs.Int("products", 6800, "KGE candidate products")
+		users    = fs.Int("users", 8, "KGE users")
+	)
+	switch err := fs.Parse(args); {
+	case errors.Is(err, flag.ErrHelp):
+		return 0
+	case err != nil:
+		return 2
+	}
+	valid := func(name string, v, least int) bool {
+		if v < least {
+			fmt.Fprintf(stderr, "datagen: -%s must be at least %d, got %d\n", name, least, v)
+		}
+		return v >= least
+	}
+	if !valid("pairs", *pairs, 1) || !valid("tweets", *tweets, 1) || !valid("passages", *passages, 1) ||
+		!valid("products", *products, 1) || !valid("users", *users, 0) {
+		return 2
+	}
+	if err := run(stdout, *out, *seed, *pairs, *tweets, *passages, *products, *users); err != nil {
+		fmt.Fprintln(stderr, "datagen:", err)
+		return 1
+	}
+	return 0
+}
+
+func run(stdout io.Writer, out string, seed uint64, pairs, tweets, passages, products, users int) error {
 	macDir := filepath.Join(out, "maccrobat")
 	if err := os.MkdirAll(macDir, 0o755); err != nil {
 		return err
@@ -52,7 +76,7 @@ func run(out string, seed uint64, pairs, tweets, passages, products, users int) 
 			return err
 		}
 	}
-	fmt.Printf("wrote %d MACCROBAT pairs to %s\n", pairs, macDir)
+	fmt.Fprintf(stdout, "wrote %d MACCROBAT pairs to %s\n", pairs, macDir)
 
 	// WEF: tweets.
 	if err := writeJSONL(filepath.Join(out, "wildfire_tweets.jsonl"), func(emit func(any) error) error {
@@ -69,7 +93,7 @@ func run(out string, seed uint64, pairs, tweets, passages, products, users int) 
 	}); err != nil {
 		return err
 	}
-	fmt.Printf("wrote %d tweets\n", tweets)
+	fmt.Fprintf(stdout, "wrote %d tweets\n", tweets)
 
 	// GOTTA: passages.
 	if err := writeJSONL(filepath.Join(out, "passages.jsonl"), func(emit func(any) error) error {
@@ -86,7 +110,7 @@ func run(out string, seed uint64, pairs, tweets, passages, products, users int) 
 	}); err != nil {
 		return err
 	}
-	fmt.Printf("wrote %d passages\n", passages)
+	fmt.Fprintf(stdout, "wrote %d passages\n", passages)
 
 	// KGE: products and purchases.
 	world := datagen.GenerateProducts(products, users, 0.1, seed)
@@ -113,7 +137,7 @@ func run(out string, seed uint64, pairs, tweets, passages, products, users int) 
 	}); err != nil {
 		return err
 	}
-	fmt.Printf("wrote %d products and %d purchases\n", products, len(world.Purchases))
+	fmt.Fprintf(stdout, "wrote %d products and %d purchases\n", products, len(world.Purchases))
 	return nil
 }
 

@@ -22,6 +22,7 @@ import (
 	"repro/internal/datagen"
 	"repro/internal/faults"
 	"repro/internal/lineage"
+	"repro/internal/ml/textclf"
 	"repro/internal/relation"
 	"repro/internal/service"
 	"repro/internal/shard"
@@ -29,6 +30,7 @@ import (
 	_ "repro/internal/tasks/gotta" // registers "gotta" for the pairs table
 	_ "repro/internal/tasks/kge"   // registers "kge"
 	"repro/internal/telemetry"
+	"repro/internal/textproc"
 )
 
 // Micro is one micro-benchmark result.
@@ -403,6 +405,19 @@ func micros(window time.Duration) []Micro {
 	out = append(out, measure("brat_render_case", 1, window, func() {
 		if brat.Render(ann) != annText {
 			panic("bench: render is not stable")
+		}
+	}))
+
+	// The script paradigm's text models: one WEF tweet, one WEF checkpoint.
+	tweet := datagen.GenerateTweets(1, 1)[0].Text
+	out = append(out, measure("tokenize_tweet", 1, window, func() {
+		if len(textproc.Tokenize(tweet)) == 0 {
+			panic("bench: tweet has no tokens")
+		}
+	}))
+	out = append(out, measure("textclf_pretrained_4096x24", 1, window, func() {
+		if _, err := textclf.Pretrained("bert-link", 4096, 24, 12); err != nil {
+			panic(err)
 		}
 	}))
 	return out

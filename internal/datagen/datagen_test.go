@@ -1,6 +1,7 @@
 package datagen
 
 import (
+	"reflect"
 	"strings"
 	"testing"
 	"testing/quick"
@@ -290,5 +291,24 @@ func TestPropertyGeneratorsDeterministic(t *testing.T) {
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 25}); err != nil {
 		t.Fatal(err)
+	}
+}
+
+func TestGenerateProductsMatchesReference(t *testing.T) {
+	for _, seed := range []uint64{1, 13} {
+		for _, n := range []int{1, 7, 3400, 6800} {
+			got, want := GenerateProducts(n, 8, 0.1, seed), refGenerateProducts(n, 8, 0.1, seed)
+			if len(got.Products) != len(want.Products) {
+				t.Fatalf("seed %d n %d: %d products, reference %d", seed, n, len(got.Products), len(want.Products))
+			}
+			for i := range want.Products {
+				if got.Products[i] != want.Products[i] {
+					t.Fatalf("seed %d n %d: product %d = %+v, reference %+v", seed, n, i, got.Products[i], want.Products[i])
+				}
+			}
+			if !reflect.DeepEqual(got.Users, want.Users) || !reflect.DeepEqual(got.Purchases, want.Purchases) || !reflect.DeepEqual(got.UserCategory, want.UserCategory) {
+				t.Fatalf("seed %d n %d: users, purchases or preferences differ from the reference", seed, n)
+			}
+		}
 	}
 }

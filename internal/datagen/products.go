@@ -2,6 +2,8 @@ package datagen
 
 import (
 	"fmt"
+	"strconv"
+	"strings"
 
 	"repro/internal/ml/kge"
 	"repro/internal/xrand"
@@ -42,16 +44,39 @@ var productNouns = []string{"Speaker", "Novel", "Trowel", "Blender", "Racket", "
 // first filter).
 func GenerateProducts(n, users int, outOfStockFrac float64, seed uint64) *ProductWorld {
 	r := xrand.New(seed)
-	w := &ProductWorld{UserCategory: make(map[string]string)}
-	for i := 0; i < n; i++ {
-		cat := ProductCategories[i%len(ProductCategories)]
-		w.Products = append(w.Products, Product{
-			ASIN:     fmt.Sprintf("B%09d", i),
-			Title:    fmt.Sprintf("%s %s %d", xrand.Choice(r, productAdjectives), xrand.Choice(r, productNouns), i),
-			Category: cat,
+	w := &ProductWorld{
+		Products:     make([]Product, n),
+		Users:        make([]string, 0, users),
+		Purchases:    make([]kge.Triple, 0, 12*users),
+		UserCategory: make(map[string]string, users),
+	}
+	// Every ASIN and title is cut from one string: a strings.Builder never
+	// rewrites bytes String has handed out. Grown for a 10-byte ASIN, at
+	// most 19 bytes of title words and the number twice per product.
+	digits := len(strconv.Itoa(n))
+	var b strings.Builder
+	b.Grow(n * (29 + 2*digits))
+	var num [20]byte
+	for i := range w.Products {
+		id := strconv.AppendInt(num[:0], int64(i), 10)
+		start := b.Len()
+		b.WriteByte('B')
+		b.WriteString("000000000"[min(len(id), 9):]) // zero-pad to nine digits
+		b.Write(id)
+		mid := b.Len()
+		b.WriteString(xrand.Choice(r, productAdjectives))
+		b.WriteByte(' ')
+		b.WriteString(xrand.Choice(r, productNouns))
+		b.WriteByte(' ')
+		b.Write(id)
+		s := b.String()
+		w.Products[i] = Product{
+			ASIN:     s[start:mid],
+			Title:    s[mid:],
+			Category: ProductCategories[i%len(ProductCategories)],
 			Price:    5 + r.Float64()*195,
 			InStock:  !r.Bool(outOfStockFrac),
-		})
+		}
 	}
 	for u := 0; u < users; u++ {
 		name := fmt.Sprintf("user-%03d", u)

@@ -45,16 +45,20 @@ func New(entities, relations []string, dim int, seed uint64) (*Model, error) {
 	m := &Model{
 		Dim:      dim,
 		entIndex: make(map[string]int, len(entities)),
+		entNames: make([]string, 0, len(entities)),
+		ent:      make([][]float64, 0, len(entities)),
 		relIndex: make(map[string]int, len(relations)),
 	}
 	r := xrand.New(seed)
+	block := make([]float64, len(entities)*dim)
 	for _, e := range entities {
 		if _, dup := m.entIndex[e]; dup {
 			return nil, fmt.Errorf("kge: duplicate entity %q", e)
 		}
-		m.entIndex[e] = len(m.entNames)
+		i := len(m.entNames)
+		m.entIndex[e] = i
 		m.entNames = append(m.entNames, e)
-		m.ent = append(m.ent, randUnit(r, dim))
+		m.ent = append(m.ent, randUnit(r, block[i*dim:(i+1)*dim:(i+1)*dim]))
 	}
 	for _, rl := range relations {
 		if _, dup := m.relIndex[rl]; dup {
@@ -62,13 +66,13 @@ func New(entities, relations []string, dim int, seed uint64) (*Model, error) {
 		}
 		m.relIndex[rl] = len(m.relNames)
 		m.relNames = append(m.relNames, rl)
-		m.rel = append(m.rel, randUnit(r, dim))
+		m.rel = append(m.rel, randUnit(r, make([]float64, dim)))
 	}
 	return m, nil
 }
 
-func randUnit(r *xrand.Rand, dim int) []float64 {
-	v := make([]float64, dim)
+// randUnit fills v with a random unit vector and returns it.
+func randUnit(r *xrand.Rand, v []float64) []float64 {
 	var n float64
 	for i := range v {
 		v[i] = r.Norm()

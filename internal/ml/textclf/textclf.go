@@ -10,6 +10,7 @@ package textclf
 import (
 	"fmt"
 	"math"
+	"slices"
 
 	"repro/internal/textproc"
 	"repro/internal/xrand"
@@ -22,24 +23,30 @@ type Config struct {
 	Seed   uint64
 }
 
-// Model is one binary classifier.
+// Model is one binary classifier. It is not safe for concurrent use:
+// Proba draws embedding rows on first read, and every pass works in the
+// model's own scratch vectors.
 type Model struct {
 	name   string
 	hashD  int // embedding table rows
 	dim    int // embedding width
 	hidden int
 
-	emb [][]float64 // hashD x dim
-	w1  [][]float64 // dim x hidden
-	b1  []float64
-	w2  []float64 // hidden
-	b2  float64
+	// emb[b] is nil until row b is first read; it is then drawn from
+	// rowRand[b], the generator state Pretrained skipped the row at.
+	emb          [][]float64 // hashD x dim
+	rowRand      []xrand.Rand
+	w1           []float64 // dim x hidden, row-major
+	b1           []float64
+	w2           []float64 // hidden
+	b2           float64
+	x, h, dh, dx []float64 // one pass's input, hidden and gradient vectors
 }
 
 // Pretrained builds a model whose embedding table is deterministically
 // initialized from name — the stand-in for downloading a pre-trained
 // checkpoint. hashD is the embedding-table size, dim the embedding
-// width, hidden the MLP width.
+// width, hidden the MLP width. Rows are drawn lazily, to their eager values.
 func Pretrained(name string, hashD, dim, hidden int) (*Model, error) {
 	if hashD <= 0 || dim <= 0 || hidden <= 0 {
 		return nil, fmt.Errorf("textclf: sizes must be positive (hashD=%d dim=%d hidden=%d)", hashD, dim, hidden)
@@ -50,26 +57,37 @@ func Pretrained(name string, hashD, dim, hidden int) (*Model, error) {
 		seed *= 1099511628211
 	}
 	r := xrand.New(seed)
-	m := &Model{name: name, hashD: hashD, dim: dim, hidden: hidden}
-	m.emb = randMatrix(r, hashD, dim, 0.5/math.Sqrt(float64(dim)))
-	m.w1 = randMatrix(r, dim, hidden, 1/math.Sqrt(float64(dim)))
+	m := &Model{name: name, hashD: hashD, dim: dim, hidden: hidden,
+		emb: make([][]float64, hashD), rowRand: make([]xrand.Rand, hashD)}
+	for b := range m.rowRand {
+		m.rowRand[b] = *r
+		r.SkipNorms(dim)
+	}
+	m.w1 = make([]float64, dim*hidden)
+	scale := 1 / math.Sqrt(float64(dim))
+	for i := range m.w1 {
+		m.w1[i] = r.Norm() * scale
+	}
 	m.b1 = make([]float64, hidden)
 	m.w2 = make([]float64, hidden)
 	for i := range m.w2 {
 		m.w2[i] = r.Norm() / math.Sqrt(float64(hidden))
 	}
+	m.x, m.dx = make([]float64, dim), make([]float64, dim)
+	m.h, m.dh = make([]float64, hidden), make([]float64, hidden)
 	return m, nil
 }
 
-func randMatrix(r *xrand.Rand, rows, cols int, scale float64) [][]float64 {
-	m := make([][]float64, rows)
-	for i := range m {
-		m[i] = make([]float64, cols)
-		for j := range m[i] {
-			m[i][j] = r.Norm() * scale
+// row returns embedding row b, drawing it the first time it is read.
+func (m *Model) row(b int32) []float64 {
+	if m.emb[b] == nil {
+		row, r, scale := make([]float64, m.dim), m.rowRand[b], 0.5/math.Sqrt(float64(m.dim))
+		for j := range row {
+			row[j] = r.Norm() * scale
 		}
+		m.emb[b] = row
 	}
-	return m
+	return m.emb[b]
 }
 
 // Name returns the checkpoint name.
@@ -87,58 +105,74 @@ func (m *Model) SizeBytes() int64 {
 	return params * bertBase / ref
 }
 
-// bucket hashes a token into the embedding table.
-func (m *Model) bucket(tok string) int {
-	h := uint32(2166136261)
-	for i := 0; i < len(tok); i++ {
-		h ^= uint32(tok[i])
-		h *= 16777619
-	}
-	return int(h>>1) % m.hashD
-}
-
-// embed returns the mean embedding of the document's tokens and the
-// bucket list (for the backward pass). Empty documents embed to zero.
-func (m *Model) embed(text string) ([]float64, []int) {
+// appendBuckets appends the rows of text's non-stopword tokens to doc,
+// in order: the document as a model of table size hashD reads it.
+func appendBuckets(doc []int32, text string, hashD int) []int32 {
 	toks := textproc.Tokenize(text)
-	x := make([]float64, m.dim)
-	var buckets []int
-	for _, t := range toks {
-		if textproc.Stopwords[t] {
+	doc = slices.Grow(doc, len(toks))
+	for _, tok := range toks {
+		if textproc.Stopwords[tok] {
 			continue
 		}
-		b := m.bucket(t)
-		buckets = append(buckets, b)
-		for j, v := range m.emb[b] {
+		h := uint32(2166136261)
+		for i := 0; i < len(tok); i++ {
+			h ^= uint32(tok[i])
+			h *= 16777619
+		}
+		doc = append(doc, int32(int(h>>1)%hashD))
+	}
+	return doc
+}
+
+// encodeAll encodes each text once into one growing block; a document
+// cut before the block regrew keeps the old array, never written again.
+func encodeAll(texts []string, hashD int) [][]int32 {
+	docs := make([][]int32, len(texts))
+	var flat []int32
+	for i, text := range texts {
+		start := len(flat)
+		flat = appendBuckets(flat, text, hashD)
+		docs[i] = flat[start:len(flat):len(flat)]
+	}
+	return docs
+}
+
+// embed sets m.x to the mean embedding of doc's rows. Empty documents
+// embed to zero.
+func (m *Model) embed(doc []int32) {
+	x := m.x
+	clear(x)
+	for _, b := range doc {
+		for j, v := range m.row(b) {
 			x[j] += v
 		}
 	}
-	if len(buckets) > 0 {
-		inv := 1 / float64(len(buckets))
+	if len(doc) > 0 {
+		inv := 1 / float64(len(doc))
 		for j := range x {
 			x[j] *= inv
 		}
 	}
-	return x, buckets
 }
 
-// forward computes the hidden activations and output probability.
-func (m *Model) forward(x []float64) (h []float64, p float64) {
-	h = make([]float64, m.hidden)
-	for j := 0; j < m.hidden; j++ {
+// forward sets m.h to the hidden activations of m.x and returns the
+// output probability.
+func (m *Model) forward() float64 {
+	for j := range m.h {
 		s := m.b1[j]
-		for i := 0; i < m.dim; i++ {
-			s += m.w1[i][j] * x[i]
+		for i, v := range m.x {
+			s += m.w1[i*m.hidden+j] * v
 		}
+		m.h[j] = 0
 		if s > 0 {
-			h[j] = s
+			m.h[j] = s
 		}
 	}
 	z := m.b2
-	for j, v := range h {
+	for j, v := range m.h {
 		z += m.w2[j] * v
 	}
-	return h, stableSigmoid(z)
+	return stableSigmoid(z)
 }
 
 func stableSigmoid(z float64) float64 {
@@ -151,12 +185,17 @@ func stableSigmoid(z float64) float64 {
 
 // Finetune trains the model on labeled texts with SGD backprop,
 // updating the MLP and the touched embedding rows (true fine-tuning).
+// Each text is tokenized once, not once per epoch.
 func (m *Model) Finetune(texts []string, labels []bool, cfg Config) error {
-	if len(texts) == 0 {
+	return m.finetune(encodeAll(texts, m.hashD), labels, cfg)
+}
+
+func (m *Model) finetune(docs [][]int32, labels []bool, cfg Config) error {
+	if len(docs) == 0 {
 		return fmt.Errorf("textclf: empty training set")
 	}
-	if len(texts) != len(labels) {
-		return fmt.Errorf("textclf: %d texts, %d labels", len(texts), len(labels))
+	if len(docs) != len(labels) {
+		return fmt.Errorf("textclf: %d texts, %d labels", len(docs), len(labels))
 	}
 	epochs := cfg.Epochs
 	if epochs == 0 {
@@ -167,23 +206,24 @@ func (m *Model) Finetune(texts []string, labels []bool, cfg Config) error {
 		lr = 0.05
 	}
 	r := xrand.New(cfg.Seed)
-	idx := make([]int, len(texts))
+	idx := make([]int, len(docs))
 	for i := range idx {
 		idx[i] = i
 	}
 	for e := 0; e < epochs; e++ {
 		r.Shuffle(len(idx), func(i, j int) { idx[i], idx[j] = idx[j], idx[i] })
 		for _, i := range idx {
-			m.step(texts[i], labels[i], lr)
+			m.step(docs[i], labels[i], lr)
 		}
 	}
 	return nil
 }
 
 // step performs one SGD update.
-func (m *Model) step(text string, label bool, lr float64) {
-	x, buckets := m.embed(text)
-	h, p := m.forward(x)
+func (m *Model) step(doc []int32, label bool, lr float64) {
+	m.embed(doc)
+	p := m.forward()
+	x, h, dh, dx := m.x, m.h, m.dh, m.dx
 	y := 0.0
 	if label {
 		y = 1.0
@@ -191,8 +231,8 @@ func (m *Model) step(text string, label bool, lr float64) {
 	dz := p - y
 
 	// Output layer.
-	dh := make([]float64, m.hidden)
 	for j := range h {
+		dh[j] = 0
 		if h[j] > 0 {
 			dh[j] = dz * m.w2[j]
 		}
@@ -201,24 +241,25 @@ func (m *Model) step(text string, label bool, lr float64) {
 	m.b2 -= lr * dz
 
 	// Hidden layer and input gradient.
-	dx := make([]float64, m.dim)
-	for i := 0; i < m.dim; i++ {
-		for j := 0; j < m.hidden; j++ {
-			if dh[j] != 0 {
-				dx[i] += m.w1[i][j] * dh[j]
-				m.w1[i][j] -= lr * dh[j] * x[i]
+	for i := range dx {
+		dx[i] = 0
+		w := m.w1[i*m.hidden : (i+1)*m.hidden]
+		for j, g := range dh {
+			if g != 0 {
+				dx[i] += w[j] * g
+				w[j] -= lr * g * x[i]
 			}
 		}
 	}
-	for j := 0; j < m.hidden; j++ {
-		m.b1[j] -= lr * dh[j]
+	for j, g := range dh {
+		m.b1[j] -= lr * g
 	}
 
 	// Embedding rows (mean pooling spreads the gradient).
-	if len(buckets) > 0 {
-		inv := 1 / float64(len(buckets))
-		for _, b := range buckets {
-			row := m.emb[b]
+	if len(doc) > 0 {
+		inv := 1 / float64(len(doc))
+		for _, b := range doc {
+			row := m.row(b)
 			for i := range row {
 				row[i] -= lr * dx[i] * inv
 			}
@@ -227,10 +268,11 @@ func (m *Model) step(text string, label bool, lr float64) {
 }
 
 // Proba returns P(label=true) for a text.
-func (m *Model) Proba(text string) float64 {
-	x, _ := m.embed(text)
-	_, p := m.forward(x)
-	return p
+func (m *Model) Proba(text string) float64 { return m.proba(appendBuckets(nil, text, m.hashD)) }
+
+func (m *Model) proba(doc []int32) float64 {
+	m.embed(doc)
+	return m.forward()
 }
 
 // Predict thresholds Proba at 0.5.
@@ -260,8 +302,10 @@ func NewEnsemble(labels []string, hashD, dim, hidden int) (*Ensemble, error) {
 }
 
 // Finetune trains each model on its label column. golds[i][k] is
-// whether example i carries label k.
+// whether example i carries label k. A text is encoded once for all the
+// models that share its table size.
 func (e *Ensemble) Finetune(texts []string, golds [][]bool, cfg Config) error {
+	docs := make(map[int][][]int32, 1)
 	for k, m := range e.Models {
 		col := make([]bool, len(texts))
 		for i := range texts {
@@ -270,20 +314,32 @@ func (e *Ensemble) Finetune(texts []string, golds [][]bool, cfg Config) error {
 			}
 			col[i] = golds[i][k]
 		}
+		d, ok := docs[m.hashD]
+		if !ok {
+			d = encodeAll(texts, m.hashD)
+			docs[m.hashD] = d
+		}
 		sub := cfg
 		sub.Seed = cfg.Seed*31 + uint64(k)
-		if err := m.Finetune(texts, col, sub); err != nil {
+		if err := m.finetune(d, col, sub); err != nil {
 			return err
 		}
 	}
 	return nil
 }
 
-// Predict returns the multi-label prediction for a text.
+// Predict returns the multi-label prediction for a text, encoded once
+// for all the models that share its table size.
 func (e *Ensemble) Predict(text string) []bool {
 	out := make([]bool, len(e.Models))
+	docs := make(map[int][]int32, 1)
 	for k, m := range e.Models {
-		out[k] = m.Predict(text)
+		doc, ok := docs[m.hashD]
+		if !ok {
+			doc = appendBuckets(nil, text, m.hashD)
+			docs[m.hashD] = doc
+		}
+		out[k] = m.proba(doc) >= 0.5
 	}
 	return out
 }

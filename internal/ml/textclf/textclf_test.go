@@ -2,8 +2,10 @@ package textclf
 
 import (
 	"fmt"
+	"math"
 	"testing"
 
+	"repro/internal/datagen"
 	"repro/internal/xrand"
 )
 
@@ -43,11 +45,46 @@ func TestPretrainedDeterministicByName(t *testing.T) {
 	a, _ := Pretrained("bert-base", 256, 16, 8)
 	b, _ := Pretrained("bert-base", 256, 16, 8)
 	c, _ := Pretrained("bert-other", 256, 16, 8)
-	if a.emb[0][0] != b.emb[0][0] {
-		t.Fatal("same name should give identical checkpoints")
+	// b draws its rows in the opposite order: a row's values must not
+	// depend on which rows were read before it.
+	for _, row := range []int32{255, 0} {
+		b.row(row)
 	}
-	if a.emb[0][0] == c.emb[0][0] {
-		t.Fatal("different names should give different checkpoints")
+	for _, row := range []int32{0, 255} {
+		ra, rb, rc := a.row(row), b.row(row), c.row(row)
+		for j := range ra {
+			if ra[j] != rb[j] {
+				t.Fatalf("row %d: same name should give identical checkpoints", row)
+			}
+		}
+		if ra[0] == rc[0] {
+			t.Fatalf("row %d: different names should give different checkpoints", row)
+		}
+	}
+	for i := range a.w1 {
+		if a.w1[i] != b.w1[i] {
+			t.Fatal("same name should give identical MLP weights")
+		}
+	}
+}
+
+func TestRowsDrawnOnlyWhenRead(t *testing.T) {
+	m, _ := Pretrained("bert-link", 4096, 24, 12)
+	drawn := func() int {
+		n := 0
+		for _, row := range m.emb {
+			if row != nil {
+				n++
+			}
+		}
+		return n
+	}
+	if n := drawn(); n != 0 {
+		t.Fatalf("Pretrained drew %d rows", n)
+	}
+	m.Proba("the wildfire smoke")
+	if n := drawn(); n != 2 {
+		t.Fatalf("a text of two non-stopword tokens drew %d rows", n)
 	}
 }
 
@@ -147,6 +184,16 @@ func TestEnsembleMultiLabel(t *testing.T) {
 	}
 }
 
+func TestEmptyEnsemble(t *testing.T) {
+	var e Ensemble
+	if err := e.Finetune([]string{"x"}, [][]bool{{}}, Config{}); err != nil {
+		t.Fatal(err)
+	}
+	if got := e.Predict("x"); len(got) != 0 {
+		t.Fatalf("an ensemble with no models predicted %v", got)
+	}
+}
+
 func TestEnsembleErrors(t *testing.T) {
 	if _, err := NewEnsemble(nil, 64, 8, 4); err == nil {
 		t.Fatal("expected error for no labels")
@@ -154,5 +201,61 @@ func TestEnsembleErrors(t *testing.T) {
 	e, _ := NewEnsemble([]string{"a", "b"}, 64, 8, 4)
 	if err := e.Finetune([]string{"x"}, [][]bool{{true}}, Config{}); err == nil {
 		t.Fatal("expected ragged labels error")
+	}
+}
+
+// TestMatchesReference fine-tunes the lazy, encode-once models and the
+// eager reference on WEF's 200 tweets with WEF's sizes and schedule, and
+// holds every probability to the reference's bits: on the tweets, and
+// on texts training never saw.
+func TestMatchesReference(t *testing.T) {
+	probes := []string{"", "the of and a with", "zyzzyva quokka 42", "Climate change made this wildfire worse"}
+	for _, seed := range []uint64{1, 13} {
+		tweets := datagen.GenerateTweets(200, seed)
+		texts, golds := datagen.Texts(tweets), datagen.Labels(tweets)
+		cut := len(texts) * 4 / 5
+		cfg := Config{Epochs: 3, LR: 0.3, Seed: seed}
+
+		ens, err := NewEnsemble(datagen.FramingNames, 4096, 24, 12)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := ens.Finetune(texts[:cut], golds[:cut], cfg); err != nil {
+			t.Fatal(err)
+		}
+		// The workflow paradigm fine-tunes one model alone.
+		solo, _ := Pretrained("bert-"+datagen.FramingNames[0], 4096, 24, 12)
+		soloLabels := make([]bool, cut)
+		for i := range soloLabels {
+			soloLabels[i] = golds[i][0]
+		}
+		if err := solo.Finetune(texts[:cut], soloLabels, Config{Epochs: 3, LR: 0.3, Seed: seed * 31}); err != nil {
+			t.Fatal(err)
+		}
+
+		for k, m := range ens.Models {
+			ref, _ := refPretrained("bert-"+datagen.FramingNames[k], 4096, 24, 12)
+			col := make([]bool, cut)
+			for i := range col {
+				col[i] = golds[i][k]
+			}
+			if err := ref.Finetune(texts[:cut], col, Config{Epochs: 3, LR: 0.3, Seed: seed*31 + uint64(k)}); err != nil {
+				t.Fatal(err)
+			}
+			for _, text := range append(append([]string(nil), texts...), probes...) {
+				want := math.Float64bits(ref.Proba(text))
+				if got := math.Float64bits(m.Proba(text)); got != want {
+					t.Fatalf("seed %d model %d: Proba(%q) bits %#x, reference %#x", seed, k, text, got, want)
+				}
+				if k == 0 {
+					if got := math.Float64bits(solo.Proba(text)); got != want {
+						t.Fatalf("seed %d: lone model Proba(%q) bits %#x, reference %#x", seed, text, got, want)
+					}
+				}
+				if got := ens.Predict(text)[k]; got != (ref.Proba(text) >= 0.5) {
+					t.Fatalf("seed %d model %d: Predict(%q) = %v", seed, k, text, got)
+				}
+			}
+		}
 	}
 }

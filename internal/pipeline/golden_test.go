@@ -243,3 +243,40 @@ func TestDiceWorkflowAllocBudget(t *testing.T) {
 		t.Errorf("DICE-50 workflow run at 4 workers allocated %d objects, budget %d", objects, objectBudget)
 	}
 }
+
+// TestScriptAllocBudget is TestDiceWorkflowAllocBudget for the script
+// paradigm: heap objects per run (datagen included) of the three specs
+// benchmark's script-mix runs that allocate most, each budget about 1.5
+// times what the run takes. (With every embedding row of WEF's four
+// 4,096-row tables drawn up front, each tweet re-tokenized on every SGD
+// step and a token per strings.Builder, two Sprintfs per KGE product and
+// an entity row per allocation, the three took 99.8 k, 12.3 k and
+// 59.6 k.)
+func TestScriptAllocBudget(t *testing.T) {
+	for _, c := range []struct {
+		task   string
+		size   int
+		budget uint64
+	}{
+		{"wef", 200, 5_500},
+		{"gotta", 16, 4_700},
+		{"kge", 6800, 18_500},
+	} {
+		spec := core.RunSpec{Task: c.task, Paradigm: "script", Size: c.size, Seed: 1, Workers: 4}
+		run := func() uint64 {
+			var before, after runtime.MemStats
+			runtime.ReadMemStats(&before)
+			if _, err := spec.Run(); err != nil {
+				t.Fatal(err)
+			}
+			runtime.ReadMemStats(&after)
+			return after.Mallocs - before.Mallocs
+		}
+		run() // warm-up: lazy initialisation is not the run's cost
+		objects := run()
+		t.Logf("%s script-%d allocated %d objects of a %d budget", c.task, c.size, objects, c.budget)
+		if objects > c.budget {
+			t.Errorf("%s script-%d allocated %d objects, budget %d", c.task, c.size, objects, c.budget)
+		}
+	}
+}

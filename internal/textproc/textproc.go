@@ -11,14 +11,15 @@ import (
 
 // Tokenize lowercases s and splits it into alphanumeric tokens.
 // Punctuation separates tokens; digits stay inside tokens ("34-yr-old"
-// becomes ["34", "yr", "old"]).
+// becomes ["34", "yr", "old"]). Tokens share one lowered copy of s.
 func Tokenize(s string) []string {
-	var tokens []string
 	var b strings.Builder
-	flush := func() {
-		if b.Len() > 0 {
-			tokens = append(tokens, b.String())
-			b.Reset()
+	b.Grow(len(s)) // lowering can grow a rune's bytes; then b regrows
+	var stack [64]int
+	ends := stack[:0]
+	cut := func() {
+		if n := b.Len(); n > 0 && (len(ends) == 0 || ends[len(ends)-1] != n) {
+			ends = append(ends, n)
 		}
 	}
 	for _, r := range s {
@@ -28,10 +29,19 @@ func Tokenize(s string) []string {
 		case unicode.IsDigit(r):
 			b.WriteRune(r)
 		default:
-			flush()
+			cut()
 		}
 	}
-	flush()
+	cut()
+	if len(ends) == 0 {
+		return nil
+	}
+	tokens := make([]string, len(ends))
+	start := 0
+	for i, end := range ends {
+		tokens[i] = b.String()[start:end]
+		start = end
+	}
 	return tokens
 }
 

@@ -32,6 +32,40 @@ func TestTokenize(t *testing.T) {
 	}
 }
 
+// FuzzTokenizeMatchesReference holds Tokenize to the implementation it
+// replaced: the same tokens in the same order, and nil for none.
+func FuzzTokenizeMatchesReference(f *testing.F) {
+	for _, seed := range []string{
+		"",
+		"34-yr-old Man",
+		"ÄÖÜ İstanbul",
+		"ȺȾ", // lowering grows each rune from 2 bytes to 3
+		"ab\xffcd\xc3(ef\xed\xa0\x80",
+		strings.Repeat("w1 ", 65),
+		strings.Repeat("Ⱥx-", 200),
+	} {
+		f.Add(seed)
+	}
+	f.Fuzz(func(t *testing.T, s string) {
+		got, want := Tokenize(s), refTokenize(s)
+		if (got == nil) != (want == nil) || len(got) != len(want) {
+			t.Fatalf("Tokenize(%q) = %q, reference %q", s, got, want)
+		}
+		for i := range want {
+			if got[i] != want[i] {
+				t.Fatalf("Tokenize(%q) = %q, reference %q", s, got, want)
+			}
+		}
+	})
+}
+
+func TestTokenizeAllocations(t *testing.T) {
+	s := "Climate change made this #wildfire season 3x worse, say 12 experts"
+	if n := testing.AllocsPerRun(100, func() { Tokenize(s) }); n > 2 {
+		t.Fatalf("Tokenize allocated %v objects per call, want the lowered copy and the token slice", n)
+	}
+}
+
 func TestSplitSentencesBasic(t *testing.T) {
 	text := "The patient presented with fever. A chest X-ray was performed. Recovery was fast!"
 	ss := SplitSentences(text)

@@ -31,9 +31,12 @@ func (r *Rand) Split() *Rand {
 	return New(r.Uint64() ^ 0x9e3779b97f4a7c15)
 }
 
+// gamma is SplitMix64's state increment per draw.
+const gamma = 0x9e3779b97f4a7c15
+
 // Uint64 returns the next value in the stream.
 func (r *Rand) Uint64() uint64 {
-	r.state += 0x9e3779b97f4a7c15
+	r.state += gamma
 	z := r.state
 	z = (z ^ (z >> 30)) * 0xbf58476d1ce4e5b9
 	z = (z ^ (z >> 27)) * 0x94d049bb133111eb
@@ -76,6 +79,17 @@ func (r *Rand) Norm() float64 {
 	}
 	u2 := r.Float64()
 	return math.Sqrt(-2*math.Log(u1)) * math.Cos(2*math.Pi*u2)
+}
+
+// SkipNorms advances r exactly as n calls to Norm would, without computing
+// them: a draw still retries while its first uniform is 0 (a value's top
+// 53 bits are zero), but its second uniform is stepped past unread.
+func (r *Rand) SkipNorms(n int) {
+	for i := 0; i < n; i++ {
+		for r.Uint64()>>11 == 0 {
+		}
+		r.state += gamma
+	}
 }
 
 // Bool returns true with probability p.

@@ -99,6 +99,85 @@ func TestNormMoments(t *testing.T) {
 	}
 }
 
+func TestSkipNormsMatchesNorm(t *testing.T) {
+	for _, seed := range []uint64{0, 1, 7, 1 << 63} {
+		for _, n := range []int{0, 1, 2, 24, 1000} {
+			a, b := New(seed), New(seed)
+			for i := 0; i < n; i++ {
+				a.Norm()
+			}
+			b.SkipNorms(n)
+			if a.state != b.state {
+				t.Fatalf("seed %d: SkipNorms(%d) left state %#x, %d Norms %#x", seed, n, b.state, n, a.state)
+			}
+		}
+	}
+}
+
+// unmix inverts SplitMix64's output function: the state whose draw
+// Uint64 returns z.
+func unmix(z uint64) uint64 {
+	z = unxorshift(z, 31)
+	z *= mulInverse(0x94d049bb133111eb)
+	z = unxorshift(z, 27)
+	z *= mulInverse(0xbf58476d1ce4e5b9)
+	return unxorshift(z, 30)
+}
+
+// unxorshift inverts y = x ^ (x >> s).
+func unxorshift(y uint64, s uint) uint64 {
+	x := y
+	for i := uint(0); i < 64; i += s {
+		x = y ^ (x >> s)
+	}
+	return x
+}
+
+// mulInverse returns the inverse of an odd c modulo 2^64 by Newton's
+// iteration, which doubles the correct low bits each step.
+func mulInverse(c uint64) uint64 {
+	x := c
+	for i := 0; i < 6; i++ {
+		x *= 2 - c*x
+	}
+	return x
+}
+
+func TestUnmixInvertsUint64(t *testing.T) {
+	for _, z := range []uint64{0, 1, 1 << 11, math.MaxUint64, 0x0123456789abcdef} {
+		r := Rand{state: unmix(z) - gamma}
+		if got := r.Uint64(); got != z {
+			t.Fatalf("unmix(%#x) gave a state whose draw is %#x", z, got)
+		}
+	}
+}
+
+// TestSkipNormsRetryPath forces Norm's u1 == 0 retry, which no natural
+// seed reaches (it has probability 2^-53 per draw): the generator is
+// placed so that the first uniform of draw k is 0.
+func TestSkipNormsRetryPath(t *testing.T) {
+	n := 9
+	for _, k := range []int{0, n / 2, n - 1} {
+		for _, low := range []uint64{0, 1<<11 - 1} {
+			// Draw k's first uniform is the (2k+1)th value from start.
+			start := unmix(low) - uint64(2*k+1)*gamma
+			a, b := Rand{state: start}, Rand{state: start}
+			for i := 0; i < n; i++ {
+				if v := a.Norm(); math.IsNaN(v) || math.IsInf(v, 0) {
+					t.Fatalf("draw %d = %v", i, v)
+				}
+			}
+			if want := start + uint64(2*n+1)*gamma; a.state != want {
+				t.Fatalf("k=%d low=%#x: %d Norms did not consume %d values (retry not taken)", k, low, n, 2*n+1)
+			}
+			b.SkipNorms(n)
+			if a.state != b.state {
+				t.Fatalf("k=%d low=%#x: SkipNorms(%d) left state %#x, %d Norms %#x", k, low, n, b.state, n, a.state)
+			}
+		}
+	}
+}
+
 func TestPermIsPermutation(t *testing.T) {
 	f := func(seed uint64) bool {
 		r := New(seed)

@@ -139,6 +139,27 @@ func joinTables(n int) (*relation.Table, *relation.Table) {
 	return left, right
 }
 
+// diceEntities is a build side shaped like DICE's extracted entities
+// ({ekey, start, end, text}, eight entities a case, one key in 64
+// repeated) and the schema of the events that probe it by themekey.
+func diceEntities(n int) (build *relation.Table, probe *relation.Schema) {
+	build = relation.NewTable(relation.MustSchema(
+		relation.Field{Name: "ekey", Type: relation.String},
+		relation.Field{Name: "start", Type: relation.Int},
+		relation.Field{Name: "end", Type: relation.Int},
+		relation.Field{Name: "text", Type: relation.String},
+	))
+	for i := 0; i < n; i++ {
+		id := i - i%64/63 // the 64th key of each run repeats the 63rd
+		build.AppendUnchecked(relation.Tuple{relation.StringValue(fmt.Sprintf("case-%04d|T%d", id/8, id%8+1)),
+			relation.IntValue(int64(10 * i)), relation.IntValue(int64(10*i + 7)), relation.StringValue("chest pain")})
+	}
+	return build, relation.MustSchema(
+		relation.Field{Name: "case", Type: relation.String},
+		relation.Field{Name: "themekey", Type: relation.String},
+	)
+}
+
 // dice200Trace records the cost trace of one DICE-200 workflow run at 4
 // workers: the input lower_dice200 lowers.
 func dice200Trace() (*dataflow.Trace, error) {
@@ -212,15 +233,29 @@ func micros(window time.Duration) []Micro {
 	}
 	batch := left.Rows()[:2048]
 	out = append(out, measure("joiner_probe_2048", 2048, window, func() {
-		joiner.ProbeRows(nil, batch)
+		joiner.ProbeRows(&relation.Arena{}, nil, batch)
 	}))
 	// The traffic dataflow actually sends: DICE-200 moves 58,088 tuples
 	// in 7,410 batches, 8 rows a batch. One op is one 8-row ProbeRows
-	// call (16 output rows of width 3 from this joiner), so bytes_per_op
-	// is what a probe batch costs whatever the per-row price is.
+	// call (16 output rows of width 3 from this joiner) through the
+	// arena and scratch one join instance keeps for its run, so
+	// bytes_per_op is what a probe batch costs whatever the per-row
+	// price is.
+	var (
+		probeOut   relation.Arena
+		probeHeads []int32
+	)
 	out = append(out, measure("joiner_probe_8", len(batch)/8, window, func() {
 		for lo := 0; lo < len(batch); lo += 8 {
-			joiner.ProbeRows(nil, batch[lo:lo+8])
+			_, probeHeads = joiner.ProbeRows(&probeOut, probeHeads, batch[lo:lo+8])
+		}
+	}))
+	// The build side DICE's entity joins index: string keys shaped like
+	// its "case|T<n>" ekey, nearly all distinct. One op is one build.
+	entities, entityKeys := diceEntities(2048)
+	out = append(out, measure("join_build_dice", 1, window, func() {
+		if _, err := relation.NewJoiner(entityKeys, entities, "themekey", "ekey", relation.Inner, 1); err != nil {
+			panic(err)
 		}
 	}))
 	tup := relation.Tuple{relation.IntValue(42), relation.StringValue("a reasonably sized string payload"), relation.FloatValue(3.14159), relation.BoolValue(true)}

@@ -3,6 +3,7 @@ package dataflow
 import (
 	"context"
 	"fmt"
+	"slices"
 	"sync"
 	"sync/atomic"
 
@@ -496,14 +497,18 @@ func (ex *Execution) runRouter(wg *sync.WaitGroup, e *edge, in *queue) {
 	}
 }
 
-// hashSplitter is a hash router's scratch: per row of the batch in
-// hand the output it goes to and, per output, first a row count and
-// then a write offset. It belongs to one router goroutine and never
-// leaves it; the rows it places do, so those are allocated per batch.
-type hashSplitter struct{ dest, offs []int }
+// hashSplitter is a hash router's state: per row of the batch in hand
+// the output it goes to and its place in the regrouped batch, per
+// output first a row count and then a write offset, and the arena the
+// regrouped batches are carved from. It belongs to one router goroutine
+// and never leaves it; the batches it places do.
+type hashSplitter struct {
+	dest, order, offs []int
+	out               relation.Arena
+}
 
 // by regroups rows by the hash of their key cell into outs groups —
-// count, then place: the groups sit back to back in one new slice, each
+// count, then place: the groups sit back to back in one batch, each
 // keeping its rows in arrival order, and group g ends at ends[g] (and
 // starts where the group before it ends). ends is valid until the next
 // call.
@@ -523,12 +528,16 @@ func (s *hashSplitter) by(rows []relation.Tuple, keyPos, outs int) (placed []rel
 		s.offs[g] = sum
 		sum += n
 	}
-	placed = make([]relation.Tuple, len(rows))
-	for i, r := range rows {
-		placed[s.offs[s.dest[i]]] = r
-		s.offs[s.dest[i]]++
+	s.order = slices.Grow(s.order[:0], len(rows))[:len(rows)]
+	for i, d := range s.dest {
+		s.order[s.offs[d]] = i
+		s.offs[d]++
 	}
-	return placed, s.offs
+	s.out.Reserve(len(rows), 0)
+	for _, i := range s.order {
+		s.out.Append(rows[i])
+	}
+	return s.out.Batch(), s.offs
 }
 
 // runNode executes one node: a generator for sources, a collector for

@@ -3,7 +3,6 @@ package dataflow
 import (
 	"fmt"
 	"math"
-	"slices"
 
 	"repro/internal/cost"
 	"repro/internal/relation"
@@ -69,30 +68,32 @@ func (o *FilterOp) OutputSchema(in []*relation.Schema) (*relation.Schema, error)
 // NewInstance returns a stateless filter worker.
 func (o *FilterOp) NewInstance() Instance { return &filterInstance{op: o} }
 
-type filterInstance struct{ op *FilterOp }
+type filterInstance struct {
+	op  *FilterOp
+	out relation.Arena
+}
 
 func (fi *filterInstance) Open(ExecCtx) error { return nil }
 func (fi *filterInstance) Process(ec ExecCtx, _ int, rows []relation.Tuple) ([]relation.Tuple, error) {
 	ec.AddWork(fi.op.Work.Scale(float64(len(rows))))
-	return keepRows(rows, fi.op.Keep), nil
+	return keepRows(&fi.out, rows, fi.op.Keep), nil
 }
 func (fi *filterInstance) EndPort(ExecCtx, int) ([]relation.Tuple, error) { return nil, nil }
 func (fi *filterInstance) Close(ExecCtx) error                            { return nil }
 
-// keepRows returns the rows keep accepts, in order. The result is sized
-// once, at the first kept row, for the rows still to come, so a batch
-// that keeps nothing allocates nothing.
-func keepRows(rows []relation.Tuple, keep relation.Predicate) []relation.Tuple {
-	var out []relation.Tuple
+// keepRows returns the rows keep accepts, in order, as a batch of out.
+// When out's chunk is full at a kept row it is sized for the rows still
+// to come, so a batch that keeps nothing allocates nothing.
+func keepRows(out *relation.Arena, rows []relation.Tuple, keep relation.Predicate) []relation.Tuple {
 	for i, r := range rows {
 		if keep(r) {
-			if out == nil {
-				out = make([]relation.Tuple, 0, len(rows)-i)
+			if !out.Fits(1, 0) {
+				out.Reserve(len(rows)-i, 0)
 			}
-			out = append(out, r)
+			out.Append(r)
 		}
 	}
-	return out
+	return out.Batch()
 }
 
 // ---------------------------------------------------------------------------
@@ -128,6 +129,7 @@ func (o *ProjectOp) NewInstance() Instance { return &projectInstance{op: o} }
 type projectInstance struct {
 	op  *ProjectOp
 	pos []int
+	out relation.Arena
 }
 
 func (pi *projectInstance) Open(ExecCtx) error { return nil }
@@ -138,19 +140,15 @@ func (pi *projectInstance) Process(ec ExecCtx, _ int, rows []relation.Tuple) ([]
 		// direct Process call on an unbound instance gets here.
 		return nil, fmt.Errorf("dataflow: %s: positions not bound", pi.op.desc.Name)
 	}
-	// One block for the batch's cells; each row is carved from it with
-	// its capacity clipped, so appending to one cannot reach the next.
 	width := len(pi.pos)
-	block := make([]relation.Value, len(rows)*width)
-	out := make([]relation.Tuple, len(rows))
-	for i, r := range rows {
-		row := block[i*width : (i+1)*width : (i+1)*width]
+	pi.out.Reserve(len(rows), len(rows)*width)
+	for _, r := range rows {
+		row := pi.out.Row(width)
 		for k, p := range pi.pos {
 			row[k] = r[p]
 		}
-		out[i] = row
 	}
-	return out, nil
+	return pi.out.Batch(), nil
 }
 func (pi *projectInstance) EndPort(ExecCtx, int) ([]relation.Tuple, error) { return nil, nil }
 func (pi *projectInstance) Close(ExecCtx) error                            { return nil }
@@ -182,39 +180,40 @@ func (pi *projectInstance) bindSchemas(in []*relation.Schema) error {
 // and a new one built with its constructor (relation.StringValue).
 type MapFunc func(in relation.Tuple, out *Rows) error
 
-// Rows collects what a MapFunc emits for one input batch. Every tuple
-// is carved from a block shared by the batch, so a batch costs a
-// handful of objects however many rows it maps. Nothing is reused
-// across batches: emitted rows travel downstream and into sink tables.
+// Rows collects what a MapFunc emits. It is its operator instance's
+// output arena for the instance's whole run and hands out one batch per
+// input batch, so a batch costs no objects of its own once the arena's
+// chunks have grown (relation.Arena has the rules).
 type Rows struct {
-	out   []relation.Tuple
-	block []relation.Value // unused tail is where the next tuples are carved from
-	width int              // cells per tuple, from the operator's output schema
-	rest  int              // input rows of the batch not yet mapped, the current one included
+	arena relation.Arena
+	ec    ExecCtx
+	width int // cells per tuple, from the operator's output schema
+	rest  int // input rows of the batch not yet mapped, the current one included
+	n     int // tuples emitted for the batch so far
 }
 
 // Emit appends one output tuple holding a copy of vals.
 func (r *Rows) Emit(vals ...relation.Value) {
-	if cap(r.block)-len(r.block) < len(vals) {
+	if !r.arena.Fits(1, len(vals)) {
 		// Room for one tuple per input row still to come — or, when a
 		// flat-map has already outrun its batch, for as many tuples again
 		// as it has emitted.
-		r.Grow(max(r.rest, len(r.out), 1))
+		n := max(r.rest, r.n)
+		r.arena.Reserve(n, n*len(vals))
 	}
-	start := len(r.block)
-	r.block = append(r.block, vals...)
-	r.out = append(r.out, r.block[start:len(r.block):len(r.block)])
+	copy(r.arena.Row(len(vals)), vals)
+	r.n++
 }
 
 // Grow makes room for n more tuples. A MapFunc that knows its fan-out
 // for a row calls it before emitting, and the row's output is then
-// sized exactly.
-func (r *Rows) Grow(n int) {
-	r.out = slices.Grow(r.out, n)
-	if cap(r.block)-len(r.block) < n*r.width {
-		r.block = make([]relation.Value, 0, n*r.width)
-	}
-}
+// reserved exactly.
+func (r *Rows) Grow(n int) { r.arena.Reserve(n, n*r.width) }
+
+// Charge adds data-dependent work for the row being mapped, on top of
+// the operator's per-row Work: a MapFunc calls it once per input row,
+// before emitting, with a cost it knows from the row.
+func (r *Rows) Charge(w cost.Work) { r.ec.AddWork(w) }
 
 // MapOp applies a user-defined function to every tuple — the engine's
 // generic Python/Scala UDF operator.
@@ -222,10 +221,7 @@ type MapOp struct {
 	base
 	Out  *relation.Schema
 	Fn   MapFunc
-	Work cost.Work // per input tuple
-	// ExtraWork, if non-nil, lets a UDF charge additional data-dependent
-	// work per tuple (for example model inference cost).
-	ExtraWork func(relation.Tuple) cost.Work
+	Work cost.Work // per input tuple; Rows.Charge adds what depends on the row
 }
 
 // NewMap returns a UDF operator with the given output schema.
@@ -247,27 +243,27 @@ func (o *MapOp) OutputSchema(in []*relation.Schema) (*relation.Schema, error) {
 }
 
 // NewInstance returns a UDF worker.
-func (o *MapOp) NewInstance() Instance { return &mapInstance{op: o} }
+func (o *MapOp) NewInstance() Instance {
+	return &mapInstance{op: o, out: Rows{width: o.Out.Len()}}
+}
 
 type mapInstance struct {
 	op  *MapOp
-	out Rows // the batch being mapped; reset, never reused, per batch
+	out Rows
 }
 
 func (mi *mapInstance) Open(ExecCtx) error { return nil }
 func (mi *mapInstance) Process(ec ExecCtx, _ int, rows []relation.Tuple) ([]relation.Tuple, error) {
 	ec.AddWork(mi.op.Work.Scale(float64(len(rows))))
-	mi.out = Rows{width: mi.op.Out.Len()}
+	mi.out.ec, mi.out.n = ec, 0
 	for i, r := range rows {
-		if mi.op.ExtraWork != nil {
-			ec.AddWork(mi.op.ExtraWork(r))
-		}
 		mi.out.rest = len(rows) - i
 		if err := mi.op.Fn(r, &mi.out); err != nil {
+			mi.out.arena.Batch() // drop the failed batch's rows
 			return nil, err
 		}
 	}
-	return mi.out.out, nil
+	return mi.out.arena.Batch(), nil
 }
 func (mi *mapInstance) EndPort(ExecCtx, int) ([]relation.Tuple, error) { return nil, nil }
 func (mi *mapInstance) Close(ExecCtx) error                            { return nil }
@@ -343,6 +339,8 @@ type joinInstance struct {
 	probeSchema *relation.Schema
 	buildRows   *relation.Table
 	joiner      *relation.Joiner
+	out         relation.Arena
+	heads       []int32        // scratch: ProbeRows' chain heads
 	permuted    relation.Tuple // scratch: one row in op.outPerm order
 }
 
@@ -379,9 +377,10 @@ func (ji *joinInstance) Process(ec ExecCtx, port int, rows []relation.Tuple) ([]
 				return nil, err
 			}
 		}
-		out := ji.joiner.ProbeRows(nil, rows)
-		// The rows ProbeRows returned belong to this call, so a swapped
-		// join re-orders each in place.
+		var out []relation.Tuple
+		out, ji.heads = ji.joiner.ProbeRows(&ji.out, ji.heads, rows)
+		// The rows ProbeRows returned are not handed out yet, so a
+		// swapped join re-orders each in place.
 		if perm := ji.op.outPerm; perm != nil {
 			for _, row := range out {
 				for k, p := range perm {

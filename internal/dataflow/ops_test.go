@@ -1,6 +1,7 @@
 package dataflow
 
 import (
+	"math/bits"
 	"testing"
 
 	"repro/internal/cost"
@@ -190,31 +191,125 @@ func TestMapRowsMatchTupleSlices(t *testing.T) {
 	}
 }
 
-// Rows of one batch share a block. Each is cut with its capacity
-// clipped, so a consumer that appends to a row it was handed gets a
-// copy and cannot write into the row stored behind it.
+// An operator instance, a router and a join carve the batches of their
+// whole run from shared chunks, each batch and each row cut with its
+// capacity clipped. So a consumer that appends to a batch or to a row it
+// was handed gets a copy: every batch of one instance stays as it was
+// whichever other batch, or row of it, is appended to. Forty batches
+// take the arenas past the point where a chunk (an eighth of what the
+// instance has made) holds several, so neighbours share one.
 func TestBatchRowsDoNotAlias(t *testing.T) {
-	batch := intTable(8).Rows()
-	project := NewProject("p", cost.Python, "v", "id").NewInstance()
-	if err := project.(schemaBinder).bindSchemas([]*relation.Schema{intSchema}); err != nil {
-		t.Fatal(err)
-	}
-	swap := NewMap("m", cost.Python, intSchema, func(r relation.Tuple, out *Rows) error {
-		out.Emit(r[1], r[0])
-		return nil
-	}).NewInstance()
-	for name, inst := range map[string]Instance{"project": project, "map": swap} {
-		rows, err := inst.Process(nopCtx{}, 0, batch)
-		if err != nil {
-			t.Fatal(err)
-		}
-		for i := range rows {
-			_ = append(rows[i], relation.StringValue("overflow"))
-		}
-		for i, r := range rows {
-			if want := (relation.Tuple{batch[i][1], batch[i][0]}); !r.Equal(want) {
-				t.Fatalf("%s: row %d = %v after its neighbour was appended to, want %v", name, i, r, want)
+	const batches = 40
+	in := intTable(16).Rows()
+	input := func(k int) []relation.Tuple { return in[8*(k%2) : 8*(k%2)+8] }
+	bound := func(inst Instance, schemas ...*relation.Schema) Instance {
+		if sb, ok := inst.(schemaBinder); ok {
+			if err := sb.bindSchemas(schemas); err != nil {
+				t.Fatal(err)
 			}
 		}
+		return inst
+	}
+	processor := func(inst Instance, port int, batch func(k int) []relation.Tuple) func(k int) []relation.Tuple {
+		return func(k int) []relation.Tuple {
+			out, err := inst.Process(nopCtx{}, port, batch(k))
+			if err != nil {
+				t.Fatal(err)
+			}
+			return out
+		}
+	}
+	cond, err := parseCondition("v != 3")
+	if err != nil {
+		t.Fatal(err)
+	}
+	plainJoin, swappedJoin, users, orders := swapJoinInstances(t)
+	var split hashSplitter
+	users2 := func(k int) []relation.Tuple { return users.Rows()[8*(k%6) : 8*(k%6)+8] }
+	orders2 := func(k int) []relation.Tuple { return orders.Rows()[8*(k%6) : 8*(k%6)+8] }
+
+	for _, c := range []struct {
+		name  string
+		batch func(k int) []relation.Tuple
+	}{
+		{"project", processor(bound(NewProject("p", cost.Python, "v", "id").NewInstance(), intSchema), 0, input)},
+		{"map", processor(NewMap("m", cost.Python, intSchema, func(r relation.Tuple, out *Rows) error {
+			out.Emit(r[1], r[0])
+			return nil
+		}).NewInstance(), 0, input)},
+		{"flat-map", processor(NewMap("m", cost.Python, intSchema, func(r relation.Tuple, out *Rows) error {
+			for k := int64(0); k < 3; k++ {
+				out.Emit(r[0], relation.IntValue(k))
+			}
+			return nil
+		}).NewInstance(), 0, input)},
+		{"filter", processor(NewFilter("f", cost.Python, func(r relation.Tuple) bool { return r[0].Int()%3 != 0 }).NewInstance(), 0, input)},
+		{"cond-filter", processor(bound((&condFilterOp{cond: cond}).NewInstance(), intSchema), 0, input)},
+		{"join", processor(plainJoin, 1, users2)},
+		{"swapped-join", processor(swappedJoin, 1, orders2)},
+		{"router", func(k int) []relation.Tuple {
+			placed, _ := split.by(input(k), 0, 3)
+			return placed
+		}},
+	} {
+		var out, was [batches][]relation.Tuple
+		for k := range out {
+			if out[k] = c.batch(k); len(out[k]) == 0 {
+				t.Fatalf("%s: batch %d is empty", c.name, k)
+			}
+			was[k] = clone(out[k])
+		}
+		for k, b := range out {
+			_ = append(b, relation.Tuple{relation.StringValue("overflow")})
+			for i := range b {
+				_ = append(b[i], relation.StringValue("overflow"))
+			}
+			for j, got := range out {
+				for i := range got {
+					if !got[i].Equal(was[j][i]) {
+						t.Fatalf("%s: appending to batch %d and its rows changed row %d of batch %d: %v, was %v", c.name, k, i, j, got[i], was[j][i])
+					}
+				}
+			}
+		}
+	}
+}
+
+func clone(rows []relation.Tuple) []relation.Tuple {
+	out := make([]relation.Tuple, len(rows))
+	for i, r := range rows {
+		out[i] = r.Clone()
+	}
+	return out
+}
+
+// A flat-map that emits n rows from one input row moves its batch to a
+// chunk at least twice as large each time it outgrows one, so it costs
+// O(log n) chunks, not one per row and not O(n) copies.
+func TestFlatMapChunksGrowGeometrically(t *testing.T) {
+	const n = 100_000
+	op := NewMap("explode", cost.Python, intSchema, func(r relation.Tuple, out *Rows) error {
+		for k := int64(0); k < n; k++ {
+			out.Emit(r[0], relation.IntValue(k))
+		}
+		return nil
+	})
+	batch := intTable(1).Rows()
+	var rows []relation.Tuple
+	allocs := testing.AllocsPerRun(3, func() {
+		var err error
+		if rows, err = op.NewInstance().Process(nopCtx{}, 0, batch); err != nil {
+			t.Fatal(err)
+		}
+	})
+	if len(rows) != n || rows[n-1][1].Int() != n-1 {
+		t.Fatalf("flat-map emitted %d rows", len(rows))
+	}
+	// A fresh instance each run (one object), so every run starts from no
+	// chunks; then two chunk kinds, tuples and cells, each doubling from
+	// one row: 18 chunks each at n = 100,000.
+	t.Logf("a %d-row flat-map allocated %v objects", n, allocs)
+	if limit := 1 + 2*(bits.Len(n)+2); allocs > float64(limit) {
+		t.Fatalf("a %d-row flat-map allocated %v objects, want at most %d", n, allocs, limit)
 	}
 }

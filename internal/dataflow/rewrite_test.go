@@ -90,8 +90,40 @@ func (nopCtx) Workers() int      { return 1 }
 // on both sides, so probe order is the same either way) and a probe
 // batch costs no allocation the unswapped join does not pay.
 func TestSwapJoinPermutesInPlace(t *testing.T) {
-	users, _ := joinInputs()
-	orders := relation.NewTable(relation.MustSchema(
+	plain, swapped, users, orders := swapJoinInstances(t)
+
+	want, err := plain.Process(nopCtx{}, 1, users.Rows())
+	if err != nil {
+		t.Fatal(err)
+	}
+	got, err := swapped.Process(nopCtx{}, 1, orders.Rows())
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(got) != len(want) || len(want) != users.Len() {
+		t.Fatalf("swapped join emitted %d rows, unswapped %d, want %d", len(got), len(want), users.Len())
+	}
+	for i := range want {
+		if !got[i].Equal(want[i]) {
+			t.Fatalf("row %d: swapped %v, unswapped %v", i, got[i], want[i])
+		}
+	}
+
+	batch := 8
+	plainAllocs := testing.AllocsPerRun(50, func() { plain.Process(nopCtx{}, 1, users.Rows()[:batch]) })
+	swapAllocs := testing.AllocsPerRun(50, func() { swapped.Process(nopCtx{}, 1, orders.Rows()[:batch]) })
+	if swapAllocs != plainAllocs {
+		t.Fatalf("swapped Process allocates %v per %d-row batch, unswapped %v", swapAllocs, batch, plainAllocs)
+	}
+}
+
+// swapJoinInstances opens one worker each of a users-orders join
+// (orders build, users probe, 1:1 keys) and of the same join swapped by
+// SwapJoinInputs, each fed its whole build side.
+func swapJoinInstances(t *testing.T) (plain, swapped Instance, users, orders *relation.Table) {
+	t.Helper()
+	users, _ = joinInputs()
+	orders = relation.NewTable(relation.MustSchema(
 		relation.Field{Name: "oid", Type: relation.Int}, relation.Field{Name: "uid", Type: relation.Int}))
 	for i := 0; i < users.Len(); i++ {
 		orders.AppendUnchecked(relation.Tuple{relation.IntValue(int64(1000 + i)), relation.IntValue(int64(i))})
@@ -126,32 +158,7 @@ func TestSwapJoinPermutesInPlace(t *testing.T) {
 	if err := swapW.SwapJoinInputs(j); err != nil {
 		t.Fatal(err)
 	}
-	plain := instance(plainW, j, orders, users.Schema())
-	swapped := instance(swapW, j, users, orders.Schema())
-
-	want, err := plain.Process(nopCtx{}, 1, users.Rows())
-	if err != nil {
-		t.Fatal(err)
-	}
-	got, err := swapped.Process(nopCtx{}, 1, orders.Rows())
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(got) != len(want) || len(want) != users.Len() {
-		t.Fatalf("swapped join emitted %d rows, unswapped %d, want %d", len(got), len(want), users.Len())
-	}
-	for i := range want {
-		if !got[i].Equal(want[i]) {
-			t.Fatalf("row %d: swapped %v, unswapped %v", i, got[i], want[i])
-		}
-	}
-
-	batch := 8
-	plainAllocs := testing.AllocsPerRun(50, func() { plain.Process(nopCtx{}, 1, users.Rows()[:batch]) })
-	swapAllocs := testing.AllocsPerRun(50, func() { swapped.Process(nopCtx{}, 1, orders.Rows()[:batch]) })
-	if swapAllocs != plainAllocs {
-		t.Fatalf("swapped Process allocates %v per %d-row batch, unswapped %v", swapAllocs, batch, plainAllocs)
-	}
+	return instance(plainW, j, orders, users.Schema()), instance(swapW, j, users, orders.Schema()), users, orders
 }
 
 func TestSwapJoinInputsRejectsOuterJoin(t *testing.T) {

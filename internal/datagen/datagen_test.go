@@ -1,7 +1,9 @@
 package datagen
 
 import (
+	"fmt"
 	"reflect"
+	"slices"
 	"strings"
 	"testing"
 	"testing/quick"
@@ -309,6 +311,43 @@ func TestGenerateProductsMatchesReference(t *testing.T) {
 			if !reflect.DeepEqual(got.Users, want.Users) || !reflect.DeepEqual(got.Purchases, want.Purchases) || !reflect.DeepEqual(got.UserCategory, want.UserCategory) {
 				t.Fatalf("seed %d n %d: users, purchases or preferences differ from the reference", seed, n)
 			}
+		}
+	}
+}
+
+// TestGenerateClinicalCasesMatchesReference holds the block-carving
+// generator to the per-case one it replaced, field for field: same
+// RNG draws, same IDs, texts, entities, events and arguments.
+func TestGenerateClinicalCasesMatchesReference(t *testing.T) {
+	for _, seed := range []uint64{1, 9} {
+		for _, n := range []int{1, 50, 200} {
+			got, want := GenerateClinicalCases(n, seed), refGenerateClinicalCases(n, seed)
+			if len(got) != len(want) {
+				t.Fatalf("seed %d n %d: %d cases, reference %d", seed, n, len(got), len(want))
+			}
+			for i, w := range want {
+				g := got[i]
+				if g.ID != w.ID || g.Text != w.Text || !slices.Equal(g.Ann.Entities, w.Ann.Entities) {
+					t.Fatalf("seed %d n %d: case %d (%s) differs from the reference's %s in its ID, text or entities", seed, n, i, g.ID, w.ID)
+				}
+				if len(g.Ann.Events) != len(w.Ann.Events) {
+					t.Fatalf("seed %d n %d: case %s has %d events, reference %d", seed, n, w.ID, len(g.Ann.Events), len(w.Ann.Events))
+				}
+				for k, we := range w.Ann.Events {
+					ge := g.Ann.Events[k]
+					if ge.ID != we.ID || ge.Type != we.Type || ge.Trigger != we.Trigger || !slices.Equal(ge.Args, we.Args) || (ge.Args == nil) != (we.Args == nil) {
+						t.Fatalf("seed %d n %d: case %s event %d = %+v, reference %+v", seed, n, w.ID, k, ge, we)
+					}
+				}
+			}
+		}
+	}
+}
+
+func TestAppendCaseIDMatchesSprintf(t *testing.T) {
+	for _, i := range []int{0, 7, 10, 99, 100, 999, 1000, 9999, 10000, 123456} {
+		if got, want := string(appendCaseID(nil, i)), fmt.Sprintf("case-%04d", i); got != want {
+			t.Fatalf("appendCaseID(%d) = %q, want %q", i, got, want)
 		}
 	}
 }

@@ -37,10 +37,15 @@ func BenchmarkJoinerProbe(b *testing.B) {
 		b.Fatal(err)
 	}
 	batch := left.Rows()[:2048]
+	var (
+		a     Arena
+		out   []Tuple
+		heads []int32
+	)
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if out := j.ProbeRows(nil, batch); len(out) == 0 {
+		if out, heads = j.ProbeRows(&a, heads, batch); len(out) == 0 {
 			b.Fatal("empty probe result")
 		}
 	}

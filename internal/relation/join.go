@@ -9,14 +9,15 @@ import (
 
 // This file holds the shared machinery behind the equi-join variants:
 // a joinPlan (schema work done once), a typed, optionally
-// hash-partitioned build index (no canonical-string key allocation on
-// the hot path), and the Joiner, which separates the build phase from
-// probing so streaming callers can build once and probe many batches.
+// hash-partitioned, chained build index (no canonical-string key
+// allocation on the hot path, no allocation per key), and the Joiner,
+// which separates the build phase from probing so streaming callers can
+// build once and probe many batches.
 //
 // Determinism contract: output rows come in probe (left) order, with
 // the matches of each probe row in build (right) order, regardless of
 // shard count: the build side is hash-partitioned, so equal keys never
-// split across shards, and shard insertion preserves build order.
+// split across shards, and each key's chain runs in build order.
 
 // maxJoinShards bounds the partition fan-out; shard ids are stored in
 // a byte with 255 reserved for rows whose key needs the spill path.
@@ -94,61 +95,74 @@ func mix64(v uint64) uint32 {
 	return uint32((v * 0x9E3779B97F4A7C15) >> 32)
 }
 
-// keyIndex maps a probe row to the build-side row indices sharing its
-// key, in build order.
+// keyIndex maps a probe row to the first build row sharing its key. The
+// rest of the key's rows follow on the Joiner's next chain, in build
+// order.
 type keyIndex interface {
-	insert(rows []Tuple, pos, shards int)
-	matches(row Tuple, pos int) []int32
+	insert(rows []Tuple, pos, shards int, next []int32)
+	head(row Tuple, pos int) int32
 }
 
-// typedIndex is the generic key index: one map per shard keyed by the
-// column's native Go type, plus a lazily allocated canonical-string
-// spill map for rows whose cell kind does not match the declared
-// schema type (such rows can only ever match each other, exactly as
-// under the canonical-key encoding the serial join used before).
+// typedIndex is the generic key index: one map per shard from a key,
+// in the column's native Go type, to its first build row, plus a
+// lazily allocated canonical-string spill map for rows whose cell kind
+// does not match the declared schema type (such rows can only ever
+// match each other, exactly as under the canonical-key encoding the
+// serial join used before). A map holds an int32 per key, so the index
+// is a constant number of objects however many keys there are.
 type typedIndex[K comparable] struct {
-	get    func(Tuple, int) (K, bool)
-	hash   func(K) uint32
-	shards []map[K][]int32
-	spill  map[string][]int32
+	get   func(Tuple, int) (K, bool)
+	hash  func(K) uint32
+	heads []map[K]int32
+	spill map[string]int32
 }
 
 func (ix *typedIndex[K]) shardOf(k K) uint32 {
-	if len(ix.shards) == 1 {
+	if len(ix.heads) == 1 {
 		return 0
 	}
-	return ix.hash(k) % uint32(len(ix.shards))
+	return ix.hash(k) % uint32(len(ix.heads))
 }
 
-func (ix *typedIndex[K]) insertSpill(row Tuple, pos int, i int32) {
-	if ix.spill == nil {
-		ix.spill = make(map[string][]int32)
+// link makes build row i the head of its key's chain. Rows are linked
+// in descending order, so each chain runs in build order.
+func link[K comparable](m map[K]int32, k K, i int32, next []int32) {
+	if h, ok := m[k]; ok {
+		next[i] = h
+	} else {
+		next[i] = -1
 	}
-	k := row.Key(pos)
-	ix.spill[k] = append(ix.spill[k], i)
+	m[k] = i
 }
 
-func (ix *typedIndex[K]) insert(rows []Tuple, pos, shards int) {
-	ix.shards = make([]map[K][]int32, shards)
+func (ix *typedIndex[K]) insertSpill(row Tuple, pos int, i int32, next []int32) {
+	if ix.spill == nil {
+		ix.spill = make(map[string]int32)
+	}
+	link(ix.spill, row.Key(pos), i, next)
+}
+
+func (ix *typedIndex[K]) insert(rows []Tuple, pos, shards int, next []int32) {
+	ix.heads = make([]map[K]int32, shards)
 	sizeHint := len(rows)/shards + 1
-	for s := range ix.shards {
-		ix.shards[s] = make(map[K][]int32, sizeHint)
+	for s := range ix.heads {
+		ix.heads[s] = make(map[K]int32, sizeHint)
 	}
 	if shards == 1 || len(rows) < 2*shards {
-		for i, r := range rows {
-			k, ok := ix.get(r, pos)
+		for i := len(rows) - 1; i >= 0; i-- {
+			k, ok := ix.get(rows[i], pos)
 			if !ok {
-				ix.insertSpill(r, pos, int32(i))
+				ix.insertSpill(rows[i], pos, int32(i), next)
 				continue
 			}
-			m := ix.shards[ix.shardOf(k)]
-			m[k] = append(m[k], int32(i))
+			link(ix.heads[ix.shardOf(k)], k, int32(i), next)
 		}
 		return
 	}
 	// Two-pass parallel build: pass 1 extracts keys and shard ids over
-	// contiguous chunks, pass 2 lets each shard insert its rows in build
-	// order (disjoint maps, no locking).
+	// contiguous chunks, pass 2 lets each shard link its rows in
+	// descending order (disjoint maps and disjoint next slots, no
+	// locking).
 	keys := make([]K, len(rows))
 	shardOf := make([]uint8, len(rows))
 	var wg sync.WaitGroup
@@ -177,18 +191,18 @@ func (ix *typedIndex[K]) insert(rows []Tuple, pos, shards int) {
 		wg.Add(1)
 		go func(s uint8) {
 			defer wg.Done()
-			m := ix.shards[s]
-			for i, sh := range shardOf {
-				if sh == s {
-					m[keys[i]] = append(m[keys[i]], int32(i))
+			m := ix.heads[s]
+			for i := len(shardOf) - 1; i >= 0; i-- {
+				if shardOf[i] == s {
+					link(m, keys[i], int32(i), next)
 				}
 			}
 		}(uint8(s))
 	}
 	wg.Wait()
-	for i, sh := range shardOf {
-		if sh == spillShard {
-			ix.insertSpill(rows[i], pos, int32(i))
+	for i := len(shardOf) - 1; i >= 0; i-- {
+		if shardOf[i] == spillShard {
+			ix.insertSpill(rows[i], pos, int32(i), next)
 		}
 	}
 }
@@ -196,18 +210,24 @@ func (ix *typedIndex[K]) insert(rows []Tuple, pos, shards int) {
 // spillShard marks rows routed to the canonical-string spill map.
 const spillShard = 255
 
-func (ix *typedIndex[K]) matches(row Tuple, pos int) []int32 {
+func (ix *typedIndex[K]) head(row Tuple, pos int) int32 {
 	k, ok := ix.get(row, pos)
 	if !ok {
-		if ix.spill == nil {
-			return nil
+		if h, ok := ix.spill[row.Key(pos)]; ok {
+			return h
 		}
-		return ix.spill[row.Key(pos)]
+		return -1
 	}
-	return ix.shards[ix.shardOf(k)][k]
+	if h, ok := ix.heads[ix.shardOf(k)][k]; ok {
+		return h
+	}
+	return -1
 }
 
-// newKeyIndex picks the typed index for the declared key type.
+// newKeyIndex picks the typed index for the declared key type. A Float
+// key is its canonical bits — every NaN one value, -0 and +0 two — the
+// equivalence Tuple.Key, KeyHash, Distinct and the hash router use, so
+// a Float join agrees with NestedLoopJoin at every shard count.
 func newKeyIndex(t Type) keyIndex {
 	switch t {
 	case Int:
@@ -216,9 +236,11 @@ func newKeyIndex(t Type) keyIndex {
 			hash: func(v int64) uint32 { return mix64(uint64(v)) },
 		}
 	case Float:
-		return &typedIndex[float64]{
-			get:  func(r Tuple, p int) (float64, bool) { return math.Float64frombits(r[p].n), r[p].Kind() == Float },
-			hash: func(v float64) uint32 { return mix64(math.Float64bits(v)) },
+		return &typedIndex[uint64]{
+			get: func(r Tuple, p int) (uint64, bool) {
+				return canonFloatBits(math.Float64frombits(r[p].n)), r[p].Kind() == Float
+			},
+			hash: mix64,
 		}
 	case Bool:
 		return &typedIndex[bool]{
@@ -246,11 +268,15 @@ func newKeyIndex(t Type) keyIndex {
 // Joiner is a reusable equi-join with the build phase done up front:
 // construct it once over the build (right) side, then probe whole
 // tables or successive row batches. Streaming callers (the dataflow
-// hash-join operator) avoid rebuilding the hash table per batch.
+// hash-join operator) avoid rebuilding the hash table per batch. The
+// build side is a chained index: the key maps give each key's first
+// row and next gives, per build row, the next row with its key (-1
+// ends the chain). A Joiner is read-only once built.
 type Joiner struct {
 	plan  *joinPlan
 	kind  JoinType
 	ix    keyIndex
+	next  []int32
 	build []Tuple
 }
 
@@ -271,61 +297,61 @@ func NewJoiner(leftSchema *Schema, right *Table, leftKey, rightKey string, kind 
 		shards = maxJoinShards
 	}
 	ix := newKeyIndex(right.Schema().Field(plan.rk).Type)
-	ix.insert(right.Rows(), plan.rk, shards)
-	return &Joiner{plan: plan, kind: kind, ix: ix, build: right.Rows()}, nil
+	next := make([]int32, right.Len())
+	ix.insert(right.Rows(), plan.rk, shards, next)
+	return &Joiner{plan: plan, kind: kind, ix: ix, next: next, build: right.Rows()}, nil
 }
 
 // OutputSchema returns the join output schema.
 func (j *Joiner) OutputSchema() *Schema { return j.plan.out }
 
-// unmatched stands in for the match list of a LeftOuter probe row with
-// no match: one output row, padded instead of joined.
-var unmatched = []int32{-1}
-
-// ProbeRows joins a batch of probe rows against the built side,
-// appending output rows to dst in probe order.
+// ProbeRows joins a batch of probe rows against the built side and
+// returns the output rows, in probe order, as one batch of out. heads
+// is the caller's scratch (one chain head per probe row): pass what the
+// previous call returned, or nil, and keep the second result for the
+// next call.
 //
-// Storage is sized by the batch's output, whatever the batch size: the
-// matches are looked up once and counted, then every output tuple is
-// carved from one block of exactly that many rows. Each tuple's
-// capacity ends where the next begins, so appending to one cannot
-// write into its neighbour. Rows escape downstream and into sink
-// tables, so nothing here is reused across calls.
-func (j *Joiner) ProbeRows(dst []Tuple, rows []Tuple) []Tuple {
-	matches := make([][]int32, len(rows))
-	n := 0
+// Each chain is walked twice: once to count the batch's output rows and
+// cells, which out then reserves in one go, and once to emit them.
+func (j *Joiner) ProbeRows(out *Arena, heads []int32, rows []Tuple) ([]Tuple, []int32) {
+	heads = slices.Grow(heads[:0], len(rows))[:len(rows)]
+	right := len(j.plan.rightPos)
+	n, cells := 0, 0
 	for i, l := range rows {
-		ms := j.ix.matches(l, j.plan.lk)
-		if len(ms) == 0 && j.kind == LeftOuter {
-			ms = unmatched
+		h := j.ix.head(l, j.plan.lk)
+		heads[i] = h
+		c := 0
+		for r := h; r >= 0; r = j.next[r] {
+			c++
 		}
-		matches[i] = ms
-		n += len(ms)
+		if c == 0 && j.kind == LeftOuter {
+			c = 1
+		}
+		n += c
+		cells += c * (len(l) + right)
 	}
-	block := make([]Value, 0, n*j.plan.out.Len())
-	dst = slices.Grow(dst, n)
+	out.Reserve(n, cells)
 	for i, l := range rows {
-		for _, ri := range matches[i] {
-			start := len(block)
-			block = append(block, l...)
-			if ri < 0 {
-				block = append(block, j.plan.padding...)
-			} else {
-				r := j.build[ri]
-				for _, p := range j.plan.rightPos {
-					block = append(block, r[p])
-				}
+		h := heads[i]
+		if h < 0 && j.kind == LeftOuter {
+			row := out.Row(len(l) + right)
+			copy(row[copy(row, l):], j.plan.padding)
+		}
+		for r := h; r >= 0; r = j.next[r] {
+			row := out.Row(len(l) + right)
+			joined, b := row[copy(row, l):], j.build[r]
+			for k, p := range j.plan.rightPos {
+				joined[k] = b[p]
 			}
-			dst = append(dst, block[start:len(block):len(block)])
 		}
 	}
-	return dst
+	return out.Batch(), heads
 }
 
 // Probe joins an entire probe table.
 func (j *Joiner) Probe(left *Table) *Table {
 	kstats.join.Add(1)
 	out := NewTable(j.plan.out)
-	out.rows = j.ProbeRows(make([]Tuple, 0, left.Len()), left.Rows())
+	out.rows, _ = j.ProbeRows(&Arena{}, nil, left.Rows())
 	return out
 }

@@ -2,6 +2,7 @@ package relation
 
 import (
 	"fmt"
+	"math"
 	"runtime"
 	"testing"
 )
@@ -55,7 +56,7 @@ func TestProbeRowsMatchesNestedLoop(t *testing.T) {
 				t.Fatal(err)
 			}
 			got := NewTable(j.OutputSchema())
-			got.rows = j.ProbeRows(nil, probe.Rows())
+			got.rows, _ = j.ProbeRows(&Arena{}, nil, probe.Rows())
 			want, err := NestedLoopJoin(probe, build, "k", "k", kind)
 			if err != nil {
 				t.Fatal(err)
@@ -70,9 +71,11 @@ func TestProbeRowsMatchesNestedLoop(t *testing.T) {
 	}
 }
 
-// TestProbeRowsOwnership pins what callers may do with the rows: dst is
-// appended to, a row can be appended to without touching its neighbour,
-// and two calls share no storage.
+// TestProbeRowsOwnership pins what callers may do with the rows of
+// successive calls through one arena: a row can be appended to without
+// touching its neighbour, a batch can be appended to without touching
+// the next one (or the one before), and writing one call's rows leaves
+// the other's unchanged.
 func TestProbeRowsOwnership(t *testing.T) {
 	probe, build := probeFixture(8, 40, 80)
 	j, err := NewJoiner(probe.Schema(), build, "k", "k", LeftOuter, 1)
@@ -81,40 +84,50 @@ func TestProbeRowsOwnership(t *testing.T) {
 	}
 	width := j.OutputSchema().Len()
 
-	sentinel := Tuple{StringValue("sentinel")}
-	out := j.ProbeRows([]Tuple{sentinel}, probe.Rows())
-	if len(out) < 2 || len(out[0]) != 1 || out[0][0].Str() != "sentinel" {
-		t.Fatalf("dst prefix not kept: %v", out[0])
+	var a Arena
+	first, heads := j.ProbeRows(&a, nil, probe.Rows())
+	second, _ := j.ProbeRows(&a, heads, probe.Rows())
+	snapshot := func(rows []Tuple) []Tuple {
+		out := make([]Tuple, len(rows))
+		for i, r := range rows {
+			if len(r) != width {
+				t.Fatalf("row %d has %d columns, want %d", i, len(r), width)
+			}
+			out[i] = r.Clone()
+		}
+		return out
 	}
-	out = out[1:]
+	unchanged := func(what string, rows, want []Tuple) {
+		t.Helper()
+		if len(rows) != len(want) {
+			t.Fatalf("%s: %d rows, was %d", what, len(rows), len(want))
+		}
+		for i := range rows {
+			if !rows[i].Equal(want[i]) {
+				t.Fatalf("%s: row %d = %v, was %v", what, i, rows[i], want[i])
+			}
+		}
+	}
+	was1, was2 := snapshot(first), snapshot(second)
+	if len(first) < 2 {
+		t.Fatalf("fixture emitted %d rows", len(first))
+	}
 
-	snapshot := make([]Tuple, len(out))
-	for i, r := range out {
-		if len(r) != width {
-			t.Fatalf("row %d has %d columns, want %d", i, len(r), width)
-		}
-		snapshot[i] = r.Clone()
+	for i := range first {
+		_ = append(first[i], StringValue("overflow"))
 	}
-	for i := range out {
-		_ = append(out[i], StringValue("overflow"))
-	}
-	for i := range out {
-		if !out[i].Equal(snapshot[i]) {
-			t.Fatalf("append to a neighbour changed row %d: %v, was %v", i, out[i], snapshot[i])
-		}
-	}
+	unchanged("first batch after appending to each of its rows", first, was1)
+	_ = append(first, Tuple{StringValue("overflow")})
+	unchanged("second batch after appending to the first", second, was2)
+	_ = append(second, Tuple{StringValue("overflow")})
+	unchanged("first batch after appending to the second", first, was1)
 
-	again := j.ProbeRows(nil, probe.Rows())
-	for i := range again {
-		for c := range again[i] {
-			again[i][c] = StringValue("overwritten")
+	for i := range second {
+		for c := range second[i] {
+			second[i][c] = StringValue("overwritten")
 		}
 	}
-	for i := range out {
-		if !out[i].Equal(snapshot[i]) {
-			t.Fatalf("writing the second call's rows changed the first call's row %d", i)
-		}
-	}
+	unchanged("first batch after writing the second's rows", first, was1)
 }
 
 // TestProbeRowsBytesFollowOutput is the guard on the DICE workflow's
@@ -128,14 +141,14 @@ func TestProbeRowsBytesFollowOutput(t *testing.T) {
 		t.Fatal(err)
 	}
 	batch := probe.Rows()[1:9] // keys 1..8, one match each
-	if n := len(j.ProbeRows(nil, batch)); n != 8 {
-		t.Fatalf("fixture emitted %d rows, want 8", n)
+	if rows, _ := j.ProbeRows(&Arena{}, nil, batch); len(rows) != 8 {
+		t.Fatalf("fixture emitted %d rows, want 8", len(rows))
 	}
 	const calls = 100
 	var before, after runtime.MemStats
 	runtime.ReadMemStats(&before)
 	for i := 0; i < calls; i++ {
-		j.ProbeRows(nil, batch)
+		j.ProbeRows(&Arena{}, nil, batch)
 	}
 	runtime.ReadMemStats(&after)
 	got := (after.TotalAlloc - before.TotalAlloc) / calls
@@ -143,4 +156,155 @@ func TestProbeRowsBytesFollowOutput(t *testing.T) {
 	if got >= 4<<10 {
 		t.Fatalf("8-row probe at width %d allocates %d B, want < 4 KiB", j.OutputSchema().Len(), got)
 	}
+}
+
+// sameRows fails unless got and want hold the same rows in the same
+// order, compared by their encoded bytes: NaN cells are equal to
+// themselves there, and -0 differs from +0.
+func sameRows(t *testing.T, what string, got, want []Tuple) {
+	t.Helper()
+	if len(got) != len(want) {
+		t.Fatalf("%s: %d rows, want %d", what, len(got), len(want))
+	}
+	for i := range want {
+		if g, w := EncodeTuple(nil, got[i]), EncodeTuple(nil, want[i]); string(g) != string(w) {
+			t.Fatalf("%s: row %d = %v, want %v", what, i, got[i], want[i])
+		}
+	}
+}
+
+// TestFloatKeyJoinMatchesNestedLoop is the regression test for the
+// Float index keying a Go map by float ==: -0 met +0 at some shard
+// counts and not others (the shard came from the bits), and NaN never
+// met NaN. Keys are canonical now — every NaN one value, the two zeros
+// two — as in Tuple.Key, which NestedLoopJoin compares.
+func TestFloatKeyJoinMatchesNestedLoop(t *testing.T) {
+	negZero := math.Copysign(0, -1)
+	specials := []float64{math.NaN(), negZero, 0, math.Inf(1)}
+	ls := MustSchema(Field{"k", Float}, Field{"l", Int})
+	rs := MustSchema(Field{"k", Float}, Field{"r", Int})
+	left, right := NewTable(ls), NewTable(rs)
+	for i := 0; i < 64; i++ {
+		left.AppendUnchecked(Tuple{FloatValue(specials[i%len(specials)]), IntValue(int64(i))})
+		right.AppendUnchecked(Tuple{FloatValue(float64(i)), IntValue(int64(i))})
+	}
+	for i, f := range specials {
+		right.AppendUnchecked(Tuple{FloatValue(f), IntValue(int64(100 + i))})
+		right.AppendUnchecked(Tuple{FloatValue(f), IntValue(int64(200 + i))})
+	}
+	right.AppendUnchecked(Tuple{FloatValue(math.Float64frombits(0x7ff8_0000_0000_0001)), IntValue(300)})
+	for _, kind := range []JoinType{Inner, LeftOuter} {
+		want, err := NestedLoopJoin(left, right, "k", "k", kind)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if kind == Inner && want.Len() != 64/4*(2+2+3+3) {
+			t.Fatalf("oracle joined %d rows; the fixture expects every special to match", want.Len())
+		}
+		for _, shards := range []int{1, 2, 3, 5, 8} {
+			got, err := probeSharded(left, right, kind, shards)
+			if err != nil {
+				t.Fatal(err)
+			}
+			sameRows(t, fmt.Sprintf("kind=%v shards=%d", kind, shards), got.Rows(), want.Rows())
+		}
+	}
+}
+
+// joinFuzzCell builds a key cell of kind t from v: a small domain, so
+// keys repeat; Float's includes NaN (two payloads), both zeros and both
+// infinities.
+func joinFuzzCell(t Type, v byte) Value {
+	v %= 12
+	switch t {
+	case Int:
+		return IntValue(int64(v) - 3)
+	case Float:
+		switch v {
+		case 0:
+			return FloatValue(math.NaN())
+		case 1:
+			return FloatValue(math.Float64frombits(0xfff8_0000_0000_00ff))
+		case 2:
+			return FloatValue(math.Copysign(0, -1))
+		case 3:
+			return FloatValue(0)
+		case 4:
+			return FloatValue(math.Inf(1))
+		case 5:
+			return FloatValue(math.Inf(-1))
+		}
+		return FloatValue(float64(v) / 2)
+	case Bool:
+		return BoolValue(v&1 == 1)
+	}
+	if v == 0 {
+		return StringValue("")
+	}
+	return StringValue(fmt.Sprintf("k%d", v))
+}
+
+// FuzzJoinerMatchesReference holds the chained index to the index it
+// replaced (reference_test.go): random build and probe sides with
+// repeated keys and mis-kinded key cells (the spill path), every key
+// type, Inner and LeftOuter, 1..8 shards, probed in batches through one
+// arena. The rows must be identical and in identical order. Float keys
+// are held to NestedLoopJoin instead, because the reference keeps the
+// float == bug TestFloatKeyJoinMatchesNestedLoop pins.
+func FuzzJoinerMatchesReference(f *testing.F) {
+	f.Add([]byte{0, 0, 0, 3, 0, 1, 1, 1, 0, 2, 1, 2, 6, 1, 0, 1, 2, 9})
+	f.Add([]byte{1, 1, 2, 2, 0, 0, 1, 0, 0, 2, 1, 2, 0, 3, 1, 3, 6, 0, 7, 0})
+	f.Add([]byte{2, 1, 7, 1, 0, 5, 1, 5, 1, 5, 6, 5, 7, 5, 0, 0, 1, 0})
+	f.Add([]byte{3, 0, 4, 4, 0, 1, 1, 1, 1, 0, 6, 1, 0, 0, 1, 1})
+	f.Fuzz(func(t *testing.T, data []byte) {
+		if len(data) < 4 {
+			return
+		}
+		keyType, kind, shards, batch := Type(data[0]%4), JoinType(data[1]%2), 1+int(data[2]%8), 1+int(data[3]%5)
+		ls := MustSchema(Field{"k", keyType}, Field{"l", Int})
+		rs := MustSchema(Field{"r", Int}, Field{"k", keyType})
+		left, right := NewTable(ls), NewTable(rs)
+		data = data[4:]
+		for i := 0; i+1 < len(data) && i < 512; i += 2 {
+			side, v := data[i], data[i+1]
+			cellType := keyType
+			if side&6 == 6 {
+				cellType = (keyType + 1 + Type(side>>3)%3) % 4
+			}
+			k := joinFuzzCell(cellType, v)
+			if side&1 == 0 {
+				left.AppendUnchecked(Tuple{k, IntValue(int64(i))})
+			} else {
+				right.AppendUnchecked(Tuple{IntValue(int64(i)), k})
+			}
+		}
+		j, err := NewJoiner(ls, right, "k", "k", kind, shards)
+		if err != nil {
+			t.Fatal(err)
+		}
+		var (
+			a     Arena
+			got   []Tuple
+			heads []int32
+		)
+		rows := left.Rows()
+		for lo := 0; lo < len(rows); lo += batch {
+			var out []Tuple
+			out, heads = j.ProbeRows(&a, heads, rows[lo:min(lo+batch, len(rows))])
+			got = append(got, out...)
+		}
+		if keyType == Float {
+			want, err := NestedLoopJoin(left, right, "k", "k", kind)
+			if err != nil {
+				t.Fatal(err)
+			}
+			sameRows(t, "against NestedLoopJoin", got, want.Rows())
+			return
+		}
+		ref, err := refNewJoiner(ls, right, "k", "k", kind, shards)
+		if err != nil {
+			t.Fatal(err)
+		}
+		sameRows(t, "against the reference", got, ref.ProbeRows(nil, rows))
+	})
 }

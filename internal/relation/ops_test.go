@@ -214,7 +214,7 @@ func probeSharded(left, right *Table, kind JoinType, shards int) (*Table, error)
 		return nil, err
 	}
 	out := NewTable(j.OutputSchema())
-	out.rows = j.ProbeRows(nil, left.Rows())
+	out.rows, _ = j.ProbeRows(&Arena{}, nil, left.Rows())
 	return out, nil
 }
 

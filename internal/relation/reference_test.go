@@ -4,8 +4,10 @@ import (
 	"encoding/binary"
 	"fmt"
 	"math"
+	"slices"
 	"strconv"
 	"strings"
+	"sync"
 	"testing"
 )
 
@@ -352,4 +354,236 @@ func FuzzTupleMatchesReference(f *testing.F) {
 			}
 		}
 	})
+}
+
+// The join index and probe that the chained index replaced, kept
+// verbatim (renamed) as the oracle FuzzJoinerMatchesReference compares
+// Joiner against: one []int32 of build rows per distinct key, a probe
+// that allocates its matches and cells per call. Its Float index keys a
+// Go map by float ==, so -0 meets +0 and NaN meets nothing; the fuzz
+// target holds Float keys to NestedLoopJoin instead.
+
+// refKeyIndex maps a probe row to the build-side row indices sharing its
+// key, in build order.
+type refKeyIndex interface {
+	insert(rows []Tuple, pos, shards int)
+	matches(row Tuple, pos int) []int32
+}
+
+// refTypedIndex is the generic key index: one map per shard keyed by the
+// column's native Go type, plus a lazily allocated canonical-string
+// spill map for rows whose cell kind does not match the declared
+// schema type (such rows can only ever match each other, exactly as
+// under the canonical-key encoding the serial join used before).
+type refTypedIndex[K comparable] struct {
+	get    func(Tuple, int) (K, bool)
+	hash   func(K) uint32
+	shards []map[K][]int32
+	spill  map[string][]int32
+}
+
+func (ix *refTypedIndex[K]) shardOf(k K) uint32 {
+	if len(ix.shards) == 1 {
+		return 0
+	}
+	return ix.hash(k) % uint32(len(ix.shards))
+}
+
+func (ix *refTypedIndex[K]) insertSpill(row Tuple, pos int, i int32) {
+	if ix.spill == nil {
+		ix.spill = make(map[string][]int32)
+	}
+	k := row.Key(pos)
+	ix.spill[k] = append(ix.spill[k], i)
+}
+
+func (ix *refTypedIndex[K]) insert(rows []Tuple, pos, shards int) {
+	ix.shards = make([]map[K][]int32, shards)
+	sizeHint := len(rows)/shards + 1
+	for s := range ix.shards {
+		ix.shards[s] = make(map[K][]int32, sizeHint)
+	}
+	if shards == 1 || len(rows) < 2*shards {
+		for i, r := range rows {
+			k, ok := ix.get(r, pos)
+			if !ok {
+				ix.insertSpill(r, pos, int32(i))
+				continue
+			}
+			m := ix.shards[ix.shardOf(k)]
+			m[k] = append(m[k], int32(i))
+		}
+		return
+	}
+	// Two-pass parallel build: pass 1 extracts keys and shard ids over
+	// contiguous chunks, pass 2 lets each shard insert its rows in build
+	// order (disjoint maps, no locking).
+	keys := make([]K, len(rows))
+	shardOf := make([]uint8, len(rows))
+	var wg sync.WaitGroup
+	chunk := (len(rows) + shards - 1) / shards
+	for lo := 0; lo < len(rows); lo += chunk {
+		hi := lo + chunk
+		if hi > len(rows) {
+			hi = len(rows)
+		}
+		wg.Add(1)
+		go func(lo, hi int) {
+			defer wg.Done()
+			for i := lo; i < hi; i++ {
+				k, ok := ix.get(rows[i], pos)
+				if !ok {
+					shardOf[i] = refSpillShard
+					continue
+				}
+				keys[i] = k
+				shardOf[i] = uint8(ix.shardOf(k))
+			}
+		}(lo, hi)
+	}
+	wg.Wait()
+	for s := 0; s < shards; s++ {
+		wg.Add(1)
+		go func(s uint8) {
+			defer wg.Done()
+			m := ix.shards[s]
+			for i, sh := range shardOf {
+				if sh == s {
+					m[keys[i]] = append(m[keys[i]], int32(i))
+				}
+			}
+		}(uint8(s))
+	}
+	wg.Wait()
+	for i, sh := range shardOf {
+		if sh == refSpillShard {
+			ix.insertSpill(rows[i], pos, int32(i))
+		}
+	}
+}
+
+// refSpillShard marks rows routed to the canonical-string spill map.
+const refSpillShard = 255
+
+func (ix *refTypedIndex[K]) matches(row Tuple, pos int) []int32 {
+	k, ok := ix.get(row, pos)
+	if !ok {
+		if ix.spill == nil {
+			return nil
+		}
+		return ix.spill[row.Key(pos)]
+	}
+	return ix.shards[ix.shardOf(k)][k]
+}
+
+// refNewKeyIndex picks the typed index for the declared key type.
+func refNewKeyIndex(t Type) refKeyIndex {
+	switch t {
+	case Int:
+		return &refTypedIndex[int64]{
+			get:  func(r Tuple, p int) (int64, bool) { return int64(r[p].n), r[p].Kind() == Int },
+			hash: func(v int64) uint32 { return mix64(uint64(v)) },
+		}
+	case Float:
+		return &refTypedIndex[float64]{
+			get:  func(r Tuple, p int) (float64, bool) { return math.Float64frombits(r[p].n), r[p].Kind() == Float },
+			hash: func(v float64) uint32 { return mix64(math.Float64bits(v)) },
+		}
+	case Bool:
+		return &refTypedIndex[bool]{
+			get: func(r Tuple, p int) (bool, bool) { return r[p].n != 0, r[p].Kind() == Bool },
+			hash: func(v bool) uint32 {
+				if v {
+					return 1
+				}
+				return 0
+			},
+		}
+	default:
+		return &refTypedIndex[string]{
+			get: func(r Tuple, p int) (string, bool) {
+				if r[p].Kind() != String {
+					return "", false
+				}
+				return r[p].Str(), true
+			},
+			hash: fnv32,
+		}
+	}
+}
+
+// refJoiner is a reusable equi-join with the build phase done up front:
+// construct it once over the build (right) side, then probe whole
+// tables or successive row batches. Streaming callers (the dataflow
+// hash-join operator) avoid rebuilding the hash table per batch.
+type refJoiner struct {
+	plan  *joinPlan
+	kind  JoinType
+	ix    refKeyIndex
+	build []Tuple
+}
+
+// refNewJoiner builds the hash index over the right (build) table for
+// probes whose rows follow leftSchema. shards controls the hash
+// partitioning (and the build parallelism) of the index; values below 1
+// (and above 128) are clamped. Output is identical for every shard
+// count.
+func refNewJoiner(leftSchema *Schema, right *Table, leftKey, rightKey string, kind JoinType, shards int) (*refJoiner, error) {
+	plan, err := planJoin(leftSchema, right.Schema(), leftKey, rightKey)
+	if err != nil {
+		return nil, err
+	}
+	if shards < 1 {
+		shards = 1
+	}
+	if shards > maxJoinShards {
+		shards = maxJoinShards
+	}
+	ix := refNewKeyIndex(right.Schema().Field(plan.rk).Type)
+	ix.insert(right.Rows(), plan.rk, shards)
+	return &refJoiner{plan: plan, kind: kind, ix: ix, build: right.Rows()}, nil
+}
+
+// refUnmatched stands in for the match list of a LeftOuter probe row with
+// no match: one output row, padded instead of joined.
+var refUnmatched = []int32{-1}
+
+// ProbeRows joins a batch of probe rows against the built side,
+// appending output rows to dst in probe order.
+//
+// Storage is sized by the batch's output, whatever the batch size: the
+// matches are looked up once and counted, then every output tuple is
+// carved from one block of exactly that many rows. Each tuple's
+// capacity ends where the next begins, so appending to one cannot
+// write into its neighbour. Rows escape downstream and into sink
+// tables, so nothing here is reused across calls.
+func (j *refJoiner) ProbeRows(dst []Tuple, rows []Tuple) []Tuple {
+	matches := make([][]int32, len(rows))
+	n := 0
+	for i, l := range rows {
+		ms := j.ix.matches(l, j.plan.lk)
+		if len(ms) == 0 && j.kind == LeftOuter {
+			ms = refUnmatched
+		}
+		matches[i] = ms
+		n += len(ms)
+	}
+	block := make([]Value, 0, n*j.plan.out.Len())
+	dst = slices.Grow(dst, n)
+	for i, l := range rows {
+		for _, ri := range matches[i] {
+			start := len(block)
+			block = append(block, l...)
+			if ri < 0 {
+				block = append(block, j.plan.padding...)
+			} else {
+				r := j.build[ri]
+				for _, p := range j.plan.rightPos {
+					block = append(block, r[p])
+				}
+			}
+			dst = append(dst, block[start:len(block):len(block)])
+		}
+	}
+	return dst
 }

@@ -174,27 +174,27 @@ func RecordsToTable(recs []Record) *relation.Table {
 // annFileTable renders the annotation files as a relational source
 // {case, ann}.
 func (t *Task) annFileTable() *relation.Table {
-	s := relation.MustSchema(
-		relation.Field{Name: "case", Type: relation.String},
-		relation.Field{Name: "ann", Type: relation.String},
-	)
-	tbl := relation.NewTable(s)
-	for _, c := range t.cases {
-		tbl.AppendUnchecked(relation.Tuple{relation.StringValue(c.ID), relation.StringValue(brat.Render(c.Ann))})
-	}
-	return tbl
+	return t.fileTable("ann", func(c *datagen.ClinicalCase) string { return brat.Render(c.Ann) })
 }
 
 // textFileTable renders the text files as a relational source
 // {case, text}.
 func (t *Task) textFileTable() *relation.Table {
-	s := relation.MustSchema(
+	return t.fileTable("text", func(c *datagen.ClinicalCase) string { return c.Text })
+}
+
+// fileTable is a source {case, column} with one row per case, its rows
+// carved from one block of cells.
+func (t *Task) fileTable(column string, content func(*datagen.ClinicalCase) string) *relation.Table {
+	tbl := relation.NewTable(relation.MustSchema(
 		relation.Field{Name: "case", Type: relation.String},
-		relation.Field{Name: "text", Type: relation.String},
-	)
-	tbl := relation.NewTable(s)
-	for _, c := range t.cases {
-		tbl.AppendUnchecked(relation.Tuple{relation.StringValue(c.ID), relation.StringValue(c.Text)})
+		relation.Field{Name: column, Type: relation.String},
+	))
+	cells := make([]relation.Value, 2*len(t.cases))
+	for i := range t.cases {
+		row := cells[2*i : 2*i+2 : 2*i+2]
+		row[0], row[1] = relation.StringValue(t.cases[i].ID), relation.StringValue(content(&t.cases[i]))
+		tbl.AppendUnchecked(row)
 	}
 	return tbl
 }

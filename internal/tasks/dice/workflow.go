@@ -8,7 +8,6 @@ import (
 	"repro/internal/dataflow"
 	"repro/internal/pipeline"
 	"repro/internal/relation"
-	"repro/internal/textproc"
 )
 
 // Texera-style Python UDF bodies for the workflow's map operators —
@@ -119,7 +118,10 @@ func (t *Task) Plan(cfg core.RunConfig) (*dataflow.Workflow, error) {
 		if err != nil {
 			return err
 		}
-		out.Grow(len(doc.Entities) + len(doc.Events))
+		// A rendered file has one line per annotation.
+		lines := len(doc.Entities) + len(doc.Events)
+		out.Charge(workParse.Scale(float64(lines)))
+		out.Grow(lines)
 		// The cross-file join keys "case|id" of one file are cut from one
 		// buffer: a key per entity, per trigger and per Theme.
 		prefix, size := len(caseID)+1, 0
@@ -160,10 +162,6 @@ func (t *Task) Plan(cfg core.RunConfig) (*dataflow.Workflow, error) {
 		return nil
 	})
 	parse.Work = cost.Work{}
-	parse.ExtraWork = func(r relation.Tuple) cost.Work {
-		lines := strings.Count(r[1].Str(), "\n")
-		return workParse.Scale(float64(lines))
-	}
 	parseID := w.Op(parse, dataflow.WithParallelism(workers), t.Signature("parse"))
 	w.Connect(annSrc, parseID, 0, dataflow.RoundRobin())
 
@@ -244,6 +242,7 @@ func (t *Task) Plan(cfg core.RunConfig) (*dataflow.Workflow, error) {
 	// Sentence splitting.
 	split := dataflow.NewMap("split-sentences", lang, sentenceSchema, func(r relation.Tuple, out *dataflow.Rows) error {
 		sentences := splitCaseSentences(r[1].Str())
+		out.Charge(workSplit.Scale(float64(len(sentences))))
 		out.Grow(len(sentences))
 		for _, s := range sentences {
 			out.Emit(r[0], relation.StringValue(s.Text), relation.IntValue(int64(s.Start)), relation.IntValue(int64(s.End)))
@@ -251,10 +250,6 @@ func (t *Task) Plan(cfg core.RunConfig) (*dataflow.Workflow, error) {
 		return nil
 	})
 	split.Work = cost.Work{}
-	split.ExtraWork = func(r relation.Tuple) cost.Work {
-		n := len(textproc.SplitSentences(r[1].Str()))
-		return workSplit.Scale(float64(n))
-	}
 	splitID := w.Op(split, dataflow.WithParallelism(workers), t.Signature("split"))
 	w.Connect(textSrc, splitID, 0, dataflow.RoundRobin())
 

@@ -4,6 +4,8 @@ import (
 	"testing"
 
 	"repro/internal/core"
+	"repro/internal/cost"
+	"repro/internal/relation"
 )
 
 func newTask(t *testing.T, paragraphs int) *Task {
@@ -129,5 +131,55 @@ func TestParallelProcsReported(t *testing.T) {
 	}
 	if res.ParallelProcs != 4 {
 		t.Fatalf("parallel processes = %d, want 4", res.ParallelProcs)
+	}
+}
+
+type nopCtx struct{}
+
+func (nopCtx) AddWork(cost.Work) {}
+func (nopCtx) Worker() int       { return 0 }
+func (nopCtx) Workers() int      { return 1 }
+
+// The generator carves the batches of its run from one arena: appending
+// to one batch, or to a row of it, must leave every other batch as it
+// was. Forty 2-row batches take the arena past the point where one
+// chunk holds several.
+func TestGenerateBatchesDoNotAlias(t *testing.T) {
+	task := newTask(t, 2)
+	var prompts []relation.Tuple
+	for _, p := range task.passages {
+		for qi, qa := range p.QAs {
+			prompts = append(prompts, relation.Tuple{relation.StringValue(p.ID), relation.IntValue(int64(qi)),
+				relation.StringValue(qa.Cloze), relation.StringValue(qa.Answer), relation.StringValue(qa.Context)})
+		}
+	}
+	if len(prompts) < 4 {
+		t.Fatalf("fixture has %d prompts", len(prompts))
+	}
+	inst := (&generateOp{task: task}).NewInstance()
+	var batches, was [40][]relation.Tuple
+	for k := range batches {
+		lo := 2 * k % (len(prompts) - 1)
+		out, err := inst.Process(nopCtx{}, 0, prompts[lo:lo+2])
+		if err != nil {
+			t.Fatal(err)
+		}
+		batches[k] = out
+		for _, r := range out {
+			was[k] = append(was[k], r.Clone())
+		}
+	}
+	for k, b := range batches {
+		_ = append(b, relation.Tuple{relation.StringValue("overflow")})
+		for i := range b {
+			_ = append(b[i], relation.StringValue("overflow"))
+		}
+		for j := range batches {
+			for i, r := range batches[j] {
+				if !r.Equal(was[j][i]) {
+					t.Fatalf("appending to batch %d changed row %d of batch %d: %v, was %v", k, i, j, r, was[j][i])
+				}
+			}
+		}
 	}
 }

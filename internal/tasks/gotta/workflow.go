@@ -106,7 +106,8 @@ func (o *generateOp) NewInstance() dataflow.Instance {
 }
 
 type generateInstance struct {
-	op *generateOp
+	op  *generateOp
+	out relation.Arena
 }
 
 // Open charges the per-worker model setup: the checkpoint arrives over
@@ -118,19 +119,17 @@ func (gi *generateInstance) Open(ec dataflow.ExecCtx) error {
 
 func (gi *generateInstance) Process(ec dataflow.ExecCtx, _ int, rows []relation.Tuple) ([]relation.Tuple, error) {
 	ec.AddWork(gi.op.perQA.Scale(float64(len(rows))))
-	// One block for the call's cells: each row is the prompt's first
-	// four cells plus the prediction, carved as dataflow's project does.
+	// Each row is the prompt's first four cells plus the prediction,
+	// carved from the instance's arena as dataflow's project does.
 	width := generatedSchema.Len()
-	block := make([]relation.Value, len(rows)*width)
-	out := make([]relation.Tuple, len(rows))
-	for i, r := range rows {
+	gi.out.Reserve(len(rows), len(rows)*width)
+	for _, r := range rows {
 		pred, _ := gi.op.task.generate(r[4].Str(), r[2].Str(), r[3].Str())
-		row := block[i*width : (i+1)*width : (i+1)*width]
+		row := gi.out.Row(width)
 		copy(row, r[:width-1])
 		row[width-1] = relation.StringValue(pred)
-		out[i] = row
 	}
-	return out, nil
+	return gi.out.Batch(), nil
 }
 
 func (gi *generateInstance) EndPort(dataflow.ExecCtx, int) ([]relation.Tuple, error) {
@@ -150,6 +149,7 @@ func (t *Task) Plan(cfg core.RunConfig) (*dataflow.Workflow, error) {
 	src := w.Source("passages", t.passageTable(), dataflow.WithScanWork(cost.Work{Interp: 0.08}))
 
 	prompts := dataflow.NewMap("build-prompts", lang, promptSchema, func(r relation.Tuple, out *dataflow.Rows) error {
+		out.Charge(workPrompt.Scale(float64(t.params.SentencesPer)))
 		id := r[0].Str()
 		for _, pass := range t.passages {
 			if pass.ID != id {
@@ -164,9 +164,6 @@ func (t *Task) Plan(cfg core.RunConfig) (*dataflow.Workflow, error) {
 		return fmt.Errorf("gotta: unknown passage %q", id)
 	})
 	prompts.Work = cost.Work{}
-	prompts.ExtraWork = func(relation.Tuple) cost.Work {
-		return workPrompt.Scale(float64(t.params.SentencesPer))
-	}
 	promptsID := w.Op(prompts, t.Signature("prompts")) // prompt building is a serial stage
 	w.Connect(src, promptsID, 0, dataflow.RoundRobin())
 

@@ -62,7 +62,6 @@ var catalog = []experiment{
 	entry("ablation-serde", "Ablation — DICE workflow under swept serde throughput", experiments.AblationSerde, renderAblation),
 	entry("ablation-batch", "Ablation — DICE workflow batching: auto-tuned vs whole-table", experiments.AblationBatching, renderAblation),
 	entry("autotune", "Aspect #2 demo — engine-side worker allocation on DICE (16-core budget)", experiments.AutoTuneDICE, renderAutoTune),
-	entry("ext-spreadsheet", "Extension — KGE under the third paradigm (spreadsheet) vs. script and workflow", experiments.ExtSpreadsheetKGE, renderThreeWay),
 	entry("optimize", "Optimizer — cost-based plan rewriting on/off per task and topology: makespans, applied rewrites, output digests asserted bit-equal", experiments.OptimizerSweep, renderOptimize),
 }
 
@@ -241,26 +240,6 @@ func renderAutoTune(w io.Writer, out *experiments.TuneOutcome, _ bool) {
 	report.Table(w, rows)
 	fmt.Fprintf(w, "baseline (1 worker/op): %s s   tuned: %s s   cores used: %d\n",
 		report.Secs(out.BaselineSeconds), report.Secs(out.TunedSeconds), out.CoresUsed)
-}
-
-func renderThreeWay(w io.Writer, pts []experiments.ThreeWayPoint, charts bool) {
-	rows := [][]string{{"size", "script (s)", "workflow (s)", "spreadsheet (s)", "outputs agree"}}
-	var s1, s2, s3 []report.Point
-	for _, p := range pts {
-		rows = append(rows, []string{
-			strconv.Itoa(p.Size), report.Secs(p.Script), report.Secs(p.Workflow),
-			report.Secs(p.Spreadsheet), fmt.Sprint(p.AllAgree),
-		})
-		s1 = append(s1, report.Point{X: float64(p.Size), Y: p.Script})
-		s2 = append(s2, report.Point{X: float64(p.Size), Y: p.Workflow})
-		s3 = append(s3, report.Point{X: float64(p.Size), Y: p.Spreadsheet})
-	}
-	report.Table(w, rows)
-	if charts {
-		report.Chart(w, "KGE under three paradigms", []report.Series{
-			{Name: "script", Points: s1}, {Name: "workflow", Points: s2}, {Name: "spreadsheet", Points: s3},
-		}, 48, 10)
-	}
 }
 
 func renderOptimize(w io.Writer, rows []experiments.OptimizeRow, _ bool) {

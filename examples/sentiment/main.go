@@ -76,7 +76,6 @@ func (ti *trainInstance) EndPort(ec dataflow.ExecCtx, _ int) ([]relation.Tuple, 
 	}
 	return out, nil
 }
-func (ti *trainInstance) Close(dataflow.ExecCtx) error { return nil }
 
 func main() {
 	tweets := datagen.GenerateTweets(600, 13)

@@ -137,7 +137,7 @@ type nodeRuntime struct {
 
 // Phase sentinels for work attribution outside port processing.
 const (
-	phaseEnd  = -1 // EndPort / Close
+	phaseEnd  = -1 // EndPort
 	phaseOpen = -2 // Open (per-worker initialization)
 )
 
@@ -209,7 +209,7 @@ type execCtx struct {
 	rt     *nodeRuntime
 	shard  *workShard
 	worker int
-	phase  int // current port, or -1 during EndPort/Close
+	phase  int // current port, or -1 during EndPort
 }
 
 func (ec *execCtx) AddWork(w cost.Work) { addShardWork(ec.shard, ec.phase, w) }
@@ -712,10 +712,6 @@ func (ex *Execution) runWorker(rt *nodeRuntime, worker int) {
 			return
 		}
 		ex.emit(rt, worker, out)
-	}
-	ec.phase = phaseEnd
-	if err := inst.Close(ec); err != nil {
-		ex.failOp(rt, worker, -1, err)
 	}
 }
 

@@ -127,13 +127,6 @@ func (fi *fusedInstance) EndPort(ec ExecCtx, port int) ([]relation.Tuple, error)
 	return out, nil
 }
 
-func (fi *fusedInstance) Close(ec ExecCtx) error {
-	if err := fi.a.Close(ec); err != nil {
-		return err
-	}
-	return fi.b.Close(ec)
-}
-
 // Fuse folds node b into node a, replacing a's operator with
 // FusedOp{a.op, b.op} and re-pointing b's output edges to a. The edge
 // a -> b disappears; node IDs are renumbered. Structural requirements:

@@ -32,7 +32,6 @@ type OpSpec struct {
 
 	// Source fields.
 	Schema []FieldSpec       `json:"schema,omitempty"`
-	Rows   [][]json.Number   `json:"-"` // numeric-only fast path (unused by JSON)
 	Data   []json.RawMessage `json:"data,omitempty"`
 
 	// Filter.
@@ -233,7 +232,6 @@ func (ci *condFilterInstance) Process(ec ExecCtx, _ int, rows []relation.Tuple) 
 	return keepRows(&ci.out, rows, ci.pred), nil
 }
 func (ci *condFilterInstance) EndPort(ExecCtx, int) ([]relation.Tuple, error) { return nil, nil }
-func (ci *condFilterInstance) Close(ExecCtx) error                            { return nil }
 
 // condition is a parsed "field OP literal" predicate.
 type condition struct {

@@ -259,7 +259,7 @@ func lowerWithMeta(tr *Trace, m *cost.Model) ([]sim.Job, []sim.Pool, []jobMeta, 
 			encodeTotal = 0 // already charged
 		}
 
-		// End job: EndPort/Close work plus, for fully blocking
+		// End job: EndPort work plus, for fully blocking
 		// operators, the whole output serialization. SpillSeconds folds
 		// in the grace build/probe passes a larger-than-memory operator
 		// paid on the sharded tier (zero elsewhere).

@@ -145,8 +145,6 @@ type Instance interface {
 	// example a blocking aggregation emits its groups when its only
 	// port ends).
 	EndPort(ec ExecCtx, port int) ([]relation.Tuple, error)
-	// Close releases resources after all ports have ended.
-	Close(ec ExecCtx) error
 }
 
 // Partitioning decides how an edge distributes producer batches among

@@ -79,7 +79,6 @@ func (fi *filterInstance) Process(ec ExecCtx, _ int, rows []relation.Tuple) ([]r
 	return keepRows(&fi.out, rows, fi.op.Keep), nil
 }
 func (fi *filterInstance) EndPort(ExecCtx, int) ([]relation.Tuple, error) { return nil, nil }
-func (fi *filterInstance) Close(ExecCtx) error                            { return nil }
 
 // keepRows returns the rows keep accepts, in order, as a batch of out.
 // When out's chunk is full at a kept row it is sized for the rows still
@@ -151,7 +150,6 @@ func (pi *projectInstance) Process(ec ExecCtx, _ int, rows []relation.Tuple) ([]
 	return pi.out.Batch(), nil
 }
 func (pi *projectInstance) EndPort(ExecCtx, int) ([]relation.Tuple, error) { return nil, nil }
-func (pi *projectInstance) Close(ExecCtx) error                            { return nil }
 
 // bindSchema lets the executor resolve column positions once the input
 // schema is known. Operators that need positions implement it.
@@ -266,7 +264,6 @@ func (mi *mapInstance) Process(ec ExecCtx, _ int, rows []relation.Tuple) ([]rela
 	return mi.out.arena.Batch(), nil
 }
 func (mi *mapInstance) EndPort(ExecCtx, int) ([]relation.Tuple, error) { return nil, nil }
-func (mi *mapInstance) Close(ExecCtx) error                            { return nil }
 
 // ---------------------------------------------------------------------------
 // HashJoin
@@ -416,7 +413,6 @@ func (ji *joinInstance) EndPort(ec ExecCtx, port int) ([]relation.Tuple, error) 
 	}
 	return nil, nil
 }
-func (ji *joinInstance) Close(ExecCtx) error { return nil }
 
 // ---------------------------------------------------------------------------
 // GroupBy
@@ -481,7 +477,6 @@ func (gi *groupByInstance) EndPort(ec ExecCtx, _ int) ([]relation.Tuple, error) 
 	}
 	return out.Rows(), nil
 }
-func (gi *groupByInstance) Close(ExecCtx) error { return nil }
 
 // ---------------------------------------------------------------------------
 // Sort
@@ -539,7 +534,6 @@ func (si *sortInstance) EndPort(ec ExecCtx, _ int) ([]relation.Tuple, error) {
 	}
 	return si.in.Rows(), nil
 }
-func (si *sortInstance) Close(ExecCtx) error { return nil }
 
 // ---------------------------------------------------------------------------
 // Limit
@@ -588,4 +582,3 @@ func (li *limitInstance) Process(ec ExecCtx, _ int, rows []relation.Tuple) ([]re
 	return rows, nil
 }
 func (li *limitInstance) EndPort(ExecCtx, int) ([]relation.Tuple, error) { return nil, nil }
-func (li *limitInstance) Close(ExecCtx) error                            { return nil }

@@ -69,7 +69,6 @@ func (ri *recordInstance) Process(ec ExecCtx, _ int, rows []relation.Tuple) ([]r
 	return nil, nil
 }
 func (ri *recordInstance) EndPort(ExecCtx, int) ([]relation.Tuple, error) { return nil, nil }
-func (ri *recordInstance) Close(ExecCtx) error                            { return nil }
 
 // TestRouterHashPartitionGolden pins the hash router's observable
 // contract: which worker receives which rows, in which order, in how

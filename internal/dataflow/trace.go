@@ -34,7 +34,7 @@ type NodeTrace struct {
 	// port (index 0 for sources' generation work).
 	WorkByPort []cost.Work
 
-	// EndWork is the CPU work charged during EndPort/Close — the bulk
+	// EndWork is the CPU work charged during EndPort — the bulk
 	// of a blocking operator's cost (for example sorting).
 	EndWork cost.Work
 

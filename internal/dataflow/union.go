@@ -47,4 +47,3 @@ func (ui *unionInstance) Process(ec ExecCtx, _ int, rows []relation.Tuple) ([]re
 	return rows, nil
 }
 func (ui *unionInstance) EndPort(ExecCtx, int) ([]relation.Tuple, error) { return nil, nil }
-func (ui *unionInstance) Close(ExecCtx) error                            { return nil }

@@ -12,7 +12,6 @@ import (
 	"repro/internal/relation"
 	"repro/internal/tasks/dice"
 	"repro/internal/tasks/gotta"
-	"repro/internal/tasks/kge"
 )
 
 // Ablations isolate the cost-model mechanisms DESIGN.md credits for
@@ -262,50 +261,6 @@ func AutoTuneDICE(cfg Config) (*TuneOutcome, error) {
 			continue
 		}
 		out.Rows = append(out.Rows, TuneRow{Operator: n.Name, Workers: res.Workers[n.ID]})
-	}
-	return out, nil
-}
-
-// ThreeWayPoint is one dataset size measured under all three platform
-// paradigms the paper's introduction names.
-type ThreeWayPoint struct {
-	Size        int
-	Script      float64
-	Workflow    float64
-	Spreadsheet float64
-	AllAgree    bool
-}
-
-// ExtSpreadsheetKGE is this reproduction's extension experiment: the
-// KGE task under the third paradigm — spreadsheets — next to the
-// paper's two. The spreadsheet matches the other paradigms'
-// recommendations bit-for-bit but scales quadratically, because every
-// RANK cell re-reads the whole distance column; the other two grow
-// linearly. Sizes stop at 6.8k: the paradigm's wall is the result.
-func ExtSpreadsheetKGE(cfg Config) ([]ThreeWayPoint, error) {
-	cfg = cfg.normalize()
-	var out []ThreeWayPoint
-	for _, size := range []int{850, 1700, 3400, 6800, 13600} {
-		n := cfg.scaled(size)
-		task, err := kge.New(kge.Params{Products: n, Seed: cfg.Seed})
-		if err != nil {
-			return nil, err
-		}
-		s, w, err := core.RunBoth(task, cfg.RunConfig)
-		if err != nil {
-			return nil, err
-		}
-		sp, err := task.RunSpreadsheet(cfg.RunConfig)
-		if err != nil {
-			return nil, err
-		}
-		out = append(out, ThreeWayPoint{
-			Size:        n,
-			Script:      s.SimSeconds,
-			Workflow:    w.SimSeconds,
-			Spreadsheet: sp.SimSeconds,
-			AllAgree:    s.Output.Equal(w.Output) && s.Output.Equal(sp.Output),
-		})
 	}
 	return out, nil
 }

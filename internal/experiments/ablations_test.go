@@ -99,30 +99,3 @@ func TestAutoTuneDICE(t *testing.T) {
 		t.Fatal("tuner never scaled any operator out")
 	}
 }
-
-func TestExtSpreadsheetKGE(t *testing.T) {
-	// A gentler shrink than the rest of the suite: the quadratic RANK
-	// term this experiment demonstrates needs a few hundred rows to
-	// rise above the fixed startup costs.
-	pts, err := ExtSpreadsheetKGE(Config{Scale: 4, Seed: 1})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(pts) != 5 {
-		t.Fatalf("points = %d", len(pts))
-	}
-	for _, p := range pts {
-		if !p.AllAgree {
-			t.Fatalf("paradigms disagree at %d", p.Size)
-		}
-	}
-	// Superlinear spreadsheet growth vs. roughly linear script growth.
-	first, last := pts[0], pts[len(pts)-1]
-	dataGrowth := float64(last.Size) / float64(first.Size)
-	sheetGrowth := last.Spreadsheet / first.Spreadsheet
-	scriptGrowth := last.Script / first.Script
-	if sheetGrowth <= scriptGrowth {
-		t.Fatalf("spreadsheet growth %.1fx should exceed script growth %.1fx over %.0fx data",
-			sheetGrowth, scriptGrowth, dataGrowth)
-	}
-}

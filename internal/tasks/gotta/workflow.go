@@ -135,7 +135,6 @@ func (gi *generateInstance) Process(ec dataflow.ExecCtx, _ int, rows []relation.
 func (gi *generateInstance) EndPort(dataflow.ExecCtx, int) ([]relation.Tuple, error) {
 	return nil, nil
 }
-func (gi *generateInstance) Close(dataflow.ExecCtx) error { return nil }
 
 // Plan assembles the GOTTA dataflow graph: serial prompt construction
 // feeding parallel BART inference and evaluation, with prompts streamed

@@ -142,9 +142,6 @@ func (t *Task) Scope(p core.Paradigm, workers int) string {
 // World exposes the generated product world.
 func (t *Task) World() *datagen.ProductWorld { return t.world }
 
-// Model exposes the pre-trained embedding model.
-func (t *Task) Model() *kge.Model { return t.model }
-
 // Calibrated cost constants.
 var (
 	// workFilter is the availability check per candidate (vectorized

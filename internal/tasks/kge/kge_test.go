@@ -244,38 +244,3 @@ func TestWorkflowLoCExceedsScript(t *testing.T) {
 		t.Fatalf("paper shape violated: workflow LoC %d <= script LoC %d", w.LinesOfCode, s.LinesOfCode)
 	}
 }
-
-func TestSpreadsheetMatchesOracle(t *testing.T) {
-	task := newTask(t, 300, Variant{})
-	res, err := task.RunSpreadsheet(core.RunConfig{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	recs, err := task.Oracle()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !res.Output.Equal(RecommendationsToTable(recs)) {
-		t.Fatalf("spreadsheet output differs from oracle:\n%v\nvs\n%v", res.Output.Rows(), recs)
-	}
-	if res.SimSeconds <= 0 {
-		t.Fatal("no simulated time")
-	}
-}
-
-func TestSpreadsheetQuadraticScaling(t *testing.T) {
-	// The extension finding: the spreadsheet's RANK column makes the
-	// task superlinear, unlike the other two paradigms.
-	t1, err := newTask(t, 800, Variant{}).RunSpreadsheet(core.RunConfig{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	t2, err := newTask(t, 3200, Variant{}).RunSpreadsheet(core.RunConfig{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	growth := t2.SimSeconds / t1.SimSeconds
-	if growth < 5 {
-		t.Fatalf("4x data grew time only %.1fx; expected superlinear (>5x)", growth)
-	}
-}

@@ -280,8 +280,6 @@ func (pi *pipeInstance) EndPort(ec dataflow.ExecCtx, _ int) ([]relation.Tuple, e
 	return out, nil
 }
 
-func (pi *pipeInstance) Close(dataflow.ExecCtx) error { return nil }
-
 // scalaJoinChain builds the nine native Scala operators that replace
 // the Python join operator in the Table I comparison. The probe member
 // performs the actual join; the others are the engine's real

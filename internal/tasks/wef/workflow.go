@@ -132,8 +132,6 @@ func (ti *trainInstance) EndPort(ec dataflow.ExecCtx, _ int) ([]relation.Tuple, 
 	return out, nil
 }
 
-func (ti *trainInstance) Close(dataflow.ExecCtx) error { return nil }
-
 // tweetTable renders the labeled tweets as the workflow source.
 func (t *Task) tweetTable() *relation.Table {
 	s := relation.MustSchema(

@@ -8,13 +8,15 @@
 //	texera -spec workflow.json
 //	texera -spec workflow.json -progress=false -limit 5
 //
-// See examples/quickstart for a spec that can be written to disk.
+// cmd/texera/testdata/orders.json is a spec to start from. A plan the
+// checker refuses exits 1 naming the rule (WF001–WF006).
 package main
 
 import (
 	"context"
 	"flag"
 	"fmt"
+	"io"
 	"os"
 	"sort"
 	"time"
@@ -25,32 +27,50 @@ import (
 )
 
 func main() {
+	os.Exit(run(os.Args[1:], os.Stdout, os.Stderr))
+}
+
+// run is the command: it parses args, executes the spec and returns
+// the exit code (2 for usage errors, 1 for a spec that fails).
+func run(args []string, stdout, stderr io.Writer) int {
+	fs := flag.NewFlagSet("texera", flag.ContinueOnError)
+	fs.SetOutput(stderr)
 	var (
-		specPath = flag.String("spec", "", "path to the workflow JSON spec")
-		progress = flag.Bool("progress", true, "print operator progress while running")
-		limit    = flag.Int("limit", 20, "max result rows to print per sink")
-		timeline = flag.Bool("timeline", false, "render a Gantt view of the simulated schedule")
+		specPath = fs.String("spec", "", "path to the workflow JSON spec")
+		progress = fs.Bool("progress", true, "print operator progress while running")
+		limit    = fs.Int("limit", 20, "max result rows to print per sink")
+		timeline = fs.Bool("timeline", false, "render a Gantt view of the simulated schedule")
 	)
-	flag.Parse()
-	if *specPath == "" {
-		fmt.Fprintln(os.Stderr, "texera: -spec is required")
-		os.Exit(2)
+	if err := fs.Parse(args); err != nil {
+		return 2
 	}
-	data, err := os.ReadFile(*specPath)
+	if *specPath == "" {
+		fmt.Fprintln(stderr, "texera: -spec is required")
+		return 2
+	}
+	if err := execute(*specPath, *progress, *limit, *timeline, stdout); err != nil {
+		fmt.Fprintln(stderr, "texera:", err)
+		return 1
+	}
+	return 0
+}
+
+func execute(specPath string, progress bool, limit int, timeline bool, stdout io.Writer) error {
+	data, err := os.ReadFile(specPath)
 	if err != nil {
-		fatal(err)
+		return err
 	}
 	spec, err := dataflow.ParseSpec(data)
 	if err != nil {
-		fatal(err)
+		return err
 	}
 	w, err := dataflow.Build(spec)
 	if err != nil {
-		fatal(err)
+		return err
 	}
 	ex, err := w.Start(context.Background(), dataflow.Config{})
 	if err != nil {
-		fatal(err)
+		return err
 	}
 	done := make(chan struct{})
 	var res *dataflow.Result
@@ -59,7 +79,7 @@ func main() {
 		res, runErr = ex.Wait()
 		close(done)
 	}()
-	if *progress {
+	if progress {
 		ticker := time.NewTicker(50 * time.Millisecond)
 		defer ticker.Stop()
 	loop:
@@ -68,16 +88,16 @@ func main() {
 			case <-done:
 				break loop
 			case <-ticker.C:
-				printProgress(ex)
+				printProgress(stdout, ex)
 			}
 		}
 	} else {
 		<-done
 	}
 	if runErr != nil {
-		fatal(runErr)
+		return runErr
 	}
-	printProgress(ex)
+	printProgress(stdout, ex)
 
 	sinkNames := make([]string, 0, len(res.Tables))
 	for name := range res.Tables {
@@ -86,45 +106,41 @@ func main() {
 	sort.Strings(sinkNames)
 	for _, name := range sinkNames {
 		tbl := res.Tables[name]
-		fmt.Printf("\nsink %q (%d rows, schema: %s):\n", name, tbl.Len(), tbl.Schema())
+		fmt.Fprintf(stdout, "\nsink %q (%d rows, schema: %s):\n", name, tbl.Len(), tbl.Schema())
 		rows := [][]string{}
 		header := []string{}
 		for i := 0; i < tbl.Schema().Len(); i++ {
 			header = append(header, tbl.Schema().Field(i).Name)
 		}
 		rows = append(rows, header)
-		for i := 0; i < tbl.Len() && i < *limit; i++ {
+		for i := 0; i < tbl.Len() && i < limit; i++ {
 			row := []string{}
 			for _, v := range tbl.Row(i) {
 				row = append(row, v.String())
 			}
 			rows = append(rows, row)
 		}
-		report.Table(os.Stdout, rows)
-		if tbl.Len() > *limit {
-			fmt.Printf("... %d more rows\n", tbl.Len()-*limit)
+		report.Table(stdout, rows)
+		if tbl.Len() > limit {
+			fmt.Fprintf(stdout, "... %d more rows\n", tbl.Len()-limit)
 		}
 	}
-	fmt.Printf("\nsimulated cluster execution time: %.3f s\n", res.SimSeconds)
-	if *timeline {
+	fmt.Fprintf(stdout, "\nsimulated cluster execution time: %.3f s\n", res.SimSeconds)
+	if timeline {
 		spans, err := dataflow.Timeline(res.Trace, cost.Default())
 		if err != nil {
-			fatal(err)
+			return err
 		}
-		fmt.Println("\noperator timeline (simulated):")
-		fmt.Print(dataflow.RenderTimeline(spans, 60))
+		fmt.Fprintln(stdout, "\noperator timeline (simulated):")
+		fmt.Fprint(stdout, dataflow.RenderTimeline(spans, 60))
 	}
+	return nil
 }
 
-func printProgress(ex *dataflow.Execution) {
-	fmt.Println("operators:")
+func printProgress(stdout io.Writer, ex *dataflow.Execution) {
+	fmt.Fprintln(stdout, "operators:")
 	for _, p := range ex.Progress() {
-		fmt.Printf("  %-24s %-12s in=%-8d out=%-8d workers=%d\n",
+		fmt.Fprintf(stdout, "  %-24s %-12s in=%-8d out=%-8d workers=%d\n",
 			p.Name, p.State, p.InTuples, p.OutTuples, p.Workers)
 	}
-}
-
-func fatal(err error) {
-	fmt.Fprintln(os.Stderr, "texera:", err)
-	os.Exit(1)
 }

@@ -364,6 +364,19 @@ func cmpPredicate(pos int, op string, k relation.Type, cmp func(relation.Value) 
 
 // Build compiles a spec into a runnable workflow.
 func Build(spec *Spec) (*Workflow, error) {
+	w, err := compile(spec)
+	if err == nil {
+		err = w.Validate()
+	}
+	if err != nil {
+		return nil, err
+	}
+	return w, nil
+}
+
+// compile builds the workflow a spec describes without checking the
+// plan; builder errors are left for Validate to report.
+func compile(spec *Spec) (*Workflow, error) {
 	if spec.Name == "" {
 		return nil, fmt.Errorf("dataflow: spec has no name")
 	}
@@ -461,9 +474,6 @@ func Build(spec *Spec) (*Workflow, error) {
 			return nil, fmt.Errorf("dataflow: unknown partitioning %q", l.Partition)
 		}
 		w.Connect(from, to, l.Port, part)
-	}
-	if err := w.Validate(); err != nil {
-		return nil, err
 	}
 	return w, nil
 }

@@ -2,6 +2,7 @@ package dataflow
 
 import (
 	"fmt"
+	"slices"
 	"sort"
 	"strconv"
 	"strings"
@@ -61,50 +62,48 @@ func (d Diag) String() string {
 
 // Validate statically checks a workflow plan and returns every
 // diagnostic it can find, without executing anything and without
-// mutating the workflow. It is the multi-error counterpart of the
-// (*Workflow).Validate method the executor calls: the method stops at
-// the first error and caches schemas on the nodes for execution; this
-// function keeps going so a `repro -validate` run or a test can see
-// the whole picture at once. A nil return means the plan is sound.
+// mutating the workflow. A nil return means the plan is sound.
+// The executor's (*Workflow).Validate runs the same check and refuses
+// a plan on its first WF001–WF006 finding.
 func Validate(w *Workflow) []Diag {
 	if w == nil {
 		return []Diag{{Rule: RuleBuilder, ID: -1, Msg: "nil workflow"}}
 	}
+	diags, _ := check(w)
+	return diags
+}
+
+// check is the plan checker. It returns every diagnostic the plan
+// draws, sorted by SortDiags unless the plan has a cycle, and for a DAG
+// the output schema it inferred for each node (nil where inference
+// failed or an input is missing), reading the workflow and writing
+// nothing.
+func check(w *Workflow) ([]Diag, []*relation.Schema) {
 	if w.err != nil {
 		// The recorded builder error means the node/edge lists may be
 		// inconsistent; report it alone rather than chasing ghosts.
-		return []Diag{{Rule: RuleBuilder, ID: -1, Msg: w.err.Error()}}
+		return []Diag{{Rule: RuleBuilder, ID: -1, Msg: w.err.Error()}}, nil
 	}
 	if len(w.nodes) == 0 {
-		return []Diag{{Rule: RuleBuilder, ID: -1, Msg: fmt.Sprintf("workflow %q is empty", w.name)}}
+		return []Diag{{Rule: RuleBuilder, ID: -1, Msg: fmt.Sprintf("workflow %q is empty", w.name)}}, nil
 	}
 
 	var diags []Diag
 	report := func(rule string, n *node, msg string) {
-		d := Diag{Rule: rule, ID: -1, Msg: msg}
-		if n != nil {
-			d.Node, d.ID = n.name, n.id
-		}
-		diags = append(diags, d)
+		diags = append(diags, nodeDiag(rule, n, msg))
 	}
 
 	// Arity: every operator port connected, sinks exactly one input,
-	// sources feeding something. arityOK gates the schema pass so a
-	// dangling port is reported once, not again as an inference hole.
-	arityOK := make([]bool, len(w.nodes))
+	// sources feeding something.
 	for _, n := range w.nodes {
-		arityOK[n.id] = true
 		switch n.kind {
 		case kindOperator:
-			ports := n.op.Desc().Ports
-			if len(n.inEdges) != ports {
+			if ports := n.op.Desc().Ports; len(n.inEdges) != ports {
 				report(RuleArity, n, fmt.Sprintf("%d of %d input ports connected", len(n.inEdges), ports))
-				arityOK[n.id] = false
 			}
 		case kindSink:
 			if len(n.inEdges) != 1 {
 				report(RuleArity, n, fmt.Sprintf("sink needs exactly one input, has %d", len(n.inEdges)))
-				arityOK[n.id] = false
 			}
 		case kindSource:
 			if len(n.outEdges) == 0 {
@@ -125,32 +124,18 @@ func Validate(w *Workflow) []Diag {
 		}
 	}
 
-	// Checkpoint compatibility: epoch checkpoints snapshot operator
-	// state, not channel cursors. A blocking port must replay its
-	// whole input after a restore, and with parallelism > 1 a
-	// round-robin feed re-deals tuples to different workers than the
-	// original run — hash or broadcast feeds are stable, round-robin
-	// is not.
 	for _, n := range w.nodes {
-		if n.kind != kindOperator || n.parallelism <= 1 {
-			continue
-		}
-		blocking := n.op.Desc().BlockingPorts
-		for _, e := range n.inEdges {
-			if e.port < len(blocking) && blocking[e.port] && e.part.kind == partRoundRobin {
-				report(RuleCheckpoint, n, fmt.Sprintf(
-					"blocking port %d is round-robin partitioned with parallelism %d; checkpoint replay would re-deal it (use hash or broadcast)",
-					e.port, n.parallelism))
-			}
-		}
+		diags = parallelDiags(diags, n, n.parallelism)
 	}
 
 	order, err := w.topoOrder()
 	if err != nil {
-		// No topological order means no schema propagation; the
-		// structural diagnostics above still stand.
+		// No topological order means no schemas, and the partitioning
+		// rules wait for a DAG: the cycle is listed after the findings
+		// that need no order (WF002, WF007, WF008), as they were found.
+		diags = slices.DeleteFunc(diags, func(d Diag) bool { return d.Rule == RuleParallel })
 		report(RuleCycle, nil, err.Error())
-		return diags
+		return diags, nil
 	}
 
 	// Schema inference in topological order, into a side table so an
@@ -163,18 +148,11 @@ func Validate(w *Workflow) []Diag {
 		case kindSource:
 			schemas[n.id] = n.srcSchema
 		case kindOperator:
-			if !arityOK[n.id] {
-				continue
-			}
 			in := make([]*relation.Schema, n.op.Desc().Ports)
-			complete := true
 			for _, e := range n.inEdges {
 				in[e.port] = schemas[e.from.id]
-				if in[e.port] == nil {
-					complete = false
-				}
 			}
-			if !complete {
+			if slices.Contains(in, nil) {
 				continue
 			}
 			s, err := n.op.OutputSchema(in)
@@ -184,59 +162,106 @@ func Validate(w *Workflow) []Diag {
 			}
 			schemas[n.id] = s
 		case kindSink:
-			if arityOK[n.id] {
+			if len(n.inEdges) == 1 {
 				schemas[n.id] = schemas[n.inEdges[0].from.id]
 			}
 		}
 	}
 
-	// Hash keys must exist in the producer's schema, and stateful
-	// operators must respect their parallel partitioning rules.
+	// Hash keys must exist in the producer's schema.
 	for _, n := range w.nodes {
 		for _, e := range n.inEdges {
-			if e.part.kind != partHash {
-				continue
-			}
 			ps := schemas[e.from.id]
-			if ps == nil {
-				continue
-			}
-			if ps.IndexOf(e.part.key) < 0 {
+			if e.part.kind == partHash && ps != nil && ps.IndexOf(e.part.key) < 0 {
 				report(RuleHashKey, n, fmt.Sprintf("edge %q->%q: hash key %q not in producer schema [%s]", e.from.name, e.to.name, e.part.key, ps))
-			}
-		}
-		if n.kind != kindOperator || n.parallelism == 1 {
-			continue
-		}
-		switch n.op.(type) {
-		case *SortOp, *LimitOp:
-			report(RuleParallel, n, fmt.Sprintf("cannot run with parallelism %d", n.parallelism))
-		case *HashJoinOp:
-			broadcastBuild := false
-			for _, e := range n.inEdges {
-				if e.port == 0 && e.part.kind == partBroadcast {
-					broadcastBuild = true
-				}
-			}
-			for _, e := range n.inEdges {
-				if broadcastBuild && e.port == 1 {
-					// With the build side replicated to every worker, any
-					// probe partitioning joins each probe row exactly once.
-					continue
-				}
-				if e.part.kind != partHash && !(e.port == 0 && e.part.kind == partBroadcast) {
-					report(RuleParallel, n, fmt.Sprintf("parallel join requires hash-partitioned inputs (or a broadcast build side); port %d is %s", e.port, e.part))
-				}
-			}
-		case *GroupByOp:
-			if len(n.inEdges) == 1 && n.inEdges[0].part.kind != partHash {
-				report(RuleParallel, n, "parallel group-by requires a hash-partitioned input")
 			}
 		}
 	}
 
 	SortDiags(diags)
+	return diags, schemas
+}
+
+// ParallelismDiag returns the first finding (WF006 before WF008) that
+// running the node on the given number of workers would draw, or nil
+// when it may run that wide. The optimizer asks it before widening an
+// operator; the plan checker applies the same rule to every node at
+// its own parallelism.
+func (w *Workflow) ParallelismDiag(id NodeID, workers int) *Diag {
+	n := w.nodeAt(id)
+	if n == nil {
+		return nil
+	}
+	diags := parallelDiags(nil, n, workers)
+	if len(diags) == 0 {
+		return nil
+	}
+	SortDiags(diags)
+	return &diags[0]
+}
+
+// parallelDiags appends what running operator n on more than one
+// worker breaks.
+//
+// WF008: epoch checkpoints snapshot operator state, not channel
+// cursors. A blocking port must replay its whole input after a
+// restore, and a round-robin feed re-deals tuples to different workers
+// than the original run — hash or broadcast feeds are stable,
+// round-robin is not.
+//
+// WF006: a stateful operator needs its input split by key — a sort or
+// limit cannot be split at all, a join needs hash-partitioned inputs
+// or a broadcast build side, a group-by a hash-partitioned input.
+func parallelDiags(diags []Diag, n *node, workers int) []Diag {
+	if n.kind != kindOperator || workers <= 1 {
+		return diags
+	}
+	report := func(rule, msg string) {
+		diags = append(diags, nodeDiag(rule, n, msg))
+	}
+	blocking := n.op.Desc().BlockingPorts
+	for _, e := range n.inEdges {
+		if e.port < len(blocking) && blocking[e.port] && e.part.kind == partRoundRobin {
+			report(RuleCheckpoint, fmt.Sprintf(
+				"blocking port %d is round-robin partitioned with parallelism %d; checkpoint replay would re-deal it (use hash or broadcast)",
+				e.port, workers))
+		}
+	}
+	switch n.op.(type) {
+	case *SortOp, *LimitOp:
+		report(RuleParallel, fmt.Sprintf("cannot run with parallelism %d", workers))
+	case *HashJoinOp:
+		broadcastBuild := false
+		for _, e := range n.inEdges {
+			if e.port == 0 && e.part.kind == partBroadcast {
+				broadcastBuild = true
+			}
+		}
+		for _, e := range n.inEdges {
+			if broadcastBuild && e.port == 1 {
+				// With the build side replicated to every worker, any
+				// probe partitioning joins each probe row exactly once.
+				continue
+			}
+			if e.part.kind != partHash && !(e.port == 0 && e.part.kind == partBroadcast) {
+				report(RuleParallel, fmt.Sprintf("parallel join requires hash-partitioned inputs (or a broadcast build side); port %d is %s", e.port, e.part))
+			}
+		}
+	case *GroupByOp:
+		if len(n.inEdges) == 1 && n.inEdges[0].part.kind != partHash {
+			report(RuleParallel, "parallel group-by requires a hash-partitioned input")
+		}
+	}
 	return diags
+}
+
+// nodeDiag builds a diagnostic about n (nil for a workflow-level one).
+func nodeDiag(rule string, n *node, msg string) Diag {
+	d := Diag{Rule: rule, ID: -1, Msg: msg}
+	if n != nil {
+		d.Node, d.ID = n.name, n.id
+	}
+	return d
 }
 
 // SortDiags orders diagnostics deterministically — by rule, then node

@@ -200,10 +200,11 @@ func (w *Workflow) Connect(from, to NodeID, port int, part Partitioning) {
 	w.validated = false
 }
 
-// Validate checks the workflow: builder errors, dangling ports,
-// cycles, schema propagation, hash-partition keys, and the
-// parallelism constraints of stateful operators. It is idempotent and
-// called automatically by Start.
+// Validate runs the plan checker and refuses the plan on its first
+// WF001–WF006 diagnostic; WF007 and WF008 are advisory and do not stop
+// a run. On success it installs each node's output schema and each
+// hash edge's key position for execution, and remembers the verdict
+// until the plan next changes. It is called automatically by Start.
 func (w *Workflow) Validate() error {
 	if w.err != nil {
 		return w.err
@@ -211,101 +212,20 @@ func (w *Workflow) Validate() error {
 	if w.validated {
 		return nil
 	}
-	if len(w.nodes) == 0 {
-		return fmt.Errorf("dataflow: workflow %q is empty", w.name)
-	}
-
-	// Every operator port connected; sinks exactly one input.
-	for _, n := range w.nodes {
-		switch n.kind {
-		case kindOperator:
-			ports := n.op.Desc().Ports
-			if len(n.inEdges) != ports {
-				return fmt.Errorf("dataflow: operator %q has %d of %d input ports connected", n.name, len(n.inEdges), ports)
-			}
-		case kindSink:
-			if len(n.inEdges) != 1 {
-				return fmt.Errorf("dataflow: sink %q needs exactly one input, has %d", n.name, len(n.inEdges))
-			}
-			if len(n.outEdges) != 0 {
-				return fmt.Errorf("dataflow: sink %q has outputs", n.name)
-			}
-		case kindSource:
-			if len(n.outEdges) == 0 {
-				return fmt.Errorf("dataflow: source %q is not connected", n.name)
-			}
+	diags, schemas := check(w)
+	for _, d := range diags {
+		if d.Rule != RuleSignature && d.Rule != RuleCheckpoint {
+			return fmt.Errorf("dataflow: %s", d)
 		}
 	}
-
-	order, err := w.topoOrder()
-	if err != nil {
-		return err
-	}
-
-	// Schema propagation in topological order.
-	for _, n := range order {
-		switch n.kind {
-		case kindSource:
-			n.schema = n.srcSchema
-		case kindOperator:
-			in := make([]*relation.Schema, n.op.Desc().Ports)
-			for _, e := range n.inEdges {
-				in[e.port] = e.from.schema
-			}
-			s, err := n.op.OutputSchema(in)
-			if err != nil {
-				return err
-			}
-			n.schema = s
-		case kindSink:
-			n.schema = n.inEdges[0].from.schema
-		}
-	}
-
-	// Resolve hash-partition keys against producer schemas and check
-	// stateful-operator parallelism rules.
 	for _, n := range w.nodes {
+		n.schema = schemas[n.id]
 		for _, e := range n.inEdges {
 			if e.part.kind == partHash {
-				p := e.from.schema.IndexOf(e.part.key)
-				if p < 0 {
-					return fmt.Errorf("dataflow: edge %q->%q: hash key %q not in producer schema [%s]", e.from.name, e.to.name, e.part.key, e.from.schema)
-				}
-				e.keyPos = p
-			}
-		}
-		if n.kind != kindOperator || n.parallelism == 1 {
-			continue
-		}
-		switch n.op.(type) {
-		case *SortOp, *LimitOp:
-			return fmt.Errorf("dataflow: operator %q cannot run with parallelism %d", n.name, n.parallelism)
-		case *HashJoinOp:
-			// A broadcast build side replicates the full hash table to
-			// every worker, so the probe side may then use any
-			// partitioning (each probe row meets the whole build side
-			// exactly once wherever it lands).
-			broadcastBuild := false
-			for _, e := range n.inEdges {
-				if e.port == 0 && e.part.kind == partBroadcast {
-					broadcastBuild = true
-				}
-			}
-			for _, e := range n.inEdges {
-				if broadcastBuild && e.port == 1 {
-					continue
-				}
-				if e.part.kind != partHash && !(e.port == 0 && e.part.kind == partBroadcast) {
-					return fmt.Errorf("dataflow: parallel join %q requires hash-partitioned inputs (or a broadcast build side); port %d is %s", n.name, e.port, e.part)
-				}
-			}
-		case *GroupByOp:
-			if n.inEdges[0].part.kind != partHash {
-				return fmt.Errorf("dataflow: parallel group-by %q requires a hash-partitioned input", n.name)
+				e.keyPos = schemas[e.from.id].IndexOf(e.part.key)
 			}
 		}
 	}
-
 	w.validated = true
 	return nil
 }

@@ -96,8 +96,8 @@ func TestValidateUnknownHashKey(t *testing.T) {
 	snk := w.Sink("out")
 	w.Connect(src, f, 0, HashPartition("missing"))
 	w.Connect(f, snk, 0, RoundRobin())
-	if err := w.Validate(); err == nil || !strings.Contains(err.Error(), "hash key") {
-		t.Fatalf("expected hash key error, got %v", err)
+	if err := w.Validate(); err == nil || !strings.HasPrefix(err.Error(), "dataflow: WF005: ") || !strings.Contains(err.Error(), "hash key") {
+		t.Fatalf("expected a WF005 hash key error, got %v", err)
 	}
 }
 

@@ -282,32 +282,16 @@ func passParallelism(w *dataflow.Workflow, opt Options, r *Report) error {
 			continue
 		}
 		switch op.(type) {
-		case *dataflow.SortOp, *dataflow.LimitOp:
-			continue
-		}
-		desc := op.Desc()
-		in := w.InEdgesOf(id)
-		eligible := false
-		switch op.(type) {
-		case *dataflow.HashJoinOp:
-			eligible = joinPartitioningOK(in)
-		case *dataflow.GroupByOp:
-			eligible = len(in) == 1 && in[0].Part.IsHash()
+		case *dataflow.HashJoinOp, *dataflow.GroupByOp:
+			// Stateful, but a valid partitioning keeps each key on one
+			// worker.
 		default:
-			eligible = desc.Stateless
-			if !eligible {
+			if !op.Desc().Stateless {
 				continue
 			}
-			for _, e := range in {
-				if e.Port < len(desc.BlockingPorts) && desc.BlockingPorts[e.Port] && e.Part.IsRoundRobin() {
-					r.rejected(RuleParallelism, w, id,
-						"blocking port %d is round-robin fed; more workers would re-deal it", e.Port)
-					eligible = false
-					break
-				}
-			}
 		}
-		if !eligible {
+		if d := w.ParallelismDiag(id, capacity); d != nil {
+			r.rejected(RuleParallelism, w, id, "%s: %s", d.Rule, d.Msg)
 			continue
 		}
 		if err := w.SetParallelism(id, capacity); err != nil {
@@ -316,18 +300,6 @@ func passParallelism(w *dataflow.Workflow, opt Options, r *Report) error {
 		r.applied(RuleParallelism, w, id, "workers %d -> %d (topology capacity)", p, capacity)
 	}
 	return nil
-}
-
-// joinPartitioningOK mirrors the validator's WF006 rule: hash on both
-// sides, or a broadcast build with any probe partitioning.
-func joinPartitioningOK(in []dataflow.EdgeInfo) bool {
-	if len(in) != 2 {
-		return false
-	}
-	if in[0].Part.IsBroadcast() {
-		return true
-	}
-	return in[0].Part.IsHash() && in[1].Part.IsHash()
 }
 
 // ---------------------------------------------------------------------------

@@ -113,10 +113,9 @@ func (r *Report) rejected(rule string, w *dataflow.Workflow, id dataflow.NodeID,
 }
 
 // Optimize rewrites the workflow in place and reports every decision.
-// The workflow must validate before; it is guaranteed to validate
-// cleanly after (both the first-error validator and the multi-error
-// one), or Optimize fails without leaving a half-rewritten plan on the
-// happy path.
+// The workflow must validate before; the rewritten plan must then draw
+// no diagnostic at all, advisory WF007 and WF008 included, or Optimize
+// fails.
 func Optimize(w *dataflow.Workflow, opt Options) (*Report, error) {
 	opt = opt.normalize()
 	if err := w.Validate(); err != nil {
@@ -152,9 +151,6 @@ func Optimize(w *dataflow.Workflow, opt Options) (*Report, error) {
 		return nil, err
 	}
 
-	if err := w.Validate(); err != nil {
-		return nil, fmt.Errorf("planopt: rewritten plan is invalid: %w", err)
-	}
 	if ds := dataflow.Validate(w); len(ds) > 0 {
 		return nil, fmt.Errorf("planopt: rewritten plan has %d diagnostics, first: %s", len(ds), ds[0])
 	}

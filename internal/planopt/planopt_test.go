@@ -320,6 +320,45 @@ func TestParallelismNeverTouchesSequentialOperators(t *testing.T) {
 	}
 }
 
+// collectOp is a stateless custom operator whose one port blocks; it
+// never executes.
+type collectOp struct{}
+
+func (collectOp) Desc() dataflow.Desc {
+	return dataflow.Desc{Name: "collect", Language: cost.Python, Ports: 1, BlockingPorts: []bool{true}, Stateless: true}
+}
+func (collectOp) OutputSchema(in []*relation.Schema) (*relation.Schema, error) { return in[0], nil }
+func (collectOp) NewInstance() dataflow.Instance                               { return nil }
+
+// TestParallelismRejectsRoundRobinBlockingPort pins OPT006's one
+// rejection: a stateless operator is widened only when checkpoint
+// replay could re-deal its blocking port's input the same way, which a
+// round-robin feed cannot. No task plan reaches this case.
+func TestParallelismRejectsRoundRobinBlockingPort(t *testing.T) {
+	w := dataflow.New("collect")
+	src := w.Source("src", intTable(100))
+	c := w.Op(collectOp{}, dataflow.WithParallelism(2))
+	snk := w.Sink("out")
+	w.Connect(src, c, 0, dataflow.RoundRobin())
+	w.Connect(c, snk, 0, dataflow.RoundRobin())
+	if err := w.Validate(); err != nil {
+		t.Fatalf("an advisory finding stopped the plan: %v", err)
+	}
+	r := &Report{}
+	if err := passParallelism(w, Options{MaxParallelism: 8}, r); err != nil {
+		t.Fatal(err)
+	}
+	if got := w.ParallelismOf(c); got != 2 {
+		t.Fatalf("collect widened to %d workers over a round-robin blocking port", got)
+	}
+	if r.Applied != 0 || r.Rejected != 1 || !hasRejected(r, RuleParallelism) {
+		t.Fatalf("want exactly one OPT006 rejection; diags: %v", r.Diags)
+	}
+	if d := r.Diags[0]; d.Node != "collect" || !strings.Contains(d.Msg, "blocking port 0 is round-robin") {
+		t.Fatalf("rejection = %v", d)
+	}
+}
+
 func TestBatchSizedToConsumerParallelism(t *testing.T) {
 	build := func() *dataflow.Workflow {
 		w := dataflow.New("batch")

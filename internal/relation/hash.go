@@ -44,13 +44,13 @@ func FNVMixUint64(h, v uint64) uint64 {
 
 // Canonical tuple hashing. hashTupleCanon/equalTupleCanon replace the
 // Tuple.Key canonical-string encoding on the row-path hot spots
-// (Distinct, GroupBy, EqualUnordered): rows bucket by a uint64 FNV hash
+// (GroupBy, EqualUnordered): rows bucket by a uint64 FNV hash
 // instead of an allocated key string, and bucket collisions resolve by
 // canonical value equality. "Canonical" mirrors Key's equivalence
 // classes exactly — every NaN is one value (FormatFloat renders them
 // all "NaN"), while +0 and -0 stay distinct ("0" vs "-0") — so the
-// groups, the kept-first rows, and therefore the output bits are
-// identical to the string-keyed implementation.
+// groups, and therefore the output bits, are identical to the
+// string-keyed implementation.
 
 // canonNaNBits is the single bit pattern all NaNs hash as.
 const canonNaNBits uint64 = 0x7ff8_dead_beef_0000

@@ -226,8 +226,9 @@ func (ix *typedIndex[K]) head(row Tuple, pos int) int32 {
 
 // newKeyIndex picks the typed index for the declared key type. A Float
 // key is its canonical bits — every NaN one value, -0 and +0 two — the
-// equivalence Tuple.Key, KeyHash, Distinct and the hash router use, so
-// a Float join agrees with NestedLoopJoin at every shard count.
+// equivalence Tuple.Key, KeyHash, GroupBy and the hash router use, so
+// a Float join agrees with the NestedLoopJoin oracle at every shard
+// count.
 func newKeyIndex(t Type) keyIndex {
 	switch t {
 	case Int:

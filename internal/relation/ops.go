@@ -56,24 +56,6 @@ func Map(t *Table, out *Schema, fn func(Tuple) (Tuple, error)) (*Table, error) {
 	return res, nil
 }
 
-// FlatMap applies fn to every row; fn may emit zero or more rows.
-func FlatMap(t *Table, out *Schema, fn func(Tuple) ([]Tuple, error)) (*Table, error) {
-	res := NewTable(out)
-	for i, r := range t.Rows() {
-		rows, err := fn(r)
-		if err != nil {
-			return nil, fmt.Errorf("relation: flatmap row %d: %w", i, err)
-		}
-		for _, row := range rows {
-			if err := row.Validate(out); err != nil {
-				return nil, fmt.Errorf("relation: flatmap row %d: %w", i, err)
-			}
-			res.AppendUnchecked(row)
-		}
-	}
-	return res, nil
-}
-
 // JoinType selects inner or left-outer semantics for HashJoin.
 type JoinType int
 
@@ -96,100 +78,6 @@ func HashJoin(left, right *Table, leftKey, rightKey string, kind JoinType) (*Tab
 		return nil, err
 	}
 	return j.Probe(left), nil
-}
-
-// NestedLoopJoin is the O(n·m) reference implementation used as a
-// testing oracle for HashJoin.
-func NestedLoopJoin(left, right *Table, leftKey, rightKey string, kind JoinType) (*Table, error) {
-	lk := left.Schema().IndexOf(leftKey)
-	rk := right.Schema().IndexOf(rightKey)
-	if lk < 0 || rk < 0 {
-		return nil, fmt.Errorf("relation: nested loop join: key not found")
-	}
-	// Reuse HashJoin's schema computation by joining empty tables.
-	proto, err := HashJoin(NewTable(left.Schema()), NewTable(right.Schema()), leftKey, rightKey, kind)
-	if err != nil {
-		return nil, err
-	}
-	out := NewTable(proto.Schema())
-	rightPos := make([]int, 0, right.Schema().Len()-1)
-	for i := 0; i < right.Schema().Len(); i++ {
-		if i != rk {
-			rightPos = append(rightPos, i)
-		}
-	}
-	for _, l := range left.Rows() {
-		matched := false
-		for _, r := range right.Rows() {
-			if l.Key(lk) == r.Key(rk) {
-				matched = true
-				row := make(Tuple, 0, out.Schema().Len())
-				row = append(row, l...)
-				for _, p := range rightPos {
-					row = append(row, r[p])
-				}
-				out.AppendUnchecked(row)
-			}
-		}
-		if !matched && kind == LeftOuter {
-			row := make(Tuple, 0, out.Schema().Len())
-			row = append(row, l...)
-			for _, p := range rightPos {
-				switch right.Schema().Field(p).Type {
-				case Int:
-					row = append(row, IntValue(0))
-				case Float:
-					row = append(row, FloatValue(0))
-				case String:
-					row = append(row, StringValue(""))
-				case Bool:
-					row = append(row, BoolValue(false))
-				}
-			}
-			out.AppendUnchecked(row)
-		}
-	}
-	return out, nil
-}
-
-// Distinct returns the table with duplicate rows removed, keeping the
-// first occurrence of each. Rows bucket by their canonical uint64 hash
-// (no per-row key-string allocation); hash collisions resolve by
-// canonical value equality, so the kept rows match the old string-keyed
-// implementation exactly.
-func Distinct(t *Table) *Table {
-	all := make([]int, t.Schema().Len())
-	for i := range all {
-		all[i] = i
-	}
-	seen := make(map[uint64][]Tuple, t.Len())
-	out := NewTable(t.Schema())
-rows:
-	for _, r := range t.Rows() {
-		h := hashTupleCanon(r, all)
-		b := seen[h]
-		for _, prev := range b {
-			if equalTupleCanon(prev, r, all) {
-				continue rows
-			}
-		}
-		seen[h] = append(b, r)
-		out.AppendUnchecked(r)
-	}
-	return out
-}
-
-// Limit returns the first n rows (or all rows if n exceeds the size).
-func Limit(t *Table, n int) *Table {
-	if n < 0 {
-		n = 0
-	}
-	if n > t.Len() {
-		n = t.Len()
-	}
-	out := NewTable(t.Schema())
-	out.rows = append(out.rows, t.Rows()[:n]...)
-	return out
 }
 
 // AggFunc identifies a group-by aggregate.

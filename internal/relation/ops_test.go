@@ -2,6 +2,7 @@ package relation
 
 import (
 	"bytes"
+	"maps"
 	"testing"
 	"testing/quick"
 
@@ -11,31 +12,23 @@ import (
 func usersTable(t *testing.T) *Table {
 	t.Helper()
 	s := MustSchema(Field{"uid", Int}, Field{"name", String})
-	tbl, err := FromRows(s, []Tuple{
-		{IntValue(1), StringValue("ann")},
-		{IntValue(2), StringValue("bob")},
-		{IntValue(3), StringValue("cat")},
-		{IntValue(4), StringValue("dan")},
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	return tbl
+	return tableOf(s,
+		Tuple{IntValue(1), StringValue("ann")},
+		Tuple{IntValue(2), StringValue("bob")},
+		Tuple{IntValue(3), StringValue("cat")},
+		Tuple{IntValue(4), StringValue("dan")},
+	)
 }
 
 func ordersTable(t *testing.T) *Table {
 	t.Helper()
 	s := MustSchema(Field{"oid", Int}, Field{"uid", Int}, Field{"amt", Float})
-	tbl, err := FromRows(s, []Tuple{
-		{IntValue(10), IntValue(1), FloatValue(5.0)},
-		{IntValue(11), IntValue(1), FloatValue(7.0)},
-		{IntValue(12), IntValue(3), FloatValue(2.0)},
-		{IntValue(13), IntValue(9), FloatValue(1.0)}, // dangling uid
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	return tbl
+	return tableOf(s,
+		Tuple{IntValue(10), IntValue(1), FloatValue(5.0)},
+		Tuple{IntValue(11), IntValue(1), FloatValue(7.0)},
+		Tuple{IntValue(12), IntValue(3), FloatValue(2.0)},
+		Tuple{IntValue(13), IntValue(9), FloatValue(1.0)}, // dangling uid
+	)
 }
 
 func TestFilter(t *testing.T) {
@@ -85,23 +78,6 @@ func TestMapOp(t *testing.T) {
 	})
 	if err == nil {
 		t.Fatal("expected validation error")
-	}
-}
-
-func TestFlatMapOp(t *testing.T) {
-	u := usersTable(t)
-	out, err := FlatMap(u, MustSchema(Field{"uid", Int}), func(r Tuple) ([]Tuple, error) {
-		id := r[0].Int()
-		if id%2 == 0 {
-			return nil, nil
-		}
-		return []Tuple{{IntValue(id)}, {IntValue(id * 10)}}, nil
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if out.Len() != 4 { // ids 1,3 emit two rows each
-		t.Fatalf("flatmap len = %d", out.Len())
 	}
 }
 
@@ -253,23 +229,11 @@ func TestJoinerShardCountDeterministic(t *testing.T) {
 	}
 }
 
-func TestDistinct(t *testing.T) {
-	s := MustSchema(Field{"x", Int})
-	tbl, _ := FromRows(s, []Tuple{{IntValue(1)}, {IntValue(2)}, {IntValue(1)}, {IntValue(3)}, {IntValue(2)}})
-	out := Distinct(tbl)
-	if out.Len() != 3 {
-		t.Fatalf("distinct len = %d", out.Len())
-	}
-	if out.Row(0)[0].Int() != 1 || out.Row(1)[0].Int() != 2 || out.Row(2)[0].Int() != 3 {
-		t.Fatal("distinct should keep first occurrences in order")
-	}
-}
-
-// TestDistinctMatchesKeyStringReference holds the uint64-hash Distinct
-// and EqualUnordered to the canonical key-string semantics they
-// replaced, on a table whose duplicates include NaN, -0 and +0 (every
+// TestEqualUnorderedMatchesKeyStringReference holds the uint64-hash
+// EqualUnordered to the canonical key-string multiset semantics it
+// replaced, on tables whose duplicates include NaN, -0 and +0 (every
 // NaN is one value; the two zeros are not).
-func TestDistinctMatchesKeyStringReference(t *testing.T) {
+func TestEqualUnorderedMatchesKeyStringReference(t *testing.T) {
 	// fuzzTable rows: byte 1 picks the float (0 NaN, 1 -0, 2 +0, 3 +Inf).
 	data := bytes.Repeat([]byte{0, 0, 0, 0, 0, 1, 0, 0, 0, 2, 0, 0, 5, 3, 1, 1, 5, 9, 2, 0}, 3)
 	// Drop the near-unique column so the repeats are duplicates.
@@ -277,37 +241,40 @@ func TestDistinctMatchesKeyStringReference(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	keys := func(t *Table) map[string]int {
+		m := make(map[string]int)
+		for _, r := range t.Rows() {
+			m[r.Key(0, 1, 2, 3)]++
+		}
+		return m
+	}
+	reversed := func(t *Table) *Table {
+		out := NewTable(t.Schema())
+		for i := t.Len() - 1; i >= 0; i-- {
+			out.AppendUnchecked(t.Row(i))
+		}
+		return out
+	}
+	// The first occurrence of each key, by key string.
+	firsts := NewTable(tbl.Schema())
 	seen := make(map[string]bool)
-	ref := NewTable(tbl.Schema())
 	for _, r := range tbl.Rows() {
 		if k := r.Key(0, 1, 2, 3); !seen[k] {
 			seen[k] = true
-			ref.AppendUnchecked(r)
+			firsts.AppendUnchecked(r)
 		}
 	}
-	dist := Distinct(tbl)
-	if dist.Len() != 5 {
-		t.Fatalf("distinct kept %d of %d rows, want 5", dist.Len(), tbl.Len())
+	if firsts.Len() != 5 {
+		t.Fatalf("%d distinct keys in %d rows, want 5", firsts.Len(), tbl.Len())
 	}
-	// Compared by encoded bytes, which is NaN-safe.
-	if encodeOrFatal(t, dist) != encodeOrFatal(t, ref) {
-		t.Fatal("distinct: hashed rows differ from key-string reference")
-	}
-	if !dist.EqualUnordered(ref) || !ref.EqualUnordered(dist) {
-		t.Fatal("distinct: EqualUnordered disagrees with key-string reference")
-	}
-}
-
-func TestLimit(t *testing.T) {
-	u := usersTable(t)
-	if Limit(u, 2).Len() != 2 {
-		t.Fatal("limit 2 wrong")
-	}
-	if Limit(u, 100).Len() != 4 {
-		t.Fatal("limit beyond size wrong")
-	}
-	if Limit(u, -5).Len() != 0 {
-		t.Fatal("negative limit wrong")
+	tables := []*Table{tbl, reversed(tbl), firsts, reversed(firsts)}
+	for i, a := range tables {
+		for j, b := range tables {
+			want := maps.Equal(keys(a), keys(b))
+			if got := a.EqualUnordered(b); got != want {
+				t.Errorf("tables %d and %d: EqualUnordered = %v, key-string multisets equal = %v", i, j, got, want)
+			}
+		}
 	}
 }
 

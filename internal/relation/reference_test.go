@@ -587,3 +587,57 @@ func (j *refJoiner) ProbeRows(dst []Tuple, rows []Tuple) []Tuple {
 	}
 	return dst
 }
+
+// NestedLoopJoin is the O(n·m) reference implementation used as a
+// testing oracle for HashJoin.
+func NestedLoopJoin(left, right *Table, leftKey, rightKey string, kind JoinType) (*Table, error) {
+	lk := left.Schema().IndexOf(leftKey)
+	rk := right.Schema().IndexOf(rightKey)
+	if lk < 0 || rk < 0 {
+		return nil, fmt.Errorf("relation: nested loop join: key not found")
+	}
+	// Reuse HashJoin's schema computation by joining empty tables.
+	proto, err := HashJoin(NewTable(left.Schema()), NewTable(right.Schema()), leftKey, rightKey, kind)
+	if err != nil {
+		return nil, err
+	}
+	out := NewTable(proto.Schema())
+	rightPos := make([]int, 0, right.Schema().Len()-1)
+	for i := 0; i < right.Schema().Len(); i++ {
+		if i != rk {
+			rightPos = append(rightPos, i)
+		}
+	}
+	for _, l := range left.Rows() {
+		matched := false
+		for _, r := range right.Rows() {
+			if l.Key(lk) == r.Key(rk) {
+				matched = true
+				row := make(Tuple, 0, out.Schema().Len())
+				row = append(row, l...)
+				for _, p := range rightPos {
+					row = append(row, r[p])
+				}
+				out.AppendUnchecked(row)
+			}
+		}
+		if !matched && kind == LeftOuter {
+			row := make(Tuple, 0, out.Schema().Len())
+			row = append(row, l...)
+			for _, p := range rightPos {
+				switch right.Schema().Field(p).Type {
+				case Int:
+					row = append(row, IntValue(0))
+				case Float:
+					row = append(row, FloatValue(0))
+				case String:
+					row = append(row, StringValue(""))
+				case Bool:
+					row = append(row, BoolValue(false))
+				}
+			}
+			out.AppendUnchecked(row)
+		}
+	}
+	return out, nil
+}

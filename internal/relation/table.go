@@ -16,18 +16,6 @@ func NewTable(s *Schema) *Table {
 	return &Table{schema: s}
 }
 
-// FromRows builds a table and validates every row against the schema.
-func FromRows(s *Schema, rows []Tuple) (*Table, error) {
-	t := NewTable(s)
-	for i, r := range rows {
-		if err := r.Validate(s); err != nil {
-			return nil, fmt.Errorf("relation: row %d: %w", i, err)
-		}
-		t.rows = append(t.rows, r)
-	}
-	return t, nil
-}
-
 // Schema returns the table's schema.
 func (t *Table) Schema() *Schema { return t.schema }
 

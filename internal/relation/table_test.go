@@ -2,25 +2,23 @@ package relation
 
 import "testing"
 
+// tableOf builds a table from rows of statically known shape.
+func tableOf(s *Schema, rows ...Tuple) *Table {
+	t := NewTable(s)
+	for _, r := range rows {
+		t.MustAppend(r)
+	}
+	return t
+}
+
 func smallTable(t *testing.T) *Table {
 	t.Helper()
 	s := MustSchema(Field{"id", Int}, Field{"name", String})
-	tbl, err := FromRows(s, []Tuple{
-		{IntValue(3), StringValue("c")},
-		{IntValue(1), StringValue("a")},
-		{IntValue(2), StringValue("b")},
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	return tbl
-}
-
-func TestFromRowsValidates(t *testing.T) {
-	s := MustSchema(Field{"id", Int})
-	if _, err := FromRows(s, []Tuple{{StringValue("not an int")}}); err == nil {
-		t.Fatal("expected validation error")
-	}
+	return tableOf(s,
+		Tuple{IntValue(3), StringValue("c")},
+		Tuple{IntValue(1), StringValue("a")},
+		Tuple{IntValue(2), StringValue("b")},
+	)
 }
 
 func TestAppendValidates(t *testing.T) {
@@ -65,8 +63,8 @@ func TestEqualOrderSensitive(t *testing.T) {
 
 func TestEqualUnorderedMultiset(t *testing.T) {
 	s := MustSchema(Field{"x", Int})
-	a, _ := FromRows(s, []Tuple{{IntValue(1)}, {IntValue(1)}, {IntValue(2)}})
-	b, _ := FromRows(s, []Tuple{{IntValue(1)}, {IntValue(2)}, {IntValue(2)}})
+	a := tableOf(s, Tuple{IntValue(1)}, Tuple{IntValue(1)}, Tuple{IntValue(2)})
+	b := tableOf(s, Tuple{IntValue(1)}, Tuple{IntValue(2)}, Tuple{IntValue(2)})
 	if a.EqualUnordered(b) {
 		t.Fatal("different multisets reported equal")
 	}
@@ -128,12 +126,12 @@ func TestSortBy(t *testing.T) {
 
 func TestSortByMultipleAndStability(t *testing.T) {
 	s := MustSchema(Field{"g", Int}, Field{"v", String}, Field{"b", Bool}, Field{"f", Float})
-	tbl, _ := FromRows(s, []Tuple{
-		{IntValue(2), StringValue("x"), BoolValue(true), FloatValue(1.0)},
-		{IntValue(1), StringValue("y"), BoolValue(false), FloatValue(2.0)},
-		{IntValue(1), StringValue("x"), BoolValue(true), FloatValue(0.5)},
-		{IntValue(2), StringValue("x"), BoolValue(false), FloatValue(3.0)},
-	})
+	tbl := tableOf(s,
+		Tuple{IntValue(2), StringValue("x"), BoolValue(true), FloatValue(1.0)},
+		Tuple{IntValue(1), StringValue("y"), BoolValue(false), FloatValue(2.0)},
+		Tuple{IntValue(1), StringValue("x"), BoolValue(true), FloatValue(0.5)},
+		Tuple{IntValue(2), StringValue("x"), BoolValue(false), FloatValue(3.0)},
+	)
 	if err := tbl.SortBy("g", "v"); err != nil {
 		t.Fatal(err)
 	}

@@ -250,15 +250,6 @@ func (m *Model) ShuffleSeconds(crossBytes int64) float64 {
 	return m.TransferSeconds(crossBytes)
 }
 
-// EdgeCostSeconds prices one workflow edge carrying n bytes between
-// two operators: serialize at the producer, deserialize at the
-// consumer, and (at worst) one network hop in between. The plan
-// optimizer uses it to compare rewrites — it reuses existing rates, so
-// model digests (and therefore lineage fingerprints) are unchanged.
-func (m *Model) EdgeCostSeconds(bytes int64) float64 {
-	return 2*m.SerdeSeconds(bytes) + m.TransferSeconds(bytes)
-}
-
 // PutSeconds returns the time to store n bytes in the object store.
 // spilled indicates the object exceeded the store's memory budget and
 // took the disk path.

@@ -66,8 +66,6 @@ type Result struct {
 	Trace *Trace
 	// SimSeconds is the simulated cluster execution time.
 	SimSeconds float64
-	// Schedule is the full simulator timeline behind SimSeconds.
-	Schedule *sim.Result
 	// Recovery describes checkpoint and fault-recovery work; nil when
 	// the execution ran without a fault plan.
 	Recovery *RecoveryInfo
@@ -770,7 +768,6 @@ func (ex *Execution) finish() {
 		Tables:     tables,
 		Trace:      trace,
 		SimSeconds: sched.Makespan,
-		Schedule:   sched,
 		Recovery:   recInfo,
 		Lineage:    linReport,
 	}

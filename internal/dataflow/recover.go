@@ -113,28 +113,12 @@ func scheduleWithFaults(jobs []sim.Job, pools []sim.Pool, meta []jobMeta, tr *Tr
 		info.CheckpointWriteSeconds += writeSecs
 	}
 
-	// The failure-free schedule (with the checkpoint tax folded in)
-	// fixes the fault horizon.
-	clean, err := sim.Schedule(jobs, pools)
-	if err != nil {
-		return nil, nil, err
-	}
-	evs := plan.Events(clean.Makespan)
-	if len(evs) == 0 {
-		return clean, info, nil
-	}
-
-	simFaults := make([]sim.FaultEvent, len(evs))
-	for i, e := range evs {
-		// Pool "" lets a fault strike whichever operator's worker is
-		// running; node-level faults are recorded but recover the same
-		// way (state lives in the checkpoint store, not on the node).
-		simFaults[i] = sim.FaultEvent{
-			At: e.At, Salt: e.Salt,
-			LoseObjects: e.Kind == faults.KillNode,
-		}
-	}
-	retry := sim.RetryPolicy{
+	// The checkpoint tax is folded in before the plan schedules, so the
+	// taxed failure-free schedule fixes the fault horizon. A fault may
+	// strike whichever operator's worker is running; node-level faults
+	// recover the same way (state lives in the checkpoint store, not on
+	// the node) except for the re-shard below.
+	sched, err := plan.Schedule(jobs, pools, sim.RetryPolicy{
 		// The controller respawns the worker before the retry runs; the
 		// engine does not back off.
 		Delay: func(sim.JobID, int) float64 { return m.OperatorStartup },
@@ -154,8 +138,7 @@ func scheduleWithFaults(jobs []sim.Job, pools []sim.Pool, meta []jobMeta, tr *Tr
 			}
 			return extra
 		},
-	}
-	sched, err := sim.ScheduleFaulty(jobs, pools, simFaults, retry)
+	})
 	if err != nil {
 		return nil, nil, err
 	}

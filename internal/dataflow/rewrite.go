@@ -18,10 +18,6 @@ import (
 // IsHash reports whether the partitioning is hash-by-key.
 func (p Partitioning) IsHash() bool { return p.kind == partHash }
 
-// IsBroadcast reports whether the partitioning copies every batch to
-// every worker.
-func (p Partitioning) IsBroadcast() bool { return p.kind == partBroadcast }
-
 // IsRoundRobin reports whether the partitioning deals batches to
 // workers in turn.
 func (p Partitioning) IsRoundRobin() bool { return p.kind == partRoundRobin }
@@ -59,15 +55,6 @@ func (w *Workflow) InEdgesOf(id NodeID) []EdgeInfo {
 		out = append(out, EdgeInfo{From: e.from.id, To: n.id, Port: e.port, Part: e.part})
 	}
 	return out
-}
-
-// OutDegreeOf returns the number of output edges of one node.
-func (w *Workflow) OutDegreeOf(id NodeID) int {
-	n := w.nodeAt(id)
-	if n == nil {
-		return 0
-	}
-	return len(n.outEdges)
 }
 
 func sortedInEdges(n *node) []*edge {

@@ -107,17 +107,18 @@ func (ex *Execution) recordTelemetry(jobs []sim.Job, meta []jobMeta, sched *sim.
 	}
 	// Lowering leaves batch jobs unnamed; a span that is recorded gets
 	// the name formatted here.
-	nameOf := func(i int) string {
+	lane := func(i int) (track, cat, name string) {
+		ti := tracks[jobs[i].Pool]
+		name = jobs[i].Name
 		if mt := meta[i]; mt.Batch {
-			return mt.batchName(ex.rts[mt.Node].n.name)
+			name = mt.batchName(ex.rts[mt.Node].n.name)
 		}
-		return jobs[i].Name
+		return ti.track, ti.cat, name
 	}
 
-	// Virtual spans, one per scheduled job that consumed time. Jobs are
-	// iterated in ID order, so the recording order is deterministic.
-	// Capacity covers the wall spans too, so the slice is allocated
-	// exactly once.
+	// Virtual spans in job order, then killed attempts, then the wall
+	// spans, in one Record call. Capacity covers the wall spans too, so
+	// the slice is allocated exactly once.
 	nWall := 0
 	for _, rt := range ex.rts {
 		for w := range rt.wall {
@@ -126,37 +127,7 @@ func (ex *Execution) recordTelemetry(jobs []sim.Job, meta []jobMeta, sched *sim.
 			}
 		}
 	}
-	spans := make([]telemetry.Span, 0, len(jobs)+nWall)
-	for i := range jobs {
-		j := &jobs[i]
-		if j.Cost <= 0 {
-			continue // barrier / end-of-stream bookkeeping jobs
-		}
-		sp, ok := sched.Spans[j.ID]
-		if !ok {
-			continue
-		}
-		ti := tracks[j.Pool]
-		spans = append(spans, telemetry.Span{
-			Proc: proc, Track: ti.track, Name: nameOf(i), Cat: ti.cat,
-			HasVirt: true,
-			Virtual: telemetry.Virt{Start: sp.Start, Dur: sp.Finish - sp.Start},
-		})
-	}
-
-	// Aborted attempts under fault injection, tagged as recovery work:
-	// the time each killed attempt held a worker slot.
-	for _, ab := range sched.Aborts {
-		j := &jobs[int(ab.Job)]
-		ti := tracks[j.Pool]
-		spans = append(spans, telemetry.Span{
-			Proc: proc, Track: ti.track,
-			Name:    fmt.Sprintf("%s:killed#%d", nameOf(int(ab.Job)), ab.Attempt),
-			Cat:     "recovery",
-			HasVirt: true,
-			Virtual: telemetry.Virt{Start: ab.Start, Dur: ab.Killed - ab.Start},
-		})
-	}
+	spans := telemetry.ScheduleSpans(make([]telemetry.Span, 0, len(jobs)+nWall), proc, jobs, sched, lane)
 
 	// Per-node wall spans (volatile): busy time anchored at the node's
 	// first activity, one span per active worker shard.
@@ -196,31 +167,7 @@ func (ex *Execution) recordTelemetry(jobs []sim.Job, meta []jobMeta, sched *sim.
 
 	// Critical-path breakdown: walk the longest chain and attribute its
 	// time per track.
-	if chain, err := sim.CriticalChain(jobs); err == nil {
-		byID := make(map[sim.JobID]*sim.Job, len(jobs))
-		for i := range jobs {
-			byID[jobs[i].ID] = &jobs[i]
-		}
-		agg := make(map[string]*telemetry.CriticalRow)
-		var order []string
-		for _, id := range chain {
-			j := byID[id]
-			track := tracks[j.Pool].track
-			row, ok := agg[track]
-			if !ok {
-				row = &telemetry.CriticalRow{Proc: proc, Track: track}
-				agg[track] = row
-				order = append(order, track)
-			}
-			row.Jobs++
-			row.Seconds += j.Cost + j.Latency
-		}
-		rows := make([]telemetry.CriticalRow, 0, len(order))
-		for _, track := range order {
-			rows = append(rows, *agg[track])
-		}
-		tel.rec.AddCritical(rows...)
-	}
+	tel.rec.AddCritical(telemetry.CriticalRows(proc, jobs, func(i int) string { return tracks[jobs[i].Pool].track })...)
 
 	tel.rec.SetMeta(strings.TrimSuffix(prefix, ".")+".makespan", fmt.Sprintf("%.6f", sched.Makespan))
 	tel.rec.SetMeta(strings.TrimSuffix(prefix, ".")+".nodes", fmt.Sprintf("%d", len(ex.rts)))

@@ -36,16 +36,12 @@ func Timeline(tr *Trace, m *cost.Model) ([]OpSpan, error) {
 	}
 	byPool := map[string]*agg{}
 	poolOrder := []string{}
-	jobPool := map[sim.JobID]string{}
-	for _, j := range jobs {
-		jobPool[j.ID] = j.Pool
-	}
 	for _, p := range pools {
 		byPool[p.Name] = &agg{}
 		poolOrder = append(poolOrder, p.Name)
 	}
-	for id, span := range sched.Spans {
-		a := byPool[jobPool[id]]
+	for i, span := range sched.Spans {
+		a := byPool[jobs[i].Pool]
 		if !a.seen || span.Start < a.start {
 			a.start = span.Start
 		}

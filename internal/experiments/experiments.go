@@ -41,12 +41,6 @@ func (c Config) scaled(n int) int {
 	return v
 }
 
-// Pair is a (script, workflow) time measurement.
-type Pair struct {
-	Script   float64
-	Workflow float64
-}
-
 // ---------------------------------------------------------------------------
 // E1 — Table I: KGE operator-language comparison.
 

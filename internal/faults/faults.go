@@ -18,6 +18,7 @@ import (
 	"fmt"
 	"math"
 
+	"repro/internal/sim"
 	"repro/internal/xrand"
 )
 
@@ -56,18 +57,6 @@ type Event struct {
 	// Salt deterministically selects the victim among whatever happens
 	// to be running when the fault strikes.
 	Salt uint64
-}
-
-// VictimNode deterministically picks which of nodes cluster nodes a
-// KillNode event takes down — the whole-node-loss plane of the sharded
-// tier. The choice is a pure function of the event's salt, so the same
-// plan kills the same node on every run; recovery re-shards that node's
-// datum range across the survivors.
-func (e Event) VictimNode(nodes int) int {
-	if nodes <= 1 {
-		return 0
-	}
-	return int(e.Salt % uint64(nodes))
 }
 
 // Plan is a deterministic fault environment: how often faults strike,
@@ -165,6 +154,28 @@ func (p Plan) Events(horizon float64) []Event {
 			return out
 		}
 	}
+}
+
+// Schedule simulates jobs on pools under the plan: the failure-free
+// schedule fixes the fault horizon, the plan expands into events over
+// that makespan, and only when one lands is the schedule re-run under
+// them, killed jobs recovering by retry. A KillNode event reaches the
+// retry policy's ExtraCost with objectsLost set; every event may strike
+// any pool.
+func (p Plan) Schedule(jobs []sim.Job, pools []sim.Pool, retry sim.RetryPolicy) (*sim.Result, error) {
+	clean, err := sim.Schedule(jobs, pools)
+	if err != nil {
+		return nil, err
+	}
+	evs := p.Events(clean.Makespan)
+	if len(evs) == 0 {
+		return clean, nil
+	}
+	strikes := make([]sim.FaultEvent, len(evs))
+	for i, e := range evs {
+		strikes[i] = sim.FaultEvent{At: e.At, Salt: e.Salt, LoseObjects: e.Kind == KillNode}
+	}
+	return sim.ScheduleFaulty(jobs, pools, strikes, retry)
 }
 
 // Backoff returns the delay before the retry-th re-execution

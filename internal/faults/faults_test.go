@@ -3,6 +3,8 @@ package faults
 import (
 	"math"
 	"testing"
+
+	"repro/internal/sim"
 )
 
 func TestZeroPlanIsDisabled(t *testing.T) {
@@ -100,5 +102,91 @@ func TestValidateRejectsBadFields(t *testing.T) {
 	}
 	if err := (Plan{Seed: 1, Rate: 3, NodeFraction: 0.5, CheckpointEvery: 8}).Validate(); err != nil {
 		t.Fatalf("valid plan rejected: %v", err)
+	}
+}
+
+func scheduleJobs() ([]sim.Job, []sim.Pool) {
+	jobs := []sim.Job{
+		{ID: 0, Name: "a", Cost: 4, Pool: "p"},
+		{ID: 1, Name: "b", Cost: 3, Pool: "p", Deps: []sim.JobID{0}},
+		{ID: 2, Name: "c", Cost: 2, Pool: "q", Deps: []sim.JobID{0}},
+	}
+	return jobs, []sim.Pool{{Name: "p", Slots: 1}, {Name: "q", Slots: 1}}
+}
+
+func TestZeroPlanScheduleMatchesSim(t *testing.T) {
+	jobs, pools := scheduleJobs()
+	want, err := sim.Schedule(jobs, pools)
+	if err != nil {
+		t.Fatal(err)
+	}
+	got, err := Plan{}.Schedule(jobs, pools, sim.RetryPolicy{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got.Makespan != want.Makespan || len(got.Spans) != len(want.Spans) {
+		t.Fatalf("zero plan: makespan %v, %d spans; sim.Schedule: %v, %d", got.Makespan, len(got.Spans), want.Makespan, len(want.Spans))
+	}
+	for i := range want.Spans {
+		if got.Spans[i] != want.Spans[i] {
+			t.Fatalf("span %d is %+v, sim.Schedule gives %+v", i, got.Spans[i], want.Spans[i])
+		}
+	}
+}
+
+func TestScheduleEventsPastHorizonKeepCleanSchedule(t *testing.T) {
+	jobs, pools := scheduleJobs()
+	clean, err := sim.Schedule(jobs, pools)
+	if err != nil {
+		t.Fatal(err)
+	}
+	// One fault per 10^6 simulated seconds: the seeded stream's first
+	// event lands long after the 7-second makespan.
+	p := Plan{Seed: 3, Rate: 1e-4}
+	if evs := p.Events(1e3); len(evs) != 0 {
+		t.Fatalf("plan strikes inside 1000 s: %+v", evs)
+	}
+	called := false
+	res, err := p.Schedule(jobs, pools, sim.RetryPolicy{
+		Delay: func(sim.JobID, int) float64 { called = true; return 0 },
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if called || res.Recovery != (sim.Recovery{}) || len(res.Aborts) != 0 {
+		t.Fatalf("no event landed, yet recovery ran: %+v", res.Recovery)
+	}
+	if res.Makespan != clean.Makespan {
+		t.Fatalf("makespan %v, clean %v", res.Makespan, clean.Makespan)
+	}
+	for i := range clean.Spans {
+		if res.Spans[i] != clean.Spans[i] {
+			t.Fatalf("span %d is %+v, clean %+v", i, res.Spans[i], clean.Spans[i])
+		}
+	}
+}
+
+func TestScheduleKillNodeLosesObjects(t *testing.T) {
+	jobs := []sim.Job{{ID: 0, Name: "long", Cost: 1000, Pool: "p"}}
+	pools := []sim.Pool{{Name: "p", Slots: 1}}
+	p := Plan{Seed: 1, Rate: 5, NodeFraction: 1, MaxFaults: 1}
+	if evs := p.Events(1000); len(evs) != 1 || evs[0].Kind != KillNode {
+		t.Fatalf("plan should yield one node fault inside the job: %+v", evs)
+	}
+	var lost []bool
+	res, err := p.Schedule(jobs, pools, sim.RetryPolicy{
+		ExtraCost: func(_ sim.JobID, _ int, objectsLost bool) float64 {
+			lost = append(lost, objectsLost)
+			return 0
+		},
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(lost) != 1 || !lost[0] {
+		t.Fatalf("ExtraCost saw objectsLost %v, want [true]", lost)
+	}
+	if res.Recovery.NodeKills != 1 || len(res.Aborts) != 1 || !res.Aborts[0].LostObjects {
+		t.Fatalf("recovery %+v, aborts %+v", res.Recovery, res.Aborts)
 	}
 }

@@ -141,10 +141,6 @@ func (s *Store) Model() *cost.Model { return s.model }
 // Stats returns a copy of the lifetime counters.
 func (s *Store) Stats() Stats { return s.stats }
 
-// ObjectStats exposes the backing object store's activity (spills,
-// restores, priced seconds).
-func (s *Store) ObjectStats() objstore.Stats { return s.obj.Stats() }
-
 // RunReport summarizes one run's interaction with the store.
 type RunReport struct {
 	// Scope identifies the run ("workflow:dice[...]", "script:kge[...]").
@@ -171,14 +167,6 @@ type RunReport struct {
 	FetchSeconds  float64
 	CommitSeconds float64
 	ReusedSeconds float64
-}
-
-// ReuseRatio returns Reused/Units, or 0 for an empty run.
-func (r *RunReport) ReuseRatio() float64 {
-	if r == nil || r.Units == 0 {
-		return 0
-	}
-	return float64(r.Reused) / float64(r.Units)
 }
 
 // Run is one executor's handle on the store for a single execution.

@@ -12,7 +12,6 @@ package obs
 import (
 	"fmt"
 	"runtime"
-	"sort"
 	"strings"
 	"sync"
 	"time"
@@ -568,10 +567,4 @@ type Detail struct {
 func (r *Run) Detail() Detail {
 	d := Detail{Info: r.Info(), Ops: r.Ops(), Samples: r.Samples()}
 	return d
-}
-
-// sortOps orders an operator table by name — used by deterministic
-// renderings; the live table keeps first-seen order instead.
-func sortOps(ops []OpStatus) {
-	sort.Slice(ops, func(i, j int) bool { return ops[i].Op < ops[j].Op })
 }

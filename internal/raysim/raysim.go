@@ -101,11 +101,11 @@ func NewCluster(model *cost.Model, numCPUs int, storeBytes int64) (*Cluster, err
 // Model returns the cluster's cost model.
 func (c *Cluster) Model() *cost.Model { return c.model }
 
-// NumCPUs returns the configured CPU count.
-func (c *Cluster) NumCPUs() int { return c.numCPUs }
-
 // Store returns the shared object store.
 func (c *Cluster) Store() *objstore.Store { return c.store }
+
+// rayTrack names the CPU pool every task runs on, and its trace track.
+const rayTrack = "ray-cpus"
 
 // TaskID identifies a task within one Job.
 type TaskID int
@@ -206,8 +206,6 @@ type Result struct {
 	// Makespan is the simulated seconds from submission to the last
 	// task finishing.
 	Makespan float64
-	// Schedule is the underlying simulator timeline.
-	Schedule *sim.Result
 	// ParallelTasks is the peak number of concurrently running tasks —
 	// the paper's "number of parallel processes" metric.
 	ParallelTasks int
@@ -232,7 +230,6 @@ func (j *Job) Run() (*Result, error) {
 	m := j.cluster.model
 	torch := cost.TorchSpeedup(m.TorchCoresRay)
 
-	const pool = "ray-cpus"
 	topo, err := j.topo.Normalize()
 	if err != nil {
 		return nil, err
@@ -263,7 +260,7 @@ func (j *Job) Run() (*Result, error) {
 		jobs = append(jobs, sim.Job{
 			ID:   sim.JobID(i),
 			Name: t.Name,
-			Pool: pool,
+			Pool: rayTrack,
 			// The object-store fetch happens inside the task body (it
 			// holds the CPU while deserializing), so it is cost, not
 			// latency; the fixed task overhead covers scheduling.
@@ -272,50 +269,11 @@ func (j *Job) Run() (*Result, error) {
 			Latency: 0,
 		})
 	}
-	pools := []sim.Pool{{Name: pool, Slots: j.cluster.numCPUs}}
-	var sched *sim.Result
-	if !j.plan.Injecting() {
-		sched, err = sim.Schedule(jobs, pools)
-	} else {
-		sched, err = j.scheduleFaulty(jobs, pools)
-	}
-	if err != nil {
-		return nil, err
-	}
-	j.recordTelemetry(jobs, sched)
-	j.publishProgress(sched)
-	return &Result{
-		Makespan:      sched.Makespan,
-		Schedule:      sched,
-		ParallelTasks: peakConcurrency(sched),
-		Recovery:      sched.Recovery,
-		ShuffleBytes:  shuffleBytes,
-	}, nil
-}
-
-// scheduleFaulty runs the job under its fault plan: the failure-free
-// schedule fixes the fault horizon, the plan expands into kill events
-// over it, and the faulty schedule retries killed tasks from lineage
-// with capped exponential backoff, pricing object reconstruction for
-// node-level faults.
-func (j *Job) scheduleFaulty(jobs []sim.Job, pools []sim.Pool) (*sim.Result, error) {
-	clean, err := sim.Schedule(jobs, pools)
-	if err != nil {
-		return nil, err
-	}
-	evs := j.plan.Events(clean.Makespan)
-	if len(evs) == 0 {
-		return clean, nil
-	}
-	simFaults := make([]sim.FaultEvent, len(evs))
-	for i, e := range evs {
-		simFaults[i] = sim.FaultEvent{
-			At: e.At, Pool: jobs[0].Pool, Salt: e.Salt,
-			LoseObjects: e.Kind == faults.KillNode,
-		}
-	}
-	store := j.cluster.store
-	retry := sim.RetryPolicy{
+	pools := []sim.Pool{{Name: rayTrack, Slots: j.cluster.numCPUs}}
+	// Under a fault plan, killed tasks retry from lineage after a capped
+	// exponential backoff, and a node-level fault also rebuilds the
+	// objects the task was fetching.
+	sched, err := j.plan.Schedule(jobs, pools, sim.RetryPolicy{
 		Delay: func(_ sim.JobID, r int) float64 { return j.plan.Backoff(r) },
 		ExtraCost: func(id sim.JobID, _ int, lost bool) float64 {
 			if !lost {
@@ -325,7 +283,7 @@ func (j *Job) scheduleFaulty(jobs []sim.Job, pools []sim.Pool) (*sim.Result, err
 			// object fetches from lineage.
 			var secs float64
 			for _, obj := range j.tasks[int(id)].Gets {
-				s, err := store.ReconstructSeconds(obj)
+				s, err := j.cluster.store.ReconstructSeconds(obj)
 				if err != nil {
 					continue // object deleted since submission
 				}
@@ -333,8 +291,18 @@ func (j *Job) scheduleFaulty(jobs []sim.Job, pools []sim.Pool) (*sim.Result, err
 			}
 			return secs
 		},
+	})
+	if err != nil {
+		return nil, err
 	}
-	return sim.ScheduleFaulty(jobs, pools, simFaults, retry)
+	j.recordTelemetry(jobs, sched)
+	j.publishProgress(sched)
+	return &Result{
+		Makespan:      sched.Makespan,
+		ParallelTasks: peakConcurrency(sched),
+		Recovery:      sched.Recovery,
+		ShuffleBytes:  shuffleBytes,
+	}, nil
 }
 
 // recordTelemetry emits one virtual-clock span per scheduled task plus
@@ -348,33 +316,12 @@ func (j *Job) recordTelemetry(jobs []sim.Job, sched *sim.Result) {
 	if proc == "" {
 		proc = "script:ray"
 	}
-	spans := make([]telemetry.Span, 0, len(jobs))
+	j.rec.Record(telemetry.ScheduleSpans(make([]telemetry.Span, 0, len(jobs)), proc, jobs, sched,
+		func(i int) (string, string, string) { return rayTrack, "task", jobs[i].Name })...)
 	var totalCost float64
 	for i := range jobs {
-		jb := &jobs[i]
-		sp, ok := sched.Spans[jb.ID]
-		if !ok || jb.Cost <= 0 {
-			continue
-		}
-		totalCost += jb.Cost
-		spans = append(spans, telemetry.Span{
-			Proc: proc, Track: "ray-cpus", Name: jb.Name, Cat: "task",
-			HasVirt: true,
-			Virtual: telemetry.Virt{Start: sp.Start, Dur: sp.Finish - sp.Start},
-		})
+		totalCost += jobs[i].Cost
 	}
-	// Aborted attempts, tagged as recovery work: the time each killed
-	// attempt held a CPU before the fault struck.
-	for _, ab := range sched.Aborts {
-		spans = append(spans, telemetry.Span{
-			Proc: proc, Track: "ray-cpus",
-			Name:    fmt.Sprintf("%s:killed#%d", jobs[int(ab.Job)].Name, ab.Attempt),
-			Cat:     "recovery",
-			HasVirt: true,
-			Virtual: telemetry.Virt{Start: ab.Start, Dur: ab.Killed - ab.Start},
-		})
-	}
-	j.rec.Record(spans...)
 	reg := j.rec.Metrics
 	reg.Counter("ray."+proc+".tasks").Add(0, int64(len(jobs)))
 	if rec := sched.Recovery; rec.Kills > 0 {
@@ -384,14 +331,7 @@ func (j *Job) recordTelemetry(jobs []sim.Job, sched *sim.Result) {
 		j.rec.SetMeta("ray."+proc+".recovery.backoff_seconds", fmt.Sprintf("%.6f", rec.DelaySeconds))
 		j.rec.SetMeta("ray."+proc+".recovery.reconstruct_seconds", fmt.Sprintf("%.6f", rec.ExtraCostSeconds))
 	}
-	if chain, err := sim.CriticalChain(jobs); err == nil {
-		row := telemetry.CriticalRow{Proc: proc, Track: "ray-cpus"}
-		for _, id := range chain {
-			row.Jobs++
-			row.Seconds += jobs[id].Cost + jobs[id].Latency
-		}
-		j.rec.AddCritical(row)
-	}
+	j.rec.AddCritical(telemetry.CriticalRows(proc, jobs, func(int) string { return rayTrack })...)
 	j.rec.SetMeta("ray."+proc+".makespan", fmt.Sprintf("%.6f", sched.Makespan))
 	j.rec.SetMeta("ray."+proc+".cpu_seconds", fmt.Sprintf("%.6f", totalCost))
 }
@@ -402,26 +342,25 @@ func (j *Job) publishProgress(sched *sim.Result) {
 	if j.progress == nil {
 		return
 	}
-	ids := make([]sim.JobID, 0, len(sched.Spans))
-	for id := range sched.Spans {
-		ids = append(ids, id)
+	order := make([]int, len(sched.Spans))
+	for i := range order {
+		order[i] = i
 	}
-	sort.Slice(ids, func(a, b int) bool {
-		sa, sb := sched.Spans[ids[a]], sched.Spans[ids[b]]
+	sort.Slice(order, func(a, b int) bool {
+		sa, sb := sched.Spans[order[a]], sched.Spans[order[b]]
 		if sa.Finish != sb.Finish {
 			return sa.Finish < sb.Finish
 		}
-		return ids[a] < ids[b]
+		return order[a] < order[b]
 	})
-	for _, id := range ids {
-		sp := sched.Spans[id]
+	for _, i := range order {
 		j.progress.Publish(core.ProgressEvent{
 			Task:        j.progTask,
 			Paradigm:    "script",
-			Op:          j.tasks[int(id)].Name,
+			Op:          j.tasks[i].Name,
 			Kind:        "task",
 			State:       "completed",
-			VirtSeconds: sp.Finish,
+			VirtSeconds: sched.Spans[i].Finish,
 		})
 	}
 }
@@ -439,15 +378,12 @@ func peakConcurrency(s *sim.Result) int {
 		}
 	}
 	// Sort by time; ends before starts at the same instant.
-	for i := 1; i < len(evs); i++ {
-		for k := i; k > 0; k-- {
-			if evs[k].at < evs[k-1].at || (evs[k].at == evs[k-1].at && evs[k].delta < evs[k-1].delta) {
-				evs[k], evs[k-1] = evs[k-1], evs[k]
-			} else {
-				break
-			}
+	sort.Slice(evs, func(a, b int) bool {
+		if evs[a].at != evs[b].at {
+			return evs[a].at < evs[b].at
 		}
-	}
+		return evs[a].delta < evs[b].delta
+	})
 	cur, peak := 0, 0
 	for _, e := range evs {
 		cur += e.delta
@@ -456,21 +392,4 @@ func peakConcurrency(s *sim.Result) int {
 		}
 	}
 	return peak
-}
-
-// MapReduce is a convenience for the common fan-out/fan-in shape: n
-// parallel map tasks (each optionally fetching shared objects) followed
-// by one reduce task.
-func (j *Job) MapReduce(name string, n int, mapSpec TaskSpec, reduceWork cost.Work) TaskID {
-	deps := make([]TaskID, 0, n)
-	for i := 0; i < n; i++ {
-		spec := mapSpec
-		spec.Name = fmt.Sprintf("%s-map-%d", name, i)
-		deps = append(deps, j.Submit(spec))
-	}
-	return j.Submit(TaskSpec{
-		Name: name + "-reduce",
-		Work: reduceWork,
-		Deps: deps,
-	})
 }

@@ -7,14 +7,10 @@ import (
 	"repro/internal/cluster"
 	"repro/internal/cost"
 	"repro/internal/objstore"
-	"repro/internal/sim"
 )
 
 // objstoreID wraps a string as a single-element object ID list.
 func objstoreID(s string) []objstore.ID { return []objstore.ID{objstore.ID(s)} }
-
-// simJobID converts a task ID to the simulator job ID it maps to.
-func simJobID(t TaskID) sim.JobID { return sim.JobID(t) }
 
 func newCluster(t *testing.T, cpus int) *Cluster {
 	t.Helper()
@@ -208,24 +204,6 @@ func TestSpilledModelFetchSlower(t *testing.T) {
 	spilled, resident := run(small), run(big)
 	if spilled <= resident {
 		t.Fatalf("spilled fetches (%v) should be slower than resident (%v)", spilled, resident)
-	}
-}
-
-func TestMapReduce(t *testing.T) {
-	c := newCluster(t, 4)
-	j := c.NewJob()
-	reduce := j.MapReduce("wordcount", 8, TaskSpec{Work: cost.Work{Interp: 1}}, cost.Work{Interp: 0.5})
-	if j.Len() != 9 {
-		t.Fatalf("tasks = %d", j.Len())
-	}
-	res, err := j.Run()
-	if err != nil {
-		t.Fatal(err)
-	}
-	// Reduce must finish last.
-	span := res.Schedule.Spans[simJobID(reduce)]
-	if span.Finish != res.Makespan {
-		t.Fatalf("reduce finished at %v, makespan %v", span.Finish, res.Makespan)
 	}
 }
 

@@ -29,9 +29,9 @@ func TestScheduleFaultyNoFaultsMatchesSchedule(t *testing.T) {
 	if clean.Makespan != faulty.Makespan {
 		t.Fatalf("makespans differ: %v vs %v", clean.Makespan, faulty.Makespan)
 	}
-	for id, sp := range clean.Spans {
-		if faulty.Spans[id] != sp {
-			t.Fatalf("span %d differs: %+v vs %+v", id, sp, faulty.Spans[id])
+	for i, sp := range clean.Spans {
+		if faulty.Spans[i] != sp {
+			t.Fatalf("span %d differs: %+v vs %+v", i, sp, faulty.Spans[i])
 		}
 	}
 	if faulty.Recovery != (Recovery{}) || len(faulty.Aborts) != 0 {

@@ -170,8 +170,8 @@ func goldenRun(t *testing.T) []goldenRow {
 			Case: name, Makespan: res.Makespan, BusyTime: res.BusyTime,
 			Aborts: res.Aborts, Recovery: res.Recovery,
 		}
-		for id, sp := range res.Spans {
-			row.Spans = append(row.Spans, goldenSpan{ID: id, Start: sp.Start, Finish: sp.Finish})
+		for i, sp := range res.Spans {
+			row.Spans = append(row.Spans, goldenSpan{ID: jobs[i].ID, Start: sp.Start, Finish: sp.Finish})
 		}
 		sort.Slice(row.Spans, func(i, k int) bool { return row.Spans[i].ID < row.Spans[k].ID })
 		rows = append(rows, row)

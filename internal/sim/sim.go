@@ -58,11 +58,13 @@ type Span struct {
 type Result struct {
 	// Makespan is the finish time of the last job.
 	Makespan float64
-	// Spans maps each job to its execution interval (the final,
-	// successful attempt under fault injection).
-	Spans map[JobID]Span
+	// Spans[i] is the execution interval of the job at position i of the
+	// scheduled slice (the final, successful attempt under fault
+	// injection).
+	Spans []Span
 	// BusyTime is the total slot-seconds consumed per pool, including
-	// the partial work of attempts later killed by faults.
+	// the partial work of attempts later killed by faults. Pools no job
+	// started on have no entry.
 	BusyTime map[string]float64
 	// Aborts lists killed attempts in kill order; empty without fault
 	// injection.
@@ -233,7 +235,7 @@ type poolState struct {
 // scheduler is the state of one schedule call. Jobs and pools are
 // addressed by position throughout; IDs and names are resolved once,
 // while the inputs are validated, and appear again only as the (at,
-// job) ordering key and as the keys of the Result's maps.
+// job) ordering key and as the keys of the Result's BusyTime.
 type scheduler struct {
 	jobs   []Job
 	state  []jobState
@@ -258,7 +260,7 @@ func schedule(jobs []Job, pools []Pool, faults []FaultEvent, retry RetryPolicy) 
 		poolAt: make(map[string]int32, len(pools)),
 		depOff: make([]int32, len(jobs)+2),
 		res: &Result{
-			Spans:    make(map[JobID]Span, len(jobs)),
+			Spans:    make([]Span, len(jobs)),
 			BusyTime: make(map[string]float64, len(pools)),
 		},
 	}
@@ -407,7 +409,7 @@ func (s *scheduler) start(i int32) {
 	p.used = true
 	c := j.Cost + st.extra
 	fin := s.now + c
-	s.res.Spans[j.ID] = Span{Start: s.now, Finish: fin}
+	s.res.Spans[i] = Span{Start: s.now, Finish: fin}
 	p.busy += c
 	s.events.push(event{at: fin, job: j.ID, idx: i, attempt: st.attempt})
 }
@@ -450,7 +452,7 @@ func (s *scheduler) strike(f *FaultEvent, retry *RetryPolicy) error {
 	sort.Slice(victims, func(i, k int) bool { return victims[i].job < victims[k].job })
 	v := victims[int(f.Salt%uint64(len(victims)))]
 	jv, st := &s.jobs[v.idx], &s.state[v.idx]
-	started := s.res.Spans[jv.ID].Start
+	started := s.res.Spans[v.idx].Start
 	p := &s.pools[st.pool]
 	p.free++
 	// Remove the unexecuted remainder of the attempt from busy time;
@@ -502,52 +504,11 @@ func (s *scheduler) strike(f *FaultEvent, retry *RetryPolicy) error {
 
 // CriticalPath returns the length of the longest dependency chain
 // (sum of costs and latencies), a lower bound on any schedule's
-// makespan. It returns an error on cycles or unknown dependencies.
+// makespan: the length of the chain CriticalChain returns. It returns
+// an error on cycles or unknown dependencies.
 func CriticalPath(jobs []Job) (float64, error) {
-	byID := make(map[JobID]*Job, len(jobs))
-	for i := range jobs {
-		byID[jobs[i].ID] = &jobs[i]
-	}
-	memo := make(map[JobID]float64, len(jobs))
-	state := make(map[JobID]int, len(jobs)) // 0 unvisited, 1 visiting, 2 done
-	var visit func(id JobID) (float64, error)
-	visit = func(id JobID) (float64, error) {
-		if state[id] == 2 {
-			return memo[id], nil
-		}
-		if state[id] == 1 {
-			return 0, fmt.Errorf("sim: dependency cycle through job %d", id)
-		}
-		state[id] = 1
-		j, ok := byID[id]
-		if !ok {
-			return 0, fmt.Errorf("sim: unknown job %d", id)
-		}
-		longest := 0.0
-		for _, d := range j.Deps {
-			v, err := visit(d)
-			if err != nil {
-				return 0, err
-			}
-			if v > longest {
-				longest = v
-			}
-		}
-		state[id] = 2
-		memo[id] = longest + j.Cost + j.Latency
-		return memo[id], nil
-	}
-	best := 0.0
-	for id := range byID {
-		v, err := visit(id)
-		if err != nil {
-			return 0, err
-		}
-		if v > best {
-			best = v
-		}
-	}
-	return best, nil
+	_, length, err := longestChain(jobs)
+	return length, err
 }
 
 // CriticalChain returns the jobs on one longest dependency chain, in
@@ -560,12 +521,20 @@ func CriticalPath(jobs []Job) (float64, error) {
 // stays allocation-light: lowered job IDs are dense, which lets the
 // memo tables be flat slices indexed by ID instead of maps.
 func CriticalChain(jobs []Job) ([]JobID, error) {
+	chain, _, err := longestChain(jobs)
+	return chain, err
+}
+
+// longestChain is the one longest-path walk behind CriticalChain and
+// CriticalPath: a memoised depth-first search returning the chain and
+// its length.
+func longestChain(jobs []Job) ([]JobID, float64, error) {
 	if len(jobs) == 0 {
-		return nil, nil
+		return nil, 0, nil
 	}
 	for i := range jobs {
 		if jobs[i].ID < 0 {
-			return nil, fmt.Errorf("sim: negative job ID %d", jobs[i].ID)
+			return nil, 0, fmt.Errorf("sim: negative job ID %d", jobs[i].ID)
 		}
 	}
 	// id -> job index, last definition winning.
@@ -613,7 +582,7 @@ func CriticalChain(jobs []Job) ([]JobID, error) {
 		ji := lookup(jobs[i].ID) // canonical index under duplicate IDs
 		v, err := visit(ji)
 		if err != nil {
-			return nil, err
+			return nil, 0, err
 		}
 		if v > topLen || (v == topLen && jobs[ji].ID < top) {
 			top, topLen = jobs[ji].ID, v
@@ -627,7 +596,7 @@ func CriticalChain(jobs []Job) ([]JobID, error) {
 	for i, j := 0, len(chain)-1; i < j; i, j = i+1, j-1 {
 		chain[i], chain[j] = chain[j], chain[i]
 	}
-	return chain, nil
+	return chain, topLen, nil
 }
 
 // TotalWork returns the sum of job costs grouped by pool.

@@ -18,7 +18,7 @@ func TestSingleJob(t *testing.T) {
 	if res.Makespan != 5 {
 		t.Fatalf("makespan = %v, want 5", res.Makespan)
 	}
-	if s := res.Spans[1]; s.Start != 0 || s.Finish != 5 {
+	if s := res.Spans[0]; s.Start != 0 || s.Finish != 5 {
 		t.Fatalf("span = %+v", s)
 	}
 }
@@ -71,7 +71,7 @@ func TestLatencyDelaysStart(t *testing.T) {
 	if res.Makespan != 6 {
 		t.Fatalf("makespan = %v, want 6 (2 work + 3 latency + 1 work)", res.Makespan)
 	}
-	if s := res.Spans[2]; s.Start != 5 {
+	if s := res.Spans[1]; s.Start != 5 {
 		t.Fatalf("job 2 start = %v, want 5", s.Start)
 	}
 }
@@ -87,7 +87,7 @@ func TestLatencyDoesNotOccupySlot(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if s := res.Spans[3]; s.Start != 1 {
+	if s := res.Spans[2]; s.Start != 1 {
 		t.Fatalf("job 3 start = %v, want 1 (slot free during job 2 latency)", s.Start)
 	}
 	if res.Makespan != 12 {
@@ -343,9 +343,9 @@ func TestDeterministicSchedules(t *testing.T) {
 	if r1.Makespan != r2.Makespan {
 		t.Fatalf("non-deterministic makespan: %v vs %v", r1.Makespan, r2.Makespan)
 	}
-	for id, s := range r1.Spans {
-		if r2.Spans[id] != s {
-			t.Fatalf("non-deterministic span for job %d", id)
+	for i, s := range r1.Spans {
+		if r2.Spans[i] != s {
+			t.Fatalf("non-deterministic span for job %d", jobs[i].ID)
 		}
 	}
 }

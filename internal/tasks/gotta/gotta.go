@@ -80,9 +80,6 @@ func (t *Task) Scope(_ core.Paradigm, workers int) string {
 		t.params.Paragraphs, t.params.SentencesPer, t.params.Seed, workers)
 }
 
-// Passages exposes the dataset.
-func (t *Task) Passages() []datagen.Passage { return t.passages }
-
 // Calibrated cost constants.
 var (
 	// workImports is the torch+transformers import cost.

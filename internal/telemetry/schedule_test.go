@@ -1,0 +1,68 @@
+package telemetry
+
+import (
+	"testing"
+
+	"repro/internal/sim"
+)
+
+func TestScheduleSpansSkipsFreeJobsAndNamesKills(t *testing.T) {
+	jobs := []sim.Job{
+		{ID: 0, Name: "a", Cost: 10, Pool: "p"},
+		{ID: 1, Name: "barrier", Pool: "p", Deps: []sim.JobID{0}},
+		{ID: 2, Name: "b", Cost: 1, Pool: "p", Deps: []sim.JobID{1}},
+	}
+	pools := []sim.Pool{{Name: "p", Slots: 1}}
+	sched, err := sim.ScheduleFaulty(jobs, pools, []sim.FaultEvent{{At: 4}, {At: 6}}, sim.RetryPolicy{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	lane := func(i int) (string, string, string) { return "lane", "task", jobs[i].Name }
+	spans := ScheduleSpans([]Span{{Name: "kept"}}, "script:x", jobs, sched, lane)
+	want := []struct {
+		name, cat  string
+		start, dur float64
+	}{
+		{"kept", "", 0, 0},
+		{"a", "task", 6, 10},
+		{"b", "task", 16, 1},
+		{"a:killed#1", "recovery", 0, 4},
+		{"a:killed#2", "recovery", 4, 2},
+	}
+	if len(spans) != len(want) {
+		t.Fatalf("%d spans, want %d: %+v", len(spans), len(want), spans)
+	}
+	for i, w := range want[1:] {
+		sp := spans[i+1]
+		if sp.Name != w.name || sp.Cat != w.cat || sp.Proc != "script:x" || sp.Track != "lane" || !sp.HasVirt ||
+			sp.Virtual != (Virt{Start: w.start, Dur: w.dur}) {
+			t.Errorf("span %d = %+v, want %s/%s at %g for %g", i+1, sp, w.name, w.cat, w.start, w.dur)
+		}
+	}
+}
+
+func TestCriticalRowsFirstReachedOrder(t *testing.T) {
+	// One chain a -> b -> c -> d over tracks x, y, x, z: x is reached
+	// first, and its second job joins its row instead of opening a new
+	// one.
+	jobs := []sim.Job{
+		{ID: 0, Name: "a", Cost: 1, Pool: "x"},
+		{ID: 1, Name: "b", Cost: 2, Pool: "y", Deps: []sim.JobID{0}},
+		{ID: 2, Name: "c", Cost: 3, Pool: "x", Deps: []sim.JobID{1}, Latency: 0.5},
+		{ID: 3, Name: "d", Cost: 4, Pool: "z", Deps: []sim.JobID{2}},
+	}
+	rows := CriticalRows("workflow:x", jobs, func(i int) string { return jobs[i].Pool })
+	want := []CriticalRow{
+		{Proc: "workflow:x", Track: "x", Jobs: 2, Seconds: 4.5},
+		{Proc: "workflow:x", Track: "y", Jobs: 1, Seconds: 2},
+		{Proc: "workflow:x", Track: "z", Jobs: 1, Seconds: 4},
+	}
+	if len(rows) != len(want) {
+		t.Fatalf("rows = %+v", rows)
+	}
+	for i := range want {
+		if rows[i] != want[i] {
+			t.Errorf("row %d = %+v, want %+v", i, rows[i], want[i])
+		}
+	}
+}

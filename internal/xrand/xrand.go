@@ -43,11 +43,6 @@ func (r *Rand) Uint64() uint64 {
 	return z ^ (z >> 31)
 }
 
-// Int63 returns a non-negative int64.
-func (r *Rand) Int63() int64 {
-	return int64(r.Uint64() >> 1)
-}
-
 // Intn returns an int uniformly distributed in [0, n). It panics if
 // n <= 0.
 func (r *Rand) Intn(n int) int {

@@ -233,7 +233,7 @@ func micros(window time.Duration) []Micro {
 	}
 	batch := left.Rows()[:2048]
 	out = append(out, measure("joiner_probe_2048", 2048, window, func() {
-		joiner.ProbeRows(&relation.Arena{}, nil, batch)
+		joiner.ProbeRows(&relation.Arena{}, nil, batch, nil)
 	}))
 	// The traffic dataflow actually sends: DICE-200 moves 58,088 tuples
 	// in 7,410 batches, 8 rows a batch. One op is one 8-row ProbeRows
@@ -247,7 +247,7 @@ func micros(window time.Duration) []Micro {
 	)
 	out = append(out, measure("joiner_probe_8", len(batch)/8, window, func() {
 		for lo := 0; lo < len(batch); lo += 8 {
-			_, probeHeads = joiner.ProbeRows(&probeOut, probeHeads, batch[lo:lo+8])
+			_, probeHeads, _, _ = joiner.ProbeRows(&probeOut, probeHeads, batch[lo:lo+8], nil)
 		}
 	}))
 	// The build side DICE's entity joins index: string keys shaped like

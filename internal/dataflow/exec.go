@@ -130,6 +130,10 @@ type nodeRuntime struct {
 	// commit; allocated only for dirty operators under a lineage store.
 	capture [][]relation.Tuple
 
+	// pushKeep, set for a join that may evaluate its filter (see
+	// pushedFilter), is bound to each of its instances.
+	pushKeep relation.Predicate
+
 	wg sync.WaitGroup
 }
 
@@ -204,10 +208,11 @@ func (rt *nodeRuntime) mergedWork() (byPort []cost.Work, end, open cost.Work) {
 
 // execCtx is the per-worker ExecCtx implementation.
 type execCtx struct {
-	rt     *nodeRuntime
-	shard  *workShard
-	worker int
-	phase  int // current port, or -1 during EndPort
+	rt      *nodeRuntime
+	shard   *workShard
+	worker  int
+	phase   int // current port, or -1 during EndPort
+	dropped int // the batch in hand's batchMsg.dropped; 0 during EndPort
 }
 
 func (ec *execCtx) AddWork(w cost.Work) { addShardWork(ec.shard, ec.phase, w) }
@@ -337,6 +342,13 @@ func (w *Workflow) Start(ctx context.Context, cfg Config) (*Execution, error) {
 			}
 		}
 	}
+	// A committed artifact needs every row, so a capturing join builds
+	// them all.
+	for _, n := range w.nodes {
+		if rt := ex.rts[n.id]; rt.capture == nil {
+			rt.pushKeep = pushedFilter(n)
+		}
+	}
 
 	// Launch edge routers.
 	var routerWG sync.WaitGroup
@@ -423,28 +435,49 @@ func (ex *Execution) Progress() []OpProgress {
 	return out
 }
 
+// pushedFilter returns the predicate a join node may evaluate for its
+// consumer, or nil: n must be a hash join whose one out-edge goes
+// round-robin into a FilterOp. A round-robin edge hands each batch, and
+// so its dropped count, whole to one filter worker; a hash edge splits
+// a batch and a broadcast one copies it, so both keep every row.
+func pushedFilter(n *node) relation.Predicate {
+	if _, ok := n.op.(*HashJoinOp); !ok || len(n.outEdges) != 1 {
+		return nil
+	}
+	e := n.outEdges[0]
+	if f, ok := e.to.op.(*FilterOp); ok && e.part.kind == partRoundRobin {
+		return f.Keep
+	}
+	return nil
+}
+
 // emit forwards rows produced by a node to all its out edges and
 // updates trace counters. worker indexes the producing worker's
-// lineage-capture shard.
-func (ex *Execution) emit(rt *nodeRuntime, worker int, rows []relation.Tuple) {
-	if len(rows) == 0 {
+// lineage-capture shard. dropped rows, droppedBytes encoded, are the
+// rows of the batch a join judged against its filter's predicate and
+// did not build: they are counted as the traffic they would have been,
+// and travel on the batch as a count, even when no row was kept, so the
+// edge carries the same batches to the same workers either way.
+func (ex *Execution) emit(rt *nodeRuntime, worker int, rows []relation.Tuple, dropped int, droppedBytes int64) {
+	if len(rows) == 0 && dropped == 0 {
 		return
 	}
 	if rt.capture != nil {
 		rt.capture[worker] = append(rt.capture[worker], rows...)
 	}
-	rt.outTuples.Add(int64(len(rows)))
+	tuples := int64(len(rows) + dropped)
+	rt.outTuples.Add(tuples)
 	rt.batches.Add(1)
-	var bytes int64
+	bytes := droppedBytes
 	for _, r := range rows {
 		bytes += relation.EncodedSize(r)
 	}
 	for i := range rt.n.outEdges {
 		st := rt.edgeStats[i]
 		st.batches.Add(1)
-		st.tuples.Add(int64(len(rows)))
+		st.tuples.Add(tuples)
 		st.bytes.Add(bytes)
-		rt.edgeQ[i].push(batchMsg{rows: rows})
+		rt.edgeQ[i].push(batchMsg{rows: rows, dropped: dropped})
 	}
 	if ex.cfg.Progress != nil {
 		ex.publishProgress(rt, "progress")
@@ -593,7 +626,7 @@ func (ex *Execution) runSource(rt *nodeRuntime) {
 			t0 = tel.rec.NowNS()
 		}
 		rt.addWork(0, rt.n.scanWork.Scale(float64(len(b.Rows))))
-		ex.emit(rt, 0, b.Rows)
+		ex.emit(rt, 0, b.Rows, 0, 0)
 		if tel != nil {
 			t1 := tel.rec.NowNS()
 			rt.wall[0].note(t0, t1)
@@ -651,6 +684,11 @@ func (ex *Execution) runSink(rt *nodeRuntime) {
 func (ex *Execution) runWorker(rt *nodeRuntime, worker int) {
 	defer rt.wg.Done()
 	inst := rt.n.op.NewInstance()
+	var join *joinInstance // set when the join evaluates its filter
+	if rt.pushKeep != nil {
+		join = inst.(*joinInstance)
+		join.pushFilter(rt.pushKeep)
+	}
 	ec := &execCtx{rt: rt, shard: &rt.shards[worker], worker: worker}
 	if sb, ok := inst.(schemaBinder); ok {
 		if err := sb.bindSchemas(rt.inputSchemas); err != nil {
@@ -687,29 +725,34 @@ func (ex *Execution) runWorker(rt *nodeRuntime, worker int) {
 				tel.qDepth.Set(shard, depth)
 				tel.qHist.Observe(shard, depth)
 			}
-			rt.inTuples.Add(int64(len(msg.rows)))
-			ec.phase = port
+			in := int64(len(msg.rows) + msg.dropped)
+			rt.inTuples.Add(in)
+			ec.phase, ec.dropped = port, msg.dropped
 			out, err := inst.Process(ec, port, msg.rows)
 			if err != nil {
 				ex.failOp(rt, worker, port, err)
 				return
 			}
-			ex.emit(rt, worker, out)
+			if join != nil {
+				ex.emit(rt, worker, out, join.dropped, join.droppedBytes)
+			} else {
+				ex.emit(rt, worker, out, 0, 0)
+			}
 			if tel != nil {
 				t1 := tel.rec.NowNS()
 				rt.wall[worker].note(t0, t1)
 				tel.batches.Add(shard, 1)
-				tel.tuples.Add(shard, int64(len(msg.rows)))
+				tel.tuples.Add(shard, in)
 				tel.batchNS.Observe(shard, t1-t0)
 			}
 		}
-		ec.phase = phaseEnd
+		ec.phase, ec.dropped = phaseEnd, 0
 		out, err := inst.EndPort(ec, port)
 		if err != nil {
 			ex.failOp(rt, worker, port, err)
 			return
 		}
-		ex.emit(rt, worker, out)
+		ex.emit(rt, worker, out, 0, 0)
 	}
 }
 

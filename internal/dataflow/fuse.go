@@ -57,14 +57,28 @@ func (f *FusedOp) OutputSchema(in []*relation.Schema) (*relation.Schema, error) 
 	return f.B.OutputSchema([]*relation.Schema{mid})
 }
 
-// NewInstance returns a worker running both halves back to back.
+// NewInstance returns a worker running both halves back to back. When A
+// is a hash join and B a filter, the join judges its rows against B's
+// predicate and builds only the ones B keeps.
 func (f *FusedOp) NewInstance() Instance {
-	return &fusedInstance{op: f, a: f.A.NewInstance(), b: f.B.NewInstance()}
+	fi := &fusedInstance{op: f, a: f.A.NewInstance(), b: f.B.NewInstance()}
+	join, jok := fi.a.(*joinInstance)
+	filter, fok := fi.b.(*filterInstance)
+	if jok && fok {
+		join.pushFilter(filter.op.Keep)
+		fi.join, fi.filter = join, filter
+	}
+	return fi
 }
 
 type fusedInstance struct {
 	op   *FusedOp
 	a, b Instance
+
+	// join and filter are a and b when the join is bound to the filter's
+	// predicate; nil otherwise.
+	join   *joinInstance
+	filter *filterInstance
 }
 
 // bindSchemas binds A with the node's input schemas and B with A's
@@ -97,8 +111,18 @@ func (fi *fusedInstance) Open(ec ExecCtx) error {
 
 func (fi *fusedInstance) Process(ec ExecCtx, port int, rows []relation.Tuple) ([]relation.Tuple, error) {
 	mid, err := fi.a.Process(ec, port, rows)
-	if err != nil || len(mid) == 0 {
+	if err != nil {
 		return nil, err
+	}
+	if fi.join != nil {
+		// The batch the join judged whole is what B would have seen.
+		if len(mid) == 0 && fi.join.dropped == 0 {
+			return nil, nil
+		}
+		return fi.filter.process(ec, mid, fi.join.dropped), nil
+	}
+	if len(mid) == 0 {
+		return nil, nil
 	}
 	return fi.b.Process(ec, 0, mid)
 }

@@ -75,17 +75,38 @@ type filterInstance struct {
 
 func (fi *filterInstance) Open(ExecCtx) error { return nil }
 func (fi *filterInstance) Process(ec ExecCtx, _ int, rows []relation.Tuple) ([]relation.Tuple, error) {
-	ec.AddWork(fi.op.Work.Scale(float64(len(rows))))
-	return keepRows(&fi.out, rows, fi.op.Keep), nil
+	dropped := 0
+	if c, ok := ec.(*execCtx); ok {
+		dropped = c.dropped
+	}
+	return fi.process(ec, rows, dropped), nil
 }
 func (fi *filterInstance) EndPort(ExecCtx, int) ([]relation.Tuple, error) { return nil, nil }
 
-// keepRows returns the rows keep accepts, in order, as a batch of out.
-// When out's chunk is full at a kept row it is sized for the rows still
-// to come, so a batch that keeps nothing allocates nothing.
+// process filters a batch that arrived with dropped more rows an
+// upstream join judged against this filter's predicate and did not
+// build. All of them are charged, in one call, so the work sum has the
+// bits it has when the join builds every row.
+func (fi *filterInstance) process(ec ExecCtx, rows []relation.Tuple, dropped int) []relation.Tuple {
+	ec.AddWork(fi.op.Work.Scale(float64(len(rows) + dropped)))
+	return keepRows(&fi.out, rows, fi.op.Keep)
+}
+
+// keepRows returns the rows keep accepts, in order. A batch it accepts
+// whole is handed on as it is, as LimitOp hands on its input; from a
+// mixed batch the survivors are copied into a batch of out. When out's
+// chunk is full at a kept row it is sized for the rows still to come,
+// so a batch that keeps nothing allocates nothing.
 func keepRows(out *relation.Arena, rows []relation.Tuple, keep relation.Predicate) []relation.Tuple {
+	cut := 0 // rows[:cut] are kept; rows[cut], if any, is the first rejected
+	for cut < len(rows) && keep(rows[cut]) {
+		cut++
+	}
+	if cut == len(rows) {
+		return rows
+	}
 	for i, r := range rows {
-		if keep(r) {
+		if i < cut || i > cut && keep(r) {
 			if !out.Fits(1, 0) {
 				out.Reserve(len(rows)-i, 0)
 			}
@@ -339,6 +360,31 @@ type joinInstance struct {
 	out         relation.Arena
 	heads       []int32        // scratch: ProbeRows' chain heads
 	permuted    relation.Tuple // scratch: one row in op.outPerm order
+
+	// keep, when set by pushFilter, is the predicate of the filter this
+	// join feeds alone: only the rows it accepts are built. dropped and
+	// droppedBytes count the rows it rejected from the last batch.
+	keep         relation.Predicate
+	dropped      int
+	droppedBytes int64
+}
+
+// pushFilter binds the predicate of the filter this join's output goes
+// to and nowhere else. Rows are judged in the join's logical column
+// order, through outPerm for a swapped join, as the filter would see
+// them.
+func (ji *joinInstance) pushFilter(keep relation.Predicate) {
+	perm := ji.op.outPerm
+	if perm == nil {
+		ji.keep = keep
+		return
+	}
+	ji.keep = func(row relation.Tuple) bool {
+		for k, p := range perm {
+			ji.permuted[k] = row[p]
+		}
+		return keep(ji.permuted)
+	}
 }
 
 func (ji *joinInstance) bindSchemas(in []*relation.Schema) error {
@@ -375,7 +421,7 @@ func (ji *joinInstance) Process(ec ExecCtx, port int, rows []relation.Tuple) ([]
 			}
 		}
 		var out []relation.Tuple
-		out, ji.heads = ji.joiner.ProbeRows(&ji.out, ji.heads, rows)
+		out, ji.heads, ji.dropped, ji.droppedBytes = ji.joiner.ProbeRows(&ji.out, ji.heads, rows, ji.keep)
 		// The rows ProbeRows returned are not handed out yet, so a
 		// swapped join re-orders each in place.
 		if perm := ji.op.outPerm; perm != nil {

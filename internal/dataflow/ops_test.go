@@ -2,6 +2,7 @@ package dataflow
 
 import (
 	"math/bits"
+	"slices"
 	"testing"
 
 	"repro/internal/cost"
@@ -271,6 +272,43 @@ func TestBatchRowsDoNotAlias(t *testing.T) {
 					}
 				}
 			}
+		}
+	}
+}
+
+// keepRows hands on a batch it keeps whole as it is, returns nil for a
+// batch it keeps nothing of, and copies the survivors of a mixed batch,
+// in order, whether the first row is kept or not.
+func TestKeepRows(t *testing.T) {
+	rows := intTable(10).Rows()
+	ids := func(rows []relation.Tuple) []int64 {
+		out := []int64{}
+		for _, r := range rows {
+			out = append(out, r[0].Int())
+		}
+		return out
+	}
+	var out relation.Arena
+	if got := keepRows(&out, rows, func(relation.Tuple) bool { return true }); len(got) != len(rows) || &got[0] != &rows[0] {
+		t.Fatalf("an all-kept batch came back as a copy of %d rows", len(got))
+	}
+	if got := keepRows(&out, rows, func(relation.Tuple) bool { return false }); got != nil {
+		t.Fatalf("an all-rejected batch gave %v, want nil", ids(got))
+	}
+	for _, c := range []struct {
+		name string
+		keep relation.Predicate
+		want []int64
+	}{
+		{"kept prefix", func(r relation.Tuple) bool { return r[0].Int() < 3 || r[0].Int() == 7 }, []int64{0, 1, 2, 7}},
+		{"rejected head", func(r relation.Tuple) bool { return r[0].Int()%3 == 2 }, []int64{2, 5, 8}},
+	} {
+		got := keepRows(&out, rows, c.keep)
+		if !slices.Equal(ids(got), c.want) {
+			t.Fatalf("%s: kept %v, want %v", c.name, ids(got), c.want)
+		}
+		if &got[0] == &rows[c.want[0]] {
+			t.Fatalf("%s: a mixed batch aliases its input", c.name)
 		}
 	}
 }

@@ -7,9 +7,13 @@ import (
 	"repro/internal/relation"
 )
 
-// batchMsg is one batch of rows flowing along an edge.
+// batchMsg is one batch of rows flowing along an edge. dropped counts
+// the rows an upstream join judged against this consumer's own
+// predicate and did not build: the batch stands for len(rows)+dropped
+// tuples.
 type batchMsg struct {
-	rows []relation.Tuple
+	rows    []relation.Tuple
+	dropped int
 }
 
 // queue is an unbounded MPSC queue of batches. Unbounded buffering

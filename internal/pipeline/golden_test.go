@@ -213,31 +213,32 @@ func TestWorkflowPlanAboveLegacyCeiling(t *testing.T) {
 // timings drift 10–18 % on shared runners, bytes and object counts do
 // not. Each run is measured warm, datagen included.
 //
-// A DICE-50 workflow run at 4 workers allocates about 2.1 MB in 4.5 k
-// objects; the byte budget is twice that and more, the object budget
-// 8,000. (With the join's fixed 1024-row output arena per probe batch
-// the same run allocated 82.4 MB; with map UDFs returning a slice per
-// row, the router building a key string per row and lowering naming
-// every job it was 3.9 MB in 48.1 k objects; with brat splitting every
-// annotation line into fresh slices, Render going through Fprintf and a
-// join key built per reference, 3.1 MB in 21.6 k; with every string
-// cell and every integer over 255 boxed in an interface, 2.2 MB in
-// 12.6 k; with a slice per join key and storage sized per batch, not
-// per operator run, 2.1 MB in 8.7 k.)
+// A DICE-50 workflow run at 4 workers allocates about 1.8 MB in 4.5 k
+// objects, of a 2,000,000-byte and 8,000-object budget. (With the
+// join's fixed 1024-row output arena per probe batch the same run
+// allocated 82.4 MB; with map UDFs returning a slice per row, the
+// router building a key string per row and lowering naming every job it
+// was 3.9 MB in 48.1 k objects; with brat splitting every annotation
+// line into fresh slices, Render going through Fprintf and a join key
+// built per reference, 3.1 MB in 21.6 k; with every string cell and
+// every integer over 255 boxed in an interface, 2.2 MB in 12.6 k; with
+// a slice per join key and storage sized per batch, not per operator
+// run, 2.1 MB in 8.7 k; with join-sentences building the rows
+// filter-containing throws away, 2.2 MB in 4.5 k.)
 //
 // The same run at 32 workers on 4 nodes has hundreds of operator
 // instances that see one or two batches each, so it pins the empty tail
-// each instance's last arena chunk leaves: it takes 2.8 MB of a
-// 3,000,000-byte budget, and arenas whose chunks never fell below 16
-// rows took 3.1 MB.
+// each instance's last arena chunk leaves: it takes 2.4 MB of a
+// 2,600,000-byte budget; arenas whose chunks never fell below 16 rows
+// took 3.1 MB, and a join building the rows its filter rejects 2.7 MB.
 func TestDiceWorkflowAllocBudget(t *testing.T) {
 	for _, c := range []struct {
 		spec       core.RunSpec
 		byteBudget uint64
 		objBudget  uint64
 	}{
-		{core.RunSpec{Task: "dice", Paradigm: "workflow", Size: 50, Seed: 1, Workers: 4}, 5 << 20, 8_000},
-		{core.RunSpec{Task: "dice", Paradigm: "workflow", Size: 50, Seed: 1, Workers: 32, Nodes: 4}, 3_000_000, 0},
+		{core.RunSpec{Task: "dice", Paradigm: "workflow", Size: 50, Seed: 1, Workers: 4}, 2_000_000, 8_000},
+		{core.RunSpec{Task: "dice", Paradigm: "workflow", Size: 50, Seed: 1, Workers: 32, Nodes: 4}, 2_600_000, 0},
 	} {
 		run := func() (bytes, objects uint64) {
 			var before, after runtime.MemStats

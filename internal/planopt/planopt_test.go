@@ -184,25 +184,30 @@ func TestProjectPushRejectedWhenSortKeyDropped(t *testing.T) {
 	}
 }
 
+// joinTables returns 40 users (uid, name) and 2,000 orders (oid, uid,
+// note), one in five of them for a uid no user has.
+func joinTables() (users, orders *relation.Table) {
+	users = relation.NewTable(relation.MustSchema(
+		relation.Field{Name: "uid", Type: relation.Int},
+		relation.Field{Name: "name", Type: relation.String},
+	))
+	for i := 0; i < 40; i++ {
+		users.AppendUnchecked(relation.Tuple{relation.IntValue(int64(i)), relation.StringValue(fmt.Sprintf("user-%d", i))})
+	}
+	orders = relation.NewTable(relation.MustSchema(
+		relation.Field{Name: "oid", Type: relation.Int},
+		relation.Field{Name: "uid", Type: relation.Int},
+		relation.Field{Name: "note", Type: relation.String},
+	))
+	for i := 0; i < 2000; i++ {
+		orders.AppendUnchecked(relation.Tuple{relation.IntValue(int64(i)), relation.IntValue(int64(i % 50)), relation.StringValue(fmt.Sprintf("order-%d-padding-padding", i))})
+	}
+	return users, orders
+}
+
 func joinWorkflow(par int, part func(key string) dataflow.Partitioning) func() *dataflow.Workflow {
 	return func() *dataflow.Workflow {
-		us := relation.MustSchema(
-			relation.Field{Name: "uid", Type: relation.Int},
-			relation.Field{Name: "name", Type: relation.String},
-		)
-		users := relation.NewTable(us)
-		for i := 0; i < 40; i++ {
-			users.AppendUnchecked(relation.Tuple{relation.IntValue(int64(i)), relation.StringValue(fmt.Sprintf("user-%d", i))})
-		}
-		os := relation.MustSchema(
-			relation.Field{Name: "oid", Type: relation.Int},
-			relation.Field{Name: "uid", Type: relation.Int},
-			relation.Field{Name: "note", Type: relation.String},
-		)
-		orders := relation.NewTable(os)
-		for i := 0; i < 2000; i++ {
-			orders.AppendUnchecked(relation.Tuple{relation.IntValue(int64(i)), relation.IntValue(int64(i % 50)), relation.StringValue(fmt.Sprintf("order-%d-padding-padding", i))})
-		}
+		users, orders := joinTables()
 		w := dataflow.New("join")
 		u := w.Source("users", users)
 		o := w.Source("orders", orders)
@@ -233,6 +238,77 @@ func TestJoinSwapBuildsSmallerSide(t *testing.T) {
 	}
 	if !po.EqualUnordered(pp) {
 		t.Fatal("join swap changed the output rows")
+	}
+}
+
+// A swapped join that feeds a filter judges the filter's rows in their
+// logical column order. With the filter in another language the join
+// evaluates it across the edge; in the same language fusion puts both
+// in one node. Either way the sink, and the traffic into the filter,
+// match the unoptimized plan's.
+func TestJoinSwapFeedsFilterUnchanged(t *testing.T) {
+	for _, lang := range []cost.Language{cost.Scala, cost.Python} {
+		build := func() *dataflow.Workflow {
+			users, orders := joinTables()
+			w := dataflow.New("join-filter")
+			u := w.Source("users", users)
+			o := w.Source("orders", orders)
+			// Mis-shaped, so OPT003 swaps it: the big orders table is the
+			// build side. Rows are (uid, name, oid, note).
+			j := w.Op(dataflow.NewHashJoin("join", cost.Python, "uid", "uid", relation.Inner))
+			f := w.Op(dataflow.NewFilter("keep", lang, func(r relation.Tuple) bool {
+				return r[2].Int()%4 == 0 || strings.HasSuffix(r[1].Str(), "7")
+			}))
+			snk := w.Sink("out")
+			w.Connect(o, j, 0, dataflow.RoundRobin())
+			w.Connect(u, j, 1, dataflow.RoundRobin())
+			w.Connect(j, f, 0, dataflow.RoundRobin())
+			w.Connect(f, snk, 0, dataflow.RoundRobin())
+			return w
+		}
+		resPlain, resOpt, rep := runBoth(t, build, Options{})
+		if !hasApplied(rep, RuleJoinSwap) {
+			t.Fatalf("%s filter: no OPT003 applied; diags: %v", lang, rep.Diags)
+		}
+		if !resOpt.Tables["out"].EqualUnordered(resPlain.Tables["out"]) {
+			t.Fatalf("%s filter: the swapped join changed the filtered rows", lang)
+		}
+		node := func(res *dataflow.Result, name string) *dataflow.NodeTrace {
+			for i := range res.Trace.Nodes {
+				if res.Trace.Nodes[i].Name == name {
+					return &res.Trace.Nodes[i]
+				}
+			}
+			return nil
+		}
+		plainFilter := node(resPlain, "keep")
+		if lang == cost.Python {
+			fused := node(resOpt, "join+keep")
+			if fused == nil {
+				t.Fatalf("%s filter: join and filter were not fused; diags: %v", lang, rep.Diags)
+			}
+			if fused.OutTuples != plainFilter.OutTuples {
+				t.Fatalf("fused join+filter emitted %d rows, the filter %d", fused.OutTuples, plainFilter.OutTuples)
+			}
+			continue
+		}
+		optFilter := node(resOpt, "keep")
+		if optFilter == nil || optFilter.InTuples != plainFilter.InTuples || optFilter.OutTuples != plainFilter.OutTuples {
+			t.Fatalf("%s filter: optimized filter node %+v, unoptimized %+v", lang, optFilter, plainFilter)
+		}
+		into := func(res *dataflow.Result, id dataflow.NodeID) (tuples, bytes int64) {
+			for _, e := range res.Trace.Edges {
+				if e.To == id {
+					return e.Tuples, e.Bytes
+				}
+			}
+			return -1, -1
+		}
+		pt, pb := into(resPlain, plainFilter.ID)
+		ot, ob := into(resOpt, optFilter.ID)
+		if pt != ot || pb != ob {
+			t.Fatalf("%s filter: %d rows / %d B into the optimized filter, %d / %d unoptimized", lang, ot, ob, pt, pb)
+		}
 	}
 }
 

@@ -26,6 +26,12 @@ type Arena struct {
 
 	madeRows  int // tuples added over the arena's life
 	madeCells int // cells carved over the arena's life
+
+	// Joiner.ProbeRows' workspace when it judges rows against a
+	// predicate: the row a candidate is assembled in, and each
+	// candidate's verdict. Neither is handed out.
+	scratch Tuple
+	kept    []bool
 }
 
 // Fits reports whether rows more tuples and cells more cells fit in the

@@ -45,7 +45,7 @@ func BenchmarkJoinerProbe(b *testing.B) {
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if out, heads = j.ProbeRows(&a, heads, batch); len(out) == 0 {
+		if out, heads, _, _ = j.ProbeRows(&a, heads, batch, nil); len(out) == 0 {
 			b.Fatal("empty probe result")
 		}
 	}

@@ -306,53 +306,111 @@ func NewJoiner(leftSchema *Schema, right *Table, leftKey, rightKey string, kind 
 // OutputSchema returns the join output schema.
 func (j *Joiner) OutputSchema() *Schema { return j.plan.out }
 
+// padded stands in a chain for the padding an unmatched LeftOuter probe
+// row is joined with: that row's only candidate, so it ends the chain.
+const padded = -2
+
+// after returns the candidate that follows r in its chain, or -1.
+func (j *Joiner) after(r int32) int32 {
+	if r == padded {
+		return -1
+	}
+	return j.next[r]
+}
+
+// fill writes probe row l joined with build row r, or with the LeftOuter
+// padding when r is padded, into row.
+func (j *Joiner) fill(row, l Tuple, r int32) {
+	joined := row[copy(row, l):]
+	if r == padded {
+		copy(joined, j.plan.padding)
+		return
+	}
+	b := j.build[r]
+	for k, p := range j.plan.rightPos {
+		joined[k] = b[p]
+	}
+}
+
 // ProbeRows joins a batch of probe rows against the built side and
 // returns the output rows, in probe order, as one batch of out. heads
 // is the caller's scratch (one chain head per probe row): pass what the
 // previous call returned, or nil, and keep the second result for the
 // next call.
 //
-// Each chain is walked twice: once to count the batch's output rows and
-// cells, which out then reserves in one go, and once to emit them.
-func (j *Joiner) ProbeRows(out *Arena, heads []int32, rows []Tuple) ([]Tuple, []int32) {
+// A nil keep builds every joined row. Otherwise only the rows keep
+// accepts are built: each candidate is first assembled in a scratch row
+// that out keeps across calls and judged there, and a rejected one is
+// counted in dropped, with its EncodedSize in droppedBytes, and never
+// carved. keep sees rows in the output schema's order and must not
+// retain them.
+//
+// Each chain is walked twice, three times under keep: once to count the
+// batch's candidate rows and cells, once to judge them, and once to
+// emit the kept ones into storage out reserves in one go.
+func (j *Joiner) ProbeRows(out *Arena, heads []int32, rows []Tuple, keep Predicate) (batch []Tuple, _ []int32, dropped int, droppedBytes int64) {
 	heads = slices.Grow(heads[:0], len(rows))[:len(rows)]
 	right := len(j.plan.rightPos)
 	n, cells := 0, 0
 	for i, l := range rows {
 		h := j.ix.head(l, j.plan.lk)
+		if h < 0 && j.kind == LeftOuter {
+			h = padded
+		}
 		heads[i] = h
-		c := 0
-		for r := h; r >= 0; r = j.next[r] {
-			c++
+		for r := h; r != -1; r = j.after(r) {
+			n++
+			cells += len(l) + right
 		}
-		if c == 0 && j.kind == LeftOuter {
-			c = 1
-		}
-		n += c
-		cells += c * (len(l) + right)
+	}
+	if keep != nil {
+		n, cells, dropped, droppedBytes = j.judge(out, heads, rows, keep, n)
 	}
 	out.Reserve(n, cells)
+	c := 0
 	for i, l := range rows {
-		h := heads[i]
-		if h < 0 && j.kind == LeftOuter {
-			row := out.Row(len(l) + right)
-			copy(row[copy(row, l):], j.plan.padding)
+		for r := heads[i]; r != -1; r = j.after(r) {
+			if keep == nil || out.kept[c] {
+				j.fill(out.Row(len(l)+right), l, r)
+			}
+			c++
 		}
-		for r := h; r >= 0; r = j.next[r] {
-			row := out.Row(len(l) + right)
-			joined, b := row[copy(row, l):], j.build[r]
-			for k, p := range j.plan.rightPos {
-				joined[k] = b[p]
+	}
+	return out.Batch(), heads, dropped, droppedBytes
+}
+
+// judge assembles each of the batch's candidate rows in out's scratch
+// row, records keep's verdict on it in out.kept, and returns the count
+// and cells of the kept candidates and the count and encoded bytes of
+// the rejected ones.
+func (j *Joiner) judge(out *Arena, heads []int32, rows []Tuple, keep Predicate, candidates int) (n, cells, dropped int, droppedBytes int64) {
+	out.kept = slices.Grow(out.kept[:0], candidates)
+	for i, l := range rows {
+		w := len(l) + len(j.plan.rightPos)
+		if cap(out.scratch) < w {
+			out.scratch = make(Tuple, w)
+		}
+		row := out.scratch[:w]
+		for r := heads[i]; r != -1; r = j.after(r) {
+			j.fill(row, l, r)
+			ok := keep(row)
+			out.kept = append(out.kept, ok)
+			if ok {
+				n++
+				cells += w
+			} else {
+				dropped++
+				droppedBytes += EncodedSize(row)
 			}
 		}
 	}
-	return out.Batch(), heads
+	return n, cells, dropped, droppedBytes
 }
 
 // Probe joins an entire probe table.
 func (j *Joiner) Probe(left *Table) *Table {
 	kstats.join.Add(1)
 	out := NewTable(j.plan.out)
-	out.rows, _ = j.ProbeRows(&Arena{}, nil, left.Rows())
+	out.rows, _, _, _ = j.ProbeRows(&Arena{}, nil, left.Rows(), nil)
 	return out
 }

@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"math"
 	"runtime"
+	"strings"
 	"testing"
 )
 
@@ -56,7 +57,7 @@ func TestProbeRowsMatchesNestedLoop(t *testing.T) {
 				t.Fatal(err)
 			}
 			got := NewTable(j.OutputSchema())
-			got.rows, _ = j.ProbeRows(&Arena{}, nil, probe.Rows())
+			got.rows, _, _, _ = j.ProbeRows(&Arena{}, nil, probe.Rows(), nil)
 			want, err := NestedLoopJoin(probe, build, "k", "k", kind)
 			if err != nil {
 				t.Fatal(err)
@@ -85,8 +86,8 @@ func TestProbeRowsOwnership(t *testing.T) {
 	width := j.OutputSchema().Len()
 
 	var a Arena
-	first, heads := j.ProbeRows(&a, nil, probe.Rows())
-	second, _ := j.ProbeRows(&a, heads, probe.Rows())
+	first, heads, _, _ := j.ProbeRows(&a, nil, probe.Rows(), nil)
+	second, _, _, _ := j.ProbeRows(&a, heads, probe.Rows(), nil)
 	snapshot := func(rows []Tuple) []Tuple {
 		out := make([]Tuple, len(rows))
 		for i, r := range rows {
@@ -141,14 +142,14 @@ func TestProbeRowsBytesFollowOutput(t *testing.T) {
 		t.Fatal(err)
 	}
 	batch := probe.Rows()[1:9] // keys 1..8, one match each
-	if rows, _ := j.ProbeRows(&Arena{}, nil, batch); len(rows) != 8 {
+	if rows, _, _, _ := j.ProbeRows(&Arena{}, nil, batch, nil); len(rows) != 8 {
 		t.Fatalf("fixture emitted %d rows, want 8", len(rows))
 	}
 	const calls = 100
 	var before, after runtime.MemStats
 	runtime.ReadMemStats(&before)
 	for i := 0; i < calls; i++ {
-		j.ProbeRows(&Arena{}, nil, batch)
+		j.ProbeRows(&Arena{}, nil, batch, nil)
 	}
 	runtime.ReadMemStats(&after)
 	got := (after.TotalAlloc - before.TotalAlloc) / calls
@@ -156,6 +157,117 @@ func TestProbeRowsBytesFollowOutput(t *testing.T) {
 	if got >= 4<<10 {
 		t.Fatalf("8-row probe at width %d allocates %d B, want < 4 KiB", j.OutputSchema().Len(), got)
 	}
+}
+
+// TestProbeRowsKeepRejectsWithoutAllocating pins that a rejected row is
+// only ever assembled in the arena's scratch: once one batch has sized
+// the scratch row and the verdicts, a batch whose every row is
+// rejected allocates nothing.
+func TestProbeRowsKeepRejectsWithoutAllocating(t *testing.T) {
+	probe, build := probeFixture(8, 40, 1) // every probe row matches 40 build rows
+	j, err := NewJoiner(probe.Schema(), build, "k", "k", LeftOuter, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	none := func(Tuple) bool { return false }
+	var a Arena
+	heads, batch := []int32(nil), probe.Rows()
+	_, heads, _, _ = j.ProbeRows(&a, heads, batch, none)
+	var dropped int
+	allocs := testing.AllocsPerRun(10, func() {
+		var rows []Tuple
+		rows, heads, dropped, _ = j.ProbeRows(&a, heads, batch, none)
+		if rows != nil {
+			t.Fatalf("kept %d rows", len(rows))
+		}
+	})
+	if dropped != 8*40 || allocs != 0 {
+		t.Fatalf("rejecting %d rows allocated %v objects a batch, want 320 rows and none", dropped, allocs)
+	}
+}
+
+// FuzzProbeRowsKeep holds ProbeRows under a predicate to ProbeRows
+// without one, and that to the reference joiner: over random build and
+// probe sides, Inner and LeftOuter, 1..4 shards and probe batches split
+// at random points, each batch must build exactly the unfiltered rows
+// keep accepts, in order, and report the rest in dropped and their
+// encoded size in droppedBytes. Cells vary in width, so a miscounted
+// row shows in the bytes.
+func FuzzProbeRowsKeep(f *testing.F) {
+	f.Add([]byte{0, 0, 0xa5, 0, 1, 1, 1, 2, 18, 3, 2, 0, 33, 1, 4, 6, 1})
+	f.Add([]byte{1, 3, 0x3c, 0, 7, 2, 0, 3, 1, 1, 5, 0, 0, 1, 1, 2, 2, 0, 19, 3, 4})
+	f.Add([]byte{1, 1, 0xff, 0, 2, 2, 3, 0, 4, 1, 2, 1, 3})
+	f.Add([]byte{0, 2, 0x00, 1, 1, 0, 1, 2, 1, 3, 0})
+	f.Fuzz(func(t *testing.T, data []byte) {
+		if len(data) < 3 {
+			return
+		}
+		kind, shards, mask := JoinType(data[0]%2), 1+int(data[1]%4), data[2]
+		ls := MustSchema(Field{"k", Int}, Field{"l", String})
+		rs := MustSchema(Field{"r", Int}, Field{"k", Int})
+		left, right := NewTable(ls), NewTable(rs)
+		var cuts []int // probe rows that end a batch
+		data = data[3:]
+		for i := 0; i+1 < len(data) && i < 512; i += 2 {
+			side, v := data[i], data[i+1]
+			k := IntValue(int64(v % 6))
+			switch side % 3 {
+			case 0:
+				right.AppendUnchecked(Tuple{IntValue(int64(i)), k})
+			default:
+				left.AppendUnchecked(Tuple{k, StringValue(strings.Repeat("s", int(v>>3)))})
+				if side%3 == 2 {
+					cuts = append(cuts, left.Len())
+				}
+			}
+		}
+		cuts = append(cuts, left.Len())
+		// keep reads a build cell and a probe cell, so padded rows are
+		// judged too.
+		keep := func(row Tuple) bool {
+			return mask>>((row[2].Int()+int64(len(row[1].Str())))%8)&1 == 1
+		}
+		j, err := NewJoiner(ls, right, "k", "k", kind, shards)
+		if err != nil {
+			t.Fatal(err)
+		}
+		ref, err := refNewJoiner(ls, right, "k", "k", kind, shards)
+		if err != nil {
+			t.Fatal(err)
+		}
+		var (
+			plainOut, keptOut     Arena
+			plainHeads, keptHeads []int32
+		)
+		lo := 0
+		for _, hi := range cuts {
+			batch := left.Rows()[lo:hi]
+			lo = hi
+			var plain, got []Tuple
+			var dropped int
+			var droppedBytes int64
+			plain, plainHeads, dropped, droppedBytes = j.ProbeRows(&plainOut, plainHeads, batch, nil)
+			if dropped != 0 || droppedBytes != 0 {
+				t.Fatalf("nil keep dropped %d rows (%d B)", dropped, droppedBytes)
+			}
+			sameRows(t, "unfiltered against the reference", plain, ref.ProbeRows(nil, batch))
+			got, keptHeads, dropped, droppedBytes = j.ProbeRows(&keptOut, keptHeads, batch, keep)
+			var want []Tuple
+			wantDropped, wantBytes := 0, int64(0)
+			for _, r := range plain {
+				if keep(r) {
+					want = append(want, r)
+				} else {
+					wantDropped++
+					wantBytes += EncodedSize(r)
+				}
+			}
+			sameRows(t, "kept rows against the filtered unfiltered ones", got, want)
+			if dropped != wantDropped || droppedBytes != wantBytes {
+				t.Fatalf("dropped %d rows of %d B, want %d of %d B", dropped, droppedBytes, wantDropped, wantBytes)
+			}
+		}
+	})
 }
 
 // sameRows fails unless got and want hold the same rows in the same
@@ -290,7 +402,7 @@ func FuzzJoinerMatchesReference(f *testing.F) {
 		rows := left.Rows()
 		for lo := 0; lo < len(rows); lo += batch {
 			var out []Tuple
-			out, heads = j.ProbeRows(&a, heads, rows[lo:min(lo+batch, len(rows))])
+			out, heads, _, _ = j.ProbeRows(&a, heads, rows[lo:min(lo+batch, len(rows))], nil)
 			got = append(got, out...)
 		}
 		if keyType == Float {

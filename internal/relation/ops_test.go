@@ -190,7 +190,7 @@ func probeSharded(left, right *Table, kind JoinType, shards int) (*Table, error)
 		return nil, err
 	}
 	out := NewTable(j.OutputSchema())
-	out.rows, _ = j.ProbeRows(&Arena{}, nil, left.Rows())
+	out.rows, _, _, _ = j.ProbeRows(&Arena{}, nil, left.Rows(), nil)
 	return out, nil
 }
 

@@ -23,7 +23,7 @@ import (
 // fault horizon or to the schedule's shape shows here byte for byte.
 // -update re-records the file from the current tree.
 
-var update = flag.Bool("update", false, "re-record testdata/trace_faults_golden.json from the current tree")
+var update = flag.Bool("update", false, "re-record the trace goldens under testdata from the current tree")
 
 const traceGoldenPath = "testdata/trace_faults_golden.json"
 

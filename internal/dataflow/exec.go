@@ -117,13 +117,12 @@ type nodeRuntime struct {
 	outTuples    atomic.Int64
 	batches      atomic.Int64
 	inQ          [][]*queue // [port][worker]
-	edgeQ        []*queue   // per outEdge, feeding that edge's router
+	edgeQ        []*queue   // per outEdge, feeding that edge's router; nil when its consumer does not execute
 	edgeStats    []*edgeStat
 	inputSchemas []*relation.Schema
 	sinkTable    *relation.Table
-	sinkMu       sync.Mutex
 
-	shards []workShard // one per worker (sources and sinks use shard 0)
+	shards []workShard // one per worker
 	wall   []wallShard // like shards; allocated only when telemetry is on
 
 	// capture collects each worker's emitted rows for the lineage
@@ -142,8 +141,6 @@ const (
 	phaseEnd  = -1 // EndPort
 	phaseOpen = -2 // Open (per-worker initialization)
 )
-
-func (rt *nodeRuntime) setState(s State) { rt.state.Store(int32(s)) }
 
 // setState transitions a node's state and, when a progress sink is
 // attached and the state actually changed, publishes the transition.
@@ -172,13 +169,8 @@ func (ex *Execution) publishProgress(rt *nodeRuntime, state string) {
 	})
 }
 
-// addWork charges work on shard 0 to a port bucket, the end bucket
-// (phaseEnd) or the open bucket (phaseOpen); single-goroutine node
-// kinds (sources) use it directly.
-func (rt *nodeRuntime) addWork(port int, w cost.Work) {
-	addShardWork(&rt.shards[0], port, w)
-}
-
+// addShardWork charges work to a port bucket, the end bucket (phaseEnd)
+// or the open bucket (phaseOpen) of one worker's shard.
 func addShardWork(sh *workShard, port int, w cost.Work) {
 	switch {
 	case port == phaseOpen:
@@ -278,6 +270,15 @@ func (w *Workflow) Start(ctx context.Context, cfg Config) (*Execution, error) {
 		done:   make(chan struct{}),
 	}
 
+	// Plan lineage modes (fingerprints, store lookups, replay/skip
+	// assignment) first: an edge is wired only when its consumer
+	// executes, and only an executing operator captures its output.
+	if err := ex.planLineage(); err != nil {
+		cancel()
+		return nil, err
+	}
+	executes := func(n *node) bool { return ex.lin == nil || ex.lin.mode[n.id] == lmDirty }
+
 	// Build runtimes.
 	ex.rts = make([]*nodeRuntime, len(w.nodes))
 	for _, n := range w.nodes {
@@ -298,65 +299,46 @@ func (w *Workflow) Start(ctx context.Context, cfg Config) (*Execution, error) {
 		}
 		rt.edgeQ = make([]*queue, len(n.outEdges))
 		rt.edgeStats = make([]*edgeStat, len(n.outEdges))
-		for i := range n.outEdges {
-			rt.edgeQ[i] = newQueue()
+		for i, e := range n.outEdges {
+			if executes(e.to) {
+				rt.edgeQ[i] = newQueue()
+			}
 			rt.edgeStats[i] = &edgeStat{}
 		}
-		workPorts := ports
-		if workPorts == 0 {
-			workPorts = 1 // source generation work
-		}
-		nshards := 1
-		if n.kind == kindOperator {
-			nshards = n.parallelism
-		}
-		rt.shards = make([]workShard, nshards)
+		workPorts := max(ports, 1) // a source charges its scan to port 0
+		rt.shards = make([]workShard, n.parallelism)
 		for s := range rt.shards {
 			rt.shards[s].byPort = make([]cost.Work, workPorts)
 		}
 		if ex.tel != nil {
-			rt.wall = make([]wallShard, nshards)
+			rt.wall = make([]wallShard, n.parallelism)
 		}
 		rt.inputSchemas = make([]*relation.Schema, ports)
 		for _, e := range n.inEdges {
 			rt.inputSchemas[e.port] = e.from.schema
 		}
-		if n.kind == kindSink {
+		switch {
+		case n.kind == kindSink:
 			rt.sinkTable = relation.NewTable(n.schema)
+		case n.kind == kindOperator && ex.lin != nil && executes(n):
+			// A committed artifact needs every row, so a capturing join
+			// builds them all.
+			rt.capture = make([][]relation.Tuple, n.parallelism)
+		default:
+			rt.pushKeep = pushedFilter(n)
 		}
 		ex.setState(rt, Initializing)
 		ex.rts[n.id] = rt
 	}
 
-	// Plan lineage modes (fingerprints, store lookups, replay/skip
-	// assignment) before any goroutine starts, then allocate output
-	// capture for the nodes whose results will be committed.
-	if err := ex.planLineage(); err != nil {
-		cancel()
-		return nil, err
-	}
-	if ex.lin != nil {
-		for _, n := range w.nodes {
-			if ex.lin.mode[n.id] == lmDirty && n.kind == kindOperator {
-				ex.rts[n.id].capture = make([][]relation.Tuple, n.parallelism)
-			}
-		}
-	}
-	// A committed artifact needs every row, so a capturing join builds
-	// them all.
-	for _, n := range w.nodes {
-		if rt := ex.rts[n.id]; rt.capture == nil {
-			rt.pushKeep = pushedFilter(n)
-		}
-	}
-
 	// Launch edge routers.
 	var routerWG sync.WaitGroup
-	for _, n := range w.nodes {
-		rt := ex.rts[n.id]
-		for i, e := range n.outEdges {
-			routerWG.Add(1)
-			go ex.runRouter(&routerWG, e, rt.edgeQ[i])
+	for _, rt := range ex.rts {
+		for i, q := range rt.edgeQ {
+			if q != nil {
+				routerWG.Add(1)
+				go ex.runRouter(&routerWG, rt.n.outEdges[i], q)
+			}
 		}
 	}
 
@@ -451,8 +433,9 @@ func pushedFilter(n *node) relation.Predicate {
 	return nil
 }
 
-// emit forwards rows produced by a node to all its out edges and
-// updates trace counters. worker indexes the producing worker's
+// emit forwards rows produced by a node to the out edges whose consumer
+// executes and updates trace counters; an edge without a queue carries
+// nothing and counts nothing. worker indexes the producing worker's
 // lineage-capture shard. dropped rows, droppedBytes encoded, are the
 // rows of the batch a join judged against its filter's predicate and
 // did not build: they are counted as the traffic they would have been,
@@ -472,12 +455,15 @@ func (ex *Execution) emit(rt *nodeRuntime, worker int, rows []relation.Tuple, dr
 	for _, r := range rows {
 		bytes += relation.EncodedSize(r)
 	}
-	for i := range rt.n.outEdges {
+	for i, q := range rt.edgeQ {
+		if q == nil {
+			continue
+		}
 		st := rt.edgeStats[i]
 		st.batches.Add(1)
 		st.tuples.Add(tuples)
 		st.bytes.Add(bytes)
-		rt.edgeQ[i].push(batchMsg{rows: rows, dropped: dropped})
+		q.push(batchMsg{rows: rows, dropped: dropped})
 	}
 	if ex.cfg.Progress != nil {
 		ex.publishProgress(rt, "progress")
@@ -571,124 +557,104 @@ func (s *hashSplitter) by(rows []relation.Tuple, keyPos, outs int) (placed []rel
 	return s.out.Batch(), s.offs
 }
 
-// runNode executes one node: a generator for sources, a collector for
-// sinks, or parallelism workers for operators.
+// runNode executes one node: a scan for a source or a replayed node,
+// or parallelism workers for an operator or a sink.
 func (ex *Execution) runNode(wg *sync.WaitGroup, rt *nodeRuntime) {
 	defer wg.Done()
 	defer func() {
 		// Whatever happened, close out-edge queues so downstream sees
 		// EOF.
 		for _, q := range rt.edgeQ {
-			q.close()
+			if q != nil {
+				q.close()
+			}
 		}
 	}()
-	switch ex.lineageMode(rt.n.id) {
-	case lmSkip:
-		// Elided entirely: the cached artifact stands in for the node.
-		ex.setState(rt, Completed)
-		return
-	case lmReplay:
-		ex.runReplay(rt)
+	if ex.lin != nil {
+		switch ex.lin.mode[rt.n.id] {
+		case lmSkip:
+			// Elided entirely: the cached artifact stands in for the node.
+			ex.setState(rt, Completed)
+			return
+		case lmReplay:
+			// The cached artifact is scanned in the node's place, at no
+			// work and with no exec telemetry: the trace prices the fetch.
+			ex.scan(rt, ex.lin.art[rt.n.id].Table, cost.Work{}, nil)
+			return
+		}
+	}
+	if rt.n.kind == kindSource {
+		ex.scan(rt, rt.n.table, rt.n.scanWork, ex.tel)
 		return
 	}
-	switch rt.n.kind {
-	case kindSource:
-		ex.runSource(rt)
-	case kindSink:
-		ex.runSink(rt)
-	default:
-		rt.wg.Add(rt.n.parallelism)
-		for wk := 0; wk < rt.n.parallelism; wk++ {
-			go ex.runWorker(rt, wk)
-		}
-		rt.wg.Wait()
-		if State(rt.state.Load()) != Failed {
-			ex.setState(rt, Completed)
-		}
+	// Worker 0 runs on this goroutine, so a one-worker node, a sink
+	// included, starts no goroutine of its own.
+	rt.wg.Add(rt.n.parallelism)
+	for wk := 1; wk < rt.n.parallelism; wk++ {
+		go ex.runWorker(rt, wk)
+	}
+	ex.runWorker(rt, 0)
+	rt.wg.Wait()
+	if State(rt.state.Load()) != Failed {
+		ex.setState(rt, Completed)
 	}
 }
 
-// runSource streams the source table downstream in batches.
-func (ex *Execution) runSource(rt *nodeRuntime) {
+// scan streams table downstream in batches, charging work per row to
+// port 0 and recording each batch on tel (nil records nothing).
+func (ex *Execution) scan(rt *nodeRuntime, table *relation.Table, work cost.Work, tel *execTelemetry) {
 	ex.setState(rt, Running)
 	size := rt.n.batchSize
 	if size == 0 {
-		size = AutoBatchSize(rt.n.table.Len())
+		size = AutoBatchSize(table.Len())
 	}
-	tel := ex.tel
-	shard := shardIndex(rt.n.id, 0)
-	for _, b := range rt.n.table.Batches(size) {
+	for _, b := range table.Batches(size) {
 		if err := ex.gate.wait(ex.ctx); err != nil {
 			return
 		}
-		var t0 int64
-		if tel != nil {
-			t0 = tel.rec.NowNS()
-		}
-		rt.addWork(0, rt.n.scanWork.Scale(float64(len(b.Rows))))
+		t0 := tel.beginBatch(rt, 0, nil)
+		addShardWork(&rt.shards[0], 0, work.Scale(float64(len(b.Rows))))
 		ex.emit(rt, 0, b.Rows, 0, 0)
-		if tel != nil {
-			t1 := tel.rec.NowNS()
-			rt.wall[0].note(t0, t1)
-			tel.batches.Add(shard, 1)
-			tel.tuples.Add(shard, int64(len(b.Rows)))
-			tel.batchNS.Observe(shard, t1-t0)
-		}
+		tel.endBatch(rt, 0, t0, int64(len(b.Rows)))
 	}
 	ex.setState(rt, Completed)
 }
 
-// runSink collects rows into the sink table.
-func (ex *Execution) runSink(rt *nodeRuntime) {
-	ex.setState(rt, Running)
-	q := rt.inQ[0][0]
-	tel := ex.tel
-	shard := shardIndex(rt.n.id, 0)
-	for {
-		msg, ok, err := q.pop(ex.ctx)
-		if err != nil {
-			return
-		}
-		if !ok {
-			ex.setState(rt, Completed)
-			return
-		}
-		if err := ex.gate.wait(ex.ctx); err != nil {
-			return
-		}
-		var t0 int64
-		if tel != nil {
-			t0 = tel.rec.NowNS()
-			depth := int64(q.Depth())
-			tel.qDepth.Set(shard, depth)
-			tel.qHist.Observe(shard, depth)
-		}
-		rt.inTuples.Add(int64(len(msg.rows)))
-		rt.sinkMu.Lock()
-		for _, r := range msg.rows {
-			rt.sinkTable.AppendUnchecked(r)
-		}
-		rt.sinkMu.Unlock()
-		if tel != nil {
-			t1 := tel.rec.NowNS()
-			rt.wall[0].note(t0, t1)
-			tel.batches.Add(shard, 1)
-			tel.tuples.Add(shard, int64(len(msg.rows)))
-			tel.batchNS.Observe(shard, t1-t0)
-		}
+// newInstance returns one worker's instance of the node: a sink's
+// collects into the sink table, and a join bound to its filter's
+// predicate (pushKeep) is returned as join too, for its dropped rows.
+func (rt *nodeRuntime) newInstance() (inst Instance, join *joinInstance) {
+	if rt.n.kind == kindSink {
+		return &sinkInstance{table: rt.sinkTable}, nil
 	}
-}
-
-// runWorker executes one operator worker: ports in order, batches in
-// arrival order.
-func (ex *Execution) runWorker(rt *nodeRuntime, worker int) {
-	defer rt.wg.Done()
-	inst := rt.n.op.NewInstance()
-	var join *joinInstance // set when the join evaluates its filter
+	inst = rt.n.op.NewInstance()
 	if rt.pushKeep != nil {
 		join = inst.(*joinInstance)
 		join.pushFilter(rt.pushKeep)
 	}
+	return inst, join
+}
+
+// sinkInstance is a sink's one worker: it appends every row it is
+// handed to the sink's table and emits nothing.
+type sinkInstance struct{ table *relation.Table }
+
+func (s *sinkInstance) Open(ExecCtx) error { return nil }
+
+func (s *sinkInstance) Process(_ ExecCtx, _ int, rows []relation.Tuple) ([]relation.Tuple, error) {
+	for _, r := range rows {
+		s.table.AppendUnchecked(r)
+	}
+	return nil, nil
+}
+
+func (s *sinkInstance) EndPort(ExecCtx, int) ([]relation.Tuple, error) { return nil, nil }
+
+// runWorker executes one worker of an operator or a sink: ports in
+// order, batches in arrival order.
+func (ex *Execution) runWorker(rt *nodeRuntime, worker int) {
+	defer rt.wg.Done()
+	inst, join := rt.newInstance()
 	ec := &execCtx{rt: rt, shard: &rt.shards[worker], worker: worker}
 	if sb, ok := inst.(schemaBinder); ok {
 		if err := sb.bindSchemas(rt.inputSchemas); err != nil {
@@ -702,10 +668,7 @@ func (ex *Execution) runWorker(rt *nodeRuntime, worker int) {
 		return
 	}
 	ex.setState(rt, Running)
-	ports := rt.n.op.Desc().Ports
-	tel := ex.tel
-	shard := shardIndex(rt.n.id, worker)
-	for port := 0; port < ports; port++ {
+	for port := range rt.inQ {
 		q := rt.inQ[port][worker]
 		for {
 			msg, ok, err := q.pop(ex.ctx)
@@ -718,13 +681,7 @@ func (ex *Execution) runWorker(rt *nodeRuntime, worker int) {
 			if err := ex.gate.wait(ex.ctx); err != nil {
 				return
 			}
-			var t0 int64
-			if tel != nil {
-				t0 = tel.rec.NowNS()
-				depth := int64(q.Depth())
-				tel.qDepth.Set(shard, depth)
-				tel.qHist.Observe(shard, depth)
-			}
+			t0 := ex.tel.beginBatch(rt, worker, q)
 			in := int64(len(msg.rows) + msg.dropped)
 			rt.inTuples.Add(in)
 			ec.phase, ec.dropped = port, msg.dropped
@@ -738,13 +695,7 @@ func (ex *Execution) runWorker(rt *nodeRuntime, worker int) {
 			} else {
 				ex.emit(rt, worker, out, 0, 0)
 			}
-			if tel != nil {
-				t1 := tel.rec.NowNS()
-				rt.wall[worker].note(t0, t1)
-				tel.batches.Add(shard, 1)
-				tel.tuples.Add(shard, in)
-				tel.batchNS.Observe(shard, t1-t0)
-			}
+			ex.tel.endBatch(rt, worker, t0, in)
 		}
 		ec.phase, ec.dropped = phaseEnd, 0
 		out, err := inst.EndPort(ec, port)
@@ -818,55 +769,23 @@ func (ex *Execution) finish() {
 
 // buildTrace snapshots all runtime counters into a Trace. Under a
 // lineage plan the trace reflects what actually happened: skipped
-// non-sink nodes are absent, replay nodes and skipped sinks appear as
-// source-like cache views whose only cost is the artifact fetch, dirty
-// nodes carry their commit tax in EndWork, and only edges that carried
-// data (into dirty consumers) remain.
+// non-sink nodes are absent, replayed nodes and skipped sinks appear as
+// cache views, dirty nodes carry their commit tax in EndWork, and only
+// edges that carried data (into executing consumers) remain.
 func (ex *Execution) buildTrace() *Trace {
 	tr := &Trace{Workflow: ex.wf.name}
 	for _, rt := range ex.rts {
+		tr.Edges = rt.appendEdges(tr.Edges)
 		if ex.lin != nil {
 			switch ex.lin.mode[rt.n.id] {
-			case lmSkip:
-				if rt.n.kind != kindSink {
-					continue
-				}
-				art := ex.lin.art[rt.n.id]
-				tr.Nodes = append(tr.Nodes, NodeTrace{
-					ID:             rt.n.id,
-					Name:           rt.n.name,
-					Kind:           rt.n.kind.String(),
-					Parallelism:    1,
-					InTuples:       int64(art.Table.Len()),
-					OutTuples:      int64(art.Table.Len()),
-					EmittedBatches: 1,
-					WorkByPort:     []cost.Work{{Mem: ex.lin.fetchSec[rt.n.id]}},
-				})
-				continue
 			case lmReplay:
-				nt := NodeTrace{
-					ID:             rt.n.id,
-					Name:           rt.n.name,
-					Kind:           rt.n.kind.String(),
-					Parallelism:    1,
-					OutTuples:      rt.outTuples.Load(),
-					EmittedBatches: rt.batches.Load(),
-					WorkByPort:     []cost.Work{{Mem: ex.lin.fetchSec[rt.n.id]}},
-				}
-				tr.Nodes = append(tr.Nodes, nt)
-				for i, e := range rt.n.outEdges {
-					if ex.lin.mode[e.to.id] != lmDirty {
-						continue
-					}
-					st := rt.edgeStats[i]
-					tr.Edges = append(tr.Edges, EdgeTrace{
-						From:    e.from.id,
-						To:      e.to.id,
-						Port:    e.port,
-						Batches: st.batches.Load(),
-						Tuples:  st.tuples.Load(),
-						Bytes:   st.bytes.Load(),
-					})
+				tr.Nodes = append(tr.Nodes, ex.cacheView(rt, 0, rt.outTuples.Load(), rt.batches.Load()))
+				continue
+			case lmSkip:
+				if rt.n.kind == kindSink {
+					// The cached table passes through as one batch.
+					rows := int64(ex.lin.art[rt.n.id].Table.Len())
+					tr.Nodes = append(tr.Nodes, ex.cacheView(rt, rows, rows, 1))
 				}
 				continue
 			}
@@ -901,20 +820,41 @@ func (ex *Execution) buildTrace() *Trace {
 			}
 		}
 		tr.Nodes = append(tr.Nodes, nt)
-		for i, e := range rt.n.outEdges {
-			if ex.lin != nil && ex.lin.mode[e.to.id] != lmDirty {
-				continue
-			}
-			st := rt.edgeStats[i]
-			tr.Edges = append(tr.Edges, EdgeTrace{
-				From:    e.from.id,
-				To:      e.to.id,
-				Port:    e.port,
-				Batches: st.batches.Load(),
-				Tuples:  st.tuples.Load(),
-				Bytes:   st.bytes.Load(),
-			})
-		}
 	}
 	return tr
+}
+
+// cacheView is the trace of a node a lineage hit stands in for: one
+// source-like worker whose only cost is the artifact fetch.
+func (ex *Execution) cacheView(rt *nodeRuntime, in, out, batches int64) NodeTrace {
+	return NodeTrace{
+		ID:             rt.n.id,
+		Name:           rt.n.name,
+		Kind:           rt.n.kind.String(),
+		Parallelism:    1,
+		InTuples:       in,
+		OutTuples:      out,
+		EmittedBatches: batches,
+		WorkByPort:     []cost.Work{{Mem: ex.lin.fetchSec[rt.n.id]}},
+	}
+}
+
+// appendEdges appends the traces of the node's out-edges that have a
+// queue, the ones into a consumer that executes.
+func (rt *nodeRuntime) appendEdges(dst []EdgeTrace) []EdgeTrace {
+	for i, e := range rt.n.outEdges {
+		if rt.edgeQ[i] == nil {
+			continue
+		}
+		st := rt.edgeStats[i]
+		dst = append(dst, EdgeTrace{
+			From:    e.from.id,
+			To:      e.to.id,
+			Port:    e.port,
+			Batches: st.batches.Load(),
+			Tuples:  st.tuples.Load(),
+			Bytes:   st.bytes.Load(),
+		})
+	}
+	return dst
 }

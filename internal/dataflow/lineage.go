@@ -22,19 +22,20 @@ package dataflow
 //     a new artifact version (the commit tax lands in the node's end
 //     work).
 //   - lmReplay: cache hit with at least one dirty consumer — the node
-//     does not execute; a single goroutine streams the cached table into
-//     the dirty consumers' ports, paying the artifact fetch instead of
-//     the node's recorded compute.
+//     does not execute; the executor scans the cached table as a source
+//     scans its own, into the dirty consumers' ports, paying the artifact
+//     fetch instead of the node's recorded compute.
 //   - lmSkip:   cache hit with no dirty consumer — the node is elided
 //     from execution and (except for sinks, whose cached tables are
 //     fetched so the run still returns complete results) from the trace.
 //
-// Because a hit requires every upstream to hit, all consumers of dirty
-// nodes are dirty — the invariant the executor relies on: replay/skip
-// nodes never receive pushes, so emit needs no filtering. All store
-// reads are priced at plan time and all commits at finish time, in
-// deterministic topological order, so the artifact repo's LRU and spill
-// state evolve identically across runs.
+// Only an edge into a dirty consumer gets a queue, so a replay feeds
+// the consumers that execute and nothing else. Because a hit requires
+// every upstream to hit, all consumers of dirty nodes are dirty: every
+// edge out of a node that executes is wired. All store reads are priced
+// at plan time and all commits at finish time, in deterministic
+// topological order, so the artifact repo's LRU and spill state evolve
+// identically across runs.
 
 import (
 	"fmt"
@@ -97,8 +98,8 @@ func foldInputs(h *lineage.Hasher, n *node, digestOf func(NodeID) uint64) {
 }
 
 // planLineage fingerprints every resolvable node, consults the store,
-// and assigns execution modes. Runs single-threaded before workers
-// start.
+// and assigns execution modes. Runs single-threaded before the node
+// runtimes are built.
 func (ex *Execution) planLineage() error {
 	store := ex.cfg.Lineage
 	if store == nil {
@@ -178,48 +179,6 @@ func (ex *Execution) planLineage() error {
 	}
 	ex.lin = lin
 	return nil
-}
-
-// lineageMode returns the node's execution mode (lmDirty when lineage
-// is off).
-func (ex *Execution) lineageMode(id NodeID) lmMode {
-	if ex.lin == nil {
-		return lmDirty
-	}
-	return ex.lin.mode[id]
-}
-
-// runReplay streams a node's cached artifact into its dirty consumers'
-// edges, standing in for the node's execution.
-func (ex *Execution) runReplay(rt *nodeRuntime) {
-	ex.setState(rt, Running)
-	art := ex.lin.art[rt.n.id]
-	size := rt.n.batchSize
-	if size == 0 {
-		size = AutoBatchSize(art.Table.Len())
-	}
-	for _, b := range art.Table.Batches(size) {
-		if err := ex.gate.wait(ex.ctx); err != nil {
-			return
-		}
-		rt.outTuples.Add(int64(len(b.Rows)))
-		rt.batches.Add(1)
-		var bytes int64
-		for _, r := range b.Rows {
-			bytes += relation.EncodedSize(r)
-		}
-		for i, e := range rt.n.outEdges {
-			if ex.lin.mode[e.to.id] != lmDirty {
-				continue
-			}
-			st := rt.edgeStats[i]
-			st.batches.Add(1)
-			st.tuples.Add(int64(len(b.Rows)))
-			st.bytes.Add(bytes)
-			rt.edgeQ[i].push(batchMsg{rows: b.Rows})
-		}
-	}
-	ex.setState(rt, Completed)
 }
 
 // commitLineage materializes every dirty node's output as a new

@@ -11,7 +11,8 @@ import (
 // execTelemetry bundles the recorder and the pre-registered sharded
 // instruments the executor's hot path writes. It is built once at
 // Start when a recorder is attached; a nil *execTelemetry is the
-// telemetry-off fast path (one pointer nil-check per batch).
+// telemetry-off fast path (beginBatch and endBatch each check the
+// pointer once per batch and return).
 type execTelemetry struct {
 	rec *telemetry.Recorder
 	// batches/tuples count operator Process invocations and their rows
@@ -64,6 +65,39 @@ func (sh *wallShard) note(t0, t1 int64) {
 	}
 	sh.busyNS += t1 - t0
 	sh.batches++
+}
+
+// beginBatch stamps the start of one batch a node's worker handles and,
+// for a batch popped from q (nil for a scan), samples that queue's
+// depth. It returns the start stamp for endBatch; a nil receiver
+// (telemetry off) records nothing.
+func (t *execTelemetry) beginBatch(rt *nodeRuntime, worker int, q *queue) int64 {
+	if t == nil {
+		return 0
+	}
+	t0 := t.rec.NowNS()
+	if q != nil {
+		shard := shardIndex(rt.n.id, worker)
+		depth := int64(q.Depth())
+		t.qDepth.Set(shard, depth)
+		t.qHist.Observe(shard, depth)
+	}
+	return t0
+}
+
+// endBatch closes a batch begun at t0 that carried tuples rows: it
+// notes the worker's wall interval and counts the batch, its rows and
+// its latency.
+func (t *execTelemetry) endBatch(rt *nodeRuntime, worker int, t0, tuples int64) {
+	if t == nil {
+		return
+	}
+	t1 := t.rec.NowNS()
+	shard := shardIndex(rt.n.id, worker)
+	rt.wall[worker].note(t0, t1)
+	t.batches.Add(shard, 1)
+	t.tuples.Add(shard, tuples)
+	t.batchNS.Observe(shard, t1-t0)
 }
 
 // shardIndex spreads (node, worker) pairs over the registry's shards.

@@ -1,6 +1,7 @@
 package planopt
 
 import (
+	"fmt"
 	"math"
 
 	"repro/internal/dataflow"
@@ -373,17 +374,25 @@ func passBatch(w *dataflow.Workflow, est estimates, r *Report) error {
 // rewrite. Fusion runs last: earlier passes see only primitive
 // operators.
 func passFusion(w *dataflow.Workflow, r *Report) error {
+fuse:
 	for {
-		a, b, ok := nextFusion(w)
-		if !ok {
-			break
-		}
-		nameA, nameB := w.NameOf(a), w.NameOf(b)
-		fusedID := a
-		if err := w.Fuse(a, b); err != nil {
+		ids, err := w.TopoIDs()
+		if err != nil {
 			return err
 		}
-		r.applied(RuleFusion, w, fusedID, "fused %q into %q: one edge, one startup fewer", nameB, nameA)
+		// Fuse the first fusable edge in topological order, then look
+		// again on the rewritten graph.
+		for _, a := range ids {
+			if b, ok, _ := fusion(w, a); ok {
+				nameA, nameB := w.NameOf(a), w.NameOf(b)
+				if err := w.Fuse(a, b); err != nil {
+					return err
+				}
+				r.applied(RuleFusion, w, a, "fused %q into %q: one edge, one startup fewer", nameB, nameA)
+				continue fuse
+			}
+		}
+		break
 	}
 	// Emit near-miss rejections once, on the settled graph.
 	ids, err := w.TopoIDs()
@@ -391,77 +400,51 @@ func passFusion(w *dataflow.Workflow, r *Report) error {
 		return err
 	}
 	for _, a := range ids {
-		if w.OperatorAt(a) == nil {
-			continue
-		}
-		e, sole := soleOutEdge(w, a)
-		if !sole {
-			continue
-		}
-		b := e.To
-		bop := w.OperatorAt(b)
-		if bop == nil {
-			continue
-		}
-		bd := bop.Desc()
-		if bd.Ports != 1 || len(w.InEdgesOf(b)) != 1 {
-			continue
-		}
-		ad := w.OperatorAt(a).Desc()
-		switch {
-		case !bd.Stateless:
-			r.rejected(RuleFusion, w, b, "downstream operator %q is stateful; fusing would change its input stream", bd.Name)
-		case bd.BlockingPorts[0]:
-			r.rejected(RuleFusion, w, b, "downstream operator %q blocks; fusion would serialize the pipeline", bd.Name)
-		case !e.Part.IsRoundRobin():
-			r.rejected(RuleFusion, w, b, "edge is %s; fusing would bypass the repartition", e.Part)
-		case w.ParallelismOf(a) != w.ParallelismOf(b):
-			r.rejected(RuleFusion, w, b, "parallelism differs (%d vs %d); fusing would change worker assignment",
-				w.ParallelismOf(a), w.ParallelismOf(b))
-		case ad.Language != bd.Language:
-			r.rejected(RuleFusion, w, b, "languages differ (%s vs %s); fused work would be mispriced", ad.Language, bd.Language)
+		if b, _, reason := fusion(w, a); reason != "" {
+			r.rejected(RuleFusion, w, b, "%s", reason)
 		}
 	}
 	return nil
 }
 
-// nextFusion finds the first fusable edge a -> b, in topological order.
-func nextFusion(w *dataflow.Workflow) (a, b dataflow.NodeID, ok bool) {
-	ids, err := w.TopoIDs()
-	if err != nil {
-		return 0, 0, false
+// fusion judges the edge out of node a. It returns a's consumer b and
+// whether a -> b fuses; when it does not, reason says why, or is empty
+// when the edge is not a near miss worth explaining.
+func fusion(w *dataflow.Workflow, a dataflow.NodeID) (b dataflow.NodeID, ok bool, reason string) {
+	aop := w.OperatorAt(a)
+	if aop == nil {
+		return 0, false, ""
 	}
-	for _, id := range ids {
-		aop := w.OperatorAt(id)
-		if aop == nil {
-			continue
-		}
-		switch aop.(type) {
-		case *dataflow.SortOp, *dataflow.LimitOp:
-			continue
-		}
-		e, sole := soleOutEdge(w, id)
-		if !sole || !e.Part.IsRoundRobin() {
-			continue
-		}
-		bop := w.OperatorAt(e.To)
-		if bop == nil {
-			continue
-		}
-		bd := bop.Desc()
-		if bd.Ports != 1 || len(w.InEdgesOf(e.To)) != 1 {
-			continue
-		}
-		if !bd.Stateless || bd.BlockingPorts[0] {
-			continue
-		}
-		if w.ParallelismOf(id) != w.ParallelismOf(e.To) {
-			continue
-		}
-		if aop.Desc().Language != bd.Language {
-			continue
-		}
-		return id, e.To, true
+	e, sole := soleOutEdge(w, a)
+	if !sole {
+		return 0, false, ""
 	}
-	return 0, 0, false
+	b = e.To
+	bop := w.OperatorAt(b)
+	if bop == nil {
+		return b, false, ""
+	}
+	bd := bop.Desc()
+	if bd.Ports != 1 || len(w.InEdgesOf(b)) != 1 {
+		return b, false, ""
+	}
+	ad := aop.Desc()
+	switch {
+	case !bd.Stateless:
+		return b, false, fmt.Sprintf("downstream operator %q is stateful; fusing would change its input stream", bd.Name)
+	case bd.BlockingPorts[0]:
+		return b, false, fmt.Sprintf("downstream operator %q blocks; fusion would serialize the pipeline", bd.Name)
+	case !e.Part.IsRoundRobin():
+		return b, false, fmt.Sprintf("edge is %s; fusing would bypass the repartition", e.Part)
+	case w.ParallelismOf(a) != w.ParallelismOf(b):
+		return b, false, fmt.Sprintf("parallelism differs (%d vs %d); fusing would change worker assignment",
+			w.ParallelismOf(a), w.ParallelismOf(b))
+	case ad.Language != bd.Language:
+		return b, false, fmt.Sprintf("languages differ (%s vs %s); fused work would be mispriced", ad.Language, bd.Language)
+	}
+	switch aop.(type) {
+	case *dataflow.SortOp, *dataflow.LimitOp:
+		return b, false, ""
+	}
+	return b, true, ""
 }

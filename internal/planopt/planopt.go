@@ -60,10 +60,10 @@ type Options struct {
 	// MaxParallelism caps the parallelism pass; 0 derives it from the
 	// topology's total worker vCPUs.
 	MaxParallelism int
-	// SampleRows bounds the row sample threaded through the estimator;
-	// 0 uses a default of 512.
-	SampleRows int
 }
+
+// sampleRows bounds the row sample threaded through the estimator.
+const sampleRows = 512
 
 func (o Options) normalize() Options {
 	if o.Model == nil {
@@ -72,9 +72,6 @@ func (o Options) normalize() Options {
 	o.Topology, _ = o.Topology.Normalize()
 	if o.MaxParallelism <= 0 {
 		o.MaxParallelism = o.Topology.TotalVCPUs()
-	}
-	if o.SampleRows <= 0 {
-		o.SampleRows = 512
 	}
 	return o
 }
@@ -123,7 +120,7 @@ func Optimize(w *dataflow.Workflow, opt Options) (*Report, error) {
 	}
 	r := &Report{}
 
-	est, err := inferEstimates(w, opt.SampleRows)
+	est, err := inferEstimates(w, sampleRows)
 	if err != nil {
 		return nil, err
 	}
@@ -131,7 +128,7 @@ func Optimize(w *dataflow.Workflow, opt Options) (*Report, error) {
 	if structural > 0 {
 		// Reordered chains change intermediate cardinalities; rebuild
 		// before the volume-sensitive passes.
-		if est, err = inferEstimates(w, opt.SampleRows); err != nil {
+		if est, err = inferEstimates(w, sampleRows); err != nil {
 			return nil, err
 		}
 	}

@@ -22,6 +22,7 @@ import (
 	"repro/internal/relation"
 	"repro/internal/report"
 	"repro/internal/service"
+	"repro/internal/shard"
 	"repro/internal/telemetry"
 )
 
@@ -131,10 +132,17 @@ func runSpec(spec core.RunSpec, scale int, jsonOut bool, stdout io.Writer) error
 }
 
 func cmdServe(args []string, stdout, stderr io.Writer) int {
+	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
+	defer stop()
+	return serveUntil(ctx, args, stdout, stderr)
+}
+
+// serveUntil is cmdServe serving until ctx is cancelled.
+func serveUntil(ctx context.Context, args []string, stdout, stderr io.Writer) int {
 	fs := newFlagSet("serve", stderr)
 	var cfg service.Config
 	fs.IntVar(&cfg.QueueCap, "queue-cap", 0, "per-tenant pending-queue bound for admission control; 0 uses the service default (64)")
-	fs.IntVar(&cfg.Nodes, "nodes", 0, "simulated cluster nodes sizing the vCPU budget (8 per node); 0 is the paper cluster's 32 vCPUs")
+	nodes := fs.Int("nodes", 0, "simulated cluster nodes sizing the vCPU budget as run -nodes sizes the worker ceiling: the paper cluster's 32 vCPUs up to 1, 8 per node beyond")
 	tasks := fs.String("serve-tasks", "", "comma-separated runs to submit at start-up, each name[:paradigm[:size]] (e.g. dice:workflow:50)")
 	var first core.RunSpec // what every -serve-tasks run starts from
 	fs.IntVar(&first.Workers, "workers", 1, "per-operator worker count of the -serve-tasks runs")
@@ -147,8 +155,7 @@ func cmdServe(args []string, stdout, stderr io.Writer) int {
 	if addr == "" {
 		addr = ":8080"
 	}
-	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
-	defer stop()
+	cfg.BudgetVCPUs = shard.Topology{Nodes: *nodes}.TotalVCPUs()
 	return exitCode(stderr, serve(ctx, addr, cfg, *tasks, first, stdout))
 }
 

@@ -5,6 +5,7 @@ import (
 	"context"
 	"encoding/json"
 	"fmt"
+	"io"
 	"net"
 	"net/http"
 	"os"
@@ -19,7 +20,6 @@ import (
 	"repro/internal/bench"
 	"repro/internal/core"
 	"repro/internal/relation"
-	"repro/internal/service"
 )
 
 // repro drives the CLI in-process, exactly as main does.
@@ -326,9 +326,13 @@ func TestUsageErrors(t *testing.T) {
 	}
 }
 
-// TestServeStopsOnCancel starts the service the way cmdServe does and
-// stops it the way a signal would: by cancelling the context.
-func TestServeStopsOnCancel(t *testing.T) {
+// startServe runs the serve subcommand with args (an address is
+// prepended) on a free loopback port until ctx is cancelled, the way
+// cmdServe does until a signal arrives. It returns once /healthz
+// answers, with the service's base URL and the channel its exit code
+// arrives on.
+func startServe(t *testing.T, ctx context.Context, stdout *bytes.Buffer, args ...string) (string, <-chan int) {
+	t.Helper()
 	ln, err := net.Listen("tcp", "127.0.0.1:0")
 	if err != nil {
 		t.Fatal(err)
@@ -337,17 +341,15 @@ func TestServeStopsOnCancel(t *testing.T) {
 	if err := ln.Close(); err != nil {
 		t.Fatal(err)
 	}
-	ctx, cancel := context.WithCancel(context.Background())
-	defer cancel()
-	var stdout bytes.Buffer
-	done := make(chan error, 1)
+	var stderr bytes.Buffer
+	done := make(chan int, 1)
 	go func() {
-		done <- serve(ctx, addr, service.Config{}, "dice:workflow:10", core.RunSpec{Tenant: "t"}, &stdout)
+		done <- serveUntil(ctx, append([]string{addr}, args...), stdout, &stderr)
 	}()
 	for up := false; !up; {
 		select {
-		case err := <-done:
-			t.Fatalf("serve returned before it was cancelled: %v", err)
+		case exit := <-done:
+			t.Fatalf("serve exited %d before it was cancelled:\n%s", exit, stderr.String())
 		case <-time.After(5 * time.Millisecond):
 		}
 		if resp, err := http.Get("http://" + addr + "/healthz"); err == nil {
@@ -355,16 +357,65 @@ func TestServeStopsOnCancel(t *testing.T) {
 			resp.Body.Close()
 		}
 	}
+	return "http://" + addr, done
+}
+
+// TestServeStopsOnCancel starts the service the way cmdServe does and
+// stops it the way a signal would: by cancelling the context.
+func TestServeStopsOnCancel(t *testing.T) {
+	ctx, cancel := context.WithCancel(context.Background())
+	defer cancel()
+	var stdout bytes.Buffer
+	_, done := startServe(t, ctx, &stdout, "-serve-tasks", "dice:workflow:10", "-tenant", "t")
 	cancel()
 	select {
-	case err := <-done:
-		if err != nil {
-			t.Fatalf("serve: %v", err)
+	case exit := <-done:
+		if exit != 0 {
+			t.Fatalf("serve exited %d", exit)
 		}
 	case <-time.After(10 * time.Second):
 		t.Fatal("serve did not return after its context was cancelled")
 	}
 	if out := stdout.String(); !strings.Contains(out, "submitted r0001 (dice, paradigm workflow, tenant t)") || !strings.Contains(out, "shutting down") {
 		t.Errorf("serve output:\n%s", out)
+	}
+}
+
+// TestServeNodesBudgetIsRunCeiling holds serve -nodes to the worker
+// ceiling run -nodes applies: one node is the paper cluster's 32 vCPUs,
+// so the 16-worker run that run -nodes 1 -workers 16 executes is
+// admitted, not rejected as job_too_large.
+func TestServeNodesBudgetIsRunCeiling(t *testing.T) {
+	ctx, cancel := context.WithCancel(context.Background())
+	defer cancel()
+	var stdout bytes.Buffer
+	base, done := startServe(t, ctx, &stdout, "-nodes", "1")
+	defer func() { cancel(); <-done }()
+
+	resp, err := http.Get(base + "/v1/tenants")
+	if err != nil {
+		t.Fatal(err)
+	}
+	var tenants struct {
+		BudgetVCPUs int `json:"budget_vcpus"`
+	}
+	err = json.NewDecoder(resp.Body).Decode(&tenants)
+	resp.Body.Close()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if tenants.BudgetVCPUs != 32 {
+		t.Errorf("serve -nodes 1 budget = %d vCPUs, want 32", tenants.BudgetVCPUs)
+	}
+
+	body := `{"task":"dice","paradigm":"workflow","size":10,"workers":16}`
+	resp, err = http.Post(base+"/v1/runs", "application/json", strings.NewReader(body))
+	if err != nil {
+		t.Fatal(err)
+	}
+	reply, _ := io.ReadAll(resp.Body)
+	resp.Body.Close()
+	if resp.StatusCode != http.StatusAccepted {
+		t.Errorf("POST %s to serve -nodes 1: %d %s, want 202", body, resp.StatusCode, reply)
 	}
 }

@@ -10,7 +10,6 @@ package core
 import (
 	"fmt"
 
-	"repro/internal/cluster"
 	"repro/internal/cost"
 	"repro/internal/faults"
 	"repro/internal/lineage"
@@ -104,20 +103,12 @@ func (e *ErrTooManyWorkers) Error() string {
 // legacy single-cluster tier for Nodes <= 1, a datum-sharded multi-node
 // tier beyond it.
 func (c RunConfig) Topology() shard.Topology {
-	t := shard.Topology{Nodes: c.Nodes, WorkerMemBytes: c.ShardMemBytes}
-	t, _ = t.Normalize() // negative dimensions are caught in Normalize
-	return t
-}
-
-// Cluster materializes the config's topology as a cluster description;
-// Nodes <= 1 yields exactly the paper cluster.
-func (c RunConfig) Cluster() *cluster.Cluster {
-	return c.Topology().Cluster()
+	return shard.Topology{Nodes: c.Nodes, WorkerMemBytes: c.ShardMemBytes}
 }
 
 // Normalize fills defaults and validates. Worker counts are bounded by
-// the configured topology's worker vCPUs — the paper cluster's 32 on
-// the legacy tier (cluster.PaperWorkerVCPUs), nodes × 8 on the sharded
+// the configured topology's worker vCPUs (shard.Topology.TotalVCPUs) —
+// the paper cluster's 32 on the legacy tier, nodes × 8 on the sharded
 // tier — because both paradigms schedule onto that hardware, and asking
 // for more would simulate machines that don't exist.
 func (c RunConfig) Normalize() (RunConfig, error) {

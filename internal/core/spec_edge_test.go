@@ -4,7 +4,7 @@ import (
 	"errors"
 	"testing"
 
-	"repro/internal/cluster"
+	"repro/internal/shard"
 )
 
 // TestRunSpecNormalizeNodeBoundaries pins the nodes field's boundary
@@ -17,10 +17,10 @@ func TestRunSpecNormalizeNodeBoundaries(t *testing.T) {
 		workers int
 		ok      bool
 	}{
-		{0, cluster.PaperWorkerVCPUs, true},      // legacy ceiling inclusive
-		{0, cluster.PaperWorkerVCPUs + 1, false}, // one past it
-		{1, cluster.PaperWorkerVCPUs, true},      // nodes=1 is still legacy
-		{1, cluster.PaperWorkerVCPUs + 1, false},
+		{0, shard.PaperWorkerVCPUs, true},      // legacy ceiling inclusive
+		{0, shard.PaperWorkerVCPUs + 1, false}, // one past it
+		{1, shard.PaperWorkerVCPUs, true},      // nodes=1 is still legacy
+		{1, shard.PaperWorkerVCPUs + 1, false},
 		{2, 16, true},  // sharded: 2×8 vCPUs exactly
 		{2, 17, false}, // one past the sharded budget
 		{-1, 1, false}, // negative node count
@@ -75,7 +75,7 @@ func TestRunSpecWorkerLimitMessage(t *testing.T) {
 	if !errors.As(err, &tooMany) {
 		t.Fatalf("want ErrTooManyWorkers, got %v", err)
 	}
-	if tooMany.Workers != 33 || tooMany.Limit != cluster.PaperWorkerVCPUs {
+	if tooMany.Workers != 33 || tooMany.Limit != shard.PaperWorkerVCPUs {
 		t.Fatalf("error fields %+v, want workers 33 against the paper ceiling", tooMany)
 	}
 	const want = "core: worker count 33 exceeds the configured cluster's 32 worker vCPUs"

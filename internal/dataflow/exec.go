@@ -7,7 +7,6 @@ import (
 	"sync"
 	"sync/atomic"
 
-	"repro/internal/cluster"
 	"repro/internal/core"
 	"repro/internal/cost"
 	"repro/internal/faults"
@@ -22,17 +21,15 @@ import (
 type Config struct {
 	// Model supplies the cost constants; nil uses cost.Default().
 	Model *cost.Model
-	// Cluster, when set, bounds operator parallelism: no single
-	// operator may request more workers than the cluster's worker
-	// vCPUs (operators multiplex cores between themselves, as Texera's
-	// workers do, so the sum is not bounded).
-	Cluster *cluster.Cluster
 	// Shard selects the cluster tier. The zero topology (or Nodes <= 1)
-	// is the legacy single-cluster path; Nodes > 1 datum-shards the run
-	// across that many nodes, pricing cross-node exchanges at the NIC
-	// rate and larger-than-memory blocking operators through the grace
-	// spill path. Only the schedule/cost plane is affected — sink
-	// tables stay bit-identical across topologies.
+	// is the legacy single-cluster path on the paper's 32 vCPUs; Nodes > 1
+	// datum-shards the run across that many nodes, pricing cross-node
+	// exchanges at the NIC rate and larger-than-memory blocking operators
+	// through the grace spill path. Only the schedule/cost plane is
+	// affected — sink tables stay bit-identical across topologies. Its
+	// TotalVCPUs bounds operator parallelism: no single operator may
+	// request more workers than that (operators multiplex cores between
+	// themselves, as Texera's workers do, so the sum is not bounded).
 	Shard shard.Topology
 	// Telemetry, when set, receives per-operator spans, hot-path
 	// metrics and the critical-path breakdown of the execution. Nil
@@ -247,15 +244,10 @@ func (w *Workflow) Start(ctx context.Context, cfg Config) (*Execution, error) {
 	if err := cfg.Faults.Validate(); err != nil {
 		return nil, err
 	}
-	if cfg.Cluster != nil {
-		if err := cfg.Cluster.Validate(); err != nil {
-			return nil, err
-		}
-		limit := cfg.Cluster.TotalWorkerCPUs()
-		for _, n := range w.nodes {
-			if n.parallelism > limit {
-				return nil, fmt.Errorf("dataflow: operator %q requests %d workers, cluster has %d worker vCPUs", n.name, n.parallelism, limit)
-			}
+	limit := cfg.Shard.TotalVCPUs()
+	for _, n := range w.nodes {
+		if n.parallelism > limit {
+			return nil, fmt.Errorf("dataflow: operator %q requests %d workers, cluster has %d worker vCPUs", n.name, n.parallelism, limit)
 		}
 	}
 	runCtx, cancel := context.WithCancel(ctx)

@@ -7,9 +7,9 @@ import (
 	"testing"
 	"time"
 
-	"repro/internal/cluster"
 	"repro/internal/cost"
 	"repro/internal/relation"
+	"repro/internal/shard"
 )
 
 func runSimple(t *testing.T, w *Workflow) *Result {
@@ -495,14 +495,14 @@ func TestClusterBoundsParallelism(t *testing.T) {
 		w.Connect(f, snk, 0, RoundRobin())
 		return w
 	}
-	topo := cluster.Paper() // 32 worker vCPUs
-	if _, err := build(8).Run(context.Background(), Config{Cluster: topo}); err != nil {
+	// The zero topology is the paper cluster's 32 worker vCPUs.
+	if _, err := build(8).Run(context.Background(), Config{}); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := build(64).Run(context.Background(), Config{Cluster: topo}); err == nil {
+	if _, err := build(64).Run(context.Background(), Config{}); err == nil {
 		t.Fatal("expected error for parallelism beyond the cluster's vCPUs")
 	}
-	if _, err := build(1).Run(context.Background(), Config{Cluster: &cluster.Cluster{}}); err == nil {
-		t.Fatal("expected error for invalid cluster")
+	if _, err := build(64).Run(context.Background(), Config{Shard: shard.Of(16)}); err != nil {
+		t.Fatalf("64 workers on 16 nodes' 128 vCPUs: %v", err)
 	}
 }

@@ -29,6 +29,17 @@ const DefaultCheckpointEvery = 4
 // than checkpointing it.
 const sourceStateBytes = 64 << 10
 
+// checkpointBytes is the state a node checkpoints given the bytes that
+// crossed into it: that accumulated operator state, or, for a node
+// nothing has reached (a source, or a consumer whose producers emitted
+// nothing), bookkeeping only.
+func checkpointBytes(inBytes int64) int64 {
+	if inBytes == 0 {
+		return sourceStateBytes
+	}
+	return inBytes
+}
+
 // RecoveryInfo summarises the fault-tolerance work of one execution.
 type RecoveryInfo struct {
 	// CheckpointEvery is the epoch length in batches actually used.
@@ -61,25 +72,15 @@ func scheduleWithFaults(jobs []sim.Job, pools []sim.Pool, meta []jobMeta, tr *Tr
 		every = DefaultCheckpointEvery
 	}
 	info := &RecoveryInfo{CheckpointEvery: every}
-	topo, err := topo.Normalize()
-	if err != nil {
-		return nil, nil, err
-	}
 
-	// Per-node state size: the bytes that crossed into the node (its
-	// accumulated operator state); sources checkpoint bookkeeping only.
+	// Per-node state size (checkpointBytes of its in-bytes).
 	stateBytes := make(map[NodeID]int64, len(tr.Nodes))
-	for i := range tr.Nodes {
-		stateBytes[tr.Nodes[i].ID] = 0
-	}
 	for i := range tr.Edges {
 		stateBytes[tr.Edges[i].To] += tr.Edges[i].Bytes
 	}
 	for i := range tr.Nodes {
-		n := &tr.Nodes[i]
-		if stateBytes[n.ID] == 0 {
-			stateBytes[n.ID] = sourceStateBytes
-		}
+		id := tr.Nodes[i].ID
+		stateBytes[id] = checkpointBytes(stateBytes[id])
 	}
 
 	// Batch jobs per node, in job order.
@@ -199,10 +200,7 @@ func (ex *Execution) CheckpointNow() Checkpoint {
 	}
 	cp := Checkpoint{Nodes: make([]NodeCheckpoint, 0, len(ex.rts))}
 	for _, rt := range ex.rts {
-		bytes := inBytes[rt.n.id]
-		if len(rt.n.inEdges) == 0 {
-			bytes = sourceStateBytes
-		}
+		bytes := checkpointBytes(inBytes[rt.n.id])
 		cp.Nodes = append(cp.Nodes, NodeCheckpoint{Name: rt.n.name, StateBytes: bytes})
 		cp.TotalBytes += bytes
 	}

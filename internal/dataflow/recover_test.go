@@ -188,6 +188,34 @@ func TestCheckpointNow(t *testing.T) {
 	if _, err := ex2.Wait(); err != nil {
 		t.Fatal(err)
 	}
+
+	// An operator nothing reached — its producer, a filter, rejected
+	// every row — checkpoints bookkeeping only, as a source does and as
+	// the schedule prices it.
+	w3 := New("starved")
+	src := w3.Source("src", intTable(400), WithBatchSize(16))
+	none := w3.Op(NewFilter("none", cost.Python, func(relation.Tuple) bool { return false }))
+	after := w3.Op(NewFilter("after", cost.Python, func(relation.Tuple) bool { return true }))
+	snk := w3.Sink("out")
+	w3.Connect(src, none, 0, RoundRobin())
+	w3.Connect(none, after, 0, RoundRobin())
+	w3.Connect(after, snk, 0, RoundRobin())
+	ex3, err := w3.Start(context.Background(), Config{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := ex3.Wait(); err != nil {
+		t.Fatal(err)
+	}
+	got := int64(-1)
+	for _, n := range ex3.CheckpointNow().Nodes {
+		if n.Name == "after" {
+			got = n.StateBytes
+		}
+	}
+	if got != sourceStateBytes {
+		t.Fatalf("operator behind a reject-all filter checkpoints %d bytes, want %d", got, sourceStateBytes)
+	}
 }
 
 func faultWorkflowStart(t *testing.T) (*Execution, error) {

@@ -41,10 +41,7 @@ func exchangeOf(k partKind) shard.Exchange {
 // sharded topology. Called between buildTrace and lowering; a no-op on
 // the legacy tier.
 func (ex *Execution) annotateShard(tr *Trace) error {
-	topo, err := ex.cfg.Shard.Normalize()
-	if err != nil {
-		return err
-	}
+	topo := ex.cfg.Shard
 	if !topo.Sharded() {
 		return nil
 	}

@@ -7,6 +7,8 @@ import (
 	"math"
 	"os"
 	"runtime"
+	"runtime/debug"
+	"slices"
 	"testing"
 
 	"repro/internal/core"
@@ -231,7 +233,13 @@ func TestWorkflowPlanAboveLegacyCeiling(t *testing.T) {
 // each instance's last arena chunk leaves: it takes 2.4 MB of a
 // 2,600,000-byte budget; arenas whose chunks never fell below 16 rows
 // took 3.1 MB, and a join building the rows its filter rejects 2.7 MB.
+//
+// A race build allocates about 5 % more bytes, varying from run to run
+// (2.47–2.61 MB for the second run), so under the race detector only
+// the object budget is enforced; the plain test run enforces the bytes.
 func TestDiceWorkflowAllocBudget(t *testing.T) {
+	bi, ok := debug.ReadBuildInfo()
+	race := ok && slices.ContainsFunc(bi.Settings, func(s debug.BuildSetting) bool { return s.Key == "-race" && s.Value == "true" })
 	for _, c := range []struct {
 		spec       core.RunSpec
 		byteBudget uint64
@@ -253,7 +261,7 @@ func TestDiceWorkflowAllocBudget(t *testing.T) {
 		bytes, objects := run()
 		name := fmt.Sprintf("DICE-50 workflow run at %d workers on %d node(s)", c.spec.Workers, max(c.spec.Nodes, 1))
 		t.Logf("%s allocated %d bytes of a %d budget in %d objects", name, bytes, c.byteBudget, objects)
-		if bytes > c.byteBudget {
+		if !race && bytes > c.byteBudget {
 			t.Errorf("%s allocated %d bytes, budget %d", name, bytes, c.byteBudget)
 		}
 		if c.objBudget > 0 && objects > c.objBudget {

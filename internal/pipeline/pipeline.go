@@ -199,7 +199,6 @@ func execute(d Declaration, cfg core.RunConfig) (*dataflow.Workflow, *dataflow.R
 	}
 	res, err := w.Run(context.Background(), dataflow.Config{
 		Model:        cfg.Model,
-		Cluster:      cfg.Cluster(),
 		Shard:        cfg.Topology(),
 		Telemetry:    cfg.Telemetry,
 		Faults:       cfg.Faults,

@@ -69,7 +69,6 @@ func (o Options) normalize() Options {
 	if o.Model == nil {
 		o.Model = cost.Default()
 	}
-	o.Topology, _ = o.Topology.Normalize()
 	if o.MaxParallelism <= 0 {
 		o.MaxParallelism = o.Topology.TotalVCPUs()
 	}

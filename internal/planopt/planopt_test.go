@@ -314,10 +314,7 @@ func TestJoinSwapFeedsFilterUnchanged(t *testing.T) {
 
 func TestExchangeBroadcastsSmallBuild(t *testing.T) {
 	hash := func(key string) dataflow.Partitioning { return dataflow.HashPartition(key) }
-	topo, err := shard.Topology{Nodes: 4}.Normalize()
-	if err != nil {
-		t.Fatal(err)
-	}
+	topo := shard.Of(4)
 	// Keep hand-set parallelism: no OPT006 interference wanted here.
 	build := joinWorkflow(8, hash)
 

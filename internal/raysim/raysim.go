@@ -12,7 +12,6 @@ import (
 	"fmt"
 	"sort"
 
-	"repro/internal/cluster"
 	"repro/internal/core"
 	"repro/internal/cost"
 	"repro/internal/faults"
@@ -37,46 +36,22 @@ const PaperStoreBytes = int64(19) << 30
 // NewClusterFor creates a Ray cluster for a shard topology: the paper
 // cluster with the paper's 19 GB plasma store on the legacy tier, or a
 // topology-sized cluster whose store grows with the node count on the
-// sharded tier. Jobs created on it price cross-node object fetches
-// automatically.
+// sharded tier. It rejects num_cpus beyond the topology's worker vCPUs.
+// Jobs created on it price cross-node object fetches automatically.
 func NewClusterFor(model *cost.Model, topo shard.Topology, numCPUs int) (*Cluster, error) {
-	topo, err := topo.Normalize()
-	if err != nil {
-		return nil, err
+	if limit := topo.TotalVCPUs(); numCPUs > limit {
+		return nil, fmt.Errorf("raysim: num_cpus=%d exceeds the cluster's %d worker vCPUs", numCPUs, limit)
 	}
 	store := PaperStoreBytes
 	if topo.Sharded() {
-		store = PaperStoreBytes * int64(topo.NumNodes()) / cluster.PaperWorkerNodes
-		if store < PaperStoreBytes {
-			store = PaperStoreBytes
-		}
+		store = max(PaperStoreBytes*int64(topo.NumNodes())/shard.PaperWorkerNodes, PaperStoreBytes)
 	}
-	c, err := NewClusterOn(model, topo.Cluster(), numCPUs, store)
+	c, err := NewCluster(model, numCPUs, store)
 	if err != nil {
 		return nil, err
 	}
 	c.topo = topo
 	return c, nil
-}
-
-// NewClusterOn creates a Ray cluster on an explicit machine topology,
-// rejecting configurations the hardware cannot honour: num_cpus beyond
-// the worker nodes' vCPUs, or an object store larger than Ray's 30%
-// share of cluster RAM.
-func NewClusterOn(model *cost.Model, topo *cluster.Cluster, numCPUs int, storeBytes int64) (*Cluster, error) {
-	if topo == nil {
-		return nil, fmt.Errorf("raysim: nil cluster topology")
-	}
-	if err := topo.Validate(); err != nil {
-		return nil, err
-	}
-	if numCPUs > topo.TotalWorkerCPUs() {
-		return nil, fmt.Errorf("raysim: num_cpus=%d exceeds the cluster's %d worker vCPUs", numCPUs, topo.TotalWorkerCPUs())
-	}
-	if maxStore := topo.TotalWorkerRAM() * 3 / 10; storeBytes > maxStore {
-		return nil, fmt.Errorf("raysim: object store of %d bytes exceeds Ray's 30%% RAM share (%d bytes)", storeBytes, maxStore)
-	}
-	return NewCluster(model, numCPUs, storeBytes)
 }
 
 // NewCluster creates a cluster with numCPUs schedulable CPUs and an
@@ -230,11 +205,7 @@ func (j *Job) Run() (*Result, error) {
 	m := j.cluster.model
 	torch := cost.TorchSpeedup(m.TorchCoresRay)
 
-	topo, err := j.topo.Normalize()
-	if err != nil {
-		return nil, err
-	}
-	nodes := topo.NumNodes()
+	nodes := j.topo.NumNodes()
 	var shuffleBytes int64
 	jobs := make([]sim.Job, 0, len(j.tasks))
 	for i, t := range j.tasks {
@@ -245,7 +216,7 @@ func (j *Job) Run() (*Result, error) {
 				return nil, fmt.Errorf("raysim: task %q: %w", t.Name, err)
 			}
 			getSecs += s
-			if topo.Sharded() {
+			if j.topo.Sharded() {
 				// The store is datum-sharded: an expected (N-1)/N of the
 				// object lives on other nodes and rides the NIC.
 				cross := shard.ExHash.CrossBytes(j.cluster.store.Size(id), nodes)

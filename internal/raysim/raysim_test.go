@@ -4,9 +4,9 @@ import (
 	"math"
 	"testing"
 
-	"repro/internal/cluster"
 	"repro/internal/cost"
 	"repro/internal/objstore"
+	"repro/internal/shard"
 )
 
 // objstoreID wraps a string as a single-element object ID list.
@@ -207,22 +207,19 @@ func TestSpilledModelFetchSlower(t *testing.T) {
 	}
 }
 
-func TestNewClusterOnBounds(t *testing.T) {
-	topo := cluster.Paper()
-	if _, err := NewClusterOn(nil, topo, 4, 19<<30); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := NewClusterOn(nil, nil, 4, 19<<30); err == nil {
-		t.Fatal("expected error for nil topology")
-	}
-	if _, err := NewClusterOn(nil, topo, 33, 19<<30); err == nil {
-		t.Fatal("expected error for num_cpus beyond the cluster")
-	}
-	if _, err := NewClusterOn(nil, topo, 4, topo.TotalWorkerRAM()); err == nil {
-		t.Fatal("expected error for an object store beyond Ray's RAM share")
-	}
-	bad := &cluster.Cluster{}
-	if _, err := NewClusterOn(nil, bad, 1, 1<<20); err == nil {
-		t.Fatal("expected error for invalid topology")
+func TestNewClusterForBounds(t *testing.T) {
+	for _, c := range []struct {
+		topo shard.Topology
+		max  int
+	}{
+		{shard.Topology{}, 32},
+		{shard.Of(16), 128},
+	} {
+		if _, err := NewClusterFor(nil, c.topo, c.max); err != nil {
+			t.Fatalf("num_cpus=%d on %+v: %v", c.max, c.topo, err)
+		}
+		if _, err := NewClusterFor(nil, c.topo, c.max+1); err == nil {
+			t.Fatalf("num_cpus=%d on %+v accepted beyond the cluster", c.max+1, c.topo)
+		}
 	}
 }

@@ -20,20 +20,17 @@ import (
 	"fmt"
 	"sort"
 
-	"repro/internal/cluster"
 	"repro/internal/core"
+	"repro/internal/shard"
 )
 
 // Config sizes the scheduler.
 type Config struct {
 	// BudgetVCPUs is the admitted vCPU budget jobs are packed into;
-	// 0 uses the paper cluster's worker vCPUs (32), or Nodes×8 when
-	// the service fronts a sharded cluster.
+	// 0 uses the zero topology's worker vCPUs, the paper cluster's 32.
+	// A service fronting a sharded cluster sets it from that
+	// topology's TotalVCPUs.
 	BudgetVCPUs int
-	// Nodes sizes the budget from a simulated node count instead of
-	// the paper cluster when BudgetVCPUs is 0: each node contributes
-	// cluster.NodeVCPUs. Ignored when BudgetVCPUs is set.
-	Nodes int
 	// QueueCap bounds each tenant's pending queue; a submit beyond it
 	// is rejected with ErrTenantSaturated. 0 means 64.
 	QueueCap int
@@ -48,11 +45,7 @@ type Config struct {
 
 func (c Config) normalize() Config {
 	if c.BudgetVCPUs <= 0 {
-		if c.Nodes > 0 {
-			c.BudgetVCPUs = c.Nodes * cluster.NodeVCPUs
-		} else {
-			c.BudgetVCPUs = cluster.PaperWorkerVCPUs
-		}
+		c.BudgetVCPUs = shard.Topology{}.TotalVCPUs()
 	}
 	if c.QueueCap <= 0 {
 		c.QueueCap = 64

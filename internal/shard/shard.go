@@ -12,28 +12,34 @@
 // node loss). That invariant is what the golden determinism tests pin.
 package shard
 
-import (
-	"fmt"
-
-	"repro/internal/cluster"
+// Node shape shared by every simulated cluster: the paper's worker VMs
+// (n2-standard-8 class) and the sharded tier's nodes are the same
+// machine, so scaling out means more nodes, never bigger ones.
+const (
+	// NodeVCPUs is the vCPU count of one worker node.
+	NodeVCPUs = 8
+	// NodeRAM is the RAM of one worker node: 64 GB.
+	NodeRAM = int64(64) << 30
+	// PaperWorkerNodes is the paper cluster's worker-node count.
+	PaperWorkerNodes = 4
+	// PaperWorkerVCPUs is the paper cluster's total worker vCPUs, the
+	// legacy tier's parallelism ceiling.
+	PaperWorkerVCPUs = PaperWorkerNodes * NodeVCPUs
 )
 
-// Topology describes the simulated cluster a run schedules onto.
+// Topology describes the simulated cluster a run schedules onto, and is
+// the only description of it: every worker ceiling is TotalVCPUs.
 // The zero value (or Nodes <= 1) is the legacy single-cluster tier:
 // the paper's flat 4×8-vCPU pool with no exchange pricing and no
 // spill modeling.
 type Topology struct {
 	// Nodes is the worker-node count; <= 1 means the legacy paper tier.
 	Nodes int
-	// VCPUsPerNode and RAMPerNode are the node shape; zero means the
-	// paper's node (8 vCPUs, 64 GB).
-	VCPUsPerNode int
-	RAMPerNode   int64
 	// WorkerMemBytes is the per-worker operator-state budget before a
 	// blocking operator (hash join build, group-by table) spills to
-	// disk. Zero derives a default from the node shape: workers share
-	// roughly 60% of node RAM, the rest belongs to the engine, OS page
-	// cache and shuffle buffers.
+	// disk. Zero (or less) derives a default from the node shape:
+	// workers share roughly 60% of node RAM, the rest belongs to the
+	// engine, OS page cache and shuffle buffers.
 	WorkerMemBytes int64
 }
 
@@ -42,23 +48,6 @@ func Single() Topology { return Topology{Nodes: 1} }
 
 // Of returns a topology of n paper-shaped nodes.
 func Of(n int) Topology { return Topology{Nodes: n} }
-
-// Normalize fills node-shape defaults and validates.
-func (t Topology) Normalize() (Topology, error) {
-	if t.Nodes <= 0 {
-		t.Nodes = 1
-	}
-	if t.VCPUsPerNode == 0 {
-		t.VCPUsPerNode = cluster.NodeVCPUs
-	}
-	if t.RAMPerNode == 0 {
-		t.RAMPerNode = cluster.NodeRAM
-	}
-	if t.VCPUsPerNode < 0 || t.RAMPerNode < 0 || t.WorkerMemBytes < 0 {
-		return t, fmt.Errorf("shard: negative topology dimension %+v", t)
-	}
-	return t, nil
-}
 
 // Sharded reports whether the topology is a genuine multi-node tier.
 func (t Topology) Sharded() bool { return t.Nodes > 1 }
@@ -73,25 +62,12 @@ func (t Topology) NumNodes() int {
 }
 
 // TotalVCPUs returns the worker-vCPU ceiling of the topology: the
-// paper budget for the legacy tier, nodes × per-node vCPUs beyond it.
+// paper budget for the legacy tier, nodes × NodeVCPUs beyond it.
 func (t Topology) TotalVCPUs() int {
 	if !t.Sharded() {
-		return cluster.PaperWorkerVCPUs
+		return PaperWorkerVCPUs
 	}
-	per := t.VCPUsPerNode
-	if per == 0 {
-		per = cluster.NodeVCPUs
-	}
-	return t.Nodes * per
-}
-
-// Cluster materializes the topology as a cluster description. The
-// legacy tier is exactly the paper cluster.
-func (t Topology) Cluster() *cluster.Cluster {
-	if !t.Sharded() {
-		return cluster.Paper()
-	}
-	return cluster.Sized(t.Nodes)
+	return t.Nodes * NodeVCPUs
 }
 
 // WorkerMem returns the per-worker state budget in bytes before spill,
@@ -105,15 +81,7 @@ func (t Topology) WorkerMem() int64 {
 	if t.WorkerMemBytes > 0 {
 		return t.WorkerMemBytes
 	}
-	ram := t.RAMPerNode
-	if ram == 0 {
-		ram = cluster.NodeRAM
-	}
-	vcpus := t.VCPUsPerNode
-	if vcpus == 0 {
-		vcpus = cluster.NodeVCPUs
-	}
-	return ram * 6 / 10 / int64(vcpus)
+	return NodeRAM * 6 / 10 / NodeVCPUs
 }
 
 // Split datum-shards n items across the topology's nodes at plan time:

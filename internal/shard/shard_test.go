@@ -3,43 +3,35 @@ package shard
 import (
 	"testing"
 
-	"repro/internal/cluster"
 	"repro/internal/cost"
 )
 
 func TestTopologyTiers(t *testing.T) {
-	legacy, err := Single().Normalize()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if legacy.Sharded() {
-		t.Fatal("nodes=1 must be the legacy tier")
-	}
-	if got := legacy.TotalVCPUs(); got != cluster.PaperWorkerVCPUs {
-		t.Fatalf("legacy vCPU ceiling = %d, want %d", got, cluster.PaperWorkerVCPUs)
-	}
-	if legacy.WorkerMem() != 0 {
-		t.Fatal("legacy tier must never spill (WorkerMem 0)")
-	}
-	if c := legacy.Cluster(); c.TotalWorkerCPUs() != cluster.Paper().TotalWorkerCPUs() {
-		t.Fatal("legacy tier must schedule onto the paper cluster")
+	for _, legacy := range []Topology{{}, Single()} {
+		if legacy.Sharded() {
+			t.Fatalf("%+v must be the legacy tier", legacy)
+		}
+		if got := legacy.TotalVCPUs(); got != 32 {
+			t.Fatalf("legacy vCPU ceiling = %d, want the paper cluster's 32", got)
+		}
+		if legacy.WorkerMem() != 0 {
+			t.Fatal("legacy tier must never spill (WorkerMem 0)")
+		}
 	}
 
-	wide, err := Of(16).Normalize()
-	if err != nil {
-		t.Fatal(err)
-	}
+	wide := Of(16)
 	if !wide.Sharded() {
 		t.Fatal("nodes=16 must be sharded")
 	}
-	if got := wide.TotalVCPUs(); got != 16*cluster.NodeVCPUs {
-		t.Fatalf("sharded vCPU ceiling = %d, want %d", got, 16*cluster.NodeVCPUs)
+	if got := wide.TotalVCPUs(); got != 16*NodeVCPUs {
+		t.Fatalf("sharded vCPU ceiling = %d, want %d", got, 16*NodeVCPUs)
 	}
-	if wide.WorkerMem() <= 0 {
-		t.Fatal("sharded tier must derive a positive worker budget")
+	// 60% of a 64 GB node shared by its 8 workers.
+	if got, want := wide.WorkerMem(), int64(5153960755); got != want {
+		t.Fatalf("sharded worker budget = %d, want %d", got, want)
 	}
-	if _, err := (Topology{Nodes: 2, WorkerMemBytes: -1}).Normalize(); err == nil {
-		t.Fatal("negative budget normalized without error")
+	if got := (Topology{Nodes: 16, WorkerMemBytes: 1 << 20}).WorkerMem(); got != 1<<20 {
+		t.Fatalf("explicit worker budget = %d, want %d", got, 1<<20)
 	}
 }
 

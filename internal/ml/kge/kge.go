@@ -110,6 +110,19 @@ func (m *Model) Embedding(entity string) ([]float64, error) {
 	return out, nil
 }
 
+// Row returns an entity's embedding row in place, without copying. The
+// view is read-only: the caller must not write through it, and Train
+// moves it. Its capacity is clipped to its length, so an append copies
+// instead of overwriting the next row.
+func (m *Model) Row(entity string) ([]float64, error) {
+	i, ok := m.entIndex[entity]
+	if !ok {
+		return nil, fmt.Errorf("kge: unknown entity %q", entity)
+	}
+	r := m.ent[i]
+	return r[:len(r):len(r)], nil
+}
+
 // SizeBytes returns the simulated footprint of the embedding table,
 // calibrated so the paper's Amazon model lands at 375 MB: real float64
 // storage scaled to paper scale.

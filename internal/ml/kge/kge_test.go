@@ -3,6 +3,7 @@ package kge
 import (
 	"fmt"
 	"math"
+	"slices"
 	"testing"
 
 	"repro/internal/xrand"
@@ -194,6 +195,31 @@ func TestEmbeddingReturnsCopy(t *testing.T) {
 	v2, _ := m.Embedding("a")
 	if v2[0] == 999 {
 		t.Fatal("Embedding exposed internal storage")
+	}
+}
+
+// Row is the table row itself, clipped so an append cannot reach the
+// next entity's row.
+func TestRowIsClippedView(t *testing.T) {
+	m, _ := New([]string{"a", "b"}, []string{"r"}, 4, 1)
+	a, err := m.Row("a")
+	if err != nil {
+		t.Fatal(err)
+	}
+	want, _ := m.Embedding("a")
+	if !slices.Equal(a, want) {
+		t.Fatalf("Row = %v, Embedding = %v", a, want)
+	}
+	if cap(a) != len(a) {
+		t.Fatalf("Row has cap %d beyond its %d elements", cap(a), len(a))
+	}
+	next, _ := m.Embedding("b")
+	_ = append(a, 999)
+	if b, _ := m.Row("b"); !slices.Equal(b, next) {
+		t.Fatalf("append to row a overwrote row b: %v, was %v", b, next)
+	}
+	if _, err := m.Row("missing"); err == nil {
+		t.Fatal("expected unknown entity error")
 	}
 }
 

@@ -271,22 +271,26 @@ func TestDiceWorkflowAllocBudget(t *testing.T) {
 }
 
 // TestScriptAllocBudget is TestDiceWorkflowAllocBudget for the script
-// paradigm: heap objects per run (datagen included) of the three specs
-// benchmark's script-mix runs that allocate most, each budget about 1.5
-// times what the run takes. (With every embedding row of WEF's four
-// 4,096-row tables drawn up front, each tweet re-tokenized on every SGD
-// step and a token per strings.Builder, two Sprintfs per KGE product and
-// an entity row per allocation, the three took 99.8 k, 12.3 k and
-// 59.6 k.)
+// paradigm: heap objects per run (datagen included) of benchmark's
+// script-mix specs, each budget about 1.5 times what the run takes
+// (DICE 1.4 k, WEF 3.4 k, GOTTA 3.0 k, KGE 0.2 k). (With every embedding
+// row of WEF's four 4,096-row tables drawn up front, each tweet
+// re-tokenized on every SGD step and a token per strings.Builder, two
+// Sprintfs per KGE product and an entity row per allocation, WEF, GOTTA
+// and KGE took 99.8 k, 12.3 k and 59.6 k; with a copied embedding row
+// and a delta slice per KGE candidate, 12.4 k; with DICE splitting each
+// case's sentences twice, a fresh entity map per case and a boxed tuple
+// per output record, DICE took 3.9 k.)
 func TestScriptAllocBudget(t *testing.T) {
 	for _, c := range []struct {
 		task   string
 		size   int
 		budget uint64
 	}{
+		{"dice", 200, 2_200},
 		{"wef", 200, 5_500},
 		{"gotta", 16, 4_700},
-		{"kge", 6800, 18_500},
+		{"kge", 6800, 300},
 	} {
 		spec := core.RunSpec{Task: c.task, Paradigm: "script", Size: c.size, Seed: 1, Workers: 4}
 		run := func() uint64 {

@@ -109,6 +109,12 @@ type Env struct {
 	recovery core.RecoveryTotals
 }
 
+// newEnv is the Env a script run of a normalized config hands its
+// task's notebook.
+func newEnv(cfg core.RunConfig, task string) *Env {
+	return &Env{Model: cfg.Model, Workers: cfg.Workers, cfg: cfg, task: task, procs: 1}
+}
+
 func (e *Env) cluster() (*raysim.Cluster, error) {
 	if e.ray == nil {
 		ray, err := raysim.NewClusterFor(e.cfg.Model, e.cfg.Topology(), e.cfg.Workers)
@@ -249,7 +255,7 @@ func asScript(d Declaration, cfg core.RunConfig) (*core.Result, error) {
 	nb := notebook.New(d.Name(), cfg.Model)
 	nb.SetTelemetry(cfg.Telemetry, "script:"+d.Name())
 	nb.SetProgress(cfg.Progress, d.Name())
-	env := &Env{Model: cfg.Model, Workers: cfg.Workers, cfg: cfg, task: d.Name(), procs: 1}
+	env := newEnv(cfg, d.Name())
 	decl := d.Notebook(env)
 	for _, c := range decl.Cells {
 		nb.Add(c)

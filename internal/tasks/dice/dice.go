@@ -116,54 +116,72 @@ type Record struct {
 // reference both paradigm implementations must reproduce.
 func Oracle(cases []datagen.ClinicalCase) ([]Record, error) {
 	var out []Record
-	for _, c := range cases {
-		ents := make(map[string]brat.Entity, len(c.Ann.Entities))
-		for _, e := range c.Ann.Entities {
-			ents[e.ID] = e
-		}
-		sents := textproc.SplitSentences(c.Text)
-		for _, ev := range c.Ann.Events {
-			trig, ok := ents[ev.Trigger]
-			if !ok {
-				return nil, fmt.Errorf("dice: case %s event %s: unresolved trigger %s", c.ID, ev.ID, ev.Trigger)
-			}
-			theme := ""
-			for _, a := range ev.Args {
-				if a.Role == "Theme" {
-					th, ok := ents[a.Ref]
-					if !ok {
-						return nil, fmt.Errorf("dice: case %s event %s: unresolved theme %s", c.ID, ev.ID, a.Ref)
-					}
-					theme = th.Text
-					break
-				}
-			}
-			sentence := ""
-			for _, s := range sents {
-				if trig.Start >= s.Start && trig.End <= s.End {
-					sentence = s.Text
-					break
-				}
-			}
-			if sentence == "" {
-				return nil, fmt.Errorf("dice: case %s event %s: trigger outside every sentence", c.ID, ev.ID)
-			}
-			out = append(out, Record{
-				Case: c.ID, Event: ev.ID, Type: ev.Type,
-				Trigger: trig.Text, Theme: theme, Sentence: sentence,
-			})
+	ents := make(map[string]brat.Entity)
+	for i := range cases {
+		var err error
+		out, err = appendCaseRecords(out, &cases[i], splitCaseSentences(cases[i].Text), ents)
+		if err != nil {
+			return nil, err
 		}
 	}
 	return out, nil
 }
 
+// appendCaseRecords appends one case's records to out: each event with
+// its trigger and first Theme resolved against the case's entities and
+// linked to the sentence of sents that contains its trigger. ents is
+// scratch space, cleared and refilled with the case's entities, so one
+// map serves every case of a loop.
+func appendCaseRecords(out []Record, c *datagen.ClinicalCase, sents []textproc.Sentence, ents map[string]brat.Entity) ([]Record, error) {
+	clear(ents)
+	for _, e := range c.Ann.Entities {
+		ents[e.ID] = e
+	}
+	for _, ev := range c.Ann.Events {
+		trig, ok := ents[ev.Trigger]
+		if !ok {
+			return nil, fmt.Errorf("dice: case %s event %s: unresolved trigger %s", c.ID, ev.ID, ev.Trigger)
+		}
+		theme := ""
+		for _, a := range ev.Args {
+			if a.Role == "Theme" {
+				th, ok := ents[a.Ref]
+				if !ok {
+					return nil, fmt.Errorf("dice: case %s event %s: unresolved theme %s", c.ID, ev.ID, a.Ref)
+				}
+				theme = th.Text
+				break
+			}
+		}
+		sentence := ""
+		for _, s := range sents {
+			if trig.Start >= s.Start && trig.End <= s.End {
+				sentence = s.Text
+				break
+			}
+		}
+		if sentence == "" {
+			return nil, fmt.Errorf("dice: case %s event %s: trigger outside every sentence", c.ID, ev.ID)
+		}
+		out = append(out, Record{
+			Case: c.ID, Event: ev.ID, Type: ev.Type,
+			Trigger: trig.Text, Theme: theme, Sentence: sentence,
+		})
+	}
+	return out, nil
+}
+
 // RecordsToTable converts records to the canonical output table,
-// sorted for order-independent comparison.
+// sorted for order-independent comparison. Its rows are carved from
+// one block of cells.
 func RecordsToTable(recs []Record) *relation.Table {
 	t := relation.NewTable(OutputSchema)
-	for _, r := range recs {
-		t.AppendUnchecked(relation.Tuple{relation.StringValue(r.Case), relation.StringValue(r.Event), relation.StringValue(r.Type),
-			relation.StringValue(r.Trigger), relation.StringValue(r.Theme), relation.StringValue(r.Sentence)})
+	cells := make([]relation.Value, 6*len(recs))
+	for i, r := range recs {
+		row := cells[6*i : 6*i+6 : 6*i+6]
+		row[0], row[1], row[2] = relation.StringValue(r.Case), relation.StringValue(r.Event), relation.StringValue(r.Type)
+		row[3], row[4], row[5] = relation.StringValue(r.Trigger), relation.StringValue(r.Theme), relation.StringValue(r.Sentence)
+		t.AppendUnchecked(row)
 	}
 	if err := t.SortBy("case", "event"); err != nil {
 		panic(err) // schema is static; cannot fail

@@ -2,11 +2,11 @@ package dice
 
 import (
 	"fmt"
+	"slices"
 	"sort"
 
 	"repro/internal/brat"
 	"repro/internal/cost"
-	"repro/internal/datagen"
 	"repro/internal/notebook"
 	"repro/internal/pipeline"
 	"repro/internal/raysim"
@@ -188,9 +188,14 @@ func (t *Task) Notebook(env *pipeline.Env) pipeline.NotebookDecl {
 				chunkRecords = make([][]Record, nChunks)
 				for ci := 0; ci < nChunks; ci++ {
 					var work cost.Work
-					var recs []Record
+					nRecs := 0 // one record per event
 					for i := ci; i < len(t.cases); i += nChunks {
-						c := t.cases[i]
+						nRecs += len(t.cases[i].Ann.Events)
+					}
+					recs := make([]Record, 0, nRecs)
+					ents := make(map[string]brat.Entity)
+					for i := ci; i < len(t.cases); i += nChunks {
+						c := &t.cases[i]
 						work = work.Add(workScan.Scale(2)) // .txt + .ann
 						// The script reads annotation files from disk, so the
 						// parse step consumes rendered text.
@@ -205,11 +210,10 @@ func (t *Task) Notebook(env *pipeline.Env) pipeline.NotebookDecl {
 						sents := splitCaseSentences(c.Text)
 						work = work.Add(workSplit.Scale(float64(len(sents))))
 						work = work.Add(workLink.Scale(float64(nEvents * len(sents))))
-						sub, err := Oracle([]datagen.ClinicalCase{c})
+						recs, err = appendCaseRecords(recs, c, sents, ents)
 						if err != nil {
 							return err
 						}
-						recs = append(recs, sub...)
 					}
 					chunkRecords[ci] = recs
 					job = append(job, raysim.TaskSpec{Name: fmt.Sprintf("wrangle-%d", ci), Work: work})
@@ -218,9 +222,7 @@ func (t *Task) Notebook(env *pipeline.Env) pipeline.NotebookDecl {
 			})
 		}},
 		{Name: "aggregate_write", Source: srcWrite, Run: func(k *notebook.Kernel) error {
-			for _, recs := range chunkRecords {
-				out = append(out, recs...)
-			}
+			out = slices.Concat(chunkRecords...)
 			sort.Slice(out, func(i, j int) bool {
 				if out[i].Case != out[j].Case {
 					return out[i].Case < out[j].Case

@@ -91,6 +91,7 @@ func (t *Task) Notebook(env *pipeline.Env) pipeline.NotebookDecl {
 		{Name: "inference", Source: srcInference, Run: func(k *notebook.Kernel) error {
 			return k.Call("run_batch", func() error {
 				job := make([]raysim.TaskSpec, 0, len(t.passages))
+				answers = make([]Answer, 0, t.numQAs())
 				for _, p := range t.passages {
 					job = append(job, raysim.TaskSpec{
 						Name:             "batch-" + p.ID,

@@ -196,9 +196,10 @@ type Recommendation struct {
 
 // --- Shared stage logic -----------------------------------------------
 
-// stage2Embedding attaches a candidate's embedding.
+// stage2Embedding attaches a candidate's embedding: its model row, read
+// in place (kge.Model.Row), so callers must not write to it.
 func (t *Task) stage2Embedding(asin string) ([]float64, error) {
-	return t.model.Embedding(asin)
+	return t.model.Row(asin)
 }
 
 // stage3Delta computes u + r - t.
@@ -214,6 +215,17 @@ func (t *Task) stage3Delta(emb []float64) []float64 {
 func stage4Dist(delta []float64) float64 {
 	var s float64
 	for _, x := range delta {
+		s += x * x
+	}
+	return math.Sqrt(s)
+}
+
+// stageDist is stage4Dist(stage3Delta(emb)) without the delta slice:
+// the same sums in the same order, so the same bits.
+func (t *Task) stageDist(emb []float64) float64 {
+	var s float64
+	for i := range emb {
+		x := t.userV[i] + t.relVec[i] - emb[i]
 		s += x * x
 	}
 	return math.Sqrt(s)
@@ -269,10 +281,7 @@ func (t *Task) Oracle() ([]Recommendation, error) {
 		if err != nil {
 			return nil, err
 		}
-		rows = append(rows, scored{
-			asin: p.ASIN, title: p.Title, emb: emb,
-			dist: stage4Dist(t.stage3Delta(emb)),
-		})
+		rows = append(rows, scored{asin: p.ASIN, title: p.Title, emb: emb, dist: t.stageDist(emb)})
 	}
 	return t.rankAndReverse(rows)
 }

@@ -1,6 +1,7 @@
 package kge
 
 import (
+	"math"
 	"testing"
 
 	"repro/internal/core"
@@ -27,6 +28,32 @@ func TestNewValidates(t *testing.T) {
 	}
 	if _, err := New(Params{Products: 10, Variant: Variant{Ops: 7}}); err == nil {
 		t.Fatal("expected error for 7 ops")
+	}
+}
+
+// TestFusedDistanceIsBitEqual holds the fused distance the script and
+// the oracle score with to the workflow's two stages, computed on a
+// copied row, for every entity of the model.
+func TestFusedDistanceIsBitEqual(t *testing.T) {
+	for _, seed := range []uint64{1, 7} {
+		task, err := New(Params{Products: 680, Seed: seed})
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, e := range task.world.EntityNames() {
+			emb, err := task.model.Embedding(e)
+			if err != nil {
+				t.Fatal(err)
+			}
+			row, err := task.stage2Embedding(e)
+			if err != nil {
+				t.Fatal(err)
+			}
+			want, got := stage4Dist(task.stage3Delta(emb)), task.stageDist(row)
+			if math.Float64bits(got) != math.Float64bits(want) {
+				t.Fatalf("seed %d, %s: fused distance %v, staged %v", seed, e, got, want)
+			}
+		}
 	}
 }
 

@@ -107,6 +107,7 @@ func (t *Task) Notebook(env *pipeline.Env) pipeline.NotebookDecl {
 					return fmt.Errorf("kge: no in-stock candidates")
 				}
 				job := make([]raysim.TaskSpec, 0, nChunks)
+				rows = make([]scored, 0, len(inStock))
 				for ci := 0; ci < nChunks; ci++ {
 					n := 0
 					for idx := ci; idx < len(inStock); idx += nChunks {
@@ -115,10 +116,7 @@ func (t *Task) Notebook(env *pipeline.Env) pipeline.NotebookDecl {
 						if err != nil {
 							return err
 						}
-						rows = append(rows, scored{
-							asin: p.ASIN, title: p.Title, emb: emb,
-							dist: stage4Dist(t.stage3Delta(emb)),
-						})
+						rows = append(rows, scored{asin: p.ASIN, title: p.Title, emb: emb, dist: t.stageDist(emb)})
 						n++
 					}
 					work := workMerge.Add(workDelta).Add(workNorm).Scale(float64(n))

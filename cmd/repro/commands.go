@@ -221,22 +221,23 @@ func parseServeTask(elem string, req core.RunSpec) (core.RunSpec, error) {
 // the deterministic aligned tree, or the raw profile object with -json.
 func cmdExplain(args []string, stdout, stderr io.Writer) int {
 	fs := newFlagSet("explain", stderr)
-	var opts obs.ProfileOptions
-	fs.Uint64Var(&opts.Seed, "seed", 1, "dataset seed")
-	fs.IntVar(&opts.Workers, "workers", 1, "per-operator worker count")
-	fs.BoolVar(&opts.Lineage, "lineage", false, "arm the versioned artifact store and profile the second, warm run: cache hits per operator")
-	fs.BoolVar(&opts.Wall, "trace-wall", false, "add non-deterministic wall-clock columns")
+	var spec core.RunSpec
+	fs.Uint64Var(&spec.Seed, "seed", 1, "dataset seed")
+	fs.IntVar(&spec.Workers, "workers", 1, "per-operator worker count")
+	fs.BoolVar(&spec.Lineage, "lineage", false, "arm the versioned artifact store and profile the second, warm run: cache hits per operator")
+	wall := fs.Bool("trace-wall", false, "add non-deterministic wall-clock columns")
 	scale := fs.Int("scale", 1, "shrink factor applied to the task's paper-scale size")
 	jsonOut := fs.Bool("json", false, "emit the raw profile as JSON instead of the aligned tree")
 	task, exit, ok := parse(fs, args)
 	if !ok {
 		return exit
 	}
+	spec.Task = task
 	var err error
-	if opts.Size, err = scaledSize(task, *scale); err != nil {
+	if spec.Size, err = scaledSize(task, *scale); err != nil {
 		return exitCode(stderr, err)
 	}
-	p, err := obs.BuildProfile(task, opts)
+	p, err := obs.BuildProfile(spec, *wall)
 	if err != nil {
 		return exitCode(stderr, err)
 	}
@@ -316,9 +317,7 @@ func cmdTrace(args []string, stdout, stderr io.Writer) int {
 	if !ok {
 		return exit
 	}
-	if err := armFaults(&cfg, *faultRate); err != nil {
-		return exitCode(stderr, err)
-	}
+	armFaults(&cfg, *faultRate)
 	traceFn := experiments.Trace
 	if *lineageOn {
 		traceFn = experiments.TraceLineage

@@ -78,11 +78,10 @@ const faultsUsage = "fault rate in kills per 100 simulated seconds; arms determi
 // armFaults arms the suite's fault plan at rate, a quarter of the kills
 // node-level. CheckpointEvery stays zero: the workflow engine applies
 // its default epoch length once injection is armed.
-func armFaults(cfg *experiments.Config, rate float64) (err error) {
+func armFaults(cfg *experiments.Config, rate float64) {
 	if rate > 0 {
-		cfg.RunConfig, err = cfg.RunConfig.With(core.WithFaults(faults.Plan{Seed: cfg.Seed, Rate: rate, NodeFraction: 0.25}))
+		cfg.Faults = faults.Plan{Seed: cfg.Seed, Rate: rate, NodeFraction: 0.25}
 	}
-	return err
 }
 
 func cmdExperiment(args []string, stdout, stderr io.Writer) int {
@@ -105,9 +104,7 @@ func cmdExperiment(args []string, stdout, stderr io.Writer) int {
 		}
 		todo = catalog[i : i+1]
 	}
-	if err := armFaults(&cfg, *faultRate); err != nil {
-		return exitCode(stderr, err)
-	}
+	armFaults(&cfg, *faultRate)
 	for _, e := range todo {
 		if err := e.run(cfg, stdout, *charts, *jsonOut); err != nil {
 			return exitCode(stderr, fmt.Errorf("%s: %w", e.id, err))

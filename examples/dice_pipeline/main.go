@@ -25,7 +25,7 @@ func main() {
 		log.Fatal(err)
 	}
 
-	script, workflow, err := core.RunBoth(task, core.MustRunConfig(core.WithWorkers(*workers)))
+	script, workflow, err := core.RunBoth(task, core.RunConfig{Workers: *workers})
 	if err != nil {
 		log.Fatal(err)
 	}

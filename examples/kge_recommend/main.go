@@ -25,7 +25,7 @@ func main() {
 		log.Fatal(err)
 	}
 
-	script, workflow, err := core.RunBoth(task, core.MustRunConfig())
+	script, workflow, err := core.RunBoth(task, core.RunConfig{})
 	if err != nil {
 		log.Fatal(err)
 	}
@@ -47,7 +47,7 @@ func main() {
 	if err != nil {
 		log.Fatal(err)
 	}
-	scala, err := scalaTask.Run(core.Workflow, core.MustRunConfig())
+	scala, err := scalaTask.Run(core.Workflow, core.RunConfig{})
 	if err != nil {
 		log.Fatal(err)
 	}

@@ -167,7 +167,7 @@ func dice200Trace() (*dataflow.Trace, error) {
 	if err != nil {
 		return nil, err
 	}
-	return task.ProfileWorkflow(core.MustRunConfig(core.WithWorkers(4)))
+	return task.ProfileWorkflow(core.RunConfig{Workers: 4})
 }
 
 // micros runs the hot-path micro-benchmarks, each timed over windows of
@@ -299,9 +299,10 @@ func micros(window time.Duration) []Micro {
 			panic("bench: fault plan expanded to no events")
 		}
 	}))
-	faultCfg := core.MustRunConfig(core.WithFaults(faults.Plan{
+	// The model is set here so the timed run does not allocate one.
+	faultCfg := core.RunConfig{Model: cost.Default(), Faults: faults.Plan{
 		Seed: 1, Rate: 50, NodeFraction: 0.25, CheckpointEvery: 4,
-	}))
+	}}
 	for _, pc := range []struct {
 		name string
 		p    core.Paradigm
@@ -478,12 +479,11 @@ type pair struct {
 
 // pairs is the macro table, in report order.
 func pairs() []pair {
-	fixed := func(opts ...core.Option) func() core.RunConfig {
-		cfg := core.MustRunConfig(opts...)
+	fixed := func(cfg core.RunConfig) func() core.RunConfig {
 		return func() core.RunConfig { return cfg }
 	}
-	plain := fixed()
-	recorded := func() core.RunConfig { return core.MustRunConfig(core.WithTelemetry(telemetry.New())) }
+	plain := fixed(core.RunConfig{})
+	recorded := func() core.RunConfig { return core.RunConfig{Telemetry: telemetry.New()} }
 
 	// E4 (DICE) and E6 (KGE) size sweeps, telemetry off and on.
 	var out []pair
@@ -504,21 +504,21 @@ func pairs() []pair {
 	}
 	out = append(out, pair{"dice", 50,
 		variant{"iterate-cold", plain},
-		variant{"iterate-warm", fixed(core.WithLineage(store))}})
+		variant{"iterate-warm", fixed(core.RunConfig{Lineage: store})}})
 
 	// The distributed tier (E14): the single-cluster path against a 4-node
 	// sharded topology at the lifted 32-worker width. The golden shard
 	// tests pin both outputs bit-identical, so the wall delta is the host
 	// price of exchange pricing and spill planning.
 	out = append(out, pair{"dice", 2000,
-		variant{"scale-n1", fixed(core.WithWorkers(8))},
-		variant{"scale-n4", fixed(core.WithWorkers(32), core.WithNodes(4))}})
+		variant{"scale-n1", fixed(core.RunConfig{Workers: 8})},
+		variant{"scale-n4", fixed(core.RunConfig{Workers: 32, Nodes: 4})}})
 
 	// The cost-based plan optimizer (E15 asserts both outputs
 	// bit-identical) at the hand-set 8-worker width the tasks ship with:
 	// the SimSeconds delta is the scheduling win of the rewrites, the
 	// WallMS delta the host price of running the passes.
-	optOff, optOn := fixed(core.WithWorkers(8)), fixed(core.WithWorkers(8), core.WithOptimize(true))
+	optOff, optOn := fixed(core.RunConfig{Workers: 8}), fixed(core.RunConfig{Workers: 8, Optimize: true})
 	return append(out,
 		pair{"dice", 200, variant{"opt-off", optOff}, variant{"opt-on", optOn}},
 		pair{"gotta", 16, variant{"opt-off", optOff}, variant{"opt-on", optOn}},

@@ -1,18 +1,16 @@
 package core
 
 import (
-	"fmt"
-
 	"repro/internal/cost"
-	"repro/internal/faults"
 	"repro/internal/lineage"
 	"repro/internal/telemetry"
 )
 
-// Option mutates a RunConfig under construction. RunConfig remains the
-// normalized compiled form — options are the ergonomic front door, and
-// NewRunConfig validates the combination once instead of every caller
-// re-checking fields.
+// Option attaches a live object to a RunConfig under construction: a
+// cost model, a recorder, a lineage store or a progress sink, which a
+// RunSpec cannot carry. A scalar knob is a plain field, on RunSpec or on
+// a copied RunConfig. Options stay because benchmark/ passes them to
+// RunSpec.Config and NewRunConfig.
 type Option func(*RunConfig)
 
 // WithModel sets the cost model; nil keeps cost.Default().
@@ -20,35 +18,9 @@ func WithModel(m *cost.Model) Option {
 	return func(c *RunConfig) { c.Model = m }
 }
 
-// WithWorkers sets the parallelism knob (per-operator workers for the
-// workflow paradigm, Ray num_cpus for scripts).
-func WithWorkers(n int) Option {
-	return func(c *RunConfig) { c.Workers = n }
-}
-
-// WithNodes selects the cluster tier: n <= 1 is the legacy paper
-// cluster, n > 1 datum-shards the run across n paper-shaped nodes,
-// raising the worker ceiling to n × 8 vCPUs with NIC-priced exchanges
-// and spill-to-disk for larger-than-memory operators.
-func WithNodes(n int) Option {
-	return func(c *RunConfig) { c.Nodes = n }
-}
-
-// WithShardMem overrides the sharded tier's per-worker state budget in
-// bytes before blocking operators spill; 0 keeps the node-shape
-// default. Ignored on the legacy tier.
-func WithShardMem(bytes int64) Option {
-	return func(c *RunConfig) { c.ShardMemBytes = bytes }
-}
-
 // WithTelemetry attaches a recorder to the run.
 func WithTelemetry(rec *telemetry.Recorder) Option {
 	return func(c *RunConfig) { c.Telemetry = rec }
-}
-
-// WithFaults arms a deterministic fault plan.
-func WithFaults(plan faults.Plan) Option {
-	return func(c *RunConfig) { c.Faults = plan }
 }
 
 // WithLineage attaches a versioned artifact store, arming incremental
@@ -65,34 +37,9 @@ func WithProgress(sink ProgressSink) Option {
 	return func(c *RunConfig) { c.Progress = sink }
 }
 
-// WithOptimize toggles the cost-based plan optimizer for workflow runs.
-func WithOptimize(on bool) Option {
-	return func(c *RunConfig) { c.Optimize = on }
-}
-
-// NewRunConfig builds and normalizes a RunConfig from options.
+// NewRunConfig builds and normalizes a RunConfig from attachments.
 func NewRunConfig(opts ...Option) (RunConfig, error) {
 	var c RunConfig
-	for _, opt := range opts {
-		opt(&c)
-	}
-	return c.Normalize()
-}
-
-// MustRunConfig is NewRunConfig for statically-known option sets;
-// it panics on invalid combinations.
-func MustRunConfig(opts ...Option) RunConfig {
-	c, err := NewRunConfig(opts...)
-	if err != nil {
-		panic(fmt.Sprintf("core: invalid run config: %v", err))
-	}
-	return c
-}
-
-// With returns a copy of c with the options applied and re-normalized
-// — the idiom for deriving a variant (more workers, a fault plan) from
-// a base config.
-func (c RunConfig) With(opts ...Option) (RunConfig, error) {
 	for _, opt := range opts {
 		opt(&c)
 	}

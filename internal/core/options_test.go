@@ -25,53 +25,29 @@ func TestNewRunConfigDefaults(t *testing.T) {
 func TestNewRunConfigOptions(t *testing.T) {
 	rec := telemetry.New()
 	m := cost.Default()
-	plan := faults.Plan{Seed: 3, Rate: 2}
-	cfg, err := NewRunConfig(WithModel(m), WithWorkers(8), WithTelemetry(rec), WithFaults(plan))
+	cfg, err := NewRunConfig(WithModel(m), WithTelemetry(rec))
 	if err != nil {
 		t.Fatal(err)
 	}
-	if cfg.Model != m || cfg.Workers != 8 || cfg.Telemetry != rec || cfg.Faults != plan {
+	if cfg.Model != m || cfg.Telemetry != rec {
 		t.Fatalf("options not applied: %+v", cfg)
-	}
-}
-
-func TestWithDerivesVariant(t *testing.T) {
-	base := MustRunConfig(WithWorkers(2))
-	derived, err := base.With(WithWorkers(8))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if derived.Workers != 8 {
-		t.Fatalf("derived workers = %d", derived.Workers)
-	}
-	if base.Workers != 2 {
-		t.Fatalf("With mutated the base config: %+v", base)
 	}
 }
 
 func TestNormalizeRejectsOversubscription(t *testing.T) {
 	// The paper cluster has 4 workers x 8 vCPUs = 32.
-	if _, err := NewRunConfig(WithWorkers(33)); err == nil {
+	if _, err := (RunConfig{Workers: 33}).Normalize(); err == nil {
 		t.Fatal("33 workers accepted on a 32-vCPU cluster")
 	} else if !strings.Contains(err.Error(), "32") {
 		t.Fatalf("error does not name the limit: %v", err)
 	}
-	if cfg, err := NewRunConfig(WithWorkers(32)); err != nil || cfg.Workers != 32 {
+	if cfg, err := (RunConfig{Workers: 32}).Normalize(); err != nil || cfg.Workers != 32 {
 		t.Fatalf("32 workers rejected: %v", err)
 	}
 }
 
 func TestNormalizeRejectsBadFaultPlan(t *testing.T) {
-	if _, err := NewRunConfig(WithFaults(faults.Plan{NodeFraction: 2})); err == nil {
+	if _, err := (RunConfig{Faults: faults.Plan{NodeFraction: 2}}).Normalize(); err == nil {
 		t.Fatal("invalid fault plan accepted")
 	}
-}
-
-func TestMustRunConfigPanics(t *testing.T) {
-	defer func() {
-		if recover() == nil {
-			t.Fatal("MustRunConfig did not panic on invalid config")
-		}
-	}()
-	MustRunConfig(WithWorkers(-1))
 }

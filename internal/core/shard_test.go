@@ -10,10 +10,10 @@ import (
 // admitted once Nodes > 1, and the limit error names whatever ceiling
 // the configured topology actually has.
 func TestShardedTierLiftsWorkerCeiling(t *testing.T) {
-	if _, err := NewRunConfig(WithWorkers(64), WithNodes(8)); err != nil {
+	if _, err := (RunConfig{Workers: 64, Nodes: 8}).Normalize(); err != nil {
 		t.Fatalf("64 workers rejected on an 8-node cluster: %v", err)
 	}
-	_, err := NewRunConfig(WithWorkers(65), WithNodes(8))
+	_, err := (RunConfig{Workers: 65, Nodes: 8}).Normalize()
 	var tooMany *ErrTooManyWorkers
 	if !errors.As(err, &tooMany) {
 		t.Fatalf("want ErrTooManyWorkers, got %v", err)
@@ -24,10 +24,10 @@ func TestShardedTierLiftsWorkerCeiling(t *testing.T) {
 	if !strings.Contains(err.Error(), "64") {
 		t.Fatalf("error does not name the configured limit: %v", err)
 	}
-	if _, err := NewRunConfig(WithNodes(-1)); err == nil {
+	if _, err := (RunConfig{Nodes: -1}).Normalize(); err == nil {
 		t.Fatal("negative node count accepted")
 	}
-	if _, err := NewRunConfig(WithShardMem(-1)); err == nil {
+	if _, err := (RunConfig{ShardMemBytes: -1}).Normalize(); err == nil {
 		t.Fatal("negative shard memory accepted")
 	}
 }

@@ -149,39 +149,30 @@ func (s RunSpec) Paradigms() []Paradigm {
 }
 
 // Config converts the normalized spec into a RunConfig. extra options
-// are applied after the spec's own, so servers can attach live objects
-// (a shared telemetry recorder, a progress sink, a persistent lineage
-// store) or override knobs the spec set.
+// are applied after the spec's fields, so servers can attach live
+// objects: a shared telemetry recorder, a progress sink, a persistent
+// lineage store, a cost model.
 func (s RunSpec) Config(extra ...Option) (RunConfig, error) {
 	s, err := s.Normalize()
 	if err != nil {
 		return RunConfig{}, err
 	}
-	opts := []Option{WithWorkers(s.Workers)}
-	if s.Optimize {
-		opts = append(opts, WithOptimize(true))
-	}
+	c := RunConfig{Workers: s.Workers, Faults: s.faultPlan(), Optimize: s.Optimize}
 	if s.Nodes > 1 {
-		opts = append(opts, WithNodes(s.Nodes))
-		if s.ShardMem > 0 {
-			opts = append(opts, WithShardMem(s.ShardMem))
-		}
-	}
-	if plan := s.faultPlan(); plan.Rate > 0 || plan.CheckpointEvery > 0 {
-		opts = append(opts, WithFaults(plan))
+		c.Nodes, c.ShardMemBytes = s.Nodes, s.ShardMem
 	}
 	if s.Lineage {
-		store, err := lineage.NewStore(nil, 0)
-		if err != nil {
+		if c.Lineage, err = lineage.NewStore(nil, 0); err != nil {
 			return RunConfig{}, err
 		}
-		opts = append(opts, WithLineage(store))
 	}
 	if s.Telemetry {
-		opts = append(opts, WithTelemetry(telemetry.New()))
+		c.Telemetry = telemetry.New()
 	}
-	opts = append(opts, extra...)
-	return NewRunConfig(opts...)
+	for _, opt := range extra {
+		opt(&c)
+	}
+	return c.Normalize()
 }
 
 // NewTask resolves the spec's task through the registry at the spec's

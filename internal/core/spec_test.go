@@ -4,6 +4,8 @@ import (
 	"errors"
 	"reflect"
 	"testing"
+
+	"repro/internal/telemetry"
 )
 
 func TestRunSpecNormalizeDefaults(t *testing.T) {
@@ -95,13 +97,15 @@ func TestRunSpecConfigConversion(t *testing.T) {
 		t.Fatal("telemetry recorder not armed")
 	}
 
-	// Extra options run after the spec's own, so callers can override.
-	rc, err = spec.Config(WithWorkers(2))
+	// Extra options run after the spec's fields, so a caller's recorder
+	// replaces the run-private one.
+	mine := telemetry.New()
+	rc, err = spec.Config(WithTelemetry(mine))
 	if err != nil {
 		t.Fatal(err)
 	}
-	if rc.Workers != 2 {
-		t.Fatalf("extra option did not override workers: %d", rc.Workers)
+	if rc.Telemetry != mine || rc.Workers != 4 {
+		t.Fatalf("extra option did not attach the caller's recorder: %+v", rc)
 	}
 
 	// A plain spec arms nothing.

@@ -22,11 +22,7 @@ func assertGoldenFaults(t *testing.T, name string, mk func() (core.Task, error))
 		if err != nil {
 			t.Fatalf("%s: build task: %v", name, err)
 		}
-		cfg, err := core.NewRunConfig(core.WithFaults(plan))
-		if err != nil {
-			t.Fatalf("%s: config: %v", name, err)
-		}
-		res, err := task.Run(p, cfg)
+		res, err := task.Run(p, core.RunConfig{Faults: plan})
 		if err != nil {
 			t.Fatalf("%s: run: %v", name, err)
 		}
@@ -86,7 +82,7 @@ func TestZeroFaultPlanIsFree(t *testing.T) {
 			return res
 		}
 		bare := run(core.RunConfig{})
-		zero := run(core.MustRunConfig(core.WithFaults(faults.Plan{})))
+		zero := run(core.RunConfig{Faults: faults.Plan{}})
 		if bare.SimSeconds != zero.SimSeconds {
 			t.Errorf("%s: zero plan changed SimSeconds: %v vs %v", p, bare.SimSeconds, zero.SimSeconds)
 		}

@@ -59,18 +59,10 @@ func OptimizerSweep(cfg Config) ([]OptimizeRow, error) {
 	for _, name := range core.TaskNames() {
 		for _, nodes := range OptimizeNodes {
 			workers := 8
-			rcOff, err := cfg.RunConfig.With(
-				core.WithWorkers(workers),
-				core.WithNodes(nodes),
-				core.WithOptimize(false),
-			)
-			if err != nil {
-				return nil, err
-			}
-			rcOn, err := rcOff.With(core.WithOptimize(true))
-			if err != nil {
-				return nil, err
-			}
+			rcOff := cfg.RunConfig
+			rcOff.Workers, rcOff.Nodes, rcOff.Optimize = workers, nodes, false
+			rcOn := rcOff
+			rcOn.Optimize = true
 
 			taskOff, err := traceTask(name, cfg)
 			if err != nil {
@@ -129,6 +121,10 @@ func optimizeReport(task core.Task, rc core.RunConfig) (*planopt.Report, error) 
 	d, ok := task.(pipeline.Declaration)
 	if !ok {
 		return nil, fmt.Errorf("task %q does not expose a workflow plan", task.Name())
+	}
+	rc, err := rc.Normalize()
+	if err != nil {
+		return nil, err
 	}
 	w, err := d.Plan(rc)
 	if err != nil {

@@ -59,15 +59,12 @@ func RecoveryOverhead(cfg Config) ([]RecoveryPoint, error) {
 
 	var out []RecoveryPoint
 	for _, rate := range RecoveryRates {
-		plan := faults.Plan{
+		rc := cfg.RunConfig
+		rc.Faults = faults.Plan{
 			Seed:            cfg.Seed,
 			Rate:            rate,
 			NodeFraction:    0.25,
 			CheckpointEvery: 4, // armed even at rate 0: the pure write tax
-		}
-		rc, err := cfg.RunConfig.With(core.WithFaults(plan))
-		if err != nil {
-			return nil, err
 		}
 		task, err := core.NewTask("dice", cfg.scaled(200), cfg.Seed)
 		if err != nil {

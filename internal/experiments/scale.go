@@ -82,14 +82,8 @@ func Scale(cfg Config) ([]ScaleRow, error) {
 		var wantS, wantW uint64
 		for i, nodes := range ScaleNodes {
 			workers := 8 * nodes
-			rc, err := cfg.RunConfig.With(
-				core.WithWorkers(workers),
-				core.WithNodes(nodes),
-				core.WithShardMem(budget),
-			)
-			if err != nil {
-				return nil, err
-			}
+			rc := cfg.RunConfig
+			rc.Workers, rc.Nodes, rc.ShardMemBytes = workers, nodes, budget
 			task, err := core.NewTask("dice", pairs, cfg.Seed)
 			if err != nil {
 				return nil, err
@@ -120,11 +114,8 @@ func Scale(cfg Config) ([]ScaleRow, error) {
 			// require the recovered output bit-identical to the
 			// fault-free baseline.
 			if nodes == ScaleNodes[len(ScaleNodes)-1] {
-				plan := faults.Plan{Seed: cfg.Seed, Rate: 2, NodeFraction: 1, MaxFaults: 4}
-				frc, err := rc.With(core.WithFaults(plan))
-				if err != nil {
-					return nil, err
-				}
+				frc := rc
+				frc.Faults = faults.Plan{Seed: cfg.Seed, Rate: 2, NodeFraction: 1, MaxFaults: 4}
 				ftask, err := core.NewTask("dice", pairs, cfg.Seed)
 				if err != nil {
 					return nil, err

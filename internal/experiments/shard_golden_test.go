@@ -25,13 +25,9 @@ func shardTasks(t *testing.T) map[string]func() (core.Task, error) {
 	}
 }
 
-func runAt(t *testing.T, mk func() (core.Task, error), p core.Paradigm, opts ...core.Option) *core.Result {
+func runAt(t *testing.T, mk func() (core.Task, error), p core.Paradigm, cfg core.RunConfig) *core.Result {
 	t.Helper()
 	task, err := mk()
-	if err != nil {
-		t.Fatal(err)
-	}
-	cfg, err := core.NewRunConfig(opts...)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -45,17 +41,17 @@ func runAt(t *testing.T, mk func() (core.Task, error), p core.Paradigm, opts ...
 func TestGoldenTopologyBitEqual(t *testing.T) {
 	for name, mk := range shardTasks(t) {
 		for _, p := range []core.Paradigm{core.Script, core.Workflow} {
-			base := runAt(t, mk, p, core.WithWorkers(8))
+			base := runAt(t, mk, p, core.RunConfig{Workers: 8})
 			want := relation.Digest(base.Output)
 
-			sharded := runAt(t, mk, p, core.WithWorkers(8), core.WithNodes(4))
+			sharded := runAt(t, mk, p, core.RunConfig{Workers: 8, Nodes: 4})
 			if got := relation.Digest(sharded.Output); got != want {
 				t.Errorf("%s/%s: nodes=4 digest %#x != nodes=1 digest %#x", name, p, got, want)
 			}
 
 			// Whole-node loss: every fault is node-level.
 			plan := faults.Plan{Seed: 7, Rate: 4, NodeFraction: 1, MaxFaults: 3}
-			lossy := runAt(t, mk, p, core.WithWorkers(8), core.WithNodes(4), core.WithFaults(plan))
+			lossy := runAt(t, mk, p, core.RunConfig{Workers: 8, Nodes: 4, Faults: plan})
 			if got := relation.Digest(lossy.Output); got != want {
 				t.Errorf("%s/%s: nodes=4+node-loss digest %#x != baseline %#x", name, p, got, want)
 			}
@@ -68,13 +64,13 @@ func TestGoldenTopologyBitEqual(t *testing.T) {
 
 func TestGoldenSpillBitEqual(t *testing.T) {
 	for name, mk := range shardTasks(t) {
-		inMem := runAt(t, mk, core.Workflow, core.WithWorkers(8), core.WithNodes(4))
+		inMem := runAt(t, mk, core.Workflow, core.RunConfig{Workers: 8, Nodes: 4})
 		if inMem.Trace.SpillBytes != 0 {
 			t.Fatalf("%s: default budget spilled %d bytes at test scale", name, inMem.Trace.SpillBytes)
 		}
 		// A one-byte budget forces every blocking operator through the
 		// grace spill path.
-		spilled := runAt(t, mk, core.Workflow, core.WithWorkers(8), core.WithNodes(4), core.WithShardMem(1))
+		spilled := runAt(t, mk, core.Workflow, core.RunConfig{Workers: 8, Nodes: 4, ShardMemBytes: 1})
 		if spilled.Trace.SpillBytes == 0 {
 			t.Fatalf("%s: 1-byte worker budget did not spill", name)
 		}
@@ -106,7 +102,7 @@ func sameSchedule(a, b *core.Result) bool {
 func TestGoldenShardedScheduleDeterministic(t *testing.T) {
 	mk := shardTasks(t)["dice"]
 	run := func() *core.Result {
-		return runAt(t, mk, core.Workflow, core.WithWorkers(16), core.WithNodes(4), core.WithShardMem(4<<10))
+		return runAt(t, mk, core.Workflow, core.RunConfig{Workers: 16, Nodes: 4, ShardMemBytes: 4 << 10})
 	}
 	a, b := run(), run()
 	if !sameSchedule(a, b) {
@@ -125,8 +121,8 @@ func TestGoldenShardedScheduleDeterministic(t *testing.T) {
 // never mentions nodes.
 func TestLegacyTierUnchanged(t *testing.T) {
 	mk := shardTasks(t)["dice"]
-	plain := runAt(t, mk, core.Workflow, core.WithWorkers(8))
-	explicit := runAt(t, mk, core.Workflow, core.WithWorkers(8), core.WithNodes(1))
+	plain := runAt(t, mk, core.Workflow, core.RunConfig{Workers: 8})
+	explicit := runAt(t, mk, core.Workflow, core.RunConfig{Workers: 8, Nodes: 1})
 	if !sameSchedule(plain, explicit) {
 		t.Errorf("nodes=1 changed the schedule:\n  %v %+v\n  %v %+v", explicit.SimSeconds, explicit.Trace, plain.SimSeconds, plain.Trace)
 	}

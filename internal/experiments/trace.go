@@ -51,19 +51,12 @@ func trace(name string, cfg Config, withLineage bool) (*telemetry.Recorder, erro
 		return nil, err
 	}
 	rec := telemetry.New()
-	opts := []core.Option{core.WithTelemetry(rec)}
+	rc := cfg.RunConfig
+	rc.Telemetry = rec
 	if withLineage {
-		store, err := lineage.NewStore(cfg.Model, 0)
-		if err != nil {
+		if rc.Lineage, err = lineage.NewStore(cfg.Model, 0); err != nil {
 			return nil, err
 		}
-		opts = append(opts, core.WithLineage(store))
-	}
-	rc, err := cfg.RunConfig.With(opts...)
-	if err != nil {
-		return nil, err
-	}
-	if withLineage {
 		// Populate pass: the runs that matter are the warm ones below.
 		if _, _, err := core.RunBoth(task, rc); err != nil {
 			return nil, err

@@ -38,10 +38,7 @@ type traceGoldenRow struct {
 func traceGoldenRun(t *testing.T) []traceGoldenRow {
 	t.Helper()
 	// What `repro trace -faults 5` arms at the default seed.
-	rc, err := core.RunConfig{}.With(core.WithFaults(faults.Plan{Seed: 1, Rate: 5, NodeFraction: 0.25}))
-	if err != nil {
-		t.Fatal(err)
-	}
+	rc := core.RunConfig{Faults: faults.Plan{Seed: 1, Rate: 5, NodeFraction: 0.25}}
 	var rows []traceGoldenRow
 	for _, task := range []string{"dice", "kge", "gotta", "wef"} {
 		rec, err := Trace(task, Config{RunConfig: rc, Scale: 10, Seed: 1})

@@ -41,24 +41,17 @@ func traceLineageRun(t *testing.T) []traceLineageRow {
 		if err != nil {
 			t.Fatalf("%s: %v", name, err)
 		}
-		store, err := lineage.NewStore(cfg.Model, 0)
-		if err != nil {
+		rc := cfg.RunConfig
+		if rc.Lineage, err = lineage.NewStore(cfg.Model, 0); err != nil {
 			t.Fatalf("%s: %v", name, err)
 		}
-		cold, err := cfg.RunConfig.With(core.WithLineage(store))
-		if err != nil {
-			t.Fatalf("%s: %v", name, err)
-		}
-		if _, _, err := core.RunBoth(task, cold); err != nil {
+		if _, _, err := core.RunBoth(task, rc); err != nil {
 			t.Fatalf("%s: cold run: %v", name, err)
 		}
 		task.(editable).SetEdits(map[string]int{iterateStages[name][0]: 1})
 		rec := telemetry.New()
-		warm, err := cold.With(core.WithTelemetry(rec))
-		if err != nil {
-			t.Fatalf("%s: %v", name, err)
-		}
-		if _, _, err := core.RunBoth(task, warm); err != nil {
+		rc.Telemetry = rec
+		if _, _, err := core.RunBoth(task, rc); err != nil {
 			t.Fatalf("%s: edit run: %v", name, err)
 		}
 

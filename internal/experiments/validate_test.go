@@ -34,7 +34,7 @@ func TestValidatePlansClean(t *testing.T) {
 // more workers than the legacy tier's 32 vCPUs, and validating or
 // statically optimizing its plans must build them at that count.
 func TestValidatePlansAboveLegacyCeiling(t *testing.T) {
-	rc := core.MustRunConfig(core.WithNodes(8), core.WithWorkers(64), core.WithOptimize(true))
+	rc := core.RunConfig{Nodes: 8, Workers: 64, Optimize: true}
 	reports, err := ValidatePlans(Config{RunConfig: rc, Scale: 40, Seed: 7})
 	if err != nil {
 		t.Fatal(err)

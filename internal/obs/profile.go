@@ -7,27 +7,10 @@ import (
 
 	"repro/internal/core"
 	"repro/internal/dataflow"
-	"repro/internal/lineage"
 	"repro/internal/pipeline"
 	"repro/internal/relation"
 	"repro/internal/telemetry"
 )
-
-// ProfileOptions configures BuildProfile.
-type ProfileOptions struct {
-	// Size is the task input size; <= 0 uses the paper-scale default.
-	Size int
-	// Seed is the dataset seed; 0 means 1.
-	Seed uint64
-	// Workers is the per-operator parallelism; 0 means 1.
-	Workers int
-	// Lineage arms the versioned artifact store and runs the task twice,
-	// so the profiled (second) run shows cache hits per operator.
-	Lineage bool
-	// Wall includes wall-clock busy time per operator. Wall numbers vary
-	// run to run, so leave this false for deterministic output.
-	Wall bool
-}
 
 // ProfileNode is one operator of the EXPLAIN tree. Children are the
 // node's input producers, so a profile reads top-down from each sink
@@ -49,7 +32,7 @@ type ProfileNode struct {
 	// window its average worker spent idle, window − busy/workers.
 	QueueWait float64 `json:"queue_wait_seconds"`
 	// WallBusyMS is the measured wall busy time across workers, present
-	// only when ProfileOptions.Wall is set (it varies run to run).
+	// only when BuildProfile is asked for wall time (it varies run to run).
 	WallBusyMS float64 `json:"wall_busy_ms,omitempty"`
 	InTuples   int64   `json:"in_tuples"`
 	OutTuples  int64   `json:"out_tuples"`
@@ -93,75 +76,64 @@ type Profile struct {
 	Roots []*ProfileNode `json:"roots"`
 }
 
-// BuildProfile executes the named task's workflow once (twice with
-// lineage armed: a cold populate pass, then the profiled warm pass)
-// and folds the plan, the schedule spans and the telemetry counters
-// into the EXPLAIN tree.
-func BuildProfile(taskName string, opts ProfileOptions) (*Profile, error) {
-	if opts.Seed == 0 {
-		opts.Seed = 1
+// BuildProfile executes the spec's task workflow once (twice with
+// spec.Lineage: a cold populate pass, then the profiled warm pass on the
+// same store) and folds the plan, the schedule spans and the telemetry
+// counters into the EXPLAIN tree. wall adds wall-clock busy time per
+// operator, which varies run to run.
+func BuildProfile(spec core.RunSpec, wall bool) (*Profile, error) {
+	spec, err := spec.Normalize()
+	if err != nil {
+		return nil, err
 	}
-	workers := opts.Workers
-	if workers < 1 {
-		workers = 1
-	}
-	task, err := core.NewTask(taskName, opts.Size, opts.Seed)
+	task, err := spec.NewTask()
 	if err != nil {
 		return nil, err
 	}
 	pp, ok := task.(pipeline.PlanProvider)
 	if !ok {
-		return nil, fmt.Errorf("obs: task %q does not expose a workflow plan", taskName)
+		return nil, fmt.Errorf("obs: task %q does not expose a workflow plan", spec.Task)
 	}
-	wf, err := pp.WorkflowPlan(workers)
+	wf, err := pp.WorkflowPlan(spec.Workers)
 	if err != nil {
 		return nil, err
 	}
 	plan := wf.PlanNodes()
 
-	rec := telemetry.New()
-	runOpts := []core.Option{core.WithTelemetry(rec), core.WithWorkers(workers)}
-	if opts.Lineage {
-		store, err := lineage.NewStore(nil, 0)
-		if err != nil {
-			return nil, err
-		}
-		cold, err := core.NewRunConfig(core.WithWorkers(workers), core.WithLineage(store))
-		if err != nil {
-			return nil, err
-		}
-		if _, err := task.Run(core.Workflow, cold); err != nil {
-			return nil, err
-		}
-		runOpts = append(runOpts, core.WithLineage(store))
-	}
-	rc, err := core.NewRunConfig(runOpts...)
+	cfg, err := spec.Config()
 	if err != nil {
 		return nil, err
 	}
+	if cfg.Lineage != nil {
+		if _, err := task.Run(core.Workflow, cfg); err != nil {
+			return nil, err
+		}
+	}
+	rec := telemetry.New()
+	cfg.Telemetry = rec
 	k0 := relation.KernelCounts()
-	res, err := task.Run(core.Workflow, rc)
+	res, err := task.Run(core.Workflow, cfg)
 	if err != nil {
 		return nil, err
 	}
 	kern := relation.KernelCounts().Sub(k0)
 
 	p := &Profile{
-		Task:     taskName,
+		Task:     spec.Task,
 		Workflow: wf.Name(),
 		Paradigm: "workflow",
-		Size:     opts.Size,
-		Seed:     opts.Seed,
-		Workers:  workers,
+		Size:     spec.Size,
+		Seed:     spec.Seed,
+		Workers:  spec.Workers,
 		Makespan: res.SimSeconds,
 		Totals:   res.Trace,
 		Kernels:  kern,
 	}
 
 	proc := "workflow:" + wf.Name()
-	nodes := buildNodes(plan, rec, "wf."+wf.Name()+".", opts.Wall)
+	nodes := buildNodes(plan, rec, "wf."+wf.Name()+".", wall)
 	attributeSelfTime(p, nodes, rec.Spans(), proc)
-	if opts.Lineage {
+	if spec.Lineage {
 		for _, n := range nodes {
 			p.LineageNodes++
 			if n.LineageHit {

@@ -5,6 +5,7 @@ import (
 	"math"
 	"testing"
 
+	"repro/internal/core"
 	"repro/internal/obs"
 	"repro/internal/report"
 
@@ -35,7 +36,7 @@ func collectSelf(roots []*obs.ProfileNode) float64 {
 
 func renderProfile(t *testing.T, task string, size int) (string, *obs.Profile) {
 	t.Helper()
-	p, err := obs.BuildProfile(task, obs.ProfileOptions{Size: size, Workers: 2})
+	p, err := obs.BuildProfile(core.RunSpec{Task: task, Size: size, Workers: 2}, false)
 	if err != nil {
 		t.Fatalf("BuildProfile(%s): %v", task, err)
 	}

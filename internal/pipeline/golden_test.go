@@ -132,7 +132,7 @@ func goldenRows(t *testing.T) []goldenRow {
 			if err != nil {
 				t.Fatal(err)
 			}
-			cfg := core.MustRunConfig(core.WithWorkers(goldenWorkers[p]), core.WithLineage(store))
+			cfg := core.RunConfig{Workers: goldenWorkers[p], Lineage: store}
 			for _, step := range []struct {
 				name string
 				revs map[string]int

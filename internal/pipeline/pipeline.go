@@ -345,9 +345,7 @@ func (b *Base) Run(p core.Paradigm, cfg core.RunConfig) (*core.Result, error) {
 // to a worker ceiling: that belongs to the topology a run is configured
 // with, which a bare worker count does not name.
 func (b *Base) WorkflowPlan(workers int) (*dataflow.Workflow, error) {
-	cfg := core.MustRunConfig()
-	cfg.Workers = workers
-	return b.decl.Plan(cfg)
+	return b.decl.Plan(core.RunConfig{Model: cost.Default(), Workers: workers})
 }
 
 // ProfileWorkflow runs the task's plain plan once — no optimizer, no

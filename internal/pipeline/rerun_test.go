@@ -27,7 +27,7 @@ var rerunKnownFailure = map[string]string{
 // unchanged — a cell builds its outputs afresh instead of appending to
 // what an earlier run left behind.
 func TestNotebookCellsRerun(t *testing.T) {
-	cfg, err := core.MustRunConfig(core.WithWorkers(4)).Normalize()
+	cfg, err := core.RunConfig{Workers: 4}.Normalize()
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -101,7 +101,7 @@ func TestMatchesReference(t *testing.T) {
 				t.Fatalf("%s: RecordsToTable differs from the reference", name)
 			}
 			for _, workers := range []int{1, 4} {
-				res, err := task.Run(core.Script, core.MustRunConfig(core.WithWorkers(workers)))
+				res, err := task.Run(core.Script, core.RunConfig{Workers: workers})
 				if err != nil {
 					t.Fatal(err)
 				}

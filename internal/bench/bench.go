@@ -227,7 +227,7 @@ func micros(window time.Duration) []Micro {
 			panic(err)
 		}
 	}))
-	joiner, err := relation.NewJoiner(left.Schema(), right, "k", "k", relation.Inner, 1)
+	joiner, err := relation.NewJoiner(left.Schema(), right, "k", "k", relation.Inner)
 	if err != nil {
 		panic(err)
 	}
@@ -254,7 +254,7 @@ func micros(window time.Duration) []Micro {
 	// its "case|T<n>" ekey, nearly all distinct. One op is one build.
 	entities, entityKeys := diceEntities(2048)
 	out = append(out, measure("join_build_dice", 1, window, func() {
-		if _, err := relation.NewJoiner(entityKeys, entities, "themekey", "ekey", relation.Inner, 1); err != nil {
+		if _, err := relation.NewJoiner(entityKeys, entities, "themekey", "ekey", relation.Inner); err != nil {
 			panic(err)
 		}
 	}))

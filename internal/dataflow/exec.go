@@ -206,7 +206,6 @@ type execCtx struct {
 
 func (ec *execCtx) AddWork(w cost.Work) { addShardWork(ec.shard, ec.phase, w) }
 func (ec *execCtx) Worker() int         { return ec.worker }
-func (ec *execCtx) Workers() int        { return ec.rt.n.parallelism }
 
 // Execution is a running (or finished) workflow.
 type Execution struct {

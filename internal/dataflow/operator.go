@@ -114,9 +114,6 @@ type ExecCtx interface {
 	AddWork(w cost.Work)
 	// Worker returns this instance's worker index in [0, parallelism).
 	Worker() int
-	// Workers returns the operator's configured parallelism; instances
-	// use it to size internal data structures (e.g. join partitions).
-	Workers() int
 }
 
 // Operator is a logical operator: a descriptor, a schema rule, and a

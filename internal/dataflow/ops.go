@@ -416,7 +416,7 @@ func (ji *joinInstance) Process(ec ExecCtx, port int, rows []relation.Tuple) ([]
 			// Port 1 with no port 0 at all (not even EndPort) cannot
 			// happen under the executor's port-ordering guarantee, but
 			// keep direct Process calls in tests working.
-			if err := ji.buildJoiner(1); err != nil {
+			if err := ji.buildJoiner(); err != nil {
 				return nil, err
 			}
 		}
@@ -439,11 +439,9 @@ func (ji *joinInstance) Process(ec ExecCtx, port int, rows []relation.Tuple) ([]
 }
 
 // buildJoiner constructs the reusable probe index once the build side
-// is complete. Before this change every probe batch rebuilt the whole
-// hash table; now EndPort(0) builds it a single time, partitioned
-// across the operator's workers.
-func (ji *joinInstance) buildJoiner(shards int) error {
-	j, err := relation.NewJoiner(ji.probeSchema, ji.buildRows, ji.op.ProbeKey, ji.op.BuildKey, ji.op.Kind, shards)
+// is complete.
+func (ji *joinInstance) buildJoiner() error {
+	j, err := relation.NewJoiner(ji.probeSchema, ji.buildRows, ji.op.ProbeKey, ji.op.BuildKey, ji.op.Kind)
 	if err != nil {
 		return err
 	}
@@ -453,7 +451,7 @@ func (ji *joinInstance) buildJoiner(shards int) error {
 
 func (ji *joinInstance) EndPort(ec ExecCtx, port int) ([]relation.Tuple, error) {
 	if port == 0 && ji.joiner == nil {
-		if err := ji.buildJoiner(ec.Workers()); err != nil {
+		if err := ji.buildJoiner(); err != nil {
 			return nil, err
 		}
 	}

@@ -221,7 +221,6 @@ type workLog []cost.Work
 
 func (l *workLog) AddWork(w cost.Work) { *l = append(*l, w) }
 func (*workLog) Worker() int           { return 0 }
-func (*workLog) Workers() int          { return 1 }
 
 // A fused join+filter binds the filter's predicate into the join and
 // hands it the dropped count: batch for batch, it emits the rows and

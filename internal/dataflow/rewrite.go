@@ -33,17 +33,6 @@ type EdgeInfo struct {
 	Part Partitioning
 }
 
-// Edges returns every edge, ordered by consumer ID then port.
-func (w *Workflow) Edges() []EdgeInfo {
-	var out []EdgeInfo
-	for _, n := range w.nodes {
-		for _, e := range sortedInEdges(n) {
-			out = append(out, EdgeInfo{From: e.from.id, To: n.id, Port: e.port, Part: e.part})
-		}
-	}
-	return out
-}
-
 // InEdgesOf returns the input edges of one node, ordered by port.
 func (w *Workflow) InEdgesOf(id NodeID) []EdgeInfo {
 	n := w.nodeAt(id)
@@ -53,6 +42,20 @@ func (w *Workflow) InEdgesOf(id NodeID) []EdgeInfo {
 	var out []EdgeInfo
 	for _, e := range sortedInEdges(n) {
 		out = append(out, EdgeInfo{From: e.from.id, To: n.id, Port: e.port, Part: e.part})
+	}
+	return out
+}
+
+// OutEdgesOf returns the output edges of one node, in the order they
+// were connected.
+func (w *Workflow) OutEdgesOf(id NodeID) []EdgeInfo {
+	n := w.nodeAt(id)
+	if n == nil {
+		return nil
+	}
+	out := make([]EdgeInfo, len(n.outEdges))
+	for i, e := range n.outEdges {
+		out[i] = EdgeInfo{From: n.id, To: e.to.id, Port: e.port, Part: e.part}
 	}
 	return out
 }

@@ -83,7 +83,6 @@ type nopCtx struct{}
 
 func (nopCtx) AddWork(cost.Work) {}
 func (nopCtx) Worker() int       { return 0 }
-func (nopCtx) Workers() int      { return 1 }
 
 // A swapped join re-orders the rows ProbeRows hands it in place: the
 // output matches the unswapped join row for row (1:1 keys in one order

@@ -230,9 +230,13 @@ func TestWorkflowPlanAboveLegacyCeiling(t *testing.T) {
 //
 // The same run at 32 workers on 4 nodes has hundreds of operator
 // instances that see one or two batches each, so it pins the empty tail
-// each instance's last arena chunk leaves: it takes 2.4 MB of a
+// each instance's last arena chunk leaves: it takes 2.3 MB of a
 // 2,600,000-byte budget; arenas whose chunks never fell below 16 rows
 // took 3.1 MB, and a join building the rows its filter rejects 2.7 MB.
+// It also pins what each of those instances allocates per run: 11.3 k
+// objects of a 12,500 budget; with every join instance building its
+// index as one map per worker of the operator, filled by two goroutines
+// per worker, it was 14.0–14.4 k.
 //
 // A race build allocates about 5 % more bytes, varying from run to run
 // (2.47–2.61 MB for the second run), so under the race detector only
@@ -246,7 +250,7 @@ func TestDiceWorkflowAllocBudget(t *testing.T) {
 		objBudget  uint64
 	}{
 		{core.RunSpec{Task: "dice", Paradigm: "workflow", Size: 50, Seed: 1, Workers: 4}, 2_000_000, 8_000},
-		{core.RunSpec{Task: "dice", Paradigm: "workflow", Size: 50, Seed: 1, Workers: 32, Nodes: 4}, 2_600_000, 0},
+		{core.RunSpec{Task: "dice", Paradigm: "workflow", Size: 50, Seed: 1, Workers: 32, Nodes: 4}, 2_600_000, 12_500},
 	} {
 		run := func() (bytes, objects uint64) {
 			var before, after runtime.MemStats

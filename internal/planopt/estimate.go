@@ -110,7 +110,6 @@ type sampling struct{}
 
 func (sampling) AddWork(cost.Work) {}
 func (sampling) Worker() int       { return 0 }
-func (sampling) Workers() int      { return 1 }
 
 // estimateOperator derives one operator's output estimate from its
 // inputs. Sampling failures (an erroring UDF row) degrade gracefully —

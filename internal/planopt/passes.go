@@ -11,14 +11,11 @@ import (
 // soleOutEdge returns a node's single output edge, if it has exactly
 // one.
 func soleOutEdge(w *dataflow.Workflow, id dataflow.NodeID) (dataflow.EdgeInfo, bool) {
-	var out dataflow.EdgeInfo
-	n := 0
-	for _, e := range w.Edges() {
-		if e.From == id {
-			out, n = e, n+1
-		}
+	out := w.OutEdgesOf(id)
+	if len(out) != 1 {
+		return dataflow.EdgeInfo{}, false
 	}
-	return out, n == 1
+	return out[0], true
 }
 
 // ---------------------------------------------------------------------------
@@ -330,11 +327,9 @@ func passBatch(w *dataflow.Workflow, est estimates, r *Report) error {
 			continue
 		}
 		maxPar := 1
-		for _, edge := range w.Edges() {
-			if edge.From == id {
-				if p := w.ParallelismOf(edge.To); p > maxPar {
-					maxPar = p
-				}
+		for _, edge := range w.OutEdgesOf(id) {
+			if p := w.ParallelismOf(edge.To); p > maxPar {
+				maxPar = p
 			}
 		}
 		rows := int(e.rows)

@@ -369,9 +369,9 @@ func TestParallelismRaisedToCapacity(t *testing.T) {
 	if _, err := Optimize(w, Options{MaxParallelism: 8}); err != nil {
 		t.Fatal(err)
 	}
-	for _, e := range w.Edges() {
-		if w.NameOf(e.To) == "keep" && w.ParallelismOf(e.To) != 8 {
-			t.Fatalf("filter parallelism = %d, want 8", w.ParallelismOf(e.To))
+	for id := range dataflow.NodeID(w.NumNodes()) {
+		if w.NameOf(id) == "keep" && w.ParallelismOf(id) != 8 {
+			t.Fatalf("filter parallelism = %d, want 8", w.ParallelismOf(id))
 		}
 	}
 }
@@ -386,10 +386,8 @@ func TestParallelismNeverTouchesSequentialOperators(t *testing.T) {
 	if _, err := Optimize(w, Options{MaxParallelism: 16}); err != nil {
 		t.Fatal(err)
 	}
-	for _, e := range w.Edges() {
-		if w.NameOf(e.To) == "keep" && w.ParallelismOf(e.To) != 1 {
-			t.Fatalf("sequential operator raised to %d workers", w.ParallelismOf(e.To))
-		}
+	if p := w.ParallelismOf(f); p != 1 {
+		t.Fatalf("sequential operator raised to %d workers", p)
 	}
 }
 

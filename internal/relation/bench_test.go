@@ -32,7 +32,7 @@ func BenchmarkHashJoin(b *testing.B) {
 // reused, instead of rebuilt per batch as before.
 func BenchmarkJoinerProbe(b *testing.B) {
 	left, right := benchTables(100000)
-	j, err := NewJoiner(left.Schema(), right, "k", "k", Inner, 1)
+	j, err := NewJoiner(left.Schema(), right, "k", "k", Inner)
 	if err != nil {
 		b.Fatal(err)
 	}

@@ -52,7 +52,7 @@ func TestProbeRowsMatchesNestedLoop(t *testing.T) {
 		} {
 			n := c.n
 			probe, build := probeFixture(n, 40, c.keys)
-			j, err := NewJoiner(probe.Schema(), build, "k", "k", kind, 1)
+			j, err := NewJoiner(probe.Schema(), build, "k", "k", kind)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -79,7 +79,7 @@ func TestProbeRowsMatchesNestedLoop(t *testing.T) {
 // the other's unchanged.
 func TestProbeRowsOwnership(t *testing.T) {
 	probe, build := probeFixture(8, 40, 80)
-	j, err := NewJoiner(probe.Schema(), build, "k", "k", LeftOuter, 1)
+	j, err := NewJoiner(probe.Schema(), build, "k", "k", LeftOuter)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -137,7 +137,7 @@ func TestProbeRowsOwnership(t *testing.T) {
 // replaced took 180 KB for the same call.
 func TestProbeRowsBytesFollowOutput(t *testing.T) {
 	probe, build := probeFixture(9, 40, 80)
-	j, err := NewJoiner(probe.Schema(), build, "k", "k", Inner, 1)
+	j, err := NewJoiner(probe.Schema(), build, "k", "k", Inner)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -165,7 +165,7 @@ func TestProbeRowsBytesFollowOutput(t *testing.T) {
 // rejected allocates nothing.
 func TestProbeRowsKeepRejectsWithoutAllocating(t *testing.T) {
 	probe, build := probeFixture(8, 40, 1) // every probe row matches 40 build rows
-	j, err := NewJoiner(probe.Schema(), build, "k", "k", LeftOuter, 1)
+	j, err := NewJoiner(probe.Schema(), build, "k", "k", LeftOuter)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -188,10 +188,10 @@ func TestProbeRowsKeepRejectsWithoutAllocating(t *testing.T) {
 
 // FuzzProbeRowsKeep holds ProbeRows under a predicate to ProbeRows
 // without one, and that to the reference joiner: over random build and
-// probe sides, Inner and LeftOuter, 1..4 shards and probe batches split
-// at random points, each batch must build exactly the unfiltered rows
-// keep accepts, in order, and report the rest in dropped and their
-// encoded size in droppedBytes. Cells vary in width, so a miscounted
+// probe sides, Inner and LeftOuter, a reference of 1..4 shards and probe
+// batches split at random points, each batch must build exactly the
+// unfiltered rows keep accepts, in order, and report the rest in dropped
+// and their encoded size in droppedBytes. Cells vary in width, so a miscounted
 // row shows in the bytes.
 func FuzzProbeRowsKeep(f *testing.F) {
 	f.Add([]byte{0, 0, 0xa5, 0, 1, 1, 1, 2, 18, 3, 2, 0, 33, 1, 4, 6, 1})
@@ -227,7 +227,7 @@ func FuzzProbeRowsKeep(f *testing.F) {
 		keep := func(row Tuple) bool {
 			return mask>>((row[2].Int()+int64(len(row[1].Str())))%8)&1 == 1
 		}
-		j, err := NewJoiner(ls, right, "k", "k", kind, shards)
+		j, err := NewJoiner(ls, right, "k", "k", kind)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -287,9 +287,10 @@ func sameRows(t *testing.T, what string, got, want []Tuple) {
 
 // TestFloatKeyJoinMatchesNestedLoop is the regression test for the
 // Float index keying a Go map by float ==: -0 met +0 at some shard
-// counts and not others (the shard came from the bits), and NaN never
-// met NaN. Keys are canonical now — every NaN one value, the two zeros
-// two — as in Tuple.Key, which NestedLoopJoin compares.
+// counts of the partitioned index and not others (the shard came from
+// the bits), and NaN never met NaN. Keys are canonical now — every NaN
+// one value, the two zeros two — as in Tuple.Key, which NestedLoopJoin
+// compares.
 func TestFloatKeyJoinMatchesNestedLoop(t *testing.T) {
 	negZero := math.Copysign(0, -1)
 	specials := []float64{math.NaN(), negZero, 0, math.Inf(1)}
@@ -313,13 +314,11 @@ func TestFloatKeyJoinMatchesNestedLoop(t *testing.T) {
 		if kind == Inner && want.Len() != 64/4*(2+2+3+3) {
 			t.Fatalf("oracle joined %d rows; the fixture expects every special to match", want.Len())
 		}
-		for _, shards := range []int{1, 2, 3, 5, 8} {
-			got, err := probeSharded(left, right, kind, shards)
-			if err != nil {
-				t.Fatal(err)
-			}
-			sameRows(t, fmt.Sprintf("kind=%v shards=%d", kind, shards), got.Rows(), want.Rows())
+		got, err := HashJoin(left, right, "k", "k", kind)
+		if err != nil {
+			t.Fatal(err)
 		}
+		sameRows(t, fmt.Sprintf("kind=%v", kind), got.Rows(), want.Rows())
 	}
 }
 
@@ -359,10 +358,11 @@ func joinFuzzCell(t Type, v byte) Value {
 // FuzzJoinerMatchesReference holds the chained index to the index it
 // replaced (reference_test.go): random build and probe sides with
 // repeated keys and mis-kinded key cells (the spill path), every key
-// type, Inner and LeftOuter, 1..8 shards, probed in batches through one
-// arena. The rows must be identical and in identical order. Float keys
-// are held to NestedLoopJoin instead, because the reference keeps the
-// float == bug TestFloatKeyJoinMatchesNestedLoop pins.
+// type, Inner and LeftOuter, a reference of 1..8 shards, probed in
+// batches through one arena. The rows must be identical and in
+// identical order. Float keys are held to NestedLoopJoin instead,
+// because the reference keeps the float == bug
+// TestFloatKeyJoinMatchesNestedLoop pins.
 func FuzzJoinerMatchesReference(f *testing.F) {
 	f.Add([]byte{0, 0, 0, 3, 0, 1, 1, 1, 0, 2, 1, 2, 6, 1, 0, 1, 2, 9})
 	f.Add([]byte{1, 1, 2, 2, 0, 0, 1, 0, 0, 2, 1, 2, 0, 3, 1, 3, 6, 0, 7, 0})
@@ -390,7 +390,7 @@ func FuzzJoinerMatchesReference(f *testing.F) {
 				right.AppendUnchecked(Tuple{IntValue(int64(i)), k})
 			}
 		}
-		j, err := NewJoiner(ls, right, "k", "k", kind, shards)
+		j, err := NewJoiner(ls, right, "k", "k", kind)
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -73,7 +73,7 @@ const (
 // collisions are prefixed with "r_". Probe order follows the left
 // table, so output order is deterministic.
 func HashJoin(left, right *Table, leftKey, rightKey string, kind JoinType) (*Table, error) {
-	j, err := NewJoiner(left.Schema(), right, leftKey, rightKey, kind, 1)
+	j, err := NewJoiner(left.Schema(), right, leftKey, rightKey, kind)
 	if err != nil {
 		return nil, err
 	}

@@ -161,17 +161,16 @@ func TestPropertyHashJoinMatchesNestedLoop(t *testing.T) {
 			if !h.EqualUnordered(n) {
 				return false
 			}
-			// A sharded index must produce the serial result — not just
-			// the same multiset, the exact same row order — at any shard
-			// count.
-			for _, shards := range []int{1, 2, 8} {
-				p, err := probeSharded(left, right, kind, shards)
-				if err != nil {
-					return false
-				}
-				if !p.Equal(h) {
-					return false
-				}
+			// HashJoin must produce the reference joiner's result — not
+			// just the same multiset, the exact same row order.
+			ref, err := refNewJoiner(left.Schema(), right, "k", "k", kind, 1)
+			if err != nil {
+				return false
+			}
+			want := NewTable(h.Schema())
+			want.rows = ref.ProbeRows(nil, left.Rows())
+			if !h.Equal(want) {
+				return false
 			}
 		}
 		return true
@@ -181,23 +180,12 @@ func TestPropertyHashJoinMatchesNestedLoop(t *testing.T) {
 	}
 }
 
-// probeSharded joins left against a build index over right split into
-// the given number of shards, the way the dataflow hash-join operator
-// does (NewJoiner at the operator's worker count, then ProbeRows).
-func probeSharded(left, right *Table, kind JoinType, shards int) (*Table, error) {
-	j, err := NewJoiner(left.Schema(), right, "k", "k", kind, shards)
-	if err != nil {
-		return nil, err
-	}
-	out := NewTable(j.OutputSchema())
-	out.rows, _, _, _ = j.ProbeRows(&Arena{}, nil, left.Rows(), nil)
-	return out, nil
-}
-
-// TestJoinerShardCountDeterministic pins the sharded index's ordering
-// contract: repeated runs and different shard counts all yield
-// bit-identical output (asserted via ordered Equal and the serde
-// digest) on a build side large enough to take the parallel build.
+// TestJoinerShardCountDeterministic pins the one-map index's ordering
+// contract against the hash-partitioned reference it replaced: at every
+// reference shard count, on a build side large enough to take the
+// reference's parallel build, the Joiner (through HashJoin, which
+// probes with ProbeRows) yields the reference's rows in its order
+// (asserted via ordered Equal and the serde digest).
 func TestJoinerShardCountDeterministic(t *testing.T) {
 	ls := MustSchema(Field{"k", Int}, Field{"lv", String})
 	rs := MustSchema(Field{"k", Int}, Field{"rv", Float})
@@ -207,23 +195,22 @@ func TestJoinerShardCountDeterministic(t *testing.T) {
 		right.AppendUnchecked(Tuple{IntValue(int64(i % 900)), FloatValue(float64(i))})
 	}
 	for _, kind := range []JoinType{Inner, LeftOuter} {
-		ref, err := HashJoin(left, right, "k", "k", kind)
+		got, err := HashJoin(left, right, "k", "k", kind)
 		if err != nil {
 			t.Fatal(err)
 		}
-		want := Digest(ref)
 		for _, shards := range []int{1, 2, 3, 8, 32} {
-			for run := 0; run < 3; run++ {
-				got, err := probeSharded(left, right, kind, shards)
-				if err != nil {
-					t.Fatal(err)
-				}
-				if !got.Equal(ref) {
-					t.Fatalf("kind=%v shards=%d run=%d: row order differs from serial join", kind, shards, run)
-				}
-				if d := Digest(got); d != want {
-					t.Fatalf("kind=%v shards=%d run=%d: digest %#x, want %#x", kind, shards, run, d, want)
-				}
+			ref, err := refNewJoiner(ls, right, "k", "k", kind, shards)
+			if err != nil {
+				t.Fatal(err)
+			}
+			want := NewTable(got.Schema())
+			want.rows = ref.ProbeRows(nil, left.Rows())
+			if !got.Equal(want) {
+				t.Fatalf("kind=%v shards=%d: row order differs from the reference", kind, shards)
+			}
+			if g, w := Digest(got), Digest(want); g != w {
+				t.Fatalf("kind=%v shards=%d: digest %#x, want %#x", kind, shards, g, w)
 			}
 		}
 	}

@@ -523,6 +523,27 @@ type refJoiner struct {
 	build []Tuple
 }
 
+// maxJoinShards bounds the reference's partition fan-out; shard ids are
+// stored in a byte with 255 reserved for rows whose key needs the spill
+// path.
+const maxJoinShards = 128
+
+// fnv32 hashes a string with FNV-1a; used to route spill keys and
+// string keys to shards.
+func fnv32(s string) uint32 {
+	h := uint32(2166136261)
+	for i := 0; i < len(s); i++ {
+		h ^= uint32(s[i])
+		h *= 16777619
+	}
+	return h
+}
+
+// mix64 is a cheap multiplicative bit mixer for fixed-width keys.
+func mix64(v uint64) uint32 {
+	return uint32((v * 0x9E3779B97F4A7C15) >> 32)
+}
+
 // refNewJoiner builds the hash index over the right (build) table for
 // probes whose rows follow leftSchema. shards controls the hash
 // partitioning (and the build parallelism) of the index; values below 1

@@ -138,7 +138,6 @@ type nopCtx struct{}
 
 func (nopCtx) AddWork(cost.Work) {}
 func (nopCtx) Worker() int       { return 0 }
-func (nopCtx) Workers() int      { return 1 }
 
 // The generator carves the batches of its run from one arena: appending
 // to one batch, or to a row of it, must leave every other batch as it

@@ -95,16 +95,27 @@ type edgeStat struct {
 	bytes   atomic.Int64
 }
 
-// workShard is one worker's private work accumulators. Each worker
-// writes only its own shard with plain stores (no locks, no atomics);
-// shards are merged once after all workers have stopped, with the
-// WaitGroup providing the happens-before edge. The trailing pad keeps
-// neighbouring shards off one cache line.
+// workShard is one worker's private state: its work accumulators, and
+// its ExecCtx with the arena its instance carves output from. Each
+// worker writes only its own shard with plain stores (no locks, no
+// atomics); shards are merged once after all workers have stopped, with
+// the WaitGroup providing the happens-before edge. The trailing pad
+// keeps neighbouring shards off one cache line.
 type workShard struct {
 	byPort []cost.Work
 	end    cost.Work
 	open   cost.Work
+	ec     execCtx
 	_      [48]byte // false-sharing pad
+}
+
+// outEdge is a node's end of one out-edge: the queue feeding the edge's
+// router and the edge's traffic. An edge into a consumer that does not
+// execute is not live: it has no router and carries and counts nothing.
+type outEdge struct {
+	q    queue
+	stat edgeStat
+	live bool
 }
 
 type nodeRuntime struct {
@@ -113,14 +124,17 @@ type nodeRuntime struct {
 	inTuples     atomic.Int64
 	outTuples    atomic.Int64
 	batches      atomic.Int64
-	inQ          [][]*queue // [port][worker]
-	edgeQ        []*queue   // per outEdge, feeding that edge's router; nil when its consumer does not execute
-	edgeStats    []*edgeStat
+	inQ          [][]queue // [port][worker], one backing array
+	edges        []outEdge // per outEdge
 	inputSchemas []*relation.Schema
 	sinkTable    *relation.Table
 
 	shards []workShard // one per worker
 	wall   []wallShard // like shards; allocated only when telemetry is on
+
+	// src is the storage every worker's output arena carves from, so
+	// the operator, not each instance, keeps one chunk's empty tail.
+	src relation.ArenaSource
 
 	// capture collects each worker's emitted rows for the lineage
 	// commit; allocated only for dirty operators under a lineage store.
@@ -195,17 +209,19 @@ func (rt *nodeRuntime) mergedWork() (byPort []cost.Work, end, open cost.Work) {
 	return byPort, end, open
 }
 
-// execCtx is the per-worker ExecCtx implementation.
+// execCtx is the per-worker ExecCtx implementation. It lives in the
+// worker's shard.
 type execCtx struct {
 	rt      *nodeRuntime
 	shard   *workShard
 	worker  int
-	phase   int // current port, or -1 during EndPort
-	dropped int // the batch in hand's batchMsg.dropped; 0 during EndPort
+	phase   int            // current port, or -1 during EndPort
+	dropped int            // the batch in hand's batchMsg.dropped; 0 during EndPort
+	out     relation.Arena // drawn from the node's src
 }
 
-func (ec *execCtx) AddWork(w cost.Work) { addShardWork(ec.shard, ec.phase, w) }
-func (ec *execCtx) Worker() int         { return ec.worker }
+func (ec *execCtx) AddWork(w cost.Work)  { addShardWork(ec.shard, ec.phase, w) }
+func (ec *execCtx) Out() *relation.Arena { return &ec.out }
 
 // Execution is a running (or finished) workflow.
 type Execution struct {
@@ -281,25 +297,35 @@ func (w *Workflow) Start(ctx context.Context, cfg Config) (*Execution, error) {
 		case kindSink:
 			ports = 1
 		}
-		rt.inQ = make([][]*queue, ports)
-		for p := range rt.inQ {
-			rt.inQ[p] = make([]*queue, n.parallelism)
-			for wk := range rt.inQ[p] {
-				rt.inQ[p][wk] = newQueue()
+		// Worker state comes in one allocation per kind, not one per
+		// worker: the in-port queues are a [port][worker] view of one
+		// slice, and a worker's ports share its one wake-up channel.
+		par := n.parallelism
+		queues := make([]queue, ports*par)
+		for wk := 0; ports > 0 && wk < par; wk++ { // a source has no in-ports
+			wake := make(chan struct{}, 1)
+			for p := range ports {
+				queues[p*par+wk].signal = wake
 			}
 		}
-		rt.edgeQ = make([]*queue, len(n.outEdges))
-		rt.edgeStats = make([]*edgeStat, len(n.outEdges))
+		rt.inQ = make([][]queue, ports)
+		for p := range rt.inQ {
+			rt.inQ[p] = queues[p*par : (p+1)*par : (p+1)*par]
+		}
+		rt.edges = make([]outEdge, len(n.outEdges))
 		for i, e := range n.outEdges {
 			if executes(e.to) {
-				rt.edgeQ[i] = newQueue()
+				rt.edges[i].live = true
+				rt.edges[i].q.signal = make(chan struct{}, 1)
 			}
-			rt.edgeStats[i] = &edgeStat{}
 		}
 		workPorts := max(ports, 1) // a source charges its scan to port 0
-		rt.shards = make([]workShard, n.parallelism)
+		work := make([]cost.Work, par*workPorts)
+		rt.shards = make([]workShard, par)
 		for s := range rt.shards {
-			rt.shards[s].byPort = make([]cost.Work, workPorts)
+			sh := &rt.shards[s]
+			sh.byPort = work[s*workPorts : (s+1)*workPorts : (s+1)*workPorts]
+			sh.ec = execCtx{rt: rt, shard: sh, worker: s, out: rt.src.Arena()}
 		}
 		if ex.tel != nil {
 			rt.wall = make([]wallShard, n.parallelism)
@@ -325,10 +351,10 @@ func (w *Workflow) Start(ctx context.Context, cfg Config) (*Execution, error) {
 	// Launch edge routers.
 	var routerWG sync.WaitGroup
 	for _, rt := range ex.rts {
-		for i, q := range rt.edgeQ {
-			if q != nil {
+		for i := range rt.edges {
+			if rt.edges[i].live {
 				routerWG.Add(1)
-				go ex.runRouter(&routerWG, rt.n.outEdges[i], q)
+				go ex.runRouter(&routerWG, rt.n.outEdges[i], &rt.edges[i].q)
 			}
 		}
 	}
@@ -446,15 +472,15 @@ func (ex *Execution) emit(rt *nodeRuntime, worker int, rows []relation.Tuple, dr
 	for _, r := range rows {
 		bytes += relation.EncodedSize(r)
 	}
-	for i, q := range rt.edgeQ {
-		if q == nil {
+	for i := range rt.edges {
+		oe := &rt.edges[i]
+		if !oe.live {
 			continue
 		}
-		st := rt.edgeStats[i]
-		st.batches.Add(1)
-		st.tuples.Add(tuples)
-		st.bytes.Add(bytes)
-		q.push(batchMsg{rows: rows, dropped: dropped})
+		oe.stat.batches.Add(1)
+		oe.stat.tuples.Add(tuples)
+		oe.stat.bytes.Add(bytes)
+		oe.q.push(batchMsg{rows: rows, dropped: dropped})
 	}
 	if ex.cfg.Progress != nil {
 		ex.publishProgress(rt, "progress")
@@ -469,8 +495,8 @@ func (ex *Execution) runRouter(wg *sync.WaitGroup, e *edge, in *queue) {
 	toRT := ex.rts[e.to.id]
 	outs := toRT.inQ[e.port]
 	defer func() {
-		for _, q := range outs {
-			q.close()
+		for i := range outs {
+			outs[i].close()
 		}
 	}()
 	rr := 0
@@ -482,8 +508,8 @@ func (ex *Execution) runRouter(wg *sync.WaitGroup, e *edge, in *queue) {
 		}
 		switch e.part.kind {
 		case partBroadcast:
-			for _, q := range outs {
-				q.push(msg)
+			for i := range outs {
+				outs[i].push(msg)
 			}
 		case partHash:
 			if len(outs) == 1 {
@@ -555,9 +581,9 @@ func (ex *Execution) runNode(wg *sync.WaitGroup, rt *nodeRuntime) {
 	defer func() {
 		// Whatever happened, close out-edge queues so downstream sees
 		// EOF.
-		for _, q := range rt.edgeQ {
-			if q != nil {
-				q.close()
+		for i := range rt.edges {
+			if rt.edges[i].live {
+				rt.edges[i].q.close()
 			}
 		}
 	}()
@@ -646,7 +672,7 @@ func (s *sinkInstance) EndPort(ExecCtx, int) ([]relation.Tuple, error) { return 
 func (ex *Execution) runWorker(rt *nodeRuntime, worker int) {
 	defer rt.wg.Done()
 	inst, join := rt.newInstance()
-	ec := &execCtx{rt: rt, shard: &rt.shards[worker], worker: worker}
+	ec := &rt.shards[worker].ec
 	if sb, ok := inst.(schemaBinder); ok {
 		if err := sb.bindSchemas(rt.inputSchemas); err != nil {
 			ex.failOp(rt, worker, -1, err)
@@ -660,7 +686,7 @@ func (ex *Execution) runWorker(rt *nodeRuntime, worker int) {
 	}
 	ex.setState(rt, Running)
 	for port := range rt.inQ {
-		q := rt.inQ[port][worker]
+		q := &rt.inQ[port][worker]
 		for {
 			msg, ok, err := q.pop(ex.ctx)
 			if err != nil {
@@ -834,10 +860,10 @@ func (ex *Execution) cacheView(rt *nodeRuntime, in, out, batches int64) NodeTrac
 // queue, the ones into a consumer that executes.
 func (rt *nodeRuntime) appendEdges(dst []EdgeTrace) []EdgeTrace {
 	for i, e := range rt.n.outEdges {
-		if rt.edgeQ[i] == nil {
+		if !rt.edges[i].live {
 			continue
 		}
-		st := rt.edgeStats[i]
+		st := &rt.edges[i].stat
 		dst = append(dst, EdgeTrace{
 			From:    e.from.id,
 			To:      e.to.id,

@@ -215,7 +215,6 @@ func (o *condFilterOp) NewInstance() Instance { return &condFilterInstance{op: o
 type condFilterInstance struct {
 	op   *condFilterOp
 	pred relation.Predicate
-	out  relation.Arena
 }
 
 func (ci *condFilterInstance) bindSchemas(in []*relation.Schema) error {
@@ -229,7 +228,7 @@ func (ci *condFilterInstance) bindSchemas(in []*relation.Schema) error {
 func (ci *condFilterInstance) Open(ExecCtx) error { return nil }
 func (ci *condFilterInstance) Process(ec ExecCtx, _ int, rows []relation.Tuple) ([]relation.Tuple, error) {
 	ec.AddWork(DefaultFilterWork.Scale(float64(len(rows))))
-	return keepRows(&ci.out, rows, ci.pred), nil
+	return keepRows(ec.Out(), rows, ci.pred), nil
 }
 func (ci *condFilterInstance) EndPort(ExecCtx, int) ([]relation.Tuple, error) { return nil, nil }
 

@@ -47,10 +47,12 @@ func AddWorkLoop(iters int) {
 }
 
 // microCtx is the ExecCtx of a lone worker on port 0 of a two-port
-// operator, as runWorker builds it.
+// operator, as Start builds it, except that its arena has no source.
 func microCtx() *execCtx {
 	rt := &nodeRuntime{n: &node{parallelism: 1}, shards: []workShard{{byPort: make([]cost.Work, 2)}}}
-	return &execCtx{rt: rt, shard: &rt.shards[0]}
+	sh := &rt.shards[0]
+	sh.ec = execCtx{rt: rt, shard: sh}
+	return &sh.ec
 }
 
 // microBatch is the batch DICE-200 actually moves: 8 rows, here of the

@@ -105,15 +105,20 @@ func (d Desc) FullyBlocking() bool {
 }
 
 // ExecCtx is passed to operator instances so they can attribute
-// simulated work to themselves and know which worker they are.
+// simulated work to themselves and carve the rows they emit.
 type ExecCtx interface {
 	// AddWork charges simulated CPU work (in Python-second units) to
 	// the operator; the engine converts it using the operator's
 	// language and distributes it over the operator's batch jobs when
 	// lowering to the simulator.
 	AddWork(w cost.Work)
-	// Worker returns this instance's worker index in [0, parallelism).
-	Worker() int
+	// Out returns the arena the instance carves the rows it emits from.
+	// It is the worker's for the whole run and the same on every call;
+	// the executor draws every worker's arena of one operator from one
+	// relation.ArenaSource. An instance closes each batch it builds
+	// (Batch) before it returns it, so both halves of a fused operator
+	// can use it.
+	Out() *relation.Arena
 }
 
 // Operator is a logical operator: a descriptor, a schema rule, and a

@@ -3,6 +3,7 @@ package dataflow
 import (
 	"fmt"
 	"math"
+	"sync"
 
 	"repro/internal/cost"
 	"repro/internal/relation"
@@ -68,10 +69,7 @@ func (o *FilterOp) OutputSchema(in []*relation.Schema) (*relation.Schema, error)
 // NewInstance returns a stateless filter worker.
 func (o *FilterOp) NewInstance() Instance { return &filterInstance{op: o} }
 
-type filterInstance struct {
-	op  *FilterOp
-	out relation.Arena
-}
+type filterInstance struct{ op *FilterOp }
 
 func (fi *filterInstance) Open(ExecCtx) error { return nil }
 func (fi *filterInstance) Process(ec ExecCtx, _ int, rows []relation.Tuple) ([]relation.Tuple, error) {
@@ -89,7 +87,7 @@ func (fi *filterInstance) EndPort(ExecCtx, int) ([]relation.Tuple, error) { retu
 // bits it has when the join builds every row.
 func (fi *filterInstance) process(ec ExecCtx, rows []relation.Tuple, dropped int) []relation.Tuple {
 	ec.AddWork(fi.op.Work.Scale(float64(len(rows) + dropped)))
-	return keepRows(&fi.out, rows, fi.op.Keep)
+	return keepRows(ec.Out(), rows, fi.op.Keep)
 }
 
 // keepRows returns the rows keep accepts, in order. A batch it accepts
@@ -149,7 +147,6 @@ func (o *ProjectOp) NewInstance() Instance { return &projectInstance{op: o} }
 type projectInstance struct {
 	op  *ProjectOp
 	pos []int
-	out relation.Arena
 }
 
 func (pi *projectInstance) Open(ExecCtx) error { return nil }
@@ -160,15 +157,15 @@ func (pi *projectInstance) Process(ec ExecCtx, _ int, rows []relation.Tuple) ([]
 		// direct Process call on an unbound instance gets here.
 		return nil, fmt.Errorf("dataflow: %s: positions not bound", pi.op.desc.Name)
 	}
-	width := len(pi.pos)
-	pi.out.Reserve(len(rows), len(rows)*width)
+	width, out := len(pi.pos), ec.Out()
+	out.Reserve(len(rows), len(rows)*width)
 	for _, r := range rows {
-		row := pi.out.Row(width)
+		row := out.Row(width)
 		for k, p := range pi.pos {
 			row[k] = r[p]
 		}
 	}
-	return pi.out.Batch(), nil
+	return out.Batch(), nil
 }
 func (pi *projectInstance) EndPort(ExecCtx, int) ([]relation.Tuple, error) { return nil, nil }
 
@@ -199,12 +196,12 @@ func (pi *projectInstance) bindSchemas(in []*relation.Schema) error {
 // and a new one built with its constructor (relation.StringValue).
 type MapFunc func(in relation.Tuple, out *Rows) error
 
-// Rows collects what a MapFunc emits. It is its operator instance's
-// output arena for the instance's whole run and hands out one batch per
-// input batch, so a batch costs no objects of its own once the arena's
-// chunks have grown (relation.Arena has the rules).
+// Rows collects what a MapFunc emits into its worker's output arena
+// (ExecCtx.Out) and hands out one batch per input batch, so a batch
+// costs no objects of its own once the arena's chunks have grown
+// (relation.Arena has the rules).
 type Rows struct {
-	arena relation.Arena
+	arena *relation.Arena
 	ec    ExecCtx
 	width int // cells per tuple, from the operator's output schema
 	rest  int // input rows of the batch not yet mapped, the current one included
@@ -274,7 +271,7 @@ type mapInstance struct {
 func (mi *mapInstance) Open(ExecCtx) error { return nil }
 func (mi *mapInstance) Process(ec ExecCtx, _ int, rows []relation.Tuple) ([]relation.Tuple, error) {
 	ec.AddWork(mi.op.Work.Scale(float64(len(rows))))
-	mi.out.ec, mi.out.n = ec, 0
+	mi.out.ec, mi.out.arena, mi.out.n = ec, ec.Out(), 0
 	for i, r := range rows {
 		mi.out.rest = len(rows) - i
 		if err := mi.op.Fn(r, &mi.out); err != nil {
@@ -310,6 +307,18 @@ type HashJoinOp struct {
 	// outPerm[k] is the physical column emitted at logical position k.
 	outPerm   []int
 	outSchema *relation.Schema
+
+	// plan is the join planned for planned's inputs and keys, once for
+	// every instance of the operator, fused or not.
+	mu      sync.Mutex
+	plan    *relation.JoinPlan
+	planned planKey
+}
+
+// planKey is what a join plan is derived from.
+type planKey struct {
+	build, probe       *relation.Schema
+	buildKey, probeKey string
 }
 
 // NewHashJoin returns a hash-join operator. Port 0 is the build side,
@@ -336,14 +345,29 @@ func (o *HashJoinOp) OutputSchema(in []*relation.Schema) (*relation.Schema, erro
 	if o.outSchema != nil {
 		return o.outSchema, nil
 	}
-	build, probe := in[0], in[1]
-	empty := relation.NewTable(probe)
-	emptyBuild := relation.NewTable(build)
-	proto, err := relation.HashJoin(empty, emptyBuild, o.ProbeKey, o.BuildKey, o.Kind)
+	plan, err := o.planFor(in[0], in[1])
+	if err != nil {
+		return nil, err
+	}
+	return plan.Schema(), nil
+}
+
+// planFor returns the join's plan for a build and a probe schema. It is
+// planned on the first call and shared until the inputs or the keys
+// change, which only a rewrite between runs does.
+func (o *HashJoinOp) planFor(build, probe *relation.Schema) (*relation.JoinPlan, error) {
+	key := planKey{build: build, probe: probe, buildKey: o.BuildKey, probeKey: o.ProbeKey}
+	o.mu.Lock()
+	defer o.mu.Unlock()
+	if o.plan != nil && o.planned == key {
+		return o.plan, nil
+	}
+	plan, err := relation.PlanJoin(probe, build, o.ProbeKey, o.BuildKey)
 	if err != nil {
 		return nil, fmt.Errorf("dataflow: %s: %w", o.desc.Name, err)
 	}
-	return proto.Schema(), nil
+	o.plan, o.planned = plan, key
+	return plan, nil
 }
 
 // NewInstance returns a join worker with its own hash table.
@@ -352,14 +376,12 @@ func (o *HashJoinOp) NewInstance() Instance {
 }
 
 type joinInstance struct {
-	op          *HashJoinOp
-	buildSchema *relation.Schema
-	probeSchema *relation.Schema
-	buildRows   *relation.Table
-	joiner      *relation.Joiner
-	out         relation.Arena
-	heads       []int32        // scratch: ProbeRows' chain heads
-	permuted    relation.Tuple // scratch: one row in op.outPerm order
+	op        *HashJoinOp
+	plan      *relation.JoinPlan // the operator's, shared by its instances
+	buildRows *relation.Table
+	joiner    *relation.Joiner
+	heads     []int32        // scratch: ProbeRows' chain heads
+	permuted  relation.Tuple // scratch: one row in op.outPerm order
 
 	// keep, when set by pushFilter, is the predicate of the filter this
 	// join feeds alone: only the rows it accepts are built. dropped and
@@ -391,8 +413,11 @@ func (ji *joinInstance) bindSchemas(in []*relation.Schema) error {
 	if len(in) != 2 {
 		return fmt.Errorf("dataflow: %s: expected two input schemas", ji.op.desc.Name)
 	}
-	ji.buildSchema, ji.probeSchema = in[0], in[1]
-	ji.buildRows = relation.NewTable(in[0])
+	plan, err := ji.op.planFor(in[0], in[1])
+	if err != nil {
+		return err
+	}
+	ji.plan, ji.buildRows = plan, relation.NewTable(in[0])
 	return nil
 }
 
@@ -416,12 +441,10 @@ func (ji *joinInstance) Process(ec ExecCtx, port int, rows []relation.Tuple) ([]
 			// Port 1 with no port 0 at all (not even EndPort) cannot
 			// happen under the executor's port-ordering guarantee, but
 			// keep direct Process calls in tests working.
-			if err := ji.buildJoiner(); err != nil {
-				return nil, err
-			}
+			ji.joiner = ji.plan.NewJoiner(ji.buildRows, ji.op.Kind)
 		}
 		var out []relation.Tuple
-		out, ji.heads, ji.dropped, ji.droppedBytes = ji.joiner.ProbeRows(&ji.out, ji.heads, rows, ji.keep)
+		out, ji.heads, ji.dropped, ji.droppedBytes = ji.joiner.ProbeRows(ec.Out(), ji.heads, rows, ji.keep)
 		// The rows ProbeRows returned are not handed out yet, so a
 		// swapped join re-orders each in place.
 		if perm := ji.op.outPerm; perm != nil {
@@ -438,22 +461,11 @@ func (ji *joinInstance) Process(ec ExecCtx, port int, rows []relation.Tuple) ([]
 	}
 }
 
-// buildJoiner constructs the reusable probe index once the build side
-// is complete.
-func (ji *joinInstance) buildJoiner() error {
-	j, err := relation.NewJoiner(ji.probeSchema, ji.buildRows, ji.op.ProbeKey, ji.op.BuildKey, ji.op.Kind)
-	if err != nil {
-		return err
-	}
-	ji.joiner = j
-	return nil
-}
-
+// EndPort builds the reusable probe index once the build side is
+// complete.
 func (ji *joinInstance) EndPort(ec ExecCtx, port int) ([]relation.Tuple, error) {
 	if port == 0 && ji.joiner == nil {
-		if err := ji.buildJoiner(); err != nil {
-			return nil, err
-		}
+		ji.joiner = ji.plan.NewJoiner(ji.buildRows, ji.op.Kind)
 	}
 	return nil, nil
 }

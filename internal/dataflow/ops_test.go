@@ -3,6 +3,7 @@ package dataflow
 import (
 	"math/bits"
 	"slices"
+	"sync"
 	"testing"
 
 	"repro/internal/cost"
@@ -176,7 +177,7 @@ func TestMapRowsMatchTupleSlices(t *testing.T) {
 			for _, r := range batch {
 				want = append(want, c.ref(r)...)
 			}
-			got, err := NewMap(c.name, cost.Python, intSchema, c.fn).NewInstance().Process(nopCtx{}, 0, batch)
+			got, err := NewMap(c.name, cost.Python, intSchema, c.fn).NewInstance().Process(&nopCtx{}, 0, batch)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -198,8 +199,16 @@ func TestMapRowsMatchTupleSlices(t *testing.T) {
 // was handed gets a copy: every batch of one instance stays as it was
 // whichever other batch, or row of it, is appended to. Forty batches
 // take the arenas past the point where a chunk (an eighth of what the
-// instance has made) holds several, so neighbours share one.
+// arena, or its source, has made) holds several, so neighbours share
+// one. The instances run twice: on arenas of their own, and on arenas
+// drawn from one source, as the executor draws its workers'.
 func TestBatchRowsDoNotAlias(t *testing.T) {
+	for _, name := range []string{"own", "sourced"} {
+		t.Run(name, func(t *testing.T) { testBatchRowsDoNotAlias(t, name == "sourced") })
+	}
+}
+
+func testBatchRowsDoNotAlias(t *testing.T, sourced bool) {
 	const batches = 40
 	in := intTable(16).Rows()
 	input := func(k int) []relation.Tuple { return in[8*(k%2) : 8*(k%2)+8] }
@@ -211,9 +220,14 @@ func TestBatchRowsDoNotAlias(t *testing.T) {
 		}
 		return inst
 	}
+	var src relation.ArenaSource
 	processor := func(inst Instance, port int, batch func(k int) []relation.Tuple) func(k int) []relation.Tuple {
+		ec := &nopCtx{}
+		if sourced {
+			ec.out = src.Arena()
+		}
 		return func(k int) []relation.Tuple {
-			out, err := inst.Process(nopCtx{}, port, batch(k))
+			out, err := inst.Process(ec, port, batch(k))
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -323,7 +337,8 @@ func clone(rows []relation.Tuple) []relation.Tuple {
 
 // A flat-map that emits n rows from one input row moves its batch to a
 // chunk at least twice as large each time it outgrows one, so it costs
-// O(log n) chunks, not one per row and not O(n) copies.
+// O(log n) chunks, not one per row and not O(n) copies — on an arena of
+// its own and on one drawn from a source, which then carves each chunk.
 func TestFlatMapChunksGrowGeometrically(t *testing.T) {
 	const n = 100_000
 	op := NewMap("explode", cost.Python, intSchema, func(r relation.Tuple, out *Rows) error {
@@ -333,21 +348,92 @@ func TestFlatMapChunksGrowGeometrically(t *testing.T) {
 		return nil
 	})
 	batch := intTable(1).Rows()
-	var rows []relation.Tuple
-	allocs := testing.AllocsPerRun(3, func() {
-		var err error
-		if rows, err = op.NewInstance().Process(nopCtx{}, 0, batch); err != nil {
-			t.Fatal(err)
+	for _, sourced := range []bool{false, true} {
+		var rows []relation.Tuple
+		allocs := testing.AllocsPerRun(3, func() {
+			ec := &nopCtx{}
+			if sourced {
+				ec.out = new(relation.ArenaSource).Arena()
+			}
+			var err error
+			if rows, err = op.NewInstance().Process(ec, 0, batch); err != nil {
+				t.Fatal(err)
+			}
+		})
+		if len(rows) != n || rows[n-1][1].Int() != n-1 {
+			t.Fatalf("sourced %v: flat-map emitted %d rows", sourced, len(rows))
 		}
-	})
-	if len(rows) != n || rows[n-1][1].Int() != n-1 {
-		t.Fatalf("flat-map emitted %d rows", len(rows))
+		// A fresh instance and context each run (two objects, three with
+		// a source), so every run starts from no chunks; then two chunk
+		// kinds, tuples and cells, each doubling from one row: 18 chunks
+		// each at n = 100,000.
+		fresh := 2
+		if sourced {
+			fresh = 3
+		}
+		t.Logf("sourced %v: a %d-row flat-map allocated %v objects", sourced, n, allocs)
+		if limit := fresh + 2*(bits.Len(n)+2); allocs > float64(limit) {
+			t.Fatalf("sourced %v: a %d-row flat-map allocated %v objects, want at most %d", sourced, n, allocs, limit)
+		}
 	}
-	// A fresh instance each run (one object), so every run starts from no
-	// chunks; then two chunk kinds, tuples and cells, each doubling from
-	// one row: 18 chunks each at n = 100,000.
-	t.Logf("a %d-row flat-map allocated %v objects", n, allocs)
-	if limit := 1 + 2*(bits.Len(n)+2); allocs > float64(limit) {
-		t.Fatalf("a %d-row flat-map allocated %v objects, want at most %d", n, allocs, limit)
+}
+
+// A join is planned once per operator: every instance, bound on its own
+// goroutine, fused with a filter or not, probes with the plan the
+// operator holds, and OutputSchema hands out that plan's schema.
+func TestJoinInstancesShareOnePlan(t *testing.T) {
+	users, orders := joinInputs()
+	in := []*relation.Schema{users.Schema(), orders.Schema()}
+	join := NewHashJoin("join", cost.Python, "uid", "uid", relation.Inner)
+	fused := &FusedOp{A: join, B: NewFilter("keep", cost.Python, func(relation.Tuple) bool { return true })}
+	insts := make([]Instance, 8)
+	var wg sync.WaitGroup
+	for i := range insts {
+		wg.Add(1)
+		go func(i int) {
+			defer wg.Done()
+			op := Operator(join)
+			if i%2 == 1 {
+				op = fused
+			}
+			inst := op.NewInstance()
+			if err := inst.(schemaBinder).bindSchemas(in); err != nil {
+				t.Error(err)
+				return
+			}
+			ec := &nopCtx{}
+			if _, err := inst.Process(ec, 0, users.Rows()); err != nil {
+				t.Error(err)
+				return
+			}
+			if _, err := inst.EndPort(ec, 0); err != nil {
+				t.Error(err)
+				return
+			}
+			insts[i] = inst
+		}(i)
+	}
+	wg.Wait()
+	if t.Failed() {
+		return
+	}
+	schema, err := join.OutputSchema(in)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i, inst := range insts {
+		ji, ok := inst.(*joinInstance)
+		if !ok {
+			ji = inst.(*fusedInstance).a.(*joinInstance)
+		}
+		if ji.plan != join.plan || ji.joiner.OutputSchema() != join.plan.Schema() {
+			t.Fatalf("instance %d probes with plan %p, the operator holds %p", i, ji.plan, join.plan)
+		}
+	}
+	if schema != join.plan.Schema() {
+		t.Fatal("OutputSchema is not the plan's schema")
+	}
+	if again, _ := join.OutputSchema(in); again != schema {
+		t.Fatal("a second OutputSchema call planned the join again")
 	}
 }

@@ -217,10 +217,13 @@ func TestJoinEvaluatesItsFilter(t *testing.T) {
 }
 
 // workLog is an ExecCtx that records each AddWork call in order.
-type workLog []cost.Work
+type workLog struct {
+	work []cost.Work
+	out  relation.Arena
+}
 
-func (l *workLog) AddWork(w cost.Work) { *l = append(*l, w) }
-func (*workLog) Worker() int           { return 0 }
+func (l *workLog) AddWork(w cost.Work)  { l.work = append(l.work, w) }
+func (l *workLog) Out() *relation.Arena { return &l.out }
 
 // A fused join+filter binds the filter's predicate into the join and
 // hands it the dropped count: batch for batch, it emits the rows and
@@ -275,12 +278,12 @@ func TestFusedJoinFilterMatchesUnfused(t *testing.T) {
 			}
 		}
 	}
-	if len(fusedLog) != len(plainLog) {
-		t.Fatalf("fused charged work %d times, unfused %d", len(fusedLog), len(plainLog))
+	if len(fusedLog.work) != len(plainLog.work) {
+		t.Fatalf("fused charged work %d times, unfused %d", len(fusedLog.work), len(plainLog.work))
 	}
-	for i := range plainLog {
-		if fusedLog[i] != plainLog[i] {
-			t.Fatalf("charge %d: fused %+v, unfused %+v", i, fusedLog[i], plainLog[i])
+	for i := range plainLog.work {
+		if fusedLog.work[i] != plainLog.work[i] {
+			t.Fatalf("charge %d: fused %+v, unfused %+v", i, fusedLog.work[i], plainLog.work[i])
 		}
 	}
 }

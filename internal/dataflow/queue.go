@@ -27,15 +27,25 @@ type batchMsg struct {
 // `items = items[1:]` reslicing kept every popped batch reachable
 // through the backing array), and steady-state push/pop reuses the
 // same storage instead of perpetually appending.
+//
+// A queue has one consumer, which alone waits on signal. The executor
+// keeps a node's in-port queues as values in one slice and gives a
+// worker's ports one shared wake-up channel, so a token may stand for a
+// change on another of the worker's queues. That is safe because pop
+// reads the queue's state under its lock before every wait: a token
+// spent while waiting on one port only wakes the worker early, and a
+// change on the port it waits on after that read leaves a token (or
+// finds one there) that ends the wait.
 type queue struct {
 	mu     sync.Mutex
 	buf    []batchMsg
 	head   int
 	count  int
 	closed bool
-	signal chan struct{} // capacity 1; a token means "state changed"
+	signal chan struct{} // capacity 1, possibly shared; a token means "some state changed"
 }
 
+// newQueue returns a queue with a wake-up channel of its own.
 func newQueue() *queue {
 	return &queue{signal: make(chan struct{}, 1)}
 }

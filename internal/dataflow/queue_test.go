@@ -262,3 +262,42 @@ func TestGateWaitHonorsContext(t *testing.T) {
 		t.Fatal("expected context error")
 	}
 }
+
+// A worker's ports share one wake-up channel: a token pushed for port 1
+// while the worker waits on port 0 is spent there, and pop on port 1
+// still finds the batch, because it reads its queue before it waits.
+func TestQueuesShareWakeChannel(t *testing.T) {
+	wake := make(chan struct{}, 1)
+	ports := []queue{{signal: wake}, {signal: wake}}
+	ctx, cancel := context.WithTimeout(context.Background(), 5*time.Second)
+	defer cancel()
+	done := make(chan []int64)
+	go func() {
+		var got []int64
+		for p := range ports {
+			for {
+				m, ok, err := ports[p].pop(ctx)
+				if err != nil {
+					t.Error(err)
+					break
+				}
+				if !ok {
+					break
+				}
+				got = append(got, m.rows[0][0].Int())
+			}
+		}
+		done <- got
+	}()
+	one := func(v int64) batchMsg { return batchMsg{rows: []relation.Tuple{{relation.IntValue(v)}}} }
+	ports[1].push(one(10))
+	time.Sleep(10 * time.Millisecond) // let the worker spend port 1's token on port 0
+	ports[1].push(one(11))
+	ports[1].close()
+	ports[0].push(one(0))
+	ports[0].close()
+	got := <-done
+	if len(got) != 3 || got[0] != 0 || got[1] != 10 || got[2] != 11 {
+		t.Fatalf("worker popped %v, want [0 10 11]", got)
+	}
+}

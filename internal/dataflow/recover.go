@@ -195,7 +195,7 @@ func (ex *Execution) CheckpointNow() Checkpoint {
 	inBytes := make([]int64, len(ex.rts))
 	for _, rt := range ex.rts {
 		for i, e := range rt.n.outEdges {
-			inBytes[e.to.id] += rt.edgeStats[i].bytes.Load()
+			inBytes[e.to.id] += rt.edges[i].stat.bytes.Load()
 		}
 	}
 	cp := Checkpoint{Nodes: make([]NodeCheckpoint, 0, len(ex.rts))}

@@ -78,11 +78,12 @@ func TestSwapJoinInputsKeepsSchemaAndRows(t *testing.T) {
 }
 
 // nopCtx is the ExecCtx of a direct Process call: one worker, work
-// discarded.
-type nopCtx struct{}
+// discarded, and an output arena with no source unless the test draws
+// it from one.
+type nopCtx struct{ out relation.Arena }
 
-func (nopCtx) AddWork(cost.Work) {}
-func (nopCtx) Worker() int       { return 0 }
+func (*nopCtx) AddWork(cost.Work)      {}
+func (c *nopCtx) Out() *relation.Arena { return &c.out }
 
 // A swapped join re-orders the rows ProbeRows hands it in place: the
 // output matches the unswapped join row for row (1:1 keys in one order
@@ -91,11 +92,12 @@ func (nopCtx) Worker() int       { return 0 }
 func TestSwapJoinPermutesInPlace(t *testing.T) {
 	plain, swapped, users, orders := swapJoinInstances(t)
 
-	want, err := plain.Process(nopCtx{}, 1, users.Rows())
+	plainCtx, swapCtx := &nopCtx{}, &nopCtx{}
+	want, err := plain.Process(plainCtx, 1, users.Rows())
 	if err != nil {
 		t.Fatal(err)
 	}
-	got, err := swapped.Process(nopCtx{}, 1, orders.Rows())
+	got, err := swapped.Process(swapCtx, 1, orders.Rows())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -109,8 +111,8 @@ func TestSwapJoinPermutesInPlace(t *testing.T) {
 	}
 
 	batch := 8
-	plainAllocs := testing.AllocsPerRun(50, func() { plain.Process(nopCtx{}, 1, users.Rows()[:batch]) })
-	swapAllocs := testing.AllocsPerRun(50, func() { swapped.Process(nopCtx{}, 1, orders.Rows()[:batch]) })
+	plainAllocs := testing.AllocsPerRun(50, func() { plain.Process(plainCtx, 1, users.Rows()[:batch]) })
+	swapAllocs := testing.AllocsPerRun(50, func() { swapped.Process(swapCtx, 1, orders.Rows()[:batch]) })
 	if swapAllocs != plainAllocs {
 		t.Fatalf("swapped Process allocates %v per %d-row batch, unswapped %v", swapAllocs, batch, plainAllocs)
 	}
@@ -144,10 +146,10 @@ func swapJoinInstances(t *testing.T) (plain, swapped Instance, users, orders *re
 		if err := inst.(schemaBinder).bindSchemas([]*relation.Schema{buildSide.Schema(), probe}); err != nil {
 			t.Fatal(err)
 		}
-		if _, err := inst.Process(nopCtx{}, 0, buildSide.Rows()); err != nil {
+		if _, err := inst.Process(&nopCtx{}, 0, buildSide.Rows()); err != nil {
 			t.Fatal(err)
 		}
-		if _, err := inst.EndPort(nopCtx{}, 0); err != nil {
+		if _, err := inst.EndPort(&nopCtx{}, 0); err != nil {
 			t.Fatal(err)
 		}
 		return inst

@@ -64,7 +64,8 @@ func (ri *recordInstance) Process(ec ExecCtx, _ int, rows []relation.Tuple) ([]r
 		ids[i] = r[0].Int()
 	}
 	ri.op.mu.Lock()
-	ri.op.seen[ec.Worker()] = append(ri.op.seen[ec.Worker()], ids)
+	wk := ec.(*execCtx).worker
+	ri.op.seen[wk] = append(ri.op.seen[wk], ids)
 	ri.op.mu.Unlock()
 	return nil, nil
 }

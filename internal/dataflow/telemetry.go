@@ -191,7 +191,7 @@ func (ex *Execution) recordTelemetry(jobs []sim.Job, meta []jobMeta, sched *sim.
 			reg.Counter(node+"lineage_hit").Add(0, 1)
 		}
 		for i, e := range rt.n.outEdges {
-			st := rt.edgeStats[i]
+			st := &rt.edges[i].stat
 			edge := fmt.Sprintf("%sedge.%s->%s.p%d.", prefix, e.from.name, e.to.name, e.port)
 			reg.Counter(edge+"batches").Add(0, st.batches.Load())
 			reg.Counter(edge+"tuples").Add(0, st.tuples.Load())

@@ -215,8 +215,8 @@ func TestWorkflowPlanAboveLegacyCeiling(t *testing.T) {
 // timings drift 10–18 % on shared runners, bytes and object counts do
 // not. Each run is measured warm, datagen included.
 //
-// A DICE-50 workflow run at 4 workers allocates about 1.8 MB in 4.5 k
-// objects, of a 2,000,000-byte and 8,000-object budget. (With the
+// A DICE-50 workflow run at 4 workers allocates about 1.7 MB in 2.8 k
+// objects, of a 2,000,000-byte and 3,600-object budget. (With the
 // join's fixed 1024-row output arena per probe batch the same run
 // allocated 82.4 MB; with map UDFs returning a slice per row, the
 // router building a key string per row and lowering naming every job it
@@ -226,17 +226,21 @@ func TestWorkflowPlanAboveLegacyCeiling(t *testing.T) {
 // every integer over 255 boxed in an interface, 2.2 MB in 12.6 k; with
 // a slice per join key and storage sized per batch, not per operator
 // run, 2.1 MB in 8.7 k; with join-sentences building the rows
-// filter-containing throws away, 2.2 MB in 4.5 k.)
+// filter-containing throws away, 2.2 MB in 4.5 k; with output storage,
+// queues, worker state and the join plan allocated per worker, not per
+// operator, 1.7 MB in 4.0 k.)
 //
 // The same run at 32 workers on 4 nodes has hundreds of operator
 // instances that see one or two batches each, so it pins the empty tail
-// each instance's last arena chunk leaves: it takes 2.3 MB of a
+// an operator's last arena chunk leaves: it takes 2.1 MB of a
 // 2,600,000-byte budget; arenas whose chunks never fell below 16 rows
 // took 3.1 MB, and a join building the rows its filter rejects 2.7 MB.
-// It also pins what each of those instances allocates per run: 11.3 k
-// objects of a 12,500 budget; with every join instance building its
-// index as one map per worker of the operator, filled by two goroutines
-// per worker, it was 14.0–14.4 k.
+// It also pins what an operator allocates per worker: 5.8 k objects of
+// a 7,000 budget; with an output arena, queues, a wake-up channel per
+// port, a work slice, an ExecCtx and a join plan of each instance's
+// own, it was 11.2 k, and with every join instance building its index
+// as one map per worker of the operator, filled by two goroutines per
+// worker, 14.0–14.4 k.
 //
 // A race build allocates about 5 % more bytes, varying from run to run
 // (2.47–2.61 MB for the second run), so under the race detector only
@@ -249,8 +253,8 @@ func TestDiceWorkflowAllocBudget(t *testing.T) {
 		byteBudget uint64
 		objBudget  uint64
 	}{
-		{core.RunSpec{Task: "dice", Paradigm: "workflow", Size: 50, Seed: 1, Workers: 4}, 2_000_000, 8_000},
-		{core.RunSpec{Task: "dice", Paradigm: "workflow", Size: 50, Seed: 1, Workers: 32, Nodes: 4}, 2_600_000, 12_500},
+		{core.RunSpec{Task: "dice", Paradigm: "workflow", Size: 50, Seed: 1, Workers: 4}, 2_000_000, 3_600},
+		{core.RunSpec{Task: "dice", Paradigm: "workflow", Size: 50, Seed: 1, Workers: 32, Nodes: 4}, 2_600_000, 7_000},
 	} {
 		run := func() (bytes, objects uint64) {
 			var before, after runtime.MemStats

@@ -105,11 +105,11 @@ func inputEstimates(w *dataflow.Workflow, id dataflow.NodeID, est estimates) []*
 }
 
 // sampling is the ExecCtx sample rows are mapped under: one worker,
-// whose simulated work nobody charges.
-type sampling struct{}
+// whose simulated work nobody charges, with an arena of its own.
+type sampling struct{ out relation.Arena }
 
-func (sampling) AddWork(cost.Work) {}
-func (sampling) Worker() int       { return 0 }
+func (*sampling) AddWork(cost.Work)      {}
+func (s *sampling) Out() *relation.Arena { return &s.out }
 
 // estimateOperator derives one operator's output estimate from its
 // inputs. Sampling failures (an erroring UDF row) degrade gracefully —
@@ -155,9 +155,9 @@ func estimateOperator(w *dataflow.Workflow, id dataflow.NodeID, est estimates, s
 		// The sample goes through the operator's own worker a row at a
 		// time, so a row the UDF rejects costs the sample that row only.
 		out := relation.NewTable(o.Out)
-		inst, rows := o.NewInstance(), src.sample.Rows()
+		inst, rows, ec := o.NewInstance(), src.sample.Rows(), &sampling{}
 		for i := range rows {
-			produced, err := inst.Process(sampling{}, 0, rows[i:i+1])
+			produced, err := inst.Process(ec, 0, rows[i:i+1])
 			if err != nil {
 				continue
 			}

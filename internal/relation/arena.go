@@ -1,5 +1,7 @@
 package relation
 
+import "sync"
+
 // Arena carves the rows one producer hands out over its whole run: an
 // operator instance, a router, a Probe call. It owns a tuple chunk and a
 // cell chunk. A batch is built at the tail of the tuple chunk and handed
@@ -10,18 +12,23 @@ package relation
 // sink tables, so a chunk lives as long as any row carved from it.
 //
 // Sizing is per run, not per batch. A chunk is replaced, never grown in
-// place, by one of max(need, what the instance has produced so far / 8):
-// the first chunk is exactly the first batch's need, so an instance that
-// sees one or two batches wastes nothing, and one that sees many keeps
-// the empty tail of its last chunk under an eighth of its output. A batch
-// that outgrows its tuple chunk moves to a chunk at least twice its
-// size, so a batch of n rows appended one at a time is copied O(log n)
-// times, not O(n).
+// place. An arena of its own replaces it by one of max(need, what the
+// arena has produced so far / 8): the first chunk is exactly the first
+// batch's need, so an arena that sees one or two batches wastes nothing,
+// and one that sees many keeps the empty tail of its last chunk under an
+// eighth of its output. An arena drawn from an ArenaSource carves
+// exactly its need from the source instead, and the source applies the
+// eighth rule to what all its arenas have carved, so the operator's
+// instances share one empty tail. Either way, a batch that outgrows its
+// tuple chunk moves to a chunk at least twice its size, so a batch of n
+// rows appended one at a time is copied O(log n) times, not O(n).
 //
-// The zero Arena is ready to use. An Arena belongs to one goroutine.
+// The zero Arena is ready to use and has no source. An Arena belongs to
+// one goroutine.
 type Arena struct {
-	rows  []Tuple // rows[:mark] are handed out; rows[mark:] is the open batch
-	cells []Value // cells[:len] belong to carved rows; the rest is zero
+	src   *ArenaSource // nil: the arena sizes and allocates its own chunks
+	rows  []Tuple      // rows[:mark] are handed out; rows[mark:] is the open batch
+	cells []Value      // cells[:len] belong to carved rows; the rest is zero
 	mark  int
 
 	madeRows  int // tuples added over the arena's life
@@ -34,6 +41,52 @@ type Arena struct {
 	kept    []bool
 }
 
+// ArenaSource is the storage every arena of one operator carves its
+// chunks from: one tuple chunk and one cell chunk, each replaced, when a
+// carve does not fit, by one of max(need, what the source has carved so
+// far / 8). The pieces it hands out are three-index slices that never
+// overlap, so each arena fills its own without a lock; only carving
+// takes the source's. The zero ArenaSource is ready to use, and it is
+// safe for concurrent use.
+type ArenaSource struct {
+	mu        sync.Mutex
+	rows      []Tuple // rows[:len] are carved; the rest is free
+	cells     []Value // likewise
+	madeRows  int     // tuples carved over the source's life
+	madeCells int     // cells carved over the source's life
+}
+
+// Arena returns an empty arena that carves its chunks from s.
+func (s *ArenaSource) Arena() Arena { return Arena{src: s} }
+
+// carve hands out an empty tuple chunk of capacity rows and an empty
+// cell chunk of capacity cells, either nil when its count is 0.
+func (s *ArenaSource) carve(rows, cells int) ([]Tuple, []Value) {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	return take(&s.rows, &s.madeRows, rows), take(&s.cells, &s.madeCells, cells)
+}
+
+// take cuts n elements off the free tail of *chunk, as an empty
+// three-index slice, and counts them in *made. A chunk they do not fit
+// is replaced first.
+func take[T any](chunk *[]T, made *int, n int) []T {
+	if n == 0 {
+		return nil
+	}
+	if cap(*chunk)-len(*chunk) < n {
+		*chunk = newChunk[T](n, *made)
+	}
+	i := len(*chunk)
+	*chunk = (*chunk)[:i+n]
+	*made += n
+	return (*chunk)[i : i : i+n]
+}
+
+// newChunk is the one sizing rule: room for max(need, made/8) elements,
+// where made is what the chunk's owner has produced so far.
+func newChunk[T any](need, made int) []T { return make([]T, 0, max(need, made/8)) }
+
 // Fits reports whether rows more tuples and cells more cells fit in the
 // current chunks without allocating.
 func (a *Arena) Fits(rows, cells int) bool {
@@ -45,14 +98,34 @@ func (a *Arena) Fits(rows, cells int) bool {
 // caller that knows its output sizes it here; the chunks it gets follow
 // the sizing rules above.
 func (a *Arena) Reserve(rows, cells int) {
+	rowNeed, cellNeed := 0, 0
 	if cap(a.rows)-len(a.rows) < rows {
 		open := len(a.rows) - a.mark
-		grown := make([]Tuple, open, max(open+rows, 2*open, a.madeRows/8))
-		copy(grown, a.rows[a.mark:])
-		a.rows, a.mark = grown, 0
+		rowNeed = max(open+rows, 2*open)
 	}
 	if cap(a.cells)-len(a.cells) < cells {
-		a.cells = make([]Value, 0, max(cells, a.madeCells/8))
+		cellNeed = cells
+	}
+	if rowNeed == 0 && cellNeed == 0 {
+		return
+	}
+	var tuples []Tuple
+	var vals []Value
+	if a.src != nil {
+		tuples, vals = a.src.carve(rowNeed, cellNeed)
+	} else {
+		if rowNeed > 0 {
+			tuples = newChunk[Tuple](rowNeed, a.madeRows)
+		}
+		if cellNeed > 0 {
+			vals = newChunk[Value](cellNeed, a.madeCells)
+		}
+	}
+	if rowNeed > 0 {
+		a.rows, a.mark = append(tuples, a.rows[a.mark:]...), 0
+	}
+	if cellNeed > 0 {
+		a.cells = vals
 	}
 }
 

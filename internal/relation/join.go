@@ -7,9 +7,10 @@ import (
 )
 
 // This file holds the shared machinery behind the equi-join variants:
-// a joinPlan (schema work done once), a typed, chained build index (one
-// map per join, no canonical-string key allocation on the hot path, no
-// allocation per key), and the Joiner, which separates the build phase
+// a JoinPlan (schema work done once, shared by every Joiner built from
+// it), a typed, chained build index (one map per join, no
+// canonical-string key allocation on the hot path, no allocation per
+// key), and the Joiner, which separates the build phase
 // from probing so streaming callers can build once and probe many
 // batches. The index is built serially: a parallel hash join gets its
 // parallelism from its operator's instances, each of which builds one
@@ -19,18 +20,21 @@ import (
 // the matches of each probe row in build (right) order: each key's
 // chain runs in build order.
 
-// joinPlan is the schema-derived part of a join, computed once.
-type joinPlan struct {
+// JoinPlan is the schema-derived part of an equi-join: key positions,
+// the output schema and the LeftOuter padding. It is computed once and
+// read-only, so every Joiner of one join operator, on any goroutine,
+// can share it.
+type JoinPlan struct {
 	lk, rk   int
 	rightPos []int
 	out      *Schema
 	padding  Tuple // zero values for unmatched LeftOuter rows
 }
 
-// planJoin resolves key positions and derives the output schema:
+// PlanJoin resolves key positions and derives the output schema:
 // left's fields followed by right's fields with the right key column
 // dropped; right-side name collisions are prefixed with "r_".
-func planJoin(left, right *Schema, leftKey, rightKey string) (*joinPlan, error) {
+func PlanJoin(left, right *Schema, leftKey, rightKey string) (*JoinPlan, error) {
 	lk := left.IndexOf(leftKey)
 	if lk < 0 {
 		return nil, fmt.Errorf("relation: join: left key %q not found", leftKey)
@@ -72,7 +76,7 @@ func planJoin(left, right *Schema, leftKey, rightKey string) (*joinPlan, error) 
 			padding[i] = BoolValue(false)
 		}
 	}
-	return &joinPlan{lk: lk, rk: rk, rightPos: rightPos, out: out, padding: padding}, nil
+	return &JoinPlan{lk: lk, rk: rk, rightPos: rightPos, out: out, padding: padding}, nil
 }
 
 // keyIndex maps a probe row to the first build row sharing its key. The
@@ -175,25 +179,34 @@ func newKeyIndex(t Type) keyIndex {
 // row and next gives, per build row, the next row with its key (-1
 // ends the chain). A Joiner is read-only once built.
 type Joiner struct {
-	plan  *joinPlan
+	plan  *JoinPlan
 	kind  JoinType
 	ix    keyIndex
 	next  []int32
 	build []Tuple
 }
 
+// Schema returns the join output schema.
+func (p *JoinPlan) Schema() *Schema { return p.out }
+
 // NewJoiner builds the hash index over the right (build) table for
 // probes whose rows follow leftSchema, serially, on the calling
 // goroutine.
 func NewJoiner(leftSchema *Schema, right *Table, leftKey, rightKey string, kind JoinType) (*Joiner, error) {
-	plan, err := planJoin(leftSchema, right.Schema(), leftKey, rightKey)
+	plan, err := PlanJoin(leftSchema, right.Schema(), leftKey, rightKey)
 	if err != nil {
 		return nil, err
 	}
-	ix := newKeyIndex(right.Schema().Field(plan.rk).Type)
+	return plan.NewJoiner(right, kind), nil
+}
+
+// NewJoiner builds the hash index over right, whose rows follow the
+// right schema p was planned for, serially, on the calling goroutine.
+func (p *JoinPlan) NewJoiner(right *Table, kind JoinType) *Joiner {
+	ix := newKeyIndex(right.Schema().Field(p.rk).Type)
 	next := make([]int32, right.Len())
-	ix.insert(right.Rows(), plan.rk, next)
-	return &Joiner{plan: plan, kind: kind, ix: ix, next: next, build: right.Rows()}, nil
+	ix.insert(right.Rows(), p.rk, next)
+	return &Joiner{plan: p, kind: kind, ix: ix, next: next, build: right.Rows()}
 }
 
 // OutputSchema returns the join output schema.

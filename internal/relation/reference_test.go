@@ -517,7 +517,7 @@ func refNewKeyIndex(t Type) refKeyIndex {
 // tables or successive row batches. Streaming callers (the dataflow
 // hash-join operator) avoid rebuilding the hash table per batch.
 type refJoiner struct {
-	plan  *joinPlan
+	plan  *JoinPlan
 	kind  JoinType
 	ix    refKeyIndex
 	build []Tuple
@@ -550,7 +550,7 @@ func mix64(v uint64) uint32 {
 // (and above 128) are clamped. Output is identical for every shard
 // count.
 func refNewJoiner(leftSchema *Schema, right *Table, leftKey, rightKey string, kind JoinType, shards int) (*refJoiner, error) {
-	plan, err := planJoin(leftSchema, right.Schema(), leftKey, rightKey)
+	plan, err := PlanJoin(leftSchema, right.Schema(), leftKey, rightKey)
 	if err != nil {
 		return nil, err
 	}

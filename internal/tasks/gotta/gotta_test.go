@@ -134,10 +134,12 @@ func TestParallelProcsReported(t *testing.T) {
 	}
 }
 
-type nopCtx struct{}
+// nopCtx is the ExecCtx of a direct Process call: one worker, work
+// discarded, one output arena for every call.
+type nopCtx struct{ out relation.Arena }
 
-func (nopCtx) AddWork(cost.Work) {}
-func (nopCtx) Worker() int       { return 0 }
+func (*nopCtx) AddWork(cost.Work)      {}
+func (c *nopCtx) Out() *relation.Arena { return &c.out }
 
 // The generator carves the batches of its run from one arena: appending
 // to one batch, or to a row of it, must leave every other batch as it
@@ -155,11 +157,11 @@ func TestGenerateBatchesDoNotAlias(t *testing.T) {
 	if len(prompts) < 4 {
 		t.Fatalf("fixture has %d prompts", len(prompts))
 	}
-	inst := (&generateOp{task: task}).NewInstance()
+	inst, ec := (&generateOp{task: task}).NewInstance(), &nopCtx{}
 	var batches, was [40][]relation.Tuple
 	for k := range batches {
 		lo := 2 * k % (len(prompts) - 1)
-		out, err := inst.Process(nopCtx{}, 0, prompts[lo:lo+2])
+		out, err := inst.Process(ec, 0, prompts[lo:lo+2])
 		if err != nil {
 			t.Fatal(err)
 		}

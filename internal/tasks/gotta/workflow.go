@@ -105,10 +105,7 @@ func (o *generateOp) NewInstance() dataflow.Instance {
 	return &generateInstance{op: o}
 }
 
-type generateInstance struct {
-	op  *generateOp
-	out relation.Arena
-}
+type generateInstance struct{ op *generateOp }
 
 // Open charges the per-worker model setup: the checkpoint arrives over
 // the network and is initialized before the first tuple.
@@ -120,16 +117,16 @@ func (gi *generateInstance) Open(ec dataflow.ExecCtx) error {
 func (gi *generateInstance) Process(ec dataflow.ExecCtx, _ int, rows []relation.Tuple) ([]relation.Tuple, error) {
 	ec.AddWork(gi.op.perQA.Scale(float64(len(rows))))
 	// Each row is the prompt's first four cells plus the prediction,
-	// carved from the instance's arena as dataflow's project does.
-	width := generatedSchema.Len()
-	gi.out.Reserve(len(rows), len(rows)*width)
+	// carved from the worker's arena as dataflow's project does.
+	width, out := generatedSchema.Len(), ec.Out()
+	out.Reserve(len(rows), len(rows)*width)
 	for _, r := range rows {
 		pred, _ := gi.op.task.generate(r[4].Str(), r[2].Str(), r[3].Str())
-		row := gi.out.Row(width)
+		row := out.Row(width)
 		copy(row, r[:width-1])
 		row[width-1] = relation.StringValue(pred)
 	}
-	return gi.out.Batch(), nil
+	return out.Batch(), nil
 }
 
 func (gi *generateInstance) EndPort(dataflow.ExecCtx, int) ([]relation.Tuple, error) {

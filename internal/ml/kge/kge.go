@@ -8,8 +8,10 @@
 package kge
 
 import (
+	"encoding/binary"
 	"fmt"
 	"math"
+	"slices"
 	"sort"
 
 	"repro/internal/xrand"
@@ -308,24 +310,36 @@ func (m *Model) TopK(head, rel string, candidates []string, k int) ([]Scored, er
 // EncodeVec serializes an embedding into a compact string so vectors
 // can travel through relational tuples between workflow operators —
 // which is how the real data volume of the KGE embedding join shows up
-// in the engines' serde accounting.
+// in the engines' serde accounting. It is AppendVec into a fresh buffer.
 func EncodeVec(v []float64) string {
-	buf := make([]byte, 8*len(v))
-	for i, x := range v {
-		bits := math.Float64bits(x)
-		for b := 0; b < 8; b++ {
-			buf[i*8+b] = byte(bits >> (8 * b))
-		}
-	}
-	return string(buf)
+	return string(AppendVec(make([]byte, 0, 8*len(v)), v))
 }
 
-// DecodeVec parses a string produced by EncodeVec.
-func DecodeVec(s string) ([]float64, error) {
-	if len(s)%8 != 0 {
-		return nil, fmt.Errorf("kge: encoded vector length %d not a multiple of 8", len(s))
+// AppendVec appends v's encoding to dst and returns the extended
+// buffer: each element's IEEE 754 bits, eight bytes, least significant
+// first. An operator that encodes many vectors appends them all to one
+// buffer and converts it to a string once.
+func AppendVec(dst []byte, v []float64) []byte {
+	for _, x := range v {
+		dst = binary.LittleEndian.AppendUint64(dst, math.Float64bits(x))
 	}
-	v := make([]float64, len(s)/8)
+	return dst
+}
+
+// DecodeVec parses a string produced by EncodeVec into a new slice.
+func DecodeVec(s string) ([]float64, error) {
+	return DecodeVecInto(nil, s)
+}
+
+// DecodeVecInto parses a string produced by EncodeVec or AppendVec
+// into dst's storage, growing it only when it is too short, and returns
+// the decoded vector. Every bit pattern, NaN payloads and -0 included,
+// comes back as it was encoded.
+func DecodeVecInto(dst []float64, s string) ([]float64, error) {
+	if len(s)%8 != 0 {
+		return dst[:0], fmt.Errorf("kge: encoded vector length %d not a multiple of 8", len(s))
+	}
+	v := slices.Grow(dst[:0], len(s)/8)[:len(s)/8]
 	for i := range v {
 		var bits uint64
 		for b := 0; b < 8; b++ {

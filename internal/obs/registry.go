@@ -231,15 +231,15 @@ type Run struct {
 	startNS int64
 	endNS   int64
 
-	seq     int64 // total events ever published
-	dropped int64 // events slow streamers lost to ring eviction
-	events  [eventRingSize]Event
+	seq     int64   // total events ever published
+	dropped int64   // events slow streamers lost to ring eviction
+	events  []Event // ring: grows to eventRingSize, then wraps
 	ops     map[string]*OpStatus
 	opOrder []string
 	notify  chan struct{} // closed and replaced on every publish
 
-	samples      [sampleRingSize]Sample
-	nSamples     int64 // total samples ever taken
+	samples      []Sample // ring: grows to sampleRingSize, then wraps
+	nSamples     int64    // total samples ever taken
 	lastSampleNS int64
 	virtNow      float64
 
@@ -253,7 +253,7 @@ func (r *Run) Publish(ev telemetry.ProgressEvent) {
 	now := r.reg.nowNS()
 	r.mu.Lock()
 	e := Event{Seq: r.seq, WallNS: now, ProgressEvent: ev}
-	r.events[r.seq%eventRingSize] = e
+	r.events = ringPut(r.events, r.seq, eventRingSize, e)
 	r.seq++
 	if ev.VirtSeconds > r.virtNow {
 		r.virtNow = ev.VirtSeconds
@@ -294,6 +294,18 @@ func (r *Run) Publish(ev telemetry.ProgressEvent) {
 	close(ch)
 }
 
+// ringPut stores x as the n-th item ever put in a ring of size slots
+// and returns the ring. It grows the ring on demand, so a run that
+// publishes little holds little, and once the ring holds size items it
+// overwrites the oldest: item i is always at ring[i%size].
+func ringPut[T any](ring []T, n int64, size int, x T) []T {
+	if len(ring) < size {
+		return append(ring, x)
+	}
+	ring[n%int64(size)] = x
+	return ring
+}
+
 // sampleLocked takes a sample while acquiring the run lock itself.
 func (r *Run) sampleLocked(now int64) {
 	r.mu.Lock()
@@ -320,7 +332,7 @@ func (r *Run) sampleAt(now int64) {
 	if r.rec != nil {
 		foldSnapshot(&s, r.rec.Metrics.Snapshot(true))
 	}
-	r.samples[r.nSamples%sampleRingSize] = s
+	r.samples = ringPut(r.samples, r.nSamples, sampleRingSize, s)
 	r.nSamples++
 	r.lastSampleNS = now
 }

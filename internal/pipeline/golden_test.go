@@ -278,6 +278,32 @@ func TestDiceWorkflowAllocBudget(t *testing.T) {
 	}
 }
 
+// TestKGEWorkflowAllocBudget is TestDiceWorkflowAllocBudget for the
+// KGE workflow, the run serve-sweeps sweeps: a KGE-3400 run at 4
+// workers, measured warm, datagen included, takes about 0.8 k heap
+// objects of a 1,500 budget. (With every stage decoding into fresh
+// slices, a delta slice per candidate, an encoded string per vector
+// handed on and a boxed tuple per row, the same run took 38.5 k.)
+func TestKGEWorkflowAllocBudget(t *testing.T) {
+	const budget = 1_500
+	spec := core.RunSpec{Task: "kge", Paradigm: "workflow", Size: 3400, Seed: 1, Workers: 4}
+	run := func() uint64 {
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		if _, err := spec.Run(); err != nil {
+			t.Fatal(err)
+		}
+		runtime.ReadMemStats(&after)
+		return after.Mallocs - before.Mallocs
+	}
+	run() // warm-up: lazy initialisation is not the run's cost
+	objects := run()
+	t.Logf("KGE-3400 workflow run at 4 workers allocated %d objects of a %d budget", objects, budget)
+	if objects > budget {
+		t.Errorf("KGE-3400 workflow run at 4 workers allocated %d objects, budget %d", objects, budget)
+	}
+}
+
 // TestScriptAllocBudget is TestDiceWorkflowAllocBudget for the script
 // paradigm: heap objects per run (datagen included) of benchmark's
 // script-mix specs, each budget about 1.5 times what the run takes

@@ -15,6 +15,7 @@ package kge
 import (
 	"fmt"
 	"math"
+	"slices"
 	"sort"
 
 	"repro/internal/core"
@@ -202,9 +203,10 @@ func (t *Task) stage2Embedding(asin string) ([]float64, error) {
 	return t.model.Row(asin)
 }
 
-// stage3Delta computes u + r - t.
-func (t *Task) stage3Delta(emb []float64) []float64 {
-	d := make([]float64, len(emb))
+// stage3DeltaInto computes u + r - t into dst's storage, growing it
+// only when it is too short, and returns it.
+func (t *Task) stage3DeltaInto(dst, emb []float64) []float64 {
+	d := slices.Grow(dst[:0], len(emb))[:len(emb)]
 	for i := range emb {
 		d[i] = t.userV[i] + t.relVec[i] - emb[i]
 	}
@@ -220,8 +222,8 @@ func stage4Dist(delta []float64) float64 {
 	return math.Sqrt(s)
 }
 
-// stageDist is stage4Dist(stage3Delta(emb)) without the delta slice:
-// the same sums in the same order, so the same bits.
+// stageDist is stage4Dist(stage3DeltaInto(nil, emb)) without the delta
+// slice: the same sums in the same order, so the same bits.
 func (t *Task) stageDist(emb []float64) float64 {
 	var s float64
 	for i := range emb {
@@ -295,16 +297,16 @@ func RecommendationsToTable(recs []Recommendation) *relation.Table {
 	return tbl
 }
 
-// candidateTable renders the candidate products as the pipeline input.
+// candidateTable renders the candidate products as the pipeline input,
+// its rows carved from one cell block.
 func (t *Task) candidateTable() *relation.Table {
-	s := relation.MustSchema(
-		relation.Field{Name: "asin", Type: relation.String},
-		relation.Field{Name: "title", Type: relation.String},
-		relation.Field{Name: "instock", Type: relation.Bool},
-	)
-	tbl := relation.NewTable(s)
-	for _, p := range t.world.Products {
-		tbl.AppendUnchecked(relation.Tuple{relation.StringValue(p.ASIN), relation.StringValue(p.Title), relation.BoolValue(p.InStock)})
+	tbl := relation.NewTable(schemaBase)
+	width := schemaBase.Len()
+	cells := make([]relation.Value, width*len(t.world.Products))
+	for i, p := range t.world.Products {
+		row := cells[width*i : width*(i+1) : width*(i+1)]
+		row[0], row[1], row[2] = relation.StringValue(p.ASIN), relation.StringValue(p.Title), relation.BoolValue(p.InStock)
+		tbl.AppendUnchecked(row)
 	}
 	return tbl
 }

@@ -1,10 +1,14 @@
 package kge
 
 import (
+	"fmt"
 	"math"
+	"strings"
 	"testing"
 
 	"repro/internal/core"
+	"repro/internal/cost"
+	"repro/internal/relation"
 )
 
 func newTask(t *testing.T, products int, v Variant) *Task {
@@ -49,7 +53,7 @@ func TestFusedDistanceIsBitEqual(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			want, got := stage4Dist(task.stage3Delta(emb)), task.stageDist(row)
+			want, got := stage4Dist(task.stage3DeltaInto(nil, emb)), task.stageDist(row)
 			if math.Float64bits(got) != math.Float64bits(want) {
 				t.Fatalf("seed %d, %s: fused distance %v, staged %v", seed, e, got, want)
 			}
@@ -269,5 +273,100 @@ func TestWorkflowLoCExceedsScript(t *testing.T) {
 	}
 	if w.LinesOfCode <= s.LinesOfCode {
 		t.Fatalf("paper shape violated: workflow LoC %d <= script LoC %d", w.LinesOfCode, s.LinesOfCode)
+	}
+}
+
+// arenaCtx is an ExecCtx whose arena is drawn from a source, as the
+// executor draws a worker's.
+type arenaCtx struct{ out relation.Arena }
+
+func (*arenaCtx) AddWork(cost.Work)      {}
+func (c *arenaCtx) Out() *relation.Arena { return &c.out }
+
+// deepCopy copies rows down to their string bytes, so a later write to
+// the bytes a cell points at shows as a difference.
+func deepCopy(rows []relation.Tuple) []relation.Tuple {
+	out := make([]relation.Tuple, len(rows))
+	for i, r := range rows {
+		out[i] = make(relation.Tuple, len(r))
+		for j, v := range r {
+			if v.Kind() == relation.String {
+				v = relation.StringValue(strings.Clone(v.Str()))
+			}
+			out[i][j] = v
+		}
+	}
+	return out
+}
+
+// TestWorkflowRowsDoNotAlias drives one instance of every operator of
+// every layout, in plan order, through the candidates in batches of 16,
+// each operator's input being the batches the one before it emitted.
+// Once an operator has seen its last batch and its EndPort, every row
+// it emitted must still read what it read when it was emitted, also
+// after an append to each batch and each row: no later batch's rows,
+// cells or encodings may reuse what an earlier one handed out.
+func TestWorkflowRowsDoNotAlias(t *testing.T) {
+	const batchRows = 16
+	for _, v := range workflowLayouts() {
+		task := newTask(t, 400, v)
+		w, err := task.Plan(core.RunConfig{Workers: 1})
+		if err != nil {
+			t.Fatal(err)
+		}
+		order, err := w.TopoIDs()
+		if err != nil {
+			t.Fatal(err)
+		}
+		var in [][]relation.Tuple
+		for rows := task.candidateTable().Rows(); len(rows) > 0; rows = rows[min(batchRows, len(rows)):] {
+			in = append(in, rows[:min(batchRows, len(rows))])
+		}
+		for _, id := range order {
+			op, ok := w.OperatorAt(id).(*pipeOp)
+			if !ok {
+				continue
+			}
+			name := fmt.Sprintf("ops=%d,scala=%t: %s", v.Ops, v.ScalaJoin, op.name)
+			var src relation.ArenaSource
+			ec := &arenaCtx{out: src.Arena()}
+			inst := op.NewInstance()
+			if err := inst.Open(ec); err != nil {
+				t.Fatal(err)
+			}
+			var out, was [][]relation.Tuple
+			keep := func(b []relation.Tuple, err error) {
+				if err != nil {
+					t.Fatalf("%s: %v", name, err)
+				}
+				if len(b) > 0 {
+					out, was = append(out, b), append(was, deepCopy(b))
+				}
+			}
+			for _, b := range in {
+				keep(inst.Process(ec, 0, b))
+			}
+			keep(inst.EndPort(ec, 0))
+			if len(out) < 2 && len(in) > 1 && !op.Desc().BlockingPorts[0] {
+				t.Fatalf("%s: emitted %d batches, want several", name, len(out))
+			}
+			for _, b := range out {
+				_ = append(b, relation.Tuple{relation.StringValue("overflow")})
+				for i := range b {
+					_ = append(b[i], relation.StringValue("overflow"))
+				}
+			}
+			for k, b := range out {
+				for i := range b {
+					if !b[i].Equal(was[k][i]) {
+						t.Fatalf("%s: row %d of batch %d reads %v, emitted as %v", name, i, k, b[i], was[k][i])
+					}
+				}
+			}
+			in = out
+		}
+		if len(in) != 1 || len(in[0]) != task.params.TopK {
+			t.Fatalf("ops=%d,scala=%t: the last operator emitted %d batches, want one of the top %d", v.Ops, v.ScalaJoin, len(in), task.params.TopK)
+		}
 	}
 }

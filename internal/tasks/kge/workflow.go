@@ -1,9 +1,11 @@
 package kge
 
 import (
+	"cmp"
 	"fmt"
 	"math"
-	"sort"
+	"slices"
+	"strings"
 
 	"repro/internal/core"
 	"repro/internal/cost"
@@ -144,14 +146,61 @@ func (o *pipeOp) OutputSchema(in []*relation.Schema) (*relation.Schema, error) {
 
 // NewInstance implements dataflow.Operator.
 func (o *pipeOp) NewInstance() dataflow.Instance {
-	return &pipeInstance{op: o}
+	pi := &pipeInstance{
+		op:      o,
+		reshape: !o.out.Equal(o.in),
+		embCol:  o.in.IndexOf("emb"), deltaCol: o.in.IndexOf("delta"), distCol: o.in.IndexOf("dist"),
+	}
+	for _, s := range o.stages {
+		pi.rank = pi.rank || s == stRank
+		pi.reverse = pi.reverse || s == stReverse
+	}
+	if len(o.stages) > 0 {
+		pi.last = o.stages[len(o.stages)-1]
+	}
+	return pi
 }
 
+// pipeInstance runs an operator's fused stages on each row. Stages
+// fused into one operator hand each other decoded vectors in the
+// instance's scratch, so a vector is encoded only when it is a column
+// of the operator's output schema, and an input column that passes
+// through unchanged is emitted as the input cell. Every row it emits is
+// carved from the worker's arena (ExecCtx.Out); a batch's new encodings
+// are appended to one buffer that becomes one string, and each encoded
+// cell is a substring of it.
 type pipeInstance struct {
-	op     *pipeOp
-	buffer []scored // only for rank stages
-	rankN  int      // rows seen by rank (for sort cost)
+	op                        *pipeOp
+	reshape                   bool  // whether a kept row changes shape, or passes on as it came
+	last                      stage // the operator's last stage, which shapes its rows
+	rank, reverse             bool  // whether the operator ranks, reverse-looks-up
+	embCol, deltaCol, distCol int   // the input's emb, delta and dist columns, or -1
+
+	ranked []ranked // the rank stage's buffer, emitted at EndPort
 	emit   int      // output counter for reverse-stage ranks
+
+	vec, delta []float64 // the row's decoded embedding and its delta
+	enc        []byte    // the open batch's encodings
+	pending    []pending // the cells of the open batch that take them
+}
+
+// ranked is one row the rank stage holds until EndPort. Its embedding
+// is the encoded cell it arrived with, or the model row when the
+// operator joined it (emb is then unused, and the operator also
+// reverse-looks-up); either way nothing is decoded before the row makes
+// the top K.
+type ranked struct {
+	asin, title, emb relation.Value
+	vec              []float64
+	dist             float64
+}
+
+// pending is a cell of the open batch waiting for its encoding,
+// enc[lo:hi].
+type pending struct {
+	row    relation.Tuple
+	col    int
+	lo, hi int
 }
 
 // Open charges the embedding-table build (when this operator joins):
@@ -164,23 +213,21 @@ func (pi *pipeInstance) Open(ec dataflow.ExecCtx) error {
 	return nil
 }
 
-// hasStage reports whether the op runs stage s.
-func (pi *pipeInstance) hasStage(s stage) bool {
-	for _, st := range pi.op.stages {
-		if st == s {
-			return true
-		}
-	}
-	return false
-}
-
 func (pi *pipeInstance) Process(ec dataflow.ExecCtx, _ int, rows []relation.Tuple) ([]relation.Tuple, error) {
 	ec.AddWork(pi.op.overhead.Scale(float64(len(rows))))
 	t := pi.op.task
-	var out []relation.Tuple
-	for _, r := range rows {
-		row := r
-		keep := true
+	out, width := ec.Out(), pi.op.out.Len()
+	if !pi.reshape {
+		width = 0
+	}
+	for i, r := range rows {
+		// vec, delta and dist hold once a stage has computed or decoded
+		// them; the model row a join attaches is read in place.
+		var vec, delta []float64
+		var dist float64
+		var entity string
+		var err error
+		haveDist, keep := false, true
 		for _, s := range pi.op.stages {
 			if !keep {
 				break
@@ -188,96 +235,167 @@ func (pi *pipeInstance) Process(ec dataflow.ExecCtx, _ int, rows []relation.Tupl
 			switch s {
 			case stFilter:
 				ec.AddWork(workFilter)
-				keep = row[2].Bool()
+				keep = r[2].Bool()
 			case stJoin:
 				if pi.op.probeOnly {
 					break
 				}
 				ec.AddWork(workMerge)
-				emb, err := t.stage2Embedding(row[0].Str())
-				if err != nil {
+				if vec, err = t.stage2Embedding(r[0].Str()); err != nil {
 					return nil, err
 				}
-				row = relation.Tuple{row[0], row[1], row[2], relation.StringValue(kge.EncodeVec(emb))}
 			case stDelta:
 				ec.AddWork(workDelta)
-				emb, err := kge.DecodeVec(row[3].Str())
-				if err != nil {
-					return nil, err
+				if vec == nil {
+					if vec, err = pi.decodeEmb(r[pi.embCol]); err != nil {
+						return nil, err
+					}
 				}
-				row = relation.Tuple{row[0], row[1], row[3], relation.StringValue(kge.EncodeVec(t.stage3Delta(emb)))}
+				pi.delta = t.stage3DeltaInto(pi.delta, vec)
+				delta = pi.delta
 			case stNorm:
 				ec.AddWork(workNorm)
-				delta, err := kge.DecodeVec(row[3].Str())
-				if err != nil {
-					return nil, err
+				if delta == nil {
+					if pi.delta, err = kge.DecodeVecInto(pi.delta, r[pi.deltaCol].Str()); err != nil {
+						return nil, err
+					}
+					delta = pi.delta
 				}
-				row = relation.Tuple{row[0], row[1], row[2], relation.FloatValue(stage4Dist(delta))}
+				dist, haveDist = stage4Dist(delta), true
 			case stRank:
-				emb, err := kge.DecodeVec(row[2].Str())
-				if err != nil {
-					return nil, err
+				if !haveDist {
+					dist = r[pi.distCol].Float()
 				}
-				pi.buffer = append(pi.buffer, scored{
-					asin: row[0].Str(), title: row[1].Str(),
-					emb: emb, dist: row[3].Float(),
-				})
-				pi.rankN++
+				c := ranked{asin: r[0], title: r[1], dist: dist}
+				if pi.embCol >= 0 {
+					c.emb = r[pi.embCol]
+				} else {
+					c.vec = vec // the model row: this operator joined
+				}
+				pi.ranked = append(pi.ranked, c)
 				keep = false // emitted at EndPort
 			case stReverse:
 				ec.AddWork(workReverse)
-				emb, err := kge.DecodeVec(row[2].Str())
-				if err != nil {
+				if vec == nil {
+					if vec, err = pi.decodeEmb(r[pi.embCol]); err != nil {
+						return nil, err
+					}
+				}
+				if !haveDist {
+					dist = r[pi.distCol].Float()
+				}
+				if entity, err = t.model.ReverseLookup(vec); err != nil {
 					return nil, err
 				}
-				entity, err := t.model.ReverseLookup(emb)
-				if err != nil {
-					return nil, err
-				}
-				pi.emit++
-				row = relation.Tuple{relation.IntValue(int64(pi.emit)), relation.StringValue(entity), row[1], row[3]}
 			}
 		}
-		if keep {
-			out = append(out, row)
+		if !keep {
+			continue
+		}
+		if !out.Fits(1, width) {
+			out.Reserve(len(rows)-i, (len(rows)-i)*width)
+		}
+		if !pi.reshape {
+			out.Append(r)
+			continue
+		}
+		row := out.Row(width)
+		row[0], row[1] = r[0], r[1]
+		switch pi.last {
+		case stJoin:
+			row[2] = r[2]
+			pi.encode(row, 3, vec)
+		case stDelta:
+			pi.embCell(row, 2, r, vec)
+			pi.encode(row, 3, delta)
+		case stNorm:
+			pi.embCell(row, 2, r, vec)
+			row[3] = relation.FloatValue(dist)
+		case stReverse:
+			pi.emit++
+			row[0], row[1], row[2], row[3] = relation.IntValue(int64(pi.emit)), relation.StringValue(entity), r[1], relation.FloatValue(dist)
 		}
 	}
-	return out, nil
+	return pi.batch(out), nil
+}
+
+// decodeEmb decodes an embedding cell into the instance's scratch.
+func (pi *pipeInstance) decodeEmb(cell relation.Value) ([]float64, error) {
+	var err error
+	pi.vec, err = kge.DecodeVecInto(pi.vec, cell.Str())
+	return pi.vec, err
+}
+
+// embCell sets row[col] to the row's embedding: the input's cell when
+// the row arrived with one, else the encoding of vec, the model row.
+func (pi *pipeInstance) embCell(row relation.Tuple, col int, in relation.Tuple, vec []float64) {
+	if pi.embCol >= 0 {
+		row[col] = in[pi.embCol]
+		return
+	}
+	pi.encode(row, col, vec)
+}
+
+// encode appends v's encoding to the open batch's buffer and marks
+// row[col] as the cell that takes it.
+func (pi *pipeInstance) encode(row relation.Tuple, col int, v []float64) {
+	lo := len(pi.enc)
+	pi.enc = kge.AppendVec(pi.enc, v)
+	pi.pending = append(pi.pending, pending{row: row, col: col, lo: lo, hi: len(pi.enc)})
+}
+
+// batch closes the open batch: its encodings become one string, each
+// pending cell a substring of it. The buffer is reused for the next
+// batch; the string, which the rows keep, is never written again.
+func (pi *pipeInstance) batch(out *relation.Arena) []relation.Tuple {
+	if len(pi.pending) > 0 {
+		s := string(pi.enc)
+		for _, p := range pi.pending {
+			p.row[p.col] = relation.StringValue(s[p.lo:p.hi])
+		}
+		pi.enc, pi.pending = pi.enc[:0], pi.pending[:0]
+	}
+	return out.Batch()
 }
 
 func (pi *pipeInstance) EndPort(ec dataflow.ExecCtx, _ int) ([]relation.Tuple, error) {
-	if !pi.hasStage(stRank) {
+	if !pi.rank {
 		return nil, nil
 	}
-	n := float64(pi.rankN)
+	n := float64(len(pi.ranked))
 	if n > 1 {
 		ec.AddWork(workSortCmp.Scale(n * math.Log2(n)))
 	}
-	sort.Slice(pi.buffer, func(i, j int) bool {
-		if pi.buffer[i].dist != pi.buffer[j].dist {
-			return pi.buffer[i].dist < pi.buffer[j].dist
+	slices.SortFunc(pi.ranked, func(a, b ranked) int {
+		if c := cmp.Compare(a.dist, b.dist); c != 0 {
+			return c
 		}
-		return pi.buffer[i].asin < pi.buffer[j].asin
+		return strings.Compare(a.asin.Str(), b.asin.Str())
 	})
-	k := pi.op.task.params.TopK
-	if k > len(pi.buffer) {
-		k = len(pi.buffer)
-	}
-	var out []relation.Tuple
-	for i := 0; i < k; i++ {
-		s := pi.buffer[i]
-		if pi.hasStage(stReverse) {
-			ec.AddWork(workReverse)
-			entity, err := pi.op.task.model.ReverseLookup(s.emb)
-			if err != nil {
-				return nil, err
-			}
-			out = append(out, relation.Tuple{relation.IntValue(int64(i + 1)), relation.StringValue(entity), relation.StringValue(s.title), relation.FloatValue(s.dist)})
+	k := min(pi.op.task.params.TopK, len(pi.ranked))
+	width, out := pi.op.out.Len(), ec.Out()
+	out.Reserve(k, k*width)
+	for i, s := range pi.ranked[:k] {
+		row := out.Row(width)
+		if !pi.reverse {
+			row[0], row[1], row[2], row[3] = s.asin, s.title, s.emb, relation.FloatValue(s.dist)
 			continue
 		}
-		out = append(out, relation.Tuple{relation.StringValue(s.asin), relation.StringValue(s.title), relation.StringValue(kge.EncodeVec(s.emb)), relation.FloatValue(s.dist)})
+		ec.AddWork(workReverse)
+		vec := s.vec
+		if vec == nil {
+			var err error
+			if vec, err = pi.decodeEmb(s.emb); err != nil {
+				return nil, err
+			}
+		}
+		entity, err := pi.op.task.model.ReverseLookup(vec)
+		if err != nil {
+			return nil, err
+		}
+		row[0], row[1], row[2], row[3] = relation.IntValue(int64(i+1)), relation.StringValue(entity), s.title, relation.FloatValue(s.dist)
 	}
-	return out, nil
+	return pi.batch(out), nil
 }
 
 // scalaJoinChain builds the nine native Scala operators that replace

@@ -275,17 +275,17 @@ func micros(window time.Duration) []Micro {
 	gauge := reg.Gauge("bench.gauge")
 	out = append(out, measure("telemetry_counter_add", 65536, window, func() {
 		for i := 0; i < 65536; i++ {
-			ctr.Add(i, 1)
+			ctr.Add(1)
 		}
 	}))
 	out = append(out, measure("telemetry_hist_observe", 65536, window, func() {
 		for i := 0; i < 65536; i++ {
-			hist.Observe(i, int64(i))
+			hist.Observe(int64(i))
 		}
 	}))
 	out = append(out, measure("telemetry_gauge_set", 65536, window, func() {
 		for i := 0; i < 65536; i++ {
-			gauge.Set(i, int64(i))
+			gauge.Set(int64(i))
 		}
 	}))
 

@@ -629,7 +629,7 @@ func (ex *Execution) scan(rt *nodeRuntime, table *relation.Table, work cost.Work
 		if err := ex.gate.wait(ex.ctx); err != nil {
 			return
 		}
-		t0 := tel.beginBatch(rt, 0, nil)
+		t0 := tel.beginBatch(nil)
 		addShardWork(&rt.shards[0], 0, work.Scale(float64(len(b.Rows))))
 		ex.emit(rt, 0, b.Rows, 0, 0)
 		tel.endBatch(rt, 0, t0, int64(len(b.Rows)))
@@ -698,7 +698,7 @@ func (ex *Execution) runWorker(rt *nodeRuntime, worker int) {
 			if err := ex.gate.wait(ex.ctx); err != nil {
 				return
 			}
-			t0 := ex.tel.beginBatch(rt, worker, q)
+			t0 := ex.tel.beginBatch(q)
 			in := int64(len(msg.rows) + msg.dropped)
 			rt.inTuples.Add(in)
 			ec.phase, ec.dropped = port, msg.dropped

@@ -8,11 +8,11 @@ import (
 	"repro/internal/telemetry"
 )
 
-// execTelemetry bundles the recorder and the pre-registered sharded
-// instruments the executor's hot path writes. It is built once at
-// Start when a recorder is attached; a nil *execTelemetry is the
-// telemetry-off fast path (beginBatch and endBatch each check the
-// pointer once per batch and return).
+// execTelemetry bundles the recorder and the pre-registered instruments
+// the executor's hot path writes. It is built once at Start when a
+// recorder is attached; a nil *execTelemetry is the telemetry-off fast
+// path (beginBatch and endBatch each check the pointer once per batch
+// and return).
 type execTelemetry struct {
 	rec *telemetry.Recorder
 	// batches/tuples count operator Process invocations and their rows
@@ -71,16 +71,15 @@ func (sh *wallShard) note(t0, t1 int64) {
 // for a batch popped from q (nil for a scan), samples that queue's
 // depth. It returns the start stamp for endBatch; a nil receiver
 // (telemetry off) records nothing.
-func (t *execTelemetry) beginBatch(rt *nodeRuntime, worker int, q *queue) int64 {
+func (t *execTelemetry) beginBatch(q *queue) int64 {
 	if t == nil {
 		return 0
 	}
 	t0 := t.rec.NowNS()
 	if q != nil {
-		shard := shardIndex(rt.n.id, worker)
 		depth := int64(q.Depth())
-		t.qDepth.Set(shard, depth)
-		t.qHist.Observe(shard, depth)
+		t.qDepth.Set(depth)
+		t.qHist.Observe(depth)
 	}
 	return t0
 }
@@ -93,16 +92,10 @@ func (t *execTelemetry) endBatch(rt *nodeRuntime, worker int, t0, tuples int64) 
 		return
 	}
 	t1 := t.rec.NowNS()
-	shard := shardIndex(rt.n.id, worker)
 	rt.wall[worker].note(t0, t1)
-	t.batches.Add(shard, 1)
-	t.tuples.Add(shard, tuples)
-	t.batchNS.Observe(shard, t1-t0)
-}
-
-// shardIndex spreads (node, worker) pairs over the registry's shards.
-func shardIndex(node NodeID, worker int) int {
-	return int(node)*7 + worker
+	t.batches.Add(1)
+	t.tuples.Add(tuples)
+	t.batchNS.Observe(t1 - t0)
 }
 
 // trackCat labels a node's spans for export.
@@ -184,18 +177,18 @@ func (ex *Execution) recordTelemetry(jobs []sim.Job, meta []jobMeta, sched *sim.
 	// Deterministic data-volume counters, per node and per edge.
 	for _, rt := range ex.rts {
 		node := prefix + "node." + rt.n.name + "."
-		reg.Counter(node+"in_tuples").Add(0, rt.inTuples.Load())
-		reg.Counter(node+"out_tuples").Add(0, rt.outTuples.Load())
-		reg.Counter(node+"batches").Add(0, rt.batches.Load())
+		reg.Counter(node + "in_tuples").Add(rt.inTuples.Load())
+		reg.Counter(node + "out_tuples").Add(rt.outTuples.Load())
+		reg.Counter(node + "batches").Add(rt.batches.Load())
 		if ex.lin != nil && ex.lin.mode[rt.n.id] != lmDirty {
-			reg.Counter(node+"lineage_hit").Add(0, 1)
+			reg.Counter(node + "lineage_hit").Add(1)
 		}
 		for i, e := range rt.n.outEdges {
 			st := &rt.edges[i].stat
 			edge := fmt.Sprintf("%sedge.%s->%s.p%d.", prefix, e.from.name, e.to.name, e.port)
-			reg.Counter(edge+"batches").Add(0, st.batches.Load())
-			reg.Counter(edge+"tuples").Add(0, st.tuples.Load())
-			reg.Counter(edge+"bytes").Add(0, st.bytes.Load())
+			reg.Counter(edge + "batches").Add(st.batches.Load())
+			reg.Counter(edge + "tuples").Add(st.tuples.Load())
+			reg.Counter(edge + "bytes").Add(st.bytes.Load())
 		}
 	}
 
@@ -216,9 +209,9 @@ func (ex *Execution) recordRecovery(info *RecoveryInfo) {
 	}
 	prefix := "wf." + ex.wf.name + ".recovery."
 	reg := tel.rec.Metrics
-	reg.Counter(prefix+"checkpoints").Add(0, int64(info.Checkpoints))
-	reg.Counter(prefix+"checkpoint_bytes").Add(0, info.CheckpointBytes)
-	reg.Counter(prefix+"kills").Add(0, int64(info.Kills))
+	reg.Counter(prefix + "checkpoints").Add(int64(info.Checkpoints))
+	reg.Counter(prefix + "checkpoint_bytes").Add(info.CheckpointBytes)
+	reg.Counter(prefix + "kills").Add(int64(info.Kills))
 	tel.rec.SetMeta(prefix+"checkpoint_write_seconds", fmt.Sprintf("%.6f", info.CheckpointWriteSeconds))
 	tel.rec.SetMeta(prefix+"lost_seconds", fmt.Sprintf("%.6f", info.LostSeconds))
 	tel.rec.SetMeta(prefix+"respawn_seconds", fmt.Sprintf("%.6f", info.DelaySeconds))

@@ -331,7 +331,7 @@ func (r *Run) count(name string, v int64) {
 	if r.rec == nil {
 		return
 	}
-	r.rec.Metrics.Counter("lineage."+r.rep.Scope+"."+name).Add(0, v)
+	r.rec.Metrics.Counter("lineage." + r.rep.Scope + "." + name).Add(v)
 }
 
 // span emits one store event on the run's lineage track. Store events

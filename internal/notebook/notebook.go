@@ -296,7 +296,7 @@ func (n *Notebook) RunCell(i int) error {
 			HasWall: true,
 			Clock:   telemetry.Wall{StartNS: wall0, DurNS: wall1 - wall0},
 		})
-		n.rec.Metrics.Counter("nb."+n.name+".cells_run").Add(0, 1)
+		n.rec.Metrics.Counter("nb." + n.name + ".cells_run").Add(1)
 	}
 	if n.progress != nil {
 		state := "completed"

@@ -44,8 +44,10 @@ type Event struct {
 }
 
 // Sample is one point of a run's time series: process-level runtime
-// stats plus aggregates folded from the run's telemetry registry
-// (queue depths, tuple/batch throughput, lineage reuse, recovery).
+// stats plus aggregates folded from the run's recorder's registry
+// (queue depths, tuple/batch throughput, lineage reuse, recovery). On
+// a server every run shares one recorder, so these include the counts
+// of every earlier run.
 // VirtSeconds carries the latest simulator stamp seen on the event
 // stream, tying the wall-clock series back to the sim clock.
 type Sample struct {
@@ -125,7 +127,6 @@ func (g *Registry) StartQueued(task, paradigm, tenant string, rec *telemetry.Rec
 		state:    "queued",
 		startNS:  g.nowNS(),
 		ops:      make(map[string]*OpStatus),
-		notify:   make(chan struct{}),
 	}
 	g.runs[r.ID] = r
 	g.order = append(g.order, r.ID)
@@ -236,7 +237,7 @@ type Run struct {
 	events  []Event // ring: grows to eventRingSize, then wraps
 	ops     map[string]*OpStatus
 	opOrder []string
-	notify  chan struct{} // closed and replaced on every publish
+	notify  chan struct{} // made by EventsSince, closed and cleared by the next change
 
 	samples      []Sample // ring: grows to sampleRingSize, then wraps
 	nSamples     int64    // total samples ever taken
@@ -288,10 +289,7 @@ func (r *Run) Publish(ev telemetry.ProgressEvent) {
 	if now-r.lastSampleNS >= int64(sampleMinInterval) {
 		r.sampleAt(now)
 	}
-	ch := r.notify
-	r.notify = make(chan struct{})
-	r.mu.Unlock()
-	close(ch)
+	r.unlockAndWake()
 }
 
 // ringPut stores x as the n-th item ever put in a ring of size slots
@@ -306,14 +304,22 @@ func ringPut[T any](ring []T, n int64, size int, x T) []T {
 	return ring
 }
 
+// unlockAndWake releases r.mu and, if a streamer took a wake channel
+// from EventsSince since the last change, closes it. Callers hold r.mu.
+func (r *Run) unlockAndWake() {
+	ch := r.notify
+	r.notify = nil
+	r.mu.Unlock()
+	if ch != nil {
+		close(ch)
+	}
+}
+
 // sampleLocked takes a sample while acquiring the run lock itself.
 func (r *Run) sampleLocked(now int64) {
 	r.mu.Lock()
 	r.sampleAt(now)
-	ch := r.notify
-	r.notify = make(chan struct{})
-	r.mu.Unlock()
-	close(ch)
+	r.unlockAndWake()
 }
 
 // sampleAt appends one time-series point. Callers hold r.mu.
@@ -383,10 +389,7 @@ func (r *Run) Finish(summary map[string]float64, err error) {
 	r.endNS = now
 	r.summary = summary
 	r.sampleAt(now)
-	ch := r.notify
-	r.notify = make(chan struct{})
-	r.mu.Unlock()
-	close(ch)
+	r.unlockAndWake()
 
 	r.reg.mu.Lock()
 	if err != nil {
@@ -423,10 +426,7 @@ func (r *Run) MarkRunning() {
 		return
 	}
 	r.state = "running"
-	ch := r.notify
-	r.notify = make(chan struct{})
-	r.mu.Unlock()
-	close(ch)
+	r.unlockAndWake()
 }
 
 // SetNote attaches a small string fact to the run (output digests,
@@ -478,6 +478,9 @@ func (r *Run) EventsSince(cursor int64) (evs []Event, next, dropped int64, wake 
 	}
 	for i := lo; i < r.seq; i++ {
 		evs = append(evs, r.events[i%eventRingSize])
+	}
+	if r.notify == nil {
+		r.notify = make(chan struct{})
 	}
 	return evs, r.seq, dropped, r.notify, r.isFinishedLocked()
 }

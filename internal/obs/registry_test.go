@@ -2,6 +2,7 @@ package obs
 
 import (
 	"testing"
+	"time"
 
 	"repro/internal/telemetry"
 )
@@ -70,6 +71,38 @@ func TestSampleRingGrowsThenDropsOldest(t *testing.T) {
 	for i, s := range got {
 		if want := int64(total - sampleRingSize + i); s.WallNS != want {
 			t.Fatalf("sample %d taken at %d, want %d", i, s.WallNS, want)
+		}
+	}
+}
+
+// A streamer waiting on the channel EventsSince returned is woken by
+// each change a stream shows: an event, the run going live and the run
+// finishing. A run nobody streams makes no wake channel.
+func TestEventsSinceWakesOnEveryChange(t *testing.T) {
+	r := NewRegistry().StartQueued("dice", "workflow", "", nil)
+	r.Publish(telemetry.ProgressEvent{})
+	if r.notify != nil {
+		t.Fatal("a run nobody streams made a wake channel")
+	}
+	for _, c := range []struct {
+		name   string
+		change func()
+	}{
+		{"Publish", func() { r.Publish(telemetry.ProgressEvent{}) }},
+		{"MarkRunning", r.MarkRunning},
+		{"Finish", func() { r.Finish(nil, nil) }},
+	} {
+		_, _, _, wake, _ := r.EventsSince(0)
+		woke := make(chan struct{})
+		go func() {
+			<-wake
+			close(woke)
+		}()
+		c.change()
+		select {
+		case <-woke:
+		case <-time.After(5 * time.Second):
+			t.Fatalf("%s did not wake a streamer waiting on EventsSince's channel", c.name)
 		}
 	}
 }

@@ -541,9 +541,9 @@ func TestAdmissionRejectionOverHTTP(t *testing.T) {
 // of the snapshot: same snapshot, same bytes; names sanitized.
 func TestRenderPromStable(t *testing.T) {
 	reg := telemetry.NewRegistry()
-	reg.Counter("wf.dice.node.join-sentences.out_tuples").Add(0, 42)
-	reg.Gauge("queue.depth").Set(0, 7)
-	reg.Histogram("batch.latency", "ns").Observe(0, 900)
+	reg.Counter("wf.dice.node.join-sentences.out_tuples").Add(42)
+	reg.Gauge("queue.depth").Set(7)
+	reg.Histogram("batch.latency", "ns").Observe(900)
 	snap := reg.Snapshot(true)
 
 	var a, b bytes.Buffer

@@ -294,10 +294,10 @@ func (j *Job) recordTelemetry(jobs []sim.Job, sched *sim.Result) {
 		totalCost += jobs[i].Cost
 	}
 	reg := j.rec.Metrics
-	reg.Counter("ray."+proc+".tasks").Add(0, int64(len(jobs)))
+	reg.Counter("ray." + proc + ".tasks").Add(int64(len(jobs)))
 	if rec := sched.Recovery; rec.Kills > 0 {
-		reg.Counter("ray."+proc+".recovery.kills").Add(0, int64(rec.Kills))
-		reg.Counter("ray."+proc+".recovery.node_kills").Add(0, int64(rec.NodeKills))
+		reg.Counter("ray." + proc + ".recovery.kills").Add(int64(rec.Kills))
+		reg.Counter("ray." + proc + ".recovery.node_kills").Add(int64(rec.NodeKills))
 		j.rec.SetMeta("ray."+proc+".recovery.lost_seconds", fmt.Sprintf("%.6f", rec.LostSeconds))
 		j.rec.SetMeta("ray."+proc+".recovery.backoff_seconds", fmt.Sprintf("%.6f", rec.DelaySeconds))
 		j.rec.SetMeta("ray."+proc+".recovery.reconstruct_seconds", fmt.Sprintf("%.6f", rec.ExtraCostSeconds))

@@ -1,10 +1,13 @@
 package telemetry
 
 import (
+	"cmp"
 	"encoding/json"
 	"fmt"
 	"io"
+	"slices"
 	"sort"
+	"strings"
 )
 
 // chromeEvent is one trace event in the Chrome trace-event format
@@ -277,11 +280,8 @@ func (r *Recorder) Dump(includeVolatile bool) MetricsDump {
 			t.Spans++
 			t.BusyMS += float64(s.Clock.DurNS) / 1e6
 		}
-		sortKeys(order, func(a, b key) bool {
-			if a.proc != b.proc {
-				return a.proc < b.proc
-			}
-			return a.track < b.track
+		slices.SortFunc(order, func(a, b key) int {
+			return cmp.Or(strings.Compare(a.proc, b.proc), strings.Compare(a.track, b.track))
 		})
 		for _, k := range order {
 			v.WallTracks = append(v.WallTracks, *agg[k])

@@ -11,9 +11,9 @@ import (
 func sampleRecorder() *Recorder {
 	r := New()
 	r.SetMeta("task", "dice")
-	r.Metrics.Counter("edge.src.op.p0.tuples").Add(0, 42)
-	r.Metrics.Gauge("queue.depth").Set(1, 6)
-	r.Metrics.Histogram("batch.latency", "ns").Observe(0, 1500)
+	r.Metrics.Counter("edge.src.op.p0.tuples").Add(42)
+	r.Metrics.Gauge("queue.depth").Set(6)
+	r.Metrics.Histogram("batch.latency", "ns").Observe(1500)
 	r.Record(
 		Span{Proc: "script:dice", Track: "kernel", Name: "imports", Cat: "cell",
 			HasVirt: true, Virtual: Virt{Start: 0, Dur: 1.5},

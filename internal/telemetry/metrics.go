@@ -21,81 +21,40 @@ import (
 	"sync/atomic"
 )
 
-// NumShards is the fixed shard count of every sharded metric. Hot-path
-// callers pick a shard (typically hashed from node and worker IDs) and
-// touch only that shard's cache line; readers merge all shards.
-const NumShards = 16
-
-// pad64 separates neighbouring atomics so two shards never share a
-// cache line (the same false-sharing pad the executor's work shards
-// use).
-type pad64 struct {
-	v atomic.Int64
-	_ [56]byte
-}
-
-// Counter is a monotonically increasing sharded counter. Add is
-// wait-free and allocation-free; Value folds the shards.
+// Counter is a monotonically increasing counter. Add is wait-free and
+// allocation-free.
 type Counter struct {
-	shards [NumShards]pad64
+	v atomic.Int64
 }
 
-// Add increments the counter on one shard. Shard indices are taken
-// modulo NumShards so callers may pass any non-negative worker ID.
-func (c *Counter) Add(shard int, delta int64) {
-	c.shards[shard%NumShards].v.Add(delta)
-}
+// Add increments the counter.
+func (c *Counter) Add(delta int64) { c.v.Add(delta) }
 
-// Value returns the summed shard values.
-func (c *Counter) Value() int64 {
-	var total int64
-	for i := range c.shards {
-		total += c.shards[i].v.Load()
-	}
-	return total
-}
+// Value returns the counter's total.
+func (c *Counter) Value() int64 { return c.v.Load() }
 
-// Gauge tracks a sampled level (for example queue depth). Each shard
-// remembers its last sample and its high-water mark; Last and Max fold
-// the shards.
+// Gauge tracks a sampled level (for example queue depth): its most
+// recent sample and its high-water mark.
 type Gauge struct {
-	last [NumShards]pad64
-	max  [NumShards]pad64
+	last, max atomic.Int64
 }
 
-// Set records a sample on one shard, updating the shard maximum.
-func (g *Gauge) Set(shard int, v int64) {
-	s := shard % NumShards
-	g.last[s].v.Store(v)
+// Set records a sample, updating the maximum.
+func (g *Gauge) Set(v int64) {
+	g.last.Store(v)
 	for {
-		cur := g.max[s].v.Load()
-		if v <= cur || g.max[s].v.CompareAndSwap(cur, v) {
+		cur := g.max.Load()
+		if v <= cur || g.max.CompareAndSwap(cur, v) {
 			return
 		}
 	}
 }
 
-// Last returns the largest of the shards' most recent samples.
-func (g *Gauge) Last() int64 {
-	var out int64
-	for i := range g.last {
-		if v := g.last[i].v.Load(); v > out {
-			out = v
-		}
-	}
-	return out
-}
+// Last returns the most recent sample.
+func (g *Gauge) Last() int64 { return g.last.Load() }
 
-// Max returns the high-water mark across all shards.
-func (g *Gauge) Max() int64 {
-	var out int64
-	for i := range g.max {
-		if v := g.max[i].v.Load(); v > out {
-			out = v
-		}
-	}
-	return out
-}
+// Max returns the high-water mark.
+func (g *Gauge) Max() int64 { return g.max.Load() }
 
 // HistBuckets is the fixed bucket count of every histogram: bucket i
 // holds samples v with bits.Len64(v) == i, i.e. power-of-two ranges
@@ -103,17 +62,10 @@ func (g *Gauge) Max() int64 {
 // bucket absorbs everything larger.
 const HistBuckets = 40
 
-// histShard is one worker's private bucket array, padded to keep
-// neighbouring shards apart.
-type histShard struct {
-	buckets [HistBuckets]atomic.Int64
-	_       [64 - (HistBuckets*8)%64]byte
-}
-
 // Histogram is a fixed-bucket power-of-two histogram. Observe is
 // wait-free and allocation-free.
 type Histogram struct {
-	shards [NumShards]histShard
+	buckets [HistBuckets]atomic.Int64
 }
 
 // bucketOf maps a sample to its bucket index.
@@ -128,18 +80,14 @@ func bucketOf(v int64) int {
 	return b
 }
 
-// Observe records one sample on one shard.
-func (h *Histogram) Observe(shard int, v int64) {
-	h.shards[shard%NumShards].buckets[bucketOf(v)].Add(1)
-}
+// Observe records one sample.
+func (h *Histogram) Observe(v int64) { h.buckets[bucketOf(v)].Add(1) }
 
-// Buckets returns the merged bucket counts.
+// Buckets returns the bucket counts.
 func (h *Histogram) Buckets() [HistBuckets]int64 {
 	var out [HistBuckets]int64
-	for s := range h.shards {
-		for b := range out {
-			out[b] += h.shards[s].buckets[b].Load()
-		}
+	for b := range out {
+		out[b] = h.buckets[b].Load()
 	}
 	return out
 }
@@ -236,20 +184,20 @@ func (r *Registry) get(name, unit string, volatile bool) *metric {
 	return m
 }
 
-// CounterValue is one counter's merged value in a snapshot.
+// CounterValue is one counter's value in a snapshot.
 type CounterValue struct {
 	Name  string `json:"name"`
 	Value int64  `json:"value"`
 }
 
-// GaugeValue is one gauge's merged state in a snapshot.
+// GaugeValue is one gauge's state in a snapshot.
 type GaugeValue struct {
 	Name string `json:"name"`
 	Last int64  `json:"last"`
 	Max  int64  `json:"max"`
 }
 
-// HistogramValue is one histogram's merged, zero-suppressed buckets.
+// HistogramValue is one histogram's zero-suppressed buckets.
 type HistogramValue struct {
 	Name    string       `json:"name"`
 	Unit    string       `json:"unit"`
@@ -263,7 +211,7 @@ type HistBucket struct {
 	Count int64 `json:"count"`
 }
 
-// MetricsSnapshot is a point-in-time merge of every instrument, with
+// MetricsSnapshot is a point-in-time read of every instrument, with
 // names sorted so the encoding is deterministic for a given state.
 type MetricsSnapshot struct {
 	Counters   []CounterValue   `json:"counters,omitempty"`
@@ -271,7 +219,7 @@ type MetricsSnapshot struct {
 	Histograms []HistogramValue `json:"histograms,omitempty"`
 }
 
-// Snapshot merges all shards. When includeVolatile is false only
+// Snapshot reads every instrument. When includeVolatile is false only
 // deterministic counters are reported — the mode the golden tests and
 // deterministic exports use.
 func (r *Registry) Snapshot(includeVolatile bool) MetricsSnapshot {

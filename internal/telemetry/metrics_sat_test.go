@@ -8,10 +8,10 @@ import (
 	"testing"
 )
 
-// TestShardedInstrumentsConcurrent hammers every sharded instrument
-// from many goroutines (run under -race in CI) while a reader loops
-// snapshots, then checks the folded values are exact: sharding must
-// never lose or double-count a write.
+// TestShardedInstrumentsConcurrent hammers every instrument from many
+// goroutines (run under -race in CI) while a reader loops snapshots,
+// then checks the values are exact: concurrent writers must never lose
+// or double-count a write.
 func TestShardedInstrumentsConcurrent(t *testing.T) {
 	reg := NewRegistry()
 	c := reg.Counter("c")
@@ -20,7 +20,7 @@ func TestShardedInstrumentsConcurrent(t *testing.T) {
 
 	const (
 		writers = 8
-		perGoro = 5000
+		perGoro = 20000
 	)
 	stop := make(chan struct{})
 	var readerDone sync.WaitGroup
@@ -49,18 +49,29 @@ func TestShardedInstrumentsConcurrent(t *testing.T) {
 		}
 	}()
 
+	// The writers start together, so they overlap on every instrument
+	// instead of running one after another.
+	start := make(chan struct{})
 	var wg sync.WaitGroup
 	for w := 0; w < writers; w++ {
 		wg.Add(1)
-		go func(shard int) {
+		go func(w int) {
 			defer wg.Done()
-			for i := 0; i < perGoro; i++ {
-				c.Add(shard, 1)
-				g.Set(shard, int64(shard*perGoro+i))
-				h.Observe(shard, int64(i))
+			<-start
+			// One tight loop per instrument keeps the writers on the same
+			// word at the same time, where a lost update would show.
+			for range perGoro {
+				c.Add(1)
+			}
+			for i := range perGoro {
+				g.Set(int64(w*perGoro + i))
+			}
+			for i := range perGoro {
+				h.Observe(int64(i))
 			}
 		}(w)
 	}
+	close(start)
 	wg.Wait()
 	close(stop)
 	readerDone.Wait()
@@ -71,14 +82,14 @@ func TestShardedInstrumentsConcurrent(t *testing.T) {
 	if got, want := h.Count(), int64(writers*perGoro); got != want {
 		t.Errorf("histogram lost observations: got %d, want %d", got, want)
 	}
-	// Every writer's final sample is shard*perGoro+perGoro-1; the
-	// largest belongs to the last shard and is also the global max.
-	want := int64((writers-1)*perGoro + perGoro - 1)
-	if got := g.Max(); got != want {
+	// Writer w's final sample is w*perGoro+perGoro-1; the last writer's
+	// is also the global max. Last is the most recent sample, which is
+	// some writer's final one.
+	if got, want := g.Max(), int64((writers-1)*perGoro+perGoro-1); got != want {
 		t.Errorf("gauge max: got %d, want %d", got, want)
 	}
-	if got := g.Last(); got != want {
-		t.Errorf("gauge last (fold = max of shard lasts): got %d, want %d", got, want)
+	if got := g.Last(); got%perGoro != perGoro-1 {
+		t.Errorf("gauge last: got %d, want some writer's final sample w*%d+%d", got, perGoro, perGoro-1)
 	}
 }
 
@@ -107,18 +118,18 @@ func TestRegistrationRacesSnapshot(t *testing.T) {
 		}
 	}()
 	var wg sync.WaitGroup
-	for w := 0; w < writers; w++ {
+	for range writers {
 		wg.Add(1)
-		go func(shard int) {
+		go func() {
 			defer wg.Done()
 			for i := 0; i < names; i++ {
 				// The same names from every writer: first use registers,
 				// later uses fetch.
-				reg.Counter(fmt.Sprintf("c%d", i)).Add(shard, 1)
-				reg.Gauge(fmt.Sprintf("g%d", i)).Set(shard, int64(i))
-				reg.Histogram(fmt.Sprintf("h%d", i), "ns").Observe(shard, int64(i))
+				reg.Counter(fmt.Sprintf("c%d", i)).Add(1)
+				reg.Gauge(fmt.Sprintf("g%d", i)).Set(int64(i))
+				reg.Histogram(fmt.Sprintf("h%d", i), "ns").Observe(int64(i))
 			}
-		}(w)
+		}()
 	}
 	wg.Wait()
 	close(stop)
@@ -183,8 +194,8 @@ func buildDeterministicRecorder() *Recorder {
 	r.SetMeta("task", "golden")
 	r.SetMeta("backend", "test")
 	for _, name := range []string{"z.last", "a.first", "m.middle"} {
-		for shard := 0; shard < 3; shard++ {
-			r.Metrics.Counter(name).Add(shard, int64(len(name)))
+		for range 3 {
+			r.Metrics.Counter(name).Add(int64(len(name)))
 		}
 	}
 	r.Record(

@@ -1,6 +1,9 @@
 package telemetry
 
 import (
+	"cmp"
+	"slices"
+	"strings"
 	"sync"
 	"time"
 )
@@ -61,7 +64,7 @@ type CriticalRow struct {
 // metrics registry. All methods are safe for concurrent use; span
 // recording takes one short mutex and is meant for bulk or per-cell
 // recording, while the per-batch hot path goes through the registry's
-// sharded instruments and per-caller wall accumulators instead.
+// atomic instruments and per-caller wall accumulators instead.
 type Recorder struct {
 	// Metrics is the recorder's instrument registry.
 	Metrics *Registry
@@ -184,26 +187,13 @@ func (r *Recorder) TrackTotals() []TrackTotal {
 	// track's sum in its own append order, which is deterministic
 	// per producer.
 	out := make([]TrackTotal, 0, len(order))
-	sortKeys(order, func(a, b key) bool {
-		if a.proc != b.proc {
-			return a.proc < b.proc
-		}
-		return a.track < b.track
+	slices.SortFunc(order, func(a, b key) int {
+		return cmp.Or(strings.Compare(a.proc, b.proc), strings.Compare(a.track, b.track))
 	})
 	for _, k := range order {
 		out = append(out, *agg[k])
 	}
 	return out
-}
-
-// sortKeys is a tiny generic insertion sort (the slices are short and
-// this avoids pulling in reflect-based sorting for a struct key).
-func sortKeys[T any](s []T, less func(a, b T) bool) {
-	for i := 1; i < len(s); i++ {
-		for j := i; j > 0 && less(s[j], s[j-1]); j-- {
-			s[j], s[j-1] = s[j-1], s[j]
-		}
-	}
 }
 
 // TopSelfTime returns the n largest tracks of one process by self
@@ -216,11 +206,8 @@ func (r *Recorder) TopSelfTime(proc string, n int) []TrackTotal {
 			filtered = append(filtered, t)
 		}
 	}
-	sortKeys(filtered, func(a, b TrackTotal) bool {
-		if a.SelfSeconds != b.SelfSeconds {
-			return a.SelfSeconds > b.SelfSeconds
-		}
-		return a.Track < b.Track
+	slices.SortFunc(filtered, func(a, b TrackTotal) int {
+		return cmp.Or(cmp.Compare(b.SelfSeconds, a.SelfSeconds), strings.Compare(a.Track, b.Track))
 	})
 	if n > 0 && len(filtered) > n {
 		filtered = filtered[:n]
@@ -239,6 +226,6 @@ func (r *Recorder) Procs() []string {
 			out = append(out, spans[i].Proc)
 		}
 	}
-	sortKeys(out, func(a, b string) bool { return a < b })
+	slices.Sort(out)
 	return out
 }

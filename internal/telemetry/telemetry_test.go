@@ -5,17 +5,19 @@ import (
 	"testing"
 )
 
+// TestCounterShardsMerge has 32 goroutines add to one counter at once:
+// the total must be exact.
 func TestCounterShardsMerge(t *testing.T) {
 	var c Counter
 	var wg sync.WaitGroup
-	for s := 0; s < 32; s++ { // more writers than shards: wraps modulo
+	for range 32 {
 		wg.Add(1)
-		go func(s int) {
+		go func() {
 			defer wg.Done()
-			for i := 0; i < 1000; i++ {
-				c.Add(s, 2)
+			for range 1000 {
+				c.Add(2)
 			}
-		}(s)
+		}()
 	}
 	wg.Wait()
 	if got := c.Value(); got != 32*1000*2 {
@@ -25,23 +27,23 @@ func TestCounterShardsMerge(t *testing.T) {
 
 func TestGaugeTracksMax(t *testing.T) {
 	var g Gauge
-	g.Set(0, 5)
-	g.Set(1, 9)
-	g.Set(0, 3)
+	g.Set(5)
+	g.Set(9)
+	g.Set(3)
 	if got := g.Max(); got != 9 {
 		t.Fatalf("max = %d, want 9", got)
 	}
-	if got := g.Last(); got != 9 { // largest of the per-shard last samples
-		t.Fatalf("last = %d, want 9", got)
+	if got := g.Last(); got != 3 { // the most recent sample
+		t.Fatalf("last = %d, want 3", got)
 	}
 }
 
 func TestHistogramBuckets(t *testing.T) {
 	var h Histogram
-	h.Observe(0, 0)    // bucket 0
-	h.Observe(0, 1)    // bucket 1: [1,2)
-	h.Observe(1, 3)    // bucket 2: [2,4)
-	h.Observe(2, 1024) // bucket 11: [1024,2048)
+	h.Observe(0)    // bucket 0
+	h.Observe(1)    // bucket 1: [1,2)
+	h.Observe(3)    // bucket 2: [2,4)
+	h.Observe(1024) // bucket 11: [1024,2048)
 	b := h.Buckets()
 	if b[0] != 1 || b[1] != 1 || b[2] != 1 || b[11] != 1 {
 		t.Fatalf("unexpected buckets: %v", b[:12])
@@ -60,9 +62,9 @@ func TestRegistryAllocFreeHotPath(t *testing.T) {
 	h := reg.Histogram("latency", "ns")
 	g := reg.Gauge("depth")
 	allocs := testing.AllocsPerRun(100, func() {
-		c.Add(3, 1)
-		h.Observe(3, 17)
-		g.Set(3, 4)
+		c.Add(1)
+		h.Observe(17)
+		g.Set(4)
 	})
 	if allocs != 0 {
 		t.Fatalf("hot path allocates %v per op, want 0", allocs)
@@ -71,9 +73,9 @@ func TestRegistryAllocFreeHotPath(t *testing.T) {
 
 func TestSnapshotVolatileFiltering(t *testing.T) {
 	reg := NewRegistry()
-	reg.Counter("a.tuples").Add(0, 7)
-	reg.Gauge("q.depth").Set(0, 3)
-	reg.Histogram("lat", "ns").Observe(0, 5)
+	reg.Counter("a.tuples").Add(7)
+	reg.Gauge("q.depth").Set(3)
+	reg.Histogram("lat", "ns").Observe(5)
 
 	det := reg.Snapshot(false)
 	if len(det.Counters) != 1 || det.Counters[0].Value != 7 {

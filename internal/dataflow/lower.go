@@ -2,7 +2,6 @@ package dataflow
 
 import (
 	"fmt"
-	"strconv"
 
 	"repro/internal/cost"
 	"repro/internal/sim"
@@ -38,8 +37,8 @@ func Lower(tr *Trace, m *cost.Model) ([]sim.Job, []sim.Pool, error) {
 // needs it: checkpoint write taxes apply to data batch jobs, and a
 // killed batch job pays a checkpoint restore for its node. So does the
 // recorder: a batch job carries no name (a run lowers thousands and,
-// with no recorder attached, nobody reads one), only what batchName
-// needs to format it.
+// with no recorder attached, nobody reads one), only the port and
+// sequence number telemetry.BatchName records in its place.
 type jobMeta struct {
 	// Node is the trace node the job belongs to, or -1 for
 	// controller-level jobs (workflow submission).
@@ -48,14 +47,6 @@ type jobMeta struct {
 	// Seq of input port Port, or of a source's output when Port is -1.
 	Batch     bool
 	Port, Seq int
-}
-
-// batchName formats the label of a batch job of the node named node.
-func (mt jobMeta) batchName(node string) string {
-	if mt.Port < 0 {
-		return node + ":gen:b" + strconv.Itoa(mt.Seq)
-	}
-	return node + ":p" + strconv.Itoa(mt.Port) + ":b" + strconv.Itoa(mt.Seq)
 }
 
 // poolName names a node's worker pool.

@@ -123,56 +123,38 @@ func (ex *Execution) recordTelemetry(jobs []sim.Job, meta []jobMeta, sched *sim.
 	reg := tel.rec.Metrics
 	prefix := "wf." + ex.wf.name + "."
 
-	// Pool name -> (track, category).
-	type trackInfo struct {
-		track string
-		cat   string
+	// One lane per node, indexed by trace node ID, and the
+	// controller's; batch jobs are named from their metadata when the
+	// trace is read.
+	rec := tel.rec
+	lanes := make([]telemetry.Lane, len(ex.rts))
+	for i, rt := range ex.rts {
+		lanes[i] = rec.Lane(proc, rt.n.name, trackCat(rt.n.kind))
 	}
-	tracks := map[string]trackInfo{"controller": {"controller", "control"}}
-	for _, rt := range ex.rts {
-		tracks[poolName(rt.n.id, rt.n.name)] = trackInfo{rt.n.name, trackCat(rt.n.kind)}
-	}
-	// Lowering leaves batch jobs unnamed; a span that is recorded gets
-	// the name formatted here.
-	lane := func(i int) (track, cat, name string) {
-		ti := tracks[jobs[i].Pool]
-		name = jobs[i].Name
-		if mt := meta[i]; mt.Batch {
-			name = mt.batchName(ex.rts[mt.Node].n.name)
+	controller := rec.Lane(proc, "controller", "control")
+	rec.RecordSchedule(jobs, sched, func(i int) (telemetry.Lane, telemetry.JobName) {
+		mt := meta[i]
+		switch {
+		case mt.Batch:
+			return lanes[mt.Node], telemetry.BatchName(mt.Port, mt.Seq)
+		case mt.Node < 0:
+			return controller, telemetry.JobName{}
 		}
-		return ti.track, ti.cat, name
-	}
-
-	// Virtual spans in job order, then killed attempts, then the wall
-	// spans, in one Record call. Capacity covers the wall spans too, so
-	// the slice is allocated exactly once.
-	nWall := 0
-	for _, rt := range ex.rts {
-		for w := range rt.wall {
-			if rt.wall[w].batches > 0 {
-				nWall++
-			}
-		}
-	}
-	spans := telemetry.ScheduleSpans(make([]telemetry.Span, 0, len(jobs)+nWall), proc, jobs, sched, lane)
+		return lanes[mt.Node], telemetry.JobName{}
+	})
 
 	// Per-node wall spans (volatile): busy time anchored at the node's
 	// first activity, one span per active worker shard.
 	for _, rt := range ex.rts {
+		wall := rec.Lane(proc, rt.n.name, "wall")
 		for w := range rt.wall {
 			sh := &rt.wall[w]
 			if sh.batches == 0 {
 				continue
 			}
-			spans = append(spans, telemetry.Span{
-				Proc: proc, Track: rt.n.name, Name: rt.n.name + ":wall",
-				Cat: "wall", Worker: w, Tuples: sh.batches,
-				HasWall: true,
-				Clock:   telemetry.Wall{StartNS: sh.firstNS, DurNS: sh.busyNS},
-			})
+			rec.RecordWall(wall, w, sh.batches, telemetry.Wall{StartNS: sh.firstNS, DurNS: sh.busyNS})
 		}
 	}
-	tel.rec.Record(spans...)
 
 	// Deterministic data-volume counters, per node and per edge.
 	for _, rt := range ex.rts {
@@ -194,7 +176,12 @@ func (ex *Execution) recordTelemetry(jobs []sim.Job, meta []jobMeta, sched *sim.
 
 	// Critical-path breakdown: walk the longest chain and attribute its
 	// time per track.
-	tel.rec.AddCritical(telemetry.CriticalRows(proc, jobs, func(i int) string { return tracks[jobs[i].Pool].track })...)
+	tel.rec.AddCritical(telemetry.CriticalRows(proc, jobs, func(i int) string {
+		if n := meta[i].Node; n >= 0 {
+			return ex.rts[n].n.name
+		}
+		return "controller"
+	})...)
 
 	tel.rec.SetMeta(strings.TrimSuffix(prefix, ".")+".makespan", fmt.Sprintf("%.6f", sched.Makespan))
 	tel.rec.SetMeta(strings.TrimSuffix(prefix, ".")+".nodes", fmt.Sprintf("%d", len(ex.rts)))

@@ -4,10 +4,12 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
+	"io"
 	"net/http"
 	"net/http/pprof"
 	"runtime"
 	"sort"
+	"strconv"
 
 	"repro/internal/core"
 	"repro/internal/relation"
@@ -300,10 +302,26 @@ func (s *Server) handleEvents(w http.ResponseWriter, r *http.Request) {
 	w.Header().Set("Content-Type", "text/event-stream")
 	w.Header().Set("Cache-Control", "no-store")
 	w.WriteHeader(http.StatusOK)
+	streamEvents(w, flusher, run, r.Context().Done())
+}
+
+// eventSource is what an event stream reads: a run's events since a
+// cursor (Run.EventsSince) and, once done, its final state.
+type eventSource interface {
+	EventsSince(cursor int64) (evs []Event, next, dropped int64, wake <-chan struct{}, done bool)
+	State() string
+}
+
+// streamEvents writes src's events to w as SSE frames, flushing after
+// each catch-up, until src is done and drained or stop is closed. Each
+// frame's id line is formatted into one buffer the stream reuses, so an
+// event costs no heap object of its own.
+func streamEvents(w io.Writer, flusher http.Flusher, src eventSource, stop <-chan struct{}) {
 	var cursor int64
 	enc := json.NewEncoder(w)
+	var line []byte
 	for {
-		evs, next, dropped, wake, done := run.EventsSince(cursor)
+		evs, next, dropped, wake, done := src.EventsSince(cursor)
 		if dropped > 0 {
 			// Drop-oldest backpressure: the ring outran this stream.
 			// Tell the client how many events it lost rather than
@@ -311,24 +329,30 @@ func (s *Server) handleEvents(w http.ResponseWriter, r *http.Request) {
 			fmt.Fprintf(w, "event: dropped\ndata: %d\n\n", dropped)
 		}
 		for i := range evs {
-			fmt.Fprintf(w, "id: %d\ndata: ", evs[i].Seq)
-			if err := enc.Encode(evs[i]); err != nil {
+			line = strconv.AppendInt(append(line[:0], "id: "...), evs[i].Seq, 10)
+			line = append(line, "\ndata: "...)
+			if _, err := w.Write(line); err != nil {
 				return
 			}
-			fmt.Fprint(w, "\n")
+			if err := enc.Encode(&evs[i]); err != nil {
+				return
+			}
+			if _, err := io.WriteString(w, "\n"); err != nil {
+				return
+			}
 		}
 		if len(evs) > 0 {
 			flusher.Flush()
 		}
 		cursor = next
 		if done {
-			fmt.Fprintf(w, "event: done\ndata: %q\n\n", run.State())
+			fmt.Fprintf(w, "event: done\ndata: %q\n\n", src.State())
 			flusher.Flush()
 			return
 		}
 		select {
 		case <-wake:
-		case <-r.Context().Done():
+		case <-stop:
 			return
 		}
 	}

@@ -287,8 +287,8 @@ func (j *Job) recordTelemetry(jobs []sim.Job, sched *sim.Result) {
 	if proc == "" {
 		proc = "script:ray"
 	}
-	j.rec.Record(telemetry.ScheduleSpans(make([]telemetry.Span, 0, len(jobs)), proc, jobs, sched,
-		func(i int) (string, string, string) { return rayTrack, "task", jobs[i].Name })...)
+	lane := j.rec.Lane(proc, rayTrack, "task")
+	j.rec.RecordSchedule(jobs, sched, func(int) (telemetry.Lane, telemetry.JobName) { return lane, telemetry.JobName{} })
 	var totalCost float64
 	for i := range jobs {
 		totalCost += jobs[i].Cost

@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"math"
 	"slices"
+	"sort"
 	"strconv"
 	"strings"
 	"sync"
@@ -661,4 +662,64 @@ func NestedLoopJoin(left, right *Table, leftKey, rightKey string, kind JoinType)
 		}
 	}
 	return out, nil
+}
+
+// refSortBy is the reflect-based (*Table).SortBy that
+// slices.SortStableFunc replaced.
+func refSortBy(t *Table, names ...string) error {
+	pos := make([]int, len(names))
+	for i, n := range names {
+		p := t.schema.IndexOf(n)
+		if p < 0 {
+			return fmt.Errorf("relation: sort: unknown field %q", n)
+		}
+		pos[i] = p
+	}
+	sort.SliceStable(t.rows, func(a, b int) bool {
+		return lessTuples(t.rows[a], t.rows[b], pos)
+	})
+	return nil
+}
+
+// TestSortByMatchesReference sorts tables with ties, every cell kind and
+// one to three keys with SortBy and with the sort it replaced: the
+// digests, which depend on row order, must be equal.
+func TestSortByMatchesReference(t *testing.T) {
+	s := MustSchema(Field{"i", Int}, Field{"f", Float}, Field{"b", Bool}, Field{"s", String}, Field{"row", Int})
+	for _, c := range []struct {
+		name string
+		rows int
+		keys []string
+	}{
+		{"int key, many ties", 200, []string{"i"}},
+		{"float key", 200, []string{"f"}},
+		{"bool key, two classes", 100, []string{"b"}},
+		{"string key", 300, []string{"s"}},
+		{"string then int", 300, []string{"s", "i"}},
+		{"bool, float, int", 500, []string{"b", "f", "i"}},
+		{"empty", 0, []string{"i"}},
+		{"one row", 1, []string{"s", "b"}},
+	} {
+		tbl := NewTable(s)
+		for r := 0; r < c.rows; r++ {
+			h := uint64(r)*0x9e3779b97f4a7c15 + 7
+			tbl.MustAppend(Tuple{
+				IntValue(int64(h % 7)),
+				FloatValue(float64(h%5) / 4),
+				BoolValue(h%3 == 0),
+				StringValue(strconv.Itoa(int(h % 11))),
+				IntValue(int64(r)), // ties keep their input order
+			})
+		}
+		want := tbl.Clone()
+		if err := refSortBy(want, c.keys...); err != nil {
+			t.Fatal(err)
+		}
+		if err := tbl.SortBy(c.keys...); err != nil {
+			t.Fatal(err)
+		}
+		if got, want := Digest(tbl), Digest(want); got != want {
+			t.Errorf("%s: digest %016x after SortBy, reference %016x", c.name, got, want)
+		}
+	}
 }

@@ -2,7 +2,7 @@ package relation
 
 import (
 	"fmt"
-	"sort"
+	"slices"
 )
 
 // Table is an in-memory relation: a schema plus rows.
@@ -172,8 +172,14 @@ func (t *Table) SortBy(names ...string) error {
 		}
 		pos[i] = p
 	}
-	sort.SliceStable(t.rows, func(a, b int) bool {
-		return lessTuples(t.rows[a], t.rows[b], pos)
+	slices.SortStableFunc(t.rows, func(a, b Tuple) int {
+		switch {
+		case lessTuples(a, b, pos):
+			return -1
+		case lessTuples(b, a, pos):
+			return 1
+		}
+		return 0
 	})
 	return nil
 }

@@ -1,13 +1,10 @@
 package telemetry
 
 import (
-	"cmp"
 	"encoding/json"
 	"fmt"
 	"io"
-	"slices"
 	"sort"
-	"strings"
 )
 
 // chromeEvent is one trace event in the Chrome trace-event format
@@ -263,28 +260,8 @@ func (r *Recorder) Dump(includeVolatile bool) MetricsDump {
 	if includeVolatile {
 		vol := r.Metrics.Snapshot(true)
 		v := &VolatileDump{Gauges: vol.Gauges, Histograms: vol.Histograms}
-		type key struct{ proc, track string }
-		agg := make(map[key]*WallTotal)
-		var order []key
-		for _, s := range r.Spans() {
-			if !s.HasWall {
-				continue
-			}
-			k := key{s.Proc, s.Track}
-			t, ok := agg[k]
-			if !ok {
-				t = &WallTotal{Proc: s.Proc, Track: s.Track}
-				agg[k] = t
-				order = append(order, k)
-			}
-			t.Spans++
-			t.BusyMS += float64(s.Clock.DurNS) / 1e6
-		}
-		slices.SortFunc(order, func(a, b key) int {
-			return cmp.Or(strings.Compare(a.proc, b.proc), strings.Compare(a.track, b.track))
-		})
-		for _, k := range order {
-			v.WallTracks = append(v.WallTracks, *agg[k])
+		for _, t := range r.sumTracks(true) {
+			v.WallTracks = append(v.WallTracks, WallTotal{Proc: t.proc, Track: t.track, Spans: t.spans, BusyMS: t.sum})
 		}
 		d.Volatile = v
 	}

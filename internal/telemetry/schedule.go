@@ -1,7 +1,7 @@
 package telemetry
 
 import (
-	"fmt"
+	"slices"
 
 	"repro/internal/sim"
 )
@@ -10,38 +10,63 @@ import (
 // paradigms' traces are drawn by one rule and differ only in how each
 // names its lanes.
 
-// ScheduleSpans appends to dst one virtual-clock span per job of sched
-// that consumed time, in job order, then one "recovery" span per killed
+// JobName is how RecordSchedule names a job's span without formatting
+// it. The zero JobName is the job's own name, sim.Job.Name; BatchName
+// names a data batch.
+type JobName struct {
+	batch     bool
+	port, seq int
+}
+
+// BatchName names the span of batch seq of input port, or of a
+// source's generated batch seq when port is negative (see BatchLabel).
+func BatchName(port, seq int) JobName { return JobName{batch: true, port: port, seq: seq} }
+
+// RecordSchedule records one virtual-clock span per job of sched that
+// consumed time, in job order, then one "recovery" span per killed
 // attempt, in kill order, named "<job>:killed#<attempt>" and covering
-// the time the attempt held its slot. lane gives the track, category
-// and span name of the job at position i; it is called only for jobs
-// that get a span. An abort's job ID is read as its position in jobs:
-// both lowerings (dataflow.Lower and raysim's Run) number their jobs
-// 0..n-1.
-func ScheduleSpans(dst []Span, proc string, jobs []sim.Job, sched *sim.Result, lane func(i int) (track, cat, name string)) []Span {
+// the time the attempt held its slot. lane gives the lane and name of
+// the job at position i; it is called only for jobs that get a span,
+// under the recorder's lock, so it must not call the recorder. A
+// killed attempt takes its job's track on a "recovery" lane. An
+// abort's job ID is read as its position in jobs: both lowerings
+// (dataflow.Lower and raysim's Run) number their jobs 0..n-1.
+func (r *Recorder) RecordSchedule(jobs []sim.Job, sched *sim.Result, lane func(i int) (Lane, JobName)) {
+	if r == nil {
+		return
+	}
+	r.mu.Lock()
+	defer r.mu.Unlock()
+	r.recs = slices.Grow(r.recs, len(jobs)+len(sched.Aborts))
 	for i := range jobs {
 		if jobs[i].Cost <= 0 {
 			continue // barrier and end-of-stream bookkeeping jobs
 		}
-		track, cat, name := lane(i)
+		l, n := lane(i)
 		sp := sched.Spans[i]
-		dst = append(dst, Span{
-			Proc: proc, Track: track, Name: name, Cat: cat,
-			HasVirt: true,
-			Virtual: Virt{Start: sp.Start, Dur: sp.Finish - sp.Start},
-		})
+		r.recs = append(r.recs, r.jobRec(l, n, jobs[i].Name, Virt{Start: sp.Start, Dur: sp.Finish - sp.Start}))
 	}
 	for _, ab := range sched.Aborts {
-		track, _, name := lane(int(ab.Job))
-		dst = append(dst, Span{
-			Proc: proc, Track: track,
-			Name:    fmt.Sprintf("%s:killed#%d", name, ab.Attempt),
-			Cat:     "recovery",
-			HasVirt: true,
-			Virtual: Virt{Start: ab.Start, Dur: ab.Killed - ab.Start},
-		})
+		l, n := lane(int(ab.Job))
+		k := r.lanes[l]
+		k.cat = "recovery"
+		rec := r.jobRec(r.lane(k), n, jobs[ab.Job].Name, Virt{Start: ab.Start, Dur: ab.Killed - ab.Start})
+		rec.flags |= flagKilled
+		rec.attempt = int32(ab.Attempt)
+		r.recs = append(r.recs, rec)
 	}
-	return dst
+}
+
+// jobRec is the virtual span of a job named n (job, its own name) on
+// lane l; r.mu is held.
+func (r *Recorder) jobRec(l Lane, n JobName, job string, v Virt) spanRec {
+	rec := spanRec{virt: v, lane: l, flags: flagVirt}
+	if n.batch {
+		rec.kind, rec.port, rec.seq = nameBatch, int16(n.port), int32(n.seq)
+	} else {
+		rec.name = r.name(job)
+	}
+	return rec
 }
 
 // CriticalRows attributes the jobs' critical chain (sim.CriticalChain)

@@ -6,7 +6,7 @@ import (
 	"repro/internal/sim"
 )
 
-func TestScheduleSpansSkipsFreeJobsAndNamesKills(t *testing.T) {
+func TestRecordScheduleSkipsFreeJobsAndNamesKills(t *testing.T) {
 	jobs := []sim.Job{
 		{ID: 0, Name: "a", Cost: 10, Pool: "p"},
 		{ID: 1, Name: "barrier", Pool: "p", Deps: []sim.JobID{0}},
@@ -17,8 +17,11 @@ func TestScheduleSpansSkipsFreeJobsAndNamesKills(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	lane := func(i int) (string, string, string) { return "lane", "task", jobs[i].Name }
-	spans := ScheduleSpans([]Span{{Name: "kept"}}, "script:x", jobs, sched, lane)
+	rec := New()
+	rec.Record(Span{Name: "kept"})
+	lane := rec.Lane("script:x", "lane", "task")
+	rec.RecordSchedule(jobs, sched, func(int) (Lane, JobName) { return lane, JobName{} })
+	spans := rec.Spans()
 	want := []struct {
 		name, cat  string
 		start, dur float64

@@ -3,6 +3,7 @@ package telemetry
 import (
 	"cmp"
 	"slices"
+	"strconv"
 	"strings"
 	"sync"
 	"time"
@@ -65,22 +66,76 @@ type CriticalRow struct {
 // recording takes one short mutex and is meant for bulk or per-cell
 // recording, while the per-batch hot path goes through the registry's
 // atomic instruments and per-caller wall accumulators instead.
+//
+// A span is stored as a spanRec: no strings, only indices into the
+// recorder's lane and name tables, so the storage is one array the
+// collector never scans. Spans formats the names when a trace is read.
 type Recorder struct {
 	// Metrics is the recorder's instrument registry.
 	Metrics *Registry
 
 	mu       sync.Mutex
 	epoch    time.Time
-	spans    []Span
+	recs     []spanRec
+	lanes    []laneKey
+	laneIdx  map[laneKey]Lane
+	names    []string
+	nameIdx  map[string]int32
 	meta     map[string]string
 	critical []CriticalRow
+}
+
+// Lane is an interned (proc, track, cat) triple of one recorder: every
+// span of a lane shares its process, display track and category.
+type Lane int32
+
+type laneKey struct{ proc, track, cat string }
+
+// nameKind says how a stored span's name is formed when it is read.
+type nameKind uint8
+
+const (
+	// nameFree is an interned free-form name: names[spanRec.name].
+	nameFree nameKind = iota
+	// nameBatch is a data batch, formatted by BatchLabel from the
+	// lane's track, the port (-1 for a source's generated batch) and
+	// the sequence number.
+	nameBatch
+	// nameWall is "<track>:wall", a node's wall-clock busy span.
+	nameWall
+)
+
+// spanRec flags.
+const (
+	flagVirt   uint8 = 1 << iota // virt is set
+	flagWall                     // wall is set
+	flagKilled                   // the name gains ":killed#<attempt>"
+)
+
+// spanRec is one stored span. It holds no pointer, and it is at most
+// 64 bytes (TestSpanRecIsSmallAndPointerFree).
+type spanRec struct {
+	virt    Virt
+	wall    Wall
+	tuples  int64
+	lane    Lane
+	name    int32 // index into names, for nameFree
+	seq     int32
+	worker  int32
+	attempt int32 // the killed attempt, with flagKilled
+	port    int16
+	kind    nameKind
+	flags   uint8
 }
 
 // New creates a Recorder whose wall epoch is "now", read through the
 // wall-clock shim (wallclock.go) so span.go itself stays clean under
 // the determinism linter.
 func New() *Recorder {
-	return &Recorder{Metrics: NewRegistry(), epoch: WallClock(), meta: make(map[string]string)}
+	return &Recorder{
+		Metrics: NewRegistry(), epoch: WallClock(), meta: make(map[string]string),
+		laneIdx: make(map[laneKey]Lane), nameIdx: make(map[string]int32),
+	}
 }
 
 // NowNS returns nanoseconds since the recorder's epoch — the wall
@@ -89,13 +144,75 @@ func (r *Recorder) NowNS() int64 {
 	return int64(WallSince(r.epoch))
 }
 
-// Record appends spans in bulk.
+// Lane interns the (proc, track, cat) triple. A nil recorder returns 0.
+func (r *Recorder) Lane(proc, track, cat string) Lane {
+	if r == nil {
+		return 0
+	}
+	r.mu.Lock()
+	defer r.mu.Unlock()
+	return r.lane(laneKey{proc, track, cat})
+}
+
+// lane interns k; r.mu is held.
+func (r *Recorder) lane(k laneKey) Lane {
+	l, ok := r.laneIdx[k]
+	if !ok {
+		l = Lane(len(r.lanes))
+		r.lanes = append(r.lanes, k)
+		r.laneIdx[k] = l
+	}
+	return l
+}
+
+// name interns a free-form span name; r.mu is held.
+func (r *Recorder) name(s string) int32 {
+	i, ok := r.nameIdx[s]
+	if !ok {
+		i = int32(len(r.names))
+		r.names = append(r.names, s)
+		r.nameIdx[s] = i
+	}
+	return i
+}
+
+// Record appends spans in bulk, interning each one's strings. Worker
+// must fit in an int32.
 func (r *Recorder) Record(spans ...Span) {
 	if r == nil || len(spans) == 0 {
 		return
 	}
 	r.mu.Lock()
-	r.spans = append(r.spans, spans...)
+	defer r.mu.Unlock()
+	r.recs = slices.Grow(r.recs, len(spans))
+	for i := range spans {
+		s := &spans[i]
+		rec := spanRec{
+			virt: s.Virtual, wall: s.Clock, tuples: s.Tuples,
+			lane: r.lane(laneKey{s.Proc, s.Track, s.Cat}), name: r.name(s.Name),
+			worker: int32(s.Worker),
+		}
+		if s.HasVirt {
+			rec.flags |= flagVirt
+		}
+		if s.HasWall {
+			rec.flags |= flagWall
+		}
+		r.recs = append(r.recs, rec)
+	}
+}
+
+// RecordWall appends one wall-clock span named "<track>:wall" on lane
+// l: worker's busy time on its track, over tuples batches.
+func (r *Recorder) RecordWall(l Lane, worker int, tuples int64, clock Wall) {
+	if r == nil {
+		return
+	}
+	r.mu.Lock()
+	r.recs = append(r.recs, spanRec{
+		wall: clock, tuples: tuples, lane: l, worker: int32(worker),
+		kind: nameWall, flags: flagWall,
+	})
 	r.mu.Unlock()
 }
 
@@ -121,11 +238,50 @@ func (r *Recorder) AddCritical(rows ...CriticalRow) {
 	r.mu.Unlock()
 }
 
-// Spans returns a copy of the recorded spans.
+// Spans returns the recorded spans in recording order, their names
+// formatted.
 func (r *Recorder) Spans() []Span {
 	r.mu.Lock()
 	defer r.mu.Unlock()
-	return append([]Span(nil), r.spans...)
+	out := make([]Span, len(r.recs))
+	for i := range r.recs {
+		rec := &r.recs[i]
+		l := &r.lanes[rec.lane]
+		out[i] = Span{
+			Proc: l.proc, Track: l.track, Name: r.nameOf(rec, l.track), Cat: l.cat,
+			Worker: int(rec.worker), Tuples: rec.tuples,
+			Virtual: rec.virt, HasVirt: rec.flags&flagVirt != 0,
+			Clock: rec.wall, HasWall: rec.flags&flagWall != 0,
+		}
+	}
+	return out
+}
+
+// nameOf formats a stored span's name; r.mu is held.
+func (r *Recorder) nameOf(rec *spanRec, track string) string {
+	var name string
+	switch rec.kind {
+	case nameBatch:
+		name = BatchLabel(track, int(rec.port), int(rec.seq))
+	case nameWall:
+		name = track + ":wall"
+	default:
+		name = r.names[rec.name]
+	}
+	if rec.flags&flagKilled != 0 {
+		name += ":killed#" + strconv.Itoa(int(rec.attempt))
+	}
+	return name
+}
+
+// BatchLabel names the span of batch seq of input port on track, or of
+// a source's generated batch seq when port is negative. It is the one
+// formatter of batch span names.
+func BatchLabel(track string, port, seq int) string {
+	if port < 0 {
+		return track + ":gen:b" + strconv.Itoa(seq)
+	}
+	return track + ":p" + strconv.Itoa(port) + ":b" + strconv.Itoa(seq)
 }
 
 // Critical returns a copy of the recorded critical-path rows.
@@ -160,40 +316,63 @@ type TrackTotal struct {
 // TrackTotals folds the recorded virtual spans per (proc, track), in
 // deterministic (proc, track) order. Wall-only spans are excluded.
 func (r *Recorder) TrackTotals() []TrackTotal {
-	spans := r.Spans()
-	type key struct{ proc, track string }
-	agg := make(map[key]*TrackTotal)
-	var order []key
-	for i := range spans {
-		s := &spans[i]
-		if !s.HasVirt {
-			continue
-		}
-		k := key{s.Proc, s.Track}
-		t, ok := agg[k]
-		if !ok {
-			t = &TrackTotal{Proc: s.Proc, Track: s.Track}
-			agg[k] = t
-			order = append(order, k)
-		}
-		t.Spans++
-		t.SelfSeconds += s.Virtual.Dur
-		t.Tuples += s.Tuples
-	}
-	// Sort keys, then re-fold in sorted span order so the float sums are
-	// reproducible regardless of recording order. Spans were appended in
-	// a deterministic order by each producer, but two producers may
-	// interleave; summing per track keyed off the span slice keeps each
-	// track's sum in its own append order, which is deterministic
-	// per producer.
-	out := make([]TrackTotal, 0, len(order))
-	slices.SortFunc(order, func(a, b key) int {
-		return cmp.Or(strings.Compare(a.proc, b.proc), strings.Compare(a.track, b.track))
-	})
-	for _, k := range order {
-		out = append(out, *agg[k])
+	sums := r.sumTracks(false)
+	out := make([]TrackTotal, len(sums))
+	for i, t := range sums {
+		out[i] = TrackTotal{Proc: t.proc, Track: t.track, Spans: t.spans, SelfSeconds: t.sum, Tuples: t.tuples}
 	}
 	return out
+}
+
+// trackSum is one (proc, track)'s fold over its virtual or its wall
+// spans.
+type trackSum struct {
+	proc, track string
+	spans       int
+	sum         float64 // virtual seconds, or wall milliseconds
+	tuples      int64
+}
+
+// sumTracks folds the spans with a virtual stamp (with wall, those with
+// a wall stamp) per (proc, track), in (proc, track) order. Each track
+// sums its spans in recording order: every producer records in a
+// deterministic order, so the float sums are reproducible however two
+// producers interleave.
+func (r *Recorder) sumTracks(wall bool) []trackSum {
+	flag := flagVirt
+	if wall {
+		flag = flagWall
+	}
+	r.mu.Lock()
+	defer r.mu.Unlock()
+	type key struct{ proc, track string }
+	idx := make(map[key]int)
+	var sums []trackSum
+	for i := range r.recs {
+		rec := &r.recs[i]
+		if rec.flags&flag == 0 {
+			continue
+		}
+		l := &r.lanes[rec.lane]
+		j, ok := idx[key{l.proc, l.track}]
+		if !ok {
+			j = len(sums)
+			idx[key{l.proc, l.track}] = j
+			sums = append(sums, trackSum{proc: l.proc, track: l.track})
+		}
+		t := &sums[j]
+		t.spans++
+		if wall {
+			t.sum += float64(rec.wall.DurNS) / 1e6
+		} else {
+			t.sum += rec.virt.Dur
+			t.tuples += rec.tuples
+		}
+	}
+	slices.SortFunc(sums, func(a, b trackSum) int {
+		return cmp.Or(strings.Compare(a.proc, b.proc), strings.Compare(a.track, b.track))
+	})
+	return sums
 }
 
 // TopSelfTime returns the n largest tracks of one process by self
@@ -217,15 +396,16 @@ func (r *Recorder) TopSelfTime(proc string, n int) []TrackTotal {
 
 // Procs returns the sorted distinct process labels seen in spans.
 func (r *Recorder) Procs() []string {
-	spans := r.Spans()
-	seen := make(map[string]bool)
+	r.mu.Lock()
+	defer r.mu.Unlock()
+	seen := make([]bool, len(r.lanes))
 	var out []string
-	for i := range spans {
-		if !seen[spans[i].Proc] {
-			seen[spans[i].Proc] = true
-			out = append(out, spans[i].Proc)
+	for i := range r.recs {
+		if l := r.recs[i].lane; !seen[l] {
+			seen[l] = true
+			out = append(out, r.lanes[l].proc)
 		}
 	}
 	slices.Sort(out)
-	return out
+	return slices.Compact(out)
 }

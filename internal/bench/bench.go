@@ -184,7 +184,7 @@ func micros(window time.Duration) []Micro {
 		dataflow.AddWorkLoop(65536)
 	}))
 	// The engine's own per-batch plumbing, at the batch DICE-200 moves
-	// (8 rows): a 1:1 map worker, a hash router's split, and lowering
+	// (8 rows): a 1:1 map worker, a hash edge's split, and lowering
 	// the trace of one whole run. allocs_per_op is what they are for —
 	// each localises a share of the workflow macros' objects per op.
 	out = append(out, measure("map_project_8", 4096, window, func() {

@@ -2,7 +2,8 @@ package core
 
 import (
 	"fmt"
-	"sort"
+	"maps"
+	"slices"
 	"sync"
 )
 
@@ -58,12 +59,7 @@ func NewTask(name string, size int, seed uint64) (Task, error) {
 func TaskNames() []string {
 	registryMu.RLock()
 	defer registryMu.RUnlock()
-	names := make([]string, 0, len(registry))
-	for name := range registry {
-		names = append(names, name)
-	}
-	sort.Strings(names)
-	return names
+	return slices.Sorted(maps.Keys(registry))
 }
 
 // TaskDefaultSize returns a registered task's paper-scale input size.

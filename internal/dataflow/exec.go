@@ -109,12 +109,13 @@ type workShard struct {
 	_      [48]byte // false-sharing pad
 }
 
-// outEdge is a node's end of one out-edge: the queue feeding the edge's
-// router and the edge's traffic. An edge into a consumer that does not
-// execute is not live: it has no router and carries and counts nothing.
+// outEdge is a node's end of one out-edge: the edge's traffic and, on a
+// round-robin edge, the number of batches its producer's workers have
+// dealt. An edge into a consumer that does not execute is not live: it
+// carries and counts nothing.
 type outEdge struct {
-	q    queue
 	stat edgeStat
+	rr   atomic.Int64
 	live bool
 }
 
@@ -215,13 +216,18 @@ type execCtx struct {
 	rt      *nodeRuntime
 	shard   *workShard
 	worker  int
-	phase   int            // current port, or -1 during EndPort
-	dropped int            // the batch in hand's batchMsg.dropped; 0 during EndPort
-	out     relation.Arena // drawn from the node's src
+	phase   int // current port, or -1 during EndPort
+	dropped int // the batch in hand's batchMsg.dropped; 0 during EndPort
+
+	// split regroups this worker's batches on hash edges. Its arena,
+	// drawn from the node's src, is also the one the instance carves its
+	// output from (Out): an instance closes each batch before it returns
+	// it, so the two never hold an open batch at once.
+	split hashSplitter
 }
 
 func (ec *execCtx) AddWork(w cost.Work)  { addShardWork(ec.shard, ec.phase, w) }
-func (ec *execCtx) Out() *relation.Arena { return &ec.out }
+func (ec *execCtx) Out() *relation.Arena { return &ec.split.out }
 
 // Execution is a running (or finished) workflow.
 type Execution struct {
@@ -314,10 +320,7 @@ func (w *Workflow) Start(ctx context.Context, cfg Config) (*Execution, error) {
 		}
 		rt.edges = make([]outEdge, len(n.outEdges))
 		for i, e := range n.outEdges {
-			if executes(e.to) {
-				rt.edges[i].live = true
-				rt.edges[i].q.signal = make(chan struct{}, 1)
-			}
+			rt.edges[i].live = executes(e.to)
 		}
 		workPorts := max(ports, 1) // a source charges its scan to port 0
 		work := make([]cost.Work, par*workPorts)
@@ -325,7 +328,7 @@ func (w *Workflow) Start(ctx context.Context, cfg Config) (*Execution, error) {
 		for s := range rt.shards {
 			sh := &rt.shards[s]
 			sh.byPort = work[s*workPorts : (s+1)*workPorts : (s+1)*workPorts]
-			sh.ec = execCtx{rt: rt, shard: sh, worker: s, out: rt.src.Arena()}
+			sh.ec = execCtx{rt: rt, shard: sh, worker: s, split: hashSplitter{out: rt.src.Arena()}}
 		}
 		if ex.tel != nil {
 			rt.wall = make([]wallShard, n.parallelism)
@@ -348,17 +351,6 @@ func (w *Workflow) Start(ctx context.Context, cfg Config) (*Execution, error) {
 		ex.rts[n.id] = rt
 	}
 
-	// Launch edge routers.
-	var routerWG sync.WaitGroup
-	for _, rt := range ex.rts {
-		for i := range rt.edges {
-			if rt.edges[i].live {
-				routerWG.Add(1)
-				go ex.runRouter(&routerWG, rt.n.outEdges[i], &rt.edges[i].q)
-			}
-		}
-	}
-
 	// Launch node workers.
 	var nodeWG sync.WaitGroup
 	for _, n := range w.nodes {
@@ -369,7 +361,6 @@ func (w *Workflow) Start(ctx context.Context, cfg Config) (*Execution, error) {
 
 	go func() {
 		nodeWG.Wait()
-		routerWG.Wait()
 		ex.finish()
 		close(ex.done)
 	}()
@@ -450,14 +441,17 @@ func pushedFilter(n *node) relation.Predicate {
 	return nil
 }
 
-// emit forwards rows produced by a node to the out edges whose consumer
-// executes and updates trace counters; an edge without a queue carries
-// nothing and counts nothing. worker indexes the producing worker's
-// lineage-capture shard. dropped rows, droppedBytes encoded, are the
-// rows of the batch a join judged against its filter's predicate and
-// did not build: they are counted as the traffic they would have been,
-// and travel on the batch as a count, even when no row was kept, so the
-// edge carries the same batches to the same workers either way.
+// emit routes rows one of a node's workers produced, on that worker,
+// straight into the port queues of each live out-edge's consumer: a
+// broadcast edge hands the batch to every consumer worker, a hash edge
+// splits it by key with the worker's splitter, and a round-robin edge
+// deals it to the worker next in the edge's count. It updates trace
+// counters; an edge that is not live carries and counts nothing. dropped
+// rows, droppedBytes encoded, are the rows of the batch a join judged
+// against its filter's predicate and did not build: they are counted as
+// the traffic they would have been, and travel on the batch as a count,
+// even when no row was kept, so the edge carries the same batches to
+// the same workers either way.
 func (ex *Execution) emit(rt *nodeRuntime, worker int, rows []relation.Tuple, dropped int, droppedBytes int64) {
 	if len(rows) == 0 && dropped == 0 {
 		return
@@ -472,7 +466,8 @@ func (ex *Execution) emit(rt *nodeRuntime, worker int, rows []relation.Tuple, dr
 	for _, r := range rows {
 		bytes += relation.EncodedSize(r)
 	}
-	for i := range rt.edges {
+	msg := batchMsg{rows: rows, dropped: dropped}
+	for i, e := range rt.n.outEdges {
 		oe := &rt.edges[i]
 		if !oe.live {
 			continue
@@ -480,43 +475,14 @@ func (ex *Execution) emit(rt *nodeRuntime, worker int, rows []relation.Tuple, dr
 		oe.stat.batches.Add(1)
 		oe.stat.tuples.Add(tuples)
 		oe.stat.bytes.Add(bytes)
-		oe.q.push(batchMsg{rows: rows, dropped: dropped})
-	}
-	if ex.cfg.Progress != nil {
-		ex.publishProgress(rt, "progress")
-	}
-}
-
-// runRouter moves batches from a producer's edge queue into the
-// consumer's per-worker port queues according to the edge's
-// partitioning.
-func (ex *Execution) runRouter(wg *sync.WaitGroup, e *edge, in *queue) {
-	defer wg.Done()
-	toRT := ex.rts[e.to.id]
-	outs := toRT.inQ[e.port]
-	defer func() {
-		for i := range outs {
-			outs[i].close()
-		}
-	}()
-	rr := 0
-	var split hashSplitter
-	for {
-		msg, ok, err := in.pop(ex.ctx)
-		if err != nil || !ok {
-			return
-		}
-		switch e.part.kind {
-		case partBroadcast:
-			for i := range outs {
-				outs[i].push(msg)
+		outs := ex.rts[e.to.id].inQ[e.port]
+		switch {
+		case e.part.kind == partBroadcast:
+			for wk := range outs {
+				outs[wk].push(msg)
 			}
-		case partHash:
-			if len(outs) == 1 {
-				outs[0].push(msg)
-				break
-			}
-			placed, ends := split.by(msg.rows, e.keyPos, len(outs))
+		case e.part.kind == partHash && len(outs) > 1:
+			placed, ends := rt.shards[worker].ec.split.by(rows, e.keyPos, len(outs))
 			lo := 0
 			for wk, hi := range ends {
 				if hi > lo {
@@ -524,21 +490,24 @@ func (ex *Execution) runRouter(wg *sync.WaitGroup, e *edge, in *queue) {
 				}
 				lo = hi
 			}
-		default: // round robin
-			outs[rr%len(outs)].push(msg)
-			rr++
+		default: // round robin, or a hash edge into one worker
+			outs[(oe.rr.Add(1)-1)%int64(len(outs))].push(msg)
 		}
+	}
+	if ex.cfg.Progress != nil {
+		ex.publishProgress(rt, "progress")
 	}
 }
 
-// hashSplitter is a hash router's state: per row of the batch in hand
-// the output it goes to and its place in the regrouped batch, per
-// output first a row count and then a write offset, and the arena the
-// regrouped batches are carved from. It belongs to one router goroutine
-// and never leaves it; the batches it places do.
+// hashSplitter is one worker's state for its hash edges: scratch that
+// holds, back to back, per row of the batch in hand the output it goes
+// to (dest) and its place in the regrouped batch (order), and per output
+// first a row count and then a write offset (offs); and the arena the
+// regrouped batches are carved from. It belongs to one worker and never
+// leaves it; the batches it places do.
 type hashSplitter struct {
-	dest, order, offs []int
-	out               relation.Arena
+	scratch []int
+	out     relation.Arena
 }
 
 // by regroups rows by the hash of their key cell into outs groups —
@@ -547,31 +516,29 @@ type hashSplitter struct {
 // starts where the group before it ends). ends is valid until the next
 // call.
 func (s *hashSplitter) by(rows []relation.Tuple, keyPos, outs int) (placed []relation.Tuple, ends []int) {
-	if s.offs == nil {
-		s.offs = make([]int, outs)
-	}
-	clear(s.offs)
-	s.dest = s.dest[:0]
-	for _, r := range rows {
+	n := len(rows)
+	s.scratch = slices.Grow(s.scratch[:0], 2*n+outs)[:2*n+outs]
+	dest, order, offs := s.scratch[:n], s.scratch[n:2*n], s.scratch[2*n:]
+	clear(offs)
+	for i, r := range rows {
 		d := int(r.KeyHash(keyPos)) % outs
-		s.dest = append(s.dest, d)
-		s.offs[d]++
+		dest[i] = d
+		offs[d]++
 	}
 	sum := 0
-	for g, n := range s.offs {
-		s.offs[g] = sum
-		sum += n
+	for g, c := range offs {
+		offs[g] = sum
+		sum += c
 	}
-	s.order = slices.Grow(s.order[:0], len(rows))[:len(rows)]
-	for i, d := range s.dest {
-		s.order[s.offs[d]] = i
-		s.offs[d]++
+	for i, d := range dest {
+		order[offs[d]] = i
+		offs[d]++
 	}
-	s.out.Reserve(len(rows), 0)
-	for _, i := range s.order {
+	s.out.Reserve(n, 0)
+	for _, i := range order {
 		s.out.Append(rows[i])
 	}
-	return s.out.Batch(), s.offs
+	return s.out.Batch(), offs
 }
 
 // runNode executes one node: a scan for a source or a replayed node,
@@ -579,11 +546,15 @@ func (s *hashSplitter) by(rows []relation.Tuple, keyPos, outs int) (placed []rel
 func (ex *Execution) runNode(wg *sync.WaitGroup, rt *nodeRuntime) {
 	defer wg.Done()
 	defer func() {
-		// Whatever happened, close out-edge queues so downstream sees
-		// EOF.
-		for i := range rt.edges {
+		// Whatever happened, close the port queues this node feeds, now
+		// that all its workers have stopped, so downstream sees EOF. A
+		// port has one in-edge, so no other producer pushes there.
+		for i, e := range rt.n.outEdges {
 			if rt.edges[i].live {
-				rt.edges[i].q.close()
+				outs := ex.rts[e.to.id].inQ[e.port]
+				for wk := range outs {
+					outs[wk].close()
+				}
 			}
 		}
 	}()

@@ -9,7 +9,7 @@ import (
 
 // Exported micro-benchmark loops over the executor's unexported hot
 // paths (the ring-buffer queue, the sharded work accounting, a map
-// worker's batch and the hash router's split), so the wall-clock
+// worker's batch and a hash edge's split), so the wall-clock
 // harness in internal/bench can time them from outside the package.
 // The caller supplies iteration counts and does the timing; the
 // benchmarks in bench_test.go are such callers, not second copies.
@@ -92,14 +92,14 @@ func MapProjectLoop(iters int) {
 }
 
 // RouteHashLoop splits the 8-row batch over 4 outputs by the hash of
-// its string key column, iters times: what a hash router does per
-// message, short of the queue pushes.
+// its string key column, iters times: what a producing worker does per
+// batch on a hash edge, short of the queue pushes.
 func RouteHashLoop(iters int) {
 	var split hashSplitter
 	batch := microBatch()
 	for i := 0; i < iters; i++ {
 		if placed, ends := split.by(batch, 9, 4); len(placed) != len(batch) || ends[3] != len(batch) {
-			panic("dataflow: microbench router lost rows")
+			panic("dataflow: microbench hash split lost rows")
 		}
 	}
 }

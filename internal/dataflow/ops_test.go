@@ -193,9 +193,9 @@ func TestMapRowsMatchTupleSlices(t *testing.T) {
 	}
 }
 
-// An operator instance, a router and a join carve the batches of their
-// whole run from shared chunks, each batch and each row cut with its
-// capacity clipped. So a consumer that appends to a batch or to a row it
+// An operator instance, a hash splitter and a join carve the batches of
+// their whole run from shared chunks, each batch and each row cut with
+// its capacity clipped. So a consumer that appends to a batch or to a row it
 // was handed gets a copy: every batch of one instance stays as it was
 // whichever other batch, or row of it, is appended to. Forty batches
 // take the arenas past the point where a chunk (an eighth of what the
@@ -240,6 +240,19 @@ func testBatchRowsDoNotAlias(t *testing.T, sourced bool) {
 	}
 	plainJoin, swappedJoin, users, orders := swapJoinInstances(t)
 	var split hashSplitter
+	if sourced {
+		split.out = src.Arena()
+	}
+	// An executor worker splits what its instance emitted in the arena
+	// the instance carved it from.
+	worker := microCtx()
+	if sourced {
+		worker.split.out = src.Arena()
+	}
+	swapMap := NewMap("m", cost.Python, intSchema, func(r relation.Tuple, out *Rows) error {
+		out.Emit(r[1], r[0])
+		return nil
+	}).NewInstance()
 	users2 := func(k int) []relation.Tuple { return users.Rows()[8*(k%6) : 8*(k%6)+8] }
 	orders2 := func(k int) []relation.Tuple { return orders.Rows()[8*(k%6) : 8*(k%6)+8] }
 
@@ -264,6 +277,14 @@ func testBatchRowsDoNotAlias(t *testing.T, sourced bool) {
 		{"swapped-join", processor(swappedJoin, 1, orders2)},
 		{"router", func(k int) []relation.Tuple {
 			placed, _ := split.by(input(k), 0, 3)
+			return placed
+		}},
+		{"map-then-split", func(k int) []relation.Tuple {
+			out, err := swapMap.Process(worker, 0, input(k))
+			if err != nil {
+				t.Fatal(err)
+			}
+			placed, _ := worker.split.by(out, 0, 3)
 			return placed
 		}},
 	} {

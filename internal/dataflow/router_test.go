@@ -44,8 +44,9 @@ func goldenJSON(t *testing.T, name string, got, want any) bool {
 }
 
 // recordOp remembers, per worker, the batches it was handed, as row
-// IDs in arrival order. One router feeds each worker's queue, so the
-// sequence a worker sees is the router's partitioning and nothing else.
+// IDs in arrival order. The source's single worker feeds each worker's
+// queue, so the sequence a worker sees is the edge's partitioning and
+// nothing else.
 type recordOp struct {
 	base
 	mu   sync.Mutex
@@ -71,10 +72,11 @@ func (ri *recordInstance) Process(ec ExecCtx, _ int, rows []relation.Tuple) ([]r
 }
 func (ri *recordInstance) EndPort(ExecCtx, int) ([]relation.Tuple, error) { return nil, nil }
 
-// TestRouterHashPartitionGolden pins the hash router's observable
+// TestRouterHashPartitionGolden pins a hash edge's observable
 // contract: which worker receives which rows, in which order, in how
 // many batches. testdata/router_golden.json was recorded at 7c7000c,
-// where the router hashed the string Tuple.Key built per row.
+// where a router goroutine per edge split the batches and hashed the
+// string Tuple.Key built per row.
 func TestRouterHashPartitionGolden(t *testing.T) {
 	schema := relation.MustSchema(
 		relation.Field{Name: "id", Type: relation.Int},
@@ -112,5 +114,41 @@ func TestRouterHashPartitionGolden(t *testing.T) {
 	}
 	if len(got) != len(want) {
 		t.Errorf("golden has %d configurations, test ran %d", len(want), len(got))
+	}
+}
+
+// TestHashSplitterFanOutPerCall calls one splitter, as one worker's
+// hash edges of different fan-outs do, with outs 3, then 5, then 2:
+// every call places each row in group KeyHash % outs, keeps arrival
+// order within each group, and loses no row.
+func TestHashSplitterFanOutPerCall(t *testing.T) {
+	rows := make([]relation.Tuple, 40)
+	for i := range rows {
+		rows[i] = relation.Tuple{relation.IntValue(int64(i)), relation.StringValue(fmt.Sprintf("key-%d", i*7%13))}
+	}
+	var split hashSplitter
+	for _, outs := range []int{3, 5, 2} {
+		want := make([][]relation.Tuple, outs)
+		for _, r := range rows {
+			g := int(r.KeyHash(1)) % outs
+			want[g] = append(want[g], r)
+		}
+		placed, ends := split.by(rows, 1, outs)
+		if len(ends) != outs || len(placed) != len(rows) {
+			t.Fatalf("outs=%d: %d groups over %d rows, want %d over %d", outs, len(ends), len(placed), outs, len(rows))
+		}
+		lo := 0
+		for g, hi := range ends {
+			got := placed[lo:hi]
+			if len(got) != len(want[g]) {
+				t.Fatalf("outs=%d: group %d has %d rows, want %d", outs, g, len(got), len(want[g]))
+			}
+			for i := range got {
+				if !got[i].Equal(want[g][i]) {
+					t.Fatalf("outs=%d: group %d row %d is %v, want %v", outs, g, i, got[i], want[g][i])
+				}
+			}
+			lo = hi
+		}
 	}
 }

@@ -1,7 +1,9 @@
 package obs
 
 import (
+	"cmp"
 	"fmt"
+	"slices"
 	"sort"
 	"strings"
 
@@ -215,11 +217,8 @@ func attributeSelfTime(p *Profile, nodes map[string]*ProfileNode, spans []teleme
 	unions := make([][]interval, len(tracks))
 	for i, t := range tracks {
 		ivs := perTrack[t]
-		sort.Slice(ivs, func(a, b int) bool {
-			if ivs[a].start != ivs[b].start {
-				return ivs[a].start < ivs[b].start
-			}
-			return ivs[a].end < ivs[b].end
+		slices.SortFunc(ivs, func(a, b interval) int {
+			return cmp.Or(cmp.Compare(a.start, b.start), cmp.Compare(a.end, b.end))
 		})
 		// Per-node accounting from the raw spans: total worker-seconds
 		// and the node's active window.
@@ -249,7 +248,7 @@ func attributeSelfTime(p *Profile, nodes map[string]*ProfileNode, spans []teleme
 			bounds = append(bounds, iv.start, iv.end)
 		}
 	}
-	sort.Float64s(bounds)
+	slices.Sort(bounds)
 
 	// Deduplicate boundary values.
 	elem := bounds[:0]

@@ -215,7 +215,7 @@ func TestWorkflowPlanAboveLegacyCeiling(t *testing.T) {
 // timings drift 10–18 % on shared runners, bytes and object counts do
 // not. Each run is measured warm, datagen included.
 //
-// A DICE-50 workflow run at 4 workers allocates about 1.7 MB in 2.8 k
+// A DICE-50 workflow run at 4 workers allocates about 1.7 MB in 2.5 k
 // objects, of a 2,000,000-byte and 3,600-object budget. (With the
 // join's fixed 1024-row output arena per probe batch the same run
 // allocated 82.4 MB; with map UDFs returning a slice per row, the
@@ -228,15 +228,17 @@ func TestWorkflowPlanAboveLegacyCeiling(t *testing.T) {
 // run, 2.1 MB in 8.7 k; with join-sentences building the rows
 // filter-containing throws away, 2.2 MB in 4.5 k; with output storage,
 // queues, worker state and the join plan allocated per worker, not per
-// operator, 1.7 MB in 4.0 k.)
+// operator, 1.7 MB in 4.0 k; with an edge queue and a router goroutine
+// per edge, 1.7 MB in 2.8 k.)
 //
 // The same run at 32 workers on 4 nodes has hundreds of operator
 // instances that see one or two batches each, so it pins the empty tail
-// an operator's last arena chunk leaves: it takes 2.1 MB of a
+// an operator's last arena chunk leaves: it takes 2.2 MB of a
 // 2,600,000-byte budget; arenas whose chunks never fell below 16 rows
 // took 3.1 MB, and a join building the rows its filter rejects 2.7 MB.
-// It also pins what an operator allocates per worker: 5.8 k objects of
-// a 7,000 budget; with an output arena, queues, a wake-up channel per
+// It also pins what an operator allocates per worker: about 5.9 k
+// objects of a 7,000 budget; with an edge queue and a router goroutine
+// per edge, 6.0 k; with an output arena, queues, a wake-up channel per
 // port, a work slice, an ExecCtx and a join plan of each instance's
 // own, it was 11.2 k, and with every join instance building its index
 // as one map per worker of the operator, filled by two goroutines per

@@ -3,13 +3,14 @@ package relation
 import "sync"
 
 // Arena carves the rows one producer hands out over its whole run: an
-// operator instance, a router, a Probe call. It owns a tuple chunk and a
-// cell chunk. A batch is built at the tail of the tuple chunk and handed
-// out by Batch as a three-index slice, and every row Row carves is a
-// three-index slice of the cell chunk, so appending to a batch or to a
-// row reallocates instead of reaching a neighbour. Nothing handed out is
-// written again and nothing is reused: rows travel downstream and into
-// sink tables, so a chunk lives as long as any row carved from it.
+// operator instance, a worker's hash-edge splitter, a Probe call. It
+// owns a tuple chunk and a cell chunk. A batch is built at the tail of
+// the tuple chunk and handed out by Batch as a three-index slice, and
+// every row Row carves is a three-index slice of the cell chunk, so
+// appending to a batch or to a row reallocates instead of reaching a
+// neighbour. Nothing handed out is written again and nothing is reused:
+// rows travel downstream and into sink tables, so a chunk lives as long
+// as any row carved from it.
 //
 // Sizing is per run, not per batch. A chunk is replaced, never grown in
 // place. An arena of its own replaces it by one of max(need, what the

@@ -141,8 +141,8 @@ func (ix *typedIndex[K]) head(row Tuple, pos int) int32 {
 
 // newKeyIndex picks the typed index for the declared key type. A Float
 // key is its canonical bits — every NaN one value, -0 and +0 two — the
-// equivalence Tuple.Key, KeyHash, GroupBy and the hash router use, so
-// a Float join agrees with the NestedLoopJoin oracle.
+// equivalence Tuple.Key, KeyHash, GroupBy and hash edges use, so a
+// Float join agrees with the NestedLoopJoin oracle.
 func newKeyIndex(t Type) keyIndex {
 	switch t {
 	case Int:

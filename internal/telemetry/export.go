@@ -4,6 +4,8 @@ import (
 	"encoding/json"
 	"fmt"
 	"io"
+	"maps"
+	"slices"
 	"sort"
 )
 
@@ -245,12 +247,7 @@ func (r *Recorder) Dump(includeVolatile bool) MetricsDump {
 		Metrics: r.Metrics.Snapshot(false),
 	}
 	meta := r.Meta()
-	keys := make([]string, 0, len(meta))
-	for k := range meta {
-		keys = append(keys, k)
-	}
-	sort.Strings(keys)
-	for _, k := range keys {
+	for _, k := range slices.Sorted(maps.Keys(meta)) {
 		d.Meta = append(d.Meta, MetaKV{Key: k, Value: meta[k]})
 	}
 	crit := r.Critical()
@@ -280,13 +277,8 @@ func (r *Recorder) WriteMetrics(w io.Writer, includeVolatile bool) error {
 // as non-deterministic) the wall-clock profile.
 func (r *Recorder) WriteSummary(w io.Writer) {
 	meta := r.Meta()
-	keys := make([]string, 0, len(meta))
-	for k := range meta {
-		keys = append(keys, k)
-	}
-	sort.Strings(keys)
 	fmt.Fprintln(w, "== telemetry summary")
-	for _, k := range keys {
+	for _, k := range slices.Sorted(maps.Keys(meta)) {
 		fmt.Fprintf(w, "   %s = %s\n", k, meta[k])
 	}
 

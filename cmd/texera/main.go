@@ -18,7 +18,7 @@ import (
 	"fmt"
 	"io"
 	"os"
-	"sort"
+	"slices"
 	"time"
 
 	"repro/internal/cost"
@@ -103,7 +103,7 @@ func execute(specPath string, progress bool, limit int, timeline bool, stdout io
 	for name := range res.Tables {
 		sinkNames = append(sinkNames, name)
 	}
-	sort.Strings(sinkNames)
+	slices.Sort(sinkNames)
 	for _, name := range sinkNames {
 		tbl := res.Tables[name]
 		fmt.Fprintf(stdout, "\nsink %q (%d rows, schema: %s):\n", name, tbl.Len(), tbl.Schema())

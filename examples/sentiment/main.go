@@ -38,14 +38,15 @@ func (o *trainOp) OutputSchema(in []*relation.Schema) (*relation.Schema, error) 
 	return o.out, nil
 }
 
-func (o *trainOp) NewInstance() dataflow.Instance { return &trainInstance{op: o} }
+func (o *trainOp) NewInstance(dataflow.ExecCtx, []*relation.Schema) (dataflow.Instance, error) {
+	return &trainInstance{op: o}, nil
+}
 
 type trainInstance struct {
 	op   *trainOp
 	rows []relation.Tuple
 }
 
-func (ti *trainInstance) Open(dataflow.ExecCtx) error { return nil }
 func (ti *trainInstance) Process(ec dataflow.ExecCtx, _ int, rows []relation.Tuple) ([]relation.Tuple, error) {
 	ti.rows = append(ti.rows, rows...)
 	return nil, nil

@@ -248,8 +248,9 @@ func (fl *fileLinter) fnReturns(fn *ast.FuncDecl, name string) bool {
 }
 
 // sortedAfter reports whether a sorting call mentioning name appears
-// after pos within fn — sort.X(name, ...), name.SortBy(...), or a
-// helper whose name contains "sort".
+// after pos within fn — sort.X(name, ...), slices.Sort(name),
+// slices.SortFunc(name, ...), slices.SortStableFunc(name, ...),
+// name.SortBy(...), or a helper whose name contains "sort".
 func (fl *fileLinter) sortedAfter(fn *ast.FuncDecl, name string, pos token.Pos) bool {
 	found := false
 	ast.Inspect(fn.Body, func(n ast.Node) bool {
@@ -264,7 +265,7 @@ func (fl *fileLinter) sortedAfter(fn *ast.FuncDecl, name string, pos token.Pos) 
 			sortingCallee = strings.Contains(strings.ToLower(fun.Name), "sort")
 		case *ast.SelectorExpr:
 			if id, ok := fun.X.(*ast.Ident); ok {
-				if id.Name == "sort" {
+				if id.Name == "sort" || id.Name == "slices" && slicesSorts[fun.Sel.Name] {
 					sortingCallee = true
 				}
 				if id.Name == name && strings.Contains(strings.ToLower(fun.Sel.Name), "sort") {
@@ -290,6 +291,10 @@ func (fl *fileLinter) sortedAfter(fn *ast.FuncDecl, name string, pos token.Pos) 
 	})
 	return found
 }
+
+// slicesSorts names the functions of package slices that sort their
+// first argument.
+var slicesSorts = map[string]bool{"Sort": true, "SortFunc": true, "SortStableFunc": true}
 
 // isFloatExpr reports whether the (partially resolved) type of e is a
 // floating-point type.

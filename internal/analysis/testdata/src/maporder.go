@@ -2,7 +2,10 @@
 // returned slices without an intervening sort.
 package fixture
 
-import "sort"
+import (
+	"slices"
+	"sort"
+)
 
 // LeakKeys returns map keys in Go's randomized iteration order.
 func LeakKeys(m map[string]int) []string {
@@ -38,6 +41,16 @@ func SortedSlice(m map[string]int) []int {
 		out = append(out, v)
 	}
 	sort.Slice(out, func(i, j int) bool { return out[i] < out[j] })
+	return out
+}
+
+// SortedSlicesPkg redeems the accumulator with slices.Sort.
+func SortedSlicesPkg(m map[string]int) []string {
+	var out []string
+	for k := range m {
+		out = append(out, k)
+	}
+	slices.Sort(out)
 	return out
 }
 

@@ -11,7 +11,7 @@ import (
 	"fmt"
 	"os"
 	"runtime"
-	"sort"
+	"slices"
 	"testing"
 	"time"
 
@@ -124,7 +124,7 @@ func measure(name string, inner int, window time.Duration, f func()) Micro {
 		}
 		perOp[w] = float64(elapsed.Nanoseconds()) / float64(ops)
 	}
-	sort.Float64s(perOp)
+	slices.Sort(perOp)
 	return Micro{Name: name, NsPerOp: perOp[windows/2], AllocsPerOp: allocs, BytesPerOp: bytes}
 }
 
@@ -578,7 +578,7 @@ func macros(seed uint64, reps int) ([]Macro, error) {
 		}
 		a.WallMSTelemetry = best[1]
 		if len(ratios) > 0 {
-			sort.Float64s(ratios)
+			slices.Sort(ratios)
 			a.OverheadPct = 100 * (ratios[len(ratios)/2] - 1)
 		}
 		out = append(out, a)

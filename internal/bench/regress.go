@@ -7,7 +7,7 @@ import (
 	"os"
 	"path/filepath"
 	"regexp"
-	"sort"
+	"slices"
 	"strconv"
 )
 
@@ -97,7 +97,7 @@ func Compare(baseline, fresh *Report) *CompareReport {
 			out.Notes = append(out.Notes, "fresh run lacks "+c.key())
 		}
 	}
-	sort.Strings(out.Notes)
+	slices.Sort(out.Notes)
 	return out
 }
 

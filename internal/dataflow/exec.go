@@ -151,7 +151,7 @@ type nodeRuntime struct {
 // Phase sentinels for work attribution outside port processing.
 const (
 	phaseEnd  = -1 // EndPort
-	phaseOpen = -2 // Open (per-worker initialization)
+	phaseOpen = -2 // NewInstance (per-worker initialization)
 )
 
 // setState transitions a node's state and, when a progress sink is
@@ -608,26 +608,27 @@ func (ex *Execution) scan(rt *nodeRuntime, table *relation.Table, work cost.Work
 	ex.setState(rt, Completed)
 }
 
-// newInstance returns one worker's instance of the node: a sink's
-// collects into the sink table, and a join bound to its filter's
-// predicate (pushKeep) is returned as join too, for its dropped rows.
-func (rt *nodeRuntime) newInstance() (inst Instance, join *joinInstance) {
+// newInstance makes one worker's instance of the node ready, charging
+// its setup work to ec: a sink's collects into the sink table, and a
+// join bound to its filter's predicate (pushKeep) is returned as join
+// too, for its dropped rows.
+func (rt *nodeRuntime) newInstance(ec *execCtx) (inst Instance, join *joinInstance, err error) {
 	if rt.n.kind == kindSink {
-		return &sinkInstance{table: rt.sinkTable}, nil
+		return &sinkInstance{table: rt.sinkTable}, nil, nil
 	}
-	inst = rt.n.op.NewInstance()
+	if inst, err = rt.n.op.NewInstance(ec, rt.inputSchemas); err != nil {
+		return nil, nil, err
+	}
 	if rt.pushKeep != nil {
 		join = inst.(*joinInstance)
 		join.pushFilter(rt.pushKeep)
 	}
-	return inst, join
+	return inst, join, nil
 }
 
 // sinkInstance is a sink's one worker: it appends every row it is
 // handed to the sink's table and emits nothing.
 type sinkInstance struct{ table *relation.Table }
-
-func (s *sinkInstance) Open(ExecCtx) error { return nil }
 
 func (s *sinkInstance) Process(_ ExecCtx, _ int, rows []relation.Tuple) ([]relation.Tuple, error) {
 	for _, r := range rows {
@@ -642,16 +643,10 @@ func (s *sinkInstance) EndPort(ExecCtx, int) ([]relation.Tuple, error) { return 
 // order, batches in arrival order.
 func (ex *Execution) runWorker(rt *nodeRuntime, worker int) {
 	defer rt.wg.Done()
-	inst, join := rt.newInstance()
 	ec := &rt.shards[worker].ec
-	if sb, ok := inst.(schemaBinder); ok {
-		if err := sb.bindSchemas(rt.inputSchemas); err != nil {
-			ex.failOp(rt, worker, -1, err)
-			return
-		}
-	}
 	ec.phase = phaseOpen
-	if err := inst.Open(ec); err != nil {
+	inst, join, err := rt.newInstance(ec)
+	if err != nil {
 		ex.failOp(rt, worker, -1, err)
 		return
 	}

@@ -4,6 +4,8 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -221,6 +223,86 @@ func TestExecOperatorErrorAttribution(t *testing.T) {
 	}
 	if opErr.Op != "exploder" {
 		t.Fatalf("error attributed to %q", opErr.Op)
+	}
+}
+
+// setupFailOp is a pass-through filter whose first NewInstance call
+// fails with err. That call returns only once each other worker has
+// taken a batch (and so set the operator running), so nothing but the
+// failing worker can move the operator's state after it fails.
+type setupFailOp struct {
+	*FilterOp
+	err     error
+	calls   atomic.Int64
+	started sync.WaitGroup // Done by each other worker's first batch
+}
+
+func (o *setupFailOp) NewInstance(ec ExecCtx, in []*relation.Schema) (Instance, error) {
+	if o.calls.Add(1) == 1 {
+		o.started.Wait()
+		return nil, o.err
+	}
+	inst, err := o.FilterOp.NewInstance(ec, in)
+	return &firstBatchInstance{Instance: inst, done: o.started.Done}, err
+}
+
+// firstBatchInstance calls done when its first batch arrives.
+type firstBatchInstance struct {
+	Instance
+	once sync.Once
+	done func()
+}
+
+func (fi *firstBatchInstance) Process(ec ExecCtx, port int, rows []relation.Tuple) ([]relation.Tuple, error) {
+	fi.once.Do(fi.done)
+	return fi.Instance.Process(ec, port, rows)
+}
+
+// A worker whose NewInstance fails fails the run before it takes any
+// input: the run returns, with an OpError that names the operator and
+// the worker, has no port, and wraps the cause, and the operator ends
+// Failed while its other workers have input in hand.
+func TestExecNewInstanceFailure(t *testing.T) {
+	const workers = 3
+	errSetup := errors.New("model checkpoint missing")
+	op := &setupFailOp{FilterOp: NewFilter("flaky", cost.Python, func(relation.Tuple) bool { return true }), err: errSetup}
+	op.started.Add(workers - 1)
+	w := New("setup-failure")
+	src := w.Source("src", intTable(300))
+	f := w.Op(op, WithParallelism(workers))
+	snk := w.Sink("out")
+	w.Connect(src, f, 0, RoundRobin())
+	w.Connect(f, snk, 0, RoundRobin())
+
+	ex, err := w.Start(context.Background(), Config{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	done := make(chan error, 1)
+	go func() {
+		_, err := ex.Wait()
+		done <- err
+	}()
+	select {
+	case err = <-done:
+	case <-time.After(10 * time.Second):
+		t.Fatal("the run did not return after a worker's NewInstance failed")
+	}
+	var opErr *OpError
+	if !errors.As(err, &opErr) {
+		t.Fatalf("error type %T: %v", err, err)
+	}
+	if opErr.Op != "flaky" || opErr.Port != -1 || opErr.Worker < 0 || opErr.Worker >= workers {
+		t.Fatalf("error attributed to %q worker %d port %d, want \"flaky\", a worker in [0,%d) and port -1", opErr.Op, opErr.Worker, opErr.Port, workers)
+	}
+	if !errors.Is(err, errSetup) {
+		t.Fatalf("error %v does not wrap the NewInstance error", err)
+	}
+	if n := op.calls.Load(); n != workers {
+		t.Fatalf("NewInstance called %d times, want %d", n, workers)
+	}
+	if got := ex.Progress()[f].State; got != Failed {
+		t.Fatalf("operator ended %v, want %v", got, Failed)
 	}
 }
 

@@ -57,56 +57,41 @@ func (f *FusedOp) OutputSchema(in []*relation.Schema) (*relation.Schema, error) 
 	return f.B.OutputSchema([]*relation.Schema{mid})
 }
 
-// NewInstance returns a worker running both halves back to back. When A
-// is a hash join and B a filter, the join judges its rows against B's
-// predicate and builds only the ones B keeps.
-func (f *FusedOp) NewInstance() Instance {
-	fi := &fusedInstance{op: f, a: f.A.NewInstance(), b: f.B.NewInstance()}
-	join, jok := fi.a.(*joinInstance)
+// NewInstance returns a worker running both halves back to back: A
+// made for the node's input schemas, then B for A's output schema, so
+// A's setup work is charged before B's. When A is a hash join and B a
+// filter, the join judges its rows against B's predicate and builds
+// only the ones B keeps.
+func (f *FusedOp) NewInstance(ec ExecCtx, in []*relation.Schema) (Instance, error) {
+	a, err := f.A.NewInstance(ec, in)
+	if err != nil {
+		return nil, err
+	}
+	fi := &fusedInstance{op: f, a: a}
+	if fi.mid[0], err = f.A.OutputSchema(in); err != nil {
+		return nil, err
+	}
+	if fi.b, err = f.B.NewInstance(ec, fi.mid[:]); err != nil {
+		return nil, err
+	}
+	join, jok := a.(*joinInstance)
 	filter, fok := fi.b.(*filterInstance)
 	if jok && fok {
 		join.pushFilter(filter.op.Keep)
 		fi.join, fi.filter = join, filter
 	}
-	return fi
+	return fi, nil
 }
 
 type fusedInstance struct {
 	op   *FusedOp
 	a, b Instance
+	mid  [1]*relation.Schema // B's input schemas, held here so making B costs no slice of its own
 
 	// join and filter are a and b when the join is bound to the filter's
 	// predicate; nil otherwise.
 	join   *joinInstance
 	filter *filterInstance
-}
-
-// bindSchemas binds A with the node's input schemas and B with A's
-// output schema, so position-resolving instances (project, join) work
-// unchanged inside a fusion.
-func (fi *fusedInstance) bindSchemas(in []*relation.Schema) error {
-	if sb, ok := fi.a.(schemaBinder); ok {
-		if err := sb.bindSchemas(in); err != nil {
-			return err
-		}
-	}
-	if sb, ok := fi.b.(schemaBinder); ok {
-		mid, err := fi.op.A.OutputSchema(in)
-		if err != nil {
-			return err
-		}
-		if err := sb.bindSchemas([]*relation.Schema{mid}); err != nil {
-			return err
-		}
-	}
-	return nil
-}
-
-func (fi *fusedInstance) Open(ec ExecCtx) error {
-	if err := fi.a.Open(ec); err != nil {
-		return err
-	}
-	return fi.b.Open(ec)
 }
 
 func (fi *fusedInstance) Process(ec ExecCtx, port int, rows []relation.Tuple) ([]relation.Tuple, error) {

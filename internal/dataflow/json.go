@@ -194,7 +194,7 @@ func coerce(v any, t relation.Type) (relation.Value, error) {
 }
 
 // condFilterOp is a filter whose predicate comes from a parsed
-// condition string, resolved against the input schema at bind time.
+// condition string, resolved against the input schema by each instance.
 type condFilterOp struct {
 	base
 	cond condition
@@ -210,22 +210,16 @@ func (o *condFilterOp) OutputSchema(in []*relation.Schema) (*relation.Schema, er
 	return in[0], nil
 }
 
-func (o *condFilterOp) NewInstance() Instance { return &condFilterInstance{op: o} }
-
-type condFilterInstance struct {
-	op   *condFilterOp
-	pred relation.Predicate
-}
-
-func (ci *condFilterInstance) bindSchemas(in []*relation.Schema) error {
-	p, err := ci.op.cond.bind(in[0])
+func (o *condFilterOp) NewInstance(_ ExecCtx, in []*relation.Schema) (Instance, error) {
+	pred, err := o.cond.bind(in[0])
 	if err != nil {
-		return err
+		return nil, err
 	}
-	ci.pred = p
-	return nil
+	return &condFilterInstance{pred: pred}, nil
 }
-func (ci *condFilterInstance) Open(ExecCtx) error { return nil }
+
+type condFilterInstance struct{ pred relation.Predicate }
+
 func (ci *condFilterInstance) Process(ec ExecCtx, _ int, rows []relation.Tuple) ([]relation.Tuple, error) {
 	ec.AddWork(DefaultFilterWork.Scale(float64(len(rows))))
 	return keepRows(ec.Out(), rows, ci.pred), nil

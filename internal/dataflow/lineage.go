@@ -38,8 +38,9 @@ package dataflow
 // identically across runs.
 
 import (
+	"cmp"
 	"fmt"
-	"sort"
+	"slices"
 
 	"repro/internal/cost"
 	"repro/internal/lineage"
@@ -90,7 +91,7 @@ func (ex *Execution) nodeHasher(n *node, scope string) *lineage.Hasher {
 // foldInputs mixes the node's upstream output digests in port order.
 func foldInputs(h *lineage.Hasher, n *node, digestOf func(NodeID) uint64) {
 	ins := append([]*edge(nil), n.inEdges...)
-	sort.Slice(ins, func(i, j int) bool { return ins[i].port < ins[j].port })
+	slices.SortFunc(ins, func(a, b *edge) int { return cmp.Compare(a.port, b.port) })
 	for _, e := range ins {
 		h.Int(e.port)
 		h.Uint64(digestOf(e.from.id))

@@ -162,7 +162,7 @@ func lowerWithMeta(tr *Trace, m *cost.Model) ([]sim.Job, []sim.Pool, []jobMeta, 
 		plain := jobMeta{Node: nid}
 
 		startup := addJob("startup:"+n.Name, pool, m.OperatorStartup, 0, plain, deps(rootID))
-		// Per-worker initialization (Open): workers initialize in
+		// Per-worker initialization (NewInstance): workers initialize in
 		// parallel, so the gate costs OpenWork divided by parallelism.
 		if open := n.OpenWork.Seconds(lang); open > 0 {
 			startup = addJob("init:"+n.Name, pool, open/float64(max(n.Parallelism, 1)), 0, plain, deps(startup))

@@ -79,11 +79,14 @@ func MapProjectLoop(iters int) {
 		relation.Field{Name: "start", Type: relation.Int},
 		relation.Field{Name: "text", Type: relation.String},
 	)
-	inst := NewMap("reshape", cost.Python, out, func(r relation.Tuple, out *Rows) error {
+	ec, batch := microCtx(), microBatch()
+	inst, err := NewMap("reshape", cost.Python, out, func(r relation.Tuple, out *Rows) error {
 		out.Emit(r[0], r[2], r[3], r[4], r[6])
 		return nil
-	}).NewInstance()
-	ec, batch := microCtx(), microBatch()
+	}).NewInstance(ec, nil)
+	if err != nil {
+		panic(err)
+	}
 	for i := 0; i < iters; i++ {
 		if rows, err := inst.Process(ec, 0, batch); err != nil || len(rows) != len(batch) {
 			panic("dataflow: microbench map lost rows")

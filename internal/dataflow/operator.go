@@ -129,8 +129,12 @@ type Operator interface {
 	// OutputSchema derives the output schema from the input schemas
 	// (one per port). It is called during workflow validation.
 	OutputSchema(inputs []*relation.Schema) (*relation.Schema, error)
-	// NewInstance creates one worker's processing state.
-	NewInstance() Instance
+	// NewInstance makes one worker's processing state ready for its
+	// first batch: in holds the input schemas (one per port), which it
+	// binds column positions and tables to, and per-worker setup work
+	// (a model load, a table build) is charged to ec before any input
+	// arrives.
+	NewInstance(ec ExecCtx, in []*relation.Schema) (Instance, error)
 }
 
 // Instance is the per-worker processing state of an operator.
@@ -138,8 +142,6 @@ type Operator interface {
 // all batches (and the EndPort call) of port p happen before any batch
 // of port p+1.
 type Instance interface {
-	// Open prepares the instance before any input arrives.
-	Open(ec ExecCtx) error
 	// Process consumes one batch from a port and returns output rows
 	// (possibly none).
 	Process(ec ExecCtx, port int, rows []relation.Tuple) ([]relation.Tuple, error)

@@ -67,11 +67,12 @@ func (o *FilterOp) OutputSchema(in []*relation.Schema) (*relation.Schema, error)
 }
 
 // NewInstance returns a stateless filter worker.
-func (o *FilterOp) NewInstance() Instance { return &filterInstance{op: o} }
+func (o *FilterOp) NewInstance(ExecCtx, []*relation.Schema) (Instance, error) {
+	return &filterInstance{op: o}, nil
+}
 
 type filterInstance struct{ op *FilterOp }
 
-func (fi *filterInstance) Open(ExecCtx) error { return nil }
 func (fi *filterInstance) Process(ec ExecCtx, _ int, rows []relation.Tuple) ([]relation.Tuple, error) {
 	dropped := 0
 	if c, ok := ec.(*execCtx); ok {
@@ -141,22 +142,27 @@ func (o *ProjectOp) OutputSchema(in []*relation.Schema) (*relation.Schema, error
 	return in[0].Project(o.Names...)
 }
 
-// NewInstance returns a projection worker.
-func (o *ProjectOp) NewInstance() Instance { return &projectInstance{op: o} }
+// NewInstance returns a projection worker with the named columns'
+// positions in its input.
+func (o *ProjectOp) NewInstance(_ ExecCtx, in []*relation.Schema) (Instance, error) {
+	pi := &projectInstance{op: o, pos: make([]int, len(o.Names))}
+	for i, n := range o.Names {
+		p := in[0].IndexOf(n)
+		if p < 0 {
+			return nil, fmt.Errorf("dataflow: %s: unknown column %q", o.desc.Name, n)
+		}
+		pi.pos[i] = p
+	}
+	return pi, nil
+}
 
 type projectInstance struct {
 	op  *ProjectOp
 	pos []int
 }
 
-func (pi *projectInstance) Open(ExecCtx) error { return nil }
 func (pi *projectInstance) Process(ec ExecCtx, _ int, rows []relation.Tuple) ([]relation.Tuple, error) {
 	ec.AddWork(pi.op.Work.Scale(float64(len(rows))))
-	if pi.pos == nil && len(rows) > 0 {
-		// The executor binds positions before the first batch; only a
-		// direct Process call on an unbound instance gets here.
-		return nil, fmt.Errorf("dataflow: %s: positions not bound", pi.op.desc.Name)
-	}
 	width, out := len(pi.pos), ec.Out()
 	out.Reserve(len(rows), len(rows)*width)
 	for _, r := range rows {
@@ -168,24 +174,6 @@ func (pi *projectInstance) Process(ec ExecCtx, _ int, rows []relation.Tuple) ([]
 	return out.Batch(), nil
 }
 func (pi *projectInstance) EndPort(ExecCtx, int) ([]relation.Tuple, error) { return nil, nil }
-
-// bindSchema lets the executor resolve column positions once the input
-// schema is known. Operators that need positions implement it.
-type schemaBinder interface {
-	bindSchemas(in []*relation.Schema) error
-}
-
-func (pi *projectInstance) bindSchemas(in []*relation.Schema) error {
-	pi.pos = make([]int, len(pi.op.Names))
-	for i, n := range pi.op.Names {
-		p := in[0].IndexOf(n)
-		if p < 0 {
-			return fmt.Errorf("dataflow: %s: unknown column %q", pi.op.desc.Name, n)
-		}
-		pi.pos[i] = p
-	}
-	return nil
-}
 
 // ---------------------------------------------------------------------------
 // Map / FlatMap (UDF)
@@ -259,8 +247,8 @@ func (o *MapOp) OutputSchema(in []*relation.Schema) (*relation.Schema, error) {
 }
 
 // NewInstance returns a UDF worker.
-func (o *MapOp) NewInstance() Instance {
-	return &mapInstance{op: o, out: Rows{width: o.Out.Len()}}
+func (o *MapOp) NewInstance(ExecCtx, []*relation.Schema) (Instance, error) {
+	return &mapInstance{op: o, out: Rows{width: o.Out.Len()}}, nil
 }
 
 type mapInstance struct {
@@ -268,7 +256,6 @@ type mapInstance struct {
 	out Rows
 }
 
-func (mi *mapInstance) Open(ExecCtx) error { return nil }
 func (mi *mapInstance) Process(ec ExecCtx, _ int, rows []relation.Tuple) ([]relation.Tuple, error) {
 	ec.AddWork(mi.op.Work.Scale(float64(len(rows))))
 	mi.out.ec, mi.out.arena, mi.out.n = ec, ec.Out(), 0
@@ -370,9 +357,20 @@ func (o *HashJoinOp) planFor(build, probe *relation.Schema) (*relation.JoinPlan,
 	return plan, nil
 }
 
-// NewInstance returns a join worker with its own hash table.
-func (o *HashJoinOp) NewInstance() Instance {
-	return &joinInstance{op: o, permuted: make(relation.Tuple, len(o.outPerm))}
+// NewInstance returns a join worker with its own hash table, on the
+// plan the operator shares for its build (in[0]) and probe (in[1])
+// schemas.
+func (o *HashJoinOp) NewInstance(_ ExecCtx, in []*relation.Schema) (Instance, error) {
+	if len(in) != 2 {
+		return nil, fmt.Errorf("dataflow: %s: expected two input schemas", o.desc.Name)
+	}
+	plan, err := o.planFor(in[0], in[1])
+	if err != nil {
+		return nil, err
+	}
+	ji := &joinInstance{op: o, plan: plan, buildRows: relation.NewTable(in[0])}
+	ji.permuted = make(relation.Tuple, len(o.outPerm))
+	return ji, nil
 }
 
 type joinInstance struct {
@@ -409,20 +407,6 @@ func (ji *joinInstance) pushFilter(keep relation.Predicate) {
 	}
 }
 
-func (ji *joinInstance) bindSchemas(in []*relation.Schema) error {
-	if len(in) != 2 {
-		return fmt.Errorf("dataflow: %s: expected two input schemas", ji.op.desc.Name)
-	}
-	plan, err := ji.op.planFor(in[0], in[1])
-	if err != nil {
-		return err
-	}
-	ji.plan, ji.buildRows = plan, relation.NewTable(in[0])
-	return nil
-}
-
-func (ji *joinInstance) Open(ExecCtx) error { return nil }
-
 func (ji *joinInstance) Process(ec ExecCtx, port int, rows []relation.Tuple) ([]relation.Tuple, error) {
 	switch port {
 	case 0:
@@ -437,12 +421,6 @@ func (ji *joinInstance) Process(ec ExecCtx, port int, rows []relation.Tuple) ([]
 			w.Mem += ji.op.ProbeMemLog * math.Log2(float64(n))
 		}
 		ec.AddWork(w.Scale(float64(len(rows))))
-		if ji.joiner == nil {
-			// Port 1 with no port 0 at all (not even EndPort) cannot
-			// happen under the executor's port-ordering guarantee, but
-			// keep direct Process calls in tests working.
-			ji.joiner = ji.plan.NewJoiner(ji.buildRows, ji.op.Kind)
-		}
 		var out []relation.Tuple
 		out, ji.heads, ji.dropped, ji.droppedBytes = ji.joiner.ProbeRows(ec.Out(), ji.heads, rows, ji.keep)
 		// The rows ProbeRows returned are not handed out yet, so a
@@ -464,7 +442,7 @@ func (ji *joinInstance) Process(ec ExecCtx, port int, rows []relation.Tuple) ([]
 // EndPort builds the reusable probe index once the build side is
 // complete.
 func (ji *joinInstance) EndPort(ec ExecCtx, port int) ([]relation.Tuple, error) {
-	if port == 0 && ji.joiner == nil {
+	if port == 0 {
 		ji.joiner = ji.plan.NewJoiner(ji.buildRows, ji.op.Kind)
 	}
 	return nil, nil
@@ -505,20 +483,15 @@ func (o *GroupByOp) OutputSchema(in []*relation.Schema) (*relation.Schema, error
 }
 
 // NewInstance returns a group-by worker.
-func (o *GroupByOp) NewInstance() Instance { return &groupByInstance{op: o} }
+func (o *GroupByOp) NewInstance(_ ExecCtx, in []*relation.Schema) (Instance, error) {
+	return &groupByInstance{op: o, in: relation.NewTable(in[0])}, nil
+}
 
 type groupByInstance struct {
-	op  *GroupByOp
-	in  *relation.Table
-	sch *relation.Schema
+	op *GroupByOp
+	in *relation.Table
 }
 
-func (gi *groupByInstance) bindSchemas(in []*relation.Schema) error {
-	gi.sch = in[0]
-	gi.in = relation.NewTable(in[0])
-	return nil
-}
-func (gi *groupByInstance) Open(ExecCtx) error { return nil }
 func (gi *groupByInstance) Process(ec ExecCtx, _ int, rows []relation.Tuple) ([]relation.Tuple, error) {
 	ec.AddWork(gi.op.Work.Scale(float64(len(rows))))
 	for _, r := range rows {
@@ -562,18 +535,15 @@ func (o *SortOp) OutputSchema(in []*relation.Schema) (*relation.Schema, error) {
 }
 
 // NewInstance returns a sort worker.
-func (o *SortOp) NewInstance() Instance { return &sortInstance{op: o} }
+func (o *SortOp) NewInstance(_ ExecCtx, in []*relation.Schema) (Instance, error) {
+	return &sortInstance{op: o, in: relation.NewTable(in[0])}, nil
+}
 
 type sortInstance struct {
 	op *SortOp
 	in *relation.Table
 }
 
-func (si *sortInstance) bindSchemas(in []*relation.Schema) error {
-	si.in = relation.NewTable(in[0])
-	return nil
-}
-func (si *sortInstance) Open(ExecCtx) error { return nil }
 func (si *sortInstance) Process(_ ExecCtx, _ int, rows []relation.Tuple) ([]relation.Tuple, error) {
 	for _, r := range rows {
 		si.in.AppendUnchecked(r)
@@ -618,14 +588,15 @@ func (o *LimitOp) OutputSchema(in []*relation.Schema) (*relation.Schema, error) 
 }
 
 // NewInstance returns a limit worker.
-func (o *LimitOp) NewInstance() Instance { return &limitInstance{op: o, left: o.N} }
+func (o *LimitOp) NewInstance(ExecCtx, []*relation.Schema) (Instance, error) {
+	return &limitInstance{op: o, left: o.N}, nil
+}
 
 type limitInstance struct {
 	op   *LimitOp
 	left int
 }
 
-func (li *limitInstance) Open(ExecCtx) error { return nil }
 func (li *limitInstance) Process(ec ExecCtx, _ int, rows []relation.Tuple) ([]relation.Tuple, error) {
 	ec.AddWork(DefaultProjectWork.Scale(float64(len(rows))))
 	if li.left <= 0 {

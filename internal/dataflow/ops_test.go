@@ -177,7 +177,7 @@ func TestMapRowsMatchTupleSlices(t *testing.T) {
 			for _, r := range batch {
 				want = append(want, c.ref(r)...)
 			}
-			got, err := NewMap(c.name, cost.Python, intSchema, c.fn).NewInstance().Process(&nopCtx{}, 0, batch)
+			got, err := newInstance(t, NewMap(c.name, cost.Python, intSchema, c.fn)).Process(&nopCtx{}, 0, batch)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -212,14 +212,6 @@ func testBatchRowsDoNotAlias(t *testing.T, sourced bool) {
 	const batches = 40
 	in := intTable(16).Rows()
 	input := func(k int) []relation.Tuple { return in[8*(k%2) : 8*(k%2)+8] }
-	bound := func(inst Instance, schemas ...*relation.Schema) Instance {
-		if sb, ok := inst.(schemaBinder); ok {
-			if err := sb.bindSchemas(schemas); err != nil {
-				t.Fatal(err)
-			}
-		}
-		return inst
-	}
 	var src relation.ArenaSource
 	processor := func(inst Instance, port int, batch func(k int) []relation.Tuple) func(k int) []relation.Tuple {
 		ec := &nopCtx{}
@@ -249,10 +241,10 @@ func testBatchRowsDoNotAlias(t *testing.T, sourced bool) {
 	if sourced {
 		worker.split.out = src.Arena()
 	}
-	swapMap := NewMap("m", cost.Python, intSchema, func(r relation.Tuple, out *Rows) error {
+	swapMap := newInstance(t, NewMap("m", cost.Python, intSchema, func(r relation.Tuple, out *Rows) error {
 		out.Emit(r[1], r[0])
 		return nil
-	}).NewInstance()
+	}), intSchema)
 	users2 := func(k int) []relation.Tuple { return users.Rows()[8*(k%6) : 8*(k%6)+8] }
 	orders2 := func(k int) []relation.Tuple { return orders.Rows()[8*(k%6) : 8*(k%6)+8] }
 
@@ -260,19 +252,19 @@ func testBatchRowsDoNotAlias(t *testing.T, sourced bool) {
 		name  string
 		batch func(k int) []relation.Tuple
 	}{
-		{"project", processor(bound(NewProject("p", cost.Python, "v", "id").NewInstance(), intSchema), 0, input)},
-		{"map", processor(NewMap("m", cost.Python, intSchema, func(r relation.Tuple, out *Rows) error {
+		{"project", processor(newInstance(t, NewProject("p", cost.Python, "v", "id"), intSchema), 0, input)},
+		{"map", processor(newInstance(t, NewMap("m", cost.Python, intSchema, func(r relation.Tuple, out *Rows) error {
 			out.Emit(r[1], r[0])
 			return nil
-		}).NewInstance(), 0, input)},
-		{"flat-map", processor(NewMap("m", cost.Python, intSchema, func(r relation.Tuple, out *Rows) error {
+		}), intSchema), 0, input)},
+		{"flat-map", processor(newInstance(t, NewMap("m", cost.Python, intSchema, func(r relation.Tuple, out *Rows) error {
 			for k := int64(0); k < 3; k++ {
 				out.Emit(r[0], relation.IntValue(k))
 			}
 			return nil
-		}).NewInstance(), 0, input)},
-		{"filter", processor(NewFilter("f", cost.Python, func(r relation.Tuple) bool { return r[0].Int()%3 != 0 }).NewInstance(), 0, input)},
-		{"cond-filter", processor(bound((&condFilterOp{cond: cond}).NewInstance(), intSchema), 0, input)},
+		}), intSchema), 0, input)},
+		{"filter", processor(newInstance(t, NewFilter("f", cost.Python, func(r relation.Tuple) bool { return r[0].Int()%3 != 0 }), intSchema), 0, input)},
+		{"cond-filter", processor(newInstance(t, &condFilterOp{cond: cond}, intSchema), 0, input)},
 		{"join", processor(plainJoin, 1, users2)},
 		{"swapped-join", processor(swappedJoin, 1, orders2)},
 		{"router", func(k int) []relation.Tuple {
@@ -368,7 +360,7 @@ func TestFlatMapChunksGrowGeometrically(t *testing.T) {
 		}
 		return nil
 	})
-	batch := intTable(1).Rows()
+	batch, in := intTable(1).Rows(), []*relation.Schema{intSchema}
 	for _, sourced := range []bool{false, true} {
 		var rows []relation.Tuple
 		allocs := testing.AllocsPerRun(3, func() {
@@ -376,8 +368,11 @@ func TestFlatMapChunksGrowGeometrically(t *testing.T) {
 			if sourced {
 				ec.out = new(relation.ArenaSource).Arena()
 			}
-			var err error
-			if rows, err = op.NewInstance().Process(ec, 0, batch); err != nil {
+			inst, err := op.NewInstance(ec, in)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if rows, err = inst.Process(ec, 0, batch); err != nil {
 				t.Fatal(err)
 			}
 		})
@@ -399,7 +394,7 @@ func TestFlatMapChunksGrowGeometrically(t *testing.T) {
 	}
 }
 
-// A join is planned once per operator: every instance, bound on its own
+// A join is planned once per operator: every instance, made on its own
 // goroutine, fused with a filter or not, probes with the plan the
 // operator holds, and OutputSchema hands out that plan's schema.
 func TestJoinInstancesShareOnePlan(t *testing.T) {
@@ -417,12 +412,12 @@ func TestJoinInstancesShareOnePlan(t *testing.T) {
 			if i%2 == 1 {
 				op = fused
 			}
-			inst := op.NewInstance()
-			if err := inst.(schemaBinder).bindSchemas(in); err != nil {
+			ec := &nopCtx{}
+			inst, err := op.NewInstance(ec, in)
+			if err != nil {
 				t.Error(err)
 				return
 			}
-			ec := &nopCtx{}
 			if _, err := inst.Process(ec, 0, users.Rows()); err != nil {
 				t.Error(err)
 				return

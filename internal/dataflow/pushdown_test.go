@@ -233,19 +233,17 @@ func TestFusedJoinFilterMatchesUnfused(t *testing.T) {
 	var calls atomic.Int64
 	join := NewHashJoin("join", cost.Python, "uid", "uid", relation.Inner)
 	filter := NewFilter("keep", cost.Python, pushdownKeep(0, &calls))
-	fused := (&FusedOp{A: join, B: filter}).NewInstance()
+	in := []*relation.Schema{users.Schema(), orders.Schema()}
+	fused := newInstance(t, &FusedOp{A: join, B: filter}, in...)
 	if fused.(*fusedInstance).join == nil {
 		t.Fatal("a fused join+filter did not bind the filter into the join")
 	}
-	joinInst, filterInst := join.NewInstance(), filter.NewInstance()
+	joinInst, filterInst := newInstance(t, join, in...), newInstance(t, filter, join.plan.Schema())
 	var fusedLog, plainLog workLog
 	for _, c := range []struct {
 		inst Instance
 		log  *workLog
 	}{{fused, &fusedLog}, {joinInst, &plainLog}} {
-		if err := c.inst.(schemaBinder).bindSchemas([]*relation.Schema{users.Schema(), orders.Schema()}); err != nil {
-			t.Fatal(err)
-		}
 		if _, err := c.inst.Process(c.log, 0, users.Rows()); err != nil {
 			t.Fatal(err)
 		}

@@ -85,6 +85,17 @@ type nopCtx struct{ out relation.Arena }
 func (*nopCtx) AddWork(cost.Work)      {}
 func (c *nopCtx) Out() *relation.Arena { return &c.out }
 
+// newInstance makes one worker's instance of op for the input schemas
+// in, as the executor does, under a context that charges nothing.
+func newInstance(t *testing.T, op Operator, in ...*relation.Schema) Instance {
+	t.Helper()
+	inst, err := op.NewInstance(&nopCtx{}, in)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return inst
+}
+
 // A swapped join re-orders the rows ProbeRows hands it in place: the
 // output matches the unswapped join row for row (1:1 keys in one order
 // on both sides, so probe order is the same either way) and a probe
@@ -140,12 +151,9 @@ func swapJoinInstances(t *testing.T) (plain, swapped Instance, users, orders *re
 		w.Connect(j, snk, 0, RoundRobin())
 		return w, j
 	}
-	// instance opens one worker of the join and feeds it its build side.
+	// instance makes one worker of the join and feeds it its build side.
 	instance := func(w *Workflow, j NodeID, buildSide *relation.Table, probe *relation.Schema) Instance {
-		inst := w.nodeAt(j).op.NewInstance()
-		if err := inst.(schemaBinder).bindSchemas([]*relation.Schema{buildSide.Schema(), probe}); err != nil {
-			t.Fatal(err)
-		}
+		inst := newInstance(t, w.nodeAt(j).op, buildSide.Schema(), probe)
 		if _, err := inst.Process(&nopCtx{}, 0, buildSide.Rows()); err != nil {
 			t.Fatal(err)
 		}

@@ -54,11 +54,12 @@ type recordOp struct {
 }
 
 func (o *recordOp) OutputSchema(in []*relation.Schema) (*relation.Schema, error) { return in[0], nil }
-func (o *recordOp) NewInstance() Instance                                        { return &recordInstance{o} }
+func (o *recordOp) NewInstance(ExecCtx, []*relation.Schema) (Instance, error) {
+	return &recordInstance{o}, nil
+}
 
 type recordInstance struct{ op *recordOp }
 
-func (ri *recordInstance) Open(ExecCtx) error { return nil }
 func (ri *recordInstance) Process(ec ExecCtx, _ int, rows []relation.Tuple) ([]relation.Tuple, error) {
 	ids := make([]int64, len(rows))
 	for i, r := range rows {

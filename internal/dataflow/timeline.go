@@ -1,8 +1,9 @@
 package dataflow
 
 import (
+	"cmp"
 	"fmt"
-	"sort"
+	"slices"
 	"strings"
 
 	"repro/internal/cost"
@@ -62,11 +63,8 @@ func Timeline(tr *Trace, m *cost.Model) ([]OpSpan, error) {
 		}
 		out = append(out, OpSpan{Name: display, Start: a.start, Finish: a.finish})
 	}
-	sort.SliceStable(out, func(i, j int) bool {
-		if out[i].Start != out[j].Start {
-			return out[i].Start < out[j].Start
-		}
-		return out[i].Name < out[j].Name
+	slices.SortStableFunc(out, func(a, b OpSpan) int {
+		return cmp.Or(cmp.Compare(a.Start, b.Start), cmp.Compare(a.Name, b.Name))
 	})
 	return out, nil
 }

@@ -38,7 +38,7 @@ type NodeTrace struct {
 	// of a blocking operator's cost (for example sorting).
 	EndWork cost.Work
 
-	// OpenWork is the CPU work charged during Open across all workers
+	// OpenWork is the CPU work charged in NewInstance across all workers
 	// (for example each worker loading a model or building a lookup
 	// table). Workers initialize in parallel, so its wall-clock
 	// contribution is OpenWork/Parallelism, gating the operator's

@@ -2,7 +2,7 @@ package dataflow
 
 import (
 	"fmt"
-	"sort"
+	"slices"
 
 	"repro/internal/cost"
 )
@@ -15,7 +15,7 @@ import (
 
 // Retune returns a copy of the trace with new per-node parallelism.
 // Recorded work totals are parallelism-independent except the
-// per-worker Open initialization, which is rescaled from per-worker
+// per-worker initialization (OpenWork), which is rescaled from per-worker
 // cost × new worker count.
 func Retune(tr *Trace, par map[NodeID]int) *Trace {
 	out := &Trace{Workflow: tr.Workflow}
@@ -70,7 +70,7 @@ func AutoTune(tr *Trace, m *cost.Model, budget int) (*TuneResult, error) {
 			tunable = append(tunable, n.ID)
 		}
 	}
-	sort.Slice(tunable, func(i, j int) bool { return tunable[i] < tunable[j] })
+	slices.Sort(tunable)
 
 	estimate := func() (float64, error) {
 		return SimTime(Retune(tr, par), m)

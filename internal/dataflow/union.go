@@ -37,11 +37,12 @@ func (o *UnionOp) OutputSchema(in []*relation.Schema) (*relation.Schema, error) 
 }
 
 // NewInstance returns a pass-through worker.
-func (o *UnionOp) NewInstance() Instance { return &unionInstance{op: o} }
+func (o *UnionOp) NewInstance(ExecCtx, []*relation.Schema) (Instance, error) {
+	return &unionInstance{op: o}, nil
+}
 
 type unionInstance struct{ op *UnionOp }
 
-func (ui *unionInstance) Open(ExecCtx) error { return nil }
 func (ui *unionInstance) Process(ec ExecCtx, _ int, rows []relation.Tuple) ([]relation.Tuple, error) {
 	ec.AddWork(ui.op.Work.Scale(float64(len(rows))))
 	return rows, nil

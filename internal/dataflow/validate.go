@@ -1,9 +1,9 @@
 package dataflow
 
 import (
+	"cmp"
 	"fmt"
 	"slices"
-	"sort"
 	"strconv"
 	"strings"
 
@@ -269,18 +269,8 @@ func nodeDiag(rule string, n *node, msg string) Diag {
 // is stable under golden tests and CI greps regardless of emission
 // order.
 func SortDiags(diags []Diag) {
-	sort.SliceStable(diags, func(i, j int) bool {
-		a, b := diags[i], diags[j]
-		if a.Rule != b.Rule {
-			return a.Rule < b.Rule
-		}
-		if a.ID != b.ID {
-			return a.ID < b.ID
-		}
-		if a.Node != b.Node {
-			return a.Node < b.Node
-		}
-		return a.Msg < b.Msg
+	slices.SortStableFunc(diags, func(a, b Diag) int {
+		return cmp.Or(cmp.Compare(a.Rule, b.Rule), cmp.Compare(a.ID, b.ID), cmp.Compare(a.Node, b.Node), cmp.Compare(a.Msg, b.Msg))
 	})
 }
 

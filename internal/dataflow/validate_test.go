@@ -170,7 +170,7 @@ func (blockingOp) Desc() Desc {
 func (blockingOp) OutputSchema(in []*relation.Schema) (*relation.Schema, error) {
 	return in[0], nil
 }
-func (blockingOp) NewInstance() Instance { return nil }
+func (blockingOp) NewInstance(ExecCtx, []*relation.Schema) (Instance, error) { return nil, nil }
 
 func TestStaticValidateCheckpointIncompatibility(t *testing.T) {
 	w := New("ckpt")

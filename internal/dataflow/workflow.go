@@ -1,8 +1,9 @@
 package dataflow
 
 import (
+	"cmp"
 	"fmt"
-	"sort"
+	"slices"
 
 	"repro/internal/cost"
 	"repro/internal/relation"
@@ -327,12 +328,8 @@ func (w *Workflow) PlanNodes() []PlanNode {
 				Partitioning: e.part.String(),
 			})
 		}
-		sort.Slice(pn.Inputs, func(i, j int) bool {
-			a, b := pn.Inputs[i], pn.Inputs[j]
-			if a.Port != b.Port {
-				return a.Port < b.Port
-			}
-			return a.FromID < b.FromID
+		slices.SortFunc(pn.Inputs, func(a, b PlanInput) int {
+			return cmp.Or(cmp.Compare(a.Port, b.Port), cmp.Compare(a.FromID, b.FromID))
 		})
 		out = append(out, pn)
 	}

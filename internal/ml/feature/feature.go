@@ -6,7 +6,7 @@ package feature
 import (
 	"fmt"
 	"math"
-	"sort"
+	"slices"
 
 	"repro/internal/textproc"
 )
@@ -27,7 +27,7 @@ func (v Vector) Dot(o Vector) float64 {
 	for i := range a {
 		idx = append(idx, i)
 	}
-	sort.Ints(idx)
+	slices.Sort(idx)
 	var s float64
 	for _, i := range idx {
 		s += a[i] * b[i]
@@ -49,7 +49,7 @@ func (v Vector) Norm() float64 {
 	for i := range v {
 		idx = append(idx, i)
 	}
-	sort.Ints(idx)
+	slices.Sort(idx)
 	var s float64
 	for _, i := range idx {
 		s += v[i] * v[i]

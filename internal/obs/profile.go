@@ -4,7 +4,6 @@ import (
 	"cmp"
 	"fmt"
 	"slices"
-	"sort"
 	"strings"
 
 	"repro/internal/core"
@@ -211,7 +210,7 @@ func attributeSelfTime(p *Profile, nodes map[string]*ProfileNode, spans []teleme
 	for t := range perTrack {
 		tracks = append(tracks, t)
 	}
-	sort.Strings(tracks)
+	slices.Sort(tracks)
 
 	var bounds []float64
 	unions := make([][]interval, len(tracks))

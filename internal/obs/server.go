@@ -1,6 +1,7 @@
 package obs
 
 import (
+	"cmp"
 	"encoding/json"
 	"errors"
 	"fmt"
@@ -8,7 +9,7 @@ import (
 	"net/http"
 	"net/http/pprof"
 	"runtime"
-	"sort"
+	"slices"
 	"strconv"
 
 	"repro/internal/core"
@@ -204,7 +205,7 @@ func (s *Server) handleRuns(w http.ResponseWriter, _ *http.Request) {
 	for _, r := range runs {
 		listing.Runs = append(listing.Runs, r.Info())
 	}
-	sort.Slice(listing.Runs, func(i, j int) bool { return listing.Runs[i].ID < listing.Runs[j].ID })
+	slices.SortFunc(listing.Runs, func(a, b Info) int { return cmp.Compare(a.ID, b.ID) })
 	writeJSON(w, http.StatusOK, listing)
 }
 

@@ -154,8 +154,12 @@ func estimateOperator(w *dataflow.Workflow, id dataflow.NodeID, est estimates, s
 		}
 		// The sample goes through the operator's own worker a row at a
 		// time, so a row the UDF rejects costs the sample that row only.
-		out := relation.NewTable(o.Out)
-		inst, rows, ec := o.NewInstance(), src.sample.Rows(), &sampling{}
+		ec := &sampling{}
+		inst, err := o.NewInstance(ec, []*relation.Schema{src.sample.Schema()})
+		if err != nil {
+			return &estimate{rows: src.rows, assumed: true}
+		}
+		out, rows := relation.NewTable(o.Out), src.sample.Rows()
 		for i := range rows {
 			produced, err := inst.Process(ec, 0, rows[i:i+1])
 			if err != nil {

@@ -399,7 +399,9 @@ func (collectOp) Desc() dataflow.Desc {
 	return dataflow.Desc{Name: "collect", Language: cost.Python, Ports: 1, BlockingPorts: []bool{true}, Stateless: true}
 }
 func (collectOp) OutputSchema(in []*relation.Schema) (*relation.Schema, error) { return in[0], nil }
-func (collectOp) NewInstance() dataflow.Instance                               { return nil }
+func (collectOp) NewInstance(dataflow.ExecCtx, []*relation.Schema) (dataflow.Instance, error) {
+	return nil, nil
+}
 
 // TestParallelismRejectsRoundRobinBlockingPort pins OPT006's one
 // rejection: a stateless operator is widened only when checkpoint

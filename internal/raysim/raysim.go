@@ -9,8 +9,9 @@
 package raysim
 
 import (
+	"cmp"
 	"fmt"
-	"sort"
+	"slices"
 
 	"repro/internal/core"
 	"repro/internal/cost"
@@ -317,12 +318,8 @@ func (j *Job) publishProgress(sched *sim.Result) {
 	for i := range order {
 		order[i] = i
 	}
-	sort.Slice(order, func(a, b int) bool {
-		sa, sb := sched.Spans[order[a]], sched.Spans[order[b]]
-		if sa.Finish != sb.Finish {
-			return sa.Finish < sb.Finish
-		}
-		return order[a] < order[b]
+	slices.SortFunc(order, func(a, b int) int {
+		return cmp.Or(cmp.Compare(sched.Spans[a].Finish, sched.Spans[b].Finish), cmp.Compare(a, b))
 	})
 	for _, i := range order {
 		j.progress.Publish(core.ProgressEvent{
@@ -349,11 +346,8 @@ func peakConcurrency(s *sim.Result) int {
 		}
 	}
 	// Sort by time; ends before starts at the same instant.
-	sort.Slice(evs, func(a, b int) bool {
-		if evs[a].at != evs[b].at {
-			return evs[a].at < evs[b].at
-		}
-		return evs[a].delta < evs[b].delta
+	slices.SortFunc(evs, func(a, b ev) int {
+		return cmp.Or(cmp.Compare(a.at, b.at), cmp.Compare(a.delta, b.delta))
 	})
 	cur, peak := 0, 0
 	for _, e := range evs {

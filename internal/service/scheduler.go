@@ -18,6 +18,7 @@ package service
 
 import (
 	"fmt"
+	"slices"
 	"sort"
 
 	"repro/internal/core"
@@ -171,7 +172,7 @@ func (s *Scheduler) tenantFor(name string) *tenant {
 		t = &tenant{name: name, weight: w}
 		s.tenants[name] = t
 		s.names = append(s.names, name)
-		sort.Strings(s.names)
+		slices.Sort(s.names)
 		// A tenant arriving (or returning) with stale vtime would
 		// otherwise monopolize the budget until it caught up; start it
 		// at the current virtual time instead.

@@ -3,7 +3,7 @@ package service
 import (
 	"container/heap"
 	"fmt"
-	"sort"
+	"slices"
 )
 
 // CostFn reports a job's service time in simulated seconds. The
@@ -142,7 +142,7 @@ func Simulate(cfg Config, arrivals []Arrival, cost CostFn) (*SimReport, error) {
 	}
 	if n := len(latencies); n > 0 {
 		rep.MeanLatency /= float64(n)
-		sort.Float64s(latencies)
+		slices.Sort(latencies)
 		rep.P50Latency = latencies[(n-1)/2]
 		rep.P99Latency = latencies[int(0.99*float64(n-1))]
 	}

@@ -1,9 +1,10 @@
 package service
 
 import (
+	"cmp"
 	"fmt"
 	"math"
-	"sort"
+	"slices"
 
 	"repro/internal/core"
 	"repro/internal/xrand"
@@ -123,7 +124,7 @@ func GenerateTraffic(cfg TrafficConfig) ([]Arrival, error) {
 		}
 		out = append(out, Arrival{At: now, Spec: spec})
 	}
-	sort.SliceStable(out, func(i, j int) bool { return out[i].At < out[j].At })
+	slices.SortStableFunc(out, func(a, b Arrival) int { return cmp.Compare(a.At, b.At) })
 	return out, nil
 }
 

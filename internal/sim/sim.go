@@ -18,9 +18,10 @@
 package sim
 
 import (
+	"cmp"
 	"fmt"
 	"math"
-	"sort"
+	"slices"
 )
 
 // JobID identifies a job within one Schedule call.
@@ -449,7 +450,7 @@ func (s *scheduler) strike(f *FaultEvent, retry *RetryPolicy) error {
 	if len(victims) == 0 {
 		return nil
 	}
-	sort.Slice(victims, func(i, k int) bool { return victims[i].job < victims[k].job })
+	slices.SortFunc(victims, func(a, b event) int { return cmp.Compare(a.job, b.job) })
 	v := victims[int(f.Salt%uint64(len(victims)))]
 	jv, st := &s.jobs[v.idx], &s.state[v.idx]
 	started := s.res.Spans[v.idx].Start

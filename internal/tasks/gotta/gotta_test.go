@@ -157,7 +157,11 @@ func TestGenerateBatchesDoNotAlias(t *testing.T) {
 	if len(prompts) < 4 {
 		t.Fatalf("fixture has %d prompts", len(prompts))
 	}
-	inst, ec := (&generateOp{task: task}).NewInstance(), &nopCtx{}
+	ec := &nopCtx{}
+	inst, err := (&generateOp{task: task}).NewInstance(ec, []*relation.Schema{promptSchema})
+	if err != nil {
+		t.Fatal(err)
+	}
 	var batches, was [40][]relation.Tuple
 	for k := range batches {
 		lo := 2 * k % (len(prompts) - 1)

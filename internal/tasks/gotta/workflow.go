@@ -88,7 +88,7 @@ func (o *generateOp) Desc() dataflow.Desc {
 		Language:      cost.Python,
 		Ports:         1,
 		BlockingPorts: []bool{false},
-		// Each batch is a pure forward pass; the model loaded in Open
+		// Each batch is a pure forward pass; the model NewInstance loads
 		// is read-only, so instances carry no cross-batch state.
 		Stateless: true,
 	}
@@ -101,18 +101,14 @@ func (o *generateOp) OutputSchema(in []*relation.Schema) (*relation.Schema, erro
 	return generatedSchema, nil
 }
 
-func (o *generateOp) NewInstance() dataflow.Instance {
-	return &generateInstance{op: o}
+// NewInstance charges the per-worker model setup: the checkpoint
+// arrives over the network and is initialized before the first tuple.
+func (o *generateOp) NewInstance(ec dataflow.ExecCtx, _ []*relation.Schema) (dataflow.Instance, error) {
+	ec.AddWork(o.workerInit)
+	return &generateInstance{op: o}, nil
 }
 
 type generateInstance struct{ op *generateOp }
-
-// Open charges the per-worker model setup: the checkpoint arrives over
-// the network and is initialized before the first tuple.
-func (gi *generateInstance) Open(ec dataflow.ExecCtx) error {
-	ec.AddWork(gi.op.workerInit)
-	return nil
-}
 
 func (gi *generateInstance) Process(ec dataflow.ExecCtx, _ int, rows []relation.Tuple) ([]relation.Tuple, error) {
 	ec.AddWork(gi.op.perQA.Scale(float64(len(rows))))

@@ -330,8 +330,8 @@ func TestWorkflowRowsDoNotAlias(t *testing.T) {
 			name := fmt.Sprintf("ops=%d,scala=%t: %s", v.Ops, v.ScalaJoin, op.name)
 			var src relation.ArenaSource
 			ec := &arenaCtx{out: src.Arena()}
-			inst := op.NewInstance()
-			if err := inst.Open(ec); err != nil {
+			inst, err := op.NewInstance(ec, []*relation.Schema{op.in})
+			if err != nil {
 				t.Fatal(err)
 			}
 			var out, was [][]relation.Tuple

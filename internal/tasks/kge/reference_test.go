@@ -37,16 +37,6 @@ type refPipeInstance struct {
 	emit   int      // output counter for reverse-stage ranks
 }
 
-// Open charges the embedding-table build (when this operator joins):
-// every worker loads its own copy before the first tuple, gating the
-// stream — the behaviour the Table I Scala swap attacks.
-func (pi *refPipeInstance) Open(ec dataflow.ExecCtx) error {
-	if pi.op.tableLoad != (cost.Work{}) {
-		ec.AddWork(pi.op.tableLoad)
-	}
-	return nil
-}
-
 // hasStage reports whether the op runs stage s.
 func (pi *refPipeInstance) hasStage(s stage) bool {
 	for _, st := range pi.op.stages {
@@ -166,7 +156,15 @@ func (pi *refPipeInstance) EndPort(ec dataflow.ExecCtx, _ int) ([]relation.Tuple
 // refOp is a pipeOp whose instances are the reference's.
 type refOp struct{ *pipeOp }
 
-func (o refOp) NewInstance() dataflow.Instance { return &refPipeInstance{op: o.pipeOp} }
+// NewInstance charges the embedding-table build (when this operator
+// joins): every worker loads its own copy before the first tuple,
+// gating the stream — the behaviour the Table I Scala swap attacks.
+func (o refOp) NewInstance(ec dataflow.ExecCtx, _ []*relation.Schema) (dataflow.Instance, error) {
+	if o.tableLoad != (cost.Work{}) {
+		ec.AddWork(o.tableLoad)
+	}
+	return &refPipeInstance{op: o.pipeOp}, nil
+}
 
 // refTask is the task with its workflow run by the reference operators:
 // its plan is the task's, node for node and edge for edge, with every

@@ -144,8 +144,14 @@ func (o *pipeOp) OutputSchema(in []*relation.Schema) (*relation.Schema, error) {
 	return o.out, nil
 }
 
-// NewInstance implements dataflow.Operator.
-func (o *pipeOp) NewInstance() dataflow.Instance {
+// NewInstance implements dataflow.Operator. It charges the
+// embedding-table build when this operator joins: every worker loads
+// its own copy before the first tuple, gating the stream — the
+// behaviour the Table I Scala swap attacks.
+func (o *pipeOp) NewInstance(ec dataflow.ExecCtx, _ []*relation.Schema) (dataflow.Instance, error) {
+	if o.tableLoad != (cost.Work{}) {
+		ec.AddWork(o.tableLoad)
+	}
 	pi := &pipeInstance{
 		op:      o,
 		reshape: !o.out.Equal(o.in),
@@ -158,7 +164,7 @@ func (o *pipeOp) NewInstance() dataflow.Instance {
 	if len(o.stages) > 0 {
 		pi.last = o.stages[len(o.stages)-1]
 	}
-	return pi
+	return pi, nil
 }
 
 // pipeInstance runs an operator's fused stages on each row. Stages
@@ -201,16 +207,6 @@ type pending struct {
 	row    relation.Tuple
 	col    int
 	lo, hi int
-}
-
-// Open charges the embedding-table build (when this operator joins):
-// every worker loads its own copy before the first tuple, gating the
-// stream — the behaviour the Table I Scala swap attacks.
-func (pi *pipeInstance) Open(ec dataflow.ExecCtx) error {
-	if pi.op.tableLoad != (cost.Work{}) {
-		ec.AddWork(pi.op.tableLoad)
-	}
-	return nil
 }
 
 func (pi *pipeInstance) Process(ec dataflow.ExecCtx, _ int, rows []relation.Tuple) ([]relation.Tuple, error) {

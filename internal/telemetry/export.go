@@ -1,12 +1,12 @@
 package telemetry
 
 import (
+	"cmp"
 	"encoding/json"
 	"fmt"
 	"io"
 	"maps"
 	"slices"
-	"sort"
 )
 
 // chromeEvent is one trace event in the Chrome trace-event format
@@ -49,28 +49,21 @@ func (r *Recorder) WriteChromeTrace(w io.Writer, opts ExportOptions) error {
 
 	// Deterministic global order: virtual spans by (proc, start, track,
 	// name, worker); wall spans afterwards.
-	sort.SliceStable(spans, func(i, j int) bool {
-		a, b := &spans[i], &spans[j]
-		if a.Proc != b.Proc {
-			return a.Proc < b.Proc
+	slices.SortStableFunc(spans, func(a, b Span) int {
+		if c := cmp.Compare(a.Proc, b.Proc); c != 0 {
+			return c
 		}
 		if a.HasVirt != b.HasVirt {
-			return a.HasVirt
+			if a.HasVirt {
+				return -1
+			}
+			return 1
 		}
 		as, bs := a.Virtual.Start, b.Virtual.Start
 		if !a.HasVirt {
 			as, bs = float64(a.Clock.StartNS), float64(b.Clock.StartNS)
 		}
-		if as != bs {
-			return as < bs
-		}
-		if a.Track != b.Track {
-			return a.Track < b.Track
-		}
-		if a.Name != b.Name {
-			return a.Name < b.Name
-		}
-		return a.Worker < b.Worker
+		return cmp.Or(cmp.Compare(as, bs), cmp.Compare(a.Track, b.Track), cmp.Compare(a.Name, b.Name), cmp.Compare(a.Worker, b.Worker))
 	})
 
 	type procKey struct {
@@ -179,13 +172,13 @@ func (r *Recorder) WriteChromeTrace(w io.Writer, opts ExportOptions) error {
 	for _, pid := range pidOf {
 		pids = append(pids, pid)
 	}
-	sort.Ints(pids)
+	slices.Sort(pids)
 	for _, pid := range pids {
 		var tids []int
 		for tid := range tidNames[pid] {
 			tids = append(tids, tid)
 		}
-		sort.Ints(tids)
+		slices.Sort(tids)
 		for _, tid := range tids {
 			events = append(events, chromeEvent{
 				Name: "thread_name", Ph: "M", Pid: pid, Tid: tid,
@@ -251,7 +244,7 @@ func (r *Recorder) Dump(includeVolatile bool) MetricsDump {
 		d.Meta = append(d.Meta, MetaKV{Key: k, Value: meta[k]})
 	}
 	crit := r.Critical()
-	sort.SliceStable(crit, func(i, j int) bool { return crit[i].Proc < crit[j].Proc })
+	slices.SortStableFunc(crit, func(a, b CriticalRow) int { return cmp.Compare(a.Proc, b.Proc) })
 	d.CriticalPath = crit
 
 	if includeVolatile {

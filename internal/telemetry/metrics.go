@@ -15,8 +15,9 @@
 package telemetry
 
 import (
+	"cmp"
 	"math/bits"
-	"sort"
+	"slices"
 	"sync"
 	"sync/atomic"
 )
@@ -229,7 +230,7 @@ func (r *Registry) Snapshot(includeVolatile bool) MetricsSnapshot {
 		ms = append(ms, *m)
 	}
 	r.mu.Unlock()
-	sort.Slice(ms, func(i, j int) bool { return ms[i].name < ms[j].name })
+	slices.SortFunc(ms, func(a, b metric) int { return cmp.Compare(a.name, b.name) })
 
 	var snap MetricsSnapshot
 	for _, m := range ms {

@@ -156,11 +156,21 @@ const (
 
 // setState transitions a node's state and, when a progress sink is
 // attached and the state actually changed, publishes the transition.
-// Swap makes the publish exactly-once even when several workers race
-// into Running.
+// Failed is final: a sibling worker setting the node Running, or
+// runNode completing it, after one worker failed changes nothing. The
+// compare-and-swap makes the publish exactly-once even when several
+// workers race into Running.
 func (ex *Execution) setState(rt *nodeRuntime, s State) {
-	old := rt.state.Swap(int32(s))
-	if ex.cfg.Progress != nil && old != int32(s) {
+	for {
+		old := rt.state.Load()
+		if old == int32(s) || old == int32(Failed) {
+			return
+		}
+		if rt.state.CompareAndSwap(old, int32(s)) {
+			break
+		}
+	}
+	if ex.cfg.Progress != nil {
 		ex.publishProgress(rt, s.String())
 	}
 }
@@ -583,9 +593,7 @@ func (ex *Execution) runNode(wg *sync.WaitGroup, rt *nodeRuntime) {
 	}
 	ex.runWorker(rt, 0)
 	rt.wg.Wait()
-	if State(rt.state.Load()) != Failed {
-		ex.setState(rt, Completed)
-	}
+	ex.setState(rt, Completed)
 }
 
 // scan streams table downstream in batches, charging work per row to

@@ -4,7 +4,6 @@ import (
 	"context"
 	"errors"
 	"fmt"
-	"sync"
 	"sync/atomic"
 	"testing"
 	"time"
@@ -227,46 +226,29 @@ func TestExecOperatorErrorAttribution(t *testing.T) {
 }
 
 // setupFailOp is a pass-through filter whose first NewInstance call
-// fails with err. That call returns only once each other worker has
-// taken a batch (and so set the operator running), so nothing but the
-// failing worker can move the operator's state after it fails.
+// fails with err.
 type setupFailOp struct {
 	*FilterOp
-	err     error
-	calls   atomic.Int64
-	started sync.WaitGroup // Done by each other worker's first batch
+	err   error
+	calls atomic.Int64
 }
 
 func (o *setupFailOp) NewInstance(ec ExecCtx, in []*relation.Schema) (Instance, error) {
 	if o.calls.Add(1) == 1 {
-		o.started.Wait()
 		return nil, o.err
 	}
-	inst, err := o.FilterOp.NewInstance(ec, in)
-	return &firstBatchInstance{Instance: inst, done: o.started.Done}, err
-}
-
-// firstBatchInstance calls done when its first batch arrives.
-type firstBatchInstance struct {
-	Instance
-	once sync.Once
-	done func()
-}
-
-func (fi *firstBatchInstance) Process(ec ExecCtx, port int, rows []relation.Tuple) ([]relation.Tuple, error) {
-	fi.once.Do(fi.done)
-	return fi.Instance.Process(ec, port, rows)
+	return o.FilterOp.NewInstance(ec, in)
 }
 
 // A worker whose NewInstance fails fails the run before it takes any
 // input: the run returns, with an OpError that names the operator and
 // the worker, has no port, and wraps the cause, and the operator ends
-// Failed while its other workers have input in hand.
+// Failed, however its other workers' setting it running and the node's
+// completion interleave with the failure.
 func TestExecNewInstanceFailure(t *testing.T) {
-	const workers = 3
+	const workers = 8
 	errSetup := errors.New("model checkpoint missing")
 	op := &setupFailOp{FilterOp: NewFilter("flaky", cost.Python, func(relation.Tuple) bool { return true }), err: errSetup}
-	op.started.Add(workers - 1)
 	w := New("setup-failure")
 	src := w.Source("src", intTable(300))
 	f := w.Op(op, WithParallelism(workers))

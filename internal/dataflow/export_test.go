@@ -13,24 +13,30 @@ import (
 // -update flag), for the external test package.
 var GoldenJSON = goldenJSON
 
-// LowerNamed is Lower with every job named as a recorded span would
-// show it: batch jobs, which lowering leaves unnamed, go through the
-// formatter a recorder names them with.
-func LowerNamed(tr *Trace, m *cost.Model) ([]sim.Job, []sim.Pool, error) {
+// LowerNamed is Lower plus every job's name as a recorded span shows
+// it: batch jobs through the formatter a recorder names them with, the
+// rest through the name recordTelemetry gives them.
+func LowerNamed(tr *Trace, m *cost.Model) ([]sim.Job, []sim.Pool, []string, error) {
 	jobs, pools, meta, err := lowerWithMeta(tr, m)
 	if err != nil {
-		return nil, nil, err
+		return nil, nil, nil, err
 	}
-	nodeName := make(map[NodeID]string, len(tr.Nodes))
+	nodeName := make(map[int32]string, len(tr.Nodes))
 	for _, n := range tr.Nodes {
-		nodeName[n.ID] = n.Name
+		nodeName[int32(n.ID)] = n.Name
 	}
+	names := make([]string, len(jobs))
 	for i, mt := range meta {
-		if mt.Batch {
-			jobs[i].Name = telemetry.BatchLabel(nodeName[mt.Node], mt.Port, mt.Seq)
+		switch {
+		case mt.Node < 0:
+			names[i] = mt.name(tr.Workflow)
+		case mt.Kind == jobBatch:
+			names[i] = telemetry.BatchLabel(nodeName[mt.Node], int(mt.Port), int(mt.Seq))
+		default:
+			names[i] = mt.name(nodeName[mt.Node])
 		}
 	}
-	return jobs, pools, nil
+	return jobs, pools, names, nil
 }
 
 // RecordingAllocs runs w with a recorder attached, then records the
@@ -55,7 +61,7 @@ func RecordingAllocs(w *Workflow) (objects uint64, batches int, err error) {
 		return 0, 0, err
 	}
 	for _, mt := range meta {
-		if mt.Batch {
+		if mt.Kind == jobBatch {
 			batches++
 		}
 	}

@@ -36,21 +36,58 @@ func Lower(tr *Trace, m *cost.Model) ([]sim.Job, []sim.Pool, error) {
 // jobMeta tags one lowered job with its provenance. The recovery layer
 // needs it: checkpoint write taxes apply to data batch jobs, and a
 // killed batch job pays a checkpoint restore for its node. So does the
-// recorder: a batch job carries no name (a run lowers thousands and,
-// with no recorder attached, nobody reads one), only the port and
-// sequence number telemetry.BatchName records in its place.
+// recorder, which names a job only when it records its span (a run
+// lowers thousands and, with no recorder attached, nobody reads a
+// name): a batch job from its port and sequence number
+// (telemetry.BatchName), any other job by name.
 type jobMeta struct {
-	// Node is the trace node the job belongs to, or -1 for
+	// Node is the ID of the trace node the job belongs to, or -1 for
 	// controller-level jobs (workflow submission).
-	Node NodeID
-	// Batch marks jobs that process (or generate) one data batch: batch
-	// Seq of input port Port, or of a source's output when Port is -1.
-	Batch     bool
-	Port, Seq int
+	Node int32
+	// Port is the input port of a batch, end-of-stream or port-end job
+	// (-1 for a source's generated batch); Seq is a batch's sequence
+	// number on it.
+	Port, Seq int32
+	Kind      jobKind
+}
+
+// jobKind is what a lowered job stands for.
+type jobKind uint8
+
+const (
+	jobBatch   jobKind = iota // processes (or generates) one data batch
+	jobSubmit                 // the workflow's submission, on the controller
+	jobStartup                // a node's startup
+	jobInit                   // a node's per-worker initialization
+	jobEOS                    // an empty input port's end of stream
+	jobPortEnd                // the barrier after an input port
+	jobClose                  // a node's EndPort work
+)
+
+// name is the name a recorded span gives a job that is not a batch;
+// node names its node, or the workflow for the submission job.
+func (mt jobMeta) name(node string) string {
+	switch mt.Kind {
+	case jobSubmit:
+		return "submit:" + node
+	case jobStartup:
+		return "startup:" + node
+	case jobInit:
+		return "init:" + node
+	case jobEOS:
+		return fmt.Sprintf("%s:p%d:eos", node, mt.Port)
+	case jobPortEnd:
+		return fmt.Sprintf("%s:p%d:end", node, mt.Port)
+	}
+	return node + ":close"
 }
 
 // poolName names a node's worker pool.
 func poolName(id NodeID, name string) string { return fmt.Sprintf("n%d:%s", id, name) }
+
+// controllerPool is pool 0 of every lowering; the node at position k of
+// the trace has pool k+1.
+const controllerPool = "controller"
 
 // jobRange is n jobs with consecutive IDs starting at first. Lowering
 // numbers a port's batch jobs (and a source's) consecutively, so "the
@@ -61,8 +98,34 @@ type jobRange struct {
 	n     int
 }
 
+// nodePositions maps each node ID of tr to the node's position in
+// tr.Nodes, -1 where no node has the ID: a trace under a lineage plan
+// leaves out the nodes it skipped, so its IDs need not be dense.
+func nodePositions(tr *Trace) ([]int32, error) {
+	bound := NodeID(0)
+	for i := range tr.Nodes {
+		id := tr.Nodes[i].ID
+		if id < 0 {
+			return nil, fmt.Errorf("dataflow: negative node ID %d", id)
+		}
+		bound = max(bound, id+1)
+	}
+	at := make([]int32, bound)
+	for i := range at {
+		at[i] = -1
+	}
+	for i := range tr.Nodes {
+		id := tr.Nodes[i].ID
+		if at[id] >= 0 {
+			return nil, fmt.Errorf("dataflow: duplicate node ID %d", id)
+		}
+		at[id] = int32(i)
+	}
+	return at, nil
+}
+
 // lowerWithMeta is Lower plus a parallel per-job metadata slice
-// (meta[i] describes jobs[i]; job IDs are dense indices).
+// (meta[i] describes job i).
 func lowerWithMeta(tr *Trace, m *cost.Model) ([]sim.Job, []sim.Pool, []jobMeta, error) {
 	if tr == nil {
 		return nil, nil, nil, fmt.Errorf("dataflow: nil trace")
@@ -71,22 +134,32 @@ func lowerWithMeta(tr *Trace, m *cost.Model) ([]sim.Job, []sim.Pool, []jobMeta, 
 		return nil, nil, nil, err
 	}
 
-	nodeByID := make(map[NodeID]*NodeTrace, len(tr.Nodes))
-	for i := range tr.Nodes {
-		nodeByID[tr.Nodes[i].ID] = &tr.Nodes[i]
+	// Everything per node below is indexed by the node's position.
+	at, err := nodePositions(tr)
+	if err != nil {
+		return nil, nil, nil, err
 	}
-	inEdges := make(map[NodeID][]*EdgeTrace)
-	outEdges := make(map[NodeID][]*EdgeTrace)
+	pos := func(id NodeID) int32 {
+		if id < 0 || int(id) >= len(at) {
+			return -1
+		}
+		return at[id]
+	}
+	inEdges := make([][]*EdgeTrace, len(tr.Nodes))
+	outBytes := make([]int64, len(tr.Nodes))
 	for i := range tr.Edges {
 		e := &tr.Edges[i]
-		if _, ok := nodeByID[e.From]; !ok {
+		from, to := pos(e.From), pos(e.To)
+		if from < 0 {
 			return nil, nil, nil, fmt.Errorf("dataflow: edge from unknown node %d", e.From)
 		}
-		if _, ok := nodeByID[e.To]; !ok {
+		if to < 0 {
 			return nil, nil, nil, fmt.Errorf("dataflow: edge to unknown node %d", e.To)
 		}
-		inEdges[e.To] = append(inEdges[e.To], e)
-		outEdges[e.From] = append(outEdges[e.From], e)
+		inEdges[to] = append(inEdges[to], e)
+		// The engine serializes a node's output once per out edge (each
+		// consumer link carries its own copy).
+		outBytes[from] += e.Bytes
 	}
 
 	// Job and dependency counts are sums over the trace, so the three
@@ -94,17 +167,13 @@ func lowerWithMeta(tr *Trace, m *cost.Model) ([]sim.Job, []sim.Pool, []jobMeta, 
 	// close job plus at most one barrier per port, and per batch one job
 	// with two dependencies that a barrier and the close job each list
 	// once more.
-	const controllerPool = "controller"
 	pools := make([]sim.Pool, 1, 1+len(tr.Nodes))
 	pools[0] = sim.Pool{Name: controllerPool, Slots: 1}
-	poolOf := make(map[NodeID]string, len(tr.Nodes))
 	nJobs, nDeps := 1, 0
-	for i := range tr.Nodes {
-		n := &tr.Nodes[i]
-		name := poolName(n.ID, n.Name)
-		poolOf[n.ID] = name
-		pools = append(pools, sim.Pool{Name: name, Slots: max(n.Parallelism, 1)})
-		ins := inEdges[n.ID]
+	for k := range tr.Nodes {
+		n := &tr.Nodes[k]
+		pools = append(pools, sim.Pool{Name: poolName(n.ID, n.Name), Slots: max(n.Parallelism, 1)})
+		ins := inEdges[k]
 		batches := 0
 		for _, e := range ins {
 			batches += max(int(e.Batches), 1) // an empty stream still gets its end-of-stream job
@@ -131,46 +200,42 @@ func lowerWithMeta(tr *Trace, m *cost.Model) ([]sim.Job, []sim.Pool, []jobMeta, 
 		}
 		return arena[start:len(arena):len(arena)]
 	}
-	addJob := func(name, pool string, costSec, latency float64, mt jobMeta, deps []sim.JobID) sim.JobID {
+	addJob := func(pool int32, costSec, latency float64, mt jobMeta, deps []sim.JobID) sim.JobID {
 		id := sim.JobID(len(jobs))
-		jobs = append(jobs, sim.Job{
-			ID: id, Name: name, Pool: pool,
-			Cost: costSec, Latency: latency, Deps: deps,
-		})
+		jobs = append(jobs, sim.Job{Pool: pool, Cost: costSec, Latency: latency, Deps: deps})
 		meta = append(meta, mt)
 		return id
 	}
 
 	// Workflow submission.
-	rootID := addJob("submit:"+tr.Workflow, controllerPool, m.ControlOverhead, 0, jobMeta{Node: -1}, nil)
+	rootID := addJob(0, m.ControlOverhead, 0, jobMeta{Node: -1, Kind: jobSubmit}, nil)
 
 	// Process nodes in topological order so upstream emit jobs exist
 	// when consumers are lowered. Node IDs are assigned in creation
 	// order which is not necessarily topological, so sort by
 	// dependencies.
-	order, err := topoNodeOrder(tr.Nodes, tr.Edges)
+	order, err := topoNodeOrder(tr, at)
 	if err != nil {
 		return nil, nil, nil, err
 	}
 
-	emitJobsOf := make(map[NodeID]jobRange, len(tr.Nodes))
+	emitJobsOf := make([]jobRange, len(tr.Nodes))
 	var portJobs []jobRange // the current node's port jobs, port by port
-	for _, nid := range order {
-		n := nodeByID[nid]
-		pool := poolOf[nid]
+	for _, k := range order {
+		n := &tr.Nodes[k]
+		pool := k + 1
 		lang := n.Language
-		plain := jobMeta{Node: nid}
+		nid := int32(n.ID)
 
-		startup := addJob("startup:"+n.Name, pool, m.OperatorStartup, 0, plain, deps(rootID))
+		startup := addJob(pool, m.OperatorStartup, 0, jobMeta{Node: nid, Kind: jobStartup}, deps(rootID))
 		// Per-worker initialization (NewInstance): workers initialize in
 		// parallel, so the gate costs OpenWork divided by parallelism.
 		if open := n.OpenWork.Seconds(lang); open > 0 {
-			startup = addJob("init:"+n.Name, pool, open/float64(max(n.Parallelism, 1)), 0, plain, deps(startup))
+			startup = addJob(pool, open/float64(max(n.Parallelism, 1)), 0, jobMeta{Node: nid, Kind: jobInit}, deps(startup))
 		}
 
-		ins := make([]*EdgeTrace, 0, len(inEdges[nid]))
-		ins = append(ins, inEdges[nid]...)
 		// Ports in ascending order.
+		ins := inEdges[k]
 		for i := 0; i < len(ins); i++ {
 			for j := i + 1; j < len(ins); j++ {
 				if ins[j].Port < ins[i].Port {
@@ -179,13 +244,8 @@ func lowerWithMeta(tr *Trace, m *cost.Model) ([]sim.Job, []sim.Pool, []jobMeta, 
 			}
 		}
 
-		// Output serialization: the engine serializes a node's output
-		// once per out edge (each consumer link carries its own copy).
-		var outBytes int64
-		for _, e := range outEdges[nid] {
-			outBytes += e.Bytes
-		}
-		encodeTotal := m.SerdeSeconds(outBytes)
+		// Output serialization.
+		encodeTotal := m.SerdeSeconds(outBytes[k])
 
 		portJobs = portJobs[:0]
 		var lastPortJobs jobRange
@@ -197,7 +257,7 @@ func lowerWithMeta(tr *Trace, m *cost.Model) ([]sim.Job, []sim.Pool, []jobMeta, 
 			}
 			decode := m.SerdeSeconds(e.Bytes)
 			b := int(e.Batches)
-			upstream := emitJobsOf[e.From]
+			upstream := emitJobsOf[at[e.From]]
 			port := jobRange{first: sim.JobID(len(jobs))}
 			if b > 0 {
 				perJob := (work + decode) / float64(b)
@@ -212,14 +272,14 @@ func lowerWithMeta(tr *Trace, m *cost.Model) ([]sim.Job, []sim.Pool, []jobMeta, 
 					if upstream.n > 0 {
 						up = jobRange{upstream.first + sim.JobID(min(j, upstream.n-1)), 1}
 					}
-					addJob("", pool, perJob, latency, jobMeta{Node: nid, Batch: true, Port: e.Port, Seq: j}, deps(prevBarrier, up))
+					addJob(pool, perJob, latency, jobMeta{Node: nid, Port: int32(e.Port), Seq: int32(j)}, deps(prevBarrier, up))
 				}
 				port.n = b
 			} else if upstream.n > 0 {
 				// Empty stream: a zero-cost job keeps the dependency on
 				// the upstream end-of-stream.
 				last := jobRange{upstream.first + sim.JobID(upstream.n-1), 1}
-				addJob(fmt.Sprintf("%s:p%d:eos", n.Name, e.Port), pool, 0, 0, plain, deps(prevBarrier, last))
+				addJob(pool, 0, 0, jobMeta{Node: nid, Port: int32(e.Port), Kind: jobEOS}, deps(prevBarrier, last))
 				port.n = 1
 			}
 			portJobs = append(portJobs, port)
@@ -227,7 +287,7 @@ func lowerWithMeta(tr *Trace, m *cost.Model) ([]sim.Job, []sim.Pool, []jobMeta, 
 			// Barrier: later ports wait for this whole port (workers
 			// drain ports in order).
 			if pi < len(ins)-1 {
-				prevBarrier = addJob(fmt.Sprintf("%s:p%d:end", n.Name, e.Port), pool, 0, 0, plain, deps(prevBarrier, port))
+				prevBarrier = addJob(pool, 0, 0, jobMeta{Node: nid, Port: int32(e.Port), Kind: jobPortEnd}, deps(prevBarrier, port))
 			}
 		}
 
@@ -244,7 +304,7 @@ func lowerWithMeta(tr *Trace, m *cost.Model) ([]sim.Job, []sim.Pool, []jobMeta, 
 				lastPortJobs = jobRange{sim.JobID(len(jobs)), b}
 				portJobs = append(portJobs, lastPortJobs)
 				for j := 0; j < b; j++ {
-					addJob("", pool, perJob, 0, jobMeta{Node: nid, Batch: true, Port: -1, Seq: j}, deps(startup))
+					addJob(pool, perJob, 0, jobMeta{Node: nid, Port: -1, Seq: int32(j)}, deps(startup))
 				}
 			}
 			encodeTotal = 0 // already charged
@@ -262,52 +322,50 @@ func lowerWithMeta(tr *Trace, m *cost.Model) ([]sim.Job, []sim.Pool, []jobMeta, 
 			// encode cost over the emitting jobs by appending it to
 			// their costs.
 			share := encodeTotal / float64(lastPortJobs.n)
-			for k := 0; k < lastPortJobs.n; k++ {
-				jobs[int(lastPortJobs.first)+k].Cost += share
+			for j := 0; j < lastPortJobs.n; j++ {
+				jobs[int(lastPortJobs.first)+j].Cost += share
 			}
 		}
-		endID := addJob(n.Name+":close", pool, endCost, 0, plain, deps(startup, portJobs...))
+		endID := addJob(pool, endCost, 0, jobMeta{Node: nid, Kind: jobClose}, deps(startup, portJobs...))
 
 		if n.FullyBlocking || lastPortJobs.n == 0 {
-			emitJobsOf[nid] = jobRange{endID, 1}
+			emitJobsOf[k] = jobRange{endID, 1}
 		} else {
-			emitJobsOf[nid] = lastPortJobs
+			emitJobsOf[k] = lastPortJobs
 		}
 	}
 
 	return jobs, pools, meta, nil
 }
 
-// topoNodeOrder sorts trace node IDs topologically.
-func topoNodeOrder(nodes []NodeTrace, edges []EdgeTrace) ([]NodeID, error) {
-	indeg := make(map[NodeID]int, len(nodes))
-	adj := make(map[NodeID][]NodeID)
-	for _, n := range nodes {
-		indeg[n.ID] = 0
+// topoNodeOrder sorts the positions of tr's nodes topologically (Kahn's
+// algorithm, seeded and fanned out in trace order); at maps node IDs to
+// positions.
+func topoNodeOrder(tr *Trace, at []int32) ([]int32, error) {
+	indeg := make([]int, len(tr.Nodes))
+	adj := make([][]int32, len(tr.Nodes))
+	for _, e := range tr.Edges {
+		from, to := at[e.From], at[e.To]
+		indeg[to]++
+		adj[from] = append(adj[from], to)
 	}
-	for _, e := range edges {
-		indeg[e.To]++
-		adj[e.From] = append(adj[e.From], e.To)
-	}
-	var queue []NodeID
-	for _, n := range nodes {
-		if indeg[n.ID] == 0 {
-			queue = append(queue, n.ID)
+	order := make([]int32, 0, len(tr.Nodes))
+	for k := range tr.Nodes {
+		if indeg[k] == 0 {
+			order = append(order, int32(k))
 		}
 	}
-	var order []NodeID
-	for len(queue) > 0 {
-		id := queue[0]
-		queue = queue[1:]
-		order = append(order, id)
-		for _, to := range adj[id] {
+	// order doubles as the queue: everything past next is still to
+	// visit.
+	for next := 0; next < len(order); next++ {
+		for _, to := range adj[order[next]] {
 			indeg[to]--
 			if indeg[to] == 0 {
-				queue = append(queue, to)
+				order = append(order, to)
 			}
 		}
 	}
-	if len(order) != len(nodes) {
+	if len(order) != len(tr.Nodes) {
 		return nil, fmt.Errorf("dataflow: trace contains a cycle")
 	}
 	return order, nil

@@ -29,9 +29,10 @@ type goldenLowering struct {
 
 // TestLowerDICE20Golden pins what lowering hands the simulator and the
 // recorder for a real trace: every job of DICE-20 — its name as a
-// recorded span shows it, pool, cost, latency and dependencies — equals
-// testdata/lower_dice20_golden.json, recorded at 7c7000c where every
-// name was formatted eagerly. Costs compare exactly at one worker and
+// recorded span shows it, its pool's name, cost, latency and
+// dependencies (positions) — equals testdata/lower_dice20_golden.json,
+// recorded at 7c7000c where every name was formatted eagerly and every
+// job carried its ID and its pool's name. Costs compare exactly at one worker and
 // to 1e-9 relative at four, where a node's work total already differs
 // in the last ULP between two runs of one commit (workers fold float
 // work in batch-arrival order).
@@ -50,16 +51,13 @@ func TestLowerDICE20Golden(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		jobs, pools, err := dataflow.LowerNamed(res.Trace, cost.Default())
+		jobs, pools, names, err := dataflow.LowerNamed(res.Trace, cost.Default())
 		if err != nil {
 			t.Fatal(err)
 		}
 		g := goldenLowering{Pools: pools, Jobs: make([]goldenJob, len(jobs))}
 		for i, j := range jobs {
-			if int(j.ID) != i {
-				t.Fatalf("workers=%d: job %d has ID %d; IDs must be dense", workers, i, j.ID)
-			}
-			g.Jobs[i] = goldenJob{Name: j.Name, Pool: j.Pool, Cost: j.Cost, Latency: j.Latency, Deps: j.Deps}
+			g.Jobs[i] = goldenJob{Name: names[i], Pool: pools[j.Pool].Name, Cost: j.Cost, Latency: j.Latency, Deps: j.Deps}
 		}
 		got[fmt.Sprintf("workers=%d", workers)] = g
 	}

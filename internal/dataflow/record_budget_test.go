@@ -10,10 +10,12 @@ import (
 // TestRecorderScheduleAllocBudget holds what recording a finished DICE
 // workflow run at 4 workers into a fresh recorder costs: a constant
 // number of heap objects (lanes, per-node and per-edge counters, the
-// span storage), however many batches the run had: about 470 at both
-// sizes, 3.8 k and 5.8 k batch jobs. (With a name string per batch span
-// and every span built as a []Span of strings first, the same
-// recordings took 6,081 and 10,059 objects.)
+// span storage, and the names of the startup, init and close jobs,
+// which lowering no longer formats), however many batches the run had:
+// about 490 at both sizes, 3.8 k and 5.8 k batch jobs (about 470 when
+// lowering named those jobs itself, on every run). (With a name string
+// per batch span and every span built as a []Span of strings first, the
+// same recordings took 6,081 and 10,059 objects.)
 func TestRecorderScheduleAllocBudget(t *testing.T) {
 	const budget = 600
 	for _, pairs := range []int{100, 200} {

@@ -73,8 +73,13 @@ func scheduleWithFaults(jobs []sim.Job, pools []sim.Pool, meta []jobMeta, tr *Tr
 	}
 	info := &RecoveryInfo{CheckpointEvery: every}
 
-	// Per-node state size (checkpointBytes of its in-bytes).
-	stateBytes := make(map[NodeID]int64, len(tr.Nodes))
+	// Per-node tables, indexed by node ID.
+	ids := 0
+	for i := range tr.Nodes {
+		ids = max(ids, int(tr.Nodes[i].ID)+1)
+	}
+	// State size (checkpointBytes of the node's in-bytes).
+	stateBytes := make([]int64, ids)
 	for i := range tr.Edges {
 		stateBytes[tr.Edges[i].To] += tr.Edges[i].Bytes
 	}
@@ -82,36 +87,38 @@ func scheduleWithFaults(jobs []sim.Job, pools []sim.Pool, meta []jobMeta, tr *Tr
 		id := tr.Nodes[i].ID
 		stateBytes[id] = checkpointBytes(stateBytes[id])
 	}
-
-	// Batch jobs per node, in job order.
-	batchJobs := make(map[NodeID][]sim.JobID)
-	for i := range meta {
-		if meta[i].Batch {
-			batchJobs[meta[i].Node] = append(batchJobs[meta[i].Node], sim.JobID(i))
+	// Batch jobs.
+	batches := make([]int, ids)
+	for _, mt := range meta {
+		if mt.Kind == jobBatch {
+			batches[mt.Node]++
 		}
 	}
 
 	// Tax each node's batch jobs with its checkpoint writes and price
 	// its per-retry restore (one epoch's state delta read back).
-	restoreSecs := make(map[NodeID]float64, len(batchJobs))
+	tax := make([]float64, ids)
+	restoreSecs := make([]float64, ids)
 	for i := range tr.Nodes {
 		nid := tr.Nodes[i].ID
-		ids := batchJobs[nid]
-		if len(ids) == 0 {
+		n := batches[nid]
+		if n == 0 {
 			continue
 		}
-		epochs := (len(ids) + every - 1) / every
+		epochs := (n + every - 1) / every
 		bytes := stateBytes[nid]
 		writeSecs := m.CheckpointPutSeconds(bytes)
-		tax := writeSecs / float64(len(ids))
-		for _, id := range ids {
-			jobs[int(id)].Cost += tax
-		}
+		tax[nid] = writeSecs / float64(n)
 		epochBytes := bytes / int64(epochs)
 		restoreSecs[nid] = m.CheckpointGetSeconds(epochBytes)
 		info.Checkpoints += epochs
 		info.CheckpointBytes += bytes
 		info.CheckpointWriteSeconds += writeSecs
+	}
+	for i, mt := range meta {
+		if mt.Kind == jobBatch {
+			jobs[i].Cost += tax[mt.Node]
+		}
 	}
 
 	// The checkpoint tax is folded in before the plan schedules, so the
@@ -124,8 +131,8 @@ func scheduleWithFaults(jobs []sim.Job, pools []sim.Pool, meta []jobMeta, tr *Tr
 		// engine does not back off.
 		Delay: func(sim.JobID, int) float64 { return m.OperatorStartup },
 		ExtraCost: func(id sim.JobID, _ int, objectsLost bool) float64 {
-			mt := meta[int(id)]
-			if !mt.Batch {
+			mt := meta[id]
+			if mt.Kind != jobBatch {
 				return 0
 			}
 			extra := restoreSecs[mt.Node]

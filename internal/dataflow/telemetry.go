@@ -124,8 +124,8 @@ func (ex *Execution) recordTelemetry(jobs []sim.Job, meta []jobMeta, sched *sim.
 	prefix := "wf." + ex.wf.name + "."
 
 	// One lane per node, indexed by trace node ID, and the
-	// controller's; batch jobs are named from their metadata when the
-	// trace is read.
+	// controller's. A job is named here, from its metadata; a batch job
+	// only when the trace is read.
 	rec := tel.rec
 	lanes := make([]telemetry.Lane, len(ex.rts))
 	for i, rt := range ex.rts {
@@ -135,12 +135,12 @@ func (ex *Execution) recordTelemetry(jobs []sim.Job, meta []jobMeta, sched *sim.
 	rec.RecordSchedule(jobs, sched, func(i int) (telemetry.Lane, telemetry.JobName) {
 		mt := meta[i]
 		switch {
-		case mt.Batch:
-			return lanes[mt.Node], telemetry.BatchName(mt.Port, mt.Seq)
 		case mt.Node < 0:
-			return controller, telemetry.JobName{}
+			return controller, telemetry.Named(mt.name(ex.wf.name))
+		case mt.Kind == jobBatch:
+			return lanes[mt.Node], telemetry.BatchName(int(mt.Port), int(mt.Seq))
 		}
-		return lanes[mt.Node], telemetry.JobName{}
+		return lanes[mt.Node], telemetry.Named(mt.name(ex.rts[mt.Node].n.name))
 	})
 
 	// Per-node wall spans (volatile): busy time anchored at the node's

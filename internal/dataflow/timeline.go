@@ -35,14 +35,9 @@ func Timeline(tr *Trace, m *cost.Model) ([]OpSpan, error) {
 		start, finish float64
 		seen          bool
 	}
-	byPool := map[string]*agg{}
-	poolOrder := []string{}
-	for _, p := range pools {
-		byPool[p.Name] = &agg{}
-		poolOrder = append(poolOrder, p.Name)
-	}
+	byPool := make([]agg, len(pools))
 	for i, span := range sched.Spans {
-		a := byPool[jobs[i].Pool]
+		a := &byPool[jobs[i].Pool]
 		if !a.seen || span.Start < a.start {
 			a.start = span.Start
 		}
@@ -52,14 +47,13 @@ func Timeline(tr *Trace, m *cost.Model) ([]OpSpan, error) {
 		a.seen = true
 	}
 	var out []OpSpan
-	for _, name := range poolOrder {
-		a := byPool[name]
+	for p, a := range byPool {
 		if !a.seen {
 			continue
 		}
-		display := name
-		if i := strings.Index(name, ":"); i >= 0 {
-			display = name[i+1:]
+		display := pools[p].Name
+		if i := strings.Index(display, ":"); i >= 0 {
+			display = display[i+1:]
 		}
 		out = append(out, OpSpan{Name: display, Start: a.start, Finish: a.finish})
 	}

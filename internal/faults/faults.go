@@ -173,7 +173,7 @@ func (p Plan) Schedule(jobs []sim.Job, pools []sim.Pool, retry sim.RetryPolicy) 
 	}
 	strikes := make([]sim.FaultEvent, len(evs))
 	for i, e := range evs {
-		strikes[i] = sim.FaultEvent{At: e.At, Salt: e.Salt, LoseObjects: e.Kind == KillNode}
+		strikes[i] = sim.FaultEvent{At: e.At, Pool: sim.AnyPool, Salt: e.Salt, LoseObjects: e.Kind == KillNode}
 	}
 	return sim.ScheduleFaulty(jobs, pools, strikes, retry)
 }

@@ -107,9 +107,9 @@ func TestValidateRejectsBadFields(t *testing.T) {
 
 func scheduleJobs() ([]sim.Job, []sim.Pool) {
 	jobs := []sim.Job{
-		{ID: 0, Name: "a", Cost: 4, Pool: "p"},
-		{ID: 1, Name: "b", Cost: 3, Pool: "p", Deps: []sim.JobID{0}},
-		{ID: 2, Name: "c", Cost: 2, Pool: "q", Deps: []sim.JobID{0}},
+		{Cost: 4, Pool: 0},
+		{Cost: 3, Pool: 0, Deps: []sim.JobID{0}},
+		{Cost: 2, Pool: 1, Deps: []sim.JobID{0}},
 	}
 	return jobs, []sim.Pool{{Name: "p", Slots: 1}, {Name: "q", Slots: 1}}
 }
@@ -167,7 +167,7 @@ func TestScheduleEventsPastHorizonKeepCleanSchedule(t *testing.T) {
 }
 
 func TestScheduleKillNodeLosesObjects(t *testing.T) {
-	jobs := []sim.Job{{ID: 0, Name: "long", Cost: 1000, Pool: "p"}}
+	jobs := []sim.Job{{Cost: 1000}}
 	pools := []sim.Pool{{Name: "p", Slots: 1}}
 	p := Plan{Seed: 1, Rate: 5, NodeFraction: 1, MaxFaults: 1}
 	if evs := p.Events(1000); len(evs) != 1 || evs[0].Kind != KillNode {

@@ -215,8 +215,8 @@ func TestWorkflowPlanAboveLegacyCeiling(t *testing.T) {
 // timings drift 10–18 % on shared runners, bytes and object counts do
 // not. Each run is measured warm, datagen included.
 //
-// A DICE-50 workflow run at 4 workers allocates about 1.7 MB in 2.5 k
-// objects, of a 2,000,000-byte and 3,600-object budget. (With the
+// A DICE-50 workflow run at 4 workers allocates about 1.5 MB in 2.4 k
+// objects, of a 1,610,000-byte and 3,600-object budget. (With the
 // join's fixed 1024-row output arena per probe batch the same run
 // allocated 82.4 MB; with map UDFs returning a slice per row, the
 // router building a key string per row and lowering naming every job it
@@ -229,12 +229,16 @@ func TestWorkflowPlanAboveLegacyCeiling(t *testing.T) {
 // filter-containing throws away, 2.2 MB in 4.5 k; with output storage,
 // queues, worker state and the join plan allocated per worker, not per
 // operator, 1.7 MB in 4.0 k; with an edge queue and a router goroutine
-// per edge, 1.7 MB in 2.8 k.)
+// per edge, 1.7 MB in 2.8 k; with jobs that carried an ID, a name and
+// a pool name into a scheduler that mapped them back to positions,
+// 1.64–1.70 MB in 2.5 k.)
 //
 // The same run at 32 workers on 4 nodes has hundreds of operator
 // instances that see one or two batches each, so it pins the empty tail
-// an operator's last arena chunk leaves: it takes 2.2 MB of a
-// 2,600,000-byte budget; arenas whose chunks never fell below 16 rows
+// an operator's last arena chunk leaves: it takes 2.0 MB of a
+// 2,600,000-byte budget (2.2 MB with jobs that carried IDs and names;
+// a budget 5 % over this run's readings would not fail that build, so
+// it stays); arenas whose chunks never fell below 16 rows
 // took 3.1 MB, and a join building the rows its filter rejects 2.7 MB.
 // It also pins what an operator allocates per worker: about 5.9 k
 // objects of a 7,000 budget; with an edge queue and a router goroutine
@@ -255,7 +259,7 @@ func TestDiceWorkflowAllocBudget(t *testing.T) {
 		byteBudget uint64
 		objBudget  uint64
 	}{
-		{core.RunSpec{Task: "dice", Paradigm: "workflow", Size: 50, Seed: 1, Workers: 4}, 2_000_000, 3_600},
+		{core.RunSpec{Task: "dice", Paradigm: "workflow", Size: 50, Seed: 1, Workers: 4}, 1_610_000, 3_600},
 		{core.RunSpec{Task: "dice", Paradigm: "workflow", Size: 50, Seed: 1, Workers: 32, Nodes: 4}, 2_600_000, 7_000},
 	} {
 		run := func() (bytes, objects uint64) {

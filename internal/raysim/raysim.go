@@ -209,7 +209,7 @@ func (j *Job) Run() (*Result, error) {
 	nodes := j.topo.NumNodes()
 	var shuffleBytes int64
 	jobs := make([]sim.Job, 0, len(j.tasks))
-	for i, t := range j.tasks {
+	for _, t := range j.tasks {
 		var getSecs float64
 		for _, id := range t.Gets {
 			s, err := j.cluster.store.AccessSeconds(id)
@@ -230,15 +230,11 @@ func (j *Job) Run() (*Result, error) {
 			deps[k] = sim.JobID(d)
 		}
 		jobs = append(jobs, sim.Job{
-			ID:   sim.JobID(i),
-			Name: t.Name,
-			Pool: rayTrack,
 			// The object-store fetch happens inside the task body (it
 			// holds the CPU while deserializing), so it is cost, not
 			// latency; the fixed task overhead covers scheduling.
-			Cost:    m.TaskOverhead + t.Work.Seconds(cost.Python) + t.FrameworkSeconds/torch + getSecs,
-			Deps:    deps,
-			Latency: 0,
+			Cost: m.TaskOverhead + t.Work.Seconds(cost.Python) + t.FrameworkSeconds/torch + getSecs,
+			Deps: deps,
 		})
 	}
 	pools := []sim.Pool{{Name: rayTrack, Slots: j.cluster.numCPUs}}
@@ -254,7 +250,7 @@ func (j *Job) Run() (*Result, error) {
 			// Job IDs are task indices: rebuild the killed task's
 			// object fetches from lineage.
 			var secs float64
-			for _, obj := range j.tasks[int(id)].Gets {
+			for _, obj := range j.tasks[id].Gets {
 				s, err := j.cluster.store.ReconstructSeconds(obj)
 				if err != nil {
 					continue // object deleted since submission
@@ -289,7 +285,9 @@ func (j *Job) recordTelemetry(jobs []sim.Job, sched *sim.Result) {
 		proc = "script:ray"
 	}
 	lane := j.rec.Lane(proc, rayTrack, "task")
-	j.rec.RecordSchedule(jobs, sched, func(int) (telemetry.Lane, telemetry.JobName) { return lane, telemetry.JobName{} })
+	j.rec.RecordSchedule(jobs, sched, func(i int) (telemetry.Lane, telemetry.JobName) {
+		return lane, telemetry.Named(j.tasks[i].Name)
+	})
 	var totalCost float64
 	for i := range jobs {
 		totalCost += jobs[i].Cost

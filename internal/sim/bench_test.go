@@ -15,7 +15,7 @@ func layeredJobs(stages, batches int) ([]Job, []Pool) {
 	for s := 0; s < stages; s++ {
 		pools = append(pools, Pool{Name: fmt.Sprintf("s%d", s), Slots: 2})
 		for b := 0; b < batches; b++ {
-			j := Job{ID: id, Cost: 0.01, Pool: fmt.Sprintf("s%d", s)}
+			j := Job{Cost: 0.01, Pool: int32(s)}
 			if s > 0 {
 				j.Deps = []JobID{id - JobID(batches)}
 			}
@@ -40,7 +40,7 @@ func BenchmarkSchedulePipeline(b *testing.B) {
 func BenchmarkScheduleWide(b *testing.B) {
 	var jobs []Job
 	for i := 0; i < 4096; i++ {
-		jobs = append(jobs, Job{ID: JobID(i), Cost: 0.5, Pool: "cpu"})
+		jobs = append(jobs, Job{Cost: 0.5})
 	}
 	pools := []Pool{{Name: "cpu", Slots: 16}}
 	b.ReportAllocs()

@@ -4,21 +4,25 @@ import "fmt"
 
 // FaultEvent kills one running job at a virtual time. The victim is
 // chosen deterministically: the running jobs (optionally restricted to
-// one pool) are ordered by ID and indexed by Salt, so a fault sequence
-// plus a job set fully determines the schedule. A fault that strikes
-// while nothing (matching) is running is a no-op, like a node crashing
-// between tasks.
+// one pool) are ordered by position and indexed by Salt, so a fault
+// sequence plus a job set fully determines the schedule. A fault that
+// strikes while nothing (matching) is running is a no-op, like a node
+// crashing between tasks.
 type FaultEvent struct {
 	// At is the virtual time of the fault.
 	At float64
-	// Pool restricts victims to one pool; "" means any pool.
-	Pool string
+	// Pool restricts victims to the pool at this position; AnyPool
+	// means any pool.
+	Pool int32
 	// Salt selects among the running jobs.
 	Salt uint64
 	// LoseObjects marks a node-level fault: the retry policy may charge
 	// object reconstruction on top of re-execution.
 	LoseObjects bool
 }
+
+// AnyPool is the FaultEvent.Pool of a fault that may strike any pool.
+const AnyPool = -1
 
 // RetryPolicy controls how a killed job is re-executed. Both paradigms
 // express their recovery semantics through it: the Ray-style backend

@@ -7,10 +7,10 @@ import (
 
 func twoPoolJobs() ([]Job, []Pool) {
 	jobs := []Job{
-		{ID: 0, Name: "a", Cost: 2, Pool: "p"},
-		{ID: 1, Name: "b", Cost: 3, Pool: "p", Deps: []JobID{0}},
-		{ID: 2, Name: "c", Cost: 1, Pool: "p", Deps: []JobID{0}},
-		{ID: 3, Name: "d", Cost: 2, Pool: "q", Deps: []JobID{1, 2}},
+		{Cost: 2, Pool: 0},
+		{Cost: 3, Pool: 0, Deps: []JobID{0}},
+		{Cost: 1, Pool: 0, Deps: []JobID{0}},
+		{Cost: 2, Pool: 1, Deps: []JobID{1, 2}},
 	}
 	pools := []Pool{{Name: "p", Slots: 2}, {Name: "q", Slots: 1}}
 	return jobs, pools
@@ -40,9 +40,9 @@ func TestScheduleFaultyNoFaultsMatchesSchedule(t *testing.T) {
 }
 
 func TestFaultKillsAndRetries(t *testing.T) {
-	jobs := []Job{{ID: 0, Name: "only", Cost: 10, Pool: "p"}}
+	jobs := []Job{{Cost: 10}}
 	pools := []Pool{{Name: "p", Slots: 1}}
-	res, err := ScheduleFaulty(jobs, pools, []FaultEvent{{At: 4, Pool: "p"}}, RetryPolicy{
+	res, err := ScheduleFaulty(jobs, pools, []FaultEvent{{At: 4, Pool: 0}}, RetryPolicy{
 		Delay: func(JobID, int) float64 { return 1 },
 	})
 	if err != nil {
@@ -64,16 +64,16 @@ func TestFaultKillsAndRetries(t *testing.T) {
 	}
 	// Busy time counts the wasted partial attempt (4s) plus the full
 	// re-execution (10s).
-	if got := res.BusyTime["p"]; math.Abs(got-14) > 1e-12 {
+	if got := res.BusyTime[0]; math.Abs(got-14) > 1e-12 {
 		t.Fatalf("busy time = %v, want 14", got)
 	}
 }
 
 func TestFaultExtraCostAndObjectLoss(t *testing.T) {
-	jobs := []Job{{ID: 0, Cost: 5, Pool: "p"}}
+	jobs := []Job{{Cost: 5}}
 	pools := []Pool{{Name: "p", Slots: 1}}
 	res, err := ScheduleFaulty(jobs, pools,
-		[]FaultEvent{{At: 2, LoseObjects: true}},
+		[]FaultEvent{{At: 2, Pool: AnyPool, LoseObjects: true}},
 		RetryPolicy{ExtraCost: func(_ JobID, _ int, lost bool) float64 {
 			if lost {
 				return 3
@@ -96,12 +96,12 @@ func TestFaultExtraCostAndObjectLoss(t *testing.T) {
 }
 
 func TestFaultOnIdleSystemIsNoOp(t *testing.T) {
-	jobs := []Job{{ID: 0, Cost: 2, Pool: "p"}}
+	jobs := []Job{{Cost: 2}}
 	pools := []Pool{{Name: "p", Slots: 1}}
-	res, err := ScheduleFaulty(jobs, pools, []FaultEvent{{At: 100}, {At: 1, Pool: "other-pool"}}, RetryPolicy{})
+	res, err := ScheduleFaulty(jobs, pools, []FaultEvent{{At: 100, Pool: AnyPool}, {At: 1, Pool: 1}}, RetryPolicy{})
 	if err == nil {
-		// Pool "other-pool" doesn't exist, so the second fault matches
-		// nothing; the first strikes after completion.
+		// Pool 1 doesn't exist, so the second fault matches nothing; the
+		// first strikes after completion.
 		if res.Makespan != 2 || res.Recovery.Kills != 0 {
 			t.Fatalf("idle faults changed the schedule: %+v", res)
 		}
@@ -112,7 +112,7 @@ func TestFaultOnIdleSystemIsNoOp(t *testing.T) {
 
 func TestFaultDeterministicVictimSelection(t *testing.T) {
 	jobs, pools := twoPoolJobs()
-	faults := []FaultEvent{{At: 0.5, Salt: 12345}, {At: 2.5, Salt: 999}}
+	faults := []FaultEvent{{At: 0.5, Pool: AnyPool, Salt: 12345}, {At: 2.5, Pool: AnyPool, Salt: 999}}
 	a, err := ScheduleFaulty(jobs, pools, faults, RetryPolicy{Delay: func(_ JobID, r int) float64 { return 0.25 * float64(r) }})
 	if err != nil {
 		t.Fatal(err)
@@ -136,11 +136,11 @@ func TestFaultDeterministicVictimSelection(t *testing.T) {
 
 func TestFaultDependentsWaitForFinalAttempt(t *testing.T) {
 	jobs := []Job{
-		{ID: 0, Cost: 4, Pool: "p"},
-		{ID: 1, Cost: 1, Pool: "p", Deps: []JobID{0}},
+		{Cost: 4},
+		{Cost: 1, Deps: []JobID{0}},
 	}
 	pools := []Pool{{Name: "p", Slots: 2}}
-	res, err := ScheduleFaulty(jobs, pools, []FaultEvent{{At: 3}}, RetryPolicy{})
+	res, err := ScheduleFaulty(jobs, pools, []FaultEvent{{At: 3, Pool: AnyPool}}, RetryPolicy{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -155,9 +155,9 @@ func TestFaultDependentsWaitForFinalAttempt(t *testing.T) {
 }
 
 func TestFaultExceedingRetriesErrors(t *testing.T) {
-	jobs := []Job{{ID: 0, Cost: 100, Pool: "p"}}
+	jobs := []Job{{Cost: 100}}
 	pools := []Pool{{Name: "p", Slots: 1}}
-	faults := []FaultEvent{{At: 1}, {At: 2}, {At: 3}}
+	faults := []FaultEvent{{At: 1, Pool: AnyPool}, {At: 2, Pool: AnyPool}, {At: 3, Pool: AnyPool}}
 	_, err := ScheduleFaulty(jobs, pools, faults, RetryPolicy{MaxRetries: 2})
 	if err == nil {
 		t.Fatalf("expected retry-exhaustion error")
@@ -165,9 +165,9 @@ func TestFaultExceedingRetriesErrors(t *testing.T) {
 }
 
 func TestFaultNegativeTimeRejected(t *testing.T) {
-	jobs := []Job{{ID: 0, Cost: 1, Pool: "p"}}
+	jobs := []Job{{Cost: 1}}
 	pools := []Pool{{Name: "p", Slots: 1}}
-	if _, err := ScheduleFaulty(jobs, pools, []FaultEvent{{At: -1}}, RetryPolicy{}); err == nil {
+	if _, err := ScheduleFaulty(jobs, pools, []FaultEvent{{At: -1, Pool: AnyPool}}, RetryPolicy{}); err == nil {
 		t.Fatalf("expected error for negative fault time")
 	}
 }

@@ -2,11 +2,12 @@ package sim
 
 import (
 	"bytes"
+	"cmp"
 	"encoding/json"
 	"flag"
 	"fmt"
 	"os"
-	"sort"
+	"slices"
 	"testing"
 
 	"repro/internal/xrand"
@@ -19,6 +20,14 @@ import (
 // that the move changed no simulated second. Floats are compared with
 // ==, never a tolerance; -update re-records the file from the current
 // tree and must leave it byte-identical.
+//
+// The cases are generated ID-keyed, as they were recorded: the sparse
+// ones number their jobs with gaps and shuffle them. Each is renumbered
+// densely in ascending-ID order before it is scheduled (positional),
+// and positions are mapped back to IDs in the spans, the aborts and the
+// retry policy's arguments. The schedule depends on IDs only through
+// the (at, ID) order, which the renumbering keeps, so it is the same
+// schedule bit for bit.
 
 var update = flag.Bool("update", false, "re-record testdata/schedule_golden.json from the current tree (must leave it byte-identical)")
 
@@ -36,7 +45,7 @@ type goldenRow struct {
 	BusyTime map[string]float64 `json:"busy_time"`
 	Aborts   []Abort            `json:"aborts"`
 	Recovery Recovery           `json:"recovery"`
-	Spans    []goldenSpan       `json:"spans"` // ascending ID
+	Spans    []goldenSpan       `json:"spans"` // ascending ID, as positions are
 }
 
 // goldenCases spans the shapes the two entry points see: 50–2,000 jobs
@@ -61,13 +70,13 @@ var goldenCases = []struct {
 	{seed: 8, jobs: 400, sparse: true},
 }
 
-// goldenDAG builds a seeded random DAG. Half the costs come from a
+// goldenDAG builds a seeded random ID-keyed DAG. Half the costs come from a
 // three-value grid and a tenth are zero, so equal finish and ready
 // times — the (at, job) tie-breaks — occur constantly; the rest are
 // arbitrary floats, so the order of every addition shows in the last
 // bit. A sparse DAG numbers its jobs with gaps and shuffles them, so
 // slice order, ID order and dependency order all differ.
-func goldenDAG(seed uint64, n int, sparse, latencies bool) ([]Job, []Pool) {
+func goldenDAG(seed uint64, n int, sparse, latencies bool) ([]refJob, []Pool) {
 	r := xrand.New(seed)
 	names := []string{"p0", "p1", "p2"}
 	nPools := 1 + r.Intn(3)
@@ -75,11 +84,11 @@ func goldenDAG(seed uint64, n int, sparse, latencies bool) ([]Job, []Pool) {
 	for i := range pools {
 		pools[i] = Pool{Name: names[i], Slots: 1 + r.Intn(6)}
 	}
-	ids := make([]JobID, n)
+	ids := make([]refJobID, n)
 	for k := range ids {
-		ids[k] = JobID(k)
+		ids[k] = refJobID(k)
 		if sparse {
-			ids[k] = JobID(10 + 13*k + r.Intn(13))
+			ids[k] = refJobID(10 + 13*k + r.Intn(13))
 		}
 	}
 	if sparse {
@@ -88,9 +97,9 @@ func goldenDAG(seed uint64, n int, sparse, latencies bool) ([]Job, []Pool) {
 		pools = append(pools, Pool{Name: "idle", Slots: 2})
 	}
 	grid := []float64{0.25, 0.5, 1}
-	jobs := make([]Job, n)
+	jobs := make([]refJob, n)
 	for i := range jobs {
-		j := Job{ID: ids[i], Name: fmt.Sprintf("j%d", i), Pool: names[r.Intn(nPools)]}
+		j := refJob{ID: ids[i], Name: fmt.Sprintf("j%d", i), Pool: names[r.Intn(nPools)]}
 		switch {
 		case r.Bool(0.1):
 		case r.Bool(0.5):
@@ -114,14 +123,61 @@ func goldenDAG(seed uint64, n int, sparse, latencies bool) ([]Job, []Pool) {
 	return jobs, pools
 }
 
+// positional renumbers an ID-keyed job set densely in ascending-ID
+// order and resolves its pool names: job k of the result is the one
+// with the k-th smallest ID, idOf[k] is that ID, and pos[i] is the
+// position ref[i] went to.
+func positional(ref []refJob, pools []Pool) (jobs []Job, idOf []JobID, pos []int) {
+	order := make([]int, len(ref))
+	for i := range order {
+		order[i] = i
+	}
+	slices.SortFunc(order, func(a, b int) int { return cmp.Compare(ref[a].ID, ref[b].ID) })
+	rank := make(map[refJobID]JobID, len(ref))
+	idOf, pos = make([]JobID, len(ref)), make([]int, len(ref))
+	for k, i := range order {
+		rank[ref[i].ID], idOf[k], pos[i] = JobID(k), JobID(ref[i].ID), k
+	}
+	jobs = make([]Job, len(ref))
+	for k, i := range order {
+		r := &ref[i]
+		j := Job{Cost: r.Cost, Latency: r.Latency, Pool: int32(slices.IndexFunc(pools, func(p Pool) bool { return p.Name == r.Pool }))}
+		for _, d := range r.Deps {
+			j.Deps = append(j.Deps, rank[d])
+		}
+		jobs[k] = j
+	}
+	return jobs, idOf, pos
+}
+
+// byID is the retry policy seen through IDs: it hands p the ID of the
+// job at the position it is called with.
+func byID(p RetryPolicy, idOf []JobID) RetryPolicy {
+	return RetryPolicy{
+		Delay:      func(i JobID, retry int) float64 { return p.Delay(idOf[i], retry) },
+		ExtraCost:  func(i JobID, retry int, lost bool) float64 { return p.ExtraCost(idOf[i], retry, lost) },
+		MaxRetries: p.MaxRetries,
+	}
+}
+
+// busyByName is BusyTime keyed by pool name, with an entry for each pool
+// some job runs on.
+func busyByName(res *Result, jobs []Job, pools []Pool) map[string]float64 {
+	m := make(map[string]float64, len(pools))
+	for _, j := range jobs {
+		m[pools[j.Pool].Name] = res.BusyTime[j.Pool]
+	}
+	return m
+}
+
 // goldenFaults spreads one fault per ~25 jobs over the clean makespan.
 func goldenFaults(seed uint64, n int, makespan float64, pools []Pool) []FaultEvent {
 	r := xrand.New(seed ^ 0xfa17)
 	out := make([]FaultEvent, 1+n/25)
 	for i := range out {
-		f := FaultEvent{At: r.Range(0, makespan), Salt: r.Uint64(), LoseObjects: r.Bool(0.3)}
+		f := FaultEvent{At: r.Range(0, makespan), Pool: AnyPool, Salt: r.Uint64(), LoseObjects: r.Bool(0.3)}
 		if r.Bool(0.5) {
-			f.Pool = pools[r.Intn(len(pools))].Name
+			f.Pool = int32(r.Intn(len(pools)))
 		}
 		out[i] = f
 	}
@@ -148,7 +204,8 @@ func goldenRun(t *testing.T) []goldenRow {
 	for _, c := range goldenCases {
 		name := fmt.Sprintf("seed%d/jobs%d/sparse=%t/lat=%t/faults=%t/policy=%t",
 			c.seed, c.jobs, c.sparse, c.latencies, c.faults, c.policy)
-		jobs, pools := goldenDAG(c.seed, c.jobs, c.sparse, c.latencies)
+		ref, pools := goldenDAG(c.seed, c.jobs, c.sparse, c.latencies)
+		jobs, idOf, _ := positional(ref, pools)
 		res, err := Schedule(jobs, pools)
 		if err != nil {
 			t.Fatalf("%s: %v", name, err)
@@ -156,7 +213,7 @@ func goldenRun(t *testing.T) []goldenRow {
 		if c.faults {
 			var retry RetryPolicy
 			if c.policy {
-				retry = goldenPolicy
+				retry = byID(goldenPolicy, idOf)
 			}
 			res, err = ScheduleFaulty(jobs, pools, goldenFaults(c.seed, c.jobs, res.Makespan, pools), retry)
 			if err != nil {
@@ -167,13 +224,15 @@ func goldenRun(t *testing.T) []goldenRow {
 			}
 		}
 		row := goldenRow{
-			Case: name, Makespan: res.Makespan, BusyTime: res.BusyTime,
+			Case: name, Makespan: res.Makespan, BusyTime: busyByName(res, jobs, pools),
 			Aborts: res.Aborts, Recovery: res.Recovery,
 		}
-		for i, sp := range res.Spans {
-			row.Spans = append(row.Spans, goldenSpan{ID: jobs[i].ID, Start: sp.Start, Finish: sp.Finish})
+		for k := range row.Aborts {
+			row.Aborts[k].Job = idOf[row.Aborts[k].Job]
 		}
-		sort.Slice(row.Spans, func(i, k int) bool { return row.Spans[i].ID < row.Spans[k].ID })
+		for k, sp := range res.Spans {
+			row.Spans = append(row.Spans, goldenSpan{ID: idOf[k], Start: sp.Start, Finish: sp.Finish})
+		}
 		rows = append(rows, row)
 	}
 	return rows

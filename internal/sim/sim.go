@@ -3,12 +3,16 @@
 //
 // Both execution paradigms in this repository lower their work to the
 // same representation: a directed acyclic graph of Jobs, each demanding
-// one slot of a named Pool for a known amount of simulated time. The
-// workflow engine lowers (operator, batch) pairs — which is what makes
+// one slot of a Pool for a known amount of simulated time. The workflow
+// engine lowers (operator, batch) pairs — which is what makes
 // pipelining emerge naturally — and the Ray-style scheduler lowers
 // tasks. Keeping one simulator for both paradigms confines their
 // differences to the lowering, so measured contrasts between paradigms
 // cannot be artifacts of two divergent clocks.
+//
+// The graph is positional: a job's ID is its position in the job
+// slice, and its pool is a position in the pool slice. Names live with
+// the caller, which is the only one that reads them.
 //
 // Scheduling is non-preemptive greedy list scheduling: a job becomes
 // ready when all of its dependencies have finished plus its extra
@@ -24,23 +28,23 @@ import (
 	"slices"
 )
 
-// JobID identifies a job within one Schedule call.
-type JobID int
+// JobID identifies a job by its position in the job slice of one
+// Schedule call.
+type JobID int32
 
 // Job is one unit of simulated work.
 type Job struct {
-	ID   JobID   // unique within the job set
-	Name string  // optional label for traces and error messages
 	Cost float64 // simulated seconds of exclusive work on one slot
-	Pool string  // resource pool the job runs on
-
-	// Deps lists jobs that must finish before this job may start.
-	Deps []JobID
 
 	// Latency is extra delay (for example network transfer or
 	// deserialization) between the last dependency finishing and the
 	// job becoming ready. It does not occupy a slot.
 	Latency float64
+
+	Pool int32 // position of the job's pool in the pool slice
+
+	// Deps lists jobs that must finish before this job may start.
+	Deps []JobID
 }
 
 // Pool is a named resource with a fixed number of identical slots.
@@ -59,14 +63,12 @@ type Span struct {
 type Result struct {
 	// Makespan is the finish time of the last job.
 	Makespan float64
-	// Spans[i] is the execution interval of the job at position i of the
-	// scheduled slice (the final, successful attempt under fault
-	// injection).
+	// Spans[i] is the execution interval of job i (the final,
+	// successful attempt under fault injection).
 	Spans []Span
-	// BusyTime is the total slot-seconds consumed per pool, including
-	// the partial work of attempts later killed by faults. Pools no job
-	// started on have no entry.
-	BusyTime map[string]float64
+	// BusyTime[p] is the total slot-seconds consumed on pool p,
+	// including the partial work of attempts later killed by faults.
+	BusyTime []float64
 	// Aborts lists killed attempts in kill order; empty without fault
 	// injection.
 	Aborts []Abort
@@ -74,13 +76,13 @@ type Result struct {
 	Recovery Recovery
 }
 
-// Utilization returns the fraction of pool slot-time spent busy over
-// the makespan, or 0 if the makespan is zero.
-func (r *Result) Utilization(pool string, slots int) float64 {
+// Utilization returns the fraction of pool p's slot-time spent busy
+// over the makespan, or 0 if the makespan is zero.
+func (r *Result) Utilization(p, slots int) float64 {
 	if r.Makespan <= 0 || slots <= 0 {
 		return 0
 	}
-	return r.BusyTime[pool] / (r.Makespan * float64(slots))
+	return r.BusyTime[p] / (r.Makespan * float64(slots))
 }
 
 // event is one entry of the event heap or of a pool's ready queue.
@@ -89,13 +91,10 @@ func (r *Result) Utilization(pool string, slots int) float64 {
 // (job <= faultBase) a fault strike, carrying the fault's index as
 // faultBase-job; attempt tags completions so a killed attempt's stale
 // completion event can be recognized and dropped. On a ready queue it
-// is a job waiting for a slot since at. Both order by (at, job); idx is
-// the job's position in the job slice, so handling an event indexes
-// state instead of looking the ID up.
+// is a job waiting for a slot since at. Both order by (at, job).
 type event struct {
 	at      float64
 	job     JobID
-	idx     int32
 	attempt int32
 }
 
@@ -159,89 +158,34 @@ func (h *eventHeap) pop() event {
 	return s[n]
 }
 
-// jobIndex maps JobIDs to positions in a job slice. Lowered job sets
-// number their jobs 0..n-1, so the common case is a flat table; sparse
-// or negative IDs fall back to a map.
-type jobIndex struct {
-	flat []int32 // position by ID, -1 where no job has it
-	m    map[JobID]int32
-}
-
-func newJobIndex(jobs []Job) jobIndex {
-	lo, hi := JobID(0), JobID(-1)
-	for i := range jobs {
-		lo, hi = min(lo, jobs[i].ID), max(hi, jobs[i].ID)
-	}
-	if lo < 0 || int(hi) >= 4*len(jobs) {
-		return jobIndex{m: make(map[JobID]int32, len(jobs))}
-	}
-	flat := make([]int32, hi+1)
-	for i := range flat {
-		flat[i] = -1
-	}
-	return jobIndex{flat: flat}
-}
-
-// lookup returns the position of the job with this ID, or -1.
-func (x *jobIndex) lookup(id JobID) int32 {
-	if x.m != nil {
-		if i, ok := x.m[id]; ok {
-			return i
-		}
-		return -1
-	}
-	if id < 0 || int(id) >= len(x.flat) {
-		return -1
-	}
-	return x.flat[id]
-}
-
-// set records position i for id, which must be one of the indexed jobs'.
-func (x *jobIndex) set(id JobID, i int32) {
-	if x.m != nil {
-		x.m[id] = i
-	} else {
-		x.flat[id] = i
-	}
-}
-
 // Schedule simulates the execution of jobs on pools and returns the
-// resulting timeline. It returns an error for duplicate job IDs,
-// references to unknown pools or jobs, non-positive pool sizes,
+// resulting timeline. It returns an error for references to unknown
+// pools or jobs, duplicate pool names, non-positive pool sizes,
 // negative costs, or dependency cycles.
 func Schedule(jobs []Job, pools []Pool) (*Result, error) {
 	return schedule(jobs, pools, nil, RetryPolicy{})
 }
 
 // jobState is the event loop's bookkeeping for one job, at the job's
-// position in the job slice.
+// position.
 type jobState struct {
 	depFinish float64 // latest finish among the dependencies finished so far
 	extra     float64 // retry cost added to the next attempt; 0 until a fault kills one
 	pending   int32   // dependencies not yet finished
-	pool      int32   // position of the job's pool
 	attempt   int32   // attempts killed so far; 0 = first attempt
 }
 
-// poolState is one pool's slots and queue, at the pool's declared
-// position.
+// poolState is one pool's slots and queue, at the pool's position.
 type poolState struct {
-	name  string
 	free  int
-	busy  float64   // slot-seconds consumed; BusyTime[name] once a job has started here
-	used  bool      // some job started here
 	ready eventHeap // jobs waiting for a slot, in (ready time, ID) order
 }
 
-// scheduler is the state of one schedule call. Jobs and pools are
-// addressed by position throughout; IDs and names are resolved once,
-// while the inputs are validated, and appear again only as the (at,
-// job) ordering key and as the keys of the Result's BusyTime.
+// scheduler is the state of one schedule call.
 type scheduler struct {
-	jobs   []Job
-	state  []jobState
-	pools  []poolState
-	poolAt map[string]int32
+	jobs  []Job
+	state []jobState
+	pools []poolState
 	// Job i's dependents are dependents[depOff[i]:depOff[i+1]].
 	depOff     []int32
 	dependents []int32
@@ -258,54 +202,46 @@ func schedule(jobs []Job, pools []Pool, faults []FaultEvent, retry RetryPolicy) 
 		jobs:   jobs,
 		state:  make([]jobState, len(jobs)),
 		pools:  make([]poolState, len(pools)),
-		poolAt: make(map[string]int32, len(pools)),
 		depOff: make([]int32, len(jobs)+2),
 		res: &Result{
 			Spans:    make([]Span, len(jobs)),
-			BusyTime: make(map[string]float64, len(pools)),
+			BusyTime: make([]float64, len(pools)),
 		},
 	}
-	ix := newJobIndex(jobs)
-	for i := range jobs {
-		j := &jobs[i]
-		if ix.lookup(j.ID) >= 0 {
-			return nil, fmt.Errorf("sim: duplicate job id %d", j.ID)
-		}
-		if j.Cost < 0 {
-			return nil, fmt.Errorf("sim: job %d (%s) has negative cost %g", j.ID, j.Name, j.Cost)
-		}
-		if j.Latency < 0 {
-			return nil, fmt.Errorf("sim: job %d (%s) has negative latency %g", j.ID, j.Name, j.Latency)
-		}
-		ix.set(j.ID, int32(i))
-	}
+	slots := 0
 	for i, p := range pools {
 		if p.Slots <= 0 {
 			return nil, fmt.Errorf("sim: pool %q has %d slots", p.Name, p.Slots)
 		}
-		if _, dup := s.poolAt[p.Name]; dup {
-			return nil, fmt.Errorf("sim: duplicate pool %q", p.Name)
+		for _, q := range pools[:i] {
+			if q.Name == p.Name {
+				return nil, fmt.Errorf("sim: duplicate pool %q", p.Name)
+			}
 		}
-		s.poolAt[p.Name] = int32(i)
-		s.pools[i] = poolState{name: p.Name, free: p.Slots}
+		s.pools[i].free = p.Slots
+		slots += p.Slots
 	}
 
-	// Validate references, resolving each to a position, and count every
-	// job's dependents two places up in depOff (see the fill below).
+	// Validate references and count every job's dependents two places
+	// up in depOff (see the fill below).
 	for i := range jobs {
 		j := &jobs[i]
-		pool, ok := s.poolAt[j.Pool]
-		if !ok {
-			return nil, fmt.Errorf("sim: job %d (%s) references unknown pool %q", j.ID, j.Name, j.Pool)
+		if j.Cost < 0 {
+			return nil, fmt.Errorf("sim: job %d has negative cost %g", i, j.Cost)
+		}
+		if j.Latency < 0 {
+			return nil, fmt.Errorf("sim: job %d has negative latency %g", i, j.Latency)
+		}
+		if j.Pool < 0 || int(j.Pool) >= len(pools) {
+			return nil, fmt.Errorf("sim: job %d references unknown pool %d", i, j.Pool)
 		}
 		for _, d := range j.Deps {
-			di := ix.lookup(d)
-			if di < 0 {
-				return nil, fmt.Errorf("sim: job %d (%s) depends on unknown job %d", j.ID, j.Name, d)
+			if d < 0 || int(d) >= len(jobs) {
+				return nil, fmt.Errorf("sim: job %d depends on unknown job %d", i, d)
 			}
-			s.depOff[di+2]++
+			s.depOff[d+2]++
 		}
-		s.state[i] = jobState{pool: pool, pending: int32(len(j.Deps))}
+		s.state[i].pending = int32(len(j.Deps))
 	}
 	// Running sums make depOff[i+1] the start of job i's dependents;
 	// filling a row advances it to the row's end, which is the start of
@@ -317,19 +253,22 @@ func schedule(jobs []Job, pools []Pool, faults []FaultEvent, retry RetryPolicy) 
 	s.dependents = make([]int32, s.depOff[len(jobs)+1])
 	for i := range jobs {
 		for _, d := range jobs[i].Deps {
-			di := ix.lookup(d)
-			s.dependents[s.depOff[di+1]] = int32(i)
-			s.depOff[di+1]++
+			s.dependents[s.depOff[d+1]] = int32(i)
+			s.depOff[d+1]++
 		}
 	}
 
+	// The event heap holds the faults and at most one completion per
+	// slot, besides the wakeups of jobs whose latency has not elapsed
+	// (and, once a fault strikes, stale completions).
+	s.events = make(eventHeap, 0, len(faults)+min(slots, len(jobs)))
 	for i := range faults {
 		s.events.push(event{at: faults[i].At, job: faultBase - JobID(i)})
 	}
 	// Jobs with no dependencies are ready at time 0 (plus latency).
 	for i := range s.state {
 		if s.state[i].pending == 0 {
-			s.enqueue(int32(i), 0)
+			s.enqueue(JobID(i), 0)
 		}
 	}
 
@@ -364,55 +303,47 @@ func schedule(jobs []Job, pools []Pool, faults []FaultEvent, retry RetryPolicy) 
 			s.dispatch()
 			continue
 		}
-		st := &s.state[ev.idx]
-		if ev.attempt != st.attempt {
+		if ev.attempt != s.state[ev.job].attempt {
 			continue // stale completion of a killed attempt
 		}
-		s.pools[st.pool].free++
+		s.pools[jobs[ev.job].Pool].free++
 		finished++
-		for _, dep := range s.dependents[s.depOff[ev.idx]:s.depOff[ev.idx+1]] {
+		for _, dep := range s.dependents[s.depOff[ev.job]:s.depOff[ev.job+1]] {
 			ds := &s.state[dep]
 			if s.now > ds.depFinish {
 				ds.depFinish = s.now
 			}
 			ds.pending--
 			if ds.pending == 0 {
-				s.enqueue(dep, ds.depFinish)
+				s.enqueue(JobID(dep), ds.depFinish)
 			}
 		}
 		s.dispatch()
 	}
 	s.res.Makespan = s.now
-	for i := range s.pools {
-		if p := &s.pools[i]; p.used {
-			s.res.BusyTime[p.name] = p.busy
-		}
-	}
 	return s.res, nil
 }
 
 // enqueue puts job i, whose last dependency finished at time at, on its
 // pool's ready queue.
-func (s *scheduler) enqueue(i int32, at float64) {
+func (s *scheduler) enqueue(i JobID, at float64) {
 	j := &s.jobs[i]
 	readyAt := at + j.Latency
-	s.pools[s.state[i].pool].ready.push(event{at: readyAt, job: j.ID, idx: i})
+	s.pools[j.Pool].ready.push(event{at: readyAt, job: i})
 	if readyAt > s.now {
 		s.events.push(event{at: readyAt, job: wakeupEvent})
 	}
 }
 
 // start runs job i on a free slot of its pool from the current time.
-func (s *scheduler) start(i int32) {
+func (s *scheduler) start(i JobID) {
 	j, st := &s.jobs[i], &s.state[i]
-	p := &s.pools[st.pool]
-	p.free--
-	p.used = true
+	s.pools[j.Pool].free--
 	c := j.Cost + st.extra
 	fin := s.now + c
 	s.res.Spans[i] = Span{Start: s.now, Finish: fin}
-	p.busy += c
-	s.events.push(event{at: fin, job: j.ID, idx: i, attempt: st.attempt})
+	s.res.BusyTime[j.Pool] += c
+	s.events.push(event{at: fin, job: i, attempt: st.attempt})
 }
 
 // dispatch starts every startable job at the current time, pool by
@@ -423,7 +354,7 @@ func (s *scheduler) dispatch() {
 	for i := range s.pools {
 		p := &s.pools[i]
 		for p.free > 0 && len(p.ready) > 0 && p.ready[0].at <= s.now {
-			s.start(p.ready.pop().idx)
+			s.start(p.ready.pop().job)
 		}
 	}
 }
@@ -437,13 +368,12 @@ func (s *scheduler) dispatch() {
 // is still current, and such an event's time is its attempt's start
 // plus slot cost, so the loop keeps no separate record of them.
 func (s *scheduler) strike(f *FaultEvent, retry *RetryPolicy) error {
-	pool, known := s.poolAt[f.Pool]
 	var victims []event
 	for _, e := range s.events {
-		if e.job < 0 || e.attempt != s.state[e.idx].attempt {
+		if e.job < 0 || e.attempt != s.state[e.job].attempt {
 			continue // not a completion, or a stale one
 		}
-		if f.Pool == "" || (known && s.state[e.idx].pool == pool) {
+		if f.Pool == AnyPool || s.jobs[e.job].Pool == f.Pool {
 			victims = append(victims, e)
 		}
 	}
@@ -452,13 +382,13 @@ func (s *scheduler) strike(f *FaultEvent, retry *RetryPolicy) error {
 	}
 	slices.SortFunc(victims, func(a, b event) int { return cmp.Compare(a.job, b.job) })
 	v := victims[int(f.Salt%uint64(len(victims)))]
-	jv, st := &s.jobs[v.idx], &s.state[v.idx]
-	started := s.res.Spans[v.idx].Start
-	p := &s.pools[st.pool]
-	p.free++
+	st := &s.state[v.job]
+	started := s.res.Spans[v.job].Start
+	pool := s.jobs[v.job].Pool
+	s.pools[pool].free++
 	// Remove the unexecuted remainder of the attempt from busy time;
 	// the part already executed stays, as genuinely wasted slot time.
-	p.busy -= v.at - s.now
+	s.res.BusyTime[pool] -= v.at - s.now
 	st.attempt++
 	retryN := int(st.attempt)
 	maxR := retry.MaxRetries
@@ -466,17 +396,17 @@ func (s *scheduler) strike(f *FaultEvent, retry *RetryPolicy) error {
 		maxR = DefaultMaxRetries
 	}
 	if retryN > maxR {
-		return fmt.Errorf("sim: job %d (%s) killed %d times, exceeding %d retries", jv.ID, jv.Name, retryN, maxR)
+		return fmt.Errorf("sim: job %d killed %d times, exceeding %d retries", v.job, retryN, maxR)
 	}
 	var delay, extra float64
 	if retry.Delay != nil {
-		delay = retry.Delay(jv.ID, retryN)
+		delay = retry.Delay(v.job, retryN)
 	}
 	if retry.ExtraCost != nil {
-		extra = retry.ExtraCost(jv.ID, retryN, f.LoseObjects)
+		extra = retry.ExtraCost(v.job, retryN, f.LoseObjects)
 	}
 	if delay < 0 || extra < 0 {
-		return fmt.Errorf("sim: retry policy returned negative delay/cost (%g, %g) for job %d", delay, extra, jv.ID)
+		return fmt.Errorf("sim: retry policy returned negative delay/cost (%g, %g) for job %d", delay, extra, v.job)
 	}
 	st.extra = extra
 
@@ -489,14 +419,14 @@ func (s *scheduler) strike(f *FaultEvent, retry *RetryPolicy) error {
 	rec.DelaySeconds += delay
 	rec.ExtraCostSeconds += extra
 	s.res.Aborts = append(s.res.Aborts, Abort{
-		Job: jv.ID, Attempt: retryN, Start: started, Killed: s.now,
+		Job: v.job, Attempt: retryN, Start: started, Killed: s.now,
 		LostObjects: f.LoseObjects,
 	})
 
 	// Re-queue: dependencies were satisfied before the first attempt,
 	// so the job re-enters its pool's queue directly.
 	readyAt := s.now + delay
-	p.ready.push(event{at: readyAt, job: jv.ID, idx: v.idx})
+	s.pools[pool].ready.push(event{at: readyAt, job: v.job})
 	if readyAt > s.now {
 		s.events.push(event{at: readyAt, job: wakeupEvent})
 	}
@@ -512,15 +442,11 @@ func CriticalPath(jobs []Job) (float64, error) {
 	return length, err
 }
 
-// CriticalChain returns the jobs on one longest dependency chain, in
-// execution order. Ties are broken toward the smaller job ID at every
-// step, so the chain is deterministic for a given job set regardless
-// of input or dependency order. It returns an error on cycles or
-// unknown dependencies.
-//
-// The telemetry layer calls this after every instrumented run, so it
-// stays allocation-light: lowered job IDs are dense, which lets the
-// memo tables be flat slices indexed by ID instead of maps.
+// CriticalChain returns the positions of the jobs on one longest
+// dependency chain, in execution order. Ties are broken toward the
+// smaller position at every step, so the chain is deterministic for a
+// given job set regardless of dependency order. It returns an error on
+// cycles or unknown dependencies.
 func CriticalChain(jobs []Job) ([]JobID, error) {
 	chain, _, err := longestChain(jobs)
 	return chain, err
@@ -533,42 +459,30 @@ func longestChain(jobs []Job) ([]JobID, float64, error) {
 	if len(jobs) == 0 {
 		return nil, 0, nil
 	}
-	for i := range jobs {
-		if jobs[i].ID < 0 {
-			return nil, 0, fmt.Errorf("sim: negative job ID %d", jobs[i].ID)
-		}
-	}
-	// id -> job index, last definition winning.
-	ix := newJobIndex(jobs)
-	for i := range jobs {
-		ix.set(jobs[i].ID, int32(i))
-	}
-	lookup := func(id JobID) int { return int(ix.lookup(id)) }
 	memo := make([]float64, len(jobs))
 	best := make([]JobID, len(jobs)) // heaviest dependency, -1 if none
 	state := make([]uint8, len(jobs))
-	var visit func(ji int) (float64, error)
-	visit = func(ji int) (float64, error) {
+	var visit func(ji JobID) (float64, error)
+	visit = func(ji JobID) (float64, error) {
 		if state[ji] == 2 {
 			return memo[ji], nil
 		}
 		if state[ji] == 1 {
-			return 0, fmt.Errorf("sim: dependency cycle through job %d", jobs[ji].ID)
+			return 0, fmt.Errorf("sim: dependency cycle through job %d", ji)
 		}
 		state[ji] = 1
 		j := &jobs[ji]
 		longest, heaviest := 0.0, JobID(-1)
 		for _, d := range j.Deps {
-			di := lookup(d)
-			if di < 0 {
-				return 0, fmt.Errorf("sim: job %d depends on unknown job %d", j.ID, d)
+			if d < 0 || int(d) >= len(jobs) {
+				return 0, fmt.Errorf("sim: job %d depends on unknown job %d", ji, d)
 			}
-			v, err := visit(di)
+			v, err := visit(d)
 			if err != nil {
 				return 0, err
 			}
-			// Strictly longer wins; on a tie the smaller dependency ID
-			// does, making the chain independent of Deps order.
+			// Strictly longer wins; on a tie the smaller dependency does,
+			// making the chain independent of Deps order.
 			if v > longest || (v == longest && heaviest >= 0 && d < heaviest) {
 				longest, heaviest = v, d
 			}
@@ -580,33 +494,30 @@ func longestChain(jobs []Job) ([]JobID, float64, error) {
 	}
 	top, topLen := JobID(-1), -1.0
 	for i := range jobs {
-		ji := lookup(jobs[i].ID) // canonical index under duplicate IDs
-		v, err := visit(ji)
+		v, err := visit(JobID(i))
 		if err != nil {
 			return nil, 0, err
 		}
-		if v > topLen || (v == topLen && jobs[ji].ID < top) {
-			top, topLen = jobs[ji].ID, v
+		if v > topLen {
+			top, topLen = JobID(i), v
 		}
 	}
 	var chain []JobID
-	for id := top; id >= 0; id = best[lookup(id)] {
+	for id := top; id >= 0; id = best[id] {
 		chain = append(chain, id)
 	}
-	// Reverse into execution order.
-	for i, j := 0, len(chain)-1; i < j; i, j = i+1, j-1 {
-		chain[i], chain[j] = chain[j], chain[i]
-	}
+	slices.Reverse(chain) // into execution order
 	return chain, topLen, nil
 }
 
-// TotalWork returns the sum of job costs grouped by pool.
-func TotalWork(jobs []Job) map[string]float64 {
-	m := make(map[string]float64)
+// TotalWork returns the sum of job costs by pool position, for pools
+// 0..pools-1; every job's pool must be one of them.
+func TotalWork(jobs []Job, pools int) []float64 {
+	w := make([]float64, pools)
 	for _, j := range jobs {
-		m[j.Pool] += j.Cost
+		w[j.Pool] += j.Cost
 	}
-	return m
+	return w
 }
 
 // LowerBound returns max(critical path, per-pool work / slots), a valid
@@ -617,12 +528,12 @@ func LowerBound(jobs []Job, pools []Pool) (float64, error) {
 		return 0, err
 	}
 	lb := cp
-	work := TotalWork(jobs)
-	for _, p := range pools {
+	work := TotalWork(jobs, len(pools))
+	for i, p := range pools {
 		if p.Slots <= 0 {
 			return 0, fmt.Errorf("sim: pool %q has %d slots", p.Name, p.Slots)
 		}
-		if v := work[p.Name] / float64(p.Slots); v > lb {
+		if v := work[i] / float64(p.Slots); v > lb {
 			lb = v
 		}
 	}

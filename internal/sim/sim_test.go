@@ -11,7 +11,7 @@ import (
 func onePool(slots int) []Pool { return []Pool{{Name: "cpu", Slots: slots}} }
 
 func TestSingleJob(t *testing.T) {
-	res, err := Schedule([]Job{{ID: 1, Cost: 5, Pool: "cpu"}}, onePool(1))
+	res, err := Schedule([]Job{{Cost: 5}}, onePool(1))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -25,9 +25,9 @@ func TestSingleJob(t *testing.T) {
 
 func TestChainIsSequential(t *testing.T) {
 	jobs := []Job{
-		{ID: 1, Cost: 2, Pool: "cpu"},
-		{ID: 2, Cost: 3, Pool: "cpu", Deps: []JobID{1}},
-		{ID: 3, Cost: 4, Pool: "cpu", Deps: []JobID{2}},
+		{Cost: 2},
+		{Cost: 3, Deps: []JobID{0}},
+		{Cost: 4, Deps: []JobID{1}},
 	}
 	res, err := Schedule(jobs, onePool(8))
 	if err != nil {
@@ -40,8 +40,8 @@ func TestChainIsSequential(t *testing.T) {
 
 func TestIndependentJobsRunInParallel(t *testing.T) {
 	jobs := []Job{
-		{ID: 1, Cost: 4, Pool: "cpu"},
-		{ID: 2, Cost: 4, Pool: "cpu"},
+		{Cost: 4},
+		{Cost: 4},
 	}
 	res, err := Schedule(jobs, onePool(2))
 	if err != nil {
@@ -61,8 +61,8 @@ func TestIndependentJobsRunInParallel(t *testing.T) {
 
 func TestLatencyDelaysStart(t *testing.T) {
 	jobs := []Job{
-		{ID: 1, Cost: 2, Pool: "cpu"},
-		{ID: 2, Cost: 1, Pool: "cpu", Deps: []JobID{1}, Latency: 3},
+		{Cost: 2},
+		{Cost: 1, Deps: []JobID{0}, Latency: 3},
 	}
 	res, err := Schedule(jobs, onePool(1))
 	if err != nil {
@@ -72,23 +72,23 @@ func TestLatencyDelaysStart(t *testing.T) {
 		t.Fatalf("makespan = %v, want 6 (2 work + 3 latency + 1 work)", res.Makespan)
 	}
 	if s := res.Spans[1]; s.Start != 5 {
-		t.Fatalf("job 2 start = %v, want 5", s.Start)
+		t.Fatalf("job 1 start = %v, want 5", s.Start)
 	}
 }
 
 func TestLatencyDoesNotOccupySlot(t *testing.T) {
-	// Job 2 waits on latency; job 3 should use the slot meanwhile.
+	// Job 1 waits on latency; job 2 should use the slot meanwhile.
 	jobs := []Job{
-		{ID: 1, Cost: 1, Pool: "cpu"},
-		{ID: 2, Cost: 1, Pool: "cpu", Deps: []JobID{1}, Latency: 10},
-		{ID: 3, Cost: 5, Pool: "cpu", Deps: []JobID{1}},
+		{Cost: 1},
+		{Cost: 1, Deps: []JobID{0}, Latency: 10},
+		{Cost: 5, Deps: []JobID{0}},
 	}
 	res, err := Schedule(jobs, onePool(1))
 	if err != nil {
 		t.Fatal(err)
 	}
 	if s := res.Spans[2]; s.Start != 1 {
-		t.Fatalf("job 3 start = %v, want 1 (slot free during job 2 latency)", s.Start)
+		t.Fatalf("job 2 start = %v, want 1 (slot free during job 1 latency)", s.Start)
 	}
 	if res.Makespan != 12 {
 		t.Fatalf("makespan = %v, want 12", res.Makespan)
@@ -100,17 +100,10 @@ func TestPipelineOverlapsStages(t *testing.T) {
 	// Stage costs are 1s per batch, so the pipelined makespan should be
 	// 4 + 1 = 5 rather than the sequential 8.
 	var jobs []Job
-	var prevB JobID = -1
 	for b := 0; b < 4; b++ {
-		a := JobID(2*b + 1)
-		c := JobID(2*b + 2)
-		ja := Job{ID: a, Cost: 1, Pool: "op1"}
-		if prevB >= 0 {
-			// Source emits batches in order; keep op1 sequential.
-		}
-		jobs = append(jobs, ja)
-		jobs = append(jobs, Job{ID: c, Cost: 1, Pool: "op2", Deps: []JobID{a}})
-		prevB = c
+		a := JobID(len(jobs))
+		jobs = append(jobs, Job{Cost: 1, Pool: 0})
+		jobs = append(jobs, Job{Cost: 1, Pool: 1, Deps: []JobID{a}})
 	}
 	pools := []Pool{{Name: "op1", Slots: 1}, {Name: "op2", Slots: 1}}
 	res, err := Schedule(jobs, pools)
@@ -124,8 +117,8 @@ func TestPipelineOverlapsStages(t *testing.T) {
 
 func TestCycleDetected(t *testing.T) {
 	jobs := []Job{
-		{ID: 1, Cost: 1, Pool: "cpu", Deps: []JobID{2}},
-		{ID: 2, Cost: 1, Pool: "cpu", Deps: []JobID{1}},
+		{Cost: 1, Deps: []JobID{1}},
+		{Cost: 1, Deps: []JobID{0}},
 	}
 	if _, err := Schedule(jobs, onePool(1)); err == nil {
 		t.Fatal("expected cycle error")
@@ -141,13 +134,14 @@ func TestErrorCases(t *testing.T) {
 		jobs  []Job
 		pools []Pool
 	}{
-		{"duplicate job", []Job{{ID: 1, Pool: "cpu"}, {ID: 1, Pool: "cpu"}}, onePool(1)},
-		{"unknown pool", []Job{{ID: 1, Pool: "gpu"}}, onePool(1)},
-		{"unknown dep", []Job{{ID: 1, Pool: "cpu", Deps: []JobID{9}}}, onePool(1)},
-		{"zero slots", []Job{{ID: 1, Pool: "cpu"}}, []Pool{{Name: "cpu", Slots: 0}}},
-		{"negative cost", []Job{{ID: 1, Pool: "cpu", Cost: -1}}, onePool(1)},
-		{"negative latency", []Job{{ID: 1, Pool: "cpu", Latency: -1}}, onePool(1)},
-		{"duplicate pool", []Job{{ID: 1, Pool: "cpu"}}, []Pool{{Name: "cpu", Slots: 1}, {Name: "cpu", Slots: 2}}},
+		{"unknown pool", []Job{{Pool: 1}}, onePool(1)},
+		{"negative pool", []Job{{Pool: -1}}, onePool(1)},
+		{"unknown dep", []Job{{Deps: []JobID{9}}}, onePool(1)},
+		{"negative dep", []Job{{}, {Deps: []JobID{-1}}}, onePool(1)},
+		{"zero slots", []Job{{}}, []Pool{{Name: "cpu", Slots: 0}}},
+		{"negative cost", []Job{{Cost: -1}}, onePool(1)},
+		{"negative latency", []Job{{Latency: -1}}, onePool(1)},
+		{"duplicate pool", []Job{{}}, []Pool{{Name: "cpu", Slots: 1}, {Name: "cpu", Slots: 2}}},
 	}
 	for _, c := range cases {
 		if _, err := Schedule(c.jobs, c.pools); err == nil {
@@ -158,9 +152,9 @@ func TestErrorCases(t *testing.T) {
 
 func TestCriticalPathChain(t *testing.T) {
 	jobs := []Job{
-		{ID: 1, Cost: 2, Pool: "cpu"},
-		{ID: 2, Cost: 3, Pool: "cpu", Deps: []JobID{1}, Latency: 1},
-		{ID: 3, Cost: 1, Pool: "cpu"},
+		{Cost: 2},
+		{Cost: 3, Deps: []JobID{0}, Latency: 1},
+		{Cost: 1},
 	}
 	cp, err := CriticalPath(jobs)
 	if err != nil {
@@ -173,17 +167,17 @@ func TestCriticalPathChain(t *testing.T) {
 
 func TestBusyTimeAndUtilization(t *testing.T) {
 	jobs := []Job{
-		{ID: 1, Cost: 4, Pool: "cpu"},
-		{ID: 2, Cost: 4, Pool: "cpu"},
+		{Cost: 4},
+		{Cost: 4},
 	}
 	res, err := Schedule(jobs, onePool(2))
 	if err != nil {
 		t.Fatal(err)
 	}
-	if res.BusyTime["cpu"] != 8 {
-		t.Fatalf("busy time = %v, want 8", res.BusyTime["cpu"])
+	if res.BusyTime[0] != 8 {
+		t.Fatalf("busy time = %v, want 8", res.BusyTime[0])
 	}
-	if u := res.Utilization("cpu", 2); math.Abs(u-1) > 1e-12 {
+	if u := res.Utilization(0, 2); math.Abs(u-1) > 1e-12 {
 		t.Fatalf("utilization = %v, want 1", u)
 	}
 }
@@ -202,14 +196,13 @@ func randomDAG(seed uint64) ([]Job, []Pool) {
 	jobs := make([]Job, n)
 	for i := 0; i < n; i++ {
 		j := Job{
-			ID:   JobID(i),
 			Cost: r.Range(0, 10),
-			Pool: names[r.Intn(nPools)],
+			Pool: int32(r.Intn(nPools)),
 		}
 		if r.Bool(0.2) {
 			j.Latency = r.Range(0, 2)
 		}
-		// Depend only on lower IDs: guaranteed acyclic.
+		// Depend only on earlier jobs: guaranteed acyclic.
 		for d := 0; d < i; d++ {
 			if r.Bool(0.08) {
 				j.Deps = append(j.Deps, JobID(d))
@@ -251,8 +244,8 @@ func TestPropertySpansRespectDeps(t *testing.T) {
 			return false
 		}
 		const eps = 1e-9
-		for _, j := range jobs {
-			s := res.Spans[j.ID]
+		for i, j := range jobs {
+			s := res.Spans[i]
 			if s.Finish-s.Start-j.Cost > eps || s.Finish-s.Start-j.Cost < -eps {
 				return false
 			}
@@ -276,22 +269,18 @@ func TestPropertySlotCapacityNeverExceeded(t *testing.T) {
 		if err != nil {
 			return false
 		}
-		slots := map[string]int{}
-		for _, p := range pools {
-			slots[p.Name] = p.Slots
-		}
 		// Check concurrency at every job start time.
-		for _, j := range jobs {
-			at := res.Spans[j.ID].Start
-			counts := map[string]int{}
-			for _, k := range jobs {
-				s := res.Spans[k.ID]
+		for i := range jobs {
+			at := res.Spans[i].Start
+			counts := make([]int, len(pools))
+			for k, job := range jobs {
+				s := res.Spans[k]
 				if s.Start <= at && at < s.Finish {
-					counts[k.Pool]++
+					counts[job.Pool]++
 				}
 			}
-			for pool, c := range counts {
-				if c > slots[pool] {
+			for p, c := range counts {
+				if c > pools[p].Slots {
 					return false
 				}
 			}
@@ -307,7 +296,7 @@ func TestPropertyMoreSlotsNeverSlower(t *testing.T) {
 	f := func(seed uint64) bool {
 		jobs, _ := randomDAG(seed)
 		for i := range jobs {
-			jobs[i].Pool = "cpu"
+			jobs[i].Pool = 0
 			// Zero latency: with a single pool and no latencies the
 			// 1-slot makespan equals the total work, which upper-bounds
 			// every greedy schedule, so monotonicity provably holds.
@@ -345,19 +334,19 @@ func TestDeterministicSchedules(t *testing.T) {
 	}
 	for i, s := range r1.Spans {
 		if r2.Spans[i] != s {
-			t.Fatalf("non-deterministic span for job %d", jobs[i].ID)
+			t.Fatalf("non-deterministic span for job %d", i)
 		}
 	}
 }
 
 func TestTotalWork(t *testing.T) {
 	jobs := []Job{
-		{ID: 1, Cost: 2, Pool: "a"},
-		{ID: 2, Cost: 3, Pool: "a"},
-		{ID: 3, Cost: 4, Pool: "b"},
+		{Cost: 2, Pool: 0},
+		{Cost: 3, Pool: 0},
+		{Cost: 4, Pool: 1},
 	}
-	w := TotalWork(jobs)
-	if w["a"] != 5 || w["b"] != 4 {
+	w := TotalWork(jobs, 2)
+	if w[0] != 5 || w[1] != 4 {
 		t.Fatalf("work = %v", w)
 	}
 }

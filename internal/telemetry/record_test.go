@@ -111,14 +111,15 @@ func recordRun(t *testing.T, rng *xrand.Rand, rec *Recorder, ref *refRecorder, p
 	}
 	jobs := make([]sim.Job, n)
 	metas := make([]meta, n)
+	names := make([]string, n)
 	for i := range jobs {
 		mt := meta{pool: rng.Intn(len(pools)), batch: rng.Bool(0.6), port: rng.Intn(5) - 1, seq: rng.Intn(50)}
-		jobs[i] = sim.Job{ID: sim.JobID(i), Pool: simPools[mt.pool].Name}
+		jobs[i] = sim.Job{Pool: int32(mt.pool)}
 		if !rng.Bool(0.2) {
 			jobs[i].Cost = rng.Range(0.01, 2)
 		}
 		if !mt.batch {
-			jobs[i].Name = "job" + strconv.Itoa(rng.Intn(8))
+			names[i] = "job" + strconv.Itoa(rng.Intn(8))
 		}
 		for d := rng.Intn(3); d > 0 && i > 0; d-- {
 			jobs[i].Deps = append(jobs[i].Deps, sim.JobID(rng.Intn(i)))
@@ -127,7 +128,7 @@ func recordRun(t *testing.T, rng *xrand.Rand, rec *Recorder, ref *refRecorder, p
 	}
 	faults := make([]sim.FaultEvent, nFaults)
 	for i := range faults {
-		faults[i] = sim.FaultEvent{At: rng.Range(0, float64(n)/2), Salt: rng.Uint64(), LoseObjects: rng.Bool(0.3)}
+		faults[i] = sim.FaultEvent{At: rng.Range(0, float64(n)/2), Pool: sim.AnyPool, Salt: rng.Uint64(), LoseObjects: rng.Bool(0.3)}
 	}
 	sched, err := sim.ScheduleFaulty(jobs, simPools, faults, sim.RetryPolicy{MaxRetries: 64})
 	if err != nil {
@@ -142,7 +143,7 @@ func recordRun(t *testing.T, rng *xrand.Rand, rec *Recorder, ref *refRecorder, p
 		if mt := metas[i]; mt.batch {
 			return lanes[mt.pool], BatchName(mt.port, mt.seq)
 		}
-		return lanes[metas[i].pool], JobName{}
+		return lanes[metas[i].pool], Named(names[i])
 	})
 	ref.Record(refScheduleSpans(nil, proc, jobs, sched, func(i int) (string, string, string) {
 		mt := metas[i]
@@ -150,7 +151,7 @@ func recordRun(t *testing.T, rng *xrand.Rand, rec *Recorder, ref *refRecorder, p
 		if mt.batch {
 			return p.track, p.cat, refBatchName(p.track, mt.port, mt.seq)
 		}
-		return p.track, p.cat, jobs[i].Name
+		return p.track, p.cat, names[i]
 	})...)
 
 	var walls []Span

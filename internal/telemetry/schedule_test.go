@@ -8,19 +8,20 @@ import (
 
 func TestRecordScheduleSkipsFreeJobsAndNamesKills(t *testing.T) {
 	jobs := []sim.Job{
-		{ID: 0, Name: "a", Cost: 10, Pool: "p"},
-		{ID: 1, Name: "barrier", Pool: "p", Deps: []sim.JobID{0}},
-		{ID: 2, Name: "b", Cost: 1, Pool: "p", Deps: []sim.JobID{1}},
+		{Cost: 10},
+		{Deps: []sim.JobID{0}},
+		{Cost: 1, Deps: []sim.JobID{1}},
 	}
+	names := []string{"a", "barrier", "b"}
 	pools := []sim.Pool{{Name: "p", Slots: 1}}
-	sched, err := sim.ScheduleFaulty(jobs, pools, []sim.FaultEvent{{At: 4}, {At: 6}}, sim.RetryPolicy{})
+	sched, err := sim.ScheduleFaulty(jobs, pools, []sim.FaultEvent{{At: 4, Pool: sim.AnyPool}, {At: 6, Pool: sim.AnyPool}}, sim.RetryPolicy{})
 	if err != nil {
 		t.Fatal(err)
 	}
 	rec := New()
 	rec.Record(Span{Name: "kept"})
 	lane := rec.Lane("script:x", "lane", "task")
-	rec.RecordSchedule(jobs, sched, func(int) (Lane, JobName) { return lane, JobName{} })
+	rec.RecordSchedule(jobs, sched, func(i int) (Lane, JobName) { return lane, Named(names[i]) })
 	spans := rec.Spans()
 	want := []struct {
 		name, cat  string
@@ -49,12 +50,13 @@ func TestCriticalRowsFirstReachedOrder(t *testing.T) {
 	// first, and its second job joins its row instead of opening a new
 	// one.
 	jobs := []sim.Job{
-		{ID: 0, Name: "a", Cost: 1, Pool: "x"},
-		{ID: 1, Name: "b", Cost: 2, Pool: "y", Deps: []sim.JobID{0}},
-		{ID: 2, Name: "c", Cost: 3, Pool: "x", Deps: []sim.JobID{1}, Latency: 0.5},
-		{ID: 3, Name: "d", Cost: 4, Pool: "z", Deps: []sim.JobID{2}},
+		{Cost: 1, Pool: 0},
+		{Cost: 2, Pool: 1, Deps: []sim.JobID{0}},
+		{Cost: 3, Pool: 0, Deps: []sim.JobID{1}, Latency: 0.5},
+		{Cost: 4, Pool: 2, Deps: []sim.JobID{2}},
 	}
-	rows := CriticalRows("workflow:x", jobs, func(i int) string { return jobs[i].Pool })
+	tracks := []string{"x", "y", "z"}
+	rows := CriticalRows("workflow:x", jobs, func(i int) string { return tracks[jobs[i].Pool] })
 	want := []CriticalRow{
 		{Proc: "workflow:x", Track: "x", Jobs: 2, Seconds: 4.5},
 		{Proc: "workflow:x", Track: "y", Jobs: 1, Seconds: 2},

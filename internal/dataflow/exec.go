@@ -49,9 +49,9 @@ type Config struct {
 	// accounting; fingerprints alone keep their artifacts apart.
 	LineageScope string
 	// Progress, when set, receives live per-operator progress events:
-	// state transitions as nodes open, run and complete, and cumulative
-	// tuple counters per emitted batch. Nil (the default) costs one
-	// pointer check per transition and per batch.
+	// state transitions as nodes open, run, and complete, fail or are
+	// cancelled, and cumulative tuple counters per emitted batch. Nil
+	// (the default) costs one pointer check per transition and per batch.
 	Progress core.ProgressSink
 }
 
@@ -156,14 +156,14 @@ const (
 
 // setState transitions a node's state and, when a progress sink is
 // attached and the state actually changed, publishes the transition.
-// Failed is final: a sibling worker setting the node Running, or
-// runNode completing it, after one worker failed changes nothing. The
-// compare-and-swap makes the publish exactly-once even when several
-// workers race into Running.
+// It is the only writer of rt.state. Failed and Cancelled are final:
+// after one worker ends the node so, runNode completing it or another
+// worker ending it changes nothing. The compare-and-swap makes the
+// publish exactly-once when several workers race to end the node.
 func (ex *Execution) setState(rt *nodeRuntime, s State) {
 	for {
 		old := rt.state.Load()
-		if old == int32(s) || old == int32(Failed) {
+		if old == int32(s) || old == int32(Failed) || old == int32(Cancelled) {
 			return
 		}
 		if rt.state.CompareAndSwap(old, int32(s)) {
@@ -246,7 +246,7 @@ type Execution struct {
 	model  *cost.Model
 	ctx    context.Context
 	cancel context.CancelFunc
-	gate   *gate
+	gate   gate
 	rts    []*nodeRuntime
 	tel    *execTelemetry // nil = telemetry off
 	lin    *lineagePlan   // nil = lineage off
@@ -288,7 +288,6 @@ func (w *Workflow) Start(ctx context.Context, cfg Config) (*Execution, error) {
 		model:  model,
 		ctx:    runCtx,
 		cancel: cancel,
-		gate:   newGate(),
 		tel:    newExecTelemetry(cfg.Telemetry, w.name),
 		done:   make(chan struct{}),
 	}
@@ -372,6 +371,7 @@ func (w *Workflow) Start(ctx context.Context, cfg Config) (*Execution, error) {
 	go func() {
 		nodeWG.Wait()
 		ex.finish()
+		ex.cancel() // release the run's context; every node has stopped
 		close(ex.done)
 	}()
 	return ex, nil
@@ -395,7 +395,8 @@ func (ex *Execution) fail(err error) {
 }
 
 // Wait blocks until the execution completes and returns its result or
-// the first operator error.
+// the first error: an operator's OpError, or the context's error when
+// the run was cancelled before every node finished.
 func (ex *Execution) Wait() (*Result, error) {
 	<-ex.done
 	if ex.err != nil {
@@ -555,45 +556,45 @@ func (s *hashSplitter) by(rows []relation.Tuple, keyPos, outs int) (placed []rel
 // or parallelism workers for an operator or a sink.
 func (ex *Execution) runNode(wg *sync.WaitGroup, rt *nodeRuntime) {
 	defer wg.Done()
-	defer func() {
-		// Whatever happened, close the port queues this node feeds, now
-		// that all its workers have stopped, so downstream sees EOF. A
-		// port has one in-edge, so no other producer pushes there.
-		for i, e := range rt.n.outEdges {
-			if rt.edges[i].live {
-				outs := ex.rts[e.to.id].inQ[e.port]
-				for wk := range outs {
-					outs[wk].close()
-				}
+	mode := lmDirty
+	if ex.lin != nil {
+		mode = ex.lin.mode[rt.n.id]
+	}
+	switch {
+	case mode == lmSkip:
+		// Elided entirely: the cached artifact stands in for the node.
+	case mode == lmReplay:
+		// The cached artifact is scanned in the node's place, at no
+		// work and with no exec telemetry: the trace prices the fetch.
+		ex.scan(rt, ex.lin.art[rt.n.id].Table, cost.Work{}, nil)
+	case rt.n.kind == kindSource:
+		ex.scan(rt, rt.n.table, rt.n.scanWork, ex.tel)
+	default:
+		// The node runs before its workers start, so a worker's Failed
+		// or Cancelled is published after it. Worker 0 runs on this
+		// goroutine, so a one-worker node, a sink included, starts no
+		// goroutine of its own.
+		ex.setState(rt, Running)
+		rt.wg.Add(rt.n.parallelism)
+		for wk := 1; wk < rt.n.parallelism; wk++ {
+			go ex.runWorker(rt, wk)
+		}
+		ex.runWorker(rt, 0)
+		rt.wg.Wait()
+	}
+	// A node that failed or was cancelled stays so.
+	ex.setState(rt, Completed)
+	// Close the port queues this node feeds, now that all its workers
+	// have stopped, so downstream sees EOF. A port has one in-edge, so
+	// no other producer pushes there.
+	for i, e := range rt.n.outEdges {
+		if rt.edges[i].live {
+			outs := ex.rts[e.to.id].inQ[e.port]
+			for wk := range outs {
+				outs[wk].close()
 			}
 		}
-	}()
-	if ex.lin != nil {
-		switch ex.lin.mode[rt.n.id] {
-		case lmSkip:
-			// Elided entirely: the cached artifact stands in for the node.
-			ex.setState(rt, Completed)
-			return
-		case lmReplay:
-			// The cached artifact is scanned in the node's place, at no
-			// work and with no exec telemetry: the trace prices the fetch.
-			ex.scan(rt, ex.lin.art[rt.n.id].Table, cost.Work{}, nil)
-			return
-		}
 	}
-	if rt.n.kind == kindSource {
-		ex.scan(rt, rt.n.table, rt.n.scanWork, ex.tel)
-		return
-	}
-	// Worker 0 runs on this goroutine, so a one-worker node, a sink
-	// included, starts no goroutine of its own.
-	rt.wg.Add(rt.n.parallelism)
-	for wk := 1; wk < rt.n.parallelism; wk++ {
-		go ex.runWorker(rt, wk)
-	}
-	ex.runWorker(rt, 0)
-	rt.wg.Wait()
-	ex.setState(rt, Completed)
 }
 
 // scan streams table downstream in batches, charging work per row to
@@ -606,6 +607,7 @@ func (ex *Execution) scan(rt *nodeRuntime, table *relation.Table, work cost.Work
 	}
 	for _, b := range table.Batches(size) {
 		if err := ex.gate.wait(ex.ctx); err != nil {
+			ex.cancelOp(rt, err)
 			return
 		}
 		t0 := tel.beginBatch(nil)
@@ -613,7 +615,6 @@ func (ex *Execution) scan(rt *nodeRuntime, table *relation.Table, work cost.Work
 		ex.emit(rt, 0, b.Rows, 0, 0)
 		tel.endBatch(rt, 0, t0, int64(len(b.Rows)))
 	}
-	ex.setState(rt, Completed)
 }
 
 // newInstance makes one worker's instance of the node ready, charging
@@ -648,7 +649,9 @@ func (s *sinkInstance) Process(_ ExecCtx, _ int, rows []relation.Tuple) ([]relat
 func (s *sinkInstance) EndPort(ExecCtx, int) ([]relation.Tuple, error) { return nil, nil }
 
 // runWorker executes one worker of an operator or a sink: ports in
-// order, batches in arrival order.
+// order, batches in arrival order. It passes the gate before each batch
+// and before each EndPort, so a worker never ends a port its producer
+// closed because the run was cancelled.
 func (ex *Execution) runWorker(rt *nodeRuntime, worker int) {
 	defer rt.wg.Done()
 	ec := &rt.shards[worker].ec
@@ -658,19 +661,19 @@ func (ex *Execution) runWorker(rt *nodeRuntime, worker int) {
 		ex.failOp(rt, worker, -1, err)
 		return
 	}
-	ex.setState(rt, Running)
 	for port := range rt.inQ {
 		q := &rt.inQ[port][worker]
 		for {
 			msg, ok, err := q.pop(ex.ctx)
+			if err == nil {
+				err = ex.gate.wait(ex.ctx)
+			}
 			if err != nil {
-				return // canceled
+				ex.cancelOp(rt, err)
+				return
 			}
 			if !ok {
 				break // port exhausted
-			}
-			if err := ex.gate.wait(ex.ctx); err != nil {
-				return
 			}
 			t0 := ex.tel.beginBatch(q)
 			in := int64(len(msg.rows) + msg.dropped)
@@ -702,6 +705,15 @@ func (ex *Execution) runWorker(rt *nodeRuntime, worker int) {
 func (ex *Execution) failOp(rt *nodeRuntime, worker, port int, err error) {
 	ex.setState(rt, Failed)
 	ex.fail(&OpError{Op: rt.n.name, Worker: worker, Port: port, Err: err})
+}
+
+// cancelOp ends a worker that stopped because the run's context ended,
+// with err that context's error: the node ends Cancelled and the run
+// fails. The first error wins, so the OpError whose failOp cancelled
+// the run stands.
+func (ex *Execution) cancelOp(rt *nodeRuntime, err error) {
+	ex.setState(rt, Cancelled)
+	ex.fail(err)
 }
 
 // finish assembles the result after all goroutines stopped.

@@ -4,6 +4,8 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"strings"
+	"sync"
 	"sync/atomic"
 	"testing"
 	"time"
@@ -11,6 +13,7 @@ import (
 	"repro/internal/cost"
 	"repro/internal/relation"
 	"repro/internal/shard"
+	"repro/internal/telemetry"
 )
 
 func runSimple(t *testing.T, w *Workflow) *Result {
@@ -392,31 +395,175 @@ func TestExecPauseResume(t *testing.T) {
 	}
 }
 
-func TestExecContextCancel(t *testing.T) {
-	in := intTable(100000)
-	w := New("cancel")
-	src := w.Source("src", in, WithBatchSize(8))
-	f := w.Op(NewFilter("f", cost.Python, func(relation.Tuple) bool { return true }))
-	snk := w.Sink("out")
-	w.Connect(src, f, 0, RoundRobin())
-	w.Connect(f, snk, 0, RoundRobin())
+// lifecycleOp is a pass-through filter that stops its run the way mode
+// names: its first NewInstance, its k-th batch or its first EndPort
+// fails with err ("new-instance", "process", "end-port"), or its k-th
+// batch calls cancel ("cancel").
+type lifecycleOp struct {
+	*FilterOp
+	mode                 string
+	k                    int64
+	err                  error
+	cancel               func()
+	opens, batches, ends atomic.Int64
+}
 
-	ctx, cancel := context.WithCancel(context.Background())
-	ex, err := w.Start(ctx, Config{})
-	if err != nil {
-		t.Fatal(err)
+func (o *lifecycleOp) NewInstance(ec ExecCtx, in []*relation.Schema) (Instance, error) {
+	if o.opens.Add(1) == 1 && o.mode == "new-instance" {
+		return nil, o.err
 	}
-	ex.Pause() // park the workers so cancel races are deterministic
-	cancel()
-	done := make(chan struct{})
-	go func() {
-		ex.Wait()
-		close(done)
-	}()
-	select {
-	case <-done:
-	case <-time.After(10 * time.Second):
-		t.Fatal("execution did not stop on cancel")
+	inst, err := o.FilterOp.NewInstance(ec, in)
+	return &lifecycleInstance{Instance: inst, op: o}, err
+}
+
+type lifecycleInstance struct {
+	Instance
+	op *lifecycleOp
+}
+
+func (i *lifecycleInstance) Process(ec ExecCtx, port int, rows []relation.Tuple) ([]relation.Tuple, error) {
+	if i.op.batches.Add(1) == i.op.k {
+		switch i.op.mode {
+		case "process":
+			return nil, i.op.err
+		case "cancel":
+			i.op.cancel()
+		}
+	}
+	return i.Instance.Process(ec, port, rows)
+}
+
+func (i *lifecycleInstance) EndPort(ec ExecCtx, port int) ([]relation.Tuple, error) {
+	if i.op.ends.Add(1) == 1 && i.op.mode == "end-port" {
+		return nil, i.op.err
+	}
+	return i.Instance.EndPort(ec, port)
+}
+
+// lifecycleSink records every node's state transitions ("progress"
+// counter events aside) and keeps each one that leaves Failed or
+// Cancelled. When hold is set, it keeps the source inside the publish
+// of the batch that brings it to holdAt rows until hold is closed, so a
+// cancel lands while the source is still scanning.
+type lifecycleSink struct {
+	hold   chan struct{}
+	holdAt int64
+
+	mu   sync.Mutex
+	last map[string]string
+	left []string
+}
+
+func (s *lifecycleSink) Publish(ev telemetry.ProgressEvent) {
+	if ev.State == "progress" {
+		if s.hold != nil && ev.Op == "src" && ev.OutTuples == s.holdAt {
+			<-s.hold
+		}
+		return
+	}
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	if was := s.last[ev.Op]; was == "failed" || was == "cancelled" {
+		s.left = append(s.left, fmt.Sprintf("%s: %s -> %s", ev.Op, was, ev.State))
+	}
+	s.last[ev.Op] = ev.State
+}
+
+// A run that stops early, each way a node can stop it and at every
+// worker count, ends by one rule: Wait fails exactly when some node
+// ends Failed or Cancelled, no node leaves either state, and none is
+// left running or initializing. An operator's failure is the run's
+// error and leaves the operator Failed. A cancelled run, whether an
+// operator cancels its context mid-stream or the caller cancels it
+// while paused, returns the context's error and no result, and every
+// node, the source held mid-scan included, ends Cancelled.
+func TestExecLifecycle(t *testing.T) {
+	const rows, batch, k = 3000, 10, 5
+	errOp := errors.New("synthetic lifecycle failure")
+	for _, mode := range []string{"new-instance", "process", "end-port", "cancel", "cancel-paused"} {
+		for _, workers := range []int{1, 2, 4, 8} {
+			t.Run(fmt.Sprintf("%s/workers=%d", mode, workers), func(t *testing.T) {
+				ctx, cancel := context.WithCancel(context.Background())
+				defer cancel()
+				cancels := strings.HasPrefix(mode, "cancel")
+				sink := &lifecycleSink{last: map[string]string{}}
+				if cancels {
+					sink.hold, sink.holdAt = make(chan struct{}), k*batch
+				}
+				op := &lifecycleOp{
+					FilterOp: NewFilter("f", cost.Python, func(relation.Tuple) bool { return true }),
+					mode:     mode, k: k, err: errOp,
+					cancel: func() { cancel(); close(sink.hold) },
+				}
+				w := New("lifecycle")
+				src := w.Source("src", intTable(rows), WithBatchSize(batch))
+				f := w.Op(op, WithParallelism(workers))
+				snk := w.Sink("out")
+				w.Connect(src, f, 0, RoundRobin())
+				w.Connect(f, snk, 0, RoundRobin())
+
+				ex, err := w.Start(ctx, Config{Progress: sink})
+				if err != nil {
+					t.Fatal(err)
+				}
+				if mode == "cancel-paused" {
+					ex.Pause()
+					op.cancel()
+				}
+				type outcome struct {
+					res *Result
+					err error
+				}
+				done := make(chan outcome, 1)
+				go func() {
+					res, err := ex.Wait()
+					done <- outcome{res, err}
+				}()
+				var out outcome
+				select {
+				case out = <-done:
+				case <-time.After(10 * time.Second):
+					t.Fatal("the run did not return")
+				}
+
+				ended := false
+				for _, p := range ex.Progress() {
+					switch p.State {
+					case Failed, Cancelled:
+						ended = true
+					case Completed:
+					default:
+						t.Errorf("node %s ended %v", p.Name, p.State)
+					}
+				}
+				if (out.err != nil) != ended {
+					t.Errorf("Wait returned error %v, and a node ended failed or cancelled is %v", out.err, ended)
+				}
+				sink.mu.Lock()
+				if len(sink.left) > 0 {
+					t.Errorf("transitions out of a final state: %v", sink.left)
+				}
+				sink.mu.Unlock()
+				if cancels {
+					if out.res != nil || !errors.Is(out.err, context.Canceled) {
+						t.Fatalf("cancelled run returned a result (%v) and error %v, want none and context.Canceled", out.res != nil, out.err)
+					}
+					for _, p := range ex.Progress() {
+						if p.State != Cancelled {
+							t.Errorf("node %s ended %v after %d of %d rows, want %v", p.Name, p.State, p.OutTuples, rows, Cancelled)
+						}
+					}
+					return
+				}
+				var opErr *OpError
+				if out.res != nil || !errors.As(out.err, &opErr) || opErr.Op != "f" || !errors.Is(out.err, errOp) {
+					t.Fatalf("failed run returned a result (%v) and error %v, want none and the operator's error", out.res != nil, out.err)
+				}
+				if got := ex.Progress()[f].State; got != Failed {
+					t.Errorf("operator ended %v, want %v", got, Failed)
+				}
+			})
+		}
 	}
 }
 

@@ -24,16 +24,21 @@ type State int32
 const (
 	// Uninitialized means execution has not begun.
 	Uninitialized State = iota
-	// Initializing means workers are being started.
+	// Initializing means the node is built and has not started.
 	Initializing
-	// Running means at least one worker is processing batches.
+	// Running means the node has started: its workers are making their
+	// instances or processing batches, or it is scanning its table.
 	Running
 	// Paused means the execution has been paused by the user.
 	Paused
 	// Completed means all input was consumed and the operator closed.
 	Completed
-	// Failed means the operator raised an error.
+	// Failed means the operator raised an error. It is final.
 	Failed
+	// Cancelled means a worker of the node stopped because the run's
+	// context ended, by the caller's cancel or because another node
+	// failed. It is final, and the run returns an error.
+	Cancelled
 )
 
 // String returns the state name.
@@ -51,6 +56,8 @@ func (s State) String() string {
 		return "completed"
 	case Failed:
 		return "failed"
+	case Cancelled:
+		return "cancelled"
 	default:
 		return fmt.Sprintf("State(%d)", int32(s))
 	}

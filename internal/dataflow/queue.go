@@ -3,6 +3,7 @@ package dataflow
 import (
 	"context"
 	"sync"
+	"sync/atomic"
 
 	"repro/internal/relation"
 )
@@ -139,64 +140,44 @@ func (q *queue) pop(ctx context.Context) (m batchMsg, ok bool, err error) {
 }
 
 // gate implements cooperative pause/resume. Workers call wait between
-// batches; Pause makes them block until Resume.
-type gate struct {
-	mu   sync.Mutex
-	open chan struct{} // closed channel = gate open
-}
+// batches; pause makes them block until resume. ch is the channel a
+// paused gate's waiters block on, nil while the gate is open, so the
+// zero gate is open and the open path of wait is one atomic load.
+type gate struct{ ch atomic.Pointer[chan struct{}] }
 
-func newGate() *gate {
-	g := &gate{}
+// pause closes the gate and reports whether it did: false when the
+// gate was already paused.
+func (g *gate) pause() bool {
 	ch := make(chan struct{})
-	close(ch)
-	g.open = ch
-	return g
+	return g.ch.CompareAndSwap(nil, &ch)
 }
 
-func (g *gate) pause() {
-	g.mu.Lock()
-	defer g.mu.Unlock()
-	select {
-	case <-g.open:
-		// Currently open: replace with a blocking channel.
-		g.open = make(chan struct{})
-	default:
-		// Already paused.
-	}
-}
-
+// resume opens the gate and releases its waiters.
 func (g *gate) resume() {
-	g.mu.Lock()
-	defer g.mu.Unlock()
-	select {
-	case <-g.open:
-		// Already open.
-	default:
-		close(g.open)
+	if ch := g.ch.Swap(nil); ch != nil {
+		close(*ch)
 	}
 }
 
-func (g *gate) paused() bool {
-	g.mu.Lock()
-	defer g.mu.Unlock()
-	select {
-	case <-g.open:
-		return false
-	default:
-		return true
-	}
-}
+func (g *gate) paused() bool { return g.ch.Load() != nil }
 
-// wait blocks while the gate is paused; it returns ctx.Err() if the
-// context ends first.
+// wait blocks while the gate is paused; it returns ctx.Err() once ctx
+// is done, paused or not. The open path still looks at ctx: pop hands
+// out queued batches without looking at it, and a source's scan loop
+// has no other check.
 func (g *gate) wait(ctx context.Context) error {
 	for {
-		g.mu.Lock()
-		ch := g.open
-		g.mu.Unlock()
+		ch := g.ch.Load()
+		if ch == nil {
+			select {
+			case <-ctx.Done():
+				return ctx.Err()
+			default:
+				return nil
+			}
+		}
 		select {
-		case <-ch:
-			return nil
+		case <-*ch:
 		case <-ctx.Done():
 			return ctx.Err()
 		}

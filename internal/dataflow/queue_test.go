@@ -2,6 +2,7 @@ package dataflow
 
 import (
 	"context"
+	"errors"
 	"sync"
 	"testing"
 	"time"
@@ -219,18 +220,22 @@ func TestQueuePushAfterClosePanics(t *testing.T) {
 }
 
 func TestGatePauseResume(t *testing.T) {
-	g := newGate()
+	var g gate
 	if g.paused() {
-		t.Fatal("new gate should be open")
+		t.Fatal("the zero gate should be open")
 	}
 	if err := g.wait(context.Background()); err != nil {
 		t.Fatal(err)
 	}
-	g.pause()
+	if !g.pause() {
+		t.Fatal("pause of an open gate should report that it closed it")
+	}
 	if !g.paused() {
 		t.Fatal("gate should be paused")
 	}
-	g.pause() // idempotent
+	if g.pause() {
+		t.Fatal("pause of a paused gate should report that it did not close it")
+	}
 	released := make(chan struct{})
 	go func() {
 		g.wait(context.Background())
@@ -254,12 +259,15 @@ func TestGatePauseResume(t *testing.T) {
 }
 
 func TestGateWaitHonorsContext(t *testing.T) {
-	g := newGate()
-	g.pause()
+	var g gate
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
-	if err := g.wait(ctx); err == nil {
-		t.Fatal("expected context error")
+	if err := g.wait(ctx); !errors.Is(err, context.Canceled) {
+		t.Fatalf("open gate: wait = %v, want context.Canceled", err)
+	}
+	g.pause()
+	if err := g.wait(ctx); !errors.Is(err, context.Canceled) {
+		t.Fatalf("paused gate: wait = %v, want context.Canceled", err)
 	}
 }
 

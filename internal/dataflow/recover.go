@@ -195,9 +195,8 @@ type Checkpoint struct {
 // the per-edge byte counters, prices the write, and resumes. An
 // execution the caller already paused stays paused.
 func (ex *Execution) CheckpointNow() Checkpoint {
-	wasPaused := ex.gate.paused()
-	if !wasPaused {
-		ex.gate.pause()
+	if ex.gate.pause() {
+		defer ex.gate.resume()
 	}
 	inBytes := make([]int64, len(ex.rts))
 	for _, rt := range ex.rts {
@@ -212,8 +211,5 @@ func (ex *Execution) CheckpointNow() Checkpoint {
 		cp.TotalBytes += bytes
 	}
 	cp.WriteSeconds = ex.model.CheckpointPutSeconds(cp.TotalBytes)
-	if !wasPaused {
-		ex.gate.resume()
-	}
 	return cp
 }

@@ -187,6 +187,7 @@ func TestStateStrings(t *testing.T) {
 	want := map[State]string{
 		Uninitialized: "uninitialized", Initializing: "initializing",
 		Running: "running", Paused: "paused", Completed: "completed", Failed: "failed",
+		Cancelled: "cancelled",
 	}
 	for s, n := range want {
 		if s.String() != n {

@@ -269,7 +269,7 @@ func (r *Run) Publish(ev telemetry.ProgressEvent) {
 		if ev.Kind != "" {
 			st.Kind = ev.Kind
 		}
-		if ev.State != "" {
+		if ev.State != "" && ev.State != "progress" { // "progress" updates the counters only
 			st.State = ev.State
 		}
 		if ev.InTuples > 0 {

@@ -55,6 +55,22 @@ func TestEventRingGrowsThenDropsOldest(t *testing.T) {
 	}
 }
 
+// A "progress" event moves an operator's counters, not its state: a
+// running operator reads running, with the newest counts, after the
+// counter events the executor publishes per batch.
+func TestProgressEventKeepsOpState(t *testing.T) {
+	r := NewRegistry().StartQueued("dice", "workflow", "", nil)
+	r.Publish(telemetry.ProgressEvent{Op: "f", Kind: "operator", State: "running", Workers: 2})
+	r.Publish(telemetry.ProgressEvent{Op: "f", State: "progress", InTuples: 40, OutTuples: 30})
+	ops := r.Ops()
+	if len(ops) != 1 {
+		t.Fatalf("%d operators, want 1", len(ops))
+	}
+	if op := ops[0]; op.State != "running" || op.InTuples != 40 || op.OutTuples != 30 || op.Workers != 2 {
+		t.Fatalf("operator status %+v, want running with 40 in, 30 out and 2 workers", op)
+	}
+}
+
 func TestSampleRingGrowsThenDropsOldest(t *testing.T) {
 	r := NewRegistry().StartQueued("kge", "workflow", "", nil)
 	const total = sampleRingSize + 10

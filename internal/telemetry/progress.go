@@ -18,8 +18,10 @@ type ProgressEvent struct {
 	Op string `json:"op,omitempty"`
 	// Kind classifies Op: "source", "operator", "sink", "cell", "task".
 	Kind string `json:"kind,omitempty"`
-	// State is the operator lifecycle state: "running", "progress",
-	// "completed", "failed".
+	// State is the operator lifecycle state: "initializing",
+	// "running", "completed", "failed" or "cancelled". "progress" is not
+	// a state: it marks a counter update, whose tuple counts are new
+	// and whose operator keeps the state it had.
 	State string `json:"state"`
 	// InTuples and OutTuples are the operator's cumulative tuple
 	// counters at the time of the event (the paper-Figure-9 numbers).

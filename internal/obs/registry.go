@@ -11,6 +11,7 @@ package obs
 
 import (
 	"fmt"
+	"math"
 	"runtime"
 	"strings"
 	"sync"
@@ -34,9 +35,9 @@ const (
 	keepCompleted = 64
 )
 
-// Event is one progress event as stored by the registry: the engine's
+// Event is one progress event as a stream reads it: the engine's
 // payload plus a monotonic sequence number and a wall stamp relative
-// to the registry epoch.
+// to the registry epoch. The ring keeps it as an eventRec.
 type Event struct {
 	Seq    int64 `json:"seq"`
 	WallNS int64 `json:"wall_ns"`
@@ -232,9 +233,11 @@ type Run struct {
 	startNS int64
 	endNS   int64
 
-	seq     int64   // total events ever published
-	dropped int64   // events slow streamers lost to ring eviction
-	events  []Event // ring: grows to eventRingSize, then wraps
+	seq     int64                             // total events ever published
+	dropped int64                             // events slow streamers lost to ring eviction
+	events  []eventRec                        // ring: grows to eventRingSize, then wraps
+	strs    []string                          // distinct Task, Paradigm, Kind and State values, indexed by eventRec
+	wide    map[int64]telemetry.ProgressEvent // by Seq: retained events no record could hold
 	ops     map[string]*OpStatus
 	opOrder []string
 	notify  chan struct{} // made by EventsSince, closed and cleared by the next change
@@ -250,11 +253,12 @@ type Run struct {
 // Publish implements telemetry.ProgressSink. It stamps the event,
 // stores it in the ring, folds it into the per-operator status table,
 // opportunistically samples the time series, and wakes SSE streams.
-func (r *Run) Publish(ev telemetry.ProgressEvent) {
-	now := r.reg.nowNS()
+func (r *Run) Publish(ev telemetry.ProgressEvent) { r.publishAt(r.reg.nowNS(), ev) }
+
+// publishAt is Publish with the wall stamp now.
+func (r *Run) publishAt(now int64, ev telemetry.ProgressEvent) {
 	r.mu.Lock()
-	e := Event{Seq: r.seq, WallNS: now, ProgressEvent: ev}
-	r.events = ringPut(r.events, r.seq, eventRingSize, e)
+	r.putEvent(now, ev)
 	r.seq++
 	if ev.VirtSeconds > r.virtNow {
 		r.virtNow = ev.VirtSeconds
@@ -290,6 +294,95 @@ func (r *Run) Publish(ev telemetry.ProgressEvent) {
 		r.sampleAt(now)
 	}
 	r.unlockAndWake()
+}
+
+// eventRec is one retained event, stored as compactly as the ring can
+// hold it: its Seq is its position in the ring, and Task, Paradigm,
+// Kind and State, of which a run has a handful of distinct values, are
+// indices into the run's strs table. Op, which a script run has one of
+// per cell or task, is the engine's own string.
+type eventRec struct {
+	wallNS    int64
+	inTuples  int64
+	outTuples int64
+	virtSec   float64
+	op        string
+	workers   int32
+	task      uint8
+	paradigm  uint8
+	kind      uint8
+	state     uint8
+}
+
+// wideRec as an eventRec's task marks an event that has a string past
+// the strs table's index width or a worker count past int32: r.wide
+// holds its payload until the ring overwrites its record.
+const wideRec = math.MaxUint8
+
+// putEvent stores ev, stamped now, as the r.seq-th event. Callers hold
+// r.mu.
+func (r *Run) putEvent(now int64, ev telemetry.ProgressEvent) {
+	rec := eventRec{
+		wallNS:    now,
+		inTuples:  ev.InTuples,
+		outTuples: ev.OutTuples,
+		virtSec:   ev.VirtSeconds,
+		op:        ev.Op,
+		workers:   int32(ev.Workers),
+		task:      r.intern(ev.Task),
+		paradigm:  r.intern(ev.Paradigm),
+		kind:      r.intern(ev.Kind),
+		state:     r.intern(ev.State),
+	}
+	if max(rec.task, rec.paradigm, rec.kind, rec.state) == wideRec || int(rec.workers) != ev.Workers {
+		rec.task = wideRec
+		if r.wide == nil {
+			r.wide = make(map[int64]telemetry.ProgressEvent)
+		}
+		r.wide[r.seq] = ev
+	}
+	if len(r.events) == eventRingSize && r.events[r.seq%eventRingSize].task == wideRec {
+		delete(r.wide, r.seq-eventRingSize) // its record is about to be overwritten
+	}
+	r.events = ringPut(r.events, r.seq, eventRingSize, rec)
+}
+
+// intern returns s's index in the strs table, adding it if it is new,
+// or wideRec once the table is full. Callers hold r.mu.
+func (r *Run) intern(s string) uint8 {
+	for i, t := range r.strs {
+		if t == s {
+			return uint8(i)
+		}
+	}
+	if len(r.strs) == wideRec {
+		return wideRec
+	}
+	r.strs = append(r.strs, s)
+	return uint8(len(r.strs) - 1)
+}
+
+// eventAt rebuilds the retained event seq from its record. Callers hold
+// r.mu.
+func (r *Run) eventAt(seq int64) Event {
+	rec := &r.events[seq%eventRingSize]
+	e := Event{Seq: seq, WallNS: rec.wallNS}
+	if rec.task == wideRec {
+		e.ProgressEvent = r.wide[seq]
+		return e
+	}
+	e.ProgressEvent = telemetry.ProgressEvent{
+		Task:        r.strs[rec.task],
+		Paradigm:    r.strs[rec.paradigm],
+		Op:          rec.op,
+		Kind:        r.strs[rec.kind],
+		State:       r.strs[rec.state],
+		InTuples:    rec.inTuples,
+		OutTuples:   rec.outTuples,
+		Workers:     int(rec.workers),
+		VirtSeconds: rec.virtSec,
+	}
+	return e
 }
 
 // ringPut stores x as the n-th item ever put in a ring of size slots
@@ -336,39 +429,36 @@ func (r *Run) sampleAt(now int64) {
 		NumGC:       ms.NumGC,
 	}
 	if r.rec != nil {
-		foldSnapshot(&s, r.rec.Metrics.Snapshot(true))
+		s.fold(r.rec.Metrics)
 	}
 	r.samples = ringPut(r.samples, r.nSamples, sampleRingSize, s)
 	r.nSamples++
 	r.lastSampleNS = now
 }
 
-// foldSnapshot aggregates the instrument snapshot into the sample's
+// fold aggregates the registry's counters and gauges into the sample's
 // scalar series by name suffix, the naming scheme the engines use
 // (wf.<wf>.exec.*, lineage.<scope>.*, *.recovery.kills).
-func foldSnapshot(s *Sample, snap telemetry.MetricsSnapshot) {
-	for _, c := range snap.Counters {
+func (s *Sample) fold(reg *telemetry.Registry) {
+	reg.Visit(func(name string, v int64) {
 		switch {
-		case strings.HasSuffix(c.Name, "exec.tuples"):
-			s.Tuples += c.Value
-		case strings.HasSuffix(c.Name, "exec.batches"):
-			s.Batches += c.Value
-		case strings.HasPrefix(c.Name, "lineage.") && strings.HasSuffix(c.Name, ".hits"):
-			s.LineageHits += c.Value
-		case strings.HasPrefix(c.Name, "lineage.") && strings.HasSuffix(c.Name, ".misses"):
-			s.LineageMisses += c.Value
-		case strings.HasSuffix(c.Name, "recovery.kills"):
-			s.RecoveryKills += c.Value
+		case strings.HasSuffix(name, "exec.tuples"):
+			s.Tuples += v
+		case strings.HasSuffix(name, "exec.batches"):
+			s.Batches += v
+		case strings.HasPrefix(name, "lineage.") && strings.HasSuffix(name, ".hits"):
+			s.LineageHits += v
+		case strings.HasPrefix(name, "lineage.") && strings.HasSuffix(name, ".misses"):
+			s.LineageMisses += v
+		case strings.HasSuffix(name, "recovery.kills"):
+			s.RecoveryKills += v
 		}
-	}
-	for _, gv := range snap.Gauges {
-		if strings.HasSuffix(gv.Name, "exec.queue_depth") {
-			s.QueueDepth += gv.Last
-			if gv.Max > s.QueueDepthMax {
-				s.QueueDepthMax = gv.Max
-			}
+	}, func(name string, last, hi int64) {
+		if strings.HasSuffix(name, "exec.queue_depth") {
+			s.QueueDepth += last
+			s.QueueDepthMax = max(s.QueueDepthMax, hi)
 		}
-	}
+	})
 }
 
 // Finish marks the run done. summary carries final scalar results
@@ -450,39 +540,46 @@ func (r *Run) Note(key string) string {
 // Recorder returns the run's telemetry recorder (may be nil).
 func (r *Run) Recorder() *telemetry.Recorder { return r.rec }
 
-// EventsSince returns the buffered events with Seq >= cursor (older
-// events may have been evicted from the ring — the returned slice
-// starts at the oldest retained event), the next cursor, and a channel
-// that is closed the next time anything is published. done reports
-// whether the run has finished, so streamers know no further events
-// will come once they have drained.
+// EventsSince rebuilds into buf the retained events with Seq >= cursor,
+// oldest first and at most len(buf) of them (older events may have
+// been evicted from the ring — the copy starts at the oldest retained
+// event), and returns how many it wrote and the cursor to read from
+// next. buf must not be empty; r.mu is held for one buf of events.
+//
+// A read that stops at len(buf) with events left returns a nil wake,
+// and the caller reads on. A read that drains the ring returns done,
+// when the run has finished and no further events will come, or else a
+// wake channel that is closed the next time anything is published.
 //
 // dropped counts events the caller asked for that the ring had already
 // overwritten — the drop-oldest backpressure a slow streamer pays
 // instead of stalling publishers. A fresh attach (cursor 0) catches up
 // from the retained tail without counting the history as drops; the
 // per-run total accumulates into Info's dropped_events.
-func (r *Run) EventsSince(cursor int64) (evs []Event, next, dropped int64, wake <-chan struct{}, done bool) {
+func (r *Run) EventsSince(cursor int64, buf []Event) (n int, next, dropped int64, wake <-chan struct{}, done bool) {
 	r.mu.Lock()
 	defer r.mu.Unlock()
-	lo := cursor
-	if min := r.seq - eventRingSize; lo < min {
-		lo = min
-	}
-	if lo < 0 {
-		lo = 0
-	}
+	lo := max(cursor, r.seq-eventRingSize, 0)
 	if cursor > 0 && lo > cursor {
 		dropped = lo - cursor
 		r.dropped += dropped
 	}
-	for i := lo; i < r.seq; i++ {
-		evs = append(evs, r.events[i%eventRingSize])
+	lo = min(lo, r.seq)
+	n = int(min(r.seq-lo, int64(len(buf))))
+	for i := range buf[:n] {
+		buf[i] = r.eventAt(lo + int64(i))
+	}
+	next = lo + int64(n)
+	switch {
+	case next < r.seq:
+		return n, next, dropped, nil, false
+	case r.isFinishedLocked():
+		return n, next, dropped, nil, true
 	}
 	if r.notify == nil {
 		r.notify = make(chan struct{})
 	}
-	return evs, r.seq, dropped, r.notify, r.isFinishedLocked()
+	return n, next, dropped, r.notify, false
 }
 
 // DroppedEvents returns the run's cumulative drop-oldest count across

@@ -1,17 +1,31 @@
 package obs
 
 import (
+	"bytes"
+	"io"
+	"runtime"
+	"runtime/debug"
+	"slices"
+	"strconv"
+	"strings"
+	"sync"
 	"testing"
 	"time"
+	"unsafe"
 
+	"repro/internal/core"
 	"repro/internal/telemetry"
 )
 
 // A run's rings grow on demand and then wrap: a run that publishes a
-// few events holds a few, and one that publishes more than the ring
-// holds keeps the newest eventRingSize, oldest first, while a streamer
-// whose cursor fell behind the ring is told how many it lost.
+// few events holds a few records, and one that publishes more than the
+// ring holds keeps the newest eventRingSize, oldest first, while a
+// streamer whose cursor fell behind the ring is told how many it lost.
+// A record is at most 56 bytes, less than half an Event.
 func TestEventRingGrowsThenDropsOldest(t *testing.T) {
+	if size := unsafe.Sizeof(eventRec{}); size > 56 {
+		t.Fatalf("an event record is %d bytes, want at most 56", size)
+	}
 	r := NewRegistry().StartQueued("kge", "workflow", "", nil)
 	for range 50 {
 		r.Publish(telemetry.ProgressEvent{})
@@ -19,9 +33,10 @@ func TestEventRingGrowsThenDropsOldest(t *testing.T) {
 	if n := len(r.events); n != 50 || cap(r.events) >= eventRingSize {
 		t.Fatalf("after 50 events the ring holds %d in room for %d, want 50 in less than %d", n, cap(r.events), eventRingSize)
 	}
-	evs, next, dropped, _, _ := r.EventsSince(0)
-	if len(evs) != 50 || next != 50 || dropped != 0 {
-		t.Fatalf("fresh attach: %d events, next %d, dropped %d; want 50, 50, 0", len(evs), next, dropped)
+	buf := make([]Event, eventRingSize)
+	n, next, dropped, _, _ := r.EventsSince(0, buf)
+	if n != 50 || next != 50 || dropped != 0 {
+		t.Fatalf("fresh attach: %d events, next %d, dropped %d; want 50, 50, 0", n, next, dropped)
 	}
 
 	const total = eventRingSize + 100
@@ -38,7 +53,8 @@ func TestEventRingGrowsThenDropsOldest(t *testing.T) {
 		{0, 0},             // a fresh attach: history is not a drop
 		{total - 10, 0},    // a streamer that is nearly caught up
 	} {
-		evs, next, dropped, _, _ := r.EventsSince(c.cursor)
+		n, next, dropped, _, _ := r.EventsSince(c.cursor, buf)
+		evs := buf[:n]
 		first := max(c.cursor, total-eventRingSize)
 		if next != total || dropped != c.wantDropped || int64(len(evs)) != total-first {
 			t.Fatalf("cursor %d: %d events, next %d, dropped %d; want %d, %d, %d",
@@ -108,7 +124,7 @@ func TestEventsSinceWakesOnEveryChange(t *testing.T) {
 		{"MarkRunning", r.MarkRunning},
 		{"Finish", func() { r.Finish(nil, nil) }},
 	} {
-		_, _, _, wake, _ := r.EventsSince(0)
+		_, _, _, wake, _ := r.EventsSince(0, make([]Event, eventChunk))
 		woke := make(chan struct{})
 		go func() {
 			<-wake
@@ -120,5 +136,105 @@ func TestEventsSinceWakesOnEveryChange(t *testing.T) {
 		case <-time.After(5 * time.Second):
 			t.Fatalf("%s did not wake a streamer waiting on EventsSince's channel", c.name)
 		}
+	}
+}
+
+// A stream that follows a run published from several goroutines at
+// once reads every event, in Seq order and a chunk at a time, and ends
+// with the run.
+func TestStreamFollowsConcurrentPublishers(t *testing.T) {
+	r := NewRegistry().StartQueued("dice", "workflow", "", nil)
+	r.MarkRunning()
+	const publishers, each = 4, 1000
+	var out bytes.Buffer
+	streamed := make(chan struct{})
+	go func() {
+		defer close(streamed)
+		streamEvents(&out, nopFlusher{}, r, nil)
+	}()
+	var wg sync.WaitGroup
+	for p := range publishers {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			op := "op" + strconv.Itoa(p)
+			for i := range each {
+				r.Publish(telemetry.ProgressEvent{Op: op, State: "progress", InTuples: int64(i)})
+			}
+		}()
+	}
+	wg.Wait()
+	r.Finish(nil, nil)
+	select {
+	case <-streamed:
+	case <-time.After(10 * time.Second):
+		t.Fatal("the stream did not end with the run")
+	}
+	var seq int
+	for _, line := range strings.Split(out.String(), "\n") {
+		if id, ok := strings.CutPrefix(line, "id: "); ok {
+			if id != strconv.Itoa(seq) {
+				t.Fatalf("frame %d has id %s", seq, id)
+			}
+			seq++
+		}
+	}
+	if seq != publishers*each || !strings.HasSuffix(out.String(), "event: done\ndata: \"completed\"\n\n") {
+		t.Fatalf("streamed %d of %d events, ending %q", seq, publishers*each, out.String()[max(out.Len()-40, 0):])
+	}
+}
+
+// nopFlusher stands in for the http.Flusher of a response that
+// io.Discard writes.
+type nopFlusher struct{}
+
+func (nopFlusher) Flush() {}
+
+// TestServedRunEventsAllocBudget publishes a DICE-50 workflow run's
+// events into a fresh Run, as a served run receives them (its samples
+// folding the run's recorder), and streams them through streamEvents
+// to io.Discard. Its 1,692 events take about 0.36 MB in 57 heap
+// objects; with each event stored whole and every read copying the
+// backlog into a fresh slice they took 1.53 MB in 113. Under the race
+// detector encoding/json's sync.Pool drops encoders at random, so the
+// objects read 3.3-3.8 k either way: a race build skips the byte budget
+// and holds objects to 5,000, which an object per event still breaks.
+func TestServedRunEventsAllocBudget(t *testing.T) {
+	const byteBudget = 450_000
+	objBudget := uint64(80)
+	bi, ok := debug.ReadBuildInfo()
+	race := ok && slices.ContainsFunc(bi.Settings, func(s debug.BuildSetting) bool { return s.Key == "-race" && s.Value == "true" })
+	if race {
+		objBudget = 5_000
+	}
+	reg := NewRegistry()
+	rec := telemetry.New()
+	src := reg.StartQueued("dice", "workflow", "t", nil)
+	if _, err := executeRun(core.RunSpec{Task: "dice", Paradigm: "workflow", Size: 50, Seed: 1, Workers: 4}, src, rec); err != nil {
+		t.Fatal(err)
+	}
+	evs := make([]Event, eventRingSize)
+	n, _, _, _, _ := src.EventsSince(0, evs)
+	evs = evs[:n]
+	measure := func() (bytes, objects uint64) {
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		run := reg.StartQueued("dice", "workflow", "t", rec)
+		for i := range evs {
+			run.Publish(evs[i].ProgressEvent)
+		}
+		run.Finish(nil, nil)
+		streamEvents(io.Discard, nopFlusher{}, run, nil)
+		runtime.ReadMemStats(&after)
+		return after.TotalAlloc - before.TotalAlloc, after.Mallocs - before.Mallocs
+	}
+	measure() // warm-up: lazy initialisation is not the run's cost
+	bytes, objects := measure()
+	t.Logf("publishing and streaming %d events allocated %d bytes of a %d budget in %d objects of %d", len(evs), bytes, byteBudget, objects, objBudget)
+	if !race && bytes > byteBudget {
+		t.Errorf("publishing and streaming %d events allocated %d bytes, budget %d", len(evs), bytes, byteBudget)
+	}
+	if objects > objBudget {
+		t.Errorf("publishing and streaming %d events allocated %d objects, budget %d", len(evs), objects, objBudget)
 	}
 }

@@ -307,49 +307,59 @@ func (s *Server) handleEvents(w http.ResponseWriter, r *http.Request) {
 }
 
 // eventSource is what an event stream reads: a run's events since a
-// cursor (Run.EventsSince) and, once done, its final state.
+// cursor, one buffer at a time (Run.EventsSince), and, once done, its
+// final state.
 type eventSource interface {
-	EventsSince(cursor int64) (evs []Event, next, dropped int64, wake <-chan struct{}, done bool)
+	EventsSince(cursor int64, buf []Event) (n int, next, dropped int64, wake <-chan struct{}, done bool)
 	State() string
 }
 
-// streamEvents writes src's events to w as SSE frames, flushing after
-// each catch-up, until src is done and drained or stop is closed. Each
-// frame's id line is formatted into one buffer the stream reuses, so an
-// event costs no heap object of its own.
+// eventChunk is how many events a stream reads per EventsSince: the
+// size of the one buffer it reuses, and of the run's lock hold.
+const eventChunk = 64
+
+// streamEvents writes src's events to w as SSE frames, flushing once it
+// has caught up, until src is done and drained or stop is closed. It
+// reads the events into one buffer, and formats each frame's id line
+// into another, that the stream reuses, so an event costs no heap
+// object of its own.
 func streamEvents(w io.Writer, flusher http.Flusher, src eventSource, stop <-chan struct{}) {
 	var cursor int64
 	enc := json.NewEncoder(w)
 	var line []byte
+	buf := make([]Event, eventChunk)
 	for {
-		evs, next, dropped, wake, done := src.EventsSince(cursor)
+		n, next, dropped, wake, done := src.EventsSince(cursor, buf)
 		if dropped > 0 {
 			// Drop-oldest backpressure: the ring outran this stream.
 			// Tell the client how many events it lost rather than
 			// silently skipping the gap.
 			fmt.Fprintf(w, "event: dropped\ndata: %d\n\n", dropped)
 		}
-		for i := range evs {
-			line = strconv.AppendInt(append(line[:0], "id: "...), evs[i].Seq, 10)
+		for i := range buf[:n] {
+			line = strconv.AppendInt(append(line[:0], "id: "...), buf[i].Seq, 10)
 			line = append(line, "\ndata: "...)
 			if _, err := w.Write(line); err != nil {
 				return
 			}
-			if err := enc.Encode(&evs[i]); err != nil {
+			if err := enc.Encode(&buf[i]); err != nil {
 				return
 			}
 			if _, err := io.WriteString(w, "\n"); err != nil {
 				return
 			}
 		}
-		if len(evs) > 0 {
-			flusher.Flush()
-		}
 		cursor = next
 		if done {
 			fmt.Fprintf(w, "event: done\ndata: %q\n\n", src.State())
 			flusher.Flush()
 			return
+		}
+		if wake == nil {
+			continue // a full buffer with more events retained
+		}
+		if n > 0 {
+			flusher.Flush()
 		}
 		select {
 		case <-wake:

@@ -254,3 +254,22 @@ func (r *Registry) Snapshot(includeVolatile bool) MetricsSnapshot {
 	}
 	return snap
 }
+
+// Visit reads every counter and gauge without building a snapshot:
+// counter gets each counter's name and value, gauge each gauge's name,
+// last sample and high-water mark, in no fixed order, and volatile
+// instruments included. A name registered as both reads as its counter,
+// as in Snapshot. Histograms are skipped. Both callbacks run under the
+// registry's lock, so they must not call back into r.
+func (r *Registry) Visit(counter func(name string, value int64), gauge func(name string, last, max int64)) {
+	r.mu.Lock()
+	defer r.mu.Unlock()
+	for _, m := range r.metrics { //lint:allow maporder callers fold order-insensitive integer sums and maxima
+		switch {
+		case m.counter != nil:
+			counter(m.name, m.counter.Value())
+		case m.gauge != nil:
+			gauge(m.name, m.gauge.Last(), m.gauge.Max())
+		}
+	}
+}

@@ -334,7 +334,7 @@ func cmdTrace(args []string, stdout, stderr io.Writer) int {
 		if err := os.WriteFile(*out, buf.Bytes(), 0o666); err != nil {
 			return exitCode(stderr, err)
 		}
-		fmt.Fprintf(stdout, "wrote %s (%d spans; load in chrome://tracing or Perfetto)\n", *out, len(rec.Spans()))
+		fmt.Fprintf(stdout, "wrote %s (%d spans; load in chrome://tracing or Perfetto)\n", *out, rec.Len())
 	}
 	rec.WriteSummary(stdout)
 	report.OperatorTable(stdout, rec)

@@ -140,12 +140,26 @@ func TestStreamEventsMatchesReference(t *testing.T) {
 // refRun is the event ring Run kept before an event became a compact
 // record read back in chunks: each Event stored whole, Seq included,
 // and the whole retained backlog copied into a fresh slice per read.
-// (Its wake channel is left out: the oracle is never waited on.)
+// (Its wake channel is left out: the oracle is never waited on.) Its
+// ring is the append-grown slice of ringPut, which both of Run's rings
+// used before they were paged.
 type refRun struct {
 	seq      int64
 	dropped  int64
 	events   []Event
 	finished bool
+}
+
+// ringPut stores x as the n-th item ever put in a ring of size slots
+// and returns the ring. It grows the ring on demand, so a run that
+// publishes little holds little, and once the ring holds size items it
+// overwrites the oldest: item i is always at ring[i%size].
+func ringPut[T any](ring []T, n int64, size int, x T) []T {
+	if len(ring) < size {
+		return append(ring, x)
+	}
+	ring[n%int64(size)] = x
+	return ring
 }
 
 func (r *refRun) publishAt(now int64, ev telemetry.ProgressEvent) {

@@ -17,6 +17,7 @@ import (
 	"sync"
 	"time"
 
+	"repro/internal/paged"
 	"repro/internal/telemetry"
 )
 
@@ -27,6 +28,14 @@ const (
 	eventRingSize = 8192
 	// sampleRingSize bounds the per-run time-series ring.
 	sampleRingSize = 512
+	// eventPage and samplePage are the records per page of the two
+	// rings (paged.Store), each sized to fill an allocator size class:
+	// 146 56-byte eventRecs and the 8-byte header of an object holding
+	// pointers are 8,184 of 8,192 bytes, and 128 112-byte Samples are
+	// 14,336, a class of its own. A run's first page grows by append,
+	// so a run that publishes little holds little.
+	eventPage  = 146
+	samplePage = 128
 	// sampleMinInterval is the minimum wall time between event-driven
 	// samples, so a hot emit loop cannot turn sampling into the
 	// bottleneck it is meant to watch.
@@ -128,6 +137,8 @@ func (g *Registry) StartQueued(task, paradigm, tenant string, rec *telemetry.Rec
 		state:    "queued",
 		startNS:  g.nowNS(),
 		ops:      make(map[string]*OpStatus),
+		events:   paged.New[eventRec](eventPage),
+		samples:  paged.New[Sample](samplePage),
 	}
 	g.runs[r.ID] = r
 	g.order = append(g.order, r.ID)
@@ -235,15 +246,15 @@ type Run struct {
 
 	seq     int64                             // total events ever published
 	dropped int64                             // events slow streamers lost to ring eviction
-	events  []eventRec                        // ring: grows to eventRingSize, then wraps
+	events  paged.Store[eventRec]             // ring: grows to eventRingSize, then wraps
 	strs    []string                          // distinct Task, Paradigm, Kind and State values, indexed by eventRec
 	wide    map[int64]telemetry.ProgressEvent // by Seq: retained events no record could hold
 	ops     map[string]*OpStatus
 	opOrder []string
 	notify  chan struct{} // made by EventsSince, closed and cleared by the next change
 
-	samples      []Sample // ring: grows to sampleRingSize, then wraps
-	nSamples     int64    // total samples ever taken
+	samples      paged.Store[Sample] // ring: grows to sampleRingSize, then wraps
+	nSamples     int64               // total samples ever taken
 	lastSampleNS int64
 	virtNow      float64
 
@@ -341,10 +352,11 @@ func (r *Run) putEvent(now int64, ev telemetry.ProgressEvent) {
 		}
 		r.wide[r.seq] = ev
 	}
-	if len(r.events) == eventRingSize && r.events[r.seq%eventRingSize].task == wideRec {
+	slot := r.events.Slot(r.seq, eventRingSize)
+	if slot.task == wideRec {
 		delete(r.wide, r.seq-eventRingSize) // its record is about to be overwritten
 	}
-	r.events = ringPut(r.events, r.seq, eventRingSize, rec)
+	*slot = rec
 }
 
 // intern returns s's index in the strs table, adding it if it is new,
@@ -365,7 +377,7 @@ func (r *Run) intern(s string) uint8 {
 // eventAt rebuilds the retained event seq from its record. Callers hold
 // r.mu.
 func (r *Run) eventAt(seq int64) Event {
-	rec := &r.events[seq%eventRingSize]
+	rec := r.events.At(int(seq % eventRingSize))
 	e := Event{Seq: seq, WallNS: rec.wallNS}
 	if rec.task == wideRec {
 		e.ProgressEvent = r.wide[seq]
@@ -383,18 +395,6 @@ func (r *Run) eventAt(seq int64) Event {
 		VirtSeconds: rec.virtSec,
 	}
 	return e
-}
-
-// ringPut stores x as the n-th item ever put in a ring of size slots
-// and returns the ring. It grows the ring on demand, so a run that
-// publishes little holds little, and once the ring holds size items it
-// overwrites the oldest: item i is always at ring[i%size].
-func ringPut[T any](ring []T, n int64, size int, x T) []T {
-	if len(ring) < size {
-		return append(ring, x)
-	}
-	ring[n%int64(size)] = x
-	return ring
 }
 
 // unlockAndWake releases r.mu and, if a streamer took a wake channel
@@ -431,7 +431,7 @@ func (r *Run) sampleAt(now int64) {
 	if r.rec != nil {
 		s.fold(r.rec.Metrics)
 	}
-	r.samples = ringPut(r.samples, r.nSamples, sampleRingSize, s)
+	*r.samples.Slot(r.nSamples, sampleRingSize) = s
 	r.nSamples++
 	r.lastSampleNS = now
 }
@@ -611,7 +611,7 @@ func (r *Run) Samples() []Sample {
 	}
 	out := make([]Sample, 0, r.nSamples-lo)
 	for i := lo; i < r.nSamples; i++ {
-		out = append(out, r.samples[i%sampleRingSize])
+		out = append(out, *r.samples.At(int(i % sampleRingSize)))
 	}
 	return out
 }

@@ -21,7 +21,8 @@ import (
 // few events holds a few records, and one that publishes more than the
 // ring holds keeps the newest eventRingSize, oldest first, while a
 // streamer whose cursor fell behind the ring is told how many it lost.
-// A record is at most 56 bytes, less than half an Event.
+// A record is at most 56 bytes, less than half an Event, and a full
+// ring's pages leave less than one page empty.
 func TestEventRingGrowsThenDropsOldest(t *testing.T) {
 	if size := unsafe.Sizeof(eventRec{}); size > 56 {
 		t.Fatalf("an event record is %d bytes, want at most 56", size)
@@ -30,8 +31,8 @@ func TestEventRingGrowsThenDropsOldest(t *testing.T) {
 	for range 50 {
 		r.Publish(telemetry.ProgressEvent{})
 	}
-	if n := len(r.events); n != 50 || cap(r.events) >= eventRingSize {
-		t.Fatalf("after 50 events the ring holds %d in room for %d, want 50 in less than %d", n, cap(r.events), eventRingSize)
+	if n := r.events.Len(); n != 50 || r.events.Cap() > eventPage {
+		t.Fatalf("after 50 events the ring holds %d in room for %d, want 50 in at most one page of %d", n, r.events.Cap(), eventPage)
 	}
 	buf := make([]Event, eventRingSize)
 	n, next, dropped, _, _ := r.EventsSince(0, buf)
@@ -43,8 +44,8 @@ func TestEventRingGrowsThenDropsOldest(t *testing.T) {
 	for range total - 50 {
 		r.Publish(telemetry.ProgressEvent{})
 	}
-	if n := len(r.events); n != eventRingSize {
-		t.Fatalf("after %d events the ring holds %d, want %d", total, n, eventRingSize)
+	if n, c := r.events.Len(), r.events.Cap(); n != eventRingSize || c-n >= eventPage {
+		t.Fatalf("after %d events the ring holds %d in room for %d, want %d with less than a page of %d empty", total, n, c, eventRingSize, eventPage)
 	}
 	for _, c := range []struct {
 		cursor, wantDropped int64
@@ -87,23 +88,38 @@ func TestProgressEventKeepsOpState(t *testing.T) {
 	}
 }
 
+// The sample ring keeps what ringPut's slice kept, oldest first, while
+// it fills its first page, crosses into later ones, and wraps twice.
 func TestSampleRingGrowsThenDropsOldest(t *testing.T) {
 	r := NewRegistry().StartQueued("kge", "workflow", "", nil)
-	const total = sampleRingSize + 10
-	for i := range int64(total) {
+	// StartQueued took sample 0 at the run's start; the test's stamps
+	// follow it.
+	ref := ringPut(nil, 0, sampleRingSize, r.Samples()[0].WallNS)
+	const total = 2*sampleRingSize + 77
+	for i := int64(1); i < total; i++ {
 		r.sampleLocked(i)
-		if i == 9 && cap(r.samples) >= sampleRingSize {
-			t.Fatalf("after 10 samples the ring has room for %d", cap(r.samples))
+		ref = ringPut(ref, i, sampleRingSize, i)
+		if i == 9 && r.samples.Cap() > samplePage {
+			t.Fatalf("after 10 samples the ring has room for %d, more than a page of %d", r.samples.Cap(), samplePage)
+		}
+		if i%97 != 0 && i != total-1 {
+			continue
+		}
+		var want []int64
+		for j := max(i+1-sampleRingSize, 0); j <= i; j++ {
+			want = append(want, ref[j%sampleRingSize])
+		}
+		got := r.Samples()
+		walls := make([]int64, len(got))
+		for k := range got {
+			walls[k] = got[k].WallNS
+		}
+		if !slices.Equal(walls, want) {
+			t.Fatalf("after %d samples the ring holds %v, want %v", i+1, walls, want)
 		}
 	}
-	got := r.Samples()
-	if len(got) != sampleRingSize {
-		t.Fatalf("%d samples retained, want %d", len(got), sampleRingSize)
-	}
-	for i, s := range got {
-		if want := int64(total - sampleRingSize + i); s.WallNS != want {
-			t.Fatalf("sample %d taken at %d, want %d", i, s.WallNS, want)
-		}
+	if n, c := r.samples.Len(), r.samples.Cap(); n != sampleRingSize || c != sampleRingSize {
+		t.Fatalf("a full ring holds %d samples in room for %d, want %d in as many", n, c, sampleRingSize)
 	}
 }
 
@@ -193,14 +209,16 @@ func (nopFlusher) Flush() {}
 // TestServedRunEventsAllocBudget publishes a DICE-50 workflow run's
 // events into a fresh Run, as a served run receives them (its samples
 // folding the run's recorder), and streams them through streamEvents
-// to io.Discard. Its 1,692 events take about 0.36 MB in 57 heap
-// objects; with each event stored whole and every read copying the
-// backlog into a fresh slice they took 1.53 MB in 113. Under the race
-// detector encoding/json's sync.Pool drops encoders at random, so the
-// objects read 3.3-3.8 k either way: a race build skips the byte budget
-// and holds objects to 5,000, which an object per event still breaks.
+// to io.Discard. Its 1,692 events take about 0.12 MB in 69 heap
+// objects, the ring's pages among them; with the ring regrown by append
+// they took 0.36 MB in 57, and with each event stored whole and every
+// read copying the backlog into a fresh slice 1.53 MB in 113. Under the
+// race detector encoding/json's sync.Pool drops encoders at random, so
+// the objects read 3.3-3.8 k either way: a race build skips the byte
+// budget and holds objects to 5,000, which an object per event still
+// breaks.
 func TestServedRunEventsAllocBudget(t *testing.T) {
-	const byteBudget = 450_000
+	const byteBudget = 150_000
 	objBudget := uint64(80)
 	bi, ok := debug.ReadBuildInfo()
 	race := ok && slices.ContainsFunc(bi.Settings, func(s debug.BuildSetting) bool { return s.Key == "-race" && s.Value == "true" })

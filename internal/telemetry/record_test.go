@@ -2,6 +2,7 @@ package telemetry
 
 import (
 	"reflect"
+	"runtime"
 	"slices"
 	"strconv"
 	"testing"
@@ -38,21 +39,26 @@ func TestSpanRecIsSmallAndPointerFree(t *testing.T) {
 
 // FuzzRecorderMatchesReference records generated schedules — random
 // pools, free (Cost 0) jobs, batch and named jobs, ports -1..3, faults
-// that kill attempts — interleaved with free-form and wall spans, into
-// a Recorder and into the []Span reference it replaced, and wants the
-// same spans, field for field and in order, and the same folds.
+// that kill attempts — interleaved with free-form and wall spans, one
+// call at a time and enough of them that every sequence crosses at
+// least three full pages of the span store, into a Recorder and into
+// the []Span reference it replaced, and wants the same spans, field for
+// field and in order, and the same folds.
 func FuzzRecorderMatchesReference(f *testing.F) {
 	for _, s := range []struct {
 		seed          uint64
 		jobs, faults  uint8
 		runs, records uint8
-	}{{1, 12, 0, 1, 0}, {2, 30, 3, 2, 2}, {3, 60, 6, 3, 4}, {4, 5, 9, 2, 1}} {
-		f.Add(s.seed, s.jobs, s.faults, s.runs, s.records)
+		bulk          uint16
+	}{{1, 12, 0, 1, 0, 0}, {2, 30, 3, 2, 2, 700}, {3, 60, 6, 3, 4, 1023}, {4, 5, 9, 2, 1, 1}} {
+		f.Add(s.seed, s.jobs, s.faults, s.runs, s.records, s.bulk)
 	}
-	f.Fuzz(func(t *testing.T, seed uint64, nJobs, nFaults, nRuns, nRecords uint8) {
+	f.Fuzz(func(t *testing.T, seed uint64, nJobs, nFaults, nRuns, nRecords uint8, nBulk uint16) {
 		rng := xrand.New(seed)
 		rec, ref := New(), &refRecorder{}
-		for run := 0; run < int(nRuns%4)+1; run++ {
+		runs := int(nRuns%4) + 1
+		bulk := 3*spanPage + int(nBulk)%spanPage
+		for run := range runs {
 			proc := "workflow:t" + strconv.Itoa(rng.Intn(2))
 			if rng.Bool(0.3) {
 				proc = "script:t" + strconv.Itoa(rng.Intn(2))
@@ -70,6 +76,10 @@ func FuzzRecorderMatchesReference(f *testing.F) {
 				rec.Record(sp)
 				ref.Record(sp)
 			}
+			recordBulk(rng, rec, ref, proc, bulk*(run+1)/runs-bulk*run/runs)
+		}
+		if got, want := rec.Len(), len(ref.Spans()); got != want || got < 3*spanPage {
+			t.Fatalf("Len %d, reference %d spans, want at least %d", got, want, 3*spanPage)
 		}
 		if got, want := rec.Spans(), ref.Spans(); !slices.Equal(got, want) {
 			for i := range min(len(got), len(want)) {
@@ -89,6 +99,31 @@ func FuzzRecorderMatchesReference(f *testing.F) {
 			t.Errorf("wall tracks = %+v, reference %+v", got, want)
 		}
 	})
+}
+
+// recordBulk records n spans into rec and ref one call at a time: wall
+// spans through RecordWall and free-form spans through Record.
+func recordBulk(rng *xrand.Rand, rec *Recorder, ref *refRecorder, proc string, n int) {
+	wall := rec.Lane(proc, "bulk", "wall")
+	for range n {
+		clock := Wall{StartNS: int64(rng.Intn(1e6)), DurNS: int64(rng.Intn(1e6))}
+		if rng.Bool(0.5) {
+			w, batches := rng.Intn(4), int64(rng.Intn(9)+1)
+			rec.RecordWall(wall, w, batches, clock)
+			ref.Record(Span{
+				Proc: proc, Track: "bulk", Name: "bulk:wall", Cat: "wall", Worker: w, Tuples: batches,
+				HasWall: true, Clock: clock,
+			})
+			continue
+		}
+		sp := Span{
+			Proc: proc, Track: "bulk", Name: "cell" + strconv.Itoa(rng.Intn(20)), Cat: "cell",
+			HasVirt: true, Virtual: Virt{Start: rng.Float64(), Dur: rng.Float64()},
+			HasWall: rng.Bool(0.5), Clock: clock,
+		}
+		rec.Record(sp)
+		ref.Record(sp)
+	}
 }
 
 // recordRun generates one schedule and records it, and a wall span per
@@ -172,4 +207,34 @@ func recordRun(t *testing.T, rng *xrand.Rand, rec *Recorder, ref *refRecorder, p
 		}
 	}
 	ref.Record(walls...)
+}
+
+// TestRecorderSpanBytesBudget feeds a recorder 100,000 spans one call
+// at a time, half through RecordWall and half through Record, and holds
+// what it allocates to the records themselves plus three pages, plus 16
+// KiB for its page, lane and name tables: the last page's empty tail is
+// under one page, and the first page's growth by append under two.
+// Records grown by append took about five times the records.
+func TestRecorderSpanBytesBudget(t *testing.T) {
+	const spans = 100_000
+	rec := New()
+	wall := rec.Lane("workflow:dice", "join", "wall")
+	cells := make([]Span, 8)
+	for i := range cells {
+		cells[i] = Span{Proc: "script:dice", Track: "kernel", Name: "cell" + strconv.Itoa(i), Cat: "cell", HasVirt: true}
+	}
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	for i := range spans / 2 {
+		rec.RecordWall(wall, i%4, 1, Wall{StartNS: int64(i), DurNS: 10})
+		rec.Record(cells[i%len(cells)])
+	}
+	runtime.ReadMemStats(&after)
+	size := int(unsafe.Sizeof(spanRec{}))
+	budget := uint64((spans+3*spanPage)*size + 16<<10)
+	got := after.TotalAlloc - before.TotalAlloc
+	t.Logf("%d spans of %d bytes allocated %d bytes of a %d budget", rec.Len(), size, got, budget)
+	if got > budget {
+		t.Errorf("%d spans of %d bytes allocated %d bytes, budget %d", rec.Len(), size, got, budget)
+	}
 }

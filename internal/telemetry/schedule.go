@@ -1,10 +1,6 @@
 package telemetry
 
-import (
-	"slices"
-
-	"repro/internal/sim"
-)
+import "repro/internal/sim"
 
 // Both engines turn a sim schedule into telemetry here, so the two
 // paradigms' traces are drawn by one rule and differ only in how each
@@ -39,14 +35,14 @@ func (r *Recorder) RecordSchedule(jobs []sim.Job, sched *sim.Result, lane func(i
 	}
 	r.mu.Lock()
 	defer r.mu.Unlock()
-	r.recs = slices.Grow(r.recs, len(jobs)+len(sched.Aborts))
+	r.recs.Grow(len(jobs) + len(sched.Aborts))
 	for i := range jobs {
 		if jobs[i].Cost <= 0 {
 			continue // barrier and end-of-stream bookkeeping jobs
 		}
 		l, n := lane(i)
 		sp := sched.Spans[i]
-		r.recs = append(r.recs, r.jobRec(l, n, Virt{Start: sp.Start, Dur: sp.Finish - sp.Start}))
+		r.recs.Append(r.jobRec(l, n, Virt{Start: sp.Start, Dur: sp.Finish - sp.Start}))
 	}
 	for _, ab := range sched.Aborts {
 		l, n := lane(int(ab.Job))
@@ -55,7 +51,7 @@ func (r *Recorder) RecordSchedule(jobs []sim.Job, sched *sim.Result, lane func(i
 		rec := r.jobRec(r.lane(k), n, Virt{Start: ab.Start, Dur: ab.Killed - ab.Start})
 		rec.flags |= flagKilled
 		rec.attempt = int32(ab.Attempt)
-		r.recs = append(r.recs, rec)
+		r.recs.Append(rec)
 	}
 }
 

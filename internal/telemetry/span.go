@@ -7,6 +7,8 @@ import (
 	"strings"
 	"sync"
 	"time"
+
+	"repro/internal/paged"
 )
 
 // Virt is a virtual-clock interval in simulated seconds. Virtual
@@ -68,15 +70,17 @@ type CriticalRow struct {
 // atomic instruments and per-caller wall accumulators instead.
 //
 // A span is stored as a spanRec: no strings, only indices into the
-// recorder's lane and name tables, so the storage is one array the
-// collector never scans. Spans formats the names when a trace is read.
+// recorder's lane and name tables, so the collector never scans the
+// storage. Records fill fixed pages of spanPage (paged.Store), each
+// allocated once and never copied. Spans formats the names when a
+// trace is read.
 type Recorder struct {
 	// Metrics is the recorder's instrument registry.
 	Metrics *Registry
 
 	mu       sync.Mutex
 	epoch    time.Time
-	recs     []spanRec
+	recs     paged.Store[spanRec]
 	lanes    []laneKey
 	laneIdx  map[laneKey]Lane
 	names    []string
@@ -112,6 +116,10 @@ const (
 	flagKilled                   // the name gains ":killed#<attempt>"
 )
 
+// spanPage is the records per page of a recorder's span store: 64 KiB
+// of 64-byte records, an allocation with no size-class slack.
+const spanPage = 1024
+
 // spanRec is one stored span. It holds no pointer, and it is at most
 // 64 bytes (TestSpanRecIsSmallAndPointerFree).
 type spanRec struct {
@@ -134,6 +142,7 @@ type spanRec struct {
 func New() *Recorder {
 	return &Recorder{
 		Metrics: NewRegistry(), epoch: WallClock(), meta: make(map[string]string),
+		recs:    paged.New[spanRec](spanPage),
 		laneIdx: make(map[laneKey]Lane), nameIdx: make(map[string]int32),
 	}
 }
@@ -184,7 +193,7 @@ func (r *Recorder) Record(spans ...Span) {
 	}
 	r.mu.Lock()
 	defer r.mu.Unlock()
-	r.recs = slices.Grow(r.recs, len(spans))
+	r.recs.Grow(len(spans))
 	for i := range spans {
 		s := &spans[i]
 		rec := spanRec{
@@ -198,7 +207,7 @@ func (r *Recorder) Record(spans ...Span) {
 		if s.HasWall {
 			rec.flags |= flagWall
 		}
-		r.recs = append(r.recs, rec)
+		r.recs.Append(rec)
 	}
 }
 
@@ -209,7 +218,7 @@ func (r *Recorder) RecordWall(l Lane, worker int, tuples int64, clock Wall) {
 		return
 	}
 	r.mu.Lock()
-	r.recs = append(r.recs, spanRec{
+	r.recs.Append(spanRec{
 		wall: clock, tuples: tuples, lane: l, worker: int32(worker),
 		kind: nameWall, flags: flagWall,
 	})
@@ -238,14 +247,20 @@ func (r *Recorder) AddCritical(rows ...CriticalRow) {
 	r.mu.Unlock()
 }
 
+// Len returns how many spans the recorder holds, formatting none.
+func (r *Recorder) Len() int {
+	r.mu.Lock()
+	defer r.mu.Unlock()
+	return r.recs.Len()
+}
+
 // Spans returns the recorded spans in recording order, their names
 // formatted.
 func (r *Recorder) Spans() []Span {
 	r.mu.Lock()
 	defer r.mu.Unlock()
-	out := make([]Span, len(r.recs))
-	for i := range r.recs {
-		rec := &r.recs[i]
+	out := make([]Span, r.recs.Len())
+	for i, rec := range r.recs.All() {
 		l := &r.lanes[rec.lane]
 		out[i] = Span{
 			Proc: l.proc, Track: l.track, Name: r.nameOf(rec, l.track), Cat: l.cat,
@@ -348,8 +363,7 @@ func (r *Recorder) sumTracks(wall bool) []trackSum {
 	type key struct{ proc, track string }
 	idx := make(map[key]int)
 	var sums []trackSum
-	for i := range r.recs {
-		rec := &r.recs[i]
+	for _, rec := range r.recs.All() {
 		if rec.flags&flag == 0 {
 			continue
 		}
@@ -400,8 +414,8 @@ func (r *Recorder) Procs() []string {
 	defer r.mu.Unlock()
 	seen := make([]bool, len(r.lanes))
 	var out []string
-	for i := range r.recs {
-		if l := r.recs[i].lane; !seen[l] {
+	for _, rec := range r.recs.All() {
+		if l := rec.lane; !seen[l] {
 			seen[l] = true
 			out = append(out, r.lanes[l].proc)
 		}

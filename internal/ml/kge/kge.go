@@ -8,11 +8,12 @@
 package kge
 
 import (
+	"cmp"
 	"encoding/binary"
 	"fmt"
 	"math"
 	"slices"
-	"sort"
+	"strings"
 
 	"repro/internal/xrand"
 )
@@ -282,29 +283,29 @@ type Scored struct {
 }
 
 // TopK ranks candidate tail entities for (head, rel) and returns the k
-// best, ties broken by entity name for determinism.
+// best, ties broken by entity name for determinism. It holds the k best
+// seen so far, not every candidate.
 func (m *Model) TopK(head, rel string, candidates []string, k int) ([]Scored, error) {
 	if k <= 0 {
 		return nil, fmt.Errorf("kge: k must be positive, got %d", k)
 	}
-	out := make([]Scored, 0, len(candidates))
+	top := NewTop(min(k, len(candidates)), byScore)
 	for _, c := range candidates {
 		s, err := m.Score(head, rel, c)
 		if err != nil {
 			return nil, err
 		}
-		out = append(out, Scored{Entity: c, Score: s})
+		top.Offer(Scored{Entity: c, Score: s})
 	}
-	sort.Slice(out, func(i, j int) bool {
-		if out[i].Score != out[j].Score {
-			return out[i].Score > out[j].Score
-		}
-		return out[i].Entity < out[j].Entity
-	})
-	if k > len(out) {
-		k = len(out)
+	return top.Sorted(), nil
+}
+
+// byScore orders TopK's candidates: higher score first, ties by entity.
+func byScore(a, b Scored) int {
+	if c := cmp.Compare(b.Score, a.Score); c != 0 {
+		return c
 	}
-	return out[:k], nil
+	return strings.Compare(a.Entity, b.Entity)
 }
 
 // EncodeVec serializes an embedding into a compact string so vectors

@@ -4,6 +4,8 @@ import (
 	"bytes"
 	"fmt"
 	"math"
+	"slices"
+	"sort"
 	"testing"
 )
 
@@ -105,6 +107,114 @@ func FuzzVecCodec(f *testing.F) {
 		back, err := DecodeVecInto(scratch, string(buf[len(prefix):]))
 		if err != nil || !sameBits(back, v) {
 			t.Fatalf("round trip of %v gave %v, %v", v, back, err)
+		}
+	})
+}
+
+// refTopK is TopK as it was before it kept only its k best: every
+// candidate scored into a slice, the whole slice sorted, then cut to k.
+// Kept verbatim, its sort and cut as refRankScored, as the reference
+// TopK and Top must reproduce.
+func (m *Model) refTopK(head, rel string, candidates []string, k int) ([]Scored, error) {
+	if k <= 0 {
+		return nil, fmt.Errorf("kge: k must be positive, got %d", k)
+	}
+	out := make([]Scored, 0, len(candidates))
+	for _, c := range candidates {
+		s, err := m.Score(head, rel, c)
+		if err != nil {
+			return nil, err
+		}
+		out = append(out, Scored{Entity: c, Score: s})
+	}
+	return refRankScored(out, k), nil
+}
+
+// refRankScored sorts scored entities by score, highest first, ties by
+// entity, and keeps the first k.
+func refRankScored(out []Scored, k int) []Scored {
+	sort.Slice(out, func(i, j int) bool {
+		if out[i].Score != out[j].Score {
+			return out[i].Score > out[j].Score
+		}
+		return out[i].Entity < out[j].Entity
+	})
+	if k > len(out) {
+		k = len(out)
+	}
+	return out[:k]
+}
+
+// TestTopKMatchesReference ranks a trained model's products, repeated
+// candidates included, for every user at k from 1 past the candidate
+// count, and wants what the reference returns.
+func TestTopKMatchesReference(t *testing.T) {
+	m := trainedModel(t)
+	var candidates []string
+	for p := 0; p < 40; p++ {
+		candidates = append(candidates, fmt.Sprintf("prod%d", p), fmt.Sprintf("prod%d", p*7%40))
+	}
+	for u := 0; u < 8; u++ {
+		head := fmt.Sprintf("user%d", u)
+		for _, k := range []int{1, 2, 10, 79, 80, 81, 200} {
+			got, err := m.TopK(head, "buys", candidates, k)
+			if err != nil {
+				t.Fatal(err)
+			}
+			want, err := m.refTopK(head, "buys", candidates, k)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !slices.Equal(got, want) {
+				t.Fatalf("%s, k=%d: TopK %v, reference %v", head, k, got, want)
+			}
+		}
+	}
+}
+
+// FuzzTopKMatchesSort holds Top under byScore, TopK's order, to the
+// reference's sort and cut: offered every fuzzed item, it must keep
+// what refRankScored keeps, for k = 0, 1, the fuzzed k, the item count
+// and past it, both halfway through the items and after the last. Each
+// two bytes are an item: an entity from a pool of 40, so items repeat,
+// and a finite score from a small set, so scores tie and entities
+// break the ties; no score is -0, so items equal under byScore are
+// equal in every bit.
+func FuzzTopKMatchesSort(f *testing.F) {
+	f.Add([]byte{}, uint8(3))
+	f.Add([]byte{7, 3}, uint8(0))
+	f.Add([]byte{0, 0, 0, 0, 1, 0, 1, 0, 2, 200, 1, 8}, uint8(1))
+	f.Add([]byte("the best ten of forty entities, ties and repeats included"), uint8(10))
+	f.Fuzz(func(t *testing.T, data []byte, fk uint8) {
+		items := make([]Scored, len(data)/2)
+		for i := range items {
+			d := data[2*i+1]
+			score := float64(d%16)/8 - 1
+			if d >= 128 {
+				score = -math.Sqrt(float64(d))
+			}
+			items[i] = Scored{Entity: fmt.Sprintf("e%02d", data[2*i]%40), Score: score}
+		}
+		for _, k := range []int{0, 1, int(fk), len(items), len(items) + 3} {
+			top := NewTop(k, byScore)
+			check := func(offered []Scored) {
+				got := top.Sorted()
+				if top.Seen() != len(offered) {
+					t.Fatalf("k=%d: Seen %d after %d offers", k, top.Seen(), len(offered))
+				}
+				if want := refRankScored(slices.Clone(offered), k); !slices.Equal(got, want) {
+					t.Fatalf("k=%d, %d offered: kept %v, reference %v", k, len(offered), got, want)
+				}
+			}
+			half := len(items) / 2
+			for _, x := range items[:half] {
+				top.Offer(x)
+			}
+			check(items[:half])
+			for _, x := range items[half:] {
+				top.Offer(x)
+			}
+			check(items)
 		}
 	})
 }

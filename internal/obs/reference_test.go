@@ -188,8 +188,9 @@ func (r *refRun) EventsSince(cursor int64) (evs []Event, next, dropped int64, do
 
 // FuzzEventRingMatchesReference publishes one generated event sequence
 // to a Run and to refRun — past eventRingSize, and with strings drawn
-// from a pool that can outgrow the strs table's index width and worker
-// counts past int32 — and reads both back at random cursors, the Run a
+// from a pool that can outgrow the strs table's index width (and gives
+// a run more distinct ops than a byte could index) and worker counts
+// past int32 — and reads both back at random cursors, the Run a
 // random-sized buffer at a time. It wants the same events, next cursor,
 // drops and done, and the Run's out-of-record payloads bounded by the
 // ring.

@@ -30,11 +30,12 @@ const (
 	sampleRingSize = 512
 	// eventPage and samplePage are the records per page of the two
 	// rings (paged.Store), each sized to fill an allocator size class:
-	// 146 56-byte eventRecs and the 8-byte header of an object holding
-	// pointers are 8,184 of 8,192 bytes, and 128 112-byte Samples are
-	// 14,336, a class of its own. A run's first page grows by append,
-	// so a run that publishes little holds little.
-	eventPage  = 146
+	// 256 48-byte eventRecs are 12,288 bytes and 128 112-byte Samples
+	// 14,336, each a class of its own. Neither record holds a pointer,
+	// so a page carries no allocation header and the collector never
+	// scans it. A run's first page grows by append, so a run that
+	// publishes little holds little.
+	eventPage  = 256
 	samplePage = 128
 	// sampleMinInterval is the minimum wall time between event-driven
 	// samples, so a hot emit loop cannot turn sampling into the
@@ -136,7 +137,7 @@ func (g *Registry) StartQueued(task, paradigm, tenant string, rec *telemetry.Rec
 		rec:      rec,
 		state:    "queued",
 		startNS:  g.nowNS(),
-		ops:      make(map[string]*OpStatus),
+		ops:      make(map[string]int),
 		events:   paged.New[eventRec](eventPage),
 		samples:  paged.New[Sample](samplePage),
 	}
@@ -249,9 +250,9 @@ type Run struct {
 	events  paged.Store[eventRec]             // ring: grows to eventRingSize, then wraps
 	strs    []string                          // distinct Task, Paradigm, Kind and State values, indexed by eventRec
 	wide    map[int64]telemetry.ProgressEvent // by Seq: retained events no record could hold
-	ops     map[string]*OpStatus
-	opOrder []string
-	notify  chan struct{} // made by EventsSince, closed and cleared by the next change
+	ops     map[string]int                    // each op's position in opOrder
+	opOrder []*OpStatus                       // per-operator status, first seen first; an eventRec's op is a position plus one
+	notify  chan struct{}                     // made by EventsSince, closed and cleared by the next change
 
 	samples      paged.Store[Sample] // ring: grows to sampleRingSize, then wraps
 	nSamples     int64               // total samples ever taken
@@ -269,18 +270,16 @@ func (r *Run) Publish(ev telemetry.ProgressEvent) { r.publishAt(r.reg.nowNS(), e
 // publishAt is Publish with the wall stamp now.
 func (r *Run) publishAt(now int64, ev telemetry.ProgressEvent) {
 	r.mu.Lock()
-	r.putEvent(now, ev)
-	r.seq++
-	if ev.VirtSeconds > r.virtNow {
-		r.virtNow = ev.VirtSeconds
-	}
+	op := 0
 	if ev.Op != "" {
-		st, ok := r.ops[ev.Op]
+		i, ok := r.ops[ev.Op]
 		if !ok {
-			st = &OpStatus{Op: ev.Op}
-			r.ops[ev.Op] = st
-			r.opOrder = append(r.opOrder, ev.Op)
+			i = len(r.opOrder)
+			r.ops[ev.Op] = i
+			r.opOrder = append(r.opOrder, &OpStatus{Op: ev.Op})
 		}
+		op = i + 1
+		st := r.opOrder[i]
 		if ev.Kind != "" {
 			st.Kind = ev.Kind
 		}
@@ -301,6 +300,11 @@ func (r *Run) publishAt(now int64, ev telemetry.ProgressEvent) {
 		}
 		st.UpdatedNS = now
 	}
+	r.putEvent(now, ev, op)
+	r.seq++
+	if ev.VirtSeconds > r.virtNow {
+		r.virtNow = ev.VirtSeconds
+	}
 	if now-r.lastSampleNS >= int64(sampleMinInterval) {
 		r.sampleAt(now)
 	}
@@ -308,17 +312,18 @@ func (r *Run) publishAt(now int64, ev telemetry.ProgressEvent) {
 }
 
 // eventRec is one retained event, stored as compactly as the ring can
-// hold it: its Seq is its position in the ring, and Task, Paradigm,
-// Kind and State, of which a run has a handful of distinct values, are
-// indices into the run's strs table. Op, which a script run has one of
-// per cell or task, is the engine's own string.
+// hold it, in 48 bytes and no pointer: its Seq is its position in the
+// ring; Task, Paradigm, Kind and State, of which a run has a handful of
+// distinct values, are indices into the run's strs table; and Op, which
+// a script run has one of per cell or task, is its position in the
+// run's opOrder table plus one, or 0 for none.
 type eventRec struct {
 	wallNS    int64
 	inTuples  int64
 	outTuples int64
 	virtSec   float64
-	op        string
 	workers   int32
+	op        uint16
 	task      uint8
 	paradigm  uint8
 	kind      uint8
@@ -326,26 +331,27 @@ type eventRec struct {
 }
 
 // wideRec as an eventRec's task marks an event that has a string past
-// the strs table's index width or a worker count past int32: r.wide
-// holds its payload until the ring overwrites its record.
+// the strs table's index width, an op past the 65,535th, or a worker
+// count past int32: r.wide holds its payload until the ring overwrites
+// its record.
 const wideRec = math.MaxUint8
 
-// putEvent stores ev, stamped now, as the r.seq-th event. Callers hold
-// r.mu.
-func (r *Run) putEvent(now int64, ev telemetry.ProgressEvent) {
+// putEvent stores ev, stamped now, as the r.seq-th event; op is its
+// Op's position in opOrder plus one, or 0 for none. Callers hold r.mu.
+func (r *Run) putEvent(now int64, ev telemetry.ProgressEvent, op int) {
 	rec := eventRec{
 		wallNS:    now,
 		inTuples:  ev.InTuples,
 		outTuples: ev.OutTuples,
 		virtSec:   ev.VirtSeconds,
-		op:        ev.Op,
 		workers:   int32(ev.Workers),
+		op:        uint16(op),
 		task:      r.intern(ev.Task),
 		paradigm:  r.intern(ev.Paradigm),
 		kind:      r.intern(ev.Kind),
 		state:     r.intern(ev.State),
 	}
-	if max(rec.task, rec.paradigm, rec.kind, rec.state) == wideRec || int(rec.workers) != ev.Workers {
+	if max(rec.task, rec.paradigm, rec.kind, rec.state) == wideRec || int(rec.workers) != ev.Workers || int(rec.op) != op {
 		rec.task = wideRec
 		if r.wide == nil {
 			r.wide = make(map[int64]telemetry.ProgressEvent)
@@ -386,13 +392,15 @@ func (r *Run) eventAt(seq int64) Event {
 	e.ProgressEvent = telemetry.ProgressEvent{
 		Task:        r.strs[rec.task],
 		Paradigm:    r.strs[rec.paradigm],
-		Op:          rec.op,
 		Kind:        r.strs[rec.kind],
 		State:       r.strs[rec.state],
 		InTuples:    rec.inTuples,
 		OutTuples:   rec.outTuples,
 		Workers:     int(rec.workers),
 		VirtSeconds: rec.virtSec,
+	}
+	if rec.op > 0 {
+		e.Op = r.opOrder[rec.op-1].Op
 	}
 	return e
 }
@@ -595,8 +603,8 @@ func (r *Run) Ops() []OpStatus {
 	r.mu.Lock()
 	defer r.mu.Unlock()
 	out := make([]OpStatus, 0, len(r.opOrder))
-	for _, name := range r.opOrder {
-		out = append(out, *r.ops[name])
+	for _, st := range r.opOrder {
+		out = append(out, *st)
 	}
 	return out
 }

@@ -3,6 +3,8 @@ package obs
 import (
 	"bytes"
 	"io"
+	"math"
+	"reflect"
 	"runtime"
 	"runtime/debug"
 	"slices"
@@ -21,12 +23,8 @@ import (
 // few events holds a few records, and one that publishes more than the
 // ring holds keeps the newest eventRingSize, oldest first, while a
 // streamer whose cursor fell behind the ring is told how many it lost.
-// A record is at most 56 bytes, less than half an Event, and a full
-// ring's pages leave less than one page empty.
+// A full ring's pages leave less than one page empty.
 func TestEventRingGrowsThenDropsOldest(t *testing.T) {
-	if size := unsafe.Sizeof(eventRec{}); size > 56 {
-		t.Fatalf("an event record is %d bytes, want at most 56", size)
-	}
 	r := NewRegistry().StartQueued("kge", "workflow", "", nil)
 	for range 50 {
 		r.Publish(telemetry.ProgressEvent{})
@@ -200,6 +198,52 @@ func TestStreamFollowsConcurrentPublishers(t *testing.T) {
 	}
 }
 
+// TestEventRecIsPointerFree holds the retained event to what makes the
+// ring cheap: at most 48 bytes, under two fifths of an Event, and no
+// field the collector must scan, so an event page is a noscan object
+// with no allocation header.
+func TestEventRecIsPointerFree(t *testing.T) {
+	if size := unsafe.Sizeof(eventRec{}); size > 48 {
+		t.Errorf("eventRec is %d bytes, want at most 48", size)
+	}
+	typ := reflect.TypeOf(eventRec{})
+	for i := 0; i < typ.NumField(); i++ {
+		switch f := typ.Field(i); f.Type.Kind() {
+		case reflect.Int8, reflect.Int16, reflect.Int32, reflect.Int64,
+			reflect.Uint8, reflect.Uint16, reflect.Uint32, reflect.Uint64, reflect.Float64:
+		default:
+			t.Errorf("eventRec.%s is a %s, which holds a pointer or has no fixed width", f.Name, f.Type.Kind())
+		}
+	}
+}
+
+// TestEventOpsPastIndexWidth publishes more distinct ops than an
+// eventRec's op index holds: the events past it keep their ops, their
+// payloads held out of record, and the ones before it need none.
+func TestEventOpsPastIndexWidth(t *testing.T) {
+	const n = math.MaxUint16 + 3
+	run := NewRegistry().StartQueued("gotta", "script", "", nil)
+	for i := range n {
+		run.publishAt(0, telemetry.ProgressEvent{Op: "task-" + strconv.Itoa(i), State: "running"})
+	}
+	if want := n - math.MaxUint16; len(run.wide) != want {
+		t.Errorf("%d out-of-record payloads, want %d: one per op past the %dth", len(run.wide), want, math.MaxUint16)
+	}
+	evs := make([]Event, 8)
+	got, _, _, _, _ := run.EventsSince(n-6, evs)
+	if got != 6 {
+		t.Fatalf("read %d of the last 6 events", got)
+	}
+	for _, e := range evs[:got] {
+		if want := "task-" + strconv.Itoa(int(e.Seq)); e.Op != want || e.State != "running" {
+			t.Errorf("event %d: op %q, state %q; want %q, running", e.Seq, e.Op, e.State, want)
+		}
+	}
+	if ops := run.Ops(); len(ops) != n || ops[n-1].Op != "task-"+strconv.Itoa(n-1) {
+		t.Errorf("%d ops in the status table, want %d", len(ops), n)
+	}
+}
+
 // nopFlusher stands in for the http.Flusher of a response that
 // io.Discard writes.
 type nopFlusher struct{}
@@ -209,16 +253,19 @@ func (nopFlusher) Flush() {}
 // TestServedRunEventsAllocBudget publishes a DICE-50 workflow run's
 // events into a fresh Run, as a served run receives them (its samples
 // folding the run's recorder), and streams them through streamEvents
-// to io.Discard. Its 1,692 events take about 0.12 MB in 69 heap
-// objects, the ring's pages among them; with the ring regrown by append
-// they took 0.36 MB in 57, and with each event stored whole and every
-// read copying the backlog into a fresh slice 1.53 MB in 113. Under the
+// to io.Discard. Its 1,692 events take 113,200 bytes in 64 heap
+// objects, the ring's seven noscan pages among them, of a 118,000-byte
+// budget; with each record holding its op as a string, so that every
+// page was scanned and 146 records were the most an 8 KiB class held,
+// they took 122,152 bytes in 69; with the ring regrown by append
+// 0.36 MB in 57; and with each event stored whole and every read
+// copying the backlog into a fresh slice 1.53 MB in 113. Under the
 // race detector encoding/json's sync.Pool drops encoders at random, so
 // the objects read 3.3-3.8 k either way: a race build skips the byte
 // budget and holds objects to 5,000, which an object per event still
 // breaks.
 func TestServedRunEventsAllocBudget(t *testing.T) {
-	const byteBudget = 150_000
+	const byteBudget = 118_000
 	objBudget := uint64(80)
 	bi, ok := debug.ReadBuildInfo()
 	race := ok && slices.ContainsFunc(bi.Settings, func(s debug.BuildSetting) bool { return s.Key == "-race" && s.Value == "true" })

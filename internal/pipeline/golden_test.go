@@ -211,6 +211,13 @@ func TestWorkflowPlanAboveLegacyCeiling(t *testing.T) {
 	}
 }
 
+// raceBuild reports whether the test binary was built with the race
+// detector, under which byte counts wobble from run to run.
+func raceBuild() bool {
+	bi, ok := debug.ReadBuildInfo()
+	return ok && slices.ContainsFunc(bi.Settings, func(s debug.BuildSetting) bool { return s.Key == "-race" && s.Value == "true" })
+}
+
 // TestDiceWorkflowAllocBudget is the wall-clock guard CI can fail on:
 // timings drift 10–18 % on shared runners, bytes and object counts do
 // not. Each run is measured warm, datagen included.
@@ -252,8 +259,7 @@ func TestWorkflowPlanAboveLegacyCeiling(t *testing.T) {
 // (2.47–2.61 MB for the second run), so under the race detector only
 // the object budget is enforced; the plain test run enforces the bytes.
 func TestDiceWorkflowAllocBudget(t *testing.T) {
-	bi, ok := debug.ReadBuildInfo()
-	race := ok && slices.ContainsFunc(bi.Settings, func(s debug.BuildSetting) bool { return s.Key == "-race" && s.Value == "true" })
+	race := raceBuild()
 	for _, c := range []struct {
 		spec       core.RunSpec
 		byteBudget uint64
@@ -286,27 +292,34 @@ func TestDiceWorkflowAllocBudget(t *testing.T) {
 
 // TestKGEWorkflowAllocBudget is TestDiceWorkflowAllocBudget for the
 // KGE workflow, the run serve-sweeps sweeps: a KGE-3400 run at 4
-// workers, measured warm, datagen included, takes about 0.8 k heap
-// objects of a 1,500 budget. (With every stage decoding into fresh
-// slices, a delta slice per candidate, an encoded string per vector
-// handed on and a boxed tuple per row, the same run took 38.5 k.)
+// workers, measured warm, datagen and training included, takes
+// 2.80-2.90 MB in about 0.74 k heap objects, of a 3,300,000-byte and
+// 1,500-object budget. (With the rank stage holding and sorting every
+// candidate to emit the nearest ten, it took 3.85-3.92 MB; with every
+// stage decoding into fresh slices, a delta slice per candidate, an
+// encoded string per vector handed on and a boxed tuple per row,
+// 38.5 k objects.) Its bytes move by a few per cent with batch arrival
+// order, and more under the race detector, which skips the byte budget.
 func TestKGEWorkflowAllocBudget(t *testing.T) {
-	const budget = 1_500
+	const byteBudget, objBudget = 3_300_000, 1_500
 	spec := core.RunSpec{Task: "kge", Paradigm: "workflow", Size: 3400, Seed: 1, Workers: 4}
-	run := func() uint64 {
+	run := func() (bytes, objects uint64) {
 		var before, after runtime.MemStats
 		runtime.ReadMemStats(&before)
 		if _, err := spec.Run(); err != nil {
 			t.Fatal(err)
 		}
 		runtime.ReadMemStats(&after)
-		return after.Mallocs - before.Mallocs
+		return after.TotalAlloc - before.TotalAlloc, after.Mallocs - before.Mallocs
 	}
 	run() // warm-up: lazy initialisation is not the run's cost
-	objects := run()
-	t.Logf("KGE-3400 workflow run at 4 workers allocated %d objects of a %d budget", objects, budget)
-	if objects > budget {
-		t.Errorf("KGE-3400 workflow run at 4 workers allocated %d objects, budget %d", objects, budget)
+	bytes, objects := run()
+	t.Logf("KGE-3400 workflow run at 4 workers allocated %d bytes of a %d budget in %d objects of %d", bytes, byteBudget, objects, objBudget)
+	if !raceBuild() && bytes > byteBudget {
+		t.Errorf("KGE-3400 workflow run at 4 workers allocated %d bytes, budget %d", bytes, byteBudget)
+	}
+	if objects > objBudget {
+		t.Errorf("KGE-3400 workflow run at 4 workers allocated %d objects, budget %d", objects, objBudget)
 	}
 }
 
@@ -320,33 +333,41 @@ func TestKGEWorkflowAllocBudget(t *testing.T) {
 // and KGE took 99.8 k, 12.3 k and 59.6 k; with a copied embedding row
 // and a delta slice per KGE candidate, 12.4 k; with DICE splitting each
 // case's sentences twice, a fresh entity map per case and a boxed tuple
-// per output record, DICE took 3.9 k.)
+// per output record, DICE took 3.9 k.) KGE's run also has a byte
+// budget, 2,400,000, of which it takes 2,268,232 (model training
+// included); with every in-stock candidate scored into a slice and the
+// slice sorted to keep the nearest ten, it took 2,659,760-2,659,968. A
+// race build skips it.
 func TestScriptAllocBudget(t *testing.T) {
 	for _, c := range []struct {
-		task   string
-		size   int
-		budget uint64
+		task       string
+		size       int
+		byteBudget uint64 // 0: objects only
+		objBudget  uint64
 	}{
-		{"dice", 200, 2_200},
-		{"wef", 200, 5_500},
-		{"gotta", 16, 4_700},
-		{"kge", 6800, 300},
+		{"dice", 200, 0, 2_200},
+		{"wef", 200, 0, 5_500},
+		{"gotta", 16, 0, 4_700},
+		{"kge", 6800, 2_400_000, 300},
 	} {
 		spec := core.RunSpec{Task: c.task, Paradigm: "script", Size: c.size, Seed: 1, Workers: 4}
-		run := func() uint64 {
+		run := func() (bytes, objects uint64) {
 			var before, after runtime.MemStats
 			runtime.ReadMemStats(&before)
 			if _, err := spec.Run(); err != nil {
 				t.Fatal(err)
 			}
 			runtime.ReadMemStats(&after)
-			return after.Mallocs - before.Mallocs
+			return after.TotalAlloc - before.TotalAlloc, after.Mallocs - before.Mallocs
 		}
 		run() // warm-up: lazy initialisation is not the run's cost
-		objects := run()
-		t.Logf("%s script-%d allocated %d objects of a %d budget", c.task, c.size, objects, c.budget)
-		if objects > c.budget {
-			t.Errorf("%s script-%d allocated %d objects, budget %d", c.task, c.size, objects, c.budget)
+		bytes, objects := run()
+		t.Logf("%s script-%d allocated %d bytes in %d objects of a %d budget", c.task, c.size, bytes, objects, c.objBudget)
+		if c.byteBudget > 0 && !raceBuild() && bytes > c.byteBudget {
+			t.Errorf("%s script-%d allocated %d bytes, budget %d", c.task, c.size, bytes, c.byteBudget)
+		}
+		if objects > c.objBudget {
+			t.Errorf("%s script-%d allocated %d objects, budget %d", c.task, c.size, objects, c.objBudget)
 		}
 	}
 }

@@ -13,10 +13,11 @@
 package kge
 
 import (
+	"cmp"
 	"fmt"
 	"math"
 	"slices"
-	"sort"
+	"strings"
 
 	"repro/internal/core"
 	"repro/internal/cost"
@@ -233,59 +234,50 @@ func (t *Task) stageDist(emb []float64) float64 {
 	return math.Sqrt(s)
 }
 
-// scored is a candidate with its distance, pre-ranking.
-type scored struct {
-	asin  string
-	title string
-	emb   []float64
-	dist  float64
+// ranked is one candidate a ranking may keep. Its embedding is the
+// encoded cell it arrived with (emb), or the model row it was scored
+// from (vec) in the script and in a workflow operator that joined it;
+// either way nothing is decoded before the candidate makes the top K.
+type ranked struct {
+	asin, title, emb relation.Value
+	vec              []float64
+	dist             float64
 }
 
-// rankAndReverse sorts scored candidates ascending by distance (ties
-// by ASIN), keeps the top K, and reverse-looks-up each embedding.
-func (t *Task) rankAndReverse(rows []scored) ([]Recommendation, error) {
-	sort.Slice(rows, func(i, j int) bool {
-		if rows[i].dist != rows[j].dist {
-			return rows[i].dist < rows[j].dist
-		}
-		return rows[i].asin < rows[j].asin
-	})
-	k := t.params.TopK
-	if k > len(rows) {
-		k = len(rows)
+// byDistance is the ranking's order: nearest first, ties by ASIN. ASINs
+// are unique (datagen numbers them), so no two candidates tie.
+func byDistance(a, b ranked) int {
+	if c := cmp.Compare(a.dist, b.dist); c != 0 {
+		return c
 	}
-	out := make([]Recommendation, 0, k)
-	for i := 0; i < k; i++ {
-		entity, err := t.model.ReverseLookup(rows[i].emb)
+	return strings.Compare(a.asin.Str(), b.asin.Str())
+}
+
+// newTop returns the ranking's selector of the TopK nearest candidates,
+// with room for no more than there are products.
+func (t *Task) newTop() *kge.Top[ranked] {
+	return kge.NewTop(min(t.params.TopK, len(t.world.Products)), byDistance)
+}
+
+// reverseTop reverse-looks-up each of the top candidates, nearest
+// first, and checks it maps back to its own product.
+func (t *Task) reverseTop(top []ranked) ([]Recommendation, error) {
+	out := make([]Recommendation, 0, len(top))
+	for i, r := range top {
+		entity, err := t.model.ReverseLookup(r.vec)
 		if err != nil {
 			return nil, err
 		}
-		if entity != rows[i].asin {
-			return nil, fmt.Errorf("kge: reverse lookup of %s returned %s", rows[i].asin, entity)
+		if entity != r.asin.Str() {
+			return nil, fmt.Errorf("kge: reverse lookup of %s returned %s", r.asin.Str(), entity)
 		}
 		p := t.world.ProductByASIN(entity)
 		if p == nil {
 			return nil, fmt.Errorf("kge: unknown product %s", entity)
 		}
-		out = append(out, Recommendation{Rank: i + 1, ASIN: entity, Title: p.Title, Dist: rows[i].dist})
+		out = append(out, Recommendation{Rank: i + 1, ASIN: entity, Title: p.Title, Dist: r.dist})
 	}
 	return out, nil
-}
-
-// Oracle computes the expected recommendations directly.
-func (t *Task) Oracle() ([]Recommendation, error) {
-	var rows []scored
-	for _, p := range t.world.Products {
-		if !p.InStock {
-			continue
-		}
-		emb, err := t.stage2Embedding(p.ASIN)
-		if err != nil {
-			return nil, err
-		}
-		rows = append(rows, scored{asin: p.ASIN, title: p.Title, emb: emb, dist: t.stageDist(emb)})
-	}
-	return t.rankAndReverse(rows)
 }
 
 // RecommendationsToTable converts results to the canonical table.

@@ -1,9 +1,12 @@
 package kge
 
 import (
+	"cmp"
 	"fmt"
 	"math"
+	"slices"
 	"sort"
+	"strings"
 	"testing"
 
 	"repro/internal/core"
@@ -13,6 +16,88 @@ import (
 	"repro/internal/pipeline"
 	"repro/internal/relation"
 )
+
+// scored, refSortScored, refRankAndReverse and Oracle are the script's
+// ranking as it was before it kept only its top K: every in-stock
+// candidate scored into a slice, the whole slice sorted, then cut to K.
+// refRankStage is the workflow rank stage's EndPort ordering of the
+// same time: every candidate it saw sorted, then cut to K. Kept
+// verbatim as the references kge.Top must reproduce, and the task's
+// output is checked against Oracle, never against the selector.
+
+// scored is a candidate with its distance, pre-ranking.
+type scored struct {
+	asin  string
+	title string
+	emb   []float64
+	dist  float64
+}
+
+// refSortScored sorts scored candidates ascending by distance (ties by
+// ASIN).
+func refSortScored(rows []scored) {
+	sort.Slice(rows, func(i, j int) bool {
+		if rows[i].dist != rows[j].dist {
+			return rows[i].dist < rows[j].dist
+		}
+		return rows[i].asin < rows[j].asin
+	})
+}
+
+// refRankAndReverse sorts scored candidates ascending by distance (ties
+// by ASIN), keeps the top K, and reverse-looks-up each embedding.
+func (t *Task) refRankAndReverse(rows []scored) ([]Recommendation, error) {
+	refSortScored(rows)
+	k := t.params.TopK
+	if k > len(rows) {
+		k = len(rows)
+	}
+	out := make([]Recommendation, 0, k)
+	for i := 0; i < k; i++ {
+		entity, err := t.model.ReverseLookup(rows[i].emb)
+		if err != nil {
+			return nil, err
+		}
+		if entity != rows[i].asin {
+			return nil, fmt.Errorf("kge: reverse lookup of %s returned %s", rows[i].asin, entity)
+		}
+		p := t.world.ProductByASIN(entity)
+		if p == nil {
+			return nil, fmt.Errorf("kge: unknown product %s", entity)
+		}
+		out = append(out, Recommendation{Rank: i + 1, ASIN: entity, Title: p.Title, Dist: rows[i].dist})
+	}
+	return out, nil
+}
+
+// Oracle computes the expected recommendations directly.
+func (t *Task) Oracle() ([]Recommendation, error) {
+	var rows []scored
+	for _, p := range t.world.Products {
+		if !p.InStock {
+			continue
+		}
+		emb, err := t.stage2Embedding(p.ASIN)
+		if err != nil {
+			return nil, err
+		}
+		rows = append(rows, scored{asin: p.ASIN, title: p.Title, emb: emb, dist: t.stageDist(emb)})
+	}
+	return t.refRankAndReverse(rows)
+}
+
+// refRankStage sorts every candidate the rank stage saw ascending by
+// distance (ties by ASIN) and keeps the top k.
+func refRankStage(rs []ranked, topK int) []ranked {
+	slices.SortFunc(rs, func(a, b ranked) int {
+		if c := cmp.Compare(a.dist, b.dist); c != 0 {
+			return c
+		}
+		return strings.Compare(a.asin.Str(), b.asin.Str())
+	})
+	k := min(topK, len(rs))
+	return rs[:k]
+}
 
 // refPipeInstance and stage3Delta are pipeInstance and the delta stage
 // as they were before a workflow row stopped costing heap objects: every
@@ -248,4 +333,84 @@ func TestWorkflowMatchesReference(t *testing.T) {
 			}
 		}
 	}
+}
+
+// FuzzTopKMatchesSort holds the ranking, kge.Top under byDistance, to
+// both references: offered every fuzzed candidate, the selector must
+// keep what refRankStage keeps and what refSortScored cut to K keeps,
+// for K = 0, 1, the fuzzed K, the candidate count and past it, both
+// halfway through the candidates and after the last. Each two bytes are
+// a candidate: an ASIN from a pool of 40, so candidates repeat, and a
+// finite distance from a small set, so distances tie and ASINs break
+// the ties. A candidate's title and embedding follow from its ASIN, so
+// candidates equal under byDistance are equal in every field.
+func FuzzTopKMatchesSort(f *testing.F) {
+	f.Add([]byte{}, uint8(3))
+	f.Add([]byte{7, 3}, uint8(0))
+	f.Add([]byte{0, 0, 0, 0, 1, 0, 1, 0, 2, 200, 1, 0}, uint8(1))
+	f.Add([]byte("the nearest ten of forty candidates, ties and repeats included"), uint8(10))
+	const pool = 40
+	var asins, titles, embs [pool]relation.Value
+	var vecs [pool][]float64
+	for j := range pool {
+		asins[j] = relation.StringValue(fmt.Sprintf("B%09d", j))
+		titles[j] = relation.StringValue(fmt.Sprintf("title %d", j))
+		embs[j] = relation.StringValue(kge.EncodeVec([]float64{float64(j)}))
+		vecs[j] = []float64{float64(j)}
+	}
+	same := func(a, b ranked) bool {
+		return a.asin.Equal(b.asin) && a.title.Equal(b.title) && a.emb.Equal(b.emb) &&
+			slices.Equal(a.vec, b.vec) && math.Float64bits(a.dist) == math.Float64bits(b.dist)
+	}
+	f.Fuzz(func(t *testing.T, data []byte, fk uint8) {
+		items := make([]ranked, len(data)/2)
+		for i := range items {
+			j, d := int(data[2*i])%pool, data[2*i+1]
+			dist := float64(d%16) / 8
+			if d >= 128 {
+				dist = math.Sqrt(float64(d))
+			}
+			items[i] = ranked{asin: asins[j], title: titles[j], emb: embs[j], vec: vecs[j], dist: dist}
+		}
+		for _, k := range []int{0, 1, int(fk), len(items), len(items) + 3} {
+			top := kge.NewTop(k, byDistance)
+			check := func(offered []ranked) {
+				got := top.Sorted()
+				if top.Seen() != len(offered) {
+					t.Fatalf("k=%d: Seen %d after %d offers", k, top.Seen(), len(offered))
+				}
+				want := refRankStage(slices.Clone(offered), k)
+				if len(got) != len(want) {
+					t.Fatalf("k=%d, %d offered: kept %d, rank stage reference %d", k, len(offered), len(got), len(want))
+				}
+				for i := range want {
+					if !same(got[i], want[i]) {
+						t.Fatalf("k=%d, %d offered: item %d is %s at %v, rank stage reference %s at %v",
+							k, len(offered), i, got[i].asin.Str(), got[i].dist, want[i].asin.Str(), want[i].dist)
+					}
+				}
+				rows := make([]scored, len(offered))
+				for i, r := range offered {
+					rows[i] = scored{asin: r.asin.Str(), title: r.title.Str(), emb: r.vec, dist: r.dist}
+				}
+				refSortScored(rows)
+				for i, r := range rows[:min(k, len(rows))] {
+					if got[i].asin.Str() != r.asin || got[i].title.Str() != r.title ||
+						math.Float64bits(got[i].dist) != math.Float64bits(r.dist) {
+						t.Fatalf("k=%d, %d offered: item %d is %s at %v, script reference %s at %v",
+							k, len(offered), i, got[i].asin.Str(), got[i].dist, r.asin, r.dist)
+					}
+				}
+			}
+			half := len(items) / 2
+			for _, r := range items[:half] {
+				top.Offer(r)
+			}
+			check(items[:half])
+			for _, r := range items[half:] {
+				top.Offer(r)
+			}
+			check(items)
+		}
+	})
 }

@@ -5,6 +5,7 @@ import (
 	"math"
 
 	"repro/internal/cost"
+	"repro/internal/ml/kge"
 	"repro/internal/notebook"
 	"repro/internal/objstore"
 	"repro/internal/pipeline"
@@ -70,7 +71,7 @@ pd.DataFrame(results).to_json("recommendations.jsonl",
 // winners.
 func (t *Task) Notebook(env *pipeline.Env) pipeline.NotebookDecl {
 	const tableID = objstore.ID("kge-embeddings")
-	var rows []scored
+	var top *kge.Top[ranked]
 	var recs []Recommendation
 	cells := []*notebook.Cell{
 		{Name: "imports", Source: srcImports, Run: func(k *notebook.Kernel) error {
@@ -107,7 +108,7 @@ func (t *Task) Notebook(env *pipeline.Env) pipeline.NotebookDecl {
 					return fmt.Errorf("kge: no in-stock candidates")
 				}
 				job := make([]raysim.TaskSpec, 0, nChunks)
-				rows = make([]scored, 0, len(inStock))
+				top = t.newTop()
 				for ci := 0; ci < nChunks; ci++ {
 					n := 0
 					for idx := ci; idx < len(inStock); idx += nChunks {
@@ -116,7 +117,7 @@ func (t *Task) Notebook(env *pipeline.Env) pipeline.NotebookDecl {
 						if err != nil {
 							return err
 						}
-						rows = append(rows, scored{asin: p.ASIN, title: p.Title, emb: emb, dist: t.stageDist(emb)})
+						top.Offer(ranked{asin: relation.StringValue(p.ASIN), vec: emb, dist: t.stageDist(emb)})
 						n++
 					}
 					work := workMerge.Add(workDelta).Add(workNorm).Scale(float64(n))
@@ -130,7 +131,8 @@ func (t *Task) Notebook(env *pipeline.Env) pipeline.NotebookDecl {
 			})
 		}},
 		{Name: "rank", Source: srcRank, Run: func(k *notebook.Kernel) error {
-			n := float64(len(rows))
+			// The simulated sort still ranks every candidate scored.
+			n := float64(top.Seen())
 			if n > 1 {
 				k.Charge(workSortCmp.Scale(n * math.Log2(n)))
 			}
@@ -138,7 +140,7 @@ func (t *Task) Notebook(env *pipeline.Env) pipeline.NotebookDecl {
 		}},
 		{Name: "reverse_lookup", Source: srcReverse, Run: func(k *notebook.Kernel) error {
 			var err error
-			recs, err = t.rankAndReverse(rows)
+			recs, err = t.reverseTop(top.Sorted())
 			if err != nil {
 				return err
 			}

@@ -1,11 +1,8 @@
 package kge
 
 import (
-	"cmp"
 	"fmt"
 	"math"
-	"slices"
-	"strings"
 
 	"repro/internal/core"
 	"repro/internal/cost"
@@ -23,7 +20,7 @@ const (
 	stJoin                 // attach the candidate's embedding
 	stDelta                // compute u + r - t
 	stNorm                 // reduce the delta to a distance
-	stRank                 // sort ascending, keep top K (blocking)
+	stRank                 // keep the K nearest (blocking)
 	stReverse              // reverse lookup and output shaping
 )
 
@@ -121,8 +118,9 @@ func (o *pipeOp) Desc() dataflow.Desc {
 		if s == stRank {
 			blocking = true
 		}
-		// Rank buffers rows across batches; reverse numbers its output
-		// with a per-instance counter. Everything else is row-local.
+		// Rank keeps its nearest rows across batches; reverse numbers
+		// its output with a per-instance counter. Everything else is
+		// row-local.
 		if s == stRank || s == stReverse {
 			stateless = false
 		}
@@ -161,6 +159,9 @@ func (o *pipeOp) NewInstance(ec dataflow.ExecCtx, _ []*relation.Schema) (dataflo
 		pi.rank = pi.rank || s == stRank
 		pi.reverse = pi.reverse || s == stReverse
 	}
+	if pi.rank {
+		pi.top = o.task.newTop()
+	}
 	if len(o.stages) > 0 {
 		pi.last = o.stages[len(o.stages)-1]
 	}
@@ -182,23 +183,12 @@ type pipeInstance struct {
 	rank, reverse             bool  // whether the operator ranks, reverse-looks-up
 	embCol, deltaCol, distCol int   // the input's emb, delta and dist columns, or -1
 
-	ranked []ranked // the rank stage's buffer, emitted at EndPort
-	emit   int      // output counter for reverse-stage ranks
+	top  *kge.Top[ranked] // the rank stage's nearest candidates, emitted at EndPort
+	emit int              // output counter for reverse-stage ranks
 
 	vec, delta []float64 // the row's decoded embedding and its delta
 	enc        []byte    // the open batch's encodings
 	pending    []pending // the cells of the open batch that take them
-}
-
-// ranked is one row the rank stage holds until EndPort. Its embedding
-// is the encoded cell it arrived with, or the model row when the
-// operator joined it (emb is then unused, and the operator also
-// reverse-looks-up); either way nothing is decoded before the row makes
-// the top K.
-type ranked struct {
-	asin, title, emb relation.Value
-	vec              []float64
-	dist             float64
 }
 
 // pending is a cell of the open batch waiting for its encoding,
@@ -268,8 +258,8 @@ func (pi *pipeInstance) Process(ec dataflow.ExecCtx, _ int, rows []relation.Tupl
 				} else {
 					c.vec = vec // the model row: this operator joined
 				}
-				pi.ranked = append(pi.ranked, c)
-				keep = false // emitted at EndPort
+				pi.top.Offer(c)
+				keep = false // emitted at EndPort, if among the nearest
 			case stReverse:
 				ec.AddWork(workReverse)
 				if vec == nil {
@@ -358,20 +348,15 @@ func (pi *pipeInstance) EndPort(ec dataflow.ExecCtx, _ int) ([]relation.Tuple, e
 	if !pi.rank {
 		return nil, nil
 	}
-	n := float64(len(pi.ranked))
+	// The simulated sort still ranks every candidate seen.
+	n := float64(pi.top.Seen())
 	if n > 1 {
 		ec.AddWork(workSortCmp.Scale(n * math.Log2(n)))
 	}
-	slices.SortFunc(pi.ranked, func(a, b ranked) int {
-		if c := cmp.Compare(a.dist, b.dist); c != 0 {
-			return c
-		}
-		return strings.Compare(a.asin.Str(), b.asin.Str())
-	})
-	k := min(pi.op.task.params.TopK, len(pi.ranked))
+	top := pi.top.Sorted()
 	width, out := pi.op.out.Len(), ec.Out()
-	out.Reserve(k, k*width)
-	for i, s := range pi.ranked[:k] {
+	out.Reserve(len(top), len(top)*width)
+	for i, s := range top {
 		row := out.Row(width)
 		if !pi.reverse {
 			row[0], row[1], row[2], row[3] = s.asin, s.title, s.emb, relation.FloatValue(s.dist)

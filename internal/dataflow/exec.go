@@ -3,7 +3,6 @@ package dataflow
 import (
 	"context"
 	"fmt"
-	"slices"
 	"sync"
 	"sync/atomic"
 
@@ -133,13 +132,11 @@ type nodeRuntime struct {
 	shards []workShard // one per worker
 	wall   []wallShard // like shards; allocated only when telemetry is on
 
-	// src is the storage every worker's output arena carves from, so
-	// the operator, not each instance, keeps one chunk's empty tail.
-	src relation.ArenaSource
-
-	// capture collects each worker's emitted rows for the lineage
-	// commit; allocated only for dirty operators under a lineage store.
-	capture [][]relation.Tuple
+	// capture holds one arena per worker, drawn from the run's store,
+	// whose open batch collects every row the worker emitted, for the
+	// lineage commit; allocated only for dirty operators under a lineage
+	// store.
+	capture []relation.Arena
 
 	// pushKeep, set for a join that may evaluate its filter (see
 	// pushedFilter), is bound to each of its instances.
@@ -230,7 +227,7 @@ type execCtx struct {
 	dropped int // the batch in hand's batchMsg.dropped; 0 during EndPort
 
 	// split regroups this worker's batches on hash edges. Its arena,
-	// drawn from the node's src, is also the one the instance carves its
+	// drawn from the run's store, is also the one the instance carves its
 	// output from (Out): an instance closes each batch before it returns
 	// it, so the two never hold an open batch at once.
 	split hashSplitter
@@ -251,6 +248,12 @@ type Execution struct {
 	tel    *execTelemetry // nil = telemetry off
 	lin    *lineagePlan   // nil = lineage off
 	done   chan struct{}
+
+	// store is the one storage every arena of the run carves from: each
+	// worker's output and hash-regroup arena and each lineage capture.
+	// The chunk sizing rule applies to what the whole run has carved, so
+	// the run, not each operator, keeps one chunk's empty tail.
+	store relation.ArenaSource
 
 	errOnce sync.Once
 	err     error
@@ -337,7 +340,7 @@ func (w *Workflow) Start(ctx context.Context, cfg Config) (*Execution, error) {
 		for s := range rt.shards {
 			sh := &rt.shards[s]
 			sh.byPort = work[s*workPorts : (s+1)*workPorts : (s+1)*workPorts]
-			sh.ec = execCtx{rt: rt, shard: sh, worker: s, split: hashSplitter{out: rt.src.Arena()}}
+			sh.ec = execCtx{rt: rt, shard: sh, worker: s, split: hashSplitter{out: ex.store.Arena()}}
 		}
 		if ex.tel != nil {
 			rt.wall = make([]wallShard, n.parallelism)
@@ -352,7 +355,10 @@ func (w *Workflow) Start(ctx context.Context, cfg Config) (*Execution, error) {
 		case n.kind == kindOperator && ex.lin != nil && executes(n):
 			// A committed artifact needs every row, so a capturing join
 			// builds them all.
-			rt.capture = make([][]relation.Tuple, n.parallelism)
+			rt.capture = make([]relation.Arena, n.parallelism)
+			for wk := range rt.capture {
+				rt.capture[wk] = ex.store.Arena()
+			}
 		default:
 			rt.pushKeep = pushedFilter(n)
 		}
@@ -468,7 +474,7 @@ func (ex *Execution) emit(rt *nodeRuntime, worker int, rows []relation.Tuple, dr
 		return
 	}
 	if rt.capture != nil {
-		rt.capture[worker] = append(rt.capture[worker], rows...)
+		copy(rt.capture[worker].Slots(len(rows)), rows)
 	}
 	tuples := int64(len(rows) + dropped)
 	rt.outTuples.Add(tuples)
@@ -510,44 +516,39 @@ func (ex *Execution) emit(rt *nodeRuntime, worker int, rows []relation.Tuple, dr
 	}
 }
 
-// hashSplitter is one worker's state for its hash edges: scratch that
-// holds, back to back, per row of the batch in hand the output it goes
-// to (dest) and its place in the regrouped batch (order), and per output
-// first a row count and then a write offset (offs); and the arena the
-// regrouped batches are carved from. It belongs to one worker and never
-// leaves it; the batches it places do.
+// hashSplitter is one worker's state for its hash edges: a write offset
+// per output, and the arena the regrouped batches are carved from. It
+// belongs to one worker and never leaves it; the batches it places do.
 type hashSplitter struct {
-	scratch []int
-	out     relation.Arena
+	offs []int
+	out  relation.Arena
 }
 
 // by regroups rows by the hash of their key cell into outs groups —
 // count, then place: the groups sit back to back in one batch, each
 // keeping its rows in arrival order, and group g ends at ends[g] (and
-// starts where the group before it ends). ends is valid until the next
-// call.
+// starts where the group before it ends). Placing hashes each row again
+// and writes it straight into its slot, so the splitter keeps no per-row
+// scratch. ends is valid until the next call.
 func (s *hashSplitter) by(rows []relation.Tuple, keyPos, outs int) (placed []relation.Tuple, ends []int) {
-	n := len(rows)
-	s.scratch = slices.Grow(s.scratch[:0], 2*n+outs)[:2*n+outs]
-	dest, order, offs := s.scratch[:n], s.scratch[n:2*n], s.scratch[2*n:]
+	if cap(s.offs) < outs {
+		s.offs = make([]int, outs)
+	}
+	offs := s.offs[:outs]
 	clear(offs)
-	for i, r := range rows {
-		d := int(r.KeyHash(keyPos)) % outs
-		dest[i] = d
-		offs[d]++
+	for _, r := range rows {
+		offs[int(r.KeyHash(keyPos))%outs]++
 	}
 	sum := 0
 	for g, c := range offs {
 		offs[g] = sum
 		sum += c
 	}
-	for i, d := range dest {
-		order[offs[d]] = i
+	slots := s.out.Slots(len(rows))
+	for _, r := range rows {
+		d := int(r.KeyHash(keyPos)) % outs
+		slots[offs[d]] = r
 		offs[d]++
-	}
-	s.out.Reserve(n, 0)
-	for _, i := range order {
-		s.out.Append(rows[i])
 	}
 	return s.out.Batch(), offs
 }

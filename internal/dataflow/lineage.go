@@ -210,12 +210,14 @@ func (ex *Execution) commitLineage() {
 		case kindSink:
 			table = rt.sinkTable
 		default:
-			table = relation.NewTable(n.schema)
-			for _, rows := range rt.capture {
-				for _, r := range rows {
-					table.AppendUnchecked(r)
-				}
+			// Join the workers' captures once, at exact size: a capturing
+			// join builds every row (see Start), so the node's out count
+			// is the number of rows it emitted.
+			rows := make([]relation.Tuple, 0, rt.outTuples.Load())
+			for wk := range rt.capture {
+				rows = append(rows, rt.capture[wk].Batch()...)
 			}
+			table = relation.TableOver(n.schema, rows)
 		}
 		h := ex.nodeHasher(n, lin.scope)
 		foldInputs(h, n, func(up NodeID) uint64 { return outDigest[up] })

@@ -121,10 +121,10 @@ type ExecCtx interface {
 	AddWork(w cost.Work)
 	// Out returns the arena the instance carves the rows it emits from.
 	// It is the worker's for the whole run and the same on every call;
-	// the executor draws every worker's arena of one operator from one
-	// relation.ArenaSource. An instance closes each batch it builds
-	// (Batch) before it returns it, so both halves of a fused operator
-	// can use it.
+	// the executor draws every arena of one workflow run, each worker's
+	// of every operator, from the run's one relation.ArenaSource. An
+	// instance closes each batch it builds (Batch) before it returns it,
+	// so both halves of a fused operator can use it.
 	Out() *relation.Arena
 }
 

@@ -119,37 +119,57 @@ func TestRouterHashPartitionGolden(t *testing.T) {
 }
 
 // TestHashSplitterFanOutPerCall calls one splitter, as one worker's
-// hash edges of different fan-outs do, with outs 3, then 5, then 2:
-// every call places each row in group KeyHash % outs, keeps arrival
-// order within each group, and loses no row.
+// hash edges of different fan-outs do, with outs 3, then 5, then 2, and
+// then 4 on a batch larger than every earlier one: every call places
+// each row in group KeyHash % outs, keeps arrival order within each
+// group, and loses no row. On an arena with room reserved, a call
+// allocates nothing however large its batch: the splitter keeps no
+// per-row scratch that a larger batch would regrow.
 func TestHashSplitterFanOutPerCall(t *testing.T) {
-	rows := make([]relation.Tuple, 40)
+	rows := make([]relation.Tuple, 1280)
 	for i := range rows {
 		rows[i] = relation.Tuple{relation.IntValue(int64(i)), relation.StringValue(fmt.Sprintf("key-%d", i*7%13))}
 	}
 	var split hashSplitter
-	for _, outs := range []int{3, 5, 2} {
-		want := make([][]relation.Tuple, outs)
-		for _, r := range rows {
-			g := int(r.KeyHash(1)) % outs
+	for _, c := range []struct{ n, outs int }{{40, 3}, {40, 5}, {40, 2}, {400, 4}} {
+		in := rows[:c.n]
+		want := make([][]relation.Tuple, c.outs)
+		for _, r := range in {
+			g := int(r.KeyHash(1)) % c.outs
 			want[g] = append(want[g], r)
 		}
-		placed, ends := split.by(rows, 1, outs)
-		if len(ends) != outs || len(placed) != len(rows) {
-			t.Fatalf("outs=%d: %d groups over %d rows, want %d over %d", outs, len(ends), len(placed), outs, len(rows))
+		placed, ends := split.by(in, 1, c.outs)
+		if len(ends) != c.outs || len(placed) != len(in) {
+			t.Fatalf("%d rows, outs=%d: %d groups over %d rows, want %d over %d", c.n, c.outs, len(ends), len(placed), c.outs, len(in))
 		}
 		lo := 0
 		for g, hi := range ends {
 			got := placed[lo:hi]
 			if len(got) != len(want[g]) {
-				t.Fatalf("outs=%d: group %d has %d rows, want %d", outs, g, len(got), len(want[g]))
+				t.Fatalf("%d rows, outs=%d: group %d has %d rows, want %d", c.n, c.outs, g, len(got), len(want[g]))
 			}
 			for i := range got {
 				if !got[i].Equal(want[g][i]) {
-					t.Fatalf("outs=%d: group %d row %d is %v, want %v", outs, g, i, got[i], want[g][i])
+					t.Fatalf("%d rows, outs=%d: group %d row %d is %v, want %v", c.n, c.outs, g, i, got[i], want[g][i])
 				}
 			}
 			lo = hi
 		}
+	}
+
+	// The warm-up call splits 640 rows and the measured one 1,280, each
+	// larger than every batch before it; the arena holds them both.
+	split.out.Reserve(640+1280, 0)
+	n, lost := 320, false
+	allocs := testing.AllocsPerRun(1, func() {
+		n *= 2
+		placed, ends := split.by(rows[:n], 1, 4)
+		lost = lost || len(placed) != n || ends[3] != n
+	})
+	if lost {
+		t.Fatal("a growing batch lost rows")
+	}
+	if allocs != 0 {
+		t.Fatalf("a split of a growing batch on a reserved arena allocated %v objects, want 0", allocs)
 	}
 }

@@ -222,10 +222,10 @@ func raceBuild() bool {
 // timings drift 10–18 % on shared runners, bytes and object counts do
 // not. Each run is measured warm, datagen included.
 //
-// A DICE-50 workflow run at 4 workers allocates about 1.5 MB in 2.4 k
-// objects, of a 1,610,000-byte and 3,600-object budget. (With the
-// join's fixed 1024-row output arena per probe batch the same run
-// allocated 82.4 MB; with map UDFs returning a slice per row, the
+// A DICE-50 workflow run at 4 workers allocates about 1.5 MB in
+// 1.65–1.8 k objects, of a 1,610,000-byte and 2,100-object budget.
+// (With the join's fixed 1024-row output arena per probe batch the same
+// run allocated 82.4 MB; with map UDFs returning a slice per row, the
 // router building a key string per row and lowering naming every job it
 // was 3.9 MB in 48.1 k objects; with brat splitting every annotation
 // line into fresh slices, Render going through Fprintf and a join key
@@ -238,22 +238,25 @@ func raceBuild() bool {
 // operator, 1.7 MB in 4.0 k; with an edge queue and a router goroutine
 // per edge, 1.7 MB in 2.8 k; with jobs that carried an ID, a name and
 // a pool name into a scheduler that mapped them back to positions,
-// 1.64–1.70 MB in 2.5 k.)
+// 1.64–1.70 MB in 2.5 k; with an arena source per operator, each
+// keeping the empty tail of its own last chunk, 2.33–2.45 k objects.)
 //
 // The same run at 32 workers on 4 nodes has hundreds of operator
 // instances that see one or two batches each, so it pins the empty tail
-// an operator's last arena chunk leaves: it takes 2.0 MB of a
+// the run's last arena chunk leaves: it takes 2.0 MB of a
 // 2,600,000-byte budget (2.2 MB with jobs that carried IDs and names;
 // a budget 5 % over this run's readings would not fail that build, so
 // it stays); arenas whose chunks never fell below 16 rows
 // took 3.1 MB, and a join building the rows its filter rejects 2.7 MB.
-// It also pins what an operator allocates per worker: about 5.9 k
-// objects of a 7,000 budget; with an edge queue and a router goroutine
-// per edge, 6.0 k; with an output arena, queues, a wake-up channel per
-// port, a work slice, an ExecCtx and a join plan of each instance's
-// own, it was 11.2 k, and with every join instance building its index
-// as one map per worker of the operator, filled by two goroutines per
-// worker, 14.0–14.4 k.
+// It also pins what an operator allocates per worker: 4.8–5.4 k
+// objects of a 5,600 budget; with an arena source per operator instead
+// of one per run, 5.4–6.0 k (about one reading in six under 5,600,
+// since goroutine starts and channel waits move it by ±300); with an
+// edge queue and a router goroutine per edge, 6.0 k; with an output
+// arena, queues, a wake-up channel per port, a work slice, an ExecCtx
+// and a join plan of each instance's own, it was 11.2 k, and with every
+// join instance building its index as one map per worker of the
+// operator, filled by two goroutines per worker, 14.0–14.4 k.
 //
 // A race build allocates about 5 % more bytes, varying from run to run
 // (2.47–2.61 MB for the second run), so under the race detector only
@@ -265,8 +268,8 @@ func TestDiceWorkflowAllocBudget(t *testing.T) {
 		byteBudget uint64
 		objBudget  uint64
 	}{
-		{core.RunSpec{Task: "dice", Paradigm: "workflow", Size: 50, Seed: 1, Workers: 4}, 1_610_000, 3_600},
-		{core.RunSpec{Task: "dice", Paradigm: "workflow", Size: 50, Seed: 1, Workers: 32, Nodes: 4}, 2_600_000, 7_000},
+		{core.RunSpec{Task: "dice", Paradigm: "workflow", Size: 50, Seed: 1, Workers: 4}, 1_610_000, 2_100},
+		{core.RunSpec{Task: "dice", Paradigm: "workflow", Size: 50, Seed: 1, Workers: 32, Nodes: 4}, 2_600_000, 5_600},
 	} {
 		run := func() (bytes, objects uint64) {
 			var before, after runtime.MemStats

@@ -3,14 +3,14 @@ package relation
 import "sync"
 
 // Arena carves the rows one producer hands out over its whole run: an
-// operator instance, a worker's hash-edge splitter, a Probe call. It
-// owns a tuple chunk and a cell chunk. A batch is built at the tail of
-// the tuple chunk and handed out by Batch as a three-index slice, and
-// every row Row carves is a three-index slice of the cell chunk, so
-// appending to a batch or to a row reallocates instead of reaching a
-// neighbour. Nothing handed out is written again and nothing is reused:
-// rows travel downstream and into sink tables, so a chunk lives as long
-// as any row carved from it.
+// operator instance, a worker's hash-edge splitter, a lineage capture, a
+// Probe call. It owns a tuple chunk and a cell chunk. A batch is built
+// at the tail of the tuple chunk and handed out by Batch as a
+// three-index slice, and every row Row carves is a three-index slice of
+// the cell chunk, so appending to a batch or to a row reallocates
+// instead of reaching a neighbour. Nothing handed out is written again
+// and nothing is reused: rows travel downstream and into sink tables, so
+// a chunk lives as long as any row carved from it.
 //
 // Sizing is per run, not per batch. A chunk is replaced, never grown in
 // place. An arena of its own replaces it by one of max(need, what the
@@ -19,10 +19,13 @@ import "sync"
 // and one that sees many keeps the empty tail of its last chunk under an
 // eighth of its output. An arena drawn from an ArenaSource carves
 // exactly its need from the source instead, and the source applies the
-// eighth rule to what all its arenas have carved, so the operator's
-// instances share one empty tail. Either way, a batch that outgrows its
-// tuple chunk moves to a chunk at least twice its size, so a batch of n
-// rows appended one at a time is copied O(log n) times, not O(n).
+// eighth rule to what all its arenas have carved. The dataflow executor
+// keeps one source per workflow run, so every worker of every operator,
+// and the lineage capture, share one empty tail: an operator instance
+// that sees one batch costs the run a piece of a chunk, not a chunk.
+// Either way, a batch that outgrows its tuple chunk moves to a chunk at
+// least twice its size, so a batch of n rows appended one at a time is
+// copied O(log n) times, not O(n).
 //
 // The zero Arena is ready to use and has no source. An Arena belongs to
 // one goroutine.
@@ -42,13 +45,14 @@ type Arena struct {
 	kept    []bool
 }
 
-// ArenaSource is the storage every arena of one operator carves its
-// chunks from: one tuple chunk and one cell chunk, each replaced, when a
-// carve does not fit, by one of max(need, what the source has carved so
-// far / 8). The pieces it hands out are three-index slices that never
-// overlap, so each arena fills its own without a lock; only carving
-// takes the source's. The zero ArenaSource is ready to use, and it is
-// safe for concurrent use.
+// ArenaSource is the storage every arena of one owner carves its chunks
+// from; the dataflow executor's owner is a workflow run. It keeps one
+// tuple chunk and one cell chunk, each replaced, when a carve does not
+// fit, by one of max(need, what the source has carved so far / 8). The
+// pieces it hands out are three-index slices that never overlap, so each
+// arena fills its own without a lock; only carving takes the source's.
+// The zero ArenaSource is ready to use, and it is safe for concurrent
+// use.
 type ArenaSource struct {
 	mu        sync.Mutex
 	rows      []Tuple // rows[:len] are carved; the rest is free
@@ -128,6 +132,18 @@ func (a *Arena) Reserve(rows, cells int) {
 	if cellNeed > 0 {
 		a.cells = vals
 	}
+}
+
+// Slots adds n tuples to the open batch and returns them, zero, for the
+// caller to fill in any order before the batch is handed out.
+func (a *Arena) Slots(n int) []Tuple {
+	if !a.Fits(n, 0) {
+		a.Reserve(n, 0)
+	}
+	i := len(a.rows)
+	a.rows = a.rows[:i+n]
+	a.madeRows += n
+	return a.rows[i : i+n : i+n]
 }
 
 // Append adds t to the open batch.

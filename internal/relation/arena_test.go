@@ -8,7 +8,8 @@ import (
 // TestArenaChunkSizing pins the sizing rules: the first chunk is exactly
 // the first need, a later one is max(need, an eighth of what the arena
 // has produced), and a batch that outgrows its tuple chunk moves to one
-// at least twice its size, keeping its rows in order.
+// at least twice its size, keeping its rows in order. Slots join the
+// open batch after the rows already in it.
 func TestArenaChunkSizing(t *testing.T) {
 	var a Arena
 	a.Reserve(8, 24)
@@ -47,7 +48,17 @@ func TestArenaChunkSizing(t *testing.T) {
 	if got := cap(b.rows); got != 25 {
 		t.Fatalf("a 5-row batch reserving 20 more moved to a chunk of %d, want 25", got)
 	}
+	slots := b.Slots(3)
+	if len(slots) != 3 || cap(slots) != 3 || slots[0] != nil {
+		t.Fatalf("Slots(3) gave %d slots of capacity %d, first %v; want 3 of 3, zero", len(slots), cap(slots), slots[0])
+	}
+	for i := 2; i >= 0; i-- { // any order
+		slots[i] = first[5+i]
+	}
 	batch := b.Batch()
+	if len(batch) != 8 {
+		t.Fatalf("batch has %d rows, want 5 appended and 3 slots", len(batch))
+	}
 	for i, r := range batch {
 		if r[0].Int() != int64(i) {
 			t.Fatalf("moved batch row %d = %v, want %d", i, r, i)

@@ -16,6 +16,12 @@ func NewTable(s *Schema) *Table {
 	return &Table{schema: s}
 }
 
+// TableOver returns a table of schema s over rows, which it keeps, not
+// copies; the caller hands them over and does not write them again.
+func TableOver(s *Schema, rows []Tuple) *Table {
+	return &Table{schema: s, rows: rows}
+}
+
 // Schema returns the table's schema.
 func (t *Table) Schema() *Schema { return t.schema }
 

@@ -3,6 +3,7 @@ package dataflow
 import (
 	"context"
 	"fmt"
+	"runtime"
 	"sync"
 	"sync/atomic"
 
@@ -51,6 +52,9 @@ type Config struct {
 	// state transitions as nodes open, run, and complete, fail or are
 	// cancelled, and cumulative tuple counters per emitted batch. Nil
 	// (the default) costs one pointer check per transition and per batch.
+	// An operator's events are published on the runner stepping its
+	// worker, so Publish must not wait on the run's own progress; a
+	// source's come from the source's goroutine, which may wait.
 	Progress core.ProgressSink
 }
 
@@ -94,19 +98,45 @@ type edgeStat struct {
 	bytes   atomic.Int64
 }
 
-// workShard is one worker's private state: its work accumulators, and
-// its ExecCtx with the arena its instance carves output from. Each
-// worker writes only its own shard with plain stores (no locks, no
-// atomics); shards are merged once after all workers have stopped, with
-// the WaitGroup providing the happens-before edge. The trailing pad
-// keeps neighbouring shards off one cache line.
+// workShard is one worker's private state: its work accumulators, its
+// ExecCtx with the arena its instance carves output from, and, for an
+// operator or sink worker, its slot (see step). Only the runner stepping
+// the slot writes the shard's plain fields; the slot state's atomics
+// order one step before the next, and the run's node count orders every
+// step before the shards are merged. The trailing pad keeps
+// neighbouring shards off one cache line.
 type workShard struct {
 	byPort []cost.Work
 	end    cost.Work
 	open   cost.Work
 	ec     execCtx
-	_      [48]byte // false-sharing pad
+
+	slot atomic.Int32 // slotDone, slotIdle or slotQueued
+	inst Instance     // made on the slot's first step
+	join *joinInstance
+	port int      // the in-port the slot reads
+	_    [48]byte // false-sharing pad
 }
+
+// A slot's states. A slot is queued from the moment a waker (or Start)
+// claims it until the step that finds its queue dry sets it idle: a
+// queued slot is in the run queue or in a runner's hands, never both,
+// and at most once in the run queue.
+const (
+	slotDone   int32 = iota // the zero state: a source's shard is never a slot
+	slotIdle                // waiting for a batch, a close or a cancel
+	slotQueued              // claimed; a runner will step it
+)
+
+// stepBatches is how many batches a step takes before its slot yields
+// the runner. A slot stepped until its queue ran dry let its producers
+// run ahead and grow their consumers' rings; one batch a step paid a
+// run-queue round trip per batch.
+const stepBatches = 4
+
+// queueRing is how many batches each in-port queue's first ring holds;
+// a node's first rings are one allocation, and grow doubles past them.
+const queueRing = 4
 
 // outEdge is a node's end of one out-edge: the edge's traffic and, on a
 // round-robin edge, the number of batches its producer's workers have
@@ -142,7 +172,9 @@ type nodeRuntime struct {
 	// pushedFilter), is bound to each of its instances.
 	pushKeep relation.Predicate
 
-	wg sync.WaitGroup
+	// live counts the node's slots that are not done; the slot that
+	// brings it to zero completes the node.
+	live atomic.Int32
 }
 
 // Phase sentinels for work attribution outside port processing.
@@ -154,8 +186,8 @@ const (
 // setState transitions a node's state and, when a progress sink is
 // attached and the state actually changed, publishes the transition.
 // It is the only writer of rt.state. Failed and Cancelled are final:
-// after one worker ends the node so, runNode completing it or another
-// worker ending it changes nothing. The compare-and-swap makes the
+// after one worker ends the node so, complete or another worker ending
+// it changes nothing. The compare-and-swap makes the
 // publish exactly-once when several workers race to end the node.
 func (ex *Execution) setState(rt *nodeRuntime, s State) {
 	for {
@@ -255,6 +287,13 @@ type Execution struct {
 	// the run, not each operator, keeps one chunk's empty tail.
 	store relation.ArenaSource
 
+	// runq holds the queued operator and sink slots the runners step;
+	// it is sized to the run's slot count, and a slot is in it at most
+	// once, so no send on it blocks. nodes counts the nodes that have
+	// not completed.
+	runq  chan *workShard
+	nodes sync.WaitGroup
+
 	errOnce sync.Once
 	err     error
 
@@ -306,6 +345,7 @@ func (w *Workflow) Start(ctx context.Context, cfg Config) (*Execution, error) {
 
 	// Build runtimes.
 	ex.rts = make([]*nodeRuntime, len(w.nodes))
+	slots := 0 // the operator and sink workers that execute
 	for _, n := range w.nodes {
 		rt := &nodeRuntime{n: n}
 		ports := 0
@@ -317,14 +357,15 @@ func (w *Workflow) Start(ctx context.Context, cfg Config) (*Execution, error) {
 		}
 		// Worker state comes in one allocation per kind, not one per
 		// worker: the in-port queues are a [port][worker] view of one
-		// slice, and a worker's ports share its one wake-up channel.
+		// slice, and their first rings are carved from one block.
 		par := n.parallelism
 		queues := make([]queue, ports*par)
-		for wk := 0; ports > 0 && wk < par; wk++ { // a source has no in-ports
-			wake := make(chan struct{}, 1)
-			for p := range ports {
-				queues[p*par+wk].signal = wake
-			}
+		rings := make([]batchMsg, len(queues)*queueRing)
+		for i := range queues {
+			queues[i].buf = rings[i*queueRing : (i+1)*queueRing : (i+1)*queueRing]
+		}
+		if ports > 0 && executes(n) { // a source has no in-ports
+			slots += par
 		}
 		rt.inQ = make([][]queue, ports)
 		for p := range rt.inQ {
@@ -366,16 +407,55 @@ func (w *Workflow) Start(ctx context.Context, cfg Config) (*Execution, error) {
 		ex.rts[n.id] = rt
 	}
 
-	// Launch node workers.
-	var nodeWG sync.WaitGroup
-	for _, n := range w.nodes {
-		rt := ex.rts[n.id]
-		nodeWG.Add(1)
-		go ex.runNode(&nodeWG, rt)
+	// Sources and replayed nodes scan on a goroutine each: a progress
+	// sink may block a scan, and a runner must never wait on one. A
+	// skipped node completes now; every other node's workers are slots,
+	// all queued so that each makes its instance.
+	ex.nodes.Add(len(w.nodes))
+	ex.runq = make(chan *workShard, slots)
+	for _, rt := range ex.rts {
+		switch {
+		case rt.n.kind == kindSource && executes(rt.n):
+			go ex.scanNode(rt, rt.n.table, rt.n.scanWork, ex.tel)
+		case ex.lin != nil && ex.lin.mode[rt.n.id] == lmReplay:
+			// The cached artifact is scanned in the node's place, at no
+			// work and with no exec telemetry: the trace prices the fetch.
+			go ex.scanNode(rt, ex.lin.art[rt.n.id].Table, cost.Work{}, nil)
+		case !executes(rt.n): // lmSkip
+			// Elided entirely: the cached artifact stands in for the node.
+			ex.complete(rt)
+		default:
+			// The node runs before its slots do, so a worker's Failed or
+			// Cancelled is published after it.
+			ex.setState(rt, Running)
+			rt.live.Store(int32(rt.n.parallelism))
+			for s := range rt.shards {
+				rt.shards[s].slot.Store(slotQueued)
+				ex.runq <- &rt.shards[s]
+			}
+		}
+	}
+	// A cancel wakes every idle slot, so each ends itself Cancelled.
+	stop := context.AfterFunc(runCtx, func() {
+		for _, rt := range ex.rts {
+			for s := range rt.shards {
+				ex.wake(&rt.shards[s])
+			}
+		}
+	})
+	for range min(runtime.GOMAXPROCS(0), slots) {
+		go func() {
+			for sh := range ex.runq {
+				ex.step(sh)
+			}
+		}()
 	}
 
 	go func() {
-		nodeWG.Wait()
+		ex.nodes.Wait()
+		// Every slot is done, so nothing sends on runq any more.
+		stop()
+		close(ex.runq)
 		ex.finish()
 		ex.cancel() // release the run's context; every node has stopped
 		close(ex.done)
@@ -492,11 +572,13 @@ func (ex *Execution) emit(rt *nodeRuntime, worker int, rows []relation.Tuple, dr
 		oe.stat.batches.Add(1)
 		oe.stat.tuples.Add(tuples)
 		oe.stat.bytes.Add(bytes)
-		outs := ex.rts[e.to.id].inQ[e.port]
+		to := ex.rts[e.to.id]
+		outs := to.inQ[e.port]
 		switch {
 		case e.part.kind == partBroadcast:
 			for wk := range outs {
 				outs[wk].push(msg)
+				ex.wake(&to.shards[wk])
 			}
 		case e.part.kind == partHash && len(outs) > 1:
 			placed, ends := rt.shards[worker].ec.split.by(rows, e.keyPos, len(outs))
@@ -504,11 +586,14 @@ func (ex *Execution) emit(rt *nodeRuntime, worker int, rows []relation.Tuple, dr
 			for wk, hi := range ends {
 				if hi > lo {
 					outs[wk].push(batchMsg{rows: placed[lo:hi:hi]})
+					ex.wake(&to.shards[wk])
 				}
 				lo = hi
 			}
 		default: // round robin, or a hash edge into one worker
-			outs[(oe.rr.Add(1)-1)%int64(len(outs))].push(msg)
+			wk := (oe.rr.Add(1) - 1) % int64(len(outs))
+			outs[wk].push(msg)
+			ex.wake(&to.shards[wk])
 		}
 	}
 	if ex.cfg.Progress != nil {
@@ -553,49 +638,30 @@ func (s *hashSplitter) by(rows []relation.Tuple, keyPos, outs int) (placed []rel
 	return s.out.Batch(), offs
 }
 
-// runNode executes one node: a scan for a source or a replayed node,
-// or parallelism workers for an operator or a sink.
-func (ex *Execution) runNode(wg *sync.WaitGroup, rt *nodeRuntime) {
-	defer wg.Done()
-	mode := lmDirty
-	if ex.lin != nil {
-		mode = ex.lin.mode[rt.n.id]
-	}
-	switch {
-	case mode == lmSkip:
-		// Elided entirely: the cached artifact stands in for the node.
-	case mode == lmReplay:
-		// The cached artifact is scanned in the node's place, at no
-		// work and with no exec telemetry: the trace prices the fetch.
-		ex.scan(rt, ex.lin.art[rt.n.id].Table, cost.Work{}, nil)
-	case rt.n.kind == kindSource:
-		ex.scan(rt, rt.n.table, rt.n.scanWork, ex.tel)
-	default:
-		// The node runs before its workers start, so a worker's Failed
-		// or Cancelled is published after it. Worker 0 runs on this
-		// goroutine, so a one-worker node, a sink included, starts no
-		// goroutine of its own.
-		ex.setState(rt, Running)
-		rt.wg.Add(rt.n.parallelism)
-		for wk := 1; wk < rt.n.parallelism; wk++ {
-			go ex.runWorker(rt, wk)
-		}
-		ex.runWorker(rt, 0)
-		rt.wg.Wait()
-	}
-	// A node that failed or was cancelled stays so.
+// scanNode runs a source or a replayed node on its own goroutine: it
+// scans table, then completes the node.
+func (ex *Execution) scanNode(rt *nodeRuntime, table *relation.Table, work cost.Work, tel *execTelemetry) {
+	ex.scan(rt, table, work, tel)
+	ex.complete(rt)
+}
+
+// complete ends a node whose workers have all stopped: it sets it
+// Completed (a node that failed or was cancelled stays so), closes the
+// port queues it feeds, so downstream sees EOF, and wakes their slots.
+// A port has one in-edge, so no other producer pushes there.
+func (ex *Execution) complete(rt *nodeRuntime) {
 	ex.setState(rt, Completed)
-	// Close the port queues this node feeds, now that all its workers
-	// have stopped, so downstream sees EOF. A port has one in-edge, so
-	// no other producer pushes there.
 	for i, e := range rt.n.outEdges {
 		if rt.edges[i].live {
-			outs := ex.rts[e.to.id].inQ[e.port]
+			to := ex.rts[e.to.id]
+			outs := to.inQ[e.port]
 			for wk := range outs {
 				outs[wk].close()
+				ex.wake(&to.shards[wk])
 			}
 		}
 	}
+	ex.nodes.Done()
 }
 
 // scan streams table downstream in batches, charging work per row to
@@ -649,63 +715,106 @@ func (s *sinkInstance) Process(_ ExecCtx, _ int, rows []relation.Tuple) ([]relat
 
 func (s *sinkInstance) EndPort(ExecCtx, int) ([]relation.Tuple, error) { return nil, nil }
 
-// runWorker executes one worker of an operator or a sink: ports in
-// order, batches in arrival order. It passes the gate before each batch
-// and before each EndPort, so a worker never ends a port its producer
-// closed because the run was cancelled.
-func (ex *Execution) runWorker(rt *nodeRuntime, worker int) {
-	defer rt.wg.Done()
-	ec := &rt.shards[worker].ec
-	ec.phase = phaseOpen
-	inst, join, err := rt.newInstance(ec)
-	if err != nil {
-		ex.failOp(rt, worker, -1, err)
-		return
-	}
-	for port := range rt.inQ {
-		q := &rt.inQ[port][worker]
-		for {
-			msg, ok, err := q.pop(ex.ctx)
-			if err == nil {
-				err = ex.gate.wait(ex.ctx)
-			}
-			if err != nil {
-				ex.cancelOp(rt, err)
-				return
-			}
-			if !ok {
-				break // port exhausted
-			}
-			t0 := ex.tel.beginBatch(q)
-			in := int64(len(msg.rows) + msg.dropped)
-			rt.inTuples.Add(in)
-			ec.phase, ec.dropped = port, msg.dropped
-			out, err := inst.Process(ec, port, msg.rows)
-			if err != nil {
-				ex.failOp(rt, worker, port, err)
-				return
-			}
-			if join != nil {
-				ex.emit(rt, worker, out, join.dropped, join.droppedBytes)
-			} else {
-				ex.emit(rt, worker, out, 0, 0)
-			}
-			ex.tel.endBatch(rt, worker, t0, in)
-		}
-		ec.phase, ec.dropped = phaseEnd, 0
-		out, err := inst.EndPort(ec, port)
-		if err != nil {
-			ex.failOp(rt, worker, port, err)
-			return
-		}
-		ex.emit(rt, worker, out, 0, 0)
+// wake queues an idle slot on the run queue. A slot that is queued
+// already, or done, is left as it is.
+func (ex *Execution) wake(sh *workShard) {
+	if sh.slot.CompareAndSwap(slotIdle, slotQueued) {
+		ex.runq <- sh
 	}
 }
 
-// failOp records an operator-attributed error.
-func (ex *Execution) failOp(rt *nodeRuntime, worker, port int, err error) {
+// step runs one operator or sink worker's slot on a runner: ports in
+// order, batches in arrival order, at most stepBatches batches before it
+// yields the runner back to the run queue. The first step makes the
+// worker's instance. A step passes the gate after it takes a batch, or
+// finds its port closed and drained, and before it acts on either, so a
+// worker never ends a port its producer closed because the run was
+// cancelled.
+func (ex *Execution) step(sh *workShard) {
+	ec := &sh.ec
+	rt, worker := ec.rt, ec.worker
+	if sh.inst == nil {
+		ec.phase = phaseOpen
+		inst, join, err := rt.newInstance(ec)
+		if err != nil {
+			ex.failOp(sh, -1, err)
+			return
+		}
+		sh.inst, sh.join = inst, join
+	}
+	for n := 0; n < stepBatches; {
+		port := sh.port
+		q := &rt.inQ[port][worker]
+		msg, ok, drained := q.tryPop()
+		if !ok && !drained {
+			// The queue ran dry. The slot goes idle, then looks at its
+			// queue and the run's context once more: a push or a cancel
+			// that came before the store found the slot queued and did
+			// not wake it. A waker that claims it from here on steps it.
+			sh.slot.Store(slotIdle)
+			if !q.ready() && ex.ctx.Err() == nil || !sh.slot.CompareAndSwap(slotIdle, slotQueued) {
+				return
+			}
+			if ex.ctx.Err() == nil {
+				continue
+			}
+		}
+		if err := ex.gate.wait(ex.ctx); err != nil {
+			ex.cancelOp(rt, err)
+			ex.retire(sh)
+			return
+		}
+		if !ok { // the port is closed and drained
+			ec.phase, ec.dropped = phaseEnd, 0
+			out, err := sh.inst.EndPort(ec, port)
+			if err != nil {
+				ex.failOp(sh, port, err)
+				return
+			}
+			ex.emit(rt, worker, out, 0, 0)
+			if sh.port++; sh.port == len(rt.inQ) {
+				ex.retire(sh)
+				return
+			}
+			continue
+		}
+		t0 := ex.tel.beginBatch(q)
+		in := int64(len(msg.rows) + msg.dropped)
+		rt.inTuples.Add(in)
+		ec.phase, ec.dropped = port, msg.dropped
+		out, err := sh.inst.Process(ec, port, msg.rows)
+		if err != nil {
+			ex.failOp(sh, port, err)
+			return
+		}
+		if sh.join != nil {
+			ex.emit(rt, worker, out, sh.join.dropped, sh.join.droppedBytes)
+		} else {
+			ex.emit(rt, worker, out, 0, 0)
+		}
+		ex.tel.endBatch(rt, worker, t0, in)
+		n++
+	}
+	ex.runq <- sh
+}
+
+// retire ends a slot for good and drops its instance; the node's last
+// slot to retire completes the node.
+func (ex *Execution) retire(sh *workShard) {
+	sh.inst, sh.join = nil, nil
+	sh.slot.Store(slotDone)
+	if rt := sh.ec.rt; rt.live.Add(-1) == 0 {
+		ex.complete(rt)
+	}
+}
+
+// failOp records an operator-attributed error and retires the worker's
+// slot.
+func (ex *Execution) failOp(sh *workShard, port int, err error) {
+	rt := sh.ec.rt
 	ex.setState(rt, Failed)
-	ex.fail(&OpError{Op: rt.n.name, Worker: worker, Port: port, Err: err})
+	ex.fail(&OpError{Op: rt.n.name, Worker: sh.ec.worker, Port: port, Err: err})
+	ex.retire(sh)
 }
 
 // cancelOp ends a worker that stopped because the run's context ended,
@@ -717,7 +826,7 @@ func (ex *Execution) cancelOp(rt *nodeRuntime, err error) {
 	ex.fail(err)
 }
 
-// finish assembles the result after all goroutines stopped.
+// finish assembles the result after every node has completed.
 func (ex *Execution) finish() {
 	if ex.err != nil {
 		return

@@ -1,8 +1,6 @@
 package dataflow
 
 import (
-	"context"
-
 	"repro/internal/cost"
 	"repro/internal/relation"
 )
@@ -15,21 +13,20 @@ import (
 // benchmarks in bench_test.go are such callers, not second copies.
 
 // QueuePushPopLoop performs iters bursts of burst pushes followed by
-// burst pops on one queue (burst 1 is the ping-pong case).
+// burst tryPops on one queue (burst 1 is the ping-pong case).
 func QueuePushPopLoop(iters, burst int) {
-	q := newQueue()
+	var q queue
 	rows := make([]relation.Tuple, 16)
 	for i := range rows {
 		rows[i] = relation.Tuple{relation.IntValue(int64(i)), relation.StringValue("payload")}
 	}
 	m := batchMsg{rows: rows}
-	ctx := context.Background()
 	for i := 0; i < iters; i++ {
 		for j := 0; j < burst; j++ {
 			q.push(m)
 		}
 		for j := 0; j < burst; j++ {
-			if _, ok, err := q.pop(ctx); !ok || err != nil {
+			if _, ok, _ := q.tryPop(); !ok {
 				panic("dataflow: microbench queue underflow")
 			}
 		}

@@ -29,26 +29,15 @@ type batchMsg struct {
 // through the backing array), and steady-state push/pop reuses the
 // same storage instead of perpetually appending.
 //
-// A queue has one consumer, which alone waits on signal. The executor
-// keeps a node's in-port queues as values in one slice and gives a
-// worker's ports one shared wake-up channel, so a token may stand for a
-// change on another of the worker's queues. That is safe because pop
-// reads the queue's state under its lock before every wait: a token
-// spent while waiting on one port only wakes the worker early, and a
-// change on the port it waits on after that read leaves a token (or
-// finds one there) that ends the wait.
+// A queue never blocks: its one consumer, a worker slot, takes batches
+// with tryPop, and whoever pushes or closes wakes the slot (see
+// Execution.wake).
 type queue struct {
 	mu     sync.Mutex
 	buf    []batchMsg
 	head   int
 	count  int
 	closed bool
-	signal chan struct{} // capacity 1, possibly shared; a token means "some state changed"
-}
-
-// newQueue returns a queue with a wake-up channel of its own.
-func newQueue() *queue {
-	return &queue{signal: make(chan struct{}, 1)}
 }
 
 // grow doubles the ring (min 8 slots), unrolling it to index 0.
@@ -66,13 +55,6 @@ func (q *queue) grow() {
 	q.head = 0
 }
 
-func (q *queue) notify() {
-	select {
-	case q.signal <- struct{}{}:
-	default:
-	}
-}
-
 // push enqueues a batch. Pushing to a closed queue panics — it would
 // indicate an executor sequencing bug.
 func (q *queue) push(m batchMsg) {
@@ -87,7 +69,6 @@ func (q *queue) push(m batchMsg) {
 	q.buf[(q.head+q.count)%len(q.buf)] = m
 	q.count++
 	q.mu.Unlock()
-	q.notify()
 }
 
 // Depth returns the number of queued batches. It takes the queue lock,
@@ -106,37 +87,28 @@ func (q *queue) close() {
 	q.mu.Lock()
 	q.closed = true
 	q.mu.Unlock()
-	q.notify()
 }
 
-// pop dequeues the next batch. ok is false when the queue is closed
-// and drained, or when ctx is done (err distinguishes the two).
-func (q *queue) pop(ctx context.Context) (m batchMsg, ok bool, err error) {
-	for {
-		q.mu.Lock()
-		if q.count > 0 {
-			m = q.buf[q.head]
-			q.buf[q.head] = batchMsg{} // release the batch for GC
-			q.head = (q.head + 1) % len(q.buf)
-			q.count--
-			remaining := q.count > 0
-			q.mu.Unlock()
-			if remaining {
-				q.notify() // keep the signal alive for queued items
-			}
-			return m, true, nil
-		}
-		if q.closed {
-			q.mu.Unlock()
-			return batchMsg{}, false, nil
-		}
-		q.mu.Unlock()
-		select {
-		case <-ctx.Done():
-			return batchMsg{}, false, ctx.Err()
-		case <-q.signal:
-		}
+// tryPop dequeues the next batch without waiting: ok reports a batch,
+// and drained, when there is none, that the queue is closed.
+func (q *queue) tryPop() (m batchMsg, ok, drained bool) {
+	q.mu.Lock()
+	defer q.mu.Unlock()
+	if q.count == 0 {
+		return batchMsg{}, false, q.closed
 	}
+	m = q.buf[q.head]
+	q.buf[q.head] = batchMsg{} // release the batch for GC
+	q.head = (q.head + 1) % len(q.buf)
+	q.count--
+	return m, true, false
+}
+
+// ready reports whether tryPop would return a batch or drained.
+func (q *queue) ready() bool {
+	q.mu.Lock()
+	defer q.mu.Unlock()
+	return q.count > 0 || q.closed
 }
 
 // gate implements cooperative pause/resume. Workers call wait between
@@ -162,9 +134,9 @@ func (g *gate) resume() {
 func (g *gate) paused() bool { return g.ch.Load() != nil }
 
 // wait blocks while the gate is paused; it returns ctx.Err() once ctx
-// is done, paused or not. The open path still looks at ctx: pop hands
-// out queued batches without looking at it, and a source's scan loop
-// has no other check.
+// is done, paused or not. The open path still looks at ctx: tryPop
+// hands out queued batches without looking at it, and a source's scan
+// loop has no other check.
 func (g *gate) wait(ctx context.Context) error {
 	for {
 		ch := g.ch.Load()

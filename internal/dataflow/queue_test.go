@@ -3,6 +3,7 @@ package dataflow
 import (
 	"context"
 	"errors"
+	"runtime"
 	"sync"
 	"testing"
 	"time"
@@ -11,28 +12,56 @@ import (
 )
 
 func TestQueueFIFO(t *testing.T) {
-	q := newQueue()
+	var q queue
 	for i := 0; i < 10; i++ {
 		q.push(batchMsg{rows: []relation.Tuple{{relation.IntValue(int64(i))}}})
 	}
 	q.close()
-	ctx := context.Background()
 	for i := 0; i < 10; i++ {
-		m, ok, err := q.pop(ctx)
-		if err != nil || !ok {
-			t.Fatalf("pop %d: ok=%v err=%v", i, ok, err)
+		m, ok, drained := q.tryPop()
+		if !ok || drained {
+			t.Fatalf("tryPop %d: ok=%v drained=%v", i, ok, drained)
 		}
 		if m.rows[0][0].Int() != int64(i) {
-			t.Fatalf("pop %d got %v", i, m.rows[0][0])
+			t.Fatalf("tryPop %d got %v", i, m.rows[0][0])
 		}
 	}
-	if _, ok, err := q.pop(ctx); ok || err != nil {
-		t.Fatal("closed drained queue should return !ok, nil error")
+	if _, ok, drained := q.tryPop(); ok || !drained {
+		t.Fatalf("closed drained queue: ok=%v drained=%v, want false and true", ok, drained)
+	}
+}
+
+// A queue is ready, for its slot's re-check, exactly when tryPop would
+// hand out a batch or report the queue drained: an empty open queue is
+// neither, and stays so until a push or a close.
+func TestQueueReadyMatchesTryPop(t *testing.T) {
+	var q queue
+	if q.ready() {
+		t.Fatal("an empty open queue is ready")
+	}
+	if _, ok, drained := q.tryPop(); ok || drained {
+		t.Fatalf("empty open queue: ok=%v drained=%v, want neither", ok, drained)
+	}
+	q.push(batchMsg{dropped: 3})
+	if !q.ready() {
+		t.Fatal("a queue holding a batch is not ready")
+	}
+	q.close()
+	if m, ok, drained := q.tryPop(); !ok || drained || m.dropped != 3 {
+		t.Fatalf("closed queue with a batch: %+v ok=%v drained=%v, want the batch", m, ok, drained)
+	}
+	if !q.ready() {
+		t.Fatal("a closed drained queue is not ready")
+	}
+	for range 2 { // drained stays drained
+		if _, ok, drained := q.tryPop(); ok || !drained {
+			t.Fatalf("closed drained queue: ok=%v drained=%v, want drained", ok, drained)
+		}
 	}
 }
 
 func TestQueueDepth(t *testing.T) {
-	q := newQueue()
+	var q queue
 	if q.Depth() != 0 {
 		t.Fatalf("empty queue Depth = %d, want 0", q.Depth())
 	}
@@ -42,12 +71,11 @@ func TestQueueDepth(t *testing.T) {
 			t.Fatalf("Depth after %d pushes = %d", i+1, got)
 		}
 	}
-	ctx := context.Background()
-	if _, _, err := q.pop(ctx); err != nil {
-		t.Fatal(err)
+	if _, ok, _ := q.tryPop(); !ok {
+		t.Fatal("tryPop found no batch")
 	}
 	if got := q.Depth(); got != 4 {
-		t.Fatalf("Depth after pop = %d, want 4", got)
+		t.Fatalf("Depth after tryPop = %d, want 4", got)
 	}
 	// Depth must be safe against concurrent producers (exercised with
 	// -race): readers take the queue lock rather than racing on count.
@@ -80,48 +108,11 @@ func TestQueueDepth(t *testing.T) {
 	}
 }
 
-func TestQueueBlocksUntilPush(t *testing.T) {
-	q := newQueue()
-	got := make(chan int64, 1)
-	go func() {
-		m, ok, _ := q.pop(context.Background())
-		if ok {
-			got <- m.rows[0][0].Int()
-		}
-	}()
-	time.Sleep(10 * time.Millisecond)
-	q.push(batchMsg{rows: []relation.Tuple{{relation.IntValue(int64(42))}}})
-	select {
-	case v := <-got:
-		if v != 42 {
-			t.Fatalf("got %d", v)
-		}
-	case <-time.After(time.Second):
-		t.Fatal("pop never woke up")
-	}
-}
-
-func TestQueuePopHonorsContext(t *testing.T) {
-	q := newQueue()
-	ctx, cancel := context.WithCancel(context.Background())
-	done := make(chan error, 1)
-	go func() {
-		_, _, err := q.pop(ctx)
-		done <- err
-	}()
-	cancel()
-	select {
-	case err := <-done:
-		if err == nil {
-			t.Fatal("expected context error")
-		}
-	case <-time.After(time.Second):
-		t.Fatal("pop did not return on cancel")
-	}
-}
-
+// One consumer takes every batch eight producers push, each producer's
+// in its order, and sees the queue drained only after the last producer
+// closed it.
 func TestQueueConcurrentProducers(t *testing.T) {
-	q := newQueue()
+	var q queue
 	const producers, each = 8, 100
 	var wg sync.WaitGroup
 	for p := 0; p < producers; p++ {
@@ -129,7 +120,7 @@ func TestQueueConcurrentProducers(t *testing.T) {
 		go func() {
 			defer wg.Done()
 			for i := 0; i < each; i++ {
-				q.push(batchMsg{rows: []relation.Tuple{{relation.IntValue(int64(i))}}})
+				q.push(batchMsg{rows: []relation.Tuple{{relation.IntValue(int64(p)), relation.IntValue(int64(i))}}})
 			}
 		}()
 	}
@@ -137,16 +128,22 @@ func TestQueueConcurrentProducers(t *testing.T) {
 		wg.Wait()
 		q.close()
 	}()
+	next := make([]int64, producers)
 	count := 0
-	ctx := context.Background()
 	for {
-		_, ok, err := q.pop(ctx)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if !ok {
+		m, ok, drained := q.tryPop()
+		if drained {
 			break
 		}
+		if !ok {
+			runtime.Gosched()
+			continue
+		}
+		p, i := m.rows[0][0].Int(), m.rows[0][1].Int()
+		if i != next[p] {
+			t.Fatalf("producer %d: got batch %d, want %d", p, i, next[p])
+		}
+		next[p]++
 		count++
 	}
 	if count != producers*each {
@@ -157,10 +154,9 @@ func TestQueueConcurrentProducers(t *testing.T) {
 // TestQueueWraparound interleaves pushes and pops so head laps the
 // ring repeatedly, across several growths.
 func TestQueueWraparound(t *testing.T) {
-	q := newQueue()
-	ctx := context.Background()
+	var q queue
 	next := int64(0) // next value to push
-	want := int64(0) // next value expected from pop
+	want := int64(0) // next value expected from tryPop
 	push := func(n int) {
 		for i := 0; i < n; i++ {
 			q.push(batchMsg{rows: []relation.Tuple{{relation.IntValue(next)}}})
@@ -169,12 +165,12 @@ func TestQueueWraparound(t *testing.T) {
 	}
 	pop := func(n int) {
 		for i := 0; i < n; i++ {
-			m, ok, err := q.pop(ctx)
-			if err != nil || !ok {
-				t.Fatalf("pop: ok=%v err=%v", ok, err)
+			m, ok, _ := q.tryPop()
+			if !ok {
+				t.Fatalf("tryPop found no batch, want %d", want)
 			}
 			if got := m.rows[0][0].Int(); got != want {
-				t.Fatalf("pop got %d, want %d", got, want)
+				t.Fatalf("tryPop got %d, want %d", got, want)
 			}
 			want++
 		}
@@ -193,15 +189,69 @@ func TestQueueWraparound(t *testing.T) {
 	}
 }
 
+// Queues whose first rings are carved back to back from one block, as
+// Start carves a node's: each wraps inside its own ring, then grows out
+// of the block into a ring of its own, without writing into its
+// neighbour's slots and without losing its order.
+func TestQueueGrowsOutOfBlockRing(t *testing.T) {
+	block := make([]batchMsg, 3*queueRing)
+	qs := make([]queue, 3)
+	for i := range qs {
+		qs[i].buf = block[i*queueRing : (i+1)*queueRing : (i+1)*queueRing]
+	}
+	one := func(q, v int) batchMsg {
+		return batchMsg{rows: []relation.Tuple{{relation.IntValue(int64(q)), relation.IntValue(int64(v))}}}
+	}
+	next, want := make([]int, len(qs)), make([]int, len(qs))
+	push := func(q, n int) {
+		for range n {
+			qs[q].push(one(q, next[q]))
+			next[q]++
+		}
+	}
+	pop := func(q, n int) {
+		for range n {
+			m, ok, _ := qs[q].tryPop()
+			if !ok {
+				t.Fatalf("queue %d: tryPop found no batch, want %d", q, want[q])
+			}
+			if gq, gv := m.rows[0][0].Int(), m.rows[0][1].Int(); gq != int64(q) || gv != int64(want[q]) {
+				t.Fatalf("queue %d: tryPop got queue %d batch %d, want batch %d", q, gq, gv, want[q])
+			}
+			want[q]++
+		}
+	}
+	for q := range qs {
+		push(q, queueRing)
+	}
+	pop(1, 3) // queue 1 wraps inside its block ring
+	push(1, 3)
+	if &qs[1].buf[0] != &block[queueRing] {
+		t.Fatal("a queue holding no more than its block ring left the block")
+	}
+	push(1, 2*queueRing) // and then grows out of it
+	if &qs[1].buf[0] == &block[queueRing] || len(qs[1].buf) < 3*queueRing {
+		t.Fatalf("queue 1 holds %d batches in a ring of %d, still the block's", qs[1].count, len(qs[1].buf))
+	}
+	push(0, 1) // its neighbours grow too
+	push(2, 1)
+	for q := range qs {
+		pop(q, next[q]-want[q])
+		if _, ok, drained := qs[q].tryPop(); ok || drained {
+			t.Fatalf("queue %d: ok=%v drained=%v after every batch, want neither", q, ok, drained)
+		}
+	}
+}
+
 // TestQueuePopReleasesSlot pins the memory-retention fix: a popped
 // slot must be zeroed so the consumed batch is collectable while the
 // ring's backing array lives on.
 func TestQueuePopReleasesSlot(t *testing.T) {
-	q := newQueue()
+	var q queue
 	q.push(batchMsg{rows: []relation.Tuple{{relation.IntValue(int64(1))}}})
 	head := q.head
-	if _, ok, err := q.pop(context.Background()); !ok || err != nil {
-		t.Fatalf("pop: ok=%v err=%v", ok, err)
+	if _, ok, _ := q.tryPop(); !ok {
+		t.Fatal("tryPop found no batch")
 	}
 	if q.buf[head].rows != nil {
 		t.Fatal("popped slot still references its batch")
@@ -209,7 +259,7 @@ func TestQueuePopReleasesSlot(t *testing.T) {
 }
 
 func TestQueuePushAfterClosePanics(t *testing.T) {
-	q := newQueue()
+	var q queue
 	q.close()
 	defer func() {
 		if recover() == nil {
@@ -268,44 +318,5 @@ func TestGateWaitHonorsContext(t *testing.T) {
 	g.pause()
 	if err := g.wait(ctx); !errors.Is(err, context.Canceled) {
 		t.Fatalf("paused gate: wait = %v, want context.Canceled", err)
-	}
-}
-
-// A worker's ports share one wake-up channel: a token pushed for port 1
-// while the worker waits on port 0 is spent there, and pop on port 1
-// still finds the batch, because it reads its queue before it waits.
-func TestQueuesShareWakeChannel(t *testing.T) {
-	wake := make(chan struct{}, 1)
-	ports := []queue{{signal: wake}, {signal: wake}}
-	ctx, cancel := context.WithTimeout(context.Background(), 5*time.Second)
-	defer cancel()
-	done := make(chan []int64)
-	go func() {
-		var got []int64
-		for p := range ports {
-			for {
-				m, ok, err := ports[p].pop(ctx)
-				if err != nil {
-					t.Error(err)
-					break
-				}
-				if !ok {
-					break
-				}
-				got = append(got, m.rows[0][0].Int())
-			}
-		}
-		done <- got
-	}()
-	one := func(v int64) batchMsg { return batchMsg{rows: []relation.Tuple{{relation.IntValue(v)}}} }
-	ports[1].push(one(10))
-	time.Sleep(10 * time.Millisecond) // let the worker spend port 1's token on port 0
-	ports[1].push(one(11))
-	ports[1].close()
-	ports[0].push(one(0))
-	ports[0].close()
-	got := <-done
-	if len(got) != 3 || got[0] != 0 || got[1] != 10 || got[2] != 11 {
-		t.Fatalf("worker popped %v, want [0 10 11]", got)
 	}
 }

@@ -45,8 +45,8 @@ func newExecTelemetry(rec *telemetry.Recorder, wf string) *execTelemetry {
 }
 
 // wallShard is one worker's private wall-clock accumulator, padded
-// like the work shards; it is written with plain stores by its owning
-// worker and merged after the node's WaitGroup completes.
+// like the work shards; it is written with plain stores by the runner
+// stepping its worker and merged after every node has completed.
 type wallShard struct {
 	firstNS int64
 	lastNS  int64

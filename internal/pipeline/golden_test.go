@@ -248,10 +248,14 @@ func raceBuild() bool {
 // a budget 5 % over this run's readings would not fail that build, so
 // it stays); arenas whose chunks never fell below 16 rows
 // took 3.1 MB, and a join building the rows its filter rejects 2.7 MB.
-// It also pins what an operator allocates per worker: 4.8–5.4 k
-// objects of a 5,600 budget; with an arena source per operator instead
-// of one per run, 5.4–6.0 k (about one reading in six under 5,600,
-// since goroutine starts and channel waits move it by ±300); with an
+// It also pins what an operator allocates per worker: 3.32–3.35 k
+// objects (3.47–3.49 k under the race detector) of a 4,000 budget. A
+// worker is a slot that the run's GOMAXPROCS runners step, and a node's
+// in-port queues take their first rings from one block, so the reading
+// moves by about ten objects from run to run. With a goroutine, a
+// wake-up channel and a ring of its own per worker it read 4.9–5.4 k
+// (goroutine starts and channel waits moved it by ±300); with an arena
+// source per operator instead of one per run as well, 5.4–6.0 k; with an
 // edge queue and a router goroutine per edge, 6.0 k; with an output
 // arena, queues, a wake-up channel per port, a work slice, an ExecCtx
 // and a join plan of each instance's own, it was 11.2 k, and with every
@@ -269,7 +273,7 @@ func TestDiceWorkflowAllocBudget(t *testing.T) {
 		objBudget  uint64
 	}{
 		{core.RunSpec{Task: "dice", Paradigm: "workflow", Size: 50, Seed: 1, Workers: 4}, 1_610_000, 2_100},
-		{core.RunSpec{Task: "dice", Paradigm: "workflow", Size: 50, Seed: 1, Workers: 32, Nodes: 4}, 2_600_000, 5_600},
+		{core.RunSpec{Task: "dice", Paradigm: "workflow", Size: 50, Seed: 1, Workers: 32, Nodes: 4}, 2_600_000, 4_000},
 	} {
 		run := func() (bytes, objects uint64) {
 			var before, after runtime.MemStats

@@ -85,12 +85,14 @@ type Env struct {
 // measure times f (which must perform inner operations per call) over
 // three windows of at least window each (60ms for a report whose
 // ns_per_op will be read, 1ms when only the counts are) and reports the
-// median window's per-operation cost. Allocs and bytes are sampled separately with a single run each
-// (bytes do not drift with the host the way timings do). Two choices
-// here exist for noise robustness on a shared bench host, where a
-// single ~100ms mean (the BENCH_1–4 estimator) swung adjacent runs of
-// the same binary by double-digit percentages: the forced collection
-// before the timed windows puts every micro in the same GC regime (the
+// median window's per-operation cost. Bytes are sampled separately from
+// one run (bytes do not drift with the host the way timings do), allocs
+// as the least of three one-run readings (AllocsPerRun counts every
+// goroutine's mallocs). Two choices here exist for noise robustness on
+// a shared bench host, where a single ~100ms mean (the BENCH_1–4
+// estimator) swung adjacent runs of the same binary by double-digit
+// percentages: the forced collection before the timed windows puts
+// every micro in the same GC regime (the
 // pacer otherwise inherits whatever heap target the previous micro or
 // the macro suite left behind — a skew larger than some effects being
 // measured), and the median discards a window that absorbed a
@@ -102,7 +104,7 @@ type Env struct {
 // evenly.
 func measure(name string, inner int, window time.Duration, f func()) Micro {
 	f() // warm up
-	allocs := testing.AllocsPerRun(1, f) / float64(inner)
+	allocs := min(testing.AllocsPerRun(1, f), testing.AllocsPerRun(1, f), testing.AllocsPerRun(1, f)) / float64(inner)
 	var before, after runtime.MemStats
 	runtime.ReadMemStats(&before)
 	f()

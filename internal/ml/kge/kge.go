@@ -15,6 +15,7 @@ import (
 	"slices"
 	"strings"
 
+	"repro/internal/par"
 	"repro/internal/xrand"
 )
 
@@ -52,7 +53,6 @@ func New(entities, relations []string, dim int, seed uint64) (*Model, error) {
 		ent:      make([][]float64, 0, len(entities)),
 		relIndex: make(map[string]int, len(relations)),
 	}
-	r := xrand.New(seed)
 	block := make([]float64, len(entities)*dim)
 	for _, e := range entities {
 		if _, dup := m.entIndex[e]; dup {
@@ -61,8 +61,10 @@ func New(entities, relations []string, dim int, seed uint64) (*Model, error) {
 		i := len(m.entNames)
 		m.entIndex[e] = i
 		m.entNames = append(m.entNames, e)
-		m.ent = append(m.ent, randUnit(r, block[i*dim:(i+1)*dim:(i+1)*dim]))
+		m.ent = append(m.ent, block[i*dim:(i+1)*dim:(i+1)*dim])
 	}
+	r := xrand.New(seed)
+	drawUnits(r, m.ent)
 	for _, rl := range relations {
 		if _, dup := m.relIndex[rl]; dup {
 			return nil, fmt.Errorf("kge: duplicate relation %q", rl)
@@ -72,6 +74,35 @@ func New(entities, relations []string, dim int, seed uint64) (*Model, error) {
 		m.rel = append(m.rel, randUnit(r, make([]float64, dim)))
 	}
 	return m, nil
+}
+
+// drawUnits fills each row with a random unit vector, bit for bit as
+// randUnit over the rows in order, and leaves r where that loop would.
+// Parts of drawPart rows are drawn on par.Do, part p from where r would
+// stand had no earlier Norm retried (two uniforms a Norm); a part whose
+// start proves wrong, once the parts before it are known, is redrawn.
+func drawUnits(r *xrand.Rand, rows [][]float64) {
+	const drawPart = 512 // vectors a piece of work draws
+	first, dim := *r, uint64(len(rows[0]))
+	start := func(p int) xrand.Rand {
+		s := first
+		s.Jump(2 * dim * uint64(p*drawPart))
+		return s
+	}
+	draw := func(p int, r xrand.Rand) xrand.Rand {
+		for _, v := range rows[p*drawPart : min((p+1)*drawPart, len(rows))] {
+			randUnit(&r, v)
+		}
+		return r
+	}
+	ends := make([]xrand.Rand, (len(rows)+drawPart-1)/drawPart)
+	par.Do(len(ends), func(p int) { ends[p] = draw(p, start(p)) })
+	for p := range ends {
+		if start(p) != *r {
+			ends[p] = draw(p, *r)
+		}
+		*r = ends[p]
+	}
 }
 
 // randUnit fills v with a random unit vector and returns it.

@@ -7,6 +7,8 @@ import (
 	"slices"
 	"sort"
 	"testing"
+
+	"repro/internal/xrand"
 )
 
 // refEncodeVec and refDecodeVec are EncodeVec and DecodeVec as they
@@ -217,4 +219,177 @@ func FuzzTopKMatchesSort(f *testing.F) {
 			check(items)
 		}
 	})
+}
+
+// refNew is New as it was before the entity vectors were drawn in parts
+// on par.Do: each vector drawn in turn from one generator, in entity
+// order, then the relation vectors from where it stood. Kept verbatim
+// (its entity loop as refDrawUnits, so the generator's end state can be
+// read) as the reference New and drawUnits must reproduce bit for bit.
+func refNew(entities, relations []string, dim int, seed uint64) (*Model, error) {
+	if dim <= 0 {
+		return nil, fmt.Errorf("kge: dimension must be positive, got %d", dim)
+	}
+	if len(entities) == 0 || len(relations) == 0 {
+		return nil, fmt.Errorf("kge: need at least one entity and one relation")
+	}
+	m := &Model{
+		Dim:      dim,
+		entIndex: make(map[string]int, len(entities)),
+		entNames: make([]string, 0, len(entities)),
+		ent:      make([][]float64, 0, len(entities)),
+		relIndex: make(map[string]int, len(relations)),
+	}
+	r := xrand.New(seed)
+	block := make([]float64, len(entities)*dim)
+	for _, e := range entities {
+		if _, dup := m.entIndex[e]; dup {
+			return nil, fmt.Errorf("kge: duplicate entity %q", e)
+		}
+		i := len(m.entNames)
+		m.entIndex[e] = i
+		m.entNames = append(m.entNames, e)
+		m.ent = append(m.ent, randUnit(r, block[i*dim:(i+1)*dim:(i+1)*dim]))
+	}
+	for _, rl := range relations {
+		if _, dup := m.relIndex[rl]; dup {
+			return nil, fmt.Errorf("kge: duplicate relation %q", rl)
+		}
+		m.relIndex[rl] = len(m.relNames)
+		m.relNames = append(m.relNames, rl)
+		m.rel = append(m.rel, randUnit(r, make([]float64, dim)))
+	}
+	return m, nil
+}
+
+// refDrawUnits is refNew's entity loop: one vector after another.
+func refDrawUnits(r *xrand.Rand, rows [][]float64) {
+	for _, v := range rows {
+		randUnit(r, v)
+	}
+}
+
+// gamma is SplitMix64's state increment per draw.
+const gamma = 0x9e3779b97f4a7c15
+
+// unmix inverts SplitMix64's output function: the state whose draw
+// Uint64 returns z.
+func unmix(z uint64) uint64 {
+	z = unxorshift(z, 31)
+	z *= mulInverse(0x94d049bb133111eb)
+	z = unxorshift(z, 27)
+	z *= mulInverse(0xbf58476d1ce4e5b9)
+	return unxorshift(z, 30)
+}
+
+// unxorshift inverts y = x ^ (x >> s).
+func unxorshift(y uint64, s uint) uint64 {
+	x := y
+	for i := uint(0); i < 64; i += s {
+		x = y ^ (x >> s)
+	}
+	return x
+}
+
+// mulInverse returns the inverse of an odd c modulo 2^64 by Newton's
+// iteration, which doubles the correct low bits each step.
+func mulInverse(c uint64) uint64 {
+	x := c
+	for i := 0; i < 6; i++ {
+		x *= 2 - c*x
+	}
+	return x
+}
+
+// retrySeed is the seed whose Norm number c (counting from 0) retries:
+// its first uniform is the (2c+1)th value drawn, and that value is 0.
+func retrySeed(c int) uint64 {
+	return unmix(0) - uint64(2*c+1)*gamma
+}
+
+// TestDrawUnitsMatchesReference draws tables of 1, 511, 512, 513 and
+// 6,808 vectors at dims 1 and 16 in parts and one after another, and
+// wants every bit of every vector and the generator's end state equal.
+// Besides two natural seeds, it builds seeds whose Norm retries (its
+// first uniform is 0, which no natural seed reaches) in the first part,
+// in the middle of the table, on the last Norm before a part boundary,
+// on the first after it, and in the last vector. A retry shifts every
+// later part off its assumed start, so each of those parts is redrawn.
+func TestDrawUnitsMatchesReference(t *testing.T) {
+	for _, n := range []int{1, 511, 512, 513, 6808} {
+		for _, dim := range []int{1, 16} {
+			seeds := []uint64{1, 7}
+			retries := map[uint64]bool{}
+			for _, c := range []int{3 * dim, n / 2 * dim, 512*dim - 1, 512 * dim, n*dim - 1} {
+				if c < n*dim {
+					seeds = append(seeds, retrySeed(c))
+					retries[retrySeed(c)] = true
+				}
+			}
+			for _, seed := range seeds {
+				got, want := xrand.New(seed), xrand.New(seed)
+				gotRows, wantRows := make([][]float64, n), make([][]float64, n)
+				for i := range gotRows {
+					gotRows[i], wantRows[i] = make([]float64, dim), make([]float64, dim)
+				}
+				drawUnits(got, gotRows)
+				refDrawUnits(want, wantRows)
+				for i := range wantRows {
+					if !sameBits(gotRows[i], wantRows[i]) {
+						t.Fatalf("n=%d dim=%d seed=%#x: vector %d is %v, reference %v", n, dim, seed, i, gotRows[i], wantRows[i])
+					}
+				}
+				if *got != *want {
+					t.Fatalf("n=%d dim=%d seed=%#x: end state %v, reference %v", n, dim, seed, *got, *want)
+				}
+				noRetry := xrand.New(seed)
+				noRetry.Jump(uint64(2 * n * dim))
+				if retried := *want != *noRetry; retried != retries[seed] {
+					t.Fatalf("n=%d dim=%d seed=%#x: retried %t, built to retry %t", n, dim, seed, retried, retries[seed])
+				}
+			}
+		}
+	}
+}
+
+// TestNewMatchesReference builds a model with New and with refNew and
+// wants every entity and relation vector equal bit for bit, and the
+// same errors.
+func TestNewMatchesReference(t *testing.T) {
+	ents := make([]string, 1100)
+	for i := range ents {
+		ents[i] = fmt.Sprintf("e%d", i)
+	}
+	rels := []string{"buys", "views", "rates"}
+	for _, seed := range []uint64{1, retrySeed(600 * 8)} {
+		got, err := New(ents, rels, 8, seed)
+		if err != nil {
+			t.Fatal(err)
+		}
+		want, err := refNew(ents, rels, 8, seed)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for i := range want.ent {
+			if !sameBits(got.ent[i], want.ent[i]) {
+				t.Fatalf("seed %#x: entity %d is %v, reference %v", seed, i, got.ent[i], want.ent[i])
+			}
+		}
+		for i := range want.rel {
+			if !sameBits(got.rel[i], want.rel[i]) {
+				t.Fatalf("seed %#x: relation %d is %v, reference %v", seed, i, got.rel[i], want.rel[i])
+			}
+		}
+	}
+	for _, c := range []struct{ ents, rels []string }{
+		{[]string{"a", "b", "a"}, rels},
+		{ents[:3], []string{"buys", "buys"}},
+		{nil, rels},
+	} {
+		_, err := New(c.ents, c.rels, 4, 1)
+		_, wantErr := refNew(c.ents, c.rels, 4, 1)
+		if err == nil || wantErr == nil || err.Error() != wantErr.Error() {
+			t.Fatalf("error %v, reference %v", err, wantErr)
+		}
+	}
 }

@@ -3,7 +3,10 @@ package textclf
 import (
 	"fmt"
 	"math"
+	"slices"
+	"testing"
 
+	"repro/internal/datagen"
 	"repro/internal/textproc"
 	"repro/internal/xrand"
 )
@@ -186,4 +189,146 @@ func (m *refModel) Proba(text string) float64 {
 	x, _ := m.embed(text)
 	_, p := m.forward(x)
 	return p
+}
+
+// refNewEnsemble, refFinetune and refPredict are NewEnsemble,
+// Ensemble.Finetune and Ensemble.Predict as they were before the
+// members were built, fine-tuned and run concurrently: one member after
+// another, and Predict encoding one text per call. Kept verbatim as the
+// reference the concurrent ensemble must reproduce bit for bit.
+
+func refNewEnsemble(labels []string, hashD, dim, hidden int) (*Ensemble, error) {
+	if len(labels) == 0 {
+		return nil, fmt.Errorf("textclf: ensemble needs at least one label")
+	}
+	e := &Ensemble{Labels: append([]string(nil), labels...)}
+	for _, l := range labels {
+		m, err := Pretrained("bert-"+l, hashD, dim, hidden)
+		if err != nil {
+			return nil, err
+		}
+		e.Models = append(e.Models, m)
+	}
+	return e, nil
+}
+
+func (e *Ensemble) refFinetune(texts []string, golds [][]bool, cfg Config) error {
+	docs := make(map[int][][]int32, 1)
+	for k, m := range e.Models {
+		col := make([]bool, len(texts))
+		for i := range texts {
+			if len(golds[i]) != len(e.Models) {
+				return fmt.Errorf("textclf: example %d has %d labels, ensemble has %d", i, len(golds[i]), len(e.Models))
+			}
+			col[i] = golds[i][k]
+		}
+		d, ok := docs[m.hashD]
+		if !ok {
+			d = encodeAll(texts, m.hashD)
+			docs[m.hashD] = d
+		}
+		sub := cfg
+		sub.Seed = cfg.Seed*31 + uint64(k)
+		if err := m.finetune(d, col, sub); err != nil {
+			return err
+		}
+	}
+	return nil
+}
+
+func (e *Ensemble) refPredict(text string) []bool {
+	out := make([]bool, len(e.Models))
+	docs := make(map[int][]int32, 1)
+	for k, m := range e.Models {
+		doc, ok := docs[m.hashD]
+		if !ok {
+			doc = appendBuckets(nil, text, m.hashD)
+			docs[m.hashD] = doc
+		}
+		out[k] = m.proba(doc) >= 0.5
+	}
+	return out
+}
+
+// sameWeights reports the first difference between two models'
+// parameters, bit for bit, embedding rows drawn or not included, or "".
+func sameWeights(a, b *Model) string {
+	vecs := func(m *Model) [][]float64 { return append([][]float64{m.w1, m.b1, m.w2, {m.b2}}, m.emb...) }
+	va, vb := vecs(a), vecs(b)
+	for i := range va {
+		if (va[i] == nil) != (vb[i] == nil) || len(va[i]) != len(vb[i]) {
+			return fmt.Sprintf("vector %d: lengths %d and %d", i, len(va[i]), len(vb[i]))
+		}
+		for j := range va[i] {
+			if math.Float64bits(va[i][j]) != math.Float64bits(vb[i][j]) {
+				return fmt.Sprintf("vector %d element %d: %v and %v", i, j, va[i][j], vb[i][j])
+			}
+		}
+	}
+	return ""
+}
+
+// TestEnsembleMatchesSerial builds, fine-tunes and runs WEF's ensemble
+// concurrently and one member at a time, on WEF's tweets with its sizes
+// and schedule, and wants every member's weights after fine-tuning
+// (each embedding row drawn or not, and its bits) and every prediction
+// equal, and the same errors.
+func TestEnsembleMatchesSerial(t *testing.T) {
+	probes := []string{"", "the of and a with", "zyzzyva quokka 42"}
+	for _, seed := range []uint64{1, 13} {
+		tweets := datagen.GenerateTweets(200, seed)
+		texts, golds := datagen.Texts(tweets), datagen.Labels(tweets)
+		cut := len(texts) * 4 / 5
+		cfg := Config{Epochs: 3, LR: 0.3, Seed: seed}
+		got, err := NewEnsemble(datagen.FramingNames, 4096, 24, 12)
+		if err != nil {
+			t.Fatal(err)
+		}
+		want, err := refNewEnsemble(datagen.FramingNames, 4096, 24, 12)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for k := range want.Models {
+			if diff := sameWeights(got.Models[k], want.Models[k]); diff != "" {
+				t.Fatalf("seed %d model %d: pretrained %s", seed, k, diff)
+			}
+		}
+		if err := got.Finetune(texts[:cut], golds[:cut], cfg); err != nil {
+			t.Fatal(err)
+		}
+		if err := want.refFinetune(texts[:cut], golds[:cut], cfg); err != nil {
+			t.Fatal(err)
+		}
+		for k := range want.Models {
+			if diff := sameWeights(got.Models[k], want.Models[k]); diff != "" {
+				t.Fatalf("seed %d model %d: fine-tuned %s", seed, k, diff)
+			}
+		}
+		all := append(slices.Clone(texts), probes...)
+		for i, p := range got.PredictAll(all) {
+			if w := want.refPredict(all[i]); !slices.Equal(p, w) {
+				t.Fatalf("seed %d: PredictAll on %q gave %v, reference %v", seed, all[i], p, w)
+			}
+		}
+		for k := range want.Models {
+			if diff := sameWeights(got.Models[k], want.Models[k]); diff != "" {
+				t.Fatalf("seed %d model %d: after predicting, %s", seed, k, diff)
+			}
+		}
+	}
+	ragged := [][]bool{{true, false}, {true}}
+	e, _ := NewEnsemble([]string{"a", "b"}, 64, 8, 4)
+	r, _ := refNewEnsemble([]string{"a", "b"}, 64, 8, 4)
+	for _, c := range []struct {
+		texts []string
+		golds [][]bool
+	}{{[]string{"x", "y"}, ragged}, {nil, nil}} {
+		err, wantErr := e.Finetune(c.texts, c.golds, Config{}), r.refFinetune(c.texts, c.golds, Config{})
+		if err == nil || wantErr == nil || err.Error() != wantErr.Error() {
+			t.Fatalf("error %v, reference %v", err, wantErr)
+		}
+	}
+	if _, err := NewEnsemble([]string{"a"}, 0, 8, 4); err == nil {
+		t.Fatal("NewEnsemble took a zero table size")
+	}
 }

@@ -12,6 +12,7 @@ import (
 	"math"
 	"slices"
 
+	"repro/internal/par"
 	"repro/internal/textproc"
 	"repro/internal/xrand"
 )
@@ -285,63 +286,80 @@ type Ensemble struct {
 	Models []*Model
 }
 
-// NewEnsemble creates one pretrained model per label.
+// NewEnsemble creates one pretrained model per label, concurrently.
 func NewEnsemble(labels []string, hashD, dim, hidden int) (*Ensemble, error) {
 	if len(labels) == 0 {
 		return nil, fmt.Errorf("textclf: ensemble needs at least one label")
 	}
-	e := &Ensemble{Labels: append([]string(nil), labels...)}
-	for _, l := range labels {
-		m, err := Pretrained("bert-"+l, hashD, dim, hidden)
+	e := &Ensemble{Labels: append([]string(nil), labels...), Models: make([]*Model, len(labels))}
+	errs := make([]error, len(labels))
+	par.Do(len(labels), func(k int) {
+		e.Models[k], errs[k] = Pretrained("bert-"+labels[k], hashD, dim, hidden)
+	})
+	for _, err := range errs {
 		if err != nil {
 			return nil, err
 		}
-		e.Models = append(e.Models, m)
 	}
 	return e, nil
 }
 
-// Finetune trains each model on its label column. golds[i][k] is
-// whether example i carries label k. A text is encoded once for all the
-// models that share its table size.
+// Finetune trains each model on its label column, the models
+// concurrently. golds[i][k] is whether example i carries label k. A text
+// is encoded once for all the models that share its table size.
 func (e *Ensemble) Finetune(texts []string, golds [][]bool, cfg Config) error {
-	docs := make(map[int][][]int32, 1)
-	for k, m := range e.Models {
+	for i := range texts {
+		if len(golds[i]) != len(e.Models) {
+			return fmt.Errorf("textclf: example %d has %d labels, ensemble has %d", i, len(golds[i]), len(e.Models))
+		}
+	}
+	docs := e.encode(texts)
+	errs := make([]error, len(e.Models))
+	par.Do(len(e.Models), func(k int) {
+		m := e.Models[k]
 		col := make([]bool, len(texts))
 		for i := range texts {
-			if len(golds[i]) != len(e.Models) {
-				return fmt.Errorf("textclf: example %d has %d labels, ensemble has %d", i, len(golds[i]), len(e.Models))
-			}
 			col[i] = golds[i][k]
-		}
-		d, ok := docs[m.hashD]
-		if !ok {
-			d = encodeAll(texts, m.hashD)
-			docs[m.hashD] = d
 		}
 		sub := cfg
 		sub.Seed = cfg.Seed*31 + uint64(k)
-		if err := m.finetune(d, col, sub); err != nil {
+		errs[k] = m.finetune(docs[m.hashD], col, sub)
+	})
+	for _, err := range errs {
+		if err != nil {
 			return err
 		}
 	}
 	return nil
 }
 
-// Predict returns the multi-label prediction for a text, encoded once
-// for all the models that share its table size.
-func (e *Ensemble) Predict(text string) []bool {
-	out := make([]bool, len(e.Models))
-	docs := make(map[int][]int32, 1)
-	for k, m := range e.Models {
-		doc, ok := docs[m.hashD]
-		if !ok {
-			doc = appendBuckets(nil, text, m.hashD)
-			docs[m.hashD] = doc
+// PredictAll returns model k's verdict on text i as out[i][k], the models
+// run concurrently, each text encoded once per table size.
+func (e *Ensemble) PredictAll(texts []string) [][]bool {
+	docs := e.encode(texts)
+	flat := make([]bool, len(texts)*len(e.Models))
+	par.Do(len(e.Models), func(k int) {
+		m := e.Models[k]
+		for i, doc := range docs[m.hashD] {
+			flat[i*len(e.Models)+k] = m.proba(doc) >= 0.5
 		}
-		out[k] = m.proba(doc) >= 0.5
+	})
+	out := make([][]bool, len(texts))
+	for i := range out {
+		out[i] = flat[i*len(e.Models) : (i+1)*len(e.Models) : (i+1)*len(e.Models)]
 	}
 	return out
+}
+
+// encode encodes texts once per table size the models use.
+func (e *Ensemble) encode(texts []string) map[int][][]int32 {
+	docs := make(map[int][][]int32, 1)
+	for _, m := range e.Models {
+		if _, ok := docs[m.hashD]; !ok {
+			docs[m.hashD] = encodeAll(texts, m.hashD)
+		}
+	}
+	return docs
 }
 
 // SizeBytes sums the member models' footprints.

@@ -164,8 +164,7 @@ func TestEnsembleMultiLabel(t *testing.T) {
 		t.Fatal(err)
 	}
 	correct := 0
-	for i, tx := range texts {
-		pred := e.Predict(tx)
+	for i, pred := range e.PredictAll(texts) {
 		ok := true
 		for k := range pred {
 			if pred[k] != golds[i][k] {
@@ -189,7 +188,7 @@ func TestEmptyEnsemble(t *testing.T) {
 	if err := e.Finetune([]string{"x"}, [][]bool{{}}, Config{}); err != nil {
 		t.Fatal(err)
 	}
-	if got := e.Predict("x"); len(got) != 0 {
+	if got := e.PredictAll([]string{"x"}); len(got) != 1 || len(got[0]) != 0 {
 		t.Fatalf("an ensemble with no models predicted %v", got)
 	}
 }
@@ -242,7 +241,9 @@ func TestMatchesReference(t *testing.T) {
 			if err := ref.Finetune(texts[:cut], col, Config{Epochs: 3, LR: 0.3, Seed: seed*31 + uint64(k)}); err != nil {
 				t.Fatal(err)
 			}
-			for _, text := range append(append([]string(nil), texts...), probes...) {
+			all := append(append([]string(nil), texts...), probes...)
+			preds := ens.PredictAll(all)
+			for i, text := range all {
 				want := math.Float64bits(ref.Proba(text))
 				if got := math.Float64bits(m.Proba(text)); got != want {
 					t.Fatalf("seed %d model %d: Proba(%q) bits %#x, reference %#x", seed, k, text, got, want)
@@ -252,8 +253,8 @@ func TestMatchesReference(t *testing.T) {
 						t.Fatalf("seed %d: lone model Proba(%q) bits %#x, reference %#x", seed, text, got, want)
 					}
 				}
-				if got := ens.Predict(text)[k]; got != (ref.Proba(text) >= 0.5) {
-					t.Fatalf("seed %d model %d: Predict(%q) = %v", seed, k, text, got)
+				if got := preds[i][k]; got != (ref.Proba(text) >= 0.5) {
+					t.Fatalf("seed %d model %d: PredictAll on %q = %v", seed, k, text, got)
 				}
 			}
 		}

@@ -8,6 +8,7 @@ import (
 	"repro/internal/brat"
 	"repro/internal/cost"
 	"repro/internal/notebook"
+	"repro/internal/par"
 	"repro/internal/pipeline"
 	"repro/internal/raysim"
 	"repro/internal/relation"
@@ -179,14 +180,14 @@ func (t *Task) Notebook(env *pipeline.Env) pipeline.NotebookDecl {
 		{Name: "wrangle_chunks", Source: srcWrangle, Run: func(k *notebook.Kernel) error {
 			return k.Call("wrangle_chunk", func() error {
 				// Partition pairs round-robin into chunks, one per CPU
-				// slot times four for load balancing.
-				nChunks := env.Workers * 4
-				if nChunks > len(t.cases) {
-					nChunks = len(t.cases)
-				}
-				job := make([]raysim.TaskSpec, 0, nChunks)
+				// slot times four for load balancing. The chunks run
+				// concurrently, each into its own slots, and the first
+				// failing chunk's error is returned, as a serial loop's.
+				nChunks := min(env.Workers*4, len(t.cases))
+				job := make([]raysim.TaskSpec, nChunks)
 				chunkRecords = make([][]Record, nChunks)
-				for ci := 0; ci < nChunks; ci++ {
+				errs := make([]error, nChunks)
+				par.Do(nChunks, func(ci int) {
 					var work cost.Work
 					nRecs := 0 // one record per event
 					for i := ci; i < len(t.cases); i += nChunks {
@@ -201,7 +202,8 @@ func (t *Task) Notebook(env *pipeline.Env) pipeline.NotebookDecl {
 						// parse step consumes rendered text.
 						doc, err := parseAnn(c.ID, brat.Render(c.Ann))
 						if err != nil {
-							return err
+							errs[ci] = err
+							return
 						}
 						nEvents := len(doc.Events)
 						work = work.Add(workParse.Scale(float64(len(doc.Entities) + nEvents)))
@@ -210,13 +212,17 @@ func (t *Task) Notebook(env *pipeline.Env) pipeline.NotebookDecl {
 						sents := splitCaseSentences(c.Text)
 						work = work.Add(workSplit.Scale(float64(len(sents))))
 						work = work.Add(workLink.Scale(float64(nEvents * len(sents))))
-						recs, err = appendCaseRecords(recs, c, sents, ents)
-						if err != nil {
-							return err
+						if recs, errs[ci] = appendCaseRecords(recs, c, sents, ents); errs[ci] != nil {
+							return
 						}
 					}
 					chunkRecords[ci] = recs
-					job = append(job, raysim.TaskSpec{Name: fmt.Sprintf("wrangle-%d", ci), Work: work})
+					job[ci] = raysim.TaskSpec{Name: fmt.Sprintf("wrangle-%d", ci), Work: work}
+				})
+				for _, err := range errs {
+					if err != nil {
+						return err
+					}
 				}
 				return env.RunJob(k, job)
 			})

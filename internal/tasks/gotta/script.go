@@ -5,6 +5,7 @@ import (
 
 	"repro/internal/notebook"
 	"repro/internal/objstore"
+	"repro/internal/par"
 	"repro/internal/pipeline"
 	"repro/internal/raysim"
 	"repro/internal/relation"
@@ -90,22 +91,29 @@ func (t *Task) Notebook(env *pipeline.Env) pipeline.NotebookDecl {
 		}},
 		{Name: "inference", Source: srcInference, Run: func(k *notebook.Kernel) error {
 			return k.Call("run_batch", func() error {
-				job := make([]raysim.TaskSpec, 0, len(t.passages))
-				answers = make([]Answer, 0, t.numQAs())
-				for _, p := range t.passages {
-					job = append(job, raysim.TaskSpec{
+				// One task per passage; passages answer concurrently, into their slots.
+				job := make([]raysim.TaskSpec, len(t.passages))
+				starts := make([]int, len(t.passages))
+				n := 0
+				for pi, p := range t.passages {
+					job[pi] = raysim.TaskSpec{
 						Name:             "batch-" + p.ID,
 						Gets:             []objstore.ID{modelID},
 						FrameworkSeconds: forwardSecondsPerQA * float64(len(p.QAs)),
-					})
+					}
+					starts[pi], n = n, n+len(p.QAs)
+				}
+				answers = make([]Answer, n)
+				par.Do(len(t.passages), func(pi int) {
+					p := &t.passages[pi]
 					for qi, qa := range p.QAs {
 						pred, em := t.generate(qa.Context, qa.Cloze, qa.Answer)
-						answers = append(answers, Answer{
+						answers[starts[pi]+qi] = Answer{
 							Passage: p.ID, QA: qi, Cloze: qa.Cloze,
 							Gold: qa.Answer, Generated: pred, EM: em,
-						})
+						}
 					}
-				}
+				})
 				return env.RunJob(k, job)
 			})
 		}},

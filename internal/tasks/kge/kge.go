@@ -23,6 +23,7 @@ import (
 	"repro/internal/cost"
 	"repro/internal/datagen"
 	"repro/internal/ml/kge"
+	"repro/internal/par"
 	"repro/internal/pipeline"
 	"repro/internal/relation"
 )
@@ -260,11 +261,14 @@ func (t *Task) newTop() *kge.Top[ranked] {
 }
 
 // reverseTop reverse-looks-up each of the top candidates, nearest
-// first, and checks it maps back to its own product.
+// first, and checks it maps back to its own product. The lookups run
+// concurrently, each into its own slot.
 func (t *Task) reverseTop(top []ranked) ([]Recommendation, error) {
+	entities, errs := make([]string, len(top)), make([]error, len(top))
+	par.Do(len(top), func(i int) { entities[i], errs[i] = t.model.ReverseLookup(top[i].vec) })
 	out := make([]Recommendation, 0, len(top))
 	for i, r := range top {
-		entity, err := t.model.ReverseLookup(r.vec)
+		entity, err := entities[i], errs[i]
 		if err != nil {
 			return nil, err
 		}

@@ -13,7 +13,10 @@ import (
 	"repro/internal/cost"
 	"repro/internal/dataflow"
 	"repro/internal/ml/kge"
+	"repro/internal/notebook"
+	"repro/internal/objstore"
 	"repro/internal/pipeline"
+	"repro/internal/raysim"
 	"repro/internal/relation"
 )
 
@@ -413,4 +416,155 @@ func FuzzTopKMatchesSort(f *testing.F) {
 			check(items)
 		}
 	})
+}
+
+// refReverseTop is reverseTop as it was before its lookups ran
+// concurrently: one candidate after another, stopping at the first
+// error. Kept verbatim as the reference reverseTop must reproduce.
+func (t *Task) refReverseTop(top []ranked) ([]Recommendation, error) {
+	out := make([]Recommendation, 0, len(top))
+	for i, r := range top {
+		entity, err := t.model.ReverseLookup(r.vec)
+		if err != nil {
+			return nil, err
+		}
+		if entity != r.asin.Str() {
+			return nil, fmt.Errorf("kge: reverse lookup of %s returned %s", r.asin.Str(), entity)
+		}
+		p := t.world.ProductByASIN(entity)
+		if p == nil {
+			return nil, fmt.Errorf("kge: unknown product %s", entity)
+		}
+		out = append(out, Recommendation{Rank: i + 1, ASIN: entity, Title: p.Title, Dist: r.dist})
+	}
+	return out, nil
+}
+
+// serialTask is the task with its notebook's reverse_lookup cell run by
+// refReverseTop. The score_chunks and rank cells are the task's, copied
+// so that the ranking they share reaches the replaced cell.
+type serialTask struct{ *Task }
+
+func (st serialTask) Notebook(env *pipeline.Env) pipeline.NotebookDecl {
+	const tableID = objstore.ID("kge-embeddings")
+	decl := st.Task.Notebook(env)
+	var top *kge.Top[ranked]
+	var recs []Recommendation
+	for _, c := range decl.Cells {
+		switch c.Name {
+		case "score_chunks":
+			c.Run = func(k *notebook.Kernel) error {
+				return k.Call("score_chunk", func() error {
+					inStock := make([]int, 0, len(st.world.Products))
+					for i, p := range st.world.Products {
+						if p.InStock {
+							inStock = append(inStock, i)
+						}
+					}
+					nChunks := min(env.Workers*4, len(inStock))
+					if nChunks == 0 {
+						return fmt.Errorf("kge: no in-stock candidates")
+					}
+					job := make([]raysim.TaskSpec, 0, nChunks)
+					top = st.newTop()
+					for ci := 0; ci < nChunks; ci++ {
+						n := 0
+						for idx := ci; idx < len(inStock); idx += nChunks {
+							p := st.world.Products[inStock[idx]]
+							emb, err := st.stage2Embedding(p.ASIN)
+							if err != nil {
+								return err
+							}
+							top.Offer(ranked{asin: relation.StringValue(p.ASIN), vec: emb, dist: st.stageDist(emb)})
+							n++
+						}
+						work := workMerge.Add(workDelta).Add(workNorm).Scale(float64(n))
+						job = append(job, raysim.TaskSpec{Name: fmt.Sprintf("score-%d", ci), Work: work, Gets: []objstore.ID{tableID}})
+					}
+					return env.RunJob(k, job)
+				})
+			}
+		case "rank":
+			c.Run = func(k *notebook.Kernel) error {
+				if n := float64(top.Seen()); n > 1 {
+					k.Charge(workSortCmp.Scale(n * math.Log2(n)))
+				}
+				return nil
+			}
+		case "reverse_lookup":
+			c.Run = func(k *notebook.Kernel) error {
+				var err error
+				if recs, err = st.refReverseTop(top.Sorted()); err != nil {
+					return err
+				}
+				k.Charge(workReverse.Scale(float64(len(recs))))
+				return nil
+			}
+		}
+	}
+	decl.Output = func() (*relation.Table, map[string]float64, error) {
+		return RecommendationsToTable(recs), st.quality(recs), nil
+	}
+	return decl
+}
+
+// TestScriptMatchesSerial holds reverseTop to refReverseTop on the
+// ranking of every in-stock candidate, the nearest K and one, with two
+// candidates' vectors swapped so that two lookups fail (the nearer one's
+// error is wanted), and at workers 1, 4 and 32 the whole script run's
+// output digest, quality and simulated seconds against the run of
+// serialTask.
+func TestScriptMatchesSerial(t *testing.T) {
+	for _, products := range []int{40, 1200} {
+		task := newTask(t, products, Variant{})
+		all := kge.NewTop(products, byDistance)
+		for _, p := range task.world.Products {
+			if p.InStock {
+				emb, err := task.stage2Embedding(p.ASIN)
+				if err != nil {
+					t.Fatal(err)
+				}
+				all.Offer(ranked{asin: relation.StringValue(p.ASIN), vec: emb, dist: task.stageDist(emb)})
+			}
+		}
+		ranking := all.Sorted()
+		swapped := slices.Clone(ranking)
+		swapped[3].vec, swapped[7].vec = swapped[7].vec, swapped[3].vec
+		for _, top := range [][]ranked{ranking, ranking[:task.params.TopK], ranking[:1], swapped} {
+			got, err := task.reverseTop(top)
+			want, wantErr := task.refReverseTop(top)
+			if (err == nil) != (wantErr == nil) || err != nil && err.Error() != wantErr.Error() {
+				t.Fatalf("%d products, %d ranked: error %v, reference %v", products, len(top), err, wantErr)
+			}
+			if &top[0] == &swapped[0] && wantErr == nil {
+				t.Fatalf("%d products: swapped vectors looked up without an error", products)
+			}
+			if !slices.Equal(got, want) {
+				t.Fatalf("%d products, %d ranked: recommendations differ from the reference", products, len(top))
+			}
+		}
+		for _, workers := range []int{1, 4, 32} {
+			cfg := core.RunConfig{Workers: workers}
+			got, err := pipeline.Run(task, core.Script, cfg)
+			if err != nil {
+				t.Fatal(err)
+			}
+			want, err := pipeline.Run(serialTask{task}, core.Script, cfg)
+			if err != nil {
+				t.Fatal(err)
+			}
+			name := fmt.Sprintf("%d products, workers %d", products, workers)
+			if relation.Digest(got.Output) != relation.Digest(want.Output) {
+				t.Fatalf("%s: output digest differs from the serial run's", name)
+			}
+			for m, v := range want.Quality {
+				if math.Float64bits(got.Quality[m]) != math.Float64bits(v) {
+					t.Fatalf("%s: %s %v, serial %v", name, m, got.Quality[m], v)
+				}
+			}
+			if math.Float64bits(got.SimSeconds) != math.Float64bits(want.SimSeconds) {
+				t.Fatalf("%s: %v simulated seconds, serial %v", name, got.SimSeconds, want.SimSeconds)
+			}
+		}
+	}
 }

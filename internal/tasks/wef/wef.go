@@ -156,18 +156,17 @@ func (t *Task) trainEnsemble() (*textclf.Ensemble, error) {
 // predictions runs the ensemble over every tweet, producing the
 // canonical output table and quality metrics.
 func (t *Task) predictions(ens *textclf.Ensemble) (*relation.Table, map[string]float64, error) {
+	preds := ens.PredictAll(datagen.Texts(t.tweets))
 	out := relation.NewTable(OutputSchema)
-	_, evalIdx := t.split()
-	var pred, gold [][]bool
 	for i, tw := range t.tweets {
-		p := ens.Predict(tw.Text)
+		p := preds[i]
 		out.AppendUnchecked(relation.Tuple{relation.IntValue(tw.ID), relation.BoolValue(p[0]), relation.BoolValue(p[1]), relation.BoolValue(p[2]), relation.BoolValue(p[3])})
-		for _, ei := range evalIdx {
-			if ei == i {
-				pred = append(pred, p)
-				gold = append(gold, append([]bool(nil), tw.Framings[:]...))
-			}
-		}
+	}
+	_, evalIdx := t.split()
+	pred, gold := make([][]bool, len(evalIdx)), make([][]bool, len(evalIdx))
+	for j, ei := range evalIdx {
+		pred[j] = preds[ei]
+		gold[j] = append([]bool(nil), t.tweets[ei].Framings[:]...)
 	}
 	quality := map[string]float64{}
 	if len(pred) > 0 {

@@ -43,6 +43,11 @@ func (r *Rand) Uint64() uint64 {
 	return z ^ (z >> 31)
 }
 
+// Jump advances r past n draws of Uint64, in O(1).
+func (r *Rand) Jump(n uint64) {
+	r.state += n * gamma
+}
+
 // Intn returns an int uniformly distributed in [0, n). It panics if
 // n <= 0.
 func (r *Rand) Intn(n int) int {

@@ -299,3 +299,18 @@ func TestRangeBounds(t *testing.T) {
 		}
 	}
 }
+
+func TestJumpMatchesDraws(t *testing.T) {
+	for _, seed := range []uint64{0, 1, 7, 1 << 63, math.MaxUint64} {
+		for _, n := range []uint64{0, 1, 2, 1000} {
+			a, b := New(seed), New(seed)
+			for i := uint64(0); i < n; i++ {
+				a.Uint64()
+			}
+			b.Jump(n)
+			if a.state != b.state || a.Uint64() != b.Uint64() {
+				t.Fatalf("seed %d: Jump(%d) left state %#x, %d draws %#x", seed, n, b.state, n, a.state)
+			}
+		}
+	}
+}

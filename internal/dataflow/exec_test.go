@@ -111,20 +111,25 @@ func TestExecHashJoin(t *testing.T) {
 	}
 }
 
+// TestExecParallelHashJoin sends each join worker its build side as
+// one batch (the users in one), as a few (in three) and as more than
+// the instance's inline list holds (row by row, about twelve a worker).
 func TestExecParallelHashJoin(t *testing.T) {
 	users, orders := joinInputs()
-	w := New("pjoin")
-	u := w.Source("users", users)
-	o := w.Source("orders", orders)
-	j := w.Op(NewHashJoin("join", cost.Python, "uid", "uid", relation.Inner), WithParallelism(4))
-	snk := w.Sink("out")
-	w.Connect(u, j, 0, HashPartition("uid"))
-	w.Connect(o, j, 1, HashPartition("uid"))
-	w.Connect(j, snk, 0, RoundRobin())
+	for _, batch := range []int{users.Len(), 17, 1} {
+		w := New("pjoin")
+		u := w.Source("users", users, WithBatchSize(batch))
+		o := w.Source("orders", orders)
+		j := w.Op(NewHashJoin("join", cost.Python, "uid", "uid", relation.Inner), WithParallelism(4))
+		snk := w.Sink("out")
+		w.Connect(u, j, 0, HashPartition("uid"))
+		w.Connect(o, j, 1, HashPartition("uid"))
+		w.Connect(j, snk, 0, RoundRobin())
 
-	res := runSimple(t, w)
-	if !res.Tables["out"].EqualUnordered(joinOracle(t, users, orders)) {
-		t.Fatal("parallel join output mismatch")
+		res := runSimple(t, w)
+		if !res.Tables["out"].EqualUnordered(joinOracle(t, users, orders)) {
+			t.Fatalf("build batches of %d rows: parallel join output mismatch", batch)
+		}
 	}
 }
 

@@ -368,18 +368,24 @@ func (o *HashJoinOp) NewInstance(_ ExecCtx, in []*relation.Schema) (Instance, er
 	if err != nil {
 		return nil, err
 	}
-	ji := &joinInstance{op: o, plan: plan, buildRows: relation.NewTable(in[0])}
+	ji := &joinInstance{op: o, plan: plan}
+	ji.sent = ji.inline[:0]
 	ji.permuted = make(relation.Tuple, len(o.outPerm))
 	return ji, nil
 }
 
 type joinInstance struct {
-	op        *HashJoinOp
-	plan      *relation.JoinPlan // the operator's, shared by its instances
-	buildRows *relation.Table
-	joiner    *relation.Joiner
-	heads     []int32        // scratch: ProbeRows' chain heads
-	permuted  relation.Tuple // scratch: one row in op.outPerm order
+	op   *HashJoinOp
+	plan *relation.JoinPlan // the operator's, shared by its instances
+	// sent holds the build batches as they came: in inline while they
+	// are few, then grown fourfold. Upstream never writes a batch once
+	// emitted, so the joiner indexes them where they are.
+	sent     [][]relation.Tuple
+	inline   [8][]relation.Tuple
+	built    int // rows in sent
+	joiner   relation.Joiner
+	heads    []int32        // scratch: ProbeRows' chain heads
+	permuted relation.Tuple // scratch: one row in op.outPerm order
 
 	// keep, when set by pushFilter, is the predicate of the filter this
 	// join feeds alone: only the rows it accepts are built. dropped and
@@ -411,13 +417,14 @@ func (ji *joinInstance) Process(ec ExecCtx, port int, rows []relation.Tuple) ([]
 	switch port {
 	case 0:
 		ec.AddWork(ji.op.BuildWork.Scale(float64(len(rows))))
-		for _, r := range rows {
-			ji.buildRows.AppendUnchecked(r)
+		if len(ji.sent) == cap(ji.sent) {
+			ji.sent = append(make([][]relation.Tuple, 0, 4*len(ji.sent)), ji.sent...)
 		}
+		ji.sent, ji.built = append(ji.sent, rows), ji.built+len(rows)
 		return nil, nil
 	case 1:
 		w := ji.op.ProbeWork
-		if n := ji.buildRows.Len(); n > 1 {
+		if n := ji.built; n > 1 {
 			w.Mem += ji.op.ProbeMemLog * math.Log2(float64(n))
 		}
 		ec.AddWork(w.Scale(float64(len(rows))))
@@ -439,11 +446,10 @@ func (ji *joinInstance) Process(ec ExecCtx, port int, rows []relation.Tuple) ([]
 	}
 }
 
-// EndPort builds the reusable probe index once the build side is
-// complete.
+// EndPort indexes the build batches once the build side is complete.
 func (ji *joinInstance) EndPort(ec ExecCtx, port int) ([]relation.Tuple, error) {
 	if port == 0 {
-		ji.joiner = ji.plan.NewJoiner(ji.buildRows, ji.op.Kind)
+		ji.joiner = ji.plan.Build(ji.op.Kind, ji.sent...)
 	}
 	return nil, nil
 }

@@ -453,3 +453,46 @@ func TestJoinInstancesShareOnePlan(t *testing.T) {
 		t.Fatal("a second OutputSchema call planned the join again")
 	}
 }
+
+// TestJoinInstanceAllocBudget bounds the heap objects one join instance
+// allocates from NewInstance through EndPort(0), its build side sent as
+// one batch, as three and as fifty, one row each: the instance keeps the
+// batches it is sent (a lone one is indexed in place, several are
+// copied once) and the index is one []int32. Fifty batches outgrow the
+// eight-batch inline list and grow it twice, fourfold each time. With a
+// table of its own, regrown row by row, and a map index, an instance
+// took 16 objects for each of the three.
+func TestJoinInstanceAllocBudget(t *testing.T) {
+	users, orders := joinInputs()
+	join := NewHashJoin("join", cost.Python, "uid", "uid", relation.Inner)
+	in := []*relation.Schema{users.Schema(), orders.Schema()}
+	for _, c := range []struct {
+		parts  int
+		budget float64
+	}{{1, 2}, {3, 3}, {50, 5}} {
+		rows := users.Rows()
+		batches := make([][]relation.Tuple, c.parts)
+		for p := range batches {
+			batches[p] = rows[p*len(rows)/c.parts : (p+1)*len(rows)/c.parts]
+		}
+		ec := &nopCtx{}
+		got := testing.AllocsPerRun(20, func() {
+			inst, err := join.NewInstance(ec, in)
+			if err != nil {
+				t.Fatal(err)
+			}
+			for _, b := range batches {
+				if _, err := inst.Process(ec, 0, b); err != nil {
+					t.Fatal(err)
+				}
+			}
+			if _, err := inst.EndPort(ec, 0); err != nil {
+				t.Fatal(err)
+			}
+		})
+		t.Logf("build side in %d batches: %v objects", c.parts, got)
+		if got > c.budget {
+			t.Errorf("a join instance built over %d batches allocated %v objects, budget %v", c.parts, got, c.budget)
+		}
+	}
+}

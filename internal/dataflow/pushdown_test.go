@@ -227,8 +227,18 @@ func (l *workLog) Out() *relation.Arena { return &l.out }
 
 // A fused join+filter binds the filter's predicate into the join and
 // hands it the dropped count: batch for batch, it emits the rows and
-// charges the work of the join and the filter run back to back.
+// charges the work of the join and the filter run back to back. The
+// build side comes as one batch, as three, and as more than the join
+// instance's inline list holds.
 func TestFusedJoinFilterMatchesUnfused(t *testing.T) {
+	for _, parts := range []int{1, 3, 9} {
+		t.Run(fmt.Sprintf("build in %d batches", parts), func(t *testing.T) {
+			fusedJoinFilterMatchesUnfused(t, parts)
+		})
+	}
+}
+
+func fusedJoinFilterMatchesUnfused(t *testing.T, parts int) {
 	users, orders := joinInputs()
 	var calls atomic.Int64
 	join := NewHashJoin("join", cost.Python, "uid", "uid", relation.Inner)
@@ -244,8 +254,11 @@ func TestFusedJoinFilterMatchesUnfused(t *testing.T) {
 		inst Instance
 		log  *workLog
 	}{{fused, &fusedLog}, {joinInst, &plainLog}} {
-		if _, err := c.inst.Process(c.log, 0, users.Rows()); err != nil {
-			t.Fatal(err)
+		rows := users.Rows()
+		for p := 0; p < parts; p++ {
+			if _, err := c.inst.Process(c.log, 0, rows[p*len(rows)/parts:(p+1)*len(rows)/parts]); err != nil {
+				t.Fatal(err)
+			}
 		}
 		if _, err := c.inst.EndPort(c.log, 0); err != nil {
 			t.Fatal(err)

@@ -222,8 +222,9 @@ func raceBuild() bool {
 // timings drift 10–18 % on shared runners, bytes and object counts do
 // not. Each run is measured warm, datagen included.
 //
-// A DICE-50 workflow run at 4 workers allocates about 1.5 MB in
-// 1.65–1.8 k objects, of a 1,610,000-byte and 2,100-object budget.
+// A DICE-50 workflow run at 4 workers allocates about 1.4 MB in
+// 1.36–1.37 k objects (1.41–1.42 k under the race detector), of a
+// 1,610,000-byte and 1,480-object budget.
 // (With the join's fixed 1024-row output arena per probe batch the same
 // run allocated 82.4 MB; with map UDFs returning a slice per row, the
 // router building a key string per row and lowering naming every job it
@@ -239,21 +240,26 @@ func raceBuild() bool {
 // per edge, 1.7 MB in 2.8 k; with jobs that carried an ID, a name and
 // a pool name into a scheduler that mapped them back to positions,
 // 1.64–1.70 MB in 2.5 k; with an arena source per operator, each
-// keeping the empty tail of its own last chunk, 2.33–2.45 k objects.)
+// keeping the empty tail of its own last chunk, 2.33–2.45 k objects;
+// with each join instance copying its build side row by row into a
+// table of its own and keying it through a Go map, 1.50–1.52 k.)
 //
 // The same run at 32 workers on 4 nodes has hundreds of operator
 // instances that see one or two batches each, so it pins the empty tail
-// the run's last arena chunk leaves: it takes 2.0 MB of a
+// the run's last arena chunk leaves: it takes 1.8 MB of a
 // 2,600,000-byte budget (2.2 MB with jobs that carried IDs and names;
 // a budget 5 % over this run's readings would not fail that build, so
 // it stays); arenas whose chunks never fell below 16 rows
 // took 3.1 MB, and a join building the rows its filter rejects 2.7 MB.
-// It also pins what an operator allocates per worker: 3.32–3.35 k
-// objects (3.47–3.49 k under the race detector) of a 4,000 budget. A
+// It also pins what an operator allocates per worker: 2.40–2.44 k
+// objects (2.56–2.61 k under the race detector) of a 2,900 budget. A
 // worker is a slot that the run's GOMAXPROCS runners step, and a node's
 // in-port queues take their first rings from one block, so the reading
-// moves by about ten objects from run to run. With a goroutine, a
-// wake-up channel and a ring of its own per worker it read 4.9–5.4 k
+// moves by a few dozen objects from run to run. With each join
+// instance copying its build side into a table of its own, regrown row
+// by row, and keying it through a Go map, it read 3.32–3.35 k. With a
+// goroutine, a wake-up channel and a ring of its own per worker it read
+// 4.9–5.4 k
 // (goroutine starts and channel waits moved it by ±300); with an arena
 // source per operator instead of one per run as well, 5.4–6.0 k; with an
 // edge queue and a router goroutine per edge, 6.0 k; with an output
@@ -272,8 +278,8 @@ func TestDiceWorkflowAllocBudget(t *testing.T) {
 		byteBudget uint64
 		objBudget  uint64
 	}{
-		{core.RunSpec{Task: "dice", Paradigm: "workflow", Size: 50, Seed: 1, Workers: 4}, 1_610_000, 2_100},
-		{core.RunSpec{Task: "dice", Paradigm: "workflow", Size: 50, Seed: 1, Workers: 32, Nodes: 4}, 2_600_000, 4_000},
+		{core.RunSpec{Task: "dice", Paradigm: "workflow", Size: 50, Seed: 1, Workers: 4}, 1_610_000, 1_480},
+		{core.RunSpec{Task: "dice", Paradigm: "workflow", Size: 50, Seed: 1, Workers: 32, Nodes: 4}, 2_600_000, 2_900},
 	} {
 		run := func() (bytes, objects uint64) {
 			var before, after runtime.MemStats

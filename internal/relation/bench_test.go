@@ -140,3 +140,24 @@ func BenchmarkSortBy(b *testing.B) {
 		b.StopTimer()
 	}
 }
+
+// BenchmarkJoinBuildStrings builds the index over 2,048 string keys
+// shaped like the DICE workflow's "case|T<n>" entity keys, which differ
+// only in their last bytes: a slot hash whose top bits barely see those
+// bytes crowds them into a few runs of slots.
+func BenchmarkJoinBuildStrings(b *testing.B) {
+	s := MustSchema(Field{"ekey", String}, Field{"start", Int})
+	right := NewTable(s)
+	for i := 0; i < 2048; i++ {
+		right.AppendUnchecked(Tuple{StringValue(fmt.Sprintf("case-%04d|T%d", i/8, i%8+1)), IntValue(int64(i))})
+	}
+	plan, err := PlanJoin(MustSchema(Field{"k", String}), s, "k", "ekey")
+	if err != nil {
+		b.Fatal(err)
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		plan.Build(Inner, right.Rows())
+	}
+}

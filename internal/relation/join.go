@@ -2,15 +2,15 @@ package relation
 
 import (
 	"fmt"
-	"math"
+	"hash/maphash"
+	"math/bits"
 	"slices"
 )
 
 // This file holds the shared machinery behind the equi-join variants:
 // a JoinPlan (schema work done once, shared by every Joiner built from
-// it), a typed, chained build index (one map per join, no
-// canonical-string key allocation on the hot path, no allocation per
-// key), and the Joiner, which separates the build phase
+// it), a flat build index (one []int32 per join, no allocation per key
+// or per row), and the Joiner, which separates the build phase
 // from probing so streaming callers can build once and probe many
 // batches. The index is built serially: a parallel hash join gets its
 // parallelism from its operator's instances, each of which builds one
@@ -29,6 +29,7 @@ type JoinPlan struct {
 	rightPos []int
 	out      *Schema
 	padding  Tuple // zero values for unmatched LeftOuter rows
+	padBytes int64 // the padding's encoded cell bytes
 }
 
 // PlanJoin resolves key positions and derives the output schema:
@@ -76,113 +77,29 @@ func PlanJoin(left, right *Schema, leftKey, rightKey string) (*JoinPlan, error) 
 			padding[i] = BoolValue(false)
 		}
 	}
-	return &JoinPlan{lk: lk, rk: rk, rightPos: rightPos, out: out, padding: padding}, nil
-}
-
-// keyIndex maps a probe row to the first build row sharing its key. The
-// rest of the key's rows follow on the Joiner's next chain, in build
-// order.
-type keyIndex interface {
-	insert(rows []Tuple, pos int, next []int32)
-	head(row Tuple, pos int) int32
-}
-
-// typedIndex is the generic key index: one map from a key, in the
-// column's native Go type, to its first build row, plus a lazily
-// allocated canonical-string spill map for rows whose cell kind does
-// not match the declared schema type (such rows can only ever match
-// each other, exactly as under the canonical-key encoding the serial
-// join used before). A map holds an int32 per key, so the index is a
-// constant number of objects however many keys there are.
-type typedIndex[K comparable] struct {
-	get   func(Tuple, int) (K, bool)
-	heads map[K]int32
-	spill map[string]int32
-}
-
-// link makes build row i the head of its key's chain. Rows are linked
-// in descending order, so each chain runs in build order.
-func link[K comparable](m map[K]int32, k K, i int32, next []int32) {
-	if h, ok := m[k]; ok {
-		next[i] = h
-	} else {
-		next[i] = -1
-	}
-	m[k] = i
-}
-
-func (ix *typedIndex[K]) insert(rows []Tuple, pos int, next []int32) {
-	ix.heads = make(map[K]int32, len(rows))
-	for i := len(rows) - 1; i >= 0; i-- {
-		if k, ok := ix.get(rows[i], pos); ok {
-			link(ix.heads, k, int32(i), next)
-			continue
-		}
-		if ix.spill == nil {
-			ix.spill = make(map[string]int32)
-		}
-		link(ix.spill, rows[i].Key(pos), int32(i), next)
-	}
-}
-
-func (ix *typedIndex[K]) head(row Tuple, pos int) int32 {
-	k, ok := ix.get(row, pos)
-	if !ok {
-		if h, ok := ix.spill[row.Key(pos)]; ok {
-			return h
-		}
-		return -1
-	}
-	if h, ok := ix.heads[k]; ok {
-		return h
-	}
-	return -1
-}
-
-// newKeyIndex picks the typed index for the declared key type. A Float
-// key is its canonical bits — every NaN one value, -0 and +0 two — the
-// equivalence Tuple.Key, KeyHash, GroupBy and hash edges use, so a
-// Float join agrees with the NestedLoopJoin oracle.
-func newKeyIndex(t Type) keyIndex {
-	switch t {
-	case Int:
-		return &typedIndex[int64]{
-			get: func(r Tuple, p int) (int64, bool) { return int64(r[p].n), r[p].Kind() == Int },
-		}
-	case Float:
-		return &typedIndex[uint64]{
-			get: func(r Tuple, p int) (uint64, bool) {
-				return canonFloatBits(math.Float64frombits(r[p].n)), r[p].Kind() == Float
-			},
-		}
-	case Bool:
-		return &typedIndex[bool]{
-			get: func(r Tuple, p int) (bool, bool) { return r[p].n != 0, r[p].Kind() == Bool },
-		}
-	default:
-		return &typedIndex[string]{
-			get: func(r Tuple, p int) (string, bool) {
-				if r[p].Kind() != String {
-					return "", false
-				}
-				return r[p].Str(), true
-			},
-		}
-	}
+	return &JoinPlan{lk: lk, rk: rk, rightPos: rightPos, out: out, padding: padding, padBytes: cellBytes(padding)}, nil
 }
 
 // Joiner is a reusable equi-join with the build phase done up front:
 // construct it once over the build (right) side, then probe whole
-// tables or successive row batches. Streaming callers (the dataflow
-// hash-join operator) avoid rebuilding the hash table per batch. The
-// build side is a chained index: the key maps give each key's first
-// row and next gives, per build row, the next row with its key (-1
-// ends the chain). A Joiner is read-only once built.
+// tables or successive row batches. The build side is one flat
+// open-addressing index in a single []int32: slots, a power-of-two
+// table of more than twice the build rows holding each key's first row
+// (-1 when empty; a key whose slot is taken goes to the next), next,
+// per build row the next row with its key (-1 ends the chain), and
+// size, per build row the encoded bytes of its cells but the key (under
+// 2 GiB). Keys meet by equalValueCanon — every NaN one key, -0 and +0
+// two, a mis-kinded cell only cells of its own kind, as in Tuple.Key —
+// and take their slot from slotHash, never Tuple.KeyHash, which the
+// keys of one hash edge's worker share. A Joiner is read-only once
+// built.
 type Joiner struct {
 	plan  *JoinPlan
 	kind  JoinType
-	ix    keyIndex
+	shift uint // 64 − log2(len(slots))
+	slots []int32
 	next  []int32
+	size  []int32
 	build []Tuple
 }
 
@@ -197,16 +114,75 @@ func NewJoiner(leftSchema *Schema, right *Table, leftKey, rightKey string, kind 
 	if err != nil {
 		return nil, err
 	}
-	return plan.NewJoiner(right, kind), nil
+	j := plan.Build(kind, right.Rows())
+	return &j, nil
 }
 
-// NewJoiner builds the hash index over right, whose rows follow the
-// right schema p was planned for, serially, on the calling goroutine.
-func (p *JoinPlan) NewJoiner(right *Table, kind JoinType) *Joiner {
-	ix := newKeyIndex(right.Schema().Field(p.rk).Type)
-	next := make([]int32, right.Len())
-	ix.insert(right.Rows(), p.rk, next)
-	return &Joiner{plan: p, kind: kind, ix: ix, next: next, build: right.Rows()}
+// Build indexes the build side, whose rows follow the right schema p
+// was planned for, serially, on the calling goroutine. The rows come as
+// the batches a stream delivered them in: a lone batch is indexed in
+// place, several are copied once into one slice of exactly their rows.
+// The Joiner keeps the rows, which must not be written while it is
+// probed.
+func (p *JoinPlan) Build(kind JoinType, batches ...[]Tuple) Joiner {
+	j, n := Joiner{plan: p, kind: kind}, 0
+	for _, b := range batches {
+		n += len(b)
+	}
+	if len(batches) == 1 {
+		j.build = batches[0]
+	} else {
+		j.build = make([]Tuple, 0, n)
+		for _, b := range batches {
+			j.build = append(j.build, b...)
+		}
+	}
+	log := bits.Len(uint(2 * n))
+	index := make([]int32, 1<<log+2*n)
+	j.shift = uint(64 - log)
+	j.slots, j.next, j.size = index[:1<<log], index[1<<log:1<<log+n], index[1<<log+n:]
+	for i := range j.slots {
+		j.slots[i] = -1
+	}
+	// Rows are linked in descending order, so each chain runs in build
+	// order.
+	for i := n - 1; i >= 0; i-- {
+		row := j.build[i]
+		s := j.slot(row[p.rk])
+		j.next[i], j.slots[s] = j.slots[s], int32(i)
+		j.size[i] = int32(cellBytes(row) - cellBytes(row[p.rk:p.rk+1]))
+	}
+	return j
+}
+
+// slotSeed seeds slotHash for strings. It moves keys between slots,
+// never a row within its chain, so no output depends on it.
+var slotSeed = maphash.MakeSeed()
+
+// slotHash hashes a key's canonical form, so that keys equalValueCanon
+// finds equal hash alike: a string's bytes through hash/maphash, and a
+// number's canonFloatBits or bits (or a bool's) folded and multiplied so
+// that the top bits see every bit. Keys of two kinds may collide.
+func slotHash(key Value) uint64 {
+	h := key.n
+	switch key.Kind() {
+	case String:
+		return maphash.String(slotSeed, key.Str())
+	case Float:
+		h = canonFloatBits(key.Float())
+	}
+	return (h ^ h>>32) * 0x9e3779b97f4a7c15
+}
+
+// slot returns the slot holding the first build row with key, or the
+// empty slot where that row would go.
+func (j *Joiner) slot(key Value) uint64 {
+	mask := uint64(len(j.slots) - 1)
+	for s := slotHash(key) >> j.shift; ; s = (s + 1) & mask {
+		if r := j.slots[s]; r < 0 || equalValueCanon(j.build[r][j.plan.rk], key) {
+			return s
+		}
+	}
 }
 
 // OutputSchema returns the join output schema.
@@ -259,7 +235,7 @@ func (j *Joiner) ProbeRows(out *Arena, heads []int32, rows []Tuple, keep Predica
 	right := len(j.plan.rightPos)
 	n, cells := 0, 0
 	for i, l := range rows {
-		h := j.ix.head(l, j.plan.lk)
+		h := j.slots[j.slot(l[j.plan.lk])]
 		if h < 0 && j.kind == LeftOuter {
 			h = padded
 		}
@@ -288,7 +264,9 @@ func (j *Joiner) ProbeRows(out *Arena, heads []int32, rows []Tuple, keep Predica
 // judge assembles each of the batch's candidate rows in out's scratch
 // row, records keep's verdict on it in out.kept, and returns the count
 // and cells of the kept candidates and the count and encoded bytes of
-// the rejected ones.
+// the rejected ones. A rejected row's bytes are counted, not walked:
+// its header, its probe row's cell bytes (counted once per probe row)
+// and the build row's, stored when it was indexed.
 func (j *Joiner) judge(out *Arena, heads []int32, rows []Tuple, keep Predicate, candidates int) (n, cells, dropped int, droppedBytes int64) {
 	out.kept = slices.Grow(out.kept[:0], candidates)
 	for i, l := range rows {
@@ -297,6 +275,7 @@ func (j *Joiner) judge(out *Arena, heads []int32, rows []Tuple, keep Predicate, 
 			out.scratch = make(Tuple, w)
 		}
 		row := out.scratch[:w]
+		probeBytes := int64(-1)
 		for r := heads[i]; r != -1; r = j.after(r) {
 			j.fill(row, l, r)
 			ok := keep(row)
@@ -304,9 +283,17 @@ func (j *Joiner) judge(out *Arena, heads []int32, rows []Tuple, keep Predicate, 
 			if ok {
 				n++
 				cells += w
+				continue
+			}
+			if probeBytes < 0 {
+				probeBytes = int64(uvarintLen(uint64(w))) + cellBytes(l)
+			}
+			dropped++
+			droppedBytes += probeBytes
+			if r == padded {
+				droppedBytes += j.plan.padBytes
 			} else {
-				dropped++
-				droppedBytes += EncodedSize(row)
+				droppedBytes += int64(j.size[r])
 			}
 		}
 	}

@@ -3,6 +3,7 @@ package relation
 import (
 	"fmt"
 	"math"
+	"math/rand/v2"
 	"runtime"
 	"strings"
 	"testing"
@@ -355,24 +356,37 @@ func joinFuzzCell(t Type, v byte) Value {
 	return StringValue(fmt.Sprintf("k%d", v))
 }
 
-// FuzzJoinerMatchesReference holds the chained index to the index it
-// replaced (reference_test.go): random build and probe sides with
-// repeated keys and mis-kinded key cells (the spill path), every key
-// type, Inner and LeftOuter, a reference of 1..8 shards, probed in
-// batches through one arena. The rows must be identical and in
-// identical order. Float keys are held to NestedLoopJoin instead,
-// because the reference keeps the float == bug
+// splitRows cuts rows into parts batches of near-equal length, some of
+// them empty when there are fewer rows than parts.
+func splitRows(rows []Tuple, parts int) [][]Tuple {
+	batches := make([][]Tuple, parts)
+	for p := range batches {
+		batches[p] = rows[p*len(rows)/parts : (p+1)*len(rows)/parts]
+	}
+	return batches
+}
+
+// FuzzJoinerMatchesReference holds the flat index to the partitioned
+// index the chained one replaced (reference_test.go): random build and
+// probe sides with repeated keys and mis-kinded key cells, every key
+// type, Inner and LeftOuter, a reference of 1..8 shards, the build side
+// delivered as 1..6 batches, probed in batches through one arena. The
+// rows must be identical and in identical order. Float keys are held to
+// NestedLoopJoin instead, because the reference keeps the float == bug
 // TestFloatKeyJoinMatchesNestedLoop pins.
 func FuzzJoinerMatchesReference(f *testing.F) {
 	f.Add([]byte{0, 0, 0, 3, 0, 1, 1, 1, 0, 2, 1, 2, 6, 1, 0, 1, 2, 9})
 	f.Add([]byte{1, 1, 2, 2, 0, 0, 1, 0, 0, 2, 1, 2, 0, 3, 1, 3, 6, 0, 7, 0})
 	f.Add([]byte{2, 1, 7, 1, 0, 5, 1, 5, 1, 5, 6, 5, 7, 5, 0, 0, 1, 0})
 	f.Add([]byte{3, 0, 4, 4, 0, 1, 1, 1, 1, 0, 6, 1, 0, 0, 1, 1})
+	f.Add([]byte{0, 1, 1, 27, 1, 0, 1, 1, 1, 1, 0, 1, 1, 2, 7, 1, 0, 2, 1, 0, 1, 9})
+	f.Add([]byte{1, 0, 0, 12, 1, 2, 1, 3, 0, 2, 1, 2, 1, 0, 15, 3, 0, 0, 1, 1})
 	f.Fuzz(func(t *testing.T, data []byte) {
 		if len(data) < 4 {
 			return
 		}
 		keyType, kind, shards, batch := Type(data[0]%4), JoinType(data[1]%2), 1+int(data[2]%8), 1+int(data[3]%5)
+		parts := 1 + int(data[3]/5%6) // build batches
 		ls := MustSchema(Field{"k", keyType}, Field{"l", Int})
 		rs := MustSchema(Field{"r", Int}, Field{"k", keyType})
 		left, right := NewTable(ls), NewTable(rs)
@@ -390,10 +404,11 @@ func FuzzJoinerMatchesReference(f *testing.F) {
 				right.AppendUnchecked(Tuple{IntValue(int64(i)), k})
 			}
 		}
-		j, err := NewJoiner(ls, right, "k", "k", kind)
+		plan, err := PlanJoin(ls, rs, "k", "k")
 		if err != nil {
 			t.Fatal(err)
 		}
+		j := plan.Build(kind, splitRows(right.Rows(), parts)...)
 		var (
 			a     Arena
 			got   []Tuple
@@ -419,4 +434,99 @@ func FuzzJoinerMatchesReference(f *testing.F) {
 		}
 		sameRows(t, "against the reference", got, ref.ProbeRows(nil, rows))
 	})
+}
+
+// TestFlatIndexMatchesChainedIndex holds every probe key's chain in the
+// flat index — its head, then next — to the chained index it replaced
+// (reference_test.go), row number for row number. Build tables are
+// random over all four key types, with mis-kinded key cells, both NaN
+// payloads, both zeros and repeated keys, from empty to a few hundred
+// rows; the probe keys are every cell of every kind the builds draw
+// from.
+func TestFlatIndexMatchesChainedIndex(t *testing.T) {
+	var probes []Value
+	for _, k := range []Type{Int, Float, Bool, String} {
+		for v := 0; v < 12; v++ {
+			probes = append(probes, joinFuzzCell(k, byte(v)))
+		}
+	}
+	rng := rand.New(rand.NewPCG(1, 2))
+	for _, keyType := range []Type{Int, Float, Bool, String} {
+		for _, n := range []int{0, 1, 2, 7, 64, 300} {
+			rs := MustSchema(Field{"r", Int}, Field{"k", keyType})
+			right := NewTable(rs)
+			for i := 0; i < n; i++ {
+				cellType := keyType
+				if rng.IntN(5) == 0 {
+					cellType = Type(rng.IntN(4))
+				}
+				right.AppendUnchecked(Tuple{IntValue(int64(i)), joinFuzzCell(cellType, byte(rng.IntN(12)))})
+			}
+			j, err := NewJoiner(MustSchema(Field{"k", keyType}), right, "k", "k", Inner)
+			if err != nil {
+				t.Fatal(err)
+			}
+			ref := newKeyIndex(keyType)
+			refNext := make([]int32, n)
+			ref.insert(right.Rows(), 1, refNext)
+			for _, key := range probes {
+				want := ref.head(Tuple{key}, 0)
+				got := j.slots[j.slot(key)]
+				for step := 0; ; step++ {
+					if got != want {
+						t.Fatalf("%s key, %d build rows: probe %v (%s): row %d of its chain is %d, want %d", keyType, n, key, key.Kind(), step, got, want)
+					}
+					if got < 0 {
+						break
+					}
+					got, want = j.next[got], refNext[want]
+				}
+			}
+		}
+	}
+}
+
+// TestDroppedBytesCountRejectedRows holds droppedBytes, which counts a
+// rejected row from its parts, to EncodedSize of each rejected row as
+// keep saw it assembled: LeftOuter, so padded rows are rejected too,
+// over build and probe cells of every kind and of widths whose length
+// prefixes take one and two bytes.
+func TestDroppedBytesCountRejectedRows(t *testing.T) {
+	ls := MustSchema(Field{"k", Int}, Field{"l", String}, Field{"b", Bool})
+	rs := MustSchema(Field{"s", String}, Field{"k", Int}, Field{"f", Float}, Field{"r", String})
+	left, right := NewTable(ls), NewTable(rs)
+	for i := 0; i < 60; i++ {
+		left.AppendUnchecked(Tuple{IntValue(int64(i % 25)), StringValue(strings.Repeat("l", i*7)), BoolValue(i%2 == 0)})
+		right.AppendUnchecked(Tuple{StringValue(strings.Repeat("s", i*5)), IntValue(int64(i % 20)), FloatValue(float64(i)), StringValue(strings.Repeat("r", 140-i))})
+	}
+	j, err := NewJoiner(ls, right, "k", "k", LeftOuter)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var (
+		want    int64
+		judged  int
+		a       Arena
+		heads   []int32
+		dropped int
+		bytes   int64
+	)
+	keep := func(row Tuple) bool {
+		judged++
+		if judged%3 == 0 {
+			return true
+		}
+		want += EncodedSize(row)
+		return false
+	}
+	rows := left.Rows()
+	for lo := 0; lo < len(rows); lo += 8 {
+		var n int
+		var b int64
+		_, heads, n, b = j.ProbeRows(&a, heads, rows[lo:min(lo+8, len(rows))], keep)
+		dropped, bytes = dropped+n, bytes+b
+	}
+	if dropped == 0 || dropped == judged || bytes != want {
+		t.Fatalf("%d of %d rows dropped in %d B, want some of them in %d B", dropped, judged, bytes, want)
+	}
 }

@@ -357,6 +357,104 @@ func FuzzTupleMatchesReference(f *testing.F) {
 	})
 }
 
+// The chained index the flat one replaced, kept verbatim as the oracle
+// TestFlatIndexMatchesChainedIndex holds every probe key's chain to:
+// one Go map per join from a key in its column's Go type to the key's
+// first build row, a canonical-string spill map for mis-kinded cells,
+// and a next chain in build order.
+
+// keyIndex maps a probe row to the first build row sharing its key. The
+// rest of the key's rows follow on the Joiner's next chain, in build
+// order.
+type keyIndex interface {
+	insert(rows []Tuple, pos int, next []int32)
+	head(row Tuple, pos int) int32
+}
+
+// typedIndex is the generic key index: one map from a key, in the
+// column's native Go type, to its first build row, plus a lazily
+// allocated canonical-string spill map for rows whose cell kind does
+// not match the declared schema type (such rows can only ever match
+// each other, exactly as under the canonical-key encoding the serial
+// join used before). A map holds an int32 per key, so the index is a
+// constant number of objects however many keys there are.
+type typedIndex[K comparable] struct {
+	get   func(Tuple, int) (K, bool)
+	heads map[K]int32
+	spill map[string]int32
+}
+
+// link makes build row i the head of its key's chain. Rows are linked
+// in descending order, so each chain runs in build order.
+func link[K comparable](m map[K]int32, k K, i int32, next []int32) {
+	if h, ok := m[k]; ok {
+		next[i] = h
+	} else {
+		next[i] = -1
+	}
+	m[k] = i
+}
+
+func (ix *typedIndex[K]) insert(rows []Tuple, pos int, next []int32) {
+	ix.heads = make(map[K]int32, len(rows))
+	for i := len(rows) - 1; i >= 0; i-- {
+		if k, ok := ix.get(rows[i], pos); ok {
+			link(ix.heads, k, int32(i), next)
+			continue
+		}
+		if ix.spill == nil {
+			ix.spill = make(map[string]int32)
+		}
+		link(ix.spill, rows[i].Key(pos), int32(i), next)
+	}
+}
+
+func (ix *typedIndex[K]) head(row Tuple, pos int) int32 {
+	k, ok := ix.get(row, pos)
+	if !ok {
+		if h, ok := ix.spill[row.Key(pos)]; ok {
+			return h
+		}
+		return -1
+	}
+	if h, ok := ix.heads[k]; ok {
+		return h
+	}
+	return -1
+}
+
+// newKeyIndex picks the typed index for the declared key type. A Float
+// key is its canonical bits — every NaN one value, -0 and +0 two — the
+// equivalence Tuple.Key, KeyHash, GroupBy and hash edges use, so a
+// Float join agrees with the NestedLoopJoin oracle.
+func newKeyIndex(t Type) keyIndex {
+	switch t {
+	case Int:
+		return &typedIndex[int64]{
+			get: func(r Tuple, p int) (int64, bool) { return int64(r[p].n), r[p].Kind() == Int },
+		}
+	case Float:
+		return &typedIndex[uint64]{
+			get: func(r Tuple, p int) (uint64, bool) {
+				return canonFloatBits(math.Float64frombits(r[p].n)), r[p].Kind() == Float
+			},
+		}
+	case Bool:
+		return &typedIndex[bool]{
+			get: func(r Tuple, p int) (bool, bool) { return r[p].n != 0, r[p].Kind() == Bool },
+		}
+	default:
+		return &typedIndex[string]{
+			get: func(r Tuple, p int) (string, bool) {
+				if r[p].Kind() != String {
+					return "", false
+				}
+				return r[p].Str(), true
+			},
+		}
+	}
+}
+
 // The join index and probe that the chained index replaced, kept
 // verbatim (renamed) as the oracle FuzzJoinerMatchesReference compares
 // Joiner against: one []int32 of build rows per distinct key, a probe

@@ -121,7 +121,11 @@ func DecodeTuple(src []byte) (Tuple, int, error) {
 // EncodedSize returns the number of bytes EncodeTuple would produce,
 // without allocating the encoding.
 func EncodedSize(t Tuple) int64 {
-	size := int64(uvarintLen(uint64(len(t))))
+	return int64(uvarintLen(uint64(len(t)))) + cellBytes(t)
+}
+
+// cellBytes is EncodedSize without the row's length header.
+func cellBytes(t Tuple) (size int64) {
 	for _, v := range t {
 		switch v.Kind() {
 		case Int, Float:

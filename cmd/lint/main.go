@@ -30,6 +30,7 @@ var ruleDocs = map[string]string{
 	analysis.RuleMapOrder:  "map-range order leaking into returned slices or serialized output",
 	analysis.RuleGoroutine: "goroutine launch without a join barrier in sim/dataflow/lineage",
 	analysis.RuleErrDrop:   "discarded error return on the serde/objstore/lineage hot paths",
+	analysis.RuleTestOnly:  "non-test declaration that no reached non-test code references",
 }
 
 func main() {

@@ -9,7 +9,9 @@
 // do not join through a barrier, discarded error returns on the
 // serde/objstore/lineage hot paths, float accumulation inside map-range
 // loops (rounding makes the sum order-dependent), and time.Sleep used
-// as cross-goroutine synchronization.
+// as cross-goroutine synchronization. One more rule, testonly, keeps
+// the product's surface what the product calls: it flags a non-test
+// declaration that no reached non-test code in the module references.
 //
 // The linter is deliberately self-contained: it resolves same-module
 // imports from source and stubs everything else, so it needs neither a
@@ -56,11 +58,14 @@ const (
 	// RuleSleepSync flags time.Sleep in functions that launch
 	// goroutines — sleep-based synchronization races the scheduler.
 	RuleSleepSync = "sleepsync"
+	// RuleTestOnly flags package-level declarations that no non-test
+	// code in the module references.
+	RuleTestOnly = "testonly"
 )
 
 // Rules lists every lint rule ID, sorted, for -rules output and docs.
 func Rules() []string {
-	return []string{RuleErrDrop, RuleFloatOrder, RuleGoroutine, RuleMapOrder, RuleRand, RuleSleepSync, RuleWallclock}
+	return []string{RuleErrDrop, RuleFloatOrder, RuleGoroutine, RuleMapOrder, RuleRand, RuleSleepSync, RuleTestOnly, RuleWallclock}
 }
 
 // Finding is one structured lint diagnostic.

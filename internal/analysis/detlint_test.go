@@ -2,6 +2,7 @@ package analysis_test
 
 import (
 	"bufio"
+	"fmt"
 	"os"
 	"path/filepath"
 	"sort"
@@ -96,10 +97,72 @@ func TestFixtures(t *testing.T) {
 		})
 	}
 	for _, rule := range analysis.Rules() {
-		if !seenRule[rule] {
+		if !seenRule[rule] && rule != analysis.RuleTestOnly {
 			t.Errorf("rule %s never fired across the fixtures", rule)
 		}
 	}
+}
+
+// TestTestOnlyFixture lints the module under testdata/src/testonly
+// and requires its findings to match the `// want testonly` markers:
+// what only tests, a test-support package or the declaration itself
+// reach is flagged; what main reaches, a method an interface or the
+// standard library may call, and an allowed declaration are not.
+// Linting one package alone reports the same findings.
+func TestTestOnlyFixture(t *testing.T) {
+	root, err := filepath.Abs(filepath.Join("testdata", "src", "testonly"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	cfg := analysis.Config{ModuleRoot: root, ModulePath: "fixture"}
+	dirs, err := analysis.ExpandPatterns(root, []string{"./..."})
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := make(map[string]bool)
+	var files []string
+	for _, dir := range dirs {
+		names, _ := filepath.Glob(filepath.Join(dir, "*.go"))
+		files = append(files, names...)
+	}
+	for _, name := range files {
+		for line, rules := range wantMarkers(t, name) {
+			for _, rule := range rules {
+				want[fmt.Sprintf("%s:%d:%s", name, line, rule)] = true
+			}
+		}
+	}
+	if len(want) == 0 {
+		t.Fatal("no want markers in the testonly fixture")
+	}
+	check := func(finds []analysis.Finding, only string) {
+		t.Helper()
+		got := make(map[string]bool)
+		for _, f := range finds {
+			got[fmt.Sprintf("%s:%d:%s", f.File, f.Line, f.Rule)] = true
+		}
+		for k := range want {
+			if strings.HasPrefix(k, only) && !got[k] {
+				t.Errorf("missing finding %s", k)
+			}
+		}
+		for k := range got {
+			if !want[k] {
+				t.Errorf("unexpected finding %s", k)
+			}
+		}
+	}
+	finds, err := analysis.LintPackages(cfg, dirs)
+	if err != nil {
+		t.Fatal(err)
+	}
+	check(finds, "")
+	lib := filepath.Join(root, "lib")
+	finds, err = analysis.LintPackages(cfg, []string{lib})
+	if err != nil {
+		t.Fatal(err)
+	}
+	check(finds, lib)
 }
 
 // TestRepositoryIsClean is the acceptance gate in test form: the

@@ -17,7 +17,9 @@ import (
 type pkgSrc struct {
 	// rel is the package directory relative to the module root,
 	// slash-separated ("" when outside the module, e.g. fixtures).
-	rel   string
+	rel string
+	// dir is the package directory, absolute.
+	dir   string
 	fset  *token.FileSet
 	files []*ast.File
 	info  *types.Info
@@ -176,6 +178,7 @@ func loadPackage(cfg Config, imp *moduleImporter, dir string) (*pkgSrc, error) {
 	}
 	return &pkgSrc{
 		rel:   rel,
+		dir:   abs,
 		fset:  fset,
 		files: files,
 		info:  checkPkg(imp, fset, path, files),
@@ -188,6 +191,7 @@ func loadPackage(cfg Config, imp *moduleImporter, dir string) (*pkgSrc, error) {
 func LintPackages(cfg Config, dirs []string) ([]Finding, error) {
 	imp := newModuleImporter(cfg)
 	var out []Finding
+	var linted []*pkgSrc
 	for _, dir := range dirs {
 		pkg, err := loadPackage(cfg, imp, dir)
 		if err != nil {
@@ -196,34 +200,14 @@ func LintPackages(cfg Config, dirs []string) ([]Finding, error) {
 		if pkg == nil {
 			continue
 		}
+		linted = append(linted, pkg)
 		out = append(out, lintPkg(cfg, pkg)...)
 	}
-	sortFindings(out)
-	return out, nil
-}
-
-// LintFiles lints the given files as one package, with every rule in
-// scope regardless of path — the entry point the fixture tests use.
-func LintFiles(cfg Config, names []string) ([]Finding, error) {
-	fset := token.NewFileSet()
-	files, _, err := parseGoFiles(fset, names)
+	finds, err := lintTestOnly(cfg, imp, linted)
 	if err != nil {
 		return nil, err
 	}
-	imp := newModuleImporter(cfg)
-	pkg := &pkgSrc{
-		rel:   "",
-		fset:  fset,
-		files: files,
-		info:  checkPkg(imp, fset, "fixture", files),
-	}
-	all := Config{
-		ModuleRoot:     cfg.ModuleRoot,
-		ModulePath:     cfg.ModulePath,
-		GoroutineScope: []string{""},
-		ErrDropScope:   []string{""},
-	}
-	out := lintPkg(all, pkg)
+	out = append(out, finds...)
 	sortFindings(out)
 	return out, nil
 }

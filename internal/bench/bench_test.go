@@ -1,6 +1,7 @@
 package bench
 
 import (
+	"runtime"
 	"slices"
 	"sync"
 	"testing"
@@ -121,4 +122,26 @@ func TestTelemetryMicroLoopsRun(t *testing.T) {
 			t.Fatalf("micro %s missing", name)
 		}
 	}
+}
+
+var allocSink [][]byte
+
+// TestAllocsPerRunExactBesideLiveHeap: a closure that makes exactly
+// k objects beside a large live heap reads k on every repeat.
+func TestAllocsPerRunExactBesideLiveHeap(t *testing.T) {
+	live := make([][]byte, 1<<14)
+	for i := range live {
+		live[i] = make([]byte, 512)
+	}
+	const k = 21
+	for rep := 0; rep < 20; rep++ {
+		if got := allocsPerRun(func() {
+			for i := 0; i < k; i++ {
+				allocSink = append(allocSink[:0], make([]byte, 64))
+			}
+		}); got != k {
+			t.Fatalf("repeat %d: %v objects, want %d", rep, got, k)
+		}
+	}
+	runtime.KeepAlive(live)
 }

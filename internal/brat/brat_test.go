@@ -79,16 +79,6 @@ func TestRenderRoundTrip(t *testing.T) {
 	}
 }
 
-func TestEntityByID(t *testing.T) {
-	doc, _ := ParseString(sample)
-	if e := doc.EntityByID("T2"); e == nil || e.Text != "man" {
-		t.Fatalf("EntityByID(T2) = %+v", e)
-	}
-	if doc.EntityByID("T99") != nil {
-		t.Fatal("missing ID should give nil")
-	}
-}
-
 func TestValidate(t *testing.T) {
 	doc, _ := ParseString(sample)
 	if err := doc.Validate(100); err != nil {

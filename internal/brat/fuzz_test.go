@@ -49,7 +49,6 @@ func FuzzValidate(f *testing.F) {
 			return
 		}
 		_ = doc.Validate(textLen)
-		_ = doc.EntityByID(strings.Repeat("T", 3))
 	})
 }
 

@@ -7,6 +7,17 @@ import (
 	"repro/internal/datagen"
 )
 
+// TestClinicalAnnotationsValid holds every generated DICE case's
+// annotations to Validate: unique IDs, resolving references and spans
+// inside the text.
+func TestClinicalAnnotationsValid(t *testing.T) {
+	for _, c := range datagen.GenerateClinicalCases(50, 2) {
+		if err := c.Ann.Validate(len(c.Text)); err != nil {
+			t.Fatalf("case %s: %v", c.ID, err)
+		}
+	}
+}
+
 // TestRenderMatchesReference renders every generated DICE case — the
 // annotation files both paradigms parse — and wants the bytes the
 // Fprintf renderer wrote.

@@ -6,6 +6,7 @@ import (
 
 	"repro/internal/cost"
 	"repro/internal/relation"
+	"repro/internal/relation/reltest"
 )
 
 func TestParadigmString(t *testing.T) {
@@ -83,7 +84,7 @@ func TestSpeedupOver(t *testing.T) {
 func TestResultFieldsUsable(t *testing.T) {
 	s := relation.MustSchema(relation.Field{Name: "x", Type: relation.Int})
 	tbl := relation.NewTable(s)
-	tbl.MustAppend(relation.Tuple{relation.IntValue(int64(1))})
+	reltest.MustAppend(tbl, relation.Tuple{relation.IntValue(int64(1))})
 	r := &Result{Output: tbl, Quality: map[string]float64{"f1": 0.9}}
 	if r.Output.Len() != 1 || r.Quality["f1"] != 0.9 {
 		t.Fatal("result plumbing broken")

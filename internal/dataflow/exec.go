@@ -492,12 +492,18 @@ func (ex *Execution) Wait() (*Result, error) {
 }
 
 // Pause suspends all workers at the next batch boundary.
+//
+//lint:allow testonly Texera's pause and resume, a GUI-workflow feature the paper compares
 func (ex *Execution) Pause() { ex.gate.pause() }
 
 // Resume releases a paused execution.
+//
+//lint:allow testonly Texera's pause and resume, a GUI-workflow feature the paper compares
 func (ex *Execution) Resume() { ex.gate.resume() }
 
 // Paused reports whether the execution is paused.
+//
+//lint:allow testonly Texera's pause and resume, a GUI-workflow feature the paper compares
 func (ex *Execution) Paused() bool { return ex.gate.paused() }
 
 // Progress returns a snapshot of every node's state and tuple

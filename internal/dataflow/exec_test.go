@@ -12,9 +12,19 @@ import (
 
 	"repro/internal/cost"
 	"repro/internal/relation"
+	"repro/internal/relation/reltest"
 	"repro/internal/shard"
 	"repro/internal/telemetry"
 )
+
+// sourceBatched adds a source that emits batches of n rows.
+func sourceBatched(w *Workflow, name string, t *relation.Table, n int) NodeID {
+	id := w.Source(name, t)
+	if err := w.SetSourceBatch(id, n); err != nil {
+		panic(err)
+	}
+	return id
+}
 
 func runSimple(t *testing.T, w *Workflow) *Result {
 	t.Helper()
@@ -106,7 +116,7 @@ func TestExecHashJoin(t *testing.T) {
 	w.Connect(j, snk, 0, RoundRobin())
 
 	res := runSimple(t, w)
-	if !res.Tables["out"].EqualUnordered(joinOracle(t, users, orders)) {
+	if !reltest.EqualUnordered(res.Tables["out"], joinOracle(t, users, orders)) {
 		t.Fatal("join output mismatch")
 	}
 }
@@ -118,7 +128,7 @@ func TestExecParallelHashJoin(t *testing.T) {
 	users, orders := joinInputs()
 	for _, batch := range []int{users.Len(), 17, 1} {
 		w := New("pjoin")
-		u := w.Source("users", users, WithBatchSize(batch))
+		u := sourceBatched(w, "users", users, batch)
 		o := w.Source("orders", orders)
 		j := w.Op(NewHashJoin("join", cost.Python, "uid", "uid", relation.Inner), WithParallelism(4))
 		snk := w.Sink("out")
@@ -127,7 +137,7 @@ func TestExecParallelHashJoin(t *testing.T) {
 		w.Connect(j, snk, 0, RoundRobin())
 
 		res := runSimple(t, w)
-		if !res.Tables["out"].EqualUnordered(joinOracle(t, users, orders)) {
+		if !reltest.EqualUnordered(res.Tables["out"], joinOracle(t, users, orders)) {
 			t.Fatalf("build batches of %d rows: parallel join output mismatch", batch)
 		}
 	}
@@ -145,7 +155,7 @@ func TestExecBroadcastBuildJoin(t *testing.T) {
 	w.Connect(j, snk, 0, RoundRobin())
 
 	res := runSimple(t, w)
-	if !res.Tables["out"].EqualUnordered(joinOracle(t, users, orders)) {
+	if !reltest.EqualUnordered(res.Tables["out"], joinOracle(t, users, orders)) {
 		t.Fatal("broadcast-build join output mismatch")
 	}
 }
@@ -164,7 +174,7 @@ func TestExecParallelGroupBy(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !res.Tables["out"].EqualUnordered(want) {
+	if !reltest.EqualUnordered(res.Tables["out"], want) {
 		t.Fatal("group-by output mismatch")
 	}
 }
@@ -366,7 +376,7 @@ func TestExecProgressAndStates(t *testing.T) {
 func TestExecPauseResume(t *testing.T) {
 	in := intTable(5000)
 	w := New("pause")
-	src := w.Source("src", in, WithBatchSize(10))
+	src := sourceBatched(w, "src", in, 10)
 	f := w.Op(NewFilter("f", cost.Python, func(relation.Tuple) bool { return true }))
 	snk := w.Sink("out")
 	w.Connect(src, f, 0, RoundRobin())
@@ -501,7 +511,7 @@ func TestExecLifecycle(t *testing.T) {
 					cancel: func() { cancel(); close(sink.hold) },
 				}
 				w := New("lifecycle")
-				src := w.Source("src", intTable(rows), WithBatchSize(batch))
+				src := sourceBatched(w, "src", intTable(rows), batch)
 				f := w.Op(op, WithParallelism(workers))
 				snk := w.Sink("out")
 				w.Connect(src, f, 0, RoundRobin())

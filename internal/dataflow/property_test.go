@@ -3,11 +3,13 @@ package dataflow
 import (
 	"context"
 	"fmt"
+	"slices"
 	"testing"
 	"testing/quick"
 
 	"repro/internal/cost"
 	"repro/internal/relation"
+	"repro/internal/relation/reltest"
 	"repro/internal/xrand"
 )
 
@@ -60,7 +62,7 @@ func randomChain(r *xrand.Rand) []chainStep {
 			steps = append(steps, chainStep{
 				name: fmt.Sprintf("map+%d", add),
 				apply: func(t *relation.Table) (*relation.Table, error) {
-					return relation.Map(t, t.Schema(), func(row relation.Tuple) (relation.Tuple, error) {
+					return reltest.Map(t, t.Schema(), func(row relation.Tuple) (relation.Tuple, error) {
 						return relation.Tuple{relation.IntValue(row[0].Int()), relation.IntValue(row[1].Int() + add)}, nil
 					})
 				},
@@ -80,7 +82,7 @@ func randomChain(r *xrand.Rand) []chainStep {
 			steps = append(steps, chainStep{
 				name: "sort",
 				apply: func(t *relation.Table) (*relation.Table, error) {
-					c := t.Clone()
+					c := relation.TableOver(t.Schema(), slices.Clone(t.Rows()))
 					if err := c.SortBy("v", "id"); err != nil {
 						return nil, err
 					}
@@ -134,7 +136,7 @@ func TestPropertyRandomChainsMatchDirectEvaluation(t *testing.T) {
 			t.Logf("seed %d: engine failed: %v", seed, err)
 			return false
 		}
-		if !res.Tables["out"].EqualUnordered(want) {
+		if !reltest.EqualUnordered(res.Tables["out"], want) {
 			t.Logf("seed %d: mismatch (%d engine rows, %d direct rows)", seed, res.Tables["out"].Len(), want.Len())
 			return false
 		}

@@ -9,6 +9,7 @@ import (
 	"repro/internal/cost"
 	"repro/internal/lineage"
 	"repro/internal/relation"
+	"repro/internal/relation/reltest"
 )
 
 // A join whose rows go round-robin to one filter judges them against
@@ -28,7 +29,7 @@ func pushdownWorkflow(t *testing.T, workers int, swapped bool, keep relation.Pre
 	users, orders := joinInputs()
 	w := New("pushdown")
 	u := w.Source("users", users)
-	o := w.Source("orders", orders, WithBatchSize(10))
+	o := sourceBatched(w, "orders", orders, 10)
 	j := w.Op(NewHashJoin("join", cost.Python, "uid", "uid", relation.Inner), WithParallelism(workers))
 	f := w.Op(NewFilter("keep", cost.Python, keep), WithParallelism(workers))
 	snk := w.Sink("out")
@@ -163,7 +164,7 @@ func TestJoinEvaluatesItsFilter(t *testing.T) {
 				return res, calls.Load()
 			}
 			res, calls := run(Config{})
-			if !res.Tables["out"].EqualUnordered(wantOut) {
+			if !reltest.EqualUnordered(res.Tables["out"], wantOut) {
 				t.Fatalf("%s: %d sink rows differ from the filtered join's %d", name, res.Tables["out"].Len(), wantOut.Len())
 			}
 			// The join judges every joined row and the filter again the
@@ -194,7 +195,7 @@ func TestJoinEvaluatesItsFilter(t *testing.T) {
 			if calls != int64(full.Len()) {
 				t.Fatalf("%s: under lineage the predicate ran %d times, want %d", name, calls, full.Len())
 			}
-			if !cold.Tables["out"].EqualUnordered(res.Tables["out"]) {
+			if !reltest.EqualUnordered(cold.Tables["out"], res.Tables["out"]) {
 				t.Fatalf("%s: the lineage run's sink differs", name)
 			}
 			for i, e := range res.Trace.Edges {

@@ -194,6 +194,8 @@ type Checkpoint struct {
 // tuple is in flight), snapshots every node's accumulated state from
 // the per-edge byte counters, prices the write, and resumes. An
 // execution the caller already paused stays paused.
+//
+//lint:allow testonly Texera's mid-run checkpoint, taken through the pause gate
 func (ex *Execution) CheckpointNow() Checkpoint {
 	if ex.gate.pause() {
 		defer ex.gate.resume()

@@ -15,7 +15,7 @@ import (
 func faultWorkflow() (*Workflow, *relation.Table) {
 	in := intTable(400)
 	w := New("faulty")
-	src := w.Source("src", in, WithBatchSize(16))
+	src := sourceBatched(w, "src", in, 16)
 	f := w.Op(NewFilter("keep", cost.Python, func(r relation.Tuple) bool { return r[1].Int()%3 != 0 }))
 	snk := w.Sink("out")
 	w.Connect(src, f, 0, RoundRobin())
@@ -129,7 +129,7 @@ func TestKilledBatchJobPaysRestore(t *testing.T) {
 	}
 	// Rate 2/100s over a ~400s horizon lands several faults inside the
 	// 100-second batch jobs.
-	sched, info, err := scheduleWithFaults(jobs, pools, meta, tr, m, faults.Plan{Seed: 1, Rate: 2, CheckpointEvery: 2}, shard.Single())
+	sched, info, err := scheduleWithFaults(jobs, pools, meta, tr, m, faults.Plan{Seed: 1, Rate: 2, CheckpointEvery: 2}, shard.Topology{Nodes: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -193,7 +193,7 @@ func TestCheckpointNow(t *testing.T) {
 	// every row — checkpoints bookkeeping only, as a source does and as
 	// the schedule prices it.
 	w3 := New("starved")
-	src := w3.Source("src", intTable(400), WithBatchSize(16))
+	src := sourceBatched(w3, "src", intTable(400), 16)
 	none := w3.Op(NewFilter("none", cost.Python, func(relation.Tuple) bool { return false }))
 	after := w3.Op(NewFilter("after", cost.Python, func(relation.Tuple) bool { return true }))
 	snk := w3.Sink("out")

@@ -5,6 +5,7 @@ import (
 
 	"repro/internal/cost"
 	"repro/internal/relation"
+	"repro/internal/relation/reltest"
 )
 
 // swapChain builds src -> wide -> narrow -> sink, all round-robin.
@@ -72,7 +73,7 @@ func TestSwapJoinInputsKeepsSchemaAndRows(t *testing.T) {
 	if !po.Schema().Equal(so.Schema()) {
 		t.Fatalf("schema changed: %v vs %v", po.Schema(), so.Schema())
 	}
-	if !po.EqualUnordered(so) {
+	if !reltest.EqualUnordered(po, so) {
 		t.Fatal("swapped join rows differ from the original join")
 	}
 }
@@ -281,7 +282,7 @@ func TestSetEdgePartitioningBroadcastBuild(t *testing.T) {
 		t.Fatalf("SetEdgePartitioning: %v", err)
 	}
 	res := runSimple(t, w)
-	if !res.Tables["out"].EqualUnordered(joinOracle(t, users, orders)) {
+	if !reltest.EqualUnordered(res.Tables["out"], joinOracle(t, users, orders)) {
 		t.Fatal("broadcast-build rewrite changed the join output")
 	}
 }

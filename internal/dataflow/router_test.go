@@ -96,7 +96,7 @@ func TestRouterHashPartitionGolden(t *testing.T) {
 			seen: make([][][]int64, outs),
 		}
 		w := New("router")
-		src := w.Source("src", in, WithBatchSize(8))
+		src := sourceBatched(w, "src", in, 8)
 		op := w.Op(rec, WithParallelism(outs))
 		w.Connect(src, op, 0, HashPartition("key"))
 		w.Connect(op, w.Sink("out"), 0, RoundRobin())

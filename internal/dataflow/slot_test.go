@@ -21,7 +21,7 @@ import (
 // branch calls cancel on its cancelAt-th batch (0: never).
 func slotDiamond(par [3]int, batch int, cancelAt int64, cancel func()) *Workflow {
 	w := New("slot-diamond")
-	src := w.Source("src", intTable(240), WithBatchSize(batch))
+	src := sourceBatched(w, "src", intTable(240), batch)
 	var opA Operator = NewMap("a", cost.Python, relation.MustSchema(
 		relation.Field{Name: "id", Type: relation.Int},
 		relation.Field{Name: "a", Type: relation.Int},
@@ -164,7 +164,7 @@ func TestExecRunnerGoroutineBound(t *testing.T) {
 	const sources, finisher = 1, 1
 	peak := &goroutinePeak{}
 	w := New("runners")
-	src := w.Source("src", intTable(2000), WithBatchSize(8))
+	src := sourceBatched(w, "src", intTable(2000), 8)
 	f := w.Op(NewFilter("f", cost.Python, func(r relation.Tuple) bool { return r[1].Int() != 3 }), WithParallelism(32))
 	p := w.Op(NewProject("p", cost.Python, "id"), WithParallelism(32))
 	g := w.Op(NewGroupBy("g", cost.Python, []string{"id"}, []relation.Aggregate{{Func: relation.Count, As: "n"}}), WithParallelism(32))

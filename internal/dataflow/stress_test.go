@@ -7,6 +7,7 @@ import (
 
 	"repro/internal/cost"
 	"repro/internal/relation"
+	"repro/internal/relation/reltest"
 )
 
 // TestStressWideDeepWorkflow drives a deliberately hostile graph —
@@ -29,7 +30,7 @@ func TestStressWideDeepWorkflow(t *testing.T) {
 	}
 
 	w := New("stress")
-	src := w.Source("src", in, WithBatchSize(64))
+	src := sourceBatched(w, "src", in, 64)
 
 	// Branch A: filter then reduce.
 	fa := w.Op(NewFilter("even-v", cost.Python, func(r relation.Tuple) bool {
@@ -76,7 +77,7 @@ func TestStressWideDeepWorkflow(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	ta, err := relation.Map(grouped, relation.MustSchema(
+	ta, err := reltest.Map(grouped, relation.MustSchema(
 		relation.Field{Name: "k", Type: relation.Int},
 		relation.Field{Name: "s", Type: relation.Float},
 	), func(r relation.Tuple) (relation.Tuple, error) {
@@ -85,7 +86,7 @@ func TestStressWideDeepWorkflow(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	tb, err := relation.Map(grouped, relation.MustSchema(
+	tb, err := reltest.Map(grouped, relation.MustSchema(
 		relation.Field{Name: "k", Type: relation.Int},
 		relation.Field{Name: "t", Type: relation.Float},
 	), func(r relation.Tuple) (relation.Tuple, error) {
@@ -100,7 +101,7 @@ func TestStressWideDeepWorkflow(t *testing.T) {
 	}
 	// The engine joins probe (tag-b on port 1) against build (tag-a on
 	// port 0): probe columns first.
-	if !res.Tables["out"].EqualUnordered(want) {
+	if !reltest.EqualUnordered(res.Tables["out"], want) {
 		t.Fatalf("stress output mismatch: engine %d rows, direct %d rows\nengine schema: %s\ndirect schema: %s",
 			res.Tables["out"].Len(), want.Len(), res.Tables["out"].Schema(), want.Schema())
 	}
@@ -116,7 +117,7 @@ func TestStressRepeatedRuns(t *testing.T) {
 	in := intTable(2000)
 	for i := 0; i < 25; i++ {
 		w := New(fmt.Sprintf("rep-%d", i))
-		src := w.Source("src", in, WithBatchSize(32))
+		src := sourceBatched(w, "src", in, 32)
 		f := w.Op(NewFilter("f", cost.Python, func(r relation.Tuple) bool {
 			return r[1].Int() < 7
 		}), WithParallelism(4))

@@ -2,10 +2,12 @@ package dataflow
 
 import (
 	"context"
+	"slices"
 	"testing"
 
 	"repro/internal/cost"
 	"repro/internal/relation"
+	"repro/internal/relation/reltest"
 )
 
 func TestUnionMergesStreams(t *testing.T) {
@@ -27,18 +29,18 @@ func TestUnionMergesStreams(t *testing.T) {
 	if res.Tables["out"].Len() != 150 {
 		t.Fatalf("union rows = %d", res.Tables["out"].Len())
 	}
-	want := a.Clone()
+	want := relation.TableOver(a.Schema(), slices.Clone(a.Rows()))
 	if err := want.Concat(b); err != nil {
 		t.Fatal(err)
 	}
-	if !res.Tables["out"].EqualUnordered(want) {
+	if !reltest.EqualUnordered(res.Tables["out"], want) {
 		t.Fatal("union output mismatch")
 	}
 }
 
 func TestUnionSchemaMismatch(t *testing.T) {
 	other := relation.NewTable(relation.MustSchema(relation.Field{Name: "z", Type: relation.Float}))
-	other.MustAppend(relation.Tuple{relation.FloatValue(1.5)})
+	reltest.MustAppend(other, relation.Tuple{relation.FloatValue(1.5)})
 	w := New("union-bad")
 	sa := w.Source("a", intTable(5))
 	sb := w.Source("b", other)

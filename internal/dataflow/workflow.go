@@ -95,11 +95,6 @@ func WithParallelism(n int) NodeOpt {
 	return func(nd *node) { nd.parallelism = n }
 }
 
-// WithBatchSize overrides the batch size a source emits.
-func WithBatchSize(n int) NodeOpt {
-	return func(nd *node) { nd.batchSize = n }
-}
-
 // WithSignature attaches a parameter signature to a node. The lineage
 // layer folds it into the node's fingerprint, so editing an operator's
 // configuration (a new signature) invalidates its cached artifact and
@@ -272,15 +267,6 @@ func (w *Workflow) NumOperators() int {
 		}
 	}
 	return n
-}
-
-// OutputSchemaOf returns the validated output schema of a node, or nil
-// before validation.
-func (w *Workflow) OutputSchemaOf(id NodeID) *relation.Schema {
-	if int(id) < 0 || int(id) >= len(w.nodes) {
-		return nil
-	}
-	return w.nodes[id].schema
 }
 
 // PlanNode is the exported, read-only view of one node of a workflow

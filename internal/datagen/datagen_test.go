@@ -24,14 +24,6 @@ func TestClinicalCasesShape(t *testing.T) {
 	}
 }
 
-func TestClinicalAnnotationsValid(t *testing.T) {
-	for _, c := range GenerateClinicalCases(50, 2) {
-		if err := c.Ann.Validate(len(c.Text)); err != nil {
-			t.Fatalf("case %s: %v", c.ID, err)
-		}
-	}
-}
-
 func TestClinicalSpansMatchText(t *testing.T) {
 	for _, c := range GenerateClinicalCases(50, 3) {
 		for _, e := range c.Ann.Entities {
@@ -123,21 +115,15 @@ func TestTweetsShape(t *testing.T) {
 	}
 }
 
-func TestTweetLabelsAndTexts(t *testing.T) {
+func TestTweetTexts(t *testing.T) {
 	tweets := GenerateTweets(10, 2)
-	labels := Labels(tweets)
 	texts := Texts(tweets)
-	if len(labels) != 10 || len(texts) != 10 {
-		t.Fatal("helper lengths wrong")
+	if len(texts) != 10 {
+		t.Fatal("helper length wrong")
 	}
 	for i := range tweets {
 		if texts[i] != tweets[i].Text {
 			t.Fatal("texts mismatch")
-		}
-		for k := 0; k < NumFramings; k++ {
-			if labels[i][k] != tweets[i].Framings[k] {
-				t.Fatal("labels mismatch")
-			}
 		}
 	}
 }
@@ -191,18 +177,16 @@ func TestPassagesAnswerable(t *testing.T) {
 	// The generative model should answer most generated clozes — the
 	// datasets must actually exercise the inference path.
 	m := genqa.NewModel()
-	ps := GeneratePassages(8, 5, 7)
-	var res genqa.EvalResult
-	total := 0
-	for _, p := range ps {
-		r, err := m.Evaluate(p.QAs)
-		if err != nil {
-			t.Fatal(err)
+	hits, total := 0, 0
+	for _, p := range GeneratePassages(8, 5, 7) {
+		for _, ex := range p.QAs {
+			if genqa.ExactMatch(m.Generate(ex.Context, ex.Cloze), ex.Answer) {
+				hits++
+			}
+			total++
 		}
-		res.EM += r.EM * float64(r.N)
-		total += r.N
 	}
-	em := res.EM / float64(total)
+	em := float64(hits) / float64(total)
 	if em < 0.8 {
 		t.Fatalf("exact match on synthetic passages = %v", em)
 	}

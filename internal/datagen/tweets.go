@@ -7,19 +7,15 @@ import (
 	"repro/internal/xrand"
 )
 
-// Framing indexes the four WEF climate framings.
+// Framing indexes the four WEF climate framings, in FramingNames'
+// order: explicit links between wildfires and climate change,
+// suggesting climate actions, attributing climate change to
+// adversities besides wildfires, and not relevant.
 type Framing int
 
 const (
-	// FramingLink: explicit links between wildfires and climate change.
-	FramingLink Framing = iota
-	// FramingAction: suggesting climate actions.
-	FramingAction
-	// FramingAttribution: attributing climate change to adversities
-	// besides wildfires.
-	FramingAttribution
 	// FramingIrrelevant: not relevant to climate framing.
-	FramingIrrelevant
+	FramingIrrelevant Framing = NumFramings - 1
 	// NumFramings is the framing count.
 	NumFramings = 4
 )
@@ -95,18 +91,6 @@ func GenerateTweets(n int, seed uint64) []Tweet {
 		tweets[i] = t
 	}
 	return tweets
-}
-
-// Labels returns the framing matrix of a tweet slice (rows are
-// tweets, columns framings).
-func Labels(tweets []Tweet) [][]bool {
-	out := make([][]bool, len(tweets))
-	for i, t := range tweets {
-		row := make([]bool, NumFramings)
-		copy(row, t.Framings[:])
-		out[i] = row
-	}
-	return out
 }
 
 // Texts returns the text column of a tweet slice.

@@ -135,12 +135,6 @@ func NewStore(model *cost.Model, capacity int64) (*Store, error) {
 	}, nil
 }
 
-// Model returns the store's cost model.
-func (s *Store) Model() *cost.Model { return s.model }
-
-// Stats returns a copy of the lifetime counters.
-func (s *Store) Stats() Stats { return s.stats }
-
 // RunReport summarizes one run's interaction with the store.
 type RunReport struct {
 	// Scope identifies the run ("workflow:dice[...]", "script:kge[...]").

@@ -35,13 +35,6 @@ func (v Vector) Dot(o Vector) float64 {
 	return s
 }
 
-// AddScaled adds k*o into v in place.
-func (v Vector) AddScaled(o Vector, k float64) {
-	for i, x := range o {
-		v[i] += k * x
-	}
-}
-
 // Norm returns the L2 norm, folding over sorted indices for a
 // bit-stable sum (see Dot).
 func (v Vector) Norm() float64 {
@@ -62,15 +55,6 @@ func (v Vector) Scale(k float64) {
 	for i := range v {
 		v[i] *= k
 	}
-}
-
-// Clone returns a copy of the vector.
-func (v Vector) Clone() Vector {
-	c := make(Vector, len(v))
-	for i, x := range v {
-		c[i] = x
-	}
-	return c
 }
 
 // HashingVectorizer maps token counts into a fixed-dimension sparse

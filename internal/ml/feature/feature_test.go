@@ -61,14 +61,6 @@ func TestVectorOps(t *testing.T) {
 	if b.Dot(a) != 6 {
 		t.Fatal("dot not symmetric")
 	}
-	c := a.Clone()
-	c.AddScaled(b, 2)
-	if c[1] != 8 || c[2] != 10 || c[0] != 1 {
-		t.Fatalf("addscaled = %v", c)
-	}
-	if a[1] != 2 {
-		t.Fatal("clone aliased")
-	}
 	n := Vector{3: 3, 4: 4}.Norm()
 	if math.Abs(n-5) > 1e-12 {
 		t.Fatalf("norm = %v", n)

@@ -189,32 +189,6 @@ func F1(pred, gold string) float64 {
 	return 2 * precision * recall / (precision + recall)
 }
 
-// EvalResult aggregates generation quality over a set of examples.
-type EvalResult struct {
-	N  int
-	EM float64
-	F1 float64
-}
-
-// Evaluate runs the model over examples and aggregates EM and F1.
-func (m *Model) Evaluate(examples []Example) (EvalResult, error) {
-	if len(examples) == 0 {
-		return EvalResult{}, fmt.Errorf("genqa: empty evaluation set")
-	}
-	var res EvalResult
-	res.N = len(examples)
-	for _, ex := range examples {
-		pred := m.Generate(ex.Context, ex.Cloze)
-		if ExactMatch(pred, ex.Answer) {
-			res.EM++
-		}
-		res.F1 += F1(pred, ex.Answer)
-	}
-	res.EM /= float64(res.N)
-	res.F1 /= float64(res.N)
-	return res, nil
-}
-
 func max(a, b int) int {
 	if a > b {
 		return a

@@ -99,34 +99,6 @@ func TestF1(t *testing.T) {
 	}
 }
 
-func TestEvaluate(t *testing.T) {
-	m := NewModel()
-	sentence := "Doctors prescribed intravenous fluids immediately"
-	cloze, _ := MakeCloze(sentence, "intravenous fluids")
-	res, err := m.Evaluate([]Example{
-		{Context: passage, Cloze: cloze, Answer: "intravenous fluids"},
-		{Context: passage, Cloze: "unanswerable " + MaskToken + " question", Answer: "zebra"},
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if res.N != 2 {
-		t.Fatalf("N = %d", res.N)
-	}
-	if res.EM != 0.5 {
-		t.Fatalf("EM = %v", res.EM)
-	}
-	if res.F1 < 0.5 || res.F1 > 1 {
-		t.Fatalf("F1 = %v", res.F1)
-	}
-}
-
-func TestEvaluateEmpty(t *testing.T) {
-	if _, err := NewModel().Evaluate(nil); err == nil {
-		t.Fatal("expected error for empty set")
-	}
-}
-
 func TestModelBytes(t *testing.T) {
 	m := NewModel()
 	gb := float64(int64(1) << 30)

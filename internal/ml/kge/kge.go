@@ -8,12 +8,10 @@
 package kge
 
 import (
-	"cmp"
 	"encoding/binary"
 	"fmt"
 	"math"
 	"slices"
-	"strings"
 
 	"repro/internal/par"
 	"repro/internal/xrand"
@@ -121,18 +119,6 @@ func randUnit(r *xrand.Rand, v []float64) []float64 {
 	return v
 }
 
-// NumEntities returns the entity count.
-func (m *Model) NumEntities() int { return len(m.entNames) }
-
-// NumRelations returns the relation count.
-func (m *Model) NumRelations() int { return len(m.relNames) }
-
-// HasEntity reports whether the entity is known.
-func (m *Model) HasEntity(e string) bool {
-	_, ok := m.entIndex[e]
-	return ok
-}
-
 // Embedding returns a copy of an entity's embedding.
 func (m *Model) Embedding(entity string) ([]float64, error) {
 	i, ok := m.entIndex[entity]
@@ -168,23 +154,6 @@ func (m *Model) SizeBytes() int64 {
 		return real
 	}
 	return paperBytes
-}
-
-// Score returns -||h + r - t||_2: higher is more plausible.
-func (m *Model) Score(head, rel, tail string) (float64, error) {
-	hi, ok := m.entIndex[head]
-	if !ok {
-		return 0, fmt.Errorf("kge: unknown head %q", head)
-	}
-	ri, ok := m.relIndex[rel]
-	if !ok {
-		return 0, fmt.Errorf("kge: unknown relation %q", rel)
-	}
-	ti, ok := m.entIndex[tail]
-	if !ok {
-		return 0, fmt.Errorf("kge: unknown tail %q", tail)
-	}
-	return -dist(m.ent[hi], m.rel[ri], m.ent[ti]), nil
 }
 
 func dist(h, r, t []float64) float64 {
@@ -307,46 +276,6 @@ func normalizeRow(v []float64) {
 	}
 }
 
-// Scored pairs an entity with its plausibility score.
-type Scored struct {
-	Entity string
-	Score  float64
-}
-
-// TopK ranks candidate tail entities for (head, rel) and returns the k
-// best, ties broken by entity name for determinism. It holds the k best
-// seen so far, not every candidate.
-func (m *Model) TopK(head, rel string, candidates []string, k int) ([]Scored, error) {
-	if k <= 0 {
-		return nil, fmt.Errorf("kge: k must be positive, got %d", k)
-	}
-	top := NewTop(min(k, len(candidates)), byScore)
-	for _, c := range candidates {
-		s, err := m.Score(head, rel, c)
-		if err != nil {
-			return nil, err
-		}
-		top.Offer(Scored{Entity: c, Score: s})
-	}
-	return top.Sorted(), nil
-}
-
-// byScore orders TopK's candidates: higher score first, ties by entity.
-func byScore(a, b Scored) int {
-	if c := cmp.Compare(b.Score, a.Score); c != 0 {
-		return c
-	}
-	return strings.Compare(a.Entity, b.Entity)
-}
-
-// EncodeVec serializes an embedding into a compact string so vectors
-// can travel through relational tuples between workflow operators —
-// which is how the real data volume of the KGE embedding join shows up
-// in the engines' serde accounting. It is AppendVec into a fresh buffer.
-func EncodeVec(v []float64) string {
-	return string(AppendVec(make([]byte, 0, 8*len(v)), v))
-}
-
 // AppendVec appends v's encoding to dst and returns the extended
 // buffer: each element's IEEE 754 bits, eight bytes, least significant
 // first. An operator that encodes many vectors appends them all to one
@@ -356,11 +285,6 @@ func AppendVec(dst []byte, v []float64) []byte {
 		dst = binary.LittleEndian.AppendUint64(dst, math.Float64bits(x))
 	}
 	return dst
-}
-
-// DecodeVec parses a string produced by EncodeVec into a new slice.
-func DecodeVec(s string) ([]float64, error) {
-	return DecodeVecInto(nil, s)
 }
 
 // DecodeVecInto parses a string produced by EncodeVec or AppendVec
@@ -380,15 +304,6 @@ func DecodeVecInto(dst []float64, s string) ([]float64, error) {
 		v[i] = math.Float64frombits(bits)
 	}
 	return v, nil
-}
-
-// DistanceTo returns ||h + r - t||_2 given raw vectors — the scoring
-// primitive workflow operators use on decoded embeddings.
-func DistanceTo(head, rel, tail []float64) (float64, error) {
-	if len(head) != len(rel) || len(head) != len(tail) {
-		return 0, fmt.Errorf("kge: dimension mismatch (%d/%d/%d)", len(head), len(rel), len(tail))
-	}
-	return dist(head, rel, tail), nil
 }
 
 // RelationEmbedding returns a copy of a relation's embedding.

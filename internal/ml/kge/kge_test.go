@@ -1,9 +1,11 @@
 package kge
 
 import (
+	"cmp"
 	"fmt"
 	"math"
 	"slices"
+	"strings"
 	"testing"
 
 	"repro/internal/xrand"
@@ -119,10 +121,7 @@ func TestTopKOrderingAndDeterminism(t *testing.T) {
 	for p := 0; p < 40; p++ {
 		candidates = append(candidates, fmt.Sprintf("prod%d", p))
 	}
-	top, err := m.TopK("user0", "buys", candidates, 10)
-	if err != nil {
-		t.Fatal(err)
-	}
+	top := topK(t, m, "user0", "buys", candidates, 10)
 	if len(top) != 10 {
 		t.Fatalf("topk len = %d", len(top))
 	}
@@ -143,25 +142,23 @@ func TestTopKOrderingAndDeterminism(t *testing.T) {
 	if inCat < 7 {
 		t.Fatalf("only %d of top-10 in user's category", inCat)
 	}
-	top2, _ := m.TopK("user0", "buys", candidates, 10)
+	top2 := topK(t, m, "user0", "buys", candidates, 10)
 	for i := range top {
 		if top[i] != top2[i] {
-			t.Fatal("TopK not deterministic")
+			t.Fatal("Top not deterministic")
 		}
 	}
 }
 
+// TestTopKErrors: a Top of k <= 0 keeps nothing and one of k past the
+// items offered keeps them all, and both count every offer.
 func TestTopKErrors(t *testing.T) {
-	m, _ := New([]string{"a"}, []string{"r"}, 4, 1)
-	if _, err := m.TopK("a", "r", []string{"a"}, 0); err == nil {
-		t.Fatal("expected error for k=0")
-	}
-	if _, err := m.TopK("a", "r", []string{"zz"}, 1); err == nil {
-		t.Fatal("expected error for unknown candidate")
-	}
-	top, err := m.TopK("a", "r", []string{"a"}, 5)
-	if err != nil || len(top) != 1 {
-		t.Fatalf("oversized k: %v %v", top, err)
+	for _, c := range []struct{ k, kept int }{{0, 0}, {-1, 0}, {5, 1}} {
+		top := NewTop(c.k, byScore)
+		top.Offer(Scored{Entity: "a", Score: 1})
+		if got := top.Sorted(); len(got) != c.kept || top.Seen() != 1 {
+			t.Fatalf("k=%d: kept %v of %d seen, want %d kept of 1", c.k, got, top.Seen(), c.kept)
+		}
 	}
 }
 
@@ -257,4 +254,50 @@ func TestEmbeddingsStayBounded(t *testing.T) {
 			t.Fatalf("entity %d norm = %v exceeds 1", i, math.Sqrt(n))
 		}
 	}
+}
+
+// topK ranks candidate tails for (head, rel) the way both KGE
+// paradigms rank: each scored, the k best kept by a Top under byScore.
+func topK(t *testing.T, m *Model, head, rel string, candidates []string, k int) []Scored {
+	t.Helper()
+	top := NewTop(min(k, len(candidates)), byScore)
+	for _, c := range candidates {
+		s, err := m.Score(head, rel, c)
+		if err != nil {
+			t.Fatal(err)
+		}
+		top.Offer(Scored{Entity: c, Score: s})
+	}
+	return top.Sorted()
+}
+
+// Score returns -||h + r - t||_2: higher is more plausible.
+func (m *Model) Score(head, rel, tail string) (float64, error) {
+	hi, ok := m.entIndex[head]
+	if !ok {
+		return 0, fmt.Errorf("kge: unknown head %q", head)
+	}
+	ri, ok := m.relIndex[rel]
+	if !ok {
+		return 0, fmt.Errorf("kge: unknown relation %q", rel)
+	}
+	ti, ok := m.entIndex[tail]
+	if !ok {
+		return 0, fmt.Errorf("kge: unknown tail %q", tail)
+	}
+	return -dist(m.ent[hi], m.rel[ri], m.ent[ti]), nil
+}
+
+// Scored pairs an entity with its plausibility score.
+type Scored struct {
+	Entity string
+	Score  float64
+}
+
+// byScore orders ranked candidates: higher score first, ties by entity.
+func byScore(a, b Scored) int {
+	if c := cmp.Compare(b.Score, a.Score); c != 0 {
+		return c
+	}
+	return strings.Compare(a.Entity, b.Entity)
 }

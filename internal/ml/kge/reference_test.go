@@ -11,10 +11,9 @@ import (
 	"repro/internal/xrand"
 )
 
-// refEncodeVec and refDecodeVec are EncodeVec and DecodeVec as they
-// were before both became thin wrappers over AppendVec and
-// DecodeVecInto: a fresh buffer and a fresh string per encoding, a
-// fresh slice per decoding. Kept verbatim as the reference the codec
+// refEncodeVec and refDecodeVec are the codec as it was before
+// AppendVec and DecodeVecInto: a fresh buffer and a fresh string per
+// encoding, a fresh slice per decoding. Kept verbatim as the reference the codec
 // must reproduce byte for byte and bit for bit.
 
 func refEncodeVec(v []float64) string {
@@ -57,8 +56,8 @@ func sameBits(a, b []float64) bool {
 	return true
 }
 
-// FuzzVecCodec holds AppendVec, DecodeVecInto and their wrappers to the
-// reference codec. The fuzzed bytes are read twice: as an encoded
+// FuzzVecCodec holds AppendVec and DecodeVecInto to the reference
+// codec. The fuzzed bytes are read twice: as an encoded
 // string of any length (the decoders must agree on its values or on its
 // error), and, cut to a multiple of 8, as the bit patterns of a vector
 // to encode (the encoders must agree on its bytes, and a round trip
@@ -81,17 +80,12 @@ func FuzzVecCodec(f *testing.F) {
 		for i := range scratch {
 			scratch[i] = math.NaN()
 		}
-		for name, decode := range map[string]func(string) ([]float64, error){
-			"DecodeVec":     DecodeVec,
-			"DecodeVecInto": func(s string) ([]float64, error) { return DecodeVecInto(scratch, s) },
-		} {
-			got, err := decode(s)
-			if (err == nil) != (wantErr == nil) || err != nil && err.Error() != wantErr.Error() {
-				t.Fatalf("%s(%d bytes): error %v, reference %v", name, len(s), err, wantErr)
-			}
-			if err == nil && !sameBits(got, want) {
-				t.Fatalf("%s(%d bytes) = %v, reference %v", name, len(s), got, want)
-			}
+		got, err := DecodeVecInto(scratch, s)
+		if (err == nil) != (wantErr == nil) || err != nil && err.Error() != wantErr.Error() {
+			t.Fatalf("DecodeVecInto(%d bytes): error %v, reference %v", len(s), err, wantErr)
+		}
+		if err == nil && !sameBits(got, want) {
+			t.Fatalf("DecodeVecInto(%d bytes) = %v, reference %v", len(s), got, want)
 		}
 
 		v, err := refDecodeVec(s[:len(s)-len(s)%8])
@@ -99,9 +93,6 @@ func FuzzVecCodec(f *testing.F) {
 			t.Fatal(err)
 		}
 		enc := refEncodeVec(v)
-		if got := EncodeVec(v); got != enc {
-			t.Fatalf("EncodeVec(%v) = %x, reference %x", v, got, enc)
-		}
 		buf := AppendVec(bytes.Clone(prefix), v)
 		if !bytes.HasPrefix(buf, prefix) || string(buf[len(prefix):]) != enc {
 			t.Fatalf("AppendVec(%x, %v) = %x, want the prefix then %x", prefix, v, buf, enc)
@@ -113,10 +104,10 @@ func FuzzVecCodec(f *testing.F) {
 	})
 }
 
-// refTopK is TopK as it was before it kept only its k best: every
-// candidate scored into a slice, the whole slice sorted, then cut to k.
-// Kept verbatim, its sort and cut as refRankScored, as the reference
-// TopK and Top must reproduce.
+// refTopK is the model's TopK as it was before it kept only its k
+// best: every candidate scored into a slice, the whole slice sorted,
+// then cut to k. Kept verbatim, its sort and cut as refRankScored, as
+// the reference Top must reproduce.
 func (m *Model) refTopK(head, rel string, candidates []string, k int) ([]Scored, error) {
 	if k <= 0 {
 		return nil, fmt.Errorf("kge: k must be positive, got %d", k)
@@ -147,9 +138,9 @@ func refRankScored(out []Scored, k int) []Scored {
 	return out[:k]
 }
 
-// TestTopKMatchesReference ranks a trained model's products, repeated
-// candidates included, for every user at k from 1 past the candidate
-// count, and wants what the reference returns.
+// TestTopKMatchesReference ranks a trained model's products through
+// Top, repeated candidates included, for every user at k from 1 past
+// the candidate count, and wants what the reference returns.
 func TestTopKMatchesReference(t *testing.T) {
 	m := trainedModel(t)
 	var candidates []string
@@ -159,10 +150,7 @@ func TestTopKMatchesReference(t *testing.T) {
 	for u := 0; u < 8; u++ {
 		head := fmt.Sprintf("user%d", u)
 		for _, k := range []int{1, 2, 10, 79, 80, 81, 200} {
-			got, err := m.TopK(head, "buys", candidates, k)
-			if err != nil {
-				t.Fatal(err)
-			}
+			got := topK(t, m, head, "buys", candidates, k)
 			want, err := m.refTopK(head, "buys", candidates, k)
 			if err != nil {
 				t.Fatal(err)
@@ -174,7 +162,7 @@ func TestTopKMatchesReference(t *testing.T) {
 	}
 }
 
-// FuzzTopKMatchesSort holds Top under byScore, TopK's order, to the
+// FuzzTopKMatchesSort holds Top under byScore, the ranking's order, to the
 // reference's sort and cut: offered every fuzzed item, it must keep
 // what refRankScored keeps, for k = 0, 1, the fuzzed k, the item count
 // and past it, both halfway through the items and after the last. Each

@@ -91,11 +91,6 @@ func (c *SGDClassifier) DecisionFunction(x feature.Vector) float64 {
 	return c.w.Dot(x) + c.b
 }
 
-// PredictProba returns P(label=true).
-func (c *SGDClassifier) PredictProba(x feature.Vector) float64 {
-	return sigmoid(c.DecisionFunction(x))
-}
-
 // Predict returns the thresholded label.
 func (c *SGDClassifier) Predict(x feature.Vector) bool {
 	return c.DecisionFunction(x) >= 0
@@ -109,9 +104,6 @@ func (c *SGDClassifier) PredictAll(x []feature.Vector) []bool {
 	}
 	return out
 }
-
-// Weights exposes the learned weight vector (read-only by convention).
-func (c *SGDClassifier) Weights() feature.Vector { return c.w }
 
 // Metrics holds binary classification quality numbers.
 type Metrics struct {

@@ -78,8 +78,8 @@ func TestFitDeterministic(t *testing.T) {
 	b := &SGDClassifier{Epochs: 3, Seed: 9}
 	a.Fit(x, y)
 	b.Fit(x, y)
-	for f, w := range a.Weights() {
-		if math.Abs(b.Weights()[f]-w) > 1e-12 {
+	for f, w := range a.w {
+		if math.Abs(b.w[f]-w) > 1e-12 {
 			t.Fatal("training not deterministic")
 		}
 	}
@@ -90,12 +90,12 @@ func TestPredictProbaRange(t *testing.T) {
 	c := &SGDClassifier{Epochs: 3}
 	c.Fit(x, y)
 	for _, v := range x {
-		p := c.PredictProba(v)
+		p := sigmoid(c.DecisionFunction(v))
 		if p < 0 || p > 1 {
 			t.Fatalf("probability %v out of range", p)
 		}
 		if (p >= 0.5) != c.Predict(v) {
-			t.Fatal("Predict inconsistent with PredictProba")
+			t.Fatal("Predict inconsistent with the probability")
 		}
 	}
 }

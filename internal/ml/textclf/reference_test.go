@@ -277,7 +277,7 @@ func TestEnsembleMatchesSerial(t *testing.T) {
 	probes := []string{"", "the of and a with", "zyzzyva quokka 42"}
 	for _, seed := range []uint64{1, 13} {
 		tweets := datagen.GenerateTweets(200, seed)
-		texts, golds := datagen.Texts(tweets), datagen.Labels(tweets)
+		texts, golds := datagen.Texts(tweets), labels(tweets)
 		cut := len(texts) * 4 / 5
 		cfg := Config{Epochs: 3, LR: 0.3, Seed: seed}
 		got, err := NewEnsemble(datagen.FramingNames, 4096, 24, 12)

@@ -94,18 +94,6 @@ func (m *Model) row(b int32) []float64 {
 // Name returns the checkpoint name.
 func (m *Model) Name() string { return m.name }
 
-// SizeBytes returns the simulated parameter footprint — used when the
-// model is shipped through the object store or the network. It scales
-// with the real parameter count but is calibrated to BERT-base's
-// ~440 MB footprint via a fixed multiplier.
-func (m *Model) SizeBytes() int64 {
-	params := int64(m.hashD*m.dim + m.dim*m.hidden + m.hidden + m.hidden + 1)
-	const bertBase = 440 << 20
-	// Scale a 64k x 32 reference config to bertBase.
-	ref := int64(65536*32 + 32*16 + 16 + 16 + 1)
-	return params * bertBase / ref
-}
-
 // appendBuckets appends the rows of text's non-stopword tokens to doc,
 // in order: the document as a model of table size hashD reads it.
 func appendBuckets(doc []int32, text string, hashD int) []int32 {
@@ -360,13 +348,4 @@ func (e *Ensemble) encode(texts []string) map[int][][]int32 {
 		}
 	}
 	return docs
-}
-
-// SizeBytes sums the member models' footprints.
-func (e *Ensemble) SizeBytes() int64 {
-	var n int64
-	for _, m := range e.Models {
-		n += m.SizeBytes()
-	}
-	return n
 }

@@ -130,19 +130,6 @@ func TestProbaRangeAndEmptyText(t *testing.T) {
 	}
 }
 
-func TestSizeBytesScale(t *testing.T) {
-	m, _ := Pretrained("bert-base", 65536, 32, 16)
-	size := m.SizeBytes()
-	// The reference config is calibrated to BERT-base's ~440 MB.
-	if size < 400<<20 || size > 480<<20 {
-		t.Fatalf("reference model size = %d MB", size>>20)
-	}
-	small, _ := Pretrained("tiny", 1024, 8, 4)
-	if small.SizeBytes() >= size {
-		t.Fatal("smaller model should have smaller footprint")
-	}
-}
-
 func TestEnsembleMultiLabel(t *testing.T) {
 	labels := []string{"link", "action", "attribution", "irrelevant"}
 	e, err := NewEnsemble(labels, 2048, 16, 8)
@@ -178,9 +165,6 @@ func TestEnsembleMultiLabel(t *testing.T) {
 	if acc := float64(correct) / float64(len(texts)); acc < 0.85 {
 		t.Fatalf("ensemble exact-match accuracy = %v", acc)
 	}
-	if e.SizeBytes() <= 0 {
-		t.Fatal("ensemble size must be positive")
-	}
 }
 
 func TestEmptyEnsemble(t *testing.T) {
@@ -211,7 +195,7 @@ func TestMatchesReference(t *testing.T) {
 	probes := []string{"", "the of and a with", "zyzzyva quokka 42", "Climate change made this wildfire worse"}
 	for _, seed := range []uint64{1, 13} {
 		tweets := datagen.GenerateTweets(200, seed)
-		texts, golds := datagen.Texts(tweets), datagen.Labels(tweets)
+		texts, golds := datagen.Texts(tweets), labels(tweets)
 		cut := len(texts) * 4 / 5
 		cfg := Config{Epochs: 3, LR: 0.3, Seed: seed}
 
@@ -259,4 +243,16 @@ func TestMatchesReference(t *testing.T) {
 			}
 		}
 	}
+}
+
+// labels returns the framing matrix of a tweet slice (rows are
+// tweets, columns framings).
+func labels(tweets []datagen.Tweet) [][]bool {
+	out := make([][]bool, len(tweets))
+	for i, t := range tweets {
+		row := make([]bool, datagen.NumFramings)
+		copy(row, t.Framings[:])
+		out[i] = row
+	}
+	return out
 }

@@ -51,9 +51,6 @@ func NewKernel(model *cost.Model) *Kernel {
 	}
 }
 
-// Model returns the kernel's cost model.
-func (k *Kernel) Model() *cost.Model { return k.model }
-
 // Set stores a variable in the kernel namespace.
 func (k *Kernel) Set(name string, v any) { k.vars[name] = v }
 
@@ -75,6 +72,8 @@ func (k *Kernel) Need(name string) (any, error) {
 }
 
 // Defined reports whether a variable exists.
+//
+//lint:allow testonly Jupyter hidden kernel state, which the paper compares with workflows
 func (k *Kernel) Defined(name string) bool {
 	_, ok := k.vars[name]
 	return ok
@@ -124,6 +123,8 @@ func (k *Kernel) Elapsed() float64 { return k.elapsed }
 func (k *Kernel) ExecCount() int { return k.execCount }
 
 // History returns the execution history.
+//
+//lint:allow testonly Jupyter hidden kernel state, which the paper compares with workflows
 func (k *Kernel) History() []ExecutionRecord {
 	out := make([]ExecutionRecord, len(k.history))
 	copy(out, k.history)
@@ -362,6 +363,8 @@ func (n *Notebook) RunAll() error {
 // Restart discards all kernel state — variables, execution counter,
 // history and the virtual clock — exactly like restarting a Jupyter
 // kernel. The cells remain.
+//
+//lint:allow testonly Jupyter hidden kernel state, which the paper compares with workflows
 func (n *Notebook) Restart() {
 	n.kernel = NewKernel(n.kernel.model)
 }
@@ -369,6 +372,8 @@ func (n *Notebook) Restart() {
 // RestartAndRunAll is the familiar "Restart & Run All" flow: the one
 // execution order that is reproducible by construction, because no
 // stale kernel state can leak between runs.
+//
+//lint:allow testonly Jupyter hidden kernel state, which the paper compares with workflows
 func (n *Notebook) RestartAndRunAll() error {
 	n.Restart()
 	return n.RunAll()

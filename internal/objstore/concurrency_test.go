@@ -103,80 +103,3 @@ func TestPinnedEvictionRacingPuts(t *testing.T) {
 		t.Fatalf("resident bytes %d exceed capacity %d", used, s.Capacity())
 	}
 }
-
-// A writer that dies between BeginPut and CommitPut must leave no
-// trace: the reservation is invisible to readers, blocks duplicate
-// names, and AbortPut removes it without touching residents.
-func TestCrashMidSpillCleanup(t *testing.T) {
-	s, err := New(nil, 1<<20)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, err := s.Put("resident", 512<<10); err != nil {
-		t.Fatal(err)
-	}
-	before := s.Stats()
-
-	if err := s.BeginPut("wip", 256<<10); err != nil {
-		t.Fatal(err)
-	}
-	// The reservation is invisible...
-	if s.Contains("wip") || s.Spilled("wip") || s.Size("wip") != 0 {
-		t.Fatal("pending put is visible to readers")
-	}
-	if _, err := s.Get("wip"); err == nil {
-		t.Fatal("Get on a pending put succeeded")
-	}
-	// ...but owns the name.
-	if err := s.BeginPut("wip", 1); err == nil {
-		t.Fatal("duplicate BeginPut succeeded")
-	}
-	if _, err := s.Put("wip", 1); err == nil {
-		t.Fatal("Put over a pending reservation succeeded")
-	}
-
-	// The crash: the writer never commits. Cleanup leaves the store
-	// exactly as it was.
-	if err := s.AbortPut("wip"); err != nil {
-		t.Fatal(err)
-	}
-	if s.Stats() != before {
-		t.Fatalf("abort changed the books: %+v != %+v", s.Stats(), before)
-	}
-	if !s.Contains("resident") || s.Spilled("resident") {
-		t.Fatal("abort disturbed a resident object")
-	}
-
-	// The name is free again, and a committed two-phase put is priced
-	// exactly like a direct one.
-	if err := s.BeginPut("wip", 256<<10); err != nil {
-		t.Fatal(err)
-	}
-	got, err := s.CommitPut("wip")
-	if err != nil {
-		t.Fatal(err)
-	}
-	ref, err := New(nil, 1<<20)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, err := ref.Put("resident", 512<<10); err != nil {
-		t.Fatal(err)
-	}
-	want, err := ref.Put("wip", 256<<10)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got != want {
-		t.Fatalf("committed put cost %g, direct put cost %g", got, want)
-	}
-
-	// Aborting a committed object is refused; CommitPut without a
-	// reservation is refused.
-	if err := s.AbortPut("wip"); err == nil {
-		t.Fatal("AbortPut on a committed object succeeded")
-	}
-	if _, err := s.CommitPut("ghost"); err == nil {
-		t.Fatal("CommitPut without a reservation succeeded")
-	}
-}

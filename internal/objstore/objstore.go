@@ -43,7 +43,6 @@ type object struct {
 	size    int64
 	pinned  bool
 	spilled bool
-	pending bool          // reserved by BeginPut, invisible until CommitPut
 	lruElem *list.Element // nil while spilled
 }
 
@@ -87,38 +86,11 @@ func (s *Store) Stats() Stats {
 	return s.stats
 }
 
-// Used returns the bytes currently resident in memory.
-func (s *Store) Used() int64 {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return s.used
-}
-
-// Capacity returns the memory budget.
-func (s *Store) Capacity() int64 { return s.capacity }
-
-// Contains reports whether the object exists (in memory or spilled).
-// Pending (uncommitted) puts are invisible.
-func (s *Store) Contains(id ID) bool {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	o, ok := s.objects[id]
-	return ok && !o.pending
-}
-
-// Spilled reports whether the object is currently on the spill path.
-func (s *Store) Spilled(id ID) bool {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	o, ok := s.objects[id]
-	return ok && !o.pending && o.spilled
-}
-
 // Size returns an object's size, or 0 if absent.
 func (s *Store) Size(id ID) int64 {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	if o, ok := s.objects[id]; ok && !o.pending {
+	if o, ok := s.objects[id]; ok {
 		return o.size
 	}
 	return 0
@@ -170,26 +142,28 @@ func (s *Store) evictFor(need int64) (float64, bool) {
 // Put stores an object of the given size and returns the simulated
 // seconds the put took. If the object does not fit even after evicting
 // everything unpinned, it is created directly on the spill path.
-// Putting an existing ID is an error.
+// Putting an ID the store holds replaces that object, as a second
+// ray.put makes a new one: the old copy's memory is freed (or its
+// spill dropped), and the new copy is placed and charged afresh. A
+// pinned object cannot be replaced.
 func (s *Store) Put(id ID, size int64) (float64, error) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	return s.putLocked(id, size)
-}
-
-func (s *Store) putLocked(id ID, size int64) (float64, error) {
 	if size <= 0 {
 		return 0, fmt.Errorf("objstore: object %q has size %d", id, size)
 	}
-	if _, dup := s.objects[id]; dup {
-		return 0, fmt.Errorf("objstore: object %q already exists", id)
+	if old, ok := s.objects[id]; ok {
+		if old.pinned {
+			return 0, fmt.Errorf("objstore: object %q is pinned", id)
+		}
+		s.removeLocked(old)
 	}
 	o := &object{id: id, size: size}
 	s.objects[id] = o
 	return s.placeLocked(o)
 }
 
-// placeLocked finds room for a freshly created (or committed) object,
+// placeLocked finds room for a freshly created object,
 // spilling residents or landing it directly on disk as needed. The
 // caller must hold s.mu and have inserted o into s.objects.
 func (s *Store) placeLocked(o *object) (float64, error) {
@@ -210,65 +184,13 @@ func (s *Store) placeLocked(o *object) (float64, error) {
 	return secs, nil
 }
 
-// BeginPut reserves an ID for a two-phase put: the reservation claims
-// the name (a concurrent Put or BeginPut of the same ID fails) but
-// holds no bytes and is invisible to readers until CommitPut. A writer
-// that dies mid-spill leaves only a reservation; AbortPut (or the
-// janitor that notices the writer is gone) cleans it up with no effect
-// on residents.
-func (s *Store) BeginPut(id ID, size int64) error {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	if size <= 0 {
-		return fmt.Errorf("objstore: object %q has size %d", id, size)
-	}
-	if _, dup := s.objects[id]; dup {
-		return fmt.Errorf("objstore: object %q already exists", id)
-	}
-	s.objects[id] = &object{id: id, size: size, pending: true}
-	return nil
-}
-
-// CommitPut completes a reservation made by BeginPut: the object
-// becomes visible and the put is priced exactly as a direct Put.
-func (s *Store) CommitPut(id ID) (float64, error) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	o, ok := s.objects[id]
-	if !ok {
-		return 0, fmt.Errorf("objstore: no pending put for %q", id)
-	}
-	if !o.pending {
-		return 0, fmt.Errorf("objstore: object %q is not a pending put", id)
-	}
-	o.pending = false
-	return s.placeLocked(o)
-}
-
-// AbortPut discards a reservation made by BeginPut — the crash-mid-
-// spill cleanup path. Aborting a committed object is an error; use
-// Delete for those.
-func (s *Store) AbortPut(id ID) error {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	o, ok := s.objects[id]
-	if !ok {
-		return fmt.Errorf("objstore: no pending put for %q", id)
-	}
-	if !o.pending {
-		return fmt.Errorf("objstore: object %q is not a pending put", id)
-	}
-	delete(s.objects, id)
-	return nil
-}
-
 // Get fetches an object, restoring it from the spill path if needed,
 // and returns the simulated seconds the access took.
 func (s *Store) Get(id ID) (float64, error) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	o, ok := s.objects[id]
-	if !ok || o.pending {
+	if !ok {
 		return 0, fmt.Errorf("objstore: object %q not found", id)
 	}
 	if !o.spilled {
@@ -303,7 +225,7 @@ func (s *Store) AccessSeconds(id ID) (float64, error) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	o, ok := s.objects[id]
-	if !ok || o.pending {
+	if !ok {
 		return 0, fmt.Errorf("objstore: object %q not found", id)
 	}
 	return s.model.GetSeconds(o.size, o.spilled), nil
@@ -319,7 +241,7 @@ func (s *Store) ReconstructSeconds(id ID) (float64, error) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	o, ok := s.objects[id]
-	if !ok || o.pending {
+	if !ok {
 		return 0, fmt.Errorf("objstore: object %q not found", id)
 	}
 	secs := s.model.PutSeconds(o.size, false) + s.model.GetSeconds(o.size, o.spilled)
@@ -334,7 +256,7 @@ func (s *Store) Pin(id ID) error {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	o, ok := s.objects[id]
-	if !ok || o.pending {
+	if !ok {
 		return fmt.Errorf("objstore: object %q not found", id)
 	}
 	o.pinned = true
@@ -346,25 +268,19 @@ func (s *Store) Unpin(id ID) error {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	o, ok := s.objects[id]
-	if !ok || o.pending {
+	if !ok {
 		return fmt.Errorf("objstore: object %q not found", id)
 	}
 	o.pinned = false
 	return nil
 }
 
-// Delete removes an object entirely.
-func (s *Store) Delete(id ID) error {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	o, ok := s.objects[id]
-	if !ok || o.pending {
-		return fmt.Errorf("objstore: object %q not found", id)
-	}
+// removeLocked drops an object, freeing its memory when it is
+// resident. The caller must hold s.mu.
+func (s *Store) removeLocked(o *object) {
 	if o.lruElem != nil {
 		s.lru.Remove(o.lruElem)
 		s.used -= o.size
 	}
-	delete(s.objects, id)
-	return nil
+	delete(s.objects, o.id)
 }

@@ -1,6 +1,7 @@
 package objstore
 
 import (
+	"strings"
 	"testing"
 
 	"repro/internal/cost"
@@ -52,9 +53,6 @@ func TestPutErrors(t *testing.T) {
 	}
 	if _, err := s.Put("a", 10); err != nil {
 		t.Fatal(err)
-	}
-	if _, err := s.Put("a", 10); err == nil {
-		t.Fatal("expected error for duplicate put")
 	}
 	if _, err := s.Get("missing"); err == nil {
 		t.Fatal("expected error for missing get")
@@ -158,6 +156,54 @@ func TestPinPreventsEviction(t *testing.T) {
 	}
 	if err := s.Unpin("missing"); err == nil {
 		t.Fatal("expected error unpinning missing object")
+	}
+}
+
+// TestPutReplaces holds a re-put to a second ray.put: the old copy's
+// memory is freed or its spill dropped, and the new copy is placed and
+// charged afresh.
+func TestPutReplaces(t *testing.T) {
+	s := newStore(t, 100)
+	first, err := s.Put("a", 50)
+	if err != nil {
+		t.Fatal(err)
+	}
+	again, err := s.Put("a", 50)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if again != first || s.Used() != 50 || s.Size("a") != 50 || s.Stats().Puts != 2 {
+		t.Fatalf("re-put: %v s (first %v s), used %d, size %d, %d puts", again, first, s.Used(), s.Size("a"), s.Stats().Puts)
+	}
+	// A spilled copy is dropped; a smaller new copy lands in memory.
+	if _, err := s.Put("big", 1000); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := s.Put("big", 40); err != nil {
+		t.Fatal(err)
+	}
+	if s.Spilled("big") || s.Used() != 90 || s.Size("big") != 40 {
+		t.Fatalf("re-put of a spilled object: spilled %v, used %d, size %d", s.Spilled("big"), s.Used(), s.Size("big"))
+	}
+	if _, err := s.Put("a", 0); err == nil || s.Size("a") != 50 {
+		t.Fatal("a re-put of size 0 must fail and leave the object")
+	}
+}
+
+// TestPutPinnedRefused: a pinned object is not replaced.
+func TestPutPinnedRefused(t *testing.T) {
+	s := newStore(t, 100)
+	if _, err := s.Put("a", 70); err != nil {
+		t.Fatal(err)
+	}
+	if err := s.Pin("a"); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := s.Put("a", 10); err == nil || !strings.Contains(err.Error(), "pinned") {
+		t.Fatalf("re-put of a pinned object: %v, want a pinned error", err)
+	}
+	if s.Size("a") != 70 || s.Used() != 70 {
+		t.Fatalf("refused re-put changed the store: size %d, used %d", s.Size("a"), s.Used())
 	}
 }
 

@@ -538,13 +538,6 @@ func (r *Run) SetNote(key, value string) {
 	r.mu.Unlock()
 }
 
-// Note reads one note back; empty when unset.
-func (r *Run) Note(key string) string {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	return r.notes[key]
-}
-
 // Recorder returns the run's telemetry recorder (may be nil).
 func (r *Run) Recorder() *telemetry.Recorder { return r.rec }
 

@@ -33,12 +33,6 @@ type Server struct {
 	mux *http.ServeMux
 }
 
-// NewServer builds the server with default scheduler sizing (the
-// paper cluster's 32 worker vCPUs, 64-deep tenant queues).
-func NewServer(reg *Registry, rec *telemetry.Recorder) *Server {
-	return NewServerWith(reg, rec, service.Config{})
-}
-
 // NewServerWith builds the server around an explicitly sized
 // scheduler. Pass a fresh NewRegistry()/telemetry.New() pair for a
 // standalone server.
@@ -67,12 +61,6 @@ func NewServerWith(reg *Registry, rec *telemetry.Recorder, cfg service.Config) *
 func (s *Server) ServeHTTP(w http.ResponseWriter, r *http.Request) {
 	s.mux.ServeHTTP(w, r)
 }
-
-// Registry returns the server's run registry.
-func (s *Server) Registry() *Registry { return s.reg }
-
-// Service returns the scheduling tier, for stats and tests.
-func (s *Server) Service() *service.Service { return s.svc }
 
 // Close stops accepting submissions and waits for queued and
 // in-flight runs to finish.
@@ -110,16 +98,16 @@ func (s *Server) Launch(spec core.RunSpec) (*Run, error) {
 // runJob is the service Runner: it marks the registered run live,
 // executes the spec and finishes the run. Scheduler bookkeeping
 // (releasing vCPUs, re-pumping the queue) happens in the service once
-// this returns.
-func (s *Server) runJob(job *service.Job) error {
+// this returns. A run's error is recorded on the run, where GET
+// /v1/runs/{id} and the failed-runs counter read it.
+func (s *Server) runJob(job *service.Job) {
 	run, ok := s.reg.Run(job.ID)
 	if !ok {
-		return fmt.Errorf("obs: dispatched job %q has no registered run", job.ID)
+		return // Launch registers every run before it submits the job
 	}
 	run.MarkRunning()
 	summary, err := executeRun(job.Spec, run, s.rec)
 	run.Finish(summary, err)
-	return err
 }
 
 // executeRun runs the spec with the run handle attached as its live

@@ -4,6 +4,7 @@ import (
 	"bufio"
 	"bytes"
 	"encoding/json"
+	"errors"
 	"fmt"
 	"io"
 	"net/http"
@@ -22,7 +23,7 @@ import (
 
 func newTestServer(t *testing.T) (*obs.Server, *httptest.Server) {
 	t.Helper()
-	srv := obs.NewServer(obs.NewRegistry(), telemetry.New())
+	srv := obs.NewServerWith(obs.NewRegistry(), telemetry.New(), service.Config{})
 	ts := httptest.NewServer(srv)
 	t.Cleanup(ts.Close)
 	return srv, ts
@@ -94,6 +95,54 @@ func TestHealthAndMetricsEndpoints(t *testing.T) {
 		if len(fields) != 2 {
 			t.Errorf("malformed exposition line %q", line)
 		}
+	}
+}
+
+// failingTask is a registered task whose construction fails, so a
+// served run of it fails after admission.
+const failingTask = "obs-failing"
+
+func init() {
+	core.RegisterTask(failingTask, 1, func(int, uint64) (core.Task, error) {
+		return nil, errors.New("task construction failed on purpose")
+	})
+}
+
+// TestFailedServedRunReportsItsError: a served run that fails reports
+// its error on GET /v1/runs/{id} and in repro_obs_runs_failed_total.
+func TestFailedServedRunReportsItsError(t *testing.T) {
+	_, ts := newTestServer(t)
+	code, body := postRun(t, ts.URL+"/v1/runs", `{"task":"`+failingTask+`"}`)
+	if code != http.StatusAccepted && code != http.StatusOK {
+		t.Fatalf("POST /v1/runs: code %d: %s", code, body)
+	}
+	var launched obs.Info
+	if err := json.Unmarshal([]byte(body), &launched); err != nil {
+		t.Fatal(err)
+	}
+	deadline := time.Now().Add(30 * time.Second) //lint:allow wallclock test timeout
+	var info obs.Info
+	for {
+		code, body := get(t, ts.URL+"/v1/runs/"+launched.ID)
+		if code != 200 {
+			t.Fatalf("GET /v1/runs/%s: code %d: %s", launched.ID, code, body)
+		}
+		if err := json.Unmarshal([]byte(body), &info); err != nil {
+			t.Fatal(err)
+		}
+		if info.State != "queued" && info.State != "running" {
+			break
+		}
+		if time.Now().After(deadline) { //lint:allow wallclock test timeout
+			t.Fatalf("run %s still %s after 30s", launched.ID, info.State)
+		}
+		time.Sleep(5 * time.Millisecond)
+	}
+	if info.State != "failed" || !strings.Contains(info.Error, "failed on purpose") {
+		t.Fatalf("GET /v1/runs/%s: state %q, error %q; want failed with the task's error", launched.ID, info.State, info.Error)
+	}
+	if _, metrics := get(t, ts.URL+"/metrics"); !strings.Contains(metrics, "repro_obs_runs_failed_total 1\n") {
+		t.Fatalf("/metrics does not count the failed run:\n%s", metrics)
 	}
 }
 
@@ -468,7 +517,7 @@ func TestErrorEnvelopeAndStatusCodes(t *testing.T) {
 // spec behind the same reader is still accepted. The handler is driven
 // in-process so the client never races the server closing the socket.
 func TestStartRunBodyLimit(t *testing.T) {
-	srv := obs.NewServer(obs.NewRegistry(), telemetry.New())
+	srv := obs.NewServerWith(obs.NewRegistry(), telemetry.New(), service.Config{})
 	t.Cleanup(srv.Close)
 	post := func(body string) *httptest.ResponseRecorder {
 		rec := httptest.NewRecorder()

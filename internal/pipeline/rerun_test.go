@@ -2,7 +2,6 @@ package pipeline_test
 
 import (
 	"fmt"
-	"strings"
 	"testing"
 
 	"repro/internal/core"
@@ -11,21 +10,12 @@ import (
 	"repro/internal/relation"
 )
 
-// rerunKnownFailure names, per task, the cell that cannot yet be run a
-// second time: it puts the model into the Ray object store, which
-// refuses an ID it already holds (ROADMAP, open items). Re-running from
-// it, or from any cell before it, must fail with that error; once the
-// cell is fixed, drop its entry.
-var rerunKnownFailure = map[string]string{
-	"gotta": "load_model",
-	"kge":   "load_model",
-}
-
 // TestNotebookCellsRerun holds every task's notebook to RunCell's
 // contract, that cells may be run multiple times: after a full run,
 // re-running the cells from any one onward leaves the output digest
 // unchanged — a cell builds its outputs afresh instead of appending to
-// what an earlier run left behind.
+// what an earlier run left behind, and a cell that puts an object into
+// the Ray store (KGE's and GOTTA's load_model) replaces it.
 func TestNotebookCellsRerun(t *testing.T) {
 	cfg, err := core.RunConfig{Workers: 4}.Normalize()
 	if err != nil {
@@ -57,12 +47,8 @@ func TestNotebookCellsRerun(t *testing.T) {
 		for from := 0; from < cells; from++ {
 			decl := d.Notebook(pipeline.NewEnv(cfg, tc.name))
 			nb := notebook.New(tc.name, cfg.Model)
-			failAt := -1
-			for i, c := range decl.Cells {
+			for _, c := range decl.Cells {
 				nb.Add(c)
-				if c.Name == rerunKnownFailure[tc.name] {
-					failAt = i
-				}
 			}
 			if err := nb.RunAll(); err != nil {
 				t.Fatalf("%s: %v", tc.name, err)
@@ -72,12 +58,6 @@ func TestNotebookCellsRerun(t *testing.T) {
 			var rerr error
 			for i := from; i < len(decl.Cells) && rerr == nil; i++ {
 				rerr = nb.RunCell(i)
-			}
-			if from <= failAt {
-				if rerr == nil || !strings.Contains(rerr.Error(), "already exists") {
-					t.Errorf("%s: re-run from %s: got error %v, want the object store's \"already exists\"", tc.name, name, rerr)
-				}
-				continue
 			}
 			if rerr != nil {
 				t.Errorf("%s: re-run from %s: %v", tc.name, name, rerr)

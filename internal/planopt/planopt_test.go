@@ -9,6 +9,7 @@ import (
 	"repro/internal/cost"
 	"repro/internal/dataflow"
 	"repro/internal/relation"
+	"repro/internal/relation/reltest"
 	"repro/internal/shard"
 )
 
@@ -236,7 +237,7 @@ func TestJoinSwapBuildsSmallerSide(t *testing.T) {
 	if !po.Schema().Equal(pp.Schema()) {
 		t.Fatalf("join swap changed the output schema: %v vs %v", po.Schema(), pp.Schema())
 	}
-	if !po.EqualUnordered(pp) {
+	if !reltest.EqualUnordered(po, pp) {
 		t.Fatal("join swap changed the output rows")
 	}
 }
@@ -270,7 +271,7 @@ func TestJoinSwapFeedsFilterUnchanged(t *testing.T) {
 		if !hasApplied(rep, RuleJoinSwap) {
 			t.Fatalf("%s filter: no OPT003 applied; diags: %v", lang, rep.Diags)
 		}
-		if !resOpt.Tables["out"].EqualUnordered(resPlain.Tables["out"]) {
+		if !reltest.EqualUnordered(resOpt.Tables["out"], resPlain.Tables["out"]) {
 			t.Fatalf("%s filter: the swapped join changed the filtered rows", lang)
 		}
 		node := func(res *dataflow.Result, name string) *dataflow.NodeTrace {
@@ -324,7 +325,7 @@ func TestExchangeBroadcastsSmallBuild(t *testing.T) {
 	if !hasApplied(rep, RuleExchange) {
 		t.Fatalf("no OPT004 applied; diags: %v", rep.Diags)
 	}
-	if !resPlain.Tables["out"].EqualUnordered(resOpt.Tables["out"]) {
+	if !reltest.EqualUnordered(resPlain.Tables["out"], resOpt.Tables["out"]) {
 		t.Fatal("exchange choice changed the output rows")
 	}
 	if resOpt.SimSeconds >= resPlain.SimSeconds {
@@ -362,7 +363,7 @@ func TestParallelismRaisedToCapacity(t *testing.T) {
 	if !hasApplied(rep, RuleParallelism) {
 		t.Fatalf("no OPT006 applied; diags: %v", rep.Diags)
 	}
-	if !resPlain.Tables["out"].EqualUnordered(resOpt.Tables["out"]) {
+	if !reltest.EqualUnordered(resPlain.Tables["out"], resOpt.Tables["out"]) {
 		t.Fatal("parallelism raise changed the output rows")
 	}
 	w := build()
@@ -453,7 +454,7 @@ func TestBatchSizedToConsumerParallelism(t *testing.T) {
 	if hasApplied(rep, RuleParallelism) {
 		t.Fatalf("OPT006 fired; this test wants batch sizing alone: %v", rep.Diags)
 	}
-	if !resPlain.Tables["out"].EqualUnordered(resOpt.Tables["out"]) {
+	if !reltest.EqualUnordered(resPlain.Tables["out"], resOpt.Tables["out"]) {
 		t.Fatal("batch sizing changed the output rows")
 	}
 	if resOpt.SimSeconds > resPlain.SimSeconds {
@@ -464,7 +465,10 @@ func TestBatchSizedToConsumerParallelism(t *testing.T) {
 
 func TestBatchPassDisabledWhenPinned(t *testing.T) {
 	w := dataflow.New("pinned")
-	src := w.Source("src", intTable(3000), dataflow.WithBatchSize(3000))
+	src := w.Source("src", intTable(3000))
+	if err := w.SetSourceBatch(src, 3000); err != nil {
+		t.Fatal(err)
+	}
 	snk := w.Sink("out")
 	w.Connect(src, snk, 0, dataflow.RoundRobin())
 	rep, err := Optimize(w, Options{})

@@ -74,9 +74,6 @@ func NewCluster(model *cost.Model, numCPUs int, storeBytes int64) (*Cluster, err
 	return &Cluster{model: model, numCPUs: numCPUs, store: store}, nil
 }
 
-// Model returns the cluster's cost model.
-func (c *Cluster) Model() *cost.Model { return c.model }
-
 // Store returns the shared object store.
 func (c *Cluster) Store() *objstore.Store { return c.store }
 

@@ -42,12 +42,11 @@ func FNVMixUint64(h, v uint64) uint64 {
 	return h
 }
 
-// Canonical tuple hashing. hashTupleCanon/equalTupleCanon replace the
-// Tuple.Key canonical-string encoding on the row-path hot spots
-// (GroupBy, EqualUnordered): rows bucket by a uint64 FNV hash
+// Canonical tuple hashing. hashTupleCanon replaces a canonical key
+// string on GroupBy's hot path: rows bucket by a uint64 FNV hash
 // instead of an allocated key string, and bucket collisions resolve by
-// canonical value equality. "Canonical" mirrors Key's equivalence
-// classes exactly — every NaN is one value (FormatFloat renders them
+// canonical value equality. "Canonical" mirrors the key string's
+// (keyParts') equivalence classes exactly — every NaN is one value (FormatFloat renders them
 // all "NaN"), while +0 and -0 stay distinct ("0" vs "-0") — so the
 // groups, and therefore the output bits, are identical to the
 // string-keyed implementation.
@@ -107,14 +106,4 @@ func equalValueCanon(a, b Value) bool {
 		return canonFloatBits(a.Float()) == canonFloatBits(b.Float())
 	}
 	return a.Equal(b)
-}
-
-// equalTupleCanon compares the values at the given positions.
-func equalTupleCanon(a, b Tuple, pos []int) bool {
-	for _, p := range pos {
-		if !equalValueCanon(a[p], b[p]) {
-			return false
-		}
-	}
-	return true
 }

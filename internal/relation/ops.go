@@ -39,23 +39,6 @@ func Project(t *Table, names ...string) (*Table, error) {
 	return out, nil
 }
 
-// Map applies fn to every row, producing rows of the given output
-// schema. Output rows are validated.
-func Map(t *Table, out *Schema, fn func(Tuple) (Tuple, error)) (*Table, error) {
-	res := NewTable(out)
-	for i, r := range t.Rows() {
-		row, err := fn(r)
-		if err != nil {
-			return nil, fmt.Errorf("relation: map row %d: %w", i, err)
-		}
-		if err := row.Validate(out); err != nil {
-			return nil, fmt.Errorf("relation: map row %d: %w", i, err)
-		}
-		res.AppendUnchecked(row)
-	}
-	return res, nil
-}
-
 // JoinType selects inner or left-outer semantics for HashJoin.
 type JoinType int
 

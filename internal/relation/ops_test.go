@@ -61,26 +61,6 @@ func TestProjectOp(t *testing.T) {
 	}
 }
 
-func TestMapOp(t *testing.T) {
-	u := usersTable(t)
-	out, err := Map(u, MustSchema(Field{"upper", String}), func(r Tuple) (Tuple, error) {
-		return Tuple{StringValue(r[1].Str() + "!")}, nil
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if out.Row(0)[0].Str() != "ann!" {
-		t.Fatal("map wrong")
-	}
-	// Output validation catches bad rows.
-	_, err = Map(u, MustSchema(Field{"x", Int}), func(r Tuple) (Tuple, error) {
-		return Tuple{StringValue("not an int")}, nil
-	})
-	if err == nil {
-		t.Fatal("expected validation error")
-	}
-}
-
 func TestHashJoinInner(t *testing.T) {
 	u := usersTable(t)
 	o := ordersTable(t)

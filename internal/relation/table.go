@@ -44,27 +44,10 @@ func (t *Table) Append(row Tuple) error {
 	return nil
 }
 
-// MustAppend is Append that panics; for rows of statically known shape.
-func (t *Table) MustAppend(row Tuple) {
-	if err := t.Append(row); err != nil {
-		panic(err)
-	}
-}
-
 // AppendUnchecked adds a row without validation; for hot paths where
 // the producer guarantees the shape.
 func (t *Table) AppendUnchecked(row Tuple) {
 	t.rows = append(t.rows, row)
-}
-
-// Clone deep-copies the table (rows are cloned; values are immutable).
-func (t *Table) Clone() *Table {
-	c := NewTable(t.schema)
-	c.rows = make([]Tuple, len(t.rows))
-	for i, r := range t.rows {
-		c.rows[i] = r.Clone()
-	}
-	return c
 }
 
 // Equal reports whether two tables have equal schemas and identical
@@ -78,56 +61,6 @@ func (t *Table) Equal(o *Table) bool {
 			return false
 		}
 	}
-	return true
-}
-
-// EqualUnordered reports whether two tables contain the same multiset
-// of rows regardless of order. Rows are bucketed by their canonical
-// uint64 hash (no per-row key-string allocation) and compared by
-// canonical value equality within buckets.
-func (t *Table) EqualUnordered(o *Table) bool {
-	if !t.schema.Equal(o.schema) || t.Len() != o.Len() {
-		return false
-	}
-	all := make([]int, t.schema.Len())
-	for i := range all {
-		all[i] = i
-	}
-	type entry struct {
-		row   Tuple
-		count int
-	}
-	buckets := make(map[uint64][]entry, t.Len())
-	find := func(b []entry, r Tuple) int {
-		for i := range b {
-			if equalTupleCanon(b[i].row, r, all) {
-				return i
-			}
-		}
-		return -1
-	}
-	for _, r := range t.Rows() {
-		h := hashTupleCanon(r, all)
-		b := buckets[h]
-		if i := find(b, r); i >= 0 {
-			b[i].count++
-		} else {
-			buckets[h] = append(b, entry{row: r, count: 1})
-		}
-	}
-	for _, r := range o.Rows() {
-		h := hashTupleCanon(r, all)
-		b := buckets[h]
-		i := find(b, r)
-		if i < 0 {
-			return false
-		}
-		b[i].count--
-		if b[i].count < 0 {
-			return false
-		}
-	}
-	// Equal lengths + no count underflow means every count is zero.
 	return true
 }
 

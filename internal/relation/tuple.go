@@ -3,7 +3,6 @@ package relation
 import (
 	"fmt"
 	"strconv"
-	"strings"
 )
 
 // Tuple is one row of cells. Positions correspond to schema fields.
@@ -22,14 +21,6 @@ func (t Tuple) Validate(s *Schema) error {
 	return nil
 }
 
-// Clone returns a copy of the tuple. Cells are immutable, so a shallow
-// copy suffices.
-func (t Tuple) Clone() Tuple {
-	c := make(Tuple, len(t))
-	copy(c, t)
-	return c
-}
-
 // Equal reports cell-by-cell Value.Equal of two tuples.
 func (t Tuple) Equal(o Tuple) bool {
 	if len(t) != len(o) {
@@ -43,22 +34,7 @@ func (t Tuple) Equal(o Tuple) bool {
 	return true
 }
 
-// Key renders the values at the given positions into a canonical
-// string, usable as a hash-map key for joins and grouping. Types are
-// tagged so int64(1) and "1" cannot collide.
-func (t Tuple) Key(positions ...int) string {
-	var b strings.Builder
-	for _, p := range positions {
-		var buf [32]byte
-		head, body := t[p].keyParts(buf[:0])
-		b.Write(head)
-		b.WriteString(body)
-		b.WriteByte('|')
-	}
-	return b.String()
-}
-
-// keyParts returns the bytes Key writes for v, appending its tag and
+// keyParts returns v's canonical key bytes, appending its kind tag and
 // rendering to dst; a string's own bytes come back as body, unrendered.
 func (v Value) keyParts(dst []byte) (head []byte, body string) {
 	switch v.Kind() {
@@ -76,10 +52,11 @@ func (v Value) keyParts(dst []byte) (head []byte, body string) {
 	return append(strconv.AppendInt(append(dst, 's'), int64(len(s)), 10), ':'), s
 }
 
-// KeyHash returns the 32-bit FNV-1a hash of t.Key(pos) without building
-// the key: the bytes Key would write are rendered into a stack buffer
-// (a string's own bytes are read in place) and folded into the hash, so
-// partitioning a row by its key allocates nothing.
+// KeyHash returns the 32-bit FNV-1a hash of cell pos's canonical key
+// (keyParts' bytes, then '|') without building the key: the bytes are
+// rendered into a stack buffer (a string's own bytes are read in
+// place) and folded into the hash, so partitioning a row by its key
+// allocates nothing.
 func (t Tuple) KeyHash(pos int) uint32 {
 	const fnvOffset32, fnvPrime32 = 2166136261, 16777619
 	var buf [32]byte // 'f' plus the longest float64 rendering is 25 bytes

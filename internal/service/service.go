@@ -10,9 +10,9 @@ import (
 
 // Runner executes one dispatched job synchronously. It runs on a
 // worker goroutine; returning releases the job's vCPUs back to the
-// scheduler. The runner owns all result handling (the service itself
-// never sees task outputs).
-type Runner func(job *Job) error
+// scheduler. The runner owns all result handling, errors included (the
+// service itself never sees task outputs).
+type Runner func(job *Job)
 
 // Service is the live multi-tenant wrapper around Scheduler: Submit
 // queues under admission control, a dispatch pump launches admitted
@@ -26,13 +26,8 @@ type Service struct {
 	mu     sync.Mutex
 	sched  *Scheduler
 	closed bool
-	errs   map[string]error // terminal errors by job ID, bounded
-	errIDs []string
 	wg     sync.WaitGroup
 }
-
-// errKeep bounds the retained per-job terminal errors.
-const errKeep = 128
 
 // New builds a service around a scheduler config and a runner.
 func New(cfg Config, runner Runner) *Service {
@@ -43,7 +38,6 @@ func New(cfg Config, runner Runner) *Service {
 		runner: runner,
 		epoch:  telemetry.WallClock(),
 		sched:  NewScheduler(cfg),
-		errs:   make(map[string]error),
 	}
 }
 
@@ -85,30 +79,14 @@ func (s *Service) pumpLocked() {
 func (s *Service) exec(job *Job) {
 	defer s.wg.Done()
 	start := telemetry.WallClock()
-	err := s.runner(job)
+	s.runner(job)
 	actual := telemetry.WallSince(start).Seconds()
 	s.mu.Lock()
-	if cerr := s.sched.Complete(job.ID, s.now(), actual); cerr != nil && err == nil {
-		err = cerr
-	}
-	if err != nil {
-		if len(s.errIDs) >= errKeep {
-			delete(s.errs, s.errIDs[0])
-			s.errIDs = s.errIDs[1:]
-		}
-		s.errs[job.ID] = err
-		s.errIDs = append(s.errIDs, job.ID)
-	}
+	// Complete fails only for a job the scheduler did not dispatch, and
+	// exec runs only dispatched jobs.
+	_ = s.sched.Complete(job.ID, s.now(), actual)
 	s.pumpLocked()
 	s.mu.Unlock()
-}
-
-// JobErr reports a job's terminal error, if it failed and the record
-// is still retained.
-func (s *Service) JobErr(id string) error {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return s.errs[id]
 }
 
 // Stats snapshots per-tenant accounting.
@@ -131,11 +109,6 @@ func (s *Service) UsedVCPUs() int {
 	defer s.mu.Unlock()
 	return s.sched.UsedVCPUs()
 }
-
-// Drain blocks until every queued and in-flight job has completed.
-// New submissions during a drain keep it alive; pair with Close for
-// shutdown.
-func (s *Service) Drain() { s.wg.Wait() }
 
 // Close stops accepting submissions and waits for queued and
 // in-flight jobs to finish.

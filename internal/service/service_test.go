@@ -17,11 +17,10 @@ import (
 func TestServiceExecutesAndDrains(t *testing.T) {
 	var mu sync.Mutex
 	ran := map[string]int{}
-	svc := service.New(service.Config{BudgetVCPUs: 4}, func(job *service.Job) error {
+	svc := service.New(service.Config{BudgetVCPUs: 4}, func(job *service.Job) {
 		mu.Lock()
 		ran[job.Tenant]++
 		mu.Unlock()
-		return nil
 	})
 	for i := 0; i < 6; i++ {
 		if _, err := svc.Submit(service.Job{Tenant: "a", VCPUs: 1}); err != nil {
@@ -31,7 +30,7 @@ func TestServiceExecutesAndDrains(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	svc.Drain()
+	svc.Close()
 	mu.Lock()
 	got := map[string]int{"a": ran["a"], "b": ran["b"]}
 	mu.Unlock()
@@ -46,33 +45,8 @@ func TestServiceExecutesAndDrains(t *testing.T) {
 			t.Fatalf("tenant %s not drained: %+v", st.Tenant, st)
 		}
 	}
-	svc.Close()
 	if _, err := svc.Submit(service.Job{Tenant: "a", VCPUs: 1}); err == nil {
 		t.Fatal("submit after close accepted")
-	}
-}
-
-func TestServiceRetainsJobErrors(t *testing.T) {
-	svc := service.New(service.Config{BudgetVCPUs: 1}, func(job *service.Job) error {
-		if job.Tenant == "bad" {
-			return fmt.Errorf("boom")
-		}
-		return nil
-	})
-	bad, err := svc.Submit(service.Job{Tenant: "bad", VCPUs: 1})
-	if err != nil {
-		t.Fatal(err)
-	}
-	good, err := svc.Submit(service.Job{Tenant: "good", VCPUs: 1})
-	if err != nil {
-		t.Fatal(err)
-	}
-	svc.Drain()
-	if svc.JobErr(bad.ID) == nil {
-		t.Fatal("failed job's error not retained")
-	}
-	if err := svc.JobErr(good.ID); err != nil {
-		t.Fatalf("clean job carries error %v", err)
 	}
 }
 
@@ -109,15 +83,12 @@ func TestServicePathOutputsMatchDirectRuns(t *testing.T) {
 	}
 	var mu sync.Mutex
 	served := make(map[string]map[string]string)
-	svc := service.New(service.Config{}, func(job *service.Job) error {
+	errs := make(map[string]error)
+	svc := service.New(service.Config{}, func(job *service.Job) {
 		d, err := specDigests(job.Spec)
-		if err != nil {
-			return err
-		}
 		mu.Lock()
-		served[job.ID] = d
+		served[job.ID], errs[job.ID] = d, err
 		mu.Unlock()
-		return nil
 	})
 	ids := make(map[string]core.RunSpec)
 	for _, spec := range specs {
@@ -131,9 +102,9 @@ func TestServicePathOutputsMatchDirectRuns(t *testing.T) {
 		}
 		ids[job.ID] = norm
 	}
-	svc.Drain()
+	svc.Close()
 	for id, norm := range ids {
-		if err := svc.JobErr(id); err != nil {
+		if err := errs[id]; err != nil {
 			t.Fatalf("service run of %s failed: %v", norm.Task, err)
 		}
 		direct, err := specDigests(norm)

@@ -43,9 +43,6 @@ type Topology struct {
 	WorkerMemBytes int64
 }
 
-// Single returns the legacy single-cluster topology (the paper tier).
-func Single() Topology { return Topology{Nodes: 1} }
-
 // Of returns a topology of n paper-shaped nodes.
 func Of(n int) Topology { return Topology{Nodes: n} }
 

@@ -7,7 +7,7 @@ import (
 )
 
 func TestTopologyTiers(t *testing.T) {
-	for _, legacy := range []Topology{{}, Single()} {
+	for _, legacy := range []Topology{{}, {Nodes: 1}} {
 		if legacy.Sharded() {
 			t.Fatalf("%+v must be the legacy tier", legacy)
 		}

@@ -105,10 +105,10 @@ func goldenDAG(seed uint64, n int, sparse, latencies bool) ([]refJob, []Pool) {
 		case r.Bool(0.5):
 			j.Cost = xrand.Choice(r, grid)
 		default:
-			j.Cost = r.Range(0, 3)
+			j.Cost = uniform(r, 0, 3)
 		}
 		if latencies && r.Bool(0.3) {
-			j.Latency = r.Range(0, 1.5)
+			j.Latency = uniform(r, 0, 1.5)
 		}
 		// Depend only on jobs earlier in the slice (acyclic), mostly
 		// recent ones, as a pipeline's batches do.
@@ -175,7 +175,7 @@ func goldenFaults(seed uint64, n int, makespan float64, pools []Pool) []FaultEve
 	r := xrand.New(seed ^ 0xfa17)
 	out := make([]FaultEvent, 1+n/25)
 	for i := range out {
-		f := FaultEvent{At: r.Range(0, makespan), Pool: AnyPool, Salt: r.Uint64(), LoseObjects: r.Bool(0.3)}
+		f := FaultEvent{At: uniform(r, 0, makespan), Pool: AnyPool, Salt: r.Uint64(), LoseObjects: r.Bool(0.3)}
 		if r.Bool(0.5) {
 			f.Pool = int32(r.Intn(len(pools)))
 		}
@@ -321,4 +321,9 @@ func TestScheduleGolden(t *testing.T) {
 			}
 		}
 	}
+}
+
+// uniform draws a float64 uniformly distributed in [lo, hi).
+func uniform(r *xrand.Rand, lo, hi float64) float64 {
+	return lo + (hi-lo)*r.Float64()
 }

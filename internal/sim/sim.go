@@ -76,15 +76,6 @@ type Result struct {
 	Recovery Recovery
 }
 
-// Utilization returns the fraction of pool p's slot-time spent busy
-// over the makespan, or 0 if the makespan is zero.
-func (r *Result) Utilization(p, slots int) float64 {
-	if r.Makespan <= 0 || slots <= 0 {
-		return 0
-	}
-	return r.BusyTime[p] / (r.Makespan * float64(slots))
-}
-
 // event is one entry of the event heap or of a pool's ready queue.
 // On the event heap it is a job completion, (job == wakeupEvent) a
 // dispatch wakeup at the moment a queued job's latency elapses, or
@@ -433,15 +424,6 @@ func (s *scheduler) strike(f *FaultEvent, retry *RetryPolicy) error {
 	return nil
 }
 
-// CriticalPath returns the length of the longest dependency chain
-// (sum of costs and latencies), a lower bound on any schedule's
-// makespan: the length of the chain CriticalChain returns. It returns
-// an error on cycles or unknown dependencies.
-func CriticalPath(jobs []Job) (float64, error) {
-	_, length, err := longestChain(jobs)
-	return length, err
-}
-
 // CriticalChain returns the positions of the jobs on one longest
 // dependency chain, in execution order. Ties are broken toward the
 // smaller position at every step, so the chain is deterministic for a
@@ -452,8 +434,8 @@ func CriticalChain(jobs []Job) ([]JobID, error) {
 	return chain, err
 }
 
-// longestChain is the one longest-path walk behind CriticalChain and
-// CriticalPath: a memoised depth-first search returning the chain and
+// longestChain is the one longest-path walk behind CriticalChain (and
+// the tests' CriticalPath): a memoised depth-first search returning the chain and
 // its length.
 func longestChain(jobs []Job) ([]JobID, float64, error) {
 	if len(jobs) == 0 {
@@ -508,34 +490,4 @@ func longestChain(jobs []Job) ([]JobID, float64, error) {
 	}
 	slices.Reverse(chain) // into execution order
 	return chain, topLen, nil
-}
-
-// TotalWork returns the sum of job costs by pool position, for pools
-// 0..pools-1; every job's pool must be one of them.
-func TotalWork(jobs []Job, pools int) []float64 {
-	w := make([]float64, pools)
-	for _, j := range jobs {
-		w[j.Pool] += j.Cost
-	}
-	return w
-}
-
-// LowerBound returns max(critical path, per-pool work / slots), a valid
-// lower bound for any non-preemptive schedule of jobs on pools.
-func LowerBound(jobs []Job, pools []Pool) (float64, error) {
-	cp, err := CriticalPath(jobs)
-	if err != nil {
-		return 0, err
-	}
-	lb := cp
-	work := TotalWork(jobs, len(pools))
-	for i, p := range pools {
-		if p.Slots <= 0 {
-			return 0, fmt.Errorf("sim: pool %q has %d slots", p.Name, p.Slots)
-		}
-		if v := work[i] / float64(p.Slots); v > lb {
-			lb = v
-		}
-	}
-	return lb, nil
 }

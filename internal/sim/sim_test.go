@@ -196,11 +196,11 @@ func randomDAG(seed uint64) ([]Job, []Pool) {
 	jobs := make([]Job, n)
 	for i := 0; i < n; i++ {
 		j := Job{
-			Cost: r.Range(0, 10),
+			Cost: uniform(r, 0, 10),
 			Pool: int32(r.Intn(nPools)),
 		}
 		if r.Bool(0.2) {
-			j.Latency = r.Range(0, 2)
+			j.Latency = uniform(r, 0, 2)
 		}
 		// Depend only on earlier jobs: guaranteed acyclic.
 		for d := 0; d < i; d++ {

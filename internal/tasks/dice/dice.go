@@ -66,9 +66,6 @@ func (t *Task) Scope(_ core.Paradigm, workers int) string {
 	return fmt.Sprintf("pairs=%d,seed=%d,workers=%d", t.params.Pairs, t.params.Seed, workers)
 }
 
-// Cases exposes the generated dataset (read-only by convention).
-func (t *Task) Cases() []datagen.ClinicalCase { return t.cases }
-
 // Calibrated per-record work constants (Python-seconds). They are
 // chosen so the end-to-end simulated times land near the paper's
 // Figure 13a/14a measurements; see EXPERIMENTS.md.
@@ -110,21 +107,6 @@ type Record struct {
 	Trigger  string
 	Theme    string
 	Sentence string
-}
-
-// Oracle computes the expected output directly, as the testing
-// reference both paradigm implementations must reproduce.
-func Oracle(cases []datagen.ClinicalCase) ([]Record, error) {
-	var out []Record
-	ents := make(map[string]brat.Entity)
-	for i := range cases {
-		var err error
-		out, err = appendCaseRecords(out, &cases[i], splitCaseSentences(cases[i].Text), ents)
-		if err != nil {
-			return nil, err
-		}
-	}
-	return out, nil
 }
 
 // appendCaseRecords appends one case's records to out: each event with

@@ -1,6 +1,7 @@
 package gotta
 
 import (
+	"slices"
 	"testing"
 
 	"repro/internal/core"
@@ -171,7 +172,7 @@ func TestGenerateBatchesDoNotAlias(t *testing.T) {
 		}
 		batches[k] = out
 		for _, r := range out {
-			was[k] = append(was[k], r.Clone())
+			was[k] = append(was[k], slices.Clone(r))
 		}
 	}
 	for k, b := range batches {

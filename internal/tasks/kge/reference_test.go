@@ -159,23 +159,23 @@ func (pi *refPipeInstance) Process(ec dataflow.ExecCtx, _ int, rows []relation.T
 				if err != nil {
 					return nil, err
 				}
-				row = relation.Tuple{row[0], row[1], row[2], relation.StringValue(kge.EncodeVec(emb))}
+				row = relation.Tuple{row[0], row[1], row[2], relation.StringValue(string(kge.AppendVec(nil, emb)))}
 			case stDelta:
 				ec.AddWork(workDelta)
-				emb, err := kge.DecodeVec(row[3].Str())
+				emb, err := kge.DecodeVecInto(nil, row[3].Str())
 				if err != nil {
 					return nil, err
 				}
-				row = relation.Tuple{row[0], row[1], row[3], relation.StringValue(kge.EncodeVec(t.stage3Delta(emb)))}
+				row = relation.Tuple{row[0], row[1], row[3], relation.StringValue(string(kge.AppendVec(nil, t.stage3Delta(emb))))}
 			case stNorm:
 				ec.AddWork(workNorm)
-				delta, err := kge.DecodeVec(row[3].Str())
+				delta, err := kge.DecodeVecInto(nil, row[3].Str())
 				if err != nil {
 					return nil, err
 				}
 				row = relation.Tuple{row[0], row[1], row[2], relation.FloatValue(stage4Dist(delta))}
 			case stRank:
-				emb, err := kge.DecodeVec(row[2].Str())
+				emb, err := kge.DecodeVecInto(nil, row[2].Str())
 				if err != nil {
 					return nil, err
 				}
@@ -187,7 +187,7 @@ func (pi *refPipeInstance) Process(ec dataflow.ExecCtx, _ int, rows []relation.T
 				keep = false // emitted at EndPort
 			case stReverse:
 				ec.AddWork(workReverse)
-				emb, err := kge.DecodeVec(row[2].Str())
+				emb, err := kge.DecodeVecInto(nil, row[2].Str())
 				if err != nil {
 					return nil, err
 				}
@@ -236,7 +236,7 @@ func (pi *refPipeInstance) EndPort(ec dataflow.ExecCtx, _ int) ([]relation.Tuple
 			out = append(out, relation.Tuple{relation.IntValue(int64(i + 1)), relation.StringValue(entity), relation.StringValue(s.title), relation.FloatValue(s.dist)})
 			continue
 		}
-		out = append(out, relation.Tuple{relation.StringValue(s.asin), relation.StringValue(s.title), relation.StringValue(kge.EncodeVec(s.emb)), relation.FloatValue(s.dist)})
+		out = append(out, relation.Tuple{relation.StringValue(s.asin), relation.StringValue(s.title), relation.StringValue(string(kge.AppendVec(nil, s.emb))), relation.FloatValue(s.dist)})
 	}
 	return out, nil
 }
@@ -358,7 +358,7 @@ func FuzzTopKMatchesSort(f *testing.F) {
 	for j := range pool {
 		asins[j] = relation.StringValue(fmt.Sprintf("B%09d", j))
 		titles[j] = relation.StringValue(fmt.Sprintf("title %d", j))
-		embs[j] = relation.StringValue(kge.EncodeVec([]float64{float64(j)}))
+		embs[j] = relation.StringValue(string(kge.AppendVec(nil, []float64{float64(j)})))
 		vecs[j] = []float64{float64(j)}
 	}
 	same := func(a, b ranked) bool {

@@ -74,9 +74,6 @@ func (t *Task) Scope(core.Paradigm, int) string {
 	return fmt.Sprintf("tweets=%d,epochs=%d,seed=%d", t.params.Tweets, t.params.Epochs, t.params.Seed)
 }
 
-// Tweets exposes the dataset.
-func (t *Task) Tweets() []datagen.Tweet { return t.tweets }
-
 // Calibrated cost constants. BERT-base fine-tuning on an 8-vCPU node
 // runs at roughly half a second per example per epoch per model; the
 // compute is dense matrix math (memory/BLAS bound), so it is charged

@@ -151,7 +151,7 @@ func recordRun(t *testing.T, rng *xrand.Rand, rec *Recorder, ref *refRecorder, p
 		mt := meta{pool: rng.Intn(len(pools)), batch: rng.Bool(0.6), port: rng.Intn(5) - 1, seq: rng.Intn(50)}
 		jobs[i] = sim.Job{Pool: int32(mt.pool)}
 		if !rng.Bool(0.2) {
-			jobs[i].Cost = rng.Range(0.01, 2)
+			jobs[i].Cost = uniform(rng, 0.01, 2)
 		}
 		if !mt.batch {
 			names[i] = "job" + strconv.Itoa(rng.Intn(8))
@@ -163,7 +163,7 @@ func recordRun(t *testing.T, rng *xrand.Rand, rec *Recorder, ref *refRecorder, p
 	}
 	faults := make([]sim.FaultEvent, nFaults)
 	for i := range faults {
-		faults[i] = sim.FaultEvent{At: rng.Range(0, float64(n)/2), Pool: sim.AnyPool, Salt: rng.Uint64(), LoseObjects: rng.Bool(0.3)}
+		faults[i] = sim.FaultEvent{At: uniform(rng, 0, float64(n)/2), Pool: sim.AnyPool, Salt: rng.Uint64(), LoseObjects: rng.Bool(0.3)}
 	}
 	sched, err := sim.ScheduleFaulty(jobs, simPools, faults, sim.RetryPolicy{MaxRetries: 64})
 	if err != nil {
@@ -237,4 +237,9 @@ func TestRecorderSpanBytesBudget(t *testing.T) {
 	if got > budget {
 		t.Errorf("%d spans of %d bytes allocated %d bytes, budget %d", rec.Len(), size, got, budget)
 	}
+}
+
+// uniform draws a float64 uniformly distributed in [lo, hi).
+func uniform(r *xrand.Rand, lo, hi float64) float64 {
+	return lo + (hi-lo)*r.Float64()
 }

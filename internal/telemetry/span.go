@@ -99,8 +99,8 @@ type laneKey struct{ proc, track, cat string }
 type nameKind uint8
 
 const (
-	// nameFree is an interned free-form name: names[spanRec.name].
-	nameFree nameKind = iota
+	// The zero kind is an interned free-form name: names[spanRec.name].
+	_ nameKind = iota
 	// nameBatch is a data batch, formatted by BatchLabel from the
 	// lane's track, the port (-1 for a source's generated batch) and
 	// the sequence number.
@@ -127,7 +127,7 @@ type spanRec struct {
 	wall    Wall
 	tuples  int64
 	lane    Lane
-	name    int32 // index into names, for nameFree
+	name    int32 // index into names, for a free-form name
 	seq     int32
 	worker  int32
 	attempt int32 // the killed attempt, with flagKilled

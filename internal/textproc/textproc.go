@@ -144,76 +144,6 @@ func trimSpan(text string, start, end int) (Sentence, bool) {
 	return Sentence{Text: text[start:end], Start: start, End: end}, true
 }
 
-// Vocabulary maps tokens to dense integer IDs.
-type Vocabulary struct {
-	ids    map[string]int
-	tokens []string
-}
-
-// NewVocabulary returns an empty vocabulary.
-func NewVocabulary() *Vocabulary {
-	return &Vocabulary{ids: make(map[string]int)}
-}
-
-// BuildVocabulary creates a vocabulary from documents, keeping tokens
-// that occur at least minCount times. Token IDs are assigned in order
-// of first appearance for determinism.
-func BuildVocabulary(docs []string, minCount int) *Vocabulary {
-	counts := make(map[string]int)
-	var order []string
-	for _, d := range docs {
-		for _, tok := range Tokenize(d) {
-			if counts[tok] == 0 {
-				order = append(order, tok)
-			}
-			counts[tok]++
-		}
-	}
-	v := NewVocabulary()
-	for _, tok := range order {
-		if counts[tok] >= minCount {
-			v.Add(tok)
-		}
-	}
-	return v
-}
-
-// Add inserts a token if absent and returns its ID.
-func (v *Vocabulary) Add(tok string) int {
-	if id, ok := v.ids[tok]; ok {
-		return id
-	}
-	id := len(v.tokens)
-	v.ids[tok] = id
-	v.tokens = append(v.tokens, tok)
-	return id
-}
-
-// ID returns the token's ID, or -1 if unknown.
-func (v *Vocabulary) ID(tok string) int {
-	if id, ok := v.ids[tok]; ok {
-		return id
-	}
-	return -1
-}
-
-// Token returns the token for an ID.
-func (v *Vocabulary) Token(id int) string { return v.tokens[id] }
-
-// Len returns the vocabulary size.
-func (v *Vocabulary) Len() int { return len(v.tokens) }
-
-// Encode maps a document to the IDs of its known tokens.
-func (v *Vocabulary) Encode(doc string) []int {
-	var out []int
-	for _, tok := range Tokenize(doc) {
-		if id, ok := v.ids[tok]; ok {
-			out = append(out, id)
-		}
-	}
-	return out
-}
-
 // NGrams returns the contiguous n-grams of tokens joined by spaces.
 func NGrams(tokens []string, n int) []string {
 	if n <= 0 || len(tokens) < n {

@@ -154,45 +154,6 @@ func TestPropertySentencesCoverDisjointSpans(t *testing.T) {
 	}
 }
 
-func TestVocabulary(t *testing.T) {
-	v := BuildVocabulary([]string{"the cat sat", "the cat ran", "dog"}, 2)
-	if v.ID("the") < 0 || v.ID("cat") < 0 {
-		t.Fatal("frequent tokens missing")
-	}
-	if v.ID("dog") != -1 || v.ID("sat") != -1 {
-		t.Fatal("rare tokens should be dropped at minCount=2")
-	}
-	if v.Len() != 2 {
-		t.Fatalf("vocab size = %d", v.Len())
-	}
-	if v.Token(v.ID("the")) != "the" {
-		t.Fatal("Token/ID mismatch")
-	}
-}
-
-func TestVocabularyAddIdempotent(t *testing.T) {
-	v := NewVocabulary()
-	a := v.Add("x")
-	b := v.Add("x")
-	if a != b {
-		t.Fatal("Add not idempotent")
-	}
-	if v.Len() != 1 {
-		t.Fatal("duplicate add grew vocab")
-	}
-}
-
-func TestVocabularyEncode(t *testing.T) {
-	v := BuildVocabulary([]string{"alpha beta gamma"}, 1)
-	ids := v.Encode("beta delta alpha")
-	if len(ids) != 2 {
-		t.Fatalf("encode = %v", ids)
-	}
-	if v.Token(ids[0]) != "beta" || v.Token(ids[1]) != "alpha" {
-		t.Fatalf("encode = %v", ids)
-	}
-}
-
 func TestNGrams(t *testing.T) {
 	toks := []string{"a", "b", "c", "d"}
 	bi := NGrams(toks, 2)

@@ -64,11 +64,6 @@ func (r *Rand) Float64() float64 {
 	return float64(r.Uint64()>>11) / (1 << 53)
 }
 
-// Range returns a float64 uniformly distributed in [lo, hi).
-func (r *Rand) Range(lo, hi float64) float64 {
-	return lo + (hi-lo)*r.Float64()
-}
-
 // Norm returns a normally distributed float64 with mean 0 and standard
 // deviation 1, computed with the Box-Muller transform.
 func (r *Rand) Norm() float64 {
@@ -148,16 +143,4 @@ func (r *Rand) WeightedIndex(weights []float64) int {
 		}
 	}
 	return len(weights) - 1
-}
-
-// Sample returns k distinct elements drawn uniformly from items. If
-// k >= len(items) a shuffled copy of all items is returned.
-func Sample[T any](r *Rand, items []T, k int) []T {
-	cp := make([]T, len(items))
-	copy(cp, items)
-	r.Shuffle(len(cp), func(i, j int) { cp[i], cp[j] = cp[j], cp[i] })
-	if k > len(cp) {
-		k = len(cp)
-	}
-	return cp[:k]
 }

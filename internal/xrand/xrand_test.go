@@ -222,30 +222,6 @@ func TestWeightedIndexPanicsOnZeroTotal(t *testing.T) {
 	New(1).WeightedIndex([]float64{0, 0})
 }
 
-func TestSampleDistinct(t *testing.T) {
-	r := New(23)
-	items := []int{1, 2, 3, 4, 5, 6, 7, 8}
-	s := Sample(r, items, 5)
-	if len(s) != 5 {
-		t.Fatalf("Sample returned %d items, want 5", len(s))
-	}
-	seen := map[int]bool{}
-	for _, v := range s {
-		if seen[v] {
-			t.Fatalf("duplicate element %d in sample", v)
-		}
-		seen[v] = true
-	}
-}
-
-func TestSampleOversized(t *testing.T) {
-	r := New(29)
-	s := Sample(r, []int{1, 2, 3}, 10)
-	if len(s) != 3 {
-		t.Fatalf("oversized Sample returned %d items, want 3", len(s))
-	}
-}
-
 func TestChoice(t *testing.T) {
 	r := New(31)
 	choices := []string{"a", "b", "c"}
@@ -287,16 +263,6 @@ func TestBoolProbability(t *testing.T) {
 	p := float64(hits) / n
 	if math.Abs(p-0.25) > 0.01 {
 		t.Fatalf("Bool(0.25) observed probability %v", p)
-	}
-}
-
-func TestRangeBounds(t *testing.T) {
-	r := New(43)
-	for i := 0; i < 1000; i++ {
-		v := r.Range(-2, 5)
-		if v < -2 || v >= 5 {
-			t.Fatalf("Range(-2,5) = %v out of bounds", v)
-		}
 	}
 }
 

@@ -17,9 +17,7 @@ import (
 type pkgSrc struct {
 	// rel is the package directory relative to the module root,
 	// slash-separated ("" when outside the module, e.g. fixtures).
-	rel string
-	// dir is the package directory, absolute.
-	dir   string
+	rel   string
 	fset  *token.FileSet
 	files []*ast.File
 	info  *types.Info
@@ -178,7 +176,6 @@ func loadPackage(cfg Config, imp *moduleImporter, dir string) (*pkgSrc, error) {
 	}
 	return &pkgSrc{
 		rel:   rel,
-		dir:   abs,
 		fset:  fset,
 		files: files,
 		info:  checkPkg(imp, fset, path, files),

@@ -1,10 +1,10 @@
 package analysis
 
 import (
-	"fmt"
 	"go/ast"
+	"go/token"
 	"go/types"
-	"path/filepath"
+	"slices"
 	"strings"
 )
 
@@ -12,31 +12,25 @@ import (
 // through interfaces of its own. The lenient importer stubs those
 // packages, and types.Implements across two checks of one package
 // fails on type identity, so a method is matched to them by name.
-var stdlibMethods = map[string]bool{
-	"Error": true, "String": true, "Unwrap": true,
-	"Len": true, "Less": true, "Swap": true, "Push": true, "Pop": true,
-	"ServeHTTP": true, "Import": true, "MarshalJSON": true, "UnmarshalJSON": true,
-}
+var stdlibMethods = []string{"Error", "String", "Unwrap", "Len", "Less", "Swap", "Push", "Pop",
+	"ServeHTTP", "Import", "MarshalJSON", "UnmarshalJSON"}
 
 // declKey names a package-level object across separate type checks of
 // its package: "path.Name", or "path.Recv.Name" for a method. It is ""
-// for anything else (locals, fields, methods of interfaces).
+// for anything else (locals, fields, blanks, methods of interfaces).
 func declKey(obj types.Object) string {
 	if obj == nil || obj.Pkg() == nil {
 		return ""
 	}
-	if fn, ok := obj.(*types.Func); ok {
-		if recv := fn.Type().(*types.Signature).Recv(); recv != nil {
-			t := recv.Type()
-			if p, ok := t.(*types.Pointer); ok {
-				t = p.Elem()
-			}
-			named, ok := t.(*types.Named)
-			if !ok || types.IsInterface(named) {
-				return ""
-			}
+	if fn, ok := obj.(*types.Func); ok && fn.Type().(*types.Signature).Recv() != nil {
+		t := fn.Type().(*types.Signature).Recv().Type()
+		if p, ok := t.(*types.Pointer); ok {
+			t = p.Elem()
+		}
+		if named, ok := t.(*types.Named); ok && !types.IsInterface(named) {
 			return obj.Pkg().Path() + "." + named.Obj().Name() + "." + obj.Name()
 		}
+		return ""
 	}
 	if obj.Parent() != obj.Pkg().Scope() {
 		return ""
@@ -44,269 +38,144 @@ func declKey(obj types.Object) string {
 	return obj.Pkg().Path() + "." + obj.Name()
 }
 
-// splitMethod splits a method's key into its type's key and its name.
-func splitMethod(k string) (typ, name string) {
-	i := strings.LastIndex(k, ".")
-	return k[:i], k[i+1:]
-}
-
-// refNode is one top-level declaration: the declarations it
-// references, and the names of the selections in it whose operand's
-// type did not resolve, each of which may call any method so named.
-type refNode struct {
-	refs  []string
-	names []string
-}
-
-// refGraph is the module's non-test code as a reference graph. The
-// roots are main, init, blank declarations and declarations that
-// carry an escape comment; a declaration is reached when a reached
-// one references it. A method is also reached when its type is and
-// code the graph cannot see may call it by name: an interface in the
-// module, the standard library, or a selection that did not resolve.
-type refGraph struct {
-	nodes   map[string]*refNode
-	methods map[string][]string // type key -> its methods' keys
-	byName  map[string][]string // method name -> the methods' keys
-	ifaceMs map[string]bool     // method names an interface declares
-	roots   []string
-
-	reached  map[string]bool
-	nameLive map[string]bool
-	queue    []*refNode
-}
-
-func newRefGraph() *refGraph {
-	return &refGraph{
-		nodes: make(map[string]*refNode), methods: make(map[string][]string),
-		byName: make(map[string][]string), ifaceMs: make(map[string]bool),
-		reached: make(map[string]bool), nameLive: make(map[string]bool),
-	}
-}
-
-// add files one package's declarations into the graph. References
-// from a declaration to itself do not count, and a method belongs to
-// its receiver type's declaration as well as its own.
-func (g *refGraph) add(pkg *pkgSrc) {
-	for _, f := range pkg.files {
-		allows := allowsOf(pkg.fset, f)
-		for _, decl := range f.Decls {
-			n := &refNode{}
-			var own []string
-			root := false
-			def := func(id *ast.Ident) {
-				switch {
-				case id.Name == "_" || id.Name == "init" || id.Name == "main",
-					allows.allowed(pkg.fset, id.Pos(), RuleTestOnly):
-					root = true
-				}
-				if k := declKey(pkg.info.Defs[id]); k != "" {
-					own = append(own, k)
-					g.nodes[k] = n
-				}
-			}
-			switch d := decl.(type) {
-			case *ast.FuncDecl:
-				def(d.Name)
-				if d.Recv != nil && len(own) == 1 {
-					typ, name := splitMethod(own[0])
-					g.methods[typ] = append(g.methods[typ], own[0])
-					g.byName[name] = append(g.byName[name], own[0])
-					own = append(own, typ)
-				}
-			case *ast.GenDecl:
-				for _, spec := range d.Specs {
-					switch s := spec.(type) {
-					case *ast.TypeSpec:
-						def(s.Name)
-					case *ast.ValueSpec:
-						for _, id := range s.Names {
-							def(id)
-						}
-					}
-				}
-			}
-			ast.Inspect(decl, func(x ast.Node) bool {
-				switch x := x.(type) {
-				case *ast.Ident:
-					if k := declKey(pkg.info.Uses[x]); k != "" && !contains(own, k) {
-						n.refs = append(n.refs, k)
-					}
-				case *ast.SelectorExpr:
-					if pkg.info.Uses[x.Sel] == nil {
-						if id, ok := x.X.(*ast.Ident); !ok || !isPkgName(pkg.info.Uses[id]) {
-							n.names = append(n.names, x.Sel.Name)
-						}
-					}
-				case *ast.InterfaceType:
-					for _, m := range x.Methods.List {
-						for _, id := range m.Names {
-							g.ifaceMs[id.Name] = true
-						}
-					}
-				}
-				return true
-			})
-			if root {
-				g.roots = append(g.roots, own...)
-				g.queue = append(g.queue, n)
+// declIdents lists the names a top-level declaration defines.
+func declIdents(decl ast.Decl) []*ast.Ident {
+	switch d := decl.(type) {
+	case *ast.FuncDecl:
+		return []*ast.Ident{d.Name}
+	case *ast.GenDecl:
+		var ids []*ast.Ident
+		for _, spec := range d.Specs {
+			switch s := spec.(type) {
+			case *ast.TypeSpec:
+				ids = append(ids, s.Name)
+			case *ast.ValueSpec:
+				ids = append(ids, s.Names...)
 			}
 		}
+		return ids
 	}
+	return nil // a declaration that did not parse
 }
 
-// callable reports whether code the graph cannot see may call a
-// method of this name.
-func (g *refGraph) callable(name string) bool {
-	return stdlibMethods[name] || g.ifaceMs[name] || g.nameLive[name]
-}
-
-func (g *refGraph) mark(k string) {
-	if g.reached[k] {
-		return
-	}
-	g.reached[k] = true
-	if n := g.nodes[k]; n != nil {
-		g.queue = append(g.queue, n)
-	}
-	for _, m := range g.methods[k] {
-		if _, name := splitMethod(m); g.callable(name) {
-			g.mark(m)
-		}
-	}
-}
-
-// walk marks everything the roots reach.
-func (g *refGraph) walk() {
-	for _, k := range g.roots {
-		g.mark(k)
-	}
-	for len(g.queue) > 0 {
-		n := g.queue[len(g.queue)-1]
-		g.queue = g.queue[:len(g.queue)-1]
-		for _, k := range n.refs {
-			g.mark(k)
-		}
-		for _, name := range n.names {
-			if g.nameLive[name] {
-				continue
-			}
-			g.nameLive[name] = true
-			for _, m := range g.byName[name] {
-				if typ, _ := splitMethod(m); g.reached[typ] {
-					g.mark(m)
-				}
-			}
-		}
-	}
-}
-
-// unreached reports the package's declarations the walk did not reach.
-func (g *refGraph) unreached(pkg *pkgSrc) []Finding {
-	var out []Finding
-	flag := func(id *ast.Ident, what string) {
-		k := declKey(pkg.info.Defs[id])
-		if k == "" || g.reached[k] || id.Name == "_" {
-			return
-		}
-		p := pkg.fset.Position(id.Pos())
-		out = append(out, Finding{
-			File: p.Filename, Line: p.Line, Col: p.Column, Rule: RuleTestOnly,
-			Msg: fmt.Sprintf("%s %s is reached by no non-test code in the module; delete it, move it into a _test.go file, or say why it stays with an escape comment", what, id.Name),
-		})
-	}
-	for _, f := range pkg.files {
-		for _, decl := range f.Decls {
-			switch d := decl.(type) {
-			case *ast.FuncDecl:
-				what := "func"
-				if d.Recv != nil {
-					what = "method"
-				}
-				flag(d.Name, what)
-			case *ast.GenDecl:
-				for _, spec := range d.Specs {
-					switch s := spec.(type) {
-					case *ast.TypeSpec:
-						flag(s.Name, "type")
-					case *ast.ValueSpec:
-						for _, id := range s.Names {
-							flag(id, d.Tok.String())
-						}
-					}
-				}
-			}
-		}
-	}
-	return out
-}
-
-func isPkgName(obj types.Object) bool {
-	_, ok := obj.(*types.PkgName)
-	return ok
-}
-
-func contains(keys []string, k string) bool {
-	for _, o := range keys {
-		if o == k {
-			return true
-		}
-	}
-	return false
-}
-
-// testPackage reports whether a package is test support: its name ends
-// in "test", so its declarations are for tests and so are its calls.
-func testPackage(pkg *pkgSrc) bool {
-	return strings.HasSuffix(pkg.files[0].Name.Name, "test")
-}
-
-// benchmarkDir is the wall-clock benchmark, the ruler a change is
-// measured with against its parent, so it changes only with the
-// benchmark. Its calls count, but its own declarations are not
-// reported (its test-only validName waits for the next benchmark
-// change).
-const benchmarkDir = "benchmark"
-
-// lintTestOnly applies RuleTestOnly to the linted packages. The graph
-// holds every non-test package under the module root as well as the
-// linted ones, whichever directories were given, so linting part of
-// the tree cannot report a declaration another part calls.
+// lintTestOnly applies RuleTestOnly to the linted packages. Every
+// non-test package under the module root is one reference graph,
+// whichever directories were given, so linting part of the tree cannot
+// report a declaration another part calls. The roots are main, init,
+// blank declarations and declarations that carry an escape comment; a
+// declaration is reached when a reached one references it from outside
+// the reached one's own declaration, a method counting as part of its
+// receiver type's. A method of a reached type is also reached when code
+// the graph cannot see may call it by name: through an interface in
+// the module, the standard library, or a selection whose operand's
+// type did not resolve. Packages named "…test" are test support,
+// neither reported nor counted. The benchmark directory is the ruler a
+// change is measured with against its parent, so it changes only with
+// the benchmark: its calls count, but its declarations are not
+// reported.
 func lintTestOnly(cfg Config, imp *moduleImporter, linted []*pkgSrc) ([]Finding, error) {
-	all := append([]*pkgSrc(nil), linted...)
-	seen := make(map[string]bool, len(linted))
+	report := make(map[string]bool, len(linted))
 	for _, pkg := range linted {
-		seen[pkg.dir] = true
+		report[pkg.rel] = pkg.rel != "benchmark"
 	}
-	if cfg.ModuleRoot != "" {
-		dirs, err := ExpandPatterns(cfg.ModuleRoot, []string{"./..."})
+	dirs, err := ExpandPatterns(cfg.ModuleRoot, []string{"./..."})
+	if err != nil {
+		return nil, err
+	}
+	refs := make(map[string][]string)    // declaration -> what it references
+	methods := make(map[string][]string) // type -> its methods
+	callable := make(map[string]bool)    // method names unseen code may call
+	for _, name := range stdlibMethods {
+		callable[name] = true
+	}
+	var queue []string
+	type def struct {
+		key string
+		at  token.Position
+	}
+	var defs []def // the linted packages' declarations
+	for _, dir := range dirs {
+		pkg, err := loadPackage(cfg, imp, dir)
 		if err != nil {
 			return nil, err
 		}
-		for _, dir := range dirs {
-			if abs, err := filepath.Abs(dir); err == nil && seen[abs] {
-				continue
-			}
-			pkg, err := loadPackage(cfg, imp, dir)
-			if err != nil {
-				return nil, err
-			}
-			if pkg != nil {
-				all = append(all, pkg)
+		if pkg == nil || strings.HasSuffix(pkg.files[0].Name.Name, "test") {
+			continue
+		}
+		for _, f := range pkg.files {
+			allows := allowsOf(pkg.fset, f)
+			for _, decl := range f.Decls {
+				var own []string
+				root := false
+				for _, id := range declIdents(decl) {
+					k := declKey(pkg.info.Defs[id])
+					root = root || id.Name == "_" || id.Name == "init" || id.Name == "main" ||
+						allows.allowed(pkg.fset, id.Pos(), RuleTestOnly)
+					if k == "" {
+						continue
+					}
+					own = append(own, k)
+					if report[pkg.rel] {
+						defs = append(defs, def{k, pkg.fset.Position(id.Pos())})
+					}
+				}
+				defined := len(own)
+				if d, ok := decl.(*ast.FuncDecl); ok && d.Recv != nil && defined == 1 {
+					typ := own[0][:strings.LastIndex(own[0], ".")]
+					methods[typ] = append(methods[typ], own[0])
+					own = append(own, typ)
+				}
+				var uses []string
+				ast.Inspect(decl, func(x ast.Node) bool {
+					switch x := x.(type) {
+					case *ast.Ident:
+						if k := declKey(pkg.info.Uses[x]); k != "" && !slices.Contains(own, k) {
+							uses = append(uses, k)
+						}
+					case *ast.SelectorExpr:
+						id, _ := x.X.(*ast.Ident)
+						if _, qualified := pkg.info.Uses[id].(*types.PkgName); pkg.info.Uses[x.Sel] == nil && !qualified {
+							callable[x.Sel.Name] = true
+						}
+					case *ast.InterfaceType:
+						for _, m := range x.Methods.List {
+							for _, id := range m.Names {
+								callable[id.Name] = true
+							}
+						}
+					}
+					return true
+				})
+				for _, k := range own[:defined] {
+					refs[k] = uses
+				}
+				if root {
+					queue = append(queue, own[:defined]...)
+					queue = append(queue, uses...)
+				}
 			}
 		}
 	}
-	g := newRefGraph()
-	for _, pkg := range all {
-		if !testPackage(pkg) {
-			g.add(pkg)
+	reached := make(map[string]bool)
+	for len(queue) > 0 {
+		k := queue[len(queue)-1]
+		queue = queue[:len(queue)-1]
+		if reached[k] {
+			continue
+		}
+		reached[k] = true
+		queue = append(queue, refs[k]...)
+		for _, m := range methods[k] {
+			if callable[m[strings.LastIndex(m, ".")+1:]] {
+				queue = append(queue, m)
+			}
 		}
 	}
-	g.walk()
 	var out []Finding
-	for _, pkg := range linted {
-		if !testPackage(pkg) && pkg.rel != benchmarkDir {
-			out = append(out, g.unreached(pkg)...)
+	for _, d := range defs {
+		if !reached[d.key] {
+			out = append(out, Finding{File: d.at.Filename, Line: d.at.Line, Col: d.at.Column, Rule: RuleTestOnly,
+				Msg: d.key[strings.LastIndex(d.key, ".")+1:] + " is reached by no non-test code in the module; delete it, move it into a _test.go file, or say why it stays with an escape comment"})
 		}
 	}
 	return out, nil

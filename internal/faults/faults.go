@@ -82,19 +82,14 @@ type Plan struct {
 	// which is how the recovery experiment measures the pure
 	// checkpoint-write tax.
 	CheckpointEvery int
-
-	// BackoffBase and BackoffCap configure the script paradigm's capped
-	// exponential retry backoff in seconds; zero values use the
-	// defaults (0.5s base, 8s cap).
-	BackoffBase float64
-	BackoffCap  float64
 }
 
-// Default backoff constants, mirroring Ray's task-retry defaults in
-// spirit: quick first retry, bounded worst case.
+// The script paradigm's capped exponential retry backoff in seconds,
+// mirroring Ray's task-retry defaults in spirit: quick first retry,
+// bounded worst case.
 const (
-	DefaultBackoffBase = 0.5
-	DefaultBackoffCap  = 8.0
+	backoffBase = 0.5
+	backoffCap  = 8.0
 )
 
 // Enabled reports whether the plan changes anything at all: either
@@ -117,9 +112,6 @@ func (p Plan) Validate() error {
 	}
 	if p.CheckpointEvery < 0 {
 		return fmt.Errorf("faults: negative checkpoint epoch %d", p.CheckpointEvery)
-	}
-	if p.BackoffBase < 0 || p.BackoffCap < 0 {
-		return fmt.Errorf("faults: negative backoff (base %g, cap %g)", p.BackoffBase, p.BackoffCap)
 	}
 	return nil
 }
@@ -179,21 +171,14 @@ func (p Plan) Schedule(jobs []sim.Job, pools []sim.Pool, retry sim.RetryPolicy) 
 }
 
 // Backoff returns the delay before the retry-th re-execution
-// (1-based): capped exponential growth from the plan's base.
+// (1-based): capped exponential growth.
 func (p Plan) Backoff(retry int) float64 {
-	base, cap := p.BackoffBase, p.BackoffCap
-	if base <= 0 {
-		base = DefaultBackoffBase
-	}
-	if cap <= 0 {
-		cap = DefaultBackoffCap
-	}
 	if retry < 1 {
 		retry = 1
 	}
-	d := base * math.Pow(2, float64(retry-1))
-	if d > cap {
-		return cap
+	d := backoffBase * math.Pow(2, float64(retry-1))
+	if d > backoffCap {
+		return backoffCap
 	}
 	return d
 }

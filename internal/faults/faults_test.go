@@ -72,16 +72,12 @@ func TestEventsMatchRateRoughly(t *testing.T) {
 }
 
 func TestBackoffCapped(t *testing.T) {
-	var p Plan // defaults: base 0.5, cap 8
+	var p Plan // base 0.5, cap 8
 	want := []float64{0.5, 1, 2, 4, 8, 8, 8}
 	for i, w := range want {
 		if got := p.Backoff(i + 1); got != w {
 			t.Fatalf("Backoff(%d) = %g, want %g", i+1, got, w)
 		}
-	}
-	custom := Plan{BackoffBase: 0.1, BackoffCap: 0.25}
-	if got := custom.Backoff(3); got != 0.25 {
-		t.Fatalf("custom Backoff(3) = %g, want cap 0.25", got)
 	}
 }
 
@@ -93,7 +89,6 @@ func TestValidateRejectsBadFields(t *testing.T) {
 		{NodeFraction: -0.1},
 		{MaxFaults: -1},
 		{CheckpointEvery: -2},
-		{BackoffBase: -1},
 	}
 	for i, p := range bad {
 		if err := p.Validate(); err == nil {

@@ -167,10 +167,8 @@ func dist(h, r, t []float64) float64 {
 
 // TrainConfig controls TransE training.
 type TrainConfig struct {
-	Epochs    int     // default 50
-	LR        float64 // default 0.05
-	Margin    float64 // default 1.0
-	Negatives int     // corrupted samples per positive, default 1
+	Epochs    int // default 50
+	Negatives int // corrupted samples per positive, default 1
 	Seed      uint64
 }
 
@@ -183,14 +181,6 @@ func (m *Model) Train(triples []Triple, cfg TrainConfig) error {
 	epochs := cfg.Epochs
 	if epochs == 0 {
 		epochs = 50
-	}
-	lr := cfg.LR
-	if lr == 0 {
-		lr = 0.05
-	}
-	margin := cfg.Margin
-	if margin == 0 {
-		margin = 1.0
 	}
 	negs := cfg.Negatives
 	if negs == 0 {
@@ -227,7 +217,7 @@ func (m *Model) Train(triples []Triple, cfg TrainConfig) error {
 				if corrupt == tr.t {
 					continue
 				}
-				m.marginStep(tr.h, tr.r, tr.t, corrupt, lr, margin)
+				m.marginStep(tr.h, tr.r, tr.t, corrupt)
 			}
 		}
 	}
@@ -236,7 +226,8 @@ func (m *Model) Train(triples []Triple, cfg TrainConfig) error {
 
 // marginStep applies one margin-loss gradient step for a positive
 // (h,r,t) against a corrupted tail t'.
-func (m *Model) marginStep(h, r, t, tNeg int, lr, margin float64) {
+func (m *Model) marginStep(h, r, t, tNeg int) {
+	const lr, margin = 0.05, 1.0 // TransE's learning rate and ranking margin
 	dPos := dist(m.ent[h], m.rel[r], m.ent[t])
 	dNeg := dist(m.ent[h], m.rel[r], m.ent[tNeg])
 	if dPos+margin <= dNeg {

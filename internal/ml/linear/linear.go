@@ -14,10 +14,6 @@ import (
 
 // SGDClassifier is a binary logistic-regression model.
 type SGDClassifier struct {
-	// LR is the learning rate (default 0.1 when zero).
-	LR float64
-	// L2 is the ridge penalty (default 1e-4 when zero).
-	L2 float64
 	// Epochs is the number of passes over the data (default 5 when
 	// zero).
 	Epochs int
@@ -47,14 +43,7 @@ func (c *SGDClassifier) Fit(x []feature.Vector, y []bool) error {
 	if len(x) != len(y) {
 		return fmt.Errorf("linear: %d examples, %d labels", len(x), len(y))
 	}
-	lr := c.LR
-	if lr == 0 {
-		lr = 0.1
-	}
-	l2 := c.L2
-	if l2 == 0 {
-		l2 = 1e-4
-	}
+	const lr, l2 = 0.1, 1e-4 // learning rate and ridge penalty
 	epochs := c.Epochs
 	if epochs == 0 {
 		epochs = 5

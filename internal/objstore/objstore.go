@@ -160,13 +160,6 @@ func (s *Store) Put(id ID, size int64) (float64, error) {
 	}
 	o := &object{id: id, size: size}
 	s.objects[id] = o
-	return s.placeLocked(o)
-}
-
-// placeLocked finds room for a freshly created object,
-// spilling residents or landing it directly on disk as needed. The
-// caller must hold s.mu and have inserted o into s.objects.
-func (s *Store) placeLocked(o *object) (float64, error) {
 	secs, ok := s.evictFor(o.size)
 	if !ok || o.size > s.capacity {
 		o.spilled = true

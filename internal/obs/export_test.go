@@ -1,6 +1,11 @@
 package obs
 
-import "repro/internal/service"
+import (
+	"reflect"
+
+	"repro/internal/paged"
+	"repro/internal/service"
+)
 
 // Accessors the external tests read a server and its runs through.
 
@@ -15,4 +20,15 @@ func (r *Run) Note(key string) string {
 	r.mu.Lock()
 	defer r.mu.Unlock()
 	return r.notes[key]
+}
+
+// roomOf returns how many records a store's pages have room for. The
+// store exports no capacity, so its pages are read by reflection.
+func roomOf[T any](s *paged.Store[T]) int {
+	pages := reflect.ValueOf(s).Elem().FieldByName("pages")
+	n := 0
+	for i := range pages.Len() {
+		n += pages.Index(i).Cap()
+	}
+	return n
 }

@@ -29,8 +29,8 @@ func TestEventRingGrowsThenDropsOldest(t *testing.T) {
 	for range 50 {
 		r.Publish(telemetry.ProgressEvent{})
 	}
-	if n := r.events.Len(); n != 50 || r.events.Cap() > eventPage {
-		t.Fatalf("after 50 events the ring holds %d in room for %d, want 50 in at most one page of %d", n, r.events.Cap(), eventPage)
+	if n := r.events.Len(); n != 50 || roomOf(&r.events) > eventPage {
+		t.Fatalf("after 50 events the ring holds %d in room for %d, want 50 in at most one page of %d", n, roomOf(&r.events), eventPage)
 	}
 	buf := make([]Event, eventRingSize)
 	n, next, dropped, _, _ := r.EventsSince(0, buf)
@@ -42,7 +42,7 @@ func TestEventRingGrowsThenDropsOldest(t *testing.T) {
 	for range total - 50 {
 		r.Publish(telemetry.ProgressEvent{})
 	}
-	if n, c := r.events.Len(), r.events.Cap(); n != eventRingSize || c-n >= eventPage {
+	if n, c := r.events.Len(), roomOf(&r.events); n != eventRingSize || c-n >= eventPage {
 		t.Fatalf("after %d events the ring holds %d in room for %d, want %d with less than a page of %d empty", total, n, c, eventRingSize, eventPage)
 	}
 	for _, c := range []struct {
@@ -97,8 +97,8 @@ func TestSampleRingGrowsThenDropsOldest(t *testing.T) {
 	for i := int64(1); i < total; i++ {
 		r.sampleLocked(i)
 		ref = ringPut(ref, i, sampleRingSize, i)
-		if i == 9 && r.samples.Cap() > samplePage {
-			t.Fatalf("after 10 samples the ring has room for %d, more than a page of %d", r.samples.Cap(), samplePage)
+		if i == 9 && roomOf(&r.samples) > samplePage {
+			t.Fatalf("after 10 samples the ring has room for %d, more than a page of %d", roomOf(&r.samples), samplePage)
 		}
 		if i%97 != 0 && i != total-1 {
 			continue
@@ -116,7 +116,7 @@ func TestSampleRingGrowsThenDropsOldest(t *testing.T) {
 			t.Fatalf("after %d samples the ring holds %v, want %v", i+1, walls, want)
 		}
 	}
-	if n, c := r.samples.Len(), r.samples.Cap(); n != sampleRingSize || c != sampleRingSize {
+	if n, c := r.samples.Len(), roomOf(&r.samples); n != sampleRingSize || c != sampleRingSize {
 		t.Fatalf("a full ring holds %d samples in room for %d, want %d in as many", n, c, sampleRingSize)
 	}
 }

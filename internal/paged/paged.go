@@ -40,17 +40,6 @@ func (s *Store[T]) Len() int {
 	return (len(s.pages)-1)*s.page + len(s.pages[len(s.pages)-1])
 }
 
-// Cap returns how many records the store's pages have room for.
-//
-//lint:allow testonly the memory-bound tests of paged and of obs's rings read a store's room here
-func (s *Store[T]) Cap() int {
-	n := 0
-	for _, pg := range s.pages {
-		n += cap(pg)
-	}
-	return n
-}
-
 // Grow makes room on the first page for n more records in one growth,
 // as slices.Grow would, so a store filled in bulk is not regrown record
 // by record; a growth that would pass a page, or double past one, is

@@ -7,6 +7,15 @@ import (
 	"testing"
 )
 
+// Cap returns how many records the store's pages have room for.
+func (s *Store[T]) Cap() int {
+	n := 0
+	for _, pg := range s.pages {
+		n += cap(pg)
+	}
+	return n
+}
+
 // A store reads back what was appended, in order, by At and by All,
 // and once it passes its first page its pages leave less than one page
 // empty.

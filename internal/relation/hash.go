@@ -45,9 +45,10 @@ func FNVMixUint64(h, v uint64) uint64 {
 // Canonical tuple hashing. hashTupleCanon replaces a canonical key
 // string on GroupBy's hot path: rows bucket by a uint64 FNV hash
 // instead of an allocated key string, and bucket collisions resolve by
-// canonical value equality. "Canonical" mirrors the key string's
-// (keyParts') equivalence classes exactly — every NaN is one value (FormatFloat renders them
-// all "NaN"), while +0 and -0 stay distinct ("0" vs "-0") — so the
+// canonical value equality. "Canonical" mirrors the equivalence
+// classes of keyParts' key bytes exactly — every NaN is one value
+// (FormatFloat renders them all "NaN"), while +0 and -0 stay distinct
+// ("0" vs "-0") — so the
 // groups, and therefore the output bits, are identical to the
 // string-keyed implementation.
 

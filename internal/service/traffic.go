@@ -41,9 +41,6 @@ type TrafficConfig struct {
 	// Mix is the task mix; empty means DefaultMix(). Weights need not
 	// sum to 1.
 	Mix []TaskShare
-	// Paradigm fixes every spec's paradigm; empty draws script or
-	// workflow per job.
-	Paradigm string
 }
 
 // DefaultMix is a heavy-tailed mix over the four registered tasks:
@@ -105,13 +102,9 @@ func GenerateTraffic(cfg TrafficConfig) ([]Arrival, error) {
 		// Exponential gap; 1-u is in (0, 1], keeping the log finite.
 		now += -math.Log(1-tArr.Float64()) / cfg.Rate
 		mix := cfg.Mix[tTask.WeightedIndex(taskWeights)]
-		paradigm := cfg.Paradigm
-		if paradigm == "" {
-			if tPar.Bool(0.5) {
-				paradigm = "script"
-			} else {
-				paradigm = "workflow"
-			}
+		paradigm := "workflow"
+		if tPar.Bool(0.5) {
+			paradigm = "script"
 		}
 		spec := core.RunSpec{
 			APIVersion: core.SpecVersion,

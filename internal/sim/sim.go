@@ -435,8 +435,8 @@ func CriticalChain(jobs []Job) ([]JobID, error) {
 }
 
 // longestChain is the one longest-path walk behind CriticalChain (and
-// the tests' CriticalPath): a memoised depth-first search returning the chain and
-// its length.
+// the tests' CriticalPath): a memoised depth-first search returning the
+// chain and its length.
 func longestChain(jobs []Job) ([]JobID, float64, error) {
 	if len(jobs) == 0 {
 		return nil, 0, nil

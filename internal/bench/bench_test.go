@@ -84,7 +84,7 @@ func TestMacrosTrajectory(t *testing.T) {
 	}
 	for _, o := range []struct{ less, more, why string }{
 		{"dice/iterate-warm", "dice/iterate-cold", "all-hit run not cheaper"},
-		{"dice/scale-n4", "dice/scale-n1", "4-node cluster not faster"},
+		{"dice/scale-n4", "dice/scale-n1", "32 workers on 4 nodes not faster than 8 on one"},
 		{"dice/opt-on", "dice/opt-off", "optimized plan not faster"},
 		{"gotta/opt-on", "gotta/opt-off", "optimized plan not faster"},
 	} {

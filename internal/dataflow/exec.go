@@ -843,23 +843,25 @@ func (ex *Execution) finish() {
 		ex.fail(fmt.Errorf("dataflow: shard annotation failed: %w", err))
 		return
 	}
-	jobs, pools, meta, err := lowerWithMeta(trace, ex.model)
+	lw, err := lower(trace, ex.model)
 	if err != nil {
 		ex.fail(fmt.Errorf("dataflow: lowering failed: %w", err))
 		return
 	}
+	// Only the recorder reads a job's span.
+	spans := ex.tel != nil
 	var sched *sim.Result
 	var recInfo *RecoveryInfo
 	if ex.cfg.Faults.Enabled() {
-		sched, recInfo, err = scheduleWithFaults(jobs, pools, meta, trace, ex.model, ex.cfg.Faults, ex.cfg.Shard)
+		sched, recInfo, err = scheduleWithFaults(lw, trace, ex.model, ex.cfg.Faults, ex.cfg.Shard, spans)
 	} else {
-		sched, err = sim.Schedule(jobs, pools)
+		sched, err = lw.graph().Schedule(lw.pools, nil, sim.RetryPolicy{}, spans)
 	}
 	if err != nil {
 		ex.fail(fmt.Errorf("dataflow: scheduling failed: %w", err))
 		return
 	}
-	ex.recordTelemetry(jobs, meta, sched)
+	ex.recordTelemetry(lw, sched)
 	ex.recordRecovery(recInfo)
 	tables := make(map[string]*relation.Table)
 	for _, rt := range ex.rts {

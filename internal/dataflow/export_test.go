@@ -17,7 +17,7 @@ var GoldenJSON = goldenJSON
 // it: batch jobs through the formatter a recorder names them with, the
 // rest through the name recordTelemetry gives them.
 func LowerNamed(tr *Trace, m *cost.Model) ([]sim.Job, []sim.Pool, []string, error) {
-	jobs, pools, meta, err := lowerWithMeta(tr, m)
+	lw, err := lower(tr, m)
 	if err != nil {
 		return nil, nil, nil, err
 	}
@@ -25,18 +25,20 @@ func LowerNamed(tr *Trace, m *cost.Model) ([]sim.Job, []sim.Pool, []string, erro
 	for _, n := range tr.Nodes {
 		nodeName[int32(n.ID)] = n.Name
 	}
+	jobs := lw.graph().Expand()
 	names := make([]string, len(jobs))
-	for i, mt := range meta {
+	for i := range jobs {
+		mt, seq := lw.job(sim.JobID(i))
 		switch {
 		case mt.Node < 0:
 			names[i] = mt.name(tr.Workflow)
 		case mt.Kind == jobBatch:
-			names[i] = telemetry.BatchLabel(nodeName[mt.Node], int(mt.Port), int(mt.Seq))
+			names[i] = telemetry.BatchLabel(nodeName[mt.Node], int(mt.Port), seq)
 		default:
 			names[i] = mt.name(nodeName[mt.Node])
 		}
 	}
-	return jobs, pools, names, nil
+	return jobs, lw.pools, names, nil
 }
 
 // RecordingAllocs runs w with a recorder attached, then records the
@@ -52,23 +54,23 @@ func RecordingAllocs(w *Workflow) (objects uint64, batches int, err error) {
 	if err != nil {
 		return 0, 0, err
 	}
-	jobs, pools, meta, err := lowerWithMeta(res.Trace, ex.model)
+	lw, err := lower(res.Trace, ex.model)
 	if err != nil {
 		return 0, 0, err
 	}
-	sched, err := sim.Schedule(jobs, pools)
+	sched, err := lw.graph().Schedule(lw.pools, nil, sim.RetryPolicy{}, true)
 	if err != nil {
 		return 0, 0, err
 	}
-	for _, mt := range meta {
+	for k, mt := range lw.meta {
 		if mt.Kind == jobBatch {
-			batches++
+			batches += int(lw.groups[k].Count)
 		}
 	}
 	ex.tel = newExecTelemetry(telemetry.New(), w.name)
 	var before, after runtime.MemStats
 	runtime.ReadMemStats(&before)
-	ex.recordTelemetry(jobs, meta, sched)
+	ex.recordTelemetry(lw, sched)
 	runtime.ReadMemStats(&after)
 	return after.Mallocs - before.Mallocs, batches, nil
 }

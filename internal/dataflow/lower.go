@@ -2,6 +2,7 @@ package dataflow
 
 import (
 	"fmt"
+	"strconv"
 
 	"repro/internal/cost"
 	"repro/internal/sim"
@@ -28,27 +29,55 @@ import (
 //     consumed all input;
 //   - per-node startup jobs and a workflow-submission job model the
 //     fixed overheads of the controller.
+//
+// Lower returns lower's groups expanded job by job (sim.Graph.Expand),
+// each job with its own Deps slice. The engine itself schedules the
+// groups and never expands them.
 func Lower(tr *Trace, m *cost.Model) ([]sim.Job, []sim.Pool, error) {
-	jobs, pools, _, err := lowerWithMeta(tr, m)
-	return jobs, pools, err
+	lw, err := lower(tr, m)
+	if err != nil {
+		return nil, nil, err
+	}
+	return lw.graph().Expand(), lw.pools, nil
 }
 
-// jobMeta tags one lowered job with its provenance. The recovery layer
-// needs it: checkpoint write taxes apply to data batch jobs, and a
-// killed batch job pays a checkpoint restore for its node. So does the
-// recorder, which names a job only when it records its span (a run
-// lowers thousands and, with no recorder attached, nobody reads a
-// name): a batch job from its port and sequence number
-// (telemetry.BatchName), any other job by name.
-type jobMeta struct {
-	// Node is the ID of the trace node the job belongs to, or -1 for
+// lowering is a trace lowered to job groups (sim.Group): a port's batch
+// jobs are one group, a source's batches another, and every
+// submission, startup, init, end-of-stream, barrier and close job a
+// group of one. Job IDs run group by group in lowering order, as they
+// did when every job was stored.
+type lowering struct {
+	groups []sim.Group
+	pools  []sim.Pool
+	// meta[k] says what group k's jobs stand for. The recovery layer
+	// needs it: checkpoint write taxes apply to data batch jobs, and a
+	// killed batch job pays a checkpoint restore for its node. So does
+	// the recorder, which names a job only when it records its span (a
+	// run lowers thousands and, with no recorder attached, nobody reads
+	// a name): a batch job from its port and its sequence number, which
+	// is its place in its group (telemetry.BatchName), any other job by
+	// name.
+	meta []groupMeta
+}
+
+// groupMeta tags one group of lowered jobs with its provenance.
+type groupMeta struct {
+	// Node is the ID of the trace node the group belongs to, or -1 for
 	// controller-level jobs (workflow submission).
 	Node int32
-	// Port is the input port of a batch, end-of-stream or port-end job
-	// (-1 for a source's generated batch); Seq is a batch's sequence
-	// number on it.
-	Port, Seq int32
-	Kind      jobKind
+	// Port is the input port of a batch, end-of-stream or port-end
+	// group (-1 for a source's generated batches).
+	Port int32
+	Kind jobKind
+}
+
+func (lw *lowering) graph() sim.Graph { return sim.OfGroups(lw.groups) }
+
+// job returns what job id stands for: its group's metadata and, for a
+// batch job, its sequence number on its port.
+func (lw *lowering) job(id sim.JobID) (groupMeta, int) {
+	k := lw.graph().GroupOf(id)
+	return lw.meta[k], int(id - lw.groups[k].First)
 }
 
 // jobKind is what a lowered job stands for.
@@ -66,7 +95,7 @@ const (
 
 // name is the name a recorded span gives a job that is not a batch;
 // node names its node, or the workflow for the submission job.
-func (mt jobMeta) name(node string) string {
+func (mt groupMeta) name(node string) string {
 	switch mt.Kind {
 	case jobSubmit:
 		return "submit:" + node
@@ -82,21 +111,13 @@ func (mt jobMeta) name(node string) string {
 	return node + ":close"
 }
 
-// poolName names a node's worker pool.
-func poolName(id NodeID, name string) string { return fmt.Sprintf("n%d:%s", id, name) }
+// poolName names a node's worker pool, "n<ID>:<name>", in one
+// allocation (every lowering names every pool).
+func poolName(id NodeID, name string) string { return "n" + strconv.Itoa(int(id)) + ":" + name }
 
 // controllerPool is pool 0 of every lowering; the node at position k of
 // the trace has pool k+1.
 const controllerPool = "controller"
-
-// jobRange is n jobs with consecutive IDs starting at first. Lowering
-// numbers a port's batch jobs (and a source's) consecutively, so "the
-// jobs of this port" and "the jobs that emit this node's output" are
-// ranges, not slices.
-type jobRange struct {
-	first sim.JobID
-	n     int
-}
 
 // nodePositions maps each node ID of tr to the node's position in
 // tr.Nodes, -1 where no node has the ID: a trace under a lineage plan
@@ -124,20 +145,20 @@ func nodePositions(tr *Trace) ([]int32, error) {
 	return at, nil
 }
 
-// lowerWithMeta is Lower plus a parallel per-job metadata slice
-// (meta[i] describes job i).
-func lowerWithMeta(tr *Trace, m *cost.Model) ([]sim.Job, []sim.Pool, []jobMeta, error) {
+// lower converts an execution trace into job groups and pools (see
+// Lower for the mapping).
+func lower(tr *Trace, m *cost.Model) (*lowering, error) {
 	if tr == nil {
-		return nil, nil, nil, fmt.Errorf("dataflow: nil trace")
+		return nil, fmt.Errorf("dataflow: nil trace")
 	}
 	if err := m.Validate(); err != nil {
-		return nil, nil, nil, err
+		return nil, err
 	}
 
 	// Everything per node below is indexed by the node's position.
 	at, err := nodePositions(tr)
 	if err != nil {
-		return nil, nil, nil, err
+		return nil, err
 	}
 	pos := func(id NodeID) int32 {
 		if id < 0 || int(id) >= len(at) {
@@ -151,10 +172,10 @@ func lowerWithMeta(tr *Trace, m *cost.Model) ([]sim.Job, []sim.Pool, []jobMeta, 
 		e := &tr.Edges[i]
 		from, to := pos(e.From), pos(e.To)
 		if from < 0 {
-			return nil, nil, nil, fmt.Errorf("dataflow: edge from unknown node %d", e.From)
+			return nil, fmt.Errorf("dataflow: edge from unknown node %d", e.From)
 		}
 		if to < 0 {
-			return nil, nil, nil, fmt.Errorf("dataflow: edge to unknown node %d", e.To)
+			return nil, fmt.Errorf("dataflow: edge to unknown node %d", e.To)
 		}
 		inEdges[to] = append(inEdges[to], e)
 		// The engine serializes a node's output once per out edge (each
@@ -162,76 +183,84 @@ func lowerWithMeta(tr *Trace, m *cost.Model) ([]sim.Job, []sim.Pool, []jobMeta, 
 		outBytes[from] += e.Bytes
 	}
 
-	// Job and dependency counts are sums over the trace, so the three
-	// slices below are allocated once: per node a startup, an init and a
-	// close job plus at most one barrier per port, and per batch one job
-	// with two dependencies that a barrier and the close job each list
-	// once more.
+	// Group and wait counts are sums over the trace, so the slices
+	// below are allocated once: per node a startup, an init and a close
+	// group plus per port a batch (or end-of-stream) group and a
+	// barrier, each barrier waiting on two groups and the close group
+	// on every port.
 	pools := make([]sim.Pool, 1, 1+len(tr.Nodes))
 	pools[0] = sim.Pool{Name: controllerPool, Slots: 1}
-	nJobs, nDeps := 1, 0
+	nGroups, nAfter := 1, 0
 	for k := range tr.Nodes {
 		n := &tr.Nodes[k]
 		pools = append(pools, sim.Pool{Name: poolName(n.ID, n.Name), Slots: max(n.Parallelism, 1)})
-		ins := inEdges[k]
-		batches := 0
-		for _, e := range ins {
-			batches += max(int(e.Batches), 1) // an empty stream still gets its end-of-stream job
-		}
-		if len(ins) == 0 {
-			batches = max(int(n.EmittedBatches), 0)
-		}
-		nJobs += 3 + len(ins) + batches
-		nDeps += 3 + len(ins) + 4*batches
+		ports := max(len(inEdges[k]), 1) // a source's batches are its one port
+		nGroups += 3 + 2*ports
+		nAfter += 3 + 4*ports
 	}
-
-	jobs := make([]sim.Job, 0, nJobs)
-	meta := make([]jobMeta, 0, nJobs)
-	arena := make([]sim.JobID, 0, nDeps)
-	// deps carves one dependency list from the arena: a job, then every
-	// job of the given ranges.
-	deps := func(first sim.JobID, rest ...jobRange) []sim.JobID {
+	lw := &lowering{
+		groups: make([]sim.Group, 0, nGroups),
+		pools:  pools,
+		meta:   make([]groupMeta, 0, nGroups),
+	}
+	arena := make([]int32, 0, nAfter)
+	next := sim.JobID(0)
+	// add appends a group of n jobs that wait whole on group wait and
+	// the groups more (those of them that are not -1), and (up >= 0) on
+	// group up's jobs min(j, n-1), or its last with upLast; it returns
+	// the group's position.
+	add := func(pool int32, n int, costSec, latency float64, mt groupMeta, up int32, upLast bool, wait int32, more ...int32) int32 {
 		start := len(arena)
-		arena = append(arena, first)
-		for _, r := range rest {
-			for k := 0; k < r.n; k++ {
-				arena = append(arena, r.first+sim.JobID(k))
+		if wait >= 0 {
+			arena = append(arena, wait)
+		}
+		for _, a := range more {
+			if a >= 0 {
+				arena = append(arena, a)
 			}
 		}
-		return arena[start:len(arena):len(arena)]
-	}
-	addJob := func(pool int32, costSec, latency float64, mt jobMeta, deps []sim.JobID) sim.JobID {
-		id := sim.JobID(len(jobs))
-		jobs = append(jobs, sim.Job{Pool: pool, Cost: costSec, Latency: latency, Deps: deps})
-		meta = append(meta, mt)
-		return id
+		var waits []int32
+		if len(arena) > start {
+			waits = arena[start:len(arena):len(arena)]
+		}
+		k := int32(len(lw.groups))
+		lw.groups = append(lw.groups, sim.Group{
+			First: next, Count: int32(n), Pool: pool, Up: up, UpLast: upLast,
+			Cost: costSec, Latency: latency, After: waits,
+		})
+		lw.meta = append(lw.meta, mt)
+		next += sim.JobID(n)
+		return k
 	}
 
 	// Workflow submission.
-	rootID := addJob(0, m.ControlOverhead, 0, jobMeta{Node: -1, Kind: jobSubmit}, nil)
+	root := add(0, 1, m.ControlOverhead, 0, groupMeta{Node: -1, Kind: jobSubmit}, -1, false, -1)
 
-	// Process nodes in topological order so upstream emit jobs exist
+	// Process nodes in topological order so upstream emit groups exist
 	// when consumers are lowered. Node IDs are assigned in creation
 	// order which is not necessarily topological, so sort by
 	// dependencies.
 	order, err := topoNodeOrder(tr, at)
 	if err != nil {
-		return nil, nil, nil, err
+		return nil, err
 	}
 
-	emitJobsOf := make([]jobRange, len(tr.Nodes))
-	var portJobs []jobRange // the current node's port jobs, port by port
+	emitOf := make([]int32, len(tr.Nodes)) // the group that emits a node's output
+	for i := range emitOf {
+		emitOf[i] = -1
+	}
+	var ports []int32 // the current node's port groups, port by port
 	for _, k := range order {
 		n := &tr.Nodes[k]
 		pool := k + 1
 		lang := n.Language
 		nid := int32(n.ID)
 
-		startup := addJob(pool, m.OperatorStartup, 0, jobMeta{Node: nid, Kind: jobStartup}, deps(rootID))
+		startup := add(pool, 1, m.OperatorStartup, 0, groupMeta{Node: nid, Kind: jobStartup}, -1, false, root)
 		// Per-worker initialization (NewInstance): workers initialize in
 		// parallel, so the gate costs OpenWork divided by parallelism.
 		if open := n.OpenWork.Seconds(lang); open > 0 {
-			startup = addJob(pool, open/float64(max(n.Parallelism, 1)), 0, jobMeta{Node: nid, Kind: jobInit}, deps(startup))
+			startup = add(pool, 1, open/float64(max(n.Parallelism, 1)), 0, groupMeta{Node: nid, Kind: jobInit}, -1, false, startup)
 		}
 
 		// Ports in ascending order.
@@ -247,8 +276,8 @@ func lowerWithMeta(tr *Trace, m *cost.Model) ([]sim.Job, []sim.Pool, []jobMeta, 
 		// Output serialization.
 		encodeTotal := m.SerdeSeconds(outBytes[k])
 
-		portJobs = portJobs[:0]
-		var lastPortJobs jobRange
+		ports = ports[:0]
+		last := int32(-1) // the last port's group, if it has one
 		prevBarrier := startup
 		for pi, e := range ins {
 			work := 0.0
@@ -257,8 +286,10 @@ func lowerWithMeta(tr *Trace, m *cost.Model) ([]sim.Job, []sim.Pool, []jobMeta, 
 			}
 			decode := m.SerdeSeconds(e.Bytes)
 			b := int(e.Batches)
-			upstream := emitJobsOf[at[e.From]]
-			port := jobRange{first: sim.JobID(len(jobs))}
+			// Batch j waits on the upstream job that emitted it, if any:
+			// the emitting group's job min(j, n-1).
+			upstream := emitOf[at[e.From]]
+			port := int32(-1)
 			if b > 0 {
 				perJob := (work + decode) / float64(b)
 				// Batch latency: the node-local transfer plus, on the
@@ -267,27 +298,20 @@ func lowerWithMeta(tr *Trace, m *cost.Model) ([]sim.Job, []sim.Pool, []jobMeta, 
 				// so this lowers bit-identically to the single-cluster
 				// path there.
 				latency := m.TransferSeconds(e.Bytes/int64(b)) + m.ShuffleSeconds(e.ShuffleBytes/int64(b))
-				for j := 0; j < b; j++ {
-					var up jobRange // the upstream job that emitted batch j, if any
-					if upstream.n > 0 {
-						up = jobRange{upstream.first + sim.JobID(min(j, upstream.n-1)), 1}
-					}
-					addJob(pool, perJob, latency, jobMeta{Node: nid, Port: int32(e.Port), Seq: int32(j)}, deps(prevBarrier, up))
-				}
-				port.n = b
-			} else if upstream.n > 0 {
+				port = add(pool, b, perJob, latency, groupMeta{Node: nid, Port: int32(e.Port), Kind: jobBatch}, upstream, false, prevBarrier)
+			} else if upstream >= 0 {
 				// Empty stream: a zero-cost job keeps the dependency on
 				// the upstream end-of-stream.
-				last := jobRange{upstream.first + sim.JobID(upstream.n-1), 1}
-				addJob(pool, 0, 0, jobMeta{Node: nid, Port: int32(e.Port), Kind: jobEOS}, deps(prevBarrier, last))
-				port.n = 1
+				port = add(pool, 1, 0, 0, groupMeta{Node: nid, Port: int32(e.Port), Kind: jobEOS}, upstream, true, prevBarrier)
 			}
-			portJobs = append(portJobs, port)
-			lastPortJobs = port
+			if port >= 0 {
+				ports = append(ports, port)
+			}
+			last = port
 			// Barrier: later ports wait for this whole port (workers
 			// drain ports in order).
 			if pi < len(ins)-1 {
-				prevBarrier = addJob(pool, 0, 0, jobMeta{Node: nid, Port: int32(e.Port), Kind: jobPortEnd}, deps(prevBarrier, port))
+				prevBarrier = add(pool, 1, 0, 0, groupMeta{Node: nid, Port: int32(e.Port), Kind: jobPortEnd}, -1, false, prevBarrier, port)
 			}
 		}
 
@@ -301,11 +325,8 @@ func lowerWithMeta(tr *Trace, m *cost.Model) ([]sim.Job, []sim.Pool, []jobMeta, 
 			}
 			if b > 0 {
 				perJob := (work + encodeTotal) / float64(b)
-				lastPortJobs = jobRange{sim.JobID(len(jobs)), b}
-				portJobs = append(portJobs, lastPortJobs)
-				for j := 0; j < b; j++ {
-					addJob(pool, perJob, 0, jobMeta{Node: nid, Port: -1, Seq: int32(j)}, deps(startup))
-				}
+				last = add(pool, b, perJob, 0, groupMeta{Node: nid, Port: -1, Kind: jobBatch}, -1, false, startup)
+				ports = append(ports, last)
 			}
 			encodeTotal = 0 // already charged
 		}
@@ -317,25 +338,23 @@ func lowerWithMeta(tr *Trace, m *cost.Model) ([]sim.Job, []sim.Pool, []jobMeta, 
 		endCost := n.EndWork.Seconds(lang) + n.SpillSeconds
 		if n.FullyBlocking {
 			endCost += encodeTotal
-		} else if lastPortJobs.n > 0 && encodeTotal > 0 {
+		} else if last >= 0 && encodeTotal > 0 {
 			// Streaming operators serialize as they emit: spread the
-			// encode cost over the emitting jobs by appending it to
-			// their costs.
-			share := encodeTotal / float64(lastPortJobs.n)
-			for j := 0; j < lastPortJobs.n; j++ {
-				jobs[int(lastPortJobs.first)+j].Cost += share
-			}
+			// encode cost over the emitting jobs by adding a share to
+			// their cost.
+			gr := &lw.groups[last]
+			gr.Cost += encodeTotal / float64(gr.Count)
 		}
-		endID := addJob(pool, endCost, 0, jobMeta{Node: nid, Kind: jobClose}, deps(startup, portJobs...))
+		end := add(pool, 1, endCost, 0, groupMeta{Node: nid, Kind: jobClose}, -1, false, startup, ports...)
 
-		if n.FullyBlocking || lastPortJobs.n == 0 {
-			emitJobsOf[k] = jobRange{endID, 1}
+		if n.FullyBlocking || last < 0 {
+			emitOf[k] = end
 		} else {
-			emitJobsOf[k] = lastPortJobs
+			emitOf[k] = last
 		}
 	}
 
-	return jobs, pools, meta, nil
+	return lw, nil
 }
 
 // topoNodeOrder sorts the positions of tr's nodes topologically (Kahn's
@@ -374,11 +393,11 @@ func topoNodeOrder(tr *Trace, at []int32) ([]int32, error) {
 // SimTime lowers a trace and schedules it, returning the simulated
 // makespan.
 func SimTime(tr *Trace, m *cost.Model) (float64, error) {
-	jobs, pools, err := Lower(tr, m)
+	lw, err := lower(tr, m)
 	if err != nil {
 		return 0, err
 	}
-	res, err := sim.Schedule(jobs, pools)
+	res, err := lw.graph().Schedule(lw.pools, nil, sim.RetryPolicy{}, false)
 	if err != nil {
 		return 0, err
 	}

@@ -59,14 +59,14 @@ type RecoveryInfo struct {
 	RestoreSeconds float64
 }
 
-// scheduleWithFaults schedules lowered jobs under the execution's
-// fault plan. It mutates jobs in place: each node's checkpoint write
-// cost is spread as a tax over its batch jobs, so the same slice feeds
-// telemetry with taxed costs. The failure-free (but taxed) schedule
-// fixes the fault horizon; killed jobs retry after an OperatorStartup
-// respawn delay, batch jobs additionally paying one epoch's restore
-// read.
-func scheduleWithFaults(jobs []sim.Job, pools []sim.Pool, meta []jobMeta, tr *Trace, m *cost.Model, plan faults.Plan, topo shard.Topology) (*sim.Result, *RecoveryInfo, error) {
+// scheduleWithFaults schedules a lowering under the execution's fault
+// plan, with every job's span when spans is set. It mutates lw's
+// groups in place: each node's checkpoint write cost is spread as a tax
+// over its batch jobs, so the same groups feed telemetry with taxed
+// costs. The failure-free (but taxed) schedule fixes the fault horizon;
+// killed jobs retry after an OperatorStartup respawn delay, batch jobs
+// additionally paying one epoch's restore read.
+func scheduleWithFaults(lw *lowering, tr *Trace, m *cost.Model, plan faults.Plan, topo shard.Topology, spans bool) (*sim.Result, *RecoveryInfo, error) {
 	every := plan.CheckpointEvery
 	if every <= 0 {
 		every = DefaultCheckpointEvery
@@ -89,9 +89,9 @@ func scheduleWithFaults(jobs []sim.Job, pools []sim.Pool, meta []jobMeta, tr *Tr
 	}
 	// Batch jobs.
 	batches := make([]int, ids)
-	for _, mt := range meta {
+	for k, mt := range lw.meta {
 		if mt.Kind == jobBatch {
-			batches[mt.Node]++
+			batches[mt.Node] += int(lw.groups[k].Count)
 		}
 	}
 
@@ -115,9 +115,9 @@ func scheduleWithFaults(jobs []sim.Job, pools []sim.Pool, meta []jobMeta, tr *Tr
 		info.CheckpointBytes += bytes
 		info.CheckpointWriteSeconds += writeSecs
 	}
-	for i, mt := range meta {
+	for k, mt := range lw.meta {
 		if mt.Kind == jobBatch {
-			jobs[i].Cost += tax[mt.Node]
+			lw.groups[k].Cost += tax[mt.Node]
 		}
 	}
 
@@ -126,12 +126,12 @@ func scheduleWithFaults(jobs []sim.Job, pools []sim.Pool, meta []jobMeta, tr *Tr
 	// strike whichever operator's worker is running; node-level faults
 	// recover the same way (state lives in the checkpoint store, not on
 	// the node) except for the re-shard below.
-	sched, err := plan.Schedule(jobs, pools, sim.RetryPolicy{
+	sched, err := plan.Schedule(lw.graph(), lw.pools, sim.RetryPolicy{
 		// The controller respawns the worker before the retry runs; the
 		// engine does not back off.
 		Delay: func(sim.JobID, int) float64 { return m.OperatorStartup },
 		ExtraCost: func(id sim.JobID, _ int, objectsLost bool) float64 {
-			mt := meta[id]
+			mt, _ := lw.job(id)
 			if mt.Kind != jobBatch {
 				return 0
 			}
@@ -146,7 +146,7 @@ func scheduleWithFaults(jobs []sim.Job, pools []sim.Pool, meta []jobMeta, tr *Tr
 			}
 			return extra
 		},
-	})
+	}, spans)
 	if err != nil {
 		return nil, nil, err
 	}

@@ -123,13 +123,13 @@ func TestKilledBatchJobPaysRestore(t *testing.T) {
 		Edges: []EdgeTrace{{From: 0, To: 1, Port: 0, Batches: 4, Tuples: 4000, Bytes: 40 << 20}},
 	}
 	m := cost.Default()
-	jobs, pools, meta, err := lowerWithMeta(tr, m)
+	lw, err := lower(tr, m)
 	if err != nil {
 		t.Fatal(err)
 	}
 	// Rate 2/100s over a ~400s horizon lands several faults inside the
 	// 100-second batch jobs.
-	sched, info, err := scheduleWithFaults(jobs, pools, meta, tr, m, faults.Plan{Seed: 1, Rate: 2, CheckpointEvery: 2}, shard.Topology{Nodes: 1})
+	sched, info, err := scheduleWithFaults(lw, tr, m, faults.Plan{Seed: 1, Rate: 2, CheckpointEvery: 2}, shard.Topology{Nodes: 1}, false)
 	if err != nil {
 		t.Fatal(err)
 	}

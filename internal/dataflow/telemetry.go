@@ -114,7 +114,7 @@ func trackCat(kind nodeKind) string {
 // per-invocation spans with virtual-clock stamps from the schedule,
 // per-node wall spans from the live wall shards, deterministic
 // per-edge and per-node counters, and a critical-path breakdown.
-func (ex *Execution) recordTelemetry(jobs []sim.Job, meta []jobMeta, sched *sim.Result) {
+func (ex *Execution) recordTelemetry(lw *lowering, sched *sim.Result) {
 	tel := ex.tel
 	if tel == nil {
 		return
@@ -124,21 +124,22 @@ func (ex *Execution) recordTelemetry(jobs []sim.Job, meta []jobMeta, sched *sim.
 	prefix := "wf." + ex.wf.name + "."
 
 	// One lane per node, indexed by trace node ID, and the
-	// controller's. A job is named here, from its metadata; a batch job
-	// only when the trace is read.
+	// controller's. A job is named here, from its group's metadata; a
+	// batch job only when the trace is read.
 	rec := tel.rec
 	lanes := make([]telemetry.Lane, len(ex.rts))
 	for i, rt := range ex.rts {
 		lanes[i] = rec.Lane(proc, rt.n.name, trackCat(rt.n.kind))
 	}
 	controller := rec.Lane(proc, "controller", "control")
-	rec.RecordSchedule(jobs, sched, func(i int) (telemetry.Lane, telemetry.JobName) {
-		mt := meta[i]
+	g := lw.graph()
+	rec.RecordSchedule(g, sched, func(i int) (telemetry.Lane, telemetry.JobName) {
+		mt, seq := lw.job(sim.JobID(i))
 		switch {
 		case mt.Node < 0:
 			return controller, telemetry.Named(mt.name(ex.wf.name))
 		case mt.Kind == jobBatch:
-			return lanes[mt.Node], telemetry.BatchName(int(mt.Port), int(mt.Seq))
+			return lanes[mt.Node], telemetry.BatchName(int(mt.Port), seq)
 		}
 		return lanes[mt.Node], telemetry.Named(mt.name(ex.rts[mt.Node].n.name))
 	})
@@ -176,9 +177,9 @@ func (ex *Execution) recordTelemetry(jobs []sim.Job, meta []jobMeta, sched *sim.
 
 	// Critical-path breakdown: walk the longest chain and attribute its
 	// time per track.
-	tel.rec.AddCritical(telemetry.CriticalRows(proc, jobs, func(i int) string {
-		if n := meta[i].Node; n >= 0 {
-			return ex.rts[n].n.name
+	tel.rec.AddCritical(telemetry.CriticalRows(proc, g, func(i int) string {
+		if mt, _ := lw.job(sim.JobID(i)); mt.Node >= 0 {
+			return ex.rts[mt.Node].n.name
 		}
 		return "controller"
 	})...)

@@ -22,11 +22,11 @@ type OpSpan struct {
 // execution interval of every node — the data behind a Gantt view of
 // the workflow, which makes pipelining overlap visible.
 func Timeline(tr *Trace, m *cost.Model) ([]OpSpan, error) {
-	jobs, pools, err := Lower(tr, m)
+	lw, err := lower(tr, m)
 	if err != nil {
 		return nil, err
 	}
-	sched, err := sim.Schedule(jobs, pools)
+	sched, err := lw.graph().Schedule(lw.pools, nil, sim.RetryPolicy{}, true)
 	if err != nil {
 		return nil, err
 	}
@@ -35,16 +35,19 @@ func Timeline(tr *Trace, m *cost.Model) ([]OpSpan, error) {
 		start, finish float64
 		seen          bool
 	}
+	pools := lw.pools
 	byPool := make([]agg, len(pools))
-	for i, span := range sched.Spans {
-		a := &byPool[jobs[i].Pool]
-		if !a.seen || span.Start < a.start {
-			a.start = span.Start
+	for _, gr := range lw.groups {
+		a := &byPool[gr.Pool]
+		for _, span := range sched.Spans[gr.First : gr.First+sim.JobID(gr.Count)] {
+			if !a.seen || span.Start < a.start {
+				a.start = span.Start
+			}
+			if !a.seen || span.Finish > a.finish {
+				a.finish = span.Finish
+			}
+			a.seen = true
 		}
-		if !a.seen || span.Finish > a.finish {
-			a.finish = span.Finish
-		}
-		a.seen = true
 	}
 	var out []OpSpan
 	for p, a := range byPool {

@@ -148,14 +148,14 @@ func (p Plan) Events(horizon float64) []Event {
 	}
 }
 
-// Schedule simulates jobs on pools under the plan: the failure-free
-// schedule fixes the fault horizon, the plan expands into events over
-// that makespan, and only when one lands is the schedule re-run under
-// them, killed jobs recovering by retry. A KillNode event reaches the
-// retry policy's ExtraCost with objectsLost set; every event may strike
-// any pool.
-func (p Plan) Schedule(jobs []sim.Job, pools []sim.Pool, retry sim.RetryPolicy) (*sim.Result, error) {
-	clean, err := sim.Schedule(jobs, pools)
+// Schedule simulates g on pools under the plan, with every job's span
+// when spans is set: the failure-free schedule fixes the fault horizon,
+// the plan expands into events over that makespan, and only when one
+// lands is the schedule re-run under them, killed jobs recovering by
+// retry. A KillNode event reaches the retry policy's ExtraCost with
+// objectsLost set; every event may strike any pool.
+func (p Plan) Schedule(g sim.Graph, pools []sim.Pool, retry sim.RetryPolicy, spans bool) (*sim.Result, error) {
+	clean, err := g.Schedule(pools, nil, sim.RetryPolicy{}, spans)
 	if err != nil {
 		return nil, err
 	}
@@ -167,7 +167,7 @@ func (p Plan) Schedule(jobs []sim.Job, pools []sim.Pool, retry sim.RetryPolicy) 
 	for i, e := range evs {
 		strikes[i] = sim.FaultEvent{At: e.At, Pool: sim.AnyPool, Salt: e.Salt, LoseObjects: e.Kind == KillNode}
 	}
-	return sim.ScheduleFaulty(jobs, pools, strikes, retry)
+	return g.Schedule(pools, strikes, retry, spans)
 }
 
 // Backoff returns the delay before the retry-th re-execution

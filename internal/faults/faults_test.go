@@ -115,7 +115,7 @@ func TestZeroPlanScheduleMatchesSim(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	got, err := Plan{}.Schedule(jobs, pools, sim.RetryPolicy{})
+	got, err := Plan{}.Schedule(sim.OfJobs(jobs), pools, sim.RetryPolicy{}, true)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -142,9 +142,9 @@ func TestScheduleEventsPastHorizonKeepCleanSchedule(t *testing.T) {
 		t.Fatalf("plan strikes inside 1000 s: %+v", evs)
 	}
 	called := false
-	res, err := p.Schedule(jobs, pools, sim.RetryPolicy{
+	res, err := p.Schedule(sim.OfJobs(jobs), pools, sim.RetryPolicy{
 		Delay: func(sim.JobID, int) float64 { called = true; return 0 },
-	})
+	}, true)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -169,12 +169,12 @@ func TestScheduleKillNodeLosesObjects(t *testing.T) {
 		t.Fatalf("plan should yield one node fault inside the job: %+v", evs)
 	}
 	var lost []bool
-	res, err := p.Schedule(jobs, pools, sim.RetryPolicy{
+	res, err := p.Schedule(sim.OfJobs(jobs), pools, sim.RetryPolicy{
 		ExtraCost: func(_ sim.JobID, _ int, objectsLost bool) float64 {
 			lost = append(lost, objectsLost)
 			return 0
 		},
-	})
+	}, true)
 	if err != nil {
 		t.Fatal(err)
 	}

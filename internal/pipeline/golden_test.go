@@ -222,10 +222,13 @@ func raceBuild() bool {
 // timings drift 10–18 % on shared runners, bytes and object counts do
 // not. Each run is measured warm, datagen included.
 //
-// A DICE-50 workflow run at 4 workers allocates about 1.4 MB in
-// 1.36–1.37 k objects (1.41–1.42 k under the race detector), of a
-// 1,610,000-byte and 1,480-object budget.
-// (With the join's fixed 1024-row output arena per probe batch the same
+// A DICE-50 workflow run at 4 workers allocates 1.10–1.16 MB in
+// 1.34–1.35 k objects (1.41–1.42 k under the race detector), of a
+// 1,280,000-byte and 1,480-object budget.
+// (With every lowered job stored as a sim.Job with a Deps slice, a
+// jobMeta, a dependents row, a jobState and a Span, instead of
+// generated from its port's job group, the run took 1.35–1.42 MB; with
+// the join's fixed 1024-row output arena per probe batch the same
 // run allocated 82.4 MB; with map UDFs returning a slice per row, the
 // router building a key string per row and lowering naming every job it
 // was 3.9 MB in 48.1 k objects; with brat splitting every annotation
@@ -246,11 +249,11 @@ func raceBuild() bool {
 //
 // The same run at 32 workers on 4 nodes has hundreds of operator
 // instances that see one or two batches each, so it pins the empty tail
-// the run's last arena chunk leaves: it takes 1.8 MB of a
-// 2,600,000-byte budget (2.2 MB with jobs that carried IDs and names;
-// a budget 5 % over this run's readings would not fail that build, so
-// it stays); arenas whose chunks never fell below 16 rows
-// took 3.1 MB, and a join building the rows its filter rejects 2.7 MB.
+// the run's last arena chunk leaves: it takes 1.54–1.58 MB of a
+// 1,720,000-byte budget (1.80–1.87 MB with every lowered job stored,
+// 2.2 MB with jobs that carried IDs and names); arenas whose chunks
+// never fell below 16 rows took 3.1 MB, and a join building the rows
+// its filter rejects 2.7 MB.
 // It also pins what an operator allocates per worker: 2.40–2.44 k
 // objects (2.56–2.61 k under the race detector) of a 2,900 budget. A
 // worker is a slot that the run's GOMAXPROCS runners step, and a node's
@@ -278,8 +281,8 @@ func TestDiceWorkflowAllocBudget(t *testing.T) {
 		byteBudget uint64
 		objBudget  uint64
 	}{
-		{core.RunSpec{Task: "dice", Paradigm: "workflow", Size: 50, Seed: 1, Workers: 4}, 1_610_000, 1_480},
-		{core.RunSpec{Task: "dice", Paradigm: "workflow", Size: 50, Seed: 1, Workers: 32, Nodes: 4}, 2_600_000, 2_900},
+		{core.RunSpec{Task: "dice", Paradigm: "workflow", Size: 50, Seed: 1, Workers: 4}, 1_280_000, 1_480},
+		{core.RunSpec{Task: "dice", Paradigm: "workflow", Size: 50, Seed: 1, Workers: 32, Nodes: 4}, 1_720_000, 2_900},
 	} {
 		run := func() (bytes, objects uint64) {
 			var before, after runtime.MemStats

@@ -238,7 +238,7 @@ func (j *Job) Run() (*Result, error) {
 	// Under a fault plan, killed tasks retry from lineage after a capped
 	// exponential backoff, and a node-level fault also rebuilds the
 	// objects the task was fetching.
-	sched, err := j.plan.Schedule(jobs, pools, sim.RetryPolicy{
+	sched, err := j.plan.Schedule(sim.OfJobs(jobs), pools, sim.RetryPolicy{
 		Delay: func(_ sim.JobID, r int) float64 { return j.plan.Backoff(r) },
 		ExtraCost: func(id sim.JobID, _ int, lost bool) float64 {
 			if !lost {
@@ -256,7 +256,7 @@ func (j *Job) Run() (*Result, error) {
 			}
 			return secs
 		},
-	})
+	}, true)
 	if err != nil {
 		return nil, err
 	}
@@ -282,7 +282,7 @@ func (j *Job) recordTelemetry(jobs []sim.Job, sched *sim.Result) {
 		proc = "script:ray"
 	}
 	lane := j.rec.Lane(proc, rayTrack, "task")
-	j.rec.RecordSchedule(jobs, sched, func(i int) (telemetry.Lane, telemetry.JobName) {
+	j.rec.RecordSchedule(sim.OfJobs(jobs), sched, func(i int) (telemetry.Lane, telemetry.JobName) {
 		return lane, telemetry.Named(j.tasks[i].Name)
 	})
 	var totalCost float64
@@ -298,7 +298,7 @@ func (j *Job) recordTelemetry(jobs []sim.Job, sched *sim.Result) {
 		j.rec.SetMeta("ray."+proc+".recovery.backoff_seconds", fmt.Sprintf("%.6f", rec.DelaySeconds))
 		j.rec.SetMeta("ray."+proc+".recovery.reconstruct_seconds", fmt.Sprintf("%.6f", rec.ExtraCostSeconds))
 	}
-	j.rec.AddCritical(telemetry.CriticalRows(proc, jobs, func(int) string { return rayTrack })...)
+	j.rec.AddCritical(telemetry.CriticalRows(proc, sim.OfJobs(jobs), func(int) string { return rayTrack })...)
 	j.rec.SetMeta("ray."+proc+".makespan", fmt.Sprintf("%.6f", sched.Makespan))
 	j.rec.SetMeta("ray."+proc+".cpu_seconds", fmt.Sprintf("%.6f", totalCost))
 }

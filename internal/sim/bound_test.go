@@ -3,7 +3,8 @@ package sim
 import "fmt"
 
 // Bounds the schedule tests hold Schedule to: a pool's utilization,
-// the critical path, per-pool work and the lower bound they make.
+// the critical path, per-pool work and the lower bound they make; and
+// the job-list forms of a faulty schedule and the critical chain.
 
 // Utilization returns the fraction of pool p's slot-time spent busy
 // over the makespan, or 0 if the makespan is zero.
@@ -19,7 +20,7 @@ func (r *Result) Utilization(p, slots int) float64 {
 // makespan: the length of the chain CriticalChain returns. It returns
 // an error on cycles or unknown dependencies.
 func CriticalPath(jobs []Job) (float64, error) {
-	_, length, err := longestChain(jobs)
+	_, length, err := longestChain(OfJobs(jobs))
 	return length, err
 }
 
@@ -51,4 +52,16 @@ func LowerBound(jobs []Job, pools []Pool) (float64, error) {
 		}
 	}
 	return lb, nil
+}
+
+// ScheduleFaulty simulates jobs on pools under a fault sequence
+// (Graph.Schedule over the explicit list, with every span). With no
+// faults it behaves exactly like Schedule.
+func ScheduleFaulty(jobs []Job, pools []Pool, faults []FaultEvent, retry RetryPolicy) (*Result, error) {
+	return OfJobs(jobs).Schedule(pools, faults, retry, true)
+}
+
+// CriticalChain is Graph.CriticalChain over an explicit job list.
+func CriticalChain(jobs []Job) ([]JobID, error) {
+	return OfJobs(jobs).CriticalChain()
 }

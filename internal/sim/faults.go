@@ -1,7 +1,5 @@
 package sim
 
-import "fmt"
-
 // FaultEvent kills one running job at a virtual time. The victim is
 // chosen deterministically: the running jobs (optionally restricted to
 // one pool) are ordered by position and indexed by Salt, so a fault
@@ -72,19 +70,4 @@ type Recovery struct {
 	LostSeconds      float64
 	DelaySeconds     float64
 	ExtraCostSeconds float64
-}
-
-// ScheduleFaulty simulates jobs on pools under a fault sequence.
-// With no faults it behaves exactly like Schedule. Killed jobs are
-// re-queued under the retry policy; their dependents only ever observe
-// the completion of the final successful attempt, so the DAG semantics
-// — and therefore everything the jobs compute — are unchanged. The
-// result's Aborts and Recovery fields describe the recovery work.
-func ScheduleFaulty(jobs []Job, pools []Pool, faults []FaultEvent, retry RetryPolicy) (*Result, error) {
-	for i := range faults {
-		if faults[i].At < 0 {
-			return nil, fmt.Errorf("sim: fault %d at negative time %g", i, faults[i].At)
-		}
-	}
-	return schedule(jobs, pools, faults, retry)
 }

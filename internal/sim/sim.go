@@ -12,7 +12,11 @@
 //
 // The graph is positional: a job's ID is its position in the job
 // slice, and its pool is a position in the pool slice. Names live with
-// the caller, which is the only one that reads them.
+// the caller, which is the only one that reads them. A caller whose
+// jobs come in regular runs states them as groups (Group, OfGroups),
+// and the event loop generates each job's cost, pool, dependencies and
+// dependents from its group; an explicit job list is the same loop's
+// one-job groups.
 //
 // Scheduling is non-preemptive greedy list scheduling: a job becomes
 // ready when all of its dependencies have finished plus its extra
@@ -64,7 +68,8 @@ type Result struct {
 	// Makespan is the finish time of the last job.
 	Makespan float64
 	// Spans[i] is the execution interval of job i (the final,
-	// successful attempt under fault injection).
+	// successful attempt under fault injection). Schedule always
+	// fills it; Graph.Schedule only when asked.
 	Spans []Span
 	// BusyTime[p] is the total slot-seconds consumed on pool p,
 	// including the partial work of attempts later killed by faults.
@@ -80,13 +85,14 @@ type Result struct {
 // On the event heap it is a job completion, (job == wakeupEvent) a
 // dispatch wakeup at the moment a queued job's latency elapses, or
 // (job <= faultBase) a fault strike, carrying the fault's index as
-// faultBase-job; attempt tags completions so a killed attempt's stale
-// completion event can be recognized and dropped. On a ready queue it
-// is a job waiting for a slot since at. Both order by (at, job).
+// faultBase-job. On a ready queue it is a job waiting for a slot since
+// at. A job's entries carry its group; a killed attempt's completion
+// stays on the heap with its group complemented (negative), so it is
+// recognized and dropped when it pops. Both order by (at, job).
 type event struct {
-	at      float64
-	job     JobID
-	attempt int32
+	at    float64
+	job   JobID
+	group int32
 }
 
 // wakeupEvent marks events that exist only to trigger a dispatch at a
@@ -150,18 +156,34 @@ func (h *eventHeap) pop() event {
 }
 
 // Schedule simulates the execution of jobs on pools and returns the
-// resulting timeline. It returns an error for references to unknown
-// pools or jobs, duplicate pool names, non-positive pool sizes,
-// negative costs, or dependency cycles.
+// resulting timeline, every job's span included. It returns an error
+// for references to unknown pools or jobs, duplicate pool names,
+// non-positive pool sizes, negative costs, or dependency cycles.
 func Schedule(jobs []Job, pools []Pool) (*Result, error) {
-	return schedule(jobs, pools, nil, RetryPolicy{})
+	return OfJobs(jobs).Schedule(pools, nil, RetryPolicy{}, true)
 }
 
-// jobState is the event loop's bookkeeping for one job, at the job's
-// position.
+// Schedule simulates g on pools under a fault sequence (none for a
+// fault-free run). Killed jobs are re-queued under the retry policy;
+// their dependents only ever observe the completion of the final
+// successful attempt, so the DAG semantics — and therefore everything
+// the jobs compute — are unchanged. The result's Aborts and Recovery
+// fields describe the recovery work. Result.Spans is filled only when
+// spans is set: a caller that reads the makespan and busy times alone
+// keeps no record per job beyond the event loop's own.
+func (g Graph) Schedule(pools []Pool, faults []FaultEvent, retry RetryPolicy, spans bool) (*Result, error) {
+	for i := range faults {
+		if faults[i].At < 0 {
+			return nil, fmt.Errorf("sim: fault %d at negative time %g", i, faults[i].At)
+		}
+	}
+	return schedule(g, pools, faults, retry, spans)
+}
+
+// jobState is the event loop's one record per job, at the job's
+// position; it holds no pointer.
 type jobState struct {
 	depFinish float64 // latest finish among the dependencies finished so far
-	extra     float64 // retry cost added to the next attempt; 0 until a fault kills one
 	pending   int32   // dependencies not yet finished
 	attempt   int32   // attempts killed so far; 0 = first attempt
 }
@@ -174,30 +196,34 @@ type poolState struct {
 
 // scheduler is the state of one schedule call.
 type scheduler struct {
-	jobs  []Job
+	g     Graph
 	state []jobState
 	pools []poolState
-	// Job i's dependents are dependents[depOff[i]:depOff[i+1]].
+	// Group k's dependents are dependents[depOff[k]:depOff[k+1]]: h
+	// for a group h that lists k in After, ^h for one whose Up is k.
 	depOff     []int32
 	dependents []int32
 	events     eventHeap
-	now        float64
-	res        *Result
+	lastWake   float64           // the time of the last wakeup pushed
+	extra      map[JobID]float64 // retry cost of a struck job's next attempt
+	// spans[i] is job i's latest attempt: Result.Spans when asked for,
+	// and under faults, where a strike reads its victim's start, kept
+	// either way.
+	spans []Span
+	now   float64
+	res   *Result
 }
 
-// schedule is the event loop behind Schedule and ScheduleFaulty. A
+// schedule is the event loop behind Schedule and Graph.Schedule. A
 // fault-free call is the same loop with no fault events on the heap:
 // every attempt counter stays 0 and every retry cost +0.
-func schedule(jobs []Job, pools []Pool, faults []FaultEvent, retry RetryPolicy) (*Result, error) {
+func schedule(g Graph, pools []Pool, faults []FaultEvent, retry RetryPolicy, spans bool) (*Result, error) {
+	n, groups := g.Len(), g.NumGroups()
 	s := &scheduler{
-		jobs:   jobs,
-		state:  make([]jobState, len(jobs)),
+		g:      g,
 		pools:  make([]poolState, len(pools)),
-		depOff: make([]int32, len(jobs)+2),
-		res: &Result{
-			Spans:    make([]Span, len(jobs)),
-			BusyTime: make([]float64, len(pools)),
-		},
+		depOff: make([]int32, groups+2),
+		res:    &Result{BusyTime: make([]float64, len(pools))},
 	}
 	slots := 0
 	for i, p := range pools {
@@ -212,59 +238,103 @@ func schedule(jobs []Job, pools []Pool, faults []FaultEvent, retry RetryPolicy) 
 		s.pools[i].free = p.Slots
 		slots += p.Slots
 	}
-
-	// Validate references and count every job's dependents two places
-	// up in depOff (see the fill below).
-	for i := range jobs {
-		j := &jobs[i]
-		if j.Cost < 0 {
-			return nil, fmt.Errorf("sim: job %d has negative cost %g", i, j.Cost)
+	if g.grouped() {
+		if err := g.checkGroups(len(pools)); err != nil {
+			return nil, err
 		}
-		if j.Latency < 0 {
-			return nil, fmt.Errorf("sim: job %d has negative latency %g", i, j.Latency)
-		}
-		if j.Pool < 0 || int(j.Pool) >= len(pools) {
-			return nil, fmt.Errorf("sim: job %d references unknown pool %d", i, j.Pool)
-		}
-		for _, d := range j.Deps {
-			if d < 0 || int(d) >= len(jobs) {
-				return nil, fmt.Errorf("sim: job %d depends on unknown job %d", i, d)
-			}
-			s.depOff[d+2]++
-		}
-		s.state[i].pending = int32(len(j.Deps))
 	}
-	// Running sums make depOff[i+1] the start of job i's dependents;
+	s.state = make([]jobState, n)
+	if spans || len(faults) > 0 {
+		s.spans = make([]Span, n)
+	}
+	if spans {
+		s.res.Spans = s.spans
+	}
+
+	// Count every group's dependents two places up in depOff (see the
+	// fill below), and give every job its dependency count.
+	for k := range int32(groups) {
+		pending := int32(0)
+		if !g.grouped() {
+			j := &g.jobs[k]
+			if j.Cost < 0 {
+				return nil, fmt.Errorf("sim: job %d has negative cost %g", k, j.Cost)
+			}
+			if j.Latency < 0 {
+				return nil, fmt.Errorf("sim: job %d has negative latency %g", k, j.Latency)
+			}
+			if j.Pool < 0 || int(j.Pool) >= len(pools) {
+				return nil, fmt.Errorf("sim: job %d references unknown pool %d", k, j.Pool)
+			}
+			for _, d := range j.Deps {
+				if d < 0 || int(d) >= n {
+					return nil, fmt.Errorf("sim: job %d depends on unknown job %d", k, d)
+				}
+				s.depOff[d+2]++
+			}
+			pending = int32(len(j.Deps))
+		} else {
+			gr := &g.groups[k]
+			for _, a := range gr.After {
+				s.depOff[a+2]++
+				pending += g.groups[a].Count
+			}
+			if gr.Up >= 0 {
+				s.depOff[gr.Up+2]++
+				pending++
+			}
+		}
+		first, count := g.span(k)
+		for id := first; id < first+JobID(count); id++ {
+			s.state[id].pending = pending
+		}
+	}
+	// Running sums make depOff[k+1] the start of group k's dependents;
 	// filling a row advances it to the row's end, which is the start of
-	// the next, so afterwards depOff[i] starts row i. Rows list dependents
-	// in slice order.
+	// the next, so afterwards depOff[k] starts row k. Rows list
+	// dependents in group order.
 	for i := 2; i < len(s.depOff); i++ {
 		s.depOff[i] += s.depOff[i-1]
 	}
-	s.dependents = make([]int32, s.depOff[len(jobs)+1])
-	for i := range jobs {
-		for _, d := range jobs[i].Deps {
-			s.dependents[s.depOff[d+1]] = int32(i)
-			s.depOff[d+1]++
+	s.dependents = make([]int32, s.depOff[groups+1])
+	for k := range int32(groups) {
+		if !g.grouped() {
+			for _, d := range g.jobs[k].Deps {
+				s.dependents[s.depOff[d+1]] = k
+				s.depOff[d+1]++
+			}
+			continue
+		}
+		gr := &g.groups[k]
+		for _, a := range gr.After {
+			s.dependents[s.depOff[a+1]] = k
+			s.depOff[a+1]++
+		}
+		if gr.Up >= 0 {
+			s.dependents[s.depOff[gr.Up+1]] = ^k
+			s.depOff[gr.Up+1]++
 		}
 	}
 
 	// The event heap holds the faults and at most one completion per
 	// slot, besides the wakeups of jobs whose latency has not elapsed
 	// (and, once a fault strikes, stale completions).
-	s.events = make(eventHeap, 0, len(faults)+min(slots, len(jobs)))
+	s.events = make(eventHeap, 0, len(faults)+min(slots, n))
 	for i := range faults {
 		s.events.push(event{at: faults[i].At, job: faultBase - JobID(i)})
 	}
 	// Jobs with no dependencies are ready at time 0 (plus latency).
-	for i := range s.state {
-		if s.state[i].pending == 0 {
-			s.enqueue(JobID(i), 0)
+	for k := range int32(groups) {
+		first, count := g.span(k)
+		for id := first; id < first+JobID(count); id++ {
+			if s.state[id].pending == 0 {
+				s.enqueue(k, id, 0)
+			}
 		}
 	}
 
 	s.dispatch()
-	for finished := 0; finished < len(jobs); {
+	for finished := 0; finished < n; {
 		// If no events are pending, advance time to the earliest ready
 		// job.
 		if len(s.events) == 0 {
@@ -275,7 +345,7 @@ func schedule(jobs []Job, pools []Pool, faults []FaultEvent, retry RetryPolicy) 
 				}
 			}
 			if math.IsInf(next, 1) {
-				return nil, fmt.Errorf("sim: dependency cycle detected (%d of %d jobs stuck)", len(jobs)-finished, len(jobs))
+				return nil, fmt.Errorf("sim: dependency cycle detected (%d of %d jobs stuck)", n-finished, n)
 			}
 			s.now = next
 			s.dispatch()
@@ -294,47 +364,109 @@ func schedule(jobs []Job, pools []Pool, faults []FaultEvent, retry RetryPolicy) 
 			s.dispatch()
 			continue
 		}
-		if ev.attempt != s.state[ev.job].attempt {
+		if ev.group < 0 {
 			continue // stale completion of a killed attempt
 		}
-		s.pools[jobs[ev.job].Pool].free++
+		pool, _, _ := s.g.attr(ev.group)
+		s.pools[pool].free++
 		finished++
-		for _, dep := range s.dependents[s.depOff[ev.job]:s.depOff[ev.job+1]] {
-			ds := &s.state[dep]
-			if s.now > ds.depFinish {
-				ds.depFinish = s.now
-			}
-			ds.pending--
-			if ds.pending == 0 {
-				s.enqueue(JobID(dep), ds.depFinish)
-			}
-		}
+		s.complete(ev.group, ev.job)
 		s.dispatch()
 	}
 	s.res.Makespan = s.now
 	return s.res, nil
 }
 
-// enqueue puts job i, whose last dependency finished at time at, on its
-// pool's ready queue.
-func (s *scheduler) enqueue(i JobID, at float64) {
-	j := &s.jobs[i]
-	readyAt := at + j.Latency
-	s.pools[j.Pool].ready.push(event{at: readyAt, job: i})
-	if readyAt > s.now {
-		s.events.push(event{at: readyAt, job: wakeupEvent})
+// complete releases the dependents of job id of group k, which has
+// just finished: every job of a group that waits on k whole, and the
+// jobs of a group whose Up is k that wait on this job.
+func (s *scheduler) complete(k int32, id JobID) {
+	deps := s.dependents[s.depOff[k]:s.depOff[k+1]]
+	if !s.g.grouped() {
+		for _, d := range deps {
+			s.release(d, JobID(d)) // job d is group d
+		}
+		return
+	}
+	for _, d := range deps {
+		if d >= 0 {
+			first, count := s.g.span(d)
+			for dep := first; dep < first+JobID(count); dep++ {
+				s.release(d, dep)
+			}
+			continue
+		}
+		h := ^d
+		gr := &s.g.groups[h]
+		first, count := s.g.span(k)
+		j, last := int32(id-first), count-1
+		switch {
+		case gr.UpLast:
+			if j == last {
+				for dep := gr.First; dep < gr.First+JobID(gr.Count); dep++ {
+					s.release(h, dep)
+				}
+			}
+		case j < last:
+			if j < gr.Count {
+				s.release(h, gr.First+JobID(j))
+			}
+		default:
+			for dep := gr.First + JobID(last); dep < gr.First+JobID(gr.Count); dep++ {
+				s.release(h, dep)
+			}
+		}
 	}
 }
 
-// start runs job i on a free slot of its pool from the current time.
-func (s *scheduler) start(i JobID) {
-	j, st := &s.jobs[i], &s.state[i]
-	s.pools[j.Pool].free--
-	c := j.Cost + st.extra
+// release counts one finished dependency of job id of group k, and
+// queues the job when it was the last.
+func (s *scheduler) release(k int32, id JobID) {
+	st := &s.state[id]
+	if s.now > st.depFinish {
+		st.depFinish = s.now
+	}
+	st.pending--
+	if st.pending == 0 {
+		s.enqueue(k, id, st.depFinish)
+	}
+}
+
+// enqueue puts job id of group k, whose last dependency finished at
+// time at, on its pool's ready queue.
+func (s *scheduler) enqueue(k int32, id JobID, at float64) {
+	pool, _, latency := s.g.attr(k)
+	readyAt := at + latency
+	s.pools[pool].ready.push(event{at: readyAt, job: id, group: k})
+	s.wake(readyAt)
+}
+
+// wake makes sure a dispatch runs at time at. A wakeup already pushed
+// for that time is still on the heap while at lies ahead, so a burst of
+// jobs readied for one time (a port's batches behind its barrier)
+// pushes one.
+func (s *scheduler) wake(at float64) {
+	if at > s.now && at != s.lastWake {
+		s.events.push(event{at: at, job: wakeupEvent})
+		s.lastWake = at
+	}
+}
+
+// start runs job id of group k on a free slot of its pool from the
+// current time.
+func (s *scheduler) start(k int32, id JobID) {
+	pool, cost, _ := s.g.attr(k)
+	s.pools[pool].free--
+	c := cost
+	if s.extra != nil {
+		c += s.extra[id]
+	}
 	fin := s.now + c
-	s.res.Spans[i] = Span{Start: s.now, Finish: fin}
-	s.res.BusyTime[j.Pool] += c
-	s.events.push(event{at: fin, job: i, attempt: st.attempt})
+	if s.spans != nil {
+		s.spans[id] = Span{Start: s.now, Finish: fin}
+	}
+	s.res.BusyTime[pool] += c
+	s.events.push(event{at: fin, job: id, group: k})
 }
 
 // dispatch starts every startable job at the current time, pool by
@@ -345,7 +477,8 @@ func (s *scheduler) dispatch() {
 	for i := range s.pools {
 		p := &s.pools[i]
 		for p.free > 0 && len(p.ready) > 0 && p.ready[0].at <= s.now {
-			s.start(p.ready.pop().job)
+			e := p.ready.pop()
+			s.start(e.group, e.job)
 		}
 	}
 }
@@ -355,27 +488,30 @@ func (s *scheduler) dispatch() {
 // the retry policy. Faults on an idle (or non-matching) system are
 // no-ops.
 //
-// The running jobs are the completions on the event heap whose attempt
-// is still current, and such an event's time is its attempt's start
-// plus slot cost, so the loop keeps no separate record of them.
+// The running jobs are the completions on the event heap that are not
+// stale, and such an event's time is its attempt's start plus slot
+// cost, so the loop keeps no separate record of them; the victim's
+// start is its span's.
 func (s *scheduler) strike(f *FaultEvent, retry *RetryPolicy) error {
-	var victims []event
-	for _, e := range s.events {
-		if e.job < 0 || e.attempt != s.state[e.job].attempt {
+	var victims []int // positions on the event heap
+	for i, e := range s.events {
+		if e.job < 0 || e.group < 0 {
 			continue // not a completion, or a stale one
 		}
-		if f.Pool == AnyPool || s.jobs[e.job].Pool == f.Pool {
-			victims = append(victims, e)
+		if pool, _, _ := s.g.attr(e.group); f.Pool == AnyPool || pool == f.Pool {
+			victims = append(victims, i)
 		}
 	}
 	if len(victims) == 0 {
 		return nil
 	}
-	slices.SortFunc(victims, func(a, b event) int { return cmp.Compare(a.job, b.job) })
-	v := victims[int(f.Salt%uint64(len(victims)))]
+	slices.SortFunc(victims, func(a, b int) int { return cmp.Compare(s.events[a].job, s.events[b].job) })
+	vi := victims[int(f.Salt%uint64(len(victims)))]
+	v := s.events[vi]
+	s.events[vi].group = ^v.group // its completion is stale from now on
 	st := &s.state[v.job]
-	started := s.res.Spans[v.job].Start
-	pool := s.jobs[v.job].Pool
+	started := s.spans[v.job].Start
+	pool, _, _ := s.g.attr(v.group)
 	s.pools[pool].free++
 	// Remove the unexecuted remainder of the attempt from busy time;
 	// the part already executed stays, as genuinely wasted slot time.
@@ -399,7 +535,10 @@ func (s *scheduler) strike(f *FaultEvent, retry *RetryPolicy) error {
 	if delay < 0 || extra < 0 {
 		return fmt.Errorf("sim: retry policy returned negative delay/cost (%g, %g) for job %d", delay, extra, v.job)
 	}
-	st.extra = extra
+	if s.extra == nil {
+		s.extra = make(map[JobID]float64)
+	}
+	s.extra[v.job] = extra
 
 	rec := &s.res.Recovery
 	rec.Kills++
@@ -417,35 +556,39 @@ func (s *scheduler) strike(f *FaultEvent, retry *RetryPolicy) error {
 	// Re-queue: dependencies were satisfied before the first attempt,
 	// so the job re-enters its pool's queue directly.
 	readyAt := s.now + delay
-	s.pools[pool].ready.push(event{at: readyAt, job: v.job})
-	if readyAt > s.now {
-		s.events.push(event{at: readyAt, job: wakeupEvent})
-	}
+	s.pools[pool].ready.push(event{at: readyAt, job: v.job, group: v.group})
+	s.wake(readyAt)
 	return nil
 }
 
-// CriticalChain returns the positions of the jobs on one longest
+// CriticalChain returns the positions of g's jobs on one longest
 // dependency chain, in execution order. Ties are broken toward the
 // smaller position at every step, so the chain is deterministic for a
 // given job set regardless of dependency order. It returns an error on
 // cycles or unknown dependencies.
-func CriticalChain(jobs []Job) ([]JobID, error) {
-	chain, _, err := longestChain(jobs)
+func (g Graph) CriticalChain() ([]JobID, error) {
+	chain, _, err := longestChain(g)
 	return chain, err
 }
 
 // longestChain is the one longest-path walk behind CriticalChain (and
 // the tests' CriticalPath): a memoised depth-first search returning the
 // chain and its length.
-func longestChain(jobs []Job) ([]JobID, float64, error) {
-	if len(jobs) == 0 {
+func longestChain(g Graph) ([]JobID, float64, error) {
+	n := g.Len()
+	if n == 0 {
 		return nil, 0, nil
 	}
-	memo := make([]float64, len(jobs))
-	best := make([]JobID, len(jobs)) // heaviest dependency, -1 if none
-	state := make([]uint8, len(jobs))
-	var visit func(ji JobID) (float64, error)
-	visit = func(ji JobID) (float64, error) {
+	if g.grouped() {
+		if err := g.checkGroups(-1); err != nil {
+			return nil, 0, err
+		}
+	}
+	memo := make([]float64, n)
+	best := make([]JobID, n) // heaviest dependency, -1 if none
+	state := make([]uint8, n)
+	var visit func(k int32, ji JobID) (float64, error)
+	visit = func(k int32, ji JobID) (float64, error) {
 		if state[ji] == 2 {
 			return memo[ji], nil
 		}
@@ -453,35 +596,61 @@ func longestChain(jobs []Job) ([]JobID, float64, error) {
 			return 0, fmt.Errorf("sim: dependency cycle through job %d", ji)
 		}
 		state[ji] = 1
-		j := &jobs[ji]
 		longest, heaviest := 0.0, JobID(-1)
-		for _, d := range j.Deps {
-			if d < 0 || int(d) >= len(jobs) {
-				return 0, fmt.Errorf("sim: job %d depends on unknown job %d", ji, d)
-			}
-			v, err := visit(d)
+		// Strictly longer wins; on a tie the smaller dependency does,
+		// making the chain independent of dependency order.
+		dep := func(dk int32, d JobID) error {
+			v, err := visit(dk, d)
 			if err != nil {
-				return 0, err
+				return err
 			}
-			// Strictly longer wins; on a tie the smaller dependency does,
-			// making the chain independent of Deps order.
 			if v > longest || (v == longest && heaviest >= 0 && d < heaviest) {
 				longest, heaviest = v, d
 			}
+			return nil
+		}
+		if !g.grouped() {
+			for _, d := range g.jobs[ji].Deps {
+				if d < 0 || int(d) >= n {
+					return 0, fmt.Errorf("sim: job %d depends on unknown job %d", ji, d)
+				}
+				if err := dep(int32(d), d); err != nil {
+					return 0, err
+				}
+			}
+		} else {
+			gr := &g.groups[k]
+			for _, a := range gr.After {
+				first, count := g.span(a)
+				for d := first; d < first+JobID(count); d++ {
+					if err := dep(a, d); err != nil {
+						return 0, err
+					}
+				}
+			}
+			if gr.Up >= 0 {
+				if err := dep(gr.Up, g.upJob(gr, int32(ji-gr.First))); err != nil {
+					return 0, err
+				}
+			}
 		}
 		state[ji] = 2
-		memo[ji] = longest + j.Cost + j.Latency
+		_, cost, latency := g.attr(k)
+		memo[ji] = longest + cost + latency
 		best[ji] = heaviest
 		return memo[ji], nil
 	}
 	top, topLen := JobID(-1), -1.0
-	for i := range jobs {
-		v, err := visit(JobID(i))
-		if err != nil {
-			return nil, 0, err
-		}
-		if v > topLen {
-			top, topLen = JobID(i), v
+	for k := range int32(g.NumGroups()) {
+		first, count := g.span(k)
+		for id := first; id < first+JobID(count); id++ {
+			v, err := visit(k, id)
+			if err != nil {
+				return nil, 0, err
+			}
+			if v > topLen {
+				top, topLen = id, v
+			}
 		}
 	}
 	var chain []JobID

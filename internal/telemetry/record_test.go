@@ -165,7 +165,7 @@ func recordRun(t *testing.T, rng *xrand.Rand, rec *Recorder, ref *refRecorder, p
 	for i := range faults {
 		faults[i] = sim.FaultEvent{At: uniform(rng, 0, float64(n)/2), Pool: sim.AnyPool, Salt: rng.Uint64(), LoseObjects: rng.Bool(0.3)}
 	}
-	sched, err := sim.ScheduleFaulty(jobs, simPools, faults, sim.RetryPolicy{MaxRetries: 64})
+	sched, err := sim.OfJobs(jobs).Schedule(simPools, faults, sim.RetryPolicy{MaxRetries: 64}, true)
 	if err != nil {
 		t.Skip(err)
 	}
@@ -174,7 +174,7 @@ func recordRun(t *testing.T, rng *xrand.Rand, rec *Recorder, ref *refRecorder, p
 	for i, p := range pools {
 		lanes[i] = rec.Lane(proc, p.track, p.cat)
 	}
-	rec.RecordSchedule(jobs, sched, func(i int) (Lane, JobName) {
+	rec.RecordSchedule(sim.OfJobs(jobs), sched, func(i int) (Lane, JobName) {
 		if mt := metas[i]; mt.batch {
 			return lanes[mt.pool], BatchName(mt.port, mt.seq)
 		}

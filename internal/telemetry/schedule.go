@@ -22,27 +22,31 @@ func Named(name string) JobName { return JobName{name: name} }
 // source's generated batch seq when port is negative (see BatchLabel).
 func BatchName(port, seq int) JobName { return JobName{batch: true, port: port, seq: seq} }
 
-// RecordSchedule records one virtual-clock span per job of sched that
-// consumed time, in job order, then one "recovery" span per killed
-// attempt, in kill order, named "<job>:killed#<attempt>" and covering
-// the time the attempt held its slot. lane gives the lane and name of
+// RecordSchedule records one virtual-clock span per job of g that
+// consumed time, in job order, from sched (scheduled with its spans),
+// then one "recovery" span per killed attempt, in kill order, named
+// "<job>:killed#<attempt>" and covering the time the attempt held its
+// slot. lane gives the lane and name of
 // the job at position i; it is called only for jobs that get a span,
 // under the recorder's lock, so it must not call the recorder. A
 // killed attempt takes its job's track on a "recovery" lane.
-func (r *Recorder) RecordSchedule(jobs []sim.Job, sched *sim.Result, lane func(i int) (Lane, JobName)) {
+func (r *Recorder) RecordSchedule(g sim.Graph, sched *sim.Result, lane func(i int) (Lane, JobName)) {
 	if r == nil {
 		return
 	}
 	r.mu.Lock()
 	defer r.mu.Unlock()
-	r.recs.Grow(len(jobs) + len(sched.Aborts))
-	for i := range jobs {
-		if jobs[i].Cost <= 0 {
+	r.recs.Grow(g.Len() + len(sched.Aborts))
+	for k := range g.NumGroups() {
+		gr := g.Group(k)
+		if gr.Cost <= 0 {
 			continue // barrier and end-of-stream bookkeeping jobs
 		}
-		l, n := lane(i)
-		sp := sched.Spans[i]
-		r.recs.Append(r.jobRec(l, n, Virt{Start: sp.Start, Dur: sp.Finish - sp.Start}))
+		for i := int(gr.First); i < int(gr.First)+int(gr.Count); i++ {
+			l, n := lane(i)
+			sp := sched.Spans[i]
+			r.recs.Append(r.jobRec(l, n, Virt{Start: sp.Start, Dur: sp.Finish - sp.Start}))
+		}
 	}
 	for _, ab := range sched.Aborts {
 		l, n := lane(int(ab.Job))
@@ -66,13 +70,13 @@ func (r *Recorder) jobRec(l Lane, n JobName, v Virt) spanRec {
 	return rec
 }
 
-// CriticalRows attributes the jobs' critical chain (sim.CriticalChain)
-// to tracks: one row per track, in the order the chain first reaches
+// CriticalRows attributes the critical chain of g's jobs
+// (sim.Graph.CriticalChain) to tracks: one row per track, in the order the chain first reaches
 // it, each summing its jobs' cost and latency in chain order. track
 // names the track of the job at position i. It returns nil when the
 // chain cannot be computed.
-func CriticalRows(proc string, jobs []sim.Job, track func(i int) string) []CriticalRow {
-	chain, err := sim.CriticalChain(jobs)
+func CriticalRows(proc string, g sim.Graph, track func(i int) string) []CriticalRow {
+	chain, err := g.CriticalChain()
 	if err != nil {
 		return nil
 	}
@@ -87,7 +91,8 @@ func CriticalRows(proc string, jobs []sim.Job, track func(i int) string) []Criti
 			rows = append(rows, CriticalRow{Proc: proc, Track: t})
 		}
 		rows[k].Jobs++
-		rows[k].Seconds += jobs[id].Cost + jobs[id].Latency
+		gr := g.Group(g.GroupOf(id))
+		rows[k].Seconds += gr.Cost + gr.Latency
 	}
 	return rows
 }

@@ -14,14 +14,14 @@ func TestRecordScheduleSkipsFreeJobsAndNamesKills(t *testing.T) {
 	}
 	names := []string{"a", "barrier", "b"}
 	pools := []sim.Pool{{Name: "p", Slots: 1}}
-	sched, err := sim.ScheduleFaulty(jobs, pools, []sim.FaultEvent{{At: 4, Pool: sim.AnyPool}, {At: 6, Pool: sim.AnyPool}}, sim.RetryPolicy{})
+	sched, err := sim.OfJobs(jobs).Schedule(pools, []sim.FaultEvent{{At: 4, Pool: sim.AnyPool}, {At: 6, Pool: sim.AnyPool}}, sim.RetryPolicy{}, true)
 	if err != nil {
 		t.Fatal(err)
 	}
 	rec := New()
 	rec.Record(Span{Name: "kept"})
 	lane := rec.Lane("script:x", "lane", "task")
-	rec.RecordSchedule(jobs, sched, func(i int) (Lane, JobName) { return lane, Named(names[i]) })
+	rec.RecordSchedule(sim.OfJobs(jobs), sched, func(i int) (Lane, JobName) { return lane, Named(names[i]) })
 	spans := rec.Spans()
 	want := []struct {
 		name, cat  string
@@ -56,7 +56,7 @@ func TestCriticalRowsFirstReachedOrder(t *testing.T) {
 		{Cost: 4, Pool: 2, Deps: []sim.JobID{2}},
 	}
 	tracks := []string{"x", "y", "z"}
-	rows := CriticalRows("workflow:x", jobs, func(i int) string { return tracks[jobs[i].Pool] })
+	rows := CriticalRows("workflow:x", sim.OfJobs(jobs), func(i int) string { return tracks[jobs[i].Pool] })
 	want := []CriticalRow{
 		{Proc: "workflow:x", Track: "x", Jobs: 2, Seconds: 4.5},
 		{Proc: "workflow:x", Track: "y", Jobs: 1, Seconds: 2},
